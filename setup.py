@@ -1,9 +1,9 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the one place the runtime dependencies are declared.
 
-The project is fully described by ``pyproject.toml``; this file exists so
-that legacy editable installs (``python setup.py develop`` or
-``pip install -e .`` on environments without the ``wheel`` package) keep
-working in offline environments.
+``pip install -e .`` (what CI runs) installs ``numpy`` and ``scipy`` from
+``install_requires`` below; the test-only tools (``pytest``,
+``pytest-benchmark``, ``hypothesis``) are installed alongside by the CI
+jobs.  There is no ``pyproject.toml``.
 """
 
 from setuptools import find_packages, setup

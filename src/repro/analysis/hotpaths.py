@@ -23,8 +23,11 @@ from typing import List, Tuple
 
 #: ``(package-relative module path, dotted symbol)`` pairs.
 HOT_PATHS: List[Tuple[str, str]] = [
-    # Fused fast-sim acquisition (PR 3): one bucketing pass, one draw per
+    # Acquisition: the one wave loop every round runs, and the fused
+    # fast-sim round around it (PR 3) — one bucketing pass, one draw per
     # attribute.  Per-row Python here undoes the ~4x fused-round win.
+    ("repro/sensing/handler.py", "RequestResponseHandler._acquire_waves"),
+    ("repro/sensing/handler.py", "_SharedStream.answer"),
     ("repro/sensing/handler.py", "RequestResponseHandler._bucket_sensors"),
     (
         "repro/sensing/handler.py",

@@ -43,7 +43,7 @@ from .participation import (
     FatigueParticipation,
 )
 from .incentives import IncentiveScheme, FlatIncentive, LinearIncentiveResponse, incentive_boost
-from .handler import AcquisitionRequest, AcquisitionResponse, RequestResponseHandler, HandlerReport
+from .handler import RequestResponseHandler, HandlerReport
 from .world import SensingWorld, WorldConfig
 from .errors import GpsNoiseModel, ValueErrorModel, ErrorInjector
 
@@ -73,8 +73,6 @@ __all__ = [
     "FlatIncentive",
     "LinearIncentiveResponse",
     "incentive_boost",
-    "AcquisitionRequest",
-    "AcquisitionResponse",
     "RequestResponseHandler",
     "HandlerReport",
     "SensingWorld",

@@ -7,10 +7,19 @@ be sent in a given duration.  Requests go to a randomly selected set of
 mobile sensors, "sampled with or without replacement, depending on the
 number of mobile sensors available".
 
-The handler is deliberately unaware of queries and topologies: it produces a
-batch of raw :class:`~repro.streams.tuples.SensorTuple` observations per grid
-cell per acquisition round, which the crowdsensed stream fabricator then
-pushes through PMAT topologies.
+The handler is deliberately unaware of queries and topologies: an
+acquisition round yields the raw observations of every requested
+``(attribute, cell)`` pair as columnar
+:class:`~repro.streams.TupleBatch` es (one per attribute from
+:meth:`RequestResponseHandler.acquire_batches`; the object path's
+:meth:`~RequestResponseHandler.acquire` materialises the same rounds as
+:class:`~repro.streams.tuples.SensorTuple` lists per grid cell), which the
+crowdsensed stream fabricator then pushes through PMAT topologies.
+
+Every entry point runs the same wave loop
+(:meth:`RequestResponseHandler._acquire_waves`) over cell segments; what
+differs between the strict and fast-sim RNG contracts is confined to two
+small RNG policies (:class:`_PerSensorStreams`, :class:`_SharedStream`).
 """
 
 from __future__ import annotations
@@ -28,25 +37,6 @@ from .incentives import FlatIncentive, IncentiveScheme
 from .world import SensingWorld
 
 CellKey = Tuple[int, int]
-
-
-@dataclass(frozen=True)
-class AcquisitionRequest:
-    """One acquisition request sent to one sensor."""
-
-    attribute: str
-    cell: CellKey
-    sensor_id: int
-    sent_at: float
-    incentive: float = 0.0
-
-
-@dataclass(frozen=True)
-class AcquisitionResponse:
-    """One response received from a sensor (already shaped as a tuple)."""
-
-    request: AcquisitionRequest
-    tuple: SensorTuple
 
 
 @dataclass
@@ -109,6 +99,196 @@ class HandlerReport:
         return self.per_cell_responses.get((attribute, cell), 0) / sent
 
 
+def _per_cell_choices(
+    populations: List[np.ndarray], budgets: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """One ``rng.choice`` per cell, concatenated in cell-major request order.
+
+    Sampling is without replacement when the cell population covers its
+    budget and with replacement otherwise (per the paper).
+    """
+    return np.concatenate(
+        [
+            population[
+                rng.choice(
+                    population.size, size=int(budget), replace=population.size < budget
+                )
+            ]
+            for population, budget in zip(populations, budgets)
+        ]
+    )
+
+
+# ----------------------------------------------------------------------
+# RNG policies
+#
+# The wave loop (``RequestResponseHandler._acquire_waves``) is one
+# implementation; the two RNG contracts of ``WorldConfig.vectorized_rng``
+# differ only in the three draws a policy owns:
+#
+# ``choose(populations, sizes, round_cache, cache_key)``
+#     first-wave sensor choice -> ``(rows, replacement_used)``, ``rows`` in
+#     cell-major request order;
+# ``request_times(sizes, duration)``
+#     ascending request times per cell segment (zero-size segments allowed);
+# ``answer(field_model, rows, request_times, multipliers, replacement_used)``
+#     serve one wave -> ``(responded, latencies, values)``: a boolean per
+#     request, the other two aligned with the responses in request order.
+#     Bumps the sensors' request/response counters.
+# ----------------------------------------------------------------------
+class _PerSensorStreams:
+    """Strict policy: every sensor answers from its private RNG stream.
+
+    Choices and times are per-cell draws from the world stream, requests
+    are answered sensor by sensor (a sensor's requests in ascending-time
+    order, so its stream is consumed exactly as a per-request walk would),
+    and the responses are reassembled into request order.  Seeded
+    byte-identical across the object and columnar paths; also serves the
+    cells of a fast-sim world that host a non-vectorisable sensor.
+    """
+
+    def __init__(self, world: SensingWorld) -> None:
+        self._world = world
+
+    def choose(self, populations, sizes, round_cache, cache_key):
+        undersized = any(p.size < size for p, size in zip(populations, sizes))
+        return _per_cell_choices(populations, sizes, self._world.rng), undersized
+
+    def request_times(self, sizes: np.ndarray, duration: float) -> np.ndarray:
+        rng = self._world.rng
+        t_start = self._world.now
+        return np.concatenate(
+            [
+                np.sort(rng.uniform(t_start, t_start + duration, size=int(size)))
+                for size in sizes
+            ]
+        )
+
+    def answer(self, field_model, rows, request_times, multipliers, replacement_used):
+        positions: List[np.ndarray] = []
+        response_times: List[np.ndarray] = []
+        values: List[np.ndarray] = []
+        asked = np.unique(rows)
+        for row, sensor in zip(asked, self._world.sensors_at(asked)):
+            mask = rows == row
+            answered, times, _xs, _ys, sensed = sensor.handle_requests(
+                field_model, request_times[mask], incentive_multiplier=multipliers[mask]
+            )
+            if times.shape[0]:
+                positions.append(np.nonzero(mask)[0][answered])
+                response_times.append(times)
+                values.append(np.asarray(sensed))
+        responded = np.zeros(rows.size, dtype=bool)
+        if not positions:
+            return responded, np.empty(0), np.empty(0, dtype=object)
+        # Back into global request order, so tuple ids are allocated one
+        # per response in request order whatever the per-sensor grouping.
+        answered_positions = np.concatenate(positions)
+        order = np.argsort(answered_positions, kind="stable")
+        answered_positions = answered_positions[order]
+        responded[answered_positions] = True
+        latencies = (
+            np.concatenate(response_times)[order] - request_times[answered_positions]
+        )
+        return responded, latencies, np.concatenate(values)[order]
+
+
+class _SharedStream:
+    """Fast-sim policy: one vectorised draw of everything from the world stream.
+
+    Sensor choices for all cells come from one padded ``argpartition``
+    (:meth:`RequestResponseHandler._fused_sensor_choices`), request times
+    from one order-statistics draw
+    (:meth:`RequestResponseHandler._fused_request_times`), and a wave is
+    answered with one participation draw, one latency draw and one
+    ``field.values`` call over the concatenated rows.  Statistically
+    equivalent to :class:`_PerSensorStreams`; needs every row to have
+    vectorisable participation.
+    """
+
+    def __init__(self, world: SensingWorld) -> None:
+        self._world = world
+
+    def choose(self, populations, sizes, round_cache, cache_key):
+        return RequestResponseHandler._fused_sensor_choices(
+            populations, sizes, self._world.rng,
+            round_cache=round_cache, cache_key=cache_key,
+        )
+
+    def request_times(self, sizes: np.ndarray, duration: float) -> np.ndarray:
+        return self._world.now + RequestResponseHandler._fused_request_times(
+            sizes, duration, self._world.rng
+        )
+
+    def answer(self, field_model, rows, request_times, multipliers, replacement_used):
+        soa = self._world.state_arrays
+        rng = self._world.rng
+        probabilities = self._response_probabilities(rows, request_times, multipliers)
+        self._commit_round(rows, request_times)
+        responded = rng.random(rows.size) < probabilities
+        respond_rows = rows[responded]
+        if replacement_used:
+            np.add.at(soa.requests_received, rows, 1)
+            np.add.at(soa.responses_sent, respond_rows, 1)
+        else:
+            # Populations are disjoint across cells and sampled without
+            # replacement within each, so every row is unique: the cheaper
+            # fancy-index increment is exact.
+            soa.requests_received[rows] += 1
+            soa.responses_sent[respond_rows] += 1
+        # Exp(scale m) == m * Exp(1): one draw serves every per-sensor mean.
+        latencies = (
+            rng.exponential(1.0, respond_rows.size) * soa.latency_mean[respond_rows]
+        )
+        if respond_rows.size == 0:
+            return responded, latencies, np.empty(0)
+        values = field_model.values(
+            request_times[responded], soa.x[respond_rows], soa.y[respond_rows], rng=rng
+        )
+        return responded, latencies, np.asarray(values)
+
+    def _response_probabilities(
+        self, rows: np.ndarray, times: np.ndarray, multipliers: np.ndarray
+    ) -> np.ndarray:
+        """Final response probabilities for the requested SoA ``rows``.
+
+        Stationary rows read the participation parameter columns directly;
+        rows of a stateful vector-participation group are routed to the
+        group's representative model (one
+        :meth:`~repro.sensing.participation.ParticipationModel.vector_probabilities`
+        call per distinct group in the round).  Incentive boosting and the
+        per-row ``p_max`` cap apply uniformly to both kinds.
+        """
+        soa = self._world.state_arrays
+        base = soa.p_base[rows]  # fancy indexing: a fresh array, safe to edit
+        group_ids = soa.participation_group[rows]
+        stateful = group_ids >= 0
+        if np.any(stateful):
+            groups = self._world.participation_groups
+            for group_id in np.unique(group_ids[stateful]):
+                mask = group_ids == group_id
+                base[mask] = groups[int(group_id)].vector_probabilities(
+                    soa, rows[mask], times[mask]
+                )
+        return np.where(
+            soa.incentive_sensitive[rows],
+            np.minimum(base * multipliers, soa.p_max[rows]),
+            base,
+        )
+
+    def _commit_round(self, rows: np.ndarray, times: np.ndarray) -> None:
+        """Apply the wave's state updates for stateful participation rows."""
+        soa = self._world.state_arrays
+        group_ids = soa.participation_group[rows]
+        stateful = group_ids >= 0
+        if not np.any(stateful):
+            return
+        groups = self._world.participation_groups
+        for group_id in np.unique(group_ids[stateful]):
+            mask = group_ids == group_id
+            groups[int(group_id)].vector_commit(soa, rows[mask], times[mask])
+
+
 class RequestResponseHandler:
     """Budget-limited acquisition of crowdsensed observations.
 
@@ -169,6 +349,8 @@ class RequestResponseHandler:
         self._total_requests = 0
         self._total_responses = 0
         self._rounds = 0
+        self._per_sensor = _PerSensorStreams(world)
+        self._shared_stream = _SharedStream(world)
 
     # ------------------------------------------------------------------
     # Budget management (consumed by the budget tuner)
@@ -230,160 +412,180 @@ class RequestResponseHandler:
         """The attached sensor-health monitor, if any."""
         return self._health
 
-    @property
-    def _plain(self) -> bool:
-        """Whether the strict paths may run their pre-fault legacy bodies.
-
-        With no injector, no resilience and no health monitor the legacy
-        bodies execute byte-for-byte the pre-fault code, which is what pins
-        the "no FaultPlan -> byte-identical" contract.
-        """
-        return (
-            self._faults is None
-            and self._resilience is None
-            and self._health is None
-        )
-
     # ------------------------------------------------------------------
-    # Acquisition
+    # Acquisition: one wave loop
     # ------------------------------------------------------------------
-    def _incentive_for_request(self) -> Tuple[float, float]:
-        """Return ``(payment, multiplier)`` for the next request."""
+    def _round_payments(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-request payments and probability multipliers for one wave."""
         if self._incentive is None:
-            return (0.0, 1.0)
-        payment = self._incentive.payment_for_request()
-        return (payment, self._incentive.multiplier())
+            return np.zeros(count), np.ones(count)
+        return self._incentive.payments_for_requests(count)
 
-    def acquire_cell(
-        self,
+    @staticmethod
+    def _tally(
+        per_cell: Dict[Tuple[str, CellKey], int],
         attribute: str,
-        cell: GridCell,
+        cell_keys: Tuple[CellKey, ...],
+        counts: np.ndarray,
+        *,
+        keep_zero: bool = False,
+    ) -> int:
+        """Add one wave's per-cell ``counts`` to a report breakdown.
+
+        Returns their total.  Zero counts leave the breakdown untouched
+        unless ``keep_zero`` (a contacted cell reports 0 responses, but a
+        cell without drops has no drop entry).
+        """
+        for key, count in zip(cell_keys, counts.tolist()):
+            if count or keep_zero:
+                pair = (attribute, key)
+                per_cell[pair] = per_cell.get(pair, 0) + count
+        return int(counts.sum())
+
+    def _acquire_waves(
+        self,
+        policy,
+        attribute: str,
+        field_model,
+        cell_keys: Tuple[CellKey, ...],
+        populations: List[np.ndarray],
         *,
         duration: float,
-        report: Optional[HandlerReport] = None,
-    ) -> List[SensorTuple]:
-        """Run one acquisition round for one attribute on one grid cell.
+        report: HandlerReport,
+        round_cache: Optional[dict] = None,
+    ) -> Optional[TupleBatch]:
+        """The acquisition round: waves of requests over aligned cell segments.
 
-        Sends up to ``budget`` requests to sensors currently inside the cell
-        (sampling without replacement when enough sensors are available,
-        with replacement otherwise, per the paper) spread uniformly over the
-        batch window, and returns the tuples for the responses received.
+        ``cell_keys`` and ``populations`` are aligned; every population is a
+        non-empty, ascending array of SoA rows (quarantined rows already
+        masked out).  The strict contract calls this with one segment per
+        ``(attribute, cell)`` pair, the fused fast-sim round with all of an
+        attribute's vector-capable cells; ``policy`` owns the draws that
+        differ between them (see the RNG-policy notes above) and everything
+        else happens here, once: per-cell budgets and the retry reserve,
+        retry selection, fault injection and deadlines
+        (:meth:`_finalize_wave`), incentive settlement, per-cell accounting
+        and batch assembly.
 
-        With faults, resilience or health attached the round runs through
-        the shared strict wave implementation (:meth:`_acquire_cell_strict`)
-        and materialises its batch; otherwise the pre-fault body below runs
-        byte-for-byte.
+        Without a retry policy the round is a single wave of ``budget``
+        requests per cell.  With one, a reserve of each cell's budget is
+        withheld from the first wave and each later wave retries the failed
+        requests from it, drawing replacements from the not-yet-contacted
+        population; a cell's budget is never exceeded.  Returns one batch
+        (the target cell of every tuple rides in the ``cell`` extra
+        column), or ``None`` when no response was accepted.
         """
-        field_model, budget, indices, key = self._start_round(
-            attribute, cell, duration=duration
+        soa = self._world.state_arrays
+        segment_ids = np.arange(len(cell_keys))
+        budgets = np.array(
+            [self.budget_for(attribute, key) for key in cell_keys], dtype=np.int64
         )
-        report = report if report is not None else HandlerReport()
-        if indices.size == 0:
-            return []
-        if not self._plain:
-            batch = self._acquire_cell_strict(
-                attribute, field_model, budget, indices, key, cell,
-                duration=duration, report=report,
+        retry = self._retry
+        reserves = np.zeros_like(budgets)
+        attempts = 1
+        contacted = None
+        if retry is not None:
+            # At least one request per cell always goes out in the first wave.
+            reserves = np.clip(
+                (budgets * retry.reserve_fraction).astype(np.int64), 0, budgets - 1
             )
-            return [] if batch is None else batch.to_tuples()
-        sensors = self._world.sensors_at(indices)
+            attempts = retry.max_attempts
+            contacted = np.zeros(soa.x.shape[0], dtype=bool)
+        sizes = budgets - reserves
+        waves = []
+        for wave in range(attempts):
+            if wave == 0:
+                rows, replacement_used = policy.choose(
+                    populations, sizes, round_cache, ("choices", cell_keys)
+                )
+            else:
+                sizes = np.minimum(failures, reserves)
+                if not sizes.any():
+                    break
+                reserves = reserves - sizes
+                rows, replacement_used = self._retry_choices(
+                    populations, contacted, sizes
+                )
+                report.retries_sent += self._tally(
+                    report.per_cell_retries, attribute, cell_keys, sizes
+                )
+            request_times = policy.request_times(sizes, duration)
+            segments = np.repeat(segment_ids, sizes)
+            sent = self._tally(report.per_cell_requests, attribute, cell_keys, sizes)
+            self._total_requests += sent
+            report.requests_sent += sent
+            if contacted is not None:
+                contacted[rows] = True
+            payments, multipliers = self._round_payments(rows.size)
+            responded, latencies, values = policy.answer(
+                field_model, rows, request_times, multipliers, replacement_used
+            )
+            accepted, times, accepted_values = self._finalize_wave(
+                attribute, rows, request_times, segments, cell_keys,
+                responded, latencies, values, report,
+            )
+            accepted_payments = self._settle_wave_payments(payments, accepted, report)
+            accepted_segments = segments[accepted]
+            accepted_counts = np.bincount(accepted_segments, minlength=len(cell_keys))
+            received = self._tally(
+                report.per_cell_responses, attribute, cell_keys, accepted_counts,
+                keep_zero=True,
+            )
+            self._total_responses += received
+            report.responses_received += received
+            if received:
+                waves.append(
+                    (times, accepted_values, rows[accepted], accepted_segments,
+                     accepted_payments)
+                )
+            failures = sizes - accepted_counts
+            if not failures.any():
+                break
 
-        # A round always dispatches exactly `budget` requests: count them
-        # once per round instead of once per request.
-        self._count_requests(report, key, budget)
-        chosen_indices, request_times = self._sample_requests(
-            len(sensors), budget, duration
+        if not waves:
+            return None
+        times, values, rows, segments, payments = (
+            np.concatenate(column) for column in zip(*waves)
         )
-        collected: List[SensorTuple] = []
-        for index, request_time in zip(chosen_indices, request_times):
-            sensor = sensors[int(index)]
-            payment, multiplier = self._incentive_for_request()
-            report.incentive_spent += payment
-            row = sensor.handle_request(
-                field_model, float(request_time), incentive_multiplier=multiplier
-            )
-            if row is None:
-                continue
-            response_time, x, y, value = row
-            item = SensorTuple(
-                tuple_id=self._allocate_tuple_id(),
-                attribute=attribute,
-                t=float(response_time),
-                x=float(x),
-                y=float(y),
-                value=value,
-                sensor_id=sensor.sensor_id,
-                metadata={"cell": cell.key, "incentive": payment},
-            )
-            collected.append(item)
-        self._count_responses(report, key, len(collected))
-        return collected
+        return TupleBatch(
+            attribute,
+            times,
+            soa.x[rows],
+            soa.y[rows],
+            values,
+            soa.sensor_ids[rows],
+            self._allocate_tuple_id.allocate_block(times.size),
+            extra={
+                "cell": np.array(cell_keys, dtype=np.int64)[segments],
+                "incentive": payments,
+            },
+        )
 
-    def _start_round(self, attribute: str, cell: GridCell, *, duration: float):
-        """Validate and resolve everything one acquisition round needs.
+    def _retry_choices(
+        self, populations: List[np.ndarray], contacted: np.ndarray, sizes: np.ndarray
+    ) -> Tuple[np.ndarray, bool]:
+        """Replacement sensors for one retry wave, ``sizes[i]`` per cell.
 
-        The cell population is returned as SoA row indices (one boolean
-        mask over the position columns); callers that need the sensor view
-        objects expand them with :meth:`SensingWorld.sensors_at`.
-        """
-        if duration <= 0:
-            raise AcquisitionError("duration must be positive")
-        field_model = self._world.field_for(attribute)
-        budget = self.budget_for(attribute, cell.key)
-        indices = self._world.sensor_indices_in_rectangle(cell.rect)
-        if self._health is not None and indices.size:
-            indices = indices[~self._world.state_arrays.quarantined[indices]]
-        return field_model, budget, indices, (attribute, cell.key)
-
-    def _round_payments(self, budget: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-request payments and probability multipliers for one round."""
-        if self._incentive is None:
-            return np.zeros(budget), np.ones(budget)
-        return self._incentive.payments_for_requests(budget)
-
-    def _allocate_tuple_ids(self, count: int) -> np.ndarray:
-        """Allocate ``count`` consecutive tuple ids as an int64 column."""
-        return self._allocate_tuple_id.allocate_block(count)
-
-    @staticmethod
-    def _cell_column(cell: GridCell, count: int) -> np.ndarray:
-        """An ``(count, 2)`` column repeating the cell key for batch extras."""
-        column = np.empty((count, 2), dtype=np.int64)
-        column[:, 0] = cell.key[0]
-        column[:, 1] = cell.key[1]
-        return column
-
-    def _sample_requests(self, sensor_count: int, budget: int, duration: float):
-        """Draw the round's sensor choices and request times from the world RNG.
-
-        Sampling without replacement when enough sensors are available, with
-        replacement otherwise (per the paper); times are spread uniformly
-        over the batch window.  Both acquisition paths share this method, so
-        their world-RNG draw order is identical by construction.
+        Drawn without replacement from each cell's not-yet-contacted
+        sensors; an exhausted cell falls back to with-replacement draws over
+        its whole population (the paper's undersized-cell rule).  Returns
+        ``(rows, replacement_used)`` like a policy's first-wave choice.
         """
         rng = self._world.rng
-        if sensor_count >= budget:
-            chosen_indices = rng.choice(sensor_count, size=budget, replace=False)
-        else:
-            chosen_indices = rng.choice(sensor_count, size=budget, replace=True)
-        t_start = self._world.now
-        request_times = np.sort(rng.uniform(t_start, t_start + duration, size=budget))
-        return chosen_indices, request_times
-
-    def _count_requests(self, report: HandlerReport, key, count: int) -> None:
-        self._total_requests += count
-        report.requests_sent += count
-        report.per_cell_requests[key] = report.per_cell_requests.get(key, 0) + count
-
-    def _count_responses(self, report: HandlerReport, key, count: int) -> None:
-        self._total_responses += count
-        report.responses_received += count
-        report.per_cell_responses[key] = report.per_cell_responses.get(key, 0) + count
-
-    @staticmethod
-    def _count_retries(report: HandlerReport, key, count: int) -> None:
-        report.retries_sent += count
-        report.per_cell_retries[key] = report.per_cell_retries.get(key, 0) + count
+        parts: List[np.ndarray] = []
+        replacement_used = False
+        for population, size in zip(populations, sizes.tolist()):
+            if not size:
+                continue
+            fresh = population[~contacted[population]]
+            if fresh.size >= size:
+                parts.append(fresh[rng.choice(fresh.size, size=size, replace=False)])
+            else:
+                parts.append(
+                    population[rng.choice(population.size, size=size, replace=True)]
+                )
+                replacement_used = True
+        return np.concatenate(parts), replacement_used
 
     def _finalize_wave(
         self,
@@ -399,12 +601,12 @@ class RequestResponseHandler:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Apply faults and the response deadline to one assembled wave.
 
-        Every acquisition path funnels its wave through here with the same
-        column layout — ``rows`` / ``request_times`` / ``segments`` per
-        request (``segments`` indexing ``cell_keys``), ``latencies`` /
-        ``values`` per response — so the injector consumes its private
-        stream identically regardless of the path, and drop/timeout
-        accounting lives in exactly one place.
+        The wave arrives in one column layout whatever policy answered it
+        — ``rows`` / ``request_times`` / ``segments`` per request
+        (``segments`` indexing ``cell_keys``), ``latencies`` / ``values``
+        per response — so the injector consumes its private stream as a
+        fixed function of the wave, and drop/timeout accounting lives in
+        exactly one place.
 
         Returns ``(accepted, response_times, accepted_values)``:
         ``accepted`` is a boolean per request, the other two align with the
@@ -431,29 +633,17 @@ class RequestResponseHandler:
             values = outcome.values
             skew = outcome.skew
             if dropped.any():
-                counts = np.bincount(
-                    segments[resp_index[dropped]], minlength=len(cell_keys)
+                report.drops_injected += self._tally(
+                    report.per_cell_drops, attribute, cell_keys,
+                    np.bincount(segments[resp_index[dropped]], minlength=len(cell_keys)),
                 )
-                for key, count in zip(cell_keys, counts):
-                    if count:
-                        pair = (attribute, key)
-                        report.per_cell_drops[pair] = (
-                            report.per_cell_drops.get(pair, 0) + int(count)
-                        )
-                report.drops_injected += int(dropped.sum())
         if self._deadline is not None and resp_index.size:
             timed_out = ~dropped & (np.asarray(latencies) > self._deadline)
             if timed_out.any():
-                counts = np.bincount(
-                    segments[resp_index[timed_out]], minlength=len(cell_keys)
+                report.timeouts += self._tally(
+                    report.per_cell_timeouts, attribute, cell_keys,
+                    np.bincount(segments[resp_index[timed_out]], minlength=len(cell_keys)),
                 )
-                for key, count in zip(cell_keys, counts):
-                    if count:
-                        pair = (attribute, key)
-                        report.per_cell_timeouts[pair] = (
-                            report.per_cell_timeouts.get(pair, 0) + int(count)
-                        )
-                report.timeouts += int(timed_out.sum())
                 dropped = dropped | timed_out
         accepted = responded.copy()
         keep = ~dropped
@@ -471,22 +661,86 @@ class RequestResponseHandler:
     def _settle_wave_payments(
         self, payments: np.ndarray, accepted: np.ndarray, report: HandlerReport
     ) -> np.ndarray:
-        """Pay-on-accept settlement of one retry-mode wave.
+        """Book one wave's incentive cost; returns the accepted responses' payments.
 
-        Payments were drawn (and recorded by the scheme) per request; the
-        unaccepted requests' share is refunded so only accepted responses
-        cost anything.  Returns the accepted responses' payments (the
-        batch's ``incentive`` extra column).
+        Payments were drawn (and recorded by the scheme) per request.
+        Without a retry policy that is also what is spent; with one,
+        settlement is pay-on-accept: the unaccepted requests' share is
+        refunded so only accepted responses cost anything.  The returned
+        column is the batch's ``incentive`` extra.
         """
         accepted_payments = payments[accepted]
+        if self._retry is None:
+            report.incentive_spent += float(payments.sum())
+            return accepted_payments
         report.incentive_spent += float(accepted_payments.sum())
         if self._incentive is not None:
             rejected = ~accepted
-            refund = float(payments[rejected].sum())
             count = int(rejected.sum())
             if count:
-                self._incentive.refund(refund, count)
+                self._incentive.refund(float(payments[rejected].sum()), count)
         return accepted_payments
+
+    def _acquire_cell_round(
+        self,
+        attribute: str,
+        cell: GridCell,
+        duration: float,
+        report: Optional[HandlerReport],
+        policy=None,
+    ) -> Optional[TupleBatch]:
+        """One ``(attribute, cell)`` round over the cell's closed rectangle.
+
+        The population is one containment mask over the position columns
+        (minus quarantined rows).  ``policy=None`` picks the RNG policy from
+        what is observable: the shared stream when the world is fast-sim and
+        every sensor of the cell has vectorisable participation, the
+        per-sensor streams otherwise.
+        """
+        if duration <= 0:
+            raise AcquisitionError("duration must be positive")
+        world = self._world
+        field_model = world.field_for(attribute)
+        population = world.sensor_indices_in_rectangle(cell.rect)
+        if self._health is not None and population.size:
+            population = population[~world.state_arrays.quarantined[population]]
+        if population.size == 0:
+            return None
+        if policy is None:
+            vector_capable = world.vectorized and bool(
+                np.all(world.state_arrays.vector_participation[population])
+            )
+            policy = self._shared_stream if vector_capable else self._per_sensor
+        return self._acquire_waves(
+            policy, attribute, field_model, (cell.key,), [population],
+            duration=duration,
+            report=report if report is not None else HandlerReport(),
+        )
+
+    def acquire_cell(
+        self,
+        attribute: str,
+        cell: GridCell,
+        *,
+        duration: float,
+        report: Optional[HandlerReport] = None,
+    ) -> List[SensorTuple]:
+        """Run one acquisition round for one attribute on one grid cell.
+
+        Sends up to ``budget`` requests to sensors currently inside the cell
+        (sampling without replacement when enough sensors are available,
+        with replacement otherwise, per the paper) spread uniformly over the
+        batch window, and returns the tuples for the responses received.
+
+        The object path's view of the round: always answered from the
+        sensors' private streams, materialised with
+        :meth:`TupleBatch.to_tuples` — so for a given seed it matches
+        :meth:`acquire_cell_batch` on a strict world tuple for tuple.
+        """
+        batch = self._acquire_cell_round(
+            attribute, cell, duration, report, self._per_sensor
+        )
+        return [] if batch is None else batch.to_tuples()
 
     def acquire_cell_batch(
         self,
@@ -498,319 +752,24 @@ class RequestResponseHandler:
     ) -> Optional[TupleBatch]:
         """Columnar :meth:`acquire_cell`: one round, returned as a :class:`TupleBatch`.
 
-        Draws from the world RNG in exactly the same order as
-        :meth:`acquire_cell` (sensor choice, then request times) and
-        preserves each sensor's private RNG stream by answering a sensor's
-        requests in ascending-time order, so for a given seed both paths
-        produce identical observations and identical tuple ids.  The
-        difference is that no :class:`SensorTuple` objects are created:
-        responses land directly in numpy columns.
+        On a strict world the round is :meth:`acquire_cell`'s, minus the
+        :class:`SensorTuple` objects: identical observations and tuple ids
+        for a given seed, landing directly in numpy columns.
 
         In fast-sim mode (``WorldConfig.vectorized_rng``) the round instead
         samples the whole cell population at once from the world's shared
-        stream: participation decisions, latencies and phenomenon values are
-        single vectorised draws over the SoA columns, served by the fused
-        round (:meth:`_acquire_fused_round`) with this cell as its only
-        segment — so fault injection, deadlines and retries exist in exactly
-        one fast-sim implementation.  Stateful models that implement the
-        vector-state protocol (fatigue, distance decay) are decided
-        vectorially through their participation group; only cells containing
-        a sensor whose model supports neither stationary ``vector_params``
-        nor vector state fall back to the exact per-sensor round.
+        stream (participation decisions, latencies and phenomenon values
+        are single vectorised draws over the SoA columns).  Stateful models
+        that implement the vector-state protocol (fatigue, distance decay)
+        are decided vectorially through their participation group; only
+        cells containing a sensor whose model supports neither stationary
+        ``vector_params`` nor vector state keep the exact per-sensor round.
         """
-        field_model, budget, indices, key = self._start_round(
-            attribute, cell, duration=duration
-        )
-        report = report if report is not None else HandlerReport()
-        if indices.size == 0:
-            return None
-        world = self._world
-        if world.vectorized and bool(
-            np.all(world.state_arrays.vector_participation[indices])
-        ):
-            return self._acquire_fused_round(
-                attribute, field_model, [cell], [indices],
-                duration=duration, report=report,
-            )
-        if not self._plain:
-            return self._acquire_cell_strict(
-                attribute, field_model, budget, indices, key, cell,
-                duration=duration, report=report,
-            )
-        sensors = world.sensors_at(indices)
-
-        self._count_requests(report, key, budget)
-        chosen_indices, request_times = self._sample_requests(
-            len(sensors), budget, duration
-        )
-        payments, multipliers = self._round_payments(budget)
-        report.incentive_spent += float(payments.sum())
-
-        chosen = np.asarray(chosen_indices)
-        positions: List[np.ndarray] = []
-        t_parts: List[np.ndarray] = []
-        x_parts: List[np.ndarray] = []
-        y_parts: List[np.ndarray] = []
-        value_parts: List[np.ndarray] = []
-        sensor_parts: List[np.ndarray] = []
-        for index in np.unique(chosen):
-            mask = chosen == index
-            sensor = sensors[int(index)]
-            answered, response_times, xs, ys, values = sensor.handle_requests(
-                field_model, request_times[mask], incentive_multiplier=multipliers[mask]
-            )
-            if response_times.shape[0] == 0:
-                continue
-            positions.append(np.nonzero(mask)[0][answered])
-            t_parts.append(response_times)
-            x_parts.append(xs)
-            y_parts.append(ys)
-            value_parts.append(np.asarray(values))
-            sensor_parts.append(
-                np.full(response_times.shape[0], sensor.sensor_id, dtype=np.int64)
-            )
-
-        if not positions:
-            self._count_responses(report, key, 0)
-            return None
-
-        all_positions = np.concatenate(positions)
-        # Reassemble the per-sensor responses into global request-time order
-        # so tuple ids are allocated exactly as the object path allocates
-        # them (one id per response, in request order).
-        order = np.argsort(all_positions, kind="stable")
-        count = all_positions.shape[0]
-        self._count_responses(report, key, count)
-        return TupleBatch(
-            attribute,
-            np.concatenate(t_parts)[order],
-            np.concatenate(x_parts)[order],
-            np.concatenate(y_parts)[order],
-            np.concatenate(value_parts)[order],
-            np.concatenate(sensor_parts)[order],
-            self._allocate_tuple_ids(count),
-            extra={
-                "cell": self._cell_column(cell, count),
-                "incentive": payments[all_positions[order]],
-            },
-        )
-
-    def _acquire_cell_strict(
-        self,
-        attribute: str,
-        field_model,
-        budget: int,
-        indices: np.ndarray,
-        key,
-        cell: GridCell,
-        *,
-        duration: float,
-        report: HandlerReport,
-    ) -> Optional[TupleBatch]:
-        """Exact per-sensor acquisition with faults, deadline and retries.
-
-        The shared strict implementation behind both :meth:`acquire_cell`
-        and :meth:`acquire_cell_batch` whenever faults, resilience or health
-        are attached: waves of requests are answered per sensor from the
-        sensors' private streams (grouped exactly like the plain columnar
-        body, so for a given seed both public paths produce identical
-        observations and tuple ids), assembled into request-order columns
-        and funnelled through :meth:`_finalize_wave`.  With a retry policy
-        configured, a reserve of the cell budget is withheld from the first
-        wave and failed requests are retried with replacement draws from the
-        not-yet-contacted population; the cell budget is never exceeded.
-        """
-        world = self._world
-        rng = world.rng
-        sensors = world.sensors_at(indices)
-        population = len(sensors)
-        retry = self._retry
-        if retry is None:
-            reserve = 0
-            wave_budget = budget
-            attempts = 1
-        else:
-            reserve = min(int(budget * retry.reserve_fraction), budget - 1)
-            reserve = max(reserve, 0)
-            wave_budget = budget - reserve
-            attempts = retry.max_attempts
-        contacted = np.zeros(population, dtype=bool)
-        cell_keys = (cell.key,)
-        t_parts: List[np.ndarray] = []
-        x_parts: List[np.ndarray] = []
-        y_parts: List[np.ndarray] = []
-        value_parts: List[np.ndarray] = []
-        sensor_parts: List[np.ndarray] = []
-        payment_parts: List[np.ndarray] = []
-        failures = 0
-        for wave in range(attempts):
-            if wave == 0:
-                chosen, request_times = self._sample_requests(
-                    population, wave_budget, duration
-                )
-            else:
-                size = min(failures, reserve)
-                if size <= 0:
-                    break
-                reserve -= size
-                fresh = np.nonzero(~contacted)[0]
-                # Replacement draws from the not-yet-contacted population;
-                # an exhausted population falls back to with-replacement
-                # over everyone (matching the paper's undersized-cell rule).
-                if fresh.size >= size:
-                    chosen = fresh[rng.choice(fresh.size, size=size, replace=False)]
-                else:
-                    chosen = rng.choice(population, size=size, replace=True)
-                t_start = world.now
-                request_times = np.sort(
-                    rng.uniform(t_start, t_start + duration, size=size)
-                )
-                self._count_retries(report, key, size)
-            chosen = np.asarray(chosen)
-            contacted[chosen] = True
-            n = chosen.shape[0]
-            self._count_requests(report, key, n)
-            payments, multipliers = self._round_payments(n)
-            if retry is None:
-                report.incentive_spent += float(payments.sum())
-
-            positions: List[np.ndarray] = []
-            wave_t: List[np.ndarray] = []
-            wave_x: List[np.ndarray] = []
-            wave_y: List[np.ndarray] = []
-            wave_v: List[np.ndarray] = []
-            wave_sid: List[np.ndarray] = []
-            for index in np.unique(chosen):
-                mask = chosen == index
-                sensor = sensors[int(index)]
-                answered, response_times, xs, ys, values = sensor.handle_requests(
-                    field_model,
-                    request_times[mask],
-                    incentive_multiplier=multipliers[mask],
-                )
-                if response_times.shape[0] == 0:
-                    continue
-                positions.append(np.nonzero(mask)[0][answered])
-                wave_t.append(response_times)
-                wave_x.append(xs)
-                wave_y.append(ys)
-                wave_v.append(np.asarray(values))
-                wave_sid.append(
-                    np.full(response_times.shape[0], sensor.sensor_id, dtype=np.int64)
-                )
-
-            responded = np.zeros(n, dtype=bool)
-            if positions:
-                all_positions = np.concatenate(positions)
-                order = np.argsort(all_positions, kind="stable")
-                ordered_positions = all_positions[order]
-                responded[ordered_positions] = True
-                latencies = (
-                    np.concatenate(wave_t)[order] - request_times[ordered_positions]
-                )
-                values_arr = np.concatenate(wave_v)[order]
-                xs_arr = np.concatenate(wave_x)[order]
-                ys_arr = np.concatenate(wave_y)[order]
-                sid_arr = np.concatenate(wave_sid)[order]
-            else:
-                latencies = np.empty(0)
-                values_arr = np.empty(0, dtype=object)
-                xs_arr = ys_arr = np.empty(0)
-                sid_arr = np.empty(0, dtype=np.int64)
-
-            accepted, times, accepted_values = self._finalize_wave(
-                attribute,
-                indices[chosen],
-                request_times,
-                np.zeros(n, dtype=np.int64),
-                cell_keys,
-                responded,
-                latencies,
-                values_arr,
-                report,
-            )
-            if retry is None:
-                accepted_payments = payments[accepted]
-            else:
-                accepted_payments = self._settle_wave_payments(
-                    payments, accepted, report
-                )
-            accepted_count = int(accepted.sum())
-            self._count_responses(report, key, accepted_count)
-            if accepted_count:
-                # Accepted responses, filtered in request order.
-                resp_keep = accepted[np.nonzero(responded)[0]]
-                t_parts.append(times)
-                x_parts.append(xs_arr[resp_keep])
-                y_parts.append(ys_arr[resp_keep])
-                value_parts.append(accepted_values)
-                sensor_parts.append(sid_arr[resp_keep])
-                payment_parts.append(accepted_payments)
-            failures = n - accepted_count
-            if failures == 0:
-                break
-
-        if not t_parts:
-            return None
-        count = sum(part.shape[0] for part in t_parts)
-        return TupleBatch(
-            attribute,
-            np.concatenate(t_parts),
-            np.concatenate(x_parts),
-            np.concatenate(y_parts),
-            np.concatenate(value_parts),
-            np.concatenate(sensor_parts),
-            self._allocate_tuple_ids(count),
-            extra={
-                "cell": self._cell_column(cell, count),
-                "incentive": np.concatenate(payment_parts),
-            },
-        )
+        return self._acquire_cell_round(attribute, cell, duration, report)
 
     # ------------------------------------------------------------------
-    # Vectorised participation (shared by the cell-level and fused rounds)
+    # Fused fast-sim rounds: all of an attribute's cells at once
     # ------------------------------------------------------------------
-    def _vector_response_probabilities(
-        self, rows: np.ndarray, times: np.ndarray, multipliers: np.ndarray
-    ) -> np.ndarray:
-        """Final response probabilities for the requested SoA ``rows``.
-
-        Stationary rows read the participation parameter columns directly;
-        rows of a stateful vector-participation group are routed to the
-        group's representative model (one
-        :meth:`~repro.sensing.participation.ParticipationModel.vector_probabilities`
-        call per distinct group in the round).  Incentive boosting and the
-        per-row ``p_max`` cap apply uniformly to both kinds.
-        """
-        soa = self._world.state_arrays
-        base = soa.p_base[rows]  # fancy indexing: a fresh array, safe to edit
-        group_ids = soa.participation_group[rows]
-        stateful = group_ids >= 0
-        if np.any(stateful):
-            groups = self._world.participation_groups
-            for group_id in np.unique(group_ids[stateful]):
-                mask = group_ids == group_id
-                base[mask] = groups[int(group_id)].vector_probabilities(
-                    soa, rows[mask], times[mask]
-                )
-        return np.where(
-            soa.incentive_sensitive[rows],
-            np.minimum(base * multipliers, soa.p_max[rows]),
-            base,
-        )
-
-    def _vector_commit_round(self, rows: np.ndarray, times: np.ndarray) -> None:
-        """Apply the round's state updates for stateful participation rows."""
-        soa = self._world.state_arrays
-        group_ids = soa.participation_group[rows]
-        stateful = group_ids >= 0
-        if not np.any(stateful):
-            return
-        groups = self._world.participation_groups
-        for group_id in np.unique(group_ids[stateful]):
-            mask = group_ids == group_id
-            groups[int(group_id)].vector_commit(soa, rows[mask], times[mask])
-
     def _bucket_sensors(self) -> Tuple[np.ndarray, np.ndarray, frozenset]:
         """Bucket the whole crowd into grid cells, once per acquisition round.
 
@@ -945,11 +904,12 @@ class RequestResponseHandler:
         counts and incentive accounting stay exactly per ``(attribute,
         cell)``.
 
-        Cells that cannot take the fused path — a population containing a
-        sensor without vectorisable participation, or a cell that is not
-        part of the handler's grid — are served by :meth:`acquire_cell_batch`
-        (which itself falls back to the exact per-sensor round when
-        needed).  Empty cells send nothing, as in the per-cell paths.
+        Cells that cannot take the fused path keep the exact per-sensor
+        round, one cell at a time: a grid cell hosting a sensor without
+        vectorisable participation is served from its bucketed population
+        (no second scan of the crowd), a cell that is not part of the
+        handler's grid by :meth:`acquire_cell_batch` over its rectangle.
+        Empty cells send nothing, as in the per-cell paths.
 
         Only meaningful in fast-sim mode (``WorldConfig.vectorized_rng``);
         :meth:`acquire_batches` dispatches here per attribute whenever the
@@ -961,12 +921,11 @@ class RequestResponseHandler:
         """
         if duration <= 0:
             raise AcquisitionError("duration must be positive")
-        world = self._world
-        field_model = world.field_for(attribute)
+        field_model = self._world.field_for(attribute)
         report = report if report is not None else HandlerReport()
 
         # The cell plan — on/off-grid split, resolved populations and the
-        # fused/fallback partition — depends only on the requested cells
+        # fused/per-sensor partition — depends only on the requested cells
         # and the round's (frozen) sensor positions, so attributes of one
         # round requesting the same cells share it via ``round_cache``.
         plan = None
@@ -982,39 +941,43 @@ class RequestResponseHandler:
             populations, fully_vector = self._resolve_cell_populations(
                 grid_cells, bucketing
             )
-
-            fused_cells: List[GridCell] = []
+            fused_keys: List[CellKey] = []
             fused_populations: List[np.ndarray] = []
-            fallback_cells: List[GridCell] = list(off_grid)
+            per_sensor_cells: List[Tuple[CellKey, np.ndarray]] = []
             for cell in grid_cells:
                 population = populations[cell.key]
                 if population.size == 0:
                     continue  # nobody to ask: no requests, like the per-cell paths
                 if fully_vector[cell.key]:
-                    fused_cells.append(cell)
+                    fused_keys.append(cell.key)
                     fused_populations.append(population)
                 else:
-                    fallback_cells.append(cell)
-            plan = (fused_cells, fused_populations, fallback_cells)
+                    per_sensor_cells.append((cell.key, population))
+            plan = (off_grid, per_sensor_cells, tuple(fused_keys), fused_populations)
             if round_cache is not None:
                 round_cache[plan_key] = plan
-        else:
-            fused_cells, fused_populations, fallback_cells = plan
+        off_grid, per_sensor_cells, fused_keys, fused_populations = plan
 
-        parts: List[TupleBatch] = []
-        for cell in fallback_cells:
-            batch = self.acquire_cell_batch(
-                attribute, cell, duration=duration, report=report
+        parts = [
+            self.acquire_cell_batch(attribute, cell, duration=duration, report=report)
+            for cell in off_grid
+        ]
+        for key, population in per_sensor_cells:
+            parts.append(
+                self._acquire_waves(
+                    self._per_sensor, attribute, field_model, (key,), [population],
+                    duration=duration, report=report,
+                )
             )
-            if batch is not None and len(batch):
-                parts.append(batch)
-
-        fused = self._acquire_fused_round(
-            attribute, field_model, fused_cells, fused_populations,
-            duration=duration, report=report, round_cache=round_cache,
-        )
-        if fused is not None:
-            parts.append(fused)
+        if fused_keys:
+            parts.append(
+                self._acquire_waves(
+                    self._shared_stream, attribute, field_model,
+                    fused_keys, fused_populations,
+                    duration=duration, report=report, round_cache=round_cache,
+                )
+            )
+        parts = [part for part in parts if part is not None]
         if not parts:
             return None
         return TupleBatch.concatenate(parts)
@@ -1064,16 +1027,7 @@ class RequestResponseHandler:
         undersized = bool(np.any(sizes < budgets))
         skewed = m * width > max(4 * int(sizes.sum()), 1 << 16)
         if undersized or skewed:
-            chosen_parts = []
-            for population, budget in zip(populations, budgets):  # craqr: ignore[CRQ402] - per cell-population fallback, not per row
-                budget = int(budget)
-                replace = population.size < budget
-                chosen_parts.append(
-                    population[
-                        rng.choice(population.size, size=budget, replace=replace)
-                    ]
-                )
-            return np.concatenate(chosen_parts), undersized
+            return _per_cell_choices(populations, budgets, rng), undersized
         caching = round_cache is not None and cache_key is not None
         cached = round_cache.get(cache_key) if caching else None
         if cached is None:
@@ -1144,333 +1098,6 @@ class RequestResponseHandler:
         )
         return duration * uniforms
 
-    def _acquire_fused_round(
-        self,
-        attribute: str,
-        field_model,
-        cells: List[GridCell],
-        populations: List[np.ndarray],
-        *,
-        duration: float,
-        report: HandlerReport,
-        round_cache: Optional[dict] = None,
-    ) -> Optional[TupleBatch]:
-        """The fused core: one draw of everything across the given cells.
-
-        ``cells`` and ``populations`` are aligned; every population is
-        non-empty and fully vector-capable.  Sensor choices keep the paper's
-        with/without-replacement semantics but are drawn for all cells at
-        once (:meth:`_fused_sensor_choices`), request times come from one
-        order-statistics draw (:meth:`_fused_request_times`), and
-        participation, latencies and sensing are single vectorised draws
-        over the concatenated rows.
-
-        With faults, resilience or health attached every wave funnels
-        through :meth:`_run_fused_wave` / :meth:`_finalize_wave` (the same
-        column protocol as the strict path, still one vectorised pass per
-        wave) and a retry policy withholds a per-cell reserve from the
-        first wave exactly as in :meth:`_acquire_cell_strict`; without any
-        of them, the single-wave body below runs unchanged.
-        """
-        if not cells:
-            return None
-        world = self._world
-        soa = world.state_arrays
-        rng = world.rng
-
-        fused_key = tuple(cell.key for cell in cells)
-        budgets = np.array(
-            [self.budget_for(attribute, key) for key in fused_key], dtype=np.int64
-        )
-        if not self._plain:
-            return self._acquire_fused_resilient(
-                attribute, field_model, cells, populations, fused_key, budgets,
-                duration=duration, report=report, round_cache=round_cache,
-            )
-        total = int(budgets.sum())
-        rows, replacement_used = self._fused_sensor_choices(
-            populations,
-            budgets,
-            rng,
-            round_cache=round_cache,
-            cache_key=("choices", fused_key),
-        )
-        for key, budget in zip(fused_key, budgets):
-            self._count_requests(report, (attribute, key), int(budget))
-
-        segments = np.repeat(np.arange(len(cells)), budgets)
-        request_times = world.now + self._fused_request_times(budgets, duration, rng)
-
-        payments, multipliers = self._round_payments(total)
-        report.incentive_spent += float(payments.sum())
-
-        probabilities = self._vector_response_probabilities(
-            rows, request_times, multipliers
-        )
-        self._vector_commit_round(rows, request_times)
-        responds = rng.random(total) < probabilities
-        if replacement_used:
-            np.add.at(soa.requests_received, rows, 1)
-        else:
-            # Populations are disjoint across cells and sampled without
-            # replacement within each, so every row is unique: the cheaper
-            # fancy-index increment is exact.
-            soa.requests_received[rows] += 1
-
-        respond_segments = segments[responds]
-        response_counts = np.bincount(respond_segments, minlength=len(cells))
-        for key, count in zip(fused_key, response_counts):
-            self._count_responses(report, (attribute, key), int(count))
-        count = int(responds.sum())
-        if count == 0:
-            return None
-        respond_rows = rows[responds]
-        if replacement_used:
-            np.add.at(soa.responses_sent, respond_rows, 1)
-        else:
-            soa.responses_sent[respond_rows] += 1
-
-        # Exp(scale m) == m * Exp(1): one draw serves every per-sensor mean.
-        latencies = rng.exponential(1.0, count) * soa.latency_mean[respond_rows]
-        respond_times = request_times[responds]
-        xs = soa.x[respond_rows]
-        ys = soa.y[respond_rows]
-        values = field_model.values(respond_times, xs, ys, rng=rng)
-        cell_keys = np.array(fused_key, dtype=np.int64)
-        return TupleBatch(
-            attribute,
-            respond_times + latencies,
-            xs,
-            ys,
-            np.asarray(values),
-            soa.sensor_ids[respond_rows],
-            self._allocate_tuple_ids(count),
-            extra={
-                "cell": cell_keys[respond_segments],
-                "incentive": payments[responds],
-            },
-        )
-
-    def _run_fused_wave(
-        self,
-        attribute: str,
-        field_model,
-        fused_key: Tuple[CellKey, ...],
-        rows: np.ndarray,
-        request_times: np.ndarray,
-        segments: np.ndarray,
-        replacement_used: bool,
-        report: HandlerReport,
-    ):
-        """Serve one fused wave under faults/resilience, fully vectorised.
-
-        Draws participation, latencies and phenomenon values exactly like
-        the plain fused round, then funnels the wave through
-        :meth:`_finalize_wave` for fault injection, the response deadline
-        and health observation.  Returns the accepted columns (in request
-        order) plus the per-cell accepted counts the retry loop needs.
-        """
-        world = self._world
-        soa = world.state_arrays
-        rng = world.rng
-        n = rows.size
-        payments, multipliers = self._round_payments(n)
-        probabilities = self._vector_response_probabilities(
-            rows, request_times, multipliers
-        )
-        self._vector_commit_round(rows, request_times)
-        responds = rng.random(n) < probabilities
-        if replacement_used:
-            np.add.at(soa.requests_received, rows, 1)
-        else:
-            soa.requests_received[rows] += 1
-        count = int(responds.sum())
-        respond_rows = rows[responds]
-        if replacement_used:
-            np.add.at(soa.responses_sent, respond_rows, 1)
-        else:
-            soa.responses_sent[respond_rows] += 1
-        latencies = rng.exponential(1.0, count) * soa.latency_mean[respond_rows]
-        respond_times = request_times[responds]
-        xs = soa.x[respond_rows]
-        ys = soa.y[respond_rows]
-        if count:
-            values = np.asarray(field_model.values(respond_times, xs, ys, rng=rng))
-        else:
-            values = np.empty(0)
-
-        accepted, times, accepted_values = self._finalize_wave(
-            attribute,
-            rows,
-            request_times,
-            segments,
-            fused_key,
-            responds,
-            latencies,
-            values,
-            report,
-        )
-        if self._retry is None:
-            report.incentive_spent += float(payments.sum())
-            accepted_payments = payments[accepted]
-        else:
-            accepted_payments = self._settle_wave_payments(
-                payments, accepted, report
-            )
-        accepted_counts = np.bincount(segments[accepted], minlength=len(fused_key))
-        for key, cell_count in zip(fused_key, accepted_counts):
-            self._count_responses(report, (attribute, key), int(cell_count))
-        resp_keep = accepted[np.nonzero(responds)[0]]
-        return (
-            times,
-            xs[resp_keep],
-            ys[resp_keep],
-            accepted_values,
-            soa.sensor_ids[respond_rows[resp_keep]],
-            accepted_payments,
-            segments[accepted],
-            accepted_counts,
-        )
-
-    def _acquire_fused_resilient(
-        self,
-        attribute: str,
-        field_model,
-        cells: List[GridCell],
-        populations: List[np.ndarray],
-        fused_key: Tuple[CellKey, ...],
-        budgets_full: np.ndarray,
-        *,
-        duration: float,
-        report: HandlerReport,
-        round_cache: Optional[dict] = None,
-    ) -> Optional[TupleBatch]:
-        """The fused round's fault/resilience wave loop.
-
-        Wave 0 serves every cell with its budget minus the retry reserve;
-        each later wave retries the failed requests of every cell from its
-        withheld reserve with replacement draws from the not-yet-contacted
-        population (falling back to with-replacement over the whole cell
-        when exhausted).  Per-cell budgets are never exceeded.
-        """
-        world = self._world
-        rng = world.rng
-        m = len(cells)
-        retry = self._retry
-        if retry is None:
-            reserves = np.zeros(m, dtype=np.int64)
-            wave_budgets = budgets_full
-            attempts = 1
-        else:
-            reserves = np.minimum(
-                (budgets_full * retry.reserve_fraction).astype(np.int64),
-                budgets_full - 1,
-            )
-            np.maximum(reserves, 0, out=reserves)
-            wave_budgets = budgets_full - reserves
-            attempts = retry.max_attempts
-
-        contacted: List[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(m)
-        ]
-        t_parts: List[np.ndarray] = []
-        x_parts: List[np.ndarray] = []
-        y_parts: List[np.ndarray] = []
-        value_parts: List[np.ndarray] = []
-        sensor_parts: List[np.ndarray] = []
-        payment_parts: List[np.ndarray] = []
-        segment_parts: List[np.ndarray] = []
-        failures = np.zeros(m, dtype=np.int64)
-        for wave in range(attempts):
-            if wave == 0:
-                rows, replacement_used = self._fused_sensor_choices(
-                    populations,
-                    wave_budgets,
-                    rng,
-                    round_cache=round_cache,
-                    cache_key=("choices", fused_key),
-                )
-                sizes = wave_budgets
-            else:
-                want = np.minimum(failures, reserves)
-                if not want.any():
-                    break
-                reserves = reserves - want
-                replacement_used = False
-                retry_parts: List[np.ndarray] = []
-                for i in range(m):
-                    k = int(want[i])
-                    if k == 0:
-                        continue
-                    population = populations[i]
-                    fresh = np.setdiff1d(population, contacted[i])
-                    # Replacement draws: fresh sensors first, falling back
-                    # to with-replacement over the whole cell population.
-                    if fresh.size >= k:
-                        retry_parts.append(
-                            fresh[rng.choice(fresh.size, size=k, replace=False)]
-                        )
-                    else:
-                        retry_parts.append(
-                            population[
-                                rng.choice(population.size, size=k, replace=True)
-                            ]
-                        )
-                        replacement_used = True
-                    key = (attribute, fused_key[i])
-                    self._count_retries(report, key, k)
-                rows = np.concatenate(retry_parts)
-                sizes = want
-            segments = np.repeat(np.arange(m), sizes)
-            request_times = world.now + self._fused_request_times(
-                sizes, duration, rng
-            )
-            for key, size in zip(fused_key, sizes):
-                if size:
-                    self._count_requests(report, (attribute, key), int(size))
-            # Record who was contacted before serving: retry draws of the
-            # next wave must exclude this wave's rows.
-            bounds = np.cumsum(sizes)[:-1]
-            for i, part in enumerate(np.split(rows, bounds)):
-                if part.size:
-                    contacted[i] = np.concatenate((contacted[i], part))
-            (
-                times, xs, ys, values, sensor_ids, payments, seg_accepted,
-                accepted_counts,
-            ) = self._run_fused_wave(
-                attribute, field_model, fused_key, rows, request_times,
-                segments, replacement_used, report,
-            )
-            if times.size:
-                t_parts.append(times)
-                x_parts.append(xs)
-                y_parts.append(ys)
-                value_parts.append(values)
-                sensor_parts.append(sensor_ids)
-                payment_parts.append(payments)
-                segment_parts.append(seg_accepted)
-            failures = np.asarray(sizes, dtype=np.int64) - accepted_counts
-            if retry is None or not failures.any():
-                break
-
-        if not t_parts:
-            return None
-        count = sum(part.shape[0] for part in t_parts)
-        cell_keys = np.array(fused_key, dtype=np.int64)
-        return TupleBatch(
-            attribute,
-            np.concatenate(t_parts),
-            np.concatenate(x_parts),
-            np.concatenate(y_parts),
-            np.concatenate(value_parts),
-            np.concatenate(sensor_parts),
-            self._allocate_tuple_ids(count),
-            extra={
-                "cell": cell_keys[np.concatenate(segment_parts)],
-                "incentive": np.concatenate(payment_parts),
-            },
-        )
-
     def acquire(
         self,
         attribute_cells: Dict[str, List[GridCell]],
@@ -1504,9 +1131,7 @@ class RequestResponseHandler:
                     tuples_by_cell.setdefault(cell.key, []).extend(items)
         for items in tuples_by_cell.values():
             items.sort(key=lambda item: item.t)
-        if self._health is not None:
-            self._health.commit_round()
-        self._rounds += 1
+        self._end_round()
         return tuples_by_cell, report
 
     def acquire_batches(
@@ -1533,37 +1158,33 @@ class RequestResponseHandler:
         """
         report = HandlerReport()
         batches: Dict[str, TupleBatch] = {}
-        if self._world.vectorized:
-            bucketing = self._bucket_sensors() if attribute_cells else None
-            # Candidate/key matrices depend only on the requested cells, so
-            # attributes of one round sharing a cell set share them too.
-            round_cache: dict = {}
-            for attribute, cells in attribute_cells.items():
+        fused = self._world.vectorized
+        bucketing = self._bucket_sensors() if fused and attribute_cells else None
+        # Candidate/key matrices depend only on the requested cells, so
+        # attributes of one round sharing a cell set share them too.
+        round_cache: dict = {}
+        for attribute, cells in attribute_cells.items():
+            if fused:
                 batch = self.acquire_attribute_batch(
                     attribute, cells, duration=duration, report=report,
                     bucketing=bucketing, round_cache=round_cache,
                 )
-                if batch is not None and len(batch):
-                    batches[attribute] = batch
-            if self._health is not None:
-                self._health.commit_round()
-            self._rounds += 1
-            return batches, report
-        per_attribute: Dict[str, List[TupleBatch]] = {}
-        for attribute, cells in attribute_cells.items():
-            for cell in cells:
-                batch = self.acquire_cell_batch(
-                    attribute, cell, duration=duration, report=report
-                )
-                if batch is not None and len(batch):
-                    per_attribute.setdefault(attribute, []).append(batch)
+            else:
+                parts = [
+                    self.acquire_cell_batch(
+                        attribute, cell, duration=duration, report=report
+                    )
+                    for cell in cells
+                ]
+                parts = [part for part in parts if part is not None]
+                batch = TupleBatch.concatenate(parts) if parts else None
+            if batch is not None:
+                batches[attribute] = batch
+        self._end_round()
+        return batches, report
+
+    def _end_round(self) -> None:
+        """Close one acquisition round (health decisions are per round)."""
         if self._health is not None:
             self._health.commit_round()
         self._rounds += 1
-        return (
-            {
-                attribute: TupleBatch.concatenate(batches)
-                for attribute, batches in per_attribute.items()
-            },
-            report,
-        )

@@ -28,9 +28,18 @@ from repro.recovery import EngineSnapshot
 #: the acquisition/fabrication/serving stack) fails loudly.  Columnar
 #: on/off share one digest by the engine's byte-identity contract.
 GOLDEN_STRICT = "474280cc6c45c0fb5d389cadce86d5755fd092e00e692ae042dc19997e4a684a"
-#: Same workload under shared-stream fast-sim RNG.
+#: Same workload under shared-stream fast-sim RNG (columnar: the fused
+#: shared-stream round) ...
 GOLDEN_FAST_SIM = "4dba6c6ff15ac51909b7ab234f1ab6b69f5a4d4a1b9d51ea7e9561963202497f"
-
+#: ... and with ``columnar=False``, where the object path answers from the
+#: per-sensor streams while drawing choices and times from the shared one.
+GOLDEN_FAST_SIM_OBJECT = "41a60d595425acf08a7a664c5fcc0e05c0c751e8f91e5292fabf9bf1eff0d8c2"
+#: The same three with no ``FaultPlan`` and no mitigation configured.  The
+#: digest is full-precision, so these also guard the wave loop's
+#: ``request + (response - request)`` timestamp arithmetic on healthy runs.
+GOLDEN_STRICT_FAULT_FREE = "1c0771cda5910f772ecd9b770f087513d8170b06af42d02a2ae2f396bf630977"
+GOLDEN_FAST_SIM_FAULT_FREE = "193b89f63f97d49fccc95cbf7c9360d25742bc50ae981bc76241a72618211a82"
+GOLDEN_FAST_SIM_OBJECT_FAULT_FREE = "eb3a54b84acd2c4f5b331c7efd85c192d32b678f9ea11e13280c2e3b8f346da3"
 
 class TestRestoreContinuesByteIdentical:
     @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "object"])
@@ -49,18 +58,36 @@ class TestRestoreContinuesByteIdentical:
         run_to(restored, 8)
         assert engine_digest(restored) == engine_digest(reference)
 
+    @pytest.mark.parametrize("faults", [True, False], ids=["faults", "fault-free"])
     @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "object"])
-    def test_strict_golden_digest_pinned(self, tmp_path, columnar):
-        engine = make_engine(checkpoint_dir=tmp_path, every=4, columnar=columnar)
+    def test_strict_golden_digest_pinned(self, tmp_path, columnar, faults):
+        engine = make_engine(
+            checkpoint_dir=tmp_path, every=4, columnar=columnar, faults=faults
+        )
         run_to(engine, 5)
         restored = run_to(restore_latest_fresh(tmp_path), 8)
-        assert engine_digest(restored) == GOLDEN_STRICT
+        golden = GOLDEN_STRICT if faults else GOLDEN_STRICT_FAULT_FREE
+        assert engine_digest(restored) == golden
 
-    def test_fast_sim_golden_digest_pinned(self, tmp_path):
-        engine = make_engine(checkpoint_dir=tmp_path, every=4, vectorized=True)
+    @pytest.mark.parametrize("faults", [True, False], ids=["faults", "fault-free"])
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "object"])
+    def test_fast_sim_golden_digest_pinned(self, tmp_path, columnar, faults):
+        engine = make_engine(
+            checkpoint_dir=tmp_path,
+            every=4,
+            vectorized=True,
+            columnar=columnar,
+            faults=faults,
+        )
         run_to(engine, 5)
         restored = run_to(restore_latest_fresh(tmp_path), 8)
-        assert engine_digest(restored) == GOLDEN_FAST_SIM
+        golden = {
+            (True, True): GOLDEN_FAST_SIM,
+            (True, False): GOLDEN_FAST_SIM_OBJECT,
+            (False, True): GOLDEN_FAST_SIM_FAULT_FREE,
+            (False, False): GOLDEN_FAST_SIM_OBJECT_FAULT_FREE,
+        }[faults, columnar]
+        assert engine_digest(restored) == golden
 
     def test_periodic_checkpointing_is_observationally_free(self, tmp_path):
         """Capturing a snapshot must not advance any RNG or mutate state."""

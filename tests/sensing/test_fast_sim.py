@@ -198,7 +198,7 @@ class TestFastSimAcquisition:
         assert len(fast.participation_groups) == 1
         assert soa.has_column(FatigueParticipation.LEVEL_COLUMN)
 
-    def test_mixed_vectorisable_flags_use_fallback(self):
+    def test_mixed_vectorisable_flags_use_fallback(self, monkeypatch):
         # Half the crowd is genuinely non-vectorisable: every cell
         # containing such a sensor must take the exact path, and the round
         # still completes.
@@ -210,6 +210,48 @@ class TestFastSimAcquisition:
         assert flags.any() and not flags.all()
         grid = Grid(REGION, side=2)
         handler = RequestResponseHandler(fast, grid, default_budget=20)
+
+        # On-grid fallback cells take their population from the round's one
+        # bucketing pass: a rectangle scan of the crowd must never run.
+        def no_rescan(rect):
+            raise AssertionError(f"rectangle scan of the crowd for {rect}")
+
+        monkeypatch.setattr(fast, "sensor_indices_in_rectangle", no_rescan)
         batches, report = handler.acquire_batches({"rain": list(grid.cells())}, duration=1.0)
         assert report.requests_sent == 20 * 4
         assert sum(len(b) for b in batches.values()) == report.responses_received
+        # Per-cell accounting stays exact: the full budget goes out in every
+        # cell, and the reported responses are the tuples targeting it.
+        delivered = {}
+        for q, r in batches["rain"].extra["cell"].tolist():
+            delivered[("rain", (q, r))] = delivered.get(("rain", (q, r)), 0) + 1
+        assert report.per_cell_requests == {("rain", c.key): 20 for c in grid.cells()}
+        assert {k: v for k, v in report.per_cell_responses.items() if v} == delivered
+        assert set(report.per_cell_responses) == set(report.per_cell_requests)
+
+    def test_mixed_crowd_fuses_the_vector_capable_cells(self, monkeypatch):
+        # Non-vectorisable sensors confined to one cell: that cell alone
+        # keeps the per-sensor round (from its bucketed population), the
+        # other three are served by the fused shared-stream round.
+        world = make_world(True, participation=lambda i: BernoulliParticipation(0.8), sensor_count=400)
+        soa = world.state_arrays
+        in_first = (soa.x < 2.0) & (soa.y < 2.0)
+        soa.vector_participation[in_first] = False
+        grid = Grid(REGION, side=2)
+        handler = RequestResponseHandler(world, grid, default_budget=20)
+        monkeypatch.setattr(
+            world, "sensor_indices_in_rectangle",
+            lambda rect: pytest.fail("rectangle scan of the crowd"),
+        )
+        sensors_asked = []
+        sensors_at = world.sensors_at
+
+        def recording_sensors_at(rows):
+            sensors_asked.extend(rows.tolist())
+            return sensors_at(rows)
+
+        monkeypatch.setattr(world, "sensors_at", recording_sensors_at)
+        _, report = handler.acquire_batches({"rain": list(grid.cells())}, duration=1.0)
+        assert report.per_cell_requests == {("rain", c.key): 20 for c in grid.cells()}
+        # Only the mixed cell's sensors answered one by one.
+        assert sensors_asked and bool(np.all(in_first[sensors_asked]))
