@@ -15,9 +15,8 @@ session-surface metrics through ``record_session_metric`` into
 ``record_view_metric`` into ``BENCH_views.json``, fault-scenario
 metrics through ``record_scenario_metric`` into ``BENCH_scenarios.json``,
 checkpoint/restore metrics through ``record_recovery_metric`` into
-``BENCH_recovery.json``, plan-compiler metrics through
-``record_plan_metric`` into ``BENCH_plan.json`` and serving-layer
-metrics through ``record_serve_metric`` into ``BENCH_serve.json``.
+``BENCH_recovery.json`` and serving-layer metrics through
+``record_serve_metric`` into ``BENCH_serve.json``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ BENCH_SESSION_JSON = pathlib.Path(__file__).parent.parent / "BENCH_session.json"
 BENCH_VIEWS_JSON = pathlib.Path(__file__).parent.parent / "BENCH_views.json"
 BENCH_SCENARIOS_JSON = pathlib.Path(__file__).parent.parent / "BENCH_scenarios.json"
 BENCH_RECOVERY_JSON = pathlib.Path(__file__).parent.parent / "BENCH_recovery.json"
-BENCH_PLAN_JSON = pathlib.Path(__file__).parent.parent / "BENCH_plan.json"
 BENCH_SERVE_JSON = pathlib.Path(__file__).parent.parent / "BENCH_serve.json"
 
 
@@ -68,7 +66,6 @@ _SESSION_METRIC_STORE: Dict[str, dict] = {}
 _VIEWS_METRIC_STORE: Dict[str, dict] = {}
 _SCENARIO_METRIC_STORE: Dict[str, dict] = {}
 _RECOVERY_METRIC_STORE: Dict[str, dict] = {}
-_PLAN_METRIC_STORE: Dict[str, dict] = {}
 _SERVE_METRIC_STORE: Dict[str, dict] = {}
 
 
@@ -150,17 +147,6 @@ def record_recovery_metric():
 
 
 @pytest.fixture
-def record_plan_metric():
-    """Like ``record_metric`` but routed to ``BENCH_plan.json``.
-
-    Used by the plan-compiler benchmarks (``bench_plan_compiler.py``) so
-    the compiled-vs-interpreted speedup and the cache's recompile counts
-    are tracked separately.
-    """
-    return _make_recorder(_PLAN_METRIC_STORE)
-
-
-@pytest.fixture
 def record_serve_metric():
     """Like ``record_metric`` but routed to ``BENCH_serve.json``.
 
@@ -209,7 +195,5 @@ def pytest_sessionfinish(session, exitstatus):
         _persist(BENCH_SCENARIOS_JSON, _SCENARIO_METRIC_STORE)
     if _RECOVERY_METRIC_STORE:
         _persist(BENCH_RECOVERY_JSON, _RECOVERY_METRIC_STORE)
-    if _PLAN_METRIC_STORE:
-        _persist(BENCH_PLAN_JSON, _PLAN_METRIC_STORE)
     if _SERVE_METRIC_STORE:
         _persist(BENCH_SERVE_JSON, _SERVE_METRIC_STORE)

@@ -1,10 +1,11 @@
 """The hot-path manifest the CRQ4xx purity rules enforce.
 
 Functions listed here are the per-batch inner loops whose cost the
-benchmark suite gates (``BENCH_world.json`` / ``BENCH_plan.json`` /
-``BENCH_views.json`` / ``BENCH_serve.json``): the fused acquisition
-round, compiled chain execution, the incremental view fold and the
-serve-layer fan-out.  Inside them, per-row Python iteration is a
+benchmark suite gates (``BENCH_world.json`` / ``BENCH_views.json`` /
+``BENCH_serve.json`` and the ``benchmarks/e2e`` per-layer spans): the
+fused acquisition round, the columnar map phase, compiled chain
+execution and its flatten/thin kernels, the incremental view fold and
+the serve-layer fan-out.  Inside them, per-row Python iteration is a
 regression by construction — the analyzer flags ``.tolist()`` calls,
 ``range(len(...))`` / ``zip(...)`` row loops and object construction
 inside loops (see ``docs/craqr_lint.md``).
@@ -42,6 +43,13 @@ HOT_PATHS: List[Tuple[str, str]] = [
     # Compiled per-batch chain execution (PR 8): flat numpy kernels with
     # survivor-index composition; a Python row loop re-interprets the chain.
     ("repro/plan/executor.py", "ChainProgram.run"),
+    # The kernels that program runs and the map phase feeding it — what
+    # ``core.fabricator.map_ms`` / ``core.pmat.*_ms`` time in the e2e
+    # benchmark.  Discard recording is per-row by nature and lives in
+    # ``PMATOperator._push_discarded``, outside the gated kernels.
+    ("repro/core/fabricator.py", "StreamFabricator.map_batches_fused"),
+    ("repro/core/pmat/flatten.py", "FlattenOperator.process_batch_mask"),
+    ("repro/core/pmat/thin.py", "ThinOperator.thin_indices"),
     # Incremental view maintenance (PR 5): one lexsort + segment reductions
     # per delivered batch; history is never rescanned.
     ("repro/views/view.py", "ContinuousView.on_delivery"),

@@ -17,7 +17,8 @@ rules make partial implementations a lint error at the diff.
   probes ``vector_state_columns`` and then trusts the other five.
 * ``CRQ203`` — an operator defines ``process_batch`` without
   ``lower_ir`` and without the explicit ``interpreted_fallback = True``
-  marker acknowledging that chains containing it stay interpreted.
+  marker acknowledging that it is not lowered and so only runs in
+  standalone topologies (the engine's compiled chains cannot host it).
 """
 
 from __future__ import annotations

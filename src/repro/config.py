@@ -154,35 +154,31 @@ class EngineConfig:
         When true (the default) each batch window flows through the engine
         as vectorised :class:`~repro.streams.TupleBatch` columns — the
         handler samples whole cell rounds at once, the fabricator buckets
-        tuples with one grid lookup per batch, PMAT operators compose numpy
-        keep-masks, and result buffers ingest batches.  ``False`` selects
-        the per-tuple object path; for a given seed both paths deliver
-        identical tuples, so the flag is a pure performance switch (keep
-        the object path for debugging individual tuple flows or for custom
-        operators without a batch implementation).
+        cells from one sorted gather, and every registered query's PMAT
+        chain runs as one compiled program (``repro.plan``): its
+        flatten/thin/partition decisions compose as row indices with a
+        single gather per delivered stream, and result buffers ingest
+        batches.  The compiled plan is derived state — rebuilt after
+        ALTER / STOP / restore, never checkpointed; inspect it with
+        ``EXPLAIN <query>``.  ``False`` selects the per-tuple object path
+        (keep it for debugging individual tuple flows or for custom
+        operators without a batch implementation).  Under the strict RNG
+        contract (the default world) both paths deliver byte-identical
+        tuples for a given seed, so there the flag is a pure performance
+        switch.  Under fast-sim they do **not**: the object path answers
+        from the per-sensor streams while the columnar path runs the fused
+        shared-stream round, so each has its own pinned digest
+        (``GOLDEN_FAST_SIM_OBJECT`` vs ``GOLDEN_FAST_SIM`` in
+        ``tests/recovery/test_snapshot_roundtrip.py``) and the two are
+        only statistically equivalent.
 
         The symmetric switch on the *simulation* side is
         :attr:`repro.sensing.WorldConfig.vectorized_rng` ("fast-sim"): it
         moves sensors through batch mobility kernels and lets the handler
-        sample whole cell populations from one shared random stream.
-        ``columnar`` preserves seeded byte-equality; ``vectorized_rng``
-        trades per-sensor stream reproducibility for statistically
+        sample whole cell populations from one shared random stream,
+        trading per-sensor stream reproducibility for statistically
         equivalent output at simulation scale.  Flip both on for maximum
         end-to-end throughput (see ``benchmarks/bench_world_advance.py``).
-    compile_plans:
-        When true (the default) and ``columnar`` is on, the engine lowers
-        every registered query's PMAT chain into one per-batch dataflow
-        graph (``repro.plan``) and executes fused kernels: a chain's
-        flatten/thin/partition decisions compose as row indices with a
-        single gather per delivered stream, the intensity SGD loop hoists
-        its loop-invariant compensator, and the fabricator buckets cells
-        from one sorted gather.  Byte-identical to the interpreted
-        operator path (same RNG draws, same counters, same reports);
-        ``False`` keeps the per-operator ``process_batch`` reference path.
-        The compiled plan is derived state — rebuilt after ALTER / STOP /
-        restore, never checkpointed.  Inspect it with ``EXPLAIN <query>``.
-        Discard recording (``store_discarded``) falls back to the
-        interpreted path, which materialises the dropped tuples.
     retention_batches:
         Service-mode memory bound: when set, every query result buffer
         evicts chunks older than this many completed batches, the engine
@@ -224,7 +220,6 @@ class EngineConfig:
     store_discarded: bool = False
     online_estimation: bool = False
     columnar: bool = True
-    compile_plans: bool = True
     retention_batches: Optional[int] = None
     faults: Optional[FaultPlan] = None
     resilience: Optional[ResilienceConfig] = None

@@ -587,7 +587,7 @@ class CraqrEngine:
     # ------------------------------------------------------------------
     @property
     def plan_cache(self):
-        """The compiled-plan cache (``None`` until the first compiled batch).
+        """The compiled-plan cache (``None`` until the first columnar batch).
 
         Derived state: it is never checkpointed and a restored engine
         rebuilds it lazily; its ``compiles``/``reuses`` counters are what
@@ -595,23 +595,8 @@ class CraqrEngine:
         """
         return self._plan_cache
 
-    def _compiled_enabled(self) -> bool:
-        """Whether batches run through compiled chain programs.
-
-        Requires the columnar path and ``config.compile_plans``; chains
-        recording discarded tuples materialise every dropped batch, so a
-        ``store_discarded`` engine stays on the interpreted reference path.
-        """
-        return (
-            self._config.columnar
-            and self._config.compile_plans
-            and self._discarded is None
-        )
-
     def _compiled_programs(self):
-        """Valid compiled programs for this batch (``None`` when disabled)."""
-        if not self._compiled_enabled():
-            return None
+        """Valid compiled chain programs for this batch."""
         if self._plan_cache is None:
             from ..plan import PlanCache
 
@@ -656,7 +641,7 @@ class CraqrEngine:
             query_id=query.query_id,
             query_label=query.label,
             view_name=view_name,
-            compiled=self._compiled_enabled(),
+            compiled=self._config.columnar,
             cost_estimate=cost,
         )
 
@@ -858,16 +843,14 @@ class CraqrEngine:
         return view_handle
 
     def _install_shared_sort(self, view: ContinuousView) -> None:
-        """Give the view its query's shared lexsort cache (compiled path).
+        """Give the view its query's shared lexsort cache.
 
-        Every view on one query folds the same delivered batch; with
-        compiled plans on, views sharing a ``(slide, group_by)`` signature
-        reuse one (pane, group) sort per batch.  The cache lives only on
-        the views themselves (runtime wiring, dropped from checkpoints),
-        so installation finds a sibling's cache or starts a fresh one.
+        Every view on one query folds the same delivered batch; views
+        sharing a ``(slide, group_by)`` signature reuse one (pane, group)
+        sort per batch.  The cache lives only on the views themselves
+        (runtime wiring, dropped from checkpoints), so installation finds
+        a sibling's cache or starts a fresh one.
         """
-        if not self._compiled_enabled():
-            return
         for other in self._views.values():
             if other is view or other.query_id != view.query_id:
                 continue
@@ -1109,7 +1092,7 @@ class CraqrEngine:
             self._world.advance(duration)
             self._crash_barrier(CrashPoint.POST_ACQUISITION, batch)
             fabrication = self._fabricator.process_batch_columnar(
-                batches, programs=self._compiled_programs()
+                batches, self._compiled_programs()
             )
         else:
             tuples_by_cell, handler_report = self._handler.acquire(

@@ -20,7 +20,7 @@ reported for the batch, which the budget tuner consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class StreamFabricator:
             items.sort(key=lambda item: item.t)
         return mapped
 
-    def map_batches(
+    def map_batches_fused(
         self, batch_per_attribute: Dict[str, TupleBatch]
     ) -> Dict[CellKey, Dict[str, TupleBatch]]:
         """The columnar map phase: bucket whole batches by grid cell.
@@ -133,42 +133,12 @@ class StreamFabricator:
         :meth:`Grid.cells_for_points` call; tuples are then grouped per cell
         with a single lexsort (cell code major, time minor), so every
         resulting per-cell slice is already time-ordered — no per-tuple
-        ``locate`` calls and no comparison sort of object lists.  The input
-        is one batch per attribute either way the handler produced it: the
-        strict path concatenates its per-cell rounds, the fast-sim path
-        hands over the fused attribute-level round directly.
-        """
-        side = self._grid.side
-        mapped: Dict[CellKey, Dict[str, TupleBatch]] = {}
-        for attribute, batch in batch_per_attribute.items():
-            if batch.is_empty:
-                continue
-            q, r = self._grid.cells_for_points(batch.x, batch.y)
-            codes = r * side + q
-            order = np.lexsort((batch.t, codes))
-            sorted_codes = codes[order]
-            boundaries = np.nonzero(np.diff(sorted_codes))[0] + 1
-            starts = np.concatenate(([0], boundaries))
-            ends = np.concatenate((boundaries, [sorted_codes.shape[0]]))
-            for start, end in zip(starts, ends):
-                code = int(sorted_codes[start])
-                key = (code % side, code // side)
-                mapped.setdefault(key, {})[attribute] = batch.select(
-                    order[start:end]
-                )
-        return mapped
-
-    def map_batches_fused(
-        self, batch_per_attribute: Dict[str, TupleBatch]
-    ) -> Dict[CellKey, Dict[str, TupleBatch]]:
-        """Fused map phase: one gather per column, contiguous per-cell slices.
-
-        Byte-identical cell batches to :meth:`map_batches` (same lexsort,
-        same per-cell rows: ``col[order][start:end] == col[order[start:end]]``)
-        but each attribute's columns are reordered *once* and every cell
-        takes zero-copy contiguous views of the sorted columns, instead of
-        one fancy-index gather per (cell, column).  Used by the compiled
-        plan path.
+        ``locate`` calls and no comparison sort of object lists.  Each
+        attribute's columns are reordered *once* and every cell takes
+        zero-copy contiguous views of the sorted columns.  The input is one
+        batch per attribute either way the handler produced it: the strict
+        path concatenates its per-cell rounds, the fast-sim path hands over
+        the fused attribute-level round directly.
         """
         side = self._grid.side
         mapped: Dict[CellKey, Dict[str, TupleBatch]] = {}
@@ -186,10 +156,10 @@ class StreamFabricator:
             t, x, y = sorted_batch.t, sorted_batch.x, sorted_batch.y
             value, sensor_id = sorted_batch.value, sorted_batch.sensor_id
             tuple_id, extra = sorted_batch.tuple_id, sorted_batch.extra
-            for start, end in zip(starts, ends):
+            for start, end in zip(starts, ends):  # craqr: ignore[CRQ402] - per occupied cell, rows sliced as views
                 code = int(sorted_codes[start])
                 key = (code % side, code // side)
-                mapped.setdefault(key, {})[attribute] = TupleBatch(
+                mapped.setdefault(key, {})[attribute] = TupleBatch(  # craqr: ignore[CRQ403] - one zero-copy batch per occupied cell
                     sorted_batch.attribute,
                     t[start:end],
                     x[start:end],
@@ -205,28 +175,22 @@ class StreamFabricator:
     def process_batch_columnar(
         self,
         batch_per_attribute: Dict[str, TupleBatch],
-        *,
-        programs: Optional[Dict[CellKey, Dict[str, object]]] = None,
+        programs: Dict[CellKey, Dict[str, object]],
     ) -> BatchResult:
         """Columnar :meth:`process_batch`: map, process and merge whole batches.
 
         Identical accounting to the object path — tuples in, tuples routed
         to materialised cells, per-query deliveries and per-(attribute,
         cell) violations — but every stage moves :class:`TupleBatch`
-        columns instead of per-tuple callbacks.  When the engine hands over
-        compiled chain ``programs`` (see :mod:`repro.plan`) the map phase
-        runs fused and the cells execute their fused kernels.
+        columns instead of per-tuple callbacks: the map phase buckets whole
+        batches and each cell's chains run their compiled ``programs`` (see
+        :mod:`repro.plan`).
         """
         self._current_delivered = {}
         result = BatchResult()
         result.tuples_in = sum(len(b) for b in batch_per_attribute.values())
-        if programs is None:
-            mapped = self.map_batches(batch_per_attribute)
-        else:
-            mapped = self.map_batches_fused(batch_per_attribute)
-        result.tuples_routed = self._planner.process_columnar(
-            mapped, programs=programs
-        )
+        mapped = self.map_batches_fused(batch_per_attribute)
+        result.tuples_routed = self._planner.process_columnar(mapped, programs)
         result.violations = self._planner.violations()
         result.delivered_per_query = dict(self._current_delivered)
         result.tuples_delivered = sum(self._current_delivered.values())

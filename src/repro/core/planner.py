@@ -454,8 +454,7 @@ class QueryPlanner:
     def process_columnar(
         self,
         mapped: Dict[CellKey, Dict[str, TupleBatch]],
-        *,
-        programs: Optional[Dict[CellKey, Dict[str, object]]] = None,
+        programs: Dict[CellKey, Dict[str, object]],
     ) -> int:
         """Columnar process phase: run every materialised cell for one window.
 
@@ -465,20 +464,16 @@ class QueryPlanner:
         :meth:`route_cell_batch` returning 0.  Returns the number of tuples
         routed to materialised cells.
 
-        ``programs`` optionally carries the compiled plan's per-cell chain
-        programs (see :mod:`repro.plan`); cells found in it run fused
-        kernels, the rest interpret their operators.  Either way the cell
-        iteration order — and with it the per-query delivery order that
-        shapes result-buffer chunks — is this method's, so compiled and
-        interpreted runs stay byte-identical.
+        ``programs`` carries the compiled plan's per-cell chain programs
+        (see :mod:`repro.plan`).  The cell iteration order — and with it
+        the per-query delivery order that shapes result-buffer chunks — is
+        this method's, the same as the object path's.
         """
         routed = 0
         deliver = self._deliver_batch
         for key, topology in self._cells.items():
             routed += topology.process_batches(
-                mapped.get(key, {}),
-                deliver,
-                programs=programs.get(key) if programs else None,
+                mapped.get(key, {}), deliver, programs[key]
             )
         return routed
 

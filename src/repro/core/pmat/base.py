@@ -19,7 +19,7 @@ import numpy as np
 from ...errors import StreamError
 from ...geometry import RectRegion, Rectangle, Region
 from ...rng import ensure_rng
-from ...streams import StreamOperator
+from ...streams import StreamOperator, TupleBatch
 
 
 def coerce_region(region) -> Region:
@@ -66,6 +66,15 @@ class PMATOperator(StreamOperator):
     def reseed(self, rng: np.random.Generator) -> None:
         """Replace the operator's random generator (used by engine reseeding)."""
         self._rng = rng
+
+    def _push_discarded(self, discarded: TupleBatch) -> None:
+        """Push dropped rows to the secondary (discard) output, one tuple each.
+
+        The discard recorder consumes objects, so this is per-row by
+        nature; it lives outside the columnar kernels the hot-path lint
+        gates and only runs for operators built with ``emit_discarded``.
+        """
+        self._tuples_out += self._outputs[1].push_many(discarded.to_tuples())
 
     def describe(self) -> str:
         attribute = self._attribute or "*"

@@ -181,7 +181,7 @@ class FlattenOperator(PMATOperator):
 
         ``fused`` selects the hoisted-compensator SGD kernel for the online
         estimator (bit-identical to the reference loop; used by the
-        compiled plan path).
+        columnar path).
         """
         if self._intensity is not None:
             return self._intensity
@@ -256,68 +256,27 @@ class FlattenOperator(PMATOperator):
                 self.emit(item, output_index=1)
 
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Vectorised flatten: Eq. (3) keep-mask applied to the whole batch.
+        """Vectorised flatten: the survivors of :meth:`process_batch_mask`.
 
-        The columnar path hands the operator its batch directly instead of
-        buffering tuples one at a time; the per-batch report (including the
-        full-shortfall report for an empty batch) is identical to
-        :meth:`flush`, and the thinning kernel's ``keep_mask`` is applied to
-        the numpy columns without round-tripping through object lists.
+        The single-operator form of the kernel the engine's compiled chains
+        run — same report, counters, RNG draw and discard output.
         """
-        if batch.is_empty:
-            self._reports.append(
-                FlattenBatchReport(
-                    batch_size=0,
-                    retained=0,
-                    violation_percent=0.0,
-                    shortfall_percent=100.0,
-                    target_rate=self._target_rate,
-                )
-            )
-            return batch
-        n = len(batch)
-        self._tuples_in += n
-        events = EventBatch(batch.t, batch.x, batch.y)
-        intensity = self._estimate_intensity(events)
-        target_expected = self._target_rate * self.region.area * self._batch_duration
-        result = flatten_events(events, intensity, target_expected, rng=self.rng)
-        self._reports.append(
-            FlattenBatchReport(
-                batch_size=n,
-                retained=result.retained_count,
-                violation_percent=result.violation_percent,
-                shortfall_percent=result.shortfall_percent,
-                target_rate=self._target_rate,
-            )
-        )
-        kept = batch.select(result.keep_mask)
-        self._tuples_out += len(kept)
-        if self._emit_discarded and result.discarded_count:
-            discarded = batch.select(~result.keep_mask)
-            self._tuples_out += len(discarded)
-            stream = self.outputs[1]
-            for item in discarded.to_tuples():
-                stream.push(item)
-        return kept
+        return batch.select(self.process_batch_mask(batch))
 
     def process_batch_mask(self, batch: TupleBatch) -> np.ndarray:
-        """Compiled-path kernel: the Eq. (3) keep-mask without materialising.
+        """Columnar flatten kernel: the Eq. (3) keep-mask of a whole batch.
 
-        Byte-identical accounting to :meth:`process_batch` — same report
-        (including the full-shortfall report for an empty batch), same
-        counters, same single ``rng.random(n)`` draw — but returns the
-        boolean keep-mask instead of gathering the surviving columns, so
-        the executor can compose it with downstream thin/partition
-        decisions and gather once at delivery.  The online estimator runs
-        its fused (hoisted-compensator) SGD kernel.  Not available with
-        ``emit_discarded`` (the discard store needs the dropped tuples
-        materialised; the engine keeps those chains on the interpreted
-        path).
+        The columnar path hands the operator its batch directly instead of
+        buffering tuples one at a time.  Byte-identical accounting to
+        :meth:`flush` — same report (including the full-shortfall report
+        for an empty batch), same counters, same single ``rng.random(n)``
+        draw — but returns the boolean keep-mask instead of gathering the
+        surviving columns, so the chain executor can compose it with
+        downstream thin/partition decisions and gather once at delivery.
+        The online estimator runs its fused (hoisted-compensator) SGD
+        kernel.  With ``emit_discarded`` the complement of the mask is
+        pushed to the discard output.
         """
-        if self._emit_discarded:
-            raise StreamError(
-                "the compiled flatten kernel cannot emit discarded tuples"
-            )
         if batch.is_empty:
             self._reports.append(
                 FlattenBatchReport(
@@ -346,6 +305,8 @@ class FlattenOperator(PMATOperator):
             )
         )
         self._tuples_out += retained
+        if self._emit_discarded:
+            self._push_discarded(batch.select(~result.keep_mask))
         return result.keep_mask
 
     def lower_ir(self) -> dict:

@@ -162,8 +162,8 @@ class PartitionOperator(PMATOperator):
 
         Mirrors :meth:`process_batch_multi` accounting for the
         single-region drop-rest configuration (unmatched tuples count as
-        dropped).  The interpreted path's zero-length early return means a
-        compiled caller must skip this call when ``total`` is 0.
+        dropped).  An operator that receives no tuple touches no counter,
+        so the caller must skip this call when ``total`` is 0.
         """
         self._tuples_in += total
         self._tuples_out += matched

@@ -109,38 +109,27 @@ class ThinOperator(PMATOperator):
                 self.emit(item, output_index=1)
 
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Vectorised thinning: one Bernoulli keep-mask for the whole batch.
+        """Vectorised thinning: :meth:`thin_indices` over every row.
 
-        ``rng.random(n)`` consumes the generator exactly as ``n`` scalar
-        draws would, so a seeded run keeps the same tuples as the object
-        path.
+        The single-operator form of the kernel the engine's compiled chains
+        run; with ``emit_discarded`` the dropped rows go to the discard
+        output.
         """
-        n = len(batch)
-        if n == 0:
-            return batch
-        self._tuples_in += n
-        keep = self.rng.random(n) < self.retention_probability
-        kept = batch.select(keep)
-        dropped = n - len(kept)
-        self._dropped += dropped
-        self._tuples_out += len(kept)
-        if self._emit_discarded and dropped:
-            discarded = batch.select(~keep)
-            self._tuples_out += len(discarded)
-            stream = self.outputs[1]
-            for item in discarded.to_tuples():
-                stream.push(item)
-        return kept
+        rows = np.arange(len(batch))
+        kept = self.thin_indices(rows)
+        if self._emit_discarded:
+            self._push_discarded(batch.select(np.delete(rows, kept)))
+        return batch.select(kept)
 
     def thin_indices(self, indices: np.ndarray) -> np.ndarray:
-        """Compiled-path kernel: Bernoulli retention over surviving row indices.
+        """Columnar thin kernel: Bernoulli retention over surviving row indices.
 
         ``indices`` are the rows of the original batch still alive after the
-        upstream masks.  Draws the same ``rng.random(m)`` vector that
-        :meth:`process_batch` would draw for a materialised batch of the
-        same ``m`` tuples and updates the same counters, but composes the
-        decision as a fancy-index instead of copying columns.  An empty
-        index set mirrors the interpreted early-return: no counters, no RNG.
+        upstream masks.  ``rng.random(m)`` consumes the generator exactly as
+        the object path's ``m`` scalar draws would, so a seeded run keeps
+        the same tuples; the decision composes as a fancy-index instead of
+        copying columns.  An empty index set draws nothing and touches no
+        counter, like an operator that receives no tuple.
         """
         m = int(indices.shape[0])
         if m == 0:

@@ -355,53 +355,6 @@ class AttributeChain:
             sink=sink,
         )
 
-    # ------------------------------------------------------------------
-    # Columnar execution
-    # ------------------------------------------------------------------
-    def process_batch(
-        self,
-        batch: Optional[TupleBatch],
-        deliver_batch: DeliverBatchFn,
-        *,
-        router_tuples_in: Optional[int] = None,
-    ) -> None:
-        """Run one batch window through the chain columnar.
-
-        The chain's own operators do the work (so their counters, reports
-        and RNG streams stay exactly as on the object path), but tuples
-        move as :class:`TupleBatch` columns: Flatten and the Thin cascade
-        compose numpy keep-masks, query taps slice the level batch with one
-        Partition containment mask, and each tap's survivors are delivered
-        in a single ``deliver_batch`` call instead of one callback per
-        tuple.  ``None`` (or an empty batch) still runs Flatten so its
-        empty-batch shortfall report matches the object path's flush.
-
-        ``router_tuples_in`` is the total number of tuples the cell saw
-        this window (all attributes): on the object path every router is
-        subscribed to the shared entry stream and counts them all, so the
-        cell topology passes the cross-attribute total to keep the filter
-        counters identical.  Defaults to the chain's own batch size.
-        """
-        if self._flatten is None:
-            raise PlanningError("the chain has not been built yet")
-        if batch is None:
-            batch = TupleBatch.empty(self._attribute)
-        if self._router is not None:
-            n = len(batch)
-            self._router.account_batch(
-                n if router_tuples_in is None else router_tuples_in, n
-            )
-        out = self._flatten.process_batch(batch)
-        for level in self._levels:
-            out = level.thin.process_batch(out)
-            for tap in level.taps:
-                if tap.partition is None:
-                    tap_batch = out
-                else:
-                    tap_batch = tap.partition.process_batch(out)
-                if len(tap_batch):
-                    deliver_batch(tap.query_id, tap_batch)
-
     def lower_ir(self) -> List[dict]:
         """Per-operator IR descriptors in execution order.
 
@@ -582,40 +535,30 @@ class CellTopology:
         self,
         batches_by_attribute: Dict[str, TupleBatch],
         deliver_batch: DeliverBatchFn,
-        *,
-        programs: Optional[Dict[str, "object"]] = None,
+        programs: Dict[str, "object"],
     ) -> int:
         """Columnar execution of one batch window for this cell.
 
-        Every chain runs exactly once — with its attribute's batch when one
-        arrived, or with an empty batch otherwise (matching the object
-        path, where :meth:`flush` triggers every Flatten even in silent
-        cells).  Returns the number of tuples handed to the cell, counting
-        batches of attributes without a chain too (the object path injects
-        those into the entry stream as well; the router then drops them).
+        Every chain's compiled :class:`~repro.plan.executor.ChainProgram`
+        (``programs``, keyed by attribute) runs exactly once — with its
+        attribute's batch when one arrived, or with an empty batch
+        otherwise (matching the object path, where :meth:`flush` triggers
+        every Flatten even in silent cells).  Returns the number of tuples
+        handed to the cell, counting batches of attributes without a chain
+        too (the object path injects those into the entry stream as well;
+        the router then drops them).
 
-        ``programs`` optionally maps attributes to compiled
-        :class:`~repro.plan.executor.ChainProgram`\\ s; a chain with a
-        program runs its fused kernels instead of the per-operator
-        interpretation.  The iteration order, empty-batch semantics and
-        router accounting live here either way, so both execution modes
-        share one dispatch point.
+        That cross-attribute total is also what every chain's router
+        accounts as its input: on the object path every router is
+        subscribed to the shared entry stream and counts them all.
         """
         routed = sum(len(batch) for batch in batches_by_attribute.values())
-        for attribute, chain in self._chains.items():
-            program = programs.get(attribute) if programs else None
-            if program is not None:
-                program.run(
-                    batches_by_attribute.get(attribute),
-                    deliver_batch,
-                    router_tuples_in=routed,
-                )
-            else:
-                chain.process_batch(
-                    batches_by_attribute.get(attribute),
-                    deliver_batch,
-                    router_tuples_in=routed,
-                )
+        for attribute in self._chains:
+            programs[attribute].run(
+                batches_by_attribute.get(attribute),
+                deliver_batch,
+                router_tuples_in=routed,
+            )
         return routed
 
     def violations(self) -> Dict[str, float]:

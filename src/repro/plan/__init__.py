@@ -4,7 +4,8 @@ Lowers every registered query's PMAT chain — and the views attached to
 each query — into one explicit dataflow graph per batch, runs an optimizer
 pass pipeline over it (keep-mask fusion, cross-query CSE, shared view
 sorts), and executes the result as a handful of fused numpy kernels that
-are byte-identical to the interpreted per-operator path.
+deliver, for the same acquired batch, exactly the bytes of the per-tuple
+object walk (``columnar=False``).
 
 Entry points:
 

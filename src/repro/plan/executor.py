@@ -6,20 +6,22 @@ RNG streams, the same counters and reports — but the flatten/thin/partition
 decisions compose as *row indices* instead of materialised column copies,
 and each delivered stream is gathered exactly once.
 
-Byte-identity with the interpreted path rests on three facts:
+Byte-identity with the per-tuple object walk (the ``columnar=False``
+reference, which materialises every intermediate stream) rests on three
+facts:
 
 * chained boolean selects and a composed fancy-index gather pick the same
   rows with the same values (``col[mask1][mask2] == col[idx1][keep2]``);
 * every RNG draw keeps its size and order: flatten draws ``random(n)``
   over the full batch, each thin level draws ``random(m)`` over the
-  current survivor count (the interpreted path's materialised batch has
-  exactly ``m`` rows), partitions draw nothing;
+  current survivor count (the object walk draws one scalar per tuple
+  reaching the operator, exactly ``m`` of them), partitions draw nothing;
 * containment masks commute with gathering
   (``region.contains_many(x[idx]) == region.contains_many(x)[idx]``), so
-  evaluating a tap's predicate on the survivor coordinates equals the
-  interpreted evaluation on the materialised level batch — and two taps
-  with identical predicates can share one evaluation (the CSE pass) while
-  each partition operator still records its own traffic.
+  evaluating a tap's predicate on the survivor coordinates equals
+  evaluating it on each materialised survivor — and two taps with
+  identical predicates can share one evaluation (the CSE pass) while each
+  partition operator still records its own traffic.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ class ChainProgram:
         self._attribute = chain.attribute
         self._router = chain.router
         self._flatten = chain.flatten
-        if getattr(self._flatten, "_emit_discarded", False):
-            raise PlanningError(
-                "chains recording discarded tuples stay on the interpreted path"
-            )
         self._levels: List[LevelStep] = []
         for level in chain.levels:
             taps = []
@@ -109,10 +107,13 @@ class ChainProgram:
     ) -> None:
         """Run one batch window through the fused kernels.
 
-        Mirrors :meth:`AttributeChain.process_batch` exactly: router
-        accounting first, flatten (report + RNG draw) even for empty
-        batches, then the thin cascade and the per-tap deliveries in
-        declaration order.
+        Router accounting first, flatten (report + RNG draw, discards to
+        the recorder when the chain has one) even for empty batches, then
+        the thin cascade and the per-tap deliveries in declaration order.
+        ``router_tuples_in`` is the total the cell saw this window across
+        all attributes (what the router counts on the object path, where
+        it subscribes to the shared entry stream); defaults to the batch's
+        own size.
         """
         if batch is None:
             batch = TupleBatch.empty(self._attribute)
@@ -136,8 +137,8 @@ class ChainProgram:
                     tap_indices = indices
                 else:
                     if survivors == 0:
-                        # Interpreted partitions early-return on empty
-                        # batches without touching counters.
+                        # A partition that receives no tuple touches
+                        # no counter on the object path either.
                         continue
                     if level_x is None:
                         level_x = xs[indices]

@@ -32,7 +32,7 @@ def render_explain(
 ) -> str:
     """Render the plan slice for one query (optionally focussed on a view)."""
     target = f"view {view_name!r} on query {query_label!r}" if view_name else f"query {query_label!r}"
-    mode = "compiled (fused kernels)" if compiled else "interpreted (per-operator reference path)"
+    mode = "compiled (fused kernels)" if compiled else "object walk (per-tuple reference path, columnar=False)"
     lines = [
         f"EXPLAIN {target} (q{query_id})",
         f"execution mode: {mode}",

@@ -1,9 +1,11 @@
 """Seeded end-to-end equivalence of the columnar and object engine paths.
 
-The columnar fast path (``EngineConfig.columnar=True``) must be a pure
-performance switch: for any seed, both paths send the same requests, draw
-the same sensor responses, retain the same tuples through every PMAT chain
-and deliver byte-identical tuple sets to every query.
+Under the strict RNG contract (these worlds) the columnar fast path
+(``EngineConfig.columnar=True``) must be a pure performance switch: for
+any seed, both paths send the same requests, draw the same sensor
+responses, retain the same tuples through every PMAT chain — MLE or
+online-SGD intensity — and deliver byte-identical tuple sets to every
+query.
 """
 
 import numpy as np
@@ -36,12 +38,15 @@ def make_world(seed=42, participation=None):
     return world
 
 
-def run_engine(columnar, *, batches=4, participation=None, incentive=None):
+def run_engine(
+    columnar, *, batches=4, participation=None, incentive=None, online=False
+):
     config = EngineConfig(
         grid_cells=16,
         seed=7,
         budget=BudgetConfig(initial=30, delta=5, limit=300),
         columnar=columnar,
+        online_estimation=online,
     )
     engine = CraqrEngine(config, make_world(participation=participation), incentive=incentive)
     handles = [
@@ -87,17 +92,21 @@ def assert_engines_equivalent(columnar_run, object_run):
 
 
 class TestEngineEquivalence:
-    def test_columnar_and_object_paths_deliver_identical_tuples(self):
-        assert_engines_equivalent(run_engine(True), run_engine(False))
+    @pytest.mark.parametrize("online", [False, True], ids=["mle", "online-sgd"])
+    def test_columnar_and_object_paths_deliver_identical_tuples(self, online):
+        assert_engines_equivalent(
+            run_engine(True, online=online), run_engine(False, online=online)
+        )
 
-    def test_equivalence_with_non_batch_safe_participation(self):
+    @pytest.mark.parametrize("online", [False, True], ids=["mle", "online-sgd"])
+    def test_equivalence_with_non_batch_safe_participation(self, online):
         # BernoulliParticipation draws randomness per decision, so the
         # columnar handler must fall back to per-request sensor calls —
         # and still match the object path exactly.
         participation = lambda sensor_id: BernoulliParticipation(0.6, mean_latency=0.05)
         assert_engines_equivalent(
-            run_engine(True, participation=participation),
-            run_engine(False, participation=participation),
+            run_engine(True, participation=participation, online=online),
+            run_engine(False, participation=participation, online=online),
         )
 
     def test_equivalence_with_incentives(self):

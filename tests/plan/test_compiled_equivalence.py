@@ -1,15 +1,13 @@
 """The compiled path's byte-identity contract, pinned across the matrix.
 
-``EngineConfig.compile_plans`` (default on) must be purely an execution
-strategy: for every mode combination — strict / fast-sim RNGs, columnar
-on / off, the full flaky-crowd fault plan + mitigation bundle active, and
-restore-from-checkpoint — the compiled fused kernels must serve exactly
-the bytes the interpreted per-operator path serves.  The digests also pin
-against the recovery suite's goldens, proving the default flip to
-compiled plans changed nothing observable.
+The compiled chain programs are the only columnar executor, so what pins
+them is the recovery suite's committed golden digests — strict / fast-sim
+RNGs, the full flaky-crowd fault plan + mitigation bundle active, and
+restore-from-checkpoint — plus, under the strict RNG contract, the
+per-tuple object walk (``columnar=False``), which must serve exactly the
+same bytes.  (Under fast-sim the object path has its own digest; the
+same-input reference there is ``tests/core/test_chain_differential.py``.)
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -22,42 +20,30 @@ from recovery_harness import (
 from test_snapshot_roundtrip import GOLDEN_FAST_SIM, GOLDEN_STRICT
 
 
-def make_engine_compiling(compile_plans, **kwargs):
-    """The recovery harness's fully loaded engine, with the flag forced."""
-    engine = make_engine(**kwargs)
-    if engine.config.compile_plans != compile_plans:
-        engine._config = replace(engine.config, compile_plans=compile_plans)
-    return engine
-
-
-class TestCompiledInterpretedEquivalence:
+class TestCompiledGoldenEquivalence:
     @pytest.mark.parametrize("vectorized", [False, True], ids=["strict", "fast-sim"])
     def test_digest_matrix(self, vectorized):
-        compiled = run_to(make_engine_compiling(True, vectorized=vectorized), 8)
-        interpreted = run_to(make_engine_compiling(False, vectorized=vectorized), 8)
+        compiled = run_to(make_engine(vectorized=vectorized), 8)
         golden = GOLDEN_FAST_SIM if vectorized else GOLDEN_STRICT
         assert engine_digest(compiled) == golden
-        assert engine_digest(interpreted) == golden
-        # The compiled run actually compiled (and reused) programs; the
-        # interpreted run never touched the plan machinery.
+        # The run actually compiled (and reused) programs.
         assert compiled.plan_cache is not None
         assert compiled.plan_cache.compiles > 0
         assert compiled.plan_cache.reuses > 0
-        assert interpreted.plan_cache is None
 
-    def test_object_path_ignores_the_flag(self):
-        # columnar=False has no batches to compile; both flag values run
-        # the object path and still hit the shared golden.
-        engine = run_to(make_engine_compiling(True, columnar=False), 8)
+    def test_object_path_builds_no_plan_cache(self):
+        # columnar=False has no batches to compile: the object walk never
+        # touches the plan machinery and still hits the shared golden.
+        engine = run_to(make_engine(columnar=False), 8)
         assert engine_digest(engine) == GOLDEN_STRICT
         assert engine.plan_cache is None
 
-    def test_store_discarded_falls_back_to_interpreted(self, tmp_path):
+    def test_store_discarded_runs_compiled(self):
         from repro.config import BudgetConfig, EngineConfig
         from repro.core import CraqrEngine
         from recovery_harness import make_world, simulate_fresh_process
 
-        def build(store_discarded):
+        def build(store_discarded, columnar=True):
             simulate_fresh_process()
             config = EngineConfig(
                 grid_cells=16,
@@ -67,6 +53,7 @@ class TestCompiledInterpretedEquivalence:
                 ),
                 seed=42,
                 store_discarded=store_discarded,
+                columnar=columnar,
             )
             engine = CraqrEngine(config, make_world())
             engine.execute(
@@ -76,19 +63,26 @@ class TestCompiledInterpretedEquivalence:
 
         recording = build(True)
         plain = build(False)
-        # Discard recording needs the dropped tuples materialised, so the
-        # compiled path stands down — and the streams still agree.
-        assert recording.plan_cache is None
-        assert plain.plan_cache is not None
-        assert recording.discarded_store.total_discarded > 0
+        reference = build(True, columnar=False)
+        # The fused flatten kernel pushes the complement of its keep-mask
+        # to the recorder, so recording engines compile like any other —
+        # and recording changes nothing about the served streams.
+        assert recording.plan_cache is not None
+        assert recording.plan_cache.compiles > 0
         assert engine_digest(recording) == engine_digest(plain)
+        assert engine_digest(recording) == engine_digest(reference)
+        store, expected = recording.discarded_store, reference.discarded_store
+        assert store.total_discarded > 0
+        assert store.counts() == expected.counts()
+        for operator in expected.operators:
+            assert store.for_operator(operator) == expected.for_operator(operator)
 
 
 class TestRestoreEquivalence:
     def test_restored_compiled_run_hits_the_golden(self, tmp_path):
         # Run A: uninterrupted to 8. Run B: crash after 5, restore from the
         # batch-4 checkpoint, continue to 8. Both compiled, both golden.
-        run_to(make_engine_compiling(True, checkpoint_dir=tmp_path, every=2), 5)
+        run_to(make_engine(checkpoint_dir=tmp_path, every=2), 5)
         restored = restore_latest_fresh(tmp_path)
         # The plan cache is derived state: never checkpointed, rebuilt
         # lazily on the first batch after restore.
@@ -98,24 +92,11 @@ class TestRestoreEquivalence:
         assert restored.plan_cache.compiles > 0
         assert engine_digest(restored) == GOLDEN_STRICT
 
-    def test_cross_mode_restore(self, tmp_path):
-        # A checkpoint taken by a compiled engine restores into an
-        # interpreted continuation (and vice versa) with identical bytes:
-        # nothing about the execution strategy leaks into the snapshot.
-        run_to(make_engine_compiling(True, checkpoint_dir=tmp_path, every=2), 5)
-        as_interpreted = restore_latest_fresh(tmp_path)
-        as_interpreted._config = replace(
-            as_interpreted.config, compile_plans=False
-        )
-        run_to(as_interpreted, 8)
-        assert as_interpreted.plan_cache is None
-        assert engine_digest(as_interpreted) == GOLDEN_STRICT
-
 
 class TestSharedViewSorts:
     def test_shared_sort_cache_is_byte_identical(self):
-        def build(compile_plans):
-            engine = make_engine_compiling(compile_plans)
+        def build(shared):
+            engine = make_engine()
             # Three more views on the same query: two share the default
             # view's (slide=2, cell) signature, one sorts alone.
             engine.execute(
@@ -125,11 +106,14 @@ class TestSharedViewSorts:
                 "CREATE VIEW RainSum ON Storm AS SUM(value) GROUP BY CELL WINDOW 4 SLIDE 2"
             )
             engine.execute("CREATE VIEW RainCount ON Storm AS COUNT(*) WINDOW 2")
+            if not shared:
+                # The reference: every view sorts its own delivered batch.
+                for view in engine._views.values():
+                    view._shared_sort = None
             return run_to(engine, 8)
 
         compiled = build(True)
-        interpreted = build(False)
-        assert engine_digest(compiled) == engine_digest(interpreted)
+        assert engine_digest(compiled) == engine_digest(build(False))
         view = compiled._views["Rain"]
         cache = view._shared_sort
         assert cache is not None
@@ -138,10 +122,6 @@ class TestSharedViewSorts:
         assert compiled._views["RainMax"]._shared_sort is cache
         assert compiled._views["RainCount"]._shared_sort is cache
         assert cache.hits > 0
-        # The interpreted run installs no cache on views created after the
-        # flag flipped off (the harness's default view predates the flip).
-        assert interpreted._views["RainMax"]._shared_sort is None
-        assert interpreted._views["RainCount"]._shared_sort is None
 
     def test_views_created_after_restore_share_the_cache(self, tmp_path):
         def drive(engine):
@@ -151,11 +131,11 @@ class TestSharedViewSorts:
             )
             return run_to(engine, 8)
 
-        run_to(make_engine_compiling(True, checkpoint_dir=tmp_path, every=2), 5)
+        run_to(make_engine(checkpoint_dir=tmp_path, every=2), 5)
         restored = restore_latest_fresh(tmp_path)
         drive(restored)
         assert restored._views["Late"]._shared_sort is (
             restored._views["Rain"]._shared_sort
         )
-        uninterrupted = drive(make_engine_compiling(True))
+        uninterrupted = drive(make_engine())
         assert engine_digest(restored) == engine_digest(uninterrupted)

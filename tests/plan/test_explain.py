@@ -6,8 +6,6 @@ inputs, the fused kernels, the merge-stage choice (flat vs tree), the
 seed-era cost-model estimate and the optimizer's sharing notes.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.query import ExplainStatement, parse_statements
@@ -66,10 +64,12 @@ class TestRendering:
         assert "view:Other" not in text
         assert "sort:q1/slide=2" in text
 
-    def test_interpreted_mode_is_reported(self, engine):
-        engine._config = replace(engine.config, compile_plans=False)
-        text = engine.execute("EXPLAIN Storm")
-        assert "execution mode: interpreted (per-operator reference path)" in text
+    def test_object_mode_is_reported(self):
+        text = make_engine(columnar=False).execute("EXPLAIN Storm")
+        assert (
+            "execution mode: object walk (per-tuple reference path, columnar=False)"
+            in text
+        )
 
     def test_unknown_name_is_a_clear_error(self, engine):
         with pytest.raises(QueryError, match="matches no registered query"):

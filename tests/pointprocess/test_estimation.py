@@ -162,6 +162,31 @@ class TestOnlineEstimator:
         assert predicted == pytest.approx(rate, rel=0.25)
         assert abs(estimator.theta[1]) < 1.0  # no runaway time slope
 
+    def test_fused_kernel_is_bitwise_the_per_event_loop(self):
+        # observe_batch is n x observe_event; the fused kernel the columnar
+        # engine runs hoists the loop invariants and must land on the very
+        # same bits — across consecutive batches (state carries over), an
+        # empty one, and batches at growing simulation times.
+        process = InhomogeneousMDPP(LinearIntensity(20.0, 0.0, 30.0, -5.0), REGION)
+        rng = np.random.default_rng(13)
+        reference = OnlineIntensityEstimator(REGION, 1.0, learning_rate=0.3)
+        fused = OnlineIntensityEstimator(REGION, 1.0, learning_rate=0.3)
+        for k in range(6):
+            if k == 3:
+                batch = EventBatch.empty()
+            else:
+                sample = process.sample(1.0, rng=rng)
+                batch = EventBatch(sample.t + 10.0 * k, sample.x, sample.y)
+            window_start = None if k % 2 else 10.0 * k
+            reference.observe_batch(batch, window_start=window_start)
+            fused.observe_batch_fused(batch, window_start=window_start)
+            assert fused.updates == reference.updates
+            assert (
+                np.asarray(fused.theta).tobytes()
+                == np.asarray(reference.theta).tobytes()
+            )
+        assert fused.updates > 0
+
     def test_result_snapshot(self):
         estimator = OnlineIntensityEstimator(REGION, 1.0)
         batch = HomogeneousMDPP(20.0, REGION).sample(1.0, rng=np.random.default_rng(11))
