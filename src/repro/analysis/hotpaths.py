@@ -4,11 +4,12 @@ Functions listed here are the per-batch inner loops whose cost the
 benchmark suite gates (``BENCH_world.json`` / ``BENCH_views.json`` /
 ``BENCH_serve.json`` and the ``benchmarks/e2e`` per-layer spans): the
 fused acquisition round, the columnar map phase, compiled chain
-execution and its flatten/thin kernels, the incremental view fold and
-the serve-layer fan-out.  Inside them, per-row Python iteration is a
-regression by construction — the analyzer flags ``.tolist()`` calls,
-``range(len(...))`` / ``zip(...)`` row loops and object construction
-inside loops (see ``docs/craqr_lint.md``).
+execution and its flatten/thin kernels, the MLE initialiser behind every
+Flatten fit, the incremental view fold and the serve-layer fan-out.
+Inside them, per-row Python iteration is a regression by construction —
+the analyzer flags ``.tolist()`` calls, ``range(len(...))`` / ``zip(...)``
+row loops and object construction inside loops (see
+``docs/craqr_lint.md``).
 
 Registering a new hot path is one line here; the analyzer then fails
 the build when the function regresses to per-row Python, and fails it
@@ -50,6 +51,20 @@ HOT_PATHS: List[Tuple[str, str]] = [
     ("repro/core/fabricator.py", "StreamFabricator.map_batches_fused"),
     ("repro/core/pmat/flatten.py", "FlattenOperator.process_batch_mask"),
     ("repro/core/pmat/thin.py", "ThinOperator.thin_indices"),
+    # The least-squares initialiser every MLE fit starts from (PR 15):
+    # three searchsorteds and one bincount assign events to quadrats; a
+    # per-box mask loop over the event columns was half of every fit.
+    # Both the public fit and the theta-only kernel it shares with
+    # ``fit_linear_intensity_mle`` are gated; the one loop left is per
+    # spatial quadrat (bins^2 overlap areas), acknowledged inline.
+    # The online-SGD kernel ``OnlineIntensityEstimator.observe_batch_fused``
+    # is deliberately NOT registered: a sequential recurrence is a
+    # per-event loop by nature and ``.tolist()`` is its point (plain-float
+    # steps cost ~0.4 us, steps on 4-element arrays ~3 us).  Its contract
+    # is bit-equality with ``observe_batch``, held by
+    # ``tests/property/test_estimation_kernels.py``.
+    ("repro/pointprocess/estimation.py", "fit_linear_intensity_least_squares"),
+    ("repro/pointprocess/estimation.py", "_least_squares_theta"),
     # Incremental view maintenance (PR 5): one lexsort + segment reductions
     # per delivered batch; history is never rescanned.
     ("repro/views/view.py", "ContinuousView.on_delivery"),

@@ -174,15 +174,8 @@ class FlattenOperator(PMATOperator):
     def process(self, item: SensorTuple) -> None:
         self._buffer.append(item)
 
-    def _estimate_intensity(
-        self, batch: EventBatch, *, fused: bool = False
-    ) -> IntensityModel:
-        """Pick the intensity model used to flatten the current batch.
-
-        ``fused`` selects the hoisted-compensator SGD kernel for the online
-        estimator (bit-identical to the reference loop; used by the
-        columnar path).
-        """
+    def _estimate_intensity(self, batch: EventBatch) -> IntensityModel:
+        """Pick the intensity model used to flatten the current batch."""
         if self._intensity is not None:
             return self._intensity
         t_min, t_max = batch.time_span()
@@ -191,10 +184,7 @@ class FlattenOperator(PMATOperator):
             # it the per-event gradient integrated the basis over
             # [0, window_duration] forever while event times grew, biasing
             # theta_t more and more as simulation time advanced.
-            if fused:
-                self._online_estimator.observe_batch_fused(batch, window_start=t_min)
-            else:
-                self._online_estimator.observe_batch(batch, window_start=t_min)
+            self._online_estimator.observe_batch_fused(batch, window_start=t_min)
             # Until the online estimate has warmed up fall back to MLE below.
             if self._online_estimator.updates >= 2 * self._min_batch_for_fit:
                 return self._online_estimator.intensity
@@ -273,9 +263,8 @@ class FlattenOperator(PMATOperator):
         draw — but returns the boolean keep-mask instead of gathering the
         surviving columns, so the chain executor can compose it with
         downstream thin/partition decisions and gather once at delivery.
-        The online estimator runs its fused (hoisted-compensator) SGD
-        kernel.  With ``emit_discarded`` the complement of the mask is
-        pushed to the discard output.
+        With ``emit_discarded`` the complement of the mask is pushed to
+        the discard output.
         """
         if batch.is_empty:
             self._reports.append(
@@ -291,7 +280,7 @@ class FlattenOperator(PMATOperator):
         n = len(batch)
         self._tuples_in += n
         events = EventBatch(batch.t, batch.x, batch.y)
-        intensity = self._estimate_intensity(events, fused=True)
+        intensity = self._estimate_intensity(events)
         target_expected = self._target_rate * self.region.area * self._batch_duration
         result = flatten_keep_mask(events, intensity, target_expected, rng=self.rng)
         retained = result.retained_count

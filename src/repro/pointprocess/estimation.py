@@ -66,6 +66,17 @@ class EstimationResult:
     iterations: int = 0
 
 
+def _linear_rate(theta0, theta1, theta2, theta3, t, x, y):
+    """The linear rate of Eq. (1) in the one evaluation order the SGD uses.
+
+    Four separately rounded products summed left to right.  A dot product
+    (``features @ theta``) is *not* equivalent: BLAS kernels fuse the
+    multiply-adds and round differently from machine to machine, which
+    made seeded online estimates depend on the BLAS build.
+    """
+    return ((theta0 + t * theta1) + x * theta2) + y * theta3
+
+
 def _window_volume(region: Region, t_start: float, t_end: float) -> float:
     return region.area * (t_end - t_start)
 
@@ -100,6 +111,58 @@ def _integral_of_basis(region: Region, t_start: float, t_end: float) -> np.ndarr
     return np.array([volume, t_mid * volume, cx * volume, cy * volume])
 
 
+def _least_squares_theta(
+    batch: EventBatch, region: Region, t_start: float, t_end: float, bins: int = 4
+) -> np.ndarray:
+    """``theta`` of the quadrat-count least-squares fit (validated inputs).
+
+    Events are assigned to the ``bins x bins x bins`` boxes with one
+    ``searchsorted`` per axis and one ``bincount``: index ``k`` of an axis
+    means ``edges[k - 1] <= v < edges[k]``, so the outer slots ``0`` and
+    ``bins + 1`` of the padded histogram collect the events outside the
+    window and are cut off.  Rows keep the ``(t, x, y)`` box order and
+    every floating-point expression of the per-box loop this replaces
+    (``tests/property/test_estimation_kernels.py`` holds that loop as the
+    oracle), so fits are bit-identical to it.
+    """
+    bbox = region.bounding_box
+    t_edges = np.linspace(t_start, t_end, bins + 1)
+    x_edges = np.linspace(bbox.x_min, bbox.x_max, bins + 1)
+    y_edges = np.linspace(bbox.y_min, bbox.y_max, bins + 1)
+
+    # The region's overlap with a box depends on its spatial footprint
+    # only: bins^2 areas serve all bins^3 boxes.
+    areas = np.empty((bins, bins))
+    for xi in range(bins):
+        for yi in range(bins):
+            cell = RectRegion(Rectangle(  # craqr: ignore[CRQ403] - per spatial quadrat (bins^2 of them), never per event
+                x_edges[xi], y_edges[yi], x_edges[xi + 1], y_edges[yi + 1]
+            ))
+            areas[xi, yi] = region.overlap_area(cell)
+
+    padded = bins + 2
+    box = (
+        np.searchsorted(t_edges, batch.t, side="right") * padded
+        + np.searchsorted(x_edges, batch.x, side="right")
+    ) * padded + np.searchsorted(y_edges, batch.y, side="right")
+    counts = np.bincount(box, minlength=padded**3).reshape(padded, padded, padded)[
+        1:-1, 1:-1, 1:-1
+    ]
+
+    occupied = np.broadcast_to(areas > 0, counts.shape)
+    if np.count_nonzero(occupied) < 4:
+        raise EstimationError("not enough occupied quadrats to fit four parameters")
+    volumes = areas * np.diff(t_edges)[:, None, None]
+    target = counts[occupied] / volumes[occupied]
+    design = np.empty(counts.shape + (4,))
+    design[..., 0] = 1.0
+    design[..., 1] = (0.5 * (t_edges[:-1] + t_edges[1:]))[:, None, None]
+    design[..., 2] = (0.5 * (x_edges[:-1] + x_edges[1:]))[:, None]
+    design[..., 3] = 0.5 * (y_edges[:-1] + y_edges[1:])
+    theta, *_ = np.linalg.lstsq(design[occupied], target, rcond=None)
+    return theta
+
+
 def fit_linear_intensity_least_squares(
     batch: EventBatch,
     region,
@@ -123,48 +186,11 @@ def fit_linear_intensity_least_squares(
         raise EstimationError("bins must be positive")
     if batch.is_empty:
         raise EstimationError("cannot estimate an intensity from an empty batch")
-
-    bbox = region.bounding_box
-    t_edges = np.linspace(t_start, t_end, bins + 1)
-    x_edges = np.linspace(bbox.x_min, bbox.x_max, bins + 1)
-    y_edges = np.linspace(bbox.y_min, bbox.y_max, bins + 1)
-
-    rows = []
-    targets = []
-    for ti in range(bins):
-        for xi in range(bins):
-            for yi in range(bins):
-                cell = Rectangle(x_edges[xi], y_edges[yi], x_edges[xi + 1], y_edges[yi + 1])
-                cell_area = region.overlap_area(RectRegion(cell))
-                if cell_area <= 0:
-                    continue
-                duration = t_edges[ti + 1] - t_edges[ti]
-                in_cell = (
-                    (batch.t >= t_edges[ti])
-                    & (batch.t < t_edges[ti + 1])
-                    & (batch.x >= x_edges[xi])
-                    & (batch.x < x_edges[xi + 1])
-                    & (batch.y >= y_edges[yi])
-                    & (batch.y < y_edges[yi + 1])
-                )
-                count = int(np.count_nonzero(in_cell))
-                rate = count / (cell_area * duration)
-                t_mid = 0.5 * (t_edges[ti] + t_edges[ti + 1])
-                x_mid = 0.5 * (x_edges[xi] + x_edges[xi + 1])
-                y_mid = 0.5 * (y_edges[yi] + y_edges[yi + 1])
-                rows.append([1.0, t_mid, x_mid, y_mid])
-                targets.append(rate)
-    if len(rows) < 4:
-        raise EstimationError("not enough occupied quadrats to fit four parameters")
-    design = np.asarray(rows)
-    target = np.asarray(targets)
-    theta, *_ = np.linalg.lstsq(design, target, rcond=None)
-    intensity = LinearIntensity.from_theta(theta)
-    ll = _log_likelihood(theta, batch, region, t_start, t_end)
+    theta = _least_squares_theta(batch, region, t_start, t_end, bins)
     return EstimationResult(
-        intensity=intensity,
+        intensity=LinearIntensity.from_theta(theta),
         theta=tuple(float(v) for v in theta),
-        log_likelihood=float(ll),
+        log_likelihood=_log_likelihood(theta, batch, region, t_start, t_end),
         converged=True,
         iterations=0,
     )
@@ -215,9 +241,7 @@ def fit_linear_intensity_mle(
 
     if initial_theta is None:
         try:
-            initial_theta = fit_linear_intensity_least_squares(
-                batch, region, t_start, t_end
-            ).theta
+            initial_theta = _least_squares_theta(batch, region, t_start, t_end)
         except EstimationError:
             mean_rate = len(batch) / _window_volume(region, t_start, t_end)
             initial_theta = (mean_rate, 0.0, 0.0, 0.0)
@@ -331,7 +355,7 @@ class OnlineIntensityEstimator:
         """Apply one SGD step for a single observed event."""
         window_start = window_start if window_start is not None else max(t - self._window_duration, 0.0)
         features = np.array([1.0, t, x, y])
-        rate = max(float(features @ self._theta), _RATE_FLOOR)
+        rate = max(float(_linear_rate(*self._theta.tolist(), t, x, y)), _RATE_FLOOR)
         gradient = features / rate - self._per_event_compensator(window_start)
         self._updates += 1
         step = self._learning_rate / np.sqrt(self._updates)
@@ -341,6 +365,9 @@ class OnlineIntensityEstimator:
         self, batch: EventBatch, *, window_start: Optional[float] = None
     ) -> None:
         """Apply SGD steps for every event in a batch (in time order).
+
+        This is n x :meth:`observe_event`, the reference the tests hold
+        :meth:`observe_batch_fused` to; the engine runs the kernel.
 
         ``window_start`` anchors the compensator's observation window; it
         defaults to the batch's own earliest event time, so that batches
@@ -361,17 +388,19 @@ class OnlineIntensityEstimator:
     def observe_batch_fused(
         self, batch: EventBatch, *, window_start: Optional[float] = None
     ) -> None:
-        """Fused-kernel variant of :meth:`observe_batch`.
+        """The SGD kernel the engine runs: :meth:`observe_batch` in plain floats.
 
-        Bit-identical to the reference loop: the SGD recurrence is
-        inherently sequential (each step's rate depends on the previous
-        theta), but everything that is loop-invariant within one batch is
-        hoisted — the per-event compensator (``_events_in_window`` is
-        updated once per batch, so the compensator is constant across the
-        batch's events), the feature matrix, and the ``1/sqrt(k)`` step
-        schedule.  The remaining loop touches ~5 small array ops per event
-        instead of rebuilding the compensator integral from the region
-        geometry every step.
+        Bit-identical to the reference loop.  The recurrence is inherently
+        sequential (each step's rate depends on the previous theta), so
+        the kernel is a per-event Python loop by nature; what it removes
+        is the interpreter work around the arithmetic.  Everything
+        loop-invariant within one batch is hoisted (``_events_in_window``
+        is updated once per batch, so the compensator is constant across
+        its events; the ``1/sqrt(k)`` step schedule is one array op), the
+        sorted columns are unboxed once with ``.tolist()``, and theta and
+        the compensator live in eight float locals: every step is the same
+        IEEE operations :meth:`observe_event` performs on 4-element
+        arrays, without the arrays.
         """
         if batch.is_empty:
             return
@@ -380,21 +409,23 @@ class OnlineIntensityEstimator:
         self._events_in_window = 0.7 * self._events_in_window + 0.3 * len(batch)
         ordered = batch.sorted_by_time()
         n = len(ordered)
-        compensator = self._per_event_compensator(window_start)
-        features = np.column_stack(
-            (np.ones(n), np.asarray(ordered.t, dtype=float),
-             np.asarray(ordered.x, dtype=float), np.asarray(ordered.y, dtype=float))
-        )
+        c0, c1, c2, c3 = self._per_event_compensator(window_start).tolist()
         steps = self._learning_rate / np.sqrt(
             np.arange(self._updates + 1, self._updates + n + 1, dtype=np.int64)
         )
-        theta = self._theta
-        for i in range(n):
-            event_features = features[i]
-            rate = max(float(event_features @ theta), _RATE_FLOOR)
-            theta = theta + steps[i] * (event_features / rate - compensator)
+        theta0, theta1, theta2, theta3 = self._theta.tolist()
+        for t, x, y, step in zip(
+            ordered.t.tolist(), ordered.x.tolist(), ordered.y.tolist(), steps.tolist()
+        ):
+            rate = _linear_rate(theta0, theta1, theta2, theta3, t, x, y)
+            if rate < _RATE_FLOOR:  # a NaN rate stays NaN, as max(rate, floor) keeps it
+                rate = _RATE_FLOOR
+            theta0 = theta0 + step * (1.0 / rate - c0)
+            theta1 = theta1 + step * (t / rate - c1)
+            theta2 = theta2 + step * (x / rate - c2)
+            theta3 = theta3 + step * (y / rate - c3)
         self._updates += n
-        self._theta = theta
+        self._theta = np.array([theta0, theta1, theta2, theta3])
 
     def result(self) -> EstimationResult:
         """Snapshot the current estimate as an :class:`EstimationResult`."""

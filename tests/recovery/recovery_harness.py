@@ -87,6 +87,7 @@ def make_engine(
     retention_batches=None,
     faults: bool = True,
     view: bool = True,
+    online_estimation: bool = False,
 ) -> CraqrEngine:
     """A fully loaded engine: flaky-crowd faults + mitigation, query + view.
 
@@ -98,6 +99,7 @@ def make_engine(
     config = replace(
         default_engine_config(retention_batches=retention_batches),
         columnar=columnar,
+        online_estimation=online_estimation,
     )
     if faults:
         config = replace(
@@ -197,6 +199,25 @@ def engine_digest(engine: CraqrEngine) -> str:
         ).encode()
     )
     return h.hexdigest()
+
+
+def online_estimator_states(engine: CraqrEngine) -> dict:
+    """``(cell, attribute) -> (theta bytes, updates, events-per-window EWMA)``.
+
+    The complete mutable state of every Flatten's online SGD estimator
+    (engines built with ``online_estimation=True``).
+    """
+    states = {}
+    for key in engine.planner.materialized_cells:
+        cell = engine.planner.cell_topology(key)
+        for attribute in cell.attributes:
+            estimator = cell.chain(attribute).flatten._online_estimator
+            states[key, attribute] = (
+                estimator._theta.tobytes(),
+                estimator._updates,
+                estimator._events_in_window,
+            )
+    return states
 
 
 def run_to(engine: CraqrEngine, batches: int) -> CraqrEngine:

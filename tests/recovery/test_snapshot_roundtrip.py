@@ -17,6 +17,7 @@ from recovery_harness import (
     SECOND_QUERY,
     engine_digest,
     make_engine,
+    online_estimator_states,
     restore_latest_fresh,
     run_to,
 )
@@ -57,6 +58,28 @@ class TestRestoreContinuesByteIdentical:
         assert restored.batches_run == 4
         run_to(restored, 8)
         assert engine_digest(restored) == engine_digest(reference)
+
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["strict", "fast-sim"])
+    def test_online_estimators_survive_restore(self, tmp_path, vectorized):
+        """``online_estimation=True``: the SGD state is part of the snapshot."""
+        reference = run_to(
+            make_engine(vectorized=vectorized, online_estimation=True), 8
+        )
+        crashed = make_engine(
+            checkpoint_dir=tmp_path,
+            every=2,
+            vectorized=vectorized,
+            online_estimation=True,
+        )
+        run_to(crashed, 4)  # the newest checkpoint is the live state
+        restored = restore_latest_fresh(tmp_path)
+        live, revived = online_estimator_states(crashed), online_estimator_states(restored)
+        assert revived == live
+        # Some chain is past warm-up, so the SGD estimate (not the MLE
+        # fallback) is what flattens the replayed batches.
+        assert max(updates for _, updates, _ in live.values()) >= 40
+        del crashed
+        assert engine_digest(run_to(restored, 8)) == engine_digest(reference)
 
     @pytest.mark.parametrize("faults", [True, False], ids=["faults", "fault-free"])
     @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "object"])
