@@ -69,10 +69,15 @@ HOT_PATHS: List[Tuple[str, str]] = [
     # per delivered batch; history is never rescanned.
     ("repro/views/view.py", "ContinuousView.on_delivery"),
     ("repro/views/view.py", "ContinuousView._fold_sorted"),
-    # Serve-layer fan-out (PR 9): encode once per publish, queue appends
-    # per subscriber — never per row.
+    # Serve-layer fan-out (PR 9, PR 16): payload and header encoded once
+    # per publish, O(1) per subscriber send — a queue append at publish,
+    # four byte parts by reference in the writer's burst.  The loops are
+    # per event by nature; what is guarded is per-row work and building
+    # an object per subscriber.
     ("repro/serve/fanout.py", "FrameFanout.publish"),
     ("repro/serve/fanout.py", "FrameFanout._publish_topic"),
+    ("repro/serve/fanout.py", "SubscriberQueue.offer"),
+    ("repro/serve/server.py", "_Connection.next_burst"),
     # Columnar delivery into result buffers (PR 1/4).
     ("repro/storage/result_buffer.py", "QueryResultBuffer.extend_batch"),
 ]

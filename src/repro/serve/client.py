@@ -19,7 +19,8 @@ import base64
 import os
 import socket
 import struct
-from typing import List, Optional, Tuple
+from collections import deque
+from typing import Deque, List, Optional, Tuple
 
 from ..errors import ServeError
 from .protocol import (
@@ -61,10 +62,12 @@ class ServeClient:
         self._transport = transport
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.settimeout(timeout)
+        #: received bytes; everything before ``_consumed`` has been read.
         self._buffer = b""
+        self._consumed = 0
         self._next_id = 0
         #: push events received while awaiting replies, oldest first.
-        self.events: List[Tuple[dict, bytes]] = []
+        self.events: Deque[Tuple[dict, bytes]] = deque()
         if transport == "ws":
             self._ws_handshake(host, port)
         else:
@@ -99,15 +102,17 @@ class ServeClient:
         chunk = self._sock.recv(65536)
         if not chunk:
             raise ServeError("server closed the connection")
-        self._buffer += chunk
+        # The only place read bytes are dropped: once per recv, not per message.
+        self._buffer = self._buffer[self._consumed :] + chunk
+        self._consumed = 0
 
     def _read_message(self) -> Tuple[dict, bytes]:
         """Block until one complete protocol message arrives."""
         if self._transport == "ws":
             while True:
-                opcode, payload, consumed = ws_decode_frame(self._buffer)
+                opcode, payload, consumed = ws_decode_frame(self._buffer, self._consumed)
                 if consumed:
-                    self._buffer = self._buffer[consumed:]
+                    self._consumed += consumed
                     if opcode == 0x9:  # ping -> pong
                         self._sock.sendall(ws_encode_frame(payload, opcode=0xA, mask=True))
                         continue
@@ -116,12 +121,12 @@ class ServeClient:
                     return decode_message(payload)
                 self._recv_more()
         while True:
-            if len(self._buffer) >= 4:
-                (length,) = _U32.unpack(self._buffer[:4])
-                if len(self._buffer) >= 4 + length:
-                    body = self._buffer[4 : 4 + length]
-                    self._buffer = self._buffer[4 + length :]
-                    return decode_message(body)
+            start = self._consumed + 4
+            if len(self._buffer) >= start:
+                (length,) = _U32.unpack_from(self._buffer, self._consumed)
+                if len(self._buffer) >= start + length:
+                    self._consumed = start + length
+                    return decode_message(self._buffer[start : start + length])
             self._recv_more()
 
     def _send_message(self, header: dict, payload: bytes = b"") -> None:
@@ -159,7 +164,7 @@ class ServeClient:
     def next_event(self, timeout: Optional[float] = None) -> Tuple[dict, bytes]:
         """The next push event (buffered or read from the socket)."""
         if self.events:
-            return self.events.pop(0)
+            return self.events.popleft()
         previous = self._sock.gettimeout()
         if timeout is not None:
             self._sock.settimeout(timeout)

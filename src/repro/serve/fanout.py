@@ -8,17 +8,22 @@ drives it with thousands of queues and no sockets):
   declared backpressure policy: ``"skip"`` drops the oldest pending event
   to make room (the skipped count is reported on the next event the
   subscriber does receive), ``"disconnect"`` marks the queue overflowed
-  so the transport layer can drop the client.
+  so the transport layer can drop the client.  A queue that has an owner
+  puts itself on the owner's *ready* deque when it turns non-empty, so
+  the owner finds its next event without scanning its subscriptions.
 * :class:`FrameFanout` — per-target *topics*.  A topic owns one shared
   frontier cursor over the target's buffer (a tail
   :class:`~repro.views.FrameCursor` for views, a tail
   :class:`~repro.storage.ResultCursor` for query deliveries);
   :meth:`FrameFanout.publish` fetches what is new since the last publish
   **once**, encodes each frame/batch **once** through
-  :mod:`repro.streams.codec`, and offers the same immutable ``bytes``
-  object to every subscriber queue by reference.  Per-frame publish cost
-  is therefore one encode + N queue appends — flat in N until the
-  appends themselves dominate.
+  :mod:`repro.streams.codec` and its header **once** as an
+  :class:`~repro.serve.protocol.EventHeader`, and offers the same
+  immutable header and ``bytes`` objects to every subscriber queue by
+  reference.  Per-frame publish cost is therefore one encode + N queue
+  appends — flat in N until the appends themselves dominate — and
+  unsubscribing one queue or collecting the overflowed ones touches no
+  other queue.
 
 Because the whole serving layer is single-threaded, a subscriber that
 joins with a resume token gets its backlog (token position up to the
@@ -34,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import ServeError
 from ..streams.codec import encode_tuple_batch, encode_view_frame
+from .protocol import EventHeader
 from .tokens import (
     frame_cursor_from_token,
     frame_token_at,
@@ -59,10 +65,15 @@ class SubscriberQueue:
     (``"skip"``, counting it) or flags the queue ``overflowed``
     (``"disconnect"``) so the transport drops the client.  ``tag`` is an
     opaque owner hook (the server stores its session/subscription id
-    there; the benchmarks leave it ``None``).
+    there; the benchmarks leave it ``None``).  ``ready`` is the owner's
+    deque of non-empty queues: the queue appends itself when it goes from
+    empty to non-empty, and the owner re-appends it after a :meth:`pop`
+    that left events behind (no owner, no deque).
     """
 
-    __slots__ = ("capacity", "policy", "tag", "skipped", "overflowed", "_events")
+    __slots__ = (
+        "capacity", "policy", "tag", "ready", "skipped", "overflowed", "_events",
+    )
 
     def __init__(
         self,
@@ -70,6 +81,7 @@ class SubscriberQueue:
         capacity: int = DEFAULT_QUEUE_EVENTS,
         policy: str = "skip",
         tag=None,
+        ready: Optional[deque] = None,
     ) -> None:
         if capacity <= 0:
             raise ServeError("a subscriber queue needs a positive capacity")
@@ -81,6 +93,7 @@ class SubscriberQueue:
         self.capacity = capacity
         self.policy = policy
         self.tag = tag
+        self.ready = ready
         #: events dropped by the ``skip`` policy since the last delivery.
         self.skipped = 0
         #: set once by the ``disconnect`` policy; the queue stops accepting.
@@ -94,14 +107,18 @@ class SubscriberQueue:
         """Enqueue one event; ``False`` once the queue is overflowed."""
         if self.overflowed:
             return False
-        if len(self._events) >= self.capacity:
+        events = self._events
+        if not events:
+            if self.ready is not None:
+                self.ready.append(self)
+        elif len(events) >= self.capacity:
             if self.policy == "skip":
-                self._events.popleft()
+                events.popleft()
                 self.skipped += 1
             else:
                 self.overflowed = True
                 return False
-        self._events.append((header, payload))
+        events.append((header, payload))
         return True
 
     def pop(self) -> Optional[Tuple[dict, bytes]]:
@@ -115,9 +132,21 @@ class SubscriberQueue:
             return None
         header, payload = self._events.popleft()
         if self.skipped:
-            header = dict(header, skipped=self.skipped)
+            if isinstance(header, EventHeader):
+                header = header.with_skipped(self.skipped)
+            else:
+                header = dict(header, skipped=self.skipped)
             self.skipped = 0
         return header, payload
+
+    def close(self) -> None:
+        """Drop what is pending and leave the owner's ready deque.
+
+        The deque may still hold this queue once; the owner discards it
+        there when :meth:`pop` returns ``None``.
+        """
+        self._events.clear()
+        self.ready = None
 
 
 class _Topic:
@@ -129,7 +158,9 @@ class _Topic:
         self.kind = kind  # "view" | "query"
         self.buffer = buffer
         self.cursor = cursor
-        self.queues: List[SubscriberQueue] = []
+        #: subscriber queues in subscription order (a dict as ordered set,
+        #: so one queue leaves without a pass over the others).
+        self.queues: Dict[SubscriberQueue, None] = {}
 
 
 class FrameFanout:
@@ -141,12 +172,16 @@ class FrameFanout:
 
     def __init__(self) -> None:
         self._topics: Dict[Tuple[str, object], _Topic] = {}
+        #: queue -> key of the one topic it is attached to.
+        self._topic_of: Dict[SubscriberQueue, Tuple[str, object]] = {}
+        #: attached queues whose ``disconnect`` policy refused an offer.
+        self._overflowed: Dict[SubscriberQueue, None] = {}
 
     # ------------------------------------------------------------------
     @property
     def subscriber_count(self) -> int:
         """Live subscriber queues across all topics."""
-        return sum(len(t.queues) for t in self._topics.values())
+        return len(self._topic_of)
 
     def _topic(self, key: Tuple[str, object], buffer) -> _Topic:
         topic = self._topics.get(key)
@@ -188,16 +223,8 @@ class FrameFanout:
                 )
             for index in range(start, position):
                 frame = buffer.frame(index)  # StorageError when evicted
-                queue.offer(
-                    {
-                        "event": "frame",
-                        "view": name,
-                        "frame_index": frame.frame_index,
-                        "token": frame_token_after(frame.frame_index),
-                    },
-                    encode_view_frame(frame),
-                )
-        topic.queues.append(queue)
+                self._offer(queue, *_frame_event(name, frame))
+        self._attach(key, topic, queue)
         return frame_token_after(position - 1)
 
     def subscribe_query(
@@ -216,56 +243,56 @@ class FrameFanout:
             cursor = result_cursor_from_token(buffer, token)
             batch = cursor.fetch_batch()  # StorageError when evicted
             if len(batch):
-                queue.offer(
-                    {
-                        "event": "batch",
-                        "query": label,
-                        "count": len(batch),
-                        "token": result_token(cursor),
-                    },
-                    encode_tuple_batch(batch),
-                )
-        topic.queues.append(queue)
+                self._offer(queue, *_batch_event(label, batch, cursor))
+        self._attach(key, topic, queue)
         return result_token(topic.cursor)
 
+    def _offer(self, queue: SubscriberQueue, header: EventHeader, payload: bytes) -> None:
+        """Offer one backlog event (the publish loops inline this)."""
+        if not queue.offer(header, payload):
+            self._overflowed[queue] = None
+
+    def _attach(self, key: Tuple[str, object], topic: _Topic, queue: SubscriberQueue) -> None:
+        topic.queues[queue] = None
+        self._topic_of[queue] = key
+
     def unsubscribe(self, queue: SubscriberQueue) -> None:
-        """Detach one queue everywhere; empty topics are dismantled."""
-        for key in list(self._topics):
-            topic = self._topics[key]
-            topic.queues = [q for q in topic.queues if q is not queue]
-            if not topic.queues:
-                del self._topics[key]
+        """Detach one queue and drop what it still holds.
+
+        Touches the queue's own topic only; a topic left without
+        subscribers is dismantled.
+        """
+        self._overflowed.pop(queue, None)
+        key = self._topic_of.pop(queue, None)
+        if key is None:
+            return
+        queue.close()
+        topic = self._topics[key]
+        del topic.queues[queue]
+        if not topic.queues:
+            del self._topics[key]
 
     # ------------------------------------------------------------------
     def _publish_topic(self, key: Tuple[str, object], topic: _Topic) -> int:
         """Fan one topic's new items out; returns events published."""
         events = 0
+        overflowed = self._overflowed
         if topic.kind == "view":
             name = key[1]
             for frame in topic.cursor.fetch():
-                header = {
-                    "event": "frame",
-                    "view": name,
-                    "frame_index": frame.frame_index,
-                    "token": frame_token_after(frame.frame_index),
-                }
-                payload = encode_view_frame(frame)  # encoded ONCE
+                header, payload = _frame_event(name, frame)  # encoded ONCE
                 for queue in topic.queues:
-                    queue.offer(header, payload)
+                    if not queue.offer(header, payload):
+                        overflowed[queue] = None
                 events += 1
         else:
             label = key[1]
             batch = topic.cursor.fetch_batch()
             if len(batch):
-                header = {
-                    "event": "batch",
-                    "query": label,
-                    "count": len(batch),
-                    "token": result_token(topic.cursor),
-                }
-                payload = encode_tuple_batch(batch)  # encoded ONCE
+                header, payload = _batch_event(label, batch, topic.cursor)  # ONCE
                 for queue in topic.queues:
-                    queue.offer(header, payload)
+                    if not queue.offer(header, payload):
+                        overflowed[queue] = None
                 events += 1
         return events
 
@@ -282,15 +309,40 @@ class FrameFanout:
         return events
 
     def overflowed_queues(self) -> List[SubscriberQueue]:
-        """Queues the ``disconnect`` policy has flagged."""
-        return [
-            queue
-            for topic in self._topics.values()
-            for queue in topic.queues
-            if queue.overflowed
-        ]
+        """Attached queues the ``disconnect`` policy has flagged.
+
+        Collected where an offer is refused, so this costs the number of
+        overflowed queues, not the audience.
+        """
+        return list(self._overflowed)
 
 
 def frame_token_after(frame_index: int) -> str:
     """The resume token for the position just past one frame."""
     return frame_token_at(frame_index + 1)
+
+
+def _frame_event(name: str, frame) -> Tuple[EventHeader, bytes]:
+    """One closed frame as a push event, header and payload encoded."""
+    header = EventHeader(
+        {
+            "event": "frame",
+            "view": name,
+            "frame_index": frame.frame_index,
+            "token": frame_token_after(frame.frame_index),
+        }
+    )
+    return header, encode_view_frame(frame)
+
+
+def _batch_event(label: str, batch, cursor) -> Tuple[EventHeader, bytes]:
+    """One delivery batch as a push event; ``cursor`` sits just past it."""
+    header = EventHeader(
+        {
+            "event": "batch",
+            "query": label,
+            "count": len(batch),
+            "token": result_token(cursor),
+        }
+    )
+    return header, encode_tuple_batch(batch)

@@ -32,7 +32,7 @@ import base64
 import hashlib
 import json
 import struct
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import ServeError
 
@@ -40,12 +40,15 @@ __all__ = [
     "MAGIC",
     "PROTOCOL",
     "MAX_MESSAGE_BYTES",
+    "EventHeader",
     "encode_message",
     "decode_message",
     "read_message",
+    "frame_head",
     "pack_payloads",
     "unpack_payloads",
     "ws_accept_key",
+    "ws_frame_head",
     "ws_encode_frame",
     "ws_decode_frame",
 ]
@@ -66,10 +69,54 @@ _U32 = struct.Struct(">I")
 _WS_GUID = b"258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 
+def _header_json(header: dict) -> bytes:
+    return json.dumps(header, separators=(",", ":")).encode("utf-8")
+
+
 def encode_message(header: dict, payload: bytes = b"") -> bytes:
     """One message body: u32 header length, JSON header, raw payload."""
-    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    head = _header_json(header)
     return b"".join((_U32.pack(len(head)), head, payload))
+
+
+class EventHeader(dict):
+    """A push-event header whose JSON is serialised once, at publish.
+
+    ``open_json`` is the header's wire JSON without its closing brace, so
+    the fields that differ per subscriber are appended as bytes:
+    :meth:`framed_parts` emits exactly what
+    ``encode_message(dict(header, sub=sub), payload)`` would, and
+    :meth:`with_skipped` matches ``dict(header, skipped=count)``.  The
+    fields must be non-empty and must not already hold the appended keys.
+    """
+
+    __slots__ = ("open_json",)
+
+    def __init__(self, fields: dict, open_json: Optional[bytes] = None) -> None:
+        super().__init__(fields)
+        self.open_json = _header_json(fields)[:-1] if open_json is None else open_json
+
+    def with_skipped(self, count: int) -> "EventHeader":
+        """This header reporting ``count`` events dropped before it."""
+        return EventHeader(
+            dict(self, skipped=count), b'%b,"skipped":%d' % (self.open_json, count)
+        )
+
+    def framed_parts(
+        self, sub: int, payload: bytes, prefix: Callable[[int], bytes]
+    ) -> Tuple[bytes, bytes, bytes, bytes]:
+        """Subscription ``sub``'s framed message, left unjoined.
+
+        ``prefix`` is the transport's :func:`frame_head` or
+        :func:`ws_frame_head`; the payload is carried by reference.
+        """
+        head = b'%b,"sub":%d}' % (self.open_json, sub)
+        return (
+            prefix(4 + len(head) + len(payload)),
+            _U32.pack(len(head)),
+            head,
+            payload,
+        )
 
 
 def decode_message(body) -> Tuple[dict, bytes]:
@@ -108,9 +155,13 @@ async def read_message(reader: asyncio.StreamReader) -> Optional[Tuple[dict, byt
     return decode_message(body)
 
 
+#: The raw-TCP transport's prefix for a ``length``-byte message body.
+frame_head = _U32.pack
+
+
 def frame_message(body: bytes) -> bytes:
     """Length-prefix one message body for the raw-TCP transport."""
-    return _U32.pack(len(body)) + body
+    return frame_head(len(body)) + body
 
 
 def pack_payloads(payloads: List[bytes]) -> bytes:
@@ -151,16 +202,10 @@ def ws_accept_key(client_key: str) -> str:
     return base64.b64encode(digest).decode("ascii")
 
 
-def ws_encode_frame(payload: bytes, *, opcode: int = 0x2, mask: bool = False) -> bytes:
-    """One FIN websocket frame (binary by default).
-
-    Client-to-server frames must set ``mask``; a fixed zero masking key
-    keeps the framing deterministic (the spec requires the *presence* of
-    the mask bit from clients, and XOR with zeros is the identity).
-    """
+def ws_frame_head(length: int, *, opcode: int = 0x2, mask: bool = False) -> bytes:
+    """The bytes that precede a ``length``-byte payload in one FIN frame."""
     head = bytearray([0x80 | (opcode & 0x0F)])
     mask_bit = 0x80 if mask else 0x00
-    length = len(payload)
     if length < 126:
         head.append(mask_bit | length)
     elif length < 1 << 16:
@@ -171,7 +216,17 @@ def ws_encode_frame(payload: bytes, *, opcode: int = 0x2, mask: bool = False) ->
         head += struct.pack(">Q", length)
     if mask:
         head += b"\x00\x00\x00\x00"
-    return bytes(head) + payload
+    return bytes(head)
+
+
+def ws_encode_frame(payload: bytes, *, opcode: int = 0x2, mask: bool = False) -> bytes:
+    """One FIN websocket frame (binary by default).
+
+    Client-to-server frames must set ``mask``; a fixed zero masking key
+    keeps the framing deterministic (the spec requires the *presence* of
+    the mask bit from clients, and XOR with zeros is the identity).
+    """
+    return ws_frame_head(len(payload), opcode=opcode, mask=mask) + payload
 
 
 def _apply_mask(payload: bytes, key: bytes) -> bytes:
@@ -210,18 +265,18 @@ async def ws_read_frame(reader: asyncio.StreamReader) -> Optional[Tuple[int, byt
     return opcode, _apply_mask(payload, key)
 
 
-def ws_decode_frame(data: bytes) -> Tuple[int, bytes, int]:
-    """Decode one websocket frame from a byte buffer (synchronous client).
+def ws_decode_frame(data: bytes, start: int = 0) -> Tuple[int, bytes, int]:
+    """Decode the websocket frame at ``data[start:]`` (synchronous client).
 
     Returns ``(opcode, payload, bytes_consumed)``; ``bytes_consumed`` is 0
     when the buffer does not yet hold a complete frame.
     """
-    if len(data) < 2:
+    if len(data) < start + 2:
         return 0, b"", 0
-    opcode = data[0] & 0x0F
-    masked = data[1] & 0x80
-    length = data[1] & 0x7F
-    offset = 2
+    opcode = data[start] & 0x0F
+    masked = data[start + 1] & 0x80
+    length = data[start + 1] & 0x7F
+    offset = start + 2
     if length == 126:
         if len(data) < offset + 2:
             return 0, b"", 0
@@ -241,4 +296,4 @@ def ws_decode_frame(data: bytes) -> Tuple[int, bytes, int]:
     if len(data) < offset + length:
         return 0, b"", 0
     payload = _apply_mask(data[offset : offset + length], key)
-    return opcode, payload, offset + length
+    return opcode, payload, offset + length - start

@@ -10,6 +10,17 @@ touch the batch path — push events go through
 writer coroutine drains its own queues at whatever pace its socket
 allows.
 
+Sending one push event costs O(1) in the audience.  A connection keeps a
+*ready* deque of its non-empty queues (the queues enlist themselves), so
+the writer never scans its subscriptions: it takes one event per ready
+queue in turn — per-subscription FIFO, round-robin across a connection's
+subscriptions — and appends the subscriber's ``"sub"`` (and ``"skipped"``)
+to the event's pre-encoded header as bytes.  It gathers replies and events
+up to :data:`BURST_BYTES`, then issues one ``write`` and one ``drain``
+(websocket: still one frame per message), so a stalled socket blocks its
+own writer at ``drain()`` and pins at most its queue capacities, one burst
+and the transport's high-water mark.
+
 Operations (JSON header field ``op``):
 
 ``hello``
@@ -56,8 +67,9 @@ import asyncio
 import contextlib
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import CraqrError, ServeError
 from ..query.render import health_table, sessions_table, views_table
@@ -73,11 +85,12 @@ from .protocol import (
     PROTOCOL,
     decode_message,
     encode_message,
-    frame_message,
+    frame_head,
     pack_payloads,
     read_message,
     ws_accept_key,
     ws_encode_frame,
+    ws_frame_head,
     ws_read_frame,
 )
 from .tokens import (
@@ -92,6 +105,12 @@ __all__ = ["ServeConfig", "Server", "serve_in_thread"]
 #: Reply-queue bound per connection: a client that floods requests
 #: without reading replies is disconnected rather than buffered forever.
 MAX_PENDING_REPLIES = 1024
+
+#: Bytes one writer gathers before it writes and drains.  A burst ends
+#: with the message that reaches the bound, so a message larger than the
+#: bound still goes out whole; what a stalled client can pin in the server
+#: is its queue capacities, one burst and the transport's high-water mark.
+BURST_BYTES = 256 * 1024
 
 
 @dataclass
@@ -168,9 +187,12 @@ class _Connection:
         self.writer = writer
         self.websocket = False
         #: (header, payload) replies awaiting the writer coroutine.
-        self.replies: List[Tuple[dict, bytes]] = []
+        self.replies: Deque[Tuple[dict, bytes]] = deque()
         #: subscription id -> SubscriberQueue (shared with the fanout).
         self.subscriptions: Dict[int, SubscriberQueue] = {}
+        #: this client's non-empty queues, next to send first (the queues
+        #: put themselves here; see SubscriberQueue.ready).
+        self.ready: Deque[SubscriberQueue] = deque()
         self._next_sub = 0
         self.wake = asyncio.Event()
         self.closing = False
@@ -186,17 +208,38 @@ class _Connection:
             self.closing = True
         self.wake.set()
 
-    def pending_event(self) -> Optional[Tuple[dict, bytes]]:
-        """The next subscription event across this client's queues."""
-        for sub_id, queue in self.subscriptions.items():
-            item = queue.pop()
-            if item is not None:
-                header, payload = item
-                return dict(header, sub=sub_id), payload
-        return None
+    def next_burst(self) -> List[bytes]:
+        """The framed parts of the next write; empty when nothing is pending.
 
-    def has_pending(self) -> bool:
-        return bool(self.replies) or any(len(q) for q in self.subscriptions.values())
+        Pending replies go first, then one event per ready queue in turn:
+        a subscription's events stay in order and a long queue cannot
+        starve its siblings.  Gathering stops once :data:`BURST_BYTES`
+        are reached.  Event headers and payloads are the published
+        objects, by reference; the loop is per event, never per row.
+        """
+        parts: List[bytes] = []
+        size = 0
+        prefix = ws_frame_head if self.websocket else frame_head
+        replies = self.replies
+        while replies and size < BURST_BYTES:
+            header, payload = replies.popleft()
+            body = encode_message(header, payload)
+            parts.append(prefix(len(body)))
+            parts.append(body)
+            size += len(body)
+        ready = self.ready
+        while ready and size < BURST_BYTES:
+            queue = ready.popleft()
+            event = queue.pop()
+            if event is None:  # unsubscribed since it became ready
+                continue
+            if len(queue):
+                ready.append(queue)
+            header, payload = event
+            framed = header.framed_parts(queue.tag[1], payload, prefix)
+            parts += framed
+            size += len(framed[2]) + len(payload)
+        return parts
 
 
 class Server:
@@ -300,7 +343,7 @@ class Server:
 
     def _wake_subscribed(self) -> None:
         for conn in self._connections.values():
-            if conn.subscriptions:
+            if conn.ready:
                 conn.wake.set()
 
     def _drop_overflowed(self) -> None:
@@ -425,20 +468,16 @@ class Server:
             self._dispatch(conn, header, payload)
 
     async def _writer_loop(self, conn: _Connection) -> None:
+        """One write and one drain per burst; blocks only this client."""
         try:
             while True:
-                wrote = False
-                while conn.replies:
-                    header, payload = conn.replies.pop(0)
-                    await self._send(conn, header, payload)
-                    wrote = True
-                item = conn.pending_event()
-                if item is not None:
-                    await self._send(conn, item[0], item[1])
-                    wrote = True
-                if conn.closing and not conn.has_pending():
+                parts = conn.next_burst()
+                if parts:
+                    conn.writer.write(b"".join(parts))
+                    await conn.writer.drain()
+                elif conn.closing:
                     return
-                if not wrote and not conn.has_pending():
+                else:
                     conn.wake.clear()
                     await conn.wake.wait()
         except (ConnectionError, asyncio.CancelledError):
@@ -446,14 +485,6 @@ class Server:
         finally:
             with contextlib.suppress(Exception):
                 conn.writer.close()
-
-    async def _send(self, conn: _Connection, header: dict, payload: bytes) -> None:
-        body = encode_message(header, payload)
-        if conn.websocket:
-            conn.writer.write(ws_encode_frame(body))
-        else:
-            conn.writer.write(frame_message(body))
-        await conn.writer.drain()
 
     # ------------------------------------------------------------------
     def _error_header(self, request_id, exc: Exception) -> dict:
@@ -607,7 +638,7 @@ class Server:
         token = header.get("token")
         sub_id = conn.next_sub_id()
         queue = SubscriberQueue(
-            capacity=capacity, policy=policy, tag=(conn.id, sub_id)
+            capacity=capacity, policy=policy, tag=(conn.id, sub_id), ready=conn.ready
         )
         if "query" in header:
             label = self._engine.query(header["query"]).query.label

@@ -10,6 +10,7 @@ checked through the wire codec itself: two frames are equal iff their
 
 from __future__ import annotations
 
+import socket
 from dataclasses import replace
 
 import repro.core.query as _query_module
@@ -24,6 +25,13 @@ from repro.sensing import (
     SensingWorld,
     TemperatureField,
     WorldConfig,
+)
+from repro.serve.protocol import (
+    MAGIC,
+    decode_message,
+    encode_message,
+    frame_message,
+    ws_encode_frame,
 )
 from repro.workloads import default_engine_config
 
@@ -83,3 +91,77 @@ def reference_deliveries(batches: int):
     engine = make_engine()
     engine.run(batches)
     return engine.query("Storm").cursor().fetch_batch()
+
+
+class RawWire:
+    """A blocking socket that shows the server's bytes exactly as sent.
+
+    :meth:`read` returns one framed message at a time — the frame bytes
+    themselves next to the decoded header and payload — so a test can
+    compare what the writer put on the socket with a reference encoding.
+    :meth:`send` writes all its requests with one ``sendall``: the server's
+    reader then handles them back to back, before its writer runs.
+    """
+
+    def __init__(self, host: str, port: int, transport: str = "tcp") -> None:
+        self.websocket = transport == "ws"
+        self._sock = socket.create_connection((host, port), timeout=30)
+        if self.websocket:
+            self._sock.sendall(
+                (
+                    f"GET /craqr HTTP/1.1\r\nHost: {host}:{port}\r\n"
+                    "Upgrade: websocket\r\nConnection: Upgrade\r\n"
+                    "Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
+                    "Sec-WebSocket-Version: 13\r\n\r\n"
+                ).encode("latin-1")
+            )
+            response = b""
+            while not response.endswith(b"\r\n\r\n"):
+                response += self._exactly(1)
+            assert b" 101 " in response.split(b"\r\n", 1)[0]
+        else:
+            self._sock.sendall(MAGIC)
+
+    def _exactly(self, count: int) -> bytes:
+        data = b""
+        while len(data) < count:
+            chunk = self._sock.recv(count - len(data))
+            if not chunk:
+                raise EOFError("server closed the connection")
+            data += chunk
+        return data
+
+    def send(self, *headers: dict) -> None:
+        frame = (
+            (lambda body: ws_encode_frame(body, mask=True))
+            if self.websocket
+            else frame_message
+        )
+        self._sock.sendall(b"".join(frame(encode_message(h)) for h in headers))
+
+    def read(self):
+        """The next message as ``(frame bytes, header, payload)``."""
+        if self.websocket:
+            raw = self._exactly(2)
+            length = raw[1] & 0x7F
+            if length == 126:
+                raw += self._exactly(2)
+                length = int.from_bytes(raw[2:], "big")
+            elif length == 127:
+                raw += self._exactly(8)
+                length = int.from_bytes(raw[2:], "big")
+        else:
+            raw = self._exactly(4)
+            length = int.from_bytes(raw, "big")
+        body = self._exactly(length)
+        return (raw + body, *decode_message(body))
+
+    def read_until_reply(self, request_id: int):
+        """Messages up to and including the reply to ``request_id``."""
+        messages = []
+        while not messages or messages[-1][1].get("id") != request_id:
+            messages.append(self.read())
+        return messages
+
+    def close(self) -> None:
+        self._sock.close()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,26 @@ class TestSubscriberQueue:
         # The two accepted events are still drainable.
         assert q.pop()[0]["i"] == 0
         assert q.pop()[0]["i"] == 1
+
+    def test_ready_deque_holds_a_non_empty_queue_once(self):
+        ready = deque()
+        q = SubscriberQueue(capacity=1, policy="skip", ready=ready)
+        for i in range(3):  # capacity 1: each offer empties and refills it
+            q.offer({"i": i}, b"")
+        assert list(ready) == [q]
+        ready.popleft()
+        assert q.pop()[0] == {"i": 2, "skipped": 2}
+        q.offer({"i": 3}, b"")  # empty -> non-empty: ready again
+        assert list(ready) == [q]
+
+    def test_close_drops_pending_and_leaves_the_ready_deque(self):
+        ready = deque()
+        q = SubscriberQueue(ready=ready)
+        q.offer({"i": 0}, b"")
+        q.close()
+        assert q.pop() is None
+        q.offer({"i": 1}, b"")
+        assert list(ready) == [q]  # only the entry from before the close
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ServeError, match="positive capacity"):
@@ -164,6 +186,25 @@ class TestViewFanout:
         assert fanout.subscriber_count == 0
         assert fanout.publish() == 0  # no topics left to walk
 
+    def test_unsubscribe_leaves_other_queues_and_topics_alone(self):
+        rain, snow = ViewFrameBuffer(), ViewFrameBuffer()
+        fanout = FrameFanout()
+        leaving, staying, other = (SubscriberQueue() for _ in range(3))
+        fanout.subscribe_view("Rain", rain, leaving)
+        fanout.subscribe_view("Rain", rain, staying)
+        fanout.subscribe_view("Snow", snow, other)
+        fill(rain, 1)
+        fill(snow, 1)
+        fanout.publish()
+        fanout.unsubscribe(leaving)
+        fanout.unsubscribe(leaving)  # idempotent
+        assert leaving.pop() is None  # what it held is dropped with it
+        assert fanout.subscriber_count == 2
+        fill(rain, 2)
+        fill(snow, 2)
+        assert fanout.publish() == 2
+        assert (len(leaving), len(staying), len(other)) == (0, 2, 2)
+
     def test_overflowed_queues_listed(self):
         buffer = ViewFrameBuffer()
         fanout = FrameFanout()
@@ -171,6 +212,28 @@ class TestViewFanout:
         fanout.subscribe_view("Rain", buffer, q)
         fill(buffer, 3)
         fanout.publish()
+        assert fanout.overflowed_queues() == [q]
+
+    def test_overflowed_queue_is_listed_once_until_unsubscribed(self):
+        buffer = ViewFrameBuffer()
+        fanout = FrameFanout()
+        q = SubscriberQueue(capacity=1, policy="disconnect")
+        fanout.subscribe_view("Rain", buffer, q)
+        fanout.subscribe_view("Rain", buffer, SubscriberQueue())
+        for upto in (2, 3, 4):  # refused again on every later publish
+            fill(buffer, upto)
+            fanout.publish()
+        assert fanout.overflowed_queues() == [q]
+        fanout.unsubscribe(q)
+        assert fanout.overflowed_queues() == []
+
+    def test_backlog_overflow_at_subscribe_is_listed(self):
+        buffer = ViewFrameBuffer()
+        fanout = FrameFanout()
+        fanout.subscribe_view("Rain", buffer, SubscriberQueue())
+        fill(buffer, 3)
+        q = SubscriberQueue(capacity=2, policy="disconnect")
+        fanout.subscribe_view("Rain", buffer, q, token=frame_token_at(0))
         assert fanout.overflowed_queues() == [q]
 
 

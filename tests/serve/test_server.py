@@ -10,9 +10,14 @@ import pytest
 from repro.errors import ServeError
 from repro.serve import ServeClient, ServeConfig, serve_in_thread
 from repro.streams.codec import decode_tuple_batch, decode_view_frame
-from repro.serve.protocol import unpack_payloads
+from repro.serve.protocol import (
+    encode_message,
+    frame_message,
+    unpack_payloads,
+    ws_encode_frame,
+)
 
-from serve_harness import QUERY, VIEW, make_engine
+from serve_harness import QUERY, VIEW, RawWire, make_engine
 
 SECOND_QUERY = "ACQUIRE temp FROM RECT(1, 1, 3, 3) AT RATE 6 PER KM2 PER MIN AS Heat"
 
@@ -315,3 +320,48 @@ class TestShutdown:
             stop()
         with pytest.raises(OSError):
             socket.create_connection((host, port), timeout=2).close()
+
+
+class TestWireIdentity:
+    """The burst writer's bytes are the per-message encoding, exactly."""
+
+    @staticmethod
+    def expected_bytes(wire: RawWire, header: dict, payload: bytes) -> bytes:
+        """The pre-burst encoding of one event, header keys in wire order."""
+        kind = ("view", "frame_index") if header["event"] == "frame" else ("query", "count")
+        keys = ["event", *kind, "token"] + ["skipped"] * ("skipped" in header) + ["sub"]
+        body = encode_message({key: header[key] for key in keys}, payload)
+        return ws_encode_frame(body) if wire.websocket else frame_message(body)
+
+    @pytest.mark.parametrize("transport", ["tcp", "ws"])
+    @pytest.mark.parametrize("capacity, skipped", [(64, {}), (1, {"batch": 5, "frame": 2})])
+    def test_push_events_match_the_reference_encoding(
+        self, served, transport, capacity, skipped
+    ):
+        _, _, (host, port) = served
+        wire = RawWire(host, port, transport)
+        try:
+            wire.send(
+                {"op": "subscribe", "query": "Storm", "queue_events": capacity, "id": 1},
+                {"op": "subscribe", "view": "Rain", "queue_events": capacity, "id": 2},
+                # Six batches inside one op: the writer cannot run in
+                # between, so a one-event queue skips all but the last.
+                {"op": "run", "batches": 6, "id": 3},
+            )
+            subs = {
+                header["sub"]: "batch" if "query" in header else "frame"
+                for _, header, _ in wire.read_until_reply(2)
+            }
+            expected = 2 if skipped else 6 + 3
+            events = [m for m in wire.read_until_reply(3) if "event" in m[1]]
+            while len(events) < expected:
+                events.append(wire.read())
+            assert sorted(h["event"] for _, h, _ in events) == sorted(
+                ["batch", "frame"] if skipped else ["batch"] * 6 + ["frame"] * 3
+            )
+            for raw, header, payload in events:
+                assert subs[header["sub"]] == header["event"]
+                assert header.get("skipped") == skipped.get(header["event"])
+                assert raw == self.expected_bytes(wire, header, payload)
+        finally:
+            wire.close()
