@@ -3,9 +3,10 @@
 Functions listed here are the per-batch inner loops whose cost the
 benchmark suite gates (``BENCH_world.json`` / ``BENCH_views.json`` /
 ``BENCH_serve.json`` and the ``benchmarks/e2e`` per-layer spans): the
-fused acquisition round, the columnar map phase, compiled chain
-execution and its flatten/thin kernels, the MLE initialiser behind every
-Flatten fit, the incremental view fold and the serve-layer fan-out.
+fused acquisition round, the fast-sim mobility kernels, the columnar map
+phase, compiled chain execution and its flatten/thin kernels, the MLE
+initialiser behind every Flatten fit, the incremental view fold and the
+serve-layer fan-out.
 Inside them, per-row Python iteration is a regression by construction —
 the analyzer flags ``.tolist()`` calls, ``range(len(...))`` / ``zip(...)``
 row loops and object construction inside loops (see
@@ -41,6 +42,20 @@ HOT_PATHS: List[Tuple[str, str]] = [
     ),
     ("repro/sensing/handler.py", "RequestResponseHandler._fused_sensor_choices"),
     ("repro/sensing/handler.py", "RequestResponseHandler._fused_request_times"),
+    # World advance (PR 2, PR 17): the fast-sim mobility kernels, 35-70% of
+    # a large-crowd batch.  Each is a fixed sequence of full-width ufuncs
+    # over the group's row selector (views for a slice, one gather and one
+    # scatter per column for an index array); a per-row loop or a
+    # compacted ``idx[mask]`` subset here is what PR 17 removed.  Their
+    # contract is bit-equality with the gather/scatter bodies kept in
+    # ``tests/sensing/test_mobility_kernels.py``.  The base-class
+    # ``MobilityModel.step_batch`` fallback is deliberately NOT registered:
+    # it is the per-row loop by design (models without a kernel), and the
+    # world never dispatches a group to it.
+    ("repro/sensing/mobility.py", "RandomWalkMobility.step_batch"),
+    ("repro/sensing/mobility.py", "RandomWaypointMobility.step_batch"),
+    ("repro/sensing/mobility.py", "GaussMarkovMobility.step_batch"),
+    ("repro/sensing/mobility.py", "HotspotMobility.step_batch"),
     # Compiled per-batch chain execution (PR 8): flat numpy kernels with
     # survivor-index composition; a Python row loop re-interprets the chain.
     ("repro/plan/executor.py", "ChainProgram.run"),

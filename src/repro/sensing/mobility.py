@@ -25,6 +25,26 @@ All models implement two entry points:
   differs from the scalar loop (statistically equivalent, not bit-equal),
   which is exactly the trade the world's ``vectorized_rng`` mode makes.
 
+The kernels are *gather-free*: moving the crowd is most of a large fast-sim
+batch, and at 100k rows a kernel's cost is memory passes, not arithmetic.
+``indices`` is a row selector (:data:`RowSelector`) — the world hands a
+``slice`` for a contiguous group (every single-model crowd), an ascending
+int64 index array for interleaved groups — and a step is a fixed sequence
+of full-width ufuncs over it.  New mobility models follow the same rules:
+
+* **take each column once through the selector** (``x = arrays.x[sel]``: a
+  view for a slice, one gather for an index array), work on it in place,
+  and scatter the touched columns back once, only when they were gathered;
+* **mask instead of compacting**: rows a step does not apply to ride through
+  the arithmetic and are excluded by ``np.copyto(dst, src, where=mask)``,
+  never by ``arrays.x[idx[mask]]`` subsets (reuse temporaries with ``out=``);
+* **keep the draw order**: same generator method, arguments, count and
+  sequence, assigned through a boolean mask in ascending row order — and
+  keep each float expression's operation order (``x + (travel * dx) / safe``,
+  ``np.hypot`` stays ``np.hypot``), because fast-sim seeded results are
+  pinned bit-for-bit (``tests/sensing/test_mobility_kernels.py`` holds the
+  pre-rewrite gather/scatter bodies as the reference).
+
 ``batch_key()`` returns a hashable grouping key for models that support the
 batch kernel: sensors whose models share a key are stepped by one
 ``step_batch`` call.  The base implementation returns ``None`` (no grouping)
@@ -37,7 +57,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Hashable, Optional, Sequence, Tuple
+from typing import Hashable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,6 +67,24 @@ from .state import SensorStateArrays
 
 #: Distances below this are treated as "already at the target".
 _TINY = 1e-12
+
+
+#: How ``step_batch`` addresses its group's SoA rows: a ``slice`` when they
+#: are contiguous, otherwise an ascending int64 index array.
+RowSelector = Union[slice, np.ndarray]
+
+
+def _as_selector(indices) -> Tuple[RowSelector, bool]:
+    """Normalise a ``step_batch`` row selector to ``(selector, gathered)``.
+
+    A ``slice`` indexes the SoA columns as *views* — the kernel's in-place
+    writes land in the world directly.  Anything else becomes an int64
+    index array: indexing *gathers* a copy per column, which the kernel
+    scatters back once at the end (``gathered`` is True).
+    """
+    if isinstance(indices, slice):
+        return indices, False
+    return np.asarray(indices, dtype=np.int64), True
 
 
 @dataclass
@@ -125,11 +163,19 @@ class MobilityModel(ABC):
     ) -> None:
         """Advance the rows ``indices`` of ``arrays`` by ``dt`` at once.
 
+        ``indices`` is the group's *row selector*: a ``slice`` when the
+        world found the group's rows contiguous, otherwise an ascending
+        int64 index array (any integer sequence is accepted).
+
         The fallback loops the scalar :meth:`step` over SoA views with the
-        shared generator; vectorised models override it with masked array
-        kernels.
+        shared generator; vectorised models override it with full-width
+        masked kernels.  A new kernel follows three rules (see the module
+        docstring): take each column once through the selector, mask
+        instead of compacting, keep the draw order.
         """
-        for i in np.asarray(indices, dtype=np.int64):
+        if isinstance(indices, slice):
+            indices = range(*indices.indices(len(arrays)))
+        for i in indices:
             self.step(arrays.state_view(int(i)), dt, rng)
 
     def _clamp(self, state: MobilityState) -> None:
@@ -137,11 +183,11 @@ class MobilityModel(ABC):
         state.x = min(max(state.x, self._region.x_min), self._region.x_max)
         state.y = min(max(state.y, self._region.y_min), self._region.y_max)
 
-    def _clamp_batch(self, arrays: SensorStateArrays, idx: np.ndarray) -> None:
-        """Vectorised :meth:`_clamp` over the rows ``idx``."""
+    def _clamp_batch(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Vectorised :meth:`_clamp` of the position columns, in place."""
         region = self._region
-        arrays.x[idx] = np.clip(arrays.x[idx], region.x_min, region.x_max)
-        arrays.y[idx] = np.clip(arrays.y[idx], region.y_min, region.y_max)
+        np.clip(x, region.x_min, region.x_max, out=x)
+        np.clip(y, region.y_min, region.y_max, out=y)
 
 
 class StationaryMobility(MobilityModel):
@@ -176,12 +222,15 @@ class RandomWalkMobility(MobilityModel):
         return self._kernel_key(self._step_std)
 
     def step_batch(self, arrays, indices, dt, rng) -> None:
-        idx = np.asarray(indices, dtype=np.int64)
+        sel, gathered = _as_selector(indices)
+        x, y = arrays.x[sel], arrays.y[sel]
         scale = self._step_std * math.sqrt(dt)
-        steps = rng.normal(0.0, scale, (2, idx.size))
-        arrays.x[idx] += steps[0]
-        arrays.y[idx] += steps[1]
-        self._clamp_batch(arrays, idx)
+        steps = rng.normal(0.0, scale, (2, x.size))
+        np.add(x, steps[0], out=x)
+        np.add(y, steps[1], out=y)
+        self._clamp_batch(x, y)
+        if gathered:
+            arrays.x[sel], arrays.y[sel] = x, y
 
 
 class RandomWaypointMobility(MobilityModel):
@@ -229,38 +278,49 @@ class RandomWaypointMobility(MobilityModel):
         return self._kernel_key(self._speed, self._pause)
 
     def step_batch(self, arrays, indices, dt, rng) -> None:
-        idx = np.asarray(indices, dtype=np.int64)
-        pause = arrays.pause_remaining[idx]
+        sel, gathered = _as_selector(indices)
+        x, y = arrays.x[sel], arrays.y[sel]
+        tx, ty = arrays.target_x[sel], arrays.target_y[sel]
+        pause = arrays.pause_remaining[sel]
+        region = self._region
+        # Pausing sensors only run their timer down this step; like the
+        # scalar path they start walking again on the *next* step.  Their
+        # (NaN) targets ride through the arithmetic below and every write
+        # is masked by ``active``, so they neither move nor get clamped.
         paused = pause > 0.0
-        if paused.any():
-            # Pausing sensors only run their timer down this step; like the
-            # scalar path they start walking again on the *next* step.
-            arrays.pause_remaining[idx[paused]] = np.maximum(0.0, pause[paused] - dt)
-        active = idx[~paused]
-        if active.size == 0:
-            return
-        tx = arrays.target_x[active]
-        ty = arrays.target_y[active]
+        active = ~paused
         need = np.isnan(tx)
-        if need.any():
-            region = self._region
-            count = int(need.sum())
+        need &= active
+        count = int(np.count_nonzero(need))
+        if count:
             tx[need] = rng.uniform(region.x_min, region.x_max, count)
             ty[need] = rng.uniform(region.y_min, region.y_max, count)
-        x = arrays.x[active]
-        y = arrays.y[active]
         dx = tx - x
         dy = ty - y
         distance = np.hypot(dx, dy)
         travel = self._speed * dt
         arrive = travel >= distance
-        safe = np.maximum(distance, _TINY)
-        arrays.x[active] = np.where(arrive, tx, x + travel * dx / safe)
-        arrays.y[active] = np.where(arrive, ty, y + travel * dy / safe)
-        arrays.target_x[active] = np.where(arrive, np.nan, tx)
-        arrays.target_y[active] = np.where(arrive, np.nan, ty)
-        arrays.pause_remaining[active] = np.where(arrive, self._pause, 0.0)
-        self._clamp_batch(arrays, active)
+        arrive &= active
+        safe = np.maximum(distance, _TINY, out=distance)
+        for pos, target, delta in ((x, tx, dx), (y, ty, dy)):
+            # pos + (travel * delta) / safe, or the target itself on arrival
+            np.multiply(travel, delta, out=delta)
+            np.divide(delta, safe, out=delta)
+            np.add(pos, delta, out=delta)
+            np.copyto(delta, target, where=arrive)
+            np.copyto(target, np.nan, where=arrive)
+        self._clamp_batch(dx, dy)
+        np.copyto(x, dx, where=active)
+        np.copyto(y, dy, where=active)
+        # Timers: paused rows run down, walkers hold 0, arrivals start a pause.
+        np.subtract(pause, dt, out=pause)
+        np.maximum(0.0, pause, out=pause)
+        np.copyto(pause, 0.0, where=active)
+        np.copyto(pause, self._pause, where=arrive)
+        if gathered:
+            arrays.x[sel], arrays.y[sel] = x, y
+            arrays.target_x[sel], arrays.target_y[sel] = tx, ty
+            arrays.pause_remaining[sel] = pause
 
 
 class GaussMarkovMobility(MobilityModel):
@@ -325,26 +385,37 @@ class GaussMarkovMobility(MobilityModel):
         return self._kernel_key(self._mean_speed, self._alpha, self._speed_std)
 
     def step_batch(self, arrays, indices, dt, rng) -> None:
-        idx = np.asarray(indices, dtype=np.int64)
+        sel, gathered = _as_selector(indices)
+        x, y = arrays.x[sel], arrays.y[sel]
+        vx, vy = arrays.vx[sel], arrays.vy[sel]
         a = self._alpha
         noise_scale = self._speed_std * math.sqrt(1 - a * a)
-        vx = arrays.vx[idx]
-        vy = arrays.vy[idx]
-        speed = np.hypot(vx, vy)
-        safe = np.maximum(speed, _TINY)
-        moving = speed > _TINY
-        mean_vx = np.where(moving, self._mean_speed * vx / safe, 0.0)
-        mean_vy = np.where(moving, self._mean_speed * vy / safe, 0.0)
-        noise = rng.normal(0.0, noise_scale, (2, idx.size))
-        vx = a * vx + (1 - a) * mean_vx + noise[0]
-        vy = a * vy + (1 - a) * mean_vy + noise[1]
         region = self._region
-        x = arrays.x[idx] + vx * dt
-        y = arrays.y[idx] + vy * dt
-        arrays.vx[idx] = np.where((x <= region.x_min) | (x >= region.x_max), -vx, vx)
-        arrays.vy[idx] = np.where((y <= region.y_min) | (y >= region.y_max), -vy, vy)
-        arrays.x[idx] = np.clip(x, region.x_min, region.x_max)
-        arrays.y[idx] = np.clip(y, region.y_min, region.y_max)
+        speed = np.hypot(vx, vy)
+        still = ~(speed > _TINY)
+        safe = np.maximum(speed, _TINY, out=speed)
+        noise = rng.normal(0.0, noise_scale, (2, vx.size))
+        mean = np.empty_like(safe)
+        for v, eps, pos, low, high in (
+            (vx, noise[0], x, region.x_min, region.x_max),
+            (vy, noise[1], y, region.y_min, region.y_max),
+        ):
+            # v = a * v + (1 - a) * (mean_speed * v / safe, 0 when still) + eps
+            np.multiply(self._mean_speed, v, out=mean)
+            np.divide(mean, safe, out=mean)
+            np.copyto(mean, 0.0, where=still)
+            np.multiply(1 - a, mean, out=mean)
+            np.multiply(a, v, out=v)
+            np.add(v, mean, out=v)
+            np.add(v, eps, out=v)
+            np.multiply(v, dt, out=mean)
+            np.add(pos, mean, out=pos)
+            # Reflect velocity when a wall is hit so sensors stay inside.
+            np.negative(v, out=v, where=(pos <= low) | (pos >= high))
+        self._clamp_batch(x, y)
+        if gathered:
+            arrays.x[sel], arrays.y[sel] = x, y
+            arrays.vx[sel], arrays.vy[sel] = vx, vy
 
 
 class HotspotMobility(MobilityModel):
@@ -414,27 +485,33 @@ class HotspotMobility(MobilityModel):
         )
 
     def step_batch(self, arrays, indices, dt, rng) -> None:
-        idx = np.asarray(indices, dtype=np.int64)
-        n = idx.size
-        tx = arrays.target_x[idx]
-        ty = arrays.target_y[idx]
-        switch = np.isnan(tx) | (rng.random(n) < self._switch_probability)
-        if switch.any():
-            choice = rng.choice(
-                len(self._hotspots), size=int(switch.sum()), p=self._weights
-            )
+        sel, gathered = _as_selector(indices)
+        x, y = arrays.x[sel], arrays.y[sel]
+        tx, ty = arrays.target_x[sel], arrays.target_y[sel]
+        n = x.size
+        switch = rng.random(n) < self._switch_probability
+        switch |= np.isnan(tx)
+        count = int(np.count_nonzero(switch))
+        if count:
+            choice = rng.choice(len(self._hotspots), size=count, p=self._weights)
             tx[switch] = self._hotspot_xs[choice]
             ty[switch] = self._hotspot_ys[choice]
-            arrays.target_x[idx] = tx
-            arrays.target_y[idx] = ty
-        x = arrays.x[idx]
-        y = arrays.y[idx]
         dx = tx - x
         dy = ty - y
         distance = np.hypot(dx, dy)
-        travel = np.minimum(self._speed * dt, distance)
-        scale = np.where(distance > _TINY, travel / np.maximum(distance, _TINY), 0.0)
+        near = ~(distance > _TINY)
+        # scale = min(speed * dt, distance) / max(distance, tiny), 0 when near
+        scale = np.minimum(self._speed * dt, distance)
+        np.maximum(distance, _TINY, out=distance)
+        np.divide(scale, distance, out=scale)
+        np.copyto(scale, 0.0, where=near)
         jitter = rng.normal(0.0, self._jitter * math.sqrt(dt), (2, n))
-        arrays.x[idx] = x + scale * dx + jitter[0]
-        arrays.y[idx] = y + scale * dy + jitter[1]
-        self._clamp_batch(arrays, idx)
+        for pos, delta, eps in ((x, dx, jitter[0]), (y, dy, jitter[1])):
+            # pos = pos + scale * delta + eps
+            np.multiply(scale, delta, out=delta)
+            np.add(pos, delta, out=pos)
+            np.add(pos, eps, out=pos)
+        self._clamp_batch(x, y)
+        if gathered:
+            arrays.x[sel], arrays.y[sel] = x, y
+            arrays.target_x[sel], arrays.target_y[sel] = tx, ty

@@ -41,7 +41,7 @@ import numpy as np
 from ..errors import AcquisitionError, CraqrError
 from ..geometry import Rectangle, Region
 from .clock import SimulationClock
-from .mobility import MobilityModel, RandomWaypointMobility
+from .mobility import MobilityModel, RandomWaypointMobility, RowSelector
 from .participation import ParticipationModel
 from .phenomena import PhenomenonField
 from .sensor import MobileSensor
@@ -84,6 +84,14 @@ class WorldConfig:
             raise CraqrError("movement_step must be positive")
 
 
+def _row_selector(indices: List[int]) -> RowSelector:
+    """A ``slice`` for a contiguous ascending run of rows, else an int64 array."""
+    first, last = indices[0], indices[-1]
+    if last - first + 1 == len(indices):
+        return slice(first, last + 1)
+    return np.asarray(indices, dtype=np.int64)
+
+
 class SensingWorld:
     """The simulated crowd of mobile sensors and the phenomena they observe."""
 
@@ -120,8 +128,14 @@ class SensingWorld:
 
     def _group_mobility_models(
         self,
-    ) -> Tuple[List[Tuple[MobilityModel, np.ndarray]], np.ndarray]:
+    ) -> Tuple[List[Tuple[MobilityModel, RowSelector]], np.ndarray]:
         """Bucket sensors by their model's ``batch_key`` for kernel dispatch.
+
+        Each group's ascending row indices are resolved once to the *row
+        selector* its ``step_batch`` kernel receives: a ``slice`` when the
+        rows are contiguous (every single-model crowd), so the kernel works
+        on views of the SoA columns; the int64 index array otherwise
+        (interleaved groups of a mixed crowd).
 
         Sensors whose model returns ``None`` (no batch support) are stepped
         per object even in fast-sim mode, with their own generators.
@@ -137,8 +151,7 @@ class SensingWorld:
             else:
                 keyed[key] = (sensor.mobility, [index])
         groups = [
-            (model, np.asarray(indices, dtype=np.int64))
-            for model, indices in keyed.values()
+            (model, _row_selector(indices)) for model, indices in keyed.values()
         ]
         return groups, np.asarray(ungrouped, dtype=np.int64)
 
@@ -287,8 +300,8 @@ class SensingWorld:
             while remaining > 1e-12:
                 dt = min(step, remaining)
                 if vectorized:
-                    for model, indices in self._mobility_groups:
-                        model.step_batch(self._state, indices, dt, self._rng)
+                    for model, rows in self._mobility_groups:
+                        model.step_batch(self._state, rows, dt, self._rng)
                 for sensor in scalar_sensors:
                     sensor.step_scalar(dt)
                 self._clock.advance(dt)

@@ -193,9 +193,10 @@ class TupleBatch:
                 other = part.meta.get(key, _MISSING)
                 if other is _MISSING or not _values_equal(other, meta[key]):
                     del meta[key]
-        all_extras = set()
-        for part in parts:
-            all_extras |= set(part.extra)
+        # First-seen order, not a set: the codec and pickle walk ``extra`` in
+        # dict order, so wire and snapshot bytes must not depend on the
+        # interpreter's string hash seed.
+        all_extras = dict.fromkeys(key for part in parts for key in part.extra)
         extra = {}
         for key in all_extras:
             sample = next(

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -187,6 +191,64 @@ class TestTupleBatchWire:
             decode_tuple_batch(b"\x00")
         with pytest.raises(StreamError):
             decode_tuple_batch(b"\x00\x00\x00\x02{}")
+
+
+#: Runs in a fresh interpreter: a subscribed query over four grid cells, so
+#: every pushed batch is a ``TupleBatch.concatenate`` of per-cell deliveries
+#: carrying the handler's ``cell`` and ``incentive`` extra columns.
+_DELIVERY_DIGEST_SCRIPT = """
+import hashlib
+from repro.config import BudgetConfig, EngineConfig
+from repro.core.engine import CraqrEngine
+from repro.core.query import AcquisitionalQuery
+from repro.geometry import Rectangle, RectRegion
+from repro.sensing import RainField, SensingWorld, WorldConfig
+from repro.streams.codec import encode_tuple_batch
+
+region = Rectangle(0.0, 0.0, 4.0, 4.0)
+world = SensingWorld(WorldConfig(region=region, sensor_count=200, seed=7))
+world.register_field(RainField(region))
+engine = CraqrEngine(
+    EngineConfig(grid_cells=4, seed=3, budget=BudgetConfig(initial=40, delta=5, limit=80)),
+    world,
+)
+handle = engine.register_query(
+    AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 4.0, 4.0), rate=8.0)
+)
+digest, cells = hashlib.sha256(), set()
+def on_batch(batch):
+    assert list(batch.extra) == ["cell", "incentive"], list(batch.extra)
+    cells.update(map(tuple, batch.extra["cell"].tolist()))
+    digest.update(encode_tuple_batch(batch))
+handle.subscribe(on_batch)
+engine.run(2)
+assert len(cells) >= 2, cells
+print(digest.hexdigest())
+"""
+
+
+def test_pushed_batch_bytes_do_not_depend_on_the_hash_seed():
+    # ``encode_tuple_batch`` walks ``batch.extra`` in dict order; a merged
+    # delivery used to take that order from a set of column names, so the
+    # wire (and checkpoint) bytes flipped with PYTHONHASHSEED.
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    digests = []
+    for hash_seed in ("0", "1"):
+        result = subprocess.run(
+            [sys.executable, "-c", _DELIVERY_DIGEST_SCRIPT],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={
+                "PYTHONPATH": str(src),
+                "PYTHONHASHSEED": hash_seed,
+                "PATH": "/usr/bin:/bin",
+            },
+        )
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def make_view_frame(index: int, *, tuple_keys: bool = True) -> ViewFrame:

@@ -101,6 +101,30 @@ class TestTransforms:
         assert materialised[0].metadata["mark"] == "m0"
         assert "mark" not in materialised[4].metadata
 
+    def test_concatenate_keeps_extras_in_first_seen_order(self):
+        # The codec and pickle walk ``extra`` in dict order, so the merged
+        # order must come from the parts (first seen), never from a set of
+        # names (hash-seed dependent) or a sort.
+        def part(n, **extra):
+            batch = TupleBatch.from_tuples(make_tuples(n))
+            batch.extra.clear()
+            for name in extra:
+                batch.extra[name] = np.arange(n, dtype=float)
+            return batch
+
+        both = part(2, cell=1, incentive=1)
+        incentive_only = part(3, incentive=1)
+        bare = part(1)
+        for order in ([both, incentive_only, bare], [bare, both, incentive_only]):
+            assert list(TupleBatch.concatenate(order).extra) == ["cell", "incentive"]
+        merged = TupleBatch.concatenate([incentive_only, bare, both])
+        assert list(merged.extra) == ["incentive", "cell"]
+        assert list(merged.extra["cell"]) == [None] * 4 + [0.0, 1.0]
+        # Not alphabetical either: later-sorting names seen first stay first.
+        assert list(
+            TupleBatch.concatenate([part(1, zone=1, area=1), part(1, area=1)]).extra
+        ) == ["zone", "area"]
+
     def test_concatenate_rejects_mixed_attributes(self):
         a = TupleBatch.from_tuples(make_tuples(2, "rain"))
         b = TupleBatch.from_tuples(make_tuples(2, "temp"))
