@@ -42,6 +42,15 @@ HOT_PATHS: List[Tuple[str, str]] = [
     ),
     ("repro/sensing/handler.py", "RequestResponseHandler._fused_sensor_choices"),
     ("repro/sensing/handler.py", "RequestResponseHandler._fused_request_times"),
+    # The strict counterparts, ``_PerSensorStreams.answer`` and
+    # ``MobileSensor.move_through``, are deliberately NOT registered: one
+    # generator per sensor makes them per-request / per-sensor Python by
+    # contract, and what CRQ4xx would flag there (``.tolist()``, the loop
+    # over a zip of runs) is the design — requests unboxed once, each
+    # sensor walked once (PR 18).  Their contract is bit-equality with the
+    # per-sensor mask loop and the step-major loop kept in
+    # ``tests/sensing/test_strict_acquisition.py`` and
+    # ``tests/sensing/test_sensor_major_advance.py``.
     # World advance (PR 2, PR 17): the fast-sim mobility kernels, 35-70% of
     # a large-crowd batch.  Each is a fixed sequence of full-width ufuncs
     # over the group's row selector (views for a slice, one gather and one

@@ -119,6 +119,18 @@ def _per_cell_choices(
     )
 
 
+def _value_column(values: list) -> np.ndarray:
+    """Sensed values as one 1-d column; object dtype when they are not scalars."""
+    try:
+        column = np.asarray(values)
+        if column.ndim != 1:  # e.g. list/tuple values
+            raise ValueError
+    except ValueError:
+        column = np.empty(len(values), dtype=object)
+        column[:] = values
+    return column
+
+
 # ----------------------------------------------------------------------
 # RNG policies
 #
@@ -139,12 +151,15 @@ def _per_cell_choices(
 class _PerSensorStreams:
     """Strict policy: every sensor answers from its private RNG stream.
 
-    Choices and times are per-cell draws from the world stream, requests
-    are answered sensor by sensor (a sensor's requests in ascending-time
-    order, so its stream is consumed exactly as a per-request walk would),
-    and the responses are reassembled into request order.  Seeded
-    byte-identical across the object and columnar paths; also serves the
-    cells of a fast-sim world that host a non-vectorisable sensor.
+    Choices and times are per-cell draws from the world stream.  A wave is
+    answered in one sorted walk: a stable sort by sensor row makes each
+    sensor's requests one contiguous run in ascending-time order, so every
+    stream is consumed exactly as a per-request walk would consume it
+    (sensors are independent — only the order *within* a sensor is
+    contract), and the responses are reassembled into request order.
+    Seeded byte-identical across the object and columnar paths; also
+    serves the cells of a fast-sim world that host a non-vectorisable
+    sensor.
     """
 
     def __init__(self, world: SensingWorld) -> None:
@@ -165,32 +180,64 @@ class _PerSensorStreams:
         )
 
     def answer(self, field_model, rows, request_times, multipliers, replacement_used):
+        order = np.argsort(rows, kind="stable")
+        sorted_rows = rows[order]
+        # Where each sensor's run starts (rows are >= 0, so -1 opens the first).
+        starts = np.flatnonzero(np.diff(sorted_rows, prepend=-1)).tolist()
+        sorted_times = request_times[order]
+        sorted_multipliers = multipliers[order]
+        # Unboxed once: the scalar walk hands Python floats to
+        # handle_request, never np.float64 (a sensor's memory must stay
+        # plain-typed for the snapshot packer).
+        times = sorted_times.tolist()
+        boosts = sorted_multipliers.tolist()
+        # Answered requests as positions in sorted order: the scalar walk
+        # fills three aligned lists, vectorised runs add array chunks.
+        scalar_positions: List[int] = []
+        scalar_response_times: List[float] = []
+        scalar_values: list = []
         positions: List[np.ndarray] = []
         response_times: List[np.ndarray] = []
         values: List[np.ndarray] = []
-        asked = np.unique(rows)
-        for row, sensor in zip(asked, self._world.sensors_at(asked)):
-            mask = rows == row
-            answered, times, _xs, _ys, sensed = sensor.handle_requests(
-                field_model, request_times[mask], incentive_multiplier=multipliers[mask]
-            )
-            if times.shape[0]:
-                positions.append(np.nonzero(mask)[0][answered])
-                response_times.append(times)
-                values.append(np.asarray(sensed))
+        sensors = self._world.sensors_at(sorted_rows[starts])
+        for sensor, lo, hi in zip(sensors, starts, starts[1:] + [rows.size]):
+            if hi - lo == 1 or not sensor.participation.batch_safe:
+                # A lone request, or a model whose decisions draw
+                # randomness (only ever a scalar walk): no arrays.
+                for k in range(lo, hi):
+                    row = sensor.handle_request(
+                        field_model, times[k], incentive_multiplier=boosts[k]
+                    )
+                    if row is not None:
+                        scalar_positions.append(k)
+                        scalar_response_times.append(row[0])
+                        scalar_values.append(row[3])
+            else:
+                answered, run_times, _xs, _ys, sensed = sensor.handle_requests(
+                    field_model, sorted_times[lo:hi],
+                    incentive_multiplier=sorted_multipliers[lo:hi],
+                )
+                if run_times.shape[0]:
+                    positions.append(lo + np.flatnonzero(answered))
+                    response_times.append(run_times)
+                    values.append(np.asarray(sensed))
+        if scalar_positions:
+            positions.append(np.array(scalar_positions, dtype=np.intp))
+            response_times.append(np.array(scalar_response_times, dtype=float))
+            values.append(_value_column(scalar_values))
         responded = np.zeros(rows.size, dtype=bool)
         if not positions:
             return responded, np.empty(0), np.empty(0, dtype=object)
         # Back into global request order, so tuple ids are allocated one
         # per response in request order whatever the per-sensor grouping.
-        answered_positions = np.concatenate(positions)
-        order = np.argsort(answered_positions, kind="stable")
-        answered_positions = answered_positions[order]
+        answered_positions = order[np.concatenate(positions)]
+        back = np.argsort(answered_positions, kind="stable")
+        answered_positions = answered_positions[back]
         responded[answered_positions] = True
         latencies = (
-            np.concatenate(response_times)[order] - request_times[answered_positions]
+            np.concatenate(response_times)[back] - request_times[answered_positions]
         )
-        return responded, latencies, np.concatenate(values)[order]
+        return responded, latencies, np.concatenate(values)[back]
 
 
 class _SharedStream:

@@ -126,7 +126,13 @@ class MobilityModel(ABC):
 
     @abstractmethod
     def step(self, state: MobilityState, dt: float, rng: np.random.Generator) -> None:
-        """Advance the state in place by ``dt`` time units."""
+        """Advance the state in place by ``dt`` time units.
+
+        A step may depend only on ``(state, dt, rng)`` — not on the clock,
+        on other sensors, or on how many steps the model has served: the
+        world runs one sensor's sub-steps back to back before moving on to
+        the next sensor.
+        """
 
     def batch_key(self) -> Optional[Hashable]:
         """Grouping key for the vectorised kernel, or ``None`` when unsupported.
@@ -179,9 +185,23 @@ class MobilityModel(ABC):
             self.step(arrays.state_view(int(i)), dt, rng)
 
     def _clamp(self, state: MobilityState) -> None:
-        """Keep the position inside the region (reflecting at the walls)."""
-        state.x = min(max(state.x, self._region.x_min), self._region.x_max)
-        state.y = min(max(state.y, self._region.y_min), self._region.y_max)
+        """Keep the position inside the region (reflecting at the walls).
+
+        Compare-and-assign, the same result as ``min(max(v, lo), hi)`` for
+        every input (NaN and ``-0.0`` are left alone either way) without
+        four builtin calls at the end of every scalar step.
+        """
+        region = self._region
+        x = state.x
+        if x < region.x_min:
+            state.x = region.x_min
+        elif x > region.x_max:
+            state.x = region.x_max
+        y = state.y
+        if y < region.y_min:
+            state.y = region.y_min
+        elif y > region.y_max:
+            state.y = region.y_max
 
     def _clamp_batch(self, x: np.ndarray, y: np.ndarray) -> None:
         """Vectorised :meth:`_clamp` of the position columns, in place."""

@@ -10,7 +10,7 @@ by reading the relevant phenomenon field at their current location.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,14 +142,13 @@ class MobileSensor:
     def begin_moves(self) -> MobilityState:
         """Check the SoA row out into the scalar-step scratch state.
 
-        Part of the scalar advance protocol (``begin_moves`` /
-        ``step_scalar``\\* / ``end_moves``) used by
-        :meth:`~repro.sensing.SensingWorld.advance` in strict mode: the
-        checkout/commit round-trip is paid once per ``advance`` call instead
-        of once per movement sub-step, so the inner loop runs on plain
-        dataclass attributes at the original per-object speed.  The
-        ``float(...)`` conversions are exact, so seeded byte-identity is
-        preserved.
+        First half of the scalar advance protocol (``begin_moves`` / model
+        ``step``\\* / ``end_moves``) that :meth:`move_through` runs: the
+        checkout/commit round-trip is paid once per
+        :meth:`~repro.sensing.SensingWorld.advance` call instead of once per
+        movement sub-step, so the inner loop runs on plain dataclass
+        attributes at the original per-object speed.  The ``float(...)``
+        conversions are exact, so seeded byte-identity is preserved.
         """
         arrays = self._arrays
         i = self._index
@@ -165,10 +164,6 @@ class MobileSensor:
         scratch.pause_remaining = float(arrays.pause_remaining[i])
         return scratch
 
-    def step_scalar(self, dt: float) -> None:
-        """Advance the checked-out scratch state by ``dt`` (no SoA write-back)."""
-        self._mobility.step(self._scratch, dt, self._rng)
-
     def end_moves(self) -> None:
         """Commit the scratch state back into the SoA row."""
         arrays = self._arrays
@@ -182,16 +177,34 @@ class MobileSensor:
         arrays.target_y[i] = np.nan if scratch.target_y is None else scratch.target_y
         arrays.pause_remaining[i] = scratch.pause_remaining
 
+    def move_through(self, dts: Sequence[float]) -> None:
+        """Advance the sensor by each of ``dts`` in turn, back to back.
+
+        The sensor-major half of :meth:`~repro.sensing.SensingWorld.advance`:
+        one checkout, every movement sub-step on the scratch state with the
+        sensor's own generator, one commit.  A step depends only on
+        ``(state, dt, rng)``, so running one sensor's sub-steps
+        consecutively draws exactly what interleaving them with the rest of
+        the crowd's would.  The commit is in a ``finally``: when a step
+        raises, the SoA row holds the state that step left behind.
+        """
+        scratch = self.begin_moves()
+        step = self._mobility.step
+        rng = self._rng
+        try:
+            for dt in dts:
+                step(scratch, dt, rng)
+        finally:
+            self.end_moves()
+
     def move(self, dt: float) -> SpacePoint:
         """Advance the sensor's position by ``dt`` time units.
 
         One full checkout / step / commit round-trip; the SoA row is
         canonical again when the call returns.
         """
-        scratch = self.begin_moves()
-        self._mobility.step(scratch, dt, self._rng)
-        self.end_moves()
-        return SpacePoint(scratch.x, scratch.y)
+        self.move_through((dt,))
+        return SpacePoint(self._scratch.x, self._scratch.y)
 
     def _remember(self, t: float, attribute: str, value: Any) -> None:
         self._memory.append((t, attribute, value))
@@ -211,23 +224,31 @@ class MobileSensor:
         *,
         incentive_multiplier=1.0,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Answer a run of acquisition requests addressed to this sensor.
+        """Answer a multi-request run of a batch-safe sensor, vectorised.
 
-        The columnar acquisition path groups a cell round's requests by
-        sensor and calls this once per sensor with the sensor's request
-        times in ascending order.  ``incentive_multiplier`` is a scalar or
-        an array aligned with ``times`` (an incentive scheme may change its
-        payment mid-round).  Returns ``(answered, response_times, xs, ys,
-        values)`` where ``answered`` is a boolean mask over the input
-        ``times`` and the remaining arrays are aligned with the answered
-        requests only.
+        The strict acquisition walk (``_PerSensorStreams.answer`` in
+        :mod:`repro.sensing.handler`) sorts a wave's requests by sensor and
+        calls this for a run of several requests to one sensor whose
+        participation model is ``batch_safe`` (its decisions consume no
+        randomness), with the run's request times in ascending order;
+        every other run is a plain :meth:`handle_request` walk.
+        ``incentive_multiplier`` is a scalar or an array aligned with
+        ``times`` (an incentive scheme may change its payment mid-round).
+        Returns ``(answered, response_times, xs, ys, values)`` where
+        ``answered`` is a boolean mask over the input ``times`` and the
+        remaining arrays are aligned with the answered requests only.
 
-        When the participation model is batch-safe (its decisions consume no
-        randomness) the decisions and the sensing draws are vectorised while
-        consuming the sensor's RNG stream exactly as the scalar
-        :meth:`handle_request` loop would; otherwise the scalar loop runs,
-        so both acquisition paths always produce identical observations.
+        The decisions and the sensing draws are vectorised while consuming
+        the sensor's RNG stream exactly as the scalar :meth:`handle_request`
+        loop would, so both produce identical observations.  A model whose
+        decisions draw randomness interleaves them with the sensing draws
+        and can only be walked request by request: it is rejected here.
         """
+        if not self._participation.batch_safe:
+            raise AcquisitionError(
+                "handle_requests needs a batch-safe participation model; "
+                "answer the requests one by one with handle_request"
+            )
         times = np.asarray(times, dtype=float)
         n = times.shape[0]
         empty = np.empty(0)
@@ -236,28 +257,6 @@ class MobileSensor:
         multipliers = np.broadcast_to(
             np.asarray(incentive_multiplier, dtype=float), times.shape
         )
-        if not self._participation.batch_safe:
-            rows = [
-                self.handle_request(field, float(t), incentive_multiplier=float(m))
-                for t, m in zip(times, multipliers)
-            ]
-            answered = np.array([row is not None for row in rows], dtype=bool)
-            kept = [row for row in rows if row is not None]
-            if not kept:
-                return answered, empty, empty, empty, np.empty(0, dtype=object)
-            response_times = np.array([row[0] for row in kept], dtype=float)
-            xs = np.array([row[1] for row in kept], dtype=float)
-            ys = np.array([row[2] for row in kept], dtype=float)
-            values = [row[3] for row in kept]
-            try:
-                value_column = np.asarray(values)
-                if value_column.ndim != 1:  # e.g. list/tuple values
-                    raise ValueError
-            except ValueError:
-                value_column = np.empty(len(values), dtype=object)
-                value_column[:] = values
-            return answered, response_times, xs, ys, value_column
-
         self._arrays.requests_received[self._index] += n
         if np.all(multipliers == multipliers[0]):
             responds, latencies = self._participation.decide_many(

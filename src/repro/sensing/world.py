@@ -274,41 +274,40 @@ class SensingWorld:
     def advance(self, duration: float) -> float:
         """Advance the clock by ``duration``, moving every sensor along the way.
 
-        Strict mode loops every sensor's scalar ``step`` with its private
-        generator (byte-identical to the seed behaviour); fast-sim mode runs
-        one vectorised ``step_batch`` kernel per mobility-model group per
-        movement step, drawing from the world's shared generator.
+        The movement sub-steps (``movement_step`` long, the last one
+        whatever remains) are fixed up front.  Fast-sim mode runs one
+        vectorised ``step_batch`` kernel per mobility-model group per
+        sub-step, drawing from the world's shared generator.  Sensors
+        without a kernel — all of them in strict mode — draw from their own
+        generators, so the walk is sensor-major: each runs *all* its
+        sub-steps back to back (:meth:`MobileSensor.move_through`: one
+        checkout of its SoA row, the scalar ``step`` on a plain scratch
+        state, one commit), byte-identical to interleaving them step by
+        step because a step depends only on ``(state, dt, rng)``.  Advance
+        is atomic: nothing observes the SoA between sub-steps.
         """
         if duration <= 0:
             raise CraqrError("duration must be positive")
+        # The subtraction loop is the contract: the last sub-step of
+        # advance(1.0) is 0.09999999999999987, not 0.1.
+        dts: List[float] = []
         remaining = duration
         step = self._config.movement_step
-        vectorized = self._config.vectorized_rng
-        # Scalar-stepped sensors (all of them in strict mode, only the
-        # kernel-less ones in fast-sim) are checked out of the SoA once for
-        # the whole call, stepped on plain dataclass scratches, and
-        # committed back at the end — advance is atomic, so nothing
-        # observes the SoA in between, and the per-sub-step cost is the
-        # original per-object inner loop.
-        if vectorized:
+        while remaining > 1e-12:
+            dt = min(step, remaining)
+            dts.append(dt)
+            remaining -= dt
+        if self._config.vectorized_rng:
+            for dt in dts:
+                for model, rows in self._mobility_groups:
+                    model.step_batch(self._state, rows, dt, self._rng)
             scalar_sensors = [self._sensors[int(i)] for i in self._ungrouped_indices]
         else:
             scalar_sensors = self._sensors
         for sensor in scalar_sensors:
-            sensor.begin_moves()
-        try:
-            while remaining > 1e-12:
-                dt = min(step, remaining)
-                if vectorized:
-                    for model, rows in self._mobility_groups:
-                        model.step_batch(self._state, rows, dt, self._rng)
-                for sensor in scalar_sensors:
-                    sensor.step_scalar(dt)
-                self._clock.advance(dt)
-                remaining -= dt
-        finally:
-            for sensor in scalar_sensors:
-                sensor.end_moves()
+            sensor.move_through(dts)
+        for dt in dts:
+            self._clock.advance(dt)
         return self._clock.now
 
     def sensor_indices_in(self, region: Region) -> np.ndarray:
