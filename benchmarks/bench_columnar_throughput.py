@@ -119,44 +119,3 @@ def test_columnar_throughput(record_table, record_metric):
             assert speedups[n] >= REQUIRED_SPEEDUP, (
                 f"columnar path only {speedups[n]:.1f}x faster at {n} tuples"
             )
-
-
-def test_columnar_end_to_end_smoke(record_metric):
-    """Engine-level smoke: a columnar engine run beats the object run."""
-    from repro.config import BudgetConfig, EngineConfig
-    from repro.core.engine import CraqrEngine
-    from repro.core.query import AcquisitionalQuery
-    from repro.sensing import RainField, SensingWorld, WorldConfig
-
-    region = Rectangle(0.0, 0.0, 4.0, 4.0)
-
-    def run(columnar):
-        world = SensingWorld(WorldConfig(region=region, sensor_count=400, seed=11))
-        world.register_field(RainField(region))
-        config = EngineConfig(
-            grid_cells=16,
-            seed=5,
-            budget=BudgetConfig(initial=200, delta=10, limit=400),
-            columnar=columnar,
-        )
-        engine = CraqrEngine(config, world)
-        engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 4.0, 4.0), rate=100.0)
-        )
-        start = time.perf_counter()
-        engine.run(3)
-        return time.perf_counter() - start, engine.total_tuples_delivered()
-
-    object_elapsed, object_delivered = run(False)
-    columnar_elapsed, columnar_delivered = run(True)
-    assert columnar_delivered == object_delivered
-    record_metric(
-        "columnar_engine_speedup",
-        object_elapsed / columnar_elapsed,
-        unit="x",
-        detail={"delivered": int(columnar_delivered)},
-    )
-    # The engine includes simulation cost (sensor movement) on both sides,
-    # so the bar here is just "not meaningfully slower" — with a noise
-    # margin so a scheduler hiccup on a loaded CI runner cannot fail it.
-    assert columnar_elapsed <= object_elapsed * 1.25

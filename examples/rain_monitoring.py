@@ -14,20 +14,35 @@ Run with::
     python examples/rain_monitoring.py
 """
 
+import numpy as np
+
 from repro import AcquisitionalQuery, CraqrEngine
 from repro.geometry import Rectangle
 from repro.metrics import ResultTable
+from repro.streams import TupleBatch
 from repro.workloads import build_rain_temperature_world, default_engine_config
 
 #: Number of one-minute acquisition batches to simulate.
 BATCHES = 30
 
 
-def positive_fraction(items) -> float:
-    """Share of tuples reporting rain=True."""
-    if not items:
+def positive_fraction(batch) -> float:
+    """Share of a batch's tuples reporting rain=True."""
+    if len(batch) == 0:
         return 0.0
-    return sum(1 for item in items if item.value) / len(items)
+    return np.count_nonzero(batch.value) / len(batch)
+
+
+def read_window(cursor, previous, since) -> TupleBatch:
+    """The stream's tuples timestamped at or after ``since``, as columns.
+
+    The cursor returns only what arrived since its previous read; a human
+    who answered after their batch closed was delivered one read earlier,
+    so the previous window is kept and re-filtered rather than rescanning
+    the whole history.
+    """
+    batch = TupleBatch.concatenate([previous, cursor.fetch_batch()])
+    return batch.select(batch.t >= since)
 
 
 def main() -> None:
@@ -41,6 +56,9 @@ def main() -> None:
         AcquisitionalQuery("rain", Rectangle(2.0, 0.0, 4.0, 4.0), 4.0, name="east-rain")
     )
 
+    west_cursor, east_cursor = west.cursor(), east.cursor()
+    west_recent = east_recent = TupleBatch.empty()
+
     table = ResultTable(
         "rain monitoring (per 5-batch window)",
         ["window", "west rate", "west %raining", "east rate", "east %raining"],
@@ -51,8 +69,8 @@ def main() -> None:
         if (batch_index + 1) % 5 == 0:
             west_rate = west.achieved_rate(last_batches=5).achieved_rate
             east_rate = east.achieved_rate(last_batches=5).achieved_rate
-            west_recent = [i for i in west.results() if i.t >= batch_index - 4]
-            east_recent = [i for i in east.results() if i.t >= batch_index - 4]
+            west_recent = read_window(west_cursor, west_recent, batch_index - 4)
+            east_recent = read_window(east_cursor, east_recent, batch_index - 4)
             table.add_row(
                 f"{batch_index - 3:02d}-{batch_index + 1:02d}",
                 round(west_rate, 2),

@@ -150,35 +150,6 @@ class EngineConfig:
     online_estimation:
         When true, Flatten operators refresh their intensity estimate with
         online SGD over sliding windows instead of batch MLE.
-    columnar:
-        When true (the default) each batch window flows through the engine
-        as vectorised :class:`~repro.streams.TupleBatch` columns — the
-        handler samples whole cell rounds at once, the fabricator buckets
-        cells from one sorted gather, and every registered query's PMAT
-        chain runs as one compiled program (``repro.plan``): its
-        flatten/thin/partition decisions compose as row indices with a
-        single gather per delivered stream, and result buffers ingest
-        batches.  The compiled plan is derived state — rebuilt after
-        ALTER / STOP / restore, never checkpointed; inspect it with
-        ``EXPLAIN <query>``.  ``False`` selects the per-tuple object path
-        (keep it for debugging individual tuple flows or for custom
-        operators without a batch implementation).  Under the strict RNG
-        contract (the default world) both paths deliver byte-identical
-        tuples for a given seed, so there the flag is a pure performance
-        switch.  Under fast-sim they do **not**: the object path answers
-        from the per-sensor streams while the columnar path runs the fused
-        shared-stream round, so each has its own pinned digest
-        (``GOLDEN_FAST_SIM_OBJECT`` vs ``GOLDEN_FAST_SIM`` in
-        ``tests/recovery/test_snapshot_roundtrip.py``) and the two are
-        only statistically equivalent.
-
-        The symmetric switch on the *simulation* side is
-        :attr:`repro.sensing.WorldConfig.vectorized_rng` ("fast-sim"): it
-        moves sensors through batch mobility kernels and lets the handler
-        sample whole cell populations from one shared random stream,
-        trading per-sensor stream reproducibility for statistically
-        equivalent output at simulation scale.  Flip both on for maximum
-        end-to-end throughput (see ``benchmarks/bench_world_advance.py``).
     retention_batches:
         Service-mode memory bound: when set, every query result buffer
         evicts chunks older than this many completed batches, the engine
@@ -219,7 +190,6 @@ class EngineConfig:
     seed: Optional[int] = None
     store_discarded: bool = False
     online_estimation: bool = False
-    columnar: bool = True
     retention_batches: Optional[int] = None
     faults: Optional[FaultPlan] = None
     resilience: Optional[ResilienceConfig] = None

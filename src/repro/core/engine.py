@@ -252,8 +252,10 @@ class QueryHandle:
     def results(self) -> List[SensorTuple]:
         """The *retained* tuples of the fabricated stream, oldest first.
 
-        Copies the whole retained history on every call; a polling consumer
-        should prefer :meth:`cursor`, whose reads cost O(new tuples).
+        Materialises the whole retained history as fresh objects on every
+        call (storage is left untouched, so other readers are unaffected);
+        a polling consumer should prefer :meth:`cursor`, whose reads cost
+        O(new tuples).
         """
         return self._buffer.items()
 
@@ -475,9 +477,8 @@ class CraqrEngine:
         """Whether the world runs in shared-stream fast-sim mode.
 
         Set via :attr:`repro.sensing.WorldConfig.vectorized_rng`; with it on
-        (and ``config.columnar``) both the simulation and the query pipeline
-        are vectorised end-to-end, at the cost of per-sensor-stream
-        reproducibility.
+        both the simulation and the query pipeline are vectorised
+        end-to-end, at the cost of per-sensor-stream reproducibility.
         """
         return self._world.vectorized
 
@@ -587,7 +588,7 @@ class CraqrEngine:
     # ------------------------------------------------------------------
     @property
     def plan_cache(self):
-        """The compiled-plan cache (``None`` until the first columnar batch).
+        """The compiled-plan cache (``None`` until the first batch).
 
         Derived state: it is never checkpointed and a restored engine
         rebuilds it lazily; its ``compiles``/``reuses`` counters are what
@@ -641,7 +642,6 @@ class CraqrEngine:
             query_id=query.query_id,
             query_label=query.label,
             view_name=view_name,
-            compiled=self._config.columnar,
             cost_estimate=cost,
         )
 
@@ -690,9 +690,7 @@ class CraqrEngine:
         )
         self._buffers[query.query_id] = buffer
         touched = self._planner.insert_query(
-            query,
-            on_result=self._deliver_item,
-            on_result_batch=self._deliver_batch,
+            query, on_result_batch=self._deliver_batch
         )
         # Seed the handler's budget for every (attribute, cell) pair the
         # query activates so the first batch already respects the config.
@@ -702,21 +700,13 @@ class CraqrEngine:
         self._handles[query.query_id] = handle
         return handle
 
-    def _deliver_item(self, query_id: int, item: SensorTuple) -> None:
-        """Object-path delivery into a query's result buffer.
+    def _deliver_batch(self, query_id: int, batch: TupleBatch) -> None:
+        """Delivery of one merged batch into a query's result buffer.
 
         A bound method (not a per-query closure) so the planner's stored
         handlers — and with them the whole engine — pickle into a
         checkpoint.
         """
-        target = self._buffers.get(query_id)
-        if target is None:
-            return
-        target.append(item)
-        self._fabricator.register_delivery(query_id)
-
-    def _deliver_batch(self, query_id: int, batch: TupleBatch) -> None:
-        """Columnar counterpart of :meth:`_deliver_item`."""
         target = self._buffers.get(query_id)
         if target is None:
             return
@@ -1071,13 +1061,14 @@ class CraqrEngine:
     def run_batch(self) -> EngineReport:
         """Acquire and fabricate one batch window.
 
-        With ``config.columnar`` (the default) acquisition and fabrication
-        move whole :class:`TupleBatch` columns; otherwise every tuple is an
-        individual object.  Both paths are seeded identically and deliver
-        the same tuples.  When the world additionally runs in fast-sim mode
-        (:attr:`~repro.sensing.WorldConfig.vectorized_rng`), sensor movement
-        and acquisition sampling vectorise across the whole crowd — the
-        handler then serves each attribute with one fused
+        Acquisition and fabrication move whole :class:`TupleBatch` columns:
+        the handler answers every ``(attribute, cell)`` round as one batch,
+        the fabricator buckets rows by cell and every chain runs as one
+        compiled program (:mod:`repro.plan`).  When the world runs in
+        fast-sim mode (:attr:`~repro.sensing.WorldConfig.vectorized_rng`),
+        sensor movement and acquisition sampling additionally vectorise
+        across the whole crowd — the handler then serves each attribute
+        with one fused
         :meth:`~repro.sensing.RequestResponseHandler.acquire_attribute_batch`
         round instead of one round per ``(attribute, cell)`` pair — faster
         still, but statistically rather than bit-for-bit reproducible.
@@ -1085,23 +1076,15 @@ class CraqrEngine:
         duration = self._config.batch_duration
         batch = self._batch_index
         attribute_cells = self._planner.attribute_cells()
-        if self._config.columnar:
-            batches, handler_report = self._handler.acquire_batches(
-                attribute_cells, duration=duration
-            )
-            self._world.advance(duration)
-            self._crash_barrier(CrashPoint.POST_ACQUISITION, batch)
-            fabrication = self._fabricator.process_batch_columnar(
-                batches, self._compiled_programs()
-            )
-        else:
-            tuples_by_cell, handler_report = self._handler.acquire(
-                attribute_cells, duration=duration
-            )
-            # Move the world forward to the end of the batch window.
-            self._world.advance(duration)
-            self._crash_barrier(CrashPoint.POST_ACQUISITION, batch)
-            fabrication = self._fabricator.process_batch(tuples_by_cell)
+        batches, handler_report = self._handler.acquire_batches(
+            attribute_cells, duration=duration
+        )
+        # Move the world forward to the end of the batch window.
+        self._world.advance(duration)
+        self._crash_barrier(CrashPoint.POST_ACQUISITION, batch)
+        fabrication = self._fabricator.process_batch_columnar(
+            batches, self._compiled_programs()
+        )
         self._crash_barrier(CrashPoint.POST_MERGE, batch)
         degraded: FrozenSet[Tuple[str, CellKey]] = frozenset()
         if self._degradation is not None:

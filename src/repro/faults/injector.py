@@ -13,11 +13,11 @@ Two contracts matter:
   run with no plan configured is byte-identical to one where the fault code
   does not exist, and the fault history for a given plan seed is
   reproducible across crowd seeds.
-* **Path agnosticism.**  Every acquisition path — exact object, exact
-  columnar, fused fast-sim — assembles its wave into the same column layout
-  and calls :meth:`apply_round` once, so for identical inputs the injector
-  consumes its stream identically and the strict object and columnar paths
-  stay byte-identical *under* faults, not just without them.
+* **Path agnosticism.**  Every acquisition round — strict per-cell or
+  fused fast-sim, read as batches or through the handler's object views —
+  assembles its wave into the same column layout and calls
+  :meth:`apply_round` once, so for identical inputs the injector consumes
+  its stream identically.
 """
 
 from __future__ import annotations

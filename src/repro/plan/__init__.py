@@ -5,7 +5,8 @@ each query — into one explicit dataflow graph per batch, runs an optimizer
 pass pipeline over it (keep-mask fusion, cross-query CSE, shared view
 sorts), and executes the result as a handful of fused numpy kernels that
 deliver, for the same acquired batch, exactly the bytes of the per-tuple
-object walk (``columnar=False``).
+operator walk (``StreamFabricator.process_batch``, the reference
+``tests/core/test_chain_differential.py`` drives).
 
 Entry points:
 

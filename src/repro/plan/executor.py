@@ -6,9 +6,9 @@ RNG streams, the same counters and reports — but the flatten/thin/partition
 decisions compose as *row indices* instead of materialised column copies,
 and each delivered stream is gathered exactly once.
 
-Byte-identity with the per-tuple object walk (the ``columnar=False``
-reference, which materialises every intermediate stream) rests on three
-facts:
+Byte-identity with the per-tuple object walk (the operators'
+``process`` / ``flush`` reference, which materialises every intermediate
+stream) rests on three facts:
 
 * chained boolean selects and a composed fancy-index gather pick the same
   rows with the same values (``col[mask1][mask2] == col[idx1][keep2]``);

@@ -27,15 +27,13 @@ def render_explain(
     query_id: int,
     query_label: str,
     view_name: Optional[str] = None,
-    compiled: bool = True,
     cost_estimate=None,
 ) -> str:
     """Render the plan slice for one query (optionally focussed on a view)."""
     target = f"view {view_name!r} on query {query_label!r}" if view_name else f"query {query_label!r}"
-    mode = "compiled (fused kernels)" if compiled else "object walk (per-tuple reference path, columnar=False)"
     lines = [
         f"EXPLAIN {target} (q{query_id})",
-        f"execution mode: {mode}",
+        "execution mode: compiled (fused kernels)",
         "",
     ]
     nodes = graph.nodes_for_query(query_id)

@@ -37,8 +37,10 @@ PathLike = Union[str, os.PathLike]
 MAGIC = b"CRQRCKPT"
 
 #: Current snapshot format version.  Bumped on any incompatible change to
-#: the header layout or the pickled payload structure.
-FORMAT_VERSION = 1
+#: the header layout or the pickled payload structure (2: the engine's
+#: per-tuple delivery callback and ``EngineConfig.columnar`` are gone and
+#: result buffers hold ``TupleBatch`` chunks only).
+FORMAT_VERSION = 2
 
 #: Header layout after the magic: version (u32), payload length (u64),
 #: SHA-256 digest (32 bytes), all little-endian.

@@ -35,8 +35,8 @@ restored engine never inherits a crash plan).
 
 The recovery contract — asserted batch-for-batch in ``tests/recovery/`` —
 is that a restored engine's subsequent batches are **seeded
-byte-identical** to the uninterrupted run, across strict/fast-sim,
-columnar on/off, and active fault plans with mitigation.
+byte-identical** to the uninterrupted run, across strict/fast-sim and
+active fault plans with mitigation.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ The handler is deliberately unaware of queries and topologies: an
 acquisition round yields the raw observations of every requested
 ``(attribute, cell)`` pair as columnar
 :class:`~repro.streams.TupleBatch` es (one per attribute from
-:meth:`RequestResponseHandler.acquire_batches`; the object path's
+:meth:`RequestResponseHandler.acquire_batches`; the object view
 :meth:`~RequestResponseHandler.acquire` materialises the same rounds as
 :class:`~repro.streams.tuples.SensorTuple` lists per grid cell), which the
 crowdsensed stream fabricator then pushes through PMAT topologies.
@@ -157,9 +157,8 @@ class _PerSensorStreams:
     stream is consumed exactly as a per-request walk would consume it
     (sensors are independent — only the order *within* a sensor is
     contract), and the responses are reassembled into request order.
-    Seeded byte-identical across the object and columnar paths; also
-    serves the cells of a fast-sim world that host a non-vectorisable
-    sensor.
+    Also serves the handler's object views and the cells of a fast-sim
+    world that host a non-vectorisable sensor.
     """
 
     def __init__(self, world: SensingWorld) -> None:
@@ -779,7 +778,7 @@ class RequestResponseHandler:
         with replacement otherwise, per the paper) spread uniformly over the
         batch window, and returns the tuples for the responses received.
 
-        The object path's view of the round: always answered from the
+        The object view of the round: always answered from the
         sensors' private streams, materialised with
         :meth:`TupleBatch.to_tuples` — so for a given seed it matches
         :meth:`acquire_cell_batch` on a strict world tuple for tuple.

@@ -45,8 +45,8 @@ class ParticipationModel(ABC):
     #: may decide all of a sensor's requests at once without perturbing the
     #: sensor's RNG stream.  Models with interleaved draws (respond check,
     #: latency, then the sensing draw) must leave this ``False`` — the
-    #: sensor then falls back to the per-request loop, which keeps the
-    #: columnar and object paths byte-identical.
+    #: sensor then falls back to the per-request loop, which keeps its
+    #: stream consumed exactly as one ``handle_request`` per request would.
     batch_safe = False
 
     @abstractmethod

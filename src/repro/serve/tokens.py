@@ -7,7 +7,8 @@ verbatim) but deliberately debuggable server-side.
 
 The positions inside are the ones the storage layer already keeps across
 checkpoints: a :class:`~repro.storage.ResultCursor` is ``(chunk_seq,
-row, consumed)`` against a :class:`~repro.storage.QueryResultBuffer`
+consumed)`` — plus a ``row`` that is always 0 on the wire, since reads
+consume whole chunks — against a :class:`~repro.storage.QueryResultBuffer`
 whose chunk sequence numbers and lifetime totals are pickled exactly, and
 a :class:`~repro.views.FrameCursor` is the next frame index against a
 :class:`~repro.views.ViewFrameBuffer`.  A token minted before a
@@ -80,9 +81,15 @@ def result_cursor_from_token(buffer: QueryResultBuffer, token: str) -> ResultCur
         chunk_seq, row, consumed = int(fields["c"]), int(fields["r"]), int(fields["g"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ServeError(f"malformed offset token {token!r}: {exc}") from exc
-    if chunk_seq < 0 or row < 0 or consumed < 0:
+    if chunk_seq < 0 or consumed < 0:
         raise ServeError(f"offset token {token!r} holds a negative position")
-    return ResultCursor(buffer, chunk_seq, row, consumed)
+    if row != 0:
+        # Reads consume whole chunks, so the server never mints another row.
+        raise ServeError(
+            f"offset token {token!r} points inside a chunk (row {row}); "
+            f"result tokens always resume at a chunk boundary"
+        )
+    return ResultCursor(buffer, chunk_seq, consumed)
 
 
 def frame_cursor_from_token(buffer: ViewFrameBuffer, token: str) -> FrameCursor:

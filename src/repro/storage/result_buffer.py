@@ -5,12 +5,12 @@ accumulates its fabricated crowdsensed data stream, batch by batch, and can
 answer the questions the evaluation cares about: how many tuples arrived per
 batch, what the achieved rate is, and how far it is from the requested rate.
 
-The buffer ingests both per-tuple deliveries (:meth:`QueryResultBuffer.append`,
-the object path) and whole :class:`~repro.streams.TupleBatch` columns
-(:meth:`QueryResultBuffer.extend_batch`, the columnar fast path).  Batches
-are kept columnar internally; individual :class:`SensorTuple` objects are
-only materialised when an object-level accessor such as :meth:`items` asks
-for them.
+The buffer ingests whole :class:`~repro.streams.TupleBatch` columns
+(:meth:`QueryResultBuffer.extend_batch`) and stores each delivery as one
+immutable chunk.  Individual :class:`SensorTuple` objects are only
+materialised — as copies, storage is never rewritten — when an object-level
+accessor such as :meth:`QueryResultBuffer.items` or
+:meth:`ResultCursor.fetch` asks for them.
 
 Three consumption surfaces sit on top of the chunk list:
 
@@ -33,16 +33,11 @@ raises :class:`~repro.errors.StorageError` on its next read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..errors import StorageError
 from ..pointprocess import EventBatch
 from ..streams import SensorTuple, TupleBatch
-
-#: Internal storage unit: a run of object tuples or one columnar batch.
-_Chunk = Union[List[SensorTuple], TupleBatch]
 
 #: Callback type of push subscriptions: receives one batch's deliveries.
 SubscriberFn = Callable[[TupleBatch], None]
@@ -66,14 +61,23 @@ class RateEstimate:
         return abs(self.achieved_rate - self.requested_rate) / self.requested_rate
 
 
+def _materialise(chunks: List[TupleBatch]) -> List[SensorTuple]:
+    """Fresh tuple objects for the rows of ``chunks``, in order."""
+    items: List[SensorTuple] = []
+    for chunk in chunks:
+        items.extend(chunk.to_tuples())
+    return items
+
+
 class ResultCursor:
     """A resumable read position over one query's result buffer.
 
-    A cursor remembers which chunk (and row within it) it has consumed up
-    to; every read returns only what arrived since and advances the
-    position.  Reads are backed by the buffer's chunk list directly, so
-    their cost is proportional to the *new* tuples, independent of how much
-    history the buffer retains.
+    A cursor remembers which chunk it has consumed up to; every read
+    returns only what arrived since and advances the position.  Reads are
+    backed by the buffer's chunk list directly, so their cost is
+    proportional to the *new* tuples, independent of how much history the
+    buffer retains.  Chunks are whole deliveries and never grow, so a read
+    always ends past the last chunk and a position never points inside one.
 
     Two read forms share one position:
 
@@ -81,20 +85,18 @@ class ResultCursor:
       cursor is also iterable: ``for item in cursor`` drains what is
       currently pending).
     * :meth:`fetch_batch` — the new tuples as one columnar
-      :class:`TupleBatch` (chunks that are already materialised as object
-      lists are converted; purely columnar histories never materialise).
+      :class:`TupleBatch`; no tuple object is materialised.
 
     When the buffer evicts chunks the cursor has not consumed yet
-    (``retention_batches`` or an explicit ``capacity``), the next read
-    raises :class:`StorageError` naming how far behind the cursor fell.
+    (``retention_batches``), the next read raises :class:`StorageError`
+    naming how far behind the cursor fell.
     """
 
-    __slots__ = ("_buffer", "_chunk_seq", "_row", "_global")
+    __slots__ = ("_buffer", "_chunk_seq", "_global")
 
-    def __init__(self, buffer: "QueryResultBuffer", chunk_seq: int, row: int, global_index: int) -> None:
+    def __init__(self, buffer: "QueryResultBuffer", chunk_seq: int, global_index: int) -> None:
         self._buffer = buffer
         self._chunk_seq = chunk_seq
-        self._row = row
         self._global = global_index
 
     # ------------------------------------------------------------------
@@ -105,8 +107,12 @@ class ResultCursor:
 
     @property
     def position(self) -> Tuple[int, int]:
-        """The ``(chunk sequence, row)`` position the cursor has consumed up to."""
-        return (self._chunk_seq, self._row)
+        """The ``(chunk sequence, row)`` position the cursor has consumed up to.
+
+        ``row`` is always 0 — reads consume whole chunks; the pair is the
+        shape offset tokens carry on the wire.
+        """
+        return (self._chunk_seq, 0)
 
     @property
     def consumed(self) -> int:
@@ -121,48 +127,27 @@ class ResultCursor:
     # ------------------------------------------------------------------
     def fetch(self) -> List[SensorTuple]:
         """The tuples appended since the last read, as objects (advances)."""
-        items: List[SensorTuple] = []
-        for chunk, start in self._advance():
-            if isinstance(chunk, list):
-                items.extend(chunk[start:] if start else chunk)
-            else:
-                part = chunk if start == 0 else chunk.select(np.arange(start, len(chunk)))
-                items.extend(part.to_tuples())
-        return items
+        return _materialise(self._advance())
 
     def fetch_batch(self) -> TupleBatch:
         """The tuples appended since the last read, as one columnar batch.
 
-        Returns an empty batch when nothing is pending.  Object-list chunks
-        (e.g. from the non-columnar engine path) are converted with
-        :meth:`TupleBatch.from_tuples`; columnar chunks are sliced without
-        materialising any tuple objects.
+        Returns an empty batch when nothing is pending.
         """
-        parts: List[TupleBatch] = []
-        for chunk, start in self._advance():
-            if isinstance(chunk, list):
-                parts.append(TupleBatch.from_tuples(chunk[start:] if start else chunk))
-            elif start == 0:
-                parts.append(chunk)
-            else:
-                parts.append(chunk.select(np.arange(start, len(chunk))))
-        if not parts:
-            return TupleBatch.empty()
-        return TupleBatch.concatenate(parts)
+        return TupleBatch.concatenate(self._advance())
 
     def __iter__(self) -> Iterator[SensorTuple]:
         """Drain the currently pending tuples as an object iterator."""
         return iter(self.fetch())
 
     # ------------------------------------------------------------------
-    def _advance(self) -> List[Tuple[_Chunk, int]]:
-        """Collect ``(chunk, start_row)`` segments past the position and advance."""
-        segments, position, read = self._buffer._segments_from(
-            self._chunk_seq, self._row, consumed=self._global
+    def _advance(self) -> List[TupleBatch]:
+        """Collect the chunks past the position and advance past them."""
+        chunks, self._chunk_seq = self._buffer._chunks_from(
+            self._chunk_seq, consumed=self._global
         )
-        self._chunk_seq, self._row = position
-        self._global += read
-        return segments
+        self._global += sum(len(chunk) for chunk in chunks)
+        return chunks
 
 
 class Subscription:
@@ -200,14 +185,12 @@ class QueryResultBuffer:
         The query's target rate and region area (used by rate estimates;
         both are updatable in-flight via :meth:`set_requested_rate` /
         :meth:`set_region_area` when the query is altered live).
-    capacity:
-        Optional cap on retained *tuples*; oldest rows are trimmed.
     retention_batches:
         Optional cap on retained *batches*: at every :meth:`end_batch` the
-        chunks of batches older than the window are evicted wholesale.
-        Lifetime accounting survives eviction exactly (running totals);
-        only windowed reads beyond the retained history raise
-        :class:`StorageError`.
+        chunks of batches older than the window are evicted wholesale (a
+        chunk never spans a batch boundary).  Lifetime accounting survives
+        eviction exactly (running totals); only windowed reads beyond the
+        retained history raise :class:`StorageError`.
     """
 
     #: Runtime wiring __getstate__ deliberately drops from checkpoints;
@@ -220,30 +203,23 @@ class QueryResultBuffer:
         *,
         requested_rate: float,
         region_area: float,
-        capacity: Optional[int] = None,
         retention_batches: Optional[int] = None,
     ) -> None:
         if requested_rate <= 0:
             raise StorageError("requested_rate must be positive")
         if region_area <= 0:
             raise StorageError("region_area must be positive")
-        if capacity is not None and capacity <= 0:
-            raise StorageError("capacity must be positive or None")
         if retention_batches is not None and retention_batches <= 0:
             raise StorageError("retention_batches must be positive or None")
         self._query_id = query_id
         self._requested_rate = requested_rate
         self._region_area = region_area
-        self._capacity = capacity
         self._retention = retention_batches
-        self._chunks: List[_Chunk] = []
+        #: one immutable chunk per delivery; never grown, split or rewritten.
+        self._chunks: List[TupleBatch] = []
         #: global sequence number of ``_chunks[0]`` (chunks ever created
         #: before it); lets cursor positions survive front eviction.
         self._chunk_base = 0
-        #: rows trimmed/evicted from the front of the current head chunk,
-        #: relative to the head chunk's original content.
-        self._head_dropped = 0
-        self._size = 0
         #: retained per-batch counts (the newest ``retention_batches`` when
         #: retention is on, the whole history otherwise) ...
         self._per_batch_counts: List[int] = []
@@ -254,13 +230,6 @@ class QueryResultBuffer:
         self._current_batch = 0
         self._total = 0
         self._evicted = 0
-        #: whether the last chunk is an append-grown object list that may
-        #: still receive rows.  Closed batch-boundary chunks never grow, so
-        #: a cursor at their end can point *past* them — which both keeps a
-        #: fully-caught-up cursor immune to their eviction and lets
-        #: retention evict whole chunks without splitting one across
-        #: batches (a new chunk always starts after a batch boundary).
-        self._tail_open_list = False
         self._subscribers: List[SubscriberFn] = []
         self._notify_cursor: Optional[ResultCursor] = None
 
@@ -300,7 +269,7 @@ class QueryResultBuffer:
 
     @property
     def evicted_tuples(self) -> int:
-        """Tuples evicted by retention or the capacity cap."""
+        """Tuples evicted by retention."""
         return self._evicted
 
     @property
@@ -314,7 +283,7 @@ class QueryResultBuffer:
         return list(self._per_batch_counts)
 
     def __len__(self) -> int:
-        return self._size
+        return self._total - self._evicted
 
     # ------------------------------------------------------------------
     # Live-session mutation (used by ALTER ... SET RATE / SET REGION)
@@ -332,68 +301,18 @@ class QueryResultBuffer:
         self._region_area = float(region_area)
 
     # ------------------------------------------------------------------
-    def append(self, item: SensorTuple) -> None:
-        """Deliver one tuple of the query's stream."""
-        if self._chunks and self._tail_open_list:
-            self._chunks[-1].append(item)
-        else:
-            self._chunks.append([item])
-            self._tail_open_list = True
-        self._size += 1
-        self._total += 1
-        self._current_batch += 1
-        self._trim()
-
     def extend_batch(self, batch: TupleBatch) -> None:
         """Deliver a whole columnar batch of the query's stream.
 
-        The batch is retained columnar — no tuple objects are created until
-        an object-level accessor needs them.
+        The batch is retained as one chunk — no tuple objects are created
+        until an object-level accessor asks for copies.
         """
         count = len(batch)
         if count == 0:
             return
         self._chunks.append(batch)
-        self._tail_open_list = False
-        self._size += count
         self._total += count
         self._current_batch += count
-        self._trim()
-
-    def _drop_head_chunk(self) -> int:
-        """Evict the whole head chunk; returns how many rows it held."""
-        head_len = len(self._chunks[0])
-        del self._chunks[0]
-        self._chunk_base += 1
-        self._head_dropped = 0
-        self._size -= head_len
-        self._evicted += head_len
-        if not self._chunks:
-            self._tail_open_list = False
-        return head_len
-
-    def _trim(self) -> None:
-        if self._capacity is None:
-            return
-        excess = self._size - self._capacity
-        while excess > 0:
-            head = self._chunks[0]
-            head_len = len(head)
-            if head_len <= excess:
-                self._drop_head_chunk()
-                excess -= head_len
-            elif isinstance(head, list):
-                del head[:excess]
-                self._head_dropped += excess
-                self._size -= excess
-                self._evicted += excess
-                excess = 0
-            else:
-                self._chunks[0] = head.select(np.arange(excess, head_len))
-                self._head_dropped += excess
-                self._size -= excess
-                self._evicted += excess
-                excess = 0
 
     def end_batch(self) -> int:
         """Close the current batch; returns the number of tuples it delivered.
@@ -408,14 +327,14 @@ class QueryResultBuffer:
         self._batches_completed += 1
         self._completed_total += count
         self._current_batch = 0
-        self._tail_open_list = False
         self._notify_subscribers()
         if self._retention is not None:
             while len(self._per_batch_counts) > self._retention:
                 self._per_batch_counts.pop(0)
                 bound = self._batch_bounds.pop(0)
                 while self._chunk_base < bound and self._chunks:
-                    self._drop_head_chunk()
+                    self._evicted += len(self._chunks.pop(0))
+                    self._chunk_base += 1
         return count
 
     # ------------------------------------------------------------------
@@ -430,9 +349,8 @@ class QueryResultBuffer:
         are returned.
         """
         if tail:
-            chunk_seq, row = self._tail_position()
-            return ResultCursor(self, chunk_seq, row, self._total)
-        return ResultCursor(self, self._chunk_base, self._head_dropped, self._evicted)
+            return ResultCursor(self, self._chunk_base + len(self._chunks), self._total)
+        return ResultCursor(self, self._chunk_base, self._evicted)
 
     def subscribe(self, fn: SubscriberFn) -> Subscription:
         """Register a push callback invoked once per completed batch.
@@ -464,124 +382,60 @@ class QueryResultBuffer:
         for fn in list(self._subscribers):
             fn(batch)
 
-    def _tail_position(self) -> Tuple[int, int]:
-        """The ``(chunk_seq, row)`` position just past everything delivered.
+    def _chunks_from(
+        self, chunk_seq: int, *, consumed: int
+    ) -> Tuple[List[TupleBatch], int]:
+        """The chunks from sequence ``chunk_seq`` on; used by cursors.
 
-        When the last chunk is closed (a columnar batch, or an object list
-        sealed by a batch boundary) the position points past it entirely,
-        so a caught-up cursor is not invalidated when that chunk is later
-        evicted.  Only an append-grown open list pins the position inside
-        the chunk, because future rows may still land there.
+        Returns ``(chunks, next_chunk_seq)``.  Raises :class:`StorageError`
+        when the position points below the retained history (the chunks
+        were evicted before being read) or past the next chunk.
+        ``consumed`` is the cursor's lifetime tuple count, reported in the
+        eviction error.
         """
-        if not self._chunks:
-            return (self._chunk_base, 0)
-        if not self._tail_open_list:
-            return (self._chunk_base + len(self._chunks), 0)
-        last_index = len(self._chunks) - 1
-        dropped = self._head_dropped if last_index == 0 else 0
-        return (self._chunk_base + last_index, len(self._chunks[last_index]) + dropped)
-
-    def _segments_from(
-        self, chunk_seq: int, row: int, *, consumed: Optional[int] = None
-    ) -> Tuple[List[Tuple[_Chunk, int]], Tuple[int, int], int]:
-        """Chunk segments past ``(chunk_seq, row)``; used by cursors.
-
-        Returns ``(segments, new_position, tuples_read)`` where each
-        segment is a ``(chunk, physical_start_row)`` pair.  Raises
-        :class:`StorageError` when the position points below the retained
-        history (the chunks were evicted before being read) — unless
-        ``consumed`` (the cursor's lifetime tuple count) shows every
-        evicted tuple was already read, in which case the position was
-        merely pinned inside a fully-consumed chunk (an open object-list
-        tail read mid-batch) and the read resumes losslessly from the
-        start of the retained history.
-        """
-        if chunk_seq < self._chunk_base or (
-            chunk_seq == self._chunk_base and self._chunks and row < self._head_dropped
-        ):
-            if consumed is not None and consumed >= self._evicted:
-                chunk_seq, row = self._chunk_base, self._head_dropped
-            else:
-                first_retained = self._batches_completed - len(self._per_batch_counts)
-                behind = (
-                    f"; the cursor is {self._evicted - consumed} tuples behind "
-                    f"the oldest retained row"
-                    if consumed is not None
-                    else ""
-                )
-                raise StorageError(
-                    f"cursor position has been evicted: the cursor was at chunk "
-                    f"{chunk_seq} row {row}, but the buffer retains chunks from "
-                    f"sequence {self._chunk_base} (row {self._head_dropped}) "
-                    f"onwards — batches {first_retained}..{self._batches_completed - 1} "
-                    f"of {self._batches_completed} completed "
-                    f"(retention_batches={self._retention}, {self._evicted} of "
-                    f"{self._total} lifetime tuples evicted){behind}; open a fresh "
-                    f"cursor() to resume from the retained history"
-                )
-        local = chunk_seq - self._chunk_base
-        if local > len(self._chunks):
+        next_seq = self._chunk_base + len(self._chunks)
+        if chunk_seq < self._chunk_base:
+            first_retained = self._batches_completed - len(self._per_batch_counts)
+            raise StorageError(
+                f"cursor position has been evicted: the cursor was at chunk "
+                f"{chunk_seq}, but the buffer retains chunks from sequence "
+                f"{self._chunk_base} onwards — batches "
+                f"{first_retained}..{self._batches_completed - 1} "
+                f"of {self._batches_completed} completed "
+                f"(retention_batches={self._retention}, {self._evicted} of "
+                f"{self._total} lifetime tuples evicted); the cursor is "
+                f"{self._evicted - consumed} tuples behind the oldest retained "
+                f"row; open a fresh cursor() to resume from the retained history"
+            )
+        if chunk_seq > next_seq:
             raise StorageError(
                 f"cursor position (chunk {chunk_seq}) is ahead of the buffer "
-                f"(next chunk is {self._chunk_base + len(self._chunks)})"
+                f"(next chunk is {next_seq})"
             )
-        segments: List[Tuple[_Chunk, int]] = []
-        read = 0
-        for index in range(local, len(self._chunks)):
-            chunk = self._chunks[index]
-            dropped = self._head_dropped if index == 0 else 0
-            start = (row - dropped) if index == local else 0
-            length = len(chunk)
-            if start < length:
-                segments.append((chunk, start))
-                read += length - start
-        return segments, self._tail_position(), read
+        return self._chunks[chunk_seq - self._chunk_base:], next_seq
 
     # ------------------------------------------------------------------
     def items(self) -> List[SensorTuple]:
-        """The retained tuples, oldest first (materialised lazily).
+        """The retained tuples, oldest first, as fresh objects.
 
-        A columnar chunk is materialised once and the list kept in its
-        place, so repeated calls (e.g. a monitoring loop polling
-        ``QueryHandle.results()``) pay object construction only for chunks
-        delivered since the previous call.
+        Materialises the whole retained history from the columns on every
+        call and leaves storage untouched; a polling consumer should read
+        through :meth:`cursor` instead.
         """
-        items: List[SensorTuple] = []
-        for index, chunk in enumerate(self._chunks):
-            if not isinstance(chunk, list):
-                chunk = chunk.to_tuples()
-                self._chunks[index] = chunk
-            items.extend(chunk)
-        return items
+        return _materialise(self._chunks)
 
     def values(self) -> List:
         """The sensed values of the retained tuples."""
         values: List = []
         for chunk in self._chunks:
-            if isinstance(chunk, list):
-                values.extend(item.value for item in chunk)
-            else:
-                values.extend(np.asarray(chunk.value).tolist())
+            values.extend(chunk.value.tolist())
         return values
 
     def to_event_batch(self) -> EventBatch:
-        """The retained tuples' coordinates as an :class:`EventBatch`.
-
-        Columnar chunks contribute their coordinate columns directly.
-        """
-        if not self._chunks:
-            return EventBatch.empty()
-        parts: List[EventBatch] = []
-        for chunk in self._chunks:
-            if isinstance(chunk, list):
-                parts.append(
-                    EventBatch.from_rows([(it.t, it.x, it.y) for it in chunk])
-                )
-            else:
-                parts.append(EventBatch(chunk.t, chunk.x, chunk.y))
-        if len(parts) == 1:
-            return parts[0]
-        return EventBatch.concatenate(parts)
+        """The retained tuples' coordinates as an :class:`EventBatch`."""
+        return EventBatch.concatenate(
+            EventBatch(chunk.t, chunk.x, chunk.y) for chunk in self._chunks
+        )
 
     def rate_over(self, duration: float) -> RateEstimate:
         """Achieved rate over the given total duration of observation."""

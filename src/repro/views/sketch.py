@@ -15,7 +15,7 @@ is a compact, *deterministic* bounded-size summary in the KLL/MRL family:
   across compactions, so the selection bias of one halving is cancelled by
   the next — fully deterministic (no RNG), which keeps independently
   maintained sketches byte-identical when fed the same batches (what the
-  columnar-vs-object equivalence tests pin down);
+  restore-then-replay digests rely on);
 * quantile queries answer the weighted nearest-rank quantile over the
   levelled summary.
 

@@ -8,8 +8,12 @@ the very same rows: two identically seeded planners, one driven through
 ``map_tuples`` + ``process_batch`` over ``to_tuples()`` of the same
 batches.  Deliveries, the :class:`BatchResult`, every Flatten report and
 estimator state, every operator counter and every recorded discard must
-match exactly.  (Whole-engine object-vs-columnar identity only holds under
-the strict contract; under fast-sim this test is the pin.)
+match exactly.  The engine has no per-tuple mode, so this is where the
+compiled pipeline meets its reference — under both RNG contracts, for a
+Bernoulli crowd, an ``AlwaysRespond`` crowd (batch-safe: strict rounds take
+the vectorised ``handle_requests`` runs) and a paying handler (the
+``incentive`` extra column must ride through the compiled programs and equal
+the walk's per-tuple metadata).
 """
 
 import numpy as np
@@ -19,7 +23,9 @@ from repro.core import AcquisitionalQuery, QueryPlanner, StreamFabricator
 from repro.geometry import Grid, Rectangle
 from repro.plan import compile_programs
 from repro.sensing import (
+    AlwaysRespond,
     BernoulliParticipation,
+    FlatIncentive,
     RainField,
     RandomWaypointMobility,
     RequestResponseHandler,
@@ -44,15 +50,25 @@ def make_queries():
     ]
 
 
-def make_world(vectorized):
+def bernoulli(sensor_id):
+    return BernoulliParticipation(0.8, mean_latency=0.05)
+
+
+#: crowd id -> (participation factory, flat payment per request or None)
+CROWDS = {
+    "bernoulli": (bernoulli, None),
+    "always-respond": (lambda sensor_id: AlwaysRespond(), None),
+    "paid": (bernoulli, 0.25),
+}
+
+
+def make_world(vectorized, participation_factory):
     world = SensingWorld(
         WorldConfig(
             region=REGION, sensor_count=400, seed=11, vectorized_rng=vectorized
         ),
         mobility_factory=lambda r: RandomWaypointMobility(r, speed=0.25, pause=0.5),
-        participation_factory=lambda sensor_id: BernoulliParticipation(
-            0.8, mean_latency=0.05
-        ),
+        participation_factory=participation_factory,
     )
     world.register_field(RainField(REGION, band_width=1.2, period=60.0))
     world.register_field(TemperatureField(REGION))
@@ -117,18 +133,25 @@ def silence(batches):
     return {"rain": rain.select(~((rain.x < 1.0) & (rain.y < 1.0)))}
 
 
+@pytest.mark.parametrize("crowd", list(CROWDS))
 @pytest.mark.parametrize("silent", [False, True], ids=["all-cells", "silent-cell"])
 @pytest.mark.parametrize("store_discarded", [False, True], ids=["plain", "discards"])
 @pytest.mark.parametrize("online", [False, True], ids=["mle", "online-sgd"])
 @pytest.mark.parametrize("vectorized", [False, True], ids=["strict", "fast-sim"])
 def test_compiled_programs_match_the_object_walk(
-    vectorized, online, store_discarded, silent
+    vectorized, online, store_discarded, silent, crowd
 ):
     queries = make_queries()
     compiled = Side(queries, online=online, store_discarded=store_discarded)
     walked = Side(queries, online=online, store_discarded=store_discarded)
-    world = make_world(vectorized)
-    handler = RequestResponseHandler(world, GRID, default_budget=60)
+    participation_factory, payment = CROWDS[crowd]
+    world = make_world(vectorized, participation_factory)
+    handler = RequestResponseHandler(
+        world,
+        GRID,
+        default_budget=60,
+        incentive=FlatIncentive(payment) if payment else None,
+    )
 
     for index in range(BATCHES):
         batches, _ = handler.acquire_batches(
@@ -153,3 +176,9 @@ def test_compiled_programs_match_the_object_walk(
 
     assert all(compiled.delivered.get(q.query_id) for q in queries)
     assert bool(compiled.discards) == store_discarded
+    if payment:
+        assert all(
+            item.metadata["incentive"] == payment
+            for items in compiled.delivered.values()
+            for item in items
+        )

@@ -1,10 +1,11 @@
 """Engine-level tests of the query-session surface (ISSUE 4).
 
-Covers: cursor/subscription equivalence with ``results()`` on both the
-columnar and the object path (seeded, byte-identical tuples), in-flight
+Covers: cursor/subscription equivalence with ``results()`` (seeded,
+byte-identical tuples), batched delivery accounting, in-flight
 ``set_rate``/``set_region`` replanning, pause/resume, label lookup,
 ``execute()`` round-trips of the session DDL, bounded retention on a live
-engine, and the ``delete_query`` buffer-leak regression.
+engine, the live ``reports`` view and the ``delete_query`` buffer-leak
+regression.
 """
 
 import pytest
@@ -26,15 +27,33 @@ def make_world(seed=42, sensors=150):
     return world
 
 
-def make_engine(columnar=True, retention=None, seed=7, **world_kwargs):
+def make_engine(retention=None, seed=7, **world_kwargs):
     config = EngineConfig(
         grid_cells=16,
         seed=seed,
         budget=BudgetConfig(initial=30, delta=5, limit=300),
-        columnar=columnar,
         retention_batches=retention,
     )
     return CraqrEngine(config, make_world(**world_kwargs))
+
+
+def run_three_queries(batches):
+    """Two rain queries and a temp query with partial cell overlaps."""
+    engine = make_engine()
+    handles = [
+        engine.register_query(
+            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=25.0)
+        ),
+        engine.register_query(
+            # Partial cell overlaps force Partition taps into the chains.
+            AcquisitionalQuery("temp", RectRegion.from_bounds(0.5, 0.5, 3.5, 2.5), rate=15.0)
+        ),
+        engine.register_query(
+            AcquisitionalQuery("rain", RectRegion.from_bounds(1.0, 1.0, 3.0, 3.0), rate=10.0)
+        ),
+    ]
+    reports = engine.run(batches)
+    return engine, handles, reports
 
 
 def by_id(items):
@@ -42,9 +61,8 @@ def by_id(items):
 
 
 class TestCursorSubscriptionEquivalence:
-    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "object"])
-    def test_cursor_and_subscription_match_results(self, columnar):
-        engine = make_engine(columnar=columnar)
+    def test_cursor_and_subscription_match_results(self):
+        engine = make_engine()
         handle = engine.register_query(
             AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=20.0)
         )
@@ -63,24 +81,12 @@ class TestCursorSubscriptionEquivalence:
         assert by_id(streamed_columnar) == by_id(polled)
         assert by_id(pushed) == by_id(polled)
 
-    def test_columnar_and_object_cursors_byte_identical(self):
-        # The columnar/object switch is a pure perf switch; the incremental
-        # surface must deliver the same tuples as the batch surface.
-        def stream(columnar):
-            engine = make_engine(columnar=columnar)
-            handle = engine.register_query(
-                AcquisitionalQuery(
-                    "rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=20.0
-                )
-            )
-            cursor = handle.cursor()
-            items = []
-            for _ in range(4):
-                engine.run_batch()
-                items.extend(cursor.fetch())
-            return items
-
-        assert by_id(stream(True)) == by_id(stream(False))
+    def test_columnar_delivery_is_batched(self):
+        engine, handles, reports = run_three_queries(batches=2)
+        # One deliver call per (query, cell, batch): totals still add up.
+        delivered = sum(report.fabrication.tuples_delivered for report in reports)
+        assert delivered == engine.total_tuples_delivered()
+        assert delivered == sum(len(handle.results()) for handle in handles)
 
     def test_subscription_cancel_stops_callbacks(self):
         engine = make_engine()
@@ -362,7 +368,27 @@ class TestRetention:
             EngineConfig(retention_batches=0)
 
 
+class TestReportsView:
+    def test_reports_is_live_o1_view(self):
+        engine, _, _ = run_three_queries(batches=2)
+        view = engine.reports
+        assert len(view) == 2
+        assert engine.reports is view  # no per-access copy
+        engine.run_batch()
+        assert len(view) == 3  # live view tracks new batches
+        assert view[-1].batch_index == 2
+        with pytest.raises(TypeError):
+            view[0] = None  # read-only
+
+
 class TestDeleteQueryLeak:
+    def test_results_survive_query_deletion(self):
+        engine, handles, _ = run_three_queries(batches=2)
+        kept = handles[0].results()
+        handles[0].delete()
+        engine.run_batch()
+        assert handles[0].results() == kept
+
     def test_delete_drops_engine_buffer_but_handle_keeps_results(self):
         engine = make_engine()
         keep = engine.register_query(

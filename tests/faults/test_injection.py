@@ -1,19 +1,16 @@
-"""Fault injection: stream isolation, reproducibility and path parity.
+"""Fault injection: stream isolation and reproducibility.
 
 The load-bearing contract is **stream isolation**: the injector owns a
 private generator, so an engine with no :class:`FaultPlan` configured is
 seeded byte-identical to a build where the fault subsystem does not exist
 (pinned here by a golden stream hash), and a given plan seed replays the
-same fault history regardless of the crowd.  Under faults the strict
-object and columnar paths share one wave implementation and therefore stay
-byte-identical to each other.
+same fault history regardless of the crowd.
 """
 
 import hashlib
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from repro.core import CraqrEngine
 from repro.faults import FaultInjector, FaultPlan
@@ -26,15 +23,14 @@ from repro.workloads import (
 
 #: sha256 of the delivered streams of the reference two-query strict run,
 #: computed before the fault subsystem existed.  A fault-free engine must
-#: reproduce it bit for bit on both the object and the columnar path.
+#: reproduce it bit for bit.
 GOLDEN_STREAM_HASH = "e66d8d1a2aa03e095b57e592301f5ba1c88ee75b6112a8bd96c3fadebbe12b5c"
 
 
-def run_reference_engine(*, columnar, faults=None, resilience=None):
+def run_reference_engine(*, faults=None, resilience=None):
     world = build_rain_temperature_world(sensor_count=120, seed=11)
     config = replace(
         default_engine_config(seed=7),
-        columnar=columnar,
         faults=faults,
         resilience=resilience,
     )
@@ -80,9 +76,8 @@ class _StateShim:
 
 
 class TestNoFaultByteIdentity:
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_fault_free_engine_matches_golden_stream(self, columnar):
-        _, h1, h2 = run_reference_engine(columnar=columnar)
+    def test_fault_free_engine_matches_golden_stream(self):
+        _, h1, h2 = run_reference_engine()
         assert stream_hash(h1, h2) == GOLDEN_STREAM_HASH
 
 
@@ -92,9 +87,7 @@ class TestSeededReproducibility:
         resilience = default_resilience_config()
         runs = []
         for _ in range(2):
-            engine, h1, h2 = run_reference_engine(
-                columnar=False, faults=plan, resilience=resilience
-            )
+            engine, h1, h2 = run_reference_engine(faults=plan, resilience=resilience)
             injector = engine.fault_injector
             report = engine.reports[-1].handler
             runs.append(
@@ -113,7 +106,6 @@ class TestSeededReproducibility:
 
     def test_faults_actually_fire(self):
         engine, _, _ = run_reference_engine(
-            columnar=False,
             faults=flaky_crowd_plan(seed=23),
             resilience=default_resilience_config(),
         )
@@ -124,33 +116,6 @@ class TestSeededReproducibility:
         totals = [r.handler for r in engine.reports]
         assert sum(r.timeouts for r in totals) > 0
         assert sum(r.retries_sent for r in totals) > 0
-
-
-class TestObjectColumnarParityUnderFaults:
-    def test_strict_paths_stay_byte_identical_under_faults(self):
-        plan = flaky_crowd_plan(seed=23)
-        resilience = default_resilience_config()
-        object_engine, oh1, oh2 = run_reference_engine(
-            columnar=False, faults=plan, resilience=resilience
-        )
-        columnar_engine, ch1, ch2 = run_reference_engine(
-            columnar=True, faults=plan, resilience=resilience
-        )
-        assert stream_hash(oh1, oh2) == stream_hash(ch1, ch2)
-        for object_report, columnar_report in zip(
-            (r.handler for r in object_engine.reports),
-            (r.handler for r in columnar_engine.reports),
-        ):
-            assert object_report.requests_sent == columnar_report.requests_sent
-            assert object_report.responses_received == columnar_report.responses_received
-            assert object_report.timeouts == columnar_report.timeouts
-            assert object_report.drops_injected == columnar_report.drops_injected
-            assert object_report.retries_sent == columnar_report.retries_sent
-            assert object_report.per_cell_requests == columnar_report.per_cell_requests
-            assert object_report.per_cell_responses == columnar_report.per_cell_responses
-            assert object_report.per_cell_timeouts == columnar_report.per_cell_timeouts
-            assert object_report.per_cell_drops == columnar_report.per_cell_drops
-            assert object_report.per_cell_retries == columnar_report.per_cell_retries
 
 
 class TestInjectorUnits:

@@ -1,17 +1,13 @@
 """Equivalence tests for continuous views (ISSUE 5 acceptance).
 
-Three guarantees are pinned down here:
+Two guarantees are pinned down here:
 
 * **incremental == from-scratch** — every view aggregate equals a
   recomputation from the raw cursor output of the same seeded run (plain
   numpy for the order-independent aggregates; the declared fold/merge
   semantics for the order-sensitive ones, applied to the raw tuples);
-* **columnar == object** — the two engine paths produce byte-compatible
-  frames for the same seed;
 * **window boundary semantics** — a tuple timestamped exactly on a
-  tumbling/sliding boundary lands in exactly one frame, whether the
-  delivery chunks are object lists (the object engine path's buffer form)
-  or columnar batches (the columnar path's).
+  tumbling/sliding boundary lands in exactly one frame.
 """
 
 import numpy as np
@@ -31,7 +27,7 @@ REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 AGGREGATES = ["COUNT", "SUM", "AVG", "MIN", "MAX", "P50", "P90"]
 
 
-def make_engine(columnar=True, seed=7):
+def make_engine(seed=7):
     world = SensingWorld(WorldConfig(region=REGION, sensor_count=150, seed=42))
     world.register_field(RainField(REGION, band_width=1.2, period=40.0))
     world.register_field(
@@ -41,14 +37,13 @@ def make_engine(columnar=True, seed=7):
         grid_cells=16,
         seed=seed,
         budget=BudgetConfig(initial=30, delta=5, limit=300),
-        columnar=columnar,
     )
     return CraqrEngine(config, world)
 
 
-def run_with_views(columnar, batches=6, attribute="temp", spec_kwargs=None):
+def run_with_views(batches=6, attribute="temp", spec_kwargs=None):
     """Run a seeded engine with one view per aggregate; return frames + raw."""
-    engine = make_engine(columnar=columnar)
+    engine = make_engine()
     handle = engine.register_query(
         AcquisitionalQuery(
             attribute, RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=20.0
@@ -67,14 +62,6 @@ def run_with_views(columnar, batches=6, attribute="temp", spec_kwargs=None):
     return engine, views, raw
 
 
-def frame_rows(frame):
-    """A frame's rows as comparable (key, value, count) triples."""
-    return [
-        (frame.keys[i], float(frame.values[i]), int(frame.counts[i]))
-        for i in range(frame.groups)
-    ]
-
-
 class TestIncrementalEqualsRecompute:
     def group_key(self, engine, spec, item):
         if spec.group_by == "cell":
@@ -84,9 +71,8 @@ class TestIncrementalEqualsRecompute:
             return item.attribute
         return "*"
 
-    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "object"])
-    def test_all_aggregates_match_from_scratch_recompute(self, columnar):
-        engine, views, raw = run_with_views(columnar)
+    def test_all_aggregates_match_from_scratch_recompute(self):
+        engine, views, raw = run_with_views()
         for name, view in views.items():
             aggregate = get_aggregate(name)
             spec = view.spec
@@ -134,7 +120,7 @@ class TestIncrementalEqualsRecompute:
 
     def test_sliding_frames_recompute_over_overlaps(self):
         engine, views, raw = run_with_views(
-            True, spec_kwargs={"window": 2.0, "slide": 1.0, "group_by": "region"}
+            spec_kwargs={"window": 2.0, "slide": 1.0, "group_by": "region"}
         )
         count_view = views["COUNT"]
         frames = count_view.frames()
@@ -146,22 +132,8 @@ class TestIncrementalEqualsRecompute:
             assert frame.tuples == expected
 
 
-class TestColumnarObjectByteCompatibility:
-    def test_frames_identical_across_engine_paths(self):
-        _, columnar_views, _ = run_with_views(True)
-        _, object_views, _ = run_with_views(False)
-        for name in AGGREGATES:
-            a_frames = columnar_views[name].frames()
-            b_frames = object_views[name].frames()
-            assert len(a_frames) == len(b_frames) > 0, name
-            for a, b in zip(a_frames, b_frames):
-                assert (a.window_start, a.window_end) == (b.window_start, b.window_end)
-                assert frame_rows(a) == frame_rows(b), (name, a.frame_index)
-
-
-class TestBoundarySemanticsAcrossDeliveryForms:
-    """A tuple exactly on a window boundary lands in exactly one frame,
-    for both buffer chunk representations the engine paths produce."""
+class TestBoundarySemantics:
+    """A tuple exactly on a window boundary lands in exactly one frame."""
 
     def make_view(self, spec):
         return ContinuousView(
@@ -179,25 +151,17 @@ class TestBoundarySemanticsAcrossDeliveryForms:
             for i, t in enumerate([0.5, 1.0, 1.5])  # 1.0 is exactly on the boundary
         ]
 
-    def deliver(self, buffer, items, *, columnar):
-        if columnar:
-            buffer.extend_batch(TupleBatch.from_tuples(items))
-        else:
-            for item in items:
-                buffer.append(item)
-        buffer.end_batch()
-
-    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "object"])
     @pytest.mark.parametrize(
         "spec_kwargs",
         [{"window": 1.0}, {"window": 2.0, "slide": 1.0}],
         ids=["tumbling", "sliding"],
     )
-    def test_boundary_tuple_in_exactly_one_pane(self, columnar, spec_kwargs):
+    def test_boundary_tuple_in_exactly_one_pane(self, spec_kwargs):
         buffer = QueryResultBuffer(1, requested_rate=10.0, region_area=4.0)
         view = self.make_view(ViewSpec(aggregate="COUNT", **spec_kwargs))
         view.attach(buffer.subscribe(view.on_delivery))
-        self.deliver(buffer, self.tuples(), columnar=columnar)
+        buffer.extend_batch(TupleBatch.from_tuples(self.tuples()))
+        buffer.end_batch()
         frames = view.advance_to(3.0)
         if "slide" in spec_kwargs:
             # Sliding [0,2) and [1,3): t=1.0 is in both windows but in
@@ -207,16 +171,3 @@ class TestBoundarySemanticsAcrossDeliveryForms:
         else:
             # Tumbling [0,1), [1,2), [2,3): t=1.0 only in the second.
             assert [f.tuples for f in frames] == [1, 2, 0]
-
-    def test_both_forms_produce_identical_frames(self):
-        results = []
-        for columnar in (True, False):
-            buffer = QueryResultBuffer(1, requested_rate=10.0, region_area=4.0)
-            view = self.make_view(
-                ViewSpec(aggregate="AVG", window=1.0, group_by="cell")
-            )
-            view.attach(buffer.subscribe(view.on_delivery))
-            self.deliver(buffer, self.tuples(), columnar=columnar)
-            view.advance_to(2.0)
-            results.append([frame_rows(f) for f in view.buffer.frames()])
-        assert results[0] == results[1]

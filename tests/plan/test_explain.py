@@ -64,13 +64,6 @@ class TestRendering:
         assert "view:Other" not in text
         assert "sort:q1/slide=2" in text
 
-    def test_object_mode_is_reported(self):
-        text = make_engine(columnar=False).execute("EXPLAIN Storm")
-        assert (
-            "execution mode: object walk (per-tuple reference path, columnar=False)"
-            in text
-        )
-
     def test_unknown_name_is_a_clear_error(self, engine):
         with pytest.raises(QueryError, match="matches no registered query"):
             engine.execute("EXPLAIN Nope")

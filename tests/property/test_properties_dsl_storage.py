@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import AcquisitionalQuery, RateSpec
 from repro.query import parse_query
 from repro.storage import QueryResultBuffer, TupleStore
-from repro.streams import SensorTuple
+from repro.streams import SensorTuple, TupleBatch
 
 finite_coord = st.floats(min_value=0.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 positive_extent = st.floats(min_value=0.5, max_value=20.0, allow_nan=False, allow_infinity=False)
@@ -88,13 +88,8 @@ class TestStorageProperties:
     @settings(max_examples=60, deadline=None)
     def test_result_buffer_rate_accounting(self, batch_counts, area, requested):
         buffer = QueryResultBuffer(1, requested_rate=requested, region_area=area)
-        tuple_id = 0
         for count in batch_counts:
-            for _ in range(count):
-                buffer.append(
-                    SensorTuple(tuple_id=tuple_id, attribute="rain", t=0.0, x=0.0, y=0.0)
-                )
-                tuple_id += 1
+            buffer.extend_batch(TupleBatch.from_tuples(make_tuples(count)))
             buffer.end_batch()
         assert buffer.per_batch_counts == batch_counts
         estimate = buffer.rate_over_batches(1.0)

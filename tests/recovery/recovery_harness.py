@@ -83,7 +83,6 @@ def make_engine(
     every: int = 2,
     retain: int = 3,
     vectorized: bool = False,
-    columnar: bool = True,
     retention_batches=None,
     faults: bool = True,
     view: bool = True,
@@ -98,7 +97,6 @@ def make_engine(
     simulate_fresh_process()
     config = replace(
         default_engine_config(retention_batches=retention_batches),
-        columnar=columnar,
         online_estimation=online_estimation,
     )
     if faults:

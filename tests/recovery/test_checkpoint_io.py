@@ -22,7 +22,7 @@ from repro.recovery import (
     read_snapshot_file,
     write_snapshot_file,
 )
-from repro.recovery.io import MAGIC, frame_payload, unframe_payload
+from repro.recovery.io import FORMAT_VERSION, MAGIC, frame_payload, unframe_payload
 
 
 class TestFraming:
@@ -44,9 +44,21 @@ class TestFraming:
             unframe_payload(bytes(framed))
 
     def test_future_format_version_is_rejected(self):
-        framed = frame_payload(b"payload", version=2)
-        with pytest.raises(RecoveryError, match="version 2"):
+        framed = frame_payload(b"payload", version=FORMAT_VERSION + 1)
+        with pytest.raises(RecoveryError, match=f"version {FORMAT_VERSION + 1}"):
             unframe_payload(framed)
+
+    def test_version_1_checkpoint_is_refused_by_version(self):
+        # Version 1 payloads pickle a reference to an engine method and a
+        # config field this build no longer has; the refusal must be the
+        # version message, not whatever unpickling would trip over first.
+        assert FORMAT_VERSION == 2
+        framed = frame_payload(b"payload", version=1)
+        with pytest.raises(
+            RecoveryError,
+            match="uses snapshot format version 1; this build reads version 2 only",
+        ):
+            unframe_payload(framed, source="old.ckpt")
 
     def test_torn_payload_is_rejected(self):
         framed = frame_payload(b"a moderately long payload")
@@ -125,6 +137,14 @@ class TestDirectoryScanning:
     def test_load_latest_skips_unreadable_newest(self, tmp_path):
         write_snapshot_file(tmp_path / "checkpoint-00000002.ckpt", b"good")
         (tmp_path / "checkpoint-00000004.ckpt").write_bytes(b"torn garbage")
+        latest = load_latest(tmp_path)
+        assert latest is not None and latest.name == "checkpoint-00000002.ckpt"
+
+    def test_load_latest_falls_back_past_a_version_1_file(self, tmp_path):
+        write_snapshot_file(tmp_path / "checkpoint-00000002.ckpt", b"good")
+        (tmp_path / "checkpoint-00000004.ckpt").write_bytes(
+            frame_payload(b"written by an older build", version=1)
+        )
         latest = load_latest(tmp_path)
         assert latest is not None and latest.name == "checkpoint-00000002.ckpt"
 

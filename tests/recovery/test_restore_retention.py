@@ -54,7 +54,7 @@ class TestResultCursors:
         engine = make_retained_engine(tmp_path)
         lagging = engine.query("Storm").cursor()  # at the head, never read
         run_to(engine, 10)  # retention=3 evicts the cursor's position
-        chunk_seq, row = lagging.position
+        chunk_seq, _ = lagging.position
         consumed = lagging.consumed
         with pytest.raises(StorageError, match="retains"):
             lagging.fetch()
@@ -62,9 +62,7 @@ class TestResultCursors:
         restored = restore_latest_fresh(tmp_path)
         # A consumer persisting its offsets and rebuilding its cursor after
         # the crash gets the same verdict the pre-crash cursor got.
-        rebuilt = ResultCursor(
-            restored.query("Storm").buffer, chunk_seq, row, consumed
-        )
+        rebuilt = ResultCursor(restored.query("Storm").buffer, chunk_seq, consumed)
         with pytest.raises(StorageError, match="retains"):
             rebuilt.fetch()
 
@@ -73,7 +71,7 @@ class TestResultCursors:
         run_to(engine, 8)  # checkpoint-8 written at this boundary
         cursor = engine.query("Storm").cursor()
         cursor.fetch()  # drain: the consumer is caught up at the crash
-        chunk_seq, row = cursor.position
+        chunk_seq, _ = cursor.position
         consumed = cursor.consumed
 
         run_to(engine, 10)
@@ -81,9 +79,7 @@ class TestResultCursors:
         assert expected_ids  # the tail really delivered something
 
         restored = run_to(restore_latest_fresh(tmp_path), 10)
-        rebuilt = ResultCursor(
-            restored.query("Storm").buffer, chunk_seq, row, consumed
-        )
+        rebuilt = ResultCursor(restored.query("Storm").buffer, chunk_seq, consumed)
         assert rebuilt.pending == len(expected_ids)  # O(new): only the tail
         assert [t.tuple_id for t in rebuilt.fetch()] == expected_ids
 

@@ -3,7 +3,7 @@
 Run A executes N batches uninterrupted.  Run B executes the same workload
 with periodic checkpoints, "crashes" (the engine object is discarded), is
 restored from the newest checkpoint and continues to N.  Across strict /
-fast-sim RNG modes and columnar on/off — with the full flaky-crowd
+fast-sim RNG modes — with the full flaky-crowd
 ``FaultPlan`` + ``ResilienceConfig`` active — both runs must serve
 byte-identical streams, view frames, reports and violation sets, pinned
 below by golden digests.
@@ -26,32 +26,23 @@ from repro.recovery import EngineSnapshot
 
 #: Golden digest of the strict-mode workload after 8 batches — pinned so a
 #: determinism regression (or an unintended behaviour change anywhere in
-#: the acquisition/fabrication/serving stack) fails loudly.  Columnar
-#: on/off share one digest by the engine's byte-identity contract.
+#: the acquisition/fabrication/serving stack) fails loudly.
 GOLDEN_STRICT = "474280cc6c45c0fb5d389cadce86d5755fd092e00e692ae042dc19997e4a684a"
-#: Same workload under shared-stream fast-sim RNG (columnar: the fused
-#: shared-stream round) ...
+#: Same workload under shared-stream fast-sim RNG (the fused shared-stream
+#: round).
 GOLDEN_FAST_SIM = "4dba6c6ff15ac51909b7ab234f1ab6b69f5a4d4a1b9d51ea7e9561963202497f"
-#: ... and with ``columnar=False``, where the object path answers from the
-#: per-sensor streams while drawing choices and times from the shared one.
-GOLDEN_FAST_SIM_OBJECT = "41a60d595425acf08a7a664c5fcc0e05c0c751e8f91e5292fabf9bf1eff0d8c2"
-#: The same three with no ``FaultPlan`` and no mitigation configured.  The
+#: The same two with no ``FaultPlan`` and no mitigation configured.  The
 #: digest is full-precision, so these also guard the wave loop's
 #: ``request + (response - request)`` timestamp arithmetic on healthy runs.
 GOLDEN_STRICT_FAULT_FREE = "1c0771cda5910f772ecd9b770f087513d8170b06af42d02a2ae2f396bf630977"
 GOLDEN_FAST_SIM_FAULT_FREE = "193b89f63f97d49fccc95cbf7c9360d25742bc50ae981bc76241a72618211a82"
-GOLDEN_FAST_SIM_OBJECT_FAULT_FREE = "eb3a54b84acd2c4f5b331c7efd85c192d32b678f9ea11e13280c2e3b8f346da3"
+
 
 class TestRestoreContinuesByteIdentical:
-    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "object"])
     @pytest.mark.parametrize("vectorized", [False, True], ids=["strict", "fast-sim"])
-    def test_checkpoint_crash_restore_converges(self, tmp_path, vectorized, columnar):
-        reference = run_to(
-            make_engine(vectorized=vectorized, columnar=columnar), 8
-        )
-        crashed = make_engine(
-            checkpoint_dir=tmp_path, every=2, vectorized=vectorized, columnar=columnar
-        )
+    def test_checkpoint_crash_restore_converges(self, tmp_path, vectorized):
+        reference = run_to(make_engine(vectorized=vectorized), 8)
+        crashed = make_engine(checkpoint_dir=tmp_path, every=2, vectorized=vectorized)
         run_to(crashed, 5)  # checkpoints landed at batches 2 and 4
         del crashed  # the "crash": all in-memory state is gone
         restored = restore_latest_fresh(tmp_path)
@@ -82,34 +73,21 @@ class TestRestoreContinuesByteIdentical:
         assert engine_digest(run_to(restored, 8)) == engine_digest(reference)
 
     @pytest.mark.parametrize("faults", [True, False], ids=["faults", "fault-free"])
-    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "object"])
-    def test_strict_golden_digest_pinned(self, tmp_path, columnar, faults):
-        engine = make_engine(
-            checkpoint_dir=tmp_path, every=4, columnar=columnar, faults=faults
-        )
+    def test_strict_golden_digest_pinned(self, tmp_path, faults):
+        engine = make_engine(checkpoint_dir=tmp_path, every=4, faults=faults)
         run_to(engine, 5)
         restored = run_to(restore_latest_fresh(tmp_path), 8)
         golden = GOLDEN_STRICT if faults else GOLDEN_STRICT_FAULT_FREE
         assert engine_digest(restored) == golden
 
     @pytest.mark.parametrize("faults", [True, False], ids=["faults", "fault-free"])
-    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "object"])
-    def test_fast_sim_golden_digest_pinned(self, tmp_path, columnar, faults):
+    def test_fast_sim_golden_digest_pinned(self, tmp_path, faults):
         engine = make_engine(
-            checkpoint_dir=tmp_path,
-            every=4,
-            vectorized=True,
-            columnar=columnar,
-            faults=faults,
+            checkpoint_dir=tmp_path, every=4, vectorized=True, faults=faults
         )
         run_to(engine, 5)
         restored = run_to(restore_latest_fresh(tmp_path), 8)
-        golden = {
-            (True, True): GOLDEN_FAST_SIM,
-            (True, False): GOLDEN_FAST_SIM_OBJECT,
-            (False, True): GOLDEN_FAST_SIM_FAULT_FREE,
-            (False, False): GOLDEN_FAST_SIM_OBJECT_FAULT_FREE,
-        }[faults, columnar]
+        golden = GOLDEN_FAST_SIM if faults else GOLDEN_FAST_SIM_FAULT_FREE
         assert engine_digest(restored) == golden
 
     def test_periodic_checkpointing_is_observationally_free(self, tmp_path):

@@ -10,6 +10,8 @@ when the token lags past retention.
 
 from __future__ import annotations
 
+import base64
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,7 @@ import repro.core.query as _query_module
 from repro.config import CheckpointConfig
 from repro.core import CraqrEngine
 from repro.core.query import QueryIdAllocator
-from repro.errors import StorageError
+from repro.errors import ServeError, StorageError
 from repro.geometry import Rectangle
 from repro.sensing import (
     AlwaysRespond,
@@ -127,6 +129,53 @@ class TestResultCursorTokens:
         engine.run(8)
         with pytest.raises(StorageError, match="open a fresh"):
             result_cursor_from_token(engine.query("Storm").buffer, token).fetch_batch()
+
+    @staticmethod
+    def forge(**fields):
+        raw = json.dumps({"k": "results", **fields}, separators=(",", ":"))
+        return base64.urlsafe_b64encode(raw.encode()).decode()
+
+    def test_minted_tokens_sit_on_chunk_boundaries(self):
+        # Reads consume whole chunks, so every token the server can mint —
+        # head, mid-stream, tail — carries row 0; the field stays on the
+        # wire because the token bytes are part of the protocol.
+        engine = make_engine(view=False)
+        buffer = engine.query("Storm").buffer
+        cursor = buffer.cursor()
+        tokens = [result_token(cursor)]
+        for _ in range(3):
+            engine.run(1)
+            cursor.fetch_batch()
+            tokens.append(result_token(cursor))
+        tokens.append(result_token(buffer.cursor(tail=True)))
+        for token in tokens:
+            fields = json.loads(base64.urlsafe_b64decode(token))
+            assert sorted(fields) == ["c", "g", "k", "r"] and fields["r"] == 0
+        assert tokens[0] == self.forge(c=0, r=0, g=0)
+
+    def test_forged_row_is_rejected_not_silently_skipped(self):
+        # Regression: a token's ``r`` used to be trusted, and a chunk no
+        # longer than ``r`` was skipped without a word — the forged token
+        # below read all but the first chunk, reported that as everything
+        # consumed, and sat at the tail with ``pending > 0`` forever.
+        engine = make_engine(view=False)
+        engine.run(3)
+        buffer = engine.query("Storm").buffer
+        for row in (1, 1_000_000):
+            with pytest.raises(ServeError, match="chunk boundary"):
+                result_cursor_from_token(buffer, self.forge(c=0, r=row, g=0))
+        honest = result_cursor_from_token(buffer, self.forge(c=0, r=0, g=0))
+        assert len(honest.fetch_batch()) == buffer.total_tuples
+        assert honest.pending == 0
+
+    def test_forged_chunk_past_the_frontier_raises_at_fetch(self):
+        engine = make_engine(view=False)
+        engine.run(2)
+        buffer = engine.query("Storm").buffer
+        frontier = buffer.cursor(tail=True).position[0]
+        ahead = result_cursor_from_token(buffer, self.forge(c=frontier + 1, r=0, g=0))
+        with pytest.raises(StorageError, match="ahead of the buffer"):
+            ahead.fetch_batch()
 
 
 class TestFrameCursorTokens:

@@ -1,16 +1,23 @@
 """Unit tests for the session-consumption surface of QueryResultBuffer.
 
-Covers the resumable cursor (object and columnar reads over mixed chunk
-kinds), push subscriptions, bounded retention with exact running totals,
-and the eviction errors a lagging consumer must receive.
+Covers the resumable cursor (object and columnar reads over the chunk
+list), push subscriptions, bounded retention with exact running totals,
+the eviction errors a lagging consumer must receive, and that whole-history
+reads (``results()``) leave storage — and so every other reader — untouched.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
+from repro import AcquisitionalQuery, CraqrEngine, RateSpec
 from repro.errors import StorageError
+from repro.geometry import Rectangle
 from repro.storage import QueryResultBuffer
-from repro.streams import SensorTuple, TupleBatch
+from repro.streams import TupleBatch
+from repro.streams.codec import encode_tuple_batch
+from repro.workloads import build_rain_temperature_world, default_engine_config
 
 
 def make_batch(start, count, attribute="rain"):
@@ -23,18 +30,6 @@ def make_batch(start, count, attribute="rain"):
         ids * 2.0,
         ids,
         ids,
-    )
-
-
-def make_tuple(tuple_id, attribute="rain"):
-    return SensorTuple(
-        tuple_id=tuple_id,
-        attribute=attribute,
-        t=float(tuple_id),
-        x=0.5,
-        y=0.5,
-        value=float(tuple_id) * 2.0,
-        sensor_id=None,
     )
 
 
@@ -65,8 +60,7 @@ class TestCursorReads:
     def test_fetch_batch_equals_fetch_objects(self):
         buffer = make_buffer()
         buffer.extend_batch(make_batch(0, 4))
-        buffer.append(make_tuple(4))
-        buffer.append(make_tuple(5))
+        buffer.extend_batch(make_batch(4, 2))
         buffer.extend_batch(make_batch(6, 2))
         object_cursor = buffer.cursor()
         batch_cursor = buffer.cursor()
@@ -83,16 +77,6 @@ class TestCursorReads:
         buffer.extend_batch(make_batch(0, 2))
         cursor.fetch_batch()
         assert len(cursor.fetch_batch()) == 0
-
-    def test_cursor_sees_appends_into_open_object_chunk(self):
-        buffer = make_buffer()
-        buffer.append(make_tuple(0))
-        cursor = buffer.cursor()
-        assert len(cursor.fetch()) == 1
-        # A subsequent append extends the same list chunk; the cursor's
-        # row-level position must pick it up.
-        buffer.append(make_tuple(1))
-        assert [item.tuple_id for item in cursor.fetch()] == [1]
 
     def test_cursor_iteration_drains_pending(self):
         buffer = make_buffer()
@@ -113,7 +97,7 @@ class TestCursorReads:
         buffer = make_buffer()
         buffer.extend_batch(make_batch(0, 3))
         cursor = buffer.cursor()
-        buffer.items()  # converts the columnar chunk to a list in place
+        buffer.items()  # hands out copies; storage keeps the batch
         assert [item.tuple_id for item in cursor.fetch()] == [0, 1, 2]
 
 
@@ -137,36 +121,22 @@ class TestCursorEviction:
             buffer.end_batch()
         assert [item.tuple_id for item in cursor.fetch()] == list(range(10, 30))
 
-    def test_fully_consumed_open_chunk_eviction_is_lossless(self):
-        # Regression: a cursor that read an object-path chunk mid-batch is
-        # pinned *inside* the still-open chunk; once that fully-consumed
-        # chunk is evicted the cursor must resume, not report eviction.
+    def test_mid_batch_read_survives_eviction_of_what_it_consumed(self):
+        # A chunk is closed at the delivery that created it, so a cursor
+        # that read mid-batch sits *past* it: evicting that fully-consumed
+        # chunk must not invalidate the cursor, and the rest of the batch
+        # (a later chunk) is still delivered exactly once.
         buffer = make_buffer(retention_batches=1)
-        buffer.append(make_tuple(0))
-        buffer.append(make_tuple(1))
+        buffer.extend_batch(make_batch(0, 2))
         cursor = buffer.cursor()
         assert [item.tuple_id for item in cursor.fetch()] == [0, 1]  # mid-batch read
+        assert cursor.position == (1, 0)
+        buffer.extend_batch(make_batch(2, 1))
         buffer.end_batch()
-        buffer.append(make_tuple(2))
-        buffer.end_batch()  # evicts the chunk the cursor position points into
         assert [item.tuple_id for item in cursor.fetch()] == [2]
-        # A cursor with genuinely unread evicted tuples still fails loudly.
-        stale = make_buffer(retention_batches=1)
-        stale_cursor = stale.cursor()
-        for i in range(4):
-            stale.append(make_tuple(i))
-            stale.end_batch()
-        with pytest.raises(StorageError, match="evicted"):
-            stale_cursor.fetch()
-
-    def test_capacity_trim_evicts_lagging_cursor(self):
-        buffer = make_buffer(capacity=5)
-        cursor = buffer.cursor()
-        buffer.extend_batch(make_batch(0, 10))
-        with pytest.raises(StorageError, match="evicted"):
-            cursor.fetch()
-        fresh = buffer.cursor()
-        assert [item.tuple_id for item in fresh.fetch()] == [5, 6, 7, 8, 9]
+        buffer.extend_batch(make_batch(3, 1))
+        buffer.end_batch()  # evicts both chunks the cursor has consumed
+        assert [item.tuple_id for item in cursor.fetch()] == [3]
 
 
 class TestSubscriptions:
@@ -182,17 +152,6 @@ class TestSubscriptions:
         assert [t.tuple_id for t in received[0].to_tuples()] == [0, 1, 2, 3, 4]
         buffer.end_batch()  # empty batch: no callback
         assert len(received) == 1
-
-    def test_subscriber_receives_object_path_deliveries_as_batch(self):
-        buffer = make_buffer()
-        received = []
-        buffer.subscribe(lambda batch: received.append(batch))
-        buffer.append(make_tuple(0))
-        buffer.append(make_tuple(1))
-        buffer.end_batch()
-        assert len(received) == 1
-        assert received[0].attribute == "rain"
-        assert list(received[0].tuple_id) == [0, 1]
 
     def test_multiple_subscribers_and_cancel(self):
         buffer = make_buffer()
@@ -274,16 +233,17 @@ class TestRetentionAccounting:
         self.run_batches(buffer, 5)
         assert [item.tuple_id for item in buffer.items()] == list(range(30, 50))
 
-    def test_retention_aligns_to_batches_despite_object_appends(self):
+    def test_retention_aligns_to_batches_with_several_chunks_per_batch(self):
         buffer = make_buffer(retention_batches=2)
         for batch in range(4):
             for i in range(3):
-                buffer.append(make_tuple(batch * 3 + i))
+                buffer.extend_batch(make_batch(batch * 3 + i, 1))
             buffer.end_batch()
-        # Appends across end_batch must not share a chunk, or eviction
-        # would split a batch; the retained window is exactly 2 batches.
+        # Eviction drops whole batches' chunks (three per batch here); the
+        # retained window is exactly 2 batches.
         assert [item.tuple_id for item in buffer.items()] == list(range(6, 12))
         assert buffer.total_tuples == 12
+        assert buffer.evicted_tuples == 6
 
     def test_retention_validation(self):
         with pytest.raises(StorageError):
@@ -301,3 +261,54 @@ class TestRetentionAccounting:
             buffer.set_requested_rate(0.0)
         with pytest.raises(StorageError):
             buffer.set_region_area(-1.0)
+
+
+class TestResultsPollingLeavesStorageAlone:
+    """Regression: ``results()`` must not change what other readers get.
+
+    ``items()`` used to replace each stored batch by its tuple list, which
+    ``fetch_batch()`` rebuilt without the typed extra columns — so an
+    in-process monitor polling ``results()`` changed wire bytes, checkpoint
+    bytes and ``batch.extra`` for every other consumer.
+    """
+
+    def run(self, monkeypatch, *, polled, batches=4):
+        # Query and operator ids come from process-wide counters and are
+        # part of a snapshot: pin both so the two engines can be compared.
+        monkeypatch.setattr("repro.streams.operator._operator_ids", itertools.count(1))
+        world = build_rain_temperature_world(sensor_count=300, seed=11)
+        engine = CraqrEngine(default_engine_config(seed=7), world)
+        handle = engine.register_query(
+            AcquisitionalQuery(
+                attribute="rain",
+                region=Rectangle(0.0, 0.0, 2.0, 2.0),
+                rate=RateSpec(10.0, area_unit="km2", time_unit="min"),
+                name="Q1-rain",
+                query_id=1,
+            )
+        )
+        cursor = handle.cursor()
+        for _ in range(batches):
+            engine.run_batch()
+            if polled:
+                handle.results()
+        return engine, handle, cursor
+
+    def test_polled_equals_unpolled(self, monkeypatch):
+        engine_a, handle_a, cursor_a = self.run(monkeypatch, polled=False)
+        engine_b, handle_b, cursor_b = self.run(monkeypatch, polled=True)
+        assert engine_a.snapshot().to_bytes() == engine_b.snapshot().to_bytes()
+        assert handle_a.results() == handle_b.results()
+
+        object_cursor = handle_b.cursor()
+        batch_a, batch_b = cursor_a.fetch_batch(), cursor_b.fetch_batch()
+        assert len(batch_a) == len(batch_b) > 0
+        assert sorted(batch_b.extra) == sorted(batch_a.extra) == ["cell", "incentive"]
+        for name in ("t", "x", "y", "value", "tuple_id", "sensor_id"):
+            a, b = getattr(batch_a, name), getattr(batch_b, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        for name, a in batch_a.extra.items():
+            b = batch_b.extra[name]
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert encode_tuple_batch(batch_a) == encode_tuple_batch(batch_b)
+        assert handle_b.results() == object_cursor.fetch()

@@ -10,7 +10,7 @@ from repro.storage import (
     SpatioTemporalIndex,
     TupleStore,
 )
-from repro.streams import SensorTuple
+from repro.streams import SensorTuple, TupleBatch
 
 REGION = Rectangle(0, 0, 4, 4)
 
@@ -111,38 +111,36 @@ class TestTupleStore:
 
 
 class TestQueryResultBuffer:
-    def make_buffer(self, rate=10.0, area=4.0, capacity=None):
-        return QueryResultBuffer(1, requested_rate=rate, region_area=area, capacity=capacity)
+    def make_buffer(self, rate=10.0, area=4.0):
+        return QueryResultBuffer(1, requested_rate=rate, region_area=area)
+
+    @staticmethod
+    def deliver(buffer, tuple_ids):
+        buffer.extend_batch(
+            TupleBatch.from_tuples([make_tuple(tuple_id=i, value=1.0) for i in tuple_ids])
+        )
 
     def test_validation(self):
         with pytest.raises(StorageError):
             QueryResultBuffer(1, requested_rate=0.0, region_area=1.0)
         with pytest.raises(StorageError):
             QueryResultBuffer(1, requested_rate=1.0, region_area=0.0)
-        with pytest.raises(StorageError):
-            QueryResultBuffer(1, requested_rate=1.0, region_area=1.0, capacity=0)
 
-    def test_append_and_batches(self):
+    def test_deliveries_and_batches(self):
         buffer = self.make_buffer()
-        for i in range(5):
-            buffer.append(make_tuple(tuple_id=i))
+        self.deliver(buffer, range(3))
+        self.deliver(buffer, range(3, 5))
+        buffer.extend_batch(TupleBatch.empty())  # an empty delivery is no chunk
         assert buffer.end_batch() == 5
-        buffer.append(make_tuple(tuple_id=6))
+        self.deliver(buffer, [6])
         assert buffer.end_batch() == 1
         assert buffer.per_batch_counts == [5, 1]
-        assert buffer.total_tuples == 6
-
-    def test_capacity_truncates_retained_items(self):
-        buffer = self.make_buffer(capacity=3)
-        for i in range(10):
-            buffer.append(make_tuple(tuple_id=i))
-        assert len(buffer) == 3
-        assert buffer.total_tuples == 10
+        assert buffer.total_tuples == len(buffer) == 6
+        assert buffer.cursor(tail=True).position == (3, 0)
 
     def test_rate_over(self):
         buffer = self.make_buffer(rate=10.0, area=2.0)
-        for i in range(40):
-            buffer.append(make_tuple(tuple_id=i))
+        self.deliver(buffer, range(40))
         estimate = buffer.rate_over(2.0)
         assert estimate.achieved_rate == pytest.approx(10.0)
         assert estimate.relative_error == pytest.approx(0.0)
@@ -150,8 +148,7 @@ class TestQueryResultBuffer:
     def test_rate_over_batches(self):
         buffer = self.make_buffer(rate=5.0, area=1.0)
         for batch in range(4):
-            for i in range(5):
-                buffer.append(make_tuple(tuple_id=batch * 10 + i))
+            self.deliver(buffer, range(batch * 10, batch * 10 + 5))
             buffer.end_batch()
         estimate = buffer.rate_over_batches(1.0)
         assert estimate.achieved_rate == pytest.approx(5.0)
@@ -166,8 +163,7 @@ class TestQueryResultBuffer:
         # Regression: last=0 used to slice [-0:] — the whole history — and
         # silently report the lifetime rate instead of a recent window.
         buffer = self.make_buffer(rate=5.0, area=1.0)
-        for i in range(5):
-            buffer.append(make_tuple(tuple_id=i))
+        self.deliver(buffer, range(5))
         buffer.end_batch()
         with pytest.raises(StorageError):
             buffer.rate_over_batches(1.0, last=0)
@@ -176,10 +172,11 @@ class TestQueryResultBuffer:
 
     def test_values_and_event_batch(self):
         buffer = self.make_buffer()
-        buffer.append(make_tuple(value=1.5, t=1.0))
-        buffer.append(make_tuple(value=2.5, t=2.0))
+        assert buffer.values() == [] and len(buffer.to_event_batch()) == 0
+        buffer.extend_batch(TupleBatch.from_tuples([make_tuple(value=1.5, t=1.0)]))
+        buffer.extend_batch(TupleBatch.from_tuples([make_tuple(value=2.5, t=2.0)]))
         assert buffer.values() == [1.5, 2.5]
-        assert len(buffer.to_event_batch()) == 2
+        assert buffer.to_event_batch().t.tolist() == [1.0, 2.0]
 
 
 class TestDiscardedStore:

@@ -20,14 +20,13 @@ from repro.views import ViewHandle, ViewSessionInfo, ViewSpec
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
 
-def make_engine(columnar=True, retention=None, seed=7, sensors=150):
+def make_engine(retention=None, seed=7, sensors=150):
     world = SensingWorld(WorldConfig(region=REGION, sensor_count=sensors, seed=42))
     world.register_field(RainField(REGION, band_width=1.2, period=40.0))
     config = EngineConfig(
         grid_cells=16,
         seed=seed,
         budget=BudgetConfig(initial=30, delta=5, limit=300),
-        columnar=columnar,
         retention_batches=retention,
     )
     return CraqrEngine(config, world)
