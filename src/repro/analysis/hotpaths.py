@@ -75,12 +75,20 @@ HOT_PATHS: List[Tuple[str, str]] = [
     ("repro/core/fabricator.py", "StreamFabricator.map_batches_fused"),
     ("repro/core/pmat/flatten.py", "FlattenOperator.process_batch_mask"),
     ("repro/core/pmat/thin.py", "ThinOperator.thin_indices"),
-    # The least-squares initialiser every MLE fit starts from (PR 15):
-    # three searchsorteds and one bincount assign events to quadrats; a
-    # per-box mask loop over the event columns was half of every fit.
-    # Both the public fit and the theta-only kernel it shares with
-    # ``fit_linear_intensity_mle`` are gated; the one loop left is per
-    # spatial quadrat (bins^2 overlap areas), acknowledged inline.
+    # The batch MLE every non-online chain runs each batch (PR 21): a
+    # damped Newton iteration whose loops are per Newton step and per
+    # line-search halving — each step is a fixed number of column sums and
+    # a 4x4 solve on plain floats — never per event.  Its Eq. (3)
+    # companion ``_compensate_clipping`` is one sort and one cumulative
+    # sum where a 60-step bisection used to be.
+    ("repro/pointprocess/estimation.py", "fit_linear_intensity_mle"),
+    ("repro/pointprocess/thinning.py", "_compensate_clipping"),
+    # The quadrat-count least-squares fit (PR 15; no longer the MLE's
+    # start): three searchsorteds and one bincount assign events to
+    # quadrats; a per-box mask loop over the event columns was half of
+    # every fit.  Both the public fit and its theta-only kernel are
+    # gated; the one loop left is per spatial quadrat (bins^2 overlap
+    # areas), acknowledged inline.
     # The online-SGD kernel ``OnlineIntensityEstimator.observe_batch_fused``
     # is deliberately NOT registered: a sequential recurrence is a
     # per-event loop by nature and ``.tolist()`` is its point (plain-float

@@ -109,19 +109,20 @@ class NaivePerQueryEngine:
         batch = EventBatch.from_rows([(it.t, it.x, it.y) for it in in_region])
         t_min, t_max = batch.time_span()
         span = max(t_max - t_min, duration)
+        # The engine's estimator contract (FlattenOperator): a converged
+        # maximum-likelihood fit, else the batch's constant empirical rate.
+        intensity = ConstantIntensity(
+            max(len(batch) / (query.region.area * span), 1e-9)
+        )
         if len(batch) >= 20:
             try:
-                intensity = fit_linear_intensity_mle(
+                fit = fit_linear_intensity_mle(
                     batch, query.region, t_min, t_min + span
-                ).intensity
-            except EstimationError:
-                intensity = ConstantIntensity(
-                    max(len(batch) / (query.region.area * span), 1e-9)
                 )
-        else:
-            intensity = ConstantIntensity(
-                max(len(batch) / (query.region.area * span), 1e-9)
-            )
+                if fit.converged:
+                    intensity = fit.intensity
+            except EstimationError:
+                pass
         target_expected = query.rate * query.region.area * span
         outcome = flatten_events(batch, intensity, target_expected, rng=self._rng)
         return [item for item, keep in zip(in_region, outcome.keep_mask) if keep]

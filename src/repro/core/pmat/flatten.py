@@ -21,12 +21,13 @@ variant suggests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ...errors import PointProcessError, StreamError
 from ...pointprocess import (
+    ConstantIntensity,
     EventBatch,
     IntensityModel,
     OnlineIntensityEstimator,
@@ -49,6 +50,12 @@ class FlattenBatchReport:
     feedback signal (:attr:`FlattenOperator.last_violation_percent`) is the
     maximum of the two, because either one indicates the batch cannot
     fabricate the requested rate.
+
+    ``estimator`` names the intensity the batch was flattened with:
+    ``"given"`` (the operator's fixed model), ``"online"`` (the warmed-up
+    SGD estimate), ``"mle"`` (a converged maximum-likelihood fit) or
+    ``"constant"`` (the empirical mean rate: the batch was too small to
+    fit, or the fit did not converge).  ``None`` for an empty batch.
     """
 
     batch_size: int
@@ -56,6 +63,7 @@ class FlattenBatchReport:
     violation_percent: float
     shortfall_percent: float
     target_rate: float
+    estimator: Optional[str] = None
 
     @property
     def feedback_percent(self) -> float:
@@ -78,7 +86,12 @@ class FlattenOperator(PMATOperator):
     intensity:
         Optional known intensity model.  When omitted the operator estimates
         a linear intensity (Eq. 1) from each batch by maximum likelihood
-        (falling back to a constant empirical rate for tiny batches).
+        (``fit_linear_intensity_mle``, a damped Newton iteration) and uses
+        the fit only when it reports ``converged``; a batch smaller than
+        ``min_batch_for_fit`` or a fit that did not converge is flattened
+        with the batch's constant empirical rate instead.  Which one
+        flattened a batch is recorded in
+        :attr:`FlattenBatchReport.estimator`.
     online:
         When true, maintain an online SGD estimate across batches instead of
         refitting from scratch each batch.
@@ -174,10 +187,13 @@ class FlattenOperator(PMATOperator):
     def process(self, item: SensorTuple) -> None:
         self._buffer.append(item)
 
-    def _estimate_intensity(self, batch: EventBatch) -> IntensityModel:
-        """Pick the intensity model used to flatten the current batch."""
+    def _estimate_intensity(self, batch: EventBatch) -> Tuple[IntensityModel, str]:
+        """The intensity model that flattens the current batch, and its name.
+
+        The name is what :attr:`FlattenBatchReport.estimator` records.
+        """
         if self._intensity is not None:
-            return self._intensity
+            return self._intensity, "given"
         t_min, t_max = batch.time_span()
         if self._online and self._online_estimator is not None:
             # Anchor the SGD compensator at the batch's own window: without
@@ -187,20 +203,23 @@ class FlattenOperator(PMATOperator):
             self._online_estimator.observe_batch_fused(batch, window_start=t_min)
             # Until the online estimate has warmed up fall back to MLE below.
             if self._online_estimator.updates >= 2 * self._min_batch_for_fit:
-                return self._online_estimator.intensity
+                return self._online_estimator.intensity, "online"
         duration = max(t_max - t_min, self._batch_duration)
         if len(batch) >= self._min_batch_for_fit:
             try:
-                return fit_linear_intensity_mle(
+                fit = fit_linear_intensity_mle(
                     batch, self.region, t_min, t_min + duration
-                ).intensity
+                )
+                # A fit that did not converge is not a maximum-likelihood
+                # estimate (the likelihood is unbounded when the events
+                # leave enough of the cell empty): never flatten with it.
+                if fit.converged:
+                    return fit.intensity, "mle"
             except (EstimationError, PointProcessError):
                 pass
         # Constant fallback: the empirical mean rate of the batch.
-        from ...pointprocess import ConstantIntensity
-
         mean_rate = max(len(batch) / (self.region.area * duration), 1e-9)
-        return ConstantIntensity(mean_rate)
+        return ConstantIntensity(mean_rate), "constant"
 
     def flush(self) -> None:
         """Process the buffered batch: flatten, report ``N_v``, emit survivors."""
@@ -220,7 +239,7 @@ class FlattenOperator(PMATOperator):
         items = self._buffer
         self._buffer = []
         batch = EventBatch.from_rows([(it.t, it.x, it.y) for it in items])
-        intensity = self._estimate_intensity(batch)
+        intensity, estimator = self._estimate_intensity(batch)
         # Eq. (3) normalises by the batch, so the target expected count is
         # target_rate * area * batch window; flatten_events keeps that
         # expectation when we pass the expected count as the "rate" knob.
@@ -237,6 +256,7 @@ class FlattenOperator(PMATOperator):
                 violation_percent=result.violation_percent,
                 shortfall_percent=result.shortfall_percent,
                 target_rate=self._target_rate,
+                estimator=estimator,
             )
         )
         for item, kept in zip(items, result.keep_mask):
@@ -280,7 +300,7 @@ class FlattenOperator(PMATOperator):
         n = len(batch)
         self._tuples_in += n
         events = EventBatch(batch.t, batch.x, batch.y)
-        intensity = self._estimate_intensity(events)
+        intensity, estimator = self._estimate_intensity(events)
         target_expected = self._target_rate * self.region.area * self._batch_duration
         result = flatten_keep_mask(events, intensity, target_expected, rng=self.rng)
         retained = result.retained_count
@@ -291,6 +311,7 @@ class FlattenOperator(PMATOperator):
                 violation_percent=result.violation_percent,
                 shortfall_percent=result.shortfall_percent,
                 target_rate=self._target_rate,
+                estimator=estimator,
             )
         )
         self._tuples_out += retained

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..errors import PointProcessError
 from ..geometry import Rectangle, RectRegion, Region
@@ -69,6 +68,8 @@ def rescaled_time_residuals(
 
 def residual_ks_statistic(residuals: np.ndarray) -> Tuple[float, float]:
     """KS statistic and p-value of the residuals against Exp(1)."""
+    from scipy import stats  # function-level: no engine process imports scipy
+
     residuals = np.asarray(residuals, dtype=float)
     if residuals.size == 0:
         return (0.0, 1.0)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..errors import PointProcessError
 from ..geometry import Rectangle, RectRegion, Region
@@ -87,6 +86,8 @@ def quadrat_chi_square_test(
     Under CSR the statistic ``sum (n_i - n_bar)^2 / n_bar`` is approximately
     chi-square with ``nx*ny - 1`` degrees of freedom.
     """
+    from scipy import stats  # function-level: no engine process imports scipy
+
     counts = quadrat_counts(batch, region, nx, ny).ravel().astype(float)
     if counts.sum() == 0:
         return ChiSquareResult(statistic=0.0, p_value=1.0, degrees_of_freedom=nx * ny - 1)
@@ -113,6 +114,8 @@ def ks_uniformity_test(batch: EventBatch, region, duration: float, *, t_start: f
     composite regions the bounding box is used, which makes the test
     conservative in x/y.
     """
+    from scipy import stats  # function-level: no engine process imports scipy
+
     region = _coerce_region(region)
     if batch.is_empty:
         return (1.0, 1.0, 1.0)

@@ -146,27 +146,30 @@ def _compensate_clipping(raw_probability: np.ndarray, target: float) -> np.ndarr
     Eq. (3) can assign probabilities above 1; clipping them loses retention
     mass and the surviving process under-shoots the requested rate even when
     the batch holds enough events.  This helper finds the scale factor
-    ``c >= 1`` such that ``sum(min(c * p_i, 1)) = min(target, n)`` (binary
-    search; the left side is monotone in ``c``), which preserves the
-    inverse-intensity shape of Eq. (3) on the unclipped events while
-    restoring the expected count whenever it is physically reachable.
+    ``c >= 1`` such that ``sum(min(c * p_i, 1)) = min(target, n)``, which
+    preserves the inverse-intensity shape of Eq. (3) on the unclipped events
+    while restoring the expected count whenever it is physically reachable.
+
+    The left side is piecewise linear in ``c``: with the ``k`` largest
+    probabilities clipped, the rest must supply ``target - k``, so
+    ``c_k = (target - k) / tail_k`` where ``tail_k`` is the mass outside the
+    ``k`` largest.  The answer is the first ``k`` whose next-largest
+    probability stays unclipped, ``c_k * p_(k+1) <= 1`` (``k = n - 1``
+    always qualifies) — one sort and one cumulative sum.
     """
     n = raw_probability.shape[0]
     reachable_target = min(target, float(n))
     capped = np.clip(raw_probability, 0.0, 1.0)
     if capped.sum() >= reachable_target - 1e-12:
         return capped
-    lo, hi = 1.0, 2.0
-    # Grow the bracket until the target is covered (bounded by all-ones).
-    while np.minimum(hi * raw_probability, 1.0).sum() < reachable_target and hi < 1e12:
-        hi *= 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if np.minimum(mid * raw_probability, 1.0).sum() < reachable_target:
-            lo = mid
-        else:
-            hi = mid
-    return np.minimum(hi * raw_probability, 1.0)
+    ascending = np.sort(raw_probability)
+    descending = ascending[::-1]
+    tail = np.cumsum(ascending)[::-1]
+    k = int(np.argmax((reachable_target - np.arange(n)) * descending <= tail))
+    if tail[k] == 0.0:
+        # Every positive probability is clipped and only zeros are left.
+        return (raw_probability > 0.0).astype(float)
+    return np.minimum((reachable_target - k) / tail[k] * raw_probability, 1.0)
 
 
 def _flatten_probabilities(

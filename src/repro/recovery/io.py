@@ -37,10 +37,15 @@ PathLike = Union[str, os.PathLike]
 MAGIC = b"CRQRCKPT"
 
 #: Current snapshot format version.  Bumped on any incompatible change to
-#: the header layout or the pickled payload structure (2: the engine's
+#: the header layout or the pickled payload structure — or to what a
+#: restored engine computes next, since restore-then-replay must be
+#: byte-identical to the run that wrote the file (2: the engine's
 #: per-tuple delivery callback and ``EngineConfig.columnar`` are gone and
-#: result buffers hold ``TupleBatch`` chunks only).
-FORMAT_VERSION = 2
+#: result buffers hold ``TupleBatch`` chunks only; 3: the MLE is the damped
+#: Newton solver and only a converged fit flattens a batch, so the same
+#: state yields different tuples, and ``FlattenBatchReport`` carries
+#: ``estimator``).
+FORMAT_VERSION = 3
 
 #: Header layout after the magic: version (u32), payload length (u64),
 #: SHA-256 digest (32 bytes), all little-endian.

@@ -8,7 +8,14 @@ from repro.config import BudgetConfig, EngineConfig
 from repro.core import AcquisitionalQuery
 from repro.errors import CraqrError, QueryError
 from repro.geometry import Rectangle
-from repro.pointprocess import GaussianHotspotIntensity, InhomogeneousMDPP
+from repro.pointprocess import (
+    ConstantIntensity,
+    EventBatch,
+    GaussianHotspotIntensity,
+    InhomogeneousMDPP,
+    fit_linear_intensity_mle,
+    flatten_events,
+)
 from repro.streams import SensorTuple
 from tests.conftest import make_world
 
@@ -77,6 +84,30 @@ class TestNaivePerQueryEngine:
         engine.run(3)
         assert engine.total_tuples_delivered() == len(result.delivered)
         assert engine.total_responses_received() >= len(result.delivered)
+
+    def test_non_converged_fit_is_replaced_by_the_constant_rate(self):
+        # The engine's estimator contract: tuples confined to the lower 40%
+        # of the query region have no maximum-likelihood fit (the likelihood
+        # is unbounded), so the batch is flattened with its empirical mean
+        # rate — not with whatever theta the solver stopped at.
+        query = AcquisitionalQuery("temp", Rectangle(0, 0, 2, 2), 8.0)
+        rng = np.random.default_rng(17)
+        items = [
+            SensorTuple(
+                tuple_id=i, attribute="temp", t=float(t), x=float(2 * x),
+                y=float(0.8 * y), value=20.0, sensor_id=i,
+            )
+            for i, (t, x, y) in enumerate(rng.random((90, 3)))
+        ]
+        batch = EventBatch.from_rows([(it.t, it.x, it.y) for it in items])
+        t_min, t_max = batch.time_span()
+        assert not fit_linear_intensity_mle(batch, query.region, t_min, t_min + 1.0).converged
+        engine = NaivePerQueryEngine(make_config(seed=9), make_world(REGION, seed=8))
+        kept = engine._flatten_to_rate(items, query, 1.0)
+        expected = flatten_events(
+            batch, ConstantIntensity(90 / 4.0), 8.0 * 4.0, rng=np.random.default_rng(9)
+        )
+        assert [it.tuple_id for it in kept] == np.flatnonzero(expected.keep_mask).tolist()
 
 
 class TestUniformSamplingAcquirer:

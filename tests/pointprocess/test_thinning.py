@@ -15,6 +15,7 @@ from repro.pointprocess import (
     thin_events,
     thin_to_rate,
 )
+from repro.pointprocess.thinning import _compensate_clipping
 
 REGION = Rectangle(0.0, 0.0, 1.0, 1.0)
 
@@ -150,3 +151,84 @@ class TestFlattenEvents:
         batch = make_homogeneous_batch(5.0, 1.0, seed=12)
         result = flatten_events(batch, intensity, 10.0 * len(batch), rng=rng)
         assert np.all(result.retain_probability <= 1.0)
+
+
+def compensate_by_bisection(raw_probability, target):
+    """``_compensate_clipping`` as it was before the closed form: the oracle.
+
+    A bracket-doubling loop and 60 bisection steps on the monotone
+    ``c -> sum(min(c * p_i, 1))``.
+    """
+    n = raw_probability.shape[0]
+    reachable_target = min(target, float(n))
+    capped = np.clip(raw_probability, 0.0, 1.0)
+    if capped.sum() >= reachable_target - 1e-12:
+        return capped
+    lo, hi = 1.0, 2.0
+    while np.minimum(hi * raw_probability, 1.0).sum() < reachable_target and hi < 1e12:
+        hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if np.minimum(mid * raw_probability, 1.0).sum() < reachable_target:
+            lo = mid
+        else:
+            hi = mid
+    return np.minimum(hi * raw_probability, 1.0)
+
+
+class TestCompensateClipping:
+    """The sort + cumulative-sum scale against the bisection it replaced."""
+
+    @staticmethod
+    def eq3(rates, target):
+        """Raw Eq. (3) probabilities: they sum to ``target`` before clipping."""
+        return target / (rates * np.sum(1.0 / rates))
+
+    def test_matches_the_bisection_on_random_batches(self):
+        rng = np.random.default_rng(20150413)
+        compensated = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 300))
+            rates = rng.lognormal(0.0, rng.uniform(0.1, 3.0), n)
+            target = float(rng.uniform(0.5, 1.5 * n))
+            raw = self.eq3(rates, target)
+            result = _compensate_clipping(raw, target)
+            compensated += bool(np.any(raw > 1.0))
+            assert np.max(np.abs(result - compensate_by_bisection(raw, target))) <= 1e-12
+            assert result.sum() == pytest.approx(min(target, n), abs=1e-9)
+            assert np.all((result >= 0.0) & (result <= 1.0))
+            # The inverse-intensity shape survives on the unclipped events.
+            open_ = result < 1.0
+            if np.count_nonzero(open_) > 1:
+                ratio = result[open_] / raw[open_]
+                assert np.allclose(ratio, ratio[0], rtol=1e-12)
+        assert compensated > 100  # the generator does exercise the scale
+
+    def test_nothing_clipped_returns_the_raw_probabilities(self):
+        raw = self.eq3(np.array([1.0, 2.0, 4.0, 8.0]), 1.5)
+        assert np.array_equal(_compensate_clipping(raw, 1.5), raw)
+
+    def test_target_beyond_the_batch_clips_everything(self):
+        raw = self.eq3(np.array([1.0, 3.0, 9.0]), 7.5)
+        assert _compensate_clipping(raw, 7.5) == pytest.approx(np.ones(3), abs=1e-12)
+        assert compensate_by_bisection(raw, 7.5) == pytest.approx(np.ones(3), abs=1e-12)
+
+    def test_target_of_exactly_the_batch_size(self):
+        raw = self.eq3(np.array([0.5, 1.0, 2.0, 64.0]), 4.0)
+        assert _compensate_clipping(raw, 4.0) == pytest.approx(np.ones(4), abs=1e-12)
+
+    def test_single_event(self):
+        assert np.array_equal(_compensate_clipping(np.array([0.25]), 0.25), [0.25])
+        assert np.array_equal(_compensate_clipping(np.array([3.0]), 3.0), [1.0])
+
+    def test_zero_tail(self):
+        # Probabilities that underflowed to zero cannot be scaled up: the
+        # positive ones absorb what they can, the zeros stay zero.
+        raw = np.array([2.5, 0.4, 0.1, 0.0, 0.0])
+        reachable = _compensate_clipping(raw, 2.0)  # the three positives suffice
+        assert reachable == pytest.approx(compensate_by_bisection(raw, 2.0), abs=1e-12)
+        assert reachable.sum() == pytest.approx(2.0, abs=1e-9)
+        assert np.array_equal(reachable[3:], [0.0, 0.0])
+        unreachable = _compensate_clipping(raw, 4.0)  # they do not
+        assert np.array_equal(unreachable, [1.0, 1.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(compensate_by_bisection(raw, 4.0), unreachable)

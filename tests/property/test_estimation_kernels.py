@@ -1,25 +1,36 @@
-"""Property tests pinning the two estimation kernels to their references.
+"""Property tests pinning the estimation kernels to their references.
 
 ``OnlineIntensityEstimator.observe_batch_fused`` (the plain-float SGD
 kernel the engine runs) must land on exactly the bits of
 ``observe_batch`` (n x ``observe_event``), and
 ``fit_linear_intensity_least_squares`` (searchsorted + one bincount) on
 exactly the bits of the per-box loop it replaced — kept here, under
-``tests/``, as the oracle.
+``tests/``, as the oracle.  ``fit_linear_intensity_mle`` (damped Newton)
+is held to its own certificate — a feasible theta with a Newton decrement
+within tolerance is the global maximum — and to SciPy's L-BFGS-B, the
+solver it replaced, also kept here as an oracle.
 """
+
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
+from repro.core.pmat import FlattenOperator
 from repro.errors import EstimationError
 from repro.geometry import CompositeRegion, Rectangle, RectRegion
 from repro.pointprocess import (
     EventBatch,
     OnlineIntensityEstimator,
     fit_linear_intensity_least_squares,
+    fit_linear_intensity_mle,
 )
-from repro.pointprocess.estimation import _log_likelihood
+from repro.pointprocess.estimation import _RATE_FLOOR, _log_likelihood
+from repro.streams import SensorTuple, TupleBatch
 
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 
@@ -279,3 +290,296 @@ class TestLeastSquaresInitialiser:
             EventBatch.from_rows(inside), UNIT, 0.0, 1.0
         )
         assert bits(with_outside.theta) == bits(without.theta)
+
+
+# ----------------------------------------------------------------------------
+# Newton MLE: its certificate, its oracle, its bytes
+# ----------------------------------------------------------------------------
+
+
+def window_centre(region, t_start, t_end):
+    """``(volume, (t_mid, cx, cy))`` of the window, computed independently."""
+    area = sum(r.area for r in region.rectangles)
+    cx = sum(0.5 * (r.x_min + r.x_max) * r.area for r in region.rectangles) / area
+    cy = sum(0.5 * (r.y_min + r.y_max) * r.area for r in region.rectangles) / area
+    return area * (t_end - t_start), (0.5 * (t_start + t_end), cx, cy)
+
+
+def certificate(theta, batch, region, t_start, t_end):
+    """``(min rate, Newton decrement, log-likelihood)`` of ``theta``.
+
+    Recomputed with numpy's linear algebra on window-centred features; the
+    log-likelihood is the unclamped one, ``-inf`` at an infeasible theta.
+    """
+    volume, (t_mid, cx, cy) = window_centre(region, t_start, t_end)
+    features = np.column_stack(
+        [np.ones(len(batch)), batch.t - t_mid, batch.x - cx, batch.y - cy]
+    )
+    phi = np.array(
+        [theta[0] + theta[1] * t_mid + theta[2] * cx + theta[3] * cy, *theta[1:]]
+    )
+    rate = features @ phi
+    if rate.min() <= 0:
+        return rate.min(), np.inf, -np.inf
+    scaled = features / rate[:, None]
+    gradient = scaled.sum(axis=0) - np.array([volume, 0.0, 0.0, 0.0])
+    decrement = gradient @ np.linalg.solve(scaled.T @ scaled, gradient)
+    return rate.min(), decrement, float(np.log(rate).sum() - volume * phi[0])
+
+
+def mle_by_lbfgsb(batch, region, t_start, t_end):
+    """The fit as it was before the Newton solver: the oracle.
+
+    SciPy's L-BFGS-B on the floor-clamped likelihood, started from the
+    least-squares theta (the flat rate when that fails).  Returns
+    ``(theta, success)``; ``success`` is false whenever the start has a
+    non-positive rate at some event (the clamp breaks the line search).
+    """
+    volume, centre = window_centre(region, t_start, t_end)
+    try:
+        start = np.array(
+            fit_linear_intensity_least_squares(batch, region, t_start, t_end).theta
+        )
+    except EstimationError:
+        start = np.array([len(batch) / volume, 0.0, 0.0, 0.0])
+    design = np.column_stack([np.ones(len(batch)), batch.t, batch.x, batch.y])
+    basis_integrals = volume * np.array([1.0, *centre])
+
+    def negative_log_likelihood(theta):
+        rates = np.maximum(design @ theta, _RATE_FLOOR)
+        return float(basis_integrals @ theta - np.log(rates).sum())
+
+    def gradient(theta):
+        rates = np.maximum(design @ theta, _RATE_FLOOR)
+        return basis_integrals - design.T @ (1.0 / rates)
+
+    result = optimize.minimize(
+        negative_log_likelihood, start, jac=gradient, method="L-BFGS-B",
+        options={"maxiter": 200},
+    )
+    return result.x, bool(result.success)
+
+
+@st.composite
+def mle_fits(draw):
+    """A window and 20-80 events in its bounding box, skewed per axis."""
+    region = draw(st.sampled_from(REGIONS))
+    t_start = draw(st.sampled_from([0.0, 7.25, 1000.0]))
+    t_end = t_start + draw(st.sampled_from([0.5, 1.0, 3.0]))
+    bbox = region.bounding_box
+    powers = [draw(st.sampled_from([0.4, 1.0, 2.5])) for _ in range(3)]
+    rows = draw(
+        st.lists(
+            st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3),
+            min_size=20,
+            max_size=80,
+        )
+    )
+    unit = np.array(rows) ** powers
+    batch = EventBatch(
+        t_start + (t_end - t_start) * unit[:, 0],
+        bbox.x_min + bbox.width * unit[:, 1],
+        bbox.y_min + bbox.height * unit[:, 2],
+    )
+    return batch, region, t_start, t_end
+
+
+def seeded_batch(seed, n=120, *, t_start=0.0, x_min=0.0, y_min=0.0):
+    """A skewed batch on the unit window, moved to ``(t_start, x_min, y_min)``."""
+    rng = np.random.default_rng(seed)
+    return EventBatch(
+        t_start + rng.random(n),
+        x_min + rng.random(n) ** 0.6,
+        y_min + rng.random(n) ** 1.7,
+    )
+
+
+#: ``float.hex`` of theta fitted to ``seeded_batch(20150413)`` moved to the
+#: cell [6, 7] x [2, 3] at t = 1000 (6 Newton steps from the flat start).
+PINNED_MLE_THETA = [
+    "-0x1.2a4726b7ac6f9p+15",
+    "0x1.2bb11a551616ap+5",
+    "0x1.503698cd8efe1p+7",
+    "-0x1.b5519cbe6db90p+6",
+]
+
+
+class TestNewtonMle:
+    @settings(max_examples=150, deadline=None)
+    @given(mle_fits())
+    def test_converged_means_feasible_stationary_and_no_worse_than_lbfgsb(self, fit):
+        batch, region, t_start, t_end = fit
+        result = fit_linear_intensity_mle(batch, region, t_start, t_end)
+        assert result.iterations <= 25
+        assert np.all(np.isfinite(result.theta))
+        if not result.converged:
+            return
+        min_rate, decrement, log_likelihood = certificate(
+            result.theta, batch, region, t_start, t_end
+        )
+        assert min_rate > 0
+        assert decrement <= 1e-8
+        assert result.log_likelihood == pytest.approx(log_likelihood, rel=1e-9, abs=1e-9)
+        theta, success = mle_by_lbfgsb(batch, region, t_start, t_end)
+        # Only a feasible theta has a likelihood: the oracle's clamped
+        # objective scores a negative-rate event at log(floor) while the
+        # negative region still subtracts from the compensator.
+        oracle = certificate(theta, batch, region, t_start, t_end)[2]
+        if success and np.isfinite(oracle):
+            assert log_likelihood >= oracle - 1e-9 * max(1.0, abs(oracle))
+
+    def test_seeded_skewed_batches_all_converge(self):
+        # The certificate test is vacuous on fits that do not converge;
+        # ordinary batches (events all over the window) always must.
+        for seed in range(40):
+            batch = seeded_batch(seed, n=30 + 5 * seed)
+            result = fit_linear_intensity_mle(batch, UNIT, 0.0, 1.0)
+            assert result.converged, seed
+            assert result.iterations <= 12, seed
+            assert result.intensity.theta == result.theta
+
+    @pytest.mark.parametrize(
+        "shift", [(1e3, 0.0, 0.0), (1e6, 0.0, 0.0), (0.0, 250.0, -4000.0), (1e6, -30.5, 7e3)]
+    )
+    def test_fitted_rates_do_not_depend_on_where_the_window_sits(self, shift):
+        dt, dx, dy = shift
+        for seed in range(5):
+            base = seeded_batch(seed)
+            moved = seeded_batch(seed, t_start=dt, x_min=dx, y_min=dy)
+            here = fit_linear_intensity_mle(base, UNIT, 0.0, 1.0)
+            there = fit_linear_intensity_mle(
+                moved, Rectangle(dx, dy, dx + 1.0, dy + 1.0), dt, dt + 1.0
+            )
+            assert here.converged and there.converged
+            assert there.iterations == here.iterations
+            # 1e-9 of the batch's largest rate: handing theta back uncentred
+            # costs an ulp of slope x 1e6 (~1e-8 absolute) at t = 1e6.
+            rates = here.intensity.rate(base.t, base.x, base.y)
+            assert there.intensity.rate(moved.t, moved.x, moved.y) == pytest.approx(
+                rates, rel=0.0, abs=1e-9 * rates.max()
+            )
+            assert there.log_likelihood == pytest.approx(here.log_likelihood, rel=1e-9)
+
+    def test_infeasible_start_falls_back_to_the_flat_rate(self):
+        batch = seeded_batch(3)
+        default = fit_linear_intensity_mle(batch, UNIT, 0.0, 1.0)
+        for start in [(-5.0, 0.0, 0.0, 0.0), (10.0, 0.0, -400.0, 0.0), (0.0,) * 4]:
+            result = fit_linear_intensity_mle(batch, UNIT, 0.0, 1.0, initial_theta=start)
+            assert bits(result.theta) == bits(default.theta)
+            assert result.iterations == default.iterations
+
+    def test_feasible_start_is_used(self):
+        batch = seeded_batch(3)
+        default = fit_linear_intensity_mle(batch, UNIT, 0.0, 1.0)
+        assert default.iterations > 2
+        # Restarted at the maximum there is nothing left to do ...
+        warm = fit_linear_intensity_mle(
+            batch, UNIT, 0.0, 1.0, initial_theta=default.theta
+        )
+        assert warm.converged and warm.iterations == 0
+        assert warm.theta == pytest.approx(default.theta, rel=1e-12)
+        # ... and from any other feasible point it ends at the same maximum.
+        other = fit_linear_intensity_mle(
+            batch, UNIT, 0.0, 1.0, initial_theta=(300.0, 10.0, -20.0, 5.0)
+        )
+        assert other.converged
+        assert other.theta == pytest.approx(default.theta, rel=1e-6)
+        assert other.log_likelihood == pytest.approx(default.log_likelihood, abs=1e-8)
+
+    def test_degenerate_batches_are_results_not_exceptions(self):
+        rng = np.random.default_rng(8)
+        for batch in [
+            EventBatch.from_rows([(0.5, 0.5, 0.5)]),
+            EventBatch.from_rows([(0.1, 0.2, 0.3), (0.5, 0.5, 0.9), (0.9, 0.1, 0.4)]),
+            EventBatch(rng.random(30), np.full(30, 0.3), np.full(30, 0.7)),
+            EventBatch(rng.random(40), np.linspace(0, 1, 40), np.linspace(0, 1, 40)),
+        ]:
+            result = fit_linear_intensity_mle(batch, UNIT, 0.0, 1.0)
+            assert not result.converged
+            assert result.iterations <= 25
+            assert np.all(np.isfinite(result.theta))
+
+    def test_pinned_theta_of_one_seeded_fit(self):
+        # The MLE path's golden: no BLAS or LAPACK call sits between the
+        # columns and theta, so every CI python must print these bits.
+        batch = seeded_batch(20150413, t_start=1000.0, x_min=6.0, y_min=2.0)
+        result = fit_linear_intensity_mle(
+            batch, Rectangle(6.0, 2.0, 7.0, 3.0), 1000.0, 1001.0
+        )
+        assert result.converged
+        assert result.iterations == 6
+        assert [v.hex() for v in result.theta] == PINNED_MLE_THETA
+
+
+class TestUnboundedLikelihood:
+    """Events confined to one half of a cell: no maximum, no MLE, no silence."""
+
+    CELL = Rectangle(6.0, 6.0, 8.0, 8.0)
+
+    def half_cell_batch(self):
+        # The window's centroid (y = 7) lies outside the events' convex
+        # hull (y < 6.84): raising theta along -y grows the likelihood
+        # without bound.
+        rng = np.random.default_rng(91)
+        return EventBatch(
+            40.0 + rng.random(91), 6.0 + 2.0 * rng.random(91), 6.0 + 0.84 * rng.random(91)
+        )
+
+    def test_fit_reports_non_convergence(self):
+        result = fit_linear_intensity_mle(self.half_cell_batch(), self.CELL, 40.0, 41.0)
+        assert not result.converged
+        assert result.iterations <= 25
+        assert np.all(np.isfinite(result.theta))
+        assert np.isfinite(result.log_likelihood)
+
+    def test_flatten_falls_back_to_the_constant_rate_on_both_walks(self):
+        events = self.half_cell_batch()
+        items = [
+            SensorTuple(
+                tuple_id=i, attribute="rain", t=float(t), x=float(x), y=float(y),
+                value=True, sensor_id=i,
+            )
+            for i, (t, x, y) in enumerate(zip(events.t, events.x, events.y))
+        ]
+        walk, kernel = (
+            FlattenOperator(5.0, region=self.CELL, rng=np.random.default_rng(4))
+            for _ in range(2)
+        )
+        for item in items:
+            walk.accept(item)
+        walk.flush()
+        mask = kernel.process_batch_mask(TupleBatch.from_tuples(items))
+        assert [r.estimator for r in walk.reports] == ["constant"]
+        assert walk.reports == kernel.reports
+        assert int(np.count_nonzero(mask)) == walk.reports[0].retained
+        # A batch that does cover the cell is flattened by its fit.
+        spread = TupleBatch.from_tuples(
+            [
+                SensorTuple(
+                    tuple_id=i, attribute="rain", t=40.0 + u, x=6.0 + 2.0 * v,
+                    y=6.0 + 2.0 * w, value=True, sensor_id=i,
+                )
+                for i, (u, v, w) in enumerate(np.random.default_rng(5).random((91, 3)).tolist())
+            ]
+        )
+        kernel.process_batch_mask(spread)
+        assert kernel.reports[-1].estimator == "mle"
+
+
+class TestScipyStaysOut:
+    def test_no_engine_entry_point_imports_scipy(self):
+        # scipy.optimize + scipy.stats are ~75 MiB of RSS and ~1.2 s of
+        # import; only the paper-facing homogeneity tests may pay that.
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro, repro.core, repro.serve, repro.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            ],
+            capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

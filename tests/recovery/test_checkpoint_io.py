@@ -52,11 +52,22 @@ class TestFraming:
         # Version 1 payloads pickle a reference to an engine method and a
         # config field this build no longer has; the refusal must be the
         # version message, not whatever unpickling would trip over first.
-        assert FORMAT_VERSION == 2
+        assert FORMAT_VERSION == 3
         framed = frame_payload(b"payload", version=1)
         with pytest.raises(
             RecoveryError,
-            match="uses snapshot format version 1; this build reads version 2 only",
+            match="uses snapshot format version 1; this build reads version 3 only",
+        ):
+            unframe_payload(framed, source="old.ckpt")
+
+    def test_version_2_checkpoint_is_refused_by_version(self):
+        # Version 2 payloads would unpickle — into an engine whose next fits
+        # (Newton, converged-or-constant) differ from the L-BFGS-B run that
+        # wrote them, silently breaking restore-then-replay.
+        framed = frame_payload(b"payload", version=2)
+        with pytest.raises(
+            RecoveryError,
+            match="uses snapshot format version 2; this build reads version 3 only",
         ):
             unframe_payload(framed, source="old.ckpt")
 

@@ -26,16 +26,18 @@ from repro.recovery import EngineSnapshot
 
 #: Golden digest of the strict-mode workload after 8 batches — pinned so a
 #: determinism regression (or an unintended behaviour change anywhere in
-#: the acquisition/fabrication/serving stack) fails loudly.
-GOLDEN_STRICT = "474280cc6c45c0fb5d389cadce86d5755fd092e00e692ae042dc19997e4a684a"
+#: the acquisition/fabrication/serving stack) fails loudly.  All four were
+#: re-pinned once, by PR 21 (Newton MLE, converged-or-constant Flatten,
+#: closed-form clipping scale); CHANGES.md lists old -> new.
+GOLDEN_STRICT = "0785bb657ec172cc18358a6becedad73e3bd3d9d6ae7b0c78ee970eee062a09f"
 #: Same workload under shared-stream fast-sim RNG (the fused shared-stream
 #: round).
-GOLDEN_FAST_SIM = "4dba6c6ff15ac51909b7ab234f1ab6b69f5a4d4a1b9d51ea7e9561963202497f"
+GOLDEN_FAST_SIM = "614d928034d824817cf8d5cdcbb195db42cea980d73455195c92d9a8fd6f028e"
 #: The same two with no ``FaultPlan`` and no mitigation configured.  The
 #: digest is full-precision, so these also guard the wave loop's
 #: ``request + (response - request)`` timestamp arithmetic on healthy runs.
-GOLDEN_STRICT_FAULT_FREE = "1c0771cda5910f772ecd9b770f087513d8170b06af42d02a2ae2f396bf630977"
-GOLDEN_FAST_SIM_FAULT_FREE = "193b89f63f97d49fccc95cbf7c9360d25742bc50ae981bc76241a72618211a82"
+GOLDEN_STRICT_FAULT_FREE = "1970366abe5cb6695c3b34ac8a2bb34a7b3b86fcfc31e37c53102f4916f68c21"
+GOLDEN_FAST_SIM_FAULT_FREE = "60484a08f4377a15bc2f8862a983529e3f8a32ab37e01f192a7934a582965823"
 
 
 class TestRestoreContinuesByteIdentical:
