@@ -1,4 +1,4 @@
-"""A2 (ablation, Section IV / DESIGN.md §6): the grid-granularity trade-off.
+"""A2 (ablation, Section IV): the grid-granularity trade-off.
 
 The grid parameter ``h`` "controls the granularity at which queries can be
 processed".  A coarse grid materialises few per-cell chains and keeps the

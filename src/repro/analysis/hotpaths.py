@@ -1,11 +1,10 @@
 """The hot-path manifest the CRQ4xx purity rules enforce.
 
 Functions listed here are the per-batch inner loops whose cost the
-benchmark suite gates (``BENCH_world.json`` / ``BENCH_views.json`` /
-``BENCH_serve.json`` and the ``benchmarks/e2e`` per-layer spans): the
-fused acquisition round, the fast-sim mobility kernels, the columnar map
-phase, compiled chain execution and its flatten/thin kernels, the MLE
-initialiser behind every Flatten fit, the incremental view fold and the
+``benchmarks/e2e`` harness reports as per-layer spans: the fused
+acquisition round, the fast-sim mobility kernels, the columnar map
+phase, compiled chain execution and its flatten/thin kernels, the batch
+MLE and the least-squares fit, the incremental view fold and the
 serve-layer fan-out.
 Inside them, per-row Python iteration is a regression by construction —
 the analyzer flags ``.tolist()`` calls, ``range(len(...))`` / ``zip(...)``

@@ -15,9 +15,10 @@ This module provides a concrete, working version of that plan:
   would build, computed from the query's geometry and the handler budgets,
   without running the system.
 * :class:`GridGranularityAdvisor` — chooses the grid parameter ``h``
-  (DESIGN.md §6 ablation): finer grids track query boundaries more
-  accurately (less over-acquisition for partially overlapping queries) but
-  materialise more per-cell chains and send more per-cell requests.
+  (ablation A2, ``benchmarks/bench_grid_granularity.py``): finer grids
+  track query boundaries more accurately (less over-acquisition for
+  partially overlapping queries) but materialise more per-cell chains and
+  send more per-cell requests.
   The advisor evaluates candidate grid sides against a query workload and
   recommends the cheapest one that keeps the expected over-acquisition
   below a tolerance.

@@ -1,8 +1,7 @@
-"""Plain-text result tables for the benchmark harness.
+"""Plain-text result tables for the paper artefacts.
 
-Every benchmark prints its reproduced table or figure series through
-:class:`ResultTable` so the output is uniform, diffable and easy to copy into
-EXPERIMENTS.md.
+Every ``benchmarks/bench_*.py`` prints its reproduced table or figure series
+through :class:`ResultTable` so the output is uniform and diffable.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ sub-command and the repl's ``checkpoint``/``restore`` commands.
 from .io import (
     FORMAT_VERSION,
     atomic_write_bytes,
-    atomic_write_text,
     list_snapshots,
     load_latest,
     read_snapshot_file,
@@ -39,7 +38,6 @@ from .snapshot import (
 __all__ = [
     "FORMAT_VERSION",
     "atomic_write_bytes",
-    "atomic_write_text",
     "list_snapshots",
     "load_latest",
     "read_snapshot_file",

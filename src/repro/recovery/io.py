@@ -15,10 +15,6 @@ Two guarantees matter here:
   :class:`~repro.errors.RecoveryError` on any mismatch, so a truncated or
   bit-flipped file is *detected* rather than deserialised into garbage;
   :func:`load_latest` then falls back to the previous retained checkpoint.
-
-The benchmark harness reuses :func:`atomic_write_text` for the tracked
-``BENCH_*.json`` trajectory files, so an interrupted session can never
-truncate them either.
 """
 
 from __future__ import annotations
@@ -98,11 +94,6 @@ def atomic_write_bytes(path: PathLike, data: bytes, *, pre_replace_hook=None) ->
             except OSError:  # pragma: no cover - racing cleanup
                 pass
     _fsync_directory(target.parent)
-
-
-def atomic_write_text(path: PathLike, text: str, *, encoding: str = "utf-8") -> None:
-    """Atomic counterpart of ``Path.write_text`` (see :func:`atomic_write_bytes`)."""
-    atomic_write_bytes(path, text.encode(encoding))
 
 
 def frame_payload(payload: bytes, *, version: int = FORMAT_VERSION) -> bytes:

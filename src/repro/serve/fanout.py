@@ -1,8 +1,8 @@
 """Serialize-once fan-out of deliveries and view frames.
 
-The engine side of the push path, deliberately free of asyncio so the
-fan-out cost model is directly benchable (``benchmarks/bench_serve.py``
-drives it with thousands of queues and no sockets):
+The engine side of the push path, deliberately free of asyncio so it
+runs with thousands of queues and no sockets (``tests/serve/test_fanout.py``
+does):
 
 * :class:`SubscriberQueue` — one subscriber's bounded send queue with a
   declared backpressure policy: ``"skip"`` drops the oldest pending event

@@ -66,7 +66,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
@@ -253,9 +252,6 @@ class Server:
         self._server: Optional[asyncio.base_events.Server] = None
         self._stopping: Optional[asyncio.Event] = None
         self._batch_task: Optional[asyncio.Task] = None
-        #: Wall-clock seconds spent inside run_batch() since start (the
-        #: stalled-client bench reads this to isolate engine time).
-        self.batch_seconds = 0.0
         self.batches_served = 0
 
     # ------------------------------------------------------------------
@@ -333,9 +329,7 @@ class Server:
     def _run_batches(self, batches: int) -> None:
         """Advance the engine and fan out — the only place batches run."""
         for _ in range(batches):
-            started = time.perf_counter()
             self._engine.run_batch()
-            self.batch_seconds += time.perf_counter() - started
             self.batches_served += 1
             self._fanout.publish()
             self._wake_subscribed()

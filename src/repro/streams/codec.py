@@ -59,8 +59,9 @@ WIRE_VERSION = 1
 
 _U32 = struct.Struct(">I")
 
-#: Encode-call counters behind :func:`codec_call_counts` (the
-#: serialize-once fan-out assertion of ``benchmarks/bench_serve.py``).
+#: Encode-call counters behind :func:`codec_call_counts` (the fan-out
+#: tests' encode-once assertion and the e2e harness's
+#: ``streams.codec.encodes_per_publish``).
 _CALLS: Dict[str, int] = {"tuple_batch": 0, "view_frame": 0}
 
 

@@ -87,6 +87,7 @@ def make_engine(
     faults: bool = True,
     view: bool = True,
     online_estimation: bool = False,
+    sensor_count: int = 80,
 ) -> CraqrEngine:
     """A fully loaded engine: flaky-crowd faults + mitigation, query + view.
 
@@ -112,7 +113,9 @@ def make_engine(
                 directory=str(checkpoint_dir), every=every, retain=retain
             ),
         )
-    engine = CraqrEngine(config, make_world(vectorized=vectorized))
+    engine = CraqrEngine(
+        config, make_world(vectorized=vectorized, sensor_count=sensor_count)
+    )
     engine.execute(QUERY)
     if view:
         engine.execute(VIEW)

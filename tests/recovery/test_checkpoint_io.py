@@ -16,7 +16,6 @@ from repro.recovery import (
     CheckpointStore,
     EngineSnapshot,
     atomic_write_bytes,
-    atomic_write_text,
     list_snapshots,
     load_latest,
     read_snapshot_file,
@@ -93,11 +92,6 @@ class TestAtomicWrites:
         atomic_write_bytes(target, b"data")
         assert target.read_bytes() == b"data"
         assert not list(target.parent.glob("*.tmp"))
-
-    def test_text_round_trip(self, tmp_path):
-        target = tmp_path / "metrics.json"
-        atomic_write_text(target, '{"a": 1}\n')
-        assert target.read_text() == '{"a": 1}\n'
 
     def test_crash_before_replace_preserves_the_old_file(self, tmp_path):
         """A process dying between temp-write and rename (modelled by a

@@ -143,6 +143,14 @@ class TestSnapshotSemantics:
         assert clone.batch_index == snapshot.batch_index
         assert engine_digest(clone.restore()) == engine_digest(engine)
 
+    def test_snapshot_bytes_grow_with_the_crowd_but_not_faster(self):
+        # The crowd's SoA columns and RNG streams dominate the payload.
+        sizes = [
+            len(run_to(make_engine(sensor_count=count), 5).snapshot().to_bytes())
+            for count in (100, 200, 400)
+        ]
+        assert sizes[0] < sizes[1] < sizes[2] < 6 * sizes[0]
+
     def test_unpicklable_attached_state_raises_recovery_error(self):
         engine = run_to(make_engine(), 2)
         # A user bolt-on the checkpoint cannot serialize must fail loudly

@@ -99,18 +99,19 @@ class TestSubscriberQueue:
 
 
 class TestViewFanout:
-    def test_publish_encodes_once_and_shares_payload_by_reference(self):
+    @pytest.mark.parametrize("subscribers", [50, 1000])
+    def test_publish_encodes_once_and_shares_payload_by_reference(self, subscribers):
         buffer = ViewFrameBuffer()
         fanout = FrameFanout()
-        queues = [SubscriberQueue(capacity=16) for _ in range(50)]
+        queues = [SubscriberQueue(capacity=16) for _ in range(subscribers)]
         for q in queues:
             fanout.subscribe_view("Rain", buffer, q)
-        assert fanout.subscriber_count == 50
+        assert fanout.subscriber_count == subscribers
 
         fill(buffer, 3)
         reset_codec_call_counts()
         assert fanout.publish() == 3
-        # Three frames, fifty subscribers: exactly three encodes.
+        # Three frames, however many subscribers: exactly three encodes.
         assert codec_call_counts()["view_frame"] == 3
 
         first_payloads = [q.pop()[1] for q in queues]

@@ -78,6 +78,30 @@ class TestCursorReads:
         cursor.fetch_batch()
         assert len(cursor.fetch_batch()) == 0
 
+    @pytest.mark.parametrize("history", [200, 2000])
+    def test_tail_read_touches_only_the_new_chunks(self, monkeypatch, history):
+        """O(new), as a count: a caught-up cursor hands ``concatenate`` the
+        fresh chunks and nothing else, however long the retained history."""
+        buffer = make_buffer()
+        for i in range(history):
+            buffer.extend_batch(make_batch(i, 1))
+        cursor = buffer.cursor(tail=True)
+        fresh = 3
+        for i in range(history, history + fresh):
+            buffer.extend_batch(make_batch(i, 1))
+
+        handed = []
+        concatenate = TupleBatch.concatenate
+
+        def counting(batches):
+            handed.append(list(batches))
+            return concatenate(handed[-1])
+
+        monkeypatch.setattr(TupleBatch, "concatenate", counting)
+        batch = cursor.fetch_batch()
+        assert [len(parts) for parts in handed] == [fresh]
+        assert batch.tuple_id.tolist() == list(range(history, history + fresh))
+
     def test_cursor_iteration_drains_pending(self):
         buffer = make_buffer()
         buffer.extend_batch(make_batch(0, 3))
