@@ -50,18 +50,25 @@ HOT_PATHS: List[Tuple[str, str]] = [
     # per-sensor mask loop and the step-major loop kept in
     # ``tests/sensing/test_strict_acquisition.py`` and
     # ``tests/sensing/test_sensor_major_advance.py``.
-    # World advance (PR 2, PR 17): the fast-sim mobility kernels, 35-70% of
-    # a large-crowd batch.  Each is a fixed sequence of full-width ufuncs
-    # over the group's row selector (views for a slice, one gather and one
+    # World advance (PR 2, PR 17): the fast-sim mobility kernels, ≈40% of
+    # a large-crowd batch (``sensing.world.advance_ms`` on ``crowd_fast``).
+    # Each is a fixed sequence of full-width ufuncs over the group's row
+    # selector (views for a slice, one gather and one
     # scatter per column for an index array); a per-row loop or a
-    # compacted ``idx[mask]`` subset here is what PR 17 removed.  Their
-    # contract is bit-equality with the gather/scatter bodies kept in
-    # ``tests/sensing/test_mobility_kernels.py``.  The base-class
+    # compacted ``idx[mask]`` subset inside a sub-step is what PR 17
+    # removed.  Compaction happens once per ``advance``, by design, in the
+    # draw-free ``skip_ahead`` pre-pass: one full-width pass moves the
+    # walkers no event can reach and returns the index array of the rest,
+    # which the kernels then sub-step.  The kernels' contract is
+    # bit-equality with the gather/scatter bodies kept in
+    # ``tests/sensing/test_mobility_kernels.py``; the pre-pass's is
+    # ``tests/sensing/test_skip_ahead.py``.  The base-class
     # ``MobilityModel.step_batch`` fallback is deliberately NOT registered:
     # it is the per-row loop by design (models without a kernel), and the
     # world never dispatches a group to it.
     ("repro/sensing/mobility.py", "RandomWalkMobility.step_batch"),
     ("repro/sensing/mobility.py", "RandomWaypointMobility.step_batch"),
+    ("repro/sensing/mobility.py", "RandomWaypointMobility.skip_ahead"),
     ("repro/sensing/mobility.py", "GaussMarkovMobility.step_batch"),
     ("repro/sensing/mobility.py", "HotspotMobility.step_batch"),
     # Compiled per-batch chain execution (PR 8): flat numpy kernels with

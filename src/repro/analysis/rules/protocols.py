@@ -11,7 +11,13 @@ rules make partial implementations a lint error at the diff.
 * ``CRQ201`` — a mobility model defines ``step_batch`` without
   ``batch_key`` (or the reverse): ``SensingWorld.advance`` groups
   sensors by ``batch_key`` before dispatching ``step_batch`` kernels,
-  so each is meaningless without the other.
+  so each is meaningless without the other.  The same code covers the
+  protocol's third method: a ``skip_ahead`` states which rows *its own*
+  kernel leaves on a straight line, so a class defining it without its
+  own ``step_batch`` + ``batch_key`` is a finding (the world would ignore
+  it), and so is a ``skip_ahead`` that takes an ``rng`` — the pre-pass
+  is draw-free by contract, which is what keeps the shared stream's
+  order independent of who gets skipped.
 * ``CRQ202`` — a participation model implements *some* of the
   vector-state protocol's six methods but not all of them: fast-sim
   probes ``vector_state_columns`` and then trusts the other five.
@@ -31,7 +37,7 @@ from ..project import Project, enclosing_symbol
 from ..registry import rule
 
 CODES = {
-    "CRQ201": "step_batch and batch_key must be implemented together",
+    "CRQ201": "step_batch, batch_key (and a draw-free skip_ahead) go together",
     "CRQ202": "participation vector-state protocol is all-or-nothing",
     "CRQ203": "process_batch without lower_ir or interpreted_fallback marker",
 }
@@ -58,6 +64,17 @@ def _method_names(class_node: ast.ClassDef) -> Set[str]:
         for item in class_node.body
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
+
+
+def _takes_rng(class_node: ast.ClassDef, method: str) -> bool:
+    for item in class_node.body:
+        if isinstance(item, ast.FunctionDef) and item.name == method:
+            args = item.args
+            return any(
+                arg.arg == "rng"
+                for arg in args.posonlyargs + args.args + args.kwonlyargs
+            )
+    return False
 
 
 def _class_assign_names(class_node: ast.ClassDef) -> Set[str]:
@@ -114,6 +131,22 @@ def check(project: Project, context) -> Iterator[Finding]:
                 f"{missing}; fast-sim groups kernels by batch_key before "
                 "dispatching step_batch",
             )
+
+        if "skip_ahead" in methods:
+            if not (has_step_batch and has_batch_key):
+                yield finding(
+                    "CRQ201",
+                    f"class {class_node.name} defines skip_ahead without its "
+                    "own step_batch and batch_key; the world honours a "
+                    "skip_ahead only beside the kernel it describes",
+                )
+            if _takes_rng(class_node, "skip_ahead"):
+                yield finding(
+                    "CRQ201",
+                    f"{class_node.name}.skip_ahead takes an rng; the "
+                    "pre-pass must not draw, or the shared stream's order "
+                    "would depend on which rows are skipped",
+                )
 
         # CRQ202 — the vector-state protocol is all six methods or none.
         implemented = methods & VECTOR_STATE_PROTOCOL

@@ -40,8 +40,10 @@ MAGIC = b"CRQRCKPT"
 #: result buffers hold ``TupleBatch`` chunks only; 3: the MLE is the damped
 #: Newton solver and only a converged fit flattens a batch, so the same
 #: state yields different tuples, and ``FlattenBatchReport`` carries
-#: ``estimator``).
-FORMAT_VERSION = 3
+#: ``estimator``; 4: fast-sim ``advance`` skips ahead — a waypoint walker
+#: with no event in the window moves in one stride, so a fast-sim
+#: checkpoint of an older build replays different position bits).
+FORMAT_VERSION = 4
 
 #: Header layout after the magic: version (u32), payload length (u64),
 #: SHA-256 digest (32 bytes), all little-endian.

@@ -43,7 +43,21 @@ of full-width ufuncs over it.  New mobility models follow the same rules:
   keep each float expression's operation order (``x + (travel * dx) / safe``,
   ``np.hypot`` stays ``np.hypot``), because fast-sim seeded results are
   pinned bit-for-bit (``tests/sensing/test_mobility_kernels.py`` holds the
-  pre-rewrite gather/scatter bodies as the reference).
+  pre-rewrite gather/scatter bodies as the reference);
+* **declare what can be skipped**: the world sub-steps an ``advance`` only
+  to resolve *events* (an arrival, a pause running out, a target drawn), so
+  before the sub-steps it asks each group once, through
+  ``skip_ahead(arrays, indices, duration)``, for the rows that still need
+  them.  The hook draws nothing (it is handed no generator, so the shared
+  stream is consumed in the same order with or without it), returns an
+  ascending selector, and may move a row by the whole window only if no
+  event falls inside it and ``step(dt=duration)`` equals the composed
+  sub-steps up to rounding — straight-line motion, in practice.  The base
+  class skips nothing, which is right for every model whose step draws
+  (``tests/sensing/test_skip_ahead.py`` holds the full-width sub-step loop
+  as the reference).  The world uses a ``skip_ahead`` only when the class
+  that defines the group's ``step_batch`` defines it too: a subclass with a
+  kernel of its own never has its rows moved by an inherited rule.
 
 ``batch_key()`` returns a hashable grouping key for models that support the
 batch kernel: sensors whose models share a key are stepped by one
@@ -175,14 +189,50 @@ class MobilityModel(ABC):
 
         The fallback loops the scalar :meth:`step` over SoA views with the
         shared generator; vectorised models override it with full-width
-        masked kernels.  A new kernel follows three rules (see the module
+        masked kernels.  A new kernel follows four rules (see the module
         docstring): take each column once through the selector, mask
-        instead of compacting, keep the draw order.
+        instead of compacting, keep the draw order, declare what can be
+        skipped.
         """
         if isinstance(indices, slice):
             indices = range(*indices.indices(len(arrays)))
         for i in indices:
             self.step(arrays.state_view(int(i)), dt, rng)
+
+    def skip_ahead(
+        self, arrays: SensorStateArrays, indices: RowSelector, duration: float
+    ) -> RowSelector:
+        """Move the rows nothing happens to within ``duration``; return the rest.
+
+        Called once per group at the top of a fast-sim ``advance``, before
+        the sub-steps, which then run over the returned (ascending)
+        selector only.  An override draws nothing and may move a row by the
+        whole window only if no event of the model falls inside it and one
+        ``step(dt=duration)`` equals the composed sub-steps up to rounding.
+        The base class skips nothing: a model whose step draws has an event
+        in every sub-step.
+        """
+        del arrays, duration
+        return indices
+
+    def kernel_skip_ahead(
+        self, arrays: SensorStateArrays, indices: RowSelector, duration: float
+    ) -> RowSelector:
+        """:meth:`skip_ahead`, unless it belongs to another class's kernel.
+
+        What ``SensingWorld.advance`` calls.  A ``skip_ahead`` states which
+        rows *its own* ``step_batch`` leaves on a straight line, so it is
+        honoured only when the class this model's ``step_batch`` comes from
+        defines one too; a subclass that ships its own kernel (per-row
+        speed, say) and inherits the parent's ``skip_ahead`` gets every row
+        sub-stepped instead of most of them moved by the parent's rule.
+        """
+        for cls in type(self).__mro__:
+            if "step_batch" in vars(cls):
+                if "skip_ahead" in vars(cls):
+                    return self.skip_ahead(arrays, indices, duration)
+                break
+        return indices
 
     def _clamp(self, state: MobilityState) -> None:
         """Keep the position inside the region (reflecting at the walls).
@@ -341,6 +391,44 @@ class RandomWaypointMobility(MobilityModel):
             arrays.x[sel], arrays.y[sel] = x, y
             arrays.target_x[sel], arrays.target_y[sel] = tx, ty
             arrays.pause_remaining[sel] = pause
+
+    def skip_ahead(self, arrays, indices, duration):
+        """One stride for every walker that cannot arrive within ``duration``.
+
+        A row is *quiet* when it has a target, is not pausing and is
+        further from the target than the window's travel — by a relative
+        margin of 1e-9 (3e-10 on a 0.3 stride) that dwarfs the ≈1e-15 the
+        sub-steps' rounding accumulates, so a borderline row is never
+        quiet and is sub-stepped like every row an event can reach (a NaN
+        target compares false).  Quiet rows take the kernel's own move once
+        with ``travel = speed * duration``; their targets and timers are
+        what the sub-steps would leave.  Positions and targets are taken to
+        lie inside the region, as every state this model produces does.
+
+        A crowd in which every row is eventful pays this one full-width
+        pass on top of its sub-steps.
+        """
+        sel, gathered = _as_selector(indices)
+        x, y = arrays.x[sel], arrays.y[sel]
+        dx = arrays.target_x[sel] - x
+        dy = arrays.target_y[sel] - y
+        distance = np.hypot(dx, dy)
+        travel = self._speed * duration
+        quiet = distance > travel * (1 + 1e-9)
+        quiet &= ~(arrays.pause_remaining[sel] > 0.0)
+        safe = np.maximum(distance, _TINY, out=distance)
+        for pos, delta in ((x, dx), (y, dy)):
+            # pos + (travel * delta) / safe, as in step_batch
+            np.multiply(travel, delta, out=delta)
+            np.divide(delta, safe, out=delta)
+            np.add(pos, delta, out=delta)
+        self._clamp_batch(dx, dy)
+        np.copyto(x, dx, where=quiet)
+        np.copyto(y, dy, where=quiet)
+        if gathered:
+            arrays.x[sel], arrays.y[sel] = x, y
+            return sel[~quiet]
+        return np.arange(*sel.indices(len(arrays)))[~quiet]
 
 
 class GaussMarkovMobility(MobilityModel):

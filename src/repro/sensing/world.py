@@ -24,7 +24,8 @@ are therefore plain array operations in every mode.  How sensors *move* and
   because the *formula* changed, not the storage.)
 * **fast-sim mode** (``vectorized_rng=True``): all sensors share the
   world's generator, so mobility advances through the models' vectorised
-  ``step_batch`` kernels (one call per model group per movement step) and
+  ``step_batch`` kernels (one call per model group per movement step, over
+  the rows the group's draw-free ``skip_ahead`` leaves to sub-stepping) and
   the handler's acquisition rounds sample participation and phenomena
   across a whole cell population at once.  Runs are statistically
   equivalent to strict mode (same densities, same response rates), not
@@ -61,7 +62,12 @@ class WorldConfig:
     seed:
         Seed of the world's random generator.
     movement_step:
-        Time granularity at which sensor positions are updated.
+        Time granularity at which movement *events* are resolved within an
+        ``advance`` (a waypoint reached, a pause running out, a Gaussian
+        step drawn).  Nothing observes the world between sub-steps, so in
+        fast-sim mode a sensor with no event in the window — a waypoint
+        walker still short of its target — is moved once for the whole
+        ``advance`` rather than once per ``movement_step``.
     vectorized_rng:
         Selects the fast-sim RNG contract: one shared random stream across
         all sensors, enabling the batch mobility kernels and the handler's
@@ -277,7 +283,15 @@ class SensingWorld:
         The movement sub-steps (``movement_step`` long, the last one
         whatever remains) are fixed up front.  Fast-sim mode runs one
         vectorised ``step_batch`` kernel per mobility-model group per
-        sub-step, drawing from the world's shared generator.  Sensors
+        sub-step, drawing from the world's shared generator.  Sub-stepping
+        resolves *events* (a waypoint reached, a pause over, a target
+        drawn), not straight-line motion: each group is first asked, once
+        and without a draw, to ``skip_ahead`` — a waypoint walker that
+        cannot reach its target within ``duration`` takes the whole window
+        in one stride — and the kernels then sub-step only the rows that
+        hook hands back, in the same step-major order, so the shared
+        stream is consumed exactly as if every row were sub-stepped (the
+        skipped rows' positions agree with that up to rounding).  Sensors
         without a kernel — all of them in strict mode — draw from their own
         generators, so the walk is sensor-major: each runs *all* its
         sub-steps back to back (:meth:`MobileSensor.move_through`: one
@@ -298,8 +312,12 @@ class SensingWorld:
             dts.append(dt)
             remaining -= dt
         if self._config.vectorized_rng:
+            groups = [
+                (model, model.kernel_skip_ahead(self._state, rows, duration))
+                for model, rows in self._mobility_groups
+            ]
             for dt in dts:
-                for model, rows in self._mobility_groups:
+                for model, rows in groups:
                     model.step_batch(self._state, rows, dt, self._rng)
             scalar_sensors = [self._sensors[int(i)] for i in self._ungrouped_indices]
         else:

@@ -47,6 +47,57 @@ def test_paired_batch_protocol_is_clean(lint):
     assert codes(report) == []
 
 
+def test_skip_ahead_without_its_own_kernel_flagged(lint):
+    report = lint(
+        {
+            "mobility.py": """\
+            class EagerWaypoint(RandomWaypointMobility):
+                def skip_ahead(self, arrays, indices, duration):
+                    return indices
+            """
+        }
+    )
+    assert codes(report) == ["CRQ201"]
+
+
+def test_skip_ahead_taking_an_rng_flagged(lint):
+    report = lint(
+        {
+            "mobility.py": """\
+            class DriftMobility:
+                def batch_key(self):
+                    return ("drift",)
+
+                def step_batch(self, arrays, indices, dt, rng):
+                    pass
+
+                def skip_ahead(self, arrays, indices, duration, rng):
+                    return indices
+            """
+        }
+    )
+    assert codes(report) == ["CRQ201"]
+
+
+def test_draw_free_skip_ahead_beside_its_kernel_is_clean(lint):
+    report = lint(
+        {
+            "mobility.py": """\
+            class DriftMobility:
+                def batch_key(self):
+                    return ("drift",)
+
+                def step_batch(self, arrays, indices, dt, rng):
+                    pass
+
+                def skip_ahead(self, arrays, indices, duration):
+                    return indices
+            """
+        }
+    )
+    assert codes(report) == []
+
+
 def test_partial_vector_state_protocol_flagged(lint):
     report = lint(
         {

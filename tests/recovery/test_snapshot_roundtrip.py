@@ -31,13 +31,15 @@ from repro.recovery import EngineSnapshot
 #: closed-form clipping scale); CHANGES.md lists old -> new.
 GOLDEN_STRICT = "0785bb657ec172cc18358a6becedad73e3bd3d9d6ae7b0c78ee970eee062a09f"
 #: Same workload under shared-stream fast-sim RNG (the fused shared-stream
-#: round).
-GOLDEN_FAST_SIM = "614d928034d824817cf8d5cdcbb195db42cea980d73455195c92d9a8fd6f028e"
+#: round).  The two fast-sim digests were re-pinned a second time when
+#: fast-sim ``advance`` began to skip ahead (last bits of the skipped
+#: walkers' positions; every draw unchanged); CHANGES.md, PR 24.
+GOLDEN_FAST_SIM = "86b66f0fd900d9a55a470a927e15301b3b40482ee14c1be1c5892a901329dafa"
 #: The same two with no ``FaultPlan`` and no mitigation configured.  The
 #: digest is full-precision, so these also guard the wave loop's
 #: ``request + (response - request)`` timestamp arithmetic on healthy runs.
 GOLDEN_STRICT_FAULT_FREE = "1970366abe5cb6695c3b34ac8a2bb34a7b3b86fcfc31e37c53102f4916f68c21"
-GOLDEN_FAST_SIM_FAULT_FREE = "60484a08f4377a15bc2f8862a983529e3f8a32ab37e01f192a7934a582965823"
+GOLDEN_FAST_SIM_FAULT_FREE = "ce32574c82f6c0db4cd2280865654fb3ddf69e7c5c67e8f5ebb528f24fc94a7c"
 
 
 class TestRestoreContinuesByteIdentical:

@@ -77,6 +77,34 @@ class TestFastSimMobilityStatistics:
             atol=0.15,
         )
 
+    def test_waypoint_arrivals_and_pauses_match_strict(self):
+        # The discrete side of the walk, which fast-sim's skip_ahead must
+        # not disturb: how often a sensor reaches a waypoint and how much of
+        # the crowd is pausing.  Observed at window boundaries the same way
+        # in both modes (a target that is no longer the one held a window
+        # ago was reached in between).
+        def observe(world, windows=40):
+            soa = world.state_arrays
+            arrivals = np.zeros(len(soa))
+            paused = []
+            for _ in range(windows):
+                held = soa.target_x.copy()
+                world.advance(1.0)
+                arrivals += ~np.isnan(held) & (soa.target_x != held)
+                paused.append(np.mean(soa.pause_remaining > 0.0))
+            return arrivals, float(np.mean(paused))
+
+        strict_arrivals, strict_paused = observe(make_world(False))
+        fast_arrivals, fast_paused = observe(make_world(True))
+        # A trip is ≈2 long at speed 0.4 plus a 0.5 pause: ≈6.5 arrivals
+        # in 40 windows, ≈10% of the crowd pausing at a boundary; seeds
+        # differ by ≈0.05 / ≈0.003 within a mode.
+        assert 5.0 < strict_arrivals.mean() < 9.0
+        assert fast_arrivals.mean() == pytest.approx(strict_arrivals.mean(), rel=0.05)
+        assert fast_arrivals.std() == pytest.approx(strict_arrivals.std(), rel=0.1)
+        assert 0.05 < strict_paused < 0.13
+        assert abs(fast_paused - strict_paused) < 0.01
+
     def test_hotspot_skew_matches_strict(self):
         mobility = lambda r: HotspotMobility(
             r, [(0.8, 0.8, 3.0), (3.2, 3.2, 1.0)], speed=0.5

@@ -35,6 +35,8 @@ from repro.sensing import (
 )
 from repro.sensing.mobility import _TINY
 
+from test_skip_ahead import advance_against
+
 REGION = Rectangle(0.0, 0.0, 8.0, 8.0)
 
 MOBILITY_COLUMNS = ("x", "y", "vx", "vy", "target_x", "target_y", "pause_remaining")
@@ -416,16 +418,23 @@ class TestWorldSelectors:
         assert [rows for _, rows in world._mobility_groups] == [slice(0, 25), slice(25, 60)]
 
     def test_world_advance_matches_reference_kernels(self):
-        # The whole dispatch: slices from the world, ten sub-steps per call.
-        world = make_world(lambda r: RandomWaypointMobility(r, speed=3.0, pause=0.2))
-        twin = make_world(lambda r: RandomWaypointMobility(r, speed=3.0, pause=0.2))
-        model = twin.sensors[0].mobility
-        for _ in range(30):
-            world.advance(1.0)
+        # The whole dispatch: slices from the world, ten sub-steps per call —
+        # for the rows ``skip_ahead`` leaves to them.  The reference
+        # sub-steps every row; ``advance_against`` compares on the terms of
+        # ``test_skip_ahead.py``: generator, targets, timers and every
+        # sub-stepped row on bytes, skipped rows to the last bits, both
+        # sides starting each call from the same bytes.
+        def ten_reference_steps(twin, duration):
+            model = twin.sensors[0].mobility
             for _ in range(10):
                 reference_waypoint(model, twin.state_arrays, np.arange(60), 0.1, twin.rng)
-            assert column_bytes(world.state_arrays) == column_bytes(twin.state_arrays)
-        assert rng_state(world.rng) == rng_state(twin.rng)
+
+        world = make_world(lambda r: RandomWaypointMobility(r, speed=3.0, pause=0.2))
+        skipped = 0
+        for _ in range(30):
+            _, quiet = advance_against(world, 1.0, reference=ten_reference_steps)
+            skipped += int(quiet.sum())
+        assert 0 < skipped < 30 * 60  # both routes were compared
 
     def test_base_class_fallback_accepts_a_slice(self):
         class Drifter(RandomWalkMobility):
