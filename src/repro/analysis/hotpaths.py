@@ -3,9 +3,9 @@
 Functions listed here are the per-batch inner loops whose cost the
 ``benchmarks/e2e`` harness reports as per-layer spans: the fused
 acquisition round, the fast-sim mobility kernels, the columnar map
-phase, compiled chain execution and its flatten/thin kernels, the batch
-MLE and the least-squares fit, the incremental view fold and the
-serve-layer fan-out.
+phase, the compiled attribute programs and their flatten/thin kernels,
+the batch MLE and the least-squares fit, the incremental view fold and
+the serve-layer fan-out.
 Inside them, per-row Python iteration is a regression by construction —
 the analyzer flags ``.tolist()`` calls, ``range(len(...))`` / ``zip(...)``
 row loops and object construction inside loops (see
@@ -71,14 +71,24 @@ HOT_PATHS: List[Tuple[str, str]] = [
     ("repro/sensing/mobility.py", "RandomWaypointMobility.skip_ahead"),
     ("repro/sensing/mobility.py", "GaussMarkovMobility.step_batch"),
     ("repro/sensing/mobility.py", "HotspotMobility.step_batch"),
-    # Compiled per-batch chain execution (PR 8): flat numpy kernels with
-    # survivor-index composition; a Python row loop re-interprets the chain.
+    # Compiled per-batch execution, one program per attribute: flat numpy
+    # kernels with survivor-index composition over all of the attribute's
+    # cell segments.  Its loops are per chain, per level and per tap —
+    # bounded by topology — and a Python row loop would re-interpret the
+    # chain.
     ("repro/plan/executor.py", "ChainProgram.run"),
     # The kernels that program runs and the map phase feeding it — what
-    # ``core.fabricator.map_ms`` / ``core.pmat.*_ms`` time in the e2e
-    # benchmark.  Discard recording is per-row by nature and lives in
-    # ``PMATOperator._push_discarded``, outside the gated kernels.
+    # ``core.fabricator.map_ms`` / ``core.pmat.thin_ms`` /
+    # ``plan.program.run_ms`` time in the e2e benchmark.  The map phase
+    # sorts each attribute once by (cell, time) and builds a segment table,
+    # no per-cell batch; its loop is per cell segment.  The segmented
+    # flatten kernel runs everything elementwise once over all rows; its
+    # loops are per segment (float sums, compensation, the draw into the
+    # segment's slice).  ``process_batch_mask`` is its one-segment case, the
+    # single-operator API.  Discard recording is per-row by nature and
+    # lives in ``PMATOperator._push_discarded``, outside the gated kernels.
     ("repro/core/fabricator.py", "StreamFabricator.map_batches_fused"),
+    ("repro/pointprocess/thinning.py", "flatten_segments"),
     ("repro/core/pmat/flatten.py", "FlattenOperator.process_batch_mask"),
     ("repro/core/pmat/thin.py", "ThinOperator.thin_indices"),
     # The batch MLE every non-online chain runs each batch (PR 21): a

@@ -32,6 +32,12 @@ from .planner import QueryPlanner
 CellKey = Tuple[int, int]
 
 
+#: The map phase's output for one attribute: its rows sorted by (cell,
+#: time), and ``(cell key, start, stop)`` for every occupied cell in row
+#: order — cell ``key``'s rows are the batch's rows ``start:stop``.
+MappedAttribute = Tuple[TupleBatch, List[Tuple[CellKey, int, int]]]
+
+
 @dataclass
 class BatchResult:
     """Outcome of fabricating one batch.
@@ -126,65 +132,58 @@ class StreamFabricator:
 
     def map_batches_fused(
         self, batch_per_attribute: Dict[str, TupleBatch]
-    ) -> Dict[CellKey, Dict[str, TupleBatch]]:
-        """The columnar map phase: bucket whole batches by grid cell.
+    ) -> Dict[str, MappedAttribute]:
+        """The columnar map phase: sort whole batches by grid cell.
 
         For each attribute the batch's coordinates go through one vectorised
-        :meth:`Grid.cells_for_points` call; tuples are then grouped per cell
-        with a single lexsort (cell code major, time minor), so every
-        resulting per-cell slice is already time-ordered — no per-tuple
-        ``locate`` calls and no comparison sort of object lists.  Each
-        attribute's columns are reordered *once* and every cell takes
-        zero-copy contiguous views of the sorted columns.  The input is one
+        :meth:`Grid.cells_for_points` call; tuples are then ordered cell code
+        major, time minor — ``np.lexsort((t, codes))``'s order, ties in input
+        order — so every cell's rows form one contiguous, time-ordered
+        segment: no per-tuple ``locate`` calls and no comparison sort of
+        object lists.  The sort is one stable argsort of the codes (cheap:
+        the handler delivers rows grouped by cell) and one stable argsort of
+        each cell's times, which costs a cell's share of a whole-batch time
+        sort.  Each attribute's columns are reordered *once*; the segment
+        table says where each occupied cell's rows are.  The input is one
         batch per attribute either way the handler produced it: the strict
         path concatenates its per-cell rounds, the fast-sim path hands over
         the fused attribute-level round directly.
         """
         side = self._grid.side
-        mapped: Dict[CellKey, Dict[str, TupleBatch]] = {}
+        mapped: Dict[str, MappedAttribute] = {}
         for attribute, batch in batch_per_attribute.items():
             if batch.is_empty:
                 continue
             q, r = self._grid.cells_for_points(batch.x, batch.y)
             codes = r * side + q
-            order = np.lexsort((batch.t, codes))
-            sorted_codes = codes[order]
-            boundaries = np.nonzero(np.diff(sorted_codes))[0] + 1
-            starts = np.concatenate(([0], boundaries))
-            ends = np.concatenate((boundaries, [sorted_codes.shape[0]]))
-            sorted_batch = batch.select(order)
-            t, x, y = sorted_batch.t, sorted_batch.x, sorted_batch.y
-            value, sensor_id = sorted_batch.value, sorted_batch.sensor_id
-            tuple_id, extra = sorted_batch.tuple_id, sorted_batch.extra
-            for start, end in zip(starts, ends):  # craqr: ignore[CRQ402] - per occupied cell, rows sliced as views
-                code = int(sorted_codes[start])
-                key = (code % side, code // side)
-                mapped.setdefault(key, {})[attribute] = TupleBatch(  # craqr: ignore[CRQ403] - one zero-copy batch per occupied cell
-                    sorted_batch.attribute,
-                    t[start:end],
-                    x[start:end],
-                    y[start:end],
-                    value[start:end],
-                    sensor_id[start:end],
-                    tuple_id[start:end],
-                    meta=sorted_batch.meta,
-                    extra={k: col[start:end] for k, col in extra.items()},
-                )
+            by_cell = np.argsort(codes, kind="stable")
+            sorted_codes = codes[by_cell]
+            starts = np.concatenate(([0], np.nonzero(np.diff(sorted_codes))[0] + 1))
+            stops = np.append(starts[1:], sorted_codes.shape[0])
+            first = sorted_codes[starts]
+            table = np.stack((first % side, first // side, starts, stops), axis=1)
+            order = np.empty_like(by_cell)
+            segments = []
+            for cell_q, cell_r, start, stop in table.tolist():  # craqr: ignore[CRQ401] - per segment, never per row
+                rows = by_cell[start:stop]
+                order[start:stop] = rows[np.argsort(batch.t[rows], kind="stable")]
+                segments.append(((cell_q, cell_r), start, stop))
+            mapped[attribute] = (batch.select(order), segments)
         return mapped
 
     def process_batch_columnar(
         self,
         batch_per_attribute: Dict[str, TupleBatch],
-        programs: Dict[CellKey, Dict[str, object]],
+        programs: Dict[str, object],
     ) -> BatchResult:
         """Columnar :meth:`process_batch`: map, process and merge whole batches.
 
         Identical accounting to the object path — tuples in, tuples routed
         to materialised cells, per-query deliveries and per-(attribute,
         cell) violations — but every stage moves :class:`TupleBatch`
-        columns instead of per-tuple callbacks: the map phase buckets whole
-        batches and each cell's chains run their compiled ``programs`` (see
-        :mod:`repro.plan`).
+        columns instead of per-tuple callbacks: the map phase sorts whole
+        batches by cell and each attribute's chains run as its compiled
+        program (``programs``, keyed by attribute; see :mod:`repro.plan`).
         """
         self._current_delivered = {}
         result = BatchResult()

@@ -16,6 +16,7 @@ to-left-until-a-branching-point rule expressed over the canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -451,31 +452,43 @@ class QueryPlanner:
             return 0
         return topology.inject_many(items)
 
-    def process_columnar(
-        self,
-        mapped: Dict[CellKey, Dict[str, TupleBatch]],
-        programs: Dict[CellKey, Dict[str, object]],
-    ) -> int:
-        """Columnar process phase: run every materialised cell for one window.
+    def process_columnar(self, mapped: Dict, programs: Dict[str, object]) -> int:
+        """Columnar process phase: run every materialised chain for one window.
 
-        Cells without tuples this round still run (their Flatten operators
-        report a full shortfall, as the object path's flush does); batches
-        mapped to cells without a topology are dropped, mirroring
-        :meth:`route_cell_batch` returning 0.  Returns the number of tuples
-        routed to materialised cells.
+        ``mapped`` is the map phase's sorted rows and cell segments per
+        attribute (:data:`~repro.core.fabricator.MappedAttribute`);
+        ``programs`` the compiled plan's attribute programs (see
+        :mod:`repro.plan`), each running all of its attribute's chains at
+        once.  Chains without tuples this round still run (their Flatten
+        operators report a full shortfall, as the object path's flush
+        does); rows mapped to cells without a topology are dropped,
+        mirroring :meth:`route_cell_batch` returning 0.  Returns the number
+        of tuples routed to materialised cells, counting rows of attributes
+        without a chain in the cell too — the object path injects those into
+        the cell's entry stream as well, and that cross-attribute total is
+        what every chain's router counts in.
 
-        ``programs`` carries the compiled plan's per-cell chain programs
-        (see :mod:`repro.plan`).  The cell iteration order — and with it
-        the per-query delivery order that shapes result-buffer chunks — is
-        this method's, the same as the object path's.
+        The programs hand back their deliveries and discards instead of
+        emitting them; they are emitted here in the object path's order —
+        cells in planner order, a cell's chains in attribute order — which
+        is what shapes result-buffer chunks, the per-query delivery
+        accounting and the discard store.
         """
-        routed = 0
-        deliver = self._deliver_batch
-        for key, topology in self._cells.items():
-            routed += topology.process_batches(
-                mapped.get(key, {}), deliver, programs[key]
+        rows_per_cell: Dict[CellKey, int] = {}
+        for _batch, segments in mapped.values():
+            for key, start, stop in segments:
+                rows_per_cell[key] = rows_per_cell.get(key, 0) + stop - start
+        emissions = []
+        for attribute, program in programs.items():
+            emissions.extend(
+                program.run(mapped.get(attribute), self._deliver_batch, rows_per_cell)
             )
-        return routed
+        emissions.sort(key=itemgetter(0, 1))  # (chain position, step in chain)
+        for _chain, _step, emit, arguments in emissions:
+            emit(*arguments)
+        return sum(
+            rows for key, rows in rows_per_cell.items() if key in self._cells
+        )
 
     def flush_all(self) -> None:
         """Flush every materialised cell topology (end of batch)."""

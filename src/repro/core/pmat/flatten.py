@@ -20,6 +20,7 @@ variant suggests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -201,9 +202,12 @@ class FlattenOperator(PMATOperator):
             # [0, window_duration] forever while event times grew, biasing
             # theta_t more and more as simulation time advanced.
             self._online_estimator.observe_batch_fused(batch, window_start=t_min)
-            # Until the online estimate has warmed up fall back to MLE below.
+            # Until the online estimate has warmed up — or when it diverged
+            # to a non-finite theta — fall back to MLE below.
             if self._online_estimator.updates >= 2 * self._min_batch_for_fit:
-                return self._online_estimator.intensity, "online"
+                online = self._online_estimator.intensity
+                if all(math.isfinite(value) for value in online.theta):
+                    return online, "online"
         duration = max(t_max - t_min, self._batch_duration)
         if len(batch) >= self._min_batch_for_fit:
             try:
@@ -224,17 +228,8 @@ class FlattenOperator(PMATOperator):
     def flush(self) -> None:
         """Process the buffered batch: flatten, report ``N_v``, emit survivors."""
         if not self._buffer:
-            # An empty batch cannot supply any of the target mass: report a
-            # full shortfall so the budget tuner reacts to silent cells.
-            self._reports.append(
-                FlattenBatchReport(
-                    batch_size=0,
-                    retained=0,
-                    violation_percent=0.0,
-                    shortfall_percent=100.0,
-                    target_rate=self._target_rate,
-                )
-            )
+            # An empty batch cannot supply any of the target mass.
+            self.record_batch(0)
             return
         items = self._buffer
         self._buffer = []
@@ -243,11 +238,8 @@ class FlattenOperator(PMATOperator):
         # Eq. (3) normalises by the batch, so the target expected count is
         # target_rate * area * batch window; flatten_events keeps that
         # expectation when we pass the expected count as the "rate" knob.
-        # The nominal batch duration is used (not the observed span) so that
-        # straggler responses with long latencies do not inflate the target.
-        target_expected = self._target_rate * self.region.area * self._batch_duration
         result = flatten_events(
-            batch, intensity, target_expected, rng=self.rng
+            batch, intensity, self.target_expected, rng=self.rng
         )
         self._reports.append(
             FlattenBatchReport(
@@ -268,56 +260,97 @@ class FlattenOperator(PMATOperator):
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
         """Vectorised flatten: the survivors of :meth:`process_batch_mask`.
 
-        The single-operator form of the kernel the engine's compiled chains
-        run — same report, counters, RNG draw and discard output.
+        The single-operator form of the kernel the engine's compiled
+        programs run — same report, counters, RNG draw and discard output.
         """
         return batch.select(self.process_batch_mask(batch))
 
     def process_batch_mask(self, batch: TupleBatch) -> np.ndarray:
-        """Columnar flatten kernel: the Eq. (3) keep-mask of a whole batch.
+        """Columnar flatten: the Eq. (3) keep-mask of a whole batch.
 
-        The columnar path hands the operator its batch directly instead of
-        buffering tuples one at a time.  Byte-identical accounting to
-        :meth:`flush` — same report (including the full-shortfall report
-        for an empty batch), same counters, same single ``rng.random(n)``
-        draw — but returns the boolean keep-mask instead of gathering the
-        surviving columns, so the chain executor can compose it with
-        downstream thin/partition decisions and gather once at delivery.
-        With ``emit_discarded`` the complement of the mask is pushed to
-        the discard output.
+        The one-segment case of :func:`~repro.pointprocess.flatten_segments`,
+        which the engine's attribute programs run over every cell at once.
+        Byte-identical accounting to :meth:`flush` — same report (including
+        the full-shortfall report for an empty batch), same counters, same
+        single ``rng.random(n)`` draw — but returns the boolean keep-mask
+        instead of gathering the surviving columns.  With
+        ``emit_discarded`` the complement of the mask is pushed to the
+        discard output.
         """
         if batch.is_empty:
-            self._reports.append(
-                FlattenBatchReport(
-                    batch_size=0,
-                    retained=0,
-                    violation_percent=0.0,
-                    shortfall_percent=100.0,
-                    target_rate=self._target_rate,
-                )
-            )
+            self.record_batch(0)
             return np.empty(0, dtype=bool)
-        n = len(batch)
-        self._tuples_in += n
-        events = EventBatch(batch.t, batch.x, batch.y)
-        intensity, estimator = self._estimate_intensity(events)
-        target_expected = self._target_rate * self.region.area * self._batch_duration
-        result = flatten_keep_mask(events, intensity, target_expected, rng=self.rng)
-        retained = result.retained_count
+        intensity, estimator = self.estimate_rows(batch.t, batch.x, batch.y)
+        result = flatten_keep_mask(
+            EventBatch(batch.t, batch.x, batch.y),
+            intensity,
+            self.target_expected,
+            rng=self.rng,
+        )
+        self.record_batch(
+            len(batch),
+            result.retained_count,
+            result.violation_percent,
+            result.shortfall_percent,
+            estimator,
+        )
+        if self._emit_discarded:
+            self._push_discarded(batch.select(~result.keep_mask))
+        return result.keep_mask
+
+    # ------------------------------------------------------------------
+    # The steps of one batch, for kernels that flatten many operators'
+    # batches at once (repro.plan's attribute programs)
+    # ------------------------------------------------------------------
+    @property
+    def emits_discarded(self) -> bool:
+        """Whether dropped tuples go to a discard output."""
+        return self._emit_discarded
+
+    @property
+    def target_expected(self) -> float:
+        """Eq. (3)'s target: the expected retained count of one batch window.
+
+        The nominal batch duration is used (not the observed span), so
+        straggler responses with long latencies do not inflate the target.
+        """
+        return self._target_rate * self.region.area * self._batch_duration
+
+    def estimate_rows(
+        self, t: np.ndarray, x: np.ndarray, y: np.ndarray
+    ) -> Tuple[IntensityModel, str]:
+        """Take in one non-empty batch's coordinates; the intensity to flatten it.
+
+        Counts the rows in and runs :meth:`_estimate_intensity` (the online
+        SGD step, the MLE fit or the constant fallback).
+        """
+        self._tuples_in += t.shape[0]
+        return self._estimate_intensity(EventBatch(t, x, y))
+
+    def record_batch(
+        self,
+        batch_size: int,
+        retained: int = 0,
+        violation_percent: float = 0.0,
+        shortfall_percent: float = 100.0,
+        estimator: Optional[str] = None,
+    ) -> None:
+        """Report one flattened batch and count its survivors out.
+
+        ``record_batch(0)`` is the empty batch: a full shortfall, so the
+        budget tuner reacts to silent cells.
+        """
         self._reports.append(
             FlattenBatchReport(
-                batch_size=n,
+                batch_size=batch_size,
                 retained=retained,
-                violation_percent=result.violation_percent,
-                shortfall_percent=result.shortfall_percent,
+                violation_percent=violation_percent,
+                shortfall_percent=shortfall_percent,
                 target_rate=self._target_rate,
                 estimator=estimator,
             )
         )
         self._tuples_out += retained
-        if self._emit_discarded:
-            self._push_discarded(batch.select(~result.keep_mask))
-        return result.keep_mask
 
     def lower_ir(self) -> dict:
         """Describe this operator's compiled kernel for the plan IR."""

@@ -531,36 +531,6 @@ class CellTopology:
         """End the batch: every Flatten operator processes its buffer."""
         self._topology.flush()
 
-    def process_batches(
-        self,
-        batches_by_attribute: Dict[str, TupleBatch],
-        deliver_batch: DeliverBatchFn,
-        programs: Dict[str, "object"],
-    ) -> int:
-        """Columnar execution of one batch window for this cell.
-
-        Every chain's compiled :class:`~repro.plan.executor.ChainProgram`
-        (``programs``, keyed by attribute) runs exactly once — with its
-        attribute's batch when one arrived, or with an empty batch
-        otherwise (matching the object path, where :meth:`flush` triggers
-        every Flatten even in silent cells).  Returns the number of tuples
-        handed to the cell, counting batches of attributes without a chain
-        too (the object path injects those into the entry stream as well;
-        the router then drops them).
-
-        That cross-attribute total is also what every chain's router
-        accounts as its input: on the object path every router is
-        subscribed to the shared entry stream and counts them all.
-        """
-        routed = sum(len(batch) for batch in batches_by_attribute.values())
-        for attribute in self._chains:
-            programs[attribute].run(
-                batches_by_attribute.get(attribute),
-                deliver_batch,
-                router_tuples_in=routed,
-            )
-        return routed
-
     def violations(self) -> Dict[str, float]:
         """Last-batch ``N_v`` per attribute."""
         return {

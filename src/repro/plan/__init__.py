@@ -11,14 +11,15 @@ operator walk (``StreamFabricator.process_batch``, the reference
 Entry points:
 
 * :class:`PlanCache` — the engine's derived-state cache of compiled
-  :class:`ChainProgram`\\ s, invalidated per changed cell.
+  :class:`ChainSteps`, invalidated per changed cell, from which each
+  batch's per-attribute :class:`ChainProgram`\\ s are assembled.
 * :func:`build_plan_graph` + :func:`optimize` + :func:`render_explain` —
   the ``EXPLAIN`` pipeline.
 """
 
 from .cache import PlanCache
 from .compiler import build_plan_graph, compile_programs
-from .executor import ChainProgram, compile_chain_program
+from .executor import ChainProgram, ChainSteps
 from .explain import render_explain
 from .ir import (
     EVENT_SCHEMA,
@@ -43,7 +44,7 @@ __all__ = [
     "build_plan_graph",
     "compile_programs",
     "ChainProgram",
-    "compile_chain_program",
+    "ChainSteps",
     "render_explain",
     "PlanGraph",
     "PlanNode",

@@ -1,4 +1,4 @@
-"""Plan cache: compiled chain programs keyed on live topology identity.
+"""Plan cache: compiled chain steps keyed on live topology identity.
 
 The cache is *derived state*: it holds no RNG, no counters, no results —
 only the step structure of each chain.  It is therefore excluded from
@@ -7,19 +7,21 @@ injector) and rebuilt lazily after a restore.
 
 Invalidation is O(changed cells): an entry for ``(cell_key, attribute)``
 stays valid while the cell's topology object, its rebuild counter and the
-chain object are all the ones the program was compiled from.  ALTER /
+chain object are all the ones the steps were compiled from.  ALTER /
 STOP / DROP only rebuild the cells they touch (the planner's incremental
 replanning), so only those entries recompile; pausing a query changes no
 topology at all (delivery-time suppression), so the cache is untouched.
+Each batch's attribute programs are assembled from the entries — a list
+append per chain, not a compile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from .compiler import compile_chain_program
-from .executor import ChainProgram
+from .compiler import assemble_programs
+from .executor import ChainProgram, ChainSteps
 
 CellKey = Tuple[int, int]
 
@@ -29,11 +31,11 @@ class _CacheEntry:
     topology: object
     rebuilds: int
     chain: object
-    program: ChainProgram
+    steps: ChainSteps
 
 
 class PlanCache:
-    """Per-(cell, attribute) compiled programs with incremental rebuilds."""
+    """Per-(cell, attribute) compiled chain steps with incremental rebuilds."""
 
     def __init__(self) -> None:
         self._entries: Dict[Tuple[CellKey, str], _CacheEntry] = {}
@@ -46,43 +48,38 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def programs_for(self, planner) -> Dict[CellKey, Dict[str, ChainProgram]]:
-        """Valid programs for every materialised chain, recompiling stale ones.
+    def programs_for(self, planner) -> Dict[str, ChainProgram]:
+        """This batch's attribute programs, recompiling stale chains only.
 
-        Iterates the planner's cells in execution order; entries whose
-        topology was rebuilt (or replaced) since compilation are replaced,
-        entries for dropped cells/chains are pruned.
+        Entries whose topology was rebuilt (or replaced) since compilation
+        are replaced, entries for dropped cells/chains are pruned.
         """
-        programs: Dict[CellKey, Dict[str, ChainProgram]] = {}
         live = set()
-        for key in planner.materialized_cells:
-            topology = planner.cell_topology(key)
-            per_attribute: Dict[str, ChainProgram] = {}
-            rebuilds = topology.rebuilds
-            for attribute in topology.attributes:
-                chain = topology.chain(attribute)
-                cache_key = (key, attribute)
-                live.add(cache_key)
-                entry = self._entries.get(cache_key)
-                if (
-                    entry is not None
-                    and entry.topology is topology
-                    and entry.rebuilds == rebuilds
-                    and entry.chain is chain
-                ):
-                    self.reuses += 1
-                    per_attribute[attribute] = entry.program
-                else:
-                    program = compile_chain_program(chain)
-                    self._entries[cache_key] = _CacheEntry(
-                        topology=topology,
-                        rebuilds=rebuilds,
-                        chain=chain,
-                        program=program,
-                    )
-                    self.compiles += 1
-                    per_attribute[attribute] = program
-            programs[key] = per_attribute
+
+        def steps_for(key: CellKey, topology, attribute: str) -> ChainSteps:
+            chain = topology.chain(attribute)
+            cache_key = (key, attribute)
+            live.add(cache_key)
+            entry = self._entries.get(cache_key)
+            if (
+                entry is not None
+                and entry.topology is topology
+                and entry.rebuilds == topology.rebuilds
+                and entry.chain is chain
+            ):
+                self.reuses += 1
+                return entry.steps
+            steps = ChainSteps(chain)
+            self._entries[cache_key] = _CacheEntry(
+                topology=topology,
+                rebuilds=topology.rebuilds,
+                chain=chain,
+                steps=steps,
+            )
+            self.compiles += 1
+            return steps
+
+        programs = assemble_programs(planner, steps_for)
         for cache_key in list(self._entries):
             if cache_key not in live:
                 del self._entries[cache_key]

@@ -2,8 +2,9 @@
 
 Both artefacts derive from the same chain structure:
 
-* :func:`compile_programs` produces the per-(cell, attribute)
-  :class:`~repro.plan.executor.ChainProgram` objects the engine runs;
+* :func:`compile_programs` produces the per-attribute
+  :class:`~repro.plan.executor.ChainProgram` objects the engine runs, each
+  over the compiled steps of that attribute's (cell, attribute) chains;
 * :func:`build_plan_graph` produces the pure-data :class:`PlanGraph` that
   the optimizer passes annotate and ``EXPLAIN`` renders.
 
@@ -15,9 +16,9 @@ so node ids are stable for a given topology.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
-from .executor import ChainProgram, compile_chain_program
+from .executor import ChainProgram, ChainSteps
 from .ir import (
     EVENT_SCHEMA,
     MASK_SCHEMA,
@@ -29,18 +30,36 @@ from .ir import (
 CellKey = Tuple[int, int]
 
 
-def compile_programs(planner) -> Dict[CellKey, Dict[str, ChainProgram]]:
-    """Compile every materialised chain into its fused program."""
-    programs: Dict[CellKey, Dict[str, ChainProgram]] = {}
+def assemble_programs(
+    planner, steps_for: Callable[[CellKey, object, str], ChainSteps]
+) -> Dict[str, ChainProgram]:
+    """One program per attribute from every materialised chain's steps.
+
+    Walks the chains in the object path's order (cells in planner order, a
+    cell's chains in attribute order) — the order deliveries are emitted in
+    — and asks ``steps_for(cell key, topology, attribute)`` for each
+    chain's compiled steps.
+    """
+    chains: Dict[str, List[Tuple[int, ChainSteps]]] = {}
+    position = 0
     for key in planner.materialized_cells:
         topology = planner.cell_topology(key)
-        per_attribute: Dict[str, ChainProgram] = {}
         for attribute in topology.attributes:
-            per_attribute[attribute] = compile_chain_program(
-                topology.chain(attribute)
+            chains.setdefault(attribute, []).append(
+                (position, steps_for(key, topology, attribute))
             )
-        programs[key] = per_attribute
-    return programs
+            position += 1
+    return {
+        attribute: ChainProgram(attribute, attribute_chains)
+        for attribute, attribute_chains in chains.items()
+    }
+
+
+def compile_programs(planner) -> Dict[str, ChainProgram]:
+    """Compile every materialised chain into its attribute's program."""
+    return assemble_programs(
+        planner, lambda key, topology, attribute: ChainSteps(topology.chain(attribute))
+    )
 
 
 def _details(ir: Dict[str, object]) -> Dict[str, object]:

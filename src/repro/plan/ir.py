@@ -13,9 +13,11 @@ explicit dataflow graph instead of a cascade of imperative
 
 The graph is *descriptive*: it is what ``EXPLAIN`` renders and what the IR
 golden tests pin.  Execution uses the parallel
-:class:`~repro.plan.executor.ChainProgram` objects, which hold live
-operator references; compiler and executor lower from the same chain
-structure, so the two cannot drift apart structurally.
+:class:`~repro.plan.executor.ChainSteps` objects, which hold live
+operator references and are assembled each batch into one
+:class:`~repro.plan.executor.ChainProgram` per attribute; compiler and
+executor lower from the same chain structure, so the two cannot drift
+apart structurally.
 
 Node kinds
 ----------

@@ -26,6 +26,8 @@ from .thinning import (
     thin_to_rate,
     flatten_events,
     flatten_keep_mask,
+    flatten_segments,
+    SegmentedFlatten,
     ThinningResult,
     ThinningMask,
 )
@@ -63,6 +65,8 @@ __all__ = [
     "thin_to_rate",
     "flatten_events",
     "flatten_keep_mask",
+    "flatten_segments",
+    "SegmentedFlatten",
     "ThinningResult",
     "ThinningMask",
     "superpose",

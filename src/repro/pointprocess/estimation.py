@@ -565,7 +565,8 @@ class OnlineIntensityEstimator:
         for t, x, y, step in zip(
             ordered.t.tolist(), ordered.x.tolist(), ordered.y.tolist(), steps.tolist()
         ):
-            rate = _linear_rate(theta0, theta1, theta2, theta3, t, x, y)
+            # _linear_rate, written out: same operands, same order.
+            rate = ((theta0 + t * theta1) + x * theta2) + y * theta3
             if rate < _RATE_FLOOR:  # a NaN rate stays NaN, as max(rate, floor) keeps it
                 rate = _RATE_FLOOR
             theta0 = theta0 + step * (1.0 / rate - c0)

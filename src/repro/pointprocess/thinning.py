@@ -14,19 +14,24 @@ operators (paper Section IV-B.1):
   function reports the *percent rate violation* ``N_v``: the share of events
   whose retaining probability had to be clipped to 1, meaning the batch does
   not contain enough mass there to reach the target rate.
+* :func:`flatten_segments` — the one Eq. (3) kernel: many batches (row
+  segments, one intensity, target and generator each) in one pass.
+  :func:`flatten_keep_mask` and :func:`flatten_events` are its one-segment
+  case; the engine's compiled programs run it once per attribute over every
+  cell's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import PointProcessError
 from ..rng import ensure_rng
 from .events import EventBatch
-from .intensity import IntensityModel
+from .intensity import IntensityModel, LinearIntensity
 
 
 @dataclass(frozen=True)
@@ -172,32 +177,150 @@ def _compensate_clipping(raw_probability: np.ndarray, target: float) -> np.ndarr
     return np.minimum((reachable_target - k) / tail[k] * raw_probability, 1.0)
 
 
-def _flatten_probabilities(
-    batch: EventBatch,
-    intensity: IntensityModel,
-    target_rate: float,
-    compensate_clipping: bool,
-) -> "tuple[np.ndarray, float, float]":
-    """Eq. (3) retention probabilities plus the violation/shortfall metrics.
+#: Eq. (1) parameters ``(theta0..theta3, floor)`` of a segment the gather
+#: does not evaluate; its rows are overwritten before they are used.
+_UNGATHERED = (1.0, 0.0, 0.0, 0.0, 1.0)
 
-    Shared by :func:`flatten_events` (which materialises the retained and
-    discarded event batches) and :func:`flatten_keep_mask` (which returns
-    only the Bernoulli decision).  The batch must be non-empty.
+
+def _segment_counts(flags: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """True-counts of ``flags`` per segment (exact: integers, empty segments 0)."""
+    running = np.concatenate(([0], np.cumsum(flags)))
+    return running[bounds[1:]] - running[bounds[:-1]]
+
+
+@dataclass(frozen=True)
+class SegmentedFlatten:
+    """Outcome of :func:`flatten_segments`: row arrays plus per-segment metrics.
+
+    The per-segment lists hold ``0`` / ``0.0`` for empty and inert segments.
     """
-    local_rate = np.asarray(intensity.rate(batch.t, batch.x, batch.y), dtype=float)
-    if np.any(local_rate <= 0):
-        raise PointProcessError("intensity must be strictly positive at every event")
-    lambda_c = float(np.sum(1.0 / local_rate))
-    raw_probability = target_rate / (local_rate * lambda_c)
-    violations = raw_probability > 1.0
-    violation_percent = 100.0 * float(np.count_nonzero(violations)) / len(batch)
-    if compensate_clipping:
-        probability = _compensate_clipping(raw_probability, target_rate)
-    else:
-        probability = np.clip(raw_probability, 0.0, 1.0)
-    expected_retained = float(probability.sum())
-    shortfall_percent = 100.0 * max(0.0, target_rate - expected_retained) / target_rate
-    return probability, violation_percent, shortfall_percent
+
+    keep_mask: np.ndarray
+    retain_probability: np.ndarray
+    retained: List[int]
+    violation_percent: List[float]
+    shortfall_percent: List[float]
+
+
+def flatten_segments(
+    t: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    starts: Sequence[int],
+    intensities: Sequence[Optional[IntensityModel]],
+    targets: Sequence[float],
+    rngs: Sequence[Optional[np.random.Generator]],
+    *,
+    compensate_clipping: bool = True,
+) -> SegmentedFlatten:
+    """Eq. (3) over consecutive row segments, each with its own intensity.
+
+    Segment ``i`` is rows ``[starts[i], starts[i + 1])`` (the last one ends
+    at ``len(t)``; ``starts[0]`` is 0) and is flattened to ``targets[i]``
+    with ``intensities[i]``, drawing ``rngs[i].random(len)`` — exactly what
+    a batch of only those rows gets from :func:`flatten_keep_mask`, which
+    is this kernel with one segment.  An ``intensities[i]`` of ``None``
+    marks an inert segment: its rows are carried, never kept, and draw
+    nothing.
+
+    Everything elementwise runs once over all rows: the Eq. (1) rate with
+    theta gathered per row (other intensity models evaluate their own
+    segment), the Eq. (3) probabilities and clip, the keep compare and the
+    integer violation / kept counts.  What stays per segment is what must:
+    the float sums (``lambda_c`` and the retained mass are slice
+    ``.sum()``s — pairwise, like the one-segment sum; a sequential
+    ``reduceat`` rounds differently), the clipping compensation of a
+    segment whose capped mass falls short, and each segment's draw into its
+    slice of one buffer (``random(out=)`` is the same stream as
+    ``random(n)``).
+    """
+    edges = list(starts) + [t.shape[0]]
+    bounds = np.array(edges, dtype=np.int64)
+    lengths = np.diff(bounds)
+    segments = list(zip(edges, edges[1:], intensities, targets, rngs))
+    params = []
+    ungathered = []
+    for start, stop, intensity, _target, _rng in segments:
+        if type(intensity) is LinearIntensity:
+            params.append(
+                (
+                    intensity.theta0,
+                    intensity.theta1,
+                    intensity.theta2,
+                    intensity.theta3,
+                    intensity.min_rate,
+                )
+            )
+        else:
+            params.append(_UNGATHERED)
+            if stop > start:
+                ungathered.append((start, stop, intensity))
+    theta0, theta1, theta2, theta3, floor = np.array(params, dtype=float).reshape(-1, 5).T
+    # LinearIntensity.rate, ``max(((θ0 + θ1·t) + θ2·x) + θ3·y, floor)``, with
+    # per-row theta: the same operations (additions commute exactly), in
+    # place so the rows need two buffers, not one per term.
+    rate = np.repeat(theta1, lengths)
+    rate *= t
+    rate += np.repeat(theta0, lengths)
+    term = np.repeat(theta2, lengths)
+    term *= x
+    rate += term
+    term = np.repeat(theta3, lengths)
+    term *= y
+    rate += term
+    np.maximum(rate, np.repeat(floor, lengths), out=rate)
+    for start, stop, intensity in ungathered:
+        if intensity is None:
+            rate[start:stop] = 1.0
+        else:
+            rate[start:stop] = intensity.rate(t[start:stop], x[start:stop], y[start:stop])
+    if not np.all((rate > 0.0) & (rate < np.inf)):
+        raise PointProcessError(
+            "intensity must be finite and strictly positive at every event"
+        )
+    inverse = np.divide(1.0, rate, out=term)
+    lambdas = []
+    scaled_targets = []
+    for start, stop, intensity, target, _rng in segments:
+        if intensity is None:
+            lambdas.append(1.0)
+            scaled_targets.append(0.0)
+        else:
+            lambdas.append(float(inverse[start:stop].sum()))
+            scaled_targets.append(target)
+    # target / (rate · lambda_c), per row
+    rate *= np.repeat(np.array(lambdas), lengths)
+    raw_probability = np.repeat(np.array(scaled_targets, dtype=float), lengths)
+    raw_probability /= rate
+    violations = _segment_counts(raw_probability > 1.0, bounds)
+    probability = np.clip(raw_probability, 0.0, 1.0)
+    draws = np.empty(t.shape[0])
+    violation_percent = []
+    shortfall_percent = []
+    for index, (start, stop, intensity, target, rng) in enumerate(segments):
+        if intensity is None or stop == start:
+            draws[start:stop] = 1.0
+            violation_percent.append(0.0)
+            shortfall_percent.append(0.0)
+            continue
+        expected_retained = float(probability[start:stop].sum())
+        if compensate_clipping and expected_retained < min(target, float(stop - start)) - 1e-12:
+            compensated = _compensate_clipping(raw_probability[start:stop], target)
+            probability[start:stop] = compensated
+            expected_retained = float(compensated.sum())
+        violation_percent.append(100.0 * float(violations[index]) / (stop - start))
+        shortfall_percent.append(
+            100.0 * max(0.0, target - expected_retained) / target
+        )
+        rng.random(out=draws[start:stop])
+    keep = draws < probability
+    return SegmentedFlatten(
+        keep_mask=keep,
+        retain_probability=probability,
+        retained=_segment_counts(keep, bounds).tolist(),  # craqr: ignore[CRQ401] - per segment, never per row
+        violation_percent=violation_percent,
+        shortfall_percent=shortfall_percent,
+    )
 
 
 @dataclass(frozen=True)
@@ -228,7 +351,7 @@ def flatten_keep_mask(
     compensate_clipping: bool = True,
     rng: Optional[np.random.Generator] = None,
 ) -> ThinningMask:
-    """Mask-only variant of :func:`flatten_events`.
+    """Mask-only variant of :func:`flatten_events`: one-segment :func:`flatten_segments`.
 
     Computes the same Eq. (3) probabilities, draws the same single
     ``rng.random(len(batch))`` vector (so a shared generator advances
@@ -244,15 +367,21 @@ def flatten_keep_mask(
             keep_mask=np.empty(0, dtype=bool),
             retain_probability=np.empty(0),
         )
-    probability, violation_percent, shortfall_percent = _flatten_probabilities(
-        batch, intensity, target_rate, compensate_clipping
+    result = flatten_segments(
+        batch.t,
+        batch.x,
+        batch.y,
+        [0],
+        [intensity],
+        [target_rate],
+        [rng],
+        compensate_clipping=compensate_clipping,
     )
-    keep = rng.random(len(batch)) < probability
     return ThinningMask(
-        keep_mask=keep,
-        retain_probability=probability,
-        violation_percent=violation_percent,
-        shortfall_percent=shortfall_percent,
+        keep_mask=result.keep_mask,
+        retain_probability=result.retain_probability,
+        violation_percent=result.violation_percent[0],
+        shortfall_percent=result.shortfall_percent[0],
     )
 
 
@@ -305,15 +434,15 @@ def flatten_events(
             violation_percent=0.0,
             keep_mask=np.empty(0, dtype=bool),
         )
-    probability, violation_percent, shortfall_percent = _flatten_probabilities(
-        batch, intensity, target_rate, compensate_clipping
+    mask = flatten_keep_mask(
+        batch, intensity, target_rate, compensate_clipping=compensate_clipping, rng=rng
     )
-    keep = rng.random(len(batch)) < probability
+    keep = mask.keep_mask
     return ThinningResult(
         retained=batch.select(keep),
         discarded=batch.select(~keep),
-        retain_probability=probability,
-        violation_percent=violation_percent,
-        shortfall_percent=shortfall_percent,
+        retain_probability=mask.retain_probability,
+        violation_percent=mask.violation_percent,
+        shortfall_percent=mask.shortfall_percent,
         keep_mask=keep,
     )

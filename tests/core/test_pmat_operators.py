@@ -13,7 +13,7 @@ from repro.core.pmat import (
     ThinOperator,
     UnionOperator,
 )
-from repro.errors import StreamError
+from repro.errors import PointProcessError, StreamError
 from repro.geometry import Rectangle, RectRegion
 from repro.pointprocess import (
     ConstantIntensity,
@@ -22,7 +22,7 @@ from repro.pointprocess import (
     LinearIntensity,
     quadrat_chi_square_test,
 )
-from repro.streams import CollectingSink, SensorTuple
+from repro.streams import CollectingSink, SensorTuple, TupleBatch
 
 CELL = Rectangle(0.0, 0.0, 1.0, 1.0)
 
@@ -146,6 +146,39 @@ class TestFlattenOperator:
         assert op.target_rate == 25.0
         with pytest.raises(StreamError):
             op.set_target_rate(0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_given_intensity_raises(self, bad):
+        # NaN passed the old ``rate <= 0`` check and an infinite rate made
+        # lambda_c infinite: the batch delivered nothing and reported 0%
+        # violation and 0% shortfall, a healthy cell to the budget tuner.
+        items = simulate_tuples(rate=50.0, seed=30)
+        columnar = FlattenOperator(
+            10.0, region=CELL, intensity=LinearIntensity(bad, 0.0, 0.0, 0.0)
+        )
+        with pytest.raises(PointProcessError, match="finite"):
+            columnar.process_batch_mask(TupleBatch.from_tuples(items))
+        walked = FlattenOperator(
+            10.0, region=CELL, intensity=LinearIntensity(bad, 0.0, 0.0, 0.0)
+        )
+        for item in items:
+            walked.accept(item)
+        with pytest.raises(PointProcessError, match="finite"):
+            walked.flush()
+
+    def test_non_finite_online_theta_falls_back(self):
+        op = FlattenOperator(
+            10.0, region=CELL, online=True, rng=np.random.default_rng(12)
+        )
+        op.process_batch_mask(TupleBatch.from_tuples(simulate_tuples(rate=150.0, seed=31)))
+        assert op.reports[-1].estimator == "online"
+        # A diverged estimate (the SGD recurrence keeps a NaN once it has one).
+        op._online_estimator._theta = np.array([np.nan, 0.0, 0.0, 0.0])
+        op.process_batch_mask(TupleBatch.from_tuples(simulate_tuples(rate=150.0, seed=32)))
+        report = op.reports[-1]
+        assert report.estimator in ("mle", "constant")
+        assert report.retained > 0
+        assert np.isnan(op._online_estimator.theta[0])
 
     def test_online_mode_accumulates_estimator_updates(self):
         op = FlattenOperator(
