@@ -266,8 +266,7 @@ def _check_dispatch_tables(project: Project) -> Iterator[Finding]:
             if located is None:
                 continue  # class outside the analyzed tree
             class_module, class_node = located
-            # Follow simple module-level aliases (the snapshot module
-            # aliases the shared codec reducer for old-payload compat).
+            # Follow simple module-level aliases (``reducer = other``).
             seen = set()
             while reducer_name in aliases and reducer_name not in seen:
                 seen.add(reducer_name)

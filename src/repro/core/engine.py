@@ -1225,8 +1225,9 @@ class CraqrEngine:
         """Rebuild a live engine from the newest good checkpoint in a directory.
 
         Skips over torn or corrupt files (a crash mid-write leaves the
-        previous checkpoint intact); raises
-        :class:`~repro.errors.RecoveryError` when no file verifies.
+        previous checkpoint intact) and over files whose payload names a
+        global an engine snapshot never contains; raises
+        :class:`~repro.errors.RecoveryError` when no file loads.
         """
         from ..recovery import restore_latest
 

@@ -9,7 +9,8 @@ the robustness story PR 6 started on the data plane:
   health/degradation monitors, the session/view catalog);
 * :class:`CheckpointStore` + :class:`~repro.config.CheckpointConfig` —
   atomic temp-file+rename+fsync writes of retained checkpoint files, with
-  checksum-verified loads that fall back over torn files;
+  checksum-verified loads that build only engine classes and fall back
+  over torn or refused files;
 * :func:`restore_engine` / :func:`restore_latest` — rebuild a live engine
   whose subsequent batches are seeded byte-identical to an uninterrupted
   run (the contract pinned by ``tests/recovery/``).

@@ -42,8 +42,10 @@ MAGIC = b"CRQRCKPT"
 #: state yields different tuples, and ``FlattenBatchReport`` carries
 #: ``estimator``; 4: fast-sim ``advance`` skips ahead — a waypoint walker
 #: with no event in the window moves in one stride, so a fast-sim
-#: checkpoint of an older build replays different position bits).
-FORMAT_VERSION = 4
+#: checkpoint of an older build replays different position bits; 5: sensors
+#: keep no sensed history, so the sensor reducer and its packed columns are
+#: gone from the payload).
+FORMAT_VERSION = 5
 
 #: Header layout after the magic: version (u32), payload length (u64),
 #: SHA-256 digest (32 bytes), all little-endian.

@@ -37,6 +37,12 @@ The recovery contract — asserted batch-for-batch in ``tests/recovery/`` —
 is that a restored engine's subsequent batches are **seeded
 byte-identical** to the uninterrupted run, across strict/fast-sim and
 active fault plans with mitigation.
+
+Loading is the mirror image, but narrow: a payload may name only the
+globals an engine snapshot contains (:class:`_SnapshotUnpickler`).  The
+frame's SHA-256 proves a file is intact, not who wrote it, so a
+well-framed file that names anything else — a function that writes files,
+a class from outside ``repro`` — is refused before that global is called.
 """
 
 from __future__ import annotations
@@ -50,14 +56,8 @@ from typing import Optional
 import numpy as np
 
 from ..errors import RecoveryError
-from ..sensing.sensor import MobileSensor
 from ..streams import TupleBatch
-from ..streams.codec import (
-    pack_column,
-    reduce_tuple_batch,
-    rebuild_tuple_batch,
-    unpack_column,
-)
+from ..streams.codec import reduce_tuple_batch
 from .io import (
     FORMAT_VERSION,
     PathLike,
@@ -75,73 +75,12 @@ from .io import (
 _PAYLOAD_KIND = "craqr-engine-snapshot"
 
 
-# The raw-column packing is shared with the wire protocol through
-# repro.streams.codec; the module-level aliases keep old snapshot payloads
-# (which reference ``repro.recovery.snapshot._rebuild_tuple_batch``) loading.
-_pack_column = pack_column
-_unpack_column = unpack_column
-_rebuild_tuple_batch = rebuild_tuple_batch
-_reduce_tuple_batch = reduce_tuple_batch
-
-
-def _pack_memory(entries):
-    """A sensor's sensed-history list in columnar form.
-
-    Each entry is a ``(t, attribute, value)`` triple; at serving rates a
-    full crowd holds tens of thousands of them, and pickling that many
-    small tuples dominates the capture.  Uniformly typed histories pack
-    into three columns (times, attribute vocabulary indices, values);
-    anything unusual falls back to the list itself.
-    """
-    if not entries:
-        return None
-    ts, attrs, vals = zip(*entries)
-    if not all(type(t) is float for t in ts):
-        return list(entries)
-    value_types = set(map(type, vals))
-    if value_types == {float}:
-        kind = "f8"
-    elif value_types == {bool}:
-        kind = "b1"
-    else:
-        return list(entries)
-    vocab = tuple(dict.fromkeys(attrs))
-    index = np.fromiter(
-        (vocab.index(a) for a in attrs), dtype=np.uint16, count=len(attrs)
-    )
-    times = np.fromiter(ts, dtype=np.float64, count=len(ts))
-    values = np.fromiter(vals, dtype=np.dtype(kind), count=len(vals))
-    return (times.tobytes(), vocab, index.tobytes(), kind, values.tobytes())
-
-
-def _unpack_memory(packed):
-    if packed is None:
-        return []
-    if isinstance(packed, list):
-        return packed
-    times_raw, vocab, index_raw, kind, values_raw = packed
-    times = np.frombuffer(times_raw, dtype=np.float64).tolist()
-    attrs = [vocab[i] for i in np.frombuffer(index_raw, dtype=np.uint16)]
-    values = np.frombuffer(values_raw, dtype=np.dtype(kind)).tolist()
-    return list(zip(times, attrs, values))
-
-
-def _rebuild_sensor(cls, state, packed_memory):
-    sensor = cls.__new__(cls)
-    sensor.__dict__.update(state)
-    sensor._memory = _unpack_memory(packed_memory)
-    return sensor
-
-
-def _reduce_sensor(sensor):
-    state = dict(sensor.__dict__)
-    memory = state.pop("_memory", None)
-    return _rebuild_sensor, (type(sensor), state, _pack_memory(memory))
-
-
 def _rebuild_generator(state: dict) -> np.random.Generator:
     """Rebuild an ``np.random.Generator`` from its bit-generator state."""
-    bit_generator = getattr(np.random, state["bit_generator"])()
+    cls = getattr(np.random, state["bit_generator"], None)
+    if not (isinstance(cls, type) and issubclass(cls, np.random.BitGenerator)):
+        raise RecoveryError(f"{state['bit_generator']!r} is not a numpy bit generator")
+    bit_generator = cls()
     bit_generator.state = state
     return np.random.Generator(bit_generator)
 
@@ -151,7 +90,7 @@ def _reduce_generator(generator: np.random.Generator):
 
 
 class _SnapshotPickler(pickle.Pickler):
-    """The engine pickler, with fast paths for the three hot object classes.
+    """The engine pickler, with fast paths for the two hot object classes.
 
     A strict-mode world carries one ``np.random.Generator`` per sensor, and
     ``Generator.__reduce__`` is an order of magnitude slower (and ~4x
@@ -159,27 +98,86 @@ class _SnapshotPickler(pickle.Pickler):
     Result buffers retain one columnar chunk per acquisition round, so a
     few dozen batches means hundreds of small ``TupleBatch`` objects whose
     per-ndarray pickle framing dominates the capture; packing each chunk's
-    columns into raw bytes cuts that cost by ~3x.  And every sensor keeps
-    a bounded sensed-history list of small tuples which, across a serving
-    crowd, adds up to tens of thousands of pickle ops — ``_pack_memory``
-    turns each into three byte columns.  The pickler's memo still
-    deduplicates all three classes by object identity, so generators,
-    chunks and sensors shared between subsystems come back shared.
-    Nothing in the engine holds a bare ``BitGenerator`` reference, so
-    wrapping a fresh one on rebuild cannot split a shared stream; restored
-    chunk columns and history entries are exact-typed copies.
+    columns into raw bytes cuts that cost by ~3x.  The pickler's memo still
+    deduplicates both classes by object identity, so generators and chunks
+    shared between subsystems come back shared.  Nothing in the engine
+    holds a bare ``BitGenerator`` reference, so wrapping a fresh one on
+    rebuild cannot split a shared stream; restored chunk columns are
+    exact-typed copies.
     """
 
     dispatch_table = copyreg.dispatch_table.copy()
     dispatch_table[np.random.Generator] = _reduce_generator
-    dispatch_table[TupleBatch] = _reduce_tuple_batch
-    dispatch_table[MobileSensor] = _reduce_sensor
+    dispatch_table[TupleBatch] = reduce_tuple_batch
 
 
 def _dumps(obj) -> bytes:
     buffer = io.BytesIO()
     _SnapshotPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
     return buffer.getvalue()
+
+
+#: Globals a payload may name besides ``repro`` classes and numpy's array /
+#: dtype reconstructors: the two rebuilders the pickler's ``dispatch_table``
+#: writes, the no-op result handler the planner stores for queries
+#: registered without a callback, and three stdlib types.
+_ADMITTED = {
+    (__name__, "_rebuild_generator"),
+    ("repro.streams.codec", "rebuild_tuple_batch"),
+    ("repro.core.planner", "_drop_delivery"),
+    ("collections", "deque"),
+    ("builtins", "slice"),
+    ("pathlib", "PosixPath"),
+}
+
+#: Reached as ``numpy.*``, ``numpy.core.*`` (numpy 1) or ``numpy._core.*``.
+_NUMPY_NAMES = {"ndarray", "dtype", "_reconstruct", "_frombuffer"}
+
+
+def _is_repro(module: str) -> bool:
+    return module == "repro" or module.startswith("repro.")
+
+
+def _guarded_getattr(obj, name: str):
+    """``getattr`` for rebuilding bound methods of ``repro`` objects only.
+
+    The planner and operators store bound methods, which pickle as
+    ``getattr(instance, name)``; anything else a payload could reach through
+    ``getattr`` (a dunder, a method of a non-engine object) is refused.
+    """
+    if not _is_repro(type(obj).__module__) or name.startswith("__"):
+        raise RecoveryError(
+            f"snapshot payload asks for {type(obj).__name__}.{name}, which is "
+            f"not a method of an engine object"
+        )
+    return getattr(obj, name)
+
+
+class _SnapshotUnpickler(pickle.Unpickler):
+    """Resolves only the globals an engine snapshot is made of.
+
+    ``repro`` classes, the names in :data:`_ADMITTED`, numpy's array and
+    dtype reconstructors, and ``getattr`` as :func:`_guarded_getattr`.
+    Every other global raises :class:`RecoveryError` before it is called.
+    """
+
+    def find_class(self, module: str, name: str):
+        if (module, name) == ("builtins", "getattr"):
+            return _guarded_getattr
+        if (module, name) in _ADMITTED:
+            return super().find_class(module, name)
+        if name in _NUMPY_NAMES and (
+            module == "numpy" or module.startswith(("numpy.core.", "numpy._core."))
+        ):
+            return super().find_class(module, name)
+        if _is_repro(module):
+            found = super().find_class(module, name)
+            if isinstance(found, type) and _is_repro(found.__module__):
+                return found
+        raise RecoveryError(
+            f"snapshot payload refers to {module}.{name}, which is not part "
+            f"of an engine snapshot"
+        )
 
 
 class EngineSnapshot:
@@ -290,7 +288,9 @@ class EngineSnapshot:
     @staticmethod
     def _load_state(payload: bytes, *, source: str = "snapshot") -> dict:
         try:
-            state = pickle.loads(payload)
+            state = _SnapshotUnpickler(io.BytesIO(payload)).load()
+        except RecoveryError as exc:
+            raise RecoveryError(f"{source} is refused: {exc}") from exc
         except Exception as exc:
             raise RecoveryError(f"{source} does not deserialize: {exc}") from exc
         if not isinstance(state, dict) or state.get("kind") != _PAYLOAD_KIND:
@@ -325,8 +325,9 @@ class CheckpointStore:
     Filenames embed the batch index (``checkpoint-00000010.ckpt``) so
     lexicographic order is batch order; after each successful write the
     oldest files beyond ``retain`` are pruned.  Keeping several files is
-    what gives :meth:`latest_path` its fallback: a torn or corrupt newest
-    file (crash mid-write) is skipped in favour of the previous one.
+    what gives :meth:`load_latest` its fallback: a torn or corrupt newest
+    file (crash mid-write), or one the loader refuses, is skipped in favour
+    of the previous one.
     """
 
     def __init__(self, directory: PathLike, *, retain: int = 3) -> None:
@@ -366,11 +367,17 @@ class CheckpointStore:
         return load_latest(self._directory)
 
     def load_latest(self) -> Optional[EngineSnapshot]:
-        """The newest verifiable checkpoint, parsed (``None`` when empty)."""
-        path = self.latest_path()
-        if path is None:
-            return None
-        return load_snapshot(path)
+        """The newest checkpoint that verifies and loads, parsed.
+
+        Falls back over torn, corrupt and refused files alike; ``None``
+        when no file loads.
+        """
+        for path in reversed(list_snapshots(self._directory)):
+            try:
+                return load_snapshot(path)
+            except RecoveryError:
+                continue
+        return None
 
 
 def load_snapshot(path: PathLike) -> EngineSnapshot:
@@ -387,14 +394,15 @@ def restore_engine(path: PathLike):
 def restore_latest(directory: PathLike):
     """Restore from the newest good checkpoint in a directory.
 
-    Falls back over torn/corrupt files; raises :class:`RecoveryError` when
-    the directory holds no readable checkpoint at all.
+    Falls back over torn/corrupt/refused files; raises
+    :class:`RecoveryError` when the directory holds no readable checkpoint
+    at all.
     """
     store = CheckpointStore(directory)
     snapshot = store.load_latest()
     if snapshot is None:
         raise RecoveryError(
             f"no readable checkpoint in {pathlib.Path(directory)} "
-            f"(files may be missing, torn or corrupt)"
+            f"(files may be missing, torn, corrupt or refused)"
         )
     return snapshot.restore()

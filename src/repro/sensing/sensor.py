@@ -1,16 +1,22 @@
 """Mobile sensors.
 
-Each :class:`MobileSensor` combines a mobility state, a participation model
-for human-sensed attributes, and local memory for sensed information (the
-paper assumes "each mobile sensor is assumed to have local memory to store
-sensed information").  Sensors answer acquisition requests for an attribute
-by reading the relevant phenomenon field at their current location.
+Each :class:`MobileSensor` combines a mobility state and a participation
+model for human-sensed attributes.  Sensors answer acquisition requests for
+an attribute by reading the relevant phenomenon field at their current
+location.
+
+The paper assumes "each mobile sensor is assumed to have local memory to
+store sensed information".  That is a statement about the device, not about
+the protocol: in CrAQR a sensor answers one request and the answer goes to
+the server, whose result buffers (:class:`~repro.storage.QueryResultBuffer`)
+hold what queries receive.  Nothing on the server ever reads a device's
+local store, so sensors here keep none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,12 +63,9 @@ class MobileSensor:
         *,
         participation: Optional[ParticipationModel] = None,
         rng: Optional[np.random.Generator] = None,
-        memory_capacity: int = 256,
         state_arrays: Optional[SensorStateArrays] = None,
         index: Optional[int] = None,
     ) -> None:
-        if memory_capacity <= 0:
-            raise AcquisitionError("memory_capacity must be positive")
         self._sensor_id = sensor_id
         self._mobility = mobility
         self._participation = participation or AlwaysRespond()
@@ -95,8 +98,6 @@ class MobileSensor:
         # model stashed on its MobilityState survives for the sensor's
         # lifetime, as it did pre-SoA.
         self._scratch = initial_state
-        self._memory: List[Tuple[float, str, Any]] = []
-        self._memory_capacity = memory_capacity
 
     # ------------------------------------------------------------------
     @property
@@ -128,11 +129,6 @@ class MobileSensor:
     def responses_sent(self) -> int:
         """Responses actually produced so far."""
         return int(self._arrays.responses_sent[self._index])
-
-    @property
-    def memory(self) -> List[Tuple[float, str, Any]]:
-        """Locally stored observations as ``(t, attribute, value)`` rows."""
-        return list(self._memory)
 
     def state_at(self, t: float) -> SensorState:
         """A :class:`SensorState` snapshot stamped with time ``t``."""
@@ -206,17 +202,6 @@ class MobileSensor:
         self.move_through((dt,))
         return SpacePoint(self._scratch.x, self._scratch.y)
 
-    def _remember(self, t: float, attribute: str, value: Any) -> None:
-        self._memory.append((t, attribute, value))
-        if len(self._memory) > self._memory_capacity:
-            del self._memory[: len(self._memory) - self._memory_capacity]
-
-    def sense(self, field: PhenomenonField, t: float) -> Any:
-        """Sample the phenomenon at the sensor's location and store it locally."""
-        value = field.value(t, self._state.x, self._state.y, rng=self._rng)
-        self._remember(t, field.attribute, value)
-        return value
-
     def handle_requests(
         self,
         field: PhenomenonField,
@@ -287,12 +272,6 @@ class MobileSensor:
         xs = np.full(k, self._state.x, dtype=float)
         ys = np.full(k, self._state.y, dtype=float)
         values = field.values(respond_times, xs, ys, rng=self._rng)
-        self._memory.extend(
-            (float(t), field.attribute, value)
-            for t, value in zip(respond_times, np.asarray(values).tolist())
-        )
-        if len(self._memory) > self._memory_capacity:
-            del self._memory[: len(self._memory) - self._memory_capacity]
         self._arrays.responses_sent[self._index] += k
         return responds, respond_times + latencies[responds], xs, ys, values
 
@@ -316,6 +295,6 @@ class MobileSensor:
         )
         if not decision.responds:
             return None
-        value = self.sense(field, t)
+        value = field.value(t, self._state.x, self._state.y, rng=self._rng)
         self._arrays.responses_sent[self._index] += 1
         return (t + decision.latency, self._state.x, self._state.y, value)

@@ -31,8 +31,26 @@ from repro.sensing import (
     TemperatureField,
     WorldConfig,
 )
+from repro.sensing.handler import _PerSensorStreams
+from repro.sensing.participation import ParticipationModel, ResponseDecision
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
+
+
+def forbid_per_sensor_policy(monkeypatch):
+    """Make the per-sensor policy raise, so a round that falls back fails."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a fast-sim round fell back to the per-sensor policy")
+
+    monkeypatch.setattr(_PerSensorStreams, "answer", refuse)
+
+
+class ScalarOnly(ParticipationModel):
+    """A model with neither stationary parameters nor vector state."""
+
+    def decide(self, sensor_id, t, *, incentive_multiplier=1.0, rng=None):
+        return ResponseDecision(responds=True, latency=0.0)
 
 
 def make_world(vectorized, *, sensor_count=2000, seed=17, participation=None):
@@ -219,11 +237,10 @@ class TestFusedStatisticalEquivalence:
 
 
 class TestStatefulFastSim:
-    def test_fatigue_crowd_avoids_per_sensor_fallback(self):
-        # ISSUE 3 acceptance: a FatigueParticipation crowd must run fast-sim
-        # acquisition without the per-sensor fallback.  The fallback (and
-        # only the fallback) journals observations into each sensor's local
-        # memory, so empty journals prove the vector path served every round.
+    def test_fatigue_crowd_avoids_per_sensor_fallback(self, monkeypatch):
+        # A FatigueParticipation crowd must run fast-sim acquisition without
+        # the per-sensor fallback: that policy raises for the whole test.
+        forbid_per_sensor_policy(monkeypatch)
         participation = lambda i: FatigueParticipation(
             0.7, fatigue_per_request=0.1, recovery_per_time=0.01
         )
@@ -235,7 +252,6 @@ class TestStatefulFastSim:
             handler.acquire_batches({"rain": cells}, duration=1.0)
             world.advance(1.0)
         assert handler.total_responses > 0
-        assert all(not sensor.memory for sensor in world.sensors)
         # The SoA fatigue columns moved: requests accumulated fatigue.
         assert np.any(world.state_arrays.column(FatigueParticipation.LEVEL_COLUMN) > 0)
 
@@ -277,7 +293,19 @@ class TestStatefulFastSim:
             round_rates.append(report.response_rate)
         assert round_rates[-1] < round_rates[0] - 0.2
 
-    def test_distance_decay_uses_soa_distance_column(self):
+    def test_no_vector_form_trips_the_fallback_guard(self, monkeypatch):
+        # What the no-fallback tests rest on: a crowd whose model has no
+        # vector form is served by the per-sensor policy, and the guard
+        # turns that into a failure.
+        world = make_world(True, sensor_count=200, participation=lambda i: ScalarOnly())
+        grid = Grid(REGION, side=2)
+        handler = RequestResponseHandler(world, grid, default_budget=20)
+        forbid_per_sensor_policy(monkeypatch)
+        with pytest.raises(AssertionError, match="per-sensor policy"):
+            handler.acquire_batches({"rain": list(grid.cells())}, duration=1.0)
+
+    def test_distance_decay_uses_soa_distance_column(self, monkeypatch):
+        forbid_per_sensor_policy(monkeypatch)
         models = {}
 
         def participation(sensor_id):
@@ -303,7 +331,6 @@ class TestStatefulFastSim:
         _, far_report = handler.acquire_batches({"rain": cells}, duration=1.0)
         assert near_report.response_rate > 0.7
         assert far_report.response_rate < 0.05
-        assert all(not sensor.memory for sensor in world.sensors)
 
     def test_fatigue_state_is_coherent_across_vector_and_fallback_paths(self):
         # A fatigue sensor bound to SoA vector state must keep ONE fatigue
@@ -354,9 +381,10 @@ class TestStatefulFastSim:
         assert set(rows[:5]) <= set(range(200_000)) and len(set(rows[:5])) == 5
         assert set(rows[5:]) <= {200_001, 200_002, 200_003} and len(set(rows[5:])) == 2
 
-    def test_mixed_stateful_groups_are_dispatched_separately(self):
+    def test_mixed_stateful_groups_are_dispatched_separately(self, monkeypatch):
         # Two fatigue parameterisations form two participation groups; both
         # must be decided vectorially in one fused round.
+        forbid_per_sensor_policy(monkeypatch)
         participation = lambda i: (
             FatigueParticipation(0.9, fatigue_per_request=0.0)
             if i % 2 == 0
@@ -371,7 +399,6 @@ class TestStatefulFastSim:
         _, report = handler.acquire_batches(
             {"rain": list(grid.cells())}, duration=1.0
         )
-        assert all(not sensor.memory for sensor in world.sensors)
         # The blended response rate sits between the two groups' bases.
         assert 0.45 < report.response_rate < 0.75
 

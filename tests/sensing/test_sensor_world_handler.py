@@ -46,18 +46,14 @@ class TestMobileSensor:
             rng=np.random.default_rng(0),
         )
 
-    def test_memory_capacity_enforced(self):
-        sensor = MobileSensor(
-            1, StationaryMobility(REGION), rng=np.random.default_rng(0), memory_capacity=3
-        )
-        field = ConstantField(constant=1.0)
-        for t in range(6):
-            sensor.sense(field, float(t))
-        assert len(sensor.memory) == 3
-
-    def test_invalid_memory_capacity(self):
-        with pytest.raises(AcquisitionError):
-            MobileSensor(1, StationaryMobility(REGION), memory_capacity=0)
+    def test_sensor_keeps_no_sensed_history(self):
+        # A sensor answers requests; the server's result buffers keep the
+        # answers, so there is no device-side archive to size or inspect.
+        with pytest.raises(TypeError):
+            MobileSensor(1, StationaryMobility(REGION), memory_capacity=3)
+        sensor = self.make_sensor()
+        sensor.handle_request(ConstantField(constant=5.0), 2.0)
+        assert not hasattr(sensor, "memory")
 
     def test_handle_request_returns_row(self):
         sensor = self.make_sensor()

@@ -13,9 +13,8 @@ only edit is that the reference ``answer`` calls the reference
 Every strict golden in the repo — ``tests/recovery``, the compiled-plan
 equivalence digests, the benchmark run digests — rests on the two agreeing
 *exactly*: same generator calls in the same per-sensor order, same float
-expressions, same Python types in every sensor's memory (the snapshot
-packer only packs plain ``float`` / ``bool`` histories).  So the comparison
-is on bytes, types and generator states, never ``allclose``.
+expressions, same snapshot bytes.  So the comparison is on bytes, types
+and generator states, never ``allclose``.
 """
 
 import itertools
@@ -33,7 +32,6 @@ from repro.errors import AcquisitionError
 from repro.faults import FaultInjector, SensorHealthMonitor
 from repro.geometry import Grid, Rectangle, RectRegion
 from repro.recovery import EngineSnapshot
-from repro.recovery.snapshot import _pack_memory
 from repro.sensing import (
     AlwaysRespond,
     BernoulliParticipation,
@@ -147,12 +145,6 @@ def reference_handle_requests(
     xs = np.full(k, self._state.x, dtype=float)
     ys = np.full(k, self._state.y, dtype=float)
     values = field.values(respond_times, xs, ys, rng=self._rng)
-    self._memory.extend(
-        (float(t), field.attribute, value)
-        for t, value in zip(respond_times, np.asarray(values).tolist())
-    )
-    if len(self._memory) > self._memory_capacity:
-        del self._memory[: len(self._memory) - self._memory_capacity]
     self._arrays.responses_sent[self._index] += k
     return responds, respond_times + latencies[responds], xs, ys, values
 
@@ -296,15 +288,11 @@ def make_handler(world, *, budget, incentive=None, flaky=False, oracle=False):
 
 def make_pair(
     sensor_count, participation, *, budget, incentive=None, flaky=False, seed=31,
-    memory_capacity=None,
 ):
     """``(world, handler)`` twice from the same seeds; the second uses the oracle."""
     pairs = []
     for oracle in (False, True):
         world = make_world(sensor_count, participation, seed)
-        if memory_capacity is not None:
-            for sensor in world.sensors:
-                sensor._memory_capacity = memory_capacity
         handler = make_handler(
             world, budget=budget, incentive=incentive() if incentive else None,
             flaky=flaky, oracle=oracle,
@@ -329,10 +317,6 @@ def batch_image(batch):
     return batch.attribute, columns, extras
 
 
-def memory_image(sensor):
-    return [(type(t), t, attribute, type(v), v) for t, attribute, v in sensor.memory]
-
-
 def generator_states(world):
     states = [sensor._rng.bit_generator.state for sensor in world.sensors]
     return states + [world.rng.bit_generator.state]
@@ -350,8 +334,6 @@ def assert_same_round(ours, oracle, attribute_cells, duration=1.0):
     soa, ref_soa = world.state_arrays, ref_world.state_arrays
     assert soa.requests_received.tobytes() == ref_soa.requests_received.tobytes()
     assert soa.responses_sent.tobytes() == ref_soa.responses_sent.tobytes()
-    for sensor, ref_sensor in zip(world.sensors, ref_world.sensors):
-        assert memory_image(sensor) == memory_image(ref_sensor)
     assert generator_states(world) == generator_states(ref_world)
     return batches, report
 
@@ -378,20 +360,15 @@ def run_rounds(ours, oracle, attributes, rounds):
 @pytest.mark.parametrize("participation", sorted(PARTICIPATION))
 def test_walk_matches_the_per_sensor_mask_loop(participation, crowd, incentive, flaky):
     sensor_count, budget = CROWDS[crowd]
-    # A small memory on the busy crowd, so the trim runs on both sides.
     ours, oracle = make_pair(
         sensor_count, PARTICIPATION[participation], budget=budget,
         incentive=INCENTIVES[incentive], flaky=flaky,
-        memory_capacity=16 if crowd == "replacement" else None,
     )
     seen = run_rounds(ours, oracle, ATTRIBUTES, rounds=4)
     assert all(set(batches) == set(ATTRIBUTES) for batches, _ in seen)
     assert seen[-1][0]["pair"].value.dtype == object
     if flaky:
         assert sum(report.retries_sent for _, report in seen) > 0
-    if crowd == "replacement":
-        busiest = max(len(sensor.memory) for sensor in ours[0].sensors)
-        assert busiest == 16  # the memory capacity: the trim ran
 
 
 def test_runs_mix_scalar_and_vectorised_answers():
@@ -460,7 +437,7 @@ def test_nobody_answers(model, crowd):
         assert report.requests_sent == 2 * 4 * budget
         assert report.responses_received == 0
     assert int(ours[0].state_arrays.requests_received.sum()) == 2 * 2 * 4 * budget
-    assert all(sensor.memory == [] for sensor in ours[0].sensors)
+    assert int(ours[0].state_arrays.responses_sent.sum()) == 0
 
 
 def test_vectorised_run_rejects_a_model_that_draws():
@@ -476,16 +453,16 @@ def test_vectorised_run_rejects_a_model_that_draws():
 
 
 # ----------------------------------------------------------------------------
-# Snapshot shape: plain floats reach the sensors' memory
+# Snapshot shape: the walk leaves the same engine state as the oracle
 # ----------------------------------------------------------------------------
 
 
 class TestSnapshotShape:
-    """An ``np.float64`` leaking out of the walk would change snapshot bytes.
+    """A whole engine captured after the walk equals one captured after the oracle.
 
-    ``_pack_memory`` packs a sensed history columnar only when every time
-    is exactly a ``float`` and the values are all ``float`` or all ``bool``;
-    anything else silently falls back to pickling the list.
+    Column bytes and generator states are compared round by round above;
+    this compares everything else the walk could leave behind in any
+    subsystem, as the checkpoint file sees it.
     """
 
     def make_engine(self, attribute, monkeypatch):
@@ -512,19 +489,11 @@ class TestSnapshotShape:
         )
         return engine
 
-    @pytest.mark.parametrize("attribute, value_type", [("rain", bool), ("temp", float)])
-    def test_memory_packs_columnar_and_snapshot_matches_the_oracle(
-        self, attribute, value_type, monkeypatch
-    ):
+    @pytest.mark.parametrize("attribute", ["rain", "temp"])
+    def test_snapshot_matches_the_oracle(self, attribute, monkeypatch):
         engine = self.make_engine(attribute, monkeypatch)
         engine.run(3)
-        asked = [sensor for sensor in engine.world.sensors if sensor.memory]
-        assert len(asked) > 100
-        for sensor in asked:
-            for t, _, value in sensor.memory:
-                assert type(t) is float and type(value) is value_type
-            packed = _pack_memory(sensor.memory)
-            assert isinstance(packed, tuple) and len(packed) == 5
+        assert int((engine.world.state_arrays.responses_sent > 0).sum()) > 100
         ours = EngineSnapshot.capture(engine).to_bytes()
 
         with monkeypatch.context() as patch:

@@ -105,15 +105,12 @@ class TestReduceForm:
         assert_batches_equal(rebuild(*args), batch)
 
     def test_snapshot_uses_the_shared_codec(self):
-        # Satellite 1: the checkpoint pickler's private helpers are the
-        # codec functions — old checkpoints referencing the snapshot
-        # aliases rebuild through the exact same code.
+        # The checkpoint pickler packs result chunks with the codec's reduce
+        # form, so checkpoints and the wire cannot drift apart.
         from repro.recovery import snapshot
 
-        assert snapshot._pack_column is codec.pack_column
-        assert snapshot._unpack_column is codec.unpack_column
-        assert snapshot._reduce_tuple_batch is codec.reduce_tuple_batch
-        assert snapshot._rebuild_tuple_batch is codec.rebuild_tuple_batch
+        table = snapshot._SnapshotPickler.dispatch_table
+        assert table[TupleBatch] is codec.reduce_tuple_batch
 
 
 class TestTupleBatchWire:
