@@ -172,12 +172,14 @@ def list_snapshots(directory: PathLike) -> List[pathlib.Path]:
 
 
 def load_latest(directory: PathLike) -> Optional[pathlib.Path]:
-    """The newest checkpoint in ``directory`` that passes verification.
+    """The newest checkpoint in ``directory`` whose frame and checksum verify.
 
     Tries newest-first and falls back over torn or corrupt files (the
     crash-mid-write case: the latest file may be damaged, the one before
     it is good).  Returns ``None`` when the directory holds no readable
-    checkpoint at all.
+    checkpoint at all.  The payload is not loaded; to skip files the
+    loader refuses as well, use
+    :meth:`~repro.recovery.CheckpointStore.latest_path`.
     """
     for path in reversed(list_snapshots(directory)):
         try:

@@ -41,8 +41,17 @@ active fault plans with mitigation.
 Loading is the mirror image, but narrow: a payload may name only the
 globals an engine snapshot contains (:class:`_SnapshotUnpickler`).  The
 frame's SHA-256 proves a file is intact, not who wrote it, so a
-well-framed file that names anything else — a function that writes files,
-a class from outside ``repro`` — is refused before that global is called.
+well-framed file that names anything else — a function, a class from
+outside ``repro`` or from a ``repro`` module that opens files, sockets or
+processes — is refused before that global is called, and ``getattr`` in a
+payload yields only the three bound methods engine state stores.  What a
+load can run is then the constructors, ``__call__`` and container methods
+of admitted classes plus those three methods, and none of that code
+touches a file, socket or process (the checkpoint store is admitted, but
+nothing a load can reach calls its ``write`` or ``prune``).  What a
+*restored* engine does next is whatever its state says: a planted engine
+whose checkpoint directory points elsewhere writes there once it runs
+batches.
 """
 
 from __future__ import annotations
@@ -51,7 +60,8 @@ import copyreg
 import io
 import pathlib
 import pickle
-from typing import Optional
+import types
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +74,6 @@ from .io import (
     SNAPSHOT_SUFFIX,
     frame_payload,
     list_snapshots,
-    load_latest,
     read_snapshot_file,
     unframe_payload,
     write_snapshot_file,
@@ -117,14 +126,16 @@ def _dumps(obj) -> bytes:
     return buffer.getvalue()
 
 
-#: Globals a payload may name besides ``repro`` classes and numpy's array /
+#: Globals a payload may name besides engine classes and numpy's array /
 #: dtype reconstructors: the two rebuilders the pickler's ``dispatch_table``
 #: writes, the no-op result handler the planner stores for queries
-#: registered without a callback, and three stdlib types.
+#: registered without a callback, the engine's checkpoint store and three
+#: stdlib types.
 _ADMITTED = {
     (__name__, "_rebuild_generator"),
     ("repro.streams.codec", "rebuild_tuple_batch"),
     ("repro.core.planner", "_drop_delivery"),
+    (__name__, "CheckpointStore"),
     ("collections", "deque"),
     ("builtins", "slice"),
     ("pathlib", "PosixPath"),
@@ -133,32 +144,66 @@ _ADMITTED = {
 #: Reached as ``numpy.*``, ``numpy.core.*`` (numpy 1) or ``numpy._core.*``.
 _NUMPY_NAMES = {"ndarray", "dtype", "_reconstruct", "_frombuffer"}
 
+#: ``repro`` modules whose classes open files, sockets or processes, or are
+#: not engine state at all.  Engine state holds none of them except the
+#: checkpoint store, admitted by name.
+_NOT_ENGINE_STATE = (
+    "repro.analysis",
+    "repro.cli",
+    "repro.faults.crash",
+    "repro.recovery",
+    "repro.serve",
+)
 
-def _is_repro(module: str) -> bool:
-    return module == "repro" or module.startswith("repro.")
+#: The bound methods engine state stores, by name, with the class that
+#: defines them: operator subscriptions, the planner's per-cell delivery
+#: and the engine's delivery into result buffers.  Pickle writes each as
+#: ``getattr(instance, name)``.
+_STORED_METHODS = {
+    "accept": ("repro.streams.operator", "StreamOperator"),
+    "_deliver": ("repro.core.planner", "QueryPlanner"),
+    "_deliver_batch": ("repro.core.engine", "CraqrEngine"),
+}
+
+
+def _in_package(module: str, package: str) -> bool:
+    return module == package or module.startswith(package + ".")
+
+
+def _is_engine_module(module: str) -> bool:
+    return _in_package(module, "repro") and not any(
+        _in_package(module, package) for package in _NOT_ENGINE_STATE
+    )
 
 
 def _guarded_getattr(obj, name: str):
-    """``getattr`` for rebuilding bound methods of ``repro`` objects only.
+    """``getattr`` that rebuilds only the methods in :data:`_STORED_METHODS`.
 
-    The planner and operators store bound methods, which pickle as
-    ``getattr(instance, name)``; anything else a payload could reach through
-    ``getattr`` (a dunder, a method of a non-engine object) is refused.
+    The method is looked up on the class, so neither an instance attribute
+    planted under that name nor any other attribute is reachable.
     """
-    if not _is_repro(type(obj).__module__) or name.startswith("__"):
+    cls = type(obj)
+    owner = _STORED_METHODS.get(name)
+    method = None
+    if owner is not None and any(
+        (base.__module__, base.__qualname__) == owner for base in cls.__mro__
+    ):
+        method = getattr(cls, name, None)
+    if not isinstance(method, types.FunctionType):
         raise RecoveryError(
-            f"snapshot payload asks for {type(obj).__name__}.{name}, which is "
-            f"not a method of an engine object"
+            f"snapshot payload asks for {cls.__name__}.{name}, which is not "
+            f"a method engine state stores"
         )
-    return getattr(obj, name)
+    return method.__get__(obj, cls)
 
 
 class _SnapshotUnpickler(pickle.Unpickler):
     """Resolves only the globals an engine snapshot is made of.
 
-    ``repro`` classes, the names in :data:`_ADMITTED`, numpy's array and
-    dtype reconstructors, and ``getattr`` as :func:`_guarded_getattr`.
-    Every other global raises :class:`RecoveryError` before it is called.
+    Classes of engine modules (``repro`` minus :data:`_NOT_ENGINE_STATE`),
+    the names in :data:`_ADMITTED`, numpy's array and dtype reconstructors,
+    and ``getattr`` as :func:`_guarded_getattr`.  Every other global raises
+    :class:`RecoveryError` before it is called.
     """
 
     def find_class(self, module: str, name: str):
@@ -170,9 +215,9 @@ class _SnapshotUnpickler(pickle.Unpickler):
             module == "numpy" or module.startswith(("numpy.core.", "numpy._core."))
         ):
             return super().find_class(module, name)
-        if _is_repro(module):
+        if _is_engine_module(module):
             found = super().find_class(module, name)
-            if isinstance(found, type) and _is_repro(found.__module__):
+            if isinstance(found, type) and _is_engine_module(found.__module__):
                 return found
         raise RecoveryError(
             f"snapshot payload refers to {module}.{name}, which is not part "
@@ -363,8 +408,8 @@ class CheckpointStore:
                 pass
 
     def latest_path(self) -> Optional[pathlib.Path]:
-        """The newest checkpoint file that passes verification."""
-        return load_latest(self._directory)
+        """The file :meth:`load_latest` loads (``None`` when none loads)."""
+        return next(self._loadable(), (None, None))[0]
 
     def load_latest(self) -> Optional[EngineSnapshot]:
         """The newest checkpoint that verifies and loads, parsed.
@@ -372,12 +417,14 @@ class CheckpointStore:
         Falls back over torn, corrupt and refused files alike; ``None``
         when no file loads.
         """
+        return next(self._loadable(), (None, None))[1]
+
+    def _loadable(self) -> Iterator[Tuple[pathlib.Path, EngineSnapshot]]:
         for path in reversed(list_snapshots(self._directory)):
             try:
-                return load_snapshot(path)
+                yield path, load_snapshot(path)
             except RecoveryError:
                 continue
-        return None
 
 
 def load_snapshot(path: PathLike) -> EngineSnapshot:
