@@ -26,8 +26,8 @@ from typing import List, Tuple
 #: ``(package-relative module path, dotted symbol)`` pairs.
 HOT_PATHS: List[Tuple[str, str]] = [
     # Acquisition: the one wave loop every round runs, and the fused
-    # fast-sim round around it (PR 3) — one bucketing pass, one draw per
-    # attribute.  Per-row Python here undoes the ~4x fused-round win.
+    # round around it (under both RNG contracts) — one bucketing pass, one
+    # wave per attribute.  Per-row Python here undoes the fused-round win.
     ("repro/sensing/handler.py", "RequestResponseHandler._acquire_waves"),
     ("repro/sensing/handler.py", "_SharedStream.answer"),
     ("repro/sensing/handler.py", "RequestResponseHandler._bucket_sensors"),
@@ -41,15 +41,21 @@ HOT_PATHS: List[Tuple[str, str]] = [
     ),
     ("repro/sensing/handler.py", "RequestResponseHandler._fused_sensor_choices"),
     ("repro/sensing/handler.py", "RequestResponseHandler._fused_request_times"),
-    # The strict counterparts, ``_PerSensorStreams.answer`` and
-    # ``MobileSensor.move_through``, are deliberately NOT registered: one
-    # generator per sensor makes them per-request / per-sensor Python by
-    # contract, and what CRQ4xx would flag there (``.tolist()``, the loop
-    # over a zip of runs) is the design — requests unboxed once, each
-    # sensor walked once (PR 18).  Their contract is bit-equality with the
-    # per-sensor mask loop and the step-major loop kept in
-    # ``tests/sensing/test_strict_acquisition.py`` and
-    # ``tests/sensing/test_sensor_major_advance.py``.
+    # The strict wave answers in one vectorised pass too: every request's
+    # counter is its sensor's request count plus its rank within the wave,
+    # one Philox call (``repro.rng.keyed_uniforms``) draws every block, and
+    # the stationary rows are decided and sensed as columns.  Only the
+    # fallback walk for stateful / custom participation,
+    # ``_PerSensorStreams._decide_walked``, stays per-request Python by
+    # contract and is NOT registered; neither is ``MobileSensor.move_through``
+    # (one generator per sensor moves it, each sensor walked once).
+    # Their contracts are bit-equality with the per-object
+    # ``MobileSensor.handle_request`` in a shuffled order and with the
+    # step-major loop, kept in ``tests/sensing/test_strict_acquisition.py``
+    # and ``tests/sensing/test_sensor_major_advance.py``.
+    ("repro/sensing/handler.py", "_PerSensorStreams.answer"),
+    ("repro/rng.py", "philox4x64"),
+    ("repro/rng.py", "keyed_uniforms"),
     # World advance (PR 2, PR 17): the fast-sim mobility kernels, ≈40% of
     # a large-crowd batch (``sensing.world.advance_ms`` on ``crowd_fast``).
     # Each is a fixed sequence of full-width ufuncs over the group's row

@@ -13,10 +13,12 @@ hashes — long after the offending line was written.
 * ``CRQ102`` — a call through numpy's module-level global stream
   (``np.random.random()``, ``np.random.seed()``, ...).  Draws must go
   through a ``Generator`` instance that some object owns.
-* ``CRQ103`` — ``np.random.default_rng()`` *without a seed argument*
-  outside the sanctioned entropy module (``repro/rng.py``).  Explicitly
-  seeded construction — ``default_rng(config.seed)``, or spawning a
-  child via ``default_rng(parent.integers(...))`` — is the sanctioned
+* ``CRQ103`` — ``np.random.default_rng()`` / ``Generator()`` /
+  ``SeedSequence()`` *without a seed argument* outside the sanctioned
+  entropy module (``repro/rng.py``).  Explicitly seeded construction —
+  ``default_rng(config.seed)``, spawning a child via
+  ``default_rng(parent.integers(...))``, or ``SeedSequence(seed)`` to
+  derive a key without drawing from any stream — is the sanctioned
   pattern and is allowed anywhere.
 * ``CRQ104`` — a function that *takes* an ``rng`` parameter also
   reaches a global or fresh OS-seeded stream.  Accepting a stream is a
@@ -46,13 +48,14 @@ from ..registry import rule
 CODES = {
     "CRQ101": "stdlib random module imported (process-global stream)",
     "CRQ102": "call through numpy's module-level global RNG",
-    "CRQ103": "unseeded default_rng()/Generator() outside repro/rng.py",
+    "CRQ103": "unseeded default_rng()/Generator()/SeedSequence() outside repro/rng.py",
     "CRQ104": "function taking an rng parameter reaches another stream",
 }
 
-#: Attribute names on ``numpy.random`` that construct a new stream
+#: Attribute names on ``numpy.random`` that construct a new stream (or,
+#: for ``SeedSequence``, the entropy a stream or key is derived from)
 #: rather than drawing from the global one.
-_CONSTRUCTORS = frozenset({"default_rng", "Generator"})
+_CONSTRUCTORS = frozenset({"default_rng", "Generator", "SeedSequence"})
 
 #: Modules allowed to create unseeded streams: the one audited entropy
 #: entry point every seeded caller bypasses by passing its own stream.

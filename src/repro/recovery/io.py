@@ -44,8 +44,11 @@ MAGIC = b"CRQRCKPT"
 #: with no event in the window moves in one stride, so a fast-sim
 #: checkpoint of an older build replays different position bits; 5: sensors
 #: keep no sensed history, so the sensor reducer and its packed columns are
-#: gone from the payload).
-FORMAT_VERSION = 5
+#: gone from the payload; 6: strict sensors answer from keyed streams in
+#: fused per-attribute rounds — the world and its sensors carry an
+#: ``acquisition_key`` and a restored strict engine draws other answers
+#: than the build that wrote a version-5 file).
+FORMAT_VERSION = 6
 
 #: Header layout after the magic: version (u32), payload length (u64),
 #: SHA-256 digest (32 bytes), all little-endian.

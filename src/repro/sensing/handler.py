@@ -17,9 +17,13 @@ acquisition round yields the raw observations of every requested
 crowdsensed stream fabricator then pushes through PMAT topologies.
 
 Every entry point runs the same wave loop
-(:meth:`RequestResponseHandler._acquire_waves`) over cell segments; what
-differs between the strict and fast-sim RNG contracts is confined to two
-small RNG policies (:class:`_PerSensorStreams`, :class:`_SharedStream`).
+(:meth:`RequestResponseHandler._acquire_waves`) over cell segments, and a
+round runs it once per attribute over all of the attribute's cells
+(:meth:`RequestResponseHandler.acquire_attribute_batch`) under either RNG
+contract; what differs between strict and fast-sim is confined to two
+small RNG policies (:class:`_PerSensorStreams`: each sensor answers from
+its own keyed stream, one vectorised pass per wave; :class:`_SharedStream`:
+one draw from the world stream per wave).
 """
 
 from __future__ import annotations
@@ -32,8 +36,10 @@ import numpy as np
 from ..errors import AcquisitionError, BudgetError, GeometryError
 from ..faults import FaultInjector, ResilienceConfig, SensorHealthMonitor
 from ..geometry import Grid, GridCell
+from ..rng import keyed_uniforms
 from ..streams import SensorTuple, TupleBatch, make_tuple_id_allocator
 from .incentives import FlatIncentive, IncentiveScheme
+from .participation import exponential_latency
 from .world import SensingWorld
 
 CellKey = Tuple[int, int]
@@ -119,16 +125,12 @@ def _per_cell_choices(
     )
 
 
-def _value_column(values: list) -> np.ndarray:
-    """Sensed values as one 1-d column; object dtype when they are not scalars."""
-    try:
-        column = np.asarray(values)
-        if column.ndim != 1:  # e.g. list/tuple values
-            raise ValueError
-    except ValueError:
-        column = np.empty(len(values), dtype=object)
-        column[:] = values
-    return column
+def _ranks_within_runs(sorted_rows: np.ndarray) -> np.ndarray:
+    """``0, 1, 2, ...`` within each run of equal values of a sorted array."""
+    positions = np.arange(sorted_rows.size)
+    starts = np.ones(sorted_rows.size, dtype=bool)
+    np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=starts[1:])
+    return positions - np.maximum.accumulate(np.where(starts, positions, 0))
 
 
 # ----------------------------------------------------------------------
@@ -149,16 +151,25 @@ def _value_column(values: list) -> np.ndarray:
 #     Bumps the sensors' request/response counters.
 # ----------------------------------------------------------------------
 class _PerSensorStreams:
-    """Strict policy: every sensor answers from its private RNG stream.
+    """Strict policy: every sensor answers from its own keyed stream.
 
-    Choices and times are per-cell draws from the world stream.  A wave is
-    answered in one sorted walk: a stable sort by sensor row makes each
-    sensor's requests one contiguous run in ascending-time order, so every
-    stream is consumed exactly as a per-request walk would consume it
-    (sensors are independent — only the order *within* a sensor is
-    contract), and the responses are reassembled into request order.
-    Also serves the handler's object views and the cells of a fast-sim
-    world that host a non-vectorisable sensor.
+    Choices and times are per-cell draws from the world stream.  The answer
+    to a sensor's ``c``-th request (``c`` = its ``requests_received``
+    before that request) is the Philox block keyed ``(acquisition_key,
+    sensor id)`` at counter ``c`` — respond, latency and two sensing
+    uniforms — so nothing depends on the order in which sensors are asked
+    and a wave is answered in one pass: a rank within each sensor gives
+    the counters, one :func:`~repro.rng.keyed_uniforms` call draws every
+    block, rows with stationary participation (``vector_params``) are
+    decided from the SoA parameter columns, and one
+    ``values_from_uniforms`` call senses every response.  Rows with
+    stateful or custom participation are decided by their model's
+    ``decide``, one request at a time in each sensor's request order, fed
+    the same blocks.  Byte-identical to asking each sensor with
+    :meth:`~repro.sensing.MobileSensor.handle_request`, in any order that
+    keeps each sensor's own requests in order.  Serves strict rounds, the
+    handler's object views and the cells of a fast-sim world that host a
+    non-vectorisable sensor.
     """
 
     def __init__(self, world: SensingWorld) -> None:
@@ -179,65 +190,67 @@ class _PerSensorStreams:
         )
 
     def answer(self, field_model, rows, request_times, multipliers, replacement_used):
-        order = np.argsort(rows, kind="stable")
-        sorted_rows = rows[order]
-        # Where each sensor's run starts (rows are >= 0, so -1 opens the first).
-        starts = np.flatnonzero(np.diff(sorted_rows, prepend=-1)).tolist()
-        sorted_times = request_times[order]
-        sorted_multipliers = multipliers[order]
-        # Unboxed once: the scalar walk hands Python floats to
-        # handle_request.  Only for speed (float arithmetic in decide /
-        # field.value; np.float64 scalars cost ~7% of strict acquisition) —
-        # every column, generator state and snapshot byte is the same.
-        times = sorted_times.tolist()
-        boosts = sorted_multipliers.tolist()
-        # Answered requests as positions in sorted order: the scalar walk
-        # fills three aligned lists, vectorised runs add array chunks.
-        scalar_positions: List[int] = []
-        scalar_response_times: List[float] = []
-        scalar_values: list = []
-        positions: List[np.ndarray] = []
-        response_times: List[np.ndarray] = []
-        values: List[np.ndarray] = []
-        sensors = self._world.sensors_at(sorted_rows[starts])
-        for sensor, lo, hi in zip(sensors, starts, starts[1:] + [rows.size]):
-            if hi - lo == 1 or not sensor.participation.batch_safe:
-                # A lone request, or a model whose decisions draw
-                # randomness (only ever a scalar walk): no arrays.
-                for k in range(lo, hi):
-                    row = sensor.handle_request(
-                        field_model, times[k], incentive_multiplier=boosts[k]
-                    )
-                    if row is not None:
-                        scalar_positions.append(k)
-                        scalar_response_times.append(row[0])
-                        scalar_values.append(row[3])
-            else:
-                answered, run_times, _xs, _ys, sensed = sensor.handle_requests(
-                    field_model, sorted_times[lo:hi],
-                    incentive_multiplier=sorted_multipliers[lo:hi],
-                )
-                if run_times.shape[0]:
-                    positions.append(lo + np.flatnonzero(answered))
-                    response_times.append(run_times)
-                    values.append(np.asarray(sensed))
-        if scalar_positions:
-            positions.append(np.array(scalar_positions, dtype=np.intp))
-            response_times.append(np.array(scalar_response_times, dtype=float))
-            values.append(_value_column(scalar_values))
-        responded = np.zeros(rows.size, dtype=bool)
-        if not positions:
-            return responded, np.empty(0), np.empty(0, dtype=object)
-        # Back into global request order, so tuple ids are allocated one
-        # per response in request order whatever the per-sensor grouping.
-        answered_positions = order[np.concatenate(positions)]
-        back = np.argsort(answered_positions, kind="stable")
-        answered_positions = answered_positions[back]
-        responded[answered_positions] = True
-        latencies = (
-            np.concatenate(response_times)[back] - request_times[answered_positions]
+        world = self._world
+        soa = world.state_arrays
+        received = soa.requests_received
+        counters = received[rows]
+        order = None
+        if replacement_used:
+            # A sensor asked k times in the wave draws counters c .. c+k-1
+            # in request order.
+            order = np.argsort(rows, kind="stable")
+            counters[order] += _ranks_within_runs(rows[order])
+            np.add.at(received, rows, 1)
+        else:
+            # Populations are disjoint and sampled without replacement:
+            # every row is unique, so the fancy-index increment is exact.
+            received[rows] += 1
+        u = keyed_uniforms(world.acquisition_key, soa.sensor_ids[rows], counters)
+        responded = u[0] < np.where(
+            soa.incentive_sensitive[rows],
+            np.minimum(soa.p_base[rows] * multipliers, soa.p_max[rows]),
+            soa.p_base[rows],
         )
-        return responded, latencies, np.concatenate(values)[back]
+        latencies = exponential_latency(soa.latency_mean[rows], u[1])
+        walked = ~soa.vector_participation[rows] | (soa.participation_group[rows] >= 0)
+        if walked.any():
+            visit = np.flatnonzero(walked) if order is None else order[walked[order]]
+            self._decide_walked(
+                rows, request_times, multipliers, u, visit, responded, latencies
+            )
+        answered = np.flatnonzero(responded)
+        answered_rows = rows[answered]
+        if replacement_used:
+            np.add.at(soa.responses_sent, answered_rows, 1)
+        else:
+            soa.responses_sent[answered_rows] += 1
+        values = field_model.values_from_uniforms(
+            request_times[answered], soa.x[answered_rows], soa.y[answered_rows],
+            u[2, answered], u[3, answered],
+        )
+        return responded, latencies[answered], np.asarray(values)
+
+    def _decide_walked(
+        self, rows, request_times, multipliers, u, visit, responded, latencies
+    ) -> None:
+        """Decide the ``visit`` requests one at a time, through each model's ``decide``.
+
+        ``visit`` lists the positions of the wave's stateful / custom rows
+        in each sensor's request order (a fatigue level depends on the
+        sensor's earlier requests); ``responded`` and ``latencies`` are
+        overwritten there.  Plain floats reach ``decide``, as they reach it
+        from :meth:`~repro.sensing.MobileSensor.handle_request`.
+        """
+        sensors = self._world.sensors_at(rows[visit])
+        for k, sensor, t, boost, u_respond, u_latency in zip(
+            visit.tolist(), sensors, request_times[visit].tolist(),
+            multipliers[visit].tolist(), u[0, visit].tolist(), u[1, visit].tolist(),
+        ):
+            decision = sensor.participation.decide(
+                sensor.sensor_id, t, (u_respond, u_latency), incentive_multiplier=boost
+            )
+            responded[k] = decision.responds
+            latencies[k] = decision.latency
 
 
 class _SharedStream:
@@ -505,10 +518,11 @@ class RequestResponseHandler:
 
         ``cell_keys`` and ``populations`` are aligned; every population is a
         non-empty, ascending array of SoA rows (quarantined rows already
-        masked out).  The strict contract calls this with one segment per
-        ``(attribute, cell)`` pair, the fused fast-sim round with all of an
-        attribute's vector-capable cells; ``policy`` owns the draws that
-        differ between them (see the RNG-policy notes above) and everything
+        masked out).  The fused round of either contract calls this with all
+        of an attribute's grid cells (fast-sim: its vector-capable ones),
+        the per-cell entry points with one segment; ``policy`` owns the
+        draws that differ between the contracts (see the RNG-policy notes
+        above) and everything
         else happens here, once: per-cell budgets and the retry reserve,
         retry selection, fault injection and deadlines
         (:meth:`_finalize_wave`), incentive settlement, per-cell accounting
@@ -780,7 +794,7 @@ class RequestResponseHandler:
         batch window, and returns the tuples for the responses received.
 
         The object view of the round: always answered from the
-        sensors' private streams, materialised with
+        sensors' keyed streams, materialised with
         :meth:`TupleBatch.to_tuples` — so for a given seed it matches
         :meth:`acquire_cell_batch` on a strict world tuple for tuple.
         """
@@ -815,7 +829,7 @@ class RequestResponseHandler:
         return self._acquire_cell_round(attribute, cell, duration, report)
 
     # ------------------------------------------------------------------
-    # Fused fast-sim rounds: all of an attribute's cells at once
+    # Fused rounds: all of an attribute's cells at once
     # ------------------------------------------------------------------
     def _bucket_sensors(self) -> Tuple[np.ndarray, np.ndarray, frozenset]:
         """Bucket the whole crowd into grid cells, once per acquisition round.
@@ -937,39 +951,39 @@ class RequestResponseHandler:
         bucketing: Optional[Tuple[np.ndarray, np.ndarray, frozenset]] = None,
         round_cache: Optional[dict] = None,
     ) -> Optional[TupleBatch]:
-        """Fused fast-sim acquisition: all of one attribute's cells in one round.
+        """Fused acquisition: all of one attribute's cells in one round.
 
-        A population-level fast round still ran once per ``(attribute,
-        cell)`` pair — one containment mask, one participation draw, one
-        latency draw, one ``field.values`` call and one :class:`TupleBatch`
-        per cell.  This round fuses all requested
-        cells of an attribute: every cell population is resolved by a single
-        bucketing pass (:meth:`_resolve_cell_populations`), the chosen rows
-        of all cells are concatenated, and the whole attribute is served
-        with **one** participation draw, **one** latency draw and **one**
-        ``field.values`` call, while per-cell budgets, request/response
-        counts and incentive accounting stay exactly per ``(attribute,
-        cell)``.
+        Every requested grid cell's population is resolved by a single
+        bucketing pass (:meth:`_resolve_cell_populations`) and the cells
+        are served by **one** :meth:`_acquire_waves` call over all of their
+        segments, while per-cell budgets, request/response counts and
+        incentive accounting stay exactly per ``(attribute, cell)``.  The
+        world's RNG contract picks the policy: a strict world answers the
+        wave from the sensors' keyed streams (:class:`_PerSensorStreams`,
+        one vectorised pass), a fast-sim world samples it from the shared
+        stream (:class:`_SharedStream`: one participation draw, one latency
+        draw and one ``field.values`` call).
 
-        Cells that cannot take the fused path keep the exact per-sensor
-        round, one cell at a time: a grid cell hosting a sensor without
-        vectorisable participation is served from its bucketed population
-        (no second scan of the crowd), a cell that is not part of the
-        handler's grid by :meth:`acquire_cell_batch` over its rectangle.
-        Empty cells send nothing, as in the per-cell paths.
+        Cells that cannot take the fused round are served one at a time: a
+        cell that is not part of the handler's grid by
+        :meth:`acquire_cell_batch` over its rectangle, and — in fast-sim
+        only — a grid cell hosting a sensor without vectorisable
+        participation keeps the per-sensor policy over its bucketed
+        population (no second scan of the crowd).  Empty cells send
+        nothing, as in the per-cell paths.
 
-        Only meaningful in fast-sim mode (``WorldConfig.vectorized_rng``);
-        :meth:`acquire_batches` dispatches here per attribute whenever the
-        world is vectorised, sharing one :meth:`_bucket_sensors` pass across
-        all attributes of the round via ``bucketing`` (sensor positions are
-        frozen within a round, so the bucketing is too).  Returns one batch
-        for the whole attribute (the target cell of every tuple rides in
-        the ``cell`` extra column), or ``None`` when no responses arrived.
+        :meth:`acquire_batches` dispatches here per attribute, sharing one
+        :meth:`_bucket_sensors` pass across all attributes of the round via
+        ``bucketing`` (sensor positions are frozen within a round, so the
+        bucketing is too).  Returns one batch for the whole attribute (the
+        target cell of every tuple rides in the ``cell`` extra column), or
+        ``None`` when no responses arrived.
         """
         if duration <= 0:
             raise AcquisitionError("duration must be positive")
         field_model = self._world.field_for(attribute)
         report = report if report is not None else HandlerReport()
+        fast_sim = self._world.vectorized
 
         # The cell plan — on/off-grid split, resolved populations and the
         # fused/per-sensor partition — depends only on the requested cells
@@ -995,7 +1009,7 @@ class RequestResponseHandler:
                 population = populations[cell.key]
                 if population.size == 0:
                     continue  # nobody to ask: no requests, like the per-cell paths
-                if fully_vector[cell.key]:
+                if fully_vector[cell.key] or not fast_sim:
                     fused_keys.append(cell.key)
                     fused_populations.append(population)
                 else:
@@ -1019,8 +1033,8 @@ class RequestResponseHandler:
         if fused_keys:
             parts.append(
                 self._acquire_waves(
-                    self._shared_stream, attribute, field_model,
-                    fused_keys, fused_populations,
+                    self._shared_stream if fast_sim else self._per_sensor,
+                    attribute, field_model, fused_keys, fused_populations,
                     duration=duration, report=report, round_cache=round_cache,
                 )
             )
@@ -1165,20 +1179,17 @@ class RequestResponseHandler:
         -------
         A pair ``(tuples_by_cell, report)`` where ``tuples_by_cell`` groups
         the collected tuples by grid-cell key (all attributes merged, since
-        the per-cell topology routes per attribute internally).
+        the per-cell topology routes per attribute internally), each cell's
+        tuples in time order.  The object view of :meth:`acquire_batches`:
+        the same round, materialised with :meth:`TupleBatch.to_tuples`.
         """
-        report = HandlerReport()
+        batches, report = self.acquire_batches(attribute_cells, duration=duration)
         tuples_by_cell: Dict[CellKey, List[SensorTuple]] = {}
-        for attribute, cells in attribute_cells.items():
-            for cell in cells:
-                items = self.acquire_cell(
-                    attribute, cell, duration=duration, report=report
-                )
-                if items:
-                    tuples_by_cell.setdefault(cell.key, []).extend(items)
+        for batch in batches.values():
+            for item in batch.to_tuples():
+                tuples_by_cell.setdefault(item.metadata["cell"], []).append(item)
         for items in tuples_by_cell.values():
             items.sort(key=lambda item: item.t)
-        self._end_round()
         return tuples_by_cell, report
 
     def acquire_batches(
@@ -1187,44 +1198,30 @@ class RequestResponseHandler:
         *,
         duration: float,
     ) -> Tuple[Dict[str, TupleBatch], HandlerReport]:
-        """Columnar :meth:`acquire`: one acquisition round as per-attribute batches.
+        """One acquisition round as per-attribute batches.
 
         Returns ``(batch_per_attribute, report)``.  Each batch carries the
         target cell of every tuple in its ``cell`` extra column; the
         fabricator's map stage re-buckets by the *reported* coordinates
         anyway, so no per-cell grouping is done here.
 
-        In strict mode the round runs one seeded byte-identical
-        :meth:`acquire_cell_batch` per ``(attribute, cell)`` pair; in
-        fast-sim mode (``WorldConfig.vectorized_rng``) each attribute is
-        served by one fused :meth:`acquire_attribute_batch` round instead,
-        sharing one bucketing pass *and* one set of padded candidate/key
-        matrices (keyed by the requested cell set) across all attributes of
-        the round — the per-attribute work is then just the fresh random
-        draws.
+        Each attribute is served by one fused :meth:`acquire_attribute_batch`
+        round under either RNG contract, all of them sharing one bucketing
+        pass — and, in fast-sim, one set of padded candidate/key matrices
+        (keyed by the requested cell set), so the per-attribute work is
+        then just the fresh random draws.
         """
         report = HandlerReport()
         batches: Dict[str, TupleBatch] = {}
-        fused = self._world.vectorized
-        bucketing = self._bucket_sensors() if fused and attribute_cells else None
+        bucketing = self._bucket_sensors() if attribute_cells else None
         # Candidate/key matrices depend only on the requested cells, so
         # attributes of one round sharing a cell set share them too.
         round_cache: dict = {}
         for attribute, cells in attribute_cells.items():
-            if fused:
-                batch = self.acquire_attribute_batch(
-                    attribute, cells, duration=duration, report=report,
-                    bucketing=bucketing, round_cache=round_cache,
-                )
-            else:
-                parts = [
-                    self.acquire_cell_batch(
-                        attribute, cell, duration=duration, report=report
-                    )
-                    for cell in cells
-                ]
-                parts = [part for part in parts if part is not None]
-                batch = TupleBatch.concatenate(parts) if parts else None
+            batch = self.acquire_attribute_batch(
+                attribute, cells, duration=duration, report=report,
+                bucketing=bucketing, round_cache=round_cache,
+            )
             if batch is not None:
                 batches[attribute] = batch
         self._end_round()

@@ -14,14 +14,13 @@ base response probability.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
+from abc import ABC
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
 from ..errors import CraqrError
-from ..rng import ensure_rng
 
 
 @dataclass(frozen=True)
@@ -37,42 +36,77 @@ class ResponseDecision:
         return cls(responds=False, latency=0.0)
 
 
+def exponential_latency(mean, u):
+    """The exponential latency of mean ``mean`` that a ``[0, 1)`` uniform maps to.
+
+    Inverse CDF, ``-mean * log1p(-u)``, spelled with the numpy ufunc on
+    scalars and arrays alike: the per-object answer and the vectorised
+    strict wave must round identically.
+    """
+    return -mean * np.log1p(-u)
+
+
+def _decision(probability: float, mean_latency: float, uniforms) -> ResponseDecision:
+    """Respond iff the respond uniform falls below ``probability``."""
+    u_respond, u_latency = uniforms
+    if u_respond >= probability:
+        return ResponseDecision.no_response()
+    return ResponseDecision(
+        responds=True, latency=float(exponential_latency(mean_latency, u_latency))
+    )
+
+
 class ParticipationModel(ABC):
-    """Abstract decision model for responding to acquisition requests."""
+    """Decision model for responding to acquisition requests.
 
-    #: Whether :meth:`decide` consumes no randomness (and no per-request
-    #: mutable state whose order matters), so the batched acquisition path
-    #: may decide all of a sensor's requests at once without perturbing the
-    #: sensor's RNG stream.  Models with interleaved draws (respond check,
-    #: latency, then the sensing draw) must leave this ``False`` — the
-    #: sensor then falls back to the per-request loop, which keeps its
-    #: stream consumed exactly as one ``handle_request`` per request would.
-    batch_safe = False
+    A model draws nothing itself: each request arrives with its two keyed
+    uniforms (see :func:`repro.rng.keyed_uniforms`), so a decision is a
+    pure function of the request and the model's state.
+    """
 
-    @abstractmethod
     def decide(
         self,
         sensor_id: int,
         t: float,
+        uniforms: Tuple[float, float],
         *,
         incentive_multiplier: float = 1.0,
-        rng: Optional[np.random.Generator] = None,
     ) -> ResponseDecision:
-        """Decide whether sensor ``sensor_id`` responds to a request sent at ``t``."""
+        """Decide whether sensor ``sensor_id`` responds to a request sent at ``t``.
+
+        ``uniforms`` is the request's ``(respond, latency)`` pair of
+        ``[0, 1)`` draws.  The default decides from :meth:`vector_params`
+        exactly as the vectorised strict wave decides a row: respond iff
+        ``u_respond < min(p_base * m, p_max)`` (``< p_base`` when incentives
+        do not apply), latency :func:`exponential_latency`.  Models without
+        stationary parameters override it.
+        """
+        del sensor_id, t
+        params = self.vector_params()
+        if params is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} has no stationary parameters; override decide"
+            )
+        p_base, p_max, latency_mean, incentive_sensitive = params
+        probability = (
+            min(p_base * incentive_multiplier, p_max) if incentive_sensitive else p_base
+        )
+        return _decision(probability, latency_mean, uniforms)
 
     def vector_params(self) -> Optional[Tuple[float, float, float, bool]]:
-        """Stationary decision parameters for the fast-sim acquisition path.
+        """Stationary decision parameters for the vectorised acquisition paths.
 
         Returns ``(p_base, p_max, latency_mean, incentive_sensitive)`` —
         base response probability, the cap applied after incentive boosting,
         the mean of the exponential response latency, and whether incentives
         scale the probability at all — or ``None`` when the model's
         decisions depend on mutable per-request state (fatigue, externally
-        updated distances), in which case the fast-sim handler falls back to
-        the exact per-sensor loop.  These parameters are copied into the
-        world's :class:`~repro.sensing.state.SensorStateArrays` columns at
-        sensor construction so a whole cell population's responses can be
-        sampled with one draw from the shared stream.
+        updated distances).  These parameters are copied into the world's
+        :class:`~repro.sensing.state.SensorStateArrays` columns at sensor
+        construction: a strict wave decides every such row in one pass over
+        its keyed uniforms (what the default :meth:`decide` computes per
+        request), and fast-sim samples them from the shared stream.  Rows
+        without them are decided by :meth:`decide`, one request at a time.
         """
         return None
 
@@ -151,48 +185,13 @@ class ParticipationModel(ABC):
         """
         raise NotImplementedError
 
-    def decide_many(
-        self,
-        sensor_id: int,
-        times: np.ndarray,
-        *,
-        incentive_multiplier: float = 1.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Decide a whole run of requests; returns ``(responds, latencies)`` arrays.
-
-        The fallback loops :meth:`decide`; batch-safe models override it
-        with a vectorised implementation.
-        """
-        times = np.asarray(times, dtype=float)
-        responds = np.zeros(times.shape[0], dtype=bool)
-        latencies = np.zeros(times.shape[0], dtype=float)
-        for i in range(times.shape[0]):
-            decision = self.decide(
-                sensor_id, float(times[i]), incentive_multiplier=incentive_multiplier, rng=rng
-            )
-            responds[i] = decision.responds
-            latencies[i] = decision.latency
-        return responds, latencies
-
 
 class AlwaysRespond(ParticipationModel):
     """Every request is answered immediately (idealised sensor-sensed attribute)."""
 
-    batch_safe = True
-
-    def decide(self, sensor_id, t, *, incentive_multiplier=1.0, rng=None):
-        del sensor_id, t, incentive_multiplier, rng
-        return ResponseDecision(responds=True, latency=0.0)
-
-    def decide_many(self, sensor_id, times, *, incentive_multiplier=1.0, rng=None):
-        del sensor_id, incentive_multiplier, rng
-        times = np.asarray(times, dtype=float)
-        n = times.shape[0]
-        return np.ones(n, dtype=bool), np.zeros(n, dtype=float)
-
     def vector_params(self):
-        # Always responds, never delayed, deaf to incentives.
+        # Always responds (every uniform is < 1), never delayed (a zero
+        # mean maps every uniform to latency 0), deaf to incentives.
         return (1.0, 1.0, 0.0, False)
 
 
@@ -231,15 +230,6 @@ class BernoulliParticipation(ParticipationModel):
     def base_probability(self) -> float:
         """The un-boosted response probability."""
         return self._probability
-
-    def decide(self, sensor_id, t, *, incentive_multiplier=1.0, rng=None):
-        del sensor_id, t
-        rng = ensure_rng(rng)
-        probability = min(self._probability * incentive_multiplier, self._max_probability)
-        if rng.random() >= probability:
-            return ResponseDecision.no_response()
-        latency = float(rng.exponential(self._mean_latency)) if self._mean_latency > 0 else 0.0
-        return ResponseDecision(responds=True, latency=latency)
 
     def vector_params(self):
         return (self._probability, self._max_probability, self._mean_latency, True)
@@ -304,16 +294,12 @@ class DistanceDecayParticipation(ParticipationModel):
             soa, row = bound
             soa.column(self.DISTANCE_COLUMN)[row] = distance
 
-    def decide(self, sensor_id, t, *, incentive_multiplier=1.0, rng=None):
+    def decide(self, sensor_id, t, uniforms, *, incentive_multiplier=1.0):
         del t
-        rng = ensure_rng(rng)
         distance = self._distances.get(sensor_id, 0.0)
         probability = self._base_probability * math.exp(-distance / self._decay_scale)
         probability = min(probability * incentive_multiplier, self._max_probability)
-        if rng.random() >= probability:
-            return ResponseDecision.no_response()
-        latency = float(rng.exponential(self._mean_latency)) if self._mean_latency > 0 else 0.0
-        return ResponseDecision(responds=True, latency=latency)
+        return _decision(probability, self._mean_latency, uniforms)
 
     # -- vector-state protocol ------------------------------------------
     def vector_state_columns(self):
@@ -426,8 +412,7 @@ class FatigueParticipation(ParticipationModel):
         recovered = max(0.0, fatigue - self._recovery_per_time * max(t - last_time, 0.0))
         return max(self._base_probability - recovered, self._min_probability)
 
-    def decide(self, sensor_id, t, *, incentive_multiplier=1.0, rng=None):
-        rng = ensure_rng(rng)
+    def decide(self, sensor_id, t, uniforms, *, incentive_multiplier=1.0):
         probability = min(
             self.current_probability(sensor_id, t) * incentive_multiplier,
             self._max_probability,
@@ -435,10 +420,7 @@ class FatigueParticipation(ParticipationModel):
         fatigue, last_time = self._load_state(sensor_id, t)
         recovered = max(0.0, fatigue - self._recovery_per_time * max(t - last_time, 0.0))
         self._store_state(sensor_id, recovered + self._fatigue_per_request, t)
-        if rng.random() >= probability:
-            return ResponseDecision.no_response()
-        latency = float(rng.exponential(self._mean_latency)) if self._mean_latency > 0 else 0.0
-        return ResponseDecision(responds=True, latency=latency)
+        return _decision(probability, self._mean_latency, uniforms)
 
     # -- vector-state protocol ------------------------------------------
     def vector_state_columns(self):

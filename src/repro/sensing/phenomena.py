@@ -40,16 +40,59 @@ class PhenomenonField(ABC):
     ) -> np.ndarray:
         """Vectorised :meth:`value` over aligned coordinate arrays.
 
-        Subclasses override this with numpy implementations that consume the
-        generator's bit stream exactly as the equivalent sequence of scalar
-        :meth:`value` calls would, so the columnar acquisition path yields
-        byte-identical observations.  The fallback simply loops.
+        The fast-sim round senses a whole wave with one call, drawing from
+        the shared stream.  Subclasses override this with numpy
+        implementations that consume the generator's bit stream exactly as
+        the equivalent sequence of scalar :meth:`value` calls would.  The
+        fallback simply loops.
         """
         t = np.asarray(t, dtype=float)
         out = np.empty(t.shape[0], dtype=object)
         for i in range(t.shape[0]):
             out[i] = self.value(float(t[i]), float(x[i]), float(y[i]), rng=rng)
         return out
+
+    def values_from_uniforms(
+        self,
+        t: np.ndarray,
+        x: np.ndarray,
+        y: np.ndarray,
+        u0: np.ndarray,
+        u1: np.ndarray,
+    ) -> np.ndarray:
+        """Sensed values driven by two keyed ``[0, 1)`` uniforms per request.
+
+        The strict contract's sensing draw: request ``i``'s value is a pure
+        function of ``(t[i], x[i], y[i], u0[i], u1[i])``, so one call over a
+        whole wave equals one call per request.  Subclasses override this
+        with numpy transforms of the uniforms.  The fallback seeds one
+        generator per request from its two uniforms (each is ``k / 2**53``,
+        so ``k`` is exact) and calls :meth:`value` with it.
+        """
+        seeds = (np.stack((u0, u1)) * 9007199254740992.0).astype(np.uint64)
+        return _value_column(
+            [
+                self.value(ti, xi, yi, rng=np.random.default_rng(seed))
+                for ti, xi, yi, seed in zip(
+                    np.asarray(t, dtype=float).tolist(),
+                    np.asarray(x, dtype=float).tolist(),
+                    np.asarray(y, dtype=float).tolist(),
+                    seeds.T.tolist(),
+                )
+            ]
+        )
+
+
+def _value_column(values: list) -> np.ndarray:
+    """Sensed values as one 1-d column; object dtype when they are not scalars."""
+    try:
+        column = np.asarray(values)
+        if column.ndim != 1:  # e.g. list/tuple values
+            raise ValueError
+    except ValueError:
+        column = np.empty(len(values), dtype=object)
+        column[:] = values
+    return column
 
 
 @dataclass
@@ -69,6 +112,9 @@ class ConstantField(PhenomenonField):
         out = np.empty(n, dtype=object)
         out[:] = [self.constant] * n
         return out
+
+    def values_from_uniforms(self, t, x, y, u0, u1):
+        return self.values(t, x, y)
 
 
 class RainField(PhenomenonField):
@@ -139,6 +185,10 @@ class RainField(PhenomenonField):
         # calls, so this matches the scalar path bit for bit.
         return rng.random(probabilities.shape[0]) < probabilities
 
+    def values_from_uniforms(self, t, x, y, u0, u1) -> np.ndarray:
+        del u1
+        return np.asarray(u0) < self.rain_probabilities(t, x, y)
+
 
 class TemperatureField(PhenomenonField):
     """Smooth temperature surface with a diurnal cycle and urban heat islands.
@@ -207,4 +257,14 @@ class TemperatureField(PhenomenonField):
         mean = self.mean_values(t, x, y)
         if self._noise_std > 0:
             mean = mean + rng.normal(0.0, self._noise_std, mean.shape[0])
+        return mean
+
+    def values_from_uniforms(self, t, x, y, u0, u1) -> np.ndarray:
+        mean = self.mean_values(t, x, y)
+        if self._noise_std > 0:
+            # Box-Muller: 1 - u0 is in (0, 1], so the log is finite.
+            noise = np.sqrt(-2.0 * np.log1p(-np.asarray(u0))) * np.cos(
+                (2.0 * np.pi) * np.asarray(u1)
+            )
+            mean = mean + self._noise_std * noise
         return mean

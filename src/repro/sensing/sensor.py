@@ -11,6 +11,11 @@ the protocol: in CrAQR a sensor answers one request and the answer goes to
 the server, whose result buffers (:class:`~repro.storage.QueryResultBuffer`)
 hold what queries receive.  Nothing on the server ever reads a device's
 local store, so sensors here keep none.
+
+A sensor's answers carry no generator state either: each request is
+answered from a counter-based (keyed) stream, so what a sensor answers
+depends on how many requests it has received, never on which other sensors
+were asked before it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from ..errors import AcquisitionError
 from ..geometry import SpacePoint
-from ..rng import ensure_rng
+from ..rng import ensure_rng, keyed_uniforms
 from .mobility import MobilityModel, MobilityState
 from .participation import AlwaysRespond, ParticipationModel, ResponseDecision
 from .phenomena import PhenomenonField
@@ -54,6 +59,14 @@ class MobileSensor:
     one SoA across its whole crowd so batch kernels can advance every sensor
     at once; a standalone sensor allocates a private single-row SoA, so both
     construction styles behave identically.
+
+    Two kinds of randomness, two sources: movement draws from the sensor's
+    own generator ``rng``; answering a request draws nothing from it — the
+    answer to the sensor's ``c``-th request is the Philox block keyed
+    ``(acquisition_key, sensor_id)`` at counter ``c``
+    (:func:`repro.rng.keyed_uniforms`).  A world passes its
+    :attr:`~repro.sensing.SensingWorld.acquisition_key`; a standalone
+    sensor's key defaults to 0.
     """
 
     def __init__(
@@ -65,8 +78,10 @@ class MobileSensor:
         rng: Optional[np.random.Generator] = None,
         state_arrays: Optional[SensorStateArrays] = None,
         index: Optional[int] = None,
+        acquisition_key: int = 0,
     ) -> None:
         self._sensor_id = sensor_id
+        self._acquisition_key = acquisition_key
         self._mobility = mobility
         self._participation = participation or AlwaysRespond()
         self._rng = ensure_rng(rng)
@@ -202,79 +217,6 @@ class MobileSensor:
         self.move_through((dt,))
         return SpacePoint(self._scratch.x, self._scratch.y)
 
-    def handle_requests(
-        self,
-        field: PhenomenonField,
-        times: np.ndarray,
-        *,
-        incentive_multiplier=1.0,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Answer a multi-request run of a batch-safe sensor, vectorised.
-
-        The strict acquisition walk (``_PerSensorStreams.answer`` in
-        :mod:`repro.sensing.handler`) sorts a wave's requests by sensor and
-        calls this for a run of several requests to one sensor whose
-        participation model is ``batch_safe`` (its decisions consume no
-        randomness), with the run's request times in ascending order;
-        every other run is a plain :meth:`handle_request` walk.
-        ``incentive_multiplier`` is a scalar or an array aligned with
-        ``times`` (an incentive scheme may change its payment mid-round).
-        Returns ``(answered, response_times, xs, ys, values)`` where
-        ``answered`` is a boolean mask over the input ``times`` and the
-        remaining arrays are aligned with the answered requests only.
-
-        The decisions and the sensing draws are vectorised while consuming
-        the sensor's RNG stream exactly as the scalar :meth:`handle_request`
-        loop would, so both produce identical observations.  A model whose
-        decisions draw randomness interleaves them with the sensing draws
-        and can only be walked request by request: it is rejected here.
-        """
-        if not self._participation.batch_safe:
-            raise AcquisitionError(
-                "handle_requests needs a batch-safe participation model; "
-                "answer the requests one by one with handle_request"
-            )
-        times = np.asarray(times, dtype=float)
-        n = times.shape[0]
-        empty = np.empty(0)
-        if n == 0:
-            return np.empty(0, dtype=bool), empty, empty, empty, np.empty(0, dtype=object)
-        multipliers = np.broadcast_to(
-            np.asarray(incentive_multiplier, dtype=float), times.shape
-        )
-        self._arrays.requests_received[self._index] += n
-        if np.all(multipliers == multipliers[0]):
-            responds, latencies = self._participation.decide_many(
-                self._sensor_id,
-                times,
-                incentive_multiplier=float(multipliers[0]),
-                rng=self._rng,
-            )
-        else:
-            # Batch-safe decisions consume no randomness, so per-request
-            # multipliers can be honoured with scalar decide() calls while
-            # the sensing draws below stay vectorised.
-            responds = np.empty(n, dtype=bool)
-            latencies = np.empty(n, dtype=float)
-            for i in range(n):
-                decision = self._participation.decide(
-                    self._sensor_id,
-                    float(times[i]),
-                    incentive_multiplier=float(multipliers[i]),
-                    rng=self._rng,
-                )
-                responds[i] = decision.responds
-                latencies[i] = decision.latency
-        respond_times = times[responds]
-        k = respond_times.shape[0]
-        if k == 0:
-            return responds, empty, empty, empty, np.empty(0, dtype=object)
-        xs = np.full(k, self._state.x, dtype=float)
-        ys = np.full(k, self._state.y, dtype=float)
-        values = field.values(respond_times, xs, ys, rng=self._rng)
-        self._arrays.responses_sent[self._index] += k
-        return responds, respond_times + latencies[responds], xs, ys, values
-
     def handle_request(
         self,
         field: PhenomenonField,
@@ -288,13 +230,31 @@ class MobileSensor:
         is the sensor's position when the request arrived (the paper treats
         the reported coordinates as the sensing location) and
         ``response_time = t + latency``.
+
+        The ``c``-th request (``c`` = :attr:`requests_received` before it)
+        is answered from one keyed block, ``keyed_uniforms(acquisition_key,
+        sensor_id, c)``: the respond and latency uniforms go to the
+        participation model, the other two to the field's
+        ``values_from_uniforms``.  The vectorised strict wave
+        (``_PerSensorStreams.answer`` in :mod:`repro.sensing.handler`) draws
+        the same blocks for a whole wave at once, so a sensor answers the
+        same whichever way, and in whatever order across sensors, it is
+        asked.
         """
-        self._arrays.requests_received[self._index] += 1
+        arrays = self._arrays
+        i = self._index
+        counter = arrays.requests_received[i : i + 1].copy()
+        arrays.requests_received[i] += 1
+        u = keyed_uniforms(self._acquisition_key, arrays.sensor_ids[i : i + 1], counter)
         decision: ResponseDecision = self._participation.decide(
-            self._sensor_id, t, incentive_multiplier=incentive_multiplier, rng=self._rng
+            self._sensor_id, t, (float(u[0, 0]), float(u[1, 0])),
+            incentive_multiplier=incentive_multiplier,
         )
         if not decision.responds:
             return None
-        value = field.value(t, self._state.x, self._state.y, rng=self._rng)
-        self._arrays.responses_sent[self._index] += 1
-        return (t + decision.latency, self._state.x, self._state.y, value)
+        x, y = self._state.x, self._state.y
+        value = field.values_from_uniforms(
+            np.array([t], dtype=float), np.array([x]), np.array([y]), u[2], u[3]
+        )[0]
+        arrays.responses_sent[i] += 1
+        return (t + decision.latency, x, y, value)

@@ -135,6 +135,9 @@ class SensorStateArrays:
         ``vector_params`` nor the stateful vector-state protocol — keep
         ``vector_participation`` False, which makes the fast-sim acquisition
         path fall back to the exact per-sensor loop for the affected cells.
+        The strict wave decides a row from these columns when it is
+        ``vector_participation`` with ``participation_group == -1``, and
+        through its model's ``decide`` otherwise.
     ``participation_group``
         Index into the world's stateful participation groups (see
         :meth:`~repro.sensing.SensingWorld.participation_groups`) for rows

@@ -14,14 +14,20 @@ are therefore plain array operations in every mode.  How sensors *move* and
 *respond* depends on the RNG contract selected by
 :attr:`WorldConfig.vectorized_rng`:
 
-* **strict mode** (default, ``vectorized_rng=False``): every sensor draws
-  from its own generator in creation order, exactly as the original
-  per-object simulator did — for a given seed the SoA storage produces
-  byte-identical trajectories and observations to per-object stepping of
-  the same models.  (The one intentional behaviour change shipped alongside
-  the refactor is the :class:`~repro.sensing.GaussMarkovMobility`
+* **strict mode** (default, ``vectorized_rng=False``): every sensor owns
+  its randomness.  It *moves* with its own generator, exactly as the
+  original per-object simulator did — for a given seed the SoA storage
+  produces byte-identical trajectories to per-object stepping of the same
+  models.  (The one intentional behaviour change shipped alongside the
+  refactor is the :class:`~repro.sensing.GaussMarkovMobility`
   mean-reversion fix: its seeded trajectories differ from the pre-fix ones
-  because the *formula* changed, not the storage.)
+  because the *formula* changed, not the storage.)  It *answers* from a
+  keyed stream: its ``c``-th request draws the Philox block keyed
+  ``(acquisition_key, sensor id)`` at counter ``c``
+  (:func:`repro.rng.keyed_uniforms`), so an answer does not depend on the
+  order in which sensors are asked and the handler answers a whole wave
+  in one vectorised pass, byte-identical to asking each sensor with
+  :meth:`MobileSensor.handle_request`.
 * **fast-sim mode** (``vectorized_rng=True``): all sensors share the
   world's generator, so mobility advances through the models' vectorised
   ``step_batch`` kernels (one call per model group per movement step, over
@@ -41,6 +47,7 @@ import numpy as np
 
 from ..errors import AcquisitionError, CraqrError
 from ..geometry import Rectangle, Region
+from ..rng import derive_key
 from .clock import SimulationClock
 from .mobility import MobilityModel, RandomWaypointMobility, RowSelector
 from .participation import ParticipationModel
@@ -110,6 +117,9 @@ class SensingWorld:
     ) -> None:
         self._config = config
         self._rng = np.random.default_rng(config.seed)
+        # Drawn from no generator: fast-sim consumes the world stream
+        # exactly as it did before strict answers were keyed.
+        self._acquisition_key = derive_key(config.seed)
         self._clock = SimulationClock()
         mobility_factory = mobility_factory or (lambda region: RandomWaypointMobility(region))
         self._state = SensorStateArrays(config.sensor_count)
@@ -126,6 +136,7 @@ class SensingWorld:
                     rng=sensor_rng,
                     state_arrays=self._state,
                     index=sensor_id,
+                    acquisition_key=self._acquisition_key,
                 )
             )
         self._mobility_groups, self._ungrouped_indices = self._group_mobility_models()
@@ -240,6 +251,15 @@ class SensingWorld:
     def rng(self) -> np.random.Generator:
         """The world's random generator (used by the handler for sampling)."""
         return self._rng
+
+    @property
+    def acquisition_key(self) -> int:
+        """Key word of the sensors' keyed answer streams (a plain ``int``).
+
+        Derived from ``WorldConfig.seed`` by :func:`repro.rng.derive_key`;
+        the second key word is the sensor id.
+        """
+        return self._acquisition_key
 
     @property
     def participation_groups(self) -> List[ParticipationModel]:

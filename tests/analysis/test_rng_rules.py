@@ -43,6 +43,21 @@ def test_unseeded_default_rng_flagged(lint):
     assert codes(report) == ["CRQ103"]
 
 
+def test_unseeded_seed_sequence_flagged(lint):
+    # OS entropy through the key-derivation door is still OS entropy.
+    report = lint(
+        {
+            "mod.py": """\
+            import numpy as np
+
+            def key():
+                return int(np.random.SeedSequence().generate_state(1)[0])
+            """
+        }
+    )
+    assert codes(report) == ["CRQ103"]
+
+
 def test_rng_param_fallback_flagged_as_crq104(lint):
     report = lint(
         {
@@ -99,7 +114,8 @@ def test_seeded_construction_is_clean(lint):
                 a = np.random.default_rng(seed)
                 b = np.random.default_rng(parent.integers(0, 2 ** 63 - 1))
                 c = np.random.default_rng(seed=seed)
-                return a, b, c
+                d = np.random.SeedSequence(seed, spawn_key=(7,)).generate_state(1)
+                return a, b, c, d
             """
         }
     )
@@ -118,7 +134,10 @@ def test_sanctioned_module_may_create_unseeded_stream(lint):
                     return rng
                 return np.random.default_rng()
             """,
-        }
+        },
+        # The committed manifest names kernels in the real repro/rng.py,
+        # which this stand-in does not define.
+        hot_paths=[],
     )
     assert codes(report) == []
 

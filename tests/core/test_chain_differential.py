@@ -10,8 +10,8 @@ batches.  Deliveries, the :class:`BatchResult`, every Flatten report and
 estimator state, every operator counter and every recorded discard must
 match exactly.  The engine has no per-tuple mode, so this is where the
 compiled pipeline meets its reference — under both RNG contracts, for a
-Bernoulli crowd, an ``AlwaysRespond`` crowd (batch-safe: strict rounds take
-the vectorised ``handle_requests`` runs) and a paying handler (the
+Bernoulli crowd, an ``AlwaysRespond`` crowd (every request answered and
+never delayed: the widest batches) and a paying handler (the
 ``incentive`` extra column must ride through the compiled programs and equal
 the walk's per-tuple metadata).
 """

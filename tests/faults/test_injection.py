@@ -23,9 +23,10 @@ from repro.workloads import (
 
 #: sha256 of the delivered streams of the reference two-query strict run
 #: with no fault subsystem involved.  A fault-free engine must reproduce it
-#: bit for bit.  (Pinned before the fault subsystem existed; re-pinned once,
-#: by PR 21's Newton MLE, from ``e66d8d1a...``.)
-GOLDEN_STREAM_HASH = "413174e0c75e5fed56a6dcf3bbfbf0033c32132425075e87066d5704eb95de99"
+#: bit for bit.  (Pinned before the fault subsystem existed; re-pinned by
+#: the Newton MLE, from ``e66d8d1a...``, and by keyed strict answers in
+#: fused rounds, from ``413174e0...``.)
+GOLDEN_STREAM_HASH = "83867ce6b3ce4b34cd8ffd83fd2b6c0cf1b5e21f44fd30434d30854aa3874533"
 
 
 def run_reference_engine(*, faults=None, resilience=None):

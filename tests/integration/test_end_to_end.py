@@ -1,5 +1,7 @@
 """Integration tests: full CrAQR pipeline end to end."""
 
+import statistics
+
 import pytest
 
 from repro import AcquisitionalQuery, CraqrEngine, parse_queries
@@ -16,11 +18,10 @@ from repro.workloads import (
 )
 
 
-@pytest.fixture(scope="module")
-def engine_with_queries():
-    """A shared engine run once for the read-only assertions below."""
-    world = build_rain_temperature_world(sensor_count=250, seed=21)
-    engine = CraqrEngine(default_engine_config(seed=22), world)
+def run_monitors(seed):
+    """A rain and a temperature monitor run for 20 batches; world ``seed``, engine ``seed + 1``."""
+    world = build_rain_temperature_world(sensor_count=250, seed=seed)
+    engine = CraqrEngine(default_engine_config(seed=seed + 1), world)
     rain = engine.register_query(
         AcquisitionalQuery("rain", Rectangle(0, 0, 2, 2), 10.0, name="rain-monitor")
     )
@@ -29,6 +30,12 @@ def engine_with_queries():
     )
     engine.run(20)
     return engine, rain, temp
+
+
+@pytest.fixture(scope="module")
+def engine_with_queries():
+    """A shared engine run once for the read-only assertions below."""
+    return run_monitors(21)
 
 
 class TestEndToEnd:
@@ -46,21 +53,30 @@ class TestEndToEnd:
         for item in rain.results():
             assert Rectangle(0, 0, 2, 2).contains(item.x, item.y, closed=True)
 
-    def test_delivered_stream_is_approximately_homogeneous(self, engine_with_queries):
-        engine, rain, _ = engine_with_queries
-        batch = rain.buffer.to_event_batch()
-        duration = engine.batches_run * engine.config.batch_duration
-        report = assess_homogeneity(
-            batch, Rectangle(0, 0, 2, 2), duration, target_rate=10.0
-        )
+    def test_delivered_stream_is_approximately_homogeneous(self):
         # "Approximately homogeneous": low dispersion of quadrat counts and a
         # mild index of dispersion.  (A strict CSR test over ~800 points is
         # powerful enough to flag the small residual unevenness left by
         # per-cell intensity estimation, so we bound the effect size instead.)
-        assert report.cv < 0.4
-        assert report.rate_relative_error < 0.2
-        dispersion_index = report.chi_square.statistic / report.chi_square.degrees_of_freedom
-        assert dispersion_index < 5.0
+        # One seed's dispersion index ranges from ~1 to ~12, so one seed
+        # against a bound is a coin toss; the bounds hold for the median
+        # over sixteen seeds.
+        cvs, rate_errors, dispersion = [], [], []
+        for seed in range(21, 37):
+            engine, rain, _ = run_monitors(seed)
+            duration = engine.batches_run * engine.config.batch_duration
+            report = assess_homogeneity(
+                rain.buffer.to_event_batch(), Rectangle(0, 0, 2, 2), duration,
+                target_rate=10.0,
+            )
+            cvs.append(report.cv)
+            rate_errors.append(report.rate_relative_error)
+            dispersion.append(
+                report.chi_square.statistic / report.chi_square.degrees_of_freedom
+            )
+        assert statistics.median(cvs) < 0.4
+        assert statistics.median(rate_errors) < 0.2
+        assert statistics.median(dispersion) < 5.0
 
     def test_engine_accounting_consistent(self, engine_with_queries):
         engine, rain, temp = engine_with_queries

@@ -28,8 +28,10 @@ from repro.recovery import EngineSnapshot
 #: determinism regression (or an unintended behaviour change anywhere in
 #: the acquisition/fabrication/serving stack) fails loudly.  All four were
 #: re-pinned once, by PR 21 (Newton MLE, converged-or-constant Flatten,
-#: closed-form clipping scale); CHANGES.md lists old -> new.
-GOLDEN_STRICT = "0785bb657ec172cc18358a6becedad73e3bd3d9d6ae7b0c78ee970eee062a09f"
+#: closed-form clipping scale); the two strict ones again when strict
+#: sensors began to answer from keyed (Philox) streams in fused per-attribute
+#: rounds.  CHANGES.md lists old -> new.
+GOLDEN_STRICT = "b98e20d99a20ea27a05932a6d0416f14d2ec648431a4dbb23a4d725e7d0d1ef3"
 #: Same workload under shared-stream fast-sim RNG (the fused shared-stream
 #: round).  The two fast-sim digests were re-pinned a second time when
 #: fast-sim ``advance`` began to skip ahead (last bits of the skipped
@@ -37,8 +39,8 @@ GOLDEN_STRICT = "0785bb657ec172cc18358a6becedad73e3bd3d9d6ae7b0c78ee970eee062a09
 GOLDEN_FAST_SIM = "86b66f0fd900d9a55a470a927e15301b3b40482ee14c1be1c5892a901329dafa"
 #: The same two with no ``FaultPlan`` and no mitigation configured.  The
 #: digest is full-precision, so these also guard the wave loop's
-#: ``request + (response - request)`` timestamp arithmetic on healthy runs.
-GOLDEN_STRICT_FAULT_FREE = "1970366abe5cb6695c3b34ac8a2bb34a7b3b86fcfc31e37c53102f4916f68c21"
+#: ``request + latency`` timestamp arithmetic on healthy runs.
+GOLDEN_STRICT_FAULT_FREE = "b75f575c4ebd030b74945442134762fd2582f18eda4ea109e4f13a7547795023"
 GOLDEN_FAST_SIM_FAULT_FREE = "ce32574c82f6c0db4cd2280865654fb3ddf69e7c5c67e8f5ebb528f24fc94a7c"
 
 

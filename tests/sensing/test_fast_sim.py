@@ -33,11 +33,11 @@ class MoodyParticipation(ParticipationModel):
     """A deliberately non-vectorisable model: no stationary params, no
     vector-state protocol, so fast-sim must take the exact per-sensor round."""
 
-    def decide(self, sensor_id, t, *, incentive_multiplier=1.0, rng=None):
-        rng = rng if rng is not None else np.random.default_rng()
-        if rng.random() >= 0.7:
+    def decide(self, sensor_id, t, uniforms, *, incentive_multiplier=1.0):
+        u_respond, u_latency = uniforms
+        if u_respond >= 0.7:
             return ResponseDecision.no_response()
-        return ResponseDecision(responds=True, latency=float(rng.exponential(0.1)))
+        return ResponseDecision(responds=True, latency=-0.1 * np.log1p(-u_latency))
 
 
 def make_world(vectorized, *, sensor_count=2000, seed=29, mobility=None, participation=None):

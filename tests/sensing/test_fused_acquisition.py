@@ -11,8 +11,9 @@ contracts:
   the comparison is distributional);
 * **exact bookkeeping** — per-cell budgets, request counts and incentive
   accounting are per ``(attribute, cell)`` even though the draws are fused;
-* a **strict-mode guard** — a non-vectorised world never enters the fused
-  path, keeping the seeded byte-identical per-cell contract intact.
+* **one round body** — a strict world runs the same fused round under the
+  per-sensor policy (its sensors answer from keyed streams, so a whole
+  wave is one vectorised pass), and ``acquire`` is its object view.
 """
 
 import numpy as np
@@ -49,7 +50,7 @@ def forbid_per_sensor_policy(monkeypatch):
 class ScalarOnly(ParticipationModel):
     """A model with neither stationary parameters nor vector state."""
 
-    def decide(self, sensor_id, t, *, incentive_multiplier=1.0, rng=None):
+    def decide(self, sensor_id, t, uniforms, *, incentive_multiplier=1.0):
         return ResponseDecision(responds=True, latency=0.0)
 
 
@@ -351,7 +352,7 @@ class TestStatefulFastSim:
         rng = np.random.default_rng(3)
         # Scalar decisions (the fallback path) must land in the SoA columns...
         for _ in range(3):
-            model.decide(7, 1.0, rng=rng)
+            model.decide(7, 1.0, rng.random(2))
         levels = soa.column(FatigueParticipation.LEVEL_COLUMN)
         assert levels[0] == pytest.approx(0.3)
         # ... be visible to the public probability API ...
@@ -403,11 +404,12 @@ class TestStatefulFastSim:
         assert 0.45 < report.response_rate < 0.75
 
 
-class TestStrictModeGuard:
-    def test_strict_acquire_batches_stays_byte_identical_to_object_path(self):
-        # The fused round must never engage in strict mode: the columnar
-        # acquisition of a strict world remains byte-identical to the
-        # object-at-a-time path, per-cell, for the same seed.
+class TestStrictFusedRounds:
+    """Strict rounds are the same fused round, under the per-sensor policy."""
+
+    def test_strict_acquire_is_the_object_view_of_acquire_batches(self):
+        # One round body for both entry points: acquire materialises the
+        # batches of acquire_batches, tuple for tuple, grouped by cell.
         participation = lambda i: BernoulliParticipation(0.5, mean_latency=0.1)
         columnar = make_world(False, sensor_count=300, participation=participation)
         object_world = make_world(False, sensor_count=300, participation=participation)
@@ -415,12 +417,9 @@ class TestStrictModeGuard:
         columnar_handler = RequestResponseHandler(columnar, grid, default_budget=20)
         object_handler = RequestResponseHandler(object_world, grid, default_budget=20)
         cells = list(grid.cells())
-        batches, columnar_report = columnar_handler.acquire_batches(
-            {"rain": cells}, duration=1.0
-        )
-        tuples_by_cell, object_report = object_handler.acquire(
-            {"rain": cells}, duration=1.0
-        )
+        request = {"rain": cells, "temp": cells[:5]}
+        batches, columnar_report = columnar_handler.acquire_batches(request, duration=1.0)
+        tuples_by_cell, object_report = object_handler.acquire(request, duration=1.0)
         columnar_tuples = sorted(
             (item for batch in batches.values() for item in batch.to_tuples()),
             key=lambda item: item.tuple_id,
@@ -430,21 +429,34 @@ class TestStrictModeGuard:
             key=lambda item: item.tuple_id,
         )
         assert columnar_tuples == object_tuples
-        assert columnar_report.requests_sent == object_report.requests_sent
-        assert columnar_report.responses_received == object_report.responses_received
-        assert columnar_report.per_cell_requests == object_report.per_cell_requests
-        assert columnar_report.per_cell_responses == object_report.per_cell_responses
+        assert columnar_report == object_report
+        for key, items in tuples_by_cell.items():
+            assert all(item.metadata["cell"] == key for item in items)
+            assert [item.t for item in items] == sorted(item.t for item in items)
 
-    def test_strict_world_never_builds_fused_rounds(self, monkeypatch):
+    def test_strict_world_runs_one_fused_round_per_attribute(self, monkeypatch):
+        # One bucketing pass and one wave loop over all of an attribute's
+        # cells, answered from the sensors' keyed streams — no per-cell
+        # containment mask, no per-cell wave loop.
         world = make_world(False, sensor_count=100)
         grid = Grid(REGION, side=2)
         handler = RequestResponseHandler(world, grid, default_budget=10)
+        rounds = []
+        waves = handler._acquire_waves
 
-        def boom(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("strict mode must not take the fused path")
+        def recording(policy, attribute, field_model, cell_keys, populations, **kwargs):
+            rounds.append((policy, attribute, cell_keys))
+            return waves(policy, attribute, field_model, cell_keys, populations, **kwargs)
 
-        monkeypatch.setattr(handler, "acquire_attribute_batch", boom)
-        batches, report = handler.acquire_batches(
-            {"rain": list(grid.cells())}, duration=1.0
-        )
-        assert report.requests_sent == 10 * 4
+        def no_cell_rounds(*args, **kwargs):  # pragma: no cover - guard
+            raise AssertionError("a strict round fell back to a per-cell round")
+
+        monkeypatch.setattr(handler, "_acquire_waves", recording)
+        monkeypatch.setattr(handler, "_acquire_cell_round", no_cell_rounds)
+        cells = list(grid.cells())
+        _, report = handler.acquire_batches({"rain": cells, "temp": cells}, duration=1.0)
+        assert [(policy, attribute) for policy, attribute, _ in rounds] == [
+            (handler._per_sensor, "rain"), (handler._per_sensor, "temp"),
+        ]
+        assert all(set(keys) == {cell.key for cell in cells} for _, _, keys in rounds)
+        assert report.requests_sent == 2 * 10 * 4

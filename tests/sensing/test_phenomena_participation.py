@@ -17,6 +17,8 @@ from repro.sensing import (
     TemperatureField,
     incentive_boost,
 )
+from repro.sensing.participation import exponential_latency
+from repro.sensing.phenomena import PhenomenonField
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
@@ -40,6 +42,17 @@ class TestRainField:
     def test_value_is_boolean(self):
         field = RainField(REGION)
         assert isinstance(field.value(0.0, 1.0, 1.0, rng=np.random.default_rng(0)), bool)
+
+    def test_values_from_uniforms_rains_at_the_band_probability(self):
+        field = RainField(REGION, band_width=1.0, period=40.0, p_rain_inside=0.9)
+        n = 20_000
+        u0, u1 = np.random.default_rng(3).random((2, n))
+        x = np.full(n, field.band_center(0.0))
+        values = field.values_from_uniforms(np.zeros(n), x, np.ones(n), u0, u1)
+        assert values.dtype == bool
+        assert values.mean() == pytest.approx(0.9, abs=0.01)
+        # A pure function of the uniforms: one request alone answers the same.
+        assert field.values_from_uniforms(np.zeros(1), x[:1], np.ones(1), u0[:1], u1[:1])[0] == values[0]
 
     def test_validation(self):
         with pytest.raises(CraqrError):
@@ -67,6 +80,33 @@ class TestTemperatureField:
         values = {field.value(0.0, 1.0, 1.0, rng=rng) for _ in range(5)}
         assert len(values) > 1
 
+    def test_values_from_uniforms_adds_gaussian_noise(self):
+        field = TemperatureField(REGION, noise_std=0.5)
+        n = 40_000
+        u0, u1 = np.random.default_rng(4).random((2, n))
+        values = field.values_from_uniforms(np.zeros(n), np.ones(n), np.ones(n), u0, u1)
+        noise = values - field.mean_value(0.0, 1.0, 1.0)
+        assert noise.mean() == pytest.approx(0.0, abs=0.01)
+        assert noise.std() == pytest.approx(0.5, rel=0.02)
+        quiet = TemperatureField(REGION, noise_std=0.0)
+        assert quiet.values_from_uniforms(
+            np.zeros(2), np.ones(2), np.ones(2), u0[:2], u1[:2]
+        ).tolist() == [quiet.mean_value(0.0, 1.0, 1.0)] * 2
+
+    def test_base_fallback_seeds_value_from_the_uniforms(self):
+        class Jittered(PhenomenonField):
+            def value(self, t, x, y, rng=None):
+                return x + rng.random()
+
+        field = Jittered()
+        u0, u1 = np.random.default_rng(5).random((2, 6))
+        xs = np.arange(6.0)
+        first = field.values_from_uniforms(np.zeros(6), xs, xs, u0, u1)
+        again = field.values_from_uniforms(np.zeros(3), xs[3:], xs[3:], u0[3:], u1[3:])
+        assert first.dtype == np.float64
+        assert first[3:].tolist() == again.tolist()
+        assert np.all((first >= xs) & (first < xs + 1.0))
+
     def test_validation(self):
         with pytest.raises(CraqrError):
             TemperatureField(REGION, period=0.0)
@@ -81,29 +121,38 @@ class TestTemperatureField:
 
 class TestParticipationModels:
     def test_always_respond(self):
-        decision = AlwaysRespond().decide(0, 0.0)
-        assert decision.responds and decision.latency == 0.0
+        for uniforms in ((0.0, 0.0), (0.5, 0.5), (1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53)):
+            decision = AlwaysRespond().decide(0, 0.0, uniforms)
+            assert decision.responds and decision.latency == 0.0
 
     def test_bernoulli_probability_zero_latency(self):
         model = BernoulliParticipation(1.0, mean_latency=0.0, max_probability=1.0)
-        decision = model.decide(0, 0.0, rng=np.random.default_rng(0))
+        decision = model.decide(0, 0.0, np.random.default_rng(0).random(2))
         assert decision.responds
         assert decision.latency == 0.0
 
     def test_bernoulli_respects_probability(self):
         model = BernoulliParticipation(0.3)
         rng = np.random.default_rng(1)
-        responses = sum(model.decide(0, 0.0, rng=rng).responds for _ in range(2000))
+        responses = sum(model.decide(0, 0.0, rng.random(2)).responds for _ in range(2000))
         assert responses / 2000 == pytest.approx(0.3, abs=0.05)
 
     def test_bernoulli_incentive_boost(self):
         model = BernoulliParticipation(0.3, max_probability=0.9)
         rng = np.random.default_rng(2)
         boosted = sum(
-            model.decide(0, 0.0, incentive_multiplier=2.0, rng=rng).responds
+            model.decide(0, 0.0, rng.random(2), incentive_multiplier=2.0).responds
             for _ in range(2000)
         )
         assert boosted / 2000 == pytest.approx(0.6, abs=0.05)
+
+    def test_exponential_latency_has_its_mean(self):
+        u = np.random.default_rng(6).random(40_000)
+        latencies = exponential_latency(0.2, u)
+        assert latencies.min() >= 0.0
+        assert latencies.mean() == pytest.approx(0.2, rel=0.02)
+        # The scalar spelling rounds like the array one, element for element.
+        assert [exponential_latency(0.2, v) for v in u[:500].tolist()] == latencies[:500].tolist()
 
     def test_bernoulli_validation(self):
         with pytest.raises(CraqrError):
@@ -118,8 +167,8 @@ class TestParticipationModels:
         rng = np.random.default_rng(3)
         model.set_distance(1, 0.0)
         model.set_distance(2, 5.0)
-        near = sum(model.decide(1, 0.0, rng=rng).responds for _ in range(500))
-        far = sum(model.decide(2, 0.0, rng=rng).responds for _ in range(500))
+        near = sum(model.decide(1, 0.0, rng.random(2)).responds for _ in range(500))
+        far = sum(model.decide(2, 0.0, rng.random(2)).responds for _ in range(500))
         assert near > far * 3
 
     def test_distance_decay_validation(self):
@@ -132,7 +181,7 @@ class TestParticipationModels:
         rng = np.random.default_rng(4)
         initial = model.current_probability(1, 0.0)
         for _ in range(5):
-            model.decide(1, 0.0, rng=rng)
+            model.decide(1, 0.0, rng.random(2))
         assert model.current_probability(1, 0.0) < initial
 
     def test_fatigue_recovers_over_time(self):
@@ -141,7 +190,7 @@ class TestParticipationModels:
         )
         rng = np.random.default_rng(5)
         for _ in range(3):
-            model.decide(1, 0.0, rng=rng)
+            model.decide(1, 0.0, rng.random(2))
         tired = model.current_probability(1, 0.0)
         rested = model.current_probability(1, 100.0)
         assert rested > tired
@@ -152,7 +201,7 @@ class TestParticipationModels:
         )
         rng = np.random.default_rng(6)
         for _ in range(10):
-            model.decide(1, 0.0, rng=rng)
+            model.decide(1, 0.0, rng.random(2))
         assert model.current_probability(1, 0.0) == pytest.approx(0.2)
 
 
@@ -162,7 +211,7 @@ class TestIncentiveCapUnification:
     def boosted_rate(self, model, *, multiplier, seed, trials=4000):
         rng = np.random.default_rng(seed)
         responses = sum(
-            model.decide(1, 0.0, incentive_multiplier=multiplier, rng=rng).responds
+            model.decide(1, 0.0, rng.random(2), incentive_multiplier=multiplier).responds
             for _ in range(trials)
         )
         return responses / trials
@@ -237,7 +286,7 @@ class TestVectorStateProtocol:
             got = vector.vector_probabilities(soa, rows, times)
             assert np.allclose(got, expected)
             for i in range(3):
-                scalar.decide(i, t, rng=rng)
+                scalar.decide(i, t, rng.random(2))
             vector.vector_commit(soa, rows, times)
 
     def test_fatigue_vector_commit_handles_repeated_rows(self):

@@ -1,25 +1,24 @@
-"""Bit-identity of the strict acquisition walk.
+"""Order independence of strict acquisition.
 
-``_PerSensorStreams.answer`` serves a strict wave in one sorted walk: a
-stable sort by sensor row, plain ``handle_request`` calls for lone requests
-and for every model whose decisions draw randomness, the vectorised
-``handle_requests`` only for multi-request runs of batch-safe sensors.  The
-per-sensor mask loop it replaced, and the ``handle_requests`` body with its
-scalar-fallback branch, are kept here, under ``tests/``, as the oracle
-(``reference_*`` below are verbatim copies of the pre-rewrite code; the
-only edit is that the reference ``answer`` calls the reference
-``handle_requests``).
+A strict sensor answers its ``c``-th request from the Philox block keyed
+``(world.acquisition_key, sensor id)`` at counter ``c``, so an answer is a
+pure function of the sensor, its request count and the request — never of
+which sensors were asked before it.  ``_PerSensorStreams.answer`` uses that
+to answer a whole wave in one vectorised pass (rank within each sensor for
+the counters, one ``keyed_uniforms`` call, the stationary rows as columns,
+a per-request ``decide`` walk only for stateful or custom participation).
 
-Every strict golden in the repo — ``tests/recovery``, the compiled-plan
-equivalence digests, the benchmark run digests — rests on the two agreeing
-*exactly*: same generator calls in the same per-sensor order, same float
-expressions, same snapshot bytes.  So the comparison is on bytes, types
-and generator states, never ``allclose``.
+The oracle below answers the same wave with the per-object
+``MobileSensor.handle_request``, one request at a time, in a *shuffled*
+visiting order: sensors interleave at random, and only each sensor's own
+requests keep their order (that order is what its counter means).  Every
+strict golden in the repo rests on the two agreeing *exactly* — columns,
+``HandlerReport``, SoA counters, generator states and snapshot bytes — so
+the comparison is on bytes, never ``allclose``.
 """
 
 import itertools
 import types
-from typing import List, Tuple
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 from repro.config import BudgetConfig, EngineConfig
 from repro.core.engine import CraqrEngine
 from repro.core.query import AcquisitionalQuery
-from repro.errors import AcquisitionError
 from repro.faults import FaultInjector, SensorHealthMonitor
 from repro.geometry import Grid, Rectangle, RectRegion
 from repro.recovery import EngineSnapshot
@@ -49,7 +47,7 @@ from repro.sensing import (
 from repro.sensing.handler import _PerSensorStreams
 from repro.sensing.incentives import IncentiveScheme
 from repro.sensing.participation import ParticipationModel, ResponseDecision
-from repro.sensing.phenomena import PhenomenonField
+from repro.sensing.phenomena import PhenomenonField, _value_column
 from repro.streams import operator as operator_module
 from repro.workloads.scenarios import default_resilience_config, flaky_crowd_plan
 
@@ -57,127 +55,62 @@ REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
 
 # ----------------------------------------------------------------------------
-# The pre-rewrite acquisition (reference; do not "modernise")
+# The oracle: one handle_request per request, sensors visited in shuffled order
 # ----------------------------------------------------------------------------
 
 
-def reference_handle_requests(
-    self,
-    field: PhenomenonField,
-    times: np.ndarray,
-    *,
-    incentive_multiplier=1.0,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Answer a run of acquisition requests addressed to this sensor.
+def shuffled_visits(rows, rng):
+    """A random visiting order of a wave that keeps each sensor's requests in order.
 
-    The columnar acquisition path groups a cell round's requests by
-    sensor and calls this once per sensor with the sensor's request
-    times in ascending order.  ``incentive_multiplier`` is a scalar or
-    an array aligned with ``times`` (an incentive scheme may change its
-    payment mid-round).  Returns ``(answered, response_times, xs, ys,
-    values)`` where ``answered`` is a boolean mask over the input
-    ``times`` and the remaining arrays are aligned with the answered
-    requests only.
-
-    When the participation model is batch-safe (its decisions consume no
-    randomness) the decisions and the sensing draws are vectorised while
-    consuming the sensor's RNG stream exactly as the scalar
-    :meth:`handle_request` loop would; otherwise the scalar loop runs,
-    so both acquisition paths always produce identical observations.
+    Position ``s`` of the result is the request answered at step ``s``:
+    the ``j``-th visit to a sensor answers its ``j``-th request.
     """
-    times = np.asarray(times, dtype=float)
-    n = times.shape[0]
-    empty = np.empty(0)
-    if n == 0:
-        return np.empty(0, dtype=bool), empty, empty, empty, np.empty(0, dtype=object)
-    multipliers = np.broadcast_to(
-        np.asarray(incentive_multiplier, dtype=float), times.shape
-    )
-    if not self._participation.batch_safe:
-        rows = [
-            self.handle_request(field, float(t), incentive_multiplier=float(m))
-            for t, m in zip(times, multipliers)
-        ]
-        answered = np.array([row is not None for row in rows], dtype=bool)
-        kept = [row for row in rows if row is not None]
-        if not kept:
-            return answered, empty, empty, empty, np.empty(0, dtype=object)
-        response_times = np.array([row[0] for row in kept], dtype=float)
-        xs = np.array([row[1] for row in kept], dtype=float)
-        ys = np.array([row[2] for row in kept], dtype=float)
-        values = [row[3] for row in kept]
-        try:
-            value_column = np.asarray(values)
-            if value_column.ndim != 1:  # e.g. list/tuple values
-                raise ValueError
-        except ValueError:
-            value_column = np.empty(len(values), dtype=object)
-            value_column[:] = values
-        return answered, response_times, xs, ys, value_column
-
-    self._arrays.requests_received[self._index] += n
-    if np.all(multipliers == multipliers[0]):
-        responds, latencies = self._participation.decide_many(
-            self._sensor_id,
-            times,
-            incentive_multiplier=float(multipliers[0]),
-            rng=self._rng,
-        )
-    else:
-        # Batch-safe decisions consume no randomness, so per-request
-        # multipliers can be honoured with scalar decide() calls while
-        # the sensing draws below stay vectorised.
-        responds = np.empty(n, dtype=bool)
-        latencies = np.empty(n, dtype=float)
-        for i in range(n):
-            decision = self._participation.decide(
-                self._sensor_id,
-                float(times[i]),
-                incentive_multiplier=float(multipliers[i]),
-                rng=self._rng,
-            )
-            responds[i] = decision.responds
-            latencies[i] = decision.latency
-    respond_times = times[responds]
-    k = respond_times.shape[0]
-    if k == 0:
-        return responds, empty, empty, empty, np.empty(0, dtype=object)
-    xs = np.full(k, self._state.x, dtype=float)
-    ys = np.full(k, self._state.y, dtype=float)
-    values = field.values(respond_times, xs, ys, rng=self._rng)
-    self._arrays.responses_sent[self._index] += k
-    return responds, respond_times + latencies[responds], xs, ys, values
+    visits = rng.permutation(rows.size)
+    slots = np.argsort(rows[visits], kind="stable")  # visit steps, grouped by sensor
+    requests = np.argsort(rows, kind="stable")  # requests, grouped by sensor
+    order = np.empty_like(visits)
+    order[slots] = requests
+    return order
 
 
+def per_object_answer(self, field_model, rows, request_times, multipliers, replacement_used):
+    """``_PerSensorStreams.answer`` by asking each sensor, one request at a time.
 
-def reference_answer(self, field_model, rows, request_times, multipliers, replacement_used):
-    positions: List[np.ndarray] = []
-    response_times: List[np.ndarray] = []
-    values: List[np.ndarray] = []
-    asked = np.unique(rows)
-    for row, sensor in zip(asked, self._world.sensors_at(asked)):
-        mask = rows == row
-        answered, times, _xs, _ys, sensed = reference_handle_requests(
-            sensor, field_model, request_times[mask], incentive_multiplier=multipliers[mask]
-        )
-        if times.shape[0]:
-            positions.append(np.nonzero(mask)[0][answered])
-            response_times.append(times)
-            values.append(np.asarray(sensed))
+    ``handle_request`` returns ``t + latency``; the exact latency the wave
+    loop needs is the one the sensor's ``decide`` returned, recorded here.
+    """
+    del replacement_used
+    rng = np.random.default_rng([rows.size, int(rows.sum())])
     responded = np.zeros(rows.size, dtype=bool)
-    if not positions:
-        return responded, np.empty(0), np.empty(0, dtype=object)
-    # Back into global request order, so tuple ids are allocated one
-    # per response in request order whatever the per-sensor grouping.
-    answered_positions = np.concatenate(positions)
-    order = np.argsort(answered_positions, kind="stable")
-    answered_positions = answered_positions[order]
-    responded[answered_positions] = True
-    latencies = (
-        np.concatenate(response_times)[order] - request_times[answered_positions]
-    )
-    return responded, latencies, np.concatenate(values)[order]
+    latencies = np.zeros(rows.size)
+    values = [None] * rows.size
+    for k in shuffled_visits(rows, rng).tolist():
+        sensor = self._world.sensors_at(rows[k : k + 1])[0]
+        model = sensor.participation
+        decisions = []
 
+        def recording(*args, _decide=model.decide, **kwargs):
+            decisions.append(_decide(*args, **kwargs))
+            return decisions[-1]
+
+        model.decide = recording
+        try:
+            row = sensor.handle_request(
+                field_model, float(request_times[k]),
+                incentive_multiplier=float(multipliers[k]),
+            )
+        finally:
+            del model.decide
+        (decision,) = decisions
+        assert (row is not None) == decision.responds
+        if row is not None:
+            assert row[0] == request_times[k] + decision.latency
+            responded[k] = True
+            latencies[k] = decision.latency
+            values[k] = row[3]
+    answered = np.flatnonzero(responded)
+    column = _value_column([values[k] for k in answered.tolist()])
+    return responded, latencies[answered], column
 
 
 # ----------------------------------------------------------------------------
@@ -186,7 +119,7 @@ def reference_answer(self, field_model, rows, request_times, multipliers, replac
 
 
 class PairField(PhenomenonField):
-    """Tuple-valued observations: the value column must fall back to object dtype."""
+    """Tuple-valued observations through the base ``values_from_uniforms``."""
 
     attribute = "pair"
 
@@ -212,12 +145,17 @@ class SteppingIncentive(IncentiveScheme):
 
 
 class NeverRespond(ParticipationModel):
-    def decide(self, sensor_id, t, *, incentive_multiplier=1.0, rng=None):
+    """A custom model: walked request by request."""
+
+    def decide(self, sensor_id, t, uniforms, *, incentive_multiplier=1.0):
         return ResponseDecision.no_response()
 
 
-class NeverRespondBatchSafe(NeverRespond):
-    batch_safe = True
+class NeverRespondStationary(ParticipationModel):
+    """The same behaviour as stationary parameters: decided in the vectorised pass."""
+
+    def vector_params(self):
+        return (0.0, 0.0, 0.0, False)
 
 
 def distance_decay(sensor_id):
@@ -236,11 +174,15 @@ def mixed(sensor_id):
 
 
 PARTICIPATION = {
-    "always": None,  # the default world: AlwaysRespond, batch-safe
+    "always": None,  # the default world: AlwaysRespond, stationary
     "bernoulli": lambda i: BernoulliParticipation(0.7, mean_latency=0.1),
+    "mixed": mixed,  # stationary rows and walked fatigue rows in one wave
+}
+
+#: Crowds whose every row is walked request by request.
+WALKED = {
     "fatigue": lambda i: FatigueParticipation(0.7, fatigue_per_request=0.03),
     "distance": distance_decay,
-    "mixed": mixed,
 }
 
 INCENTIVES = {
@@ -282,7 +224,7 @@ def make_handler(world, *, budget, incentive=None, flaky=False, oracle=False):
     )
     if oracle:
         policy = handler._per_sensor
-        policy.answer = types.MethodType(reference_answer, policy)
+        policy.answer = types.MethodType(per_object_answer, policy)
     return handler
 
 
@@ -358,7 +300,9 @@ def run_rounds(ours, oracle, attributes, rounds):
 @pytest.mark.parametrize("incentive", sorted(INCENTIVES))
 @pytest.mark.parametrize("crowd", sorted(CROWDS))
 @pytest.mark.parametrize("participation", sorted(PARTICIPATION))
-def test_walk_matches_the_per_sensor_mask_loop(participation, crowd, incentive, flaky):
+def test_vectorised_wave_matches_shuffled_per_object_answers(
+    participation, crowd, incentive, flaky
+):
     sensor_count, budget = CROWDS[crowd]
     ours, oracle = make_pair(
         sensor_count, PARTICIPATION[participation], budget=budget,
@@ -371,42 +315,101 @@ def test_walk_matches_the_per_sensor_mask_loop(participation, crowd, incentive, 
         assert sum(report.retries_sent for _, report in seen) > 0
 
 
-def test_runs_mix_scalar_and_vectorised_answers():
-    # The mixed crowd under replacement really takes both branches of the
-    # walk in one wave: batch-safe sensors answer multi-request runs through
-    # handle_requests, everyone else request by request.
+@pytest.mark.parametrize("crowd", sorted(CROWDS))
+@pytest.mark.parametrize("participation", sorted(WALKED))
+def test_walked_crowd_matches_shuffled_per_object_answers(participation, crowd):
+    # Every row is decided by its model's decide, in each sensor's request
+    # order; a fatigue level depends on the sensor's earlier requests.
+    sensor_count, budget = CROWDS[crowd]
+    ours, oracle = make_pair(
+        sensor_count, WALKED[participation], budget=budget, incentive=SteppingIncentive,
+    )
+    seen = run_rounds(ours, oracle, ATTRIBUTES, rounds=3)
+    assert all(report.responses_received for _, report in seen)
+    if participation == "fatigue":
+        levels = ours[0].state_arrays.column(FatigueParticipation.LEVEL_COLUMN)
+        assert np.any(levels > 0)
+
+
+def test_mixed_wave_walks_only_the_stateful_rows(monkeypatch):
+    # The mixed crowd takes both halves of the pass in one wave: stationary
+    # rows (always, bernoulli) are decided as columns, and only the fatigue
+    # rows reach the per-request walk.
     (world, handler), _ = make_pair(24, mixed, budget=40)
-    calls = {"vector": 0, "scalar": 0}
-    for sensor in world.sensors:
-        vector, scalar = sensor.handle_requests, sensor.handle_request
+    walked = []
+    inner = _PerSensorStreams._decide_walked
 
-        def counting_vector(*args, _inner=vector, **kwargs):
-            calls["vector"] += 1
-            return _inner(*args, **kwargs)
+    def counting(self, rows, request_times, multipliers, u, visit, responded, latencies):
+        walked.append(rows[visit])
+        return inner(self, rows, request_times, multipliers, u, visit, responded, latencies)
 
-        def counting_scalar(*args, _inner=scalar, **kwargs):
-            calls["scalar"] += 1
-            return _inner(*args, **kwargs)
-
-        sensor.handle_requests = counting_vector
-        sensor.handle_request = counting_scalar
-    handler.acquire_batches({"temp": list(handler.grid.cells())}, duration=1.0)
-    assert calls["vector"] > 0 and calls["scalar"] > 0
+    monkeypatch.setattr(_PerSensorStreams, "_decide_walked", counting)
+    _, report = handler.acquire_batches({"temp": list(handler.grid.cells())}, duration=1.0)
+    walked_rows = np.concatenate(walked)
+    assert 0 < walked_rows.size < report.requests_sent
+    assert set(world.state_arrays.sensor_ids[walked_rows] % 3) == {2}
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     sensor_count=st.integers(1, 60),
     budget=st.integers(1, 80),
-    participation=st.sampled_from(sorted(PARTICIPATION)),
+    participation=st.sampled_from(sorted(PARTICIPATION) + sorted(WALKED)),
     seed=st.integers(0, 2 ** 16),
 )
-def test_walk_matches_for_any_crowd_and_budget(sensor_count, budget, participation, seed):
+def test_any_crowd_and_budget_matches(sensor_count, budget, participation, seed):
     ours, oracle = make_pair(
-        sensor_count, PARTICIPATION[participation], budget=budget,
+        sensor_count, {**PARTICIPATION, **WALKED}[participation], budget=budget,
         incentive=SteppingIncentive, seed=seed,
     )
     run_rounds(ours, oracle, ("rain", "temp"), rounds=2)
+
+
+# ----------------------------------------------------------------------------
+# The keyed draws themselves
+# ----------------------------------------------------------------------------
+
+
+def test_a_request_draws_its_sensors_block_at_its_counter():
+    # handle_request's c-th answer is a function of (key, sensor, c) alone:
+    # two worlds with the same seed, asked in different sensor orders,
+    # answer each sensor identically.
+    ours = make_world(12, PARTICIPATION["bernoulli"])
+    other = make_world(12, PARTICIPATION["bernoulli"])
+    field_model = ours.field_for("temp")
+    answers, other_answers = {}, {}
+    for sensor in ours.sensors:
+        answers[sensor.sensor_id] = [
+            sensor.handle_request(field_model, 0.25 * k) for k in range(5)
+        ]
+    for sensor in reversed(other.sensors):
+        other_answers[sensor.sensor_id] = [
+            sensor.handle_request(field_model, 0.25 * k) for k in range(5)
+        ]
+    assert answers == other_answers
+    assert ours.acquisition_key == other.acquisition_key
+    assert type(ours.acquisition_key) is int
+    assert make_world(12, None, seed=32).acquisition_key != ours.acquisition_key
+
+
+def test_acquisition_draws_nothing_from_the_generators():
+    # Choices and request times come from the world stream; the answers
+    # touch no generator at all, so a wave answered twice from the same
+    # counters gives the same observations.
+    world = make_world(40, PARTICIPATION["bernoulli"])
+    policy = RequestResponseHandler(world, Grid(REGION, side=2))._per_sensor
+    rows = np.array([3, 7, 7, 11, 3], dtype=np.int64)
+    times = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    states = generator_states(world)
+    soa = world.state_arrays
+    first = policy.answer(world.field_for("temp"), rows, times, np.ones(5), True)
+    assert generator_states(world) == states
+    assert soa.requests_received[[3, 7, 11]].tolist() == [2, 2, 1]
+    soa.requests_received[:] = 0
+    soa.responses_sent[:] = 0
+    second = policy.answer(world.field_for("temp"), rows, times, np.ones(5), True)
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
 
 
 # ----------------------------------------------------------------------------
@@ -423,11 +426,12 @@ def test_zero_request_wave():
             field_model, none, np.empty(0), np.empty(0), False
         )
         assert responded.shape == latencies.shape == values.shape == (0,)
-        assert (responded.dtype, latencies.dtype, values.dtype) == (bool, float, object)
+        assert (responded.dtype, latencies.dtype) == (bool, float)
     assert generator_states(ours[0]) == generator_states(oracle[0])
+    assert not ours[0].state_arrays.requests_received.any()
 
 
-@pytest.mark.parametrize("model", [NeverRespond, NeverRespondBatchSafe])
+@pytest.mark.parametrize("model", [NeverRespond, NeverRespondStationary])
 @pytest.mark.parametrize("crowd", sorted(CROWDS))
 def test_nobody_answers(model, crowd):
     sensor_count, budget = CROWDS[crowd]
@@ -440,28 +444,16 @@ def test_nobody_answers(model, crowd):
     assert int(ours[0].state_arrays.responses_sent.sum()) == 0
 
 
-def test_vectorised_run_rejects_a_model_that_draws():
-    # handle_requests no longer carries a scalar fallback: a model whose
-    # decisions consume randomness can only be walked request by request.
-    world = make_world(4, PARTICIPATION["bernoulli"])
-    sensor = world.sensors[0]
-    before = sensor._rng.bit_generator.state
-    with pytest.raises(AcquisitionError):
-        sensor.handle_requests(world.field_for("temp"), np.array([0.1, 0.2]))
-    assert sensor._rng.bit_generator.state == before
-    assert sensor.requests_received == 0
-
-
 # ----------------------------------------------------------------------------
-# Snapshot shape: the walk leaves the same engine state as the oracle
+# Snapshot shape: the vectorised wave leaves the same engine state as the oracle
 # ----------------------------------------------------------------------------
 
 
 class TestSnapshotShape:
-    """A whole engine captured after the walk equals one captured after the oracle.
+    """A whole engine captured after vectorised waves equals one after the oracle's.
 
     Column bytes and generator states are compared round by round above;
-    this compares everything else the walk could leave behind in any
+    this compares everything else the wave could leave behind in any
     subsystem, as the checkpoint file sees it.
     """
 
@@ -497,7 +489,7 @@ class TestSnapshotShape:
         ours = EngineSnapshot.capture(engine).to_bytes()
 
         with monkeypatch.context() as patch:
-            patch.setattr(_PerSensorStreams, "answer", reference_answer)
+            patch.setattr(_PerSensorStreams, "answer", per_object_answer)
             reference = self.make_engine(attribute, monkeypatch)
             reference.run(3)
         assert EngineSnapshot.capture(reference).to_bytes() == ours
