@@ -2,10 +2,10 @@
 
 Functions listed here are the per-batch inner loops whose cost the
 ``benchmarks/e2e`` harness reports as per-layer spans: the fused
-acquisition round, the fast-sim mobility kernels, the columnar map
-phase, the compiled attribute programs and their flatten/thin kernels,
-the batch MLE and the least-squares fit, the incremental view fold and
-the serve-layer fan-out.
+acquisition round, the mobility kernels and their keyed draw policy, the
+columnar map phase, the compiled attribute programs and their
+flatten/thin kernels, the batch MLE and the least-squares fit, the
+incremental view fold and the serve-layer fan-out.
 Inside them, per-row Python iteration is a regression by construction —
 the analyzer flags ``.tolist()`` calls, ``range(len(...))`` / ``zip(...)``
 row loops and object construction inside loops (see
@@ -47,17 +47,29 @@ HOT_PATHS: List[Tuple[str, str]] = [
     # the stationary rows are decided and sensed as columns.  Only the
     # fallback walk for stateful / custom participation,
     # ``_PerSensorStreams._decide_walked``, stays per-request Python by
-    # contract and is NOT registered; neither is ``MobileSensor.move_through``
-    # (one generator per sensor moves it, each sensor walked once).
-    # Their contracts are bit-equality with the per-object
-    # ``MobileSensor.handle_request`` in a shuffled order and with the
-    # step-major loop, kept in ``tests/sensing/test_strict_acquisition.py``
-    # and ``tests/sensing/test_sensor_major_advance.py``.
+    # contract and is NOT registered.  Its contract is bit-equality with the
+    # per-object ``MobileSensor.handle_request`` in a shuffled order, kept in
+    # ``tests/sensing/test_strict_acquisition.py``.
     ("repro/sensing/handler.py", "_PerSensorStreams.answer"),
     ("repro/rng.py", "philox4x64"),
     ("repro/rng.py", "keyed_uniforms"),
-    # World advance (PR 2, PR 17): the fast-sim mobility kernels, ≈40% of
-    # a large-crowd batch (``sensing.world.advance_ms`` on ``crowd_fast``).
+    # Strict movement runs the mobility kernels below with the keyed draw
+    # policy: one Philox call per kernel call draws a block for every row
+    # that draws (all rows, or the waypoint rows that need a target), and
+    # the words become uniforms, Box-Muller normals and inverse-CDF choices
+    # as columns.  Its contract is that a crowd's advance equals each sensor
+    # moved alone (``MobileSensor.move``, the same kernel on a one-row
+    # slice) in a shuffled order, kept in
+    # ``tests/sensing/test_crowd_independence.py``.
+    # ``MobileSensor.move_through`` is NOT registered: it is the scalar walk
+    # of custom models without a kernel (one generator per sensor, each
+    # sensor walked once), held against the step-major loop in
+    # ``tests/sensing/test_sensor_major_advance.py``.
+    ("repro/sensing/mobility.py", "KeyedDraws.rows"),
+    ("repro/sensing/mobility.py", "_BlockRows.normal"),
+    ("repro/sensing/mobility.py", "_BlockRows.choice"),
+    # World advance: the mobility kernels, ≈40% of a large-crowd batch
+    # (``sensing.world.advance_ms`` on ``crowd_fast``).
     # Each is a fixed sequence of full-width ufuncs over the group's row
     # selector (views for a slice, one gather and one
     # scatter per column for an index array); a per-row loop or a
@@ -65,10 +77,10 @@ HOT_PATHS: List[Tuple[str, str]] = [
     # removed.  Compaction happens once per ``advance``, by design, in the
     # draw-free ``skip_ahead`` pre-pass: one full-width pass moves the
     # walkers no event can reach and returns the index array of the rest,
-    # which the kernels then sub-step.  The kernels' contract is
-    # bit-equality with the gather/scatter bodies kept in
-    # ``tests/sensing/test_mobility_kernels.py``; the pre-pass's is
-    # ``tests/sensing/test_skip_ahead.py``.  The base-class
+    # which the kernels then sub-step — under both RNG contracts.  The
+    # kernels' fast-sim contract is bit-equality with the gather/scatter
+    # bodies kept in ``tests/sensing/test_mobility_kernels.py``; the
+    # pre-pass's is ``tests/sensing/test_skip_ahead.py``.  The base-class
     # ``MobilityModel.step_batch`` fallback is deliberately NOT registered:
     # it is the per-row loop by design (models without a kernel), and the
     # world never dispatches a group to it.

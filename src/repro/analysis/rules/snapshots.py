@@ -23,6 +23,12 @@ therefore the two things to police statically:
 * ``CRQ304`` — a ``dispatch_table`` reducer reads a hand-picked set of
   attributes that no longer covers everything the class's ``__init__``
   assigns (reducers reading ``__dict__`` wholesale are always covered).
+* ``CRQ305`` — a ``dispatch_table`` reducer returns a rebuilder (the
+  class or function pickle will call on load) that is not on the
+  snapshot loader's ``_ADMITTED`` allow-list, or that cannot be resolved
+  statically (it must be defined at module level beside the reducer).
+  Such a checkpoint is written fine and refused on every restore; this
+  finds it at the diff instead of in a test.
 """
 
 from __future__ import annotations
@@ -47,10 +53,15 @@ CODES = {
     "CRQ302": "key excluded in __getstate__ but not rebuilt or declared derived",
     "CRQ303": "_DERIVED_STATE entry no longer excluded in __getstate__",
     "CRQ304": "dispatch_table reducer misses attributes assigned in __init__",
+    "CRQ305": "dispatch_table reducer rebuilds through a global not on _ADMITTED",
 }
 
 #: Class attribute declaring excluded-and-rebuilt (derived) state keys.
 DERIVED_DECLARATION = "_DERIVED_STATE"
+
+#: Module-level set of ``(module, name)`` globals the snapshot loader admits
+#: besides engine classes (``repro.recovery.snapshot``).
+ALLOW_LIST = "_ADMITTED"
 
 
 def _is_constant_like(node: ast.AST) -> bool:
@@ -198,8 +209,8 @@ def _check_getstate_classes(project: Project) -> Iterator[Finding]:
                 )
 
 
-def _dispatch_entries(module: Module) -> Iterator[Tuple[str, str, int]]:
-    """``dispatch_table[Cls] = reducer`` assignments -> (class, reducer, line)."""
+def _dispatch_entries(module: Module) -> Iterator[Tuple[ast.expr, str, int]]:
+    """``dispatch_table[key] = reducer`` assignments -> (key node, reducer, line)."""
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             continue
@@ -213,11 +224,9 @@ def _dispatch_entries(module: Module) -> Iterator[Tuple[str, str, int]]:
         base_name = base.id if isinstance(base, ast.Name) else base.attr
         if base_name != "dispatch_table":
             continue
-        if not isinstance(target.slice, ast.Name):
-            continue  # e.g. np.random.Generator: not a project class
         if not isinstance(node.value, ast.Name):
             continue
-        yield target.slice.id, node.value.id, node.lineno
+        yield target.slice, node.value.id, node.lineno
 
 
 def _reducer_reads(func) -> Tuple[bool, Set[str]]:
@@ -255,36 +264,34 @@ def _module_aliases(module: Module) -> Dict[str, str]:
     return aliases
 
 
+def _find_reducer(
+    project: Project, module: Module, reducer_name: str
+) -> Optional[Tuple[Module, ast.FunctionDef]]:
+    """The reducer a ``dispatch_table`` entry names, through module aliases."""
+    aliases = _module_aliases(module)
+    seen = set()
+    while reducer_name in aliases and reducer_name not in seen:
+        seen.add(reducer_name)
+        reducer_name = aliases[reducer_name]
+    for item in module.tree.body:
+        if isinstance(item, ast.FunctionDef) and item.name == reducer_name:
+            return module, item
+    return project.find_function(reducer_name)
+
+
 def _check_dispatch_tables(project: Project) -> Iterator[Finding]:
     for module in project.modules:
-        entries = list(_dispatch_entries(module))
-        if not entries:
-            continue
-        aliases = _module_aliases(module)
-        for class_name, reducer_name, line in entries:
-            located = project.find_class(class_name)
+        for key, reducer_name, line in _dispatch_entries(module):
+            if not isinstance(key, ast.Name):
+                continue  # e.g. np.random.Generator: not a project class
+            located = project.find_class(key.id)
             if located is None:
                 continue  # class outside the analyzed tree
-            class_module, class_node = located
-            # Follow simple module-level aliases (``reducer = other``).
-            seen = set()
-            while reducer_name in aliases and reducer_name not in seen:
-                seen.add(reducer_name)
-                reducer_name = aliases[reducer_name]
-            reducer = None
-            for item in module.tree.body:
-                if (
-                    isinstance(item, ast.FunctionDef)
-                    and item.name == reducer_name
-                ):
-                    reducer = item
-            if reducer is None:
-                found = project.find_function(reducer_name)
-                if found is not None:
-                    reducer = found[1]
-            if reducer is None:
+            class_node = located[1]
+            found = _find_reducer(project, module, reducer_name)
+            if found is None:
                 continue  # alias of an alias: out of static reach
-            wholesale, reads = _reducer_reads(reducer)
+            wholesale, reads = _reducer_reads(found[1])
             if wholesale:
                 continue
             missing = sorted(
@@ -298,10 +305,112 @@ def _check_dispatch_tables(project: Project) -> Iterator[Finding]:
                     code="CRQ304",
                     message=(
                         f"dispatch_table reducer {reducer_name} for "
-                        f"{class_name} never reads __init__-assigned "
+                        f"{key.id} never reads __init__-assigned "
                         f"attribute(s) {', '.join(missing)}; snapshots "
                         "would drop them"
                     ),
+                    symbol=enclosing_symbol(module.tree, line),
+                )
+
+
+def _module_name(module: Module) -> str:
+    """Dotted module name of a package-relative path."""
+    name = module.path[: -len(".py")].replace("/", ".")
+    return name[: -len(".__init__")] if name.endswith(".__init__") else name
+
+
+def _allow_list(project: Project) -> Optional[Set[Tuple[str, str]]]:
+    """The ``(module, name)`` pairs of the one module-level ``_ADMITTED``.
+
+    ``None`` when no module (or more than one) defines it.  An entry's
+    module may be spelled ``__name__``: the defining module.
+    """
+    found = [
+        (module, item.value)
+        for module in project.modules
+        for item in module.tree.body
+        if isinstance(item, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == ALLOW_LIST for t in item.targets)
+        and isinstance(item.value, (ast.Set, ast.List, ast.Tuple))
+    ]
+    if len(found) != 1:
+        return None
+    module, value = found[0]
+    admitted: Set[Tuple[str, str]] = set()
+    for element in value.elts:
+        if not (isinstance(element, ast.Tuple) and len(element.elts) == 2):
+            continue
+        where, name = element.elts
+        if isinstance(where, ast.Name) and where.id == "__name__":
+            where_name = _module_name(module)
+        elif isinstance(where, ast.Constant) and isinstance(where.value, str):
+            where_name = where.value
+        else:
+            continue
+        if isinstance(name, ast.Constant) and isinstance(name.value, str):
+            admitted.add((where_name, name.value))
+    return admitted
+
+
+def _rebuilder(module: Module, node: ast.Return) -> Optional[Tuple[str, str]]:
+    """``(module, name)`` of the rebuilder a reducer's ``return`` names.
+
+    Resolvable when the return is ``(rebuilder, args...)`` and ``rebuilder``
+    is a module-level function or class beside the reducer; else ``None``.
+    """
+    if not (isinstance(node.value, ast.Tuple) and node.value.elts):
+        return None
+    head = node.value.elts[0]
+    if not isinstance(head, ast.Name):
+        return None
+    for item in module.tree.body:
+        if (
+            isinstance(item, (ast.FunctionDef, ast.ClassDef))
+            and item.name == head.id
+        ):
+            return _module_name(module), head.id
+    return None
+
+
+def _check_admitted_rebuilders(project: Project) -> Iterator[Finding]:
+    admitted = _allow_list(project)
+    if admitted is None:
+        return
+    for module in project.modules:
+        for _, reducer_name, line in _dispatch_entries(module):
+            found = _find_reducer(project, module, reducer_name)
+            returns = []
+            if found is not None:
+                returns = [
+                    _rebuilder(found[0], node)
+                    for node in walk_function_body(found[1])
+                    if isinstance(node, ast.Return) and node.value is not None
+                ]
+            if not returns:
+                returns = [None]
+            for rebuilt in returns:
+                if rebuilt in admitted:
+                    continue
+                if rebuilt is None:
+                    message = (
+                        f"dispatch_table reducer {reducer_name} returns a "
+                        "rebuilder craqr-lint cannot resolve; return "
+                        "(rebuilder, args) with the rebuilder defined beside "
+                        f"it and listed on {ALLOW_LIST}"
+                    )
+                else:
+                    message = (
+                        f"dispatch_table reducer {reducer_name} rebuilds "
+                        f"through {rebuilt[0]}.{rebuilt[1]}, which is not on "
+                        f"{ALLOW_LIST}: the snapshot loader would refuse every "
+                        "checkpoint holding it"
+                    )
+                yield Finding(
+                    path=module.path,
+                    line=line,
+                    col=0,
+                    code="CRQ305",
+                    message=message,
                     symbol=enclosing_symbol(module.tree, line),
                 )
 
@@ -310,3 +419,4 @@ def _check_dispatch_tables(project: Project) -> Iterator[Finding]:
 def check(project: Project, context) -> Iterator[Finding]:
     yield from _check_getstate_classes(project)
     yield from _check_dispatch_tables(project)
+    yield from _check_admitted_rebuilders(project)

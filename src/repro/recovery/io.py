@@ -47,8 +47,12 @@ MAGIC = b"CRQRCKPT"
 #: gone from the payload; 6: strict sensors answer from keyed streams in
 #: fused per-attribute rounds — the world and its sensors carry an
 #: ``acquisition_key`` and a restored strict engine draws other answers
-#: than the build that wrote a version-5 file).
-FORMAT_VERSION = 6
+#: than the build that wrote a version-5 file; 7: strict sensors move from
+#: keyed streams through the kernels — the SoA carries ``moves_drawn``, a
+#: sensor whose model has a kernel carries no generator, and a restored
+#: strict engine moves its crowd elsewhere than the build that wrote a
+#: version-6 file).
+FORMAT_VERSION = 7
 
 #: Header layout after the magic: version (u32), payload length (u64),
 #: SHA-256 digest (32 bytes), all little-endian.

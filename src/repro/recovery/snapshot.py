@@ -6,8 +6,9 @@ had never stopped:
 
 * the sensing world — :class:`~repro.sensing.SensorStateArrays` columns
   (positions, velocities, counters, reliability/quarantine, participation
-  vector-state extras), the simulation clock, every strict-mode per-sensor
-  ``np.random.Generator`` and the world's own stream;
+  vector-state extras, the keyed streams' ``moves_drawn`` counters), the
+  simulation clock, the world's own stream and the generators of sensors
+  whose mobility model has no kernel (the only sensors that keep one);
 * the request/response handler — per-(attribute, cell) budgets, lifetime
   counters, incentive ledgers, the tuple-id allocator, the
   :class:`~repro.faults.FaultInjector`'s private stream and burst/stuck
@@ -101,7 +102,8 @@ def _reduce_generator(generator: np.random.Generator):
 class _SnapshotPickler(pickle.Pickler):
     """The engine pickler, with fast paths for the two hot object classes.
 
-    A strict-mode world carries one ``np.random.Generator`` per sensor, and
+    An engine carries several ``np.random.Generator``\\ s (the world's, the
+    operators', one per sensor of a custom kernel-less mobility model), and
     ``Generator.__reduce__`` is an order of magnitude slower (and ~4x
     larger) than the underlying ``bit_generator.state`` dict it wraps.
     Result buffers retain one columnar chunk per acquisition round, so a

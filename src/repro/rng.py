@@ -15,13 +15,15 @@ seeded engine can be shown — statically — to never touch OS entropy or
 a global stream.
 
 The second kind of stream lives here too: a *counter-based* one.  A strict
-sensor's answer to its ``c``-th request is a pure function of ``(key,
-sensor id, c)`` — one Philox4x64-10 block (Salmon, Moraes, Dror & Shaw,
-"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11) — so it carries no
-generator state and any set of sensors draws in one numpy call.  numpy's
-own ``np.random.Philox`` holds one key per object; :func:`philox4x64` is the
-same bijection written over ``uint64`` arrays, one key and counter per
-element, and equals ``np.random.Philox(key=k, counter=c).random_raw(4)``
+sensor's answer to its ``c``-th request, and its ``c``-th movement draw, are
+pure functions of ``(key, sensor id, c)`` — one Philox4x64-10 block each
+(Salmon, Moraes, Dror & Shaw, "Parallel Random Numbers: As Easy as 1, 2,
+3", SC'11) at counter ``(c, purpose, 0, 0)``, where the second word
+separates the :data:`ANSWERS` stream from the :data:`MOVEMENT` one — so they
+carry no generator state and any set of sensors draws in one numpy call.
+numpy's own ``np.random.Philox`` holds one key per object; :func:`philox4x64`
+is the same bijection written over ``uint64`` arrays, one key and counter
+per element, and equals ``np.random.Philox(key=k, counter=c).random_raw(4)``
 for the counter *after* ``c`` (numpy increments before its first block).
 """
 
@@ -31,7 +33,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ensure_rng", "derive_key", "philox4x64", "keyed_uniforms"]
+__all__ = [
+    "ensure_rng", "derive_key", "philox4x64", "keyed_uniforms", "ANSWERS", "MOVEMENT",
+]
+
+#: Counter word 1 of a keyed block: what the block is drawn for.
+ANSWERS = 0
+MOVEMENT = 1
 
 
 def ensure_rng(
@@ -122,13 +130,18 @@ def philox4x64(counter: Sequence, key: Sequence) -> Tuple[np.ndarray, ...]:
 _TO_UNIT = 1.0 / 9007199254740992.0
 
 
-def keyed_uniforms(key: int, ids: np.ndarray, counters: np.ndarray) -> np.ndarray:
+def keyed_uniforms(
+    key: int, ids: np.ndarray, counters: np.ndarray, purpose: int
+) -> np.ndarray:
     """The four ``[0, 1)`` uniforms of block ``counters[i]`` of stream ``ids[i]``.
 
     Stream ``i`` is keyed ``(key, ids[i])`` and drawn at counter
-    ``(counters[i], 0, 0, 0)``; row ``j`` of the ``(4, n)`` result is the
-    block's word ``j`` converted as ``Generator.random`` converts.
+    ``(counters[i], purpose, 0, 0)`` — ``purpose`` is :data:`ANSWERS` or
+    :data:`MOVEMENT`; row ``j`` of the ``(4, n)`` result is the block's word
+    ``j`` converted as ``Generator.random`` converts.
     """
     ids = np.asarray(ids, dtype=np.uint64)
-    words = philox4x64((np.asarray(counters, dtype=np.uint64), 0, 0, 0), (key, ids))
+    words = philox4x64(
+        (np.asarray(counters, dtype=np.uint64), purpose, 0, 0), (key, ids)
+    )
     return (np.stack(words) >> np.uint64(11)) * _TO_UNIT

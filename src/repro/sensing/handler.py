@@ -36,7 +36,7 @@ import numpy as np
 from ..errors import AcquisitionError, BudgetError, GeometryError
 from ..faults import FaultInjector, ResilienceConfig, SensorHealthMonitor
 from ..geometry import Grid, GridCell
-from ..rng import keyed_uniforms
+from ..rng import ANSWERS, keyed_uniforms
 from ..streams import SensorTuple, TupleBatch, make_tuple_id_allocator
 from .incentives import FlatIncentive, IncentiveScheme
 from .participation import exponential_latency
@@ -205,7 +205,9 @@ class _PerSensorStreams:
             # Populations are disjoint and sampled without replacement:
             # every row is unique, so the fancy-index increment is exact.
             received[rows] += 1
-        u = keyed_uniforms(world.acquisition_key, soa.sensor_ids[rows], counters)
+        u = keyed_uniforms(
+            world.acquisition_key, soa.sensor_ids[rows], counters, ANSWERS
+        )
         responded = u[0] < np.where(
             soa.incentive_sensitive[rows],
             np.minimum(soa.p_base[rows] * multipliers, soa.p_max[rows]),

@@ -15,15 +15,33 @@ sensors".  These models generate that mobility:
 All models implement two entry points:
 
 * ``step(state, dt, rng)`` — advance one sensor's state in place, drawing
-  from that sensor's private generator.  This is the strict-mode path: the
-  world loops it once per sensor, so a seeded run is byte-identical whatever
-  the storage backing ``state`` (dataclass or SoA view).
-* ``step_batch(arrays, indices, dt, rng)`` — advance a whole group of
+  from a private generator.  It is the scalar path of a model *without* a
+  kernel of its own (a custom subclass): the world walks such a sensor
+  through its sub-steps with the sensor's own generator, in either mode.
+* ``step_batch(arrays, indices, dt, draws)`` — advance a whole group of
   sensors at once as masked array operations over a
-  :class:`~repro.sensing.state.SensorStateArrays`, drawing from one shared
-  generator.  This is the fast-sim kernel: draw *order* across sensors
-  differs from the scalar loop (statistically equivalent, not bit-equal),
-  which is exactly the trade the world's ``vectorized_rng`` mode makes.
+  :class:`~repro.sensing.state.SensorStateArrays`.  This is *the* kernel,
+  under both RNG contracts; they differ only in the draw policy ``draws``:
+
+  - :class:`SharedDraws` (fast-sim) wraps the world's one generator and
+    makes each draw as one call of it, in the kernels' step-major order —
+    statistically equivalent to strict, not bit-equal, which is the trade
+    the world's ``vectorized_rng`` mode makes.  A bare ``Generator`` is
+    taken as the shared policy over it.
+  - :class:`KeyedDraws` (strict) gives each row that draws one Philox
+    block keyed ``(world.acquisition_key, sensor id)`` at counter
+    ``(moves_drawn, MOVEMENT, 0, 0)`` and bumps that row's ``moves_drawn``,
+    so a sensor's trajectory depends on the seed, its id, its state and
+    the sub-step ``dt``\\ s — never on the rest of the crowd.  Moving one
+    sensor alone (:meth:`~repro.sensing.MobileSensor.move`, a one-row
+    slice) and moving its crowd give the same bytes.
+
+  A kernel asks its policy for the draws of one sub-step with
+  ``draws.rows(arrays, sel, size, where)`` and reads them by *block word*:
+  ``random(word)``, ``uniform(word, low, high)``, ``normal(word, scale)``
+  (a pair, words ``word`` and ``word + 1``) and ``choice(word, mask, p)``.
+  The shared policy ignores the words and the rows; the keyed one ignores
+  ``size``.  Each model's ``step_batch`` docstring records its words.
 
 The kernels are *gather-free*: moving the crowd is most of a large fast-sim
 batch, and at 100k rows a kernel's cost is memory passes, not arithmetic.
@@ -38,12 +56,14 @@ of full-width ufuncs over it.  New mobility models follow the same rules:
 * **mask instead of compacting**: rows a step does not apply to ride through
   the arithmetic and are excluded by ``np.copyto(dst, src, where=mask)``,
   never by ``arrays.x[idx[mask]]`` subsets (reuse temporaries with ``out=``);
-* **keep the draw order**: same generator method, arguments, count and
+* **keep the draw order**: same policy call, arguments, count and
   sequence, assigned through a boolean mask in ascending row order — and
   keep each float expression's operation order (``x + (travel * dx) / safe``,
-  ``np.hypot`` stays ``np.hypot``), because fast-sim seeded results are
-  pinned bit-for-bit (``tests/sensing/test_mobility_kernels.py`` holds the
-  pre-rewrite gather/scatter bodies as the reference);
+  ``np.hypot`` stays ``np.hypot``), because seeded results are pinned
+  bit-for-bit (``tests/sensing/test_mobility_kernels.py`` holds the
+  pre-rewrite gather/scatter bodies as the fast-sim reference, and
+  ``tests/sensing/test_crowd_independence.py`` holds each strict sensor
+  moved alone as the keyed one);
 * **declare what can be skipped**: the world sub-steps an ``advance`` only
   to resolve *events* (an arrival, a pause running out, a target drawn), so
   before the sub-steps it asks each group once, through
@@ -61,9 +81,9 @@ of full-width ufuncs over it.  New mobility models follow the same rules:
 
 ``batch_key()`` returns a hashable grouping key for models that support the
 batch kernel: sensors whose models share a key are stepped by one
-``step_batch`` call.  The base implementation returns ``None`` (no grouping)
-and falls back to looping ``step`` over SoA views, so custom subclasses stay
-correct in either mode.
+``step_batch`` call.  The base implementation returns ``None`` (no grouping):
+the world then walks the sensor through the scalar ``step`` with its own
+generator, so custom subclasses stay correct in either mode.
 """
 
 from __future__ import annotations
@@ -71,12 +91,13 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Hashable, Optional, Sequence, Tuple, Union
+from typing import Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import CraqrError
 from ..geometry import Rectangle
+from ..rng import MOVEMENT, keyed_uniforms
 from .state import SensorStateArrays
 
 #: Distances below this are treated as "already at the target".
@@ -86,6 +107,131 @@ _TINY = 1e-12
 #: How ``step_batch`` addresses its group's SoA rows: a ``slice`` when they
 #: are contiguous, otherwise an ascending int64 index array.
 RowSelector = Union[slice, np.ndarray]
+
+
+def movement_substeps(duration: float, step: float) -> List[float]:
+    """The sub-step ``dt``\\ s an ``advance`` of ``duration`` resolves events at.
+
+    The subtraction loop is the contract: the last sub-step of a 1.0 window
+    at step 0.1 is 0.09999999999999987, not 0.1.
+    """
+    dts: List[float] = []
+    remaining = duration
+    while remaining > 1e-12:
+        dt = min(step, remaining)
+        dts.append(dt)
+        remaining -= dt
+    return dts
+
+
+class _GeneratorRows:
+    """One sub-step's draws from a shared generator: one call per request."""
+
+    __slots__ = ("_rng", "_size")
+
+    def __init__(self, rng: np.random.Generator, size: int) -> None:
+        self._rng = rng
+        self._size = size
+
+    def random(self, word: int) -> np.ndarray:
+        return self._rng.random(self._size)
+
+    def uniform(self, word: int, low: float, high: float) -> np.ndarray:
+        return self._rng.uniform(low, high, self._size)
+
+    def normal(self, word: int, scale: float) -> np.ndarray:
+        return self._rng.normal(0.0, scale, (2, self._size))
+
+    def choice(self, word: int, mask: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return self._rng.choice(len(p), size=int(np.count_nonzero(mask)), p=p)
+
+
+class _BlockRows:
+    """One sub-step's draws as words of one keyed block per row."""
+
+    __slots__ = ("_u",)
+
+    def __init__(self, u: np.ndarray) -> None:
+        self._u = u
+
+    def random(self, word: int) -> np.ndarray:
+        return self._u[word]
+
+    def uniform(self, word: int, low: float, high: float) -> np.ndarray:
+        return low + (high - low) * self._u[word]
+
+    def normal(self, word: int, scale: float) -> np.ndarray:
+        # Box-Muller on the numpy ufuncs: 1 - u is in (0, 1], the log finite.
+        radius = np.sqrt(-2.0 * np.log1p(-self._u[word]))
+        angle = (2.0 * np.pi) * self._u[word + 1]
+        return scale * np.stack((radius * np.cos(angle), radius * np.sin(angle)))
+
+    def choice(self, word: int, mask: np.ndarray, p: np.ndarray) -> np.ndarray:
+        # Inverse CDF, as Generator.choice turns its uniform into an index.
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        return np.searchsorted(cdf, self._u[word][mask], side="right")
+
+
+class SharedDraws:
+    """Fast-sim draw policy: the world's one generator, called as the kernels always did.
+
+    ``rows`` ignores which rows draw and hands back ``size``-long draws,
+    each one generator call made when the kernel asks for it — so a kernel
+    consumes the shared stream with the same methods, arguments, counts and
+    order as before draw policies existed (the three fast-sim run digests
+    hold that).
+    """
+
+    __slots__ = ("_rng",)
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+
+    def rows(self, arrays, sel, size, where=None) -> _GeneratorRows:
+        del arrays, sel, where
+        return _GeneratorRows(self._rng, size)
+
+
+class KeyedDraws:
+    """Strict draw policy: one keyed Philox block per row that draws.
+
+    ``rows(arrays, sel, size, where)`` draws, for each row of ``sel`` (only
+    those ``where`` is True when given), block ``moves_drawn[row]`` of the
+    stream keyed ``(key, sensor_ids[row])`` with counter word 1 =
+    :data:`~repro.rng.MOVEMENT` — one :func:`~repro.rng.keyed_uniforms`
+    call — and bumps those rows' ``moves_drawn``.  Nothing else is read, so
+    a row draws the same block whichever crowd, group or order it is moved
+    in.  Holds no state but the key.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, key: int) -> None:
+        self._key = key
+
+    def rows(self, arrays, sel, size, where=None) -> _BlockRows:
+        del size
+        if where is not None:
+            if isinstance(sel, slice):
+                sel = np.arange(*sel.indices(len(arrays)))
+            sel = sel[where]
+        u = keyed_uniforms(
+            self._key, arrays.sensor_ids[sel], arrays.moves_drawn[sel], MOVEMENT
+        )
+        arrays.moves_drawn[sel] += 1  # ascending selectors: every row once
+        return _BlockRows(u)
+
+
+def _as_draws(draws) -> Union[SharedDraws, KeyedDraws]:
+    """A kernel's draw policy: a bare ``Generator`` is the shared policy over it.
+
+    The kernel protocol took a generator before it took a policy, and the
+    fast-sim oracles and custom callers still hand one in.
+    """
+    if isinstance(draws, np.random.Generator):
+        return SharedDraws(draws)
+    return draws
 
 
 def _as_selector(indices) -> Tuple[RowSelector, bool]:
@@ -144,8 +290,10 @@ class MobilityModel(ABC):
 
         A step may depend only on ``(state, dt, rng)`` — not on the clock,
         on other sensors, or on how many steps the model has served: the
-        world runs one sensor's sub-steps back to back before moving on to
-        the next sensor.
+        world runs a kernel-less sensor's sub-steps back to back before
+        moving on to the next sensor.  The built-in models move through
+        :meth:`step_batch` in both modes; their ``step`` is what a subclass
+        without a kernel of its own inherits.
         """
 
     def batch_key(self) -> Optional[Hashable]:
@@ -164,10 +312,9 @@ class MobilityModel(ABC):
         a subclass that customises the scalar dynamics in any way —
         overriding ``step`` or just a helper hook like ``_pick_target`` —
         without shipping a matching kernel would otherwise be silently
-        stepped by the inherited kernel in fast-sim mode, discarding its
-        dynamics.  Such models fall back to per-object stepping instead
-        (and the class in the key keeps distinct subclasses from ever
-        sharing a group).
+        stepped by the inherited kernel, discarding its dynamics.  Such
+        models fall back to per-object stepping instead (and the class in
+        the key keeps distinct subclasses from ever sharing a group).
         """
         cls = type(self)
         if "step_batch" not in vars(cls):
@@ -179,35 +326,39 @@ class MobilityModel(ABC):
         arrays: SensorStateArrays,
         indices: np.ndarray,
         dt: float,
-        rng: np.random.Generator,
+        draws,
     ) -> None:
         """Advance the rows ``indices`` of ``arrays`` by ``dt`` at once.
 
         ``indices`` is the group's *row selector*: a ``slice`` when the
         world found the group's rows contiguous, otherwise an ascending
-        int64 index array (any integer sequence is accepted).
+        int64 index array (any integer sequence is accepted).  ``draws`` is
+        the draw policy (:class:`SharedDraws`, :class:`KeyedDraws` or a bare
+        ``Generator``).
 
-        The fallback loops the scalar :meth:`step` over SoA views with the
-        shared generator; vectorised models override it with full-width
-        masked kernels.  A new kernel follows four rules (see the module
-        docstring): take each column once through the selector, mask
-        instead of compacting, keep the draw order, declare what can be
-        skipped.
+        Vectorised models override this with full-width masked kernels.  A
+        new kernel follows four rules (see the module docstring): take each
+        column once through the selector, mask instead of compacting, keep
+        the draw order, declare what can be skipped.  This fallback loops
+        the scalar :meth:`step` over SoA views and needs a ``Generator``:
+        the world never dispatches to it, since a model without a kernel
+        has no ``batch_key`` and is walked with each sensor's own generator.
         """
         if isinstance(indices, slice):
             indices = range(*indices.indices(len(arrays)))
         for i in indices:
-            self.step(arrays.state_view(int(i)), dt, rng)
+            self.step(arrays.state_view(int(i)), dt, draws)
 
     def skip_ahead(
         self, arrays: SensorStateArrays, indices: RowSelector, duration: float
     ) -> RowSelector:
         """Move the rows nothing happens to within ``duration``; return the rest.
 
-        Called once per group at the top of a fast-sim ``advance``, before
-        the sub-steps, which then run over the returned (ascending)
-        selector only.  An override draws nothing and may move a row by the
-        whole window only if no event of the model falls inside it and one
+        Called once per group at the top of an ``advance`` (and per sensor
+        by :meth:`~repro.sensing.MobileSensor.move`), before the sub-steps,
+        which then run over the returned (ascending) selector only.  An
+        override draws nothing and may move a row by the whole window only
+        if no event of the model falls inside it and one
         ``step(dt=duration)`` equals the composed sub-steps up to rounding.
         The base class skips nothing: a model whose step draws has an event
         in every sub-step.
@@ -269,8 +420,8 @@ class StationaryMobility(MobilityModel):
     def batch_key(self) -> Optional[Hashable]:
         return self._kernel_key()
 
-    def step_batch(self, arrays, indices, dt, rng) -> None:
-        del arrays, indices, dt, rng  # nothing moves
+    def step_batch(self, arrays, indices, dt, draws) -> None:
+        del arrays, indices, dt, draws  # nothing moves, nothing is drawn
 
 
 class RandomWalkMobility(MobilityModel):
@@ -291,11 +442,12 @@ class RandomWalkMobility(MobilityModel):
     def batch_key(self) -> Optional[Hashable]:
         return self._kernel_key(self._step_std)
 
-    def step_batch(self, arrays, indices, dt, rng) -> None:
+    def step_batch(self, arrays, indices, dt, draws) -> None:
+        """Keyed: one block per row per sub-step, words 0/1 the two normals."""
         sel, gathered = _as_selector(indices)
         x, y = arrays.x[sel], arrays.y[sel]
         scale = self._step_std * math.sqrt(dt)
-        steps = rng.normal(0.0, scale, (2, x.size))
+        steps = _as_draws(draws).rows(arrays, sel, x.size).normal(0, scale)
         np.add(x, steps[0], out=x)
         np.add(y, steps[1], out=y)
         self._clamp_batch(x, y)
@@ -347,7 +499,8 @@ class RandomWaypointMobility(MobilityModel):
     def batch_key(self) -> Optional[Hashable]:
         return self._kernel_key(self._speed, self._pause)
 
-    def step_batch(self, arrays, indices, dt, rng) -> None:
+    def step_batch(self, arrays, indices, dt, draws) -> None:
+        """Keyed: one block per target drawn, words 0/1 its two coordinates."""
         sel, gathered = _as_selector(indices)
         x, y = arrays.x[sel], arrays.y[sel]
         tx, ty = arrays.target_x[sel], arrays.target_y[sel]
@@ -363,8 +516,9 @@ class RandomWaypointMobility(MobilityModel):
         need &= active
         count = int(np.count_nonzero(need))
         if count:
-            tx[need] = rng.uniform(region.x_min, region.x_max, count)
-            ty[need] = rng.uniform(region.y_min, region.y_max, count)
+            targets = _as_draws(draws).rows(arrays, sel, count, need)
+            tx[need] = targets.uniform(0, region.x_min, region.x_max)
+            ty[need] = targets.uniform(1, region.y_min, region.y_max)
         dx = tx - x
         dy = ty - y
         distance = np.hypot(dx, dy)
@@ -492,7 +646,8 @@ class GaussMarkovMobility(MobilityModel):
     def batch_key(self) -> Optional[Hashable]:
         return self._kernel_key(self._mean_speed, self._alpha, self._speed_std)
 
-    def step_batch(self, arrays, indices, dt, rng) -> None:
+    def step_batch(self, arrays, indices, dt, draws) -> None:
+        """Keyed: one block per row per sub-step, words 0/1 the two noise normals."""
         sel, gathered = _as_selector(indices)
         x, y = arrays.x[sel], arrays.y[sel]
         vx, vy = arrays.vx[sel], arrays.vy[sel]
@@ -502,7 +657,7 @@ class GaussMarkovMobility(MobilityModel):
         speed = np.hypot(vx, vy)
         still = ~(speed > _TINY)
         safe = np.maximum(speed, _TINY, out=speed)
-        noise = rng.normal(0.0, noise_scale, (2, vx.size))
+        noise = _as_draws(draws).rows(arrays, sel, vx.size).normal(0, noise_scale)
         mean = np.empty_like(safe)
         for v, eps, pos, low, high in (
             (vx, noise[0], x, region.x_min, region.x_max),
@@ -592,16 +747,19 @@ class HotspotMobility(MobilityModel):
             self._switch_probability,
         )
 
-    def step_batch(self, arrays, indices, dt, rng) -> None:
+    def step_batch(self, arrays, indices, dt, draws) -> None:
+        """Keyed: one block per row per sub-step — word 0 the switch, word 1
+        the hotspot (inverse CDF), words 2/3 the two jitter normals."""
         sel, gathered = _as_selector(indices)
         x, y = arrays.x[sel], arrays.y[sel]
         tx, ty = arrays.target_x[sel], arrays.target_y[sel]
         n = x.size
-        switch = rng.random(n) < self._switch_probability
+        block = _as_draws(draws).rows(arrays, sel, n)
+        switch = block.random(0) < self._switch_probability
         switch |= np.isnan(tx)
         count = int(np.count_nonzero(switch))
         if count:
-            choice = rng.choice(len(self._hotspots), size=count, p=self._weights)
+            choice = block.choice(1, switch, self._weights)
             tx[switch] = self._hotspot_xs[choice]
             ty[switch] = self._hotspot_ys[choice]
         dx = tx - x
@@ -613,7 +771,7 @@ class HotspotMobility(MobilityModel):
         np.maximum(distance, _TINY, out=distance)
         np.divide(scale, distance, out=scale)
         np.copyto(scale, 0.0, where=near)
-        jitter = rng.normal(0.0, self._jitter * math.sqrt(dt), (2, n))
+        jitter = block.normal(2, self._jitter * math.sqrt(dt))
         for pos, delta, eps in ((x, dx, jitter[0]), (y, dy, jitter[1])):
             # pos = pos + scale * delta + eps
             np.multiply(scale, delta, out=delta)

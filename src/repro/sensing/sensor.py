@@ -12,10 +12,13 @@ the server, whose result buffers (:class:`~repro.storage.QueryResultBuffer`)
 hold what queries receive.  Nothing on the server ever reads a device's
 local store, so sensors here keep none.
 
-A sensor's answers carry no generator state either: each request is
-answered from a counter-based (keyed) stream, so what a sensor answers
-depends on how many requests it has received, never on which other sensors
-were asked before it.
+A sensor's answers and moves carry no generator state either: each request
+is answered, and each movement draw made, from a counter-based (keyed)
+stream, so what a sensor answers depends on how many requests it has
+received and where it goes on how many movement blocks it has drawn —
+never on which other sensors were asked or moved before it.  Only a sensor
+whose mobility model has no kernel of its own (a custom subclass that
+customises the scalar ``step``) keeps a generator, for that ``step``.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import numpy as np
 
 from ..errors import AcquisitionError
 from ..geometry import SpacePoint
-from ..rng import ensure_rng, keyed_uniforms
-from .mobility import MobilityModel, MobilityState
+from ..rng import ANSWERS, ensure_rng, keyed_uniforms
+from .mobility import KeyedDraws, MobilityModel, MobilityState, movement_substeps
 from .participation import AlwaysRespond, ParticipationModel, ResponseDecision
 from .phenomena import PhenomenonField
 from .state import ArrayBackedMobilityState, SensorStateArrays
@@ -60,13 +63,14 @@ class MobileSensor:
     at once; a standalone sensor allocates a private single-row SoA, so both
     construction styles behave identically.
 
-    Two kinds of randomness, two sources: movement draws from the sensor's
-    own generator ``rng``; answering a request draws nothing from it — the
-    answer to the sensor's ``c``-th request is the Philox block keyed
-    ``(acquisition_key, sensor_id)`` at counter ``c``
-    (:func:`repro.rng.keyed_uniforms`).  A world passes its
-    :attr:`~repro.sensing.SensingWorld.acquisition_key`; a standalone
-    sensor's key defaults to 0.
+    Both kinds of randomness come from one key: the answer to the sensor's
+    ``c``-th request is the Philox block keyed ``(acquisition_key,
+    sensor_id)`` at counter ``(c, ANSWERS, 0, 0)``, and its ``c``-th movement
+    block is at ``(c, MOVEMENT, 0, 0)`` (:func:`repro.rng.keyed_uniforms`).
+    A world passes its :attr:`~repro.sensing.SensingWorld.acquisition_key`;
+    a standalone sensor's key defaults to 0.  The generator ``rng`` places
+    the sensor; it is kept only when the mobility model has no kernel
+    (``batch_key()`` is ``None``), whose scalar ``step`` draws from it.
     """
 
     def __init__(
@@ -107,12 +111,17 @@ class MobileSensor:
         state_arrays.set_participation(index, self._participation.vector_params())
         self._state: ArrayBackedMobilityState = state_arrays.state_view(index)
         # The model's own state object doubles as the scalar-step scratch:
-        # `move` checks the canonical columns out of the SoA into it and
-        # commits them back afterwards, so scalar steps run at
+        # `move_through` checks the canonical columns out of the SoA into it
+        # and commits them back afterwards, so scalar steps run at
         # plain-attribute speed and any *extra* per-sensor state a custom
         # model stashed on its MobilityState survives for the sensor's
-        # lifetime, as it did pre-SoA.
-        self._scratch = initial_state
+        # lifetime, as it did pre-SoA.  A model with a kernel moves from
+        # keyed blocks and never steps a scratch state: once placed, its
+        # sensor holds neither, and checkpoints carry neither.
+        self._scratch: Optional[MobilityState] = initial_state
+        if mobility.batch_key() is not None:
+            self._rng = None
+            self._scratch = None
 
     # ------------------------------------------------------------------
     @property
@@ -189,16 +198,22 @@ class MobileSensor:
         arrays.pause_remaining[i] = scratch.pause_remaining
 
     def move_through(self, dts: Sequence[float]) -> None:
-        """Advance the sensor by each of ``dts`` in turn, back to back.
+        """Step a kernel-less model's scalar ``step`` by each of ``dts``, back to back.
 
-        The sensor-major half of :meth:`~repro.sensing.SensingWorld.advance`:
-        one checkout, every movement sub-step on the scratch state with the
-        sensor's own generator, one commit.  A step depends only on
-        ``(state, dt, rng)``, so running one sensor's sub-steps
-        consecutively draws exactly what interleaving them with the rest of
-        the crowd's would.  The commit is in a ``finally``: when a step
-        raises, the SoA row holds the state that step left behind.
+        The sensor-major half of :meth:`~repro.sensing.SensingWorld.advance`,
+        for a model without a kernel of its own: one checkout, every
+        movement sub-step on the scratch state with the sensor's own
+        generator, one commit.  A step depends only on ``(state, dt, rng)``,
+        so running one sensor's sub-steps consecutively draws exactly what
+        interleaving them with the rest of the crowd's would.  The commit is
+        in a ``finally``: when a step raises, the SoA row holds the state
+        that step left behind.
         """
+        if self._rng is None:
+            raise AcquisitionError(
+                f"sensor {self._sensor_id} moves through its model's kernel; "
+                "use move()"
+            )
         scratch = self.begin_moves()
         step = self._mobility.step
         rng = self._rng
@@ -208,14 +223,33 @@ class MobileSensor:
         finally:
             self.end_moves()
 
-    def move(self, dt: float) -> SpacePoint:
-        """Advance the sensor's position by ``dt`` time units.
+    def move(self, duration: float, movement_step: Optional[float] = None) -> SpacePoint:
+        """Advance the sensor alone by ``duration``, as its world's ``advance`` would.
 
-        One full checkout / step / commit round-trip; the SoA row is
-        canonical again when the call returns.
+        The window is cut into ``movement_step`` sub-steps by the world's
+        subtraction loop (one step of ``duration`` when ``None``).  A model
+        with a kernel runs it on the sensor's one-row slice with the keyed
+        draw policy — its ``skip_ahead`` for the window, then the sub-steps
+        — so the per-object path and the vectorised one agree by
+        construction: a sensor moved alone lands on the bytes it lands on
+        when its crowd advances.  A model without one steps its scalar
+        ``step`` with the sensor's own generator (:meth:`move_through`).
+        The clock is not touched.
         """
-        self.move_through((dt,))
-        return SpacePoint(self._scratch.x, self._scratch.y)
+        dts = movement_substeps(
+            duration, duration if movement_step is None else movement_step
+        )
+        if self._rng is not None:
+            self.move_through(dts)
+            return self.position
+        model, arrays = self._mobility, self._arrays
+        rows = model.kernel_skip_ahead(
+            arrays, slice(self._index, self._index + 1), duration
+        )
+        draws = KeyedDraws(self._acquisition_key)
+        for dt in dts:
+            model.step_batch(arrays, rows, dt, draws)
+        return self.position
 
     def handle_request(
         self,
@@ -233,7 +267,7 @@ class MobileSensor:
 
         The ``c``-th request (``c`` = :attr:`requests_received` before it)
         is answered from one keyed block, ``keyed_uniforms(acquisition_key,
-        sensor_id, c)``: the respond and latency uniforms go to the
+        sensor_id, c, ANSWERS)``: the respond and latency uniforms go to the
         participation model, the other two to the field's
         ``values_from_uniforms``.  The vectorised strict wave
         (``_PerSensorStreams.answer`` in :mod:`repro.sensing.handler`) draws
@@ -245,7 +279,9 @@ class MobileSensor:
         i = self._index
         counter = arrays.requests_received[i : i + 1].copy()
         arrays.requests_received[i] += 1
-        u = keyed_uniforms(self._acquisition_key, arrays.sensor_ids[i : i + 1], counter)
+        u = keyed_uniforms(
+            self._acquisition_key, arrays.sensor_ids[i : i + 1], counter, ANSWERS
+        )
         decision: ResponseDecision = self._participation.decide(
             self._sensor_id, t, (float(u[0, 0]), float(u[1, 0])),
             incentive_multiplier=incentive_multiplier,

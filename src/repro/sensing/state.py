@@ -125,6 +125,9 @@ class SensorStateArrays:
         Public sensor identifier of each row.
     ``requests_received, responses_sent``
         Acquisition bookkeeping counters.
+    ``moves_drawn``
+        Movement blocks the row has drawn from its keyed stream: the
+        counter of its next one (see :class:`~repro.sensing.mobility.KeyedDraws`).
     ``p_base, p_max, latency_mean, incentive_sensitive, vector_participation``
         Participation parameters (see
         :meth:`~repro.sensing.participation.ParticipationModel.vector_params`):
@@ -158,7 +161,7 @@ class SensorStateArrays:
 
     __slots__ = (
         "x", "y", "vx", "vy", "target_x", "target_y", "pause_remaining",
-        "sensor_ids", "requests_received", "responses_sent",
+        "sensor_ids", "requests_received", "responses_sent", "moves_drawn",
         "p_base", "p_max", "latency_mean", "incentive_sensitive",
         "vector_participation", "participation_group",
         "reliability", "quarantined", "_extra_columns",
@@ -177,6 +180,7 @@ class SensorStateArrays:
         self.sensor_ids = np.zeros(count, dtype=np.int64)
         self.requests_received = np.zeros(count, dtype=np.int64)
         self.responses_sent = np.zeros(count, dtype=np.int64)
+        self.moves_drawn = np.zeros(count, dtype=np.int64)
         self.p_base = np.ones(count, dtype=np.float64)
         self.p_max = np.ones(count, dtype=np.float64)
         self.latency_mean = np.zeros(count, dtype=np.float64)

@@ -10,32 +10,33 @@ All per-sensor mutable state lives in one
 :class:`~repro.sensing.state.SensorStateArrays` struct-of-arrays owned by
 the world; :class:`MobileSensor` objects are lazy views over its rows.
 Spatial queries (``sensors_in``, ``density_snapshot``, ``sensor_positions``)
-are therefore plain array operations in every mode.  How sensors *move* and
-*respond* depends on the RNG contract selected by
-:attr:`WorldConfig.vectorized_rng`:
+are therefore plain array operations in every mode.  Movement runs the same
+way in both modes — each model group's draw-free ``skip_ahead``, then one
+vectorised ``step_batch`` kernel call per group per movement sub-step over
+the rows it left — and the modes differ in where the draws come from, the
+RNG contract selected by :attr:`WorldConfig.vectorized_rng`:
 
 * **strict mode** (default, ``vectorized_rng=False``): every sensor owns
-  its randomness.  It *moves* with its own generator, exactly as the
-  original per-object simulator did — for a given seed the SoA storage
-  produces byte-identical trajectories to per-object stepping of the same
-  models.  (The one intentional behaviour change shipped alongside the
-  refactor is the :class:`~repro.sensing.GaussMarkovMobility`
-  mean-reversion fix: its seeded trajectories differ from the pre-fix ones
-  because the *formula* changed, not the storage.)  It *answers* from a
-  keyed stream: its ``c``-th request draws the Philox block keyed
-  ``(acquisition_key, sensor id)`` at counter ``c``
+  its randomness, as keyed streams.  It *moves* from the Philox blocks
+  keyed ``(acquisition_key, sensor id)`` at counter ``(c, MOVEMENT, 0,
+  0)``, ``c`` its ``moves_drawn`` (the kernels' keyed draw policy,
+  :class:`~repro.sensing.mobility.KeyedDraws`), so a sensor's trajectory
+  is a function of the seed, its id, its state and the sub-step ``dt``\\ s,
+  never of the rest of the crowd: moving it alone with
+  :meth:`MobileSensor.move` gives the same bytes.  It *answers* from the
+  same key at counter ``(c, ANSWERS, 0, 0)``, ``c`` its requests received
   (:func:`repro.rng.keyed_uniforms`), so an answer does not depend on the
   order in which sensors are asked and the handler answers a whole wave
   in one vectorised pass, byte-identical to asking each sensor with
   :meth:`MobileSensor.handle_request`.
 * **fast-sim mode** (``vectorized_rng=True``): all sensors share the
-  world's generator, so mobility advances through the models' vectorised
-  ``step_batch`` kernels (one call per model group per movement step, over
-  the rows the group's draw-free ``skip_ahead`` leaves to sub-stepping) and
-  the handler's acquisition rounds sample participation and phenomena
-  across a whole cell population at once.  Runs are statistically
-  equivalent to strict mode (same densities, same response rates), not
-  bit-equal.
+  world's generator (the kernels' shared draw policy), and the handler's
+  acquisition rounds sample participation and phenomena across a whole
+  cell population at once.  Runs are statistically equivalent to strict
+  mode (same densities, same response rates), not bit-equal.
+
+Either way a sensor whose model has no kernel of its own (a custom
+subclass) is walked through the sub-steps with its own generator.
 """
 
 from __future__ import annotations
@@ -49,7 +50,14 @@ from ..errors import AcquisitionError, CraqrError
 from ..geometry import Rectangle, Region
 from ..rng import derive_key
 from .clock import SimulationClock
-from .mobility import MobilityModel, RandomWaypointMobility, RowSelector
+from .mobility import (
+    KeyedDraws,
+    MobilityModel,
+    RandomWaypointMobility,
+    RowSelector,
+    SharedDraws,
+    movement_substeps,
+)
 from .participation import ParticipationModel
 from .phenomena import PhenomenonField
 from .sensor import MobileSensor
@@ -71,16 +79,17 @@ class WorldConfig:
     movement_step:
         Time granularity at which movement *events* are resolved within an
         ``advance`` (a waypoint reached, a pause running out, a Gaussian
-        step drawn).  Nothing observes the world between sub-steps, so in
-        fast-sim mode a sensor with no event in the window — a waypoint
-        walker still short of its target — is moved once for the whole
-        ``advance`` rather than once per ``movement_step``.
+        step drawn).  Nothing observes the world between sub-steps, so a
+        sensor with no event in the window — a waypoint walker still short
+        of its target — is moved once for the whole ``advance`` rather than
+        once per ``movement_step``.
     vectorized_rng:
         Selects the fast-sim RNG contract: one shared random stream across
-        all sensors, enabling the batch mobility kernels and the handler's
-        population-level acquisition sampling.  The default ``False`` keeps
-        strict per-sensor streams (seeded byte-identical trajectories and
-        observations); flip it on for large-scale simulation where
+        all sensors, drawn by the batch mobility kernels and by the
+        handler's population-level acquisition sampling.  The default
+        ``False`` keeps strict per-sensor keyed streams (a sensor moves and
+        answers the same whatever the rest of the crowd does, and runs the
+        same kernels); flip it on for large-scale simulation where
         statistical equivalence suffices.
     """
 
@@ -118,7 +127,7 @@ class SensingWorld:
         self._config = config
         self._rng = np.random.default_rng(config.seed)
         # Drawn from no generator: fast-sim consumes the world stream
-        # exactly as it did before strict answers were keyed.
+        # exactly as it did before strict answers and moves were keyed.
         self._acquisition_key = derive_key(config.seed)
         self._clock = SimulationClock()
         mobility_factory = mobility_factory or (lambda region: RandomWaypointMobility(region))
@@ -155,7 +164,7 @@ class SensingWorld:
         (interleaved groups of a mixed crowd).
 
         Sensors whose model returns ``None`` (no batch support) are stepped
-        per object even in fast-sim mode, with their own generators.
+        per object in either mode, with their own generators.
         """
         keyed: Dict[object, Tuple[MobilityModel, List[int]]] = {}
         ungrouped: List[int] = []
@@ -254,7 +263,7 @@ class SensingWorld:
 
     @property
     def acquisition_key(self) -> int:
-        """Key word of the sensors' keyed answer streams (a plain ``int``).
+        """Key word of the sensors' keyed answer and movement streams (a plain ``int``).
 
         Derived from ``WorldConfig.seed`` by :func:`repro.rng.derive_key`;
         the second key word is the sensor id.
@@ -301,48 +310,38 @@ class SensingWorld:
         """Advance the clock by ``duration``, moving every sensor along the way.
 
         The movement sub-steps (``movement_step`` long, the last one
-        whatever remains) are fixed up front.  Fast-sim mode runs one
-        vectorised ``step_batch`` kernel per mobility-model group per
-        sub-step, drawing from the world's shared generator.  Sub-stepping
-        resolves *events* (a waypoint reached, a pause over, a target
-        drawn), not straight-line motion: each group is first asked, once
-        and without a draw, to ``skip_ahead`` — a waypoint walker that
-        cannot reach its target within ``duration`` takes the whole window
-        in one stride — and the kernels then sub-step only the rows that
-        hook hands back, in the same step-major order, so the shared
-        stream is consumed exactly as if every row were sub-stepped (the
-        skipped rows' positions agree with that up to rounding).  Sensors
-        without a kernel — all of them in strict mode — draw from their own
-        generators, so the walk is sensor-major: each runs *all* its
-        sub-steps back to back (:meth:`MobileSensor.move_through`: one
-        checkout of its SoA row, the scalar ``step`` on a plain scratch
-        state, one commit), byte-identical to interleaving them step by
-        step because a step depends only on ``(state, dt, rng)``.  Advance
-        is atomic: nothing observes the SoA between sub-steps.
+        whatever remains; :func:`~repro.sensing.mobility.movement_substeps`)
+        are fixed up front.  Sub-stepping resolves *events* (a waypoint
+        reached, a pause over, a target drawn), not straight-line motion:
+        each mobility-model group is first asked, once and without a draw,
+        to ``skip_ahead`` — a waypoint walker that cannot reach its target
+        within ``duration`` takes the whole window in one stride — and then
+        one vectorised ``step_batch`` kernel per group per sub-step moves
+        the rows that hook handed back, step-major.  The kernels draw
+        through the mode's policy: fast-sim's shared generator, consumed
+        exactly as if every row were sub-stepped (the skipped rows'
+        positions agree with that up to rounding), or strict's keyed
+        movement blocks, which make a sensor's move independent of its
+        crowd.  Sensors whose model has no kernel draw from their own
+        generators, so their walk is sensor-major: each runs *all* its
+        sub-steps back to back (:meth:`MobileSensor.move_through`).
+        Advance is atomic: nothing observes the SoA between sub-steps.
         """
         if duration <= 0:
             raise CraqrError("duration must be positive")
-        # The subtraction loop is the contract: the last sub-step of
-        # advance(1.0) is 0.09999999999999987, not 0.1.
-        dts: List[float] = []
-        remaining = duration
-        step = self._config.movement_step
-        while remaining > 1e-12:
-            dt = min(step, remaining)
-            dts.append(dt)
-            remaining -= dt
+        dts = movement_substeps(duration, self._config.movement_step)
         if self._config.vectorized_rng:
-            groups = [
-                (model, model.kernel_skip_ahead(self._state, rows, duration))
-                for model, rows in self._mobility_groups
-            ]
-            for dt in dts:
-                for model, rows in groups:
-                    model.step_batch(self._state, rows, dt, self._rng)
-            scalar_sensors = [self._sensors[int(i)] for i in self._ungrouped_indices]
+            draws = SharedDraws(self._rng)
         else:
-            scalar_sensors = self._sensors
-        for sensor in scalar_sensors:
+            draws = KeyedDraws(self._acquisition_key)
+        groups = [
+            (model, model.kernel_skip_ahead(self._state, rows, duration))
+            for model, rows in self._mobility_groups
+        ]
+        for dt in dts:
+            for model, rows in groups:
+                model.step_batch(self._state, rows, dt, draws)
+        for sensor in self.sensors_at(self._ungrouped_indices):
             sensor.move_through(dts)
         for dt in dts:
             self._clock.advance(dt)

@@ -148,6 +148,78 @@ def test_aliased_reducer_resolved_through_module_alias(lint):
     assert codes(lint({"codec.py": source})) == ["CRQ304"]
 
 
+ADMITTED_LOADER = """\
+_ADMITTED = {
+    (__name__, "_rebuild_packet"),
+    ("pkg.codec", "rebuild_frame"),
+}
+"""
+
+PICKLER = """\
+from .codec import Frame, reduce_frame
+
+class Packet:
+    def __init__(self, a):
+        self.a = a
+
+def _rebuild_packet(a):
+    return Packet(a)
+
+def _reduce_packet(packet):
+    return _rebuild_packet, (packet.a,)
+
+dispatch_table = {}
+dispatch_table[Packet] = _reduce_packet
+dispatch_table[Frame] = reduce_frame
+"""
+
+CODEC = """\
+class Frame:
+    def __init__(self, body):
+        self.body = body
+
+def rebuild_frame(body):
+    return Frame(body)
+
+def reduce_frame(frame):
+    return {rebuilder}, (frame.body,)
+"""
+
+
+def pickler_package(rebuilder="rebuild_frame", admitted=ADMITTED_LOADER):
+    return {
+        "pkg/__init__.py": "",
+        "pkg/snapshot.py": admitted + PICKLER,
+        "pkg/codec.py": CODEC.format(rebuilder=rebuilder),
+    }
+
+
+def test_admitted_rebuilders_are_clean(lint):
+    # One rebuilder admitted through ``__name__``, one through a relative
+    # import of another module's reducer.
+    assert codes(lint(pickler_package())) == []
+
+
+def test_rebuilder_missing_from_the_allow_list_flagged(lint):
+    only_packets = '_ADMITTED = {(__name__, "_rebuild_packet")}\n'
+    report = lint(pickler_package(admitted=only_packets))
+    assert codes(report) == ["CRQ305"]
+    assert "pkg.codec.rebuild_frame" in report.findings[0].message
+
+
+def test_rebuilding_through_the_class_itself_flagged(lint):
+    # ``Frame`` is an engine-style class, but the rule asks for _ADMITTED.
+    report = lint(pickler_package(rebuilder="Frame"))
+    assert codes(report) == ["CRQ305"]
+    assert "pkg.codec.Frame" in report.findings[0].message
+
+
+def test_unresolvable_rebuilder_flagged(lint):
+    report = lint(pickler_package(rebuilder="frame.rebuild"))
+    assert codes(report) == ["CRQ305"]
+    assert "cannot resolve" in report.findings[0].message
+
+
 def test_inline_suppression_waives_snapshot_finding(lint):
     source = """\
     class Box:

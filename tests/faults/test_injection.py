@@ -24,9 +24,10 @@ from repro.workloads import (
 #: sha256 of the delivered streams of the reference two-query strict run
 #: with no fault subsystem involved.  A fault-free engine must reproduce it
 #: bit for bit.  (Pinned before the fault subsystem existed; re-pinned by
-#: the Newton MLE, from ``e66d8d1a...``, and by keyed strict answers in
-#: fused rounds, from ``413174e0...``.)
-GOLDEN_STREAM_HASH = "83867ce6b3ce4b34cd8ffd83fd2b6c0cf1b5e21f44fd30434d30854aa3874533"
+#: the Newton MLE, from ``e66d8d1a...``, by keyed strict answers in fused
+#: rounds, from ``413174e0...``, and by keyed strict movement through the
+#: kernels, from ``83867ce6...``.)
+GOLDEN_STREAM_HASH = "be12ffa2c7ce56de63dc21d0850703a72ce5f1b80d36c404efe232cc5b303abc"
 
 
 def run_reference_engine(*, faults=None, resilience=None):

@@ -51,11 +51,11 @@ class TestFraming:
         # Version 1 payloads pickle a reference to an engine method and a
         # config field this build no longer has; the refusal must be the
         # version message, not whatever unpickling would trip over first.
-        assert FORMAT_VERSION == 6
+        assert FORMAT_VERSION == 7
         framed = frame_payload(b"payload", version=1)
         with pytest.raises(
             RecoveryError,
-            match="uses snapshot format version 1; this build reads version 6 only",
+            match="uses snapshot format version 1; this build reads version 7 only",
         ):
             unframe_payload(framed, source="old.ckpt")
 
@@ -66,7 +66,7 @@ class TestFraming:
         framed = frame_payload(b"payload", version=2)
         with pytest.raises(
             RecoveryError,
-            match="uses snapshot format version 2; this build reads version 6 only",
+            match="uses snapshot format version 2; this build reads version 7 only",
         ):
             unframe_payload(framed, source="old.ckpt")
 
@@ -77,7 +77,7 @@ class TestFraming:
         framed = frame_payload(b"payload", version=3)
         with pytest.raises(
             RecoveryError,
-            match="uses snapshot format version 3; this build reads version 6 only",
+            match="uses snapshot format version 3; this build reads version 7 only",
         ):
             unframe_payload(framed, source="old.ckpt")
 
@@ -87,7 +87,7 @@ class TestFraming:
         framed = frame_payload(b"payload", version=4)
         with pytest.raises(
             RecoveryError,
-            match="uses snapshot format version 4; this build reads version 6 only",
+            match="uses snapshot format version 4; this build reads version 7 only",
         ):
             unframe_payload(framed, source="old.ckpt")
 
@@ -98,7 +98,18 @@ class TestFraming:
         framed = frame_payload(b"payload", version=5)
         with pytest.raises(
             RecoveryError,
-            match="uses snapshot format version 5; this build reads version 6 only",
+            match="uses snapshot format version 5; this build reads version 7 only",
+        ):
+            unframe_payload(framed, source="old.ckpt")
+
+    def test_version_6_checkpoint_is_refused_by_version(self):
+        # Version 6 payloads would unpickle — into a strict world whose
+        # sensors hold movement generators and no ``moves_drawn`` column:
+        # a replay would move the crowd elsewhere and deliver other tuples.
+        framed = frame_payload(b"payload", version=6)
+        with pytest.raises(
+            RecoveryError,
+            match="uses snapshot format version 6; this build reads version 7 only",
         ):
             unframe_payload(framed, source="old.ckpt")
 

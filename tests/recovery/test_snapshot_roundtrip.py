@@ -30,8 +30,9 @@ from repro.recovery import EngineSnapshot
 #: re-pinned once, by PR 21 (Newton MLE, converged-or-constant Flatten,
 #: closed-form clipping scale); the two strict ones again when strict
 #: sensors began to answer from keyed (Philox) streams in fused per-attribute
-#: rounds.  CHANGES.md lists old -> new.
-GOLDEN_STRICT = "b98e20d99a20ea27a05932a6d0416f14d2ec648431a4dbb23a4d725e7d0d1ef3"
+#: rounds, and again when they began to move from keyed streams through the
+#: kernels.  CHANGES.md lists old -> new.
+GOLDEN_STRICT = "cc281e304964dc50053cafec2a487a3a634c9c5e5d08a91928d4879bc0649cef"
 #: Same workload under shared-stream fast-sim RNG (the fused shared-stream
 #: round).  The two fast-sim digests were re-pinned a second time when
 #: fast-sim ``advance`` began to skip ahead (last bits of the skipped
@@ -40,7 +41,7 @@ GOLDEN_FAST_SIM = "86b66f0fd900d9a55a470a927e15301b3b40482ee14c1be1c5892a901329d
 #: The same two with no ``FaultPlan`` and no mitigation configured.  The
 #: digest is full-precision, so these also guard the wave loop's
 #: ``request + latency`` timestamp arithmetic on healthy runs.
-GOLDEN_STRICT_FAULT_FREE = "b75f575c4ebd030b74945442134762fd2582f18eda4ea109e4f13a7547795023"
+GOLDEN_STRICT_FAULT_FREE = "33beccaad7447fb68ab7d324b228c9623e32c28477db92485f06eabd4f3930a2"
 GOLDEN_FAST_SIM_FAULT_FREE = "ce32574c82f6c0db4cd2280865654fb3ddf69e7c5c67e8f5ebb528f24fc94a7c"
 
 

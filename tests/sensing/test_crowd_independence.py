@@ -1,0 +1,238 @@
+"""Strict movement is crowd-independent: a crowd's advance is each sensor's, alone.
+
+A strict sensor whose model has a kernel moves from its keyed stream: block
+``c`` of the stream keyed ``(world.acquisition_key, sensor id)`` at counter
+``(c, MOVEMENT, 0, 0)``, ``c`` its ``moves_drawn``.  So its trajectory is a
+function of the seed, its id, its state and the sub-step ``dt``\\ s, never of
+the rest of the crowd — which is what lets ``SensingWorld.advance`` run the
+vectorised kernels and ``skip_ahead`` in strict mode.
+
+The oracle advances a twin world one sensor at a time, each through
+``MobileSensor.move`` (the model's kernel on the sensor's one-row slice,
+``skip_ahead`` for the window first), visiting the sensors in a *shuffled*
+order, and compares on bytes: the seven mobility columns, ``moves_drawn``,
+every generator a sensor still holds (custom models without a kernel keep
+theirs), the world generator (strict movement draws nothing from it) and
+the clock.  The crowds cover every built-in kernel, a mixed crowd whose
+groups reach the kernels as index arrays, a custom kernel-less model, and
+waypoint walkers that ``skip_ahead`` moves in one stride.
+"""
+
+import io
+import pickle
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import AcquisitionError
+from repro.geometry import Rectangle
+from repro.recovery.snapshot import _SnapshotPickler
+from repro.sensing import (
+    GaussMarkovMobility,
+    HotspotMobility,
+    RandomWalkMobility,
+    RandomWaypointMobility,
+    SensingWorld,
+    StationaryMobility,
+    WorldConfig,
+)
+
+from test_skip_ahead import quiet_rows
+
+REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
+
+COLUMNS = (
+    "x", "y", "vx", "vy", "target_x", "target_y", "pause_remaining", "moves_drawn",
+)
+
+
+class Drifter(RandomWalkMobility):
+    """Customised scalar dynamics and no kernel: moved with its own generator."""
+
+    def step(self, state, dt, rng):
+        super().step(state, dt, rng)
+        state.x += 0.125 * dt
+        self._clamp(state)
+
+
+def walk(region):
+    return RandomWalkMobility(region, step_std=0.2)
+
+
+def waypoint(region):
+    return RandomWaypointMobility(region, speed=0.4, pause=0.3)
+
+
+def gauss_markov(region):
+    return GaussMarkovMobility(region, mean_speed=0.3)
+
+
+def hotspot(region):
+    return HotspotMobility(
+        region, [(1.0, 1.0, 1.0), (3.0, 3.0, 2.0), (4.0, 0.0, 0.5)],
+        switch_probability=0.1,
+    )
+
+
+def alternating(*factories):
+    """Sensor ``i`` gets ``factories[i % len(factories)]``: interleaved groups."""
+    created = []
+
+    def factory(region):
+        created.append(None)
+        return factories[(len(created) - 1) % len(factories)](region)
+
+    return factory
+
+
+#: name -> a fresh ``mobility_factory`` (``alternating`` counts its calls).
+CROWDS = {
+    "walk": lambda: walk,
+    "waypoint": lambda: waypoint,
+    "gauss_markov": lambda: gauss_markov,
+    "hotspot": lambda: hotspot,
+    "stationary": lambda: StationaryMobility,
+    "mixed": lambda: alternating(waypoint, walk, hotspot, gauss_markov),
+    "custom": lambda: alternating(waypoint, lambda region: Drifter(region, step_std=0.2)),
+}
+
+
+def make_world(crowd, *, count=30, seed=17, movement_step=0.1):
+    return SensingWorld(
+        WorldConfig(
+            region=REGION, sensor_count=count, seed=seed, movement_step=movement_step
+        ),
+        mobility_factory=CROWDS[crowd]() if isinstance(crowd, str) else crowd,
+    )
+
+
+def world_image(world):
+    soa = world.state_arrays
+    columns = [getattr(soa, name).tobytes() for name in COLUMNS]
+    generators = [
+        sensor._rng.bit_generator.state
+        for sensor in world.sensors
+        if sensor._rng is not None
+    ]
+    return columns, generators, world.rng.bit_generator.state, float.hex(world.now)
+
+
+def advance_alone(world, duration, order):
+    """The oracle: every sensor moved alone, in ``order``; then the clock."""
+    step = world.config.movement_step
+    for index in order:
+        world.sensors[index].move(duration, step)
+    remaining = duration
+    while remaining > 1e-12:
+        dt = min(step, remaining)
+        world.clock.advance(dt)
+        remaining -= dt
+
+
+def assert_crowd_independent(world, twin, durations, *, calls, seed=0):
+    """``world.advance`` vs ``advance_alone`` on ``twin``; returns the rows skipped."""
+    shuffle = random.Random(seed)
+    start = world.rng.bit_generator.state
+    assert world_image(world) == world_image(twin)
+    skipped = 0
+    for call in range(calls):
+        duration = durations[call % len(durations)]
+        skipped += int(quiet_rows(world, duration).sum())
+        order = list(range(len(world.sensors)))
+        shuffle.shuffle(order)
+        world.advance(duration)
+        advance_alone(twin, duration, order)
+        assert world_image(world) == world_image(twin), (call, duration)
+    assert world.rng.bit_generator.state == start  # strict moves draw no world stream
+    return skipped
+
+
+DURATIONS = (1.0, 0.25, 0.07, 2.5)  # 0.07: one fractional sub-step at step 0.1
+
+
+@pytest.mark.parametrize("crowd", sorted(CROWDS))
+def test_crowd_advance_equals_each_sensor_advanced_alone(crowd):
+    world, twin = make_world(crowd), make_world(crowd)
+    if crowd == "mixed":  # interleaved groups reach the kernels as index arrays
+        assert all(isinstance(rows, np.ndarray) for _, rows in world._mobility_groups)
+    skipped = assert_crowd_independent(world, twin, DURATIONS, calls=24)
+    if crowd in ("waypoint", "mixed", "custom"):
+        assert skipped > 0  # rows skip_ahead moved were compared too
+    assert world.state_arrays.moves_drawn.any() == (crowd != "stationary")
+
+
+@pytest.mark.parametrize("crowd", ["waypoint", "mixed"])
+def test_a_sensor_moves_the_same_in_any_crowd(crowd):
+    # From one seed, sensor 7 is placed alike in a 30-crowd and a 12-crowd
+    # (placements are drawn in id order); its moves then stay byte-equal,
+    # whatever the other rows — and the selector shapes — do.
+    big, small = make_world(crowd), make_world(crowd, count=12)
+    for duration in DURATIONS * 5:
+        big.advance(duration)
+        small.advance(duration)
+        for name in COLUMNS:
+            ours = getattr(big.state_arrays, name)[7:8]
+            assert ours.tobytes() == getattr(small.state_arrays, name)[7:8].tobytes(), name
+
+
+def test_restored_world_keeps_its_movement_counters():
+    world = make_world("mixed")
+    world.advance(3.0)
+    restored = pickle.loads(pickle.dumps(world))
+    moves = world.state_arrays.moves_drawn
+    assert restored.state_arrays.moves_drawn.tobytes() == moves.tobytes()
+    for duration in DURATIONS:
+        world.advance(duration)
+        restored.advance(duration)
+    assert world_image(restored) == world_image(world)
+
+
+def test_kernel_sensors_carry_no_generator():
+    world = make_world("custom")
+    kept = [sensor.sensor_id for sensor in world.sensors if sensor._rng is not None]
+    assert kept == list(range(1, 30, 2))  # the Drifters, for their scalar step
+    assert all(
+        sensor._scratch is None for sensor in world.sensors if sensor._rng is None
+    )
+    # What a checkpoint pickles: the world's own stream plus the Drifters'.
+    reduced = []
+
+    class Counting(_SnapshotPickler):
+        dispatch_table = dict(_SnapshotPickler.dispatch_table)
+
+    def count(generator):
+        reduced.append(generator)
+        return _SnapshotPickler.dispatch_table[np.random.Generator](generator)
+
+    Counting.dispatch_table[np.random.Generator] = count
+    Counting(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(world)
+    assert len(reduced) == 1 + len(kept)
+
+
+def test_a_kernel_sensor_cannot_take_the_scalar_walk():
+    world = make_world("waypoint", count=2)
+    with pytest.raises(AcquisitionError, match="use move"):
+        world.sensors[0].move_through([0.1])
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    mix=st.lists(
+        st.sampled_from(["walk", "waypoint", "gauss_markov", "hotspot"]),
+        min_size=1, max_size=4,
+    ),
+    count=st.integers(min_value=1, max_value=25),
+    duration=st.sampled_from([0.04, 0.25, 1.0, 1.05, 3.0]),
+    movement_step=st.sampled_from([0.03, 0.1, 0.5]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_any_crowd_and_window(mix, count, duration, movement_step, seed):
+    def build():
+        return make_world(
+            alternating(*(CROWDS[name]() for name in mix)),
+            count=count, seed=seed, movement_step=movement_step,
+        )
+
+    assert_crowd_independent(build(), build(), (duration,), calls=4, seed=seed)

@@ -1,20 +1,21 @@
-"""Sensor-major ``advance``: each sensor's sub-steps run back to back.
+"""Sensor-major ``advance`` of kernel-less sensors: sub-steps back to back.
 
-A sensor's private stream fixes only the order of *its own* draws, so
-``SensingWorld.advance`` steps one scalar sensor through every movement
-sub-step before touching the next.  The step-major loop it replaced (every
-sensor takes sub-step ``k`` before any takes ``k + 1``) is kept here as the
-reference and compared on bytes: all seven mobility columns, every
-generator's state and the clock, after every call.
+A sensor whose model has no kernel of its own (a custom subclass) moves
+with its private generator, and that stream fixes only the order of *its
+own* draws, so ``SensingWorld.advance`` steps one such sensor through every
+movement sub-step before touching the next.  The step-major loop it
+replaced (every sensor takes sub-step ``k`` before any takes ``k + 1``) is
+kept here as the reference and compared on bytes: all seven mobility
+columns, every generator's state and the clock, after every call.  (Sensors
+whose model has a kernel move through it in both modes; in strict mode
+their reference is each sensor moved alone,
+``tests/sensing/test_crowd_independence.py``.)
 """
 
-import numpy as np
 import pytest
 
 from repro.geometry import Rectangle
 from repro.sensing import (
-    GaussMarkovMobility,
-    HotspotMobility,
     RandomWalkMobility,
     RandomWaypointMobility,
     SensingWorld,
@@ -26,14 +27,6 @@ from repro.sensing.mobility import MobilityState
 from test_skip_ahead import advance_against
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
-
-MOBILITY_FACTORIES = {
-    "stationary": lambda r: StationaryMobility(r),
-    "walk": lambda r: RandomWalkMobility(r, step_std=0.2),
-    "waypoint": lambda r: RandomWaypointMobility(r, speed=0.4, pause=0.3),
-    "gauss_markov": lambda r: GaussMarkovMobility(r, mean_speed=0.3),
-    "hotspot": lambda r: HotspotMobility(r, [(1.0, 1.0, 1.0), (3.0, 3.0, 2.0)]),
-}
 
 MOBILITY_COLUMNS = ("x", "y", "vx", "vy", "target_x", "target_y", "pause_remaining")
 
@@ -48,16 +41,18 @@ class Drifter(RandomWalkMobility):
 
 
 def step_major_advance(world, duration):
-    """The pre-rewrite ``advance``: every sensor takes sub-step k before any takes k+1."""
-    scalar_sensors = world.sensors
-    if world.vectorized:
-        scalar_sensors = world.sensors_at(world._ungrouped_indices)
+    """The pre-rewrite ``advance``: every sensor takes sub-step k before any takes k+1.
+
+    Kernel groups draw from the world's generator, so this reference is
+    for fast-sim worlds and strict worlds without kernel groups.
+    """
+    assert world.vectorized or not world._mobility_groups
+    scalar_sensors = world.sensors_at(world._ungrouped_indices)
     remaining = duration
     while remaining > 1e-12:
         dt = min(world.config.movement_step, remaining)
-        if world.vectorized:
-            for model, rows in world._mobility_groups:
-                model.step_batch(world.state_arrays, rows, dt, world.rng)
+        for model, rows in world._mobility_groups:
+            model.step_batch(world.state_arrays, rows, dt, world.rng)
         for sensor in scalar_sensors:
             sensor.move(dt)
         world.clock.advance(dt)
@@ -67,12 +62,16 @@ def step_major_advance(world, duration):
 def world_image(world):
     soa = world.state_arrays
     columns = [getattr(soa, name).tobytes() for name in MOBILITY_COLUMNS]
-    generators = [sensor._rng.bit_generator.state for sensor in world.sensors]
+    generators = [
+        sensor._rng.bit_generator.state
+        for sensor in world.sensors
+        if sensor._rng is not None  # kernel models keep none
+    ]
     return columns, generators, world.rng.bit_generator.state, float.hex(world.now)
 
 
 class TestSensorMajorAdvance:
-    """``advance`` runs each sensor's sub-steps back to back — same bytes.
+    """``advance`` runs each kernel-less sensor's sub-steps back to back — same bytes.
 
     A sensor's stream only fixes the order of *its own* draws, so the
     sensor-major walk must reproduce the step-major loop exactly: every
@@ -81,24 +80,20 @@ class TestSensorMajorAdvance:
 
     DURATIONS = (1.0, 0.25, 0.07)  # 0.07: one fractional sub-step at step 0.1
 
-    def assert_same_run(self, make_world, calls=51):
+    def test_strict_kernel_less_crowd_matches_the_step_major_loop(self):
+        def make_world():
+            return SensingWorld(
+                WorldConfig(region=REGION, sensor_count=30, seed=17, movement_step=0.1),
+                mobility_factory=lambda r: Drifter(r, step_std=0.2),
+            )
+
         world, twin = make_world(), make_world()
         assert world_image(world) == world_image(twin)
-        for call in range(calls):
+        for call in range(51):
             duration = self.DURATIONS[call % len(self.DURATIONS)]
             world.advance(duration)
             step_major_advance(twin, duration)
             assert world_image(world) == world_image(twin), (call, duration)
-        return world
-
-    @pytest.mark.parametrize("name", sorted(MOBILITY_FACTORIES))
-    def test_strict_world_matches_the_step_major_loop(self, name):
-        self.assert_same_run(
-            lambda: SensingWorld(
-                WorldConfig(region=REGION, sensor_count=30, seed=17, movement_step=0.1),
-                mobility_factory=MOBILITY_FACTORIES[name],
-            )
-        )
 
     def test_kernel_less_sensors_of_a_fast_sim_world(self):
         # Every third sensor has no kernel: it is stepped from its own

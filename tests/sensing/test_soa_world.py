@@ -1,11 +1,10 @@
-"""The SoA sensing world: strict-mode equivalence and vectorised queries.
+"""The SoA sensing world: seeded construction and vectorised queries.
 
-Strict mode (the default) must be *byte-identical* to the seed
-implementation, which kept a ``MobilityState`` dataclass per sensor and
-stepped each one with its private generator.  The reference trajectories
-here are produced exactly that way — plain dataclass states, scalar
-``step`` calls — and compared against the SoA-backed world with ``==``,
-not ``allclose``.
+A world places its sensors exactly as the seed implementation did — one
+per-sensor generator seeded from the world stream, the model's
+``initial_state`` drawn from it — compared here with ``==``, not
+``allclose``.  How a strict crowd then moves is held against each sensor
+moved alone in ``tests/sensing/test_crowd_independence.py``.
 """
 
 import numpy as np
@@ -38,38 +37,32 @@ MOBILITY_FACTORIES = {
 }
 
 
-def reference_trajectories(factory, sensor_count, seed, duration, movement_step):
-    """Re-run the pre-SoA per-object simulation: dataclass states, scalar steps."""
-    rng = np.random.default_rng(seed)
-    sensors = []
-    for _ in range(sensor_count):
-        model = factory(REGION)
-        sensor_rng = np.random.default_rng(rng.integers(0, 2 ** 63 - 1))
-        state = model.initial_state(sensor_rng)
-        assert isinstance(state, MobilityState)
-        sensors.append((model, state, sensor_rng))
-    remaining = duration
-    while remaining > 1e-12:
-        dt = min(movement_step, remaining)
-        for model, state, sensor_rng in sensors:
-            model.step(state, dt, sensor_rng)
-        remaining -= dt
-    return np.array([[state.x, state.y] for _, state, _ in sensors])
-
-
 class TestStrictModeEquivalence:
-    """Strict SoA trajectories == the old per-object path, bit for bit."""
+    """Strict SoA placement == the old per-object path, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(MOBILITY_FACTORIES))
-    def test_advance_byte_identical_to_per_object_path(self, name):
+    def test_initial_states_byte_identical_to_per_object_path(self, name):
+        # Every model, every placed column: the world draws each sensor's
+        # seed and placement as the per-object simulator did (and only then
+        # drops the generator of a sensor whose model has a kernel).
         factory = MOBILITY_FACTORIES[name]
-        config = WorldConfig(region=REGION, sensor_count=40, seed=17)
-        world = SensingWorld(config, mobility_factory=factory)
-        world.advance(2.5)
-        expected = reference_trajectories(
-            factory, 40, 17, 2.5, config.movement_step
+        world = SensingWorld(
+            WorldConfig(region=REGION, sensor_count=40, seed=17), mobility_factory=factory
         )
-        assert np.array_equal(world.sensor_positions(), expected)
+        rng = np.random.default_rng(17)
+        soa = world.state_arrays
+        for index in range(40):
+            model = factory(REGION)
+            sensor_rng = np.random.default_rng(rng.integers(0, 2 ** 63 - 1))
+            state = model.initial_state(sensor_rng)
+            assert isinstance(state, MobilityState)
+            for column in ("x", "y", "vx", "vy", "pause_remaining"):
+                assert getattr(soa, column)[index] == getattr(state, column), column
+            for column in ("target_x", "target_y"):
+                expected = getattr(state, column)
+                got = getattr(soa, column)[index]
+                assert np.isnan(got) if expected is None else got == expected
+        assert world.rng.bit_generator.state == rng.bit_generator.state
 
     def test_initial_positions_byte_identical(self):
         factory = MOBILITY_FACTORIES["waypoint"]

@@ -1,15 +1,18 @@
 """The keyed-stream kernel: ``repro.rng.philox4x64`` is numpy's Philox, vectorised.
 
-Strict acquisition draws every answer from this kernel, so it is pinned to
-an outside reference twice: the Random123 known-answer vector, and numpy's
-own ``np.random.Philox`` for random keys and counters.  numpy increments
-the counter before it produces its first block, so ``Philox(counter=c)``'s
-first block is the kernel's block at ``c + 1`` (a 256-bit increment).
+Strict acquisition draws every answer, and strict movement every move, from
+this kernel, so it is pinned to an outside reference twice: the Random123
+known-answer vector, and numpy's own ``np.random.Philox`` for random keys
+and counters — answers at counter ``(c, 0, 0, 0)``, moves at ``(c, 1, 0,
+0)``.  numpy increments the counter before it produces its first block, so
+``Philox(counter=c)``'s first block is the kernel's block at ``c + 1`` (a
+256-bit increment).
 """
 
 import numpy as np
+import pytest
 
-from repro.rng import derive_key, keyed_uniforms, philox4x64
+from repro.rng import ANSWERS, MOVEMENT, derive_key, keyed_uniforms, philox4x64
 
 MASK64 = (1 << 64) - 1
 
@@ -55,25 +58,64 @@ def test_matches_numpy_philox_for_random_keys_and_counters():
     assert np.array_equal(np.array(got), expected)
 
 
-def test_keyed_uniforms_are_numpys_random_on_the_same_stream():
+def test_movement_counter_word_matches_numpy_philox_including_carries():
+    # Block c of a movement stream is at counter (c, 1, 0, 0), the 256-bit
+    # integer c + 2**64.  numpy's counter is one less: for c == 0 that is
+    # (2**64 - 1, 0, 0, 0), whose increment carries into word 1.
+    rng = np.random.default_rng(20261015)
+    keys = [words(int.from_bytes(rng.bytes(16), "little"), 2) for _ in range(32)]
+    blocks = [0, 1, MASK64, MASK64 - 1] + [
+        int.from_bytes(rng.bytes(8), "little") for _ in range(28)
+    ]
+    expected = np.array(
+        [
+            numpy_block(key, words(c + (MOVEMENT << 64) - 1, 4))
+            for key, c in zip(keys, blocks)
+        ]
+    ).T
+    got = philox4x64(
+        (np.array(blocks, dtype=np.uint64), MOVEMENT, 0, 0),
+        [np.array(column, dtype=np.uint64) for column in zip(*keys)],
+    )
+    assert np.array_equal(np.array(got), expected)
+
+
+def numpy_uniforms(key, sensor, c, purpose):
+    """``Generator.random(4)`` of numpy's Philox at block ``(c, purpose, 0, 0)``."""
+    counter = (c + (purpose << 64) - 1) & ((1 << 256) - 1)
+    generator = np.random.Generator(
+        np.random.Philox(
+            key=np.array([key, sensor], dtype=np.uint64),
+            counter=np.array(words(counter, 4), dtype=np.uint64),
+        )
+    )
+    return generator.random(4).tolist()
+
+
+@pytest.mark.parametrize("purpose", [ANSWERS, MOVEMENT])
+def test_keyed_uniforms_are_numpys_random_on_the_same_stream(purpose):
     key = derive_key(42)
     ids = np.array([0, 7, 7, 1999])
     counters = np.array([0, 0, 5, 123456789])
-    u = keyed_uniforms(key, ids, counters)
+    u = keyed_uniforms(key, ids, counters, purpose)
     assert u.shape == (4, 4) and u.dtype == np.float64
     for j, (sensor, c) in enumerate(zip(ids.tolist(), counters.tolist())):
-        generator = np.random.Generator(
-            np.random.Philox(
-                key=np.array([key, sensor], dtype=np.uint64),
-                counter=np.array(words((c - 1) & ((1 << 256) - 1), 4), dtype=np.uint64),
-            )
-        )
-        assert generator.random(4).tolist() == u[:, j].tolist()
+        assert numpy_uniforms(key, sensor, c, purpose) == u[:, j].tolist()
     assert np.all((u >= 0.0) & (u < 1.0))
 
 
+def test_answer_and_movement_blocks_of_one_counter_differ():
+    key = derive_key(42)
+    ids = np.arange(64)
+    counters = np.arange(64) * 3
+    answers = keyed_uniforms(key, ids, counters, ANSWERS)
+    moves = keyed_uniforms(key, ids, counters, MOVEMENT)
+    assert not np.any(answers == moves)
+
+
 def test_keyed_uniforms_empty_and_scalar_shapes():
-    assert keyed_uniforms(1, np.empty(0, dtype=np.int64), np.empty(0)).shape == (4, 0)
+    empty = keyed_uniforms(1, np.empty(0, dtype=np.int64), np.empty(0), MOVEMENT)
+    assert empty.shape == (4, 0)
     assert np.shape(philox4x64((1, 2, 3, 4), (5, 6))[0]) == (1,)
 
 
