@@ -61,10 +61,6 @@ HOT_PATHS: List[Tuple[str, str]] = [
     # moved alone (``MobileSensor.move``, the same kernel on a one-row
     # slice) in a shuffled order, kept in
     # ``tests/sensing/test_crowd_independence.py``.
-    # ``MobileSensor.move_through`` is NOT registered: it is the scalar walk
-    # of custom models without a kernel (one generator per sensor, each
-    # sensor walked once), held against the step-major loop in
-    # ``tests/sensing/test_sensor_major_advance.py``.
     ("repro/sensing/mobility.py", "KeyedDraws.rows"),
     ("repro/sensing/mobility.py", "_BlockRows.normal"),
     ("repro/sensing/mobility.py", "_BlockRows.choice"),
@@ -80,10 +76,7 @@ HOT_PATHS: List[Tuple[str, str]] = [
     # which the kernels then sub-step — under both RNG contracts.  The
     # kernels' fast-sim contract is bit-equality with the gather/scatter
     # bodies kept in ``tests/sensing/test_mobility_kernels.py``; the
-    # pre-pass's is ``tests/sensing/test_skip_ahead.py``.  The base-class
-    # ``MobilityModel.step_batch`` fallback is deliberately NOT registered:
-    # it is the per-row loop by design (models without a kernel), and the
-    # world never dispatches a group to it.
+    # pre-pass's is ``tests/sensing/test_skip_ahead.py``.
     ("repro/sensing/mobility.py", "RandomWalkMobility.step_batch"),
     ("repro/sensing/mobility.py", "RandomWaypointMobility.step_batch"),
     ("repro/sensing/mobility.py", "RandomWaypointMobility.skip_ahead"),

@@ -10,8 +10,11 @@ rules make partial implementations a lint error at the diff.
 
 * ``CRQ201`` — a mobility model defines ``step_batch`` without
   ``batch_key`` (or the reverse): ``SensingWorld.advance`` groups
-  sensors by ``batch_key`` before dispatching ``step_batch`` kernels,
-  so each is meaningless without the other.  The same code covers the
+  sensors by ``batch_key`` before dispatching ``step_batch`` kernels, in
+  both RNG modes, so each is meaningless without the other.  (Both are
+  abstract on ``MobilityModel``; what the rule catches is a subclass that
+  overrides one and inherits the other, whose inherited key need not name
+  what its own kernel reads.)  The same code covers the
   protocol's third method: a ``skip_ahead`` states which rows *its own*
   kernel leaves on a straight line, so a class defining it without its
   own ``step_batch`` + ``batch_key`` is a finding (the world would ignore
@@ -128,8 +131,8 @@ def check(project: Project, context) -> Iterator[Finding]:
             yield finding(
                 "CRQ201",
                 f"class {class_node.name} defines {present} without "
-                f"{missing}; fast-sim groups kernels by batch_key before "
-                "dispatching step_batch",
+                f"{missing}; advance groups kernels by batch_key in both "
+                "modes before dispatching step_batch",
             )
 
         if "skip_ahead" in methods:

@@ -51,8 +51,10 @@ MAGIC = b"CRQRCKPT"
 #: keyed streams through the kernels — the SoA carries ``moves_drawn``, a
 #: sensor whose model has a kernel carries no generator, and a restored
 #: strict engine moves its crowd elsewhere than the build that wrote a
-#: version-6 file).
-FORMAT_VERSION = 7
+#: version-6 file; 8: every mobility model moves through its kernel — a
+#: sensor carries no per-row state view, generator or scratch state, the
+#: world no list of kernel-less rows, and the state-view class is gone).
+FORMAT_VERSION = 8
 
 #: Header layout after the magic: version (u32), payload length (u64),
 #: SHA-256 digest (32 bytes), all little-endian.

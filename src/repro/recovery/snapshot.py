@@ -7,8 +7,7 @@ had never stopped:
 * the sensing world — :class:`~repro.sensing.SensorStateArrays` columns
   (positions, velocities, counters, reliability/quarantine, participation
   vector-state extras, the keyed streams' ``moves_drawn`` counters), the
-  simulation clock, the world's own stream and the generators of sensors
-  whose mobility model has no kernel (the only sensors that keep one);
+  simulation clock and the world's own stream (sensors keep no generator);
 * the request/response handler — per-(attribute, cell) budgets, lifetime
   counters, incentive ledgers, the tuple-id allocator, the
   :class:`~repro.faults.FaultInjector`'s private stream and burst/stuck
@@ -103,7 +102,7 @@ class _SnapshotPickler(pickle.Pickler):
     """The engine pickler, with fast paths for the two hot object classes.
 
     An engine carries several ``np.random.Generator``\\ s (the world's, the
-    operators', one per sensor of a custom kernel-less mobility model), and
+    engine's, the operators', the fault injector's), and
     ``Generator.__reduce__`` is an order of magnitude slower (and ~4x
     larger) than the underlying ``bit_generator.state`` dict it wraps.
     Result buffers retain one columnar chunk per acquisition round, so a

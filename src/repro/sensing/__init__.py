@@ -18,7 +18,7 @@ delayed) responses.
 """
 
 from .clock import SimulationClock
-from .state import ArrayBackedMobilityState, SensorStateArrays
+from .state import SensorStateArrays
 from .sensor import MobileSensor, SensorState
 from .mobility import (
     MobilityModel,
@@ -49,7 +49,6 @@ from .errors import GpsNoiseModel, ValueErrorModel, ErrorInjector
 
 __all__ = [
     "SimulationClock",
-    "ArrayBackedMobilityState",
     "SensorStateArrays",
     "MobileSensor",
     "SensorState",

@@ -12,36 +12,33 @@ sensors".  These models generate that mobility:
 * :class:`HotspotMobility` — sensors are attracted to a set of hotspots,
   producing the strong spatial skew used in the skew-mitigation experiment.
 
-All models implement two entry points:
+A model moves sensors one way only: ``step_batch(arrays, indices, dt,
+draws)`` advances a group of rows at once as masked array operations over
+a :class:`~repro.sensing.state.SensorStateArrays`, and ``batch_key()``
+names the group.  Both are abstract on :class:`MobilityModel`; a model
+that lacks either cannot be constructed.  ``initial_state(rng)`` only
+*places* a sensor.  The kernel runs under both RNG contracts, which differ
+only in the draw policy ``draws``:
 
-* ``step(state, dt, rng)`` — advance one sensor's state in place, drawing
-  from a private generator.  It is the scalar path of a model *without* a
-  kernel of its own (a custom subclass): the world walks such a sensor
-  through its sub-steps with the sensor's own generator, in either mode.
-* ``step_batch(arrays, indices, dt, draws)`` — advance a whole group of
-  sensors at once as masked array operations over a
-  :class:`~repro.sensing.state.SensorStateArrays`.  This is *the* kernel,
-  under both RNG contracts; they differ only in the draw policy ``draws``:
+* :class:`SharedDraws` (fast-sim) wraps the world's one generator and
+  makes each draw as one call of it, in the kernels' step-major order —
+  statistically equivalent to strict, not bit-equal, which is the trade
+  the world's ``vectorized_rng`` mode makes.  A bare ``Generator`` is
+  taken as the shared policy over it.
+* :class:`KeyedDraws` (strict) gives each row that draws one Philox block
+  keyed ``(world.acquisition_key, sensor id)`` at counter ``(moves_drawn,
+  MOVEMENT, 0, 0)`` and bumps that row's ``moves_drawn``, so a sensor's
+  trajectory depends on the seed, its id, its state and the sub-step
+  ``dt``\\ s — never on the rest of the crowd.  Moving one sensor alone
+  (:meth:`~repro.sensing.MobileSensor.move`, a one-row slice) and moving
+  its crowd give the same bytes.
 
-  - :class:`SharedDraws` (fast-sim) wraps the world's one generator and
-    makes each draw as one call of it, in the kernels' step-major order —
-    statistically equivalent to strict, not bit-equal, which is the trade
-    the world's ``vectorized_rng`` mode makes.  A bare ``Generator`` is
-    taken as the shared policy over it.
-  - :class:`KeyedDraws` (strict) gives each row that draws one Philox
-    block keyed ``(world.acquisition_key, sensor id)`` at counter
-    ``(moves_drawn, MOVEMENT, 0, 0)`` and bumps that row's ``moves_drawn``,
-    so a sensor's trajectory depends on the seed, its id, its state and
-    the sub-step ``dt``\\ s — never on the rest of the crowd.  Moving one
-    sensor alone (:meth:`~repro.sensing.MobileSensor.move`, a one-row
-    slice) and moving its crowd give the same bytes.
-
-  A kernel asks its policy for the draws of one sub-step with
-  ``draws.rows(arrays, sel, size, where)`` and reads them by *block word*:
-  ``random(word)``, ``uniform(word, low, high)``, ``normal(word, scale)``
-  (a pair, words ``word`` and ``word + 1``) and ``choice(word, mask, p)``.
-  The shared policy ignores the words and the rows; the keyed one ignores
-  ``size``.  Each model's ``step_batch`` docstring records its words.
+A kernel asks its policy for the draws of one sub-step with
+``draws.rows(arrays, sel, size, where)`` and reads them by *block word*:
+``random(word)``, ``uniform(word, low, high)``, ``normal(word, scale)``
+(a pair, words ``word`` and ``word + 1``) and ``choice(word, mask, p)``.
+The shared policy ignores the words and the rows; the keyed one ignores
+``size``.  Each model's ``step_batch`` docstring records its words.
 
 The kernels are *gather-free*: moving the crowd is most of a large fast-sim
 batch, and at 100k rows a kernel's cost is memory passes, not arithmetic.
@@ -71,26 +68,25 @@ of full-width ufuncs over it.  New mobility models follow the same rules:
   them.  The hook draws nothing (it is handed no generator, so the shared
   stream is consumed in the same order with or without it), returns an
   ascending selector, and may move a row by the whole window only if no
-  event falls inside it and ``step(dt=duration)`` equals the composed
-  sub-steps up to rounding — straight-line motion, in practice.  The base
-  class skips nothing, which is right for every model whose step draws
-  (``tests/sensing/test_skip_ahead.py`` holds the full-width sub-step loop
-  as the reference).  The world uses a ``skip_ahead`` only when the class
-  that defines the group's ``step_batch`` defines it too: a subclass with a
-  kernel of its own never has its rows moved by an inherited rule.
+  event falls inside it and one ``step_batch(dt=duration)`` equals the
+  composed sub-steps up to rounding — straight-line motion, in practice.
+  The base class skips nothing, which is right for every model whose step
+  draws (``tests/sensing/test_skip_ahead.py`` holds the full-width sub-step
+  loop as the reference).  The world uses a ``skip_ahead`` only when the
+  class that defines the group's ``step_batch`` defines it too: a subclass
+  with a kernel of its own never has its rows moved by an inherited rule.
 
-``batch_key()`` returns a hashable grouping key for models that support the
-batch kernel: sensors whose models share a key are stepped by one
-``step_batch`` call.  The base implementation returns ``None`` (no grouping):
-the world then walks the sensor through the scalar ``step`` with its own
-generator, so custom subclasses stay correct in either mode.
+``batch_key()`` returns a hashable grouping key: sensors whose models share
+a key are stepped by one ``step_batch`` call.  The key built by
+``_kernel_key`` starts with the model's class, so a subclass — even one
+that inherits its parent's kernel — always forms its own group.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -113,8 +109,14 @@ def movement_substeps(duration: float, step: float) -> List[float]:
     """The sub-step ``dt``\\ s an ``advance`` of ``duration`` resolves events at.
 
     The subtraction loop is the contract: the last sub-step of a 1.0 window
-    at step 0.1 is 0.09999999999999987, not 0.1.
+    at step 0.1 is 0.09999999999999987, not 0.1.  Every movement window is
+    cut here, so this is where a window the loop cannot cut is refused: a
+    non-positive (or infinite) ``duration``, a non-positive ``step``.
     """
+    if not 0 < duration < math.inf:
+        raise CraqrError("duration must be positive and finite")
+    if not step > 0:
+        raise CraqrError("movement step must be positive")
     dts: List[float] = []
     remaining = duration
     while remaining > 1e-12:
@@ -249,12 +251,12 @@ def _as_selector(indices) -> Tuple[RowSelector, bool]:
 
 @dataclass
 class MobilityState:
-    """Mutable per-sensor mobility state (standalone dataclass form).
+    """A sensor's placement: what :meth:`MobilityModel.initial_state` returns.
 
-    World-owned sensors use the SoA-backed view
-    (:class:`~repro.sensing.state.ArrayBackedMobilityState`) instead; both
-    expose the same attributes and the scalar ``step`` implementations work
-    identically on either.
+    The sensor copies it into its SoA row
+    (:meth:`~repro.sensing.state.SensorStateArrays.load_mobility_state`,
+    ``None`` targets becoming NaN) and keeps nothing of it; from then on the
+    row is the state and ``step_batch`` moves it.
     """
 
     x: float
@@ -285,46 +287,26 @@ class MobilityModel(ABC):
         )
 
     @abstractmethod
-    def step(self, state: MobilityState, dt: float, rng: np.random.Generator) -> None:
-        """Advance the state in place by ``dt`` time units.
-
-        A step may depend only on ``(state, dt, rng)`` — not on the clock,
-        on other sensors, or on how many steps the model has served: the
-        world runs a kernel-less sensor's sub-steps back to back before
-        moving on to the next sensor.  The built-in models move through
-        :meth:`step_batch` in both modes; their ``step`` is what a subclass
-        without a kernel of its own inherits.
-        """
-
-    def batch_key(self) -> Optional[Hashable]:
-        """Grouping key for the vectorised kernel, or ``None`` when unsupported.
+    def batch_key(self) -> Hashable:
+        """Grouping key for the kernel; build it with :meth:`_kernel_key`.
 
         Two model instances with equal keys must behave identically, so the
         world may route all their sensors through one :meth:`step_batch`
         call on a representative instance.
         """
-        return None
 
-    def _kernel_key(self, *params: Hashable) -> Optional[Hashable]:
-        """Build a ``batch_key`` tuple of ``(class, region, *params)``.
+    def _kernel_key(self, *params: Hashable) -> Hashable:
+        """A ``batch_key`` tuple of ``(class, region, *params)``.
 
-        A class is only grouped when it defines its *own* ``step_batch``:
-        a subclass that customises the scalar dynamics in any way —
-        overriding ``step`` or just a helper hook like ``_pick_target`` —
-        without shipping a matching kernel would otherwise be silently
-        stepped by the inherited kernel, discarding its dynamics.  Such
-        models fall back to per-object stepping instead (and the class in
-        the key keeps distinct subclasses from ever sharing a group).
+        The class keeps distinct subclasses from ever sharing a group.
         """
-        cls = type(self)
-        if "step_batch" not in vars(cls):
-            return None
-        return (cls, self._region) + params
+        return (type(self), self._region) + params
 
+    @abstractmethod
     def step_batch(
         self,
         arrays: SensorStateArrays,
-        indices: np.ndarray,
+        indices: RowSelector,
         dt: float,
         draws,
     ) -> None:
@@ -334,20 +316,14 @@ class MobilityModel(ABC):
         world found the group's rows contiguous, otherwise an ascending
         int64 index array (any integer sequence is accepted).  ``draws`` is
         the draw policy (:class:`SharedDraws`, :class:`KeyedDraws` or a bare
-        ``Generator``).
+        ``Generator``).  A sub-step may depend only on the rows' state,
+        ``dt`` and the draws — not on the clock or on other rows — which is
+        what lets a sensor moved alone land where its crowd moves it.
 
-        Vectorised models override this with full-width masked kernels.  A
-        new kernel follows four rules (see the module docstring): take each
+        A kernel follows four rules (see the module docstring): take each
         column once through the selector, mask instead of compacting, keep
-        the draw order, declare what can be skipped.  This fallback loops
-        the scalar :meth:`step` over SoA views and needs a ``Generator``:
-        the world never dispatches to it, since a model without a kernel
-        has no ``batch_key`` and is walked with each sensor's own generator.
+        the draw order, declare what can be skipped.
         """
-        if isinstance(indices, slice):
-            indices = range(*indices.indices(len(arrays)))
-        for i in indices:
-            self.step(arrays.state_view(int(i)), dt, draws)
 
     def skip_ahead(
         self, arrays: SensorStateArrays, indices: RowSelector, duration: float
@@ -359,7 +335,8 @@ class MobilityModel(ABC):
         which then run over the returned (ascending) selector only.  An
         override draws nothing and may move a row by the whole window only
         if no event of the model falls inside it and one
-        ``step(dt=duration)`` equals the composed sub-steps up to rounding.
+        ``step_batch(dt=duration)`` equals the composed sub-steps up to
+        rounding.
         The base class skips nothing: a model whose step draws has an event
         in every sub-step.
         """
@@ -385,27 +362,8 @@ class MobilityModel(ABC):
                 break
         return indices
 
-    def _clamp(self, state: MobilityState) -> None:
-        """Keep the position inside the region (reflecting at the walls).
-
-        Compare-and-assign, the same result as ``min(max(v, lo), hi)`` for
-        every input (NaN and ``-0.0`` are left alone either way) without
-        four builtin calls at the end of every scalar step.
-        """
-        region = self._region
-        x = state.x
-        if x < region.x_min:
-            state.x = region.x_min
-        elif x > region.x_max:
-            state.x = region.x_max
-        y = state.y
-        if y < region.y_min:
-            state.y = region.y_min
-        elif y > region.y_max:
-            state.y = region.y_max
-
     def _clamp_batch(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Vectorised :meth:`_clamp` of the position columns, in place."""
+        """Keep the position columns inside the region, in place."""
         region = self._region
         np.clip(x, region.x_min, region.x_max, out=x)
         np.clip(y, region.y_min, region.y_max, out=y)
@@ -414,10 +372,7 @@ class MobilityModel(ABC):
 class StationaryMobility(MobilityModel):
     """Sensors that never move (traditional WSN baseline)."""
 
-    def step(self, state: MobilityState, dt: float, rng: np.random.Generator) -> None:
-        del dt, rng  # stationary sensors ignore both
-
-    def batch_key(self) -> Optional[Hashable]:
+    def batch_key(self) -> Hashable:
         return self._kernel_key()
 
     def step_batch(self, arrays, indices, dt, draws) -> None:
@@ -433,13 +388,7 @@ class RandomWalkMobility(MobilityModel):
             raise CraqrError("step_std must be positive")
         self._step_std = step_std
 
-    def step(self, state: MobilityState, dt: float, rng: np.random.Generator) -> None:
-        scale = self._step_std * math.sqrt(dt)
-        state.x += float(rng.normal(0.0, scale))
-        state.y += float(rng.normal(0.0, scale))
-        self._clamp(state)
-
-    def batch_key(self) -> Optional[Hashable]:
+    def batch_key(self) -> Hashable:
         return self._kernel_key(self._step_std)
 
     def step_batch(self, arrays, indices, dt, draws) -> None:
@@ -473,30 +422,7 @@ class RandomWaypointMobility(MobilityModel):
         self._speed = speed
         self._pause = pause
 
-    def _pick_target(self, state: MobilityState, rng: np.random.Generator) -> None:
-        state.target_x = float(rng.uniform(self._region.x_min, self._region.x_max))
-        state.target_y = float(rng.uniform(self._region.y_min, self._region.y_max))
-
-    def step(self, state: MobilityState, dt: float, rng: np.random.Generator) -> None:
-        if state.pause_remaining > 0:
-            state.pause_remaining = max(0.0, state.pause_remaining - dt)
-            return
-        if state.target_x is None or state.target_y is None:
-            self._pick_target(state, rng)
-        dx = state.target_x - state.x
-        dy = state.target_y - state.y
-        distance = math.hypot(dx, dy)
-        travel = self._speed * dt
-        if travel >= distance:
-            state.x, state.y = state.target_x, state.target_y
-            state.target_x = state.target_y = None
-            state.pause_remaining = self._pause
-        else:
-            state.x += travel * dx / distance
-            state.y += travel * dy / distance
-        self._clamp(state)
-
-    def batch_key(self) -> Optional[Hashable]:
+    def batch_key(self) -> Hashable:
         return self._kernel_key(self._speed, self._pause)
 
     def step_batch(self, arrays, indices, dt, draws) -> None:
@@ -506,8 +432,8 @@ class RandomWaypointMobility(MobilityModel):
         tx, ty = arrays.target_x[sel], arrays.target_y[sel]
         pause = arrays.pause_remaining[sel]
         region = self._region
-        # Pausing sensors only run their timer down this step; like the
-        # scalar path they start walking again on the *next* step.  Their
+        # Pausing sensors only run their timer down this step; they start
+        # walking again on the *next* step.  Their
         # (NaN) targets ride through the arithmetic below and every write
         # is masked by ``active``, so they neither move nor get clamped.
         paused = pause > 0.0
@@ -619,31 +545,7 @@ class GaussMarkovMobility(MobilityModel):
         state.vy = self._mean_speed * math.sin(angle)
         return state
 
-    def step(self, state: MobilityState, dt: float, rng: np.random.Generator) -> None:
-        a = self._alpha
-        noise_scale = self._speed_std * math.sqrt(1 - a * a)
-        speed = math.hypot(state.vx, state.vy)
-        if speed > _TINY:
-            mean_vx = self._mean_speed * state.vx / speed
-            mean_vy = self._mean_speed * state.vy / speed
-        else:
-            mean_vx = mean_vy = 0.0
-        state.vx = a * state.vx + (1 - a) * mean_vx + float(
-            rng.normal(0.0, noise_scale)
-        )
-        state.vy = a * state.vy + (1 - a) * mean_vy + float(
-            rng.normal(0.0, noise_scale)
-        )
-        state.x += state.vx * dt
-        state.y += state.vy * dt
-        # Reflect velocity when a wall is hit so sensors stay inside.
-        if state.x <= self._region.x_min or state.x >= self._region.x_max:
-            state.vx = -state.vx
-        if state.y <= self._region.y_min or state.y >= self._region.y_max:
-            state.vy = -state.vy
-        self._clamp(state)
-
-    def batch_key(self) -> Optional[Hashable]:
+    def batch_key(self) -> Hashable:
         return self._kernel_key(self._mean_speed, self._alpha, self._speed_std)
 
     def step_batch(self, arrays, indices, dt, draws) -> None:
@@ -717,31 +619,13 @@ class HotspotMobility(MobilityModel):
         self._jitter = jitter
         self._switch_probability = switch_probability
 
-    def _assign_hotspot(self, state: MobilityState, rng: np.random.Generator) -> None:
-        index = int(rng.choice(len(self._hotspots), p=self._weights))
-        hx, hy, _ = self._hotspots[index]
-        state.target_x, state.target_y = hx, hy
-
     def initial_state(self, rng: np.random.Generator) -> MobilityState:
         state = super().initial_state(rng)
-        self._assign_hotspot(state, rng)
+        index = int(rng.choice(len(self._hotspots), p=self._weights))
+        state.target_x, state.target_y, _ = self._hotspots[index]
         return state
 
-    def step(self, state: MobilityState, dt: float, rng: np.random.Generator) -> None:
-        if state.target_x is None or rng.random() < self._switch_probability:
-            self._assign_hotspot(state, rng)
-        dx = state.target_x - state.x
-        dy = state.target_y - state.y
-        distance = math.hypot(dx, dy)
-        travel = min(self._speed * dt, distance)
-        if distance > _TINY:
-            state.x += travel * dx / distance
-            state.y += travel * dy / distance
-        state.x += float(rng.normal(0.0, self._jitter * math.sqrt(dt)))
-        state.y += float(rng.normal(0.0, self._jitter * math.sqrt(dt)))
-        self._clamp(state)
-
-    def batch_key(self) -> Optional[Hashable]:
+    def batch_key(self) -> Hashable:
         return self._kernel_key(
             tuple(self._hotspots), self._speed, self._jitter,
             self._switch_probability,

@@ -1,23 +1,24 @@
 """Struct-of-arrays sensor state.
 
-The sensing world at scale is a numerical simulation: at 10k+ sensors the
-per-object ``MobilityState`` dataclasses and one-``step``-call-per-sensor
-loops dominate the engine's wall clock.  :class:`SensorStateArrays` stores
-the whole crowd's mutable state as numpy columns so that
+The sensing world at scale is a numerical simulation: at 10k+ sensors
+per-object state and one-call-per-sensor loops would dominate the engine's
+wall clock.  :class:`SensorStateArrays` stores the whole crowd's mutable
+state as numpy columns so that
 
-* batch mobility kernels (:meth:`~repro.sensing.mobility.MobilityModel.step_batch`)
-  advance every sensor of a model group with a handful of array operations,
+* the mobility kernels (:meth:`~repro.sensing.mobility.MobilityModel.step_batch`,
+  the only way a sensor moves) advance every sensor of a model group with a
+  handful of array operations,
 * spatial queries (``sensors_in``, ``density_snapshot``) reduce to boolean
   masks and bincounts over the position columns, and
-* the fast-sim acquisition path vectorises participation sampling across a
-  whole cell population using the per-sensor participation parameter columns.
+* the acquisition rounds vectorise participation sampling across a whole
+  cell population using the per-sensor participation parameter columns.
 
 :class:`MobileSensor` objects remain the public per-sensor API, but each one
-is a lazy *view* over its SoA row: :class:`ArrayBackedMobilityState` exposes
-the exact attribute surface of the old ``MobilityState`` dataclass
-(including ``target_x is None`` semantics, encoded as NaN in the arrays), so
-the scalar mobility ``step`` implementations run unchanged — and
-byte-identically — against either representation.
+is a lazy *view* over its SoA row: it reads its position from the columns
+and moves by running its model's kernel on its one-row slice.  A model's
+placement (:class:`~repro.sensing.mobility.MobilityState`) is copied into
+the row once, by :meth:`SensorStateArrays.load_mobility_state`, with a
+``None`` target stored as NaN.
 """
 
 from __future__ import annotations
@@ -27,91 +28,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import CraqrError
-
-
-class ArrayBackedMobilityState:
-    """A per-sensor mobility-state view over one :class:`SensorStateArrays` row.
-
-    Duck-types :class:`~repro.sensing.mobility.MobilityState`: the scalar
-    ``MobilityModel.step`` implementations read and write ``x``, ``y``,
-    ``vx``, ``vy``, ``target_x``, ``target_y`` and ``pause_remaining``
-    exactly as they do on the dataclass.  ``target_x``/``target_y`` map
-    ``None`` to NaN in the backing arrays so batch kernels can test
-    "has no target" with ``np.isnan``.
-    """
-
-    __slots__ = ("_arrays", "_index")
-
-    def __init__(self, arrays: "SensorStateArrays", index: int) -> None:
-        self._arrays = arrays
-        self._index = index
-
-    # -- positions and velocities --------------------------------------
-    @property
-    def x(self) -> float:
-        return float(self._arrays.x[self._index])
-
-    @x.setter
-    def x(self, value: float) -> None:
-        self._arrays.x[self._index] = value
-
-    @property
-    def y(self) -> float:
-        return float(self._arrays.y[self._index])
-
-    @y.setter
-    def y(self, value: float) -> None:
-        self._arrays.y[self._index] = value
-
-    @property
-    def vx(self) -> float:
-        return float(self._arrays.vx[self._index])
-
-    @vx.setter
-    def vx(self, value: float) -> None:
-        self._arrays.vx[self._index] = value
-
-    @property
-    def vy(self) -> float:
-        return float(self._arrays.vy[self._index])
-
-    @vy.setter
-    def vy(self, value: float) -> None:
-        self._arrays.vy[self._index] = value
-
-    # -- waypoint target (None <-> NaN) --------------------------------
-    @property
-    def target_x(self) -> Optional[float]:
-        value = self._arrays.target_x[self._index]
-        return None if np.isnan(value) else float(value)
-
-    @target_x.setter
-    def target_x(self, value: Optional[float]) -> None:
-        self._arrays.target_x[self._index] = np.nan if value is None else value
-
-    @property
-    def target_y(self) -> Optional[float]:
-        value = self._arrays.target_y[self._index]
-        return None if np.isnan(value) else float(value)
-
-    @target_y.setter
-    def target_y(self, value: Optional[float]) -> None:
-        self._arrays.target_y[self._index] = np.nan if value is None else value
-
-    # -- pause timer ----------------------------------------------------
-    @property
-    def pause_remaining(self) -> float:
-        return float(self._arrays.pause_remaining[self._index])
-
-    @pause_remaining.setter
-    def pause_remaining(self, value: float) -> None:
-        self._arrays.pause_remaining[self._index] = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ArrayBackedMobilityState(index={self._index}, x={self.x:.4f}, "
-            f"y={self.y:.4f})"
-        )
 
 
 class SensorStateArrays:
@@ -217,10 +133,6 @@ class SensorStateArrays:
         return name in self._extra_columns
 
     # ------------------------------------------------------------------
-    def state_view(self, index: int) -> ArrayBackedMobilityState:
-        """The mobility-state view of one row."""
-        return ArrayBackedMobilityState(self, index)
-
     def load_mobility_state(self, index: int, state) -> None:
         """Copy a freshly initialised ``MobilityState`` into row ``index``."""
         self.x[index] = state.x

@@ -10,11 +10,12 @@ All per-sensor mutable state lives in one
 :class:`~repro.sensing.state.SensorStateArrays` struct-of-arrays owned by
 the world; :class:`MobileSensor` objects are lazy views over its rows.
 Spatial queries (``sensors_in``, ``density_snapshot``, ``sensor_positions``)
-are therefore plain array operations in every mode.  Movement runs the same
-way in both modes — each model group's draw-free ``skip_ahead``, then one
-vectorised ``step_batch`` kernel call per group per movement sub-step over
-the rows it left — and the modes differ in where the draws come from, the
-RNG contract selected by :attr:`WorldConfig.vectorized_rng`:
+are therefore plain array operations in every mode.  Movement runs one way,
+in both modes and for every sensor — each model group's draw-free
+``skip_ahead``, then one vectorised ``step_batch`` kernel call per group per
+movement sub-step over the rows it left — and the modes differ only in
+where the draws come from, the RNG contract selected by
+:attr:`WorldConfig.vectorized_rng`:
 
 * **strict mode** (default, ``vectorized_rng=False``): every sensor owns
   its randomness, as keyed streams.  It *moves* from the Philox blocks
@@ -34,9 +35,6 @@ RNG contract selected by :attr:`WorldConfig.vectorized_rng`:
   acquisition rounds sample participation and phenomena across a whole
   cell population at once.  Runs are statistically equivalent to strict
   mode (same densities, same response rates), not bit-equal.
-
-Either way a sensor whose model has no kernel of its own (a custom
-subclass) is walked through the sub-steps with its own generator.
 """
 
 from __future__ import annotations
@@ -148,13 +146,11 @@ class SensingWorld:
                     acquisition_key=self._acquisition_key,
                 )
             )
-        self._mobility_groups, self._ungrouped_indices = self._group_mobility_models()
+        self._mobility_groups = self._group_mobility_models()
         self._participation_groups = self._group_participation_models()
         self._fields: Dict[str, PhenomenonField] = {}
 
-    def _group_mobility_models(
-        self,
-    ) -> Tuple[List[Tuple[MobilityModel, RowSelector]], np.ndarray]:
+    def _group_mobility_models(self) -> List[Tuple[MobilityModel, RowSelector]]:
         """Bucket sensors by their model's ``batch_key`` for kernel dispatch.
 
         Each group's ascending row indices are resolved once to the *row
@@ -162,24 +158,15 @@ class SensingWorld:
         rows are contiguous (every single-model crowd), so the kernel works
         on views of the SoA columns; the int64 index array otherwise
         (interleaved groups of a mixed crowd).
-
-        Sensors whose model returns ``None`` (no batch support) are stepped
-        per object in either mode, with their own generators.
         """
         keyed: Dict[object, Tuple[MobilityModel, List[int]]] = {}
-        ungrouped: List[int] = []
         for index, sensor in enumerate(self._sensors):
             key = sensor.mobility.batch_key()
-            if key is None:
-                ungrouped.append(index)
-            elif key in keyed:
+            if key in keyed:
                 keyed[key][1].append(index)
             else:
                 keyed[key] = (sensor.mobility, [index])
-        groups = [
-            (model, _row_selector(indices)) for model, indices in keyed.values()
-        ]
-        return groups, np.asarray(ungrouped, dtype=np.int64)
+        return [(model, _row_selector(indices)) for model, indices in keyed.values()]
 
     def _group_participation_models(self) -> List[ParticipationModel]:
         """Wire stateful participation models into the SoA vector-state columns.
@@ -322,13 +309,10 @@ class SensingWorld:
         exactly as if every row were sub-stepped (the skipped rows'
         positions agree with that up to rounding), or strict's keyed
         movement blocks, which make a sensor's move independent of its
-        crowd.  Sensors whose model has no kernel draw from their own
-        generators, so their walk is sensor-major: each runs *all* its
-        sub-steps back to back (:meth:`MobileSensor.move_through`).
-        Advance is atomic: nothing observes the SoA between sub-steps.
+        crowd.  Advance is atomic: nothing observes the SoA between
+        sub-steps.  A non-positive ``duration`` is a
+        :class:`~repro.errors.CraqrError`, raised before anything moves.
         """
-        if duration <= 0:
-            raise CraqrError("duration must be positive")
         dts = movement_substeps(duration, self._config.movement_step)
         if self._config.vectorized_rng:
             draws = SharedDraws(self._rng)
@@ -341,8 +325,6 @@ class SensingWorld:
         for dt in dts:
             for model, rows in groups:
                 model.step_batch(self._state, rows, dt, draws)
-        for sensor in self.sensors_at(self._ungrouped_indices):
-            sensor.move_through(dts)
         for dt in dts:
             self._clock.advance(dt)
         return self._clock.now

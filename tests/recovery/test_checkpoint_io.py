@@ -47,69 +47,43 @@ class TestFraming:
         with pytest.raises(RecoveryError, match=f"version {FORMAT_VERSION + 1}"):
             unframe_payload(framed)
 
-    def test_version_1_checkpoint_is_refused_by_version(self):
-        # Version 1 payloads pickle a reference to an engine method and a
-        # config field this build no longer has; the refusal must be the
-        # version message, not whatever unpickling would trip over first.
-        assert FORMAT_VERSION == 7
-        framed = frame_payload(b"payload", version=1)
-        with pytest.raises(
-            RecoveryError,
-            match="uses snapshot format version 1; this build reads version 7 only",
-        ):
-            unframe_payload(framed, source="old.ckpt")
+    def test_format_version_is_8(self):
+        assert FORMAT_VERSION == 8
 
-    def test_version_2_checkpoint_is_refused_by_version(self):
-        # Version 2 payloads would unpickle — into an engine whose next fits
-        # (Newton, converged-or-constant) differ from the L-BFGS-B run that
-        # wrote them, silently breaking restore-then-replay.
-        framed = frame_payload(b"payload", version=2)
+    @pytest.mark.parametrize(
+        "version",
+        [
+            # 1: the payload pickles a reference to an engine method and a
+            # config field this build no longer has.
+            1,
+            # 2: it would unpickle into an engine whose next fits (Newton,
+            # converged-or-constant) differ from the L-BFGS-B run that wrote it.
+            2,
+            # 3: it would unpickle into a fast-sim world whose next advance
+            # skips ahead, leaving other last bits in the positions.
+            3,
+            # 4: every sensor is rebuilt through a reducer that unpacked its
+            # sensed history; this build has neither.
+            4,
+            # 5: a strict world without an acquisition key, whose sensors
+            # answered from their own generators: a replay delivers other tuples.
+            5,
+            # 6: strict sensors hold movement generators and no ``moves_drawn``
+            # column: a replay moves the crowd elsewhere.
+            6,
+            # 7: every sensor pickles a per-row state view
+            # (``ArrayBackedMobilityState``), a class this build no longer has.
+            7,
+        ],
+    )
+    def test_old_checkpoint_is_refused_by_version(self, version):
+        # The refusal must be the version message, not whatever unpickling
+        # would trip over first.
+        framed = frame_payload(b"payload", version=version)
         with pytest.raises(
             RecoveryError,
-            match="uses snapshot format version 2; this build reads version 7 only",
-        ):
-            unframe_payload(framed, source="old.ckpt")
-
-    def test_version_3_checkpoint_is_refused_by_version(self):
-        # Version 3 payloads would unpickle — into a fast-sim world whose
-        # next advance skips ahead and leaves other last bits in the
-        # positions than the run that wrote them.
-        framed = frame_payload(b"payload", version=3)
-        with pytest.raises(
-            RecoveryError,
-            match="uses snapshot format version 3; this build reads version 7 only",
-        ):
-            unframe_payload(framed, source="old.ckpt")
-
-    def test_version_4_checkpoint_is_refused_by_version(self):
-        # Version 4 payloads rebuild every sensor through a reducer that
-        # unpacked its sensed history; this build has neither.
-        framed = frame_payload(b"payload", version=4)
-        with pytest.raises(
-            RecoveryError,
-            match="uses snapshot format version 4; this build reads version 7 only",
-        ):
-            unframe_payload(framed, source="old.ckpt")
-
-    def test_version_5_checkpoint_is_refused_by_version(self):
-        # Version 5 payloads would unpickle — into a strict world without an
-        # acquisition key, whose sensors answered from their own generators
-        # in per-cell rounds: a replay would deliver other tuples.
-        framed = frame_payload(b"payload", version=5)
-        with pytest.raises(
-            RecoveryError,
-            match="uses snapshot format version 5; this build reads version 7 only",
-        ):
-            unframe_payload(framed, source="old.ckpt")
-
-    def test_version_6_checkpoint_is_refused_by_version(self):
-        # Version 6 payloads would unpickle — into a strict world whose
-        # sensors hold movement generators and no ``moves_drawn`` column:
-        # a replay would move the crowd elsewhere and deliver other tuples.
-        framed = frame_payload(b"payload", version=6)
-        with pytest.raises(
-            RecoveryError,
-            match="uses snapshot format version 6; this build reads version 7 only",
+            match=f"uses snapshot format version {version}; this build reads "
+            f"version {FORMAT_VERSION} only",
         ):
             unframe_payload(framed, source="old.ckpt")
 

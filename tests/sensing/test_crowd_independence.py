@@ -1,21 +1,20 @@
 """Strict movement is crowd-independent: a crowd's advance is each sensor's, alone.
 
-A strict sensor whose model has a kernel moves from its keyed stream: block
-``c`` of the stream keyed ``(world.acquisition_key, sensor id)`` at counter
-``(c, MOVEMENT, 0, 0)``, ``c`` its ``moves_drawn``.  So its trajectory is a
-function of the seed, its id, its state and the sub-step ``dt``\\ s, never of
-the rest of the crowd — which is what lets ``SensingWorld.advance`` run the
-vectorised kernels and ``skip_ahead`` in strict mode.
+A strict sensor moves from its keyed stream: block ``c`` of the stream
+keyed ``(world.acquisition_key, sensor id)`` at counter ``(c, MOVEMENT, 0,
+0)``, ``c`` its ``moves_drawn``.  So its trajectory is a function of the
+seed, its id, its state and the sub-step ``dt``\\ s, never of the rest of
+the crowd — which is what lets ``SensingWorld.advance`` run the vectorised
+kernels and ``skip_ahead`` in strict mode.
 
 The oracle advances a twin world one sensor at a time, each through
 ``MobileSensor.move`` (the model's kernel on the sensor's one-row slice,
 ``skip_ahead`` for the window first), visiting the sensors in a *shuffled*
 order, and compares on bytes: the seven mobility columns, ``moves_drawn``,
-every generator a sensor still holds (custom models without a kernel keep
-theirs), the world generator (strict movement draws nothing from it) and
-the clock.  The crowds cover every built-in kernel, a mixed crowd whose
-groups reach the kernels as index arrays, a custom kernel-less model, and
-waypoint walkers that ``skip_ahead`` moves in one stride.
+the world generator (strict movement draws nothing from it) and the clock.
+The crowds cover every built-in kernel, a mixed crowd whose groups reach
+the kernels as index arrays, a custom subclass that inherits its parent's
+kernel, and waypoint walkers that ``skip_ahead`` moves in one stride.
 """
 
 import io
@@ -26,7 +25,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import AcquisitionError
 from repro.geometry import Rectangle
 from repro.recovery.snapshot import _SnapshotPickler
 from repro.sensing import (
@@ -49,12 +47,7 @@ COLUMNS = (
 
 
 class Drifter(RandomWalkMobility):
-    """Customised scalar dynamics and no kernel: moved with its own generator."""
-
-    def step(self, state, dt, rng):
-        super().step(state, dt, rng)
-        state.x += 0.125 * dt
-        self._clamp(state)
+    """A custom subclass that inherits its parent's kernel."""
 
 
 def walk(region):
@@ -95,7 +88,10 @@ CROWDS = {
     "hotspot": lambda: hotspot,
     "stationary": lambda: StationaryMobility,
     "mixed": lambda: alternating(waypoint, walk, hotspot, gauss_markov),
-    "custom": lambda: alternating(waypoint, lambda region: Drifter(region, step_std=0.2)),
+    # The Drifters' parameters equal the walkers': only the class tells them apart.
+    "custom": lambda: alternating(
+        waypoint, walk, lambda region: Drifter(region, step_std=0.2)
+    ),
 }
 
 
@@ -111,12 +107,7 @@ def make_world(crowd, *, count=30, seed=17, movement_step=0.1):
 def world_image(world):
     soa = world.state_arrays
     columns = [getattr(soa, name).tobytes() for name in COLUMNS]
-    generators = [
-        sensor._rng.bit_generator.state
-        for sensor in world.sensors
-        if sensor._rng is not None
-    ]
-    return columns, generators, world.rng.bit_generator.state, float.hex(world.now)
+    return columns, world.rng.bit_generator.state, float.hex(world.now)
 
 
 def advance_alone(world, duration, order):
@@ -155,8 +146,13 @@ DURATIONS = (1.0, 0.25, 0.07, 2.5)  # 0.07: one fractional sub-step at step 0.1
 @pytest.mark.parametrize("crowd", sorted(CROWDS))
 def test_crowd_advance_equals_each_sensor_advanced_alone(crowd):
     world, twin = make_world(crowd), make_world(crowd)
-    if crowd == "mixed":  # interleaved groups reach the kernels as index arrays
+    # Interleaved groups reach the kernels as index arrays.
+    if crowd in ("mixed", "custom"):
         assert all(isinstance(rows, np.ndarray) for _, rows in world._mobility_groups)
+    if crowd == "custom":  # the subclass is its own group, apart from its parent's
+        groups = {type(model): rows for model, rows in world._mobility_groups}
+        assert set(groups) == {RandomWaypointMobility, RandomWalkMobility, Drifter}
+        assert groups[Drifter].tolist() == list(range(2, 30, 3))
     skipped = assert_crowd_independent(world, twin, DURATIONS, calls=24)
     if crowd in ("waypoint", "mixed", "custom"):
         assert skipped > 0  # rows skip_ahead moved were compared too
@@ -189,14 +185,10 @@ def test_restored_world_keeps_its_movement_counters():
     assert world_image(restored) == world_image(world)
 
 
-def test_kernel_sensors_carry_no_generator():
-    world = make_world("custom")
-    kept = [sensor.sensor_id for sensor in world.sensors if sensor._rng is not None]
-    assert kept == list(range(1, 30, 2))  # the Drifters, for their scalar step
-    assert all(
-        sensor._scratch is None for sensor in world.sensors if sensor._rng is None
-    )
-    # What a checkpoint pickles: the world's own stream plus the Drifters'.
+@pytest.mark.parametrize("crowd", sorted(CROWDS))
+def test_sensors_carry_no_generator(crowd):
+    # What a checkpoint pickles: the world's own stream, and no sensor's.
+    world = make_world(crowd)
     reduced = []
 
     class Counting(_SnapshotPickler):
@@ -208,13 +200,21 @@ def test_kernel_sensors_carry_no_generator():
 
     Counting.dispatch_table[np.random.Generator] = count
     Counting(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(world)
-    assert len(reduced) == 1 + len(kept)
+    assert len(reduced) == 1 and reduced[0] is world.rng
 
 
-def test_a_kernel_sensor_cannot_take_the_scalar_walk():
-    world = make_world("waypoint", count=2)
-    with pytest.raises(AcquisitionError, match="use move"):
-        world.sensors[0].move_through([0.1])
+def test_sub_steps_come_from_the_subtraction_loop():
+    # advance(1.0) at step 0.1 ends on a sub-step of 0.09999999999999987:
+    # the clock is the sum of those floats, not ten times 0.1.
+    world = SensingWorld(WorldConfig(region=REGION, sensor_count=2, seed=1))
+    world.advance(1.0)
+    expected, remaining = 0.0, 1.0
+    while remaining > 1e-12:
+        dt = min(0.1, remaining)
+        expected += dt
+        remaining -= dt
+    assert float.hex(world.now) == float.hex(expected)
+    assert world.clock.ticks == 10
 
 
 @settings(max_examples=15, deadline=None)

@@ -8,6 +8,7 @@ from repro.geometry import Rectangle
 from repro.sensing import (
     GaussMarkovMobility,
     HotspotMobility,
+    MobileSensor,
     RandomWalkMobility,
     RandomWaypointMobility,
     SimulationClock,
@@ -47,13 +48,9 @@ class TestSimulationClock:
 
 
 def run_model(model, steps=200, dt=0.1, seed=0):
-    rng = np.random.default_rng(seed)
-    state = model.initial_state(rng)
-    positions = []
-    for _ in range(steps):
-        model.step(state, dt, rng)
-        positions.append((state.x, state.y))
-    return np.array(positions)
+    """A lone sensor's trajectory: placed from ``seed``, moved by the model's kernel."""
+    sensor = MobileSensor(0, model, rng=np.random.default_rng(seed))
+    return np.array([tuple(sensor.move(dt)) for _ in range(steps)])
 
 
 class TestMobilityModels:
@@ -100,13 +97,10 @@ class TestMobilityModels:
 
     def test_random_waypoint_pauses(self):
         model = RandomWaypointMobility(REGION, speed=10.0, pause=5.0)
-        rng = np.random.default_rng(6)
-        state = model.initial_state(rng)
+        sensor = MobileSensor(0, model, rng=np.random.default_rng(6))
         # A huge speed reaches the target in one step, then pauses.
-        model.step(state, 1.0, rng)
-        position_after_arrival = (state.x, state.y)
-        model.step(state, 1.0, rng)
-        assert (state.x, state.y) == position_after_arrival
+        position_after_arrival = sensor.move(1.0)
+        assert sensor.move(1.0) == position_after_arrival
 
     def test_gauss_markov_stays_in_region(self):
         positions = run_model(GaussMarkovMobility(REGION), steps=400, seed=7)

@@ -1,10 +1,12 @@
-"""Mobility edge cases: walls, pauses, mean reversion, batch kernels.
+"""Mobility edge cases: walls, pauses, mean reversion, movement windows.
 
-Covers the boundary behaviour of all five models on both entry points (the
-scalar ``step`` and the vectorised ``step_batch`` kernel), waypoint pause
-accounting across ``advance`` sub-steps, and a regression test for the
-Gauss-Markov mean-reversion bug (the velocity used to decay toward zero
-instead of reverting to ``mean_speed``).
+Covers the boundary behaviour of all five models' ``step_batch`` kernels —
+the only way a sensor moves — under the shared generator and the keyed
+draw policy, on many rows and on one; waypoint pause accounting across
+``advance`` sub-steps; a regression test for the Gauss-Markov
+mean-reversion bug (the velocity used to decay toward zero instead of
+reverting to ``mean_speed``); the movement windows ``movement_substeps``
+refuses; and the protocol itself: a model without a kernel cannot be built.
 """
 
 import math
@@ -12,10 +14,12 @@ import math
 import numpy as np
 import pytest
 
+from repro.errors import CraqrError
 from repro.geometry import Rectangle
 from repro.sensing import (
     GaussMarkovMobility,
     HotspotMobility,
+    MobilityModel,
     RandomWalkMobility,
     RandomWaypointMobility,
     SensingWorld,
@@ -23,7 +27,7 @@ from repro.sensing import (
     StationaryMobility,
     WorldConfig,
 )
-from repro.sensing.mobility import MobilityState
+from repro.sensing.mobility import KeyedDraws, movement_substeps
 
 REGION = Rectangle(0.0, 0.0, 2.0, 2.0)
 
@@ -39,33 +43,20 @@ MODEL_FACTORIES = {
 }
 
 
+#: The two draw policies a kernel runs under, each built from a seed / key.
+DRAWS = [
+    pytest.param(np.random.default_rng, id="shared"),
+    pytest.param(KeyedDraws, id="keyed"),
+]
+
+ONE_ROW = slice(0, 1)
+
+
 def in_region(xs, ys):
     return (
         np.all(xs >= REGION.x_min) and np.all(xs <= REGION.x_max)
         and np.all(ys >= REGION.y_min) and np.all(ys <= REGION.y_max)
     )
-
-
-class TestWallBehaviourScalar:
-    @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
-    def test_scalar_steps_never_escape_region(self, name):
-        model = MODEL_FACTORIES[name](REGION)
-        rng = np.random.default_rng(101)
-        state = model.initial_state(rng)
-        xs, ys = [], []
-        for _ in range(300):
-            model.step(state, 0.2, rng)
-            xs.append(state.x)
-            ys.append(state.y)
-        assert in_region(np.array(xs), np.array(ys))
-
-    def test_gauss_markov_reflects_velocity_at_walls(self):
-        model = GaussMarkovMobility(REGION, mean_speed=1.0, speed_std=0.01)
-        state = MobilityState(x=1.95, y=1.0, vx=1.0, vy=0.0)
-        rng = np.random.default_rng(5)
-        model.step(state, 1.0, rng)
-        assert state.x == REGION.x_max  # clamped onto the wall ...
-        assert state.vx < 0  # ... with the velocity turned around
 
 
 class TestWallBehaviourBatch:
@@ -83,6 +74,23 @@ class TestWallBehaviourBatch:
             assert in_region(arrays.x, arrays.y)
 
     @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
+    def test_a_sensor_moved_alone_never_escapes_region(self, name):
+        # The per-object path: ``skip_ahead`` and the kernel on the sensor's
+        # one-row slice, drawing keyed blocks — one window at a time.
+        world = SensingWorld(
+            WorldConfig(region=REGION, sensor_count=3, seed=101),
+            mobility_factory=MODEL_FACTORIES[name],
+        )
+        for sensor in world.sensors:
+            xs, ys = [], []
+            for _ in range(100):
+                position = sensor.move(0.6, 0.2)
+                xs.append(position.x)
+                ys.append(position.y)
+            assert in_region(np.array(xs), np.array(ys))
+        assert in_region(world.state_arrays.x, world.state_arrays.y)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
     def test_batch_kernel_handles_partial_masks(self, name):
         # Kernels must only touch the rows they are given.
         model = MODEL_FACTORIES[name](REGION)
@@ -95,35 +103,35 @@ class TestWallBehaviourBatch:
             model.step_batch(arrays, np.arange(5), 0.2, rng)
         assert np.array_equal(arrays.positions()[5:], frozen)
 
-    def test_gauss_markov_batch_reflects_velocity(self):
+    @pytest.mark.parametrize("draws", DRAWS)
+    def test_gauss_markov_reflects_velocity_at_walls(self, draws):
         model = GaussMarkovMobility(REGION, mean_speed=1.0, speed_std=0.01)
         arrays = SensorStateArrays(1)
         arrays.x[0], arrays.y[0] = 1.95, 1.0
         arrays.vx[0], arrays.vy[0] = 1.0, 0.0
-        model.step_batch(arrays, np.array([0]), 1.0, np.random.default_rng(5))
-        assert arrays.x[0] == REGION.x_max
-        assert arrays.vx[0] < 0
+        model.step_batch(arrays, np.array([0]), 1.0, draws(5))
+        assert arrays.x[0] == REGION.x_max  # clamped onto the wall ...
+        assert arrays.vx[0] < 0  # ... with the velocity turned around
 
 
 class TestWaypointPauseAccounting:
-    def make_paused_state(self, pause):
-        state = MobilityState(x=1.0, y=1.0, pause_remaining=pause)
-        return state
-
-    def test_pause_runs_down_across_steps_without_moving(self):
+    @pytest.mark.parametrize("draws", DRAWS)
+    def test_pause_runs_down_across_steps_without_moving(self, draws):
         model = RandomWaypointMobility(REGION, speed=1.0, pause=0.35)
-        state = self.make_paused_state(0.35)
-        rng = np.random.default_rng(7)
+        arrays = SensorStateArrays(1)
+        arrays.x[0] = arrays.y[0] = 1.0
+        arrays.pause_remaining[0] = 0.35
+        policy = draws(7)
         for expected in (0.25, 0.15, 0.05, 0.0):
-            model.step(state, 0.1, rng)
-            assert state.pause_remaining == pytest.approx(expected)
-            assert (state.x, state.y) == (1.0, 1.0)
+            model.step_batch(arrays, ONE_ROW, 0.1, policy)
+            assert arrays.pause_remaining[0] == pytest.approx(expected)
+            assert (arrays.x[0], arrays.y[0]) == (1.0, 1.0)
+        assert arrays.moves_drawn[0] == 0  # a pausing row draws nothing
         # Only the step *after* the timer hit zero starts a new leg.
-        model.step(state, 0.1, rng)
-        assert (state.x, state.y) != (1.0, 1.0)
-        assert state.target_x is not None
+        model.step_batch(arrays, ONE_ROW, 0.1, policy)
+        assert (arrays.x[0], arrays.y[0]) != (1.0, 1.0)
 
-    def test_batch_pause_matches_scalar_semantics(self):
+    def test_paused_and_expired_rows_in_one_step(self):
         model = RandomWaypointMobility(REGION, speed=1.0, pause=0.35)
         arrays = SensorStateArrays(3)
         arrays.x[:] = arrays.y[:] = 1.0
@@ -160,124 +168,109 @@ class TestWaypointPauseAccounting:
 class TestGaussMarkovMeanReversion:
     """Regression: the mean-reversion term used to be multiplied by 0.0."""
 
-    def long_run_mean_speed(self, *, batch, mean_speed=0.3, steps=4000):
+    @pytest.mark.parametrize("draws", DRAWS)
+    def test_long_run_speed_reverts_to_mean(self, draws):
         region = Rectangle(0.0, 0.0, 50.0, 50.0)  # huge: walls play no role
-        model = GaussMarkovMobility(
-            region, mean_speed=mean_speed, alpha=0.75, speed_std=0.05
-        )
+        model = GaussMarkovMobility(region, mean_speed=0.3, alpha=0.75, speed_std=0.05)
         rng = np.random.default_rng(42)
-        if batch:
-            arrays = SensorStateArrays(100)
-            for i in range(100):
-                state = model.initial_state(rng)
-                state.x = state.y = 25.0
-                arrays.load_mobility_state(i, state)
-            speeds = []
-            for _ in range(steps // 100):
-                model.step_batch(arrays, np.arange(100), 0.1, rng)
-                speeds.append(np.hypot(arrays.vx, arrays.vy).mean())
-            return float(np.mean(speeds[len(speeds) // 2:]))
-        state = model.initial_state(rng)
-        state.x = state.y = 25.0
+        arrays = SensorStateArrays(100)
+        arrays.sensor_ids[:] = np.arange(100)  # one keyed stream per row
+        for i in range(100):
+            state = model.initial_state(rng)
+            state.x = state.y = 25.0
+            arrays.load_mobility_state(i, state)
+        policy = draws(43)
         speeds = []
-        for _ in range(steps):
-            model.step(state, 0.1, rng)
-            speeds.append(math.hypot(state.vx, state.vy))
-        return float(np.mean(speeds[steps // 2:]))
-
-    def test_scalar_long_run_speed_reverts_to_mean(self):
-        mean = self.long_run_mean_speed(batch=False)
+        for _ in range(40):
+            model.step_batch(arrays, np.arange(100), 0.1, policy)
+            speeds.append(np.hypot(arrays.vx, arrays.vy).mean())
         # With the old bug the velocity decays to pure noise
         # (~speed_std * sqrt(pi/2) ~ 0.06); fixed, it hovers at mean_speed.
-        assert 0.25 < mean < 0.4
+        assert 0.25 < float(np.mean(speeds[20:])) < 0.4
 
-    def test_batch_long_run_speed_reverts_to_mean(self):
-        mean = self.long_run_mean_speed(batch=True)
-        assert 0.25 < mean < 0.4
-
-    def test_zero_velocity_state_recovers(self):
+    @pytest.mark.parametrize("draws", DRAWS)
+    def test_zero_velocity_state_recovers(self, draws):
         model = GaussMarkovMobility(REGION, mean_speed=0.5, speed_std=0.1)
-        state = MobilityState(x=1.0, y=1.0, vx=0.0, vy=0.0)
-        rng = np.random.default_rng(3)
+        arrays = SensorStateArrays(1)
+        arrays.x[0] = arrays.y[0] = 1.0  # and vx = vy = 0
+        policy = draws(3)
         for _ in range(200):
-            model.step(state, 0.1, rng)
-        assert math.hypot(state.vx, state.vy) > 0.1
+            model.step_batch(arrays, ONE_ROW, 0.1, policy)
+        assert math.hypot(arrays.vx[0], arrays.vy[0]) > 0.1
 
 
-class _BiasedWalk(RandomWalkMobility):
-    """Overrides the scalar dynamics but inherits the parent's kernel."""
+class TestMovementWindows:
+    """Every window is cut by ``movement_substeps``, which refuses what it cannot cut."""
 
-    def step(self, state, dt, rng):
-        super().step(state, dt, rng)
-        state.x = min(state.x + 1.0 * dt, self.region.x_max)
+    @pytest.mark.parametrize(
+        "duration, step",
+        [(0.0, 0.1), (-2.0, 0.1), (float("nan"), 0.1), (float("inf"), 0.1),
+         (1.0, 0.0), (1.0, -0.1), (1.0, float("nan"))],
+    )
+    def test_bad_windows_are_refused(self, duration, step):
+        with pytest.raises(CraqrError):
+            movement_substeps(duration, step)
+
+    def make_world(self):
+        world = SensingWorld(
+            WorldConfig(region=REGION, sensor_count=1, seed=4),
+            mobility_factory=lambda r: RandomWaypointMobility(r, speed=0.2),
+        )
+        world.advance(0.5)  # the walker holds a target now
+        return world
+
+    def image(self, world):
+        soa = world.state_arrays
+        columns = ("x", "y", "target_x", "target_y", "pause_remaining", "moves_drawn")
+        return [getattr(soa, name).tobytes() for name in columns], float.hex(world.now)
+
+    def test_a_sensor_refuses_a_negative_window_and_stays_put(self):
+        # It used to skip ahead with negative travel: away from its target.
+        world = self.make_world()
+        before = self.image(world)
+        with pytest.raises(CraqrError, match="duration"):
+            world.sensors[0].move(-2.0)
+        assert self.image(world) == before
+
+    def test_a_sensor_refuses_a_zero_movement_step(self):
+        # It used to loop forever, subtracting 0.0 from the window.
+        world = self.make_world()
+        before = self.image(world)
+        with pytest.raises(CraqrError, match="step"):
+            world.sensors[0].move(1.0, 0.0)
+        assert self.image(world) == before
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0])
+    def test_the_world_refuses_a_non_positive_window(self, duration):
+        world = self.make_world()
+        before = self.image(world)
+        with pytest.raises(CraqrError, match="duration"):
+            world.advance(duration)
+        assert self.image(world) == before
 
 
-class _DriftingModel(StationaryMobility):
-    """Stashes custom per-sensor state on its MobilityState (pre-SoA idiom)."""
+class TestMobilityProtocol:
+    """``step_batch`` and ``batch_key`` are the protocol: declared, never probed."""
 
-    def initial_state(self, rng):
-        state = super().initial_state(rng)
-        state.drift_budget = 0.5  # extra attribute unknown to the SoA
-        return state
+    def test_a_model_without_a_kernel_cannot_be_built(self):
+        class ScalarOnly(MobilityModel):
+            def step(self, state, dt, rng):  # a per-sensor step is not a kernel
+                state.x += dt
 
-    def step(self, state, dt, rng):
-        consumed = min(state.drift_budget, 0.1 * dt)
-        state.drift_budget -= consumed
-        state.x = min(state.x + consumed, self.region.x_max)
+        with pytest.raises(TypeError, match="batch_key.*step_batch"):
+            ScalarOnly(REGION)
 
+    def test_a_kernel_without_a_key_cannot_be_built(self):
+        class Keyless(MobilityModel):
+            def step_batch(self, arrays, indices, dt, draws):
+                pass
 
-class TestCustomModelContract:
-    """Subclassed models must stay correct in both RNG modes."""
+        with pytest.raises(TypeError, match="batch_key"):
+            Keyless(REGION)
 
-    def test_overridden_step_disables_inherited_kernel(self):
-        model = _BiasedWalk(REGION, step_std=0.01)
-        assert model.batch_key() is None  # parent kernel no longer matches
-        assert RandomWalkMobility(REGION, step_std=0.01).batch_key() is not None
+    def test_the_key_names_the_class(self):
+        class Inheritor(RandomWalkMobility):
+            pass
 
-    def test_overridden_helper_hook_disables_inherited_kernel(self):
-        # Customising dynamics through a helper hook (not step itself) must
-        # also opt the subclass out of the parent's kernel.
-        class LeftHalfWaypoint(RandomWaypointMobility):
-            def _pick_target(self, state, rng):
-                super()._pick_target(state, rng)
-                state.target_x = min(state.target_x, self.region.center.x)
-
-        assert LeftHalfWaypoint(REGION).batch_key() is None
-
-    def test_overridden_step_runs_in_fast_sim_world(self):
-        def mean_drift(vectorized):
-            world = SensingWorld(
-                WorldConfig(
-                    region=Rectangle(0.0, 0.0, 100.0, 100.0),
-                    sensor_count=30,
-                    seed=5,
-                    vectorized_rng=vectorized,
-                ),
-                mobility_factory=lambda r: _BiasedWalk(r, step_std=0.01),
-            )
-            before = world.sensor_positions()[:, 0].mean()
-            world.advance(5.0)
-            return world.sensor_positions()[:, 0].mean() - before
-
-        # The +1.0/time-unit drift must appear in both modes (fast-sim
-        # falls back to per-object stepping for the unmatched subclass).
-        assert mean_drift(False) == pytest.approx(5.0, abs=0.5)
-        assert mean_drift(True) == pytest.approx(5.0, abs=0.5)
-
-    def test_custom_state_attributes_survive_the_soa(self):
-        for vectorized in (False, True):
-            world = SensingWorld(
-                WorldConfig(
-                    region=REGION, sensor_count=3, seed=9, vectorized_rng=vectorized
-                ),
-                mobility_factory=lambda r: _DriftingModel(r),
-            )
-            start = world.sensor_positions()[:, 0].copy()
-            world.advance(2.0)  # drains 0.1/time-unit from each drift budget
-            moved = world.sensor_positions()[:, 0] - start
-            assert np.allclose(moved[start + 0.2 <= REGION.x_max], 0.2)
-            world.advance(10.0)  # budget (0.5 total) is exhausted by now
-            final = world.sensor_positions()[:, 0]
-            assert np.allclose(
-                final[start + 0.5 <= REGION.x_max], (start + 0.5)[start + 0.5 <= REGION.x_max]
-            )
+        assert Inheritor(REGION).batch_key() == Inheritor(REGION).batch_key()
+        assert Inheritor(REGION).batch_key() != RandomWalkMobility(REGION).batch_key()

@@ -376,7 +376,7 @@ def test_kernels_match_reference_for_any_selector(name, n, dt, steps, kind, seed
 
 
 # ----------------------------------------------------------------------------
-# World level: selector resolution, fallback, snapshots
+# World level: selector resolution, snapshots
 # ----------------------------------------------------------------------------
 
 
@@ -435,26 +435,6 @@ class TestWorldSelectors:
             _, quiet = advance_against(world, 1.0, reference=ten_reference_steps)
             skipped += int(quiet.sum())
         assert 0 < skipped < 30 * 60  # both routes were compared
-
-    def test_base_class_fallback_accepts_a_slice(self):
-        class Drifter(RandomWalkMobility):
-            """Customised scalar dynamics, no kernel of its own."""
-
-            def step(self, state, dt, rng):
-                state.x += 0.125
-
-        arrays = fresh_arrays(6, 1)
-        before = arrays.x.copy()
-        model = Drifter(REGION)
-        assert model.batch_key() is None  # the world never groups it ...
-        # ... but the inherited protocol method still honours both selectors.
-        super(RandomWalkMobility, model).step_batch(
-            arrays, slice(2, 4), 0.1, np.random.default_rng(0)
-        )
-        super(RandomWalkMobility, model).step_batch(
-            arrays, np.array([5]), 0.1, np.random.default_rng(0)
-        )
-        assert np.array_equal(arrays.x - before, [0, 0, 0.125, 0.125, 0, 0.125])
 
 
 class TestSnapshots:

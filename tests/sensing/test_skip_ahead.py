@@ -52,8 +52,6 @@ def full_width_advance(world, duration):
     for dt in dts:
         for model, rows in world._mobility_groups:
             model.step_batch(world.state_arrays, rows, dt, world.rng)
-    for sensor in world.sensors_at(world._ungrouped_indices):
-        sensor.move_through(dts)
     for dt in dts:
         world.clock.advance(dt)
 
@@ -66,7 +64,6 @@ def quiet_rows(world, duration):
     """Rows ``advance(duration)`` will skip, asked of a copy (the hook is draw-free)."""
     probe = copy.deepcopy(world.state_arrays)
     quiet = np.ones(len(probe), dtype=bool)
-    quiet[world._ungrouped_indices] = False
     for model, rows in world._mobility_groups:
         rest = model.kernel_skip_ahead(probe, rows, duration)
         if isinstance(rest, slice):

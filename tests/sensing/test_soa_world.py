@@ -85,30 +85,6 @@ class TestSensorStateArrays:
         with pytest.raises(CraqrError):
             SensorStateArrays(0)
 
-    def test_state_view_round_trips_none_targets(self):
-        arrays = SensorStateArrays(2)
-        view = arrays.state_view(0)
-        assert view.target_x is None and view.target_y is None
-        view.target_x = 1.5
-        view.target_y = 2.5
-        assert (view.target_x, view.target_y) == (1.5, 2.5)
-        assert arrays.target_x[0] == 1.5
-        view.target_x = None
-        assert view.target_x is None
-        assert np.isnan(arrays.target_x[0])
-        # The sibling row is untouched.
-        assert np.isnan(arrays.target_x[1])
-
-    def test_view_duck_types_mobility_state(self):
-        arrays = SensorStateArrays(1)
-        view = arrays.state_view(0)
-        model = RandomWaypointMobility(REGION, speed=1.0, pause=0.0)
-        rng = np.random.default_rng(0)
-        arrays.load_mobility_state(0, model.initial_state(rng))
-        for _ in range(50):
-            model.step(view, 0.1, rng)
-        assert REGION.contains(view.x, view.y, closed=True)
-
     def test_standalone_sensor_owns_private_row(self):
         sensor = MobileSensor(
             7, StationaryMobility(REGION), rng=np.random.default_rng(1)
