@@ -105,10 +105,16 @@ HOT_PATHS: List[Tuple[str, str]] = [
     # The batch MLE every non-online chain runs each batch (PR 21): a
     # damped Newton iteration whose loops are per Newton step and per
     # line-search halving — each step is a fixed number of column sums and
-    # a 4x4 solve on plain floats — never per event.  Its Eq. (3)
+    # a 4x4 solve on plain floats — never per event.  The attribute
+    # programs run all their chains' fits as one lockstep solve: the
+    # elementwise work is one pass over the rows of the unfinished fits,
+    # and the loops are per Newton step, per halving and per segment (the
+    # fourteen slice sums, the solve, the step rule, the Armijo test).
+    # ``fit_linear_intensity_mle`` is its one-segment case.  Its Eq. (3)
     # companion ``_compensate_clipping`` is one sort and one cumulative
     # sum where a 60-step bisection used to be.
     ("repro/pointprocess/estimation.py", "fit_linear_intensity_mle"),
+    ("repro/pointprocess/estimation.py", "fit_linear_intensity_mle_segments"),
     ("repro/pointprocess/thinning.py", "_compensate_clipping"),
     # The quadrat-count least-squares fit (PR 15; no longer the MLE's
     # start): three searchsorteds and one bincount assign events to

@@ -21,12 +21,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..config import EngineConfig
+from ..core.pmat.flatten import begin_mle, finish_estimate
 from ..core.query import AcquisitionalQuery
 from ..errors import QueryError
 from ..geometry import Grid
-from ..pointprocess import EventBatch, flatten_events, ConstantIntensity
-from ..pointprocess import fit_linear_intensity_mle
-from ..pointprocess.estimation import EstimationError
+from ..pointprocess import EventBatch, flatten_events
 from ..sensing import RequestResponseHandler, SensingWorld
 from ..streams import SensorTuple
 
@@ -109,20 +108,11 @@ class NaivePerQueryEngine:
         batch = EventBatch.from_rows([(it.t, it.x, it.y) for it in in_region])
         t_min, t_max = batch.time_span()
         span = max(t_max - t_min, duration)
-        # The engine's estimator contract (FlattenOperator): a converged
+        # The engine's estimator rule (FlattenOperator's): a converged
         # maximum-likelihood fit, else the batch's constant empirical rate.
-        intensity = ConstantIntensity(
-            max(len(batch) / (query.region.area * span), 1e-9)
+        intensity, _estimator = finish_estimate(
+            begin_mle(batch, query.region, t_min, span)
         )
-        if len(batch) >= 20:
-            try:
-                fit = fit_linear_intensity_mle(
-                    batch, query.region, t_min, t_min + span
-                )
-                if fit.converged:
-                    intensity = fit.intensity
-            except EstimationError:
-                pass
         target_expected = query.rate * query.region.area * span
         outcome = flatten_events(batch, intensity, target_expected, rng=self._rng)
         return [item for item, keep in zip(in_region, outcome.keep_mask) if keep]

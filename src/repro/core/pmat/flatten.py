@@ -16,29 +16,138 @@ When ``online`` estimation is enabled the operator additionally feeds every
 tuple to an :class:`~repro.pointprocess.estimation.OnlineIntensityEstimator`
 so the intensity tracks drift across batches, as the paper's sliding-window
 variant suggests.
+
+Choosing the intensity is split in two halves —
+:meth:`FlattenOperator.begin_estimate` (given, online, too small to fit, or
+a :class:`PendingFit`) and :func:`finish_estimate` (a converged fit, else
+the batch's constant rate) — so the engine's attribute programs can solve
+every chain's pending fit in one lockstep Newton solve (:func:`fit_pending`)
+between the two.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from itertools import accumulate
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ...errors import PointProcessError, StreamError
+from ...errors import StreamError
 from ...pointprocess import (
     ConstantIntensity,
+    EstimationResult,
     EventBatch,
     IntensityModel,
     OnlineIntensityEstimator,
     fit_linear_intensity_mle,
+    fit_linear_intensity_mle_segments,
     flatten_events,
     flatten_keep_mask,
 )
-from ...pointprocess.estimation import EstimationError
 from ...streams import SensorTuple, TupleBatch
 from .base import PMATOperator
+
+#: Smallest batch a Flatten operator fits by default; smaller batches are
+#: flattened with their constant empirical rate.
+MIN_BATCH_FOR_FIT = 20
+
+
+@dataclass(frozen=True)
+class PendingFit:
+    """A batch whose intensity waits on its maximum-likelihood fit.
+
+    The window is ``[t_start, t_start + duration]`` over ``region``;
+    ``duration`` is also what the constant fallback divides by.
+    """
+
+    batch: EventBatch
+    region: object
+    t_start: float
+    duration: float
+
+    @property
+    def t_end(self) -> float:
+        """End of the fitted window."""
+        return self.t_start + self.duration
+
+    def constant(self) -> Tuple[IntensityModel, str]:
+        """The batch's constant empirical rate, and its estimator name."""
+        mean_rate = max(len(self.batch) / (self.region.area * self.duration), 1e-9)
+        return ConstantIntensity(mean_rate), "constant"
+
+    def finish(
+        self, fit: Optional[EstimationResult] = None
+    ) -> Tuple[IntensityModel, str]:
+        """The converged fit, else the constant rate.
+
+        ``fit`` defaults to this batch's fit solved alone.  A fit that did
+        not converge is not a maximum-likelihood estimate (the likelihood
+        is unbounded when the events leave enough of the cell empty):
+        never flatten with it.
+        """
+        if fit is None:
+            fit = fit_linear_intensity_mle(
+                self.batch, self.region, self.t_start, self.t_end
+            )
+        if fit.converged:
+            return fit.intensity, "mle"
+        return self.constant()
+
+
+#: What the first half of the estimator rule hands back: an intensity and
+#: its estimator name, or a fit still to run.
+Estimate = Union[Tuple[IntensityModel, str], PendingFit]
+
+
+def begin_mle(
+    batch: EventBatch,
+    region,
+    t_start: float,
+    duration: float,
+    min_batch_for_fit: int = MIN_BATCH_FOR_FIT,
+) -> Estimate:
+    """First half of the MLE estimator rule, shared with the baselines.
+
+    A batch of at least ``min_batch_for_fit`` events on a window of
+    positive length waits for its fit (:class:`PendingFit`); any other
+    non-empty batch is flattened with its constant rate right away.
+    """
+    pending = PendingFit(batch, region, t_start, duration)
+    if len(batch) >= min_batch_for_fit and pending.t_end > t_start:
+        return pending
+    return pending.constant()
+
+
+def finish_estimate(
+    estimate: Estimate, fit: Optional[EstimationResult] = None
+) -> Tuple[IntensityModel, str]:
+    """Second half: the intensity that flattens the batch, and its name.
+
+    A pending fit takes ``fit`` (its result from a solve over many
+    batches) or is solved alone; a chosen intensity is returned as it is.
+    """
+    if isinstance(estimate, PendingFit):
+        return estimate.finish(fit)
+    return estimate
+
+
+def fit_pending(pending: Sequence[PendingFit]) -> List[EstimationResult]:
+    """Every pending fit in one lockstep Newton solve.
+
+    Result ``i`` is bit for bit the fit ``pending[i]`` gets alone
+    (:func:`~repro.pointprocess.fit_linear_intensity_mle_segments`).
+    """
+    if not pending:
+        return []
+    return fit_linear_intensity_mle_segments(
+        np.concatenate([p.batch.t for p in pending]),
+        np.concatenate([p.batch.x for p in pending]),
+        np.concatenate([p.batch.y for p in pending]),
+        list(accumulate([len(p.batch) for p in pending[:-1]], initial=0)),
+        [(p.region, p.t_start, p.t_end) for p in pending],
+    )
 
 
 @dataclass(frozen=True)
@@ -116,7 +225,7 @@ class FlattenOperator(PMATOperator):
         intensity: Optional[IntensityModel] = None,
         online: bool = False,
         emit_discarded: bool = False,
-        min_batch_for_fit: int = 20,
+        min_batch_for_fit: int = MIN_BATCH_FOR_FIT,
         name: Optional[str] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
@@ -188,10 +297,15 @@ class FlattenOperator(PMATOperator):
     def process(self, item: SensorTuple) -> None:
         self._buffer.append(item)
 
-    def _estimate_intensity(self, batch: EventBatch) -> Tuple[IntensityModel, str]:
-        """The intensity model that flattens the current batch, and its name.
+    def begin_estimate(self, batch: EventBatch) -> Estimate:
+        """First half of choosing the intensity that flattens a batch.
 
-        The name is what :attr:`FlattenBatchReport.estimator` records.
+        Returns the given intensity, or takes the online SGD step and
+        returns the warmed-up estimate, or hands the batch to
+        :func:`begin_mle`: a :class:`PendingFit`, or the constant rate of
+        a batch too small to fit.  :func:`finish_estimate` is the second
+        half; its name is what :attr:`FlattenBatchReport.estimator`
+        records.
         """
         if self._intensity is not None:
             return self._intensity, "given"
@@ -208,22 +322,13 @@ class FlattenOperator(PMATOperator):
                 online = self._online_estimator.intensity
                 if all(math.isfinite(value) for value in online.theta):
                     return online, "online"
-        duration = max(t_max - t_min, self._batch_duration)
-        if len(batch) >= self._min_batch_for_fit:
-            try:
-                fit = fit_linear_intensity_mle(
-                    batch, self.region, t_min, t_min + duration
-                )
-                # A fit that did not converge is not a maximum-likelihood
-                # estimate (the likelihood is unbounded when the events
-                # leave enough of the cell empty): never flatten with it.
-                if fit.converged:
-                    return fit.intensity, "mle"
-            except (EstimationError, PointProcessError):
-                pass
-        # Constant fallback: the empirical mean rate of the batch.
-        mean_rate = max(len(batch) / (self.region.area * duration), 1e-9)
-        return ConstantIntensity(mean_rate), "constant"
+        return begin_mle(
+            batch,
+            self.region,
+            t_min,
+            max(t_max - t_min, self._batch_duration),
+            self._min_batch_for_fit,
+        )
 
     def flush(self) -> None:
         """Process the buffered batch: flatten, report ``N_v``, emit survivors."""
@@ -234,7 +339,7 @@ class FlattenOperator(PMATOperator):
         items = self._buffer
         self._buffer = []
         batch = EventBatch.from_rows([(it.t, it.x, it.y) for it in items])
-        intensity, estimator = self._estimate_intensity(batch)
+        intensity, estimator = finish_estimate(self.begin_estimate(batch))
         # Eq. (3) normalises by the batch, so the target expected count is
         # target_rate * area * batch window; flatten_events keeps that
         # expectation when we pass the expected count as the "rate" knob.
@@ -280,7 +385,9 @@ class FlattenOperator(PMATOperator):
         if batch.is_empty:
             self.record_batch(0)
             return np.empty(0, dtype=bool)
-        intensity, estimator = self.estimate_rows(batch.t, batch.x, batch.y)
+        intensity, estimator = finish_estimate(
+            self.begin_rows(batch.t, batch.x, batch.y)
+        )
         result = flatten_keep_mask(
             EventBatch(batch.t, batch.x, batch.y),
             intensity,
@@ -316,16 +423,15 @@ class FlattenOperator(PMATOperator):
         """
         return self._target_rate * self.region.area * self._batch_duration
 
-    def estimate_rows(
-        self, t: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> Tuple[IntensityModel, str]:
-        """Take in one non-empty batch's coordinates; the intensity to flatten it.
+    def begin_rows(self, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> Estimate:
+        """Take in one non-empty batch's coordinates and begin its estimate.
 
-        Counts the rows in and runs :meth:`_estimate_intensity` (the online
-        SGD step, the MLE fit or the constant fallback).
+        Counts the rows in and runs :meth:`begin_estimate`; a returned
+        :class:`PendingFit` may be solved with other operators' fits
+        (:func:`fit_pending`) before :func:`finish_estimate`.
         """
         self._tuples_in += t.shape[0]
-        return self._estimate_intensity(EventBatch(t, x, y))
+        return self.begin_estimate(EventBatch(t, x, y))
 
     def record_batch(
         self,

@@ -12,8 +12,11 @@ materialised column copies, so each query's deliveries are gathered once.
 
 Byte-identity with the per-tuple object walk (the operators'
 ``process`` / ``flush`` reference, which materialises every intermediate
-stream) rests on four facts:
+stream) rests on five facts:
 
+* the chains' maximum-likelihood fits run as one lockstep Newton solve
+  (:func:`~repro.pointprocess.fit_linear_intensity_mle_segments`), and
+  each chain's result is bit for bit its fit alone;
 * the segmented flatten kernel
   (:func:`~repro.pointprocess.flatten_segments`) gives each chain's rows
   exactly what a batch of only those rows gets: elementwise arithmetic is
@@ -43,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.pmat.flatten import PendingFit, finish_estimate, fit_pending
 from ..errors import PlanningError
 from ..pointprocess import flatten_segments
 from ..streams import TupleBatch
@@ -154,8 +158,11 @@ class ChainProgram:
             for index, (key, start, stop) in enumerate(segments)
         }
 
-        # Per chain: router accounting and the intensity that flattens it.
-        flattened: Dict[CellKey, tuple] = {}
+        # Per chain: router accounting and the first half of the estimate —
+        # the given or online intensity, or a maximum-likelihood fit to run.
+        estimates: Dict[CellKey, tuple] = {}
+        pending_keys: List[CellKey] = []
+        pending: List[PendingFit] = []
         for _position, steps in self._chains:
             index, start, stop = segment_of.get(steps.cell_key, (None, 0, 0))
             if steps.router is not None:
@@ -166,23 +173,30 @@ class ChainProgram:
             if index is None:
                 flatten.record_batch(0)
                 continue
-            intensity, estimator = flatten.estimate_rows(
-                t[start:stop], x[start:stop], y[start:stop]
-            )
-            flattened[steps.cell_key] = (flatten, intensity, estimator)
+            estimate = flatten.begin_rows(t[start:stop], x[start:stop], y[start:stop])
+            estimates[steps.cell_key] = (flatten, estimate)
+            if isinstance(estimate, PendingFit):
+                pending_keys.append(steps.cell_key)
+                pending.append(estimate)
+
+        # One Newton solve, in lockstep, for every chain's pending fit.
+        fits = dict(zip(pending_keys, fit_pending(pending)))
 
         # Once over all rows: Eq. (1) rates, Eq. (3) probabilities, keep
         # compare and counts; rows of cells without a chain are inert.
+        flattened: Dict[CellKey, tuple] = {}
         starts, intensities, targets, rngs = [], [], [], []
         for key, start, _stop in segments:
             starts.append(start)
-            entry = flattened.get(key)
+            entry = estimates.get(key)
             if entry is None:
                 intensities.append(None)
                 targets.append(0.0)
                 rngs.append(None)
             else:
-                flatten, intensity, _estimator = entry
+                flatten, estimate = entry
+                intensity, estimator = finish_estimate(estimate, fits.get(key))
+                flattened[key] = (flatten, estimator)
                 intensities.append(intensity)
                 targets.append(flatten.target_expected)
                 rngs.append(flatten.rng)
@@ -198,7 +212,7 @@ class ChainProgram:
             entry = flattened.get(steps.cell_key)
             if entry is None:
                 continue
-            flatten, _intensity, estimator = entry
+            flatten, estimator = entry
             index, start, stop = segment_of[steps.cell_key]
             flatten.record_batch(
                 stop - start,

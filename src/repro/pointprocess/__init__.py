@@ -35,6 +35,7 @@ from .superposition import superpose
 from .estimation import (
     EstimationResult,
     fit_linear_intensity_mle,
+    fit_linear_intensity_mle_segments,
     fit_linear_intensity_least_squares,
     OnlineIntensityEstimator,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "superpose",
     "EstimationResult",
     "fit_linear_intensity_mle",
+    "fit_linear_intensity_mle_segments",
     "fit_linear_intensity_least_squares",
     "OnlineIntensityEstimator",
     "empirical_rate",

@@ -53,6 +53,16 @@ def small_config():
     )
 
 
+def pytest_configure(config):
+    """Numpy's floating-point warnings fail the test that raises them.
+
+    A kernel that evaluates ``log`` or a division over rows whose result it
+    then ignores must mask them or run under ``np.errstate``: a warning
+    would reach a serving process's stderr.
+    """
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
 def make_world(
     region: Rectangle,
     *,

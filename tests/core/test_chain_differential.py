@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import AcquisitionalQuery, QueryPlanner, StreamFabricator
 from repro.geometry import Grid, Rectangle
-from repro.plan import compile_programs
+from repro.plan import compile_programs, executor
 from repro.sensing import (
     AlwaysRespond,
     BernoulliParticipation,
@@ -33,6 +33,7 @@ from repro.sensing import (
     TemperatureField,
     WorldConfig,
 )
+from repro.streams import TupleBatch
 
 REGION = Rectangle(0, 0, 4, 4)
 GRID = Grid(REGION, side=4)
@@ -182,3 +183,91 @@ def test_compiled_programs_match_the_object_walk(
             for items in compiled.delivered.values()
             for item in items
         )
+
+
+#: attribute -> cell -> (rows per batch, confined to the cell's corner).
+#: 10 rows are too few to fit; 30 corner rows leave the cell's centroid
+#: outside their hull, so the fit does not converge; the rest converge.
+#: Online, a chain warms up after 40 events: the 25- and 30-row chains
+#: fall back to the MLE in their first batch, the 60+ row chains never do.
+OUTCOME_ROWS = {
+    "rain": {
+        (0, 0): (10, False),
+        (1, 0): (30, True),
+        (0, 1): (25, False),
+        (1, 1): (80, False),
+        (2, 0): (60, False),
+        (2, 1): (25, False),
+    },
+    "temp": {(1, 1): (70, False), (2, 1): (25, False), (1, 2): (12, False), (2, 2): (90, False)},
+}
+
+
+def outcome_batches(rng, index):
+    """One batch window of rows laid out per :data:`OUTCOME_ROWS`."""
+    batches = {}
+    next_id = index * 10_000
+    for attribute, cells in OUTCOME_ROWS.items():
+        t, x, y = [], [], []
+        for (q, r), (n, corner) in cells.items():
+            offsets = rng.random((n, 2)) * (0.3 if corner else 1.0)
+            t.append(index + rng.random(n))
+            x.append(q + offsets[:, 0])
+            y.append(r + offsets[:, 1])
+        n = sum(len(column) for column in t)
+        batches[attribute] = TupleBatch(
+            attribute,
+            np.concatenate(t),
+            np.concatenate(x),
+            np.concatenate(y),
+            rng.normal(20.0, 5.0, n),
+            rng.integers(0, 400, n),
+            np.arange(next_id, next_id + n),
+        )
+        next_id += n
+    return batches
+
+
+@pytest.mark.parametrize("online", [False, True], ids=["mle", "online-sgd"])
+def test_every_estimator_outcome_in_one_program(online, monkeypatch):
+    # One attribute program carries constant (too small, and not
+    # converged), converged MLE and — online — warmed-up chains side by
+    # side; the warming chains' fits join the program's lockstep solve.
+    solved = []
+    fit_pending = executor.fit_pending
+
+    def recording_fit_pending(pending):
+        solved.append(len(pending))
+        return fit_pending(pending)
+
+    monkeypatch.setattr(executor, "fit_pending", recording_fit_pending)
+    queries = make_queries()
+    compiled = Side(queries, online=online, store_discarded=False)
+    walked = Side(queries, online=online, store_discarded=False)
+    rng = np.random.default_rng(30)
+    for index in range(3):
+        batches = outcome_batches(rng, index)
+        rows = [item for batch in batches.values() for item in batch.to_tuples()]
+        columnar_result = compiled.fabricator.process_batch_columnar(
+            batches, compile_programs(compiled.planner)
+        )
+        object_result = walked.fabricator.process_batch({(0, 0): rows})
+        assert columnar_result == object_result
+        assert compiled.delivered == walked.delivered
+        assert compiled.operator_state() == walked.operator_state()
+
+    state = compiled.operator_state()
+    estimators = {
+        report.estimator
+        for key in state
+        if isinstance(key, tuple)
+        for report in state[key][0]
+    }
+    assert estimators == ({"constant", "mle", "online"} if online else {"constant", "mle"})
+    corner = compiled.planner.cell_topology((1, 0)).chain("rain").flatten
+    assert corner.reports[0].batch_size == 30
+    assert corner.reports[0].estimator == "constant"
+    # One solve per program and batch (rain, temp); online, only the
+    # warming chains' first batch has fits to solve.
+    per_batch = [sorted(solved[i:i + 2]) for i in range(0, len(solved), 2)]
+    assert per_batch == ([[1, 3], [0, 0], [0, 0]] if online else [[3, 5]] * 3)

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import AcquisitionalQuery, QueryPlanner, StreamFabricator
 from repro.core.fabricator import BatchResult
-from repro.core.pmat.flatten import FlattenBatchReport
+from repro.core.pmat.flatten import FlattenBatchReport, finish_estimate
 from repro.errors import PointProcessError
 from repro.geometry import Grid, Rectangle
 from repro.plan import compile_programs
@@ -216,7 +216,9 @@ def oracle_flatten(flatten, batch):
     n = len(batch)
     flatten._tuples_in += n
     events = EventBatch(batch.t, batch.x, batch.y)
-    intensity, estimator = flatten._estimate_intensity(events)
+    # Each chain's fit solved alone: the attribute programs solve them all
+    # at once, in lockstep.
+    intensity, estimator = finish_estimate(flatten.begin_estimate(events))
     target_expected = flatten.target_rate * flatten.region.area * flatten._batch_duration
     keep, _probability, violation, shortfall = reference_flatten(
         events, intensity, target_expected, flatten.rng

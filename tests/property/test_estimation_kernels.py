@@ -8,12 +8,16 @@ exactly the bits of the per-box loop it replaced — kept here, under
 ``tests/``, as the oracle.  ``fit_linear_intensity_mle`` (damped Newton)
 is held to its own certificate — a feasible theta with a Newton decrement
 within tolerance is the global maximum — and to SciPy's L-BFGS-B, the
-solver it replaced, also kept here as an oracle.
+solver it replaced, also kept here as an oracle.  The engine runs it as
+``fit_linear_intensity_mle_segments``, many fits in lockstep; the per-fit
+Newton body that preceded it is kept here too, and every segment must
+land on its bits.
 """
 
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,12 +28,28 @@ from repro.core.pmat import FlattenOperator
 from repro.errors import EstimationError
 from repro.geometry import CompositeRegion, Rectangle, RectRegion
 from repro.pointprocess import (
+    EstimationResult,
     EventBatch,
+    LinearIntensity,
     OnlineIntensityEstimator,
     fit_linear_intensity_least_squares,
     fit_linear_intensity_mle,
+    fit_linear_intensity_mle_segments,
 )
-from repro.pointprocess.estimation import _RATE_FLOOR, _log_likelihood
+from repro.pointprocess import estimation
+from repro.pointprocess.estimation import (
+    _ARMIJO,
+    _BOUNDARY_FRACTION,
+    _MAX_HALVINGS,
+    _NEWTON_MAX_ITERATIONS,
+    _NEWTON_TOLERANCE,
+    _RATE_FLOOR,
+    _coerce_region,
+    _linear_rate,
+    _log_likelihood,
+    _solve_spd_4x4,
+    _window_centroid,
+)
 from repro.streams import SensorTuple, TupleBatch
 
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
@@ -564,6 +584,274 @@ class TestUnboundedLikelihood:
         )
         kernel.process_batch_mask(spread)
         assert kernel.reports[-1].estimator == "mle"
+
+
+# ----------------------------------------------------------------------------
+# Lockstep Newton over segments == each fit alone
+# ----------------------------------------------------------------------------
+
+
+def newton_fit_alone(batch, region, t_start, t_end, *, initial_theta=None):
+    """The Newton fit of one batch as it was written before the lockstep
+    solve: the oracle.
+
+    The per-fit body, verbatim, that ``fit_linear_intensity_mle_segments``
+    runs in lockstep; its constants are this module's names, so a test
+    can lower the caps on both sides.
+    """
+    region = _coerce_region(region)
+    if batch.is_empty:
+        raise EstimationError("cannot estimate an intensity from an empty batch")
+    if t_end <= t_start:
+        raise EstimationError("time window must have positive length")
+
+    volume, t_mid, cx, cy = _window_centroid(region, t_start, t_end)
+    u = batch.t - t_mid
+    v = batch.x - cx
+    w = batch.y - cy
+
+    phi = (len(batch) / volume, 0.0, 0.0, 0.0)
+    rate = np.full(len(batch), phi[0])
+    if initial_theta is not None:
+        given = np.asarray(initial_theta, dtype=float)
+        if given.shape != (4,):
+            raise EstimationError("initial theta must have four components")
+        s0, s1, s2, s3 = map(float, given)
+        start = (((s0 + t_mid * s1) + cx * s2) + cy * s3, s1, s2, s3)
+        start_rate = _linear_rate(*start, u, v, w)
+        if start_rate.min() > _RATE_FLOOR:
+            phi, rate = start, start_rate
+    log_likelihood = float(np.log(rate).sum()) - volume * phi[0]
+
+    converged = False
+    iterations = 0
+    while True:
+        # Gradient sum(f_i / rate_i) - integral(f) and the ten entries of
+        # sum(f_i f_i^T / rate_i^2), f = (1, u, v, w): plain sums of 1-D
+        # products, never a BLAS call (its rounding is build-dependent).
+        r = 1.0 / rate
+        ur = u * r
+        vr = v * r
+        wr = w * r
+        gradient = (
+            float(r.sum()) - volume,
+            float(ur.sum()),
+            float(vr.sum()),
+            float(wr.sum()),
+        )
+        hessian = (
+            float((r * r).sum()),
+            float((ur * r).sum()),
+            float((vr * r).sum()),
+            float((wr * r).sum()),
+            float((ur * ur).sum()),
+            float((ur * vr).sum()),
+            float((ur * wr).sum()),
+            float((vr * vr).sum()),
+            float((vr * wr).sum()),
+            float((wr * wr).sum()),
+        )
+        direction = _solve_spd_4x4(hessian, gradient)
+        if direction is None:
+            break
+        g0, g1, g2, g3 = gradient
+        d0, d1, d2, d3 = direction
+        decrement = ((g0 * d0 + g1 * d1) + g2 * d2) + g3 * d3
+        if not decrement >= 0.0:
+            break
+        if decrement <= _NEWTON_TOLERANCE:
+            converged = True
+            break
+        if iterations == _NEWTON_MAX_ITERATIONS:
+            break
+
+        # Fraction-to-the-boundary rule: event i reaches the floor at step
+        # 1 / shrink_i, and a step covers at most 0.95 of the nearest such
+        # distance; then Armijo backtracking on the log-likelihood.
+        slope = _linear_rate(*direction, u, v, w)
+        shrink = float((-slope / (rate - _RATE_FLOOR)).max())
+        step = 1.0 if shrink <= _BOUNDARY_FRACTION else _BOUNDARY_FRACTION / shrink
+        for _ in range(_MAX_HALVINGS):
+            trial = (
+                phi[0] + step * d0,
+                phi[1] + step * d1,
+                phi[2] + step * d2,
+                phi[3] + step * d3,
+            )
+            trial_rate = _linear_rate(*trial, u, v, w)
+            if trial_rate.min() > _RATE_FLOOR:
+                trial_likelihood = float(np.log(trial_rate).sum()) - volume * trial[0]
+                if trial_likelihood >= log_likelihood + _ARMIJO * step * decrement:
+                    break
+            step *= 0.5
+        else:
+            break
+        phi, rate, log_likelihood = trial, trial_rate, trial_likelihood
+        iterations += 1
+
+    theta = (((phi[0] - phi[1] * t_mid) - phi[2] * cx) - phi[3] * cy, phi[1], phi[2], phi[3])
+    return EstimationResult(
+        intensity=LinearIntensity.from_theta(theta),
+        theta=theta,
+        log_likelihood=log_likelihood,
+        converged=converged,
+        iterations=iterations,
+    )
+
+
+def fit_bits(result):
+    """Everything a fit reports, exactly: theta and log-likelihood as hex."""
+    return (
+        [value.hex() for value in result.theta],
+        result.log_likelihood.hex(),
+        result.converged,
+        result.iterations,
+    )
+
+
+def cap_batch():
+    """60 events on the unit window left of its centroid, x < 0.5, whose
+    Newton iterates run into the 25-step cap (found by a seed search)."""
+    rng = np.random.default_rng(2361)
+    return EventBatch(rng.random(60) ** 0.5, 0.5 * rng.random(60), rng.random(60) ** 0.5)
+
+
+#: numpy's pairwise sum works in blocks of 8 inside blocks of 128: the edges
+newton_lengths = st.one_of(
+    st.sampled_from([4, 7, 8, 9, 127, 128, 129, 255, 256, 257]), st.integers(4, 400)
+)
+
+
+@st.composite
+def newton_segments(draw):
+    """One segment: its events and its window.
+
+    ``spread`` and ``skewed`` events cover the window and converge;
+    ``corner`` events leave the window's centroid outside their hull (no
+    maximum); ``same_time`` events share one timestamp and ``nan`` events
+    carry one NaN coordinate (both singular); ``cap`` is :func:`cap_batch`.
+    """
+    kind = draw(st.sampled_from(["spread", "skewed", "corner", "same_time", "nan", "cap"]))
+    if kind == "cap":
+        return cap_batch(), (UNIT, 0.0, 1.0)
+    length = draw(newton_lengths)
+    region = draw(st.sampled_from(REGIONS))
+    t_start = draw(st.sampled_from([0.0, 7.25, 1000.0]))
+    t_end = t_start + draw(st.sampled_from([0.5, 1.0, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit = rng.random((length, 3))
+    if kind == "skewed":
+        unit **= rng.choice([0.4, 1.0, 2.5], 3)
+    elif kind == "corner":
+        unit[:, 1:] *= 0.3
+    elif kind == "same_time":
+        unit[:, 0] = 0.5
+    bbox = region.bounding_box
+    t = t_start + (t_end - t_start) * unit[:, 0]
+    x = bbox.x_min + bbox.width * unit[:, 1]
+    y = bbox.y_min + bbox.height * unit[:, 2]
+    if kind == "nan":
+        (x, y)[int(rng.integers(2))][rng.integers(length)] = np.nan
+    return EventBatch(t, x, y), (region, t_start, t_end)
+
+
+def lockstep(segments):
+    """:func:`fit_linear_intensity_mle_segments` over ``(batch, window)`` pairs."""
+    lengths = [len(batch) for batch, _window in segments]
+    return fit_linear_intensity_mle_segments(
+        np.concatenate([batch.t for batch, _window in segments]),
+        np.concatenate([batch.x for batch, _window in segments]),
+        np.concatenate([batch.y for batch, _window in segments]),
+        np.cumsum([0] + lengths[:-1]),
+        [window for _batch, window in segments],
+    )
+
+
+class TestLockstepNewton:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda count: st.lists(newton_segments(), min_size=count, max_size=count)
+        ),
+        st.sampled_from([(25, 30), (25, 30), (3, 30), (25, 1), (25, 0)]),
+        st.randoms(use_true_random=False),
+    )
+    def test_every_segment_is_its_fit_alone(self, segments, caps, shuffler):
+        # Lowered caps put segments that stop at the step cap, or fail the
+        # line search, next to segments still iterating.
+        max_iterations, max_halvings = caps
+        with mock.patch.multiple(
+            estimation, _NEWTON_MAX_ITERATIONS=max_iterations, _MAX_HALVINGS=max_halvings
+        ), mock.patch.multiple(
+            sys.modules[__name__],
+            _NEWTON_MAX_ITERATIONS=max_iterations,
+            _MAX_HALVINGS=max_halvings,
+        ):
+            alone = [fit_bits(newton_fit_alone(batch, *window)) for batch, window in segments]
+            together = [fit_bits(result) for result in lockstep(segments)]
+            assert together == alone
+            # Neither the other segments nor their order matter.
+            order = list(range(len(segments)))
+            shuffler.shuffle(order)
+            permuted = lockstep([segments[i] for i in order])
+            assert [fit_bits(result) for result in permuted] == [alone[i] for i in order]
+            kept = order[: max(1, len(order) // 2)]
+            reduced = lockstep([segments[i] for i in sorted(kept)])
+            assert [fit_bits(result) for result in reduced] == [alone[i] for i in sorted(kept)]
+
+    def test_the_layout_covers_every_outcome(self):
+        # The strategy's kinds end in all four ways a fit ends.
+        rng = np.random.default_rng(0)
+        unit = rng.random((100, 3))
+        spread = EventBatch(unit[:, 0], unit[:, 1], unit[:, 2])
+        corner = EventBatch(unit[:, 0], 0.3 * unit[:, 1], 0.3 * unit[:, 2])
+        segments = [(spread, (UNIT, 0.0, 1.0)), (corner, (UNIT, 0.0, 1.0)), (cap_batch(), (UNIT, 0.0, 1.0))]
+        converged, unbounded, capped = lockstep(segments)
+        assert converged.converged
+        assert not unbounded.converged and unbounded.iterations < 25
+        assert not capped.converged and capped.iterations == 25
+        with mock.patch.object(estimation, "_MAX_HALVINGS", 0):
+            failed = lockstep(segments)
+        assert [(r.converged, r.iterations) for r in failed] == [(False, 0)] * 3
+
+    def test_one_segment_is_the_public_fit(self):
+        batch = seeded_batch(20150413, t_start=1000.0, x_min=6.0, y_min=2.0)
+        window = (Rectangle(6.0, 2.0, 7.0, 3.0), 1000.0, 1001.0)
+        (result,) = lockstep([(batch, window)])
+        assert [v.hex() for v in result.theta] == PINNED_MLE_THETA
+        assert fit_bits(result) == fit_bits(fit_linear_intensity_mle(batch, *window))
+        assert fit_bits(result) == fit_bits(newton_fit_alone(batch, *window))
+
+    def test_initial_thetas_are_per_segment(self):
+        batch = seeded_batch(3)
+        default = fit_linear_intensity_mle(batch, UNIT, 0.0, 1.0)
+        starts = [None, default.theta, (-5.0, 0.0, 0.0, 0.0)]
+        results = fit_linear_intensity_mle_segments(
+            np.tile(batch.t, 3), np.tile(batch.x, 3), np.tile(batch.y, 3),
+            [0, len(batch), 2 * len(batch)], [(UNIT, 0.0, 1.0)] * 3,
+            initial_thetas=starts,
+        )
+        for result, start in zip(results, starts):
+            expected = newton_fit_alone(batch, UNIT, 0.0, 1.0, initial_theta=start)
+            assert fit_bits(result) == fit_bits(expected)
+        assert results[1].iterations == 0
+
+    @pytest.mark.parametrize(
+        "starts, windows, initial_thetas, message",
+        [
+            ([0, 5], [(UNIT, 0.0, 1.0)], None, "one window per segment"),
+            ([0, 5, 5], [(UNIT, 0.0, 1.0)] * 3, None, "empty batch"),
+            ([0, 5], [(UNIT, 0.0, 1.0), (UNIT, 1.0, 1.0)], None, "positive length"),
+            ([0, 5], [(UNIT, 0.0, 1.0)] * 2, [None], "one initial theta"),
+            ([0, 5], [(UNIT, 0.0, 1.0)] * 2, [None, (1.0, 2.0)], "four components"),
+        ],
+    )
+    def test_invalid_layouts_raise_before_any_fit(self, starts, windows, initial_thetas, message):
+        batch = seeded_batch(1, n=10)
+        with pytest.raises(EstimationError, match=message):
+            fit_linear_intensity_mle_segments(
+                batch.t, batch.x, batch.y, starts, windows, initial_thetas=initial_thetas
+            )
 
 
 class TestScipyStaysOut:
