@@ -1,9 +1,8 @@
 """CRQ2xx — batch-protocol completeness.
 
 The vectorised fast paths dispatch on *protocol* methods: mobility
-kernels group by ``batch_key`` (PR 2), stateful participation rides the
-six-method vector-state protocol (PR 3), and operators join the
-compiled plan path through ``lower_ir()`` (PR 8).  Each protocol is
+kernels group by ``batch_key`` (PR 2) and operators join the compiled
+plan path through ``lower_ir()`` (PR 8).  Each protocol is
 all-or-nothing — a class implementing half of one doesn't fail loudly,
 it silently takes the slow path (or worse, groups incorrectly).  These
 rules make partial implementations a lint error at the diff.
@@ -21,9 +20,6 @@ rules make partial implementations a lint error at the diff.
   it), and so is a ``skip_ahead`` that takes an ``rng`` — the pre-pass
   is draw-free by contract, which is what keeps the shared stream's
   order independent of who gets skipped.
-* ``CRQ202`` — a participation model implements *some* of the
-  vector-state protocol's six methods but not all of them: fast-sim
-  probes ``vector_state_columns`` and then trusts the other five.
 * ``CRQ203`` — an operator defines ``process_batch`` without
   ``lower_ir`` and without the explicit ``interpreted_fallback = True``
   marker acknowledging that it is not lowered and so only runs in
@@ -41,21 +37,8 @@ from ..registry import rule
 
 CODES = {
     "CRQ201": "step_batch, batch_key (and a draw-free skip_ahead) go together",
-    "CRQ202": "participation vector-state protocol is all-or-nothing",
     "CRQ203": "process_batch without lower_ir or interpreted_fallback marker",
 }
-
-#: The six methods of the participation vector-state protocol (PR 3).
-VECTOR_STATE_PROTOCOL = frozenset(
-    {
-        "vector_state_columns",
-        "vector_state_key",
-        "vector_static_params",
-        "init_vector_state",
-        "vector_probabilities",
-        "vector_commit",
-    }
-)
 
 #: Operator base classes whose subclasses the CRQ203 rule applies to.
 OPERATOR_BASES = frozenset({"StreamOperator", "PMATOperator"})
@@ -150,18 +133,6 @@ def check(project: Project, context) -> Iterator[Finding]:
                     "pre-pass must not draw, or the shared stream's order "
                     "would depend on which rows are skipped",
                 )
-
-        # CRQ202 — the vector-state protocol is all six methods or none.
-        implemented = methods & VECTOR_STATE_PROTOCOL
-        if implemented and implemented != VECTOR_STATE_PROTOCOL:
-            missing_names = sorted(VECTOR_STATE_PROTOCOL - implemented)
-            yield finding(
-                "CRQ202",
-                f"class {class_node.name} implements part of the "
-                f"vector-state protocol but misses "
-                f"{', '.join(missing_names)}; fast-sim probes "
-                "vector_state_columns and then trusts the other five",
-            )
 
         # CRQ203 — operators either compile or declare they don't.
         if (

@@ -457,10 +457,10 @@ def _command_recover(args: argparse.Namespace, out: Callable[[str], None]) -> in
         out(f"ran {args.batches} more batch(es); {engine.batches_run} total")
     sessions = engine.sessions()
     if sessions:
-        out(_sessions_table(sessions).render())
+        out(sessions_table(sessions).render())
     views = engine.views()
     if views:
-        out(_views_table(views).render())
+        out(views_table(views).render())
     return 0
 
 
@@ -487,14 +487,6 @@ repl commands:
   quit/exit        leave the repl"""
 
 
-# The repl's tables are the shared renders of repro.query.render — the
-# serving layer's text mode shows the same bytes (see that module's docs).
-_sessions_table = sessions_table
-_views_table = views_table
-_health_table = health_table
-_frames_table = frames_table
-
-
 def _statement_validator(catalog: AttributeCatalog) -> Callable:
     """The per-statement hook ``execute_script`` runs before executing."""
 
@@ -515,9 +507,9 @@ def _narrate_statement_result(
         out(result)
     elif isinstance(result, list):  # SHOW QUERIES / SHOW VIEWS
         if isinstance(statement, ShowViewsStatement):
-            out(_views_table(result).render())
+            out(views_table(result).render())
         else:
-            out(_sessions_table(result).render())
+            out(sessions_table(result).render())
     elif isinstance(result, ViewHandle):
         if result.is_active():
             out(
@@ -548,17 +540,6 @@ def _narrate_statement_result(
                 f"stopped {result.query.label} "
                 f"({result.buffer.total_tuples} tuples remain readable)"
             )
-
-
-def _execute_repl_statement(
-    engine: CraqrEngine,
-    catalog: AttributeCatalog,
-    statement,
-    out: Callable[[str], None],
-) -> None:
-    """Run one parsed statement against the live engine and narrate it."""
-    _statement_validator(catalog)(statement)
-    _narrate_statement_result(statement, engine.execute(statement), out)
 
 
 def _command_repl(
@@ -620,7 +601,7 @@ def _command_repl(
                 if not frames:
                     out(f"view {handle.name}: no frames closed yet")
                 else:
-                    out(_frames_table(handle, frames).render())
+                    out(frames_table(handle, frames).render())
             except ValueError:
                 out(f"error: 'frames' takes a count, got {parts[2]!r}")
             except CraqrError as exc:
@@ -665,7 +646,7 @@ def _command_repl(
                 if len(parts) != 2:
                     raise CraqrError("'health' takes exactly one query name")
                 handle = engine.query(parts[1])
-                out(_health_table(engine, handle).render())
+                out(health_table(engine, handle).render())
                 monitor = engine.health_monitor
                 if monitor is None:
                     out("sensor health monitoring is off (no ResilienceConfig)")

@@ -29,13 +29,7 @@ from .plan import (
 from .injector import FaultInjector, FaultOutcome
 from .health import HealthSummary, SensorHealthMonitor
 from .degradation import DegradationTracker
-from .crash import (
-    CrashInjector,
-    CrashPoint,
-    SimulatedCrash,
-    crash_points,
-    parse_crash_point,
-)
+from .crash import CrashInjector, CrashPoint, SimulatedCrash
 
 __all__ = [
     "BurstDropModel",
@@ -52,6 +46,4 @@ __all__ = [
     "CrashInjector",
     "CrashPoint",
     "SimulatedCrash",
-    "crash_points",
-    "parse_crash_point",
 ]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import os
-from typing import List
 
 from ..errors import CraqrError
 
@@ -108,16 +107,3 @@ class CrashInjector:
             os._exit(self.exit_code)
         raise SimulatedCrash(point, batch_index)
 
-
-def parse_crash_point(name: str) -> CrashPoint:
-    """Resolve a crash point by its CLI/scenario name (e.g. ``post-merge``)."""
-    for point in CrashPoint:
-        if point.value == name:
-            return point
-    known = ", ".join(p.value for p in CrashPoint)
-    raise CraqrError(f"unknown crash point {name!r}; known: {known}")
-
-
-def crash_points() -> List[CrashPoint]:
-    """All named crash points, in batch-loop order."""
-    return list(CrashPoint)

@@ -53,8 +53,12 @@ MAGIC = b"CRQRCKPT"
 #: strict engine moves its crowd elsewhere than the build that wrote a
 #: version-6 file; 8: every mobility model moves through its kernel — a
 #: sensor carries no per-row state view, generator or scratch state, the
-#: world no list of kernel-less rows, and the state-view class is gone).
-FORMAT_VERSION = 8
+#: world no list of kernel-less rows, and the state-view class is gone; 9:
+#: stateful participation is decided per request under both contracts —
+#: the SoA has no participation-group column or extra state columns, a
+#: fatigue model keeps its state in its own dict, and a fast-sim fatigue
+#: crowd no longer commits fatigue once per round).
+FORMAT_VERSION = 9
 
 #: Header layout after the magic: version (u32), payload length (u64),
 #: SHA-256 digest (32 bytes), all little-endian.

@@ -5,9 +5,10 @@ An :class:`EngineSnapshot` captures *everything* a
 had never stopped:
 
 * the sensing world — :class:`~repro.sensing.SensorStateArrays` columns
-  (positions, velocities, counters, reliability/quarantine, participation
-  vector-state extras, the keyed streams' ``moves_drawn`` counters), the
-  simulation clock and the world's own stream (sensors keep no generator);
+  (positions, velocities, counters, reliability/quarantine, the keyed
+  streams' ``moves_drawn`` counters), the participation models' per-sensor
+  state (fatigue levels, distances), the simulation clock and the world's
+  own stream (sensors keep no generator);
 * the request/response handler — per-(attribute, cell) budgets, lifetime
   counters, incentive ledgers, the tuple-id allocator, the
   :class:`~repro.faults.FaultInjector`'s private stream and burst/stuck

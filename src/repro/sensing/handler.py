@@ -18,12 +18,14 @@ crowdsensed stream fabricator then pushes through PMAT topologies.
 
 Every entry point runs the same wave loop
 (:meth:`RequestResponseHandler._acquire_waves`) over cell segments, and a
-round runs it once per attribute over all of the attribute's cells
+round runs it once per attribute and RNG policy over the attribute's cells
 (:meth:`RequestResponseHandler.acquire_attribute_batch`) under either RNG
 contract; what differs between strict and fast-sim is confined to two
 small RNG policies (:class:`_PerSensorStreams`: each sensor answers from
 its own keyed stream, one vectorised pass per wave; :class:`_SharedStream`:
-one draw from the world stream per wave).
+one draw from the world stream per wave, for cells whose every sensor has
+stationary participation).  A sensor with stateful participation is
+decided by its model's ``decide``, one request at a time, under both.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ class _PerSensorStreams:
     :meth:`~repro.sensing.MobileSensor.handle_request`, in any order that
     keeps each sensor's own requests in order.  Serves strict rounds, the
     handler's object views and the cells of a fast-sim world that host a
-    non-vectorisable sensor.
+    sensor without ``vector_params`` (stateful or custom participation).
     """
 
     def __init__(self, world: SensingWorld) -> None:
@@ -214,7 +216,7 @@ class _PerSensorStreams:
             soa.p_base[rows],
         )
         latencies = exponential_latency(soa.latency_mean[rows], u[1])
-        walked = ~soa.vector_participation[rows] | (soa.participation_group[rows] >= 0)
+        walked = ~soa.vector_participation[rows]
         if walked.any():
             visit = np.flatnonzero(walked) if order is None else order[walked[order]]
             self._decide_walked(
@@ -264,8 +266,9 @@ class _SharedStream:
     (:meth:`RequestResponseHandler._fused_request_times`), and a wave is
     answered with one participation draw, one latency draw and one
     ``field.values`` call over the concatenated rows.  Statistically
-    equivalent to :class:`_PerSensorStreams`; needs every row to have
-    vectorisable participation.
+    equivalent to :class:`_PerSensorStreams`; every row must have
+    stationary participation (``vector_params``), which it reads from the
+    SoA parameter columns.
     """
 
     def __init__(self, world: SensingWorld) -> None:
@@ -285,8 +288,12 @@ class _SharedStream:
     def answer(self, field_model, rows, request_times, multipliers, replacement_used):
         soa = self._world.state_arrays
         rng = self._world.rng
-        probabilities = self._response_probabilities(rows, request_times, multipliers)
-        self._commit_round(rows, request_times)
+        p_base = soa.p_base[rows]
+        probabilities = np.where(
+            soa.incentive_sensitive[rows],
+            np.minimum(p_base * multipliers, soa.p_max[rows]),
+            p_base,
+        )
         responded = rng.random(rows.size) < probabilities
         respond_rows = rows[responded]
         if replacement_used:
@@ -308,47 +315,6 @@ class _SharedStream:
             request_times[responded], soa.x[respond_rows], soa.y[respond_rows], rng=rng
         )
         return responded, latencies, np.asarray(values)
-
-    def _response_probabilities(
-        self, rows: np.ndarray, times: np.ndarray, multipliers: np.ndarray
-    ) -> np.ndarray:
-        """Final response probabilities for the requested SoA ``rows``.
-
-        Stationary rows read the participation parameter columns directly;
-        rows of a stateful vector-participation group are routed to the
-        group's representative model (one
-        :meth:`~repro.sensing.participation.ParticipationModel.vector_probabilities`
-        call per distinct group in the round).  Incentive boosting and the
-        per-row ``p_max`` cap apply uniformly to both kinds.
-        """
-        soa = self._world.state_arrays
-        base = soa.p_base[rows]  # fancy indexing: a fresh array, safe to edit
-        group_ids = soa.participation_group[rows]
-        stateful = group_ids >= 0
-        if np.any(stateful):
-            groups = self._world.participation_groups
-            for group_id in np.unique(group_ids[stateful]):
-                mask = group_ids == group_id
-                base[mask] = groups[int(group_id)].vector_probabilities(
-                    soa, rows[mask], times[mask]
-                )
-        return np.where(
-            soa.incentive_sensitive[rows],
-            np.minimum(base * multipliers, soa.p_max[rows]),
-            base,
-        )
-
-    def _commit_round(self, rows: np.ndarray, times: np.ndarray) -> None:
-        """Apply the wave's state updates for stateful participation rows."""
-        soa = self._world.state_arrays
-        group_ids = soa.participation_group[rows]
-        stateful = group_ids >= 0
-        if not np.any(stateful):
-            return
-        groups = self._world.participation_groups
-        for group_id in np.unique(group_ids[stateful]):
-            mask = group_ids == group_id
-            groups[int(group_id)].vector_commit(soa, rows[mask], times[mask])
 
 
 class RequestResponseHandler:
@@ -520,9 +486,9 @@ class RequestResponseHandler:
 
         ``cell_keys`` and ``populations`` are aligned; every population is a
         non-empty, ascending array of SoA rows (quarantined rows already
-        masked out).  The fused round of either contract calls this with all
-        of an attribute's grid cells (fast-sim: its vector-capable ones),
-        the per-cell entry points with one segment; ``policy`` owns the
+        masked out).  The fused round calls this once per policy with all
+        of an attribute's grid cells that policy serves, the per-cell entry
+        points with one segment; ``policy`` owns the
         draws that differ between the contracts (see the RNG-policy notes
         above) and everything
         else happens here, once: per-cell budgets and the retry reserve,
@@ -822,11 +788,10 @@ class RequestResponseHandler:
         In fast-sim mode (``WorldConfig.vectorized_rng``) the round instead
         samples the whole cell population at once from the world's shared
         stream (participation decisions, latencies and phenomenon values
-        are single vectorised draws over the SoA columns).  Stateful models
-        that implement the vector-state protocol (fatigue, distance decay)
-        are decided vectorially through their participation group; only
-        cells containing a sensor whose model supports neither stationary
-        ``vector_params`` nor vector state keep the exact per-sensor round.
+        are single vectorised draws over the SoA columns).  A cell hosting
+        a sensor without stationary ``vector_params`` (fatigue, distance
+        decay, a custom model) keeps the exact per-sensor round, whose
+        stateful rows are decided by their model's ``decide`` per request.
         """
         return self._acquire_cell_round(attribute, cell, duration, report)
 
@@ -957,21 +922,21 @@ class RequestResponseHandler:
 
         Every requested grid cell's population is resolved by a single
         bucketing pass (:meth:`_resolve_cell_populations`) and the cells
-        are served by **one** :meth:`_acquire_waves` call over all of their
-        segments, while per-cell budgets, request/response counts and
-        incentive accounting stay exactly per ``(attribute, cell)``.  The
-        world's RNG contract picks the policy: a strict world answers the
-        wave from the sensors' keyed streams (:class:`_PerSensorStreams`,
-        one vectorised pass), a fast-sim world samples it from the shared
-        stream (:class:`_SharedStream`: one participation draw, one latency
-        draw and one ``field.values`` call).
+        are served by at most one :meth:`_acquire_waves` call per RNG
+        policy over all of their segments, while per-cell budgets,
+        request/response counts and incentive accounting stay exactly per
+        ``(attribute, cell)``.  A strict world answers every cell from the
+        sensors' keyed streams (:class:`_PerSensorStreams`, one vectorised
+        pass).  A fast-sim world samples the cells whose every sensor has
+        stationary participation from the shared stream
+        (:class:`_SharedStream`: one participation draw, one latency draw
+        and one ``field.values`` call) and serves the rest — cells hosting
+        a stateful or custom model — in one per-sensor call over their
+        bucketed populations (no second scan of the crowd), so those
+        sensors are decided per request exactly as in strict mode.
 
-        Cells that cannot take the fused round are served one at a time: a
-        cell that is not part of the handler's grid by
-        :meth:`acquire_cell_batch` over its rectangle, and — in fast-sim
-        only — a grid cell hosting a sensor without vectorisable
-        participation keeps the per-sensor policy over its bucketed
-        population (no second scan of the crowd).  Empty cells send
+        A cell that is not part of the handler's grid is served alone by
+        :meth:`acquire_cell_batch` over its rectangle.  Empty cells send
         nothing, as in the per-cell paths.
 
         :meth:`acquire_batches` dispatches here per attribute, sharing one
@@ -1004,42 +969,35 @@ class RequestResponseHandler:
             populations, fully_vector = self._resolve_cell_populations(
                 grid_cells, bucketing
             )
-            fused_keys: List[CellKey] = []
-            fused_populations: List[np.ndarray] = []
-            per_sensor_cells: List[Tuple[CellKey, np.ndarray]] = []
+            # Each policy's one wave loop: (cell keys, populations).
+            wave_loops = {self._per_sensor: ([], []), self._shared_stream: ([], [])}
             for cell in grid_cells:
                 population = populations[cell.key]
                 if population.size == 0:
                     continue  # nobody to ask: no requests, like the per-cell paths
-                if fully_vector[cell.key] or not fast_sim:
-                    fused_keys.append(cell.key)
-                    fused_populations.append(population)
-                else:
-                    per_sensor_cells.append((cell.key, population))
-            plan = (off_grid, per_sensor_cells, tuple(fused_keys), fused_populations)
+                shared = fast_sim and fully_vector[cell.key]
+                keys, members = wave_loops[
+                    self._shared_stream if shared else self._per_sensor
+                ]
+                keys.append(cell.key)
+                members.append(population)
+            plan = (off_grid, wave_loops)
             if round_cache is not None:
                 round_cache[plan_key] = plan
-        off_grid, per_sensor_cells, fused_keys, fused_populations = plan
+        off_grid, wave_loops = plan
 
         parts = [
             self.acquire_cell_batch(attribute, cell, duration=duration, report=report)
             for cell in off_grid
         ]
-        for key, population in per_sensor_cells:
-            parts.append(
-                self._acquire_waves(
-                    self._per_sensor, attribute, field_model, (key,), [population],
-                    duration=duration, report=report,
+        for policy, (keys, members) in wave_loops.items():
+            if keys:
+                parts.append(
+                    self._acquire_waves(
+                        policy, attribute, field_model, tuple(keys), members,
+                        duration=duration, report=report, round_cache=round_cache,
+                    )
                 )
-            )
-        if fused_keys:
-            parts.append(
-                self._acquire_waves(
-                    self._shared_stream if fast_sim else self._per_sensor,
-                    attribute, field_model, fused_keys, fused_populations,
-                    duration=duration, report=report, round_cache=round_cache,
-                )
-            )
         parts = [part for part in parts if part is not None]
         if not parts:
             return None

@@ -23,7 +23,7 @@ the row once, by :meth:`SensorStateArrays.load_mobility_state`, with a
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -49,38 +49,24 @@ class SensorStateArrays:
         :meth:`~repro.sensing.participation.ParticipationModel.vector_params`):
         base response probability, incentive-boost cap, mean exponential
         response latency, whether incentives scale the probability, and
-        whether the row may be decided vectorially at all.  Rows whose
-        participation model cannot be vectorised — neither stationary
-        ``vector_params`` nor the stateful vector-state protocol — keep
-        ``vector_participation`` False, which makes the fast-sim acquisition
-        path fall back to the exact per-sensor loop for the affected cells.
-        The strict wave decides a row from these columns when it is
-        ``vector_participation`` with ``participation_group == -1``, and
-        through its model's ``decide`` otherwise.
-    ``participation_group``
-        Index into the world's stateful participation groups (see
-        :meth:`~repro.sensing.SensingWorld.participation_groups`) for rows
-        whose probabilities come from the vector-state protocol
-        (``vector_probabilities`` over the model's state columns);
-        ``-1`` for rows decided from the stationary parameter columns.
+        whether the row is decided from these columns at all.  Rows whose
+        model has no stationary ``vector_params`` (fatigue, distance decay,
+        custom models) keep ``vector_participation`` False: under both RNG
+        contracts their requests are decided by the model's ``decide``, one
+        at a time, and the model keeps their state.
     ``reliability, quarantined``
         Server-side health state maintained by
         :class:`repro.faults.SensorHealthMonitor`: a reliability EWMA of the
         sensor's accepted/requested ratio (1.0 until observed) and the
         quarantine mask the handler ANDs into its candidate populations.
         Inert (all-ones / all-False) unless a health monitor is attached.
-
-    Stateful participation models additionally allocate named *extra*
-    columns (e.g. a fatigue level) via :meth:`ensure_column`; they are
-    accessed with :meth:`column`.
     """
 
     __slots__ = (
         "x", "y", "vx", "vy", "target_x", "target_y", "pause_remaining",
         "sensor_ids", "requests_received", "responses_sent", "moves_drawn",
         "p_base", "p_max", "latency_mean", "incentive_sensitive",
-        "vector_participation", "participation_group",
-        "reliability", "quarantined", "_extra_columns",
+        "vector_participation", "reliability", "quarantined",
     )
 
     def __init__(self, count: int) -> None:
@@ -102,37 +88,12 @@ class SensorStateArrays:
         self.latency_mean = np.zeros(count, dtype=np.float64)
         self.incentive_sensitive = np.zeros(count, dtype=bool)
         self.vector_participation = np.zeros(count, dtype=bool)
-        self.participation_group = np.full(count, -1, dtype=np.int64)
         self.reliability = np.ones(count, dtype=np.float64)
         self.quarantined = np.zeros(count, dtype=bool)
-        self._extra_columns: Dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    # ------------------------------------------------------------------
-    # Named extra columns (participation vector state)
-    # ------------------------------------------------------------------
-    def ensure_column(self, name: str, *, fill: float = 0.0) -> np.ndarray:
-        """Allocate (or return) a named float column of the SoA's length."""
-        column = self._extra_columns.get(name)
-        if column is None:
-            column = np.full(len(self), fill, dtype=np.float64)
-            self._extra_columns[name] = column
-        return column
-
-    def column(self, name: str) -> np.ndarray:
-        """A previously allocated extra column."""
-        try:
-            return self._extra_columns[name]
-        except KeyError:
-            raise CraqrError(f"no extra state column named '{name}'") from None
-
-    def has_column(self, name: str) -> bool:
-        """Whether a named extra column has been allocated."""
-        return name in self._extra_columns
-
-    # ------------------------------------------------------------------
     def load_mobility_state(self, index: int, state) -> None:
         """Copy a freshly initialised ``MobilityState`` into row ``index``."""
         self.x[index] = state.x

@@ -34,7 +34,10 @@ where the draws come from, the RNG contract selected by
   world's generator (the kernels' shared draw policy), and the handler's
   acquisition rounds sample participation and phenomena across a whole
   cell population at once.  Runs are statistically equivalent to strict
-  mode (same densities, same response rates), not bit-equal.
+  mode (same densities, same response rates), not bit-equal.  A sensor
+  whose participation is stateful (fatigue, distance decay) is answered
+  as in strict mode, through its model's ``decide`` one request at a
+  time; its model, not the world, keeps the state.
 """
 
 from __future__ import annotations
@@ -147,7 +150,6 @@ class SensingWorld:
                 )
             )
         self._mobility_groups = self._group_mobility_models()
-        self._participation_groups = self._group_participation_models()
         self._fields: Dict[str, PhenomenonField] = {}
 
     def _group_mobility_models(self) -> List[Tuple[MobilityModel, RowSelector]]:
@@ -167,45 +169,6 @@ class SensingWorld:
             else:
                 keyed[key] = (sensor.mobility, [index])
         return [(model, _row_selector(indices)) for model, indices in keyed.values()]
-
-    def _group_participation_models(self) -> List[ParticipationModel]:
-        """Wire stateful participation models into the SoA vector-state columns.
-
-        Sensors whose model implements the vector-state protocol
-        (:meth:`~repro.sensing.participation.ParticipationModel.vector_state_columns`)
-        get their state columns allocated, their initial state written, and a
-        ``participation_group`` id assigned; models sharing a
-        ``vector_state_key`` form one group evaluated by a single
-        representative instance (the per-sensor state lives entirely in the
-        SoA columns, so any instance of the group can evaluate all of its
-        rows).  Such rows are marked ``vector_participation`` so the
-        fast-sim handler decides them with array operations instead of
-        falling back to the exact per-sensor round.
-        """
-        soa = self._state
-        keyed: Dict[object, int] = {}
-        groups: List[ParticipationModel] = []
-        for index, sensor in enumerate(self._sensors):
-            model = sensor.participation
-            columns = model.vector_state_columns()
-            if columns is None:
-                continue
-            for name in columns:
-                soa.ensure_column(name)
-            key = model.vector_state_key()
-            group_id = keyed.get(key)
-            if group_id is None:
-                group_id = len(groups)
-                keyed[key] = group_id
-                groups.append(model)
-            p_max, latency_mean, incentive_sensitive = model.vector_static_params()
-            soa.p_max[index] = p_max
-            soa.latency_mean[index] = latency_mean
-            soa.incentive_sensitive[index] = incentive_sensitive
-            soa.participation_group[index] = group_id
-            soa.vector_participation[index] = True
-            model.init_vector_state(soa, index)
-        return groups
 
     # ------------------------------------------------------------------
     @property
@@ -256,16 +219,6 @@ class SensingWorld:
         the second key word is the sensor id.
         """
         return self._acquisition_key
-
-    @property
-    def participation_groups(self) -> List[ParticipationModel]:
-        """Representative models of the stateful vector-participation groups.
-
-        Indexed by the ``participation_group`` SoA column: the fast-sim
-        handler asks ``participation_groups[g].vector_probabilities(...)``
-        for the rows of group ``g`` (see :meth:`_group_participation_models`).
-        """
-        return self._participation_groups
 
     @property
     def attributes(self) -> List[str]:

@@ -98,23 +98,9 @@ def test_draw_free_skip_ahead_beside_its_kernel_is_clean(lint):
     assert codes(report) == []
 
 
-def test_partial_vector_state_protocol_flagged(lint):
-    report = lint(
-        {
-            "participation.py": """\
-            class FlakyParticipation:
-                def vector_state_columns(self):
-                    return ("streak",)
-
-                def vector_probabilities(self, params, state, now):
-                    return state
-            """
-        }
-    )
-    assert codes(report) == ["CRQ202"]
-
-
 def test_full_vector_state_protocol_is_clean(lint):
+    # Participation models declare no vector-state protocol any more, so no
+    # rule asks a model with these methods for a complete set of them.
     report = lint(
         {
             "participation.py": """\

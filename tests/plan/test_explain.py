@@ -6,6 +6,8 @@ inputs, the fused kernels, the merge-stage choice (flat vs tree), the
 seed-era cost-model estimate and the optimizer's sharing notes.
 """
 
+import io
+
 import pytest
 
 from repro.query import ExplainStatement, parse_statements
@@ -70,13 +72,18 @@ class TestRendering:
 
 
 class TestReplIntegration:
-    def test_repl_prints_the_plan(self, engine):
-        from repro.cli import _execute_repl_statement
-        from repro.query import AttributeCatalog
+    def test_repl_prints_the_plan(self):
+        from repro.cli import main
 
-        (stmt,) = parse_statements("EXPLAIN Storm")
         lines = []
-        _execute_repl_statement(engine, AttributeCatalog(), stmt, lines.append)
+        code = main(
+            ["repl", "--scenario", "uniform", "--sensors", "120", "--seed", "3"],
+            out=lines.append,
+            in_stream=io.StringIO(
+                "ACQUIRE rain FROM RECT(0,0,2,2) RATE 5 AS Storm\nrun 2\nEXPLAIN Storm\n"
+            ),
+        )
+        assert code == 0
         out = "\n".join(lines)
         assert "EXPLAIN query 'Storm'" in out
         assert "fused kernels" in out

@@ -150,10 +150,10 @@ class TestSharedSurface:
     def test_cli_aliases_are_the_render_functions(self):
         # The repl renders through the exact same callables the server's
         # text mode uses — no drift possible.
-        assert cli._sessions_table is render.sessions_table
-        assert cli._views_table is render.views_table
-        assert cli._health_table is render.health_table
-        assert cli._frames_table is render.frames_table
+        assert cli.sessions_table is render.sessions_table
+        assert cli.views_table is render.views_table
+        assert cli.health_table is render.health_table
+        assert cli.frames_table is render.frames_table
 
     def test_query_package_reexports(self):
         from repro import query

@@ -58,8 +58,18 @@ SECOND_QUERY = "ACQUIRE temp FROM RECT(1, 1, 3, 3) AT RATE 6 PER KM2 PER MIN AS 
 VIEW = "CREATE VIEW Rain ON Storm AS AVG(value) GROUP BY CELL WINDOW 2"
 
 
-def make_world(*, vectorized: bool = False, sensor_count: int = 80, seed: int = 11) -> SensingWorld:
-    """A small flaky-crowd world (strict per-sensor RNGs unless ``vectorized``)."""
+def make_world(
+    *,
+    vectorized: bool = False,
+    sensor_count: int = 80,
+    seed: int = 11,
+    participation=None,
+) -> SensingWorld:
+    """A small flaky-crowd world (strict per-sensor RNGs unless ``vectorized``).
+
+    ``participation`` is the world's participation factory; by default
+    every sensor is a ``BernoulliParticipation(0.6, mean_latency=0.1)``.
+    """
     world = SensingWorld(
         WorldConfig(
             region=REGION,
@@ -68,9 +78,8 @@ def make_world(*, vectorized: bool = False, sensor_count: int = 80, seed: int = 
             vectorized_rng=vectorized,
         ),
         mobility_factory=lambda r: RandomWaypointMobility(r, speed=0.25, pause=0.5),
-        participation_factory=lambda sensor_id: BernoulliParticipation(
-            0.6, mean_latency=0.1
-        ),
+        participation_factory=participation
+        or (lambda sensor_id: BernoulliParticipation(0.6, mean_latency=0.1)),
     )
     world.register_field(RainField(REGION, band_width=1.2, period=60.0))
     world.register_field(TemperatureField(REGION))
@@ -88,6 +97,7 @@ def make_engine(
     view: bool = True,
     online_estimation: bool = False,
     sensor_count: int = 80,
+    participation=None,
 ) -> CraqrEngine:
     """A fully loaded engine: flaky-crowd faults + mitigation, query + view.
 
@@ -114,7 +124,10 @@ def make_engine(
             ),
         )
     engine = CraqrEngine(
-        config, make_world(vectorized=vectorized, sensor_count=sensor_count)
+        config,
+        make_world(
+            vectorized=vectorized, sensor_count=sensor_count, participation=participation
+        ),
     )
     engine.execute(QUERY)
     if view:

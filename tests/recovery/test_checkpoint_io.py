@@ -47,8 +47,8 @@ class TestFraming:
         with pytest.raises(RecoveryError, match=f"version {FORMAT_VERSION + 1}"):
             unframe_payload(framed)
 
-    def test_format_version_is_8(self):
-        assert FORMAT_VERSION == 8
+    def test_format_version_is_9(self):
+        assert FORMAT_VERSION == 9
 
     @pytest.mark.parametrize(
         "version",
@@ -74,6 +74,10 @@ class TestFraming:
             # 7: every sensor pickles a per-row state view
             # (``ArrayBackedMobilityState``), a class this build no longer has.
             7,
+            # 8: the state arrays carry a ``participation_group`` slot and
+            # fatigue columns this build has not, and a fast-sim fatigue crowd
+            # would replay its round-granular fatigue instead of per request.
+            8,
         ],
     )
     def test_old_checkpoint_is_refused_by_version(self, version):

@@ -23,6 +23,7 @@ from recovery_harness import (
 )
 from repro.errors import RecoveryError
 from repro.recovery import EngineSnapshot
+from repro.sensing import FatigueParticipation
 
 #: Golden digest of the strict-mode workload after 8 batches — pinned so a
 #: determinism regression (or an unintended behaviour change anywhere in
@@ -96,6 +97,24 @@ class TestRestoreContinuesByteIdentical:
         restored = run_to(restore_latest_fresh(tmp_path), 8)
         golden = GOLDEN_FAST_SIM if faults else GOLDEN_FAST_SIM_FAULT_FREE
         assert engine_digest(restored) == golden
+
+    def test_fatigue_crowd_replays_byte_identical(self, tmp_path):
+        """A strict fatigue crowd: each model's fatigue dict rides in the snapshot."""
+        fatigue = lambda sensor_id: FatigueParticipation(
+            0.8, fatigue_per_request=0.1, mean_latency=0.1
+        )
+        reference = run_to(make_engine(participation=fatigue), 6)
+        crashed = make_engine(checkpoint_dir=tmp_path, every=3, participation=fatigue)
+        run_to(crashed, 4)  # the newest checkpoint holds batch 3
+        del crashed
+        restored = restore_latest_fresh(tmp_path)
+        assert restored.batches_run == 3
+        world = restored.world
+        assert any(
+            sensor.participation.current_probability(sensor.sensor_id, world.now) < 0.8
+            for sensor in world.sensors
+        )
+        assert engine_digest(run_to(restored, 6)) == engine_digest(reference)
 
     def test_periodic_checkpointing_is_observationally_free(self, tmp_path):
         """Capturing a snapshot must not advance any RNG or mutate state."""

@@ -14,7 +14,6 @@ from repro.geometry import Grid, Rectangle
 from repro.sensing import (
     AlwaysRespond,
     BernoulliParticipation,
-    FatigueParticipation,
     HotspotMobility,
     ParticipationModel,
     RainField,
@@ -30,8 +29,8 @@ REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
 
 class MoodyParticipation(ParticipationModel):
-    """A deliberately non-vectorisable model: no stationary params, no
-    vector-state protocol, so fast-sim must take the exact per-sensor round."""
+    """A custom model without stationary params: fast-sim must take the
+    exact per-sensor round, which decides it request by request."""
 
     def decide(self, sensor_id, t, uniforms, *, incentive_multiplier=1.0):
         u_respond, u_latency = uniforms
@@ -196,8 +195,8 @@ class TestFastSimAcquisition:
         assert totals == handler.total_requests
 
     def test_non_vectorisable_participation_falls_back_to_exact_path(self):
-        # A model with neither stationary vector_params nor the vector-state
-        # protocol cannot be vectorised; a fast-sim world must then produce
+        # A model without stationary vector_params cannot be sampled from
+        # the shared stream; a fast-sim world must then produce
         # *byte-identical* rounds to a strict world with the same seed,
         # because the fallback is the strict per-sensor path.
         participation = lambda i: MoodyParticipation()
@@ -213,18 +212,6 @@ class TestFastSimAcquisition:
         assert (strict_batch is None) == (fast_batch is None)
         if strict_batch is not None:
             assert strict_batch.to_tuples() == fast_batch.to_tuples()
-
-    def test_stateful_models_are_vector_capable(self):
-        # Since the participation vector-state protocol, fatigue sensors no
-        # longer force the per-sensor fallback: their rows are flagged
-        # vector-capable and belong to a participation group.
-        participation = lambda i: FatigueParticipation(0.7)
-        fast = make_world(True, participation=participation, sensor_count=200)
-        soa = fast.state_arrays
-        assert np.all(soa.vector_participation)
-        assert np.all(soa.participation_group == 0)
-        assert len(fast.participation_groups) == 1
-        assert soa.has_column(FatigueParticipation.LEVEL_COLUMN)
 
     def test_mixed_vectorisable_flags_use_fallback(self, monkeypatch):
         # Half the crowd is genuinely non-vectorisable: every cell

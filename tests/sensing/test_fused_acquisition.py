@@ -2,7 +2,7 @@
 
 ``RequestResponseHandler.acquire_attribute_batch`` serves all requested
 cells of one attribute with a single participation draw, a single latency
-draw and a single ``field.values`` call.  These tests pin down its three
+draw and a single ``field.values`` call.  These tests pin down its
 contracts:
 
 * **statistical equivalence** with the per-cell fast-sim round — same
@@ -13,7 +13,10 @@ contracts:
   accounting are per ``(attribute, cell)`` even though the draws are fused;
 * **one round body** — a strict world runs the same fused round under the
   per-sensor policy (its sensors answer from keyed streams, so a whole
-  wave is one vectorised pass), and ``acquire`` is its object view.
+  wave is one vectorised pass), and ``acquire`` is its object view;
+* **exact stateful crowds** — in fast-sim the cells hosting a stateful
+  sensor take one per-sensor wave loop per attribute, so a crowd whose
+  every sensor is stateful acquires exactly what a strict world does.
 """
 
 import numpy as np
@@ -47,8 +50,21 @@ def forbid_per_sensor_policy(monkeypatch):
     monkeypatch.setattr(_PerSensorStreams, "answer", refuse)
 
 
+def record_wave_loops(monkeypatch, handler):
+    """Record ``(policy, attribute, cell keys)`` of every wave loop the handler runs."""
+    loops = []
+    waves = handler._acquire_waves
+
+    def recording(policy, attribute, field_model, cell_keys, populations, **kwargs):
+        loops.append((policy, attribute, cell_keys))
+        return waves(policy, attribute, field_model, cell_keys, populations, **kwargs)
+
+    monkeypatch.setattr(handler, "_acquire_waves", recording)
+    return loops
+
+
 class ScalarOnly(ParticipationModel):
-    """A model with neither stationary parameters nor vector state."""
+    """A custom model without stationary parameters."""
 
     def decide(self, sensor_id, t, uniforms, *, incentive_multiplier=1.0):
         return ResponseDecision(responds=True, latency=0.0)
@@ -238,24 +254,6 @@ class TestFusedStatisticalEquivalence:
 
 
 class TestStatefulFastSim:
-    def test_fatigue_crowd_avoids_per_sensor_fallback(self, monkeypatch):
-        # A FatigueParticipation crowd must run fast-sim acquisition without
-        # the per-sensor fallback: that policy raises for the whole test.
-        forbid_per_sensor_policy(monkeypatch)
-        participation = lambda i: FatigueParticipation(
-            0.7, fatigue_per_request=0.1, recovery_per_time=0.01
-        )
-        world = make_world(True, sensor_count=800, participation=participation)
-        grid = Grid(REGION, side=4)
-        handler = RequestResponseHandler(world, grid, default_budget=60)
-        cells = list(grid.cells())
-        for _ in range(3):
-            handler.acquire_batches({"rain": cells}, duration=1.0)
-            world.advance(1.0)
-        assert handler.total_responses > 0
-        # The SoA fatigue columns moved: requests accumulated fatigue.
-        assert np.any(world.state_arrays.column(FatigueParticipation.LEVEL_COLUMN) > 0)
-
     def test_fatigue_response_rate_matches_strict(self):
         participation = lambda i: FatigueParticipation(
             0.7, fatigue_per_request=0.02, recovery_per_time=0.005, min_probability=0.1
@@ -295,9 +293,8 @@ class TestStatefulFastSim:
         assert round_rates[-1] < round_rates[0] - 0.2
 
     def test_no_vector_form_trips_the_fallback_guard(self, monkeypatch):
-        # What the no-fallback tests rest on: a crowd whose model has no
-        # vector form is served by the per-sensor policy, and the guard
-        # turns that into a failure.
+        # A crowd whose model has no stationary parameters is served by the
+        # per-sensor policy, and the guard turns that into a failure.
         world = make_world(True, sensor_count=200, participation=lambda i: ScalarOnly())
         grid = Grid(REGION, side=2)
         handler = RequestResponseHandler(world, grid, default_budget=20)
@@ -305,65 +302,40 @@ class TestStatefulFastSim:
         with pytest.raises(AssertionError, match="per-sensor policy"):
             handler.acquire_batches({"rain": list(grid.cells())}, duration=1.0)
 
-    def test_distance_decay_uses_soa_distance_column(self, monkeypatch):
-        forbid_per_sensor_policy(monkeypatch)
+    def test_fatigue_state_is_coherent_across_vector_and_fallback_paths(self):
+        # A fatigue model keeps ONE store per sensor: what a direct decide()
+        # writes, a fast-sim round continues from, and current_probability()
+        # reads both.
         models = {}
 
         def participation(sensor_id):
-            model = DistanceDecayParticipation(0.9, decay_scale=0.5)
-            models[sensor_id] = model
-            return model
+            models[sensor_id] = FatigueParticipation(
+                0.8, fatigue_per_request=0.01, recovery_per_time=0.0, min_probability=0.0
+            )
+            return models[sensor_id]
 
-        world = make_world(True, sensor_count=400, participation=participation)
-        grid = Grid(REGION, side=2)
-        handler = RequestResponseHandler(world, grid, default_budget=100)
-        cells = list(grid.cells())
-
-        _, near_report = handler.acquire_batches({"rain": cells}, duration=1.0)
-        world.advance(1.0)
-        # Push every sensor far from the point of interest; set_distance
-        # writes through to the SoA column, so the next fused round sees it.
-        for sensor_id, model in models.items():
-            model.set_distance(sensor_id, 5.0)
-        column = world.state_arrays.column(
-            DistanceDecayParticipation.DISTANCE_COLUMN
-        )
-        assert np.all(column == 5.0)
-        _, far_report = handler.acquire_batches({"rain": cells}, duration=1.0)
-        assert near_report.response_rate > 0.7
-        assert far_report.response_rate < 0.05
-
-    def test_fatigue_state_is_coherent_across_vector_and_fallback_paths(self):
-        # A fatigue sensor bound to SoA vector state must keep ONE fatigue
-        # store: scalar decide() (the per-sensor fallback round) writes the
-        # SoA columns, so fused rounds — and current_probability() — see
-        # fatigue accumulated on either path.
-        from repro.sensing import SensorStateArrays
-
-        model = FatigueParticipation(
-            0.8, fatigue_per_request=0.1, recovery_per_time=0.0
-        )
-        soa = SensorStateArrays(2)
-        soa.sensor_ids[:] = [7, 8]
-        for name in model.vector_state_columns():
-            soa.ensure_column(name)
-        model.init_vector_state(soa, 0)
-        model.init_vector_state(soa, 1)
-        rng = np.random.default_rng(3)
-        # Scalar decisions (the fallback path) must land in the SoA columns...
+        world = make_world(True, sensor_count=40, participation=participation)
+        handler = RequestResponseHandler(world, Grid(REGION, side=1), default_budget=30)
         for _ in range(3):
-            model.decide(7, 1.0, rng.random(2))
-        levels = soa.column(FatigueParticipation.LEVEL_COLUMN)
-        assert levels[0] == pytest.approx(0.3)
-        # ... be visible to the public probability API ...
-        assert model.current_probability(7, 1.0) == pytest.approx(0.8 - 0.3)
-        # ... and to the vector round; a vector commit must likewise be
-        # visible to the scalar path.
-        assert model.vector_probabilities(
-            soa, np.array([0]), np.array([1.0])
-        )[0] == pytest.approx(0.5)
-        model.vector_commit(soa, np.array([1, 1]), np.array([2.0, 2.5]))
-        assert model.current_probability(8, 2.5) == pytest.approx(0.8 - 0.2)
+            models[0].decide(0, 0.0, (0.0, 0.5))
+        assert models[0].current_probability(0, 0.0) == pytest.approx(0.8 - 0.03)
+
+        requests = {sensor_id: 0 for sensor_id in models}
+        for sensor_id, model in models.items():
+            decide = model.decide
+
+            def counting(sid, t, uniforms, *, incentive_multiplier=1.0, decide=decide):
+                requests[sid] += 1
+                return decide(sid, t, uniforms, incentive_multiplier=incentive_multiplier)
+
+            model.decide = counting
+        handler.acquire_batches({"rain": list(handler.grid.cells())}, duration=1.0)
+        assert sum(requests.values()) == 30
+        for sensor_id, model in models.items():
+            stored = 0.03 if sensor_id == 0 else 0.0
+            assert model.current_probability(sensor_id, 1.0) == pytest.approx(
+                0.8 - stored - 0.01 * requests[sensor_id]
+            )
 
     def test_fused_choices_skew_guard_stays_correct(self):
         # Heavily skewed populations route through the per-cell draw (the
@@ -382,26 +354,92 @@ class TestStatefulFastSim:
         assert set(rows[:5]) <= set(range(200_000)) and len(set(rows[:5])) == 5
         assert set(rows[5:]) <= {200_001, 200_002, 200_003} and len(set(rows[5:])) == 2
 
+    @pytest.mark.parametrize("model", ["fatigue", "distance"])
+    def test_all_stateful_crowd_acquires_exactly_what_strict_does(self, model):
+        # Nothing in a stateful crowd is sampled from the shared stream:
+        # every cell takes the keyed per-sensor policy and each request goes
+        # through the model's decide, so a fast-sim world acquires what a
+        # strict world with the same seed does.  (No advance: movement is
+        # where the two contracts still differ.)
+        def build(vectorized):
+            models = {}
+
+            def participation(sensor_id):
+                if model == "fatigue":
+                    models[sensor_id] = FatigueParticipation(0.7, fatigue_per_request=0.2)
+                else:
+                    models[sensor_id] = DistanceDecayParticipation(0.9, decay_scale=0.5)
+                return models[sensor_id]
+
+            world = make_world(vectorized, sensor_count=500, participation=participation)
+            if model == "distance":
+                for sensor_id, decay in models.items():
+                    decay.set_distance(sensor_id, 0.25 * (sensor_id % 8))
+            return RequestResponseHandler(world, Grid(REGION, side=4), default_budget=40)
+
+        strict, fast = build(False), build(True)
+        cells = list(strict.grid.cells())
+        request = {"rain": cells, "temp": cells}
+        for _ in range(3):
+            batches, report = strict.acquire_batches(request, duration=1.0)
+            fast_batches, fast_report = fast.acquire_batches(request, duration=1.0)
+            assert fast_report == report
+            assert list(fast_batches) == list(batches)
+            for attribute, batch in batches.items():
+                other = fast_batches[attribute]
+                assert other.t.tobytes() == batch.t.tobytes()
+                assert other.sensor_id.tobytes() == batch.sensor_id.tobytes()
+                assert other.value.tobytes() == batch.value.tobytes()
+
     def test_mixed_stateful_groups_are_dispatched_separately(self, monkeypatch):
-        # Two fatigue parameterisations form two participation groups; both
-        # must be decided vectorially in one fused round.
-        forbid_per_sensor_policy(monkeypatch)
+        # Two fatigue parameterisations in one crowd: each sensor is decided
+        # by its own model, all in one per-sensor wave loop.
         participation = lambda i: (
             FatigueParticipation(0.9, fatigue_per_request=0.0)
             if i % 2 == 0
             else FatigueParticipation(0.3, fatigue_per_request=0.0)
         )
         world = make_world(True, sensor_count=1000, participation=participation)
-        assert len(world.participation_groups) == 2
-        soa = world.state_arrays
-        assert set(np.unique(soa.participation_group)) == {0, 1}
         grid = Grid(REGION, side=1)
         handler = RequestResponseHandler(world, grid, default_budget=600)
+        loops = record_wave_loops(monkeypatch, handler)
         _, report = handler.acquire_batches(
             {"rain": list(grid.cells())}, duration=1.0
         )
-        # The blended response rate sits between the two groups' bases.
+        assert [(policy, attribute) for policy, attribute, _ in loops] == [
+            (handler._per_sensor, "rain")
+        ]
+        # The blended response rate sits between the two models' bases.
         assert 0.45 < report.response_rate < 0.75
+
+    def test_mixed_crowd_runs_one_wave_loop_per_policy(self, monkeypatch):
+        # Cells hosting a fatigue sensor are served together by one
+        # per-sensor wave loop, the rest by one shared-stream loop.
+        participation = lambda i: (
+            FatigueParticipation(0.7) if i % 50 == 0 else BernoulliParticipation(0.6)
+        )
+        world = make_world(True, sensor_count=400, participation=participation)
+        grid = Grid(REGION, side=4)
+        handler = RequestResponseHandler(world, grid, default_budget=10)
+        loops = record_wave_loops(monkeypatch, handler)
+        cells = list(grid.cells())
+        _, report = handler.acquire_batches({"rain": cells, "temp": cells}, duration=1.0)
+
+        stateful_cells = {
+            cell.key for cell in cells
+            if any(
+                isinstance(sensor.participation, FatigueParticipation)
+                for sensor in world.sensors_in_rectangle(cell.rect)
+            )
+        }
+        assert 0 < len(stateful_cells) < len(cells)
+        assert [(policy, attribute) for policy, attribute, _ in loops] == [
+            (handler._per_sensor, "rain"), (handler._shared_stream, "rain"),
+            (handler._per_sensor, "temp"), (handler._shared_stream, "temp"),
+        ]
+        for policy, _, keys in loops:
+            assert (set(keys) == stateful_cells) == (policy is handler._per_sensor)
+        assert report.requests_sent == 2 * 10 * len(cells)
 
 
 class TestStrictFusedRounds:
@@ -441,17 +479,11 @@ class TestStrictFusedRounds:
         world = make_world(False, sensor_count=100)
         grid = Grid(REGION, side=2)
         handler = RequestResponseHandler(world, grid, default_budget=10)
-        rounds = []
-        waves = handler._acquire_waves
-
-        def recording(policy, attribute, field_model, cell_keys, populations, **kwargs):
-            rounds.append((policy, attribute, cell_keys))
-            return waves(policy, attribute, field_model, cell_keys, populations, **kwargs)
+        rounds = record_wave_loops(monkeypatch, handler)
 
         def no_cell_rounds(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("a strict round fell back to a per-cell round")
 
-        monkeypatch.setattr(handler, "_acquire_waves", recording)
         monkeypatch.setattr(handler, "_acquire_cell_round", no_cell_rounds)
         cells = list(grid.cells())
         _, report = handler.acquire_batches({"rain": cells, "temp": cells}, duration=1.0)

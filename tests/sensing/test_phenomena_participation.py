@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CraqrError
-from repro.geometry import Rectangle
+from repro.geometry import Grid, Rectangle
 from repro.sensing import (
     AlwaysRespond,
     BernoulliParticipation,
@@ -14,10 +14,14 @@ from repro.sensing import (
     FlatIncentive,
     LinearIncentiveResponse,
     RainField,
+    RandomWaypointMobility,
+    RequestResponseHandler,
+    SensingWorld,
     TemperatureField,
+    WorldConfig,
     incentive_boost,
 )
-from repro.sensing.participation import exponential_latency
+from repro.sensing.participation import ParticipationModel, exponential_latency
 from repro.sensing.phenomena import PhenomenonField
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
@@ -245,92 +249,128 @@ class TestIncentiveCapUnification:
     def test_max_probability_exposed(self):
         assert DistanceDecayParticipation(0.5, max_probability=0.9).max_probability == 0.9
         assert FatigueParticipation(0.5, max_probability=0.9).max_probability == 0.9
-        # vector_static_params carries the cap into the SoA columns.
-        assert DistanceDecayParticipation(0.5, max_probability=0.9).vector_static_params()[0] == 0.9
-        assert FatigueParticipation(0.5, max_probability=0.9).vector_static_params()[0] == 0.9
+
+
+class RecordingFatigue(FatigueParticipation):
+    """A fatigue model that records the ``(sensor_id, t)`` of every decision."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.requests = []
+
+    def decide(self, sensor_id, t, uniforms, *, incentive_multiplier=1.0):
+        self.requests.append((sensor_id, t))
+        return super().decide(
+            sensor_id, t, uniforms, incentive_multiplier=incentive_multiplier
+        )
 
 
 class TestVectorStateProtocol:
-    """Unit-level checks of the stateful vector-state implementations."""
+    """Stateful models under the vectorised RNG contract.
 
-    def make_soa(self, count):
-        from repro.sensing import SensorStateArrays
+    A fast-sim world keeps no vector state for them: each model holds its
+    per-sensor state itself, and every request reaches its ``decide``.
+    """
 
-        soa = SensorStateArrays(count)
-        soa.sensor_ids[:] = np.arange(count)
-        return soa
+    def make_handler(self, participation, *, sensor_count, budget, side=2):
+        """``(world, handler)`` of a fast-sim world over ``participation``."""
+        world = SensingWorld(
+            WorldConfig(
+                region=REGION, sensor_count=sensor_count, seed=23, vectorized_rng=True
+            ),
+            mobility_factory=lambda r: RandomWaypointMobility(r, speed=0.4),
+            participation_factory=participation,
+        )
+        world.register_field(RainField(REGION))
+        return world, RequestResponseHandler(
+            world, Grid(REGION, side=side), default_budget=budget
+        )
 
     def test_fatigue_vector_matches_scalar_recurrence(self):
-        scalar = FatigueParticipation(
-            0.8, fatigue_per_request=0.1, recovery_per_time=0.02, min_probability=0.1
-        )
-        vector = FatigueParticipation(
-            0.8, fatigue_per_request=0.1, recovery_per_time=0.02, min_probability=0.1
-        )
-        soa = self.make_soa(3)
-        for name in vector.vector_state_columns():
-            soa.ensure_column(name)
-        for index in range(3):
-            vector.init_vector_state(soa, index)
+        models = {}
 
-        rng = np.random.default_rng(0)
-        # Three rounds of one request per sensor at increasing times: the
-        # vector recurrence must track the scalar dict state exactly when
-        # each sensor is asked once per round.
-        for t in (0.0, 1.0, 5.0):
-            rows = np.arange(3)
-            times = np.full(3, t)
-            expected = np.array(
-                [scalar.current_probability(i, t) for i in range(3)]
+        def participation(sensor_id):
+            models[sensor_id] = RecordingFatigue(
+                0.8, fatigue_per_request=0.1, recovery_per_time=0.02, min_probability=0.1
             )
-            got = vector.vector_probabilities(soa, rows, times)
-            assert np.allclose(got, expected)
-            for i in range(3):
-                scalar.decide(i, t, rng.random(2))
-            vector.vector_commit(soa, rows, times)
+            return models[sensor_id]
+
+        world, handler = self.make_handler(participation, sensor_count=60, budget=30)
+        cells = list(handler.grid.cells())
+        for _ in range(3):
+            handler.acquire_batches({"rain": cells}, duration=1.0)
+            world.advance(2.0)
+
+        # Replay each sensor's requests through the scalar recurrence: the
+        # model's state after fast-sim rounds is exactly its per-request state.
+        t_end = world.now
+        asked = 0
+        for sensor_id, model in models.items():
+            level, last = 0.0, None
+            for _, t in model.requests:
+                if last is not None:
+                    level = max(0.0, level - 0.02 * max(t - last, 0.0))
+                level, last = level + 0.1, t
+            if last is not None:
+                level = max(0.0, level - 0.02 * (t_end - last))
+            asked += len(model.requests) > 0
+            assert model.current_probability(sensor_id, t_end) == pytest.approx(
+                max(0.8 - level, 0.1)
+            )
+        assert asked > 0
 
     def test_fatigue_vector_commit_handles_repeated_rows(self):
-        model = FatigueParticipation(
-            0.8, fatigue_per_request=0.1, recovery_per_time=0.0
-        )
-        soa = self.make_soa(2)
-        for name in model.vector_state_columns():
-            soa.ensure_column(name)
-        for index in range(2):
-            model.init_vector_state(soa, index)
-        # Row 0 requested three times, row 1 once: fatigue accumulates per
-        # request even within one round.
-        rows = np.array([0, 0, 1, 0])
-        times = np.array([0.1, 0.4, 0.2, 0.9])
-        model.vector_commit(soa, rows, times)
-        levels = soa.column(FatigueParticipation.LEVEL_COLUMN)
-        lasts = soa.column(FatigueParticipation.LAST_TIME_COLUMN)
-        assert levels[0] == pytest.approx(0.3)
-        assert levels[1] == pytest.approx(0.1)
-        assert lasts[0] == pytest.approx(0.9)
-        assert lasts[1] == pytest.approx(0.2)
+        models = {}
+
+        def participation(sensor_id):
+            models[sensor_id] = RecordingFatigue(
+                0.8, fatigue_per_request=0.01, recovery_per_time=0.0, min_probability=0.0
+            )
+            return models[sensor_id]
+
+        # 24 sensors against 40 requests a cell: cells are sampled with
+        # replacement, so a sensor answers several requests in one round.
+        world, handler = self.make_handler(participation, sensor_count=24, budget=40)
+        handler.acquire_batches({"rain": list(handler.grid.cells())}, duration=1.0)
+        counts = {sensor_id: len(model.requests) for sensor_id, model in models.items()}
+        assert max(counts.values()) >= 2
+        for sensor_id, model in models.items():
+            assert model.current_probability(sensor_id, 1.0) == pytest.approx(
+                0.8 - 0.01 * counts[sensor_id]
+            )
 
     def test_distance_decay_set_distance_writes_through(self):
-        model = DistanceDecayParticipation(0.9, decay_scale=1.0)
-        soa = self.make_soa(2)
-        for name in model.vector_state_columns():
-            soa.ensure_column(name)
-        model.set_distance(1, 2.0)  # before binding: dict only
-        model.init_vector_state(soa, 0)
-        model.init_vector_state(soa, 1)
-        column = soa.column(DistanceDecayParticipation.DISTANCE_COLUMN)
-        assert column[1] == pytest.approx(2.0)  # picked up at init
-        model.set_distance(0, 3.0)  # after binding: writes through
-        assert column[0] == pytest.approx(3.0)
-        probabilities = model.vector_probabilities(
-            soa, np.array([0, 1]), np.zeros(2)
-        )
-        assert np.allclose(probabilities, 0.9 * np.exp([-3.0, -2.0]))
+        models = {}
+
+        def participation(sensor_id):
+            models[sensor_id] = DistanceDecayParticipation(0.9, decay_scale=0.5)
+            return models[sensor_id]
+
+        world, handler = self.make_handler(participation, sensor_count=400, budget=100)
+        cells = list(handler.grid.cells())
+        _, near_report = handler.acquire_batches({"rain": cells}, duration=1.0)
+        world.advance(1.0)
+        # Push every sensor far from the point of interest: the next fast-sim
+        # round decides through the model, so it sees the new distances.
+        for sensor_id, model in models.items():
+            model.set_distance(sensor_id, 5.0)
+        _, far_report = handler.acquire_batches({"rain": cells}, duration=1.0)
+        assert near_report.response_rate > 0.7
+        assert far_report.response_rate < 0.05
 
     def test_stationary_models_have_no_vector_state(self):
-        assert BernoulliParticipation(0.5).vector_state_columns() is None
-        assert AlwaysRespond().vector_state_columns() is None
-        assert BernoulliParticipation(0.5).vector_state_key() is None
+        # The one capability a model declares is ``vector_params``: stationary
+        # models have them, stateful ones do not, and none carries vector state.
+        assert BernoulliParticipation(0.5).vector_params() is not None
+        assert AlwaysRespond().vector_params() is not None
+        assert FatigueParticipation(0.5).vector_params() is None
+        assert DistanceDecayParticipation(0.5).vector_params() is None
+        for name in (
+            "vector_state_columns", "vector_state_key", "vector_static_params",
+            "init_vector_state", "vector_probabilities", "vector_commit",
+        ):
+            assert not hasattr(ParticipationModel, name)
+            assert not hasattr(FatigueParticipation, name)
 
 
 class TestIncentives:
