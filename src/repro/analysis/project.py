@@ -61,9 +61,6 @@ class Project:
         matches = [m for m in self.modules if m.path.endswith(suffix)]
         return matches[0] if len(matches) == 1 else None
 
-    def has_path(self, path: str) -> bool:
-        return path in self._by_path
-
     def iter_classes(self) -> Iterator[Tuple[Module, ast.ClassDef]]:
         """Every class definition in the project (any nesting level)."""
         for module in self.modules:

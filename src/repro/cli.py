@@ -37,9 +37,9 @@ import argparse
 import pathlib
 import sys
 from dataclasses import replace as dataclass_replace
-from typing import Callable, Dict, List, Optional, Sequence, TextIO
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
-from .config import CheckpointConfig, EngineConfig
+from .config import CheckpointConfig
 from .core import CraqrEngine, QueryHandle, QuerySessionInfo
 from .errors import CraqrError
 from .metrics import ResultTable
@@ -99,46 +99,92 @@ SCENARIOS: Dict[str, tuple] = {
 }
 
 
-def _scenario_engine_config(
-    scenario: str,
-    *,
-    grid_cells: int,
-    seed: int,
-    retention_batches: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-) -> EngineConfig:
-    """The engine config for a named CLI scenario.
+def _scenario_options(*, retention: bool) -> argparse.ArgumentParser:
+    """The parent parser of the sub-commands that run a scenario engine.
+
+    Built once per sub-command: argparse hands a parent's option objects
+    to every child, so ``run``'s ``set_defaults`` would otherwise change
+    the ``repl`` and ``serve`` defaults too.
+    """
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument(
+        "--scenario",
+        choices=sorted(SCENARIOS),
+        default="rain-temperature",
+        help="which simulated world to acquire from",
+    )
+    options.add_argument("--sensors", type=int, default=300, help="number of mobile sensors")
+    options.add_argument("--grid-cells", type=int, default=16, help="grid cells h (perfect square)")
+    options.add_argument("--seed", type=int, default=7, help="random seed")
+    if retention:
+        options.add_argument(
+            "--retention-batches",
+            type=int,
+            default=None,
+            metavar="N",
+            help="bound engine memory to the last N batches (default: keep everything)",
+        )
+    options.add_argument(
+        "--checkpoint-dir",
+        default=None,
+        metavar="DIR",
+        help="write periodic crash-consistent checkpoints into this directory",
+    )
+    options.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=None,
+        metavar="N",
+        help="checkpoint every N batches (with --checkpoint-dir; run defaults "
+        "to 10, repl and serve checkpoint only on a 'checkpoint' request)",
+    )
+    return options
+
+
+def _check_scenario_options(args: argparse.Namespace) -> None:
+    """Refuse non-positive values of the optional scenario-engine options."""
+    if args.retention_batches is not None and args.retention_batches <= 0:
+        raise CraqrError("--retention-batches must be positive")
+    if args.checkpoint_every is not None and args.checkpoint_every <= 0:
+        raise CraqrError("--checkpoint-every must be positive")
+
+
+def _scenario_engine(args: argparse.Namespace) -> Tuple[str, CraqrEngine]:
+    """The named scenario's description and a fresh engine over its world.
 
     The fault scenarios attach their :class:`~repro.faults.FaultPlan` and
     mitigation bundle on top of the shared defaults; the stock scenarios
     run fault-free (and therefore byte-identical to pre-fault builds).
-    ``checkpoint_dir`` turns on periodic crash-consistent checkpoints for
+    ``--checkpoint-dir`` turns on periodic crash-consistent checkpoints for
     *any* scenario (``crash-recovery`` is the flaky crowd tuned for it).
     """
+    description, builder = SCENARIOS[args.scenario]
+    world: SensingWorld = builder(sensor_count=args.sensors, seed=args.seed)
     config = default_engine_config(
-        grid_cells=grid_cells, seed=seed, retention_batches=retention_batches
+        grid_cells=args.grid_cells,
+        seed=args.seed + 1,
+        retention_batches=args.retention_batches,
     )
-    if scenario in ("flaky-crowd", "crash-recovery"):
+    if args.scenario in ("flaky-crowd", "crash-recovery"):
         config = dataclass_replace(
             config,
             faults=flaky_crowd_plan(),
             resilience=default_resilience_config(),
         )
-    elif scenario == "cell-outage":
+    elif args.scenario == "cell-outage":
         config = dataclass_replace(
             config,
             faults=cell_outage_plan(),
             resilience=default_resilience_config(),
         )
-    if checkpoint_dir is not None:
+    if args.checkpoint_dir is not None:
         config = dataclass_replace(
             config,
             checkpoints=CheckpointConfig(
-                directory=checkpoint_dir, every=checkpoint_every
+                directory=args.checkpoint_dir, every=args.checkpoint_every
             ),
         )
-    return config
+    return description, CraqrEngine(config, world)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,13 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    run = subparsers.add_parser("run", help="run acquisitional queries on a simulated scenario")
-    run.add_argument(
-        "--scenario",
-        choices=sorted(SCENARIOS),
-        default="rain-temperature",
-        help="which simulated world to acquire from",
+    run = subparsers.add_parser(
+        "run",
+        parents=[_scenario_options(retention=False)],
+        help="run acquisitional queries on a simulated scenario",
     )
+    run.set_defaults(checkpoint_every=10, retention_batches=None)
     run.add_argument(
         "--query",
         action="append",
@@ -164,9 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="a declarative ACQUIRE statement (repeatable)",
     )
     run.add_argument("--batches", type=int, default=20, help="acquisition batches to run")
-    run.add_argument("--sensors", type=int, default=300, help="number of mobile sensors")
-    run.add_argument("--grid-cells", type=int, default=16, help="grid cells h (perfect square)")
-    run.add_argument("--seed", type=int, default=7, help="random seed")
     run.add_argument(
         "--show-samples",
         type=int,
@@ -174,53 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="print the first N tuples of each fabricated stream",
     )
-    run.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="write periodic crash-consistent checkpoints into this directory",
-    )
-    run.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=10,
-        metavar="N",
-        help="checkpoint every N batches (with --checkpoint-dir; default 10)",
-    )
 
-    repl = subparsers.add_parser(
+    subparsers.add_parser(
         "repl",
+        parents=[_scenario_options(retention=True)],
         help="interactive session: drive a live engine with ACQUIRE/ALTER/STOP/SHOW QUERIES",
-    )
-    repl.add_argument(
-        "--scenario",
-        choices=sorted(SCENARIOS),
-        default="rain-temperature",
-        help="which simulated world to acquire from",
-    )
-    repl.add_argument("--sensors", type=int, default=300, help="number of mobile sensors")
-    repl.add_argument("--grid-cells", type=int, default=16, help="grid cells h (perfect square)")
-    repl.add_argument("--seed", type=int, default=7, help="random seed")
-    repl.add_argument(
-        "--retention-batches",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bound engine memory to the last N batches (default: keep everything)",
-    )
-    repl.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="write periodic crash-consistent checkpoints into this directory",
-    )
-    repl.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="checkpoint every N batches (with --checkpoint-dir; "
-        "default: only on the repl's 'checkpoint' command)",
     )
 
     recover = subparsers.add_parser(
@@ -243,18 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve",
+        parents=[_scenario_options(retention=True)],
         help="serve a live engine over TCP/websocket: statements, cursor "
         "reads with resumable offsets, and push subscriptions",
     )
-    serve.add_argument(
-        "--scenario",
-        choices=sorted(SCENARIOS),
-        default="rain-temperature",
-        help="which simulated world to acquire from",
-    )
-    serve.add_argument("--sensors", type=int, default=300, help="number of mobile sensors")
-    serve.add_argument("--grid-cells", type=int, default=16, help="grid cells h (perfect square)")
-    serve.add_argument("--seed", type=int, default=7, help="random seed")
     serve.add_argument("--host", default="127.0.0.1", help="address to bind (default 127.0.0.1)")
     serve.add_argument(
         "--port",
@@ -283,27 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         metavar="N",
         help="default per-subscription send-queue capacity in events",
-    )
-    serve.add_argument(
-        "--retention-batches",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bound engine memory to the last N batches (default: keep everything)",
-    )
-    serve.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="write periodic crash-consistent checkpoints into this directory",
-    )
-    serve.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="checkpoint every N batches (with --checkpoint-dir; "
-        "default: only on client 'checkpoint' requests)",
     )
 
     lint = subparsers.add_parser(
@@ -383,17 +354,8 @@ def _command_attributes(out: Callable[[str], None]) -> int:
 
 
 def _command_run(args: argparse.Namespace, out: Callable[[str], None]) -> int:
-    description, builder = SCENARIOS[args.scenario]
+    description, engine = _scenario_engine(args)
     out(f"scenario '{args.scenario}': {description}")
-    world: SensingWorld = builder(sensor_count=args.sensors, seed=args.seed)
-    config = _scenario_engine_config(
-        args.scenario,
-        grid_cells=args.grid_cells,
-        seed=args.seed + 1,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every if args.checkpoint_dir else None,
-    )
-    engine = CraqrEngine(config, world)
     catalog = AttributeCatalog.default()
 
     statements = []
@@ -547,17 +509,7 @@ def _command_repl(
     out: Callable[[str], None],
     in_stream: TextIO,
 ) -> int:
-    description, builder = SCENARIOS[args.scenario]
-    world: SensingWorld = builder(sensor_count=args.sensors, seed=args.seed)
-    config = _scenario_engine_config(
-        args.scenario,
-        grid_cells=args.grid_cells,
-        seed=args.seed + 1,
-        retention_batches=args.retention_batches,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-    )
-    engine = CraqrEngine(config, world)
+    description, engine = _scenario_engine(args)
     catalog = AttributeCatalog.default()
     out(f"scenario '{args.scenario}': {description}")
     out("CrAQR repl — type 'help' for statements, 'quit' to leave.")
@@ -692,17 +644,7 @@ def _command_serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
 
     from .serve import ServeConfig, Server
 
-    description, builder = SCENARIOS[args.scenario]
-    world: SensingWorld = builder(sensor_count=args.sensors, seed=args.seed)
-    config = _scenario_engine_config(
-        args.scenario,
-        grid_cells=args.grid_cells,
-        seed=args.seed + 1,
-        retention_batches=args.retention_batches,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-    )
-    engine = CraqrEngine(config, world)
+    description, engine = _scenario_engine(args)
     server = Server(
         engine,
         ServeConfig(
@@ -765,26 +707,19 @@ def main(
         if args.command == "run":
             if args.batches <= 0:
                 raise CraqrError("--batches must be positive")
-            if args.checkpoint_every <= 0:
-                raise CraqrError("--checkpoint-every must be positive")
+            _check_scenario_options(args)
             return _command_run(args, out)
         if args.command == "recover":
             if args.batches < 0:
                 raise CraqrError("--batches must be non-negative")
             return _command_recover(args, out)
         if args.command == "repl":
-            if args.retention_batches is not None and args.retention_batches <= 0:
-                raise CraqrError("--retention-batches must be positive")
-            if args.checkpoint_every is not None and args.checkpoint_every <= 0:
-                raise CraqrError("--checkpoint-every must be positive")
+            _check_scenario_options(args)
             return _command_repl(args, out, in_stream if in_stream is not None else sys.stdin)
         if args.command == "lint":
             return _command_lint(args, out)
         if args.command == "serve":
-            if args.retention_batches is not None and args.retention_batches <= 0:
-                raise CraqrError("--retention-batches must be positive")
-            if args.checkpoint_every is not None and args.checkpoint_every <= 0:
-                raise CraqrError("--checkpoint-every must be positive")
+            _check_scenario_options(args)
             if args.queue_events <= 0:
                 raise CraqrError("--queue-events must be positive")
             return _command_serve(args, out)

@@ -144,10 +144,6 @@ class QueryPlanner:
         """The grid cells a query's region overlaps."""
         return list(self._plan(query_id).cells)
 
-    def query_for_id(self, query_id: int) -> AcquisitionalQuery:
-        """The registered query object for an id."""
-        return self._plan(query_id).query
-
     def union_operator(self, query_id: int) -> UnionOperator:
         """The merge-stage Union operator of a registered query."""
         return self._plan(query_id).union

@@ -63,10 +63,6 @@ class PMATOperator(StreamOperator):
         """The operator's random generator."""
         return self._rng
 
-    def reseed(self, rng: np.random.Generator) -> None:
-        """Replace the operator's random generator (used by engine reseeding)."""
-        self._rng = rng
-
     def _push_discarded(self, discarded: TupleBatch) -> None:
         """Push dropped rows to the secondary (discard) output, one tuple each.
 

@@ -72,11 +72,6 @@ class SensorHealthMonitor:
         """The health configuration."""
         return self._config
 
-    @property
-    def rounds_committed(self) -> int:
-        """Acquisition rounds folded into the EWMA so far."""
-        return self._round
-
     # ------------------------------------------------------------------
     # Per-wave observation (called by the handler)
     # ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 
 from ..errors import GeometryError
-from .point import SpacePoint
 from .rectangle import Rectangle
 from .region import RectRegion, Region
 
@@ -133,10 +132,6 @@ class Grid:
         q = min(q, self._side - 1)
         r = min(r, self._side - 1)
         return self._cells[(q, r)]
-
-    def locate_point(self, point: SpacePoint) -> GridCell:
-        """The cell containing a :class:`SpacePoint`."""
-        return self.locate(point.x, point.y)
 
     def cells_for_points(self, xs, ys) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised bucketing: the ``(q, r)`` coordinates of many points.

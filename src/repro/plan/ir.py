@@ -79,18 +79,6 @@ class PlanNode:
         """Whether more than one query rides on this node."""
         return len(self.queries) > 1
 
-    def to_dict(self) -> Dict[str, object]:
-        """Stable dictionary form for golden tests and tooling."""
-        return {
-            "id": self.node_id,
-            "kind": self.kind,
-            "label": self.label,
-            "schema": list(self.schema),
-            "inputs": list(self.inputs),
-            "queries": sorted(self.queries),
-            "details": dict(self.details),
-        }
-
 
 @dataclass
 class FusedKernel:
@@ -163,22 +151,3 @@ class PlanGraph:
     def nodes_for_query(self, query_id: int) -> List[PlanNode]:
         """Every node the query rides on, in id order."""
         return [node for node in self._nodes if query_id in node.queries]
-
-    def shared_nodes(self) -> List[PlanNode]:
-        """Nodes serving more than one query (the CSE payoff)."""
-        return [node for node in self._nodes if node.shared]
-
-    def to_dict(self) -> Dict[str, object]:
-        """Stable dictionary form of the whole graph."""
-        return {
-            "nodes": [node.to_dict() for node in self._nodes],
-            "kernels": [
-                {
-                    "name": kernel.name,
-                    "nodes": list(kernel.node_ids),
-                    "description": kernel.description,
-                }
-                for kernel in self.kernels
-            ],
-            "notes": list(self.notes),
-        }

@@ -3,8 +3,8 @@
 This package implements the mathematical machinery Section III of the paper
 relies on: spatio-temporal Poisson processes over ``(t, x, y)``, conditional
 intensity models such as the linear form of Eq. (1), simulation of
-homogeneous and inhomogeneous processes, independent thinning and
-superposition, parameter estimation (batch maximum likelihood and online
+homogeneous and inhomogeneous processes, independent thinning,
+parameter estimation (batch maximum likelihood and online
 stochastic gradient descent) and statistical tests used to check that a
 process is (approximately) homogeneous at a given rate.
 """
@@ -31,7 +31,6 @@ from .thinning import (
     ThinningResult,
     ThinningMask,
 )
-from .superposition import superpose
 from .estimation import (
     EstimationResult,
     fit_linear_intensity_mle,
@@ -49,7 +48,6 @@ from .statistics import (
     HomogeneityReport,
     assess_homogeneity,
 )
-from .residuals import rescaled_time_residuals, residual_ks_statistic
 
 __all__ = [
     "EventBatch",
@@ -70,7 +68,6 @@ __all__ = [
     "SegmentedFlatten",
     "ThinningResult",
     "ThinningMask",
-    "superpose",
     "EstimationResult",
     "fit_linear_intensity_mle",
     "fit_linear_intensity_mle_segments",
@@ -84,6 +81,4 @@ __all__ = [
     "ripley_k",
     "HomogeneityReport",
     "assess_homogeneity",
-    "rescaled_time_residuals",
-    "residual_ks_statistic",
 ]

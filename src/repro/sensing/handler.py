@@ -16,12 +16,16 @@ acquisition round yields the raw observations of every requested
 :class:`~repro.streams.tuples.SensorTuple` lists per grid cell), which the
 crowdsensed stream fabricator then pushes through PMAT topologies.
 
-Every entry point runs the same wave loop
-(:meth:`RequestResponseHandler._acquire_waves`) over cell segments, and a
-round runs it once per attribute and RNG policy over the attribute's cells
-(:meth:`RequestResponseHandler.acquire_attribute_batch`) under either RNG
-contract; what differs between strict and fast-sim is confined to two
-small RNG policies (:class:`_PerSensorStreams`: each sensor answers from
+There is one round body,
+:meth:`RequestResponseHandler.acquire_attribute_batch`: it takes an
+attribute's cell populations from one bucketing pass of the crowd and runs
+the wave loop (:meth:`RequestResponseHandler._acquire_waves`) once per RNG
+policy over them, under either RNG contract.  ``acquire_batches`` calls it
+per attribute and ``acquire`` is its object view.  Only cells of the
+handler's grid can be requested: any other cell is an
+:class:`~repro.errors.AcquisitionError`, raised before anything is drawn.
+What differs between strict and fast-sim is confined to two small RNG
+policies (:class:`_PerSensorStreams`: each sensor answers from
 its own keyed stream, one vectorised pass per wave; :class:`_SharedStream`:
 one draw from the world stream per wave, for cells whose every sensor has
 stationary participation).  A sensor with stateful participation is
@@ -169,8 +173,8 @@ class _PerSensorStreams:
     ``decide``, one request at a time in each sensor's request order, fed
     the same blocks.  Byte-identical to asking each sensor with
     :meth:`~repro.sensing.MobileSensor.handle_request`, in any order that
-    keeps each sensor's own requests in order.  Serves strict rounds, the
-    handler's object views and the cells of a fast-sim world that host a
+    keeps each sensor's own requests in order.  Serves strict rounds and
+    the cells of a fast-sim world that host a
     sensor without ``vector_params`` (stateful or custom participation).
     """
 
@@ -487,8 +491,7 @@ class RequestResponseHandler:
         ``cell_keys`` and ``populations`` are aligned; every population is a
         non-empty, ascending array of SoA rows (quarantined rows already
         masked out).  The fused round calls this once per policy with all
-        of an attribute's grid cells that policy serves, the per-cell entry
-        points with one segment; ``policy`` owns the
+        of an attribute's grid cells that policy serves; ``policy`` owns the
         draws that differ between the contracts (see the RNG-policy notes
         above) and everything
         else happens here, once: per-cell budgets and the retry reserve,
@@ -710,91 +713,6 @@ class RequestResponseHandler:
                 self._incentive.refund(float(payments[rejected].sum()), count)
         return accepted_payments
 
-    def _acquire_cell_round(
-        self,
-        attribute: str,
-        cell: GridCell,
-        duration: float,
-        report: Optional[HandlerReport],
-        policy=None,
-    ) -> Optional[TupleBatch]:
-        """One ``(attribute, cell)`` round over the cell's closed rectangle.
-
-        The population is one containment mask over the position columns
-        (minus quarantined rows).  ``policy=None`` picks the RNG policy from
-        what is observable: the shared stream when the world is fast-sim and
-        every sensor of the cell has vectorisable participation, the
-        per-sensor streams otherwise.
-        """
-        if duration <= 0:
-            raise AcquisitionError("duration must be positive")
-        world = self._world
-        field_model = world.field_for(attribute)
-        population = world.sensor_indices_in_rectangle(cell.rect)
-        if self._health is not None and population.size:
-            population = population[~world.state_arrays.quarantined[population]]
-        if population.size == 0:
-            return None
-        if policy is None:
-            vector_capable = world.vectorized and bool(
-                np.all(world.state_arrays.vector_participation[population])
-            )
-            policy = self._shared_stream if vector_capable else self._per_sensor
-        return self._acquire_waves(
-            policy, attribute, field_model, (cell.key,), [population],
-            duration=duration,
-            report=report if report is not None else HandlerReport(),
-        )
-
-    def acquire_cell(
-        self,
-        attribute: str,
-        cell: GridCell,
-        *,
-        duration: float,
-        report: Optional[HandlerReport] = None,
-    ) -> List[SensorTuple]:
-        """Run one acquisition round for one attribute on one grid cell.
-
-        Sends up to ``budget`` requests to sensors currently inside the cell
-        (sampling without replacement when enough sensors are available,
-        with replacement otherwise, per the paper) spread uniformly over the
-        batch window, and returns the tuples for the responses received.
-
-        The object view of the round: always answered from the
-        sensors' keyed streams, materialised with
-        :meth:`TupleBatch.to_tuples` — so for a given seed it matches
-        :meth:`acquire_cell_batch` on a strict world tuple for tuple.
-        """
-        batch = self._acquire_cell_round(
-            attribute, cell, duration, report, self._per_sensor
-        )
-        return [] if batch is None else batch.to_tuples()
-
-    def acquire_cell_batch(
-        self,
-        attribute: str,
-        cell: GridCell,
-        *,
-        duration: float,
-        report: Optional[HandlerReport] = None,
-    ) -> Optional[TupleBatch]:
-        """Columnar :meth:`acquire_cell`: one round, returned as a :class:`TupleBatch`.
-
-        On a strict world the round is :meth:`acquire_cell`'s, minus the
-        :class:`SensorTuple` objects: identical observations and tuple ids
-        for a given seed, landing directly in numpy columns.
-
-        In fast-sim mode (``WorldConfig.vectorized_rng``) the round instead
-        samples the whole cell population at once from the world's shared
-        stream (participation decisions, latencies and phenomenon values
-        are single vectorised draws over the SoA columns).  A cell hosting
-        a sensor without stationary ``vector_params`` (fatigue, distance
-        decay, a custom model) keeps the exact per-sensor round, whose
-        stateful rows are decided by their model's ``decide`` per request.
-        """
-        return self._acquire_cell_round(attribute, cell, duration, report)
-
     # ------------------------------------------------------------------
     # Fused rounds: all of an attribute's cells at once
     # ------------------------------------------------------------------
@@ -872,12 +790,9 @@ class RequestResponseHandler:
         ``bucketing`` of the current round) and each requested cell's
         population is a slice lookup via two vectorised ``searchsorted``
         calls.  Sensors that escaped the region (possible only with
-        out-of-bounds custom mobility models) are excluded, and cells that
-        do not belong to the handler's grid are left out (the caller falls
-        back to the exact per-cell containment round for them).  Sensors
+        out-of-bounds custom mobility models) are excluded.  Sensors
         exactly on an interior cell edge land in one bucket (the upper
-        cell) rather than both closed rectangles — indistinguishable
-        statistically, which is the fused fast-sim round's contract.
+        cell) rather than both closed rectangles.
 
         Returns ``(populations, fully_vector)``: the second map tells the
         caller, without any further per-cell array work, whether every row
@@ -908,6 +823,19 @@ class RequestResponseHandler:
         except GeometryError:
             return False
 
+    def _refuse_foreign_cells(self, cells: List[GridCell]) -> None:
+        """Raise :class:`AcquisitionError` if any of ``cells`` is not a grid cell.
+
+        Budgets and populations are per cell of the handler's grid, so a
+        cell of another grid would be charged to whichever grid cell shares
+        its ``(q, r)`` key.  Called before anything is drawn or sent.
+        """
+        foreign = [cell.key for cell in cells if not self._cell_in_grid(cell)]
+        if foreign:
+            raise AcquisitionError(
+                f"cells {foreign} are not cells of the handler's grid"
+            )
+
     def acquire_attribute_batch(
         self,
         attribute: str,
@@ -935,9 +863,9 @@ class RequestResponseHandler:
         bucketed populations (no second scan of the crowd), so those
         sensors are decided per request exactly as in strict mode.
 
-        A cell that is not part of the handler's grid is served alone by
-        :meth:`acquire_cell_batch` over its rectangle.  Empty cells send
-        nothing, as in the per-cell paths.
+        A cell that is not a cell of the handler's grid raises
+        :class:`~repro.errors.AcquisitionError` before anything is drawn or
+        sent.  Empty cells send nothing.
 
         :meth:`acquire_batches` dispatches here per attribute, sharing one
         :meth:`_bucket_sensors` pass across all attributes of the round via
@@ -949,11 +877,12 @@ class RequestResponseHandler:
         if duration <= 0:
             raise AcquisitionError("duration must be positive")
         field_model = self._world.field_for(attribute)
+        self._refuse_foreign_cells(cells)
         report = report if report is not None else HandlerReport()
         fast_sim = self._world.vectorized
 
-        # The cell plan — on/off-grid split, resolved populations and the
-        # fused/per-sensor partition — depends only on the requested cells
+        # The cell plan — resolved populations and the fused/per-sensor
+        # partition — depends only on the requested cells
         # and the round's (frozen) sensor positions, so attributes of one
         # round requesting the same cells share it via ``round_cache``.
         plan = None
@@ -962,35 +891,26 @@ class RequestResponseHandler:
             plan_key = ("plan", tuple(cell.key for cell in cells))
             plan = round_cache.get(plan_key)
         if plan is None:
-            grid_cells: List[GridCell] = []
-            off_grid: List[GridCell] = []
-            for cell in cells:
-                (grid_cells if self._cell_in_grid(cell) else off_grid).append(cell)
             populations, fully_vector = self._resolve_cell_populations(
-                grid_cells, bucketing
+                cells, bucketing
             )
             # Each policy's one wave loop: (cell keys, populations).
-            wave_loops = {self._per_sensor: ([], []), self._shared_stream: ([], [])}
-            for cell in grid_cells:
+            plan = {self._per_sensor: ([], []), self._shared_stream: ([], [])}
+            for cell in cells:
                 population = populations[cell.key]
                 if population.size == 0:
-                    continue  # nobody to ask: no requests, like the per-cell paths
+                    continue  # nobody to ask: no requests
                 shared = fast_sim and fully_vector[cell.key]
-                keys, members = wave_loops[
+                keys, members = plan[
                     self._shared_stream if shared else self._per_sensor
                 ]
                 keys.append(cell.key)
                 members.append(population)
-            plan = (off_grid, wave_loops)
             if round_cache is not None:
                 round_cache[plan_key] = plan
-        off_grid, wave_loops = plan
 
-        parts = [
-            self.acquire_cell_batch(attribute, cell, duration=duration, report=report)
-            for cell in off_grid
-        ]
-        for policy, (keys, members) in wave_loops.items():
+        parts = []
+        for policy, (keys, members) in plan.items():
             if keys:
                 parts.append(
                     self._acquire_waves(
@@ -1171,6 +1091,9 @@ class RequestResponseHandler:
         (keyed by the requested cell set), so the per-attribute work is
         then just the fresh random draws.
         """
+        self._refuse_foreign_cells(
+            [cell for cells in attribute_cells.values() for cell in cells]
+        )
         report = HandlerReport()
         batches: Dict[str, TupleBatch] = {}
         bucketing = self._bucket_sensors() if attribute_cells else None

@@ -287,10 +287,6 @@ class SensingWorld:
         mask = region.contains_many(self._state.x, self._state.y, closed=True)
         return np.nonzero(mask)[0]
 
-    def sensor_indices_in_rectangle(self, rect: Rectangle) -> np.ndarray:
-        """SoA row indices of the sensors currently inside ``rect``."""
-        return self.sensor_indices_in(rect)
-
     def sensors_at(self, indices: np.ndarray) -> List[MobileSensor]:
         """The sensor views backing the given SoA row indices."""
         return [self._sensors[int(i)] for i in indices]
@@ -298,10 +294,6 @@ class SensingWorld:
     def sensors_in(self, region: Region) -> List[MobileSensor]:
         """Sensors whose current position lies inside ``region``."""
         return self.sensors_at(self.sensor_indices_in(region))
-
-    def sensors_in_rectangle(self, rect: Rectangle) -> List[MobileSensor]:
-        """Sensors whose current position lies inside ``rect``."""
-        return self.sensors_at(self.sensor_indices_in_rectangle(rect))
 
     def sensor_positions(self) -> np.ndarray:
         """An ``(n, 2)`` array of current sensor positions (a cheap copy)."""

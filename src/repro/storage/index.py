@@ -34,11 +34,6 @@ class SpatioTemporalIndex:
         """Number of indexed tuples."""
         return self._count
 
-    @property
-    def bucket_count(self) -> int:
-        """Number of non-empty buckets."""
-        return len(self._buckets)
-
     def _bucket_of(self, x: float, y: float) -> Tuple[int, int]:
         q = int((x - self._region.x_min) / self._region.width * self._nx)
         r = int((y - self._region.y_min) / self._region.height * self._ny)

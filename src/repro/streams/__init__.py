@@ -3,7 +3,7 @@
 The paper assumes a stream data management system in the style of Aurora /
 TelegraphCQ / CQL: operators connected into an execution topology that tuples
 flow through.  This package provides a compact in-process equivalent — typed
-sensor tuples, streams (named edges), operators (nodes), windows, and a
+sensor tuples, streams (named edges), operators (nodes), sinks, and a
 topology runner — on which the PMAT operators of :mod:`repro.core` are built.
 """
 
@@ -22,11 +22,8 @@ from .codec import (
     unpack_column,
 )
 from .stream import Stream, StreamStats
-from .windows import BatchWindow, SlidingWindow, TumblingWindow
 from .operator import StreamOperator, PassThroughOperator, FilterOperator, MapOperator
 from .topology import StreamTopology, BranchingPoint
-from .engine import StreamEngine
-from .sources import IterableSource, BatchSource
 from .sinks import CollectingSink, CountingSink, CallbackSink
 
 __all__ = [
@@ -46,18 +43,12 @@ __all__ = [
     "unpack_column",
     "Stream",
     "StreamStats",
-    "BatchWindow",
-    "SlidingWindow",
-    "TumblingWindow",
     "StreamOperator",
     "PassThroughOperator",
     "FilterOperator",
     "MapOperator",
     "StreamTopology",
     "BranchingPoint",
-    "StreamEngine",
-    "IterableSource",
-    "BatchSource",
     "CollectingSink",
     "CountingSink",
     "CallbackSink",

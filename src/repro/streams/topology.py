@@ -148,21 +148,6 @@ class StreamTopology:
         names = self._consumers.get(stream.name, [])
         return [self._operators[n] for n in names]
 
-    def upstream_of(self, operator_name: str) -> Stream:
-        """The stream feeding the named operator."""
-        try:
-            return self._streams[self._feeds[operator_name]]
-        except KeyError:
-            raise StreamError(f"no operator named '{operator_name}'") from None
-
-    def downstream_of(self, operator_name: str) -> List[StreamOperator]:
-        """Operators consuming any output of the named operator."""
-        operator = self.operator(operator_name)
-        downstream: List[StreamOperator] = []
-        for out_stream in operator.outputs:
-            downstream.extend(self.consumers_of(out_stream))
-        return downstream
-
     def branching_points(self) -> List[BranchingPoint]:
         """Streams consumed by more than one operator (the paper's branching points)."""
         points = []

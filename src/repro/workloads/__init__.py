@@ -15,7 +15,6 @@ from .scenarios import (
     flaky_crowd_plan,
     flaky_crowd_scenario,
 )
-from .generators import synthetic_inhomogeneous_batch, synthetic_homogeneous_batch
 
 __all__ = [
     "random_query_workload",
@@ -33,6 +32,4 @@ __all__ = [
     "default_resilience_config",
     "flaky_crowd_plan",
     "flaky_crowd_scenario",
-    "synthetic_inhomogeneous_batch",
-    "synthetic_homogeneous_batch",
 ]

@@ -107,7 +107,9 @@ class TestHandlerWithIncentives:
         handler = RequestResponseHandler(
             world, grid, default_budget=20, incentive=FlatIncentive(0.5)
         )
-        items = handler.acquire_cell("rain", grid.cell(1, 1), duration=1.0)
+        cell = grid.cell(1, 1)
+        tuples_by_cell, _ = handler.acquire({"rain": [cell]}, duration=1.0)
+        items = tuples_by_cell.get(cell.key, [])
         assert items
         assert all(item.metadata["incentive"] == 0.5 for item in items)
 

@@ -17,6 +17,7 @@ from repro.errors import PointProcessError, StreamError
 from repro.geometry import Rectangle, RectRegion
 from repro.pointprocess import (
     ConstantIntensity,
+    EventBatch,
     HomogeneousMDPP,
     InhomogeneousMDPP,
     LinearIntensity,
@@ -339,6 +340,10 @@ class TestUnionOperator:
         with pytest.raises(StreamError):
             UnionOperator(rate=0.0)
 
+    def test_rejects_empty_region_list(self):
+        with pytest.raises(StreamError):
+            UnionOperator([])
+
     def test_attach_input_counts(self):
         op = UnionOperator()
         upstream = SampleOperator(1.0)
@@ -347,6 +352,37 @@ class TestUnionOperator:
         sink = CollectingSink().attach(op.output)
         upstream.accept(SensorTuple(1, "rain", 0.0, 0.1, 0.1))
         assert len(sink) == 1
+
+
+class TestSuperposition:
+    """Superposing independent Poisson streams sums their rates."""
+
+    def superpose(self, rates, duration, seed):
+        op = SuperposeOperator(rates=rates)
+        sink = CollectingSink().attach(op.output)
+        rng = np.random.default_rng(seed)
+        pushed = 0
+        for rate in rates:
+            upstream = SampleOperator(1.0)
+            op.attach_input(upstream.output)
+            for item in tuples_from_batch(HomogeneousMDPP(rate, CELL).sample(duration, rng=rng)):
+                upstream.accept(item)
+                pushed += 1
+        return op, sink, pushed
+
+    def test_superposed_streams_keep_every_tuple(self):
+        _, sink, pushed = self.superpose([50.0, 70.0], 1.0, seed=21)
+        assert len(sink) == pushed > 0
+
+    def test_superposed_rate_is_the_sum(self):
+        op, sink, _ = self.superpose([100.0, 150.0], 2.0, seed=22)
+        achieved = len(sink) / (CELL.area * 2.0)
+        assert achieved == pytest.approx(op.combined_rate, rel=0.15)
+
+    def test_superposition_of_homogeneous_streams_stays_homogeneous(self):
+        _, sink, _ = self.superpose([120.0, 180.0], 1.0, seed=23)
+        merged = EventBatch.from_rows([(item.t, item.x, item.y) for item in sink.items])
+        assert not quadrat_chi_square_test(merged, CELL).rejects_homogeneity()
 
 
 class TestExtensionOperators:

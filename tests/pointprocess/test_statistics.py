@@ -10,6 +10,7 @@ from repro.pointprocess import (
     GaussianHotspotIntensity,
     HomogeneousMDPP,
     InhomogeneousMDPP,
+    LinearIntensity,
     assess_homogeneity,
     coefficient_of_variation,
     empirical_rate,
@@ -113,6 +114,24 @@ class TestKSUniformity:
 
     def test_empty_batch_returns_ones(self):
         assert ks_uniformity_test(EventBatch.empty(), REGION, 1.0) == (1.0, 1.0, 1.0)
+
+    def test_time_trend_fails_in_time_only(self):
+        intensity = LinearIntensity(10.0, 900.0, 0.0, 0.0)  # strongly increasing in time
+        batch = InhomogeneousMDPP(intensity, REGION).sample(1.0, rng=np.random.default_rng(10))
+        p_t, p_x, p_y = ks_uniformity_test(batch, REGION, 1.0)
+        assert p_t < 0.01
+        assert min(p_x, p_y) > 0.001
+
+    def test_t_start_offsets_the_time_window(self):
+        batch = homogeneous_batch(rate=400.0, seed=11).shifted(dt=5.0)
+        assert ks_uniformity_test(batch, REGION, 1.0, t_start=5.0)[0] > 0.001
+        assert ks_uniformity_test(batch, REGION, 1.0)[0] < 0.01
+
+    def test_non_positive_duration_skips_the_time_test(self):
+        batch = homogeneous_batch(seed=12)
+        p_t, p_x, p_y = ks_uniformity_test(batch, REGION, 0.0)
+        assert p_t == 1.0
+        assert (p_x, p_y) == ks_uniformity_test(batch, REGION, 1.0)[1:]
 
 
 class TestRipleyK:

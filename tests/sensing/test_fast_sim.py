@@ -167,7 +167,7 @@ class TestFastSimAcquisition:
         grid = Grid(REGION, side=4)
         handler = RequestResponseHandler(fast, grid, default_budget=60)
         cell = grid.cell(1, 1)
-        batch = handler.acquire_cell_batch("temp", cell, duration=1.0)
+        batch = handler.acquire_attribute_batch("temp", [cell], duration=1.0)
         assert batch is not None
         n = len(batch)
         assert batch.attribute == "temp"
@@ -179,7 +179,7 @@ class TestFastSimAcquisition:
         assert np.all(batch.extra["cell"] == np.array(cell.key))
         # Reported coordinates are the responders' SoA positions, inside the cell.
         assert np.all(cell.rect.contains_many(batch.x, batch.y, closed=True))
-        in_cell = fast.sensor_indices_in_rectangle(cell.rect)
+        in_cell = fast.sensor_indices_in(cell.rect)
         assert set(batch.sensor_id) <= set(fast.state_arrays.sensor_ids[in_cell])
 
     def test_fast_sim_updates_soa_counters(self):
@@ -207,8 +207,8 @@ class TestFastSimAcquisition:
         strict_handler = RequestResponseHandler(strict, grid, default_budget=30)
         fast_handler = RequestResponseHandler(fast, grid, default_budget=30)
         cell = grid.cell(2, 2)
-        strict_batch = strict_handler.acquire_cell_batch("rain", cell, duration=1.0)
-        fast_batch = fast_handler.acquire_cell_batch("rain", cell, duration=1.0)
+        strict_batch = strict_handler.acquire_attribute_batch("rain", [cell], duration=1.0)
+        fast_batch = fast_handler.acquire_attribute_batch("rain", [cell], duration=1.0)
         assert (strict_batch is None) == (fast_batch is None)
         if strict_batch is not None:
             assert strict_batch.to_tuples() == fast_batch.to_tuples()
@@ -226,12 +226,12 @@ class TestFastSimAcquisition:
         grid = Grid(REGION, side=2)
         handler = RequestResponseHandler(fast, grid, default_budget=20)
 
-        # On-grid fallback cells take their population from the round's one
-        # bucketing pass: a rectangle scan of the crowd must never run.
-        def no_rescan(rect):
-            raise AssertionError(f"rectangle scan of the crowd for {rect}")
+        # Fallback cells take their population from the round's one
+        # bucketing pass: a region scan of the crowd must never run.
+        def no_rescan(region):
+            raise AssertionError(f"region scan of the crowd for {region}")
 
-        monkeypatch.setattr(fast, "sensor_indices_in_rectangle", no_rescan)
+        monkeypatch.setattr(fast, "sensor_indices_in", no_rescan)
         batches, report = handler.acquire_batches({"rain": list(grid.cells())}, duration=1.0)
         assert report.requests_sent == 20 * 4
         assert sum(len(b) for b in batches.values()) == report.responses_received
@@ -255,8 +255,8 @@ class TestFastSimAcquisition:
         grid = Grid(REGION, side=2)
         handler = RequestResponseHandler(world, grid, default_budget=20)
         monkeypatch.setattr(
-            world, "sensor_indices_in_rectangle",
-            lambda rect: pytest.fail("rectangle scan of the crowd"),
+            world, "sensor_indices_in",
+            lambda region: pytest.fail("region scan of the crowd"),
         )
         sensors_asked = []
         sensors_at = world.sensors_at

@@ -22,6 +22,7 @@ contracts:
 import numpy as np
 import pytest
 
+from repro.errors import AcquisitionError
 from repro.geometry import Grid, Rectangle
 from repro.sensing import (
     BernoulliParticipation,
@@ -35,7 +36,7 @@ from repro.sensing import (
     TemperatureField,
     WorldConfig,
 )
-from repro.sensing.handler import _PerSensorStreams
+from repro.sensing.handler import HandlerReport, _PerSensorStreams
 from repro.sensing.participation import ParticipationModel, ResponseDecision
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
@@ -87,15 +88,14 @@ def make_world(vectorized, *, sensor_count=2000, seed=17, participation=None):
 
 
 def per_cell_round(handler, attribute, cells, *, duration=1.0):
-    """The pre-fusion fast-sim baseline: one acquire_cell_batch per cell."""
-    from repro.sensing.handler import HandlerReport
+    """The pre-fusion fast-sim baseline: one one-cell round per cell."""
     from repro.streams import TupleBatch
 
     report = HandlerReport()
     batches = []
     for cell in cells:
-        batch = handler.acquire_cell_batch(
-            attribute, cell, duration=duration, report=report
+        batch = handler.acquire_attribute_batch(
+            attribute, [cell], duration=duration, report=report
         )
         if batch is not None and len(batch):
             batches.append(batch)
@@ -229,7 +229,7 @@ class TestFusedStatisticalEquivalence:
         batch = handler.acquire_attribute_batch("rain", cells, duration=1.0)
         populated = sum(
             1 for cell in cells
-            if fused_world.sensor_indices_in_rectangle(cell.rect).size
+            if fused_world.sensor_indices_in(cell.rect).size
         )
         assert handler.total_requests == 10 * populated
         soa = fused_world.state_arrays
@@ -241,16 +241,48 @@ class TestFusedStatisticalEquivalence:
         if batch is not None:
             assert len(batch) == handler.total_responses
 
-    def test_off_grid_cells_are_served_by_the_per_cell_path(self):
-        fused_world = make_world(True, sensor_count=500)
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_foreign_cells_are_refused_before_anything_is_drawn(self, vectorized):
+        # A cell of another grid shares its (q, r) key with a grid cell but
+        # not its rectangle or budget: it is refused, not charged to the
+        # grid cell of the same key, and nothing is drawn, sent or counted.
+        world = make_world(vectorized, sensor_count=500)
         grid = Grid(REGION, side=4)
-        other_grid = Grid(REGION, side=2)  # different geometry: not in grid
-        handler = RequestResponseHandler(fused_world, grid, default_budget=25)
-        cells = [grid.cell(0, 0), other_grid.cell(1, 1)]
-        batch = handler.acquire_attribute_batch("rain", cells, duration=1.0)
-        assert batch is not None
-        keys = {tuple(key) for key in batch.extra["cell"]}
-        assert keys <= {(0, 0), (1, 1)}
+        handler = RequestResponseHandler(world, grid, default_budget=10)
+        foreign = [Grid(REGION, side=2).cell(1, 1), Grid(REGION, side=8).cell(5, 5)]
+        soa = world.state_arrays
+        counters = (soa.requests_received.copy(), soa.responses_sent.copy())
+        rng_state = world.rng.bit_generator.state
+        report = HandlerReport()
+        with pytest.raises(AcquisitionError, match=r"\(1, 1\), \(5, 5\)"):
+            handler.acquire_attribute_batch(
+                "rain", [grid.cell(1, 1), *foreign], duration=1.0, report=report
+            )
+        with pytest.raises(AcquisitionError):
+            handler.acquire_batches(
+                {"rain": [grid.cell(1, 1)], "temp": foreign[:1]}, duration=1.0
+            )
+        assert report == HandlerReport()
+        assert soa.requests_received.tobytes() == counters[0].tobytes()
+        assert soa.responses_sent.tobytes() == counters[1].tobytes()
+        assert world.rng.bit_generator.state == rng_state
+        assert (handler.total_requests, handler.rounds) == (0, 0)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_object_view_refuses_foreign_cells(self, vectorized):
+        # ``acquire`` is a view of the same round, so it refuses the same way.
+        world = make_world(vectorized, sensor_count=300)
+        grid = Grid(REGION, side=4)
+        handler = RequestResponseHandler(world, grid, default_budget=10)
+        rng_state = world.rng.bit_generator.state
+        with pytest.raises(AcquisitionError, match=r"\(0, 1\)"):
+            handler.acquire(
+                {"rain": [grid.cell(0, 0), Grid(REGION, side=2).cell(0, 1)]},
+                duration=1.0,
+            )
+        assert world.rng.bit_generator.state == rng_state
+        assert (handler.total_requests, handler.rounds) == (0, 0)
+        assert world.state_arrays.requests_received.sum() == 0
 
 
 class TestStatefulFastSim:
@@ -429,7 +461,7 @@ class TestStatefulFastSim:
             cell.key for cell in cells
             if any(
                 isinstance(sensor.participation, FatigueParticipation)
-                for sensor in world.sensors_in_rectangle(cell.rect)
+                for sensor in world.sensors_in(cell.rect)
             )
         }
         assert 0 < len(stateful_cells) < len(cells)
@@ -481,10 +513,10 @@ class TestStrictFusedRounds:
         handler = RequestResponseHandler(world, grid, default_budget=10)
         rounds = record_wave_loops(monkeypatch, handler)
 
-        def no_cell_rounds(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("a strict round fell back to a per-cell round")
+        def no_region_scan(region):  # pragma: no cover - guard
+            raise AssertionError("a strict round scanned the crowd per cell")
 
-        monkeypatch.setattr(handler, "_acquire_cell_round", no_cell_rounds)
+        monkeypatch.setattr(world, "sensor_indices_in", no_region_scan)
         cells = list(grid.cells())
         _, report = handler.acquire_batches({"rain": cells, "temp": cells}, duration=1.0)
         assert [(policy, attribute) for policy, attribute, _ in rounds] == [

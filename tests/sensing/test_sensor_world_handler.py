@@ -37,6 +37,12 @@ def make_world(sensor_count=80, response_probability=1.0, seed=3):
     return world
 
 
+def acquire_cell_tuples(handler, attribute, cell, *, duration=1.0):
+    """One acquisition round on one cell, through the object view."""
+    tuples_by_cell, _ = handler.acquire({attribute: [cell]}, duration=duration)
+    return tuples_by_cell.get(cell.key, [])
+
+
 class TestMobileSensor:
     def make_sensor(self, sensor_id=1):
         return MobileSensor(
@@ -172,7 +178,7 @@ class TestRequestResponseHandler:
     def test_acquire_cell_respects_budget(self):
         handler, world, grid = self.make_handler(default_budget=10)
         cell = grid.cell(1, 1)
-        items = handler.acquire_cell("temp", cell, duration=1.0)
+        items = acquire_cell_tuples(handler, "temp", cell)
         # With AlwaysRespond participation every request yields one tuple.
         assert len(items) == 10
         assert handler.total_requests == 10
@@ -181,7 +187,7 @@ class TestRequestResponseHandler:
     def test_acquire_cell_tuples_carry_attribute_and_cell(self):
         handler, _, grid = self.make_handler(default_budget=5)
         cell = grid.cell(2, 2)
-        items = handler.acquire_cell("rain", cell, duration=1.0)
+        items = acquire_cell_tuples(handler, "rain", cell)
         for item in items:
             assert item.attribute == "rain"
             assert item.metadata["cell"] == cell.key
@@ -197,20 +203,20 @@ class TestRequestResponseHandler:
         grid = Grid(REGION, side=4)
         handler = RequestResponseHandler(world, grid, default_budget=5)
         empty_cells = [
-            cell for cell in grid.cells() if not world.sensors_in_rectangle(cell.rect)
+            cell for cell in grid.cells() if not world.sensors_in(cell.rect)
         ]
         assert empty_cells, "expected at least one empty cell"
-        assert handler.acquire_cell("rain", empty_cells[0], duration=1.0) == []
+        assert acquire_cell_tuples(handler, "rain", empty_cells[0]) == []
 
     def test_acquire_cell_duration_validation(self):
         handler, _, grid = self.make_handler()
         with pytest.raises(AcquisitionError):
-            handler.acquire_cell("rain", grid.cell(0, 0), duration=0.0)
+            acquire_cell_tuples(handler, "rain", grid.cell(0, 0), duration=0.0)
 
     def test_acquire_unknown_attribute_raises(self):
         handler, _, grid = self.make_handler()
         with pytest.raises(AcquisitionError):
-            handler.acquire_cell("humidity", grid.cell(0, 0), duration=1.0)
+            acquire_cell_tuples(handler, "humidity", grid.cell(0, 0))
 
     def test_acquire_round_reports(self):
         handler, _, grid = self.make_handler(default_budget=8)
@@ -252,8 +258,8 @@ class TestColumnarAcquisition:
     def test_acquire_cell_batch_matches_object_path(self):
         object_handler, columnar_handler, grid = self.make_pair()
         cell = grid.cell(1, 1)
-        items = object_handler.acquire_cell("rain", cell, duration=1.0)
-        batch = columnar_handler.acquire_cell_batch("rain", cell, duration=1.0)
+        items = acquire_cell_tuples(object_handler, "rain", cell)
+        batch = columnar_handler.acquire_attribute_batch("rain", [cell], duration=1.0)
         assert batch is not None
         assert batch.to_tuples() == items
         # Metadata (cell key, incentive) is reconstructed faithfully too.
@@ -264,9 +270,11 @@ class TestColumnarAcquisition:
             response_probability=0.5, seed=9
         )
         cell = grid.cell(1, 1)
-        items = object_handler.acquire_cell("temp", cell, duration=1.0)
-        batch = columnar_handler.acquire_cell_batch("temp", cell, duration=1.0)
-        assert (batch.to_tuples() if batch is not None else []) == items
+        items = acquire_cell_tuples(object_handler, "temp", cell)
+        batch = columnar_handler.acquire_attribute_batch("temp", [cell], duration=1.0)
+        # The object view lists a cell's tuples in time order.
+        columnar = [] if batch is None else sorted(batch.to_tuples(), key=lambda it: it.t)
+        assert columnar == items
 
     def test_acquire_batches_round_report_matches(self):
         object_handler, columnar_handler, grid = self.make_pair(default_budget=8)
@@ -294,7 +302,7 @@ class TestColumnarAcquisition:
         grid = Grid(REGION, side=4)
         handler = RequestResponseHandler(world, grid, default_budget=5)
         empty_cell = next(
-            cell for cell in grid.cells() if not world.sensors_in_rectangle(cell.rect)
+            cell for cell in grid.cells() if not world.sensors_in(cell.rect)
         )
         _, report = handler.acquire({"rain": [empty_cell]}, duration=1.0)
         assert report.per_cell_requests == {}
@@ -306,6 +314,6 @@ class TestColumnarAcquisition:
             TestRequestResponseHandler().make_handler(default_budget=12)
         )
         cell = grid.cell(1, 1)
-        items = handler.acquire_cell("rain", cell, duration=1.0)
+        items = acquire_cell_tuples(handler, "rain", cell)
         assert handler.total_requests == 12
         assert len(items) == 12

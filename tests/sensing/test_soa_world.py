@@ -140,7 +140,7 @@ class TestVectorisedWorldQueries:
     def test_sensors_in_rectangle_matches_per_sensor_loop(self):
         world = self.make_world(seed=8)
         rect = Rectangle(2.0, 0.0, 4.0, 2.0)
-        vectorised = world.sensors_in_rectangle(rect)
+        vectorised = world.sensors_in(rect)
         looped = [
             sensor
             for sensor in world.sensors
@@ -151,7 +151,7 @@ class TestVectorisedWorldQueries:
     def test_sensor_indices_align_with_sensor_ids(self):
         world = self.make_world(seed=9)
         rect = Rectangle(0.0, 0.0, 2.0, 4.0)
-        indices = world.sensor_indices_in_rectangle(rect)
+        indices = world.sensor_indices_in(rect)
         assert [world.sensors[int(i)].sensor_id for i in indices] == list(
             world.state_arrays.sensor_ids[indices]
         )

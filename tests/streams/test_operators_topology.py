@@ -1,23 +1,16 @@
-"""Unit tests for stream operators, topologies and the routing engine."""
+"""Unit tests for stream operators, sinks and topologies."""
 
 import pytest
 
 from repro.errors import StreamError
-from repro.geometry import Rectangle
-from repro.pointprocess import EventBatch, HomogeneousMDPP
-import numpy as np
-
 from repro.streams import (
-    BatchSource,
     CallbackSink,
     CollectingSink,
     CountingSink,
     FilterOperator,
-    IterableSource,
     MapOperator,
     PassThroughOperator,
     SensorTuple,
-    StreamEngine,
     StreamTopology,
 )
 
@@ -91,42 +84,6 @@ class TestSinks:
         sink(make_tuple())
         assert sink.count == 1
         assert len(seen) == 1
-
-
-class TestSources:
-    def test_iterable_source(self):
-        items = [make_tuple(tuple_id=i) for i in range(4)]
-        source = IterableSource(items)
-        sink = CollectingSink().attach(source.output)
-        assert source.run() == 4
-        assert len(sink) == 4
-
-    def test_iterable_source_rejects_non_tuples(self):
-        source = IterableSource(["not a tuple"])
-        with pytest.raises(StreamError):
-            source.run()
-
-    def test_batch_source_converts_events(self):
-        batch = HomogeneousMDPP(50.0, Rectangle(0, 0, 1, 1)).sample(
-            1.0, rng=np.random.default_rng(0)
-        )
-        source = BatchSource("temp", value_fn=lambda t, x, y: 20.0)
-        sink = CollectingSink().attach(source.output)
-        pushed = source.push_batch(batch)
-        assert pushed == len(batch)
-        assert all(item.attribute == "temp" for item in sink.items)
-        assert all(item.value == 20.0 for item in sink.items)
-        # Tuples arrive in time order.
-        times = [item.t for item in sink.items]
-        assert times == sorted(times)
-
-    def test_batch_source_requires_attribute(self):
-        with pytest.raises(StreamError):
-            BatchSource("")
-
-    def test_batch_source_empty_batch(self):
-        source = BatchSource("rain")
-        assert source.push_batch(EventBatch.empty()) == 0
 
 
 class TestStreamTopology:
@@ -205,59 +162,3 @@ class TestStreamTopology:
         with pytest.raises(StreamError):
             StreamTopology("cell").operator("missing")
 
-
-class TestStreamEngine:
-    def make_topology(self, name):
-        topology = StreamTopology(name)
-        op = topology.add_operator(PassThroughOperator(f"{name}-op"))
-        sink = CollectingSink().attach(op.output)
-        return topology, sink
-
-    def test_routing_by_key(self):
-        engine = StreamEngine(lambda item: item.attribute)
-        rain_topo, rain_sink = self.make_topology("rain")
-        engine.register("rain", rain_topo)
-        assert engine.route(make_tuple(attribute="rain"))
-        assert not engine.route(make_tuple(attribute="temp"))
-        assert len(rain_sink) == 1
-        assert engine.routed == 1
-        assert engine.unrouted == 1
-
-    def test_route_many(self):
-        engine = StreamEngine(lambda item: item.attribute)
-        topo, _ = self.make_topology("rain")
-        engine.register("rain", topo)
-        routed, unrouted = engine.route_many(
-            [make_tuple(attribute="rain"), make_tuple(attribute="temp")]
-        )
-        assert (routed, unrouted) == (1, 1)
-
-    def test_get_or_create(self):
-        engine = StreamEngine(lambda item: item.attribute)
-        topo, _ = self.make_topology("rain")
-        created = engine.get_or_create("rain", lambda: topo)
-        assert created is topo
-        again = engine.get_or_create("rain", lambda: StreamTopology("other"))
-        assert again is topo
-
-    def test_duplicate_register_rejected(self):
-        engine = StreamEngine(lambda item: item.attribute)
-        topo, _ = self.make_topology("rain")
-        engine.register("rain", topo)
-        with pytest.raises(StreamError):
-            engine.register("rain", topo)
-
-    def test_unregister(self):
-        engine = StreamEngine(lambda item: item.attribute)
-        topo, _ = self.make_topology("rain")
-        engine.register("rain", topo)
-        assert engine.unregister("rain") is topo
-        with pytest.raises(StreamError):
-            engine.unregister("rain")
-
-    def test_contains_and_len(self):
-        engine = StreamEngine(lambda item: item.attribute)
-        topo, _ = self.make_topology("rain")
-        engine.register("rain", topo)
-        assert "rain" in engine
-        assert len(engine) == 1

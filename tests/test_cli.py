@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.cli import SCENARIOS, build_parser, main
+from repro.cli import SCENARIOS, _scenario_engine, build_parser, main
 
 
 class _Capture:
@@ -37,6 +37,110 @@ class TestParser:
     def test_command_is_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+#: The sub-commands that build a scenario engine, with the argv tail each
+#: needs to parse.
+ENGINE_COMMANDS = {
+    "run": ["--query", "ACQUIRE rain FROM RECT(0,0,2,2) RATE 5"],
+    "repl": [],
+    "serve": [],
+}
+FAULT_SCENARIOS = {"flaky-crowd", "crash-recovery", "cell-outage"}
+
+
+class TestScenarioOptions:
+    """``run``, ``repl`` and ``serve`` share one set of scenario options."""
+
+    @pytest.mark.parametrize("command", sorted(ENGINE_COMMANDS))
+    def test_shared_options_parse_alike(self, command):
+        args = build_parser().parse_args(
+            [
+                command,
+                "--scenario", "hotspot",
+                "--sensors", "40",
+                "--grid-cells", "4",
+                "--seed", "11",
+                "--checkpoint-dir", "ckpts",
+                *ENGINE_COMMANDS[command],
+            ]
+        )
+        assert (args.scenario, args.sensors, args.grid_cells, args.seed) == (
+            "hotspot", 40, 4, 11,
+        )
+        assert args.checkpoint_dir == "ckpts"
+
+    @pytest.mark.parametrize(
+        "command, expected", [("run", 10), ("repl", None), ("serve", None)]
+    )
+    def test_checkpoint_every_default_is_per_command(self, command, expected):
+        # run's default of 10 must not leak into the sibling sub-commands.
+        args = build_parser().parse_args([command, *ENGINE_COMMANDS[command]])
+        assert args.checkpoint_every == expected
+        assert args.retention_batches is None
+
+    @pytest.mark.parametrize("command", sorted(ENGINE_COMMANDS))
+    def test_non_positive_checkpoint_every_is_refused(self, command):
+        capture = _Capture()
+        code = main(
+            [command, "--checkpoint-every", "0", *ENGINE_COMMANDS[command]],
+            out=capture,
+            in_stream=io.StringIO("quit\n"),
+        )
+        assert code == 1
+        assert "checkpoint-every must be positive" in capture.text
+
+    @pytest.mark.parametrize("command", ["repl", "serve"])
+    def test_non_positive_retention_is_refused(self, command):
+        capture = _Capture()
+        code = main(
+            [command, "--retention-batches", "-2"],
+            out=capture,
+            in_stream=io.StringIO("quit\n"),
+        )
+        assert code == 1
+        assert "retention-batches must be positive" in capture.text
+
+    def test_run_has_no_retention_option(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["run", "--retention-batches", "3", *ENGINE_COMMANDS["run"]]
+            )
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_scenario_engine_builds_the_named_world(self, scenario):
+        args = build_parser().parse_args(
+            [
+                "repl",
+                "--scenario", scenario,
+                "--sensors", "24",
+                "--grid-cells", "4",
+                "--seed", "5",
+                "--retention-batches", "3",
+            ]
+        )
+        description, engine = _scenario_engine(args)
+        assert description == SCENARIOS[scenario][0]
+        assert len(engine.world.sensors) == 24
+        config = engine.config
+        assert (config.grid_cells, config.seed, config.retention_batches) == (4, 6, 3)
+        faulty = scenario in FAULT_SCENARIOS
+        assert (config.faults is not None) == faulty
+        assert (config.resilience is not None) == faulty
+        assert config.checkpoints is None
+
+    def test_scenario_engine_checkpoints_into_the_directory(self, tmp_path):
+        args = build_parser().parse_args(
+            [
+                "run",
+                "--sensors", "24",
+                "--checkpoint-dir", str(tmp_path),
+                *ENGINE_COMMANDS["run"],
+            ]
+        )
+        _, engine = _scenario_engine(args)
+        checkpoints = engine.config.checkpoints
+        assert (checkpoints.directory, checkpoints.every) == (str(tmp_path), 10)
 
 
 class TestCommands:

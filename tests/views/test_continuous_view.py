@@ -150,6 +150,57 @@ class TestSlidingMaintenance:
         assert [f.tuples for f in frames] == [3, 2, 1]
 
 
+class TestPaneLifecycle:
+    def test_tuple_after_a_gap_lands_in_its_own_pane(self):
+        view = make_view(ViewSpec(aggregate="COUNT", window=1.0))
+        view.on_delivery(batch([0.5]))
+        assert len(view.advance_to(5.0)) == 5
+        view.on_delivery(batch([5.5]))
+        (frame,) = view.advance_to(6.0)
+        assert (frame.window_start, frame.tuples) == (5.0, 1)
+
+    def test_repeated_advance_emits_nothing_and_does_not_drift(self):
+        view = make_view(ViewSpec(aggregate="COUNT", window=2.0))
+        view.on_delivery(batch([0.5]))
+        assert len(view.advance_to(2.0)) == 1
+        assert view.advance_to(2.0) == []
+        assert view.advance_to(3.0) == []  # window [2, 4) still open
+        view.on_delivery(batch([2.5]))
+        (frame,) = view.advance_to(4.0)
+        assert (frame.window_start, frame.tuples) == (2.0, 1)
+
+    def test_late_tuple_joins_open_pane(self):
+        view = make_view(ViewSpec(aggregate="COUNT", window=1.0))
+        view.on_delivery(batch([0.9]))
+        view.on_delivery(batch([0.1]))
+        (frame,) = view.advance_to(1.0)
+        assert frame.tuples == 2
+
+    def test_tuple_for_a_closed_pane_lands_in_the_oldest_open_pane(self):
+        view = make_view(ViewSpec(aggregate="COUNT", window=1.0))
+        (closed,) = view.advance_to(1.0)
+        view.on_delivery(batch([0.5]))  # [0, 1) already emitted
+        (frame,) = view.advance_to(2.0)
+        assert closed.is_empty
+        assert (frame.window_start, frame.tuples) == (1.0, 1)
+        assert view.buffer.tuples_total == 1
+
+    def test_sliding_boundary_tuple_skips_the_closing_frame(self):
+        view = make_view(ViewSpec(aggregate="COUNT", window=2.0, slide=1.0))
+        view.on_delivery(batch([2.0]))
+        frames = view.advance_to(4.0)
+        # Windows [0,2), [1,3), [2,4): t=2.0 opens pane [2, 3).
+        assert [f.tuples for f in frames] == [0, 1, 1]
+
+    def test_empty_delivery_changes_nothing(self):
+        view = make_view(ViewSpec(aggregate="SUM", window=1.0), start_time=0.5)
+        view.on_delivery(batch([]))
+        assert view.pre_origin_dropped == 0
+        assert view.advance_to(1.0) == []  # [0, 1) was only half observed
+        (frame,) = view.advance_to(2.0)
+        assert frame.is_empty
+
+
 class TestAttachmentAndRetention:
     def test_mid_stream_attachment_skips_partial_panes(self):
         view = make_view(ViewSpec(aggregate="COUNT", window=2.0), start_time=3.0)

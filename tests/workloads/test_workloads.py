@@ -12,10 +12,7 @@ from repro.workloads import (
     fig2_queries,
     overlapping_query_workload,
     random_query_workload,
-    synthetic_homogeneous_batch,
-    synthetic_inhomogeneous_batch,
 )
-from repro.workloads.generators import synthetic_hotspot_batch
 from repro.workloads.scenarios import hotspot_scenario, rain_temperature_scenario
 
 GRID = Grid(Rectangle(0, 0, 4, 4), side=4)
@@ -70,29 +67,6 @@ class TestQueryWorkloads:
     def test_fig2_requires_large_enough_grid(self):
         with pytest.raises(WorkloadError):
             fig2_queries(Grid(Rectangle(0, 0, 2, 2), side=2))
-
-
-class TestSyntheticBatches:
-    def test_homogeneous_batch(self):
-        region = Rectangle(0, 0, 1, 1)
-        batch = synthetic_homogeneous_batch(100.0, region, 2.0, seed=1)
-        assert len(batch) > 100
-        with pytest.raises(WorkloadError):
-            synthetic_homogeneous_batch(0.0, region, 1.0)
-
-    def test_inhomogeneous_batch_returns_truth(self):
-        region = Rectangle(0, 0, 1, 1)
-        batch, intensity = synthetic_inhomogeneous_batch(region, 1.0, seed=2)
-        assert len(batch) > 0
-        assert intensity.theta[0] == 20.0
-        with pytest.raises(WorkloadError):
-            synthetic_inhomogeneous_batch(region, 0.0)
-
-    def test_hotspot_batch(self):
-        region = Rectangle(0, 0, 1, 1)
-        batch, intensity = synthetic_hotspot_batch(region, 1.0, seed=3)
-        assert len(batch) > 0
-        assert intensity.max_rate(region, 0.0, 1.0) > intensity.baseline
 
 
 class TestScenarios:
