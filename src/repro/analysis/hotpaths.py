@@ -54,13 +54,20 @@ HOT_PATHS: List[Tuple[str, str]] = [
     ("repro/rng.py", "philox4x64"),
     ("repro/rng.py", "keyed_uniforms"),
     # Strict movement runs the mobility kernels below with the keyed draw
-    # policy: one Philox call per kernel call draws a block for every row
-    # that draws (all rows, or the waypoint rows that need a target), and
-    # the words become uniforms, Box-Muller normals and inverse-CDF choices
-    # as columns.  Its contract is that a crowd's advance equals each sensor
-    # moved alone (``MobileSensor.move``, the same kernel on a one-row
-    # slice) in a shuffled order, kept in
-    # ``tests/sensing/test_crowd_independence.py``.
+    # policy: one Philox call per ``advance`` draws the next block of every
+    # row of the compact copy (``KeyedDraws.__init__``), ``rows`` serves
+    # each row's first draw of the window from that table by position, and
+    # only second or later draws miss — one call per kernel call over just
+    # those rows (about one ``advance`` in fifty on ``crowd_strict``).  A
+    # group left on the world's columns, and ``MobileSensor.move``, still
+    # draw one call per kernel call.  The words become uniforms, Box-Muller
+    # normals and inverse-CDF choices as columns.  Its contracts are that a
+    # crowd's advance equals each sensor moved alone (``MobileSensor.move``,
+    # the same kernel on a one-row slice) in a shuffled order, kept in
+    # ``tests/sensing/test_crowd_independence.py``, and equals the advance
+    # that drew per kernel call, kept in
+    # ``tests/sensing/test_compact_advance.py`` with the call count.
+    ("repro/sensing/mobility.py", "KeyedDraws.__init__"),
     ("repro/sensing/mobility.py", "KeyedDraws.rows"),
     ("repro/sensing/mobility.py", "_BlockRows.normal"),
     ("repro/sensing/mobility.py", "_BlockRows.choice"),
@@ -70,13 +77,20 @@ HOT_PATHS: List[Tuple[str, str]] = [
     # selector (views for a slice, one gather and one
     # scatter per column for an index array); a per-row loop or a
     # compacted ``idx[mask]`` subset inside a sub-step is what PR 17
-    # removed.  Compaction happens once per ``advance``, by design, in the
-    # draw-free ``skip_ahead`` pre-pass: one full-width pass moves the
-    # walkers no event can reach and returns the index array of the rest,
-    # which the kernels then sub-step — under both RNG contracts.  The
-    # kernels' fast-sim contract is bit-equality with the gather/scatter
-    # bodies kept in ``tests/sensing/test_mobility_kernels.py``; the
-    # pre-pass's is ``tests/sensing/test_skip_ahead.py``.
+    # removed.  Compaction happens once per ``advance``, by design: the
+    # draw-free ``skip_ahead`` pre-pass moves the walkers no event can
+    # reach in one full-width pass and returns the index array of the
+    # rest, and ``_compact_groups`` gathers every group's index array into
+    # one compact copy (``take_movement``) whose slices the kernels then
+    # sub-step as views, scattered back once (``put_movement``) — under
+    # both RNG contracts.  The kernels' fast-sim contract is bit-equality
+    # with the gather/scatter bodies kept in
+    # ``tests/sensing/test_mobility_kernels.py``; the pre-pass's is
+    # ``tests/sensing/test_skip_ahead.py``; the compaction's is
+    # ``tests/sensing/test_compact_advance.py``.
+    ("repro/sensing/world.py", "_compact_groups"),
+    ("repro/sensing/state.py", "SensorStateArrays.take_movement"),
+    ("repro/sensing/state.py", "SensorStateArrays.put_movement"),
     ("repro/sensing/mobility.py", "RandomWalkMobility.step_batch"),
     ("repro/sensing/mobility.py", "RandomWaypointMobility.step_batch"),
     ("repro/sensing/mobility.py", "RandomWaypointMobility.skip_ahead"),

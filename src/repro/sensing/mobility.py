@@ -31,7 +31,10 @@ only in the draw policy ``draws``:
   trajectory depends on the seed, its id, its state and the sub-step
   ``dt``\\ s — never on the rest of the crowd.  Moving one sensor alone
   (:meth:`~repro.sensing.MobileSensor.move`, a one-row slice) and moving
-  its crowd give the same bytes.
+  its crowd give the same bytes.  The world's ``advance`` builds it over
+  the window's compact copy, which draws every row's next block in one
+  call up front; only a row's second or later draw of the window is drawn
+  again.
 
 A kernel asks its policy for the draws of one sub-step with
 ``draws.rows(arrays, sel, size, where)`` and reads them by *block word*:
@@ -42,14 +45,22 @@ The shared policy ignores the words and the rows; the keyed one ignores
 
 The kernels are *gather-free*: moving the crowd is most of a large fast-sim
 batch, and at 100k rows a kernel's cost is memory passes, not arithmetic.
-``indices`` is a row selector (:data:`RowSelector`) — the world hands a
-``slice`` for a contiguous group (every single-model crowd), an ascending
-int64 index array for interleaved groups — and a step is a fixed sequence
-of full-width ufuncs over it.  New mobility models follow the same rules:
+``indices`` is a row selector (:data:`RowSelector`) and a step is a fixed
+sequence of full-width ufuncs over it.  The world hands its kernels
+slices: a contiguous group (every single-model crowd) that ``skip_ahead``
+leaves whole is a ``slice`` of the world's columns, and every group that
+``skip_ahead`` narrows to an index array — or that is interleaved with
+another — is gathered once per ``advance``, with the others, into one
+compact copy of the movement columns, of which it gets a ``slice``; the
+copy is scattered back once after the last sub-step.  Other callers may
+hand an ascending int64 index array.  New mobility models follow the same
+rules:
 
 * **take each column once through the selector** (``x = arrays.x[sel]``: a
   view for a slice, one gather for an index array), work on it in place,
   and scatter the touched columns back once, only when they were gathered;
+  read and write only the movement columns and ``sensor_ids`` (the compact
+  copy has no others);
 * **mask instead of compacting**: rows a step does not apply to ride through
   the arithmetic and are excluded by ``np.copyto(dst, src, where=mask)``,
   never by ``arrays.x[idx[mask]]`` subsets (reuse temporaries with ``out=``);
@@ -111,7 +122,9 @@ def movement_substeps(duration: float, step: float) -> List[float]:
     The subtraction loop is the contract: the last sub-step of a 1.0 window
     at step 0.1 is 0.09999999999999987, not 0.1.  Every movement window is
     cut here, so this is where a window the loop cannot cut is refused: a
-    non-positive (or infinite) ``duration``, a non-positive ``step``.
+    non-positive (or infinite) ``duration``, a non-positive ``step``, and a
+    ``duration`` of 1e-12 or less, which the loop would cut into no
+    sub-step at all (a window that moves nothing and leaves the clock).
     """
     if not 0 < duration < math.inf:
         raise CraqrError("duration must be positive and finite")
@@ -123,6 +136,8 @@ def movement_substeps(duration: float, step: float) -> List[float]:
         dt = min(step, remaining)
         dts.append(dt)
         remaining -= dt
+    if not dts:
+        raise CraqrError(f"duration {duration!r} is too short to cut into a sub-step")
     return dts
 
 
@@ -198,29 +213,53 @@ class SharedDraws:
 class KeyedDraws:
     """Strict draw policy: one keyed Philox block per row that draws.
 
-    ``rows(arrays, sel, size, where)`` draws, for each row of ``sel`` (only
+    ``rows(arrays, sel, size, where)`` hands, to each row of ``sel`` (only
     those ``where`` is True when given), block ``moves_drawn[row]`` of the
     stream keyed ``(key, sensor_ids[row])`` with counter word 1 =
-    :data:`~repro.rng.MOVEMENT` — one :func:`~repro.rng.keyed_uniforms`
-    call — and bumps those rows' ``moves_drawn``.  Nothing else is read, so
-    a row draws the same block whichever crowd, group or order it is moved
-    in.  Holds no state but the key.
+    :data:`~repro.rng.MOVEMENT`, and bumps those rows' ``moves_drawn``.
+    Nothing else is read, so a row draws the same block whichever crowd,
+    group or order it is moved in.
+
+    Without ``prefetch`` every ``rows`` call is one
+    :func:`~repro.rng.keyed_uniforms` call (what
+    :meth:`~repro.sensing.MobileSensor.move` and a world group still on the
+    world's columns pay).  ``prefetch`` is the compact array of one
+    ``advance``: every one of its rows' next block is drawn up front, in
+    one call, and ``rows`` over that array serves a row from the table
+    while its ``moves_drawn`` still equals the prefetched counter — only a
+    row's second or later draw of the window misses, and a call's misses
+    are drawn in one call over just those rows.  A block is a pure function
+    of ``(key, id, counter)``, so drawing it early moves no bit, and a
+    prefetched block nobody asks for is never consumed.  Holds no state
+    beyond one ``advance``.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_arrays", "_counters", "_table")
 
-    def __init__(self, key: int) -> None:
+    def __init__(self, key: int, prefetch: Optional[SensorStateArrays] = None) -> None:
         self._key = key
+        self._arrays = prefetch
+        if prefetch is not None:
+            self._counters = prefetch.moves_drawn.copy()
+            self._table = keyed_uniforms(key, prefetch.sensor_ids, self._counters, MOVEMENT)
 
     def rows(self, arrays, sel, size, where=None) -> _BlockRows:
         del size
+        prefetched = arrays is self._arrays
+        if isinstance(sel, slice) and (prefetched or where is not None):
+            sel = np.arange(*sel.indices(len(arrays)))
         if where is not None:
-            if isinstance(sel, slice):
-                sel = np.arange(*sel.indices(len(arrays)))
             sel = sel[where]
-        u = keyed_uniforms(
-            self._key, arrays.sensor_ids[sel], arrays.moves_drawn[sel], MOVEMENT
-        )
+        counters = arrays.moves_drawn[sel]
+        if prefetched:
+            u = self._table[:, sel]  # a copy: ``sel`` is an index array here
+            miss = counters != self._counters[sel]
+            if miss.any():
+                u[:, miss] = keyed_uniforms(
+                    self._key, arrays.sensor_ids[sel[miss]], counters[miss], MOVEMENT
+                )
+        else:
+            u = keyed_uniforms(self._key, arrays.sensor_ids[sel], counters, MOVEMENT)
         arrays.moves_drawn[sel] += 1  # ascending selectors: every row once
         return _BlockRows(u)
 
@@ -312,9 +351,11 @@ class MobilityModel(ABC):
     ) -> None:
         """Advance the rows ``indices`` of ``arrays`` by ``dt`` at once.
 
-        ``indices`` is the group's *row selector*: a ``slice`` when the
-        world found the group's rows contiguous, otherwise an ascending
-        int64 index array (any integer sequence is accepted).  ``draws`` is
+        ``indices`` is the group's *row selector*: from the world always a
+        ``slice`` — of its own columns, or of the compact copy ``advance``
+        gathers the index-array groups into (then ``arrays`` is that copy) —
+        from other callers possibly an ascending int64 index array (any
+        integer sequence is accepted).  ``draws`` is
         the draw policy (:class:`SharedDraws`, :class:`KeyedDraws` or a bare
         ``Generator``).  A sub-step may depend only on the rows' state,
         ``dt`` and the draws — not on the clock or on other rows — which is

@@ -29,6 +29,12 @@ import numpy as np
 
 from ..errors import CraqrError
 
+#: The columns a mobility kernel may write: what a compacted ``advance``
+#: scatters back (``sensor_ids`` is gathered too, read-only).
+MOVEMENT_COLUMNS = (
+    "x", "y", "vx", "vy", "target_x", "target_y", "pause_remaining", "moves_drawn",
+)
+
 
 class SensorStateArrays:
     """All per-sensor mutable state of a sensing world, as numpy columns.
@@ -117,6 +123,23 @@ class SensorStateArrays:
         self.latency_mean[index] = latency_mean
         self.incentive_sensitive[index] = incentive_sensitive
         self.vector_participation[index] = True
+
+    def take_movement(self, rows: np.ndarray) -> "SensorStateArrays":
+        """A compact copy of ``rows``: the movement columns and ``sensor_ids`` only.
+
+        Row ``i`` of the copy is row ``rows[i]`` here; the other columns are
+        left unset, so a kernel that reads one fails instead of reading
+        another row's value.  ``rows`` may be empty.
+        """
+        compact = SensorStateArrays.__new__(SensorStateArrays)
+        for name in MOVEMENT_COLUMNS + ("sensor_ids",):
+            setattr(compact, name, getattr(self, name)[rows])
+        return compact
+
+    def put_movement(self, rows: np.ndarray, compact: "SensorStateArrays") -> None:
+        """Scatter a :meth:`take_movement` copy's movement columns back to ``rows``."""
+        for name in MOVEMENT_COLUMNS:
+            getattr(self, name)[rows] = getattr(compact, name)
 
     def positions(self) -> np.ndarray:
         """An ``(n, 2)`` copy of the current positions."""

@@ -13,7 +13,8 @@ Spatial queries (``sensors_in``, ``density_snapshot``, ``sensor_positions``)
 are therefore plain array operations in every mode.  Movement runs one way,
 in both modes and for every sensor — each model group's draw-free
 ``skip_ahead``, then one vectorised ``step_batch`` kernel call per group per
-movement sub-step over the rows it left — and the modes differ only in
+movement sub-step over the rows it left, gathered once per ``advance`` into
+one compact copy — and the modes differ only in
 where the draws come from, the RNG contract selected by
 :attr:`WorldConfig.vectorized_rng`:
 
@@ -105,6 +106,34 @@ class WorldConfig:
             raise CraqrError("sensor_count must be positive")
         if self.movement_step <= 0:
             raise CraqrError("movement_step must be positive")
+
+
+def _compact_groups(
+    state: SensorStateArrays, groups: List[Tuple[MobilityModel, RowSelector]]
+) -> Tuple[np.ndarray, Optional[SensorStateArrays], List[tuple]]:
+    """Gather the rows of every index-array group once, into one compact copy.
+
+    ``groups`` are ``(model, selector)`` pairs as ``skip_ahead`` left them:
+    disjoint, each ascending.  Returns ``(rows, compact, steps)``: the
+    concatenated index arrays, their :meth:`SensorStateArrays.take_movement`
+    copy (``None`` when there is nothing to gather) and ``(model, arrays,
+    selector)`` triples, an index-array group becoming its ``slice`` of the
+    copy — so its kernels take the view path — and a ``slice`` group
+    staying on ``state``.
+    """
+    picked = [sel for _, sel in groups if not isinstance(sel, slice)]
+    rows = np.concatenate(picked or [[]]).astype(np.int64, copy=False)
+    if not rows.size:
+        return rows, None, [(model, state, sel) for model, sel in groups]
+    compact = state.take_movement(rows)
+    steps, start = [], 0
+    for model, sel in groups:
+        if isinstance(sel, slice):
+            steps.append((model, state, sel))
+        else:
+            steps.append((model, compact, slice(start, start + len(sel))))
+            start += len(sel)
+    return rows, compact, steps
 
 
 def _row_selector(indices: List[int]) -> RowSelector:
@@ -257,27 +286,41 @@ class SensingWorld:
         to ``skip_ahead`` — a waypoint walker that cannot reach its target
         within ``duration`` takes the whole window in one stride — and then
         one vectorised ``step_batch`` kernel per group per sub-step moves
-        the rows that hook handed back, step-major.  The kernels draw
-        through the mode's policy: fast-sim's shared generator, consumed
-        exactly as if every row were sub-stepped (the skipped rows'
-        positions agree with that up to rounding), or strict's keyed
-        movement blocks, which make a sensor's move independent of its
-        crowd.  Advance is atomic: nothing observes the SoA between
-        sub-steps.  A non-positive ``duration`` is a
-        :class:`~repro.errors.CraqrError`, raised before anything moves.
+        the rows that hook handed back, step-major.  The index arrays it
+        hands back are gathered once, all groups together, into one compact
+        copy of the movement columns (:func:`_compact_groups`); the kernels
+        sub-step their slices of it as views, and it is scattered back once
+        at the end.  The kernels draw through the mode's policy: fast-sim's
+        shared generator, consumed exactly as if every row were sub-stepped
+        (the skipped rows' positions agree with that up to rounding), or
+        strict's keyed movement blocks, which make a sensor's move
+        independent of its crowd — built over the compact copy, it draws
+        every compact row's next block in one Philox call and only a row's
+        second or later block of the window again.  None of this moves a
+        bit against gathering and drawing per kernel call.  Advance is
+        atomic: nothing observes the SoA between sub-steps.  A non-positive
+        ``duration``, or one the sub-step loop cuts into nothing (1e-12 or
+        less), is a :class:`~repro.errors.CraqrError`, raised before
+        anything moves.
         """
         dts = movement_substeps(duration, self._config.movement_step)
+        state = self._state
+        rows, compact, steps = _compact_groups(
+            state,
+            [
+                (model, model.kernel_skip_ahead(state, sel, duration))
+                for model, sel in self._mobility_groups
+            ],
+        )
         if self._config.vectorized_rng:
             draws = SharedDraws(self._rng)
         else:
-            draws = KeyedDraws(self._acquisition_key)
-        groups = [
-            (model, model.kernel_skip_ahead(self._state, rows, duration))
-            for model, rows in self._mobility_groups
-        ]
+            draws = KeyedDraws(self._acquisition_key, prefetch=compact)
         for dt in dts:
-            for model, rows in groups:
-                model.step_batch(self._state, rows, dt, draws)
+            for model, arrays, sel in steps:
+                model.step_batch(arrays, sel, dt, draws)
+        if compact is not None:
+            state.put_movement(rows, compact)
         for dt in dts:
             self._clock.advance(dt)
         return self._clock.now

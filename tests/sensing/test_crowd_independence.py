@@ -229,10 +229,16 @@ def test_sub_steps_come_from_the_subtraction_loop():
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_any_crowd_and_window(mix, count, duration, movement_step, seed):
-    def build():
-        return make_world(
-            alternating(*(CROWDS[name]() for name in mix)),
+    # Imported here, not at the top: that module imports this one's crowds.
+    from test_compact_advance import assert_matches_oracle, build as build_world
+
+    def build(vectorized=False):
+        return build_world(
+            alternating(*(CROWDS[name]() for name in mix)), vectorized=vectorized,
             count=count, seed=seed, movement_step=movement_step,
         )
 
     assert_crowd_independent(build(), build(), (duration,), calls=4, seed=seed)
+    # ... and equal to the advance that neither compacts nor prefetches.
+    for vectorized in (False, True):
+        assert_matches_oracle(build(vectorized), (duration,), calls=4)

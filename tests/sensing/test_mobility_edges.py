@@ -205,7 +205,7 @@ class TestMovementWindows:
     @pytest.mark.parametrize(
         "duration, step",
         [(0.0, 0.1), (-2.0, 0.1), (float("nan"), 0.1), (float("inf"), 0.1),
-         (1.0, 0.0), (1.0, -0.1), (1.0, float("nan"))],
+         (5e-13, 0.1), (1.0, 0.0), (1.0, -0.1), (1.0, float("nan"))],
     )
     def test_bad_windows_are_refused(self, duration, step):
         with pytest.raises(CraqrError):
@@ -240,8 +240,10 @@ class TestMovementWindows:
             world.sensors[0].move(1.0, 0.0)
         assert self.image(world) == before
 
-    @pytest.mark.parametrize("duration", [0.0, -1.0])
+    @pytest.mark.parametrize("duration", [0.0, -1.0, 5e-13])
     def test_the_world_refuses_a_non_positive_window(self, duration):
+        # 5e-13 is positive, but the sub-step loop cuts it into no sub-step:
+        # it used to return the clock unchanged and move nothing.
         world = self.make_world()
         before = self.image(world)
         with pytest.raises(CraqrError, match="duration"):
