@@ -153,8 +153,12 @@ class EngineConfig:
     retention_batches:
         Service-mode memory bound: when set, every query result buffer
         evicts chunks older than this many completed batches, the engine
-        keeps only this many :class:`~repro.core.engine.EngineReport`\\ s and
-        the budget tuner bounds its decision history to the same window.
+        keeps only this many :class:`~repro.core.engine.EngineReport`\\ s,
+        the budget tuner bounds its decision history to the same window and
+        every Flatten operator keeps the
+        :class:`~repro.core.pmat.flatten.FlattenBatchReport`\\ s of only
+        that many batches, so a checkpoint's size is set by this window,
+        not by how long the engine has run.
         Lifetime accounting (``total_tuples``, whole-history achieved rate)
         stays exact through running totals; windowed reads past the
         retention window (an old cursor, ``achieved_rate(last=k)`` with

@@ -37,9 +37,9 @@ control point of a continuously executing query —
   handles;
 * **bounded retention** — with
   :attr:`~repro.config.EngineConfig.retention_batches` set, buffers,
-  engine reports and tuner history are evicted past the window while the
-  lifetime accounting stays exact, so a service-mode engine runs
-  indefinitely in bounded memory.
+  engine reports, tuner history and Flatten reports are evicted past the
+  window while the lifetime accounting stays exact, so a service-mode
+  engine runs indefinitely in bounded memory.
 
 A typical session::
 
@@ -423,6 +423,7 @@ class CraqrEngine:
             batch_duration=config.batch_duration,
             online_estimation=config.online_estimation,
             discard_recorder=(self._discarded.record if self._discarded is not None else None),
+            report_history=config.retention_batches,
             rng=np.random.default_rng(self._rng.integers(0, 2 ** 63 - 1)),
         )
         self._fabricator = StreamFabricator(self._planner, self._grid)

@@ -94,6 +94,7 @@ class QueryPlanner:
         headroom: float = 1.25,
         online_estimation: bool = False,
         discard_recorder=None,
+        report_history: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         self._grid = grid
@@ -101,6 +102,8 @@ class QueryPlanner:
         self._headroom = headroom
         self._online = online_estimation
         self._discard_recorder = discard_recorder
+        #: bound on every chain's Flatten report history (None keeps all).
+        self._report_history = report_history
         self._rng = ensure_rng(rng)
         #: the hashmap of Section V: grid-cell key -> execution topology
         self._cells: Dict[CellKey, CellTopology] = {}
@@ -235,6 +238,7 @@ class QueryPlanner:
                 headroom=self._headroom,
                 online_estimation=self._online,
                 discard_recorder=self._discard_recorder,
+                report_history=self._report_history,
                 rng=np.random.default_rng(self._rng.integers(0, 2 ** 63 - 1)),
             )
             self._cells[cell.key] = topology

@@ -211,6 +211,12 @@ class FlattenOperator(PMATOperator):
     min_batch_for_fit:
         Minimum batch size for attempting the MLE fit; smaller batches use
         the constant-rate fallback.
+    history_batches:
+        Optional bound on the report history: only the newest
+        ``history_batches`` :class:`FlattenBatchReport`\\ s are kept (the
+        planner wires it to
+        :attr:`~repro.config.EngineConfig.retention_batches`).  ``None``
+        keeps every report.
     """
 
     symbol = "F"
@@ -226,6 +232,7 @@ class FlattenOperator(PMATOperator):
         online: bool = False,
         emit_discarded: bool = False,
         min_batch_for_fit: int = MIN_BATCH_FOR_FIT,
+        history_batches: Optional[int] = None,
         name: Optional[str] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
@@ -235,6 +242,8 @@ class FlattenOperator(PMATOperator):
             raise StreamError("batch_duration must be positive")
         if min_batch_for_fit < 4:
             raise StreamError("min_batch_for_fit must be at least 4")
+        if history_batches is not None and history_batches <= 0:
+            raise StreamError("history_batches must be positive (or None)")
         outputs = 2 if emit_discarded else 1
         super().__init__(
             name, attribute=attribute, region=region, outputs=outputs, rng=rng
@@ -247,6 +256,7 @@ class FlattenOperator(PMATOperator):
         self._min_batch_for_fit = int(min_batch_for_fit)
         self._buffer: List[SensorTuple] = []
         self._reports: List[FlattenBatchReport] = []
+        self._history_batches = history_batches
         self._online_estimator: Optional[OnlineIntensityEstimator] = None
         if self._online:
             self._online_estimator = OnlineIntensityEstimator(
@@ -278,7 +288,11 @@ class FlattenOperator(PMATOperator):
 
     @property
     def reports(self) -> List[FlattenBatchReport]:
-        """Reports of every processed batch."""
+        """Reports of the retained batches, oldest first.
+
+        Every processed batch's, unless ``history_batches`` bounds the
+        history to the newest ones.
+        """
         return list(self._reports)
 
     @property
@@ -346,7 +360,7 @@ class FlattenOperator(PMATOperator):
         result = flatten_events(
             batch, intensity, self.target_expected, rng=self.rng
         )
-        self._reports.append(
+        self._append_report(
             FlattenBatchReport(
                 batch_size=len(items),
                 retained=result.retained_count,
@@ -446,7 +460,7 @@ class FlattenOperator(PMATOperator):
         ``record_batch(0)`` is the empty batch: a full shortfall, so the
         budget tuner reacts to silent cells.
         """
-        self._reports.append(
+        self._append_report(
             FlattenBatchReport(
                 batch_size=batch_size,
                 retained=retained,
@@ -457,6 +471,15 @@ class FlattenOperator(PMATOperator):
             )
         )
         self._tuples_out += retained
+
+    def _append_report(self, report: FlattenBatchReport) -> None:
+        """Keep one batch's report, trimming the history to its bound."""
+        self._reports.append(report)
+        if (
+            self._history_batches is not None
+            and len(self._reports) > self._history_batches
+        ):
+            del self._reports[: len(self._reports) - self._history_batches]
 
     def lower_ir(self) -> dict:
         """Describe this operator's compiled kernel for the plan IR."""

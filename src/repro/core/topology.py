@@ -154,6 +154,7 @@ class AttributeChain:
         batch_duration: float = 1.0,
         online_estimation: bool = False,
         discard_recorder: Optional[Callable[[str, SensorTuple], None]] = None,
+        report_history: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if headroom <= 1.0:
@@ -167,6 +168,7 @@ class AttributeChain:
         self._batch_duration = batch_duration
         self._online = online_estimation
         self._discard_recorder = discard_recorder
+        self._report_history = report_history
         self._rng = ensure_rng(rng)
         self._entries: Dict[int, _QueryEntry] = {}
         self._flatten: Optional[FlattenOperator] = None
@@ -284,6 +286,7 @@ class AttributeChain:
             batch_duration=self._batch_duration,
             online=self._online,
             emit_discarded=self._discard_recorder is not None,
+            history_batches=self._report_history,
             name=f"F:{attribute}@{cell_key}",
             rng=np.random.default_rng(self._rng.integers(0, 2 ** 63 - 1)),
         )
@@ -429,6 +432,7 @@ class CellTopology:
         headroom: float = DEFAULT_HEADROOM,
         online_estimation: bool = False,
         discard_recorder: Optional[Callable[[str, SensorTuple], None]] = None,
+        report_history: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         self._cell = cell
@@ -436,6 +440,7 @@ class CellTopology:
         self._headroom = headroom
         self._online = online_estimation
         self._discard_recorder = discard_recorder
+        self._report_history = report_history
         self._rng = ensure_rng(rng)
         self._chains: Dict[str, AttributeChain] = {}
         self._topology = StreamTopology(name=f"cell{cell.key}")
@@ -497,6 +502,7 @@ class CellTopology:
                 batch_duration=self._batch_duration,
                 online_estimation=self._online,
                 discard_recorder=self._discard_recorder,
+                report_history=self._report_history,
                 rng=np.random.default_rng(self._rng.integers(0, 2 ** 63 - 1)),
             )
             self._chains[query.attribute] = chain

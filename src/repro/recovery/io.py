@@ -57,8 +57,12 @@ MAGIC = b"CRQRCKPT"
 #: stateful participation is decided per request under both contracts —
 #: the SoA has no participation-group column or extra state columns, a
 #: fatigue model keeps its state in its own dict, and a fast-sim fatigue
-#: crowd no longer commits fatigue once per round).
-FORMAT_VERSION = 9
+#: crowd no longer commits fatigue once per round; 10: a result buffer's
+#: retained chunks are one columnar block per layout, not one reduced
+#: ``TupleBatch`` each — bounding the Flatten report history by
+#: ``retention_batches`` changes what is captured, not what a restored
+#: engine computes).
+FORMAT_VERSION = 10
 
 #: Header layout after the magic: version (u32), payload length (u64),
 #: SHA-256 digest (32 bytes), all little-endian.

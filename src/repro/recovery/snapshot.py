@@ -15,11 +15,14 @@ had never stopped:
   state, and the :class:`~repro.faults.SensorHealthMonitor`'s quarantine
   bookkeeping;
 * the query pipeline — planner/topology/operator state including every
-  operator RNG, Flatten reports and online estimators, Thin/Partition drop
+  operator RNG, Flatten reports (the newest ``retention_batches`` when
+  retention is on) and online estimators, Thin/Partition drop
   counters, Union merge state, and the planner's paused set;
 * serving state — :class:`~repro.storage.QueryResultBuffer` chunk lists
-  with exact lifetime totals, :class:`~repro.views.ViewFrameBuffer` frames,
-  open pane partials and :class:`~repro.views.QuantileSketch` state;
+  (packed one columnar block per layout, split back into independent
+  chunks on load) with exact lifetime totals,
+  :class:`~repro.views.ViewFrameBuffer` frames, open pane partials and
+  :class:`~repro.views.QuantileSketch` state;
 * control state — budget-tuner decision history and saturation flags,
   degradation EWMAs, engine reports, batch index and the engine RNG.
 
@@ -106,14 +109,17 @@ class _SnapshotPickler(pickle.Pickler):
     engine's, the operators', the fault injector's), and
     ``Generator.__reduce__`` is an order of magnitude slower (and ~4x
     larger) than the underlying ``bit_generator.state`` dict it wraps.
-    Result buffers retain one columnar chunk per acquisition round, so a
-    few dozen batches means hundreds of small ``TupleBatch`` objects whose
-    per-ndarray pickle framing dominates the capture; packing each chunk's
-    columns into raw bytes cuts that cost by ~3x.  The pickler's memo still
-    deduplicates both classes by object identity, so generators and chunks
-    shared between subsystems come back shared.  Nothing in the engine
-    holds a bare ``BitGenerator`` reference, so wrapping a fresh one on
-    rebuild cannot split a shared stream; restored chunk columns are
+    A ``TupleBatch`` reached outside a result buffer is packed column by
+    column into raw bytes (:func:`~repro.streams.codec.reduce_tuple_batch`),
+    ~3x cheaper than per-ndarray pickle framing.  Result buffers retain one
+    columnar chunk per acquisition round — hundreds of small batches — and
+    do not go through it: each buffer's ``__getstate__`` hands its chunks
+    to :func:`~repro.streams.codec.pack_tuple_batches`, one concatenated
+    block per run of equal-layout chunks.  The pickler's memo still
+    deduplicates generators and dispatched batches by object identity, so
+    those shared between subsystems come back shared.  Nothing in the
+    engine holds a bare ``BitGenerator`` reference, so wrapping a fresh one
+    on rebuild cannot split a shared stream; restored chunk columns are
     exact-typed copies.
     """
 

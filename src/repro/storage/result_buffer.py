@@ -37,7 +37,12 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..errors import StorageError
 from ..pointprocess import EventBatch
-from ..streams import SensorTuple, TupleBatch
+from ..streams import (
+    SensorTuple,
+    TupleBatch,
+    pack_tuple_batches,
+    unpack_tuple_batches,
+)
 
 #: Callback type of push subscriptions: receives one batch's deliveries.
 SubscriberFn = Callable[[TupleBatch], None]
@@ -240,11 +245,17 @@ class QueryResultBuffer:
         # deterministically, and user code re-subscribes its own.  The
         # shared notify cursor is recreated at the tail lazily on the next
         # subscribe(); checkpoints are taken at batch boundaries, where the
-        # tail cursor carries no pending tuples.
+        # tail cursor carries no pending tuples.  The retained chunks go
+        # in as one columnar block per layout, not one reduce per chunk.
         state = dict(self.__dict__)
         state["_subscribers"] = []
         state["_notify_cursor"] = None
+        state["_chunks"] = pack_tuple_batches(self._chunks)
         return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._chunks = unpack_tuple_batches(state["_chunks"])
 
     # ------------------------------------------------------------------
     @property

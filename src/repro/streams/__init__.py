@@ -16,10 +16,12 @@ from .codec import (
     encode_tuple_batch,
     encode_view_frame,
     pack_column,
+    pack_tuple_batches,
     reduce_tuple_batch,
     rebuild_tuple_batch,
     reset_codec_call_counts,
     unpack_column,
+    unpack_tuple_batches,
 )
 from .stream import Stream, StreamStats
 from .operator import StreamOperator, PassThroughOperator, FilterOperator, MapOperator
@@ -37,10 +39,12 @@ __all__ = [
     "encode_tuple_batch",
     "encode_view_frame",
     "pack_column",
+    "pack_tuple_batches",
     "reduce_tuple_batch",
     "rebuild_tuple_batch",
     "reset_codec_call_counts",
     "unpack_column",
+    "unpack_tuple_batches",
     "Stream",
     "StreamStats",
     "StreamOperator",

@@ -14,6 +14,10 @@ protocol — cannot drift:
   ``pickle``-reduce form the snapshot pickler dispatches
   :class:`TupleBatch` through (~3x smaller/faster than per-ndarray pickle
   framing).
+* :func:`pack_tuple_batches` / :func:`unpack_tuple_batches` — a whole
+  list of batches (a result buffer's chunks) as one columnar block per
+  run of equal-layout batches, in plain builtins: one packed column per
+  block instead of one per batch.
 * :func:`encode_tuple_batch` / :func:`decode_tuple_batch` and
   :func:`encode_view_frame` / :func:`decode_view_frame` — self-contained,
   pickle-free wire encodings: a length-prefixed JSON header describing the
@@ -46,6 +50,8 @@ __all__ = [
     "unpack_column",
     "reduce_tuple_batch",
     "rebuild_tuple_batch",
+    "pack_tuple_batches",
+    "unpack_tuple_batches",
     "encode_tuple_batch",
     "decode_tuple_batch",
     "encode_view_frame",
@@ -87,12 +93,19 @@ def pack_column(array: np.ndarray):
     return (contiguous.tobytes(), array.dtype.str, array.shape)
 
 
+def _column_view(packed) -> np.ndarray:
+    """A packed column as a read-only view of its bytes (object dtypes as-is)."""
+    if isinstance(packed, np.ndarray):
+        return packed
+    data, dtype, shape = packed
+    return np.frombuffer(data, dtype=dtype).reshape(shape)
+
+
 def unpack_column(packed) -> np.ndarray:
     """Invert :func:`pack_column` into a fresh, writable array."""
     if isinstance(packed, np.ndarray):
         return packed
-    data, dtype, shape = packed
-    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+    return _column_view(packed).copy()
 
 
 def rebuild_tuple_batch(attribute, columns, meta, extra) -> TupleBatch:
@@ -113,6 +126,84 @@ def reduce_tuple_batch(batch: TupleBatch):
     )
     extra = {name: pack_column(c) for name, c in batch.extra.items()}
     return rebuild_tuple_batch, (batch.attribute, columns, batch.meta, extra)
+
+
+def _main_columns(batch: TupleBatch) -> Tuple[np.ndarray, ...]:
+    return (batch.t, batch.x, batch.y, batch.value, batch.sensor_id, batch.tuple_id)
+
+
+def _layout(batch: TupleBatch) -> tuple:
+    """What batches must share to be concatenated column by column."""
+    return (
+        batch.attribute,
+        tuple((c.dtype, c.shape[1:]) for c in _main_columns(batch)),
+        tuple((name, c.dtype, c.shape[1:]) for name, c in batch.extra.items()),
+    )
+
+
+def _pack_block(run: List[TupleBatch]) -> tuple:
+    first = run[0]
+    columns = tuple(
+        pack_column(np.concatenate(parts)) for parts in zip(*map(_main_columns, run))
+    )
+    extra = {
+        name: pack_column(np.concatenate([b.extra[name] for b in run]))
+        for name in first.extra
+    }
+    return (first.attribute, [len(b) for b in run], [b.meta for b in run], columns, extra)
+
+
+def pack_tuple_batches(batches: Sequence[TupleBatch]) -> List[tuple]:
+    """Many batches as one columnar block per run of equal-layout batches.
+
+    A layout is the attribute and every column's name, dtype and trailing
+    shape.  Each block keeps its batches' lengths and ``meta`` dicts, and
+    holds each column once, concatenated over the run and packed with
+    :func:`pack_column`; the result is plain builtins (plus object-dtype
+    arrays), so pickling it names no new global.
+    :func:`unpack_tuple_batches` inverts it.
+    """
+    blocks: List[tuple] = []
+    run: List[TupleBatch] = []
+    run_layout = None
+    for batch in batches:
+        layout = _layout(batch)
+        if run and layout != run_layout:
+            blocks.append(_pack_block(run))
+            run = []
+        run.append(batch)
+        run_layout = layout
+    if run:
+        blocks.append(_pack_block(run))
+    return blocks
+
+
+def unpack_tuple_batches(blocks: Sequence[tuple]) -> List[TupleBatch]:
+    """Invert :func:`pack_tuple_batches`: the batches, in order.
+
+    Every column of every batch is a fresh, writable copy of its rows —
+    never a view of the block — so dropping one batch frees its memory.
+    """
+    batches: List[TupleBatch] = []
+    for attribute, lengths, metas, columns, extra in blocks:
+        main = [_column_view(c) for c in columns]
+        extra_columns = {name: _column_view(c) for name, c in extra.items()}
+        start = 0
+        for length, meta in zip(lengths, metas):
+            stop = start + length
+            t, x, y, value, sensor_id, tuple_id = (c[start:stop].copy() for c in main)
+            batches.append(
+                TupleBatch(
+                    attribute, t, x, y, value, sensor_id, tuple_id,
+                    meta=meta,
+                    extra={
+                        name: c[start:stop].copy()
+                        for name, c in extra_columns.items()
+                    },
+                )
+            )
+            start = stop
+    return batches
 
 
 # ----------------------------------------------------------------------

@@ -52,6 +52,8 @@ class TestFlattenOperator:
             FlattenOperator(1.0, region=CELL, batch_duration=0.0)
         with pytest.raises(StreamError):
             FlattenOperator(1.0, region=CELL, min_batch_for_fit=2)
+        with pytest.raises(StreamError):
+            FlattenOperator(1.0, region=CELL, history_batches=0)
 
     def test_buffers_until_flush(self):
         op = FlattenOperator(10.0, region=CELL, rng=np.random.default_rng(0))
@@ -121,6 +123,13 @@ class TestFlattenOperator:
         assert report.violation_percent == 0.0
         assert report.shortfall_percent == 100.0
         assert op.last_violation_percent == 100.0
+
+    def test_history_batches_keeps_the_newest_reports(self):
+        op = FlattenOperator(10.0, region=CELL, history_batches=2)
+        for size in (0, 3, 5):
+            op.record_batch(size, retained=size)
+        assert [report.batch_size for report in op.reports] == [3, 5]
+        assert op.last_violation_percent == op.reports[-1].feedback_percent
 
     def test_emit_discarded_routes_dropped_tuples(self):
         op = FlattenOperator(

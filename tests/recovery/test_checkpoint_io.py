@@ -47,8 +47,8 @@ class TestFraming:
         with pytest.raises(RecoveryError, match=f"version {FORMAT_VERSION + 1}"):
             unframe_payload(framed)
 
-    def test_format_version_is_9(self):
-        assert FORMAT_VERSION == 9
+    def test_format_version_is_10(self):
+        assert FORMAT_VERSION == 10
 
     @pytest.mark.parametrize(
         "version",
@@ -78,6 +78,9 @@ class TestFraming:
             # fatigue columns this build has not, and a fast-sim fatigue crowd
             # would replay its round-granular fatigue instead of per request.
             8,
+            # 9: result buffers pickle one reduced ``TupleBatch`` per chunk
+            # where this build reads one columnar block per layout.
+            9,
         ],
     )
     def test_old_checkpoint_is_refused_by_version(self, version):
