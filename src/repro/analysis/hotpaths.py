@@ -91,10 +91,8 @@ HOT_PATHS: List[Tuple[str, str]] = [
     ("repro/sensing/world.py", "_compact_groups"),
     ("repro/sensing/state.py", "SensorStateArrays.take_movement"),
     ("repro/sensing/state.py", "SensorStateArrays.put_movement"),
-    ("repro/sensing/mobility.py", "RandomWalkMobility.step_batch"),
     ("repro/sensing/mobility.py", "RandomWaypointMobility.step_batch"),
     ("repro/sensing/mobility.py", "RandomWaypointMobility.skip_ahead"),
-    ("repro/sensing/mobility.py", "GaussMarkovMobility.step_batch"),
     ("repro/sensing/mobility.py", "HotspotMobility.step_batch"),
     # Compiled per-batch execution, one program per attribute: flat numpy
     # kernels with survivor-index composition over all of the attribute's
@@ -130,20 +128,12 @@ HOT_PATHS: List[Tuple[str, str]] = [
     ("repro/pointprocess/estimation.py", "fit_linear_intensity_mle"),
     ("repro/pointprocess/estimation.py", "fit_linear_intensity_mle_segments"),
     ("repro/pointprocess/thinning.py", "_compensate_clipping"),
-    # The quadrat-count least-squares fit (PR 15; no longer the MLE's
-    # start): three searchsorteds and one bincount assign events to
-    # quadrats; a per-box mask loop over the event columns was half of
-    # every fit.  Both the public fit and its theta-only kernel are
-    # gated; the one loop left is per spatial quadrat (bins^2 overlap
-    # areas), acknowledged inline.
     # The online-SGD kernel ``OnlineIntensityEstimator.observe_batch_fused``
     # is deliberately NOT registered: a sequential recurrence is a
     # per-event loop by nature and ``.tolist()`` is its point (plain-float
     # steps cost ~0.4 us, steps on 4-element arrays ~3 us).  Its contract
     # is bit-equality with ``observe_batch``, held by
     # ``tests/property/test_estimation_kernels.py``.
-    ("repro/pointprocess/estimation.py", "fit_linear_intensity_least_squares"),
-    ("repro/pointprocess/estimation.py", "_least_squares_theta"),
     # Incremental view maintenance (PR 5): one lexsort + segment reductions
     # per delivered batch; history is never rescanned.
     ("repro/views/view.py", "ContinuousView.on_delivery"),

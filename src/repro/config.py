@@ -20,6 +20,7 @@ from typing import Optional
 
 from .errors import CraqrError
 from .faults import FaultPlan, ResilienceConfig
+from .rng import check_seed
 
 #: Default number of grid cells (a 4 x 4 grid).
 DEFAULT_GRID_CELLS = 16
@@ -200,6 +201,7 @@ class EngineConfig:
     checkpoints: Optional[CheckpointConfig] = None
 
     def __post_init__(self) -> None:
+        check_seed(self.seed, "the engine")
         if self.retention_batches is not None and self.retention_batches <= 0:
             raise CraqrError("retention_batches must be positive (or None)")
         if self.grid_cells <= 0:

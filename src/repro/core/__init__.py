@@ -20,13 +20,10 @@ from .pmat import (
     ThinOperator,
     PartitionOperator,
     UnionOperator,
-    SuperposeOperator,
     ShiftOperator,
     MarkOperator,
     SampleOperator,
     ClampOperator,
-    DeduplicateOperator,
-    MajorityVoteOperator,
     OutlierFilterOperator,
 )
 from .topology import AttributeChain, CellTopology, RateLevel
@@ -58,13 +55,10 @@ __all__ = [
     "ThinOperator",
     "PartitionOperator",
     "UnionOperator",
-    "SuperposeOperator",
     "ShiftOperator",
     "MarkOperator",
     "SampleOperator",
     "ClampOperator",
-    "DeduplicateOperator",
-    "MajorityVoteOperator",
     "OutlierFilterOperator",
     "AttributeChain",
     "CellTopology",

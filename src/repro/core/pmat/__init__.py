@@ -10,8 +10,8 @@ The four operators the paper describes in detail:
   regions.
 
 Plus extension operators in :mod:`repro.core.pmat.extensions` (the paper
-notes "we have researched many more operators"): superposition, shifting,
-marking and fixed-probability sampling.
+notes "we have researched many more operators"): shifting, marking and
+fixed-probability sampling.
 """
 
 from .base import PMATOperator
@@ -19,11 +19,9 @@ from .flatten import FlattenOperator
 from .thin import ThinOperator
 from .partition import PartitionOperator
 from .union import UnionOperator
-from .extensions import SuperposeOperator, ShiftOperator, MarkOperator, SampleOperator
+from .extensions import ShiftOperator, MarkOperator, SampleOperator
 from .cleaning import (
     ClampOperator,
-    DeduplicateOperator,
-    MajorityVoteOperator,
     OutlierFilterOperator,
 )
 
@@ -33,12 +31,9 @@ __all__ = [
     "ThinOperator",
     "PartitionOperator",
     "UnionOperator",
-    "SuperposeOperator",
     "ShiftOperator",
     "MarkOperator",
     "SampleOperator",
     "ClampOperator",
-    "DeduplicateOperator",
-    "MajorityVoteOperator",
     "OutlierFilterOperator",
 ]

@@ -11,24 +11,18 @@ the PMAT chain.
 * :class:`OutlierFilterOperator` — drops numeric readings whose value lies
   more than ``z_threshold`` standard deviations from the mean of a sliding
   window of recent readings (robust to sensor glitches).
-* :class:`DeduplicateOperator` — drops repeated reports from the same sensor
-  within a time window (double taps / retransmissions), which would
-  otherwise bias the local rate upward.
-* :class:`MajorityVoteOperator` — smooths boolean (human-sensed) streams by
-  replacing each value with the majority of the last ``window`` values from
-  nearby reports, reducing the effect of individual judgment errors.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Optional
 
 import numpy as np
 
 from ...errors import StreamError
 from ...geometry import Rectangle
-from ...streams import NO_SENSOR_ID, SensorTuple, TupleBatch
+from ...streams import SensorTuple, TupleBatch
 from .base import PMATOperator
 
 
@@ -170,140 +164,3 @@ class OutlierFilterOperator(PMATOperator):
         kept = batch.select(keep) if not keep.all() else batch
         self._tuples_out += len(kept)
         return kept
-
-
-class DeduplicateOperator(PMATOperator):
-    """Drop repeated reports from the same sensor within a time window."""
-
-    symbol = "DD"
-    #: No lower_ir(): runs via the interpreted per-tuple path by design.
-    interpreted_fallback = True
-
-    def __init__(
-        self,
-        *,
-        min_gap: float = 0.05,
-        name: Optional[str] = None,
-        rng=None,
-    ) -> None:
-        if min_gap < 0:
-            raise StreamError("min_gap cannot be negative")
-        super().__init__(name, outputs=1, rng=rng)
-        self._min_gap = min_gap
-        self._last_seen: Dict[int, float] = {}
-        self._dropped = 0
-
-    @property
-    def dropped(self) -> int:
-        """Number of duplicate reports dropped."""
-        return self._dropped
-
-    def _admit(self, sensor_id, t: float) -> bool:
-        """The per-report decision both paths share: keep or drop."""
-        if sensor_id is None:
-            return True
-        last = self._last_seen.get(sensor_id)
-        if last is not None and abs(t - last) < self._min_gap:
-            self._dropped += 1
-            return False
-        self._last_seen[sensor_id] = t
-        return True
-
-    def process(self, item: SensorTuple) -> None:
-        if self._admit(item.sensor_id, item.t):
-            self.emit(item)
-
-    def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Columnar dedup: a keep-mask built over the sensor/time columns."""
-        n = len(batch)
-        if n == 0:
-            return batch
-        self._tuples_in += n
-        sensor_ids = batch.sensor_id
-        times = batch.t
-        keep = np.fromiter(
-            (
-                self._admit(
-                    None if sensor_ids[i] == NO_SENSOR_ID else int(sensor_ids[i]),
-                    float(times[i]),
-                )
-                for i in range(n)
-            ),
-            dtype=bool,
-            count=n,
-        )
-        kept = batch.select(keep) if not keep.all() else batch
-        self._tuples_out += len(kept)
-        return kept
-
-
-class MajorityVoteOperator(PMATOperator):
-    """Replace boolean values with the majority of the recent window."""
-
-    symbol = "MV"
-    #: No lower_ir(): runs via the interpreted per-tuple path by design.
-    interpreted_fallback = True
-
-    def __init__(
-        self,
-        *,
-        window: int = 5,
-        name: Optional[str] = None,
-        rng=None,
-    ) -> None:
-        if window < 1 or window % 2 == 0:
-            raise StreamError("the voting window must be a positive odd number")
-        super().__init__(name, outputs=1, rng=rng)
-        self._window = window
-        self._recent: Deque[bool] = deque(maxlen=window)
-        self._smoothed = 0
-
-    @property
-    def smoothed(self) -> int:
-        """Number of values that were changed by the vote."""
-        return self._smoothed
-
-    def _vote(self, value):
-        """The per-value decision both paths share.
-
-        Returns the (possibly smoothed) replacement for a boolean value, or
-        ``None`` for non-boolean values that pass through untouched.
-        """
-        if isinstance(value, np.bool_):
-            value = bool(value)
-        elif not isinstance(value, bool):
-            return None
-        self._recent.append(value)
-        votes = sum(1 for v in self._recent if v)
-        majority = votes * 2 > len(self._recent)
-        if majority != value:
-            self._smoothed += 1
-        return majority
-
-    def process(self, item: SensorTuple) -> None:
-        voted = self._vote(item.value)
-        if voted is not None and voted != item.value:
-            item = item.with_value(voted)
-        self.emit(item)
-
-    def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Columnar majority vote: rewrite the value column in place order."""
-        n = len(batch)
-        if n == 0:
-            return batch
-        self._tuples_in += n
-        self._tuples_out += n
-        values = batch.value
-        out = values.copy()
-        changed = False
-        for i in range(n):
-            voted = self._vote(values[i])
-            if voted is not None and voted != bool(values[i]):
-                out[i] = voted
-                changed = True
-        if not changed:
-            return batch
-        return TupleBatch(
-            batch.attribute, batch.t, batch.x, batch.y, out,
-            batch.sensor_id, batch.tuple_id, meta=batch.meta, extra=batch.extra,
-        )

@@ -5,8 +5,6 @@ below" (Section IV-B.1) without describing them.  The operators here are the
 natural algebraic companions of Flatten/Thin/Partition/Union, each with a
 provable effect on a Poisson process:
 
-* :class:`SuperposeOperator` — merges processes of possibly different rates
-  on the *same* region; the result is Poisson with the summed rate.
 * :class:`ShiftOperator` — displaces every tuple by a fixed space-time
   offset; a Poisson process shifted by a constant stays Poisson with the
   shifted intensity.
@@ -22,56 +20,13 @@ They are *extensions*: documented as beyond the paper's explicit content.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from ...errors import StreamError
-from ...streams import SensorTuple, Stream, TupleBatch
+from ...streams import SensorTuple, TupleBatch
 from .base import PMATOperator
-
-
-class SuperposeOperator(PMATOperator):
-    """Superpose several processes on the same region into one stream.
-
-    Unlike :class:`~repro.core.pmat.union.UnionOperator`, the inputs may have
-    different rates and overlapping (indeed identical) regions; the output is
-    a Poisson process whose rate is the sum of the input rates.
-    """
-
-    symbol = "S+"
-
-    def __init__(
-        self,
-        *,
-        rates: Optional[Sequence[float]] = None,
-        attribute: Optional[str] = None,
-        region=None,
-        name: Optional[str] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__(name, attribute=attribute, region=region, outputs=1, rng=rng)
-        if rates is not None:
-            for rate in rates:
-                if rate <= 0:
-                    raise StreamError("all superposed rates must be strictly positive")
-        self._rates = list(rates) if rates is not None else None
-        self._inputs_attached = 0
-
-    @property
-    def combined_rate(self) -> Optional[float]:
-        """Sum of the declared input rates, when declared."""
-        if self._rates is None:
-            return None
-        return float(sum(self._rates))
-
-    def attach_input(self, upstream: Stream) -> None:
-        """Subscribe this operator to one more upstream stream."""
-        upstream.subscribe(self.accept)
-        self._inputs_attached += 1
-
-    def process(self, item: SensorTuple) -> None:
-        self.emit(item)
 
 
 class ShiftOperator(PMATOperator):

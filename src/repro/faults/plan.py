@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..errors import CraqrError
+from ..rng import check_seed
 
 CellKey = Tuple[int, int]
 
@@ -130,6 +131,7 @@ class FaultPlan:
     clock_skew_max: float = 0.0
 
     def __post_init__(self) -> None:
+        check_seed(self.seed, "the fault plan")
         for name in (
             "drop_probability",
             "stuck_fraction",

@@ -14,7 +14,6 @@ from .region import (
     RectRegion,
     CompositeRegion,
     union_regions,
-    rectangles_are_adjacent,
 )
 from .grid import Grid, GridCell
 
@@ -26,7 +25,6 @@ __all__ = [
     "RectRegion",
     "CompositeRegion",
     "union_regions",
-    "rectangles_are_adjacent",
     "Grid",
     "GridCell",
 ]

@@ -160,27 +160,6 @@ class CompositeRegion(Region):
         return self.parts
 
 
-def rectangles_are_adjacent(a: Rectangle, b: Rectangle) -> bool:
-    """Whether two rectangles touch along an edge (of any length).
-
-    Weaker than :meth:`Rectangle.shares_full_side_with`; used to validate
-    that a composite query region is connected.
-    """
-    if a.intersects(b):
-        return False
-    touch_x = (
-        abs(a.x_max - b.x_min) <= COORD_TOLERANCE
-        or abs(b.x_max - a.x_min) <= COORD_TOLERANCE
-    )
-    touch_y = (
-        abs(a.y_max - b.y_min) <= COORD_TOLERANCE
-        or abs(b.y_max - a.y_min) <= COORD_TOLERANCE
-    )
-    overlap_in_y = a.y_min < b.y_max and b.y_min < a.y_max
-    overlap_in_x = a.x_min < b.x_max and b.x_min < a.x_max
-    return (touch_x and overlap_in_y) or (touch_y and overlap_in_x)
-
-
 def _merge_rectangles(rects: Sequence[Rectangle]) -> List[Rectangle]:
     """Greedily merge rectangles that share a full side, to keep regions small."""
     merged = list(rects)

@@ -4,15 +4,13 @@ The benchmark harness reports its results through these helpers so every
 experiment prints comparable, self-describing tables.
 """
 
-from .rates import achieved_rate, rate_error, per_batch_rates
+from .rates import achieved_rate
 from .violations import ViolationTracker
 from .cost import CostModel, CostReport
 from .reporting import ResultTable, format_table
 
 __all__ = [
     "achieved_rate",
-    "rate_error",
-    "per_batch_rates",
     "ViolationTracker",
     "CostModel",
     "CostReport",

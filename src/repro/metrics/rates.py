@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from ..errors import CraqrError
 from ..streams import SensorTuple
@@ -13,19 +13,3 @@ def achieved_rate(tuples: Sequence[SensorTuple], area: float, duration: float) -
     if area <= 0 or duration <= 0:
         raise CraqrError("area and duration must be positive")
     return len(tuples) / (area * duration)
-
-
-def rate_error(achieved: float, requested: float) -> float:
-    """Relative error ``|achieved - requested| / requested``."""
-    if requested <= 0:
-        raise CraqrError("the requested rate must be positive")
-    return abs(achieved - requested) / requested
-
-
-def per_batch_rates(
-    batch_counts: Sequence[int], area: float, batch_duration: float
-) -> List[float]:
-    """Per-batch achieved rates from per-batch tuple counts."""
-    if area <= 0 or batch_duration <= 0:
-        raise CraqrError("area and batch_duration must be positive")
-    return [count / (area * batch_duration) for count in batch_counts]

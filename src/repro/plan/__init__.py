@@ -18,12 +18,11 @@ Entry points:
 """
 
 from .cache import PlanCache
-from .compiler import build_plan_graph, compile_programs
+from .compiler import build_plan_graph
 from .executor import ChainProgram, ChainSteps
 from .explain import render_explain
 from .ir import (
     EVENT_SCHEMA,
-    INDEX_SCHEMA,
     MASK_SCHEMA,
     SORT_SCHEMA,
     TUPLE_SCHEMA,
@@ -42,7 +41,6 @@ from .passes import (
 __all__ = [
     "PlanCache",
     "build_plan_graph",
-    "compile_programs",
     "ChainProgram",
     "ChainSteps",
     "render_explain",
@@ -52,7 +50,6 @@ __all__ = [
     "TUPLE_SCHEMA",
     "EVENT_SCHEMA",
     "MASK_SCHEMA",
-    "INDEX_SCHEMA",
     "SORT_SCHEMA",
     "optimize",
     "fuse_keep_masks",

@@ -2,7 +2,7 @@
 
 Both artefacts derive from the same chain structure:
 
-* :func:`compile_programs` produces the per-attribute
+* :func:`assemble_programs` produces the per-attribute
   :class:`~repro.plan.executor.ChainProgram` objects the engine runs, each
   over the compiled steps of that attribute's (cell, attribute) chains;
 * :func:`build_plan_graph` produces the pure-data :class:`PlanGraph` that
@@ -53,13 +53,6 @@ def assemble_programs(
         attribute: ChainProgram(attribute, attribute_chains)
         for attribute, attribute_chains in chains.items()
     }
-
-
-def compile_programs(planner) -> Dict[str, ChainProgram]:
-    """Compile every materialised chain into its attribute's program."""
-    return assemble_programs(
-        planner, lambda key, topology, attribute: ChainSteps(topology.chain(attribute))
-    )
 
 
 def _details(ir: Dict[str, object]) -> Dict[str, object]:

@@ -56,8 +56,6 @@ TUPLE_SCHEMA: Tuple[str, ...] = ("t", "x", "y", "value", "sensor_id", "tuple_id"
 EVENT_SCHEMA: Tuple[str, ...] = ("t", "x", "y")
 #: Schema of a boolean keep-mask (aligned with the source rows).
 MASK_SCHEMA: Tuple[str, ...] = ("keep",)
-#: Schema of the composed surviving-row index vector.
-INDEX_SCHEMA: Tuple[str, ...] = ("row",)
 #: Schema of a view's pane/group sort (order plus sorted pane/group codes).
 SORT_SCHEMA: Tuple[str, ...] = ("order", "pane", "group")
 

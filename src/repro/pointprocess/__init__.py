@@ -14,10 +14,6 @@ from .intensity import (
     IntensityModel,
     ConstantIntensity,
     LinearIntensity,
-    LogLinearIntensity,
-    SeparableIntensity,
-    PiecewiseConstantIntensity,
-    GaussianHotspotIntensity,
 )
 from .homogeneous import HomogeneousMDPP
 from .inhomogeneous import InhomogeneousMDPP
@@ -35,18 +31,12 @@ from .estimation import (
     EstimationResult,
     fit_linear_intensity_mle,
     fit_linear_intensity_mle_segments,
-    fit_linear_intensity_least_squares,
     OnlineIntensityEstimator,
 )
 from .statistics import (
-    empirical_rate,
     quadrat_counts,
     quadrat_chi_square_test,
     coefficient_of_variation,
-    ks_uniformity_test,
-    ripley_k,
-    HomogeneityReport,
-    assess_homogeneity,
 )
 
 __all__ = [
@@ -54,10 +44,6 @@ __all__ = [
     "IntensityModel",
     "ConstantIntensity",
     "LinearIntensity",
-    "LogLinearIntensity",
-    "SeparableIntensity",
-    "PiecewiseConstantIntensity",
-    "GaussianHotspotIntensity",
     "HomogeneousMDPP",
     "InhomogeneousMDPP",
     "thin_events",
@@ -71,14 +57,8 @@ __all__ = [
     "EstimationResult",
     "fit_linear_intensity_mle",
     "fit_linear_intensity_mle_segments",
-    "fit_linear_intensity_least_squares",
     "OnlineIntensityEstimator",
-    "empirical_rate",
     "quadrat_counts",
     "quadrat_chi_square_test",
     "coefficient_of_variation",
-    "ks_uniformity_test",
-    "ripley_k",
-    "HomogeneityReport",
-    "assess_homogeneity",
 ]

@@ -34,12 +34,6 @@ operator description):
   the estimate over sliding windows with SGD (citing Bottou 2010).
   :class:`OnlineIntensityEstimator` performs per-event gradient steps on the
   same likelihood, so a Flatten operator can track a drifting intensity.
-
-A cheap method-of-moments / least-squares estimator based on quadrat
-counts is also provided (:func:`fit_linear_intensity_least_squares`); the
-MLE does not start from it — its theta is negative at some event on a
-quarter to a half of real batches, and the flat start costs less than the
-initialiser saved.
 """
 
 from __future__ import annotations
@@ -110,13 +104,6 @@ def _coerce_region(region) -> Region:
     raise PointProcessError(f"expected Region or Rectangle, got {type(region)!r}")
 
 
-def _design_matrix(batch: EventBatch) -> np.ndarray:
-    """Design matrix with columns ``(1, t, x, y)``."""
-    return np.column_stack(
-        [np.ones(len(batch)), batch.t, batch.x, batch.y]
-    )
-
-
 def _window_centroid(
     region: Region, t_start: float, t_end: float
 ) -> Tuple[float, float, float, float]:
@@ -141,108 +128,6 @@ def _integral_of_basis(region: Region, t_start: float, t_end: float) -> np.ndarr
     """
     volume, t_mid, cx, cy = _window_centroid(region, t_start, t_end)
     return np.array([volume, t_mid * volume, cx * volume, cy * volume])
-
-
-def _least_squares_theta(
-    batch: EventBatch, region: Region, t_start: float, t_end: float, bins: int = 4
-) -> np.ndarray:
-    """``theta`` of the quadrat-count least-squares fit (validated inputs).
-
-    Events are assigned to the ``bins x bins x bins`` boxes with one
-    ``searchsorted`` per axis and one ``bincount``: index ``k`` of an axis
-    means ``edges[k - 1] <= v < edges[k]``, so the outer slots ``0`` and
-    ``bins + 1`` of the padded histogram collect the events outside the
-    window and are cut off.  Rows keep the ``(t, x, y)`` box order and
-    every floating-point expression of the per-box loop this replaces
-    (``tests/property/test_estimation_kernels.py`` holds that loop as the
-    oracle), so fits are bit-identical to it.
-    """
-    bbox = region.bounding_box
-    t_edges = np.linspace(t_start, t_end, bins + 1)
-    x_edges = np.linspace(bbox.x_min, bbox.x_max, bins + 1)
-    y_edges = np.linspace(bbox.y_min, bbox.y_max, bins + 1)
-
-    # The region's overlap with a box depends on its spatial footprint
-    # only: bins^2 areas serve all bins^3 boxes.
-    areas = np.empty((bins, bins))
-    for xi in range(bins):
-        for yi in range(bins):
-            cell = RectRegion(Rectangle(  # craqr: ignore[CRQ403] - per spatial quadrat (bins^2 of them), never per event
-                x_edges[xi], y_edges[yi], x_edges[xi + 1], y_edges[yi + 1]
-            ))
-            areas[xi, yi] = region.overlap_area(cell)
-
-    padded = bins + 2
-    box = (
-        np.searchsorted(t_edges, batch.t, side="right") * padded
-        + np.searchsorted(x_edges, batch.x, side="right")
-    ) * padded + np.searchsorted(y_edges, batch.y, side="right")
-    counts = np.bincount(box, minlength=padded**3).reshape(padded, padded, padded)[
-        1:-1, 1:-1, 1:-1
-    ]
-
-    occupied = np.broadcast_to(areas > 0, counts.shape)
-    if np.count_nonzero(occupied) < 4:
-        raise EstimationError("not enough occupied quadrats to fit four parameters")
-    volumes = areas * np.diff(t_edges)[:, None, None]
-    target = counts[occupied] / volumes[occupied]
-    design = np.empty(counts.shape + (4,))
-    design[..., 0] = 1.0
-    design[..., 1] = (0.5 * (t_edges[:-1] + t_edges[1:]))[:, None, None]
-    design[..., 2] = (0.5 * (x_edges[:-1] + x_edges[1:]))[:, None]
-    design[..., 3] = 0.5 * (y_edges[:-1] + y_edges[1:])
-    theta, *_ = np.linalg.lstsq(design[occupied], target, rcond=None)
-    return theta
-
-
-def fit_linear_intensity_least_squares(
-    batch: EventBatch,
-    region,
-    t_start: float,
-    t_end: float,
-    *,
-    bins: int = 4,
-) -> EstimationResult:
-    """Quadrat-count least-squares fit of the linear intensity.
-
-    The window is split into ``bins x bins x bins`` spatio-temporal boxes,
-    the empirical rate of each box is computed, and ``theta`` is obtained by
-    ordinary least squares of the box rates against the box centroids.  This
-    is a method-of-moments style estimator: cheap and closed form, but its
-    theta may be non-positive at some events (the log-likelihood it reports
-    clamps those rates at a floor).
-    """
-    region = _coerce_region(region)
-    if t_end <= t_start:
-        raise EstimationError("time window must have positive length")
-    if bins <= 0:
-        raise EstimationError("bins must be positive")
-    if batch.is_empty:
-        raise EstimationError("cannot estimate an intensity from an empty batch")
-    theta = _least_squares_theta(batch, region, t_start, t_end, bins)
-    return EstimationResult(
-        intensity=LinearIntensity.from_theta(theta),
-        theta=tuple(float(v) for v in theta),
-        log_likelihood=_log_likelihood(theta, batch, region, t_start, t_end),
-        converged=True,
-        iterations=0,
-    )
-
-
-def _log_likelihood(
-    theta: Sequence[float],
-    batch: EventBatch,
-    region: Region,
-    t_start: float,
-    t_end: float,
-) -> float:
-    """Inhomogeneous-Poisson log-likelihood of the linear model."""
-    design = _design_matrix(batch)
-    rates = design @ np.asarray(theta, dtype=float)
-    rates = np.maximum(rates, _RATE_FLOOR)
-    basis_integrals = _integral_of_basis(region, t_start, t_end)
-    compensator = float(np.dot(basis_integrals, theta))
-    return float(np.sum(np.log(rates)) - compensator)
 
 
 def _solve_spd_4x4(h, g):

@@ -5,11 +5,7 @@ linear form of Eq. (1)::
 
     lambda~(t, x, y; theta) = theta0 + theta1 * t + theta2 * x + theta3 * y
 
-:class:`LinearIntensity` implements exactly that form.  Real crowdsensed
-arrival patterns are richer, so we also provide a log-linear model (which is
-guaranteed positive), a separable space/time model, a piecewise-constant
-model, and a Gaussian-hotspot model used by the sensing simulator to create
-the skewed spatio-temporal distributions the paper's introduction motivates.
+:class:`LinearIntensity` implements exactly that form.
 
 All models expose the same small interface so PMAT operators and estimators
 can treat them interchangeably:
@@ -28,7 +24,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -63,26 +59,21 @@ class IntensityModel(ABC):
     def integral(self, region, t_start: float, t_end: float, *, resolution: int = 40) -> float:
         """Expected number of events in ``region x [t_start, t_end]``.
 
-        The default implementation integrates numerically on a regular grid;
-        models with closed forms override it.
+        The default implementation integrates numerically: per rectangle, the
+        mean rate on a regular ``resolution``-point grid per axis times the
+        volume.  Models with closed forms override it.
         """
         region = _as_region(region)
         if t_end <= t_start:
             raise PointProcessError("time window must have positive length")
         total = 0.0
         t_grid = np.linspace(t_start, t_end, resolution)
-        dt = (t_end - t_start) / max(resolution - 1, 1)
         for rect in region.rectangles:
             x_grid = np.linspace(rect.x_min, rect.x_max, resolution)
             y_grid = np.linspace(rect.y_min, rect.y_max, resolution)
-            dx = rect.width / max(resolution - 1, 1)
-            dy = rect.height / max(resolution - 1, 1)
             tt, xx, yy = np.meshgrid(t_grid, x_grid, y_grid, indexing="ij")
             values = self.rate(tt.ravel(), xx.ravel(), yy.ravel())
             total += float(values.mean()) * (t_end - t_start) * rect.area
-            # Note: mean * volume is the midpoint-style estimate; dt/dx/dy are
-            # kept for clarity of the volume element derivation.
-            del dt, dx, dy
         return total
 
     def mean_rate(self, region, t_start: float, t_end: float, *, resolution: int = 40) -> float:
@@ -213,155 +204,3 @@ class LinearIntensity(IntensityModel):
             )
             total += max(value, self.min_rate) * rect.area * (t_end - t_start)
         return total
-
-
-@dataclass(frozen=True)
-class LogLinearIntensity(IntensityModel):
-    """Log-linear intensity ``exp(theta0 + theta1*t + theta2*x + theta3*y)``.
-
-    Always positive, which makes it a convenient ground-truth generator and a
-    robust estimation target (the log-likelihood is concave in theta).
-    """
-
-    theta0: float
-    theta1: float
-    theta2: float
-    theta3: float
-
-    @property
-    def theta(self) -> Tuple[float, float, float, float]:
-        """The parameter vector."""
-        return (self.theta0, self.theta1, self.theta2, self.theta3)
-
-    def rate(self, t, x, y):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.exp(self.theta0 + self.theta1 * t + self.theta2 * x + self.theta3 * y)
-
-    def max_rate(self, region, t_start, t_end):
-        region = _as_region(region)
-        best = 0.0
-        for rect in region.rectangles:
-            for t in (t_start, t_end):
-                for corner in rect.corners():
-                    best = max(best, self.rate_at(t, corner.x, corner.y))
-        return best
-
-
-@dataclass(frozen=True)
-class SeparableIntensity(IntensityModel):
-    """A separable intensity ``base * f_t(t) * f_s(x, y)``.
-
-    Useful for modelling diurnal participation patterns multiplied by a
-    spatial popularity surface — the classic crowdsensing skew.
-    """
-
-    base: float
-    temporal: Callable[[np.ndarray], np.ndarray]
-    spatial: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    temporal_max: float = 1.0
-    spatial_max: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.base <= 0:
-            raise PointProcessError("base intensity must be strictly positive")
-        if self.temporal_max <= 0 or self.spatial_max <= 0:
-            raise PointProcessError("component maxima must be strictly positive")
-
-    def rate(self, t, x, y):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        values = self.base * np.asarray(self.temporal(t), dtype=float) * np.asarray(
-            self.spatial(x, y), dtype=float
-        )
-        return np.maximum(values, 0.0)
-
-    def max_rate(self, region, t_start, t_end):
-        return self.base * self.temporal_max * self.spatial_max
-
-
-@dataclass(frozen=True)
-class PiecewiseConstantIntensity(IntensityModel):
-    """Intensity that is constant within each cell of a spatial grid.
-
-    ``values[r][q]`` holds the rate of the cell in column ``q`` and row
-    ``r`` of an ``ny x nx`` partition of ``region``.
-    """
-
-    region: Rectangle
-    values: Tuple[Tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.values or not self.values[0]:
-            raise PointProcessError("piecewise intensity needs at least one cell")
-        width = len(self.values[0])
-        for row in self.values:
-            if len(row) != width:
-                raise PointProcessError("piecewise intensity rows must have equal length")
-            for value in row:
-                if value < 0:
-                    raise PointProcessError("piecewise intensity values must be >= 0")
-        object.__setattr__(
-            self, "values", tuple(tuple(float(v) for v in row) for row in self.values)
-        )
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """``(ny, nx)`` cell counts."""
-        return (len(self.values), len(self.values[0]))
-
-    def rate(self, t, x, y):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        ny, nx = self.shape
-        qx = np.clip(
-            ((x - self.region.x_min) / self.region.width * nx).astype(int), 0, nx - 1
-        )
-        ry = np.clip(
-            ((y - self.region.y_min) / self.region.height * ny).astype(int), 0, ny - 1
-        )
-        table = np.asarray(self.values, dtype=float)
-        return table[ry, qx]
-
-    def max_rate(self, region, t_start, t_end):
-        return max(max(row) for row in self.values)
-
-
-@dataclass(frozen=True)
-class GaussianHotspotIntensity(IntensityModel):
-    """A baseline rate plus Gaussian spatial hotspots.
-
-    ``hotspots`` is a sequence of ``(cx, cy, amplitude, sigma)`` tuples.  This
-    is the model the sensing simulator uses to create spatially skewed
-    crowdsensed arrivals (dense downtown, sparse suburbs).
-    """
-
-    baseline: float
-    hotspots: Tuple[Tuple[float, float, float, float], ...]
-
-    def __post_init__(self) -> None:
-        if self.baseline < 0:
-            raise PointProcessError("baseline must be non-negative")
-        for spot in self.hotspots:
-            if len(spot) != 4:
-                raise PointProcessError("hotspots must be (cx, cy, amplitude, sigma)")
-            if spot[2] < 0 or spot[3] <= 0:
-                raise PointProcessError("hotspot amplitude must be >= 0 and sigma > 0")
-        if self.baseline == 0 and not self.hotspots:
-            raise PointProcessError("intensity would be identically zero")
-
-    def rate(self, t, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        t = np.asarray(t, dtype=float)
-        values = np.full(x.shape, float(self.baseline))
-        for cx, cy, amplitude, sigma in self.hotspots:
-            d2 = (x - cx) ** 2 + (y - cy) ** 2
-            values = values + amplitude * np.exp(-d2 / (2.0 * sigma * sigma))
-        return values
-
-    def max_rate(self, region, t_start, t_end):
-        return self.baseline + sum(spot[2] for spot in self.hotspots)

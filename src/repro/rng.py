@@ -29,12 +29,16 @@ for the counter *after* ``c`` (numpy increments before its first block).
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .errors import CraqrError
+
 __all__ = [
-    "ensure_rng", "derive_key", "philox4x64", "keyed_uniforms", "ANSWERS", "MOVEMENT",
+    "ensure_rng", "check_seed", "derive_key", "philox4x64", "keyed_uniforms", "ANSWERS",
+    "MOVEMENT",
 ]
 
 #: Counter word 1 of a keyed block: what the block is drawn for.
@@ -54,6 +58,14 @@ def ensure_rng(
     if rng is not None:
         return rng
     return np.random.default_rng()
+
+
+def check_seed(seed, owner: str) -> None:
+    """Refuse a seed numpy would only refuse later: not ``None`` or an int >= 0."""
+    if seed is None:
+        return
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise CraqrError(f"{owner} seed must be None or a non-negative integer, got {seed!r}")
 
 
 #: Spawn-key tag separating the keyed acquisition streams from the world

@@ -23,8 +23,6 @@ from .sensor import MobileSensor, SensorState
 from .mobility import (
     MobilityModel,
     RandomWaypointMobility,
-    RandomWalkMobility,
-    GaussMarkovMobility,
     HotspotMobility,
     StationaryMobility,
 )
@@ -32,14 +30,12 @@ from .phenomena import (
     PhenomenonField,
     RainField,
     TemperatureField,
-    ConstantField,
 )
 from .participation import (
     ParticipationModel,
     ResponseDecision,
     AlwaysRespond,
     BernoulliParticipation,
-    DistanceDecayParticipation,
     FatigueParticipation,
 )
 from .incentives import IncentiveScheme, FlatIncentive, LinearIncentiveResponse, incentive_boost
@@ -54,19 +50,15 @@ __all__ = [
     "SensorState",
     "MobilityModel",
     "RandomWaypointMobility",
-    "RandomWalkMobility",
-    "GaussMarkovMobility",
     "HotspotMobility",
     "StationaryMobility",
     "PhenomenonField",
     "RainField",
     "TemperatureField",
-    "ConstantField",
     "ParticipationModel",
     "ResponseDecision",
     "AlwaysRespond",
     "BernoulliParticipation",
-    "DistanceDecayParticipation",
     "FatigueParticipation",
     "IncentiveScheme",
     "FlatIncentive",

@@ -5,10 +5,8 @@ spatio-temporal distribution "caused largely due to the mobility of
 sensors".  These models generate that mobility:
 
 * :class:`StationaryMobility` — a degenerate model for WSN-style baselines.
-* :class:`RandomWalkMobility` — independent Gaussian steps.
 * :class:`RandomWaypointMobility` — the classic pick-a-destination-and-walk
   model; produces centre-heavy spatial densities.
-* :class:`GaussMarkovMobility` — velocity with temporal correlation.
 * :class:`HotspotMobility` — sensors are attracted to a set of hotspots,
   producing the strong spatial skew used in the skew-mitigation experiment.
 
@@ -420,31 +418,6 @@ class StationaryMobility(MobilityModel):
         del arrays, indices, dt, draws  # nothing moves, nothing is drawn
 
 
-class RandomWalkMobility(MobilityModel):
-    """Independent Gaussian displacement at every step."""
-
-    def __init__(self, region: Rectangle, *, step_std: float = 0.05) -> None:
-        super().__init__(region)
-        if step_std <= 0:
-            raise CraqrError("step_std must be positive")
-        self._step_std = step_std
-
-    def batch_key(self) -> Hashable:
-        return self._kernel_key(self._step_std)
-
-    def step_batch(self, arrays, indices, dt, draws) -> None:
-        """Keyed: one block per row per sub-step, words 0/1 the two normals."""
-        sel, gathered = _as_selector(indices)
-        x, y = arrays.x[sel], arrays.y[sel]
-        scale = self._step_std * math.sqrt(dt)
-        steps = _as_draws(draws).rows(arrays, sel, x.size).normal(0, scale)
-        np.add(x, steps[0], out=x)
-        np.add(y, steps[1], out=y)
-        self._clamp_batch(x, y)
-        if gathered:
-            arrays.x[sel], arrays.y[sel] = x, y
-
-
 class RandomWaypointMobility(MobilityModel):
     """Pick a uniform destination, walk towards it at constant speed, pause, repeat."""
 
@@ -550,78 +523,6 @@ class RandomWaypointMobility(MobilityModel):
             arrays.x[sel], arrays.y[sel] = x, y
             return sel[~quiet]
         return np.arange(*sel.indices(len(arrays)))[~quiet]
-
-
-class GaussMarkovMobility(MobilityModel):
-    """Velocity process with temporal correlation (Gauss-Markov model).
-
-    ``v_{t+1} = alpha * v_t + (1 - alpha) * mean_speed * u_t + noise`` where
-    ``u_t`` is the unit vector of the current heading: the speed reverts
-    toward ``mean_speed`` along the direction the sensor is already moving,
-    while the noise term (scaled by ``sqrt(1 - alpha^2)``) perturbs both
-    components.  Velocity reflects off the region walls.
-    """
-
-    def __init__(
-        self,
-        region: Rectangle,
-        *,
-        mean_speed: float = 0.15,
-        alpha: float = 0.75,
-        speed_std: float = 0.05,
-    ) -> None:
-        super().__init__(region)
-        if not 0 <= alpha <= 1:
-            raise CraqrError("alpha must be in [0, 1]")
-        if mean_speed <= 0 or speed_std <= 0:
-            raise CraqrError("mean_speed and speed_std must be positive")
-        self._mean_speed = mean_speed
-        self._alpha = alpha
-        self._speed_std = speed_std
-
-    def initial_state(self, rng: np.random.Generator) -> MobilityState:
-        state = super().initial_state(rng)
-        angle = rng.uniform(0.0, 2 * math.pi)
-        state.vx = self._mean_speed * math.cos(angle)
-        state.vy = self._mean_speed * math.sin(angle)
-        return state
-
-    def batch_key(self) -> Hashable:
-        return self._kernel_key(self._mean_speed, self._alpha, self._speed_std)
-
-    def step_batch(self, arrays, indices, dt, draws) -> None:
-        """Keyed: one block per row per sub-step, words 0/1 the two noise normals."""
-        sel, gathered = _as_selector(indices)
-        x, y = arrays.x[sel], arrays.y[sel]
-        vx, vy = arrays.vx[sel], arrays.vy[sel]
-        a = self._alpha
-        noise_scale = self._speed_std * math.sqrt(1 - a * a)
-        region = self._region
-        speed = np.hypot(vx, vy)
-        still = ~(speed > _TINY)
-        safe = np.maximum(speed, _TINY, out=speed)
-        noise = _as_draws(draws).rows(arrays, sel, vx.size).normal(0, noise_scale)
-        mean = np.empty_like(safe)
-        for v, eps, pos, low, high in (
-            (vx, noise[0], x, region.x_min, region.x_max),
-            (vy, noise[1], y, region.y_min, region.y_max),
-        ):
-            # v = a * v + (1 - a) * (mean_speed * v / safe, 0 when still) + eps
-            np.multiply(self._mean_speed, v, out=mean)
-            np.divide(mean, safe, out=mean)
-            np.copyto(mean, 0.0, where=still)
-            np.multiply(1 - a, mean, out=mean)
-            np.multiply(a, v, out=v)
-            np.add(v, mean, out=v)
-            np.add(v, eps, out=v)
-            np.multiply(v, dt, out=mean)
-            np.add(pos, mean, out=pos)
-            # Reflect velocity when a wall is hit so sensors stay inside.
-            np.negative(v, out=v, where=(pos <= low) | (pos >= high))
-        self._clamp_batch(x, y)
-        if gathered:
-            arrays.x[sel], arrays.y[sel] = x, y
-            arrays.vx[sel], arrays.vy[sel] = vx, vy
 
 
 class HotspotMobility(MobilityModel):

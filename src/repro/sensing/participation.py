@@ -13,7 +13,6 @@ base response probability.
 
 from __future__ import annotations
 
-import math
 from abc import ABC
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -160,60 +159,6 @@ class BernoulliParticipation(ParticipationModel):
 
     def vector_params(self):
         return (self._probability, self._max_probability, self._mean_latency, True)
-
-
-class DistanceDecayParticipation(ParticipationModel):
-    """Response probability decays with distance from a point of interest.
-
-    Models "he/she has moved to a different location, which now is not of
-    interest to the query": sensors far from the query's focus are less
-    likely to answer.  The caller supplies each sensor's current distance via
-    :meth:`set_distance` before asking for decisions.
-
-    ``max_probability`` caps the probability after incentive boosting, with
-    the same semantics as :class:`BernoulliParticipation` (people cannot
-    respond more than always, and usually a little less).
-    """
-
-    def __init__(
-        self,
-        base_probability: float = 0.8,
-        *,
-        decay_scale: float = 0.5,
-        mean_latency: float = 0.2,
-        max_probability: float = 1.0,
-    ) -> None:
-        if not 0 < base_probability <= 1:
-            raise CraqrError("base_probability must be in (0, 1]")
-        if decay_scale <= 0:
-            raise CraqrError("decay_scale must be positive")
-        if mean_latency < 0:
-            raise CraqrError("mean_latency must be non-negative")
-        if not base_probability <= max_probability <= 1:
-            raise CraqrError("max_probability must be in [base_probability, 1]")
-        self._base_probability = base_probability
-        self._decay_scale = decay_scale
-        self._mean_latency = mean_latency
-        self._max_probability = max_probability
-        self._distances: Dict[int, float] = {}
-
-    @property
-    def max_probability(self) -> float:
-        """Cap applied after incentive boosting."""
-        return self._max_probability
-
-    def set_distance(self, sensor_id: int, distance: float) -> None:
-        """Record the sensor's distance from the query focus (seen by the next request)."""
-        if distance < 0:
-            raise CraqrError("distance must be non-negative")
-        self._distances[sensor_id] = distance
-
-    def decide(self, sensor_id, t, uniforms, *, incentive_multiplier=1.0):
-        del t
-        distance = self._distances.get(sensor_id, 0.0)
-        probability = self._base_probability * math.exp(-distance / self._decay_scale)
-        probability = min(probability * incentive_multiplier, self._max_probability)
-        return _decision(probability, self._mean_latency, uniforms)
 
 
 class FatigueParticipation(ParticipationModel):

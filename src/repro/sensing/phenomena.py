@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,28 +92,6 @@ def _value_column(values: list) -> np.ndarray:
         column = np.empty(len(values), dtype=object)
         column[:] = values
     return column
-
-
-@dataclass
-class ConstantField(PhenomenonField):
-    """A field that always returns the same value; useful in tests."""
-
-    constant: object = 0.0
-    attribute: str = "value"
-
-    def value(self, t, x, y, rng=None):
-        return self.constant
-
-    def values(self, t, x, y, rng=None):
-        n = np.asarray(t).shape[0]
-        if isinstance(self.constant, (bool, int, float)):
-            return np.full(n, self.constant)
-        out = np.empty(n, dtype=object)
-        out[:] = [self.constant] * n
-        return out
-
-    def values_from_uniforms(self, t, x, y, u0, u1):
-        return self.values(t, x, y)
 
 
 class RainField(PhenomenonField):

@@ -56,10 +56,10 @@ class SensorStateArrays:
         base response probability, incentive-boost cap, mean exponential
         response latency, whether incentives scale the probability, and
         whether the row is decided from these columns at all.  Rows whose
-        model has no stationary ``vector_params`` (fatigue, distance decay,
-        custom models) keep ``vector_participation`` False: under both RNG
-        contracts their requests are decided by the model's ``decide``, one
-        at a time, and the model keeps their state.
+        model has no stationary ``vector_params`` (fatigue, custom models)
+        keep ``vector_participation`` False: under both RNG contracts their
+        requests are decided by the model's ``decide``, one at a time, and
+        the model keeps their state.
     ``reliability, quarantined``
         Server-side health state maintained by
         :class:`repro.faults.SensorHealthMonitor`: a reliability EWMA of the

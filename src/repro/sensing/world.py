@@ -36,7 +36,7 @@ where the draws come from, the RNG contract selected by
   acquisition rounds sample participation and phenomena across a whole
   cell population at once.  Runs are statistically equivalent to strict
   mode (same densities, same response rates), not bit-equal.  A sensor
-  whose participation is stateful (fatigue, distance decay) is answered
+  whose participation is stateful (fatigue, custom models) is answered
   as in strict mode, through its model's ``decide`` one request at a
   time; its model, not the world, keeps the state.
 """
@@ -50,7 +50,7 @@ import numpy as np
 
 from ..errors import AcquisitionError, CraqrError
 from ..geometry import Rectangle, Region
-from ..rng import derive_key
+from ..rng import check_seed, derive_key
 from .clock import SimulationClock
 from .mobility import (
     KeyedDraws,
@@ -102,6 +102,7 @@ class WorldConfig:
     vectorized_rng: bool = False
 
     def __post_init__(self) -> None:
+        check_seed(self.seed, "the world")
         if self.sensor_count <= 0:
             raise CraqrError("sensor_count must be positive")
         if self.movement_step <= 0:

@@ -159,11 +159,6 @@ async def read_message(reader: asyncio.StreamReader) -> Optional[Tuple[dict, byt
 frame_head = _U32.pack
 
 
-def frame_message(body: bytes) -> bytes:
-    """Length-prefix one message body for the raw-TCP transport."""
-    return frame_head(len(body)) + body
-
-
 def pack_payloads(payloads: List[bytes]) -> bytes:
     """Pack several codec payloads into one message payload."""
     parts = [_U32.pack(len(payloads))]

@@ -10,7 +10,6 @@ topology runner — on which the PMAT operators of :mod:`repro.core` are built.
 from .tuples import SensorTuple, make_tuple_id_allocator
 from .batch import NO_SENSOR_ID, TupleBatch
 from .codec import (
-    codec_call_counts,
     decode_tuple_batch,
     decode_view_frame,
     encode_tuple_batch,
@@ -19,12 +18,11 @@ from .codec import (
     pack_tuple_batches,
     reduce_tuple_batch,
     rebuild_tuple_batch,
-    reset_codec_call_counts,
     unpack_column,
     unpack_tuple_batches,
 )
 from .stream import Stream, StreamStats
-from .operator import StreamOperator, PassThroughOperator, FilterOperator, MapOperator
+from .operator import StreamOperator, FilterOperator
 from .topology import StreamTopology, BranchingPoint
 from .sinks import CollectingSink, CountingSink, CallbackSink
 
@@ -33,7 +31,6 @@ __all__ = [
     "make_tuple_id_allocator",
     "TupleBatch",
     "NO_SENSOR_ID",
-    "codec_call_counts",
     "decode_tuple_batch",
     "decode_view_frame",
     "encode_tuple_batch",
@@ -42,15 +39,12 @@ __all__ = [
     "pack_tuple_batches",
     "reduce_tuple_batch",
     "rebuild_tuple_batch",
-    "reset_codec_call_counts",
     "unpack_column",
     "unpack_tuple_batches",
     "Stream",
     "StreamStats",
     "StreamOperator",
-    "PassThroughOperator",
     "FilterOperator",
-    "MapOperator",
     "StreamTopology",
     "BranchingPoint",
     "CollectingSink",

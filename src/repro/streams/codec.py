@@ -27,11 +27,6 @@ protocol — cannot drift:
   and tuples (tagged, so they round-trip as tuples) — anything else
   raises :class:`~repro.errors.StreamError` instead of silently pickling
   arbitrary objects onto the wire.
-
-The serving layer's serialize-once fan-out contract is *asserted* through
-this module: :func:`codec_call_counts` exposes how many times each encode
-entry point ran, so a benchmark can pin that serving a frame to N
-subscribers costs exactly one encode, not N.
 """
 
 from __future__ import annotations
@@ -56,31 +51,12 @@ __all__ = [
     "decode_tuple_batch",
     "encode_view_frame",
     "decode_view_frame",
-    "codec_call_counts",
-    "reset_codec_call_counts",
 ]
 
 #: Wire-format version embedded in every encoded payload header.
 WIRE_VERSION = 1
 
 _U32 = struct.Struct(">I")
-
-#: Encode-call counters behind :func:`codec_call_counts` (the fan-out
-#: tests' encode-once assertion and the e2e harness's
-#: ``streams.codec.encodes_per_publish``).
-_CALLS: Dict[str, int] = {"tuple_batch": 0, "view_frame": 0}
-
-
-def codec_call_counts() -> Dict[str, int]:
-    """How many times each wire encoder ran (a copy; see module docs)."""
-    return dict(_CALLS)
-
-
-def reset_codec_call_counts() -> None:
-    """Zero the encode-call counters (test/benchmark plumbing)."""
-    for key in _CALLS:
-        _CALLS[key] = 0
-
 
 # ----------------------------------------------------------------------
 # Column packing (shared with the checkpoint pickler)
@@ -308,7 +284,6 @@ def _split_blob(data, *, expected_kind: str) -> Tuple[dict, memoryview]:
 # ----------------------------------------------------------------------
 def encode_tuple_batch(batch: TupleBatch) -> bytes:
     """A batch as one self-contained, pickle-free byte string."""
-    _CALLS["tuple_batch"] += 1
     blobs: List[bytes] = []
     columns = [
         _describe_column(name, getattr(batch, name), blobs)
@@ -348,7 +323,6 @@ def decode_tuple_batch(data) -> TupleBatch:
 # ----------------------------------------------------------------------
 def encode_view_frame(frame) -> bytes:
     """A closed :class:`~repro.views.ViewFrame` as one byte string."""
-    _CALLS["view_frame"] += 1
     blobs: List[bytes] = []
     columns = [
         _describe_column("keys", frame.keys, blobs),

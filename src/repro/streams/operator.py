@@ -156,15 +156,6 @@ class StreamOperator(ABC):
         )
 
 
-class PassThroughOperator(StreamOperator):
-    """Forwards every tuple unchanged; useful as a junction or for testing."""
-
-    symbol = "I"
-
-    def process(self, item: SensorTuple) -> None:
-        self.emit(item)
-
-
 class FilterOperator(StreamOperator):
     """Forwards only tuples satisfying a predicate."""
 
@@ -179,18 +170,3 @@ class FilterOperator(StreamOperator):
     def process(self, item: SensorTuple) -> None:
         if self._predicate(item):
             self.emit(item)
-
-
-class MapOperator(StreamOperator):
-    """Applies a transformation to every tuple."""
-
-    symbol = "M"
-
-    def __init__(
-        self, transform: Callable[[SensorTuple], SensorTuple], name: Optional[str] = None
-    ) -> None:
-        super().__init__(name, outputs=1)
-        self._transform = transform
-
-    def process(self, item: SensorTuple) -> None:
-        self.emit(self._transform(item))

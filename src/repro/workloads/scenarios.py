@@ -1,17 +1,15 @@
 """Pre-packaged simulation scenarios.
 
-A :class:`Scenario` bundles a sensing world, an engine configuration and a
-textual description, so examples and benchmarks can say "the rain +
-temperature city" or "the hotspot-skewed city" in one line and get an
-identical, reproducible setup.
+World builders, engine configurations and fault plans, so examples,
+benchmarks and the CLI can say "the rain + temperature city" or "the
+hotspot-skewed city" in one line and get an identical, reproducible setup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from ..config import BudgetConfig, CheckpointConfig, EngineConfig
+from ..config import BudgetConfig, EngineConfig
 from ..faults import (
     BurstDropModel,
     CellOutage,
@@ -34,16 +32,6 @@ from ..sensing import (
 
 #: The default deployment region: a 4 km x 4 km city, one unit = 1 km.
 DEFAULT_REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A named, fully configured simulation setup."""
-
-    name: str
-    description: str
-    world: SensingWorld
-    config: EngineConfig
 
 
 def default_engine_config(
@@ -188,33 +176,6 @@ def build_hotspot_world(
     return world
 
 
-def rain_temperature_scenario(**kwargs) -> Scenario:
-    """The stock rain + temperature scenario."""
-    return Scenario(
-        name="rain-temperature-city",
-        description=(
-            "A 4x4 km city with 300 random-waypoint sensors, a moving rain "
-            "front (human-sensed) and a temperature field with heat islands "
-            "(sensor-sensed)."
-        ),
-        world=build_rain_temperature_world(**kwargs),
-        config=default_engine_config(),
-    )
-
-
-def hotspot_scenario(**kwargs) -> Scenario:
-    """The stock skew-stress scenario."""
-    return Scenario(
-        name="hotspot-city",
-        description=(
-            "A 4x4 km city where sensors cluster around two hotspots, so raw "
-            "crowdsensed arrivals are strongly skewed in space."
-        ),
-        world=build_hotspot_world(**kwargs),
-        config=default_engine_config(),
-    )
-
-
 # ----------------------------------------------------------------------
 # Fault-injection scenarios (robustness experiments)
 # ----------------------------------------------------------------------
@@ -263,80 +224,6 @@ def flaky_crowd_plan(*, seed: int = 23) -> FaultPlan:
         latency_inflation_probability=0.12,
         latency_inflation_factor=10.0,
         clock_skew_max=0.02,
-    )
-
-
-def flaky_crowd_scenario(
-    *,
-    sensor_count: int = 300,
-    seed: int = 11,
-    fault_seed: int = 23,
-    mitigation: bool = True,
-) -> Scenario:
-    """The rain + temperature city served by an unreliable crowd.
-
-    Every fault class of the :class:`~repro.faults.FaultPlan` fires at a
-    moderate rate; with ``mitigation`` (the default) the engine answers
-    with deadlines, retries, quarantine and degradation-aware budget
-    tuning.
-    """
-    config = replace(
-        default_engine_config(),
-        faults=flaky_crowd_plan(seed=fault_seed),
-        resilience=default_resilience_config() if mitigation else None,
-    )
-    return Scenario(
-        name="flaky-crowd",
-        description=(
-            "The rain + temperature city with an unreliable crowd: transit "
-            "drops (i.i.d. + bursty), stuck-at sensors, outlier spikes, "
-            "latency inflation and clock skew, answered by deadlines, "
-            "retries and sensor-health quarantine."
-        ),
-        world=build_rain_temperature_world(sensor_count=sensor_count, seed=seed),
-        config=config,
-    )
-
-
-def crash_recovery_scenario(
-    *,
-    checkpoint_dir: str,
-    checkpoint_every: int = 2,
-    retain: int = 3,
-    sensor_count: int = 300,
-    seed: int = 11,
-    fault_seed: int = 23,
-) -> Scenario:
-    """The flaky crowd with periodic checkpoints: the recovery stress case.
-
-    Everything the :func:`flaky_crowd_scenario` throws at the engine —
-    drops, bursts, stuck sensors, outliers, latency spikes, plus the full
-    mitigation bundle — now runs under a
-    :class:`~repro.config.CheckpointConfig`: every ``checkpoint_every``
-    batches the complete engine state is written atomically to
-    ``checkpoint_dir`` (last ``retain`` kept).  The crash-recovery
-    regression kills this scenario at every :class:`~repro.faults.CrashPoint`,
-    restores from the last good checkpoint, replays, and requires the
-    replayed run to be byte-identical to an uninterrupted one.
-    """
-    config = replace(
-        default_engine_config(),
-        faults=flaky_crowd_plan(seed=fault_seed),
-        resilience=default_resilience_config(),
-        checkpoints=CheckpointConfig(
-            directory=checkpoint_dir, every=checkpoint_every, retain=retain
-        ),
-    )
-    return Scenario(
-        name="crash-recovery",
-        description=(
-            "The flaky-crowd city with periodic crash-consistent checkpoints: "
-            "the engine survives a process kill at any point of the batch "
-            "loop (or mid-checkpoint-write) and replays to the exact stream "
-            "an uninterrupted run delivers."
-        ),
-        world=build_rain_temperature_world(sensor_count=sensor_count, seed=seed),
-        config=config,
     )
 
 
@@ -395,43 +282,3 @@ def cell_outage_plan(
     else:
         outages = (CellOutage(start=start, end=end, cells=cells),)
     return FaultPlan(seed=seed, outages=outages)
-
-
-def cell_outage_scenario(
-    *,
-    sensor_count: int = 240,
-    seed: int = 19,
-    fault_seed: int = 29,
-    outage_start: float = 4.0,
-    outage_end: float = 10.0,
-    moving: bool = False,
-    mitigation: bool = True,
-) -> Scenario:
-    """A stationary-crowd world whose lower-left quadrant goes dark.
-
-    From ``outage_start`` to ``outage_end`` (sim time; one batch = one
-    unit) every response from the affected cells is lost.  The health
-    monitor quarantines the silent sensors; with ``mitigation`` they are
-    re-admitted on probation after the window and the delivered rate
-    recovers, while the ``mitigation=False`` baseline (permanent
-    quarantine, no degradation-aware tuning) stays dark — the recovery
-    regression of the robustness suite.  ``moving=True`` sweeps the outage
-    across grid columns instead.
-    """
-    config = replace(
-        default_engine_config(),
-        faults=cell_outage_plan(
-            seed=fault_seed, start=outage_start, end=outage_end, moving=moving
-        ),
-        resilience=default_resilience_config(probation=mitigation),
-    )
-    return Scenario(
-        name="cell-outage" + ("-moving" if moving else ""),
-        description=(
-            "A stationary crowd with a total outage window over "
-            + ("a sweep of grid columns" if moving else "the lower-left cells")
-            + "; quarantine + probation re-admission drive post-outage recovery."
-        ),
-        world=build_stationary_world(sensor_count=sensor_count, seed=seed),
-        config=config,
-    )

@@ -11,12 +11,12 @@ from repro.geometry import Rectangle
 from repro.pointprocess import (
     ConstantIntensity,
     EventBatch,
-    GaussianHotspotIntensity,
     InhomogeneousMDPP,
     fit_linear_intensity_mle,
     flatten_events,
 )
 from repro.streams import SensorTuple
+from scaffolding import HotspotIntensity
 from tests.conftest import make_world
 
 REGION = Rectangle(0, 0, 4, 4)
@@ -113,7 +113,7 @@ class TestNaivePerQueryEngine:
 class TestUniformSamplingAcquirer:
     def make_items(self, seed=0):
         rng = np.random.default_rng(seed)
-        intensity = GaussianHotspotIntensity(2.0, ((0.25, 0.25, 600.0, 0.1),))
+        intensity = HotspotIntensity(2.0, ((0.25, 0.25, 600.0, 0.1),))
         batch = InhomogeneousMDPP(intensity, Rectangle(0, 0, 1, 1)).sample(5.0, rng=rng)
         return [
             SensorTuple(tuple_id=i, attribute="rain", t=float(t), x=float(x), y=float(y))

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import AcquisitionalQuery, QueryPlanner, StreamFabricator
 from repro.geometry import Grid, Rectangle
-from repro.plan import compile_programs, executor
+from repro.plan import executor
 from repro.sensing import (
     AlwaysRespond,
     BernoulliParticipation,
@@ -34,6 +34,7 @@ from repro.sensing import (
     WorldConfig,
 )
 from repro.streams import TupleBatch
+from scaffolding import compile_programs
 
 REGION = Rectangle(0, 0, 4, 4)
 GRID = Grid(REGION, side=4)

@@ -10,9 +10,7 @@ import pytest
 
 from repro.core.pmat import (
     ClampOperator,
-    DeduplicateOperator,
     FlattenOperator,
-    MajorityVoteOperator,
     MarkOperator,
     OutlierFilterOperator,
     PartitionOperator,
@@ -195,22 +193,6 @@ class TestCleaningOperators:
         assert [(it.x, it.y) for it in object_out] == [(it.x, it.y) for it in batch_out]
         assert obj.clamped == col.clamped
 
-    def test_deduplicate_equivalence(self):
-        rng = np.random.default_rng(13)
-        items = [
-            SensorTuple(
-                tuple_id=i, attribute="rain", t=float(rng.uniform(0, 1)),
-                x=0.5, y=0.5, value=True, sensor_id=int(rng.integers(0, 5)),
-            )
-            for i in range(500)
-        ]
-        obj = DeduplicateOperator(min_gap=0.05)
-        col = DeduplicateOperator(min_gap=0.05)
-        (object_out,) = run_object_path(obj, items)
-        batch_out = col.process_batch(TupleBatch.from_tuples(items))
-        assert ids(object_out) == ids(batch_out)
-        assert obj.dropped == col.dropped
-
     def test_outlier_filter_equivalence(self):
         rng = np.random.default_rng(17)
         items = []
@@ -229,18 +211,3 @@ class TestCleaningOperators:
         assert ids(object_out) == ids(batch_out)
         assert obj.dropped == col.dropped
         assert obj.dropped > 0
-
-    def test_majority_vote_equivalence(self):
-        rng = np.random.default_rng(19)
-        items = [
-            SensorTuple(tuple_id=i, attribute="rain", t=float(i), x=0.5, y=0.5,
-                        value=bool(rng.random() < 0.7), sensor_id=i)
-            for i in range(300)
-        ]
-        obj = MajorityVoteOperator(window=5)
-        col = MajorityVoteOperator(window=5)
-        (object_out,) = run_object_path(obj, items)
-        batch_out = col.process_batch(TupleBatch.from_tuples(items)).to_tuples()
-        assert [it.value for it in object_out] == [it.value for it in batch_out]
-        assert obj.smoothed == col.smoothed
-        assert obj.smoothed > 0

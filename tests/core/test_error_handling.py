@@ -3,16 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.pmat import (
-    ClampOperator,
-    DeduplicateOperator,
-    MajorityVoteOperator,
-    OutlierFilterOperator,
-)
+from repro.core.pmat import ClampOperator, OutlierFilterOperator
 from repro.errors import CraqrError, StreamError
 from repro.geometry import Rectangle
 from repro.sensing import ErrorInjector, GpsNoiseModel, ValueErrorModel
-from repro.streams import CollectingSink, SensorTuple
+from repro.streams import CollectingSink, SensorTuple, TupleBatch
 
 REGION = Rectangle(0, 0, 4, 4)
 
@@ -109,6 +104,27 @@ class TestClampOperator:
         assert op.clamped == 0
         assert sink.items[0].x == 1.0
 
+    def test_a_corner_outlier_is_clamped_on_both_axes_once(self):
+        op = ClampOperator(REGION)
+        sink = CollectingSink().attach(op.output)
+        op.accept(make_tuple(x=7.0, y=-3.0, value=21.5))
+        item = sink.items[0]
+        assert (item.x, item.y) == (4.0, 0.0)
+        assert (item.t, item.value, item.sensor_id) == (0.0, 21.5, 1)
+        assert op.clamped == 1
+
+    def test_an_in_region_batch_is_passed_on_uncopied(self):
+        op = ClampOperator(REGION)
+        batch = TupleBatch.from_tuples([make_tuple(i, x=0.5 * i) for i in range(5)])
+        assert op.process_batch(batch) is batch
+        assert op.clamped == 0
+
+    def test_an_empty_batch_is_passed_on(self):
+        op = ClampOperator(REGION)
+        batch = TupleBatch.from_tuples([])
+        assert op.process_batch(batch) is batch
+        assert op.clamped == 0
+
 
 class TestOutlierFilterOperator:
     def test_drops_gross_outlier(self):
@@ -135,6 +151,54 @@ class TestOutlierFilterOperator:
         op.accept(make_tuple(value=True, attribute="rain"))
         assert len(sink) == 1
 
+    def test_warm_up_admits_everything(self):
+        op = OutlierFilterOperator(window=20, min_history=5)
+        sink = CollectingSink().attach(op.output)
+        for i, value in enumerate([20.0, 20.1, 19.9, 1e6, 20.0]):
+            op.accept(make_tuple(i, value=value))
+        assert op.dropped == 0
+        assert len(sink) == 5
+
+    def test_a_constant_history_admits_any_value(self):
+        # No spread (MAD 0), so no robust z-score to judge by.
+        op = OutlierFilterOperator(window=10, min_history=3)
+        sink = CollectingSink().attach(op.output)
+        for i in range(6):
+            op.accept(make_tuple(i, value=20.0))
+        op.accept(make_tuple(6, value=1e6))
+        assert op.dropped == 0
+        assert len(sink) == 7
+
+    def test_dropped_readings_do_not_enter_the_history(self):
+        # A run of identical outliers stays an outlier run: the window
+        # never fills up with them.
+        op = OutlierFilterOperator(window=10, z_threshold=3.0, min_history=5)
+        sink = CollectingSink().attach(op.output)
+        for i in range(10):
+            op.accept(make_tuple(i, value=20.0 + 0.1 * (i % 3)))
+        for i in range(10, 40):
+            op.accept(make_tuple(i, value=500.0))
+        assert op.dropped == 30
+        assert len(sink) == 10
+
+    def test_numpy_scalars_are_judged_as_numbers(self):
+        op = OutlierFilterOperator(window=20, z_threshold=3.0, min_history=5)
+        for i in range(10):
+            op.accept(make_tuple(i, value=np.float64(20.0 + 0.1 * (i % 3))))
+        op.accept(make_tuple(10, value=np.float64(500.0)))
+        assert op.dropped == 1
+
+    def test_booleans_are_not_numbers(self):
+        # As a number True would be 1.0, far below a history around 20.
+        op = OutlierFilterOperator(window=20, z_threshold=3.0, min_history=5)
+        sink = CollectingSink().attach(op.output)
+        for i in range(10):
+            op.accept(make_tuple(i, value=20.0 + 0.1 * (i % 3)))
+        op.accept(make_tuple(10, value=True))
+        op.accept(make_tuple(11, value=1.0))
+        assert op.dropped == 1
+        assert [item.tuple_id for item in sink.items][-1] == 10
+
     def test_validation(self):
         with pytest.raises(StreamError):
             OutlierFilterOperator(window=1)
@@ -142,58 +206,6 @@ class TestOutlierFilterOperator:
             OutlierFilterOperator(z_threshold=0.0)
         with pytest.raises(StreamError):
             OutlierFilterOperator(window=5, min_history=10)
-
-
-class TestDeduplicateOperator:
-    def test_drops_rapid_repeats_from_same_sensor(self):
-        op = DeduplicateOperator(min_gap=0.5)
-        sink = CollectingSink().attach(op.output)
-        op.accept(make_tuple(1, t=1.0, sensor_id=7))
-        op.accept(make_tuple(2, t=1.1, sensor_id=7))
-        op.accept(make_tuple(3, t=2.0, sensor_id=7))
-        assert op.dropped == 1
-        assert len(sink) == 2
-
-    def test_different_sensors_not_deduplicated(self):
-        op = DeduplicateOperator(min_gap=0.5)
-        sink = CollectingSink().attach(op.output)
-        op.accept(make_tuple(1, t=1.0, sensor_id=7))
-        op.accept(make_tuple(2, t=1.1, sensor_id=8))
-        assert len(sink) == 2
-
-    def test_unknown_sensor_passes(self):
-        op = DeduplicateOperator()
-        sink = CollectingSink().attach(op.output)
-        op.accept(make_tuple(1, sensor_id=None))
-        assert len(sink) == 1
-
-    def test_validation(self):
-        with pytest.raises(StreamError):
-            DeduplicateOperator(min_gap=-1.0)
-
-
-class TestMajorityVoteOperator:
-    def test_flips_isolated_judgment_error(self):
-        op = MajorityVoteOperator(window=5)
-        sink = CollectingSink().attach(op.output)
-        values = [True, True, False, True, True]
-        for i, value in enumerate(values):
-            op.accept(make_tuple(i, value=value, attribute="rain"))
-        assert op.smoothed >= 1
-        # The isolated False report is corrected to the local majority.
-        assert sink.items[2].value is True
-
-    def test_non_boolean_passes_through(self):
-        op = MajorityVoteOperator(window=3)
-        sink = CollectingSink().attach(op.output)
-        op.accept(make_tuple(value=21.5))
-        assert sink.items[0].value == 21.5
-
-    def test_validation(self):
-        with pytest.raises(StreamError):
-            MajorityVoteOperator(window=4)
-        with pytest.raises(StreamError):
-            MajorityVoteOperator(window=0)
 
 
 class TestMitigationPipeline:

@@ -9,7 +9,6 @@ from repro.core.pmat import (
     PartitionOperator,
     SampleOperator,
     ShiftOperator,
-    SuperposeOperator,
     ThinOperator,
     UnionOperator,
 )
@@ -17,7 +16,6 @@ from repro.errors import PointProcessError, StreamError
 from repro.geometry import Rectangle, RectRegion
 from repro.pointprocess import (
     ConstantIntensity,
-    EventBatch,
     HomogeneousMDPP,
     InhomogeneousMDPP,
     LinearIntensity,
@@ -363,48 +361,8 @@ class TestUnionOperator:
         assert len(sink) == 1
 
 
-class TestSuperposition:
-    """Superposing independent Poisson streams sums their rates."""
-
-    def superpose(self, rates, duration, seed):
-        op = SuperposeOperator(rates=rates)
-        sink = CollectingSink().attach(op.output)
-        rng = np.random.default_rng(seed)
-        pushed = 0
-        for rate in rates:
-            upstream = SampleOperator(1.0)
-            op.attach_input(upstream.output)
-            for item in tuples_from_batch(HomogeneousMDPP(rate, CELL).sample(duration, rng=rng)):
-                upstream.accept(item)
-                pushed += 1
-        return op, sink, pushed
-
-    def test_superposed_streams_keep_every_tuple(self):
-        _, sink, pushed = self.superpose([50.0, 70.0], 1.0, seed=21)
-        assert len(sink) == pushed > 0
-
-    def test_superposed_rate_is_the_sum(self):
-        op, sink, _ = self.superpose([100.0, 150.0], 2.0, seed=22)
-        achieved = len(sink) / (CELL.area * 2.0)
-        assert achieved == pytest.approx(op.combined_rate, rel=0.15)
-
-    def test_superposition_of_homogeneous_streams_stays_homogeneous(self):
-        _, sink, _ = self.superpose([120.0, 180.0], 1.0, seed=23)
-        merged = EventBatch.from_rows([(item.t, item.x, item.y) for item in sink.items])
-        assert not quadrat_chi_square_test(merged, CELL).rejects_homogeneity()
-
-
 class TestExtensionOperators:
-    def test_superpose_merges(self):
-        op = SuperposeOperator(rates=[10.0, 20.0])
-        assert op.combined_rate == pytest.approx(30.0)
-        sink = CollectingSink().attach(op.output)
-        op.accept(SensorTuple(1, "rain", 0.0, 0.1, 0.1))
-        assert len(sink) == 1
 
-    def test_superpose_rejects_bad_rate(self):
-        with pytest.raises(StreamError):
-            SuperposeOperator(rates=[0.0])
 
     def test_shift_displaces_tuples(self):
         op = ShiftOperator(dt=1.0, dx=0.5, dy=-0.5)
@@ -439,3 +397,64 @@ class TestExtensionOperators:
         fraction = len(sink) / len(items)
         assert fraction == pytest.approx(0.25, abs=0.05)
         assert op.dropped == len(items) - len(sink)
+
+    def test_sample_at_probability_one_keeps_everything(self):
+        op = SampleOperator(1.0, rng=np.random.default_rng(13))
+        sink = CollectingSink().attach(op.output)
+        items = simulate_tuples(rate=300.0, seed=14)
+        for item in items:
+            op.accept(item)
+        assert [it.tuple_id for it in sink.items] == [it.tuple_id for it in items]
+        assert op.dropped == 0
+        assert op.probability == 1.0
+
+    def test_shift_keeps_everything_but_the_coordinates(self):
+        op = ShiftOperator(dt=0.5, dx=0.25)
+        sink = CollectingSink().attach(op.output)
+        op.accept(SensorTuple(7, "temp", 1.0, 0.5, 0.5, value=21.0, sensor_id=3))
+        shifted = sink.items[0]
+        assert (shifted.tuple_id, shifted.attribute, shifted.value, shifted.sensor_id) == (
+            7, "temp", 21.0, 3,
+        )
+        assert (shifted.t, shifted.x, shifted.y) == (1.5, 0.75, 0.5)
+
+    def test_shift_batch_matches_the_per_tuple_path(self):
+        items = simulate_tuples(rate=100.0, seed=15)
+        op = ShiftOperator(dt=-0.5, dx=2.0, dy=1.0)
+        sink = CollectingSink().attach(op.output)
+        for item in items:
+            op.accept(item)
+        batch = ShiftOperator(dt=-0.5, dx=2.0, dy=1.0).process_batch(
+            TupleBatch.from_tuples(items)
+        )
+        assert [(it.t, it.x, it.y) for it in batch.to_tuples()] == [
+            (it.t, it.x, it.y) for it in sink.items
+        ]
+
+    def test_mark_keeps_the_metadata_it_does_not_set(self):
+        op = MarkOperator(lambda rng: 1)
+        sink = CollectingSink().attach(op.output)
+        op.accept(SensorTuple(1, "rain", 0.0, 0.1, 0.1, metadata={"source": "app"}))
+        assert sink.items[0].metadata == {"source": "app", "mark": 1}
+        assert op.mark_key == "mark"
+
+    def test_marks_are_drawn_from_the_operator_generator(self):
+        op = MarkOperator(lambda rng: float(rng.random()), rng=np.random.default_rng(16))
+        sink = CollectingSink().attach(op.output)
+        for i in range(5):
+            op.accept(SensorTuple(i, "rain", 0.0, 0.1, 0.1))
+        expected = np.random.default_rng(16).random(5).tolist()
+        assert [it.metadata["mark"] for it in sink.items] == expected
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda: ShiftOperator(dt=1.0),
+            lambda: MarkOperator(lambda rng: 0),
+            lambda: SampleOperator(0.5, rng=np.random.default_rng(0)),
+        ],
+        ids=["shift", "mark", "sample"],
+    )
+    def test_an_empty_batch_is_passed_on(self, op):
+        batch = TupleBatch.from_tuples([])
+        assert op().process_batch(batch) is batch

@@ -7,7 +7,6 @@ from repro.geometry import (
     CompositeRegion,
     Rectangle,
     RectRegion,
-    rectangles_are_adjacent,
     union_regions,
 )
 
@@ -140,17 +139,38 @@ class TestUnionRegions:
 
 
 class TestAdjacency:
+    """``union_regions`` merges two rectangles only when they share a full side."""
+
     def test_side_touching(self):
-        assert rectangles_are_adjacent(Rectangle(0, 0, 1, 1), Rectangle(1, 0, 2, 1))
+        a, b = Rectangle(0, 0, 1, 1), Rectangle(1, 0, 2, 1)
+        assert a.shares_full_side_with(b) and b.shares_full_side_with(a)
+        merged = union_regions([RectRegion(a), RectRegion(b)])
+        assert merged.rectangles == (Rectangle(0, 0, 2, 1),)
 
     def test_partial_side_touching(self):
-        assert rectangles_are_adjacent(Rectangle(0, 0, 1, 1), Rectangle(1, 0.5, 2, 2))
+        # Touching along half a side: adjacent, but the union is no rectangle.
+        a, b = Rectangle(0, 0, 1, 1), Rectangle(1, 0.5, 2, 2)
+        assert not a.shares_full_side_with(b)
+        with pytest.raises(GeometryError):
+            a.union_with(b)
+        merged = union_regions([RectRegion(a), RectRegion(b)])
+        assert isinstance(merged, CompositeRegion)
+        assert sorted(merged.rectangles) == sorted((a, b))
 
     def test_corner_only_not_adjacent(self):
-        assert not rectangles_are_adjacent(Rectangle(0, 0, 1, 1), Rectangle(1, 1, 2, 2))
+        a, b = Rectangle(0, 0, 1, 1), Rectangle(1, 1, 2, 2)
+        assert not a.shares_full_side_with(b)
+        assert len(union_regions([RectRegion(a), RectRegion(b)]).rectangles) == 2
 
     def test_overlapping_not_adjacent(self):
-        assert not rectangles_are_adjacent(Rectangle(0, 0, 2, 2), Rectangle(1, 1, 3, 3))
+        a, b = Rectangle(0, 0, 2, 2), Rectangle(1, 1, 3, 3)
+        assert not a.shares_full_side_with(b)
+        with pytest.raises(GeometryError):
+            a.union_with(b)
 
     def test_separated_not_adjacent(self):
-        assert not rectangles_are_adjacent(Rectangle(0, 0, 1, 1), Rectangle(5, 0, 6, 1))
+        a, b = Rectangle(0, 0, 1, 1), Rectangle(5, 0, 6, 1)
+        assert not a.shares_full_side_with(b)
+        merged = union_regions([RectRegion(a), RectRegion(b)])
+        assert merged.area == pytest.approx(2.0)
+        assert len(merged.rectangles) == 2

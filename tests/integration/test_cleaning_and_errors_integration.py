@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import AcquisitionalQuery, CraqrEngine
-from repro.core.pmat import ClampOperator, DeduplicateOperator, OutlierFilterOperator
+from repro.core.pmat import ClampOperator, OutlierFilterOperator
 from repro.geometry import Rectangle
 from repro.sensing import ErrorInjector, GpsNoiseModel, ValueErrorModel
 from repro.streams import CollectingSink
@@ -33,10 +33,8 @@ class TestErrorAwareAcquisition:
         corrupted = injector.corrupt_many(clean_items)
 
         clamp = ClampOperator(REGION)
-        dedup = DeduplicateOperator(min_gap=0.0)
         outlier = OutlierFilterOperator(window=80, z_threshold=4.0, min_history=15)
-        dedup.subscribe_to(clamp.output)
-        outlier.subscribe_to(dedup.output)
+        outlier.subscribe_to(clamp.output)
         sink = CollectingSink().attach(outlier.output)
         for item in corrupted:
             clamp.accept(item)

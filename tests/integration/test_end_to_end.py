@@ -2,12 +2,14 @@
 
 import statistics
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from repro import AcquisitionalQuery, CraqrEngine, parse_queries
 from repro.baselines import NaivePerQueryEngine
 from repro.geometry import Rectangle
-from repro.pointprocess import assess_homogeneity
+from repro.pointprocess import coefficient_of_variation, quadrat_chi_square_test
 from repro.query import AttributeCatalog
 from repro.workloads import (
     build_hotspot_world,
@@ -65,18 +67,23 @@ class TestEndToEnd:
         for seed in range(21, 37):
             engine, rain, _ = run_monitors(seed)
             duration = engine.batches_run * engine.config.batch_duration
-            report = assess_homogeneity(
-                rain.buffer.to_event_batch(), Rectangle(0, 0, 2, 2), duration,
-                target_rate=10.0,
-            )
-            cvs.append(report.cv)
-            rate_errors.append(report.rate_relative_error)
-            dispersion.append(
-                report.chi_square.statistic / report.chi_square.degrees_of_freedom
-            )
+            region = Rectangle(0, 0, 2, 2)
+            batch = rain.buffer.to_event_batch()
+            cvs.append(coefficient_of_variation(batch, region))
+            rate_errors.append(abs(len(batch) / (region.area * duration) - 10.0) / 10.0)
+            chi_square = quadrat_chi_square_test(batch, region)
+            dispersion.append(chi_square.statistic / chi_square.degrees_of_freedom)
         assert statistics.median(cvs) < 0.4
         assert statistics.median(rate_errors) < 0.2
         assert statistics.median(dispersion) < 5.0
+
+    def test_delivered_stream_is_uniform_in_time(self, engine_with_queries):
+        # The temporal half of homogeneity: where a delivered tuple falls
+        # within its one-unit batch is uniform (Kolmogorov-Smirnov).
+        _, rain, temp = engine_with_queries
+        for handle in (rain, temp):
+            phases = np.mod(handle.buffer.to_event_batch().t, 1.0)
+            assert stats.kstest(phases, "uniform").pvalue > 0.01
 
     def test_engine_accounting_consistent(self, engine_with_queries):
         engine, rain, temp = engine_with_queries
@@ -173,9 +180,6 @@ class TestSkewMitigation:
         )
         engine.run(15)
         batch = handle.buffer.to_event_batch()
-        report = assess_homogeneity(
-            batch, Rectangle(0, 0, 4, 4), 15.0, target_rate=4.0, nx=2, ny=2
-        )
         # The raw sensor distribution is heavily skewed, but the delivered
         # stream spreads over the region: dispersion stays moderate.
-        assert report.cv < 0.8
+        assert coefficient_of_variation(batch, Rectangle(0, 0, 4, 4), 2, 2) < 0.8

@@ -10,8 +10,6 @@ from repro.metrics import (
     ViolationTracker,
     achieved_rate,
     format_table,
-    per_batch_rates,
-    rate_error,
 )
 from repro.streams import SensorTuple
 
@@ -31,15 +29,15 @@ class TestRateMetrics:
         with pytest.raises(CraqrError):
             achieved_rate([], area=0.0, duration=1.0)
 
-    def test_rate_error(self):
-        assert rate_error(8.0, 10.0) == pytest.approx(0.2)
+    @pytest.mark.parametrize(
+        "area, duration", [(0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -0.5)]
+    )
+    def test_a_window_without_volume_is_refused(self, area, duration):
         with pytest.raises(CraqrError):
-            rate_error(1.0, 0.0)
+            achieved_rate(make_tuples(3), area=area, duration=duration)
 
-    def test_per_batch_rates(self):
-        assert per_batch_rates([4, 8], area=2.0, batch_duration=1.0) == [2.0, 4.0]
-        with pytest.raises(CraqrError):
-            per_batch_rates([1], area=1.0, batch_duration=0.0)
+    def test_an_empty_stream_has_rate_zero(self):
+        assert achieved_rate([], area=4.0, duration=2.0) == 0.0
 
 
 class TestViolationTracker:

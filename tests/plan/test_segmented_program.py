@@ -30,16 +30,15 @@ from repro.core.fabricator import BatchResult
 from repro.core.pmat.flatten import FlattenBatchReport, finish_estimate
 from repro.errors import PointProcessError
 from repro.geometry import Grid, Rectangle
-from repro.plan import compile_programs
 from repro.pointprocess import (
     ConstantIntensity,
     EventBatch,
-    GaussianHotspotIntensity,
     LinearIntensity,
     flatten_segments,
 )
 from repro.pointprocess import thinning
 from repro.streams import TupleBatch
+from scaffolding import HotspotIntensity, compile_programs
 
 REGION = Rectangle(0.0, 0.0, 8.0, 8.0)
 GRID = Grid(REGION, side=8)
@@ -105,7 +104,7 @@ def given_intensity(number):
         return LinearIntensity(30.0 + number, 0.5, 6.0, -2.0)
     if kind == 1:
         return ConstantIntensity(15.0 + number)
-    return GaussianHotspotIntensity(5.0, ((1.0, 1.0, 40.0, 0.6),))
+    return HotspotIntensity(5.0, ((1.0, 1.0, 40.0, 0.6),))
 
 
 class Side:
@@ -436,7 +435,7 @@ def segment_specs(draw):
     elif kind == "constant":
         intensity = ConstantIntensity(draw(st.floats(1e-3, 1e3)))
     elif kind == "hotspot":
-        intensity = GaussianHotspotIntensity(
+        intensity = HotspotIntensity(
             draw(st.floats(0.1, 10.0)), ((0.3, 0.7, draw(st.floats(0.0, 100.0)), 0.2),)
         )
     else:

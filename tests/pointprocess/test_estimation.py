@@ -1,4 +1,4 @@
-"""Unit tests for intensity parameter estimation (MLE, least squares, SGD)."""
+"""Unit tests for intensity parameter estimation (MLE, SGD)."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.pointprocess import (
     InhomogeneousMDPP,
     LinearIntensity,
     OnlineIntensityEstimator,
-    fit_linear_intensity_least_squares,
     fit_linear_intensity_mle,
 )
 
@@ -23,35 +22,6 @@ def simulate(theta, seed=0, duration=DURATION):
     intensity = LinearIntensity.from_theta(theta).validated_on(REGION, 0.0, duration)
     process = InhomogeneousMDPP(intensity, REGION)
     return process.sample(duration, rng=np.random.default_rng(seed)), intensity
-
-
-class TestLeastSquares:
-    def test_recovers_constant_rate(self):
-        batch = HomogeneousMDPP(80.0, REGION).sample(
-            DURATION, rng=np.random.default_rng(1)
-        )
-        result = fit_linear_intensity_least_squares(batch, REGION, 0.0, DURATION)
-        mean_rate = result.intensity.mean_rate(REGION, 0.0, DURATION)
-        assert mean_rate == pytest.approx(80.0, rel=0.25)
-
-    def test_detects_spatial_gradient_direction(self):
-        batch, _ = simulate((10.0, 0.0, 60.0, 0.0), seed=2)
-        result = fit_linear_intensity_least_squares(batch, REGION, 0.0, DURATION)
-        assert result.theta[2] > 10.0      # strong positive x slope
-        assert abs(result.theta[3]) < 30.0  # and a much weaker y slope
-
-    def test_empty_batch_raises(self):
-        with pytest.raises(EstimationError):
-            fit_linear_intensity_least_squares(EventBatch.empty(), REGION, 0.0, 1.0)
-
-    def test_invalid_window_raises(self):
-        batch = EventBatch.from_rows([(0.1, 0.1, 0.1)])
-        with pytest.raises(EstimationError):
-            fit_linear_intensity_least_squares(batch, REGION, 1.0, 1.0)
-
-    def test_converged_flag_set(self):
-        batch, _ = simulate((30.0, 0.0, 10.0, 10.0), seed=3)
-        assert fit_linear_intensity_least_squares(batch, REGION, 0.0, DURATION).converged
 
 
 class TestMLE:
@@ -77,11 +47,12 @@ class TestMLE:
         fitted = fit_linear_intensity_mle(
             batch, REGION, 0.0, DURATION, initial_theta=flat_start
         )
-        from repro.pointprocess.estimation import _log_likelihood
-
-        assert fitted.log_likelihood >= _log_likelihood(
-            flat_start, batch, __import__("repro").geometry.RectRegion(REGION), 0.0, DURATION
-        ) - 1e-6
+        start = LinearIntensity.from_theta(flat_start)
+        start_log_likelihood = float(
+            np.log(start.rate(batch.t, batch.x, batch.y)).sum()
+            - start.integral(REGION, 0.0, DURATION)
+        )
+        assert fitted.log_likelihood >= start_log_likelihood - 1e-6
 
     def test_expected_count_preserved(self):
         # MLE of a Poisson intensity matches the observed count in expectation;

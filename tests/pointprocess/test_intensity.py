@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import PointProcessError
-from repro.geometry import Rectangle, RectRegion
-from repro.pointprocess import (
-    ConstantIntensity,
-    GaussianHotspotIntensity,
-    LinearIntensity,
-    LogLinearIntensity,
-    PiecewiseConstantIntensity,
-    SeparableIntensity,
-)
+from repro.geometry import CompositeRegion, Rectangle, RectRegion
+from repro.pointprocess import ConstantIntensity, IntensityModel, LinearIntensity
+from scaffolding import HotspotIntensity
 
 REGION = Rectangle(0.0, 0.0, 1.0, 1.0)
 
@@ -93,92 +87,81 @@ class TestLinearIntensity:
         assert values.tolist() == [1.0, 2.0, 3.0]
 
 
-class TestLogLinearIntensity:
-    def test_always_positive(self):
-        model = LogLinearIntensity(-5.0, -1.0, -1.0, -1.0)
-        assert model.rate_at(10.0, 10.0, 10.0) > 0.0
+class AffineWithoutClosedForm(IntensityModel):
+    """Eq. (1)'s rate, integrated by the base class's numeric rule."""
 
-    def test_value(self):
-        model = LogLinearIntensity(0.0, 0.0, 0.0, 0.0)
-        assert model.rate_at(1.0, 2.0, 3.0) == pytest.approx(1.0)
+    def __init__(self, linear):
+        self.linear = linear
 
-    def test_max_rate_at_corner(self):
-        model = LogLinearIntensity(0.0, 1.0, 1.0, 1.0)
-        assert model.max_rate(REGION, 0.0, 1.0) == pytest.approx(np.exp(3.0))
+    def rate(self, t, x, y):
+        return self.linear.rate(t, x, y)
+
+    def max_rate(self, region, t_start, t_end):
+        return self.linear.max_rate(region, t_start, t_end)
 
 
-class TestSeparableIntensity:
-    def test_product_form(self):
-        model = SeparableIntensity(
-            base=2.0,
-            temporal=lambda t: np.ones_like(t) * 0.5,
-            spatial=lambda x, y: np.ones_like(x) * 3.0,
-            temporal_max=0.5,
-            spatial_max=3.0,
+class TestNumericIntegral:
+    """``IntensityModel.integral``: what a model without a closed form gets."""
+
+    def test_affine_rate_matches_the_closed_form(self):
+        # The grid is symmetric about each rectangle's centre, so its mean
+        # of an affine rate is the centroid value: exact up to rounding.
+        region = CompositeRegion((Rectangle(0.0, 0.0, 2.0, 1.0), Rectangle(0.0, 1.0, 1.0, 3.0)))
+        linear = LinearIntensity(3.0, 0.5, 1.5, 2.0)
+        numeric = AffineWithoutClosedForm(linear).integral(region, 1.0, 4.0, resolution=7)
+        assert numeric == pytest.approx(linear.integral(region, 1.0, 4.0), rel=1e-12)
+
+    def test_hotspot_integral_approaches_the_gaussian_mass(self):
+        # One hotspot well inside a large square: baseline volume plus
+        # amplitude * 2 pi sigma^2 per unit time.
+        model = HotspotIntensity(2.0, ((5.0, 5.0, 100.0, 0.5),))
+        region = Rectangle(0.0, 0.0, 10.0, 10.0)
+        expected = 2.0 * (2.0 * 100.0 + 100.0 * 2.0 * np.pi * 0.25)
+        assert model.integral(region, 0.0, 2.0, resolution=81) == pytest.approx(expected, rel=0.02)
+        assert model.mean_rate(region, 0.0, 2.0, resolution=81) == pytest.approx(
+            expected / 200.0, rel=0.02
         )
-        assert model.rate_at(0.0, 0.0, 0.0) == pytest.approx(3.0)
-        assert model.max_rate(REGION, 0.0, 1.0) == pytest.approx(3.0)
 
-    def test_rejects_bad_base(self):
+
+TWO_SQUARES = CompositeRegion((Rectangle(0.0, 0.0, 1.0, 1.0), Rectangle(2.0, 0.0, 3.0, 1.0)))
+
+MODELS = {
+    "constant": lambda: ConstantIntensity(4.0),
+    "linear": lambda: LinearIntensity(2.0, 0.5, 1.0, 3.0),
+    "numeric": lambda: AffineWithoutClosedForm(LinearIntensity(2.0, 0.5, 1.0, 3.0)),
+}
+
+
+class TestIntensityWindows:
+    """What every model shares: scalar evaluation, regions and windows."""
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_rate_at_is_the_vectorised_rate(self, name):
+        model = MODELS[name]()
+        vector = model.rate(np.array([0.3, 1.2]), np.array([0.1, 0.9]), np.array([0.7, 0.2]))
+        assert [model.rate_at(0.3, 0.1, 0.7), model.rate_at(1.2, 0.9, 0.2)] == vector.tolist()
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_integral_over_a_composite_region_sums_its_parts(self, name):
+        model = MODELS[name]()
+        parts = sum(model.integral(rect, 0.0, 2.0) for rect in TWO_SQUARES.rectangles)
+        assert model.integral(TWO_SQUARES, 0.0, 2.0) == pytest.approx(parts, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_an_empty_window_is_refused(self, name):
+        model = MODELS[name]()
         with pytest.raises(PointProcessError):
-            SeparableIntensity(base=0.0, temporal=lambda t: t, spatial=lambda x, y: x)
-
-    def test_negative_product_clamped_to_zero(self):
-        model = SeparableIntensity(
-            base=1.0,
-            temporal=lambda t: -np.ones_like(t),
-            spatial=lambda x, y: np.ones_like(x),
-        )
-        assert model.rate_at(0.0, 0.0, 0.0) == 0.0
-
-
-class TestPiecewiseConstantIntensity:
-    def test_cell_lookup(self):
-        model = PiecewiseConstantIntensity(REGION, ((1.0, 2.0), (3.0, 4.0)))
-        # values[r][q]: bottom-left is 1, bottom-right 2, top-left 3, top-right 4
-        assert model.rate_at(0.0, 0.25, 0.25) == 1.0
-        assert model.rate_at(0.0, 0.75, 0.25) == 2.0
-        assert model.rate_at(0.0, 0.25, 0.75) == 3.0
-        assert model.rate_at(0.0, 0.75, 0.75) == 4.0
-
-    def test_max_rate(self):
-        model = PiecewiseConstantIntensity(REGION, ((1.0, 2.0), (3.0, 4.0)))
-        assert model.max_rate(REGION, 0.0, 1.0) == 4.0
-
-    def test_shape(self):
-        model = PiecewiseConstantIntensity(REGION, ((1.0, 2.0, 3.0),))
-        assert model.shape == (1, 3)
-
-    def test_rejects_ragged_rows(self):
+            model.integral(REGION, 1.0, 1.0)
         with pytest.raises(PointProcessError):
-            PiecewiseConstantIntensity(REGION, ((1.0, 2.0), (3.0,)))
+            model.mean_rate(REGION, 2.0, 1.0)
 
-    def test_rejects_negative_values(self):
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_rejects_what_is_not_a_region(self, name):
         with pytest.raises(PointProcessError):
-            PiecewiseConstantIntensity(REGION, ((-1.0,),))
+            MODELS[name]().integral((0.0, 0.0, 1.0, 1.0), 0.0, 1.0)
 
-
-class TestGaussianHotspotIntensity:
-    def test_peak_at_hotspot(self):
-        model = GaussianHotspotIntensity(1.0, ((0.5, 0.5, 10.0, 0.1),))
-        assert model.rate_at(0.0, 0.5, 0.5) == pytest.approx(11.0)
-        assert model.rate_at(0.0, 0.0, 0.0) < 2.0
-
-    def test_max_rate_upper_bound(self):
-        model = GaussianHotspotIntensity(1.0, ((0.5, 0.5, 10.0, 0.1), (0.2, 0.2, 5.0, 0.2)))
-        bound = model.max_rate(REGION, 0.0, 1.0)
-        xs = np.linspace(0, 1, 21)
-        tt, xx, yy = np.meshgrid(np.zeros(1), xs, xs, indexing="ij")
-        assert bound >= model.rate(tt.ravel(), xx.ravel(), yy.ravel()).max()
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(PointProcessError):
-            GaussianHotspotIntensity(0.0, ())
-
-    def test_rejects_bad_hotspot(self):
-        with pytest.raises(PointProcessError):
-            GaussianHotspotIntensity(1.0, ((0.5, 0.5, 1.0, 0.0),))
-
-    def test_integral_positive(self):
-        model = GaussianHotspotIntensity(1.0, ((0.5, 0.5, 10.0, 0.1),))
-        assert model.integral(REGION, 0.0, 1.0, resolution=15) > 1.0
+    def test_linear_max_rate_takes_the_best_part(self):
+        model = LinearIntensity(1.0, 0.0, 2.0, 0.0)
+        # The far square's right edge, x = 3: 1 + 2 * 3.
+        assert model.max_rate(TWO_SQUARES, 0.0, 1.0) == pytest.approx(7.0)
+        assert model.max_rate(TWO_SQUARES.rectangles[0], 0.0, 1.0) == pytest.approx(3.0)

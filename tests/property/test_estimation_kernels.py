@@ -2,13 +2,11 @@
 
 ``OnlineIntensityEstimator.observe_batch_fused`` (the plain-float SGD
 kernel the engine runs) must land on exactly the bits of
-``observe_batch`` (n x ``observe_event``), and
-``fit_linear_intensity_least_squares`` (searchsorted + one bincount) on
-exactly the bits of the per-box loop it replaced — kept here, under
-``tests/``, as the oracle.  ``fit_linear_intensity_mle`` (damped Newton)
-is held to its own certificate — a feasible theta with a Newton decrement
-within tolerance is the global maximum — and to SciPy's L-BFGS-B, the
-solver it replaced, also kept here as an oracle.  The engine runs it as
+``observe_batch`` (n x ``observe_event``).  ``fit_linear_intensity_mle``
+(damped Newton) is held to its own certificate — a feasible theta with a
+Newton decrement within tolerance is the global maximum — and to SciPy's
+L-BFGS-B, the solver it replaced, kept here, under ``tests/``, as an
+oracle started from the quadrat least-squares theta.  The engine runs it as
 ``fit_linear_intensity_mle_segments``, many fits in lockstep; the per-fit
 Newton body that preceded it is kept here too, and every segment must
 land on its bits.
@@ -32,7 +30,6 @@ from repro.pointprocess import (
     EventBatch,
     LinearIntensity,
     OnlineIntensityEstimator,
-    fit_linear_intensity_least_squares,
     fit_linear_intensity_mle,
     fit_linear_intensity_mle_segments,
 )
@@ -46,7 +43,6 @@ from repro.pointprocess.estimation import (
     _RATE_FLOOR,
     _coerce_region,
     _linear_rate,
-    _log_likelihood,
     _solve_spd_4x4,
     _window_centroid,
 )
@@ -182,15 +178,17 @@ class TestSgdKernel:
 
 
 # ----------------------------------------------------------------------------
-# Least-squares initialiser == the per-box loop
+# Where the L-BFGS-B oracle starts: the quadrat least-squares theta
 # ----------------------------------------------------------------------------
 
 
-def least_squares_by_box_loop(batch, region, t_start, t_end, bins):
-    """The initialiser as it was before the bincount rewrite: the oracle.
+def least_squares_by_box_loop(batch, region, t_start, t_end, bins=4):
+    """Quadrat-count least-squares theta: where :func:`mle_by_lbfgsb` starts.
 
-    One pass over every ``(t, x, y)`` box, six full-length comparisons and
-    one overlap computation each.  Returns ``(theta, log_likelihood)``.
+    The window is cut into ``bins`` boxes per axis, and theta is the ordinary
+    least-squares fit of each box's empirical rate against its centre.  One
+    pass over every ``(t, x, y)`` box, six full-length comparisons and one
+    overlap computation each.
     """
     bbox = region.bounding_box
     t_edges = np.linspace(t_start, t_end, bins + 1)
@@ -226,90 +224,17 @@ def least_squares_by_box_loop(batch, region, t_start, t_end, bins):
     if len(rows) < 4:
         raise EstimationError("not enough occupied quadrats to fit four parameters")
     theta, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(targets), rcond=None)
-    return theta, _log_likelihood(theta, batch, region, t_start, t_end)
+    return theta
 
 
 #: A rectangle, an L whose bounding box has an empty corner, and two
-#: diagonal squares whose bounding box is half empty (at ``bins=2`` two of
-#: the four spatial quadrats have zero overlap).
+#: diagonal squares whose bounding box is half empty.
 REGIONS = [
     RectRegion(Rectangle(0.0, 0.0, 1.0, 1.0)),
     RectRegion(Rectangle(-3.0, 2.0, 0.5, 2.7)),
     CompositeRegion((Rectangle(0.0, 0.0, 2.0, 1.0), Rectangle(0.0, 1.0, 1.0, 2.0))),
     CompositeRegion((Rectangle(0.0, 0.0, 1.0, 1.0), Rectangle(1.0, 1.0, 2.0, 2.0))),
 ]
-
-
-@st.composite
-def quadrat_fits(draw):
-    region = draw(st.sampled_from(REGIONS))
-    bins = draw(st.sampled_from([1, 2, 3, 4, 5]))
-    t_start = draw(st.sampled_from([0.0, 7.25, 1000.0]))
-    t_end = t_start + draw(st.sampled_from([0.5, 1.0, 3.0]))
-    bbox = region.bounding_box
-
-    def axis(lo, hi):
-        # Exactly on an edge (interior, first, last), inside, or outside.
-        span = hi - lo
-        return st.one_of(
-            st.sampled_from(np.linspace(lo, hi, bins + 1).tolist()),
-            st.floats(min_value=lo, max_value=hi),
-            st.floats(min_value=lo - span, max_value=hi + span),
-        )
-
-    rows = draw(
-        st.lists(
-            st.tuples(
-                axis(t_start, t_end),
-                axis(bbox.x_min, bbox.x_max),
-                axis(bbox.y_min, bbox.y_max),
-            ),
-            min_size=1,
-            max_size=60,
-        )
-    )
-    return EventBatch.from_rows(rows), region, t_start, t_end, bins
-
-
-class TestLeastSquaresInitialiser:
-    @settings(max_examples=120, deadline=None)
-    @given(quadrat_fits())
-    def test_matches_the_box_loop_exactly(self, fit):
-        batch, region, t_start, t_end, bins = fit
-        try:
-            theta, log_likelihood = least_squares_by_box_loop(
-                batch, region, t_start, t_end, bins
-            )
-        except EstimationError:
-            with pytest.raises(EstimationError, match="occupied quadrats"):
-                fit_linear_intensity_least_squares(
-                    batch, region, t_start, t_end, bins=bins
-                )
-            return
-        result = fit_linear_intensity_least_squares(
-            batch, region, t_start, t_end, bins=bins
-        )
-        assert bits(result.theta) == bits(theta)
-        assert bits(result.log_likelihood) == bits(log_likelihood)
-
-    def test_too_few_quadrats_raises(self):
-        # bins=1 is one box: never enough rows for four parameters.
-        batch = EventBatch.from_rows([(0.1, 0.2, 0.3)] * 8)
-        with pytest.raises(EstimationError, match="occupied quadrats"):
-            fit_linear_intensity_least_squares(batch, UNIT, 0.0, 1.0, bins=1)
-
-    def test_boundary_events_land_in_the_half_open_boxes(self):
-        # [lo, hi) per axis: an event on the window's end, or on the
-        # bounding box's upper edge, is in no box; one on the lower edge is.
-        inside = [(0.0, 0.0, 0.0)] * 5 + [(0.5, 0.5, 0.5)] * 5
-        outside = [(1.0, 0.5, 0.5), (0.5, 1.0, 0.5), (0.5, 0.5, 1.0), (-0.1, 0.5, 0.5)]
-        with_outside = fit_linear_intensity_least_squares(
-            EventBatch.from_rows(inside + outside), UNIT, 0.0, 1.0
-        )
-        without = fit_linear_intensity_least_squares(
-            EventBatch.from_rows(inside), UNIT, 0.0, 1.0
-        )
-        assert bits(with_outside.theta) == bits(without.theta)
 
 
 # ----------------------------------------------------------------------------
@@ -350,16 +275,14 @@ def certificate(theta, batch, region, t_start, t_end):
 def mle_by_lbfgsb(batch, region, t_start, t_end):
     """The fit as it was before the Newton solver: the oracle.
 
-    SciPy's L-BFGS-B on the floor-clamped likelihood, started from the
-    least-squares theta (the flat rate when that fails).  Returns
+    SciPy's L-BFGS-B on the floor-clamped likelihood, started from
+    :func:`least_squares_by_box_loop` (the flat rate when that fails).  Returns
     ``(theta, success)``; ``success`` is false whenever the start has a
     non-positive rate at some event (the clamp breaks the line search).
     """
     volume, centre = window_centre(region, t_start, t_end)
     try:
-        start = np.array(
-            fit_linear_intensity_least_squares(batch, region, t_start, t_end).theta
-        )
+        start = least_squares_by_box_loop(batch, region, t_start, t_end)
     except EstimationError:
         start = np.array([len(batch) / volume, 0.0, 0.0, 0.0])
     design = np.column_stack([np.ones(len(batch)), batch.t, batch.x, batch.y])

@@ -10,7 +10,14 @@ import pickle
 
 import pytest
 
-from recovery_harness import make_engine, restore_latest_fresh, run_to
+from recovery_harness import (
+    engine_digest,
+    make_engine,
+    restore_latest_fresh,
+    run_to,
+    simulate_fresh_process,
+)
+from repro.core import CraqrEngine
 from repro.errors import RecoveryError
 from repro.recovery import (
     CheckpointStore,
@@ -254,6 +261,15 @@ class TestSnapshotFiles:
         path = engine.checkpoint(tmp_path / "here.ckpt")
         assert path == tmp_path / "here.ckpt"
         assert EngineSnapshot.from_bytes(path.read_bytes()).batch_index == 2
+
+    def test_restore_from_one_file_replays_like_the_uninterrupted_run(self, tmp_path):
+        reference = run_to(make_engine(), 5)
+        engine = run_to(make_engine(), 2)
+        path = engine.checkpoint(tmp_path / "here.ckpt")
+        simulate_fresh_process()
+        restored = CraqrEngine.restore(path)
+        assert restored.batches_run == 2
+        assert engine_digest(run_to(restored, 5)) == engine_digest(reference)
 
     def test_checkpoint_without_directory_raises(self):
         engine = run_to(make_engine(), 1)

@@ -23,7 +23,7 @@ import pytest
 
 import repro.sensing.mobility as mobility
 from repro.geometry import Rectangle
-from repro.sensing import RandomWaypointMobility, SensingWorld, WorldConfig
+from repro.sensing import HotspotMobility, RandomWaypointMobility, SensingWorld, WorldConfig
 from repro.sensing.mobility import KeyedDraws, SharedDraws, movement_substeps
 
 from test_crowd_independence import CROWDS, COLUMNS, REGION, alternating
@@ -115,12 +115,14 @@ def test_rows_drawing_several_targets_a_window(vectorized):
 @CONTRACTS
 def test_interleaved_walker_groups_with_several_draws(vectorized):
     # Two index-array waypoint groups, one of which redraws within a window,
-    # next to a random walk that draws every sub-step: every compact group
+    # next to hotspot walkers that draw every sub-step: every compact group
     # misses after its first sub-step.
     factory = alternating(
         bouncing_walkers,
         lambda region: RandomWaypointMobility(region, speed=0.2, pause=0.3),
-        CROWDS["walk"](),
+        lambda region: HotspotMobility(
+            region, [(0.1, 0.1, 1.0), (0.4, 0.3, 2.0)], switch_probability=0.1
+        ),
     )
     world = build(factory, vectorized=vectorized, count=31, region=SMALL)
     assert all(isinstance(rows, np.ndarray) for _, rows in world._mobility_groups)
@@ -181,7 +183,7 @@ def test_one_movement_call_per_strict_advance(monkeypatch):
 
 
 def test_a_sensor_moved_alone_draws_per_kernel_call(monkeypatch):
-    world = build(CROWDS["walk"](), vectorized=False, count=3)
+    world = build(CROWDS["hotspot"](), vectorized=False, count=3)
     calls = count_movement_calls(monkeypatch)
     world.sensors[1].move(1.0, 0.1)
     assert calls == [1] * 10

@@ -28,9 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry import Rectangle
 from repro.recovery.snapshot import _SnapshotPickler
 from repro.sensing import (
-    GaussMarkovMobility,
     HotspotMobility,
-    RandomWalkMobility,
     RandomWaypointMobility,
     SensingWorld,
     StationaryMobility,
@@ -46,27 +44,24 @@ COLUMNS = (
 )
 
 
-class Drifter(RandomWalkMobility):
+class Drifter(HotspotMobility):
     """A custom subclass that inherits its parent's kernel."""
 
 
-def walk(region):
-    return RandomWalkMobility(region, step_std=0.2)
+HOTSPOTS = [(1.0, 1.0, 1.0), (3.0, 3.0, 2.0), (4.0, 0.0, 0.5)]
 
 
 def waypoint(region):
     return RandomWaypointMobility(region, speed=0.4, pause=0.3)
 
 
-def gauss_markov(region):
-    return GaussMarkovMobility(region, mean_speed=0.3)
-
-
 def hotspot(region):
-    return HotspotMobility(
-        region, [(1.0, 1.0, 1.0), (3.0, 3.0, 2.0), (4.0, 0.0, 0.5)],
-        switch_probability=0.1,
-    )
+    return HotspotMobility(region, HOTSPOTS, switch_probability=0.1)
+
+
+def jitter(region):
+    """Gaussian steps wider than the region: most rows clamp at a wall."""
+    return HotspotMobility(region, HOTSPOTS, speed=0.1, jitter=5.0)
 
 
 def alternating(*factories):
@@ -82,15 +77,15 @@ def alternating(*factories):
 
 #: name -> a fresh ``mobility_factory`` (``alternating`` counts its calls).
 CROWDS = {
-    "walk": lambda: walk,
     "waypoint": lambda: waypoint,
-    "gauss_markov": lambda: gauss_markov,
     "hotspot": lambda: hotspot,
+    "jitter": lambda: jitter,
     "stationary": lambda: StationaryMobility,
-    "mixed": lambda: alternating(waypoint, walk, hotspot, gauss_markov),
-    # The Drifters' parameters equal the walkers': only the class tells them apart.
+    "mixed": lambda: alternating(waypoint, StationaryMobility, hotspot),
+    # The Drifters' parameters equal the hotspot walkers': only the class
+    # tells them apart.
     "custom": lambda: alternating(
-        waypoint, walk, lambda region: Drifter(region, step_std=0.2)
+        waypoint, hotspot, lambda region: Drifter(region, HOTSPOTS, switch_probability=0.1)
     ),
 }
 
@@ -151,7 +146,7 @@ def test_crowd_advance_equals_each_sensor_advanced_alone(crowd):
         assert all(isinstance(rows, np.ndarray) for _, rows in world._mobility_groups)
     if crowd == "custom":  # the subclass is its own group, apart from its parent's
         groups = {type(model): rows for model, rows in world._mobility_groups}
-        assert set(groups) == {RandomWaypointMobility, RandomWalkMobility, Drifter}
+        assert set(groups) == {RandomWaypointMobility, HotspotMobility, Drifter}
         assert groups[Drifter].tolist() == list(range(2, 30, 3))
     skipped = assert_crowd_independent(world, twin, DURATIONS, calls=24)
     if crowd in ("waypoint", "mixed", "custom"):
@@ -220,7 +215,7 @@ def test_sub_steps_come_from_the_subtraction_loop():
 @settings(max_examples=15, deadline=None)
 @given(
     mix=st.lists(
-        st.sampled_from(["walk", "waypoint", "gauss_markov", "hotspot"]),
+        st.sampled_from(["waypoint", "hotspot", "stationary"]),
         min_size=1, max_size=4,
     ),
     count=st.integers(min_value=1, max_value=25),

@@ -26,7 +26,6 @@ from repro.errors import AcquisitionError
 from repro.geometry import Grid, Rectangle
 from repro.sensing import (
     BernoulliParticipation,
-    DistanceDecayParticipation,
     FatigueParticipation,
     FlatIncentive,
     RainField,
@@ -386,27 +385,18 @@ class TestStatefulFastSim:
         assert set(rows[:5]) <= set(range(200_000)) and len(set(rows[:5])) == 5
         assert set(rows[5:]) <= {200_001, 200_002, 200_003} and len(set(rows[5:])) == 2
 
-    @pytest.mark.parametrize("model", ["fatigue", "distance"])
-    def test_all_stateful_crowd_acquires_exactly_what_strict_does(self, model):
+    def test_all_stateful_crowd_acquires_exactly_what_strict_does(self):
         # Nothing in a stateful crowd is sampled from the shared stream:
         # every cell takes the keyed per-sensor policy and each request goes
         # through the model's decide, so a fast-sim world acquires what a
         # strict world with the same seed does.  (No advance: movement is
         # where the two contracts still differ.)
         def build(vectorized):
-            models = {}
-
-            def participation(sensor_id):
-                if model == "fatigue":
-                    models[sensor_id] = FatigueParticipation(0.7, fatigue_per_request=0.2)
-                else:
-                    models[sensor_id] = DistanceDecayParticipation(0.9, decay_scale=0.5)
-                return models[sensor_id]
-
-            world = make_world(vectorized, sensor_count=500, participation=participation)
-            if model == "distance":
-                for sensor_id, decay in models.items():
-                    decay.set_distance(sensor_id, 0.25 * (sensor_id % 8))
+            world = make_world(
+                vectorized,
+                sensor_count=500,
+                participation=lambda i: FatigueParticipation(0.7, fatigue_per_request=0.2),
+            )
             return RequestResponseHandler(world, Grid(REGION, side=4), default_budget=40)
 
         strict, fast = build(False), build(True)

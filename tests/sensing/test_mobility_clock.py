@@ -6,10 +6,8 @@ import pytest
 from repro.errors import CraqrError
 from repro.geometry import Rectangle
 from repro.sensing import (
-    GaussMarkovMobility,
     HotspotMobility,
     MobileSensor,
-    RandomWalkMobility,
     RandomWaypointMobility,
     SimulationClock,
     StationaryMobility,
@@ -56,7 +54,7 @@ def run_model(model, steps=200, dt=0.1, seed=0):
 class TestMobilityModels:
     def test_initial_state_inside_region(self):
         rng = np.random.default_rng(1)
-        for model_cls in (StationaryMobility, RandomWalkMobility, RandomWaypointMobility):
+        for model_cls in (StationaryMobility, RandomWaypointMobility):
             model = model_cls(REGION)
             state = model.initial_state(rng)
             assert REGION.contains(state.x, state.y, closed=True)
@@ -68,19 +66,6 @@ class TestMobilityModels:
         start = (state.x, state.y)
         positions = run_model(model, seed=2)
         assert np.allclose(positions, start)
-
-    def test_random_walk_stays_in_region(self):
-        positions = run_model(RandomWalkMobility(REGION, step_std=0.3), seed=3)
-        assert positions[:, 0].min() >= 0.0 and positions[:, 0].max() <= 2.0
-        assert positions[:, 1].min() >= 0.0 and positions[:, 1].max() <= 2.0
-
-    def test_random_walk_moves(self):
-        positions = run_model(RandomWalkMobility(REGION), seed=4)
-        assert np.std(positions[:, 0]) > 0.0
-
-    def test_random_walk_rejects_bad_std(self):
-        with pytest.raises(CraqrError):
-            RandomWalkMobility(REGION, step_std=0.0)
 
     def test_random_waypoint_reaches_targets(self):
         model = RandomWaypointMobility(REGION, speed=1.0, pause=0.0)
@@ -101,14 +86,6 @@ class TestMobilityModels:
         # A huge speed reaches the target in one step, then pauses.
         position_after_arrival = sensor.move(1.0)
         assert sensor.move(1.0) == position_after_arrival
-
-    def test_gauss_markov_stays_in_region(self):
-        positions = run_model(GaussMarkovMobility(REGION), steps=400, seed=7)
-        assert positions[:, 0].min() >= 0.0 and positions[:, 0].max() <= 2.0
-
-    def test_gauss_markov_rejects_bad_alpha(self):
-        with pytest.raises(CraqrError):
-            GaussMarkovMobility(REGION, alpha=1.5)
 
     def test_hotspot_mobility_concentrates_near_hotspots(self):
         hotspots = [(0.5, 0.5, 1.0)]

@@ -1,15 +1,11 @@
 """Mobility edge cases: walls, pauses, mean reversion, movement windows.
 
-Covers the boundary behaviour of all five models' ``step_batch`` kernels —
+Covers the boundary behaviour of all three models' ``step_batch`` kernels —
 the only way a sensor moves — under the shared generator and the keyed
 draw policy, on many rows and on one; waypoint pause accounting across
-``advance`` sub-steps; a regression test for the Gauss-Markov
-mean-reversion bug (the velocity used to decay toward zero instead of
-reverting to ``mean_speed``); the movement windows ``movement_substeps``
-refuses; and the protocol itself: a model without a kernel cannot be built.
+``advance`` sub-steps; the movement windows ``movement_substeps`` refuses;
+and the protocol itself: a model without a kernel cannot be built.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -17,10 +13,8 @@ import pytest
 from repro.errors import CraqrError
 from repro.geometry import Rectangle
 from repro.sensing import (
-    GaussMarkovMobility,
     HotspotMobility,
     MobilityModel,
-    RandomWalkMobility,
     RandomWaypointMobility,
     SensingWorld,
     SensorStateArrays,
@@ -34,12 +28,12 @@ REGION = Rectangle(0.0, 0.0, 2.0, 2.0)
 MODEL_FACTORIES = {
     # Aggressive parameters so every model hammers the walls.
     "stationary": lambda r: StationaryMobility(r),
-    "walk": lambda r: RandomWalkMobility(r, step_std=1.5),
     "waypoint": lambda r: RandomWaypointMobility(r, speed=5.0, pause=0.1),
-    "gauss_markov": lambda r: GaussMarkovMobility(r, mean_speed=2.0, speed_std=1.0),
     "hotspot": lambda r: HotspotMobility(
         r, [(0.05, 0.05, 1.0), (1.95, 1.95, 1.0)], speed=4.0, jitter=0.5
     ),
+    # Gaussian steps much wider than the region: clamped nearly every step.
+    "jitter": lambda r: HotspotMobility(r, [(1.0, 1.0, 1.0)], speed=0.1, jitter=3.0),
 }
 
 
@@ -103,15 +97,38 @@ class TestWallBehaviourBatch:
             model.step_batch(arrays, np.arange(5), 0.2, rng)
         assert np.array_equal(arrays.positions()[5:], frozen)
 
+
+class TestHotspotAttraction:
     @pytest.mark.parametrize("draws", DRAWS)
-    def test_gauss_markov_reflects_velocity_at_walls(self, draws):
-        model = GaussMarkovMobility(REGION, mean_speed=1.0, speed_std=0.01)
+    def test_without_switching_the_target_never_changes(self, draws):
+        model = HotspotMobility(
+            REGION, [(0.5, 0.5, 1.0), (1.5, 1.5, 1.0)], switch_probability=0.0
+        )
+        rng = np.random.default_rng(9)
+        arrays = SensorStateArrays(40)
+        arrays.sensor_ids[:] = np.arange(40)
+        for i in range(40):
+            arrays.load_mobility_state(i, model.initial_state(rng))
+        targets = (arrays.target_x.copy(), arrays.target_y.copy())
+        policy = draws(10)
+        for _ in range(50):
+            model.step_batch(arrays, np.arange(40), 0.1, policy)
+        assert arrays.target_x.tobytes() == targets[0].tobytes()
+        assert arrays.target_y.tobytes() == targets[1].tobytes()
+
+    @pytest.mark.parametrize("draws", DRAWS)
+    def test_without_jitter_a_walker_arrives_and_stays(self, draws):
+        model = HotspotMobility(
+            REGION, [(1.5, 0.5, 1.0)], speed=1.0, jitter=0.0, switch_probability=0.5
+        )
         arrays = SensorStateArrays(1)
-        arrays.x[0], arrays.y[0] = 1.95, 1.0
-        arrays.vx[0], arrays.vy[0] = 1.0, 0.0
-        model.step_batch(arrays, np.array([0]), 1.0, draws(5))
-        assert arrays.x[0] == REGION.x_max  # clamped onto the wall ...
-        assert arrays.vx[0] < 0  # ... with the velocity turned around
+        arrays.x[0] = arrays.y[0] = 0.25
+        policy = draws(11)
+        for _ in range(20):  # 1.58 to walk at 0.1 a step
+            model.step_batch(arrays, ONE_ROW, 0.1, policy)
+        assert (arrays.x[0], arrays.y[0]) == (1.5, 0.5)
+        model.step_batch(arrays, ONE_ROW, 0.1, policy)
+        assert (arrays.x[0], arrays.y[0]) == (1.5, 0.5)
 
 
 class TestWaypointPauseAccounting:
@@ -165,42 +182,20 @@ class TestWaypointPauseAccounting:
         assert soa.pause_remaining[0] == pytest.approx(0.3)
 
 
-class TestGaussMarkovMeanReversion:
-    """Regression: the mean-reversion term used to be multiplied by 0.0."""
-
-    @pytest.mark.parametrize("draws", DRAWS)
-    def test_long_run_speed_reverts_to_mean(self, draws):
-        region = Rectangle(0.0, 0.0, 50.0, 50.0)  # huge: walls play no role
-        model = GaussMarkovMobility(region, mean_speed=0.3, alpha=0.75, speed_std=0.05)
-        rng = np.random.default_rng(42)
-        arrays = SensorStateArrays(100)
-        arrays.sensor_ids[:] = np.arange(100)  # one keyed stream per row
-        for i in range(100):
-            state = model.initial_state(rng)
-            state.x = state.y = 25.0
-            arrays.load_mobility_state(i, state)
-        policy = draws(43)
-        speeds = []
-        for _ in range(40):
-            model.step_batch(arrays, np.arange(100), 0.1, policy)
-            speeds.append(np.hypot(arrays.vx, arrays.vy).mean())
-        # With the old bug the velocity decays to pure noise
-        # (~speed_std * sqrt(pi/2) ~ 0.06); fixed, it hovers at mean_speed.
-        assert 0.25 < float(np.mean(speeds[20:])) < 0.4
-
-    @pytest.mark.parametrize("draws", DRAWS)
-    def test_zero_velocity_state_recovers(self, draws):
-        model = GaussMarkovMobility(REGION, mean_speed=0.5, speed_std=0.1)
-        arrays = SensorStateArrays(1)
-        arrays.x[0] = arrays.y[0] = 1.0  # and vx = vy = 0
-        policy = draws(3)
-        for _ in range(200):
-            model.step_batch(arrays, ONE_ROW, 0.1, policy)
-        assert math.hypot(arrays.vx[0], arrays.vy[0]) > 0.1
-
-
 class TestMovementWindows:
     """Every window is cut by ``movement_substeps``, which refuses what it cannot cut."""
+
+    def test_a_window_shorter_than_the_step_is_one_sub_step(self):
+        assert movement_substeps(0.04, 0.1) == [0.04]
+
+    def test_whole_steps_cut_the_window_evenly(self):
+        assert movement_substeps(0.5, 0.25) == [0.25, 0.25]
+
+    def test_the_last_sub_step_takes_the_rest(self):
+        dts = movement_substeps(1.0, 0.3)
+        assert dts[:3] == [0.3, 0.3, 0.3]
+        assert len(dts) == 4
+        assert dts[3] == pytest.approx(0.1)
 
     @pytest.mark.parametrize(
         "duration, step",
@@ -271,8 +266,8 @@ class TestMobilityProtocol:
             Keyless(REGION)
 
     def test_the_key_names_the_class(self):
-        class Inheritor(RandomWalkMobility):
+        class Inheritor(RandomWaypointMobility):
             pass
 
         assert Inheritor(REGION).batch_key() == Inheritor(REGION).batch_key()
-        assert Inheritor(REGION).batch_key() != RandomWalkMobility(REGION).batch_key()
+        assert Inheritor(REGION).batch_key() != RandomWaypointMobility(REGION).batch_key()

@@ -24,10 +24,8 @@ from repro.core.query import AcquisitionalQuery
 from repro.geometry import Rectangle, RectRegion
 from repro.recovery import EngineSnapshot
 from repro.sensing import (
-    GaussMarkovMobility,
     HotspotMobility,
     RainField,
-    RandomWalkMobility,
     RandomWaypointMobility,
     SensingWorld,
     SensorStateArrays,
@@ -51,15 +49,6 @@ def reference_clamp(model, arrays, idx):
     region = model.region
     arrays.x[idx] = np.clip(arrays.x[idx], region.x_min, region.x_max)
     arrays.y[idx] = np.clip(arrays.y[idx], region.y_min, region.y_max)
-
-
-def reference_walk(model, arrays, indices, dt, rng):
-    idx = np.asarray(indices, dtype=np.int64)
-    scale = model._step_std * math.sqrt(dt)
-    steps = rng.normal(0.0, scale, (2, idx.size))
-    arrays.x[idx] += steps[0]
-    arrays.y[idx] += steps[1]
-    reference_clamp(model, arrays, idx)
 
 
 def reference_waypoint(model, arrays, indices, dt, rng):
@@ -95,29 +84,6 @@ def reference_waypoint(model, arrays, indices, dt, rng):
     reference_clamp(model, arrays, active)
 
 
-def reference_gauss_markov(model, arrays, indices, dt, rng):
-    idx = np.asarray(indices, dtype=np.int64)
-    a = model._alpha
-    noise_scale = model._speed_std * math.sqrt(1 - a * a)
-    vx = arrays.vx[idx]
-    vy = arrays.vy[idx]
-    speed = np.hypot(vx, vy)
-    safe = np.maximum(speed, _TINY)
-    moving = speed > _TINY
-    mean_vx = np.where(moving, model._mean_speed * vx / safe, 0.0)
-    mean_vy = np.where(moving, model._mean_speed * vy / safe, 0.0)
-    noise = rng.normal(0.0, noise_scale, (2, idx.size))
-    vx = a * vx + (1 - a) * mean_vx + noise[0]
-    vy = a * vy + (1 - a) * mean_vy + noise[1]
-    region = model.region
-    x = arrays.x[idx] + vx * dt
-    y = arrays.y[idx] + vy * dt
-    arrays.vx[idx] = np.where((x <= region.x_min) | (x >= region.x_max), -vx, vx)
-    arrays.vy[idx] = np.where((y <= region.y_min) | (y >= region.y_max), -vy, vy)
-    arrays.x[idx] = np.clip(x, region.x_min, region.x_max)
-    arrays.y[idx] = np.clip(y, region.y_min, region.y_max)
-
-
 def reference_hotspot(model, arrays, indices, dt, rng):
     idx = np.asarray(indices, dtype=np.int64)
     n = idx.size
@@ -146,17 +112,13 @@ def reference_hotspot(model, arrays, indices, dt, rng):
 
 
 #: name -> (model factory, reference kernel).  Parameters are picked so a
-#: few hundred steps visit every branch: waypoint arrivals and pauses, wall
-#: hits for the Gaussian models, hotspot switches and arrivals.
+#: few hundred steps visit every branch: waypoint arrivals and pauses,
+#: hotspot switches and arrivals; ``jitter`` is Gaussian steps that hit a
+#: wall most sub-steps, switching hotspot every sub-step.
 MODELS = {
-    "walk": (lambda: RandomWalkMobility(REGION, step_std=0.8), reference_walk),
     "waypoint": (
         lambda: RandomWaypointMobility(REGION, speed=3.0, pause=0.2),
         reference_waypoint,
-    ),
-    "gauss_markov": (
-        lambda: GaussMarkovMobility(REGION, mean_speed=1.5, speed_std=0.6),
-        reference_gauss_markov,
     ),
     "hotspot": (
         lambda: HotspotMobility(
@@ -165,6 +127,13 @@ MODELS = {
             speed=2.5,
             jitter=0.2,
             switch_probability=0.05,
+        ),
+        reference_hotspot,
+    ),
+    "jitter": (
+        lambda: HotspotMobility(
+            REGION, [(0.0, 0.0, 1.0), (8.0, 8.0, 1.0)], speed=0.5, jitter=3.0,
+            switch_probability=1.0,
         ),
         reference_hotspot,
     ),
@@ -400,7 +369,7 @@ class TestWorldSelectors:
             created.append(None)
             if len(created) % 3 == 0:
                 return RandomWaypointMobility(r, speed=0.3, pause=0.2)
-            return RandomWalkMobility(r)
+            return HotspotMobility(r, [(1.0, 1.0, 1.0)])
 
         world = make_world(factory)
         selectors = [rows for _, rows in world._mobility_groups]
@@ -412,7 +381,9 @@ class TestWorldSelectors:
 
         def factory(r):
             created.append(None)
-            return RandomWalkMobility(r) if len(created) <= 25 else GaussMarkovMobility(r)
+            if len(created) <= 25:
+                return RandomWaypointMobility(r)
+            return HotspotMobility(r, [(1.0, 1.0, 1.0)])
 
         world = make_world(factory)
         assert [rows for _, rows in world._mobility_groups] == [slice(0, 25), slice(25, 60)]

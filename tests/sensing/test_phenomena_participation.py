@@ -8,8 +8,6 @@ from repro.geometry import Grid, Rectangle
 from repro.sensing import (
     AlwaysRespond,
     BernoulliParticipation,
-    ConstantField,
-    DistanceDecayParticipation,
     FatigueParticipation,
     FlatIncentive,
     LinearIncentiveResponse,
@@ -119,8 +117,24 @@ class TestTemperatureField:
         with pytest.raises(CraqrError):
             TemperatureField(REGION, heat_islands=((0.0, 0.0, 1.0, 0.0),))
 
-    def test_constant_field(self):
-        assert ConstantField(constant=7).value(0.0, 0.0, 0.0) == 7
+
+class TestVectorisedFallback:
+    """``PhenomenonField.values`` for a field that only defines ``value``."""
+
+    class NoisyDistance(PhenomenonField):
+        attribute = "distance"
+
+        def value(self, t, x, y, rng=None):
+            return float(np.hypot(x, y)) + t + float(rng.normal(0.0, 0.1))
+
+    def test_loops_value_and_draws_in_order(self):
+        field = self.NoisyDistance()
+        t, x, y = np.array([0.0, 1.0, 2.0]), np.array([3.0, 0.0, 1.0]), np.array([4.0, 1.0, 0.0])
+        out = field.values(t, x, y, rng=np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        expected = [field.value(float(a), float(b), float(c), rng=rng) for a, b, c in zip(t, x, y)]
+        assert out.dtype == object
+        assert out.tolist() == expected
 
 
 class TestParticipationModels:
@@ -158,6 +172,26 @@ class TestParticipationModels:
         # The scalar spelling rounds like the array one, element for element.
         assert [exponential_latency(0.2, v) for v in u[:500].tolist()] == latencies[:500].tolist()
 
+    def test_exponential_latency_is_zero_at_zero(self):
+        assert exponential_latency(0.2, 0.0) == 0.0
+        assert exponential_latency(0.0, 0.75) == 0.0
+
+    def test_exponential_latency_grows_with_the_uniform(self):
+        latencies = exponential_latency(0.5, np.linspace(0.0, 0.999, 50))
+        assert np.all(np.diff(latencies) > 0)
+        assert latencies[-1] == pytest.approx(-0.5 * np.log(0.001))
+
+    def test_always_respond_ignores_incentives(self):
+        decision = AlwaysRespond().decide(0, 0.0, (0.5, 0.5), incentive_multiplier=0.1)
+        assert decision.responds and decision.latency == 0.0
+
+    def test_a_model_without_parameters_must_decide_itself(self):
+        class Undecided(ParticipationModel):
+            pass
+
+        with pytest.raises(NotImplementedError):
+            Undecided().decide(0, 0.0, (0.1, 0.1))
+
     def test_bernoulli_validation(self):
         with pytest.raises(CraqrError):
             BernoulliParticipation(0.0)
@@ -165,20 +199,6 @@ class TestParticipationModels:
             BernoulliParticipation(0.5, mean_latency=-1.0)
         with pytest.raises(CraqrError):
             BernoulliParticipation(0.5, max_probability=0.2)
-
-    def test_distance_decay(self):
-        model = DistanceDecayParticipation(0.9, decay_scale=0.5)
-        rng = np.random.default_rng(3)
-        model.set_distance(1, 0.0)
-        model.set_distance(2, 5.0)
-        near = sum(model.decide(1, 0.0, rng.random(2)).responds for _ in range(500))
-        far = sum(model.decide(2, 0.0, rng.random(2)).responds for _ in range(500))
-        assert near > far * 3
-
-    def test_distance_decay_validation(self):
-        model = DistanceDecayParticipation()
-        with pytest.raises(CraqrError):
-            model.set_distance(1, -1.0)
 
     def test_fatigue_reduces_probability(self):
         model = FatigueParticipation(0.8, fatigue_per_request=0.1, recovery_per_time=0.0)
@@ -220,14 +240,6 @@ class TestIncentiveCapUnification:
         )
         return responses / trials
 
-    def test_distance_decay_caps_boost_at_max_probability(self):
-        model = DistanceDecayParticipation(0.6, max_probability=0.7)
-        model.set_distance(1, 0.0)
-        # A huge boost saturates at 0.7, not at 1.0.
-        assert self.boosted_rate(model, multiplier=10.0, seed=7) == pytest.approx(
-            0.7, abs=0.03
-        )
-
     def test_fatigue_caps_boost_at_max_probability(self):
         model = FatigueParticipation(
             0.6, fatigue_per_request=0.0, max_probability=0.7
@@ -236,18 +248,19 @@ class TestIncentiveCapUnification:
             0.7, abs=0.03
         )
 
+    def test_bernoulli_caps_boost_at_max_probability(self):
+        model = BernoulliParticipation(0.4, max_probability=0.7)
+        assert self.boosted_rate(model, multiplier=10.0, seed=9) == pytest.approx(
+            0.7, abs=0.03
+        )
+
     def test_max_probability_validation(self):
-        with pytest.raises(CraqrError):
-            DistanceDecayParticipation(0.8, max_probability=0.5)
-        with pytest.raises(CraqrError):
-            DistanceDecayParticipation(0.8, max_probability=1.5)
         with pytest.raises(CraqrError):
             FatigueParticipation(0.8, max_probability=0.5)
         with pytest.raises(CraqrError):
             FatigueParticipation(0.8, max_probability=1.5)
 
     def test_max_probability_exposed(self):
-        assert DistanceDecayParticipation(0.5, max_probability=0.9).max_probability == 0.9
         assert FatigueParticipation(0.5, max_probability=0.9).max_probability == 0.9
 
 
@@ -339,32 +352,12 @@ class TestVectorStateProtocol:
                 0.8 - 0.01 * counts[sensor_id]
             )
 
-    def test_distance_decay_set_distance_writes_through(self):
-        models = {}
-
-        def participation(sensor_id):
-            models[sensor_id] = DistanceDecayParticipation(0.9, decay_scale=0.5)
-            return models[sensor_id]
-
-        world, handler = self.make_handler(participation, sensor_count=400, budget=100)
-        cells = list(handler.grid.cells())
-        _, near_report = handler.acquire_batches({"rain": cells}, duration=1.0)
-        world.advance(1.0)
-        # Push every sensor far from the point of interest: the next fast-sim
-        # round decides through the model, so it sees the new distances.
-        for sensor_id, model in models.items():
-            model.set_distance(sensor_id, 5.0)
-        _, far_report = handler.acquire_batches({"rain": cells}, duration=1.0)
-        assert near_report.response_rate > 0.7
-        assert far_report.response_rate < 0.05
-
     def test_stationary_models_have_no_vector_state(self):
         # The one capability a model declares is ``vector_params``: stationary
         # models have them, stateful ones do not, and none carries vector state.
         assert BernoulliParticipation(0.5).vector_params() is not None
         assert AlwaysRespond().vector_params() is not None
         assert FatigueParticipation(0.5).vector_params() is None
-        assert DistanceDecayParticipation(0.5).vector_params() is None
         for name in (
             "vector_state_columns", "vector_state_key", "vector_static_params",
             "init_vector_state", "vector_probabilities", "vector_commit",

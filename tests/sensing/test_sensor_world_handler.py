@@ -8,7 +8,6 @@ from repro.geometry import Grid, Rectangle, RectRegion
 from repro.sensing import (
     AlwaysRespond,
     BernoulliParticipation,
-    ConstantField,
     MobileSensor,
     RainField,
     RandomWaypointMobility,
@@ -18,6 +17,8 @@ from repro.sensing import (
     TemperatureField,
     WorldConfig,
 )
+
+from scaffolding import ConstantField
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
@@ -233,6 +234,18 @@ class TestRequestResponseHandler:
         handler = RequestResponseHandler(world, grid, default_budget=40)
         _, report = handler.acquire({"rain": [grid.cell(1, 1)]}, duration=1.0)
         assert report.responses_received < report.requests_sent
+
+    def test_per_pair_response_rates(self):
+        world = make_world(response_probability=0.5, seed=9)
+        grid = Grid(REGION, side=4)
+        handler = RequestResponseHandler(world, grid, default_budget=40)
+        _, report = handler.acquire({"rain": [grid.cell(1, 1)]}, duration=1.0)
+        rate = report.response_rate_for("rain", (1, 1))
+        assert rate == report.responses_received / report.requests_sent
+        assert 0.0 < rate < 1.0
+        # A pair sent nothing has no rate: not the 0.0 of a total outage.
+        assert report.response_rate_for("rain", (0, 0)) is None
+        assert report.response_rate_for("temp", (1, 1)) is None
 
     def test_tuples_sorted_by_time_within_cell(self):
         handler, _, grid = self.make_handler(default_budget=20)

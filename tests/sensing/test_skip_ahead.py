@@ -27,13 +27,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Rectangle
 from repro.sensing import (
-    RandomWalkMobility,
+    HotspotMobility,
     RandomWaypointMobility,
     SensingWorld,
     WorldConfig,
 )
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
+
+
+def hotspot(region):
+    """Walkers that draw in every sub-step and have no ``skip_ahead`` of their own."""
+    return HotspotMobility(region, [(1.0, 1.0, 1.0), (3.0, 2.5, 2.0)])
 
 #: A quiet row's distance from the reference: one rounding per sub-step of a
 #: coordinate below 8 is ≈1e-15 a step; 1e-12 is the bound fixed beforehand.
@@ -156,17 +161,16 @@ class TestSelectors:
         assert run(world) > 0.5
 
     def test_mixed_crowd_keeps_the_step_major_draw_order(self):
-        # The walk group draws in every sub-step, between the waypoint
+        # The hotspot group draws in every sub-step, between the waypoint
         # group's draws.  advance_against holds the stream state equal and
-        # the walk rows (never quiet: the base hook skips nothing)
+        # the hotspot rows (never quiet: the base hook skips nothing)
         # byte-equal, which only a step-major loop over both groups gives.
-        walk = lambda region: RandomWalkMobility(region, step_std=0.2)  # noqa: E731
-        world = make_world(alternating(waypoint(), walk, waypoint()))
-        walk_rows = np.arange(1, 200, 3)
+        world = make_world(alternating(waypoint(), hotspot, waypoint()))
+        hotspot_rows = np.arange(1, 200, 3)
         skipped = 0
         for _ in range(30):
             _, quiet = advance_against(world, 1.0)
-            assert not quiet[walk_rows].any()
+            assert not quiet[hotspot_rows].any()
             skipped += int(quiet.sum())
         assert skipped > 0.4 * 30 * 200
 
@@ -272,7 +276,7 @@ def test_contract_holds_for_any_crowd_and_window(
 ):
     factory = waypoint(speed, pause)
     if mixed:
-        factory = alternating(factory, lambda region: RandomWalkMobility(region))
+        factory = alternating(factory, hotspot)
     world = make_world(factory, count=n, seed=seed, movement_step=movement_step)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -14,10 +14,8 @@ from repro.geometry import Rectangle, RectRegion
 from repro.sensing import (
     AlwaysRespond,
     BernoulliParticipation,
-    GaussMarkovMobility,
     HotspotMobility,
     MobileSensor,
-    RandomWalkMobility,
     RandomWaypointMobility,
     SensingWorld,
     SensorStateArrays,
@@ -30,9 +28,7 @@ REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
 MOBILITY_FACTORIES = {
     "stationary": lambda r: StationaryMobility(r),
-    "walk": lambda r: RandomWalkMobility(r, step_std=0.2),
     "waypoint": lambda r: RandomWaypointMobility(r, speed=0.4, pause=0.3),
-    "gauss_markov": lambda r: GaussMarkovMobility(r, mean_speed=0.3),
     "hotspot": lambda r: HotspotMobility(r, [(1.0, 1.0, 1.0), (3.0, 3.0, 2.0)]),
 }
 

@@ -33,8 +33,6 @@ from repro.recovery import EngineSnapshot
 from repro.sensing import (
     AlwaysRespond,
     BernoulliParticipation,
-    ConstantField,
-    DistanceDecayParticipation,
     FatigueParticipation,
     FlatIncentive,
     RainField,
@@ -50,6 +48,8 @@ from repro.sensing.participation import ParticipationModel, ResponseDecision
 from repro.sensing.phenomena import PhenomenonField, _value_column
 from repro.streams import operator as operator_module
 from repro.workloads.scenarios import default_resilience_config, flaky_crowd_plan
+
+from scaffolding import ConstantField
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
@@ -158,12 +158,6 @@ class NeverRespondStationary(ParticipationModel):
         return (0.0, 0.0, 0.0, False)
 
 
-def distance_decay(sensor_id):
-    model = DistanceDecayParticipation(0.8, mean_latency=0.1)
-    model.set_distance(sensor_id, (sensor_id % 7) * 0.1)
-    return model
-
-
 def mixed(sensor_id):
     kind = sensor_id % 3
     if kind == 0:
@@ -182,7 +176,11 @@ PARTICIPATION = {
 #: Crowds whose every row is walked request by request.
 WALKED = {
     "fatigue": lambda i: FatigueParticipation(0.7, fatigue_per_request=0.03),
-    "distance": distance_decay,
+    # Three parameterisations, and a recovery fast enough that a decision
+    # depends on the request's time as well as on the sensor's history.
+    "recovering": lambda i: FatigueParticipation(
+        0.9 - 0.1 * (i % 3), fatigue_per_request=0.1, recovery_per_time=0.5
+    ),
 }
 
 INCENTIVES = {

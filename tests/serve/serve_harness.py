@@ -30,10 +30,11 @@ from repro.serve.protocol import (
     MAGIC,
     decode_message,
     encode_message,
-    frame_message,
     ws_encode_frame,
 )
 from repro.workloads import default_engine_config
+
+from scaffolding import frame_message
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 

@@ -8,15 +8,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ServeError, StorageError
+from repro.serve import fanout as fanout_module
 from repro.serve.fanout import FrameFanout, SubscriberQueue
 from repro.serve.tokens import frame_token_at
-from repro.streams.codec import (
-    codec_call_counts,
-    decode_tuple_batch,
-    decode_view_frame,
-    encode_view_frame,
-    reset_codec_call_counts,
-)
+from repro.streams.codec import decode_tuple_batch, decode_view_frame, encode_view_frame
 from repro.views.frames import ViewFrame, ViewFrameBuffer
 
 from serve_harness import make_engine
@@ -38,6 +33,21 @@ def make_frame(index: int, groups: int = 2) -> ViewFrame:
 def fill(buffer: ViewFrameBuffer, upto: int) -> None:
     for i in range(buffer.frames_emitted, upto):
         buffer.append(make_frame(i))
+
+
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """Count the encoder calls the fan-out makes, per payload kind."""
+    calls = {"tuple_batch": 0, "view_frame": 0}
+    for kind in calls:
+        name = f"encode_{kind}"
+
+        def counting(payload, encoder=getattr(fanout_module, name), kind=kind):
+            calls[kind] += 1
+            return encoder(payload)
+
+        monkeypatch.setattr(fanout_module, name, counting)
+    return calls
 
 
 class TestSubscriberQueue:
@@ -100,7 +110,9 @@ class TestSubscriberQueue:
 
 class TestViewFanout:
     @pytest.mark.parametrize("subscribers", [50, 1000])
-    def test_publish_encodes_once_and_shares_payload_by_reference(self, subscribers):
+    def test_publish_encodes_once_and_shares_payload_by_reference(
+        self, subscribers, encode_calls
+    ):
         buffer = ViewFrameBuffer()
         fanout = FrameFanout()
         queues = [SubscriberQueue(capacity=16) for _ in range(subscribers)]
@@ -109,10 +121,9 @@ class TestViewFanout:
         assert fanout.subscriber_count == subscribers
 
         fill(buffer, 3)
-        reset_codec_call_counts()
         assert fanout.publish() == 3
         # Three frames, however many subscribers: exactly three encodes.
-        assert codec_call_counts()["view_frame"] == 3
+        assert encode_calls == {"tuple_batch": 0, "view_frame": 3}
 
         first_payloads = [q.pop()[1] for q in queues]
         assert all(p is first_payloads[0] for p in first_payloads)
@@ -239,7 +250,7 @@ class TestViewFanout:
 
 
 class TestQueryFanout:
-    def test_delivery_batches_fan_out_serialize_once(self):
+    def test_delivery_batches_fan_out_serialize_once(self, encode_calls):
         engine = make_engine(view=False)
         buffer = engine.query("Storm").buffer
         fanout = FrameFanout()
@@ -248,9 +259,8 @@ class TestQueryFanout:
         assert len(set(tokens)) == 1  # all joined at the same frontier
 
         engine.run_batch()
-        reset_codec_call_counts()
         assert fanout.publish() == 1
-        assert codec_call_counts()["tuple_batch"] == 1
+        assert encode_calls == {"tuple_batch": 1, "view_frame": 0}
 
         payloads = [q.pop() for q in queues]
         assert all(p[1] is payloads[0][1] for p in payloads)

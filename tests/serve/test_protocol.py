@@ -10,7 +10,7 @@ from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
     decode_message,
     encode_message,
-    frame_message,
+    frame_head,
     pack_payloads,
     unpack_payloads,
     ws_accept_key,
@@ -38,7 +38,7 @@ class TestMessages:
 
     def test_frame_message_prefixes_length(self):
         body = encode_message({"op": "hello"})
-        framed = frame_message(body)
+        framed = frame_head(len(body)) + body
         assert framed[:4] == len(body).to_bytes(4, "big")
         assert framed[4:] == body
 

@@ -20,13 +20,13 @@ from repro.serve.fanout import SubscriberQueue
 from repro.serve.protocol import (
     EventHeader,
     encode_message,
-    frame_message,
     ws_decode_frame,
     ws_encode_frame,
 )
 from repro.serve.server import BURST_BYTES, _Connection
 from repro.streams.codec import decode_tuple_batch, encode_view_frame
 
+from scaffolding import frame_message
 from serve_harness import RawWire, make_engine, reference_frames
 
 #: Every character an offset token can contain (urlsafe base64 + padding).

@@ -12,13 +12,9 @@ import pytest
 from repro.errors import ServeError
 from repro.serve import ServeClient, ServeConfig, serve_in_thread
 from repro.streams.codec import decode_tuple_batch, decode_view_frame
-from repro.serve.protocol import (
-    encode_message,
-    frame_message,
-    unpack_payloads,
-    ws_encode_frame,
-)
+from repro.serve.protocol import encode_message, unpack_payloads, ws_encode_frame
 
+from scaffolding import frame_message
 from serve_harness import QUERY, VIEW, RawWire, make_engine
 
 SECOND_QUERY = "ACQUIRE temp FROM RECT(1, 1, 3, 3) AT RATE 6 PER KM2 PER MIN AS Heat"

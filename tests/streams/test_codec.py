@@ -1,4 +1,4 @@
-"""The shared columnar codec: round-trips, error surface, call counters."""
+"""The shared columnar codec: round-trips and error surface."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.errors import StreamError
 from repro.streams import TupleBatch
 from repro.streams import codec
 from repro.streams.codec import (
-    codec_call_counts,
     decode_tuple_batch,
     decode_view_frame,
     encode_tuple_batch,
@@ -21,7 +20,6 @@ from repro.streams.codec import (
     pack_column,
     rebuild_tuple_batch,
     reduce_tuple_batch,
-    reset_codec_call_counts,
     unpack_column,
 )
 from repro.views.frames import ViewFrame
@@ -296,18 +294,3 @@ class TestViewFrameWire:
     def test_encoding_is_deterministic(self):
         frame = make_view_frame(1)
         assert encode_view_frame(frame) == encode_view_frame(frame)
-
-
-class TestCallCounters:
-    def test_counters_track_each_encoder(self):
-        reset_codec_call_counts()
-        encode_tuple_batch(make_batch(2))
-        encode_view_frame(make_view_frame(0))
-        encode_view_frame(make_view_frame(1))
-        counts = codec_call_counts()
-        assert counts == {"tuple_batch": 1, "view_frame": 2}
-        # The getter hands out a copy, not the live dict.
-        counts["view_frame"] = 99
-        assert codec_call_counts()["view_frame"] == 2
-        reset_codec_call_counts()
-        assert codec_call_counts() == {"tuple_batch": 0, "view_frame": 0}

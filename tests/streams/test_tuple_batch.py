@@ -6,11 +6,21 @@ import pytest
 from repro.errors import StreamError
 from repro.streams import (
     NO_SENSOR_ID,
-    MapOperator,
     SensorTuple,
-    Stream,
+    StreamOperator,
     TupleBatch,
 )
+
+
+class MapOperator(StreamOperator):
+    """Applies ``transform`` per tuple and has no native batch path."""
+
+    def __init__(self, transform):
+        super().__init__(None, outputs=1)
+        self._transform = transform
+
+    def process(self, item):
+        self.emit(self._transform(item))
 
 
 def make_tuples(n=10, attribute="rain"):
@@ -163,8 +173,6 @@ class TestGenericOperatorFallback:
     def test_process_batch_fallback_flushes_buffering_operators(self):
         # An operator that buffers in process() and emits on flush() (the
         # Flatten pattern) must not lose its batch through the shim.
-        from repro.streams import StreamOperator
-
         class BufferingOperator(StreamOperator):
             def __init__(self):
                 super().__init__("buffering")

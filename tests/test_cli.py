@@ -1,10 +1,16 @@
 """Unit tests for the command-line interface."""
 
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import SCENARIOS, _scenario_engine, build_parser, main
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 class _Capture:
@@ -213,6 +219,28 @@ class TestCommands:
             out=capture,
         )
         assert code == 1
+
+    def test_run_rejects_a_negative_seed(self):
+        capture = _Capture()
+        code = main(
+            ["run", "--seed", "-1", "--batches", "2",
+             "--query", "ACQUIRE rain FROM RECT(0,0,2,2) RATE 5"],
+            out=capture,
+        )
+        assert code == 1
+        assert capture.text.startswith("error: ")
+        assert "seed" in capture.text
+
+    def test_a_negative_seed_exits_without_a_traceback(self):
+        process = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", "--seed", "-1", "--batches", "1",
+             "--query", "ACQUIRE rain FROM RECT(0,0,2,2) RATE 5"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert process.returncode == 1
+        assert process.stdout.startswith("error: ")
+        assert "Traceback" not in process.stderr
 
 
 def run_repl(script, *args):

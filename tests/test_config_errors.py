@@ -1,5 +1,6 @@
 """Unit tests for configuration objects and the exception hierarchy."""
 
+import numpy as np
 import pytest
 
 import repro
@@ -18,6 +19,9 @@ from repro.errors import (
     StreamError,
     WorkloadError,
 )
+from repro.faults import FaultPlan
+from repro.geometry import Rectangle
+from repro.sensing import WorldConfig
 
 
 class TestBudgetConfig:
@@ -65,6 +69,26 @@ class TestEngineConfig:
         assert other.seed == 2
         assert config.seed == 1
         assert other.grid_cells == config.grid_cells
+
+
+#: Every configuration that carries a seed, built with just that seed.
+SEEDED_CONFIGS = {
+    "engine": lambda seed: EngineConfig(seed=seed),
+    "world": lambda seed: WorldConfig(Rectangle(0.0, 0.0, 1.0, 1.0), seed=seed),
+    "faults": lambda seed: FaultPlan(seed=seed),
+}
+
+
+@pytest.mark.parametrize("config", sorted(SEEDED_CONFIGS))
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-5, 1.5, "7", True])
+    def test_a_seed_numpy_would_refuse_is_a_config_error(self, config, seed):
+        with pytest.raises(CraqrError, match="seed"):
+            SEEDED_CONFIGS[config](seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, pytest.param(np.int64(7), id="int64")])
+    def test_none_and_non_negative_integers_are_accepted(self, config, seed):
+        assert SEEDED_CONFIGS[config](seed).seed is seed
 
 
 class TestErrorHierarchy:

@@ -58,6 +58,19 @@ class TestViewLifecycle:
         assert view.buffer.tuples_total == sum(f.tuples for f in frames)
         assert handle.views() == [view]
 
+    def test_latest_and_info_follow_the_newest_frame(self):
+        engine = make_engine()
+        view = register_storm(engine).view(ViewSpec(aggregate="COUNT", window=2.0))
+        assert view.latest() is None
+        engine.run(4)
+        frames = view.frames()
+        assert view.latest().frame_index == frames[-1].frame_index == 1
+        info = view.info()
+        assert (info.query_label, info.aggregate, info.window) == ("Storm", "COUNT", 2.0)
+        assert info.frames_emitted == info.frames_retained == 2
+        assert info.tuples_total == sum(f.tuples for f in frames)
+        assert info.last_window_end == 4.0 and info.active
+
     def test_frame_counts_match_raw_stream(self):
         engine = make_engine()
         handle = register_storm(engine)
@@ -162,7 +175,7 @@ class TestViewLifecycle:
 
 class TestFailedViewQuarantine:
     def test_non_numeric_stream_quarantines_the_view_not_the_batch(self):
-        from repro.sensing import ConstantField
+        from scaffolding import ConstantField
 
         world = SensingWorld(WorldConfig(region=REGION, sensor_count=150, seed=42))
         world.register_field(ConstantField(constant="wet", attribute="rain"))

@@ -1,7 +1,9 @@
 """Acceptance regression for the crash-recovery scenario.
 
-The ``crash-recovery`` workload is the flaky crowd running under periodic
-crash-consistent checkpoints.  The acceptance bar: kill the engine
+The ``crash-recovery`` workload is the flaky crowd (``flaky_crowd_plan``
+plus ``default_resilience_config`` over the rain + temperature city)
+running under periodic crash-consistent checkpoints.  The acceptance bar:
+kill the engine
 mid-run, restore from the last good checkpoint, replay — the replayed run
 delivers exactly the same per-batch stream as an uninterrupted run of the
 same seeded scenario, pinned below as a constant so any nondeterminism
@@ -9,11 +11,19 @@ same seeded scenario, pinned below as a constant so any nondeterminism
 loudly.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.config import CheckpointConfig
 from repro.core import CraqrEngine
 from repro.faults import CrashInjector, CrashPoint, SimulatedCrash
-from repro.workloads import crash_recovery_scenario
+from repro.workloads import (
+    build_rain_temperature_world,
+    default_engine_config,
+    default_resilience_config,
+    flaky_crowd_plan,
+)
 
 QUERY = "ACQUIRE rain FROM RECT(0,0,3,3) AT RATE 8 PER KM2 PER MIN AS Storm"
 VIEW = "CREATE VIEW Rain ON Storm AS AVG(value) GROUP BY CELL WINDOW 2"
@@ -30,18 +40,18 @@ SENSORS = 150  # smaller than the demo scenario's 300: CI-friendly
 
 
 def build_engine(checkpoint_dir=None):
-    # The scenario requires a directory; the reference run strips the
-    # checkpoint config entirely, so its placeholder is never touched.
-    scenario = crash_recovery_scenario(
-        checkpoint_dir="unused" if checkpoint_dir is None else str(checkpoint_dir),
-        sensor_count=SENSORS,
+    """The flaky crowd; checkpointed every 2 batches (3 kept) into ``checkpoint_dir``."""
+    config = replace(
+        default_engine_config(),
+        faults=flaky_crowd_plan(seed=23),
+        resilience=default_resilience_config(),
     )
-    config = scenario.config
-    if checkpoint_dir is None:
-        from dataclasses import replace
-
-        config = replace(config, checkpoints=None)
-    engine = CraqrEngine(config, scenario.world)
+    if checkpoint_dir is not None:
+        config = replace(
+            config,
+            checkpoints=CheckpointConfig(directory=str(checkpoint_dir), every=2, retain=3),
+        )
+    engine = CraqrEngine(config, build_rain_temperature_world(sensor_count=SENSORS, seed=11))
     engine.execute(QUERY)
     engine.execute(VIEW)
     return engine
@@ -78,12 +88,3 @@ class TestCrashRecoveryScenario:
         assert [f.values.tobytes() for f in res_frames] == [
             f.values.tobytes() for f in ref_frames
         ]
-
-    def test_scenario_is_configured_for_recovery(self, tmp_path):
-        scenario = crash_recovery_scenario(checkpoint_dir=str(tmp_path))
-        assert scenario.name == "crash-recovery"
-        assert scenario.config.checkpoints is not None
-        assert scenario.config.checkpoints.every == 2
-        assert scenario.config.checkpoints.retain == 3
-        assert scenario.config.faults is not None
-        assert scenario.config.resilience is not None

@@ -1,7 +1,7 @@
 """End-to-end degradation and recovery acceptance for the fault scenarios.
 
-The headline regression: under ``cell_outage_scenario`` the mitigation
-stack (deadline + retries + quarantine with probation + degradation-aware
+The headline regression: on a stationary crowd whose lower-left cells go
+dark (``cell_outage_plan``), the mitigation stack (deadline + retries + quarantine with probation + degradation-aware
 budget freezing) recovers at least 90% of the pre-outage delivered rate
 within a few batches of the outage ending, while the mitigation-disabled
 baseline — identical faults, but permanent quarantine — never recovers at
@@ -9,10 +9,17 @@ all.  The shortfall during the outage must be *fault-attributed* in
 ``violations()``, not mistaken for planner error.
 """
 
-import pytest
+from dataclasses import replace
 
 from repro.core import CraqrEngine
-from repro.workloads import cell_outage_scenario, flaky_crowd_scenario
+from repro.workloads import (
+    build_rain_temperature_world,
+    build_stationary_world,
+    cell_outage_plan,
+    default_engine_config,
+    default_resilience_config,
+    flaky_crowd_plan,
+)
 
 OUTAGE_QUERY = "ACQUIRE temp FROM RECT(0,0,2,2) AT RATE 10 PER KM2 PER MIN AS Quad"
 #: Outage window in batches (duration 1.0 each): dark during [4, 10).
@@ -21,10 +28,23 @@ OUTAGE_END_BATCH = 10
 RECOVERY_DEADLINE_BATCH = 13  # within 3 batches of the lights coming back
 
 
-def run_outage(*, mitigation, batches=24):
-    scenario = cell_outage_scenario(mitigation=mitigation)
-    engine = CraqrEngine(scenario.config, scenario.world)
+def outage_engine(*, mitigation):
+    """240 stationary sensors; the outage of ``cell_outage_plan`` from t=4 to t=10.
+
+    ``mitigation=False`` makes quarantine permanent (no probation).
+    """
+    config = replace(
+        default_engine_config(),
+        faults=cell_outage_plan(seed=29, start=4.0, end=10.0),
+        resilience=default_resilience_config(probation=mitigation),
+    )
+    engine = CraqrEngine(config, build_stationary_world(sensor_count=240, seed=19))
     engine.execute(OUTAGE_QUERY)
+    return engine
+
+
+def run_outage(*, mitigation, batches=24):
+    engine = outage_engine(mitigation=mitigation)
     delivered = []
     for _ in range(batches):
         report = engine.run_batch()
@@ -61,9 +81,7 @@ class TestCellOutageRecovery:
         assert summary.released == 0
 
     def test_outage_shortfall_is_fault_attributed(self):
-        scenario = cell_outage_scenario(mitigation=True)
-        engine = CraqrEngine(scenario.config, scenario.world)
-        engine.execute(OUTAGE_QUERY)
+        engine = outage_engine(mitigation=True)
         engine.run(OUTAGE_START_BATCH + 4)  # well inside the dark window
         degraded = engine.degraded_pairs()
         assert degraded  # the dead cells are flagged
@@ -81,9 +99,7 @@ class TestCellOutageRecovery:
         assert any(d.fault_attributed for d in decisions)
 
     def test_sessions_surface_degraded_cells(self):
-        scenario = cell_outage_scenario(mitigation=True)
-        engine = CraqrEngine(scenario.config, scenario.world)
-        engine.execute(OUTAGE_QUERY)
+        engine = outage_engine(mitigation=True)
         engine.run(OUTAGE_START_BATCH + 4)
         (info,) = engine.sessions()
         assert info.degraded_pairs
@@ -94,8 +110,12 @@ class TestCellOutageRecovery:
 
 class TestFlakyCrowdScenario:
     def test_mitigation_holds_rates_within_ten_percent(self):
-        scenario = flaky_crowd_scenario()
-        engine = CraqrEngine(scenario.config, scenario.world)
+        config = replace(
+            default_engine_config(),
+            faults=flaky_crowd_plan(seed=23),
+            resilience=default_resilience_config(),
+        )
+        engine = CraqrEngine(config, build_rain_temperature_world(sensor_count=300, seed=11))
         storm = engine.execute(
             "ACQUIRE rain FROM RECT(0,0,2.5,2.5) AT RATE 8 PER KM2 PER MIN AS Storm"
         )
@@ -120,9 +140,7 @@ class TestFlakyCrowdScenario:
         assert summary.released > 0  # probation keeps the crowd alive
 
     def test_moving_outage_sweeps_columns(self):
-        scenario = cell_outage_scenario(moving=True)
-        assert scenario.name == "cell-outage-moving"
-        outages = scenario.config.faults.outages
+        outages = cell_outage_plan(moving=True).outages
         assert len(outages) > 1
         covered = [outage.cells for outage in outages]
         # Each window blacks out a different column of cells.

@@ -13,7 +13,6 @@ from repro.workloads import (
     overlapping_query_workload,
     random_query_workload,
 )
-from repro.workloads.scenarios import hotspot_scenario, rain_temperature_scenario
 
 GRID = Grid(Rectangle(0, 0, 4, 4), side=4)
 
@@ -90,10 +89,3 @@ class TestScenarios:
         counts = world.density_snapshot(4, 4).astype(float)
         mean = counts.mean()
         assert counts.max() > 2.5 * mean
-
-    def test_scenario_bundles(self):
-        scenario = rain_temperature_scenario(sensor_count=40, seed=4)
-        assert scenario.world.config.sensor_count == 40
-        assert scenario.config.grid_cells == 16
-        hotspot = hotspot_scenario(sensor_count=40, seed=5)
-        assert "hotspot" in hotspot.name
