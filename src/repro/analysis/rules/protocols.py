@@ -19,7 +19,11 @@ rules make partial implementations a lint error at the diff.
   own ``step_batch`` + ``batch_key`` is a finding (the world would ignore
   it), and so is a ``skip_ahead`` that takes an ``rng`` — the pre-pass
   is draw-free by contract, which is what keeps the shared stream's
-  order independent of who gets skipped.
+  order independent of who gets skipped.  Placement is held to the same
+  code: an ``initial_state_batch`` that takes an ``rng`` (a row is placed
+  from its keyed block, never from a generator), and a ``MobilityModel``
+  subclass that still defines the scalar ``initial_state``, which nothing
+  calls since the world places whole groups.
 * ``CRQ203`` — an operator defines ``process_batch`` without
   ``lower_ir`` and without the explicit ``interpreted_fallback = True``
   marker acknowledging that it is not lowered and so only runs in
@@ -36,7 +40,8 @@ from ..project import Project, enclosing_symbol
 from ..registry import rule
 
 CODES = {
-    "CRQ201": "step_batch, batch_key (and a draw-free skip_ahead) go together",
+    "CRQ201": "step_batch, batch_key (and a draw-free skip_ahead) go together; "
+    "placement is initial_state_batch over keyed blocks",
     "CRQ203": "process_batch without lower_ir or interpreted_fallback marker",
 }
 
@@ -60,6 +65,18 @@ def _takes_rng(class_node: ast.ClassDef, method: str) -> bool:
                 arg.arg == "rng"
                 for arg in args.posonlyargs + args.args + args.kwonlyargs
             )
+    return False
+
+
+def _is_mobility_model(project: Project, class_node: ast.ClassDef, seen: Set[str]) -> bool:
+    """Whether ``class_node`` derives from ``MobilityModel``, following base names."""
+    for base in _base_names(class_node) - seen:
+        seen.add(base)
+        if base == "MobilityModel":
+            return True
+        found = project.find_class(base)
+        if found is not None and _is_mobility_model(project, found[1], seen):
+            return True
     return False
 
 
@@ -133,6 +150,20 @@ def check(project: Project, context) -> Iterator[Finding]:
                     "pre-pass must not draw, or the shared stream's order "
                     "would depend on which rows are skipped",
                 )
+
+        if _takes_rng(class_node, "initial_state_batch"):
+            yield finding(
+                "CRQ201",
+                f"{class_node.name}.initial_state_batch takes an rng; a row "
+                "is placed from its keyed placement block, never a generator",
+            )
+        if "initial_state" in methods and _is_mobility_model(project, class_node, set()):
+            yield finding(
+                "CRQ201",
+                f"mobility model {class_node.name} defines the scalar "
+                "initial_state; the world places whole groups through "
+                "initial_state_batch, so it is never called",
+            )
 
         # CRQ203 — operators either compile or declare they don't.
         if (

@@ -99,19 +99,23 @@ class NaivePerQueryEngine:
         query: AcquisitionalQuery,
         duration: float,
     ) -> List[SensorTuple]:
-        """Per-query flattening of one batch of raw tuples to the query rate."""
+        """Per-query flattening of one batch of raw tuples to the query rate.
+
+        The fit runs over the batch window, which starts at the world's
+        clock (the world advances once every query's batch is flattened).
+        """
         in_region = [
             item for item in items if query.region.contains(item.x, item.y, closed=True)
         ]
         if not in_region:
             return []
         batch = EventBatch.from_rows([(it.t, it.x, it.y) for it in in_region])
-        t_min, t_max = batch.time_span()
-        span = max(t_max - t_min, duration)
+        t_start = self._world.now
+        span = max(batch.time_span()[1] - t_start, duration)
         # The engine's estimator rule (FlattenOperator's): a converged
         # maximum-likelihood fit, else the batch's constant empirical rate.
         intensity, _estimator = finish_estimate(
-            begin_mle(batch, query.region, t_min, span)
+            begin_mle(batch, query.region, t_start, span)
         )
         target_expected = query.rate * query.region.area * span
         outcome = flatten_events(batch, intensity, target_expected, rng=self._rng)

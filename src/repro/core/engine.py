@@ -1076,6 +1076,7 @@ class CraqrEngine:
         """
         duration = self._config.batch_duration
         batch = self._batch_index
+        self._planner.open_window(self._world.now)
         attribute_cells = self._planner.attribute_cells()
         batches, handler_report = self._handler.acquire_batches(
             attribute_cells, duration=duration

@@ -490,6 +490,12 @@ class QueryPlanner:
             rows for key, rows in rows_per_cell.items() if key in self._cells
         )
 
+    def open_window(self, t_start: float) -> None:
+        """Open the batch window starting at ``t_start`` on every Flatten operator."""
+        for topology in self._cells.values():
+            for attribute in topology.attributes:
+                topology.chain(attribute).flatten.open_window(t_start)
+
     def flush_all(self) -> None:
         """Flush every materialised cell topology (end of batch)."""
         for topology in self._cells.values():

@@ -257,6 +257,7 @@ class FlattenOperator(PMATOperator):
         self._buffer: List[SensorTuple] = []
         self._reports: List[FlattenBatchReport] = []
         self._history_batches = history_batches
+        self._window_start: Optional[float] = None
         self._online_estimator: Optional[OnlineIntensityEstimator] = None
         if self._online:
             self._online_estimator = OnlineIntensityEstimator(
@@ -311,6 +312,17 @@ class FlattenOperator(PMATOperator):
     def process(self, item: SensorTuple) -> None:
         self._buffer.append(item)
 
+    def open_window(self, t_start: float) -> None:
+        """Fit the batches that follow over the window starting at ``t_start``.
+
+        The engine opens each batch's acquisition window before it
+        fabricates the batch.  Without one the fit starts at the batch's
+        first event, so its window runs past the events at the end only:
+        that tilts the fitted time slope, and Eq. (3) then keeps the
+        batch's early events more often.
+        """
+        self._window_start = float(t_start)
+
     def begin_estimate(self, batch: EventBatch) -> Estimate:
         """First half of choosing the intensity that flattens a batch.
 
@@ -319,17 +331,20 @@ class FlattenOperator(PMATOperator):
         :func:`begin_mle`: a :class:`PendingFit`, or the constant rate of
         a batch too small to fit.  :func:`finish_estimate` is the second
         half; its name is what :attr:`FlattenBatchReport.estimator`
-        records.
+        records.  Fits run over the window :meth:`open_window` opened, at
+        least ``batch_duration`` long.
         """
         if self._intensity is not None:
             return self._intensity, "given"
-        t_min, t_max = batch.time_span()
+        t_start, t_max = batch.time_span()
+        if self._window_start is not None:
+            t_start = self._window_start
         if self._online and self._online_estimator is not None:
             # Anchor the SGD compensator at the batch's own window: without
             # it the per-event gradient integrated the basis over
             # [0, window_duration] forever while event times grew, biasing
             # theta_t more and more as simulation time advanced.
-            self._online_estimator.observe_batch_fused(batch, window_start=t_min)
+            self._online_estimator.observe_batch_fused(batch, window_start=t_start)
             # Until the online estimate has warmed up — or when it diverged
             # to a non-finite theta — fall back to MLE below.
             if self._online_estimator.updates >= 2 * self._min_batch_for_fit:
@@ -339,8 +354,8 @@ class FlattenOperator(PMATOperator):
         return begin_mle(
             batch,
             self.region,
-            t_min,
-            max(t_max - t_min, self._batch_duration),
+            t_start,
+            max(t_max - t_start, self._batch_duration),
             self._min_batch_for_fit,
         )
 

@@ -10,6 +10,10 @@ updates the ``quarantined`` mask:
 * a sensor whose reliability falls below the failure threshold (after
   enough lifetime requests) is quarantined — it disappears from candidate
   populations via the mask the handler ANDs into its bucketing pass;
+* so is a sensor that left its last ``min_requests`` requests unanswered:
+  the EWMA moves once per round, so a sensor that went silent but is
+  asked in only a few rounds would otherwise stay above the threshold
+  however many of its requests it ignores;
 * a sensor whose numeric readings repeat ``stuck_repeats`` times in a row
   is quarantined as stuck (server-side detection — the monitor never peeks
   at the injector's designations);
@@ -58,6 +62,7 @@ class SensorHealthMonitor:
         self._round_requests = np.zeros(count, dtype=np.int64)
         self._round_accepted = np.zeros(count, dtype=np.int64)
         self._lifetime_requests = np.zeros(count, dtype=np.int64)
+        self._unanswered = np.zeros(count, dtype=np.int64)
         self._release_round = np.zeros(count, dtype=np.int64)
         self._probation = np.zeros(count, dtype=bool)
         self._stuck_last: Dict[str, np.ndarray] = {}
@@ -127,6 +132,10 @@ class SensorHealthMonitor:
                 + config.ewma_alpha * ratio
             )
             self._lifetime_requests += requests
+            # Consecutive unanswered requests: a round with an answer resets.
+            silent = contacted & (self._round_accepted == 0)
+            self._unanswered[silent] += requests[silent]
+            self._unanswered[contacted & ~silent] = 0
         self._round += 1
 
         quarantined = state.quarantined
@@ -145,8 +154,13 @@ class SensorHealthMonitor:
         failing = (
             contacted
             & ~quarantined
-            & (state.reliability < config.failure_threshold)
-            & (self._lifetime_requests >= config.min_requests)
+            & (
+                (
+                    (state.reliability < config.failure_threshold)
+                    & (self._lifetime_requests >= config.min_requests)
+                )
+                | (self._unanswered >= config.min_requests)
+            )
         )
         if failing.any():
             self._quarantine(failing)
@@ -174,6 +188,7 @@ class SensorHealthMonitor:
     def _quarantine(self, mask: np.ndarray) -> None:
         self._state.quarantined[mask] = True
         self._probation[mask] = False
+        self._unanswered[mask] = 0
         self._release_round[mask] = self._round + self._config.quarantine_batches
 
     # ------------------------------------------------------------------

@@ -189,7 +189,8 @@ class HealthConfig:
     contacted sensor into a reliability EWMA column of the SoA
     (:attr:`repro.sensing.SensorStateArrays.reliability`).  Sensors whose
     reliability falls below ``failure_threshold`` (after at least
-    ``min_requests`` lifetime requests), or whose numeric readings repeat
+    ``min_requests`` lifetime requests), that left their last
+    ``min_requests`` requests unanswered, or whose numeric readings repeat
     ``stuck_repeats`` times in a row, are quarantined out of the candidate
     populations.  After ``quarantine_batches`` rounds a quarantined sensor
     is re-admitted *on probation* (reliability reset to

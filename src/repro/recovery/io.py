@@ -61,8 +61,11 @@ MAGIC = b"CRQRCKPT"
 #: retained chunks are one columnar block per layout, not one reduced
 #: ``TupleBatch`` each — bounding the Flatten report history by
 #: ``retention_batches`` changes what is captured, not what a restored
-#: engine computes).
-FORMAT_VERSION = 10
+#: engine computes; 11: sensors are placed from keyed blocks and the world
+#: keeps one model object per group, row-to-group codes and no sensor
+#: views — the sensor class is gone from the payload, and a restored world
+#: was placed elsewhere than the build that wrote a version-10 file).
+FORMAT_VERSION = 11
 
 #: Header layout after the magic: version (u32), payload length (u64),
 #: SHA-256 digest (32 bytes), all little-endian.

@@ -14,13 +14,15 @@ Centralising the fallback here keeps it auditable: craqr-lint
 seeded engine can be shown — statically — to never touch OS entropy or
 a global stream.
 
-The second kind of stream lives here too: a *counter-based* one.  A strict
-sensor's answer to its ``c``-th request, and its ``c``-th movement draw, are
-pure functions of ``(key, sensor id, c)`` — one Philox4x64-10 block each
-(Salmon, Moraes, Dror & Shaw, "Parallel Random Numbers: As Easy as 1, 2,
-3", SC'11) at counter ``(c, purpose, 0, 0)``, where the second word
-separates the :data:`ANSWERS` stream from the :data:`MOVEMENT` one — so they
-carry no generator state and any set of sensors draws in one numpy call.
+The second kind of stream lives here too: a *counter-based* one.  A
+sensor's placement, a strict sensor's answer to its ``c``-th request and its
+``c``-th movement draw are pure functions of ``(key, sensor id, c)`` — one
+Philox4x64-10 block each (Salmon, Moraes, Dror & Shaw, "Parallel Random
+Numbers: As Easy as 1, 2, 3", SC'11) at counter ``(c, purpose, 0, 0)``,
+where the second word separates the :data:`ANSWERS`, :data:`MOVEMENT` and
+:data:`PLACEMENT` streams (placement is block 0 of its stream, under both
+RNG contracts) — so they carry no generator state and any set of sensors
+draws in one numpy call.
 numpy's own ``np.random.Philox`` holds one key per object; :func:`philox4x64`
 is the same bijection written over ``uint64`` arrays, one key and counter
 per element, and equals ``np.random.Philox(key=k, counter=c).random_raw(4)``
@@ -38,12 +40,13 @@ from .errors import CraqrError
 
 __all__ = [
     "ensure_rng", "check_seed", "derive_key", "philox4x64", "keyed_uniforms", "ANSWERS",
-    "MOVEMENT",
+    "MOVEMENT", "PLACEMENT",
 ]
 
 #: Counter word 1 of a keyed block: what the block is drawn for.
 ANSWERS = 0
 MOVEMENT = 1
+PLACEMENT = 2
 
 
 def ensure_rng(
@@ -148,9 +151,10 @@ def keyed_uniforms(
     """The four ``[0, 1)`` uniforms of block ``counters[i]`` of stream ``ids[i]``.
 
     Stream ``i`` is keyed ``(key, ids[i])`` and drawn at counter
-    ``(counters[i], purpose, 0, 0)`` — ``purpose`` is :data:`ANSWERS` or
-    :data:`MOVEMENT`; row ``j`` of the ``(4, n)`` result is the block's word
-    ``j`` converted as ``Generator.random`` converts.
+    ``(counters[i], purpose, 0, 0)`` — ``purpose`` is :data:`ANSWERS`,
+    :data:`MOVEMENT` or :data:`PLACEMENT`; row ``j`` of the ``(4, n)``
+    result is the block's word ``j`` converted as ``Generator.random``
+    converts.
     """
     ids = np.asarray(ids, dtype=np.uint64)
     words = philox4x64(

@@ -249,13 +249,15 @@ class _PerSensorStreams:
         overwritten there.  Plain floats reach ``decide``, as they reach it
         from :meth:`~repro.sensing.MobileSensor.handle_request`.
         """
-        sensors = self._world.sensors_at(rows[visit])
-        for k, sensor, t, boost, u_respond, u_latency in zip(
-            visit.tolist(), sensors, request_times[visit].tolist(),
-            multipliers[visit].tolist(), u[0, visit].tolist(), u[1, visit].tolist(),
+        visited = rows[visit]
+        for k, model, sensor_id, t, boost, u_respond, u_latency in zip(
+            visit.tolist(), self._world.participation_at(visited),
+            self._world.state_arrays.sensor_ids[visited].tolist(),
+            request_times[visit].tolist(), multipliers[visit].tolist(),
+            u[0, visit].tolist(), u[1, visit].tolist(),
         ):
-            decision = sensor.participation.decide(
-                sensor.sensor_id, t, (u_respond, u_latency), incentive_multiplier=boost
+            decision = model.decide(
+                sensor_id, t, (u_respond, u_latency), incentive_multiplier=boost
             )
             responded[k] = decision.responds
             latencies[k] = decision.latency
@@ -640,11 +642,15 @@ class RequestResponseHandler:
         fixed function of the wave, and drop/timeout accounting lives in
         exactly one place.
 
-        Returns ``(accepted, response_times, accepted_values)``:
-        ``accepted`` is a boolean per request, the other two align with the
-        accepted responses in request order.  Response timestamps include
-        injected clock skew, clamped to the batch-window start so no tuple
-        predates its window (the views layer's frame contract).
+        Returns ``(accepted, times, accepted_values)``: ``accepted`` is a
+        boolean per request, the other two align with the accepted
+        responses in request order.  A tuple is stamped with its sensing
+        time — the request time, at which the value was sensed and the
+        position read — so a batch owns exactly the answers to its own
+        requests and none spills past its window; latency only decides the
+        deadline.  Injected clock skew shifts the stamp, clamped to the
+        batch-window start so no tuple predates its window (the views
+        layer's frame contract).
         """
         resp_index = np.nonzero(responded)[0]
         dropped = np.zeros(resp_index.size, dtype=bool)
@@ -681,7 +687,7 @@ class RequestResponseHandler:
         keep = ~dropped
         if dropped.any():
             accepted[resp_index[dropped]] = False
-        times = request_times[resp_index[keep]] + np.asarray(latencies)[keep]
+        times = request_times[resp_index[keep]]
         if skew is not None:
             times = np.maximum(times + skew[keep], self._world.now)
         accepted_values = np.asarray(values)[keep]

@@ -14,9 +14,14 @@ A model moves sensors one way only: ``step_batch(arrays, indices, dt,
 draws)`` advances a group of rows at once as masked array operations over
 a :class:`~repro.sensing.state.SensorStateArrays`, and ``batch_key()``
 names the group.  Both are abstract on :class:`MobilityModel`; a model
-that lacks either cannot be constructed.  ``initial_state(rng)`` only
-*places* a sensor.  The kernel runs under both RNG contracts, which differ
-only in the draw policy ``draws``:
+that lacks either cannot be constructed.  A third kernel,
+``initial_state_batch(arrays, sel, block)``, *places* a group's rows, once,
+from one keyed block per row (:func:`place_groups`: block 0 of the stream
+keyed ``(world.acquisition_key, sensor id)`` with counter word 1 =
+:data:`~repro.rng.PLACEMENT`, under both RNG contracts, so a sensor's place
+depends on the seed and its id only); the base class places uniformly.  The
+movement kernel runs under both RNG contracts, which differ only in the
+draw policy ``draws``:
 
 * :class:`SharedDraws` (fast-sim) wraps the world's one generator and
   makes each draw as one call of it, in the kernels' step-major order —
@@ -95,14 +100,13 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import CraqrError
 from ..geometry import Rectangle
-from ..rng import MOVEMENT, keyed_uniforms
+from ..rng import MOVEMENT, PLACEMENT, keyed_uniforms
 from .state import SensorStateArrays
 
 #: Distances below this are treated as "already at the target".
@@ -286,23 +290,23 @@ def _as_selector(indices) -> Tuple[RowSelector, bool]:
     return np.asarray(indices, dtype=np.int64), True
 
 
-@dataclass
-class MobilityState:
-    """A sensor's placement: what :meth:`MobilityModel.initial_state` returns.
+def place_groups(
+    arrays: SensorStateArrays, groups: Sequence[Tuple[MobilityModel, RowSelector]], key: int
+) -> None:
+    """Place every row of ``groups`` from its keyed placement block, in one draw.
 
-    The sensor copies it into its SoA row
-    (:meth:`~repro.sensing.state.SensorStateArrays.load_mobility_state`,
-    ``None`` targets becoming NaN) and keeps nothing of it; from then on the
-    row is the state and ``step_batch`` moves it.
+    Row ``i`` takes block 0 of the stream keyed ``(key, sensor_ids[i])``
+    with counter word 1 = :data:`~repro.rng.PLACEMENT` — one
+    :func:`~repro.rng.keyed_uniforms` call over all of ``arrays`` — and its
+    group's :meth:`MobilityModel.initial_state_batch` turns the block into
+    its place.  No generator is drawn from, so a row lands where it lands in
+    any crowd, group or RNG contract.  The rows must be fresh (every
+    movement column at its :class:`~repro.sensing.state.SensorStateArrays`
+    default).
     """
-
-    x: float
-    y: float
-    vx: float = 0.0
-    vy: float = 0.0
-    target_x: Optional[float] = None
-    target_y: Optional[float] = None
-    pause_remaining: float = 0.0
+    u = keyed_uniforms(key, arrays.sensor_ids, 0, PLACEMENT)
+    for model, sel in groups:
+        model.initial_state_batch(arrays, sel, _BlockRows(u[:, sel]))
 
 
 class MobilityModel(ABC):
@@ -316,12 +320,19 @@ class MobilityModel(ABC):
         """The world rectangle sensors move in."""
         return self._region
 
-    def initial_state(self, rng: np.random.Generator) -> MobilityState:
-        """Place the sensor uniformly at random in the region."""
-        return MobilityState(
-            x=float(rng.uniform(self._region.x_min, self._region.x_max)),
-            y=float(rng.uniform(self._region.y_min, self._region.y_max)),
-        )
+    def initial_state_batch(
+        self, arrays: SensorStateArrays, sel: RowSelector, block
+    ) -> None:
+        """Place the fresh rows ``sel`` uniformly in the region.
+
+        ``block`` holds one keyed block per row (see :func:`place_groups`),
+        read by word like a step's draws: words 0/1 are the two
+        coordinates.  An override may use words 2/3 and write any movement
+        column; the rest of a fresh row is at rest, without a target.
+        """
+        region = self._region
+        arrays.x[sel] = block.uniform(0, region.x_min, region.x_max)
+        arrays.y[sel] = block.uniform(1, region.y_min, region.y_max)
 
     @abstractmethod
     def batch_key(self) -> Hashable:
@@ -429,10 +440,10 @@ class RandomWaypointMobility(MobilityModel):
         pause: float = 0.5,
     ) -> None:
         super().__init__(region)
-        if speed <= 0:
-            raise CraqrError("speed must be positive")
-        if pause < 0:
-            raise CraqrError("pause must be non-negative")
+        if not 0 < speed < math.inf:
+            raise CraqrError("speed must be positive and finite")
+        if not 0 <= pause < math.inf:
+            raise CraqrError("pause must be non-negative and finite")
         self._speed = speed
         self._pause = pause
 
@@ -546,10 +557,10 @@ class HotspotMobility(MobilityModel):
         if not hotspots:
             raise CraqrError("hotspot mobility needs at least one hotspot")
         for spot in hotspots:
-            if len(spot) != 3 or spot[2] <= 0:
-                raise CraqrError("hotspots must be (x, y, weight>0) triples")
-        if speed <= 0 or jitter < 0:
-            raise CraqrError("speed must be positive and jitter non-negative")
+            if len(spot) != 3 or not all(map(math.isfinite, spot)) or not spot[2] > 0:
+                raise CraqrError("hotspots must be finite (x, y, weight>0) triples")
+        if not (0 < speed < math.inf and 0 <= jitter < math.inf):
+            raise CraqrError("speed must be positive and jitter non-negative, both finite")
         if not 0 <= switch_probability <= 1:
             raise CraqrError("switch_probability must be in [0, 1]")
         self._hotspots = [(float(x), float(y), float(w)) for x, y, w in hotspots]
@@ -561,11 +572,12 @@ class HotspotMobility(MobilityModel):
         self._jitter = jitter
         self._switch_probability = switch_probability
 
-    def initial_state(self, rng: np.random.Generator) -> MobilityState:
-        state = super().initial_state(rng)
-        index = int(rng.choice(len(self._hotspots), p=self._weights))
-        state.target_x, state.target_y, _ = self._hotspots[index]
-        return state
+    def initial_state_batch(self, arrays, sel, block) -> None:
+        """Uniform, as the base class places; word 2 picks each row's hotspot."""
+        super().initial_state_batch(arrays, sel, block)
+        choice = block.choice(2, slice(None), self._weights)
+        arrays.target_x[sel] = self._hotspot_xs[choice]
+        arrays.target_y[sel] = self._hotspot_ys[choice]
 
     def batch_key(self) -> Hashable:
         return self._kernel_key(

@@ -101,10 +101,12 @@ class ParticipationModel(ABC):
         scale the probability at all — or ``None`` when the model's
         decisions depend on mutable per-request state (fatigue, externally
         updated distances).  These parameters are copied into the world's
-        :class:`~repro.sensing.state.SensorStateArrays` columns at sensor
-        construction: a strict wave decides every such row in one pass over
-        its keyed uniforms (what the default :meth:`decide` computes per
-        request), and fast-sim samples them from the shared stream.  Rows
+        :class:`~repro.sensing.state.SensorStateArrays` columns when the
+        world is built, once per ``(type, vector_params)`` group (the world
+        keeps only the group's first model): a strict wave decides every
+        such row in one pass over its keyed uniforms (what the default
+        :meth:`decide` computes per request), and fast-sim samples them
+        from the shared stream.  Rows
         without them are decided by :meth:`decide`, one request at a time
         in each sensor's request order, under both RNG contracts: the model
         keeps its per-sensor state itself.

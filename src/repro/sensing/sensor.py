@@ -12,12 +12,14 @@ the server, whose result buffers (:class:`~repro.storage.QueryResultBuffer`)
 hold what queries receive.  Nothing on the server ever reads a device's
 local store, so sensors here keep none.
 
-A sensor carries no generator state either: each request is answered, and
-each movement draw made, from a counter-based (keyed) stream, so what a
-sensor answers depends on how many requests it has received and where it
-goes on how many movement blocks it has drawn — never on which other
-sensors were asked or moved before it.  Its model moves it through the
-model's kernel, ``step_batch``, on the sensor's one-row slice of the SoA.
+A sensor carries no generator state either: it is placed, each request is
+answered and each movement draw made from a counter-based (keyed) stream,
+so where it starts depends on its id alone, what it answers on how many
+requests it has received and where it goes on how many movement blocks it
+has drawn — never on which other sensors were placed, asked or moved
+before it.  Its model places and moves it through the model's kernels,
+``initial_state_batch`` and ``step_batch``, on the sensor's one-row slice
+of the SoA.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 
 from ..errors import AcquisitionError
 from ..geometry import SpacePoint
-from ..rng import ANSWERS, ensure_rng, keyed_uniforms
-from .mobility import KeyedDraws, MobilityModel, movement_substeps
+from ..rng import ANSWERS, keyed_uniforms
+from .mobility import KeyedDraws, MobilityModel, movement_substeps, place_groups
 from .participation import AlwaysRespond, ParticipationModel, ResponseDecision
 from .phenomena import PhenomenonField
 from .state import SensorStateArrays
@@ -57,18 +59,21 @@ class MobileSensor:
     A sensor's mutable state (position, velocity, waypoint target, request
     counters, participation parameters) lives in a
     :class:`~repro.sensing.state.SensorStateArrays` row; the sensor object is
-    a lazy view over that row.  A :class:`~repro.sensing.SensingWorld` shares
-    one SoA across its whole crowd so batch kernels can advance every sensor
-    at once; a standalone sensor allocates a private single-row SoA, so both
-    construction styles behave identically.
+    a lazy view over that row.  A :class:`~repro.sensing.SensingWorld` keeps
+    one SoA for its whole crowd, already placed, and builds a view over a
+    row (``state_arrays`` and ``index``) when asked for one; such a view
+    writes nothing when built.  A standalone sensor allocates a private
+    single-row SoA and places itself in it, so both construction styles
+    behave identically.
 
-    Both kinds of randomness come from one key: the answer to the sensor's
-    ``c``-th request is the Philox block keyed ``(acquisition_key,
-    sensor_id)`` at counter ``(c, ANSWERS, 0, 0)``, and its ``c``-th movement
-    block is at ``(c, MOVEMENT, 0, 0)`` (:func:`repro.rng.keyed_uniforms`).
-    A world passes its :attr:`~repro.sensing.SensingWorld.acquisition_key`;
-    a standalone sensor's key defaults to 0.  The generator ``rng`` only
-    places the sensor (``mobility.initial_state``); it is not kept.
+    Every kind of randomness comes from one key: the sensor is placed from
+    the Philox block keyed ``(acquisition_key, sensor_id)`` at counter
+    ``(0, PLACEMENT, 0, 0)``, the answer to its ``c``-th request is the block
+    at ``(c, ANSWERS, 0, 0)`` and its ``c``-th movement block the one at
+    ``(c, MOVEMENT, 0, 0)`` (:func:`repro.rng.keyed_uniforms`).  A world
+    passes its :attr:`~repro.sensing.SensingWorld.acquisition_key`; a
+    standalone sensor's key defaults to 0, and given the world's key it
+    starts where the world places that id.
     """
 
     def __init__(
@@ -77,7 +82,6 @@ class MobileSensor:
         mobility: MobilityModel,
         *,
         participation: Optional[ParticipationModel] = None,
-        rng: Optional[np.random.Generator] = None,
         state_arrays: Optional[SensorStateArrays] = None,
         index: Optional[int] = None,
         acquisition_key: int = 0,
@@ -94,19 +98,17 @@ class MobileSensor:
                 )
             state_arrays = SensorStateArrays(1)
             index = 0
+            state_arrays.sensor_ids[0] = sensor_id
+            state_arrays.set_participation(
+                np.zeros(1, dtype=np.intp), [self._participation.vector_params()]
+            )
+            place_groups(state_arrays, [(mobility, slice(0, 1))], acquisition_key)
         elif index is None:
             raise AcquisitionError(
                 "index is required when binding to a shared SensorStateArrays"
             )
         self._arrays = state_arrays
         self._index = index
-        # Draw the initial placement exactly as the per-object path did,
-        # then copy it into the SoA row the sensor views from now on; the
-        # generator and the placement record are dropped here.
-        placement = mobility.initial_state(ensure_rng(rng))
-        state_arrays.load_mobility_state(index, placement)
-        state_arrays.sensor_ids[index] = sensor_id
-        state_arrays.set_participation(index, self._participation.vector_params())
 
     # ------------------------------------------------------------------
     @property

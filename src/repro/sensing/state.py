@@ -14,16 +14,18 @@ state as numpy columns so that
   cell population using the per-sensor participation parameter columns.
 
 :class:`MobileSensor` objects remain the public per-sensor API, but each one
-is a lazy *view* over its SoA row: it reads its position from the columns
-and moves by running its model's kernel on its one-row slice.  A model's
-placement (:class:`~repro.sensing.mobility.MobilityState`) is copied into
-the row once, by :meth:`SensorStateArrays.load_mobility_state`, with a
-``None`` target stored as NaN.
+is a lazy *view* over its SoA row, built when asked for: it reads its
+position from the columns and moves by running its model's kernel on its
+one-row slice.  Rows are placed in place, a model group at a time, by
+:meth:`~repro.sensing.mobility.MobilityModel.initial_state_batch` from one
+keyed block per row (:func:`~repro.sensing.mobility.place_groups`), and the
+participation columns are written once per participation group
+(:meth:`SensorStateArrays.set_participation`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,29 +102,28 @@ class SensorStateArrays:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def load_mobility_state(self, index: int, state) -> None:
-        """Copy a freshly initialised ``MobilityState`` into row ``index``."""
-        self.x[index] = state.x
-        self.y[index] = state.y
-        self.vx[index] = state.vx
-        self.vy[index] = state.vy
-        self.target_x[index] = np.nan if state.target_x is None else state.target_x
-        self.target_y[index] = np.nan if state.target_y is None else state.target_y
-        self.pause_remaining[index] = state.pause_remaining
-
     def set_participation(
-        self, index: int, params: Optional[Tuple[float, float, float, bool]]
+        self,
+        groups: np.ndarray,
+        params: Sequence[Optional[Tuple[float, float, float, bool]]],
     ) -> None:
-        """Record a row's participation parameters (``None`` = not vectorisable)."""
-        if params is None:
-            self.vector_participation[index] = False
+        """Write the participation columns: row ``i`` takes ``params[groups[i]]``.
+
+        ``params`` holds one ``vector_params()`` per participation group;
+        the rows of a ``None`` group (not vectorisable) keep the columns'
+        defaults, ``vector_participation`` False among them.
+        """
+        codes = [code for code, group in enumerate(params) if group is not None]
+        if not codes:
             return
-        p_base, p_max, latency_mean, incentive_sensitive = params
-        self.p_base[index] = p_base
-        self.p_max[index] = p_max
-        self.latency_mean[index] = latency_mean
-        self.incentive_sensitive[index] = incentive_sensitive
-        self.vector_participation[index] = True
+        slot = np.full(len(params), -1)
+        slot[codes] = np.arange(len(codes))
+        slot = slot[groups]
+        rows = slot >= 0
+        table = np.array([params[code] for code in codes], dtype=np.float64)[slot[rows]]
+        self.p_base[rows], self.p_max[rows], self.latency_mean[rows] = table[:, :3].T
+        self.incentive_sensitive[rows] = table[:, 3] != 0.0
+        self.vector_participation[rows] = True
 
     def take_movement(self, rows: np.ndarray) -> "SensorStateArrays":
         """A compact copy of ``rows``: the movement columns and ``sensor_ids`` only.

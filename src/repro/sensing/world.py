@@ -8,9 +8,16 @@ currently inside a grid cell and forwards acquisition requests to them.
 
 All per-sensor mutable state lives in one
 :class:`~repro.sensing.state.SensorStateArrays` struct-of-arrays owned by
-the world; :class:`MobileSensor` objects are lazy views over its rows.
-Spatial queries (``sensors_in``, ``density_snapshot``, ``sensor_positions``)
-are therefore plain array operations in every mode.  Movement runs one way,
+the world, and the models are kept once per group: the first mobility
+model of each ``batch_key``, the first stationary participation model of
+each ``(type, vector_params)`` (a stateful one stays the object its factory
+returned), each row holding its groups' codes.  Every sensor is placed from
+its own keyed block in one draw for the whole crowd
+(:func:`~repro.sensing.mobility.place_groups`); no generator is built or
+drawn from.  :class:`MobileSensor` objects are lazy views over the rows,
+built when asked for and never stored.  Spatial queries (``sensors_in``,
+``density_snapshot``, ``sensor_positions``) are therefore plain array
+operations in every mode.  Movement runs one way,
 in both modes and for every sensor — each model group's draw-free
 ``skip_ahead``, then one vectorised ``step_batch`` kernel call per group per
 movement sub-step over the rows it left, gathered once per ``advance`` into
@@ -43,8 +50,10 @@ where the draws come from, the RNG contract selected by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from numbers import Integral
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,8 +68,9 @@ from .mobility import (
     RowSelector,
     SharedDraws,
     movement_substeps,
+    place_groups,
 )
-from .participation import ParticipationModel
+from .participation import AlwaysRespond, ParticipationModel
 from .phenomena import PhenomenonField
 from .sensor import MobileSensor
 from .state import SensorStateArrays
@@ -75,7 +85,7 @@ class WorldConfig:
     region:
         The rectangular world region ``R``.
     sensor_count:
-        Number of mobile sensors to create.
+        Number of mobile sensors to create (a positive integer, not a bool).
     seed:
         Seed of the world's random generator.
     movement_step:
@@ -84,7 +94,7 @@ class WorldConfig:
         step drawn).  Nothing observes the world between sub-steps, so a
         sensor with no event in the window — a waypoint walker still short
         of its target — is moved once for the whole ``advance`` rather than
-        once per ``movement_step``.
+        once per ``movement_step``.  Positive and finite.
     vectorized_rng:
         Selects the fast-sim RNG contract: one shared random stream across
         all sensors, drawn by the batch mobility kernels and by the
@@ -103,10 +113,11 @@ class WorldConfig:
 
     def __post_init__(self) -> None:
         check_seed(self.seed, "the world")
-        if self.sensor_count <= 0:
-            raise CraqrError("sensor_count must be positive")
-        if self.movement_step <= 0:
-            raise CraqrError("movement_step must be positive")
+        count = self.sensor_count
+        if isinstance(count, bool) or not isinstance(count, Integral) or count <= 0:
+            raise CraqrError(f"sensor_count must be a positive integer, got {count!r}")
+        if not 0 < self.movement_step < math.inf:
+            raise CraqrError("movement_step must be positive and finite")
 
 
 def _compact_groups(
@@ -137,12 +148,12 @@ def _compact_groups(
     return rows, compact, steps
 
 
-def _row_selector(indices: List[int]) -> RowSelector:
-    """A ``slice`` for a contiguous ascending run of rows, else an int64 array."""
-    first, last = indices[0], indices[-1]
-    if last - first + 1 == len(indices):
+def _row_selector(rows: np.ndarray) -> RowSelector:
+    """A ``slice`` for a contiguous ascending run of rows, else the int64 array."""
+    first, last = int(rows[0]), int(rows[-1])
+    if last - first + 1 == len(rows):
         return slice(first, last + 1)
-    return np.asarray(indices, dtype=np.int64)
+    return rows.astype(np.int64, copy=False)
 
 
 class SensingWorld:
@@ -157,48 +168,44 @@ class SensingWorld:
     ) -> None:
         self._config = config
         self._rng = np.random.default_rng(config.seed)
-        # Drawn from no generator: fast-sim consumes the world stream
-        # exactly as it did before strict answers and moves were keyed.
+        # Drawn from no generator: the world stream is the handler's and
+        # fast-sim movement's alone.
         self._acquisition_key = derive_key(config.seed)
         self._clock = SimulationClock()
         mobility_factory = mobility_factory or (lambda region: RandomWaypointMobility(region))
-        self._state = SensorStateArrays(config.sensor_count)
-        self._sensors: List[MobileSensor] = []
+        always = AlwaysRespond()
+        # Both factories are still called once per sensor, in id order, but
+        # only the first model of each group is kept: key -> (code, model).
+        mobility: Dict[Hashable, Tuple[int, MobilityModel]] = {}
+        participation: Dict[Hashable, Tuple[int, ParticipationModel]] = {}
+        mobility_codes, participation_codes = [], []
         for sensor_id in range(config.sensor_count):
-            mobility = mobility_factory(config.region)
-            participation = participation_factory(sensor_id) if participation_factory else None
-            sensor_rng = np.random.default_rng(self._rng.integers(0, 2 ** 63 - 1))
-            self._sensors.append(
-                MobileSensor(
-                    sensor_id,
-                    mobility,
-                    participation=participation,
-                    rng=sensor_rng,
-                    state_arrays=self._state,
-                    index=sensor_id,
-                    acquisition_key=self._acquisition_key,
-                )
-            )
-        self._mobility_groups = self._group_mobility_models()
+            model = mobility_factory(config.region)
+            code, _ = mobility.setdefault(model.batch_key(), (len(mobility), model))
+            mobility_codes.append(code)
+            model = participation_factory(sensor_id) if participation_factory else always
+            params = model.vector_params()
+            key = id(model) if params is None else (type(model), params)
+            code, _ = participation.setdefault(key, (len(participation), model))
+            participation_codes.append(code)
+        state = self._state = SensorStateArrays(config.sensor_count)
+        state.sensor_ids[:] = np.arange(config.sensor_count)
+        self._participation_models = [model for _, model in participation.values()]
+        self._participation_codes = np.array(participation_codes, dtype=np.int32)
+        state.set_participation(
+            self._participation_codes, [m.vector_params() for m in self._participation_models]
+        )
+        # Each group's ascending rows resolve once to the *row selector* its
+        # kernels receive: a ``slice`` when contiguous (every single-model
+        # crowd), so they work on views of the columns; the int64 index
+        # array otherwise (interleaved groups of a mixed crowd).
+        self._mobility_codes = codes = np.array(mobility_codes, dtype=np.int32)
+        rows = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
+        self._mobility_groups: List[Tuple[MobilityModel, RowSelector]] = [
+            (model, _row_selector(group)) for (_, model), group in zip(mobility.values(), rows)
+        ]
+        place_groups(state, self._mobility_groups, self._acquisition_key)
         self._fields: Dict[str, PhenomenonField] = {}
-
-    def _group_mobility_models(self) -> List[Tuple[MobilityModel, RowSelector]]:
-        """Bucket sensors by their model's ``batch_key`` for kernel dispatch.
-
-        Each group's ascending row indices are resolved once to the *row
-        selector* its ``step_batch`` kernel receives: a ``slice`` when the
-        rows are contiguous (every single-model crowd), so the kernel works
-        on views of the SoA columns; the int64 index array otherwise
-        (interleaved groups of a mixed crowd).
-        """
-        keyed: Dict[object, Tuple[MobilityModel, List[int]]] = {}
-        for index, sensor in enumerate(self._sensors):
-            key = sensor.mobility.batch_key()
-            if key in keyed:
-                keyed[key][1].append(index)
-            else:
-                keyed[key] = (sensor.mobility, [index])
-        return [(model, _row_selector(indices)) for model, indices in keyed.values()]
 
     # ------------------------------------------------------------------
     @property
@@ -223,8 +230,8 @@ class SensingWorld:
 
     @property
     def sensors(self) -> Sequence[MobileSensor]:
-        """All mobile sensors."""
-        return tuple(self._sensors)
+        """A view of every mobile sensor, in id order, built on each call."""
+        return tuple(self.sensors_at(np.arange(len(self._state))))
 
     @property
     def state_arrays(self) -> SensorStateArrays:
@@ -332,8 +339,27 @@ class SensingWorld:
         return np.nonzero(mask)[0]
 
     def sensors_at(self, indices: np.ndarray) -> List[MobileSensor]:
-        """The sensor views backing the given SoA row indices."""
-        return [self._sensors[int(i)] for i in indices]
+        """Views of the sensors at the given SoA row indices (a row is its id), built now."""
+        return [
+            MobileSensor(
+                i,
+                self._mobility_groups[mobility][0],
+                participation=self._participation_models[participation],
+                state_arrays=self._state,
+                index=i,
+                acquisition_key=self._acquisition_key,
+            )
+            for i, mobility, participation in zip(
+                np.asarray(indices).tolist(),
+                self._mobility_codes[indices].tolist(),
+                self._participation_codes[indices].tolist(),
+            )
+        ]
+
+    def participation_at(self, indices: np.ndarray) -> List[ParticipationModel]:
+        """The participation model of each of the given SoA rows (no view is built)."""
+        models = self._participation_models
+        return [models[code] for code in self._participation_codes[indices].tolist()]
 
     def sensors_in(self, region: Region) -> List[MobileSensor]:
         """Sensors whose current position lies inside ``region``."""

@@ -98,6 +98,71 @@ def test_draw_free_skip_ahead_beside_its_kernel_is_clean(lint):
     assert codes(report) == []
 
 
+def test_initial_state_batch_taking_an_rng_flagged(lint):
+    report = lint(
+        {
+            "mobility.py": """\
+            class DriftMobility(MobilityModel):
+                def initial_state_batch(self, arrays, sel, block, rng):
+                    pass
+            """
+        }
+    )
+    assert codes(report) == ["CRQ201"]
+
+
+def test_scalar_initial_state_on_a_mobility_model_flagged(lint):
+    # Found through the base chain: Drifter -> Walker -> MobilityModel.
+    report = lint(
+        {
+            "models.py": """\
+            class Walker(MobilityModel):
+                def initial_state_batch(self, arrays, sel, block):
+                    pass
+            """,
+            "drift.py": """\
+            class Drifter(Walker):
+                def initial_state(self, rng):
+                    return None
+            """,
+        }
+    )
+    assert codes(report) == ["CRQ201"]
+    assert "Drifter" in report.findings[0].message
+
+
+def test_keyed_placement_kernel_is_clean(lint):
+    # And a class outside the mobility hierarchy may have any initial_state.
+    report = lint(
+        {
+            "mobility.py": """\
+            class DriftMobility(MobilityModel):
+                def initial_state_batch(self, arrays, sel, block):
+                    pass
+
+            class Thermostat:
+                def initial_state(self, rng):
+                    return 20.0
+            """
+        }
+    )
+    assert codes(report) == []
+
+
+def test_inline_suppression_waives_a_scalar_initial_state(lint):
+    report = lint(
+        {
+            "mobility.py": """\
+            class LegacyMobility(MobilityModel):  # craqr: ignore[CRQ201] - migration shim
+                def initial_state(self, rng):
+                    return None
+            """
+        }
+    )
+    assert codes(report) == []
+    assert report.suppressed == 1
+
+
 def test_full_vector_state_protocol_is_clean(lint):
     # Participation models declare no vector-state protocol any more, so no
     # rule asks a model with these methods for a complete set of them.

@@ -148,6 +148,21 @@ class TestFlattenOperator:
         with pytest.raises(StreamError):
             _ = op.discarded_output
 
+    def test_the_fit_runs_over_the_opened_window(self):
+        # Events of the window [5, 6): without an opened window the fit
+        # starts at the first event, 0.2 late, and so runs 0.2 past the
+        # events' end; the opened window is the one they were acquired over.
+        batch = HomogeneousMDPP(200.0, CELL).sample(0.7, t_start=5.2, rng=np.random.default_rng(4))
+        op = FlattenOperator(10.0, region=CELL)
+        pending = op.begin_estimate(batch)
+        assert (pending.t_start, pending.duration) == (batch.t.min(), 1.0)
+        op.open_window(5.0)
+        pending = op.begin_estimate(batch)
+        assert (pending.t_start, pending.duration) == (5.0, 1.0)
+        # A tuple past the window's end (clock skew) stretches it.
+        late = HomogeneousMDPP(200.0, CELL).sample(1.5, t_start=5.0, rng=np.random.default_rng(5))
+        assert op.begin_estimate(late).t_end == late.t.max()
+
     def test_set_target_rate(self):
         op = FlattenOperator(10.0, region=CELL)
         op.set_target_rate(25.0)

@@ -25,9 +25,10 @@ from repro.workloads import (
 #: with no fault subsystem involved.  A fault-free engine must reproduce it
 #: bit for bit.  (Pinned before the fault subsystem existed; re-pinned by
 #: the Newton MLE, from ``e66d8d1a...``, by keyed strict answers in fused
-#: rounds, from ``413174e0...``, and by keyed strict movement through the
-#: kernels, from ``83867ce6...``.)
-GOLDEN_STREAM_HASH = "be12ffa2c7ce56de63dc21d0850703a72ce5f1b80d36c404efe232cc5b303abc"
+#: rounds, from ``413174e0...``, by keyed strict movement through the
+#: kernels, from ``83867ce6...``, and by keyed placement with
+#: sensing-time stamps and batch-window fits, from ``be12ffa2...``.)
+GOLDEN_STREAM_HASH = "9cbe2ce508f452a5dd7511ea20d7af6cdacf9555af1e218972bb0d6a22420a99"
 
 
 def run_reference_engine(*, faults=None, resilience=None):

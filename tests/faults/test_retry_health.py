@@ -210,6 +210,26 @@ class TestQuarantineRoundTrips:
         assert state.quarantined[0]
         assert monitor.summary().released == 0
 
+    def test_a_run_of_unanswered_requests_quarantines_before_the_ewma(self):
+        # The EWMA moves once per round: three silent rounds leave it at
+        # 0.7**3 = 0.343, above the 0.2 threshold, however many requests
+        # went unanswered.  Nine in a row (>= min_requests) quarantine row 0;
+        # row 1 answered one request of round two, which resets its run.
+        config = HealthConfig(min_requests=8, probation=False)
+        state = _SoAShim(4)
+        monitor = SensorHealthMonitor(config, state)
+        for round_, asked in enumerate((1, 3, 5)):
+            rows = np.repeat([0, 1], asked)
+            accepted = np.zeros(rows.size, dtype=bool)
+            if round_ == 1:
+                accepted[-1] = True
+            monitor.observe(rows, accepted)
+            monitor.commit_round()
+            assert state.quarantined[0] == (round_ == 2)
+        assert state.reliability[0] == pytest.approx(0.7**3)
+        assert not state.quarantined[1:].any()
+        assert monitor.summary().quarantine_events == 1
+
     def test_stuck_readings_trigger_quarantine(self):
         state = _SoAShim(4)
         monitor = SensorHealthMonitor(self.CONFIG, state)

@@ -7,6 +7,11 @@ after 3R and after 6R batches.  Every Flatten operator keeps the reports
 of its newest R batches (fewer only while it is younger than that), and
 bounding that history changes nothing the engine computes: budget
 feedback and every batch's deliveries equal an unbounded twin's.
+
+The crowd is pickled as its columns: the pickler meets no ``MobileSensor``
+view and at most one mobility and one participation model per group the
+world keeps (one per stateful participation model), and an engine restored
+from such a payload replays byte-identically.
 """
 
 from __future__ import annotations
@@ -18,9 +23,17 @@ import pickle
 
 import pytest
 
+from repro.recovery import EngineSnapshot
 from repro.recovery.snapshot import _SnapshotPickler
+from repro.sensing import (
+    BernoulliParticipation,
+    FatigueParticipation,
+    MobileSensor,
+    MobilityModel,
+    ParticipationModel,
+)
 
-from recovery_harness import make_engine
+from recovery_harness import engine_digest, make_engine
 
 RETENTION = 4
 
@@ -136,3 +149,58 @@ def test_unbounded_history_keeps_every_report():
     engine = make_engine(faults=False)
     engine.run(3 * RETENTION)
     assert {len(flatten.reports) for flatten in _flattens(engine)} == {3 * RETENTION}
+
+
+class _RecordingPickler(_SnapshotPickler):
+    """The snapshot pickler, keeping every object it reduces (each once: memo)."""
+
+    def __init__(self, file) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.met = []
+
+    def reducer_override(self, obj):
+        self.met.append(obj)
+        return NotImplemented
+
+
+def _met(engine, cls):
+    pickler = _RecordingPickler(io.BytesIO())
+    pickler.dump(engine)
+    return [obj for obj in pickler.met if isinstance(obj, cls)]
+
+
+#: Participation factories: every sensor alike, and one in ten stateful.
+PARTICIPATION = {
+    "bernoulli": None,
+    "mixed-fatigue": lambda sensor_id: (
+        FatigueParticipation(0.7) if sensor_id % 10 == 0
+        else BernoulliParticipation(0.6, mean_latency=0.1)
+    ),
+}
+
+
+@pytest.mark.parametrize("participation", sorted(PARTICIPATION))
+def test_the_crowd_is_pickled_as_its_columns(participation):
+    # The flaky_ckpt shape: strict crowd, every fault class, full mitigation.
+    engine = make_engine(participation=PARTICIPATION[participation])
+    engine.run(3)
+    world = engine.world
+    assert not _met(engine, MobileSensor)
+    mobility = _met(engine, MobilityModel)
+    assert mobility == [model for model, _ in world._mobility_groups] and len(mobility) == 1
+    models = _met(engine, ParticipationModel)
+    assert sorted(map(id, models)) == sorted(map(id, world._participation_models))
+    stationary = [m for m in models if m.vector_params() is not None]
+    assert len(stationary) == 1
+    assert len(models) == (1 if participation == "bernoulli" else 1 + 8)
+
+
+@pytest.mark.parametrize("participation", sorted(PARTICIPATION))
+def test_restore_then_replay_is_byte_identical(participation):
+    engine = make_engine(participation=PARTICIPATION[participation])
+    engine.run(4)
+    restored = EngineSnapshot.from_bytes(EngineSnapshot.capture(engine).to_bytes()).restore()
+    engine.run(4)
+    restored.run(4)
+    assert engine_digest(restored) == engine_digest(engine)
+

@@ -54,8 +54,8 @@ class TestFraming:
         with pytest.raises(RecoveryError, match=f"version {FORMAT_VERSION + 1}"):
             unframe_payload(framed)
 
-    def test_format_version_is_10(self):
-        assert FORMAT_VERSION == 10
+    def test_format_version_is_11(self):
+        assert FORMAT_VERSION == 11
 
     @pytest.mark.parametrize(
         "version",
@@ -88,6 +88,11 @@ class TestFraming:
             # 9: result buffers pickle one reduced ``TupleBatch`` per chunk
             # where this build reads one columnar block per layout.
             9,
+            # 10: the world pickles a ``MobileSensor`` per row and a model
+            # object per sensor, and its crowd was placed from per-sensor
+            # generators: a replay starts the crowd elsewhere; its health
+            # monitor keeps no run of unanswered requests.
+            10,
         ],
     )
     def test_old_checkpoint_is_refused_by_version(self, version):

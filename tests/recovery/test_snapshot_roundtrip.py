@@ -32,18 +32,21 @@ from repro.sensing import FatigueParticipation
 #: closed-form clipping scale); the two strict ones again when strict
 #: sensors began to answer from keyed (Philox) streams in fused per-attribute
 #: rounds, and again when they began to move from keyed streams through the
-#: kernels.  CHANGES.md lists old -> new.
-GOLDEN_STRICT = "cc281e304964dc50053cafec2a487a3a634c9c5e5d08a91928d4879bc0649cef"
+#: kernels.  All four again when every sensor began to be placed from its
+#: keyed placement block, tuples began to be stamped at their sensing time
+#: and Flatten began to fit over the batch window.  CHANGES.md lists
+#: old -> new.
+GOLDEN_STRICT = "b0e85c5ba4b60cc5257b9549f94613500880892e3f0d677accb2ad3778612b3f"
 #: Same workload under shared-stream fast-sim RNG (the fused shared-stream
 #: round).  The two fast-sim digests were re-pinned a second time when
 #: fast-sim ``advance`` began to skip ahead (last bits of the skipped
 #: walkers' positions; every draw unchanged); CHANGES.md, PR 24.
-GOLDEN_FAST_SIM = "86b66f0fd900d9a55a470a927e15301b3b40482ee14c1be1c5892a901329dafa"
+GOLDEN_FAST_SIM = "2717cb0a67cbf0b4dcd878f410bbd1ca1e8f5c0844a1a9c1cd35fddfe9150e8f"
 #: The same two with no ``FaultPlan`` and no mitigation configured.  The
 #: digest is full-precision, so these also guard the wave loop's
-#: ``request + latency`` timestamp arithmetic on healthy runs.
-GOLDEN_STRICT_FAULT_FREE = "33beccaad7447fb68ab7d324b228c9623e32c28477db92485f06eabd4f3930a2"
-GOLDEN_FAST_SIM_FAULT_FREE = "ce32574c82f6c0db4cd2280865654fb3ddf69e7c5c67e8f5ebb528f24fc94a7c"
+#: timestamp arithmetic on healthy runs.
+GOLDEN_STRICT_FAULT_FREE = "03ef8a1e7b96c9c0e1bcae9d07dc0c03a38555819efc95edeefcbadfbc188666"
+GOLDEN_FAST_SIM_FAULT_FREE = "5851e488971513c3929e98b7c11562f01249807a17ccc3c01f519deb1d5e3e68"
 
 
 class TestRestoreContinuesByteIdentical:

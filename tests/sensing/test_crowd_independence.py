@@ -15,8 +15,15 @@ the world generator (strict movement draws nothing from it) and the clock.
 The crowds cover every built-in kernel, a mixed crowd whose groups reach
 the kernels as index arrays, a custom subclass that inherits its parent's
 kernel, and waypoint walkers that ``skip_ahead`` moves in one stride.
+
+Placement follows the same contract under both RNG contracts: a sensor
+starts from block 0 of the stream keyed ``(world.acquisition_key, sensor
+id)`` at counter word 1 = ``PLACEMENT``, so its placement bytes depend on
+(seed, id) only.  The oracle places each row alone, from its block as
+:func:`repro.rng.philox4x64` computes it, by scalar arithmetic.
 """
 
+import bisect
 import io
 import pickle
 import random
@@ -27,8 +34,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Rectangle
 from repro.recovery.snapshot import _SnapshotPickler
+from repro.rng import PLACEMENT, philox4x64
 from repro.sensing import (
     HotspotMobility,
+    MobileSensor,
     RandomWaypointMobility,
     SensingWorld,
     StationaryMobility,
@@ -237,3 +246,124 @@ def test_any_crowd_and_window(mix, count, duration, movement_step, seed):
     # ... and equal to the advance that neither compacts nor prefetches.
     for vectorized in (False, True):
         assert_matches_oracle(build(vectorized), (duration,), calls=4)
+
+
+# -- placement -----------------------------------------------------------------
+
+
+def placement_oracle(model, key, sensor_id):
+    """Row ``sensor_id``'s placement, alone: its PLACEMENT block, scalar arithmetic.
+
+    Words 0/1 place it uniformly in the region; a hotspot walker's word 2
+    picks its target hotspot by the weights' normalised CDF (``bisect_right``,
+    as ``Generator.choice`` turns a uniform into an index).
+    """
+    words = philox4x64((0, PLACEMENT, 0, 0), (key, sensor_id))
+    u = [float(word[0] >> np.uint64(11)) * 2.0 ** -53 for word in words]
+    region = model.region
+    row = dict.fromkeys(COLUMNS, 0.0)
+    row["x"] = region.x_min + (region.x_max - region.x_min) * u[0]
+    row["y"] = region.y_min + (region.y_max - region.y_min) * u[1]
+    row["target_x"] = row["target_y"] = float("nan")
+    if isinstance(model, HotspotMobility):
+        weights = np.array([w for _, _, w in model._hotspots])
+        cdf = np.cumsum(weights / weights.sum())
+        cdf /= cdf[-1]
+        row["target_x"], row["target_y"], _ = model._hotspots[
+            bisect.bisect_right(cdf.tolist(), u[2])
+        ]
+    return row
+
+
+def placement_bytes(arrays, index):
+    return [getattr(arrays, name)[index : index + 1].tobytes() for name in COLUMNS]
+
+
+def oracle_bytes(model, key, sensor_id):
+    row = placement_oracle(model, key, sensor_id)
+    dtypes = {"moves_drawn": np.int64}
+    return [
+        np.array([row[name]], dtype=dtypes.get(name, np.float64)).tobytes()
+        for name in COLUMNS
+    ]
+
+
+@pytest.mark.parametrize(
+    "crowd, count", [("waypoint", 10), ("waypoint", 1000), ("mixed", 1000), ("custom", 30)]
+)
+@pytest.mark.parametrize("vectorized", [False, True], ids=["strict", "fast-sim"])
+def test_each_row_is_placed_from_its_own_block(crowd, count, vectorized):
+    world = SensingWorld(
+        WorldConfig(region=REGION, sensor_count=count, seed=17, vectorized_rng=vectorized),
+        mobility_factory=CROWDS[crowd](),
+    )
+    key = world.acquisition_key
+    for view in world.sensors:
+        index = view.sensor_id
+        assert placement_bytes(world.state_arrays, index) == oracle_bytes(
+            view.mobility, key, index
+        ), index
+    # Placement draws nothing from the world stream, under either contract.
+    fresh = np.random.default_rng(17).bit_generator.state
+    assert world.rng.bit_generator.state == fresh
+
+
+def test_a_sensor_is_placed_alike_in_any_crowd():
+    # A row's placement depends on (seed, id): sensor 7 starts on the same
+    # bytes in a 10-crowd and a 1000-crowd, and in the mixed crowd its
+    # place (its model is a waypoint walker there too) is the same again.
+    small, big = make_world("waypoint", count=10), make_world("waypoint", count=1000)
+    mixed = make_world("mixed", count=1000)
+    for index in range(10):
+        assert placement_bytes(small.state_arrays, index) == placement_bytes(
+            big.state_arrays, index
+        )
+    for index in range(0, 1000, 3):  # the mixed crowd's waypoint rows
+        assert placement_bytes(mixed.state_arrays, index) == placement_bytes(
+            big.state_arrays, index
+        )
+    # ... and a different seed places it elsewhere.
+    other = make_world("waypoint", count=10, seed=18)
+    assert placement_bytes(other.state_arrays, 7) != placement_bytes(small.state_arrays, 7)
+
+
+@pytest.mark.parametrize("crowd", ["mixed", "custom"])
+def test_a_standalone_sensor_given_the_worlds_key_starts_where_the_world_places_it(crowd):
+    world = make_world(crowd)
+    for view in world.sensors:
+        alone = MobileSensor(
+            view.sensor_id, view.mobility, acquisition_key=world.acquisition_key
+        )
+        assert placement_bytes(alone._arrays, 0) == placement_bytes(
+            world.state_arrays, view.sensor_id
+        )
+
+
+def test_building_a_world_constructs_one_generator(monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    world = make_world("mixed", count=200)
+    assert made == [(17,)]
+    assert len(world.sensors) == 200  # views build no generator either
+    assert made == [(17,)]
+
+
+def test_a_world_is_placed_in_one_keyed_call(monkeypatch):
+    import repro.sensing.mobility as mobility
+
+    purposes = []
+    keyed_uniforms = mobility.keyed_uniforms
+
+    def counting(key, ids, counters, purpose):
+        purposes.append((purpose, len(ids)))
+        return keyed_uniforms(key, ids, counters, purpose)
+
+    monkeypatch.setattr(mobility, "keyed_uniforms", counting)
+    make_world("mixed", count=300)
+    assert purposes == [(PLACEMENT, 300)]

@@ -259,13 +259,13 @@ class TestFastSimAcquisition:
             lambda region: pytest.fail("region scan of the crowd"),
         )
         sensors_asked = []
-        sensors_at = world.sensors_at
+        participation_at = world.participation_at
 
-        def recording_sensors_at(rows):
+        def recording_participation_at(rows):
             sensors_asked.extend(rows.tolist())
-            return sensors_at(rows)
+            return participation_at(rows)
 
-        monkeypatch.setattr(world, "sensors_at", recording_sensors_at)
+        monkeypatch.setattr(world, "participation_at", recording_participation_at)
         _, report = handler.acquire_batches({"rain": list(grid.cells())}, duration=1.0)
         assert report.per_cell_requests == {("rain", c.key): 20 for c in grid.cells()}
         # Only the mixed cell's sensors answered one by one.

@@ -9,8 +9,10 @@ from repro.sensing import (
     HotspotMobility,
     MobileSensor,
     RandomWaypointMobility,
+    SensingWorld,
     SimulationClock,
     StationaryMobility,
+    WorldConfig,
 )
 
 REGION = Rectangle(0.0, 0.0, 2.0, 2.0)
@@ -46,24 +48,21 @@ class TestSimulationClock:
 
 
 def run_model(model, steps=200, dt=0.1, seed=0):
-    """A lone sensor's trajectory: placed from ``seed``, moved by the model's kernel."""
-    sensor = MobileSensor(0, model, rng=np.random.default_rng(seed))
+    """A lone sensor's trajectory: placed and moved from key ``seed`` by the model's kernels."""
+    sensor = MobileSensor(0, model, acquisition_key=seed)
     return np.array([tuple(sensor.move(dt)) for _ in range(steps)])
 
 
 class TestMobilityModels:
     def test_initial_state_inside_region(self):
-        rng = np.random.default_rng(1)
         for model_cls in (StationaryMobility, RandomWaypointMobility):
-            model = model_cls(REGION)
-            state = model.initial_state(rng)
-            assert REGION.contains(state.x, state.y, closed=True)
+            for key in range(20):
+                sensor = MobileSensor(key, model_cls(REGION), acquisition_key=key)
+                assert REGION.contains(*sensor.position, closed=True)
 
     def test_stationary_never_moves(self):
         model = StationaryMobility(REGION)
-        rng = np.random.default_rng(2)
-        state = model.initial_state(rng)
-        start = (state.x, state.y)
+        start = tuple(MobileSensor(0, model, acquisition_key=2).position)
         positions = run_model(model, seed=2)
         assert np.allclose(positions, start)
 
@@ -82,7 +81,7 @@ class TestMobilityModels:
 
     def test_random_waypoint_pauses(self):
         model = RandomWaypointMobility(REGION, speed=10.0, pause=5.0)
-        sensor = MobileSensor(0, model, rng=np.random.default_rng(6))
+        sensor = MobileSensor(0, model, acquisition_key=6)
         # A huge speed reaches the target in one step, then pauses.
         position_after_arrival = sensor.move(1.0)
         assert sensor.move(1.0) == position_after_arrival
@@ -95,6 +94,51 @@ class TestMobilityModels:
         tail = positions[200:]
         distance = np.hypot(tail[:, 0] - 0.5, tail[:, 1] - 0.5)
         assert np.median(distance) < 0.4
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(speed=float("nan")),
+            dict(speed=float("inf")),
+            dict(pause=float("nan")),
+            dict(pause=float("inf")),
+        ],
+        ids=["speed-nan", "speed-inf", "pause-nan", "pause-inf"],
+    )
+    def test_random_waypoint_refuses_non_finite_params(self, params):
+        # speed=nan used to send every walker to NaN on the first advance.
+        with pytest.raises(CraqrError, match="finite"):
+            RandomWaypointMobility(REGION, **params)
+
+    @pytest.mark.parametrize(
+        "hotspots, params",
+        [
+            ([(0.5, 0.5, 1.0)], dict(speed=float("nan"))),
+            ([(0.5, 0.5, 1.0)], dict(jitter=float("nan"))),
+            ([(0.5, 0.5, 1.0)], dict(jitter=float("inf"))),
+            ([(0.5, 0.5, 1.0)], dict(switch_probability=float("nan"))),
+            ([(float("nan"), 0.5, 1.0)], {}),
+            ([(0.5, float("inf"), 1.0)], {}),
+            ([(0.5, 0.5, 1.0), (1.5, 1.5, float("nan"))], {}),
+            ([(0.5, 0.5, float("inf"))], {}),
+        ],
+        ids=[
+            "speed-nan", "jitter-nan", "jitter-inf", "switch-nan", "x-nan", "y-inf",
+            "weight-nan", "weight-inf",
+        ],
+    )
+    def test_hotspot_refuses_non_finite_params(self, hotspots, params):
+        # jitter=nan used to send every walker to NaN on the first advance; a
+        # NaN weight would skew the inverse-CDF hotspot choice silently.
+        with pytest.raises(CraqrError):
+            HotspotMobility(REGION, hotspots, **params)
+
+    def test_nan_speed_crowd_is_refused_before_it_moves(self):
+        with pytest.raises(CraqrError):
+            SensingWorld(
+                WorldConfig(region=REGION, sensor_count=50, seed=1),
+                mobility_factory=lambda r: RandomWaypointMobility(r, speed=float("nan")),
+            )
 
     def test_hotspot_mobility_validation(self):
         with pytest.raises(CraqrError):

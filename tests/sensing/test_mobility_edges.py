@@ -21,7 +21,7 @@ from repro.sensing import (
     StationaryMobility,
     WorldConfig,
 )
-from repro.sensing.mobility import KeyedDraws, movement_substeps
+from repro.sensing.mobility import KeyedDraws, movement_substeps, place_groups
 
 REGION = Rectangle(0.0, 0.0, 2.0, 2.0)
 
@@ -46,6 +46,14 @@ DRAWS = [
 ONE_ROW = slice(0, 1)
 
 
+def placed(model, count, key):
+    """``count`` fresh rows with ids ``0..count-1``, placed by ``model`` as a world places them."""
+    arrays = SensorStateArrays(count)
+    arrays.sensor_ids[:] = np.arange(count)
+    place_groups(arrays, [(model, slice(0, count))], key)
+    return arrays
+
+
 def in_region(xs, ys):
     return (
         np.all(xs >= REGION.x_min) and np.all(xs <= REGION.x_max)
@@ -59,9 +67,7 @@ class TestWallBehaviourBatch:
         model = MODEL_FACTORIES[name](REGION)
         rng = np.random.default_rng(103)
         count = 64
-        arrays = SensorStateArrays(count)
-        for i in range(count):
-            arrays.load_mobility_state(i, model.initial_state(rng))
+        arrays = placed(model, count, 103)
         indices = np.arange(count)
         for _ in range(100):
             model.step_batch(arrays, indices, 0.2, rng)
@@ -89,9 +95,7 @@ class TestWallBehaviourBatch:
         # Kernels must only touch the rows they are given.
         model = MODEL_FACTORIES[name](REGION)
         rng = np.random.default_rng(104)
-        arrays = SensorStateArrays(10)
-        for i in range(10):
-            arrays.load_mobility_state(i, model.initial_state(rng))
+        arrays = placed(model, 10, 104)
         frozen = arrays.positions()[5:].copy()
         for _ in range(20):
             model.step_batch(arrays, np.arange(5), 0.2, rng)
@@ -104,11 +108,7 @@ class TestHotspotAttraction:
         model = HotspotMobility(
             REGION, [(0.5, 0.5, 1.0), (1.5, 1.5, 1.0)], switch_probability=0.0
         )
-        rng = np.random.default_rng(9)
-        arrays = SensorStateArrays(40)
-        arrays.sensor_ids[:] = np.arange(40)
-        for i in range(40):
-            arrays.load_mobility_state(i, model.initial_state(rng))
+        arrays = placed(model, 40, 9)
         targets = (arrays.target_x.copy(), arrays.target_y.copy())
         policy = draws(10)
         for _ in range(50):

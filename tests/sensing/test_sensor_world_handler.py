@@ -50,7 +50,6 @@ class TestMobileSensor:
             sensor_id,
             StationaryMobility(REGION),
             participation=AlwaysRespond(),
-            rng=np.random.default_rng(0),
         )
 
     def test_sensor_keeps_no_sensed_history(self):
@@ -77,7 +76,7 @@ class TestMobileSensor:
             1,
             StationaryMobility(REGION),
             participation=BernoulliParticipation(0.4),
-            rng=np.random.default_rng(1),
+            acquisition_key=1,
         )
         rows = [sensor.handle_request(ConstantField(), float(t)) for t in range(200)]
         answered = sum(1 for row in rows if row is not None)
@@ -89,7 +88,7 @@ class TestMobileSensor:
         sensor = MobileSensor(
             1,
             RandomWaypointMobility(REGION, speed=1.0, pause=0.0),
-            rng=np.random.default_rng(2),
+            acquisition_key=2,
         )
         start = sensor.position
         for _ in range(20):
@@ -110,6 +109,22 @@ class TestSensingWorld:
             WorldConfig(region=REGION, sensor_count=0)
         with pytest.raises(CraqrError):
             WorldConfig(region=REGION, movement_step=0.0)
+
+    @pytest.mark.parametrize("count", [2.5, True, np.float64(3.0), "4"])
+    def test_sensor_count_must_be_an_integer(self, count):
+        # Each used to pass and then fail inside numpy with a raw TypeError.
+        with pytest.raises(CraqrError, match="sensor_count must be a positive integer"):
+            WorldConfig(region=REGION, sensor_count=count)
+
+    def test_numpy_integer_sensor_count_is_accepted(self):
+        world = SensingWorld(WorldConfig(region=REGION, sensor_count=np.int64(3), seed=1))
+        assert len(world.sensors) == 3
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), -0.1])
+    def test_movement_step_must_be_positive_and_finite(self, step):
+        # A NaN step used to be accepted and fail on the first advance.
+        with pytest.raises(CraqrError, match="movement_step must be positive and finite"):
+            WorldConfig(region=REGION, movement_step=step)
 
     def test_sensor_creation(self):
         world = make_world(sensor_count=25)
@@ -246,6 +261,26 @@ class TestRequestResponseHandler:
         # A pair sent nothing has no rate: not the 0.0 of a total outage.
         assert report.response_rate_for("rain", (0, 0)) is None
         assert report.response_rate_for("temp", (1, 1)) is None
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_tuples_are_stamped_at_their_sensing_time(self, vectorized):
+        # Answers arrive up to many windows late, but a tuple carries the
+        # time its value was sensed: inside the window that requested it.
+        world = SensingWorld(
+            WorldConfig(region=REGION, sensor_count=80, seed=3, vectorized_rng=vectorized),
+            participation_factory=lambda sensor_id: BernoulliParticipation(
+                0.9, mean_latency=5.0
+            ),
+        )
+        world.register_field(TemperatureField(REGION))
+        world.advance(2.0)
+        handler = RequestResponseHandler(world, Grid(REGION, side=4), default_budget=20)
+        batches, report = handler.acquire_batches(
+            {"temp": list(handler.grid.cells())}, duration=1.0
+        )
+        times = batches["temp"].t
+        assert times.size == report.responses_received > 0
+        assert times.min() >= 2.0 and times.max() < 3.0
 
     def test_tuples_sorted_by_time_within_cell(self):
         handler, _, grid = self.make_handler(default_budget=20)

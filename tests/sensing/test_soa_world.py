@@ -1,10 +1,9 @@
-"""The SoA sensing world: seeded construction and vectorised queries.
+"""The SoA sensing world: construction, model groups and vectorised queries.
 
-A world places its sensors exactly as the seed implementation did — one
-per-sensor generator seeded from the world stream, the model's
-``initial_state`` drawn from it — compared here with ``==``, not
-``allclose``.  How a strict crowd then moves is held against each sensor
-moved alone in ``tests/sensing/test_crowd_independence.py``.
+A world keeps one model object per group and builds ``MobileSensor`` views
+when asked for them.  Where it places its sensors (one keyed block each)
+and how a strict crowd then moves are held against each sensor alone in
+``tests/sensing/test_crowd_independence.py``.
 """
 
 import numpy as np
@@ -14,6 +13,7 @@ from repro.geometry import Rectangle, RectRegion
 from repro.sensing import (
     AlwaysRespond,
     BernoulliParticipation,
+    FatigueParticipation,
     HotspotMobility,
     MobileSensor,
     RandomWaypointMobility,
@@ -22,7 +22,6 @@ from repro.sensing import (
     StationaryMobility,
     WorldConfig,
 )
-from repro.sensing.mobility import MobilityState
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
@@ -33,45 +32,91 @@ MOBILITY_FACTORIES = {
 }
 
 
-class TestStrictModeEquivalence:
-    """Strict SoA placement == the old per-object path, bit for bit."""
+class TestOneModelPerGroup:
+    """The world keeps one model object per group and builds sensor views on demand."""
 
-    @pytest.mark.parametrize("name", sorted(MOBILITY_FACTORIES))
-    def test_initial_states_byte_identical_to_per_object_path(self, name):
-        # Every model, every placed column: the world draws each sensor's
-        # seed and placement as the per-object simulator did (and only then
-        # drops the generator of a sensor whose model has a kernel).
-        factory = MOBILITY_FACTORIES[name]
-        world = SensingWorld(
-            WorldConfig(region=REGION, sensor_count=40, seed=17), mobility_factory=factory
+    def test_factories_run_once_per_sensor_in_id_order(self):
+        calls = []
+
+        def mobility(region):
+            calls.append("mobility")
+            return RandomWaypointMobility(region, speed=0.4)
+
+        def participation(sensor_id):
+            calls.append(sensor_id)
+            return BernoulliParticipation(0.5)
+
+        SensingWorld(
+            WorldConfig(region=REGION, sensor_count=4, seed=1),
+            mobility_factory=mobility, participation_factory=participation,
         )
-        rng = np.random.default_rng(17)
+        assert calls == ["mobility", 0, "mobility", 1, "mobility", 2, "mobility", 3]
+
+    def test_equal_models_are_kept_once(self):
+        made = []
+
+        def mobility(region):
+            made.append(MOBILITY_FACTORIES["hotspot"](region))
+            return made[-1]
+
+        world = SensingWorld(
+            WorldConfig(region=REGION, sensor_count=50, seed=2),
+            mobility_factory=mobility,
+            participation_factory=lambda i: BernoulliParticipation(0.4 if i % 2 else 0.6),
+        )
+        ((model, rows),) = world._mobility_groups
+        assert model is made[0] and rows == slice(0, 50)
+        kept = world._participation_models
+        assert [m.vector_params()[0] for m in kept] == [0.6, 0.4]
+        assert world.participation_at(np.arange(4)) == [kept[0], kept[1], kept[0], kept[1]]
+        assert world.state_arrays.p_base.tolist() == [0.6, 0.4] * 25
+
+    def test_stateful_models_stay_the_factorys_objects(self):
+        made = {}
+
+        def participation(sensor_id):
+            if sensor_id % 3:
+                return AlwaysRespond()
+            made[sensor_id] = FatigueParticipation(0.7)
+            return made[sensor_id]
+
+        world = SensingWorld(
+            WorldConfig(region=REGION, sensor_count=9, seed=3),
+            participation_factory=participation,
+        )
+        models = world.participation_at(np.arange(9))
+        for sensor_id, model in made.items():
+            assert models[sensor_id] is made[sensor_id]
+        assert len({id(m) for m in models}) == 4  # three fatigue models, one AlwaysRespond
         soa = world.state_arrays
-        for index in range(40):
-            model = factory(REGION)
-            sensor_rng = np.random.default_rng(rng.integers(0, 2 ** 63 - 1))
-            state = model.initial_state(sensor_rng)
-            assert isinstance(state, MobilityState)
-            for column in ("x", "y", "vx", "vy", "pause_remaining"):
-                assert getattr(soa, column)[index] == getattr(state, column), column
-            for column in ("target_x", "target_y"):
-                expected = getattr(state, column)
-                got = getattr(soa, column)[index]
-                assert np.isnan(got) if expected is None else got == expected
-        assert world.rng.bit_generator.state == rng.bit_generator.state
+        assert soa.vector_participation.tolist() == [i % 3 != 0 for i in range(9)]
+        assert soa.p_base.tolist() == [1.0] * 9
 
-    def test_initial_positions_byte_identical(self):
-        factory = MOBILITY_FACTORIES["waypoint"]
+    def test_one_shared_stateful_model_is_kept_once(self):
+        shared = FatigueParticipation(0.7)
         world = SensingWorld(
-            WorldConfig(region=REGION, sensor_count=30, seed=23),
-            mobility_factory=factory,
+            WorldConfig(region=REGION, sensor_count=5, seed=4),
+            participation_factory=lambda i: shared,
         )
-        rng = np.random.default_rng(23)
-        for sensor in world.sensors:
-            model = factory(REGION)
-            sensor_rng = np.random.default_rng(rng.integers(0, 2 ** 63 - 1))
-            state = model.initial_state(sensor_rng)
-            assert (sensor.position.x, sensor.position.y) == (state.x, state.y)
+        assert world._participation_models == [shared]
+        assert not world.state_arrays.vector_participation.any()
+
+    def test_sensor_views_are_built_on_demand(self):
+        world = SensingWorld(
+            WorldConfig(region=REGION, sensor_count=6, seed=5),
+            mobility_factory=MOBILITY_FACTORIES["waypoint"],
+            participation_factory=lambda i: BernoulliParticipation(0.3),
+        )
+        first, again = world.sensors[4], world.sensors[4]
+        assert first is not again
+        assert first.sensor_id == again.sensor_id == 4
+        assert first.mobility is again.mobility is world._mobility_groups[0][0]
+        assert first.participation is world.participation_at(np.array([4]))[0]
+        (view,) = world.sensors_at(np.array([4]))
+        world.advance(1.0)
+        soa = world.state_arrays
+        assert (view.position.x, view.position.y) == (soa.x[4], soa.y[4])
+        assert tuple(view.position) == tuple(first.position)
 
 
 class TestSensorStateArrays:
@@ -82,9 +127,7 @@ class TestSensorStateArrays:
             SensorStateArrays(0)
 
     def test_standalone_sensor_owns_private_row(self):
-        sensor = MobileSensor(
-            7, StationaryMobility(REGION), rng=np.random.default_rng(1)
-        )
+        sensor = MobileSensor(7, StationaryMobility(REGION), acquisition_key=1)
         assert sensor.requests_received == 0
         assert REGION.contains_point(sensor.position, closed=True)
 
@@ -130,7 +173,7 @@ class TestVectorisedWorldQueries:
             for sensor in world.sensors
             if sub_region.contains(sensor.position.x, sensor.position.y, closed=True)
         ]
-        assert vectorised == looped
+        assert [s.sensor_id for s in vectorised] == [s.sensor_id for s in looped]
         assert 0 < len(vectorised) < 200
 
     def test_sensors_in_rectangle_matches_per_sensor_loop(self):
@@ -142,7 +185,7 @@ class TestVectorisedWorldQueries:
             for sensor in world.sensors
             if rect.contains(sensor.position.x, sensor.position.y, closed=True)
         ]
-        assert vectorised == looped
+        assert [s.sensor_id for s in vectorised] == [s.sensor_id for s in looped]
 
     def test_sensor_indices_align_with_sensor_ids(self):
         world = self.make_world(seed=9)
