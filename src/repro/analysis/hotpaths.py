@@ -4,8 +4,8 @@ Functions listed here are the per-batch inner loops whose cost the
 ``benchmarks/e2e`` harness reports as per-layer spans: the fused
 acquisition round, the mobility kernels and their keyed draw policy, the
 columnar map phase, the compiled attribute programs and their
-flatten/thin kernels, the batch MLE and the least-squares fit, the
-incremental view fold and the serve-layer fan-out.
+flatten/thin kernels, the batch MLE, the incremental view fold and the
+serve-layer fan-out.
 Inside them, per-row Python iteration is a regression by construction —
 the analyzer flags ``.tolist()`` calls, ``range(len(...))`` / ``zip(...)``
 row loops and object construction inside loops (see
@@ -39,7 +39,9 @@ HOT_PATHS: List[Tuple[str, str]] = [
         "repro/sensing/handler.py",
         "RequestResponseHandler.acquire_attribute_batch",
     ),
-    ("repro/sensing/handler.py", "RequestResponseHandler._fused_sensor_choices"),
+    # The sensor choice every first wave runs under both contracts: one
+    # ``rng.choice`` per requested cell, its loop waived inline.
+    ("repro/sensing/handler.py", "_per_cell_choices"),
     ("repro/sensing/handler.py", "RequestResponseHandler._fused_request_times"),
     # The strict wave answers in one vectorised pass too: every request's
     # counter is its sensor's request count plus its rank within the wave,

@@ -15,6 +15,7 @@ described by one declarative object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -212,8 +213,8 @@ class EngineConfig:
                 "grid_cells must be a perfect square (the region is split "
                 "into a sqrt(h) x sqrt(h) grid); got %d" % self.grid_cells
             )
-        if self.batch_duration <= 0:
-            raise CraqrError("batch_duration must be positive")
+        if not 0 < self.batch_duration < math.inf:
+            raise CraqrError("batch_duration must be positive and finite")
 
     @property
     def grid_side(self) -> int:

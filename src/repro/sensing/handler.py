@@ -21,19 +21,23 @@ There is one round body,
 attribute's cell populations from one bucketing pass of the crowd and runs
 the wave loop (:meth:`RequestResponseHandler._acquire_waves`) once per RNG
 policy over them, under either RNG contract.  ``acquire_batches`` calls it
-per attribute and ``acquire`` is its object view.  Only cells of the
-handler's grid can be requested: any other cell is an
-:class:`~repro.errors.AcquisitionError`, raised before anything is drawn.
-What differs between strict and fast-sim is confined to two small RNG
-policies (:class:`_PerSensorStreams`: each sensor answers from
-its own keyed stream, one vectorised pass per wave; :class:`_SharedStream`:
-one draw from the world stream per wave, for cells whose every sensor has
+per attribute and ``acquire`` is its object view.  Only distinct cells of
+the handler's grid can be requested: any other cell, or a cell listed
+twice, is an :class:`~repro.errors.AcquisitionError`, raised before
+anything is drawn.  The sensor choice is one body under both contracts
+(:func:`_per_cell_choices`: one ``rng.choice`` per cell from the world
+stream).  What differs between strict and fast-sim is confined to two
+small RNG policies, each owning request times and answers
+(:class:`_PerSensorStreams`: each sensor answers from its own keyed
+stream, one vectorised pass per wave; :class:`_SharedStream`: one draw
+from the world stream per wave, for cells whose every sensor has
 stationary participation).  A sensor with stateful participation is
 decided by its model's ``decide``, one request at a time, under both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -114,21 +118,27 @@ class HandlerReport:
 def _per_cell_choices(
     populations: List[np.ndarray], budgets: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """One ``rng.choice`` per cell, concatenated in cell-major request order.
+    """Every cell's first-wave sensors, concatenated in cell-major request order.
 
-    Sampling is without replacement when the cell population covers its
-    budget and with replacement otherwise (per the paper).
+    One ``rng.choice`` per cell from the world stream, under both RNG
+    contracts: a uniform, uniformly ordered sample, without replacement
+    when the cell population covers its budget and with replacement
+    otherwise (per the paper).
     """
-    return np.concatenate(
-        [
+    parts = []
+    for population, budget in zip(populations, budgets.tolist()):  # craqr: ignore[CRQ401, CRQ402] - per requested cell, not per sensor row
+        parts.append(
             population[
-                rng.choice(
-                    population.size, size=int(budget), replace=population.size < budget
-                )
+                rng.choice(population.size, size=budget, replace=population.size < budget)
             ]
-            for population, budget in zip(populations, budgets)
-        ]
-    )
+        )
+    return np.concatenate(parts)
+
+
+def _refuse_bad_duration(duration: float) -> None:
+    """Raise :class:`AcquisitionError` unless ``duration`` is positive and finite."""
+    if not 0 < duration < math.inf:
+        raise AcquisitionError(f"duration must be positive and finite, got {duration!r}")
 
 
 def _ranks_within_runs(sorted_rows: np.ndarray) -> np.ndarray:
@@ -143,12 +153,10 @@ def _ranks_within_runs(sorted_rows: np.ndarray) -> np.ndarray:
 # RNG policies
 #
 # The wave loop (``RequestResponseHandler._acquire_waves``) is one
-# implementation; the two RNG contracts of ``WorldConfig.vectorized_rng``
-# differ only in the three draws a policy owns:
+# implementation, and so is its sensor choice (``_per_cell_choices``); the
+# two RNG contracts of ``WorldConfig.vectorized_rng`` differ only in the two
+# draws a policy owns:
 #
-# ``choose(populations, sizes, round_cache, cache_key)``
-#     first-wave sensor choice -> ``(rows, replacement_used)``, ``rows`` in
-#     cell-major request order;
 # ``request_times(sizes, duration)``
 #     ascending request times per cell segment (zero-size segments allowed);
 # ``answer(field_model, rows, request_times, multipliers, replacement_used)``
@@ -159,7 +167,7 @@ def _ranks_within_runs(sorted_rows: np.ndarray) -> np.ndarray:
 class _PerSensorStreams:
     """Strict policy: every sensor answers from its own keyed stream.
 
-    Choices and times are per-cell draws from the world stream.  The answer
+    Request times are per-cell draws from the world stream.  The answer
     to a sensor's ``c``-th request (``c`` = its ``requests_received``
     before that request) is the Philox block keyed ``(acquisition_key,
     sensor id)`` at counter ``c`` — respond, latency and two sensing
@@ -180,10 +188,6 @@ class _PerSensorStreams:
 
     def __init__(self, world: SensingWorld) -> None:
         self._world = world
-
-    def choose(self, populations, sizes, round_cache, cache_key):
-        undersized = any(p.size < size for p, size in zip(populations, sizes))
-        return _per_cell_choices(populations, sizes, self._world.rng), undersized
 
     def request_times(self, sizes: np.ndarray, duration: float) -> np.ndarray:
         rng = self._world.rng
@@ -208,8 +212,9 @@ class _PerSensorStreams:
             counters[order] += _ranks_within_runs(rows[order])
             np.add.at(received, rows, 1)
         else:
-            # Populations are disjoint and sampled without replacement:
-            # every row is unique, so the fancy-index increment is exact.
+            # Populations are disjoint (a cell is requested once) and
+            # sampled without replacement: every row is unique, so the
+            # fancy-index increment is exact.
             received[rows] += 1
         u = keyed_uniforms(
             world.acquisition_key, soa.sensor_ids[rows], counters, ANSWERS
@@ -266,9 +271,7 @@ class _PerSensorStreams:
 class _SharedStream:
     """Fast-sim policy: one vectorised draw of everything from the world stream.
 
-    Sensor choices for all cells come from one padded ``argpartition``
-    (:meth:`RequestResponseHandler._fused_sensor_choices`), request times
-    from one order-statistics draw
+    Request times for all cells come from one order-statistics draw
     (:meth:`RequestResponseHandler._fused_request_times`), and a wave is
     answered with one participation draw, one latency draw and one
     ``field.values`` call over the concatenated rows.  Statistically
@@ -279,12 +282,6 @@ class _SharedStream:
 
     def __init__(self, world: SensingWorld) -> None:
         self._world = world
-
-    def choose(self, populations, sizes, round_cache, cache_key):
-        return RequestResponseHandler._fused_sensor_choices(
-            populations, sizes, self._world.rng,
-            round_cache=round_cache, cache_key=cache_key,
-        )
 
     def request_times(self, sizes: np.ndarray, duration: float) -> np.ndarray:
         return self._world.now + RequestResponseHandler._fused_request_times(
@@ -306,9 +303,9 @@ class _SharedStream:
             np.add.at(soa.requests_received, rows, 1)
             np.add.at(soa.responses_sent, respond_rows, 1)
         else:
-            # Populations are disjoint across cells and sampled without
-            # replacement within each, so every row is unique: the cheaper
-            # fancy-index increment is exact.
+            # Populations are disjoint across cells (a cell is requested
+            # once) and sampled without replacement within each, so every
+            # row is unique: the cheaper fancy-index increment is exact.
             soa.requests_received[rows] += 1
             soa.responses_sent[respond_rows] += 1
         # Exp(scale m) == m * Exp(1): one draw serves every per-sensor mean.
@@ -486,7 +483,6 @@ class RequestResponseHandler:
         *,
         duration: float,
         report: HandlerReport,
-        round_cache: Optional[dict] = None,
     ) -> Optional[TupleBatch]:
         """The acquisition round: waves of requests over aligned cell segments.
 
@@ -497,7 +493,8 @@ class RequestResponseHandler:
         draws that differ between the contracts (see the RNG-policy notes
         above) and everything
         else happens here, once: per-cell budgets and the retry reserve,
-        retry selection, fault injection and deadlines
+        the sensor choice (:func:`_per_cell_choices`, the same under both
+        contracts), retry selection, fault injection and deadlines
         (:meth:`_finalize_wave`), incentive settlement, per-cell accounting
         and batch assembly.
 
@@ -529,8 +526,9 @@ class RequestResponseHandler:
         waves = []
         for wave in range(attempts):
             if wave == 0:
-                rows, replacement_used = policy.choose(
-                    populations, sizes, round_cache, ("choices", cell_keys)
+                rows = _per_cell_choices(populations, sizes, self._world.rng)
+                replacement_used = any(
+                    population.size < size for population, size in zip(populations, sizes)
                 )
             else:
                 sizes = np.minimum(failures, reserves)
@@ -603,7 +601,7 @@ class RequestResponseHandler:
         Drawn without replacement from each cell's not-yet-contacted
         sensors; an exhausted cell falls back to with-replacement draws over
         its whole population (the paper's undersized-cell rule).  Returns
-        ``(rows, replacement_used)`` like a policy's first-wave choice.
+        ``(rows, replacement_used)``, ``rows`` in cell-major request order.
         """
         rng = self._world.rng
         parts: List[np.ndarray] = []
@@ -829,18 +827,24 @@ class RequestResponseHandler:
         except GeometryError:
             return False
 
-    def _refuse_foreign_cells(self, cells: List[GridCell]) -> None:
-        """Raise :class:`AcquisitionError` if any of ``cells`` is not a grid cell.
+    def _refuse_bad_cells(self, cells: List[GridCell]) -> None:
+        """Raise :class:`AcquisitionError` unless ``cells`` are distinct grid cells.
 
         Budgets and populations are per cell of the handler's grid, so a
         cell of another grid would be charged to whichever grid cell shares
-        its ``(q, r)`` key.  Called before anything is drawn or sent.
+        its ``(q, r)`` key, and a cell listed twice would be sent twice its
+        budget (and its sensors asked twice from one keyed block).  Called
+        before anything is drawn or sent.
         """
         foreign = [cell.key for cell in cells if not self._cell_in_grid(cell)]
         if foreign:
             raise AcquisitionError(
                 f"cells {foreign} are not cells of the handler's grid"
             )
+        keys = [cell.key for cell in cells]
+        if len(set(keys)) < len(keys):
+            repeated = sorted({key for key in keys if keys.count(key) > 1})
+            raise AcquisitionError(f"cells {repeated} are requested more than once")
 
     def acquire_attribute_batch(
         self,
@@ -850,7 +854,6 @@ class RequestResponseHandler:
         duration: float,
         report: Optional[HandlerReport] = None,
         bucketing: Optional[Tuple[np.ndarray, np.ndarray, frozenset]] = None,
-        round_cache: Optional[dict] = None,
     ) -> Optional[TupleBatch]:
         """Fused acquisition: all of one attribute's cells in one round.
 
@@ -869,7 +872,8 @@ class RequestResponseHandler:
         bucketed populations (no second scan of the crowd), so those
         sensors are decided per request exactly as in strict mode.
 
-        A cell that is not a cell of the handler's grid raises
+        A duration that is not positive and finite, a cell that is not a
+        cell of the handler's grid and a cell listed twice each raise
         :class:`~repro.errors.AcquisitionError` before anything is drawn or
         sent.  Empty cells send nothing.
 
@@ -880,40 +884,22 @@ class RequestResponseHandler:
         target cell of every tuple rides in the ``cell`` extra column), or
         ``None`` when no responses arrived.
         """
-        if duration <= 0:
-            raise AcquisitionError("duration must be positive")
+        _refuse_bad_duration(duration)
         field_model = self._world.field_for(attribute)
-        self._refuse_foreign_cells(cells)
+        self._refuse_bad_cells(cells)
         report = report if report is not None else HandlerReport()
         fast_sim = self._world.vectorized
-
-        # The cell plan — resolved populations and the fused/per-sensor
-        # partition — depends only on the requested cells
-        # and the round's (frozen) sensor positions, so attributes of one
-        # round requesting the same cells share it via ``round_cache``.
-        plan = None
-        plan_key = None
-        if round_cache is not None:
-            plan_key = ("plan", tuple(cell.key for cell in cells))
-            plan = round_cache.get(plan_key)
-        if plan is None:
-            populations, fully_vector = self._resolve_cell_populations(
-                cells, bucketing
-            )
-            # Each policy's one wave loop: (cell keys, populations).
-            plan = {self._per_sensor: ([], []), self._shared_stream: ([], [])}
-            for cell in cells:
-                population = populations[cell.key]
-                if population.size == 0:
-                    continue  # nobody to ask: no requests
-                shared = fast_sim and fully_vector[cell.key]
-                keys, members = plan[
-                    self._shared_stream if shared else self._per_sensor
-                ]
-                keys.append(cell.key)
-                members.append(population)
-            if round_cache is not None:
-                round_cache[plan_key] = plan
+        populations, fully_vector = self._resolve_cell_populations(cells, bucketing)
+        # Each policy's one wave loop: (cell keys, populations).
+        plan = {self._per_sensor: ([], []), self._shared_stream: ([], [])}
+        for cell in cells:
+            population = populations[cell.key]
+            if population.size == 0:
+                continue  # nobody to ask: no requests
+            shared = fast_sim and fully_vector[cell.key]
+            keys, members = plan[self._shared_stream if shared else self._per_sensor]
+            keys.append(cell.key)
+            members.append(population)
 
         parts = []
         for policy, (keys, members) in plan.items():
@@ -921,102 +907,13 @@ class RequestResponseHandler:
                 parts.append(
                     self._acquire_waves(
                         policy, attribute, field_model, tuple(keys), members,
-                        duration=duration, report=report, round_cache=round_cache,
+                        duration=duration, report=report,
                     )
                 )
         parts = [part for part in parts if part is not None]
         if not parts:
             return None
         return TupleBatch.concatenate(parts)
-
-    @staticmethod
-    def _fused_sensor_choices(
-        populations: List[np.ndarray],
-        budgets: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        round_cache: Optional[dict] = None,
-        cache_key=None,
-    ) -> Tuple[np.ndarray, bool]:
-        """Every cell's sensor choices in one vectorised draw.
-
-        Pads the cell populations into an ``(m, max_population)`` matrix,
-        draws one random key per candidate, and takes each row's ``budget``
-        smallest keys via a single ``argpartition`` — a uniform
-        without-replacement sample per cell (sorting the selected keys is a
-        uniform shuffle, so the sample is also uniformly *ordered*, matching
-        the per-cell ``rng.choice`` contract).  Two round shapes use the
-        per-cell draws instead: cells whose population is smaller than
-        their budget need with-replacement sampling, which the padded
-        matrix cannot express, and heavily skewed crowds (one cell holding
-        most of the population) would make the dense padding cost
-        ``cells x max_population`` memory instead of ``O(candidates)``.
-
-        Sensor positions are frozen within an acquisition round, so the
-        padded candidate/key matrices depend only on the requested cells —
-        not on the attribute being served.  A multi-attribute round passes
-        ``round_cache`` (see :meth:`acquire_batches`): the first attribute
-        builds the matrices, later attributes over the same cells reuse
-        them and only redraw the random keys (the random draws themselves
-        are never cached, so each attribute's sample stays independent and
-        the stream consumption is identical with or without the cache).
-
-        Returns ``(rows, replacement_used)`` with ``rows`` in cell-major
-        request order.
-        """
-        sizes = np.fromiter(
-            (population.size for population in populations),
-            dtype=np.int64,
-            count=len(populations),
-        )
-        m = len(populations)
-        width = int(sizes.max())
-        undersized = bool(np.any(sizes < budgets))
-        skewed = m * width > max(4 * int(sizes.sum()), 1 << 16)
-        if undersized or skewed:
-            return _per_cell_choices(populations, budgets, rng), undersized
-        caching = round_cache is not None and cache_key is not None
-        cached = round_cache.get(cache_key) if caching else None
-        if cached is None:
-            candidate_rows = np.concatenate(populations)
-            segment_of_candidate = np.repeat(np.arange(m), sizes)
-            within_segment = np.arange(candidate_rows.size) - np.repeat(
-                np.cumsum(sizes) - sizes, sizes
-            )
-            padded_rows = np.zeros((m, width), dtype=np.int64)
-            padded_rows[segment_of_candidate, within_segment] = candidate_rows
-            key_template = np.full((m, width), np.inf)
-            if caching:
-                round_cache[cache_key] = (
-                    candidate_rows,
-                    segment_of_candidate,
-                    within_segment,
-                    padded_rows,
-                    key_template,
-                )
-                keys = key_template.copy()
-            else:
-                keys = key_template  # sole user: no need to preserve the padding
-        else:
-            (
-                candidate_rows,
-                segment_of_candidate,
-                within_segment,
-                padded_rows,
-                key_template,
-            ) = cached
-            keys = key_template.copy()
-        keys[segment_of_candidate, within_segment] = rng.random(candidate_rows.size)
-
-        max_budget = int(budgets.max())
-        partitioned = np.argpartition(keys, max_budget - 1, axis=1)[:, :max_budget]
-        partitioned_keys = np.take_along_axis(keys, partitioned, axis=1)
-        ordered = np.take_along_axis(
-            partitioned, np.argsort(partitioned_keys, axis=1), axis=1
-        )
-        row_ids = np.broadcast_to(np.arange(m)[:, None], ordered.shape)
-        wanted = np.arange(max_budget)[None, :] < budgets[:, None]
-        return padded_rows[row_ids, ordered][wanted], False
 
     @staticmethod
     def _fused_request_times(
@@ -1093,23 +990,19 @@ class RequestResponseHandler:
 
         Each attribute is served by one fused :meth:`acquire_attribute_batch`
         round under either RNG contract, all of them sharing one bucketing
-        pass — and, in fast-sim, one set of padded candidate/key matrices
-        (keyed by the requested cell set), so the per-attribute work is
-        then just the fresh random draws.
+        pass.  A bad duration, a foreign cell or a cell listed twice for one
+        attribute is refused before anything is drawn.
         """
-        self._refuse_foreign_cells(
-            [cell for cells in attribute_cells.values() for cell in cells]
-        )
+        _refuse_bad_duration(duration)
+        for cells in attribute_cells.values():
+            self._refuse_bad_cells(cells)
         report = HandlerReport()
         batches: Dict[str, TupleBatch] = {}
         bucketing = self._bucket_sensors() if attribute_cells else None
-        # Candidate/key matrices depend only on the requested cells, so
-        # attributes of one round sharing a cell set share them too.
-        round_cache: dict = {}
         for attribute, cells in attribute_cells.items():
             batch = self.acquire_attribute_batch(
                 attribute, cells, duration=duration, report=report,
-                bucketing=bucketing, round_cache=round_cache,
+                bucketing=bucketing,
             )
             if batch is not None:
                 batches[attribute] = batch

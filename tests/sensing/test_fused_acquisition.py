@@ -14,6 +14,12 @@ contracts:
 * **one round body** — a strict world runs the same fused round under the
   per-sensor policy (its sensors answer from keyed streams, so a whole
   wave is one vectorised pass), and ``acquire`` is its object view;
+* **one choice body** — both contracts choose a wave's sensors with
+  ``_per_cell_choices``: same-seed worlds choose the same first rows, and
+  the sample is uniform, uniformly ordered and without replacement
+  wherever the population covers the budget;
+* **refusals** — a foreign cell, a cell listed twice and a duration that
+  is not positive and finite are refused before anything is drawn;
 * **exact stateful crowds** — in fast-sim the cells hosting a stateful
   sensor take one per-sensor wave loop per attribute, so a crowd whose
   every sensor is stateful acquires exactly what a strict world does.
@@ -21,6 +27,7 @@ contracts:
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.errors import AcquisitionError
 from repro.geometry import Grid, Rectangle
@@ -35,6 +42,7 @@ from repro.sensing import (
     TemperatureField,
     WorldConfig,
 )
+from repro.sensing import handler as handler_module
 from repro.sensing.handler import HandlerReport, _PerSensorStreams
 from repro.sensing.participation import ParticipationModel, ResponseDecision
 
@@ -283,6 +291,137 @@ class TestFusedStatisticalEquivalence:
         assert (handler.total_requests, handler.rounds) == (0, 0)
         assert world.state_arrays.requests_received.sum() == 0
 
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_a_cell_listed_twice_is_refused_before_anything_is_drawn(self, vectorized):
+        # Listed twice, a cell was sent twice its budget, and the wave's
+        # "rows are unique" counter increment dropped the repeats (strict
+        # also answered a sensor chosen in both copies twice from one
+        # keyed block).
+        world = make_world(vectorized, sensor_count=400)
+        grid = Grid(REGION, side=4)
+        handler = RequestResponseHandler(world, grid, default_budget=10)
+        cell = grid.cell(0, 0)
+        rng_state = world.rng.bit_generator.state
+        with pytest.raises(AcquisitionError, match=r"\[\(0, 0\)\] are requested more than once"):
+            handler.acquire_batches({"rain": [cell, cell]}, duration=1.0)
+        with pytest.raises(AcquisitionError, match="more than once"):
+            handler.acquire_attribute_batch(
+                "rain", [cell, grid.cell(1, 0), cell], duration=1.0
+            )
+        assert world.rng.bit_generator.state == rng_state
+        assert (handler.total_requests, handler.rounds) == (0, 0)
+        assert world.state_arrays.requests_received.sum() == 0
+        # One cell for two attributes is two pairs, not a repeat.
+        _, report = handler.acquire_batches(
+            {"rain": [cell], "temp": [cell]}, duration=1.0
+        )
+        assert report.per_cell_requests == {("rain", (0, 0)): 10, ("temp", (0, 0)): 10}
+        assert world.state_arrays.requests_received.sum() == 20
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_object_view_refuses_a_cell_listed_twice(self, vectorized):
+        world = make_world(vectorized, sensor_count=400)
+        grid = Grid(REGION, side=4)
+        handler = RequestResponseHandler(world, grid, default_budget=10)
+        rng_state = world.rng.bit_generator.state
+        with pytest.raises(AcquisitionError, match=r"\(2, 3\)"):
+            handler.acquire(
+                {"rain": [grid.cell(0, 0)], "temp": [grid.cell(2, 3)] * 2},
+                duration=1.0,
+            )
+        assert world.rng.bit_generator.state == rng_state
+        assert (handler.total_requests, handler.rounds) == (0, 0)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_a_duration_that_is_not_positive_and_finite_is_refused(
+        self, vectorized, duration
+    ):
+        # NaN and inf used to pass the ``duration <= 0`` check: fast-sim
+        # stamped tuples NaN or inf, strict raised numpy's OverflowError
+        # after the choice had drawn from the world stream.
+        world = make_world(vectorized, sensor_count=400)
+        grid = Grid(REGION, side=4)
+        handler = RequestResponseHandler(world, grid, default_budget=10)
+        rng_state = world.rng.bit_generator.state
+        with pytest.raises(AcquisitionError, match="positive and finite"):
+            handler.acquire_batches({"rain": list(grid.cells())}, duration=duration)
+        with pytest.raises(AcquisitionError, match="positive and finite"):
+            handler.acquire_batches({}, duration=duration)
+        with pytest.raises(AcquisitionError, match="positive and finite"):
+            handler.acquire_attribute_batch(
+                "rain", list(grid.cells()), duration=duration
+            )
+        assert world.rng.bit_generator.state == rng_state
+        assert (handler.total_requests, handler.rounds) == (0, 0)
+        assert world.state_arrays.requests_received.sum() == 0
+
+
+class TestOneChoiceBody:
+    """Both RNG contracts choose a wave's sensors with ``_per_cell_choices``."""
+
+    @pytest.mark.parametrize("undersized", [False, True])
+    def test_strict_and_fast_sim_choose_the_same_first_rows(self, monkeypatch, undersized):
+        # Placement is keyed under both contracts, so same-seed worlds have
+        # the same populations, and the choice is the first draw a round
+        # makes from the world stream: the first rows are equal, whether
+        # every cell covers its budget or one is sampled with replacement.
+        chosen = []
+        choices = handler_module._per_cell_choices
+
+        def recording(populations, budgets, rng):
+            rows = choices(populations, budgets, rng)
+            chosen.append(rows)
+            return rows
+
+        monkeypatch.setattr(handler_module, "_per_cell_choices", recording)
+        counters = []
+        for vectorized in (False, True):
+            world = make_world(vectorized, sensor_count=2000)
+            handler = RequestResponseHandler(world, Grid(REGION, side=4), default_budget=60)
+            if undersized:
+                handler.set_budget("rain", (1, 2), 1000)
+            handler.acquire_batches({"rain": list(handler.grid.cells())}, duration=1.0)
+            counters.append(world.state_arrays.requests_received)
+        strict_rows, fast_rows = chosen
+        assert strict_rows.size == (15 * 60 + 1000 if undersized else 16 * 60)
+        assert strict_rows.tobytes() == fast_rows.tobytes()
+        assert counters[0].tobytes() == counters[1].tobytes()
+
+    def test_the_sample_is_uniform_and_without_replacement_when_it_can_be(self):
+        # A covered cell (12 sensors, budget 4), an undersized one (5, 8)
+        # and an exactly covered one (30, 30), over many rounds.
+        rng = np.random.default_rng(2024)
+        populations = [np.arange(0, 12), np.arange(100, 105), np.arange(200, 230)]
+        budgets = np.array([4, 8, 30], dtype=np.int64)
+        rounds = 3000
+        picks = [np.empty((rounds, budget), dtype=np.int64) for budget in budgets]
+        for r in range(rounds):
+            rows = handler_module._per_cell_choices(populations, budgets, rng)
+            assert rows.shape == (42,)
+            # Cell-major order: each cell's budget of rows, from that cell.
+            for population, part, pick in zip(
+                populations, np.split(rows, np.cumsum(budgets)[:-1]), picks
+            ):
+                assert np.isin(part, population).all()
+                pick[r] = part - population[0]
+        # Without replacement exactly where the population covers the budget.
+        for pick, covered in zip(picks, (True, False, True)):
+            distinct = np.array([np.unique(row).size for row in pick])
+            if covered:
+                assert (distinct == pick.shape[1]).all()
+            else:
+                assert (distinct < pick.shape[1]).any()
+        # Each sensor is chosen equally often, and so is each sensor at
+        # each request position (the order is uniform too).
+        for population, pick in zip(populations, picks):
+            size = population.size
+            frequency = np.bincount(pick.ravel(), minlength=size)
+            assert stats.chisquare(frequency).pvalue > 1e-3
+            for position in range(pick.shape[1]):
+                at_position = np.bincount(pick[:, position], minlength=size)
+                assert stats.chisquare(at_position).pvalue > 1e-3
+
 
 class TestStatefulFastSim:
     def test_fatigue_response_rate_matches_strict(self):
@@ -367,23 +506,6 @@ class TestStatefulFastSim:
             assert model.current_probability(sensor_id, 1.0) == pytest.approx(
                 0.8 - stored - 0.01 * requests[sensor_id]
             )
-
-    def test_fused_choices_skew_guard_stays_correct(self):
-        # Heavily skewed populations route through the per-cell draw (the
-        # dense padded matrix would cost cells x max_population); the
-        # sample contract is unchanged: per-cell budgets honoured, every
-        # chosen row from its own cell, no replacement when populations
-        # suffice.
-        rng = np.random.default_rng(11)
-        populations = [np.arange(200_000), np.array([200_001, 200_002, 200_003])]
-        budgets = np.array([5, 2], dtype=np.int64)
-        rows, replacement_used = RequestResponseHandler._fused_sensor_choices(
-            populations, budgets, rng
-        )
-        assert not replacement_used
-        assert rows.shape == (7,)
-        assert set(rows[:5]) <= set(range(200_000)) and len(set(rows[:5])) == 5
-        assert set(rows[5:]) <= {200_001, 200_002, 200_003} and len(set(rows[5:])) == 2
 
     def test_all_stateful_crowd_acquires_exactly_what_strict_does(self):
         # Nothing in a stateful crowd is sampled from the shared stream:

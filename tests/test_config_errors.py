@@ -63,6 +63,13 @@ class TestEngineConfig:
         with pytest.raises(CraqrError):
             EngineConfig(batch_duration=0.0)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_batch_duration_must_be_finite(self, duration):
+        # Both used to be accepted and fail at the first run_batch, inside
+        # the movement sub-stepping.
+        with pytest.raises(CraqrError, match="batch_duration must be positive and finite"):
+            EngineConfig(batch_duration=duration)
+
     def test_with_seed_returns_copy(self):
         config = EngineConfig(seed=1)
         other = config.with_seed(2)
