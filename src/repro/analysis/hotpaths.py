@@ -8,7 +8,7 @@ flatten/thin kernels, the batch MLE, the incremental view fold and the
 serve-layer fan-out.
 Inside them, per-row Python iteration is a regression by construction —
 the analyzer flags ``.tolist()`` calls, ``range(len(...))`` / ``zip(...)``
-row loops and object construction inside loops (see
+row loops, object construction inside loops and libm ``hypot`` calls (see
 ``docs/craqr_lint.md``).
 
 Registering a new hot path is one line here; the analyzer then fails
@@ -96,6 +96,10 @@ HOT_PATHS: List[Tuple[str, str]] = [
     ("repro/sensing/mobility.py", "RandomWaypointMobility.step_batch"),
     ("repro/sensing/mobility.py", "RandomWaypointMobility.skip_ahead"),
     ("repro/sensing/mobility.py", "HotspotMobility.step_batch"),
+    # Their one distance spelling: square, add, sqrt as three correctly
+    # rounded ufuncs — bit-equal to the scalar expression on every build,
+    # where libm's ``hypot`` (CRQ405) is neither portable nor cheap.
+    ("repro/sensing/mobility.py", "_distance"),
     # Compiled per-batch execution, one program per attribute: flat numpy
     # kernels with survivor-index composition over all of the attribute's
     # cell segments.  Its loops are per chain, per level and per tap —

@@ -13,6 +13,9 @@ statement per row.  The classic regressions are all visible in the AST:
   allocates per iteration; build once outside, or build columns.
 * ``CRQ404`` — a manifest entry that resolves to nothing: the hot
   function moved or was renamed, and its protection silently lapsed.
+* ``CRQ405`` — ``np.hypot`` / ``math.hypot`` is a libm call per element,
+  ≈7× the cost of the IEEE spelling ``sqrt(dx*dx + dy*dy)`` (the mobility
+  kernels' ``_distance``), whose every step is correctly rounded.
 
 Loops bounded by *topology* (cells, groups, taps) rather than batch
 size are fine — acknowledge them at the line with
@@ -34,7 +37,11 @@ CODES = {
     "CRQ402": "per-row loop idiom (range(len)/zip) in a registered hot path",
     "CRQ403": "object construction inside a loop in a registered hot path",
     "CRQ404": "hot-path manifest entry resolves to no function",
+    "CRQ405": "libm hypot in a registered hot path",
 }
+
+#: The modules whose ``hypot`` CRQ405 flags, as a hot path may import them.
+_HYPOT_MODULES = frozenset({"np", "numpy", "math"})
 
 
 def _resolve(module: Module, symbol: str):
@@ -60,6 +67,18 @@ def _is_per_row_iter(node: ast.expr) -> bool:
             for arg in node.args
         )
     return False
+
+
+def _is_hypot(func: ast.expr) -> bool:
+    """``np.hypot`` / ``numpy.hypot`` / ``math.hypot``, or a bare ``hypot``."""
+    if isinstance(func, ast.Name):
+        return func.id == "hypot"
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "hypot"
+        and isinstance(func.value, ast.Name)
+        and func.value.id in _HYPOT_MODULES
+    )
 
 
 def _scan_function(
@@ -110,6 +129,14 @@ def _scan_function(
                     f"{symbol} is a registered hot path; constructing "
                     f"{node.func.id} inside a loop allocates per "
                     "iteration — hoist it or build columns",
+                )
+            elif _is_hypot(node.func):
+                yield finding(
+                    node,
+                    "CRQ405",
+                    f"{symbol} is a registered hot path; hypot is a libm "
+                    "call per element, ≈7x the cost of the IEEE spelling "
+                    "sqrt(dx*dx + dy*dy) — use the mobility kernels' _distance",
                 )
         elif isinstance(node, ast.For) and _is_per_row_iter(node.iter):
             yield finding(

@@ -64,8 +64,11 @@ MAGIC = b"CRQRCKPT"
 #: engine computes; 11: sensors are placed from keyed blocks and the world
 #: keeps one model object per group, row-to-group codes and no sensor
 #: views — the sensor class is gone from the payload, and a restored world
-#: was placed elsewhere than the build that wrote a version-10 file).
-FORMAT_VERSION = 11
+#: was placed elsewhere than the build that wrote a version-10 file; 12:
+#: the mobility kernels compute distances as ``sqrt(dx*dx + dy*dy)``, not
+#: ``hypot`` — a restored engine moves its crowd to other last bits than
+#: the build that wrote a version-11 file).
+FORMAT_VERSION = 12
 
 #: Header layout after the magic: version (u32), payload length (u64),
 #: SHA-256 digest (32 bytes), all little-endian.

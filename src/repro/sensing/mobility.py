@@ -69,8 +69,8 @@ rules:
   never by ``arrays.x[idx[mask]]`` subsets (reuse temporaries with ``out=``);
 * **keep the draw order**: same policy call, arguments, count and
   sequence, assigned through a boolean mask in ascending row order — and
-  keep each float expression's operation order (``x + (travel * dx) / safe``,
-  ``np.hypot`` stays ``np.hypot``), because seeded results are pinned
+  keep each float expression's operation order (``x + (travel * dx) / safe``;
+  distances go through :func:`_distance`), because seeded results are pinned
   bit-for-bit (``tests/sensing/test_mobility_kernels.py`` holds the
   pre-rewrite gather/scatter bodies as the fast-sim reference, and
   ``tests/sensing/test_crowd_independence.py`` holds each strict sensor
@@ -111,6 +111,24 @@ from .state import SensorStateArrays
 
 #: Distances below this are treated as "already at the target".
 _TINY = 1e-12
+
+
+def _distance(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``sqrt(dx*dx + dy*dy)`` as three ufunc calls: square, add, sqrt.
+
+    Each call is one correctly rounded IEEE operation, so every element is
+    bit-equal to the scalar ``math.sqrt(dx*dx + dy*dy)`` on any build —
+    libm's ``hypot`` promises no such thing, and costs about seven times
+    as much.  Within 1 ulp of ``hypot`` while the distance is at least
+    1e-150; below that the squares lose bits (a subnormal ``dx`` squares to
+    0), which only ever lands under :data:`_TINY`, where a kernel treats the
+    row as at its target either way.  :class:`MobilityModel` refuses a
+    region whose squared diagonal overflows, so the sum stays finite.
+    """
+    distance = np.multiply(dx, dx)
+    square = np.multiply(dy, dy)
+    np.add(distance, square, out=distance)
+    return np.sqrt(distance, out=distance)
 
 
 #: How ``step_batch`` addresses its group's SoA rows: a ``slice`` when they
@@ -310,9 +328,27 @@ def place_groups(
 
 
 class MobilityModel(ABC):
-    """Abstract mobility model."""
+    """Abstract mobility model.
+
+    The region must be finite, and so must its squared diagonal
+    ``width*width + height*height``: the kernels' :func:`_distance` squares
+    a step's offsets, so an infinite bound would turn positions NaN and an
+    overflowed square would leave every distance infinite and the crowd
+    frozen.
+    """
 
     def __init__(self, region: Rectangle) -> None:
+        # One check per model, and a world builds one model per sensor: an
+        # infinite bound makes an infinite extent, so it fails here too.
+        width = region.x_max - region.x_min
+        height = region.y_max - region.y_min
+        if not math.isfinite(width * width + height * height):
+            bounds = (region.x_min, region.y_min, region.x_max, region.y_max)
+            if not all(map(math.isfinite, bounds)):
+                raise CraqrError(f"mobility needs a finite region; got {region}")
+            raise CraqrError(
+                f"region {region} is too large: its squared diagonal overflows"
+            )
         self._region = region
 
     @property
@@ -472,7 +508,7 @@ class RandomWaypointMobility(MobilityModel):
             ty[need] = targets.uniform(1, region.y_min, region.y_max)
         dx = tx - x
         dy = ty - y
-        distance = np.hypot(dx, dy)
+        distance = _distance(dx, dy)
         travel = self._speed * dt
         arrive = travel >= distance
         arrive &= active
@@ -517,23 +553,27 @@ class RandomWaypointMobility(MobilityModel):
         x, y = arrays.x[sel], arrays.y[sel]
         dx = arrays.target_x[sel] - x
         dy = arrays.target_y[sel] - y
-        distance = np.hypot(dx, dy)
+        distance = _distance(dx, dy)
         travel = self._speed * duration
         quiet = distance > travel * (1 + 1e-9)
         quiet &= ~(arrays.pause_remaining[sel] > 0.0)
+        # Every row strides in place; the few the sub-steps will move are
+        # put back as they were.
+        rest = np.flatnonzero(~quiet)
+        x_rest, y_rest = x[rest], y[rest]
         safe = np.maximum(distance, _TINY, out=distance)
         for pos, delta in ((x, dx), (y, dy)):
             # pos + (travel * delta) / safe, as in step_batch
             np.multiply(travel, delta, out=delta)
             np.divide(delta, safe, out=delta)
-            np.add(pos, delta, out=delta)
-        self._clamp_batch(dx, dy)
-        np.copyto(x, dx, where=quiet)
-        np.copyto(y, dy, where=quiet)
+            np.add(pos, delta, out=pos)
+        self._clamp_batch(x, y)
+        x[rest], y[rest] = x_rest, y_rest
         if gathered:
             arrays.x[sel], arrays.y[sel] = x, y
-            return sel[~quiet]
-        return np.arange(*sel.indices(len(arrays)))[~quiet]
+            return sel[rest]
+        start, _, step = sel.indices(len(arrays))
+        return start + step * rest
 
 
 class HotspotMobility(MobilityModel):
@@ -566,8 +606,16 @@ class HotspotMobility(MobilityModel):
         self._hotspots = [(float(x), float(y), float(w)) for x, y, w in hotspots]
         weights = np.array([w for _, _, w in self._hotspots])
         self._weights = weights / weights.sum()
-        self._hotspot_xs = np.array([x for x, _, _ in self._hotspots])
-        self._hotspot_ys = np.array([y for _, y, _ in self._hotspots])
+        xs = [x for x, _, _ in self._hotspots]
+        ys = [y for _, y, _ in self._hotspots]
+        self._hotspot_xs = np.array(xs)
+        self._hotspot_ys = np.array(ys)
+        # A sensor in the region steps towards a hotspot that may lie
+        # outside it: their joint extent must square finitely too.
+        span_x = max(region.x_max, *xs) - min(region.x_min, *xs)
+        span_y = max(region.y_max, *ys) - min(region.y_min, *ys)
+        if not math.isfinite(span_x * span_x + span_y * span_y):
+            raise CraqrError("hotspots lie so far from the region that distances overflow")
         self._speed = speed
         self._jitter = jitter
         self._switch_probability = switch_probability
@@ -602,7 +650,7 @@ class HotspotMobility(MobilityModel):
             ty[switch] = self._hotspot_ys[choice]
         dx = tx - x
         dy = ty - y
-        distance = np.hypot(dx, dy)
+        distance = _distance(dx, dy)
         near = ~(distance > _TINY)
         # scale = min(speed * dt, distance) / max(distance, tiny), 0 when near
         scale = np.minimum(self._speed * dt, distance)

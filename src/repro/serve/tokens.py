@@ -7,8 +7,8 @@ verbatim) but deliberately debuggable server-side.
 
 The positions inside are the ones the storage layer already keeps across
 checkpoints: a :class:`~repro.storage.ResultCursor` is ``(chunk_seq,
-consumed)`` — plus a ``row`` that is always 0 on the wire, since reads
-consume whole chunks — against a :class:`~repro.storage.QueryResultBuffer`
+consumed)`` — reads consume whole chunks, so a token always resumes at a
+chunk boundary — against a :class:`~repro.storage.QueryResultBuffer`
 whose chunk sequence numbers and lifetime totals are pickled exactly, and
 a :class:`~repro.views.FrameCursor` is the next frame index against a
 :class:`~repro.views.ViewFrameBuffer`.  A token minted before a
@@ -60,8 +60,8 @@ def _decode(token: str, *, kind: str) -> dict:
 
 def result_token(cursor: ResultCursor) -> str:
     """The resumable offset of one delivery cursor."""
-    chunk_seq, row = cursor.position
-    return _encode({"k": "results", "c": chunk_seq, "r": row, "g": cursor.consumed})
+    chunk_seq, _ = cursor.position  # the row is always 0: reads take whole chunks
+    return _encode({"k": "results", "c": chunk_seq, "g": cursor.consumed})
 
 
 def frame_token(cursor: FrameCursor) -> str:
@@ -75,20 +75,18 @@ def frame_token_at(next_index: int) -> str:
 
 
 def result_cursor_from_token(buffer: QueryResultBuffer, token: str) -> ResultCursor:
-    """Rebuild a delivery cursor at a token's position."""
+    """Rebuild a delivery cursor at a token's position.
+
+    Any other field is ignored — the ``"r": 0`` of a token minted by an
+    older build among them — so the cursor resumes at chunk ``c``'s start.
+    """
     fields = _decode(token, kind="results")
     try:
-        chunk_seq, row, consumed = int(fields["c"]), int(fields["r"]), int(fields["g"])
+        chunk_seq, consumed = int(fields["c"]), int(fields["g"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ServeError(f"malformed offset token {token!r}: {exc}") from exc
     if chunk_seq < 0 or consumed < 0:
         raise ServeError(f"offset token {token!r} holds a negative position")
-    if row != 0:
-        # Reads consume whole chunks, so the server never mints another row.
-        raise ServeError(
-            f"offset token {token!r} points inside a chunk (row {row}); "
-            f"result tokens always resume at a chunk boundary"
-        )
     return ResultCursor(buffer, chunk_seq, consumed)
 
 

@@ -114,8 +114,8 @@ class ResultCursor:
     def position(self) -> Tuple[int, int]:
         """The ``(chunk sequence, row)`` position the cursor has consumed up to.
 
-        ``row`` is always 0 — reads consume whole chunks; the pair is the
-        shape offset tokens carry on the wire.
+        ``row`` is always 0 — reads consume whole chunks, so offset tokens
+        carry the chunk sequence alone.
         """
         return (self._chunk_seq, 0)
 

@@ -135,6 +135,61 @@ def test_inline_suppression_waives_hot_path_finding(lint):
     assert report.suppressed == 1
 
 
+def test_hypot_in_hot_path_flagged(lint):
+    report = lint(
+        {
+            "mod.py": """\
+            import math
+
+            import numpy as np
+            from math import hypot
+
+            def hot(dx, dy):
+                return np.hypot(dx, dy), math.hypot(1.0, 2.0), hypot(3.0, 4.0)
+            """
+        },
+        hot_paths=HOT,
+    )
+    assert codes(report) == ["CRQ405"] * 3
+    assert all("sqrt(dx*dx + dy*dy)" in f.message for f in report.findings)
+
+
+def test_ieee_distance_and_cold_hypot_are_clean(lint):
+    report = lint(
+        {
+            "mod.py": """\
+            import numpy as np
+
+            def hot(dx, dy):
+                distance = np.multiply(dx, dx)
+                np.add(distance, np.multiply(dy, dy), out=distance)
+                return np.sqrt(distance, out=distance)
+
+            def cold(dx, dy):
+                return np.hypot(dx, dy)
+            """
+        },
+        hot_paths=HOT,
+    )
+    assert codes(report) == []
+
+
+def test_suppressed_hypot_is_waived(lint):
+    report = lint(
+        {
+            "mod.py": """\
+            import numpy as np
+
+            def hot(dx, dy):
+                return np.hypot(dx, dy)  # craqr: ignore[CRQ405] - one scalar per batch
+            """
+        },
+        hot_paths=HOT,
+    )
+    assert codes(report) == []
+    assert report.suppressed == 1
+
+
 def test_committed_manifest_resolves_against_real_tree():
     """Every entry in the shipped manifest must resolve (CRQ404 guard)."""
     import pathlib

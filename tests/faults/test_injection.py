@@ -26,9 +26,10 @@ from repro.workloads import (
 #: bit for bit.  (Pinned before the fault subsystem existed; re-pinned by
 #: the Newton MLE, from ``e66d8d1a...``, by keyed strict answers in fused
 #: rounds, from ``413174e0...``, by keyed strict movement through the
-#: kernels, from ``83867ce6...``, and by keyed placement with
-#: sensing-time stamps and batch-window fits, from ``be12ffa2...``.)
-GOLDEN_STREAM_HASH = "9cbe2ce508f452a5dd7511ea20d7af6cdacf9555af1e218972bb0d6a22420a99"
+#: kernels, from ``83867ce6...``, by keyed placement with sensing-time
+#: stamps and batch-window fits, from ``be12ffa2...``, and by the kernels'
+#: ``sqrt(dx*dx + dy*dy)`` distance, from ``9cbe2ce5...``.)
+GOLDEN_STREAM_HASH = "d4e5c018023434b1451c56fd2fe712f445cd5243cbacd0edf00ee5624d701a6a"
 
 
 def run_reference_engine(*, faults=None, resilience=None):

@@ -34,19 +34,20 @@ from repro.sensing import FatigueParticipation
 #: rounds, and again when they began to move from keyed streams through the
 #: kernels.  All four again when every sensor began to be placed from its
 #: keyed placement block, tuples began to be stamped at their sensing time
-#: and Flatten began to fit over the batch window.  CHANGES.md lists
-#: old -> new.
-GOLDEN_STRICT = "b0e85c5ba4b60cc5257b9549f94613500880892e3f0d677accb2ad3778612b3f"
+#: and Flatten began to fit over the batch window, and all four when the
+#: mobility kernels' distance became ``sqrt(dx*dx + dy*dy)`` in place of
+#: ``np.hypot``.  CHANGES.md lists old -> new.
+GOLDEN_STRICT = "3f1db707552c77b0c4fcf620a9fa344fb97de8fd7f17e2263c71e66e9d8db6a2"
 #: Same workload under shared-stream fast-sim RNG (the fused shared-stream
 #: round).  The two fast-sim digests were re-pinned a second time when
 #: fast-sim ``advance`` began to skip ahead (last bits of the skipped
 #: walkers' positions; every draw unchanged); CHANGES.md, PR 24.
-GOLDEN_FAST_SIM = "2717cb0a67cbf0b4dcd878f410bbd1ca1e8f5c0844a1a9c1cd35fddfe9150e8f"
+GOLDEN_FAST_SIM = "d0eed51d652050a6c11b0c9517ccaa9f5b8ce11e4dfce647410cb257dee7771c"
 #: The same two with no ``FaultPlan`` and no mitigation configured.  The
 #: digest is full-precision, so these also guard the wave loop's
 #: timestamp arithmetic on healthy runs.
-GOLDEN_STRICT_FAULT_FREE = "03ef8a1e7b96c9c0e1bcae9d07dc0c03a38555819efc95edeefcbadfbc188666"
-GOLDEN_FAST_SIM_FAULT_FREE = "5851e488971513c3929e98b7c11562f01249807a17ccc3c01f519deb1d5e3e68"
+GOLDEN_STRICT_FAULT_FREE = "c4048c624399e28bf33cc6272ee97267294d44957910e4675f166a57477dd736"
+GOLDEN_FAST_SIM_FAULT_FREE = "5292ee5f167367d59674b8960f616a4fe659085720e0398fc68e05a70c7f00b7"
 
 
 class TestRestoreContinuesByteIdentical:

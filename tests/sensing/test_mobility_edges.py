@@ -271,3 +271,49 @@ class TestMobilityProtocol:
 
         assert Inheritor(REGION).batch_key() == Inheritor(REGION).batch_key()
         assert Inheritor(REGION).batch_key() != RandomWaypointMobility(REGION).batch_key()
+
+
+class TestRegionExtent:
+    """A model refuses a region whose distances could not be computed.
+
+    The kernels square a step's offsets (``_distance``): an infinite bound
+    turned every position NaN after one ``advance``, and a squared diagonal
+    that overflows would leave every distance infinite and the crowd still.
+    """
+
+    def test_an_infinite_region_is_refused_before_placement(self):
+        with pytest.raises(CraqrError, match="finite region"):
+            SensingWorld(
+                WorldConfig(region=Rectangle(0.0, 0.0, np.inf, 8.0), sensor_count=5, seed=1),
+                mobility_factory=lambda r: RandomWaypointMobility(r),
+            )
+
+    @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
+    def test_every_model_refuses_an_infinite_bound(self, name):
+        with pytest.raises(CraqrError, match="finite region"):
+            MODEL_FACTORIES[name](Rectangle(-np.inf, 0.0, 2.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "region",
+        [Rectangle(0.0, 0.0, 1e155, 8.0), Rectangle(0.0, -1e154, 8.0, 1e154)],
+        ids=["wide", "tall"],
+    )
+    def test_a_squared_diagonal_that_overflows_is_refused(self, region):
+        with pytest.raises(CraqrError, match="squared diagonal overflows"):
+            RandomWaypointMobility(region)
+
+    def test_the_largest_regions_that_square_finitely_still_walk(self):
+        region = Rectangle(0.0, 0.0, 1e150, 1e150)
+        world = SensingWorld(
+            WorldConfig(region=region, sensor_count=20, seed=3),
+            mobility_factory=lambda r: RandomWaypointMobility(r, speed=1e149, pause=0.0),
+        )
+        before = world.state_arrays.x.copy()
+        world.advance(1.0)
+        assert np.all(np.isfinite(world.state_arrays.x)) and np.all(np.isfinite(world.state_arrays.y))
+        assert not np.array_equal(world.state_arrays.x, before)
+
+    def test_a_hotspot_too_far_from_the_region_is_refused(self):
+        with pytest.raises(CraqrError, match="overflow"):
+            HotspotMobility(REGION, [(1.0, 1.0, 1.0), (1e200, 0.0, 1.0)])
+        HotspotMobility(REGION, [(1.0, 1.0, 1.0), (1e150, 0.0, 1.0)])

@@ -2,7 +2,9 @@
 
 The fast-sim mobility kernels work on row views and boolean masks; the
 gather/scatter bodies they replaced are kept here, under ``tests/``, as the
-oracle (``reference_*`` below are verbatim copies of the pre-rewrite code).
+oracle (``reference_*`` below are verbatim copies of the pre-rewrite code,
+but for the distance line: ``np.sqrt(dx * dx + dy * dy)``, spelled out here
+since the kernels replaced ``np.hypot`` with that IEEE spelling).
 Every seeded fast-sim result in the repo — the ``tests/recovery`` goldens,
 the benchmark run digests — rests on the two agreeing *exactly*: same
 generator calls in the same order, same float operation order.  So the
@@ -72,7 +74,7 @@ def reference_waypoint(model, arrays, indices, dt, rng):
     y = arrays.y[active]
     dx = tx - x
     dy = ty - y
-    distance = np.hypot(dx, dy)
+    distance = np.sqrt(dx * dx + dy * dy)
     travel = model._speed * dt
     arrive = travel >= distance
     safe = np.maximum(distance, _TINY)
@@ -102,7 +104,7 @@ def reference_hotspot(model, arrays, indices, dt, rng):
     y = arrays.y[idx]
     dx = tx - x
     dy = ty - y
-    distance = np.hypot(dx, dy)
+    distance = np.sqrt(dx * dx + dy * dy)
     travel = np.minimum(model._speed * dt, distance)
     scale = np.where(distance > _TINY, travel / np.maximum(distance, _TINY), 0.0)
     jitter = rng.normal(0.0, model._jitter * math.sqrt(dt), (2, n))

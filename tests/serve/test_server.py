@@ -226,12 +226,14 @@ class TestLaggingFetch:
 
 
 class TestForgedResultTokens:
-    """A result token is outside input: its row field is not trusted.
+    """A result token is outside input: only its position is read.
 
-    The server only ever mints row 0 (reads consume whole chunks); a token
-    naming another row used to skip the chunks it overshot silently.  It
-    must fail that one request with a structured error and leave the
-    connection, the subscriptions and the engine loop serving.
+    Reads consume whole chunks, so a token is a chunk sequence and a
+    lifetime count.  A row field — tokens used to carry ``"r"``, and one
+    naming a row other than 0 used to skip the chunks it overshot
+    silently — is ignored.  A malformed or out-of-range token fails that
+    one request with a structured error and leaves the connection, the
+    subscriptions and the engine loop serving.
     """
 
     @staticmethod
@@ -239,31 +241,35 @@ class TestForgedResultTokens:
         raw = json.dumps({"k": "results", **fields}, separators=(",", ":"))
         return base64.urlsafe_b64encode(raw.encode()).decode()
 
-    def test_forged_row_on_fetch_is_a_structured_error(self, served):
+    def test_forged_token_on_fetch_is_a_structured_error(self, served):
         server, client, _ = served
         client.run(3)
         total = server.engine.query("Storm").buffer.total_tuples
-        with pytest.raises(ServeError, match="chunk boundary") as err:
-            client.fetch(query="Storm", token=self.forge(c=0, r=1_000_000, g=0))
+        with pytest.raises(ServeError, match="negative") as err:
+            client.fetch(query="Storm", token=self.forge(c=-1, g=0))
         assert err.value.error_type == "ServeError"
         # A chunk sequence past the frontier is the storage layer's error.
         with pytest.raises(ServeError, match="ahead of the buffer") as err:
-            client.fetch(query="Storm", token=self.forge(c=10_000, r=0, g=0))
+            client.fetch(query="Storm", token=self.forge(c=10_000, g=0))
         assert err.value.error_type == "StorageError"
-        # Same connection, same engine: the honest token reads everything.
-        reply, payload = client.fetch(query="Storm", token=self.forge(c=0, r=0, g=0))
+        # Same connection, same engine: a token with a forged row reads
+        # everything from its chunk boundary, skipping nothing.
+        reply, payload = client.fetch(
+            query="Storm", token=self.forge(c=0, r=1_000_000, g=0)
+        )
         assert reply["count"] == len(decode_tuple_batch(payload)) == total
         assert client.run(1)["batches_run"] == 4
 
-    def test_forged_row_on_subscribe_is_a_structured_error(self, served):
+    def test_forged_token_on_subscribe_is_a_structured_error(self, served):
         server, client, _ = served
         client.run(2)
-        with pytest.raises(ServeError, match="chunk boundary") as err:
-            client.subscribe(query="Storm", token=self.forge(c=0, r=7, g=0))
+        with pytest.raises(ServeError, match="malformed") as err:
+            client.subscribe(query="Storm", token=self.forge(c=0))
         assert err.value.error_type == "ServeError"
-        # No half-made subscription is left behind, and a well-formed
-        # resume on the same connection gets its backlog and live events.
-        sub = client.subscribe(query="Storm", token=self.forge(c=0, r=0, g=0))
+        # No half-made subscription is left behind, and a resume on the
+        # same connection — its forged row ignored — gets its whole backlog
+        # and live events.
+        sub = client.subscribe(query="Storm", token=self.forge(c=0, r=7, g=0))
         backlog, payload = client.next_event(timeout=30)
         assert backlog["sub"] == sub["sub"]
         assert backlog["count"] == len(decode_tuple_batch(payload))

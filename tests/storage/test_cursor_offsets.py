@@ -21,7 +21,7 @@ import repro.core.query as _query_module
 from repro.config import CheckpointConfig
 from repro.core import CraqrEngine
 from repro.core.query import QueryIdAllocator
-from repro.errors import ServeError, StorageError
+from repro.errors import StorageError
 from repro.geometry import Rectangle
 from repro.sensing import (
     AlwaysRespond,
@@ -137,8 +137,8 @@ class TestResultCursorTokens:
 
     def test_minted_tokens_sit_on_chunk_boundaries(self):
         # Reads consume whole chunks, so every token the server can mint —
-        # head, mid-stream, tail — carries row 0; the field stays on the
-        # wire because the token bytes are part of the protocol.
+        # head, mid-stream, tail — is a chunk sequence and a lifetime
+        # count; the always-zero row field left the wire.
         engine = make_engine(view=False)
         buffer = engine.query("Storm").buffer
         cursor = buffer.cursor()
@@ -150,23 +150,40 @@ class TestResultCursorTokens:
         tokens.append(result_token(buffer.cursor(tail=True)))
         for token in tokens:
             fields = json.loads(base64.urlsafe_b64decode(token))
-            assert sorted(fields) == ["c", "g", "k", "r"] and fields["r"] == 0
-        assert tokens[0] == self.forge(c=0, r=0, g=0)
+            assert sorted(fields) == ["c", "g", "k"]
+        assert tokens[0] == self.forge(c=0, g=0)
 
-    def test_forged_row_is_rejected_not_silently_skipped(self):
+    def test_token_with_the_old_row_field_resumes_where_it_did(self):
+        # Tokens used to carry ``"r": 0``; one minted that way resumes
+        # exactly where the cursor it was minted from goes on reading.
+        engine = make_engine(view=False)
+        engine.run(2)
+        buffer = engine.query("Storm").buffer
+        cursor = buffer.cursor()
+        cursor.fetch_batch()
+        fields = json.loads(base64.urlsafe_b64decode(result_token(cursor)))
+        old = self.forge(c=fields["c"], r=0, g=fields["g"])
+        engine.run(2)
+
+        rebuilt = result_cursor_from_token(buffer, old)
+        got = rebuilt.fetch_batch()
+        assert len(got) > 0
+        assert encode_tuple_batch(got) == encode_tuple_batch(cursor.fetch_batch())
+        assert result_token(rebuilt) == result_token(cursor)
+
+    def test_forged_row_is_ignored_not_silently_skipped(self):
         # Regression: a token's ``r`` used to be trusted, and a chunk no
         # longer than ``r`` was skipped without a word — the forged token
         # below read all but the first chunk, reported that as everything
-        # consumed, and sat at the tail with ``pending > 0`` forever.
+        # consumed, and sat at the tail with ``pending > 0`` forever.  The
+        # row is no longer read: every token resumes at a chunk boundary.
         engine = make_engine(view=False)
         engine.run(3)
         buffer = engine.query("Storm").buffer
         for row in (1, 1_000_000):
-            with pytest.raises(ServeError, match="chunk boundary"):
-                result_cursor_from_token(buffer, self.forge(c=0, r=row, g=0))
-        honest = result_cursor_from_token(buffer, self.forge(c=0, r=0, g=0))
-        assert len(honest.fetch_batch()) == buffer.total_tuples
-        assert honest.pending == 0
+            forged = result_cursor_from_token(buffer, self.forge(c=0, r=row, g=0))
+            assert len(forged.fetch_batch()) == buffer.total_tuples
+            assert forged.pending == 0
 
     def test_forged_chunk_past_the_frontier_raises_at_fetch(self):
         engine = make_engine(view=False)
