@@ -3,8 +3,9 @@
 One :class:`~repro.serve.Server` owns a live engine over the simulated
 city; this script plays a dashboard client against it:
 
-* open a TCP connection, say hello, and register a rain query plus a
-  per-cell AVG view with one ``execute`` script,
+* open a TCP connection, say hello, register a rain query plus a
+  per-cell AVG view with one ``execute`` script, and ``EXPLAIN`` the
+  query's plan,
 * subscribe to the view and consume closed-window frames as push events
   while asking the server to advance batches,
 * "crash" — drop the socket mid-stream, keeping only the resume token
@@ -63,7 +64,8 @@ def main() -> None:
         for result in client.execute(
             "ACQUIRE rain FROM RECT(0, 0, 2, 2) AT RATE 12 PER KM2 PER MIN AS Storm; "
             "CREATE VIEW Tiles ON Storm AS AVG(value) GROUP BY CELL WINDOW 2; "
-            "SHOW QUERIES",
+            "SHOW QUERIES; "
+            "EXPLAIN Storm",
             mode="text",
         ):
             if "text" in result:  # SHOW/EXPLAIN render as the repl's tables

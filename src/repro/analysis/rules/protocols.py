@@ -1,8 +1,7 @@
 """CRQ2xx — batch-protocol completeness.
 
 The vectorised fast paths dispatch on *protocol* methods: mobility
-kernels group by ``batch_key`` (PR 2) and operators join the compiled
-plan path through ``lower_ir()`` (PR 8).  Each protocol is
+kernels group by ``batch_key``.  Each protocol is
 all-or-nothing — a class implementing half of one doesn't fail loudly,
 it silently takes the slow path (or worse, groups incorrectly).  These
 rules make partial implementations a lint error at the diff.
@@ -24,10 +23,9 @@ rules make partial implementations a lint error at the diff.
   from its keyed block, never from a generator), and a ``MobilityModel``
   subclass that still defines the scalar ``initial_state``, which nothing
   calls since the world places whole groups.
-* ``CRQ203`` — an operator defines ``process_batch`` without
-  ``lower_ir`` and without the explicit ``interpreted_fallback = True``
-  marker acknowledging that it is not lowered and so only runs in
-  standalone topologies (the engine's compiled chains cannot host it).
+
+CRQ203 is retired: the operator-lowering protocol it checked is gone, and
+its number is not reused.
 """
 
 from __future__ import annotations
@@ -42,11 +40,7 @@ from ..registry import rule
 CODES = {
     "CRQ201": "step_batch, batch_key (and a draw-free skip_ahead) go together; "
     "placement is initial_state_batch over keyed blocks",
-    "CRQ203": "process_batch without lower_ir or interpreted_fallback marker",
 }
-
-#: Operator base classes whose subclasses the CRQ203 rule applies to.
-OPERATOR_BASES = frozenset({"StreamOperator", "PMATOperator"})
 
 
 def _method_names(class_node: ast.ClassDef) -> Set[str]:
@@ -78,19 +72,6 @@ def _is_mobility_model(project: Project, class_node: ast.ClassDef, seen: Set[str
         if found is not None and _is_mobility_model(project, found[1], seen):
             return True
     return False
-
-
-def _class_assign_names(class_node: ast.ClassDef) -> Set[str]:
-    names: Set[str] = set()
-    for item in class_node.body:
-        if isinstance(item, ast.Assign):
-            for target in item.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(item, ast.AnnAssign):
-            if isinstance(item.target, ast.Name) and item.value is not None:
-                names.add(item.target.id)
-    return names
 
 
 def _base_names(class_node: ast.ClassDef) -> Set[str]:
@@ -165,16 +146,3 @@ def check(project: Project, context) -> Iterator[Finding]:
                 "initial_state_batch, so it is never called",
             )
 
-        # CRQ203 — operators either compile or declare they don't.
-        if (
-            _base_names(class_node) & OPERATOR_BASES
-            and "process_batch" in methods
-            and "lower_ir" not in methods
-            and "interpreted_fallback" not in _class_assign_names(class_node)
-        ):
-            yield finding(
-                "CRQ203",
-                f"operator {class_node.name} defines process_batch but "
-                "neither lower_ir() (to join the compiled plan path) nor "
-                "the explicit marker 'interpreted_fallback = True'",
-            )

@@ -606,44 +606,46 @@ class CraqrEngine:
         return self._plan_cache.programs_for(self._planner)
 
     def explain(self, name: str) -> str:
-        """Render the compiled plan slice for a query label or view name.
+        """Render the live plan of a query label or view name.
 
-        The ``EXPLAIN <query|view>`` statement: lowers the live topology
-        (and every active view) into the plan graph, runs the optimizer
-        pass pipeline, and renders the nodes the target rides on together
-        with the fused kernel groupings, cross-query sharing, the merge
-        stage structure and the seed cost model's steady-state estimate.
+        The ``EXPLAIN <query|view>`` statement: walks the chains the query
+        taps in the order the compiled programs run them (see
+        :func:`repro.plan.render_explain`), with cross-query sharing, the
+        merge stage, the query's views (only the named one for a view
+        target) and the seed cost model's steady-state estimate.  It reads
+        the live topology and compiles nothing.  A name that is both a
+        view and a query label is ambiguous and raises
+        :class:`~repro.errors.QueryError`.
         """
-        from ..plan import build_plan_graph, optimize, render_explain
+        from ..plan import render_explain
         from .optimizer import estimate_query_cost
 
         view = self._views.get(name)
-        view_name: Optional[str] = None
+        labelled = any(h.query.label == name for h in self._handles.values())
+        if view is not None and labelled:
+            raise QueryError(
+                f"EXPLAIN target {name!r} is ambiguous: it names view "
+                f"{name!r} (on query {view.query_label!r}) and a query "
+                f"labelled {name!r}; rename or drop the view"
+            )
         if view is not None:
-            view_name = name
-            handle = self._handles.get(view.query_id)
-            if handle is None:  # pragma: no cover - drop_view removes these
-                raise QueryError(f"view {name!r} has no registered query")
+            query = self._handles[view.query_id].query
+        elif not labelled:
+            raise QueryError(
+                f"EXPLAIN target {name!r} matches no registered query "
+                f"label and no view name"
+            )
         else:
-            try:
-                handle = self.query(name)
-            except QueryError:
-                raise QueryError(
-                    f"EXPLAIN target {name!r} matches no registered query "
-                    f"label and no view name"
-                ) from None
-        query = handle.query
-        graph = build_plan_graph(self._planner, self._views.values())
-        optimize(graph, batch_duration=self._config.batch_duration)
+            query = self.query(name).query
         cost = estimate_query_cost(
             query, self._grid, batch_duration=self._config.batch_duration
         )
         return render_explain(
-            graph,
-            query_id=query.query_id,
-            query_label=query.label,
-            view_name=view_name,
-            cost_estimate=cost,
+            self._planner,
+            query,
+            self._views.values(),
+            cost,
+            view_name=name if view is not None else None,
         )
 
     # ------------------------------------------------------------------
@@ -1287,7 +1289,3 @@ class CraqrEngine:
             sum(buffer.total_tuples for buffer in self._buffers.values())
             + self._delivered_dropped
         )
-
-    def describe(self) -> str:
-        """Human-readable dump of the engine's planner state."""
-        return self._planner.describe()

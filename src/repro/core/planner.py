@@ -536,13 +536,3 @@ class QueryPlanner:
             paused_queries=len(self._paused),
             cells_touched_by_last_change=self._last_touched,
         )
-
-    def describe(self) -> str:
-        """Human-readable dump of every materialised cell topology."""
-        lines = [
-            f"planner: {len(self._plans)} queries over "
-            f"{len(self._cells)} materialised cells"
-        ]
-        for key in sorted(self._cells):
-            lines.append(self._cells[key].describe())
-        return "\n".join(lines)

@@ -30,8 +30,6 @@ class ClampOperator(PMATOperator):
     """Clamp tuple coordinates into the deployment region."""
 
     symbol = "CL"
-    #: No lower_ir(): runs via the interpreted per-tuple path by design.
-    interpreted_fallback = True
 
     def __init__(self, region: Rectangle, *, name: Optional[str] = None, rng=None) -> None:
         super().__init__(name, region=region, outputs=1, rng=rng)
@@ -90,8 +88,6 @@ class OutlierFilterOperator(PMATOperator):
     """
 
     symbol = "OF"
-    #: No lower_ir(): runs via the interpreted per-tuple path by design.
-    interpreted_fallback = True
 
     def __init__(
         self,

@@ -33,8 +33,6 @@ class ShiftOperator(PMATOperator):
     """Shift every tuple by a constant space-time displacement."""
 
     symbol = "SH"
-    #: No lower_ir(): runs via the interpreted per-tuple path by design.
-    interpreted_fallback = True
 
     def __init__(
         self,
@@ -82,8 +80,6 @@ class MarkOperator(PMATOperator):
     """
 
     symbol = "MK"
-    #: No lower_ir(): runs via the interpreted per-tuple path by design.
-    interpreted_fallback = True
 
     def __init__(
         self,
@@ -145,8 +141,6 @@ class SampleOperator(PMATOperator):
     """Retain each tuple with a fixed probability (rate-agnostic thinning)."""
 
     symbol = "SA"
-    #: No lower_ir(): runs via the interpreted per-tuple path by design.
-    interpreted_fallback = True
 
     def __init__(
         self,

@@ -270,6 +270,19 @@ class FlattenOperator(PMATOperator):
         """The output rate ``lambda-bar`` the operator aims for."""
         return self._target_rate
 
+    @property
+    def estimator(self) -> str:
+        """How the intensity is chosen: ``"given"``, ``"online"`` or ``"mle"``.
+
+        The configured estimator, in :attr:`FlattenBatchReport.estimator`'s
+        vocabulary; a batch's report names what that batch actually used
+        (the online estimator fits by MLE until it has warmed up, and a
+        batch too small to fit falls back to ``"constant"``).
+        """
+        if self._intensity is not None:
+            return "given"
+        return "online" if self._online else "mle"
+
     def set_target_rate(self, target_rate: float) -> None:
         """Change the output rate (the planner may bump it above the first T)."""
         if target_rate <= 0:
@@ -495,18 +508,3 @@ class FlattenOperator(PMATOperator):
             and len(self._reports) > self._history_batches
         ):
             del self._reports[: len(self._reports) - self._history_batches]
-
-    def lower_ir(self) -> dict:
-        """Describe this operator's compiled kernel for the plan IR."""
-        estimator = "fixed"
-        if self._intensity is None:
-            estimator = "online-sgd" if self._online else "mle"
-        return {
-            "kind": "flatten-mask",
-            "symbol": self.symbol,
-            "name": self.name,
-            "target_rate": self._target_rate,
-            "batch_duration": self._batch_duration,
-            "estimator": estimator,
-            "rng_draws": "random(n)",
-        }

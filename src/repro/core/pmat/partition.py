@@ -147,8 +147,8 @@ class PartitionOperator(PMATOperator):
         ``keep_rest=False``, so the compiled chain only needs the primary
         mask.  Pure function of the coordinates — the caller pairs it with
         :meth:`account_mask` so identical-region taps can share one
-        containment evaluation (CSE) while each operator still records its
-        own traffic.
+        containment evaluation while each operator still records its own
+        traffic.
         """
         if len(self._regions) != 1 or self._keep_rest:
             raise StreamError(
@@ -173,25 +173,13 @@ class PartitionOperator(PMATOperator):
         """Hashable identity of the primary containment predicate.
 
         Two taps with equal signatures accept exactly the same points, so
-        the optimizer's CSE pass can evaluate the containment mask once
-        and share it.
+        the compiled program evaluates the containment mask once per level
+        for all of them (and ``EXPLAIN`` marks them as sharing it).
         """
         return tuple(
             (rect.x_min, rect.y_min, rect.x_max, rect.y_max)
             for rect in self._regions[0].rectangles
         )
-
-    def lower_ir(self) -> dict:
-        """Describe this operator's compiled kernel for the plan IR."""
-        return {
-            "kind": "partition-mask",
-            "symbol": self.symbol,
-            "name": self.name,
-            "regions": len(self._regions),
-            "keep_rest": self._keep_rest,
-            "predicate": self.mask_signature() if len(self._regions) == 1 else None,
-            "rng_draws": "none",
-        }
 
     def process_batch(self, batch: TupleBatch) -> TupleBatch:
         """Vectorised partition returning the first sub-region's batch.

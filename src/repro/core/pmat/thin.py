@@ -141,18 +141,6 @@ class ThinOperator(PMATOperator):
         self._tuples_out += int(kept.shape[0])
         return kept
 
-    def lower_ir(self) -> dict:
-        """Describe this operator's compiled kernel for the plan IR."""
-        return {
-            "kind": "thin-mask",
-            "symbol": self.symbol,
-            "name": self.name,
-            "rate_in": self._rate_in,
-            "rate_out": self._rate_out,
-            "retention_probability": self.retention_probability,
-            "rng_draws": "random(m)",
-        }
-
     def describe(self) -> str:
         attribute = self.attribute or "*"
         return (

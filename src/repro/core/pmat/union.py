@@ -98,16 +98,6 @@ class UnionOperator(PMATOperator):
         self._tuples_out += n
         return batch
 
-    def lower_ir(self) -> dict:
-        """Describe this operator's compiled kernel for the plan IR."""
-        return {
-            "kind": "union",
-            "symbol": self.symbol,
-            "name": self.name,
-            "rate": self._rate,
-            "rng_draws": "none",
-        }
-
     def describe(self) -> str:
         attribute = self.attribute or "*"
         rate = f"@{self._rate:g}" if self._rate is not None else ""

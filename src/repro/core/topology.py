@@ -358,24 +358,6 @@ class AttributeChain:
             sink=sink,
         )
 
-    def lower_ir(self) -> List[dict]:
-        """Per-operator IR descriptors in execution order.
-
-        The plan compiler lowers the chain from its live structure (levels
-        and taps); this flat listing is the operators' own description of
-        their compiled kernels, used by EXPLAIN and pinned by the IR golden
-        tests.
-        """
-        if self._flatten is None:
-            raise PlanningError("the chain has not been built yet")
-        descriptors = [self._flatten.lower_ir()]
-        for level in self._levels:
-            descriptors.append(level.thin.lower_ir())
-            for tap in level.taps:
-                if tap.partition is not None:
-                    descriptors.append(tap.partition.lower_ir())
-        return descriptors
-
     # ------------------------------------------------------------------
     # Invariants (the paper's structural rules, checked by tests)
     # ------------------------------------------------------------------
@@ -552,10 +534,6 @@ class CellTopology:
         """Check the structural invariants of every chain."""
         for chain in self._chains.values():
             chain.check_invariants()
-
-    def describe(self) -> str:
-        """Human-readable dump of the cell's topology."""
-        return self._topology.describe()
 
     @property
     def stream_topology(self) -> StreamTopology:

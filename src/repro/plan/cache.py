@@ -18,12 +18,36 @@ append per chain, not a compile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from .compiler import assemble_programs
 from .executor import ChainProgram, ChainSteps
 
 CellKey = Tuple[int, int]
+
+
+def assemble_programs(
+    planner, steps_for: Callable[[CellKey, object, str], ChainSteps]
+) -> Dict[str, ChainProgram]:
+    """One program per attribute from every materialised chain's steps.
+
+    Walks the chains in the object path's order (cells in planner order, a
+    cell's chains in attribute order) — the order deliveries are emitted in
+    — and asks ``steps_for(cell key, topology, attribute)`` for each
+    chain's compiled steps.
+    """
+    chains: Dict[str, List[Tuple[int, ChainSteps]]] = {}
+    position = 0
+    for key in planner.materialized_cells:
+        topology = planner.cell_topology(key)
+        for attribute in topology.attributes:
+            chains.setdefault(attribute, []).append(
+                (position, steps_for(key, topology, attribute))
+            )
+            position += 1
+    return {
+        attribute: ChainProgram(attribute, attribute_chains)
+        for attribute, attribute_chains in chains.items()
+    }
 
 
 @dataclass

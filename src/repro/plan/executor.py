@@ -31,8 +31,8 @@ stream) rests on five facts:
   rows with the same values (``col[mask1][mask2] == col[idx1][keep2]``),
   and containment masks commute with gathering
   (``region.contains_many(x[idx]) == region.contains_many(x)[idx]``), so
-  two taps with identical predicates can share one evaluation (the CSE
-  pass) while each partition operator still records its own traffic;
+  taps on one level with an equal ``TapStep.signature`` share one
+  evaluation while each partition operator still records its own traffic;
 * deliveries and discards are not emitted by the program: they come back
   tagged with their position in the object walk's order (chain position,
   step within the chain) and the planner emits them in that order.

@@ -1,121 +1,122 @@
-"""EXPLAIN rendering: the compiled graph as text.
+"""EXPLAIN rendering: the chains a query runs on, as text.
 
-``EXPLAIN <query|view>`` resolves its target to a query, lowers the
-current topology through the compiler and pass pipeline, and renders the
-slice of the graph the target rides on: nodes with their schemas, the
-fused kernel each mask belongs to, which queries share each node, the
-merge-stage structure, and the seed-era cost-model estimate.
+``EXPLAIN <query|view>`` resolves its target to a query and walks the
+planner's live chains in the order
+:func:`~repro.plan.cache.assemble_programs` hands them to the attribute
+programs (cells in planner order, a cell's chains in attribute order).
+For every chain the query taps it prints the Flatten, each Thin level
+down to the query's tap, and the tap's Partition, each with the other
+queries riding on it; then the query's flat merge, its views and the
+seed-era cost-model estimate.  It reads the chain objects, not the plan
+cache, so it compiles nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from .ir import PlanGraph
+from typing import Iterable, Optional
 
 
-def _query_marker(node, query_id: int) -> str:
-    if not node.shared:
+def _shared(query_ids: Iterable[int], query_id: int, what: str = "shared") -> str:
+    others = sorted(set(query_ids) - {query_id})
+    if not others:
         return ""
-    others = sorted(q for q in node.queries if q != query_id)
-    return f"  [shared with q{',q'.join(str(q) for q in others)}]"
+    return f"  [{what} with q{',q'.join(str(q) for q in others)}]"
+
+
+def _chain_lines(chain, query_id: int) -> list:
+    flatten = chain.flatten
+    lines = [
+        f"  {flatten.name}  target {flatten.target_rate:g}/s, "
+        f"estimator {flatten.estimator}{_shared(chain.query_ids, query_id)}"
+    ]
+    # Levels run by descending rate; a level is shared by every query
+    # tapping it or a lower one.
+    below = set(chain.query_ids)
+    for level in chain.levels:
+        thin = level.thin
+        lines.append(
+            f"    {thin.name}  {thin.rate_in:g}->{thin.rate_out:g}"
+            f"{_shared(below, query_id)}"
+        )
+        tap = next((tap for tap in level.taps if tap.query_id == query_id), None)
+        if tap is not None:
+            if tap.partition is not None:
+                # The executor evaluates equal containment predicates on a
+                # level once.
+                signature = tap.partition.mask_signature()
+                twins = [
+                    other.query_id
+                    for other in level.taps
+                    if other.partition is not None
+                    and other.partition.mask_signature() == signature
+                ]
+                lines.append(
+                    f"    {tap.partition.name}  mask {signature}"
+                    f"{_shared(twins, query_id, 'predicate shared')}"
+                )
+            break
+        below -= {tap.query_id for tap in level.taps}
+    return lines
 
 
 def render_explain(
-    graph: PlanGraph,
+    planner,
+    query,
+    views: Iterable,
+    cost_estimate,
     *,
-    query_id: int,
-    query_label: str,
     view_name: Optional[str] = None,
-    cost_estimate=None,
 ) -> str:
-    """Render the plan slice for one query (optionally focussed on a view)."""
-    target = f"view {view_name!r} on query {query_label!r}" if view_name else f"query {query_label!r}"
+    """Render the chains, merge and views of one query (or one of its views)."""
+    query_id = query.query_id
+    target = f"view {view_name!r} on query {query.label!r}" if view_name else f"query {query.label!r}"
+    chain_lines = []
+    streams = 0
+    for key in planner.materialized_cells:
+        topology = planner.cell_topology(key)
+        for attribute in topology.attributes:
+            chain = topology.chain(attribute)
+            if query_id in chain.query_ids:
+                streams += 1
+                chain_lines.extend(_chain_lines(chain, query_id))
+    paused = " (paused: deliveries suppressed)" if planner.is_paused(query_id) else ""
     lines = [
         f"EXPLAIN {target} (q{query_id})",
-        "execution mode: compiled (fused kernels)",
         "",
+        f"chains ({streams}):",
+        *chain_lines,
+        "",
+        f"merge stage: {planner.union_operator(query_id).name} flat union "
+        f"over {streams} per-cell streams{paused}",
     ]
-    nodes = graph.nodes_for_query(query_id)
-    if view_name is not None:
-        view_label = f"view:{view_name}"
-        keep_kinds = {"source", "estimate", "mask", "gather", "union", "sink"}
-        nodes = [
-            node
-            for node in nodes
-            if node.kind in keep_kinds
-            or node.kind == "view-sink" and node.label == view_label
-            or node.kind == "view-sort"
-            and any(
-                sink.label == view_label and node.node_id in sink.inputs
-                for sink in graph.nodes_of_kind("view-sink")
-            )
+
+    # A quarantined view is detached: it folds nothing and shares no sort.
+    on_query = [view for view in views if view.query_id == query_id and view.is_active]
+    shown = [view for view in on_query if view_name in (None, view.name)]
+    if shown:
+        lines += ["", f"views ({len(shown)}):"]
+    for view in shown:
+        spec = view.spec
+        sort = (spec.slide_duration, spec.group_by)
+        twins = [
+            other.name
+            for other in on_query
+            if other is not view
+            and (other.spec.slide_duration, other.spec.group_by) == sort
         ]
-    lines.append(f"dataflow ({len(nodes)} nodes):")
-    for node in nodes:
-        inputs = (
-            " <- " + ",".join(f"#{i}" for i in node.inputs) if node.inputs else ""
-        )
-        kernel = node.details.get("kernel")
-        kernel_tag = f"  {{{kernel}}}" if kernel else ""
-        shares = node.details.get("shares_mask_with")
-        shares_tag = f"  [predicate shared with #{shares}]" if shares is not None else ""
+        shared = f"  [sort shared with {', '.join(twins)}]" if twins else ""
         lines.append(
-            f"  #{node.node_id:<3} {node.kind:<9} {node.label}"
-            f"  ({', '.join(node.schema)}){inputs}"
-            f"{kernel_tag}{shares_tag}{_query_marker(node, query_id)}"
+            f"  view:{view.name}  {spec.describe()}  "
+            f"sort (slide={sort[0]:g}, {sort[1]}){shared}"
         )
 
-    kernel_names = {
-        node.details.get("kernel")
-        for node in nodes
-        if node.details.get("kernel") is not None
-    }
-    kernels = [kernel for kernel in graph.kernels if kernel.name in kernel_names]
-    if kernels:
-        lines.append("")
-        lines.append(f"fused kernels ({len(kernels)}):")
-        for kernel in kernels:
-            lines.append(
-                f"  {kernel.name}: nodes "
-                f"{','.join(f'#{i}' for i in kernel.node_ids)} — {kernel.description}"
-            )
-
-    union_nodes = [node for node in nodes if node.kind == "union"]
-    for node in union_nodes:
-        fan_in = node.details.get("fan_in")
-        if fan_in is None:
-            continue
-        lines.append("")
-        lines.append(
-            f"merge stage: flat union over {fan_in} per-cell streams"
-        )
-        depth = node.details.get("tree_depth")
-        operators = node.details.get("tree_operators")
-        if depth is not None:
-            lines.append(
-                f"  tree alternative (fan-in 2): depth {depth}, "
-                f"{operators} union operators"
-            )
-
-    if cost_estimate is not None:
-        lines.append("")
-        lines.append(
-            "cost estimate (steady-state, seed cost model): "
-            f"{cost_estimate.total:.2f} units/batch over "
-            f"{cost_estimate.cells} cells "
-            f"({cost_estimate.requests_per_batch:.1f} requests, "
-            f"{cost_estimate.operator_tuples_per_batch:.1f} operator-tuples, "
-            f"over-acquisition {100.0 * cost_estimate.over_acquisition:.1f}%)"
-        )
-    if graph.shared_cost_saved:
-        lines.append(
-            f"sharing saves ~{graph.shared_cost_saved:.3f} cost units/batch "
-            "across all queries (CSE)"
-        )
-    if graph.notes:
-        lines.append("")
-        lines.append("optimizer notes:")
-        for note in graph.notes:
-            lines.append(f"  - {note}")
+    lines += [
+        "",
+        "cost estimate (steady-state, seed cost model): "
+        f"{cost_estimate.total:.2f} units/batch over "
+        f"{cost_estimate.cells} cells "
+        f"({cost_estimate.requests_per_batch:.1f} requests, "
+        f"{cost_estimate.operator_tuples_per_batch:.1f} operator-tuples, "
+        f"over-acquisition {100.0 * cost_estimate.over_acquisition:.1f}%)",
+    ]
     return "\n".join(lines)

@@ -12,7 +12,7 @@ plus the session DDL — ``ALTER <name> SET RATE 5 PER KM2 PER MIN``,
 QUERIES`` — and the continuous-view DDL — ``CREATE VIEW <name> ON <query>
 AS AGG(value) [GROUP BY CELL|ATTRIBUTE] WINDOW <dur> [SLIDE <dur>]``,
 ``DROP VIEW <name>``, ``SHOW VIEWS`` — plus ``EXPLAIN <query|view>`` for
-the compiled plan (:mod:`repro.plan`), executed against a live engine by
+the live plan (:mod:`repro.plan`), executed against a live engine by
 :meth:`repro.core.engine.CraqrEngine.execute`, and an attribute catalog
 that records which attributes exist and whether they are human- or
 sensor-sensed.

@@ -15,8 +15,8 @@ Two families of statement:
   :class:`ShowViewsStatement` (``SHOW VIEWS``), the serving surface of the
   continuous-view subsystem (:mod:`repro.views`).
 * Plan introspection — :class:`ExplainStatement` (``EXPLAIN
-  <query|view>``), rendering the compiled dataflow graph of
-  :mod:`repro.plan`.
+  <query|view>``), rendering the live chains the compiled programs of
+  :mod:`repro.plan` run.
 
 ``Statement`` is the union of all of them, as produced by
 :func:`repro.query.parse_statements`.
@@ -159,9 +159,9 @@ class ExplainStatement:
     """The AST of one ``EXPLAIN <query|view>`` statement.
 
     ``name`` addresses either a registered query's label or a maintained
-    view's name; the engine resolves views first (view names are unique,
-    query labels need not be).  Execution returns the rendered compiled
-    plan as a string (see :mod:`repro.plan`).
+    view's name; a name that is both is ambiguous and refused.  Execution
+    returns the rendered plan as a string (see
+    :func:`repro.plan.render_explain`).
     """
 
     name: str

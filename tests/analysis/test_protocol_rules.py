@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.analysis.registry import all_codes
+
 from lint_harness import codes
 
 
@@ -193,72 +195,31 @@ def test_full_vector_state_protocol_is_clean(lint):
     assert codes(report) == []
 
 
-def test_operator_process_batch_without_lowering_flagged(lint):
-    report = lint(
-        {
-            "ops.py": """\
-            class NoopOperator(PMATOperator):
-                def process_batch(self, batch):
-                    return batch
-            """
-        }
-    )
-    assert codes(report) == ["CRQ203"]
-
-
-def test_operator_with_lower_ir_is_clean(lint):
-    report = lint(
-        {
-            "ops.py": """\
-            class NoopOperator(StreamOperator):
-                def process_batch(self, batch):
-                    return batch
-
-                def lower_ir(self):
-                    return {"kind": "noop"}
-            """
-        }
-    )
-    assert codes(report) == []
-
-
-def test_operator_with_interpreted_fallback_marker_is_clean(lint):
-    report = lint(
-        {
-            "ops.py": """\
-            class NoopOperator(PMATOperator):
-                interpreted_fallback = True
-
-                def process_batch(self, batch):
-                    return batch
-            """
-        }
-    )
-    assert codes(report) == []
-
-
-def test_non_operator_class_not_held_to_crq203(lint):
-    report = lint(
-        {
-            "ops.py": """\
-            class BatchAccumulator:
-                def process_batch(self, batch):
-                    return batch
-            """
-        }
-    )
-    assert codes(report) == []
-
-
 def test_inline_suppression_waives_protocol_finding(lint):
     report = lint(
         {
-            "ops.py": """\
-            class NoopOperator(PMATOperator):  # craqr: ignore[CRQ203] - prototype
-                def process_batch(self, batch):
-                    return batch
+            "mobility.py": """\
+            class DriftMobility:  # craqr: ignore[CRQ201] - prototype
+                def step_batch(self, rows, dt):
+                    pass
             """
         }
     )
     assert codes(report) == []
     assert report.suppressed == 1
+
+
+def test_operator_without_lowering_is_clean_and_crq203_stays_retired(lint):
+    # CRQ203 asked operators for a lowering into the deleted plan graph;
+    # the code is retired with its subject and its number is not reused.
+    report = lint(
+        {
+            "ops.py": """\
+            class RawOperator(OneToOneOperator):
+                def process_batch(self, batch):
+                    return batch
+            """
+        }
+    )
+    assert codes(report) == []
+    assert "CRQ203" not in all_codes()

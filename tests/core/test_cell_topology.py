@@ -227,8 +227,3 @@ class TestCellTopologyExecution:
         topology.rebuild(lambda qid, item: None)
         topology.rebuild(lambda qid, item: None)
         assert topology.rebuilds == 2
-
-    def test_describe_lists_operators(self):
-        topology, _ = self.run_batch([full_cell_query()], rate=100.0)
-        text = topology.describe()
-        assert "F:" in text and "T:" in text

@@ -213,10 +213,3 @@ class TestExecution:
         assert delivered, "the query should receive tuples"
         for item in delivered:
             assert region.contains(item.x, item.y)
-
-    def test_describe_mentions_queries_and_cells(self):
-        planner = make_planner()
-        planner.insert_query(block_query())
-        text = planner.describe()
-        assert "1 queries" in text
-        assert "cell(0, 0)" in text

@@ -437,9 +437,3 @@ class TestEngineSurface:
             WorldConfig(region=REGION, sensor_count=20, seed=1, vectorized_rng=vectorized)
         )
         assert CraqrEngine(EngineConfig(seed=2), world).fast_sim is vectorized
-
-    def test_describe_lists_the_materialised_cells(self):
-        engine, _, _ = run_three_queries(1)
-        lines = engine.describe().splitlines()
-        assert lines[0].startswith("planner: 3 queries over ")
-        assert len(lines) > 1

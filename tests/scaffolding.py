@@ -12,7 +12,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.plan.compiler import assemble_programs
+from repro.plan.cache import assemble_programs
 from repro.plan.executor import ChainProgram, ChainSteps
 from repro.pointprocess import IntensityModel
 from repro.sensing import PhenomenonField

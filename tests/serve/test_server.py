@@ -87,7 +87,7 @@ class TestExecute:
         assert rain["active"] is True
 
     def test_create_view_and_explain_rows(self, served):
-        _, client, _ = served
+        server, client, _ = served
         rows = client.execute(
             "CREATE VIEW Rain2 ON Storm AS MAX(value) GROUP BY CELL WINDOW 3; "
             "EXPLAIN Storm"
@@ -98,6 +98,9 @@ class TestExecute:
         assert view["view"]["on"] == "Storm"
         assert explain["kind"] == "explain"
         assert explain["text"].startswith("EXPLAIN query 'Storm'")
+        # The wire, text mode and the Python API render the same plan.
+        (text_row,) = client.execute("EXPLAIN Storm", mode="text")
+        assert text_row["text"] == explain["text"] == server.engine.explain("Storm")
 
     def test_mid_script_error_recovers_and_reports(self, served):
         _, client, _ = served

@@ -488,7 +488,7 @@ class TestLint:
         capture = _Capture()
         code = main(["lint", "--explain"], out=capture)
         assert code == 0
-        for family_example in ("CRQ101", "CRQ203", "CRQ302", "CRQ404", "CRQ503"):
+        for family_example in ("CRQ101", "CRQ201", "CRQ302", "CRQ404", "CRQ503"):
             assert family_example in capture.text
 
     def test_lint_default_scan_is_clean(self):
