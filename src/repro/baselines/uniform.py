@@ -24,38 +24,15 @@ class UniformSamplingAcquirer:
 
     def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
         self._rng = ensure_rng(rng)
-        self._batches = 0
-        self._kept = 0
-        self._seen = 0
-
-    @property
-    def batches_processed(self) -> int:
-        """Number of batches sampled."""
-        return self._batches
-
-    @property
-    def kept_total(self) -> int:
-        """Tuples kept across all batches."""
-        return self._kept
-
-    @property
-    def seen_total(self) -> int:
-        """Tuples seen across all batches."""
-        return self._seen
 
     def sample(self, items: List[SensorTuple], target_count: int) -> List[SensorTuple]:
         """Keep ``target_count`` tuples uniformly at random (all when fewer)."""
         if target_count < 0:
             raise CraqrError("target_count cannot be negative")
-        self._batches += 1
-        self._seen += len(items)
         if target_count >= len(items):
-            self._kept += len(items)
             return list(items)
         indices = self._rng.choice(len(items), size=target_count, replace=False)
-        chosen = [items[int(i)] for i in sorted(indices)]
-        self._kept += len(chosen)
-        return chosen
+        return [items[int(i)] for i in sorted(indices)]
 
     def sample_to_rate(
         self,

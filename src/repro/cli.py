@@ -356,14 +356,12 @@ def _command_attributes(out: Callable[[str], None]) -> int:
 def _command_run(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     description, engine = _scenario_engine(args)
     out(f"scenario '{args.scenario}': {description}")
-    catalog = AttributeCatalog.default()
 
     statements = []
     for text in args.queries:
         statements.extend(parse_queries(text))
     handles = []
     for statement in statements:
-        catalog.validate_attribute(statement.attribute)
         handles.append(engine.register_query(statement.to_query()))
     out(f"registered {len(handles)} queries; running {args.batches} batches ...")
 
@@ -449,16 +447,6 @@ repl commands:
   quit/exit        leave the repl"""
 
 
-def _statement_validator(catalog: AttributeCatalog) -> Callable:
-    """The per-statement hook ``execute_script`` runs before executing."""
-
-    def _validate(statement) -> None:
-        if isinstance(statement, ParsedQuery):
-            catalog.validate_attribute(statement.attribute)
-
-    return _validate
-
-
 def _narrate_statement_result(
     statement,
     result,
@@ -510,7 +498,6 @@ def _command_repl(
     in_stream: TextIO,
 ) -> int:
     description, engine = _scenario_engine(args)
-    catalog = AttributeCatalog.default()
     out(f"scenario '{args.scenario}': {description}")
     out("CrAQR repl — type 'help' for statements, 'quit' to leave.")
     interactive = in_stream is sys.stdin and sys.stdin.isatty()
@@ -621,9 +608,7 @@ def _command_repl(
         except CraqrError as exc:
             out(f"error: {exc}")
             continue
-        outcomes = engine.execute_script(
-            statements, on_error="continue", validate=_statement_validator(catalog)
-        )
+        outcomes = engine.execute_script(statements, on_error="continue")
         for outcome in outcomes:
             if outcome.ok:
                 _narrate_statement_result(outcome.statement, outcome.result, out)

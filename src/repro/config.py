@@ -16,7 +16,7 @@ described by one declarative object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CraqrError
@@ -220,7 +220,3 @@ class EngineConfig:
     def grid_side(self) -> int:
         """Number of cells along one side of the grid (``sqrt(h)``)."""
         return int(round(self.grid_cells ** 0.5))
-
-    def with_seed(self, seed: int) -> "EngineConfig":
-        """Return a copy of this configuration with a different seed."""
-        return replace(self, seed=seed)

@@ -26,7 +26,7 @@ control point of a continuously executing query —
   :meth:`QueryHandle.subscribe` registers push callbacks fired once per
   batch with the delivered :class:`~repro.streams.TupleBatch`;
 * **in-flight mutation** — :meth:`QueryHandle.set_rate` /
-  :meth:`QueryHandle.set_region` replan the per-cell PMAT topology in place
+  :meth:`CraqrEngine.update_query` replan the per-cell PMAT topology in place
   (buffer, batch accounting and untouched cells' budget state survive), and
   :meth:`QueryHandle.pause` / :meth:`QueryHandle.resume` detach and
   reattach acquisition without tearing the topology down;
@@ -119,11 +119,6 @@ class EngineReport:
     #: (attribute, cell) pairs the degradation tracker classified as
     #: fault-degraded after this batch (empty without a ResilienceConfig).
     degraded_pairs: FrozenSet[Tuple[str, CellKey]] = frozenset()
-
-    @property
-    def tuples_acquired(self) -> int:
-        """Raw tuples the handler collected this batch."""
-        return self.handler.responses_received
 
     @property
     def tuples_delivered(self) -> int:
@@ -327,17 +322,6 @@ class QueryHandle:
         """
         return self._engine.update_query(self._query.query_id, rate=rate)
 
-    def set_region(self, region) -> "QueryHandle":
-        """Change the query's region on the live engine.
-
-        Accepts a :class:`~repro.geometry.Region` or
-        :class:`~repro.geometry.Rectangle`.  Cells left behind drop the
-        query (and are dematerialised when empty), newly covered cells are
-        materialised and budget-seeded; the result buffer keeps the tuples
-        acquired under the old region.
-        """
-        return self._engine.update_query(self._query.query_id, region=region)
-
     def pause(self) -> None:
         """Detach acquisition for this query without tearing down its topology.
 
@@ -499,11 +483,6 @@ class CraqrEngine:
         return self._planner
 
     @property
-    def fabricator(self) -> StreamFabricator:
-        """The crowdsensed stream fabricator."""
-        return self._fabricator
-
-    @property
     def budget_tuner(self) -> BudgetTuner:
         """The budget tuner."""
         return self._tuner
@@ -512,11 +491,6 @@ class CraqrEngine:
     def discarded_store(self) -> Optional[DiscardedStore]:
         """The store of discarded tuples, when enabled."""
         return self._discarded
-
-    @property
-    def fault_injector(self) -> Optional[FaultInjector]:
-        """The configured fault injector, if any."""
-        return self._handler.faults
 
     @property
     def health_monitor(self) -> Optional[SensorHealthMonitor]:
@@ -682,9 +656,18 @@ class CraqrEngine:
         return matches[0]
 
     def register_query(self, query: AcquisitionalQuery) -> QueryHandle:
-        """Register an acquisitional query and return a handle to its results."""
+        """Register an acquisitional query and return a handle to its results.
+
+        A query on an attribute the world does not sense is refused before
+        the planner changes anything: acquiring it would fail every batch.
+        """
         if query.query_id in self._handles:
             raise QueryError(f"query {query.label} is already registered")
+        if not self._world.has_attribute(query.attribute):
+            raise QueryError(
+                f"the world senses no attribute '{query.attribute}'; "
+                f"it senses {sorted(self._world.attributes)}"
+            )
         buffer = QueryResultBuffer(
             query.query_id,
             requested_rate=query.rate,
@@ -853,10 +836,6 @@ class CraqrEngine:
                 return
         view._shared_sort = SharedSortCache()
 
-    def has_view(self, name: str) -> bool:
-        """Whether a view with this name is currently maintained."""
-        return name in self._views
-
     def view(self, name: str) -> ViewHandle:
         """Resolve a maintained view by name."""
         handle = self._view_handles.get(name)
@@ -969,7 +948,7 @@ class CraqrEngine:
             f"VIEWS/EXPLAIN statement or its text"
         )
 
-    def execute_script(self, script, *, on_error: str = "raise", validate=None):
+    def execute_script(self, script, *, on_error: str = "raise"):
         """Parse and run a multi-statement script in order.
 
         ``script`` is a string of semicolon/newline-separated statements
@@ -988,10 +967,7 @@ class CraqrEngine:
           going, the repl/server behaviour.
 
         Parse errors always raise: a script that does not parse has no
-        statement positions to attribute results to.  ``validate`` is an
-        optional per-statement hook (e.g. an attribute-catalog check) run
-        before execution; a :class:`~repro.errors.CraqrError` it raises is
-        handled exactly like an execution error.
+        statement positions to attribute results to.
         """
         from ..query.parser import parse_statements
 
@@ -1007,8 +983,6 @@ class CraqrEngine:
         total = len(statements)
         for index, statement in enumerate(statements):
             try:
-                if validate is not None:
-                    validate(statement)
                 results.append(
                     StatementResult(statement=statement, result=self.execute(statement))
                 )

@@ -24,7 +24,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..errors import PlanningError
 from ..geometry import Grid
 from ..streams import SensorTuple, TupleBatch
 from .planner import QueryPlanner
@@ -62,13 +61,6 @@ class BatchResult:
     delivered_per_query: Dict[int, int] = field(default_factory=dict)
     violations: Dict[Tuple[str, CellKey], float] = field(default_factory=dict)
 
-    @property
-    def sharing_factor(self) -> float:
-        """Delivered tuples per routed tuple — >1 means data re-use across queries."""
-        if self.tuples_routed == 0:
-            return 0.0
-        return self.tuples_delivered / self.tuples_routed
-
 
 class StreamFabricator:
     """Runs the map/process/merge pipeline over acquired batches."""
@@ -87,21 +79,7 @@ class StreamFabricator:
         """The planner whose topologies this fabricator executes."""
         return self._planner
 
-    @property
-    def batches_processed(self) -> int:
-        """Number of batches fabricated so far."""
-        return self._batches
-
-    def delivered_total(self, query_id: int) -> int:
-        """Total tuples delivered to one query since the fabricator was created."""
-        return self._delivered_per_query.get(query_id, 0)
-
     # ------------------------------------------------------------------
-    def register_delivery(self, query_id: int) -> None:
-        """Account one delivered tuple for a query (called by the engine's sink)."""
-        self._delivered_per_query[query_id] = self._delivered_per_query.get(query_id, 0) + 1
-        self._current_delivered[query_id] = self._current_delivered.get(query_id, 0) + 1
-
     def register_delivery_batch(self, query_id: int, count: int) -> None:
         """Account a whole delivered batch for a query in one call."""
         self._delivered_per_query[query_id] = (

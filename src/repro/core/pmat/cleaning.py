@@ -105,7 +105,6 @@ class OutlierFilterOperator(PMATOperator):
         if not 2 <= min_history <= window:
             raise StreamError("min_history must be in [2, window]")
         super().__init__(name, outputs=1, rng=rng)
-        self._window = window
         self._z_threshold = z_threshold
         self._min_history = min_history
         self._history: Deque[float] = deque(maxlen=window)

@@ -49,11 +49,6 @@ class ShiftOperator(PMATOperator):
         self._dx = float(dx)
         self._dy = float(dy)
 
-    @property
-    def displacement(self) -> tuple:
-        """The ``(dt, dx, dy)`` displacement applied to every tuple."""
-        return (self._dt, self._dx, self._dy)
-
     def process(self, item: SensorTuple) -> None:
         self.emit(item.shifted(self._dt, self._dx, self._dy))
 

@@ -283,12 +283,6 @@ class FlattenOperator(PMATOperator):
             return "given"
         return "online" if self._online else "mle"
 
-    def set_target_rate(self, target_rate: float) -> None:
-        """Change the output rate (the planner may bump it above the first T)."""
-        if target_rate <= 0:
-            raise StreamError("the Flatten target rate must be strictly positive")
-        self._target_rate = float(target_rate)
-
     @property
     def last_violation_percent(self) -> float:
         """Rate-violation feedback of the most recent batch (0 before any batch).

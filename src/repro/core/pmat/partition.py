@@ -80,13 +80,6 @@ class PartitionOperator(PMATOperator):
         return self._keep_rest
 
     @property
-    def rest_output(self) -> Stream:
-        """The output stream carrying unmatched tuples."""
-        if not self._keep_rest:
-            raise StreamError("this Partition operator drops unmatched tuples")
-        return self.outputs[-1]
-
-    @property
     def dropped(self) -> int:
         """Number of unmatched tuples dropped (0 when ``keep_rest``)."""
         return self._dropped
@@ -189,7 +182,7 @@ class PartitionOperator(PMATOperator):
         :meth:`process_batch_multi` when the caller consumes every split.
         Non-primary splits are pushed to their output streams here (like
         the other operators' side outputs), so subscribers of
-        ``output_for(1)`` / ``rest_output`` never lose tuples when the
+        ``output_for(1)`` / the rest output never lose tuples when the
         operator is driven through the single-output contract.
         """
         batches = self.process_batch_multi(batch)

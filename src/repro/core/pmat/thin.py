@@ -86,12 +86,6 @@ class ThinOperator(PMATOperator):
         """Number of tuples dropped so far."""
         return self._dropped
 
-    def set_rates(self, rate_in: float, rate_out: float) -> None:
-        """Change both rates (used when the planner merges consecutive T's)."""
-        self._validate_rates(rate_in, rate_out)
-        self._rate_in = float(rate_in)
-        self._rate_out = float(rate_out)
-
     @property
     def discarded_output(self):
         """The secondary output stream carrying dropped tuples, if enabled."""

@@ -77,11 +77,6 @@ class UnionOperator(PMATOperator):
             raise StreamError("the common rate must be strictly positive")
         self._rate = float(rate)
 
-    @property
-    def inputs_attached(self) -> int:
-        """Number of upstream streams attached via :meth:`attach_input`."""
-        return self._inputs_attached
-
     def attach_input(self, upstream: Stream) -> None:
         """Subscribe this union to one more upstream partial stream."""
         upstream.subscribe(self.accept)

@@ -156,12 +156,6 @@ class AcquisitionalQuery:
         """Display label: the explicit name or ``Q<id>``."""
         return self.name or f"Q{self.query_id}"
 
-    def expected_tuples(self, duration: float) -> float:
-        """Expected number of tuples the query should receive over ``duration``."""
-        if duration <= 0:
-            raise QueryError("duration must be positive")
-        return self.rate * self.region.area * duration
-
     def with_rate(self, rate: float) -> "AcquisitionalQuery":
         """A copy of the query asking for a different rate (new query id)."""
         return replace(self, rate=rate, query_id=next(_query_ids))

@@ -90,13 +90,6 @@ class FaultInjector:
         """The plan being executed."""
         return self._plan
 
-    @property
-    def stuck_rows(self) -> np.ndarray:
-        """SoA rows designated stuck-at (empty when none)."""
-        if self._stuck is None:
-            return np.empty(0, dtype=np.int64)
-        return np.nonzero(self._stuck)[0]
-
     # ------------------------------------------------------------------
     def _outage_probabilities(
         self,

@@ -174,7 +174,3 @@ class Grid:
     def overlap_fraction(self, region: Region, cell: GridCell) -> float:
         """Fraction of ``cell`` covered by ``region`` (in [0, 1])."""
         return region.overlap_area(cell.region) / cell.area
-
-    def total_cell_area(self) -> float:
-        """Sum of all cell areas; equals ``area(R)`` (Eq. 2)."""
-        return sum(cell.area for cell in self.cells())

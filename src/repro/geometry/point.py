@@ -12,9 +12,8 @@ work with 2-D space plus time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -23,18 +22,6 @@ class SpacePoint:
 
     x: float
     y: float
-
-    def distance_to(self, other: "SpacePoint") -> float:
-        """Euclidean distance to another point."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def translated(self, dx: float, dy: float) -> "SpacePoint":
-        """Return a new point displaced by ``(dx, dy)``."""
-        return SpacePoint(self.x + dx, self.y + dy)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """Return ``(x, y)``."""
-        return (self.x, self.y)
 
     def __iter__(self) -> Iterator[float]:
         yield self.x
@@ -53,18 +40,9 @@ class SpaceTimePoint:
     x: float
     y: float
 
-    @property
-    def space(self) -> SpacePoint:
-        """The spatial component ``(x, y)``."""
-        return SpacePoint(self.x, self.y)
-
     def shifted(self, dt: float = 0.0, dx: float = 0.0, dy: float = 0.0) -> "SpaceTimePoint":
         """Return a new point displaced by ``(dt, dx, dy)``."""
         return SpaceTimePoint(self.t + dt, self.x + dx, self.y + dy)
-
-    def as_tuple(self) -> Tuple[float, float, float]:
-        """Return ``(t, x, y)``."""
-        return (self.t, self.x, self.y)
 
     def __iter__(self) -> Iterator[float]:
         yield self.t

@@ -11,7 +11,7 @@ treated as closed by the grid (see :mod:`repro.geometry.grid`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -86,10 +86,6 @@ class Rectangle:
             return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
         return self.x_min <= x < self.x_max and self.y_min <= y < self.y_max
 
-    def contains_point(self, point: SpacePoint, *, closed: bool = False) -> bool:
-        """Whether a :class:`SpacePoint` lies inside the rectangle."""
-        return self.contains(point.x, point.y, closed=closed)
-
     def contains_many(self, xs, ys, *, closed: bool = False):
         """Vectorised :meth:`contains`: a boolean mask over point arrays."""
         xs = np.asarray(xs, dtype=float)
@@ -102,15 +98,6 @@ class Rectangle:
         return (
             (self.x_min <= xs) & (xs < self.x_max)
             & (self.y_min <= ys) & (ys < self.y_max)
-        )
-
-    def contains_rectangle(self, other: "Rectangle") -> bool:
-        """Whether ``other`` is entirely inside this rectangle."""
-        return (
-            self.x_min <= other.x_min + COORD_TOLERANCE
-            and self.y_min <= other.y_min + COORD_TOLERANCE
-            and other.x_max <= self.x_max + COORD_TOLERANCE
-            and other.y_max <= self.y_max + COORD_TOLERANCE
         )
 
     def intersects(self, other: "Rectangle") -> bool:
@@ -137,10 +124,6 @@ class Rectangle:
         """Area of the overlap with ``other`` (0 when disjoint)."""
         overlap = self.intersection(other)
         return overlap.area if overlap is not None else 0.0
-
-    def is_disjoint(self, other: "Rectangle") -> bool:
-        """Whether the rectangles do not overlap (touching edges allowed)."""
-        return not self.intersects(other)
 
     # ------------------------------------------------------------------
     # Adjacency and union (needed by the Union PMAT operator)
@@ -191,36 +174,9 @@ class Rectangle:
             max(self.y_max, other.y_max),
         )
 
-    def bounding_union(self, other: "Rectangle") -> "Rectangle":
-        """Smallest rectangle containing both (no adjacency requirement)."""
-        return Rectangle(
-            min(self.x_min, other.x_min),
-            min(self.y_min, other.y_min),
-            max(self.x_max, other.x_max),
-            max(self.y_max, other.y_max),
-        )
-
     # ------------------------------------------------------------------
     # Splitting helpers (used by the grid and by Partition)
     # ------------------------------------------------------------------
-    def split_horizontally(self, y: float) -> Tuple["Rectangle", "Rectangle"]:
-        """Split into a bottom and a top rectangle at height ``y``."""
-        if not (self.y_min < y < self.y_max):
-            raise GeometryError(f"split coordinate {y} outside ({self.y_min}, {self.y_max})")
-        return (
-            Rectangle(self.x_min, self.y_min, self.x_max, y),
-            Rectangle(self.x_min, y, self.x_max, self.y_max),
-        )
-
-    def split_vertically(self, x: float) -> Tuple["Rectangle", "Rectangle"]:
-        """Split into a left and a right rectangle at abscissa ``x``."""
-        if not (self.x_min < x < self.x_max):
-            raise GeometryError(f"split coordinate {x} outside ({self.x_min}, {self.x_max})")
-        return (
-            Rectangle(self.x_min, self.y_min, x, self.y_max),
-            Rectangle(x, self.y_min, self.x_max, self.y_max),
-        )
-
     def subdivide(self, nx: int, ny: int) -> List["Rectangle"]:
         """Split into an ``nx x ny`` array of equal cells, row-major from the bottom-left."""
         if nx <= 0 or ny <= 0:
@@ -243,16 +199,6 @@ class Rectangle:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def from_origin(cls, width: float, height: float) -> "Rectangle":
-        """Rectangle anchored at the origin with the given extents."""
-        return cls(0.0, 0.0, width, height)
-
-    @classmethod
-    def unit_square(cls) -> "Rectangle":
-        """The unit square ``[0, 1) x [0, 1)``."""
-        return cls(0.0, 0.0, 1.0, 1.0)
-
     @classmethod
     def bounding(cls, rectangles: Iterable["Rectangle"]) -> "Rectangle":
         """Smallest rectangle containing every rectangle in ``rectangles``."""

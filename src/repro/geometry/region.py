@@ -16,7 +16,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import GeometryError
-from .point import SpacePoint
 from .rectangle import COORD_TOLERANCE, Rectangle
 
 
@@ -41,10 +40,6 @@ class Region(ABC):
     def contains(self, x: float, y: float, *, closed: bool = False) -> bool:
         """Whether the point ``(x, y)`` lies inside the region."""
         return any(rect.contains(x, y, closed=closed) for rect in self.rectangles)
-
-    def contains_point(self, point: SpacePoint, *, closed: bool = False) -> bool:
-        """Whether a :class:`SpacePoint` lies inside the region."""
-        return self.contains(point.x, point.y, closed=closed)
 
     def contains_many(self, xs, ys, *, closed: bool = False) -> np.ndarray:
         """Vectorised :meth:`contains`: a boolean mask over point arrays.
@@ -76,14 +71,6 @@ class Region(ABC):
         return abs(self.overlap_area(other) - other.area) <= COORD_TOLERANCE * max(
             1.0, other.area
         )
-
-    def is_disjoint(self, other: "Region") -> bool:
-        """Whether the two regions do not overlap."""
-        return not self.intersects(other)
-
-    def equals(self, other: "Region") -> bool:
-        """Area-based equality: same area and each covers the other."""
-        return self.covers(other) and other.covers(self)
 
     def intersection(self, other: "Region") -> Optional["Region"]:
         """The overlapping region, or ``None`` when the overlap has no area."""
@@ -129,13 +116,6 @@ class RectRegion(Region):
     @property
     def rectangles(self) -> Tuple[Rectangle, ...]:
         return (self.rect,)
-
-    @classmethod
-    def from_bounds(
-        cls, x_min: float, y_min: float, x_max: float, y_max: float
-    ) -> "RectRegion":
-        """Build directly from rectangle bounds."""
-        return cls(Rectangle(x_min, y_min, x_max, y_max))
 
 
 @dataclass(frozen=True, repr=False)

@@ -47,10 +47,6 @@ class ViolationTracker:
             return 0.0
         return sum(values) / len(values)
 
-    def batches_below(self, pair: PairKey, threshold: float) -> int:
-        """Number of recorded batches with violation at or below ``threshold``."""
-        return sum(1 for v in self.series.get(pair, []) if v <= threshold)
-
     def converged(self, pair: PairKey, threshold: float, *, window: int = 5) -> bool:
         """Whether the last ``window`` batches all stayed at or below the threshold."""
         values = self.series.get(pair, [])

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import PointProcessError
-from ..geometry import Region, SpaceTimePoint
+from ..geometry import SpaceTimePoint
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,6 @@ class EventBatch:
     def empty(cls) -> "EventBatch":
         """A batch with no events."""
         return cls(np.empty(0), np.empty(0), np.empty(0))
-
-    @classmethod
-    def from_points(cls, points: Iterable[SpaceTimePoint]) -> "EventBatch":
-        """Build from an iterable of :class:`SpaceTimePoint`."""
-        pts = list(points)
-        if not pts:
-            return cls.empty()
-        return cls(
-            np.array([p.t for p in pts], dtype=float),
-            np.array([p.x for p in pts], dtype=float),
-            np.array([p.y for p in pts], dtype=float),
-        )
 
     @classmethod
     def from_rows(cls, rows: Sequence[Tuple[float, float, float]]) -> "EventBatch":
@@ -116,10 +104,6 @@ class EventBatch:
         """The events as a list of :class:`SpaceTimePoint`."""
         return list(self)
 
-    def as_array(self) -> np.ndarray:
-        """An ``(n, 3)`` array with columns ``t, x, y``."""
-        return np.column_stack([self.t, self.x, self.y])
-
     def sorted_by_time(self) -> "EventBatch":
         """A copy with events sorted by time."""
         order = np.argsort(self.t, kind="stable")
@@ -131,17 +115,6 @@ class EventBatch:
         if mask.shape != self.t.shape:
             raise PointProcessError("selection mask must match batch length")
         return EventBatch(self.t[mask], self.x[mask], self.y[mask])
-
-    def restrict_to_region(self, region: Region) -> "EventBatch":
-        """Keep only events whose spatial location falls inside ``region``."""
-        if self.is_empty:
-            return self
-        mask = np.fromiter(
-            (region.contains(float(xi), float(yi)) for xi, yi in zip(self.x, self.y)),
-            dtype=bool,
-            count=len(self),
-        )
-        return self.select(mask)
 
     def restrict_to_time(self, t_start: float, t_end: float) -> "EventBatch":
         """Keep only events with ``t_start <= t < t_end``."""

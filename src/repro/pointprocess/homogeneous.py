@@ -9,7 +9,7 @@ events uniformly in the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -124,27 +124,3 @@ class HomogeneousMDPP:
         t = rng.uniform(t_start, t_start + duration, size=n)
         batch = EventBatch(t, xy[:, 0], xy[:, 1])
         return batch.sorted_by_time()
-
-    # ------------------------------------------------------------------
-    # Algebra (mirrors the PMAT operators at the model level)
-    # ------------------------------------------------------------------
-    def thinned(self, new_rate: float) -> "HomogeneousMDPP":
-        """The process with a strictly smaller rate (model-level Thin)."""
-        if not 0 < new_rate < self.rate:
-            raise PointProcessError(
-                f"thinned rate must be in (0, {self.rate}); got {new_rate}"
-            )
-        return replace(self, rate=new_rate)
-
-    def restricted(self, sub_region: Region) -> "HomogeneousMDPP":
-        """The process restricted to a sub-region (model-level Partition)."""
-        sub_region = _coerce_region(sub_region)
-        if not self.region.covers(sub_region):
-            raise PointProcessError("sub-region must be contained in the process region")
-        return HomogeneousMDPP(self.rate, sub_region)
-
-    def unioned(self, other: "HomogeneousMDPP", *, rate_tolerance: float = 1e-9) -> "HomogeneousMDPP":
-        """The union of two equal-rate processes on disjoint regions (model-level Union)."""
-        if abs(self.rate - other.rate) > rate_tolerance:
-            raise PointProcessError("union requires equal rates")
-        return HomogeneousMDPP(self.rate, self.region.union(other.region))

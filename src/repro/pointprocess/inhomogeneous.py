@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import PointProcessError
-from ..geometry import Rectangle, RectRegion, Region
+from ..geometry import Region
 from ..rng import ensure_rng
 from .events import EventBatch
 from .homogeneous import HomogeneousMDPP, _coerce_region
@@ -73,18 +73,3 @@ class InhomogeneousMDPP:
         accept_probability = np.clip(rates / lam_max, 0.0, 1.0)
         keep = rng.random(len(candidates)) < accept_probability
         return candidates.select(keep).sorted_by_time()
-
-    # ------------------------------------------------------------------
-    # Restriction
-    # ------------------------------------------------------------------
-    def restricted(self, sub_region: Region) -> "InhomogeneousMDPP":
-        """The process restricted to a sub-region."""
-        sub_region = _coerce_region(sub_region)
-        if not self.region.covers(sub_region):
-            raise PointProcessError("sub-region must be contained in the process region")
-        return InhomogeneousMDPP(self.intensity, sub_region)
-
-    @classmethod
-    def on_rectangle(cls, intensity: IntensityModel, rect: Rectangle) -> "InhomogeneousMDPP":
-        """Convenience constructor from a bare rectangle."""
-        return cls(intensity, RectRegion(rect))

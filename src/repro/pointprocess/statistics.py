@@ -56,10 +56,6 @@ class ChiSquareResult:
     p_value: float
     degrees_of_freedom: int
 
-    def rejects_homogeneity(self, alpha: float = 0.01) -> bool:
-        """Whether homogeneity is rejected at significance level ``alpha``."""
-        return self.p_value < alpha
-
 
 def quadrat_chi_square_test(
     batch: EventBatch, region, nx: int = 4, ny: int = 4

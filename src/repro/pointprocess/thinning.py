@@ -75,16 +75,6 @@ class ThinningResult:
         """Number of surviving events."""
         return len(self.retained)
 
-    @property
-    def discarded_count(self) -> int:
-        """Number of dropped events."""
-        return len(self.discarded)
-
-    @property
-    def input_count(self) -> int:
-        """Number of events that entered the pass."""
-        return self.retained_count + self.discarded_count
-
 
 def thin_events(
     batch: EventBatch,

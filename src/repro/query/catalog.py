@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..errors import QueryError
 
@@ -77,22 +77,6 @@ class AttributeCatalog:
     def names(self) -> List[str]:
         """All registered attribute names."""
         return sorted(self._attributes)
-
-    def human_sensed(self) -> List[str]:
-        """Names of human-sensed attributes."""
-        return sorted(
-            name
-            for name, info in self._attributes.items()
-            if info.kind is AttributeKind.HUMAN_SENSED
-        )
-
-    def sensor_sensed(self) -> List[str]:
-        """Names of sensor-sensed attributes."""
-        return sorted(
-            name
-            for name, info in self._attributes.items()
-            if info.kind is AttributeKind.SENSOR_SENSED
-        )
 
     def validate_attribute(self, name: str) -> AttributeInfo:
         """Validate that a query's attribute exists; returns its info."""

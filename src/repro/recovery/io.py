@@ -67,8 +67,10 @@ MAGIC = b"CRQRCKPT"
 #: was placed elsewhere than the build that wrote a version-10 file; 12:
 #: the mobility kernels compute distances as ``sqrt(dx*dx + dy*dy)``, not
 #: ``hypot`` — a restored engine moves its crowd to other last bits than
-#: the build that wrote a version-11 file).
-FORMAT_VERSION = 12
+#: the build that wrote a version-11 file; 13: the handler, the clock, a
+#: view and its frame buffer no longer pickle the round, tick,
+#: pre-origin-drop and evicted-tuple counters nothing read).
+FORMAT_VERSION = 13
 
 #: Header layout after the magic: version (u32), payload length (u64),
 #: SHA-256 digest (32 bytes), all little-endian.

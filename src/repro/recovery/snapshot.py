@@ -76,10 +76,8 @@ from .io import (
     FORMAT_VERSION,
     PathLike,
     SNAPSHOT_SUFFIX,
-    frame_payload,
     list_snapshots,
     read_snapshot_file,
-    unframe_payload,
     write_snapshot_file,
 )
 
@@ -238,9 +236,9 @@ class EngineSnapshot:
 
     Instances are immutable captures: :meth:`capture` serializes the
     engine's object graph *at call time*, so later engine mutations never
-    leak into the snapshot.  A snapshot round-trips through
-    :meth:`to_bytes` / :meth:`from_bytes` (the versioned, checksummed file
-    format) and :meth:`restore` builds a fully independent engine from it —
+    leak into the snapshot.  A snapshot round-trips through :meth:`write` /
+    :func:`load_snapshot` (the versioned, checksummed file format) and
+    :meth:`restore` builds a fully independent engine from it —
     also usable purely in memory as a deep fork of a running engine.
     """
 
@@ -277,10 +275,8 @@ class EngineSnapshot:
             ) from exc
         meta = {
             "batch_index": state["batch_index"],
-            "next_query_id": state["next_query_id"],
             "queries": len(engine.query_handles()),
             "views": len(engine.view_handles()),
-            "size_bytes": len(payload),
         }
         return cls(payload, meta)
 
@@ -289,11 +285,6 @@ class EngineSnapshot:
     def batch_index(self) -> int:
         """Number of batches the captured engine had completed."""
         return self._meta["batch_index"]
-
-    @property
-    def size_bytes(self) -> int:
-        """Size of the serialized payload (before file framing)."""
-        return self._meta["size_bytes"]
 
     @property
     def queries(self) -> int:
@@ -311,10 +302,6 @@ class EngineSnapshot:
         return FORMAT_VERSION
 
     # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """The snapshot in its versioned, checksummed wire format."""
-        return frame_payload(self._payload)
-
     def write(self, path: PathLike, *, pre_replace_hook=None) -> pathlib.Path:
         """Atomically write this snapshot to a file (framed + checksummed)."""
         target = pathlib.Path(path)
@@ -322,19 +309,12 @@ class EngineSnapshot:
         return target
 
     @classmethod
-    def from_bytes(cls, data: bytes, *, source: str = "snapshot") -> "EngineSnapshot":
-        """Parse (and checksum-verify) a framed snapshot."""
-        return cls._from_payload(unframe_payload(data, source=source), source=source)
-
-    @classmethod
     def _from_payload(cls, payload: bytes, *, source: str = "snapshot") -> "EngineSnapshot":
         state = cls._load_state(payload, source=source)
         meta = {
             "batch_index": state["batch_index"],
-            "next_query_id": state["next_query_id"],
             "queries": len(state["engine"].query_handles()),
             "views": len(state["engine"].view_handles()),
-            "size_bytes": len(payload),
         }
         return cls(payload, meta)
 

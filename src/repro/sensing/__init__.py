@@ -19,7 +19,7 @@ delayed) responses.
 
 from .clock import SimulationClock
 from .state import SensorStateArrays
-from .sensor import MobileSensor, SensorState
+from .sensor import MobileSensor
 from .mobility import (
     MobilityModel,
     RandomWaypointMobility,
@@ -47,7 +47,6 @@ __all__ = [
     "SimulationClock",
     "SensorStateArrays",
     "MobileSensor",
-    "SensorState",
     "MobilityModel",
     "RandomWaypointMobility",
     "HotspotMobility",

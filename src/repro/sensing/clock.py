@@ -16,7 +16,6 @@ class SimulationClock:
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
         self._start = float(start)
-        self._ticks = 0
 
     @property
     def now(self) -> float:
@@ -33,20 +32,9 @@ class SimulationClock:
         """Time elapsed since the start."""
         return self._now - self._start
 
-    @property
-    def ticks(self) -> int:
-        """Number of :meth:`advance` calls so far."""
-        return self._ticks
-
     def advance(self, dt: float) -> float:
         """Advance the clock by ``dt`` (> 0) and return the new time."""
         if dt <= 0:
             raise CraqrError("the clock can only move forward (dt must be > 0)")
         self._now += dt
-        self._ticks += 1
         return self._now
-
-    def reset(self) -> None:
-        """Reset to the start time."""
-        self._now = self._start
-        self._ticks = 0

@@ -48,7 +48,7 @@ from ..faults import FaultInjector, ResilienceConfig, SensorHealthMonitor
 from ..geometry import Grid, GridCell
 from ..rng import ANSWERS, keyed_uniforms
 from ..streams import SensorTuple, TupleBatch, make_tuple_id_allocator
-from .incentives import FlatIncentive, IncentiveScheme
+from .incentives import IncentiveScheme
 from .participation import exponential_latency
 from .world import SensingWorld
 
@@ -379,7 +379,6 @@ class RequestResponseHandler:
         self._allocate_tuple_id = make_tuple_id_allocator()
         self._total_requests = 0
         self._total_responses = 0
-        self._rounds = 0
         self._per_sensor = _PerSensorStreams(world)
         self._shared_stream = _SharedStream(world)
 
@@ -422,11 +421,6 @@ class RequestResponseHandler:
     def total_responses(self) -> int:
         """Responses received over the handler's lifetime."""
         return self._total_responses
-
-    @property
-    def rounds(self) -> int:
-        """Number of acquisition rounds executed."""
-        return self._rounds
 
     @property
     def faults(self) -> Optional[FaultInjector]:
@@ -1013,4 +1007,3 @@ class RequestResponseHandler:
         """Close one acquisition round (health decisions are per round)."""
         if self._health is not None:
             self._health.commit_round()
-        self._rounds += 1

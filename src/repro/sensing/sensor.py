@@ -24,7 +24,6 @@ of the SoA.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 import numpy as np
@@ -36,21 +35,6 @@ from .mobility import KeyedDraws, MobilityModel, movement_substeps, place_groups
 from .participation import AlwaysRespond, ParticipationModel, ResponseDecision
 from .phenomena import PhenomenonField
 from .state import SensorStateArrays
-
-
-@dataclass
-class SensorState:
-    """Snapshot of a sensor's public state at a point in time."""
-
-    sensor_id: int
-    t: float
-    x: float
-    y: float
-
-    @property
-    def location(self) -> SpacePoint:
-        """The sensor's position."""
-        return SpacePoint(self.x, self.y)
 
 
 class MobileSensor:
@@ -140,10 +124,6 @@ class MobileSensor:
     def responses_sent(self) -> int:
         """Responses actually produced so far."""
         return int(self._arrays.responses_sent[self._index])
-
-    def state_at(self, t: float) -> SensorState:
-        """A :class:`SensorState` snapshot stamped with time ``t``."""
-        return SensorState(self._sensor_id, t, *self._xy())
 
     def _xy(self) -> Tuple[float, float]:
         """The position, read from the sensor's SoA row."""

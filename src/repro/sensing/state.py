@@ -8,7 +8,7 @@ state as numpy columns so that
 * the mobility kernels (:meth:`~repro.sensing.mobility.MobilityModel.step_batch`,
   the only way a sensor moves) advance every sensor of a model group with a
   handful of array operations,
-* spatial queries (``sensors_in``, ``density_snapshot``) reduce to boolean
+* spatial queries (``density_snapshot``, cell bucketing) reduce to boolean
   masks and bincounts over the position columns, and
 * the acquisition rounds vectorise participation sampling across a whole
   cell population using the per-sensor participation parameter columns.

@@ -15,9 +15,9 @@ returned), each row holding its groups' codes.  Every sensor is placed from
 its own keyed block in one draw for the whole crowd
 (:func:`~repro.sensing.mobility.place_groups`); no generator is built or
 drawn from.  :class:`MobileSensor` objects are lazy views over the rows,
-built when asked for and never stored.  Spatial queries (``sensors_in``,
-``density_snapshot``, ``sensor_positions``) are therefore plain array
-operations in every mode.  Movement runs one way,
+built when asked for and never stored.  Spatial queries
+(``density_snapshot``, the handler's cell bucketing) are therefore plain
+array operations in every mode.  Movement runs one way,
 in both modes and for every sensor — each model group's draw-free
 ``skip_ahead``, then one vectorised ``step_batch`` kernel call per group per
 movement sub-step over the rows it left, gathered once per ``advance`` into
@@ -58,7 +58,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import AcquisitionError, CraqrError
-from ..geometry import Rectangle, Region
+from ..geometry import Rectangle
 from ..rng import check_seed, derive_key
 from .clock import SimulationClock
 from .mobility import (
@@ -333,11 +333,6 @@ class SensingWorld:
             self._clock.advance(dt)
         return self._clock.now
 
-    def sensor_indices_in(self, region: Region) -> np.ndarray:
-        """SoA row indices of the sensors currently inside ``region``."""
-        mask = region.contains_many(self._state.x, self._state.y, closed=True)
-        return np.nonzero(mask)[0]
-
     def sensors_at(self, indices: np.ndarray) -> List[MobileSensor]:
         """Views of the sensors at the given SoA row indices (a row is its id), built now."""
         return [
@@ -360,14 +355,6 @@ class SensingWorld:
         """The participation model of each of the given SoA rows (no view is built)."""
         models = self._participation_models
         return [models[code] for code in self._participation_codes[indices].tolist()]
-
-    def sensors_in(self, region: Region) -> List[MobileSensor]:
-        """Sensors whose current position lies inside ``region``."""
-        return self.sensors_at(self.sensor_indices_in(region))
-
-    def sensor_positions(self) -> np.ndarray:
-        """An ``(n, 2)`` array of current sensor positions (a cheap copy)."""
-        return self._state.positions()
 
     def density_snapshot(self, nx: int = 8, ny: int = 8) -> np.ndarray:
         """Counts of sensors in an ``ny x nx`` grid — a quick view of spatial skew.

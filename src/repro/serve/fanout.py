@@ -178,11 +178,6 @@ class FrameFanout:
         self._overflowed: Dict[SubscriberQueue, None] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def subscriber_count(self) -> int:
-        """Live subscriber queues across all topics."""
-        return len(self._topic_of)
-
     def _topic(self, key: Tuple[str, object], buffer) -> _Topic:
         topic = self._topics.get(key)
         if topic is None:

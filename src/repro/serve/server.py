@@ -252,6 +252,7 @@ class Server:
         self._server: Optional[asyncio.base_events.Server] = None
         self._stopping: Optional[asyncio.Event] = None
         self._batch_task: Optional[asyncio.Task] = None
+        self._batch_error: Optional[BaseException] = None
         self.batches_served = 0
 
     # ------------------------------------------------------------------
@@ -288,11 +289,17 @@ class Server:
         return self.bound_address
 
     async def serve_forever(self) -> None:
-        """Block until :meth:`stop` (or a ``shutdown`` op) is called."""
+        """Block until :meth:`stop` (or a ``shutdown`` op) is called.
+
+        A batch that raises in the timed loop stops the server too: the
+        error is re-raised here once the server has shut down.
+        """
         if self._server is None:
             await self.start()
         await self._stopping.wait()
         await self._shutdown()
+        if self._batch_error is not None:
+            raise self._batch_error
 
     async def stop(self) -> None:
         """Begin a graceful stop (idempotent)."""
@@ -324,7 +331,12 @@ class Server:
     async def _batch_loop(self) -> None:
         while True:
             await asyncio.sleep(self._config.batch_interval)
-            self._run_batches(1)
+            try:
+                self._run_batches(1)
+            except Exception as exc:
+                self._batch_error = exc
+                self._stopping.set()
+                return
 
     def _run_batches(self, batches: int) -> None:
         """Advance the engine and fan out — the only place batches run."""
@@ -714,9 +726,10 @@ def serve_in_thread(engine, config: Optional[ServeConfig] = None):
         raise ServeError(f"server failed to start: {box.get('error')}")
 
     def _stop() -> None:
-        loop = box["loop"]
-        if thread.is_alive():
-            asyncio.run_coroutine_threadsafe(server.stop(), loop)
-            thread.join(timeout=30)
+        # A server that is already stopping (a shutdown op, a failed timed
+        # batch) may close its loop before a scheduled stop() could run.
+        if thread.is_alive() and not server._stopping.is_set():
+            asyncio.run_coroutine_threadsafe(server.stop(), box["loop"])
+        thread.join(timeout=30)
 
     return server, box["address"], _stop

@@ -9,7 +9,7 @@ observations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..errors import StorageError
 from ..streams import SensorTuple
@@ -24,18 +24,6 @@ class DiscardedStore:
             raise StorageError("capacity_per_operator must be positive or None")
         self._capacity = capacity_per_operator
         self._stores: Dict[str, TupleStore] = {}
-        self._total = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def total_discarded(self) -> int:
-        """Total tuples recorded since creation (evictions included)."""
-        return self._total
-
-    @property
-    def operators(self) -> List[str]:
-        """Names of operators that have discarded at least one tuple."""
-        return list(self._stores.keys())
 
     def record(self, operator_name: str, item: SensorTuple) -> None:
         """Record one discarded tuple for the given operator."""
@@ -46,16 +34,6 @@ class DiscardedStore:
             store = TupleStore(capacity=self._capacity)
             self._stores[operator_name] = store
         store.insert(item)
-        self._total += 1
-
-    def subscriber_for(self, operator_name: str):
-        """A callback suitable for subscribing to an operator's discard stream."""
-        return lambda item: self.record(operator_name, item)
-
-    def for_operator(self, operator_name: str) -> List[SensorTuple]:
-        """The retained discarded tuples of one operator."""
-        store = self._stores.get(operator_name)
-        return store.all() if store is not None else []
 
     def counts(self) -> Dict[str, int]:
         """Currently retained discarded-tuple counts per operator."""

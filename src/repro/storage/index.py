@@ -9,7 +9,7 @@ adequate for the in-memory scales of the simulator.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import StorageError
 from ..geometry import Rectangle
@@ -45,14 +45,6 @@ class SpatioTemporalIndex:
         bucket = self._bucket_of(item.x, item.y)
         self._buckets.setdefault(bucket, []).append(item)
         self._count += 1
-
-    def insert_many(self, items: Iterable[SensorTuple]) -> int:
-        """Index many tuples; returns the number inserted."""
-        inserted = 0
-        for item in items:
-            self.insert(item)
-            inserted += 1
-        return inserted
 
     def query(
         self,

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..errors import StorageError
-from ..pointprocess import EventBatch
 from ..streams import (
     SensorTuple,
     TupleBatch,
@@ -441,25 +440,6 @@ class QueryResultBuffer:
         for chunk in self._chunks:
             values.extend(chunk.value.tolist())
         return values
-
-    def to_event_batch(self) -> EventBatch:
-        """The retained tuples' coordinates as an :class:`EventBatch`."""
-        return EventBatch.concatenate(
-            EventBatch(chunk.t, chunk.x, chunk.y) for chunk in self._chunks
-        )
-
-    def rate_over(self, duration: float) -> RateEstimate:
-        """Achieved rate over the given total duration of observation."""
-        if duration <= 0:
-            raise StorageError("duration must be positive")
-        achieved = self._total / (self._region_area * duration)
-        return RateEstimate(
-            tuples=self._total,
-            duration=duration,
-            area=self._region_area,
-            achieved_rate=achieved,
-            requested_rate=self._requested_rate,
-        )
 
     def rate_over_batches(self, batch_duration: float, last: Optional[int] = None) -> RateEstimate:
         """Achieved rate over the most recent ``last`` completed batches.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, List, Optional
+from typing import Deque, List, Optional
 
 from ..errors import StorageError
 from ..geometry import Rectangle
@@ -77,48 +77,10 @@ class TupleStore:
                 # index over-approximates and range queries re-check membership.
                 del evicted
 
-    def insert_many(self, items: Iterable[SensorTuple]) -> int:
-        """Store many tuples; returns the number inserted."""
-        count = 0
-        for item in items:
-            self.insert(item)
-            count += 1
-        return count
-
     # ------------------------------------------------------------------
     def all(self) -> List[SensorTuple]:
         """Every stored tuple, oldest first."""
         return list(self._items)
-
-    def for_attribute(self, attribute: str) -> List[SensorTuple]:
-        """Stored tuples of one attribute, oldest first."""
-        return [item for item in self._items if item.attribute == attribute]
-
-    def in_time_window(self, t_start: float, t_end: float) -> List[SensorTuple]:
-        """Stored tuples with ``t_start <= t < t_end``."""
-        if t_end <= t_start:
-            raise StorageError("the time window must have positive length")
-        return [item for item in self._items if t_start <= item.t < t_end]
-
-    def in_rectangle(self, rect: Rectangle, **kwargs) -> List[SensorTuple]:
-        """Stored tuples inside a rectangle (uses the index when available)."""
-        if self._index is not None:
-            candidates = self._index.query(rect, **kwargs)
-            live = set(id(item) for item in self._items)
-            return [item for item in candidates if id(item) in live]
-        results = [
-            item for item in self._items if rect.contains(item.x, item.y, closed=True)
-        ]
-        attribute = kwargs.get("attribute")
-        t_start = kwargs.get("t_start")
-        t_end = kwargs.get("t_end")
-        if attribute is not None:
-            results = [item for item in results if item.attribute == attribute]
-        if t_start is not None:
-            results = [item for item in results if item.t >= t_start]
-        if t_end is not None:
-            results = [item for item in results if item.t < t_end]
-        return results
 
     def clear(self) -> None:
         """Drop every stored tuple (statistics are kept)."""

@@ -293,15 +293,6 @@ class TupleBatch:
             extra=self.extra,
         )
 
-    def with_meta(self, **updates) -> "TupleBatch":
-        """A new batch with per-batch metadata entries merged in."""
-        meta = dict(self.meta)
-        meta.update(updates)
-        return TupleBatch(
-            self.attribute, self.t, self.x, self.y, self.value,
-            self.sensor_id, self.tuple_id, meta=meta, extra=self.extra,
-        )
-
     # ------------------------------------------------------------------
     # Materialisation (the lazy escape hatch to the object path)
     # ------------------------------------------------------------------

@@ -34,8 +34,8 @@ class StreamOperator(ABC):
     def __init__(self, name: Optional[str] = None, *, outputs: int = 1) -> None:
         if outputs < 0:
             raise StreamError("an operator cannot have a negative output count")
-        self._operator_id = next(_operator_ids)
-        self._name = name or f"{type(self).__name__}-{self._operator_id}"
+        operator_id = next(_operator_ids)
+        self._name = name or f"{type(self).__name__}-{operator_id}"
         self._outputs: List[Stream] = [
             Stream(f"{self._name}:out{i}") for i in range(outputs)
         ]
@@ -47,11 +47,6 @@ class StreamOperator(ABC):
     def name(self) -> str:
         """The operator's unique name."""
         return self._name
-
-    @property
-    def operator_id(self) -> int:
-        """A process-wide unique integer id."""
-        return self._operator_id
 
     @property
     def outputs(self) -> Sequence[Stream]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..pointprocess import EventBatch
 from .stream import Stream
 from .tuples import SensorTuple
 
@@ -45,10 +44,6 @@ class CollectingSink:
     def clear(self) -> None:
         """Drop everything collected so far."""
         self._items.clear()
-
-    def to_event_batch(self) -> EventBatch:
-        """The collected tuples as an :class:`EventBatch` of their coordinates."""
-        return EventBatch.from_rows([(it.t, it.x, it.y) for it in self._items])
 
 
 class CountingSink:

@@ -9,7 +9,7 @@ subscriber synchronously.  Each stream keeps lightweight statistics
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..errors import StreamError
@@ -33,13 +33,6 @@ class StreamStats:
             self.first_timestamp = item.t
         self.last_timestamp = item.t
 
-    @property
-    def observed_duration(self) -> float:
-        """Span between first and last tuple timestamps (0 when <2 tuples)."""
-        if self.first_timestamp is None or self.last_timestamp is None:
-            return 0.0
-        return max(self.last_timestamp - self.first_timestamp, 0.0)
-
 
 class Stream:
     """A named, push-based channel of :class:`SensorTuple` values."""
@@ -62,16 +55,6 @@ class Stream:
     def stats(self) -> StreamStats:
         """Statistics accumulated so far."""
         return self._stats
-
-    @property
-    def subscriber_count(self) -> int:
-        """Number of attached subscribers."""
-        return len(self._subscribers)
-
-    @property
-    def is_closed(self) -> bool:
-        """Whether the stream has been closed."""
-        return self._closed
 
     # ------------------------------------------------------------------
     def subscribe(self, subscriber: Subscriber) -> None:

@@ -11,7 +11,7 @@ insertion/deletion rules care about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import StreamError
 from .operator import StreamOperator
@@ -25,11 +25,6 @@ class BranchingPoint:
 
     stream_name: str
     consumer_names: Tuple[str, ...]
-
-    @property
-    def fan_out(self) -> int:
-        """Number of downstream consumers."""
-        return len(self.consumer_names)
 
 
 class StreamTopology:
@@ -76,10 +71,6 @@ class StreamTopology:
         except KeyError:
             raise StreamError(f"no operator named '{name}' in topology '{self._name}'") from None
 
-    def has_operator(self, name: str) -> bool:
-        """Whether an operator of that name is part of the topology."""
-        return name in self._operators
-
     def __len__(self) -> int:
         return len(self._operators)
 
@@ -108,46 +99,9 @@ class StreamTopology:
             self._consumers.setdefault(out_stream.name, [])
         return operator
 
-    def remove_operator(self, name: str) -> StreamOperator:
-        """Remove an operator; its output streams must have no consumers."""
-        operator = self.operator(name)
-        for out_stream in operator.outputs:
-            if self._consumers.get(out_stream.name):
-                raise StreamError(
-                    f"cannot remove operator '{name}': output stream "
-                    f"'{out_stream.name}' still has consumers"
-                )
-        feeding_stream = self._feeds.pop(name)
-        self._consumers[feeding_stream].remove(name)
-        for out_stream in operator.outputs:
-            self._streams.pop(out_stream.name, None)
-            self._consumers.pop(out_stream.name, None)
-        del self._operators[name]
-        return operator
-
-    def rewire(self, operator_name: str, new_upstream: Stream) -> None:
-        """Detach an operator from its current upstream and attach it to another stream."""
-        operator = self.operator(operator_name)
-        old_stream_name = self._feeds[operator_name]
-        old_stream = self._streams[old_stream_name]
-        old_stream.unsubscribe(operator.accept)
-        if new_upstream.name not in self._streams:
-            raise StreamError(
-                f"stream '{new_upstream.name}' does not belong to topology '{self._name}'"
-            )
-        operator.subscribe_to(new_upstream)
-        self._consumers[old_stream_name].remove(operator_name)
-        self._consumers.setdefault(new_upstream.name, []).append(operator_name)
-        self._feeds[operator_name] = new_upstream.name
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def consumers_of(self, stream: Stream) -> List[StreamOperator]:
-        """Operators subscribed to the given stream."""
-        names = self._consumers.get(stream.name, [])
-        return [self._operators[n] for n in names]
-
     def branching_points(self) -> List[BranchingPoint]:
         """Streams consumed by more than one operator (the paper's branching points)."""
         points = []
@@ -160,30 +114,6 @@ class StreamTopology:
                     )
                 )
         return points
-
-    def chain_from_entry(self) -> List[StreamOperator]:
-        """The linear prefix of operators reachable from the entry stream.
-
-        Follows single-consumer edges starting at the entry stream; stops at
-        the first branching point.  This is the F/T prefix the paper's
-        insertion rules manipulate.
-        """
-        chain: List[StreamOperator] = []
-        stream = self._entry
-        visited: Set[str] = set()
-        while True:
-            consumer_names = self._consumers.get(stream.name, [])
-            if len(consumer_names) != 1:
-                break
-            operator = self._operators[consumer_names[0]]
-            if operator.name in visited:
-                break
-            chain.append(operator)
-            visited.add(operator.name)
-            if len(operator.outputs) != 1:
-                break
-            stream = operator.outputs[0]
-        return chain
 
     def describe(self) -> str:
         """A multi-line, human-readable dump of the topology structure."""

@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..geometry import SpacePoint, SpaceTimePoint
+from ..geometry import SpacePoint
 
 
 class TupleIdAllocator:
@@ -86,23 +86,6 @@ class SensorTuple:
         """The spatial coordinates as a :class:`SpacePoint`."""
         return SpacePoint(self.x, self.y)
 
-    @property
-    def space_time(self) -> SpaceTimePoint:
-        """The spatio-temporal coordinates as a :class:`SpaceTimePoint`."""
-        return SpaceTimePoint(self.t, self.x, self.y)
-
-    def with_value(self, value: Any) -> "SensorTuple":
-        """A copy with a different sensed value."""
-        return replace(self, value=value)
-
-    def with_attribute(self, attribute: str) -> "SensorTuple":
-        """A copy tagged with a different attribute name."""
-        return replace(self, attribute=attribute)
-
     def shifted(self, dt: float = 0.0, dx: float = 0.0, dy: float = 0.0) -> "SensorTuple":
         """A copy displaced in space-time (used by the Shift extension operator)."""
         return replace(self, t=self.t + dt, x=self.x + dx, y=self.y + dy)
-
-    def as_row(self):
-        """The tuple as ``(t, x, y, value)`` — the paper's column order."""
-        return (self.t, self.x, self.y, self.value)

@@ -90,13 +90,6 @@ class ViewFrame:
         """Whether the window closed without any delivered tuples."""
         return self.keys.shape[0] == 0
 
-    def value_of(self, key) -> float:
-        """The aggregate value of one group (raises on unknown keys)."""
-        for i in range(self.keys.shape[0]):
-            if self.keys[i] == key:
-                return float(self.values[i])
-        raise ViewError(f"frame {self.frame_index} has no group {key!r}")
-
     def __len__(self) -> int:
         return int(self.keys.shape[0])
 
@@ -170,7 +163,6 @@ class ViewFrameBuffer:
         #: lifetime index of ``_frames[0]`` (frames evicted before it).
         self._frame_base = 0
         self._tuples_total = 0
-        self._tuples_evicted = 0
 
     # ------------------------------------------------------------------
     @property
@@ -182,11 +174,6 @@ class ViewFrameBuffer:
     def frames_emitted(self) -> int:
         """Frames ever appended (survives eviction)."""
         return self._frame_base + len(self._frames)
-
-    @property
-    def frames_evicted(self) -> int:
-        """Frames evicted by the retention cap."""
-        return self._frame_base
 
     @property
     def tuples_total(self) -> int:
@@ -209,9 +196,8 @@ class ViewFrameBuffer:
         self._tuples_total += frame.tuples
         if self._retention is not None:
             while len(self._frames) > self._retention:
-                evicted = self._frames.pop(0)
+                self._frames.pop(0)
                 self._frame_base += 1
-                self._tuples_evicted += evicted.tuples
 
     # ------------------------------------------------------------------
     def frames(self) -> List[ViewFrame]:

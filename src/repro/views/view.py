@@ -158,8 +158,6 @@ class ContinuousView:
         self._recent_panes: Deque[Dict] = deque(maxlen=self._panes_per_window)
         #: open panes: pane index -> {group key: [partial state, count]}.
         self._open_panes: Dict[int, Dict] = {}
-        #: tuples dropped because they fell before the view's origin pane.
-        self._pre_origin_dropped = 0
         self._subscription = None
         #: optional per-query shared lexsort cache (installed by the engine
         #: when compiled plans are on; plain runtime wiring otherwise).
@@ -197,11 +195,6 @@ class ContinuousView:
     def is_active(self) -> bool:
         """Whether the view is still being maintained."""
         return self._active
-
-    @property
-    def pre_origin_dropped(self) -> int:
-        """Tuples discarded because they preceded the view's first full pane."""
-        return self._pre_origin_dropped
 
     # ------------------------------------------------------------------
     # Engine plumbing
@@ -297,7 +290,6 @@ class ContinuousView:
                 # Tuples of the partially observed pane before the view's
                 # origin: excluded so every emitted frame covers a fully
                 # observed window.
-                self._pre_origin_dropped += int(before.sum())
                 filtered = True
                 keep = ~before
                 batch = batch.select(keep)
@@ -535,16 +527,3 @@ class ViewHandle:
     def error(self) -> Optional[Exception]:
         """The maintenance error that stopped the view (``None`` while healthy)."""
         return self._view.error
-
-    def drop(self) -> None:
-        """Deregister the view; maintenance stops, frames stay readable.
-
-        Idempotent, and works for quarantined (failed) views too: the
-        guard checks the engine's registry rather than the maintenance
-        flag, so a dead view is removed instead of lingering and blocking
-        its name forever.
-        """
-        engine = self._engine
-        name = self._view.name
-        if engine.has_view(name) and engine.view(name).view is self._view:
-            engine.drop_view(name)

@@ -125,8 +125,17 @@ class TestUniformSamplingAcquirer:
         items = self.make_items()
         kept = acquirer.sample(items, 50)
         assert len(kept) == 50
-        assert acquirer.kept_total == 50
-        assert acquirer.seen_total == len(items)
+        # Distinct tuples of the batch, in the batch's order.
+        positions = [items.index(item) for item in kept]
+        assert positions == sorted(set(positions))
+
+    def test_the_same_seed_keeps_the_same_tuples(self):
+        items = self.make_items()
+        first = UniformSamplingAcquirer(np.random.default_rng(4)).sample(items, 30)
+        again = UniformSamplingAcquirer(np.random.default_rng(4)).sample(items, 30)
+        other = UniformSamplingAcquirer(np.random.default_rng(5)).sample(items, 30)
+        assert first == again
+        assert first != other
 
     def test_sample_more_than_available_keeps_all(self):
         acquirer = UniformSamplingAcquirer(np.random.default_rng(2))

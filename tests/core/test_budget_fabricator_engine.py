@@ -9,7 +9,13 @@ from repro.core import AcquisitionalQuery, BudgetTuner, CraqrEngine, QueryPlanne
 from repro.errors import BudgetError, PlanningError, QueryError
 from repro.geometry import Grid, Rectangle, RectRegion
 from repro.pointprocess import HomogeneousMDPP
-from repro.sensing import RequestResponseHandler
+from repro.sensing import (
+    RainField,
+    RequestResponseHandler,
+    SensingWorld,
+    TemperatureField,
+    WorldConfig,
+)
 from repro.streams import SensorTuple
 from tests.conftest import make_world
 
@@ -133,7 +139,7 @@ class TestStreamFabricator:
 
         def deliver(query_id, item):
             delivered.setdefault(query_id, []).append(item)
-            fabricator.register_delivery(query_id)
+            fabricator.register_delivery_batch(query_id, 1)
 
         query = AcquisitionalQuery("rain", Rectangle(0, 0, 2, 2), rate)
         planner.insert_query(query, on_result=deliver)
@@ -168,25 +174,24 @@ class TestStreamFabricator:
         assert result.tuples_delivered == len(delivered[query.query_id])
         assert result.delivered_per_query[query.query_id] == result.tuples_delivered
         assert ("rain", (0, 0)) in result.violations
-        assert fabricator.batches_processed == 1
-        assert fabricator.delivered_total(query.query_id) == result.tuples_delivered
 
-    def test_sharing_factor_with_two_queries(self):
+    def test_two_queries_share_one_routed_batch(self):
         planner = QueryPlanner(GRID, rng=np.random.default_rng(5))
         fabricator = StreamFabricator(planner, GRID)
 
         def deliver(query_id, item):
-            fabricator.register_delivery(query_id)
+            fabricator.register_delivery_batch(query_id, 1)
 
         for rate in (30.0, 15.0):
             planner.insert_query(
                 AcquisitionalQuery("rain", Rectangle(0, 0, 2, 2), rate), on_result=deliver
             )
         result = fabricator.process_batch(self.raw_tuples(seed=6))
-        # Two queries re-use the same routed tuples, so more deliveries than
-        # a single query would get from the same acquisition.
+        # Two queries re-use the same routed tuples: both are delivered to
+        # from one acquisition.
         assert result.tuples_delivered > 0
-        assert result.sharing_factor > 0.0
+        assert len(result.delivered_per_query) == 2
+        assert sum(result.delivered_per_query.values()) == result.tuples_delivered
 
 
 class TestCraqrEngine:
@@ -248,7 +253,7 @@ class TestCraqrEngine:
         report = engine.run_batch()
         assert report.handler.requests_sent > 0
         assert isinstance(report.budget_decisions, list)
-        assert report.tuples_acquired == report.handler.responses_received
+        assert 0 < report.handler.responses_received <= report.handler.requests_sent
 
     def test_budget_increases_under_persistent_violations(self):
         engine = self.make_engine(response_probability=0.3)
@@ -296,8 +301,39 @@ class TestCraqrEngine:
         assert store is not None
         # The Flatten operators drop the surplus above the (low) target rate
         # and those tuples land in the separate store, keyed by operator name.
-        assert store.total_discarded > 0
-        assert any(name.startswith("F:temp") for name in store.operators)
+        counts = store.counts()
+        assert sum(counts.values()) > 0
+        assert all(name.startswith("F:temp") for name in counts)
+
+    def test_every_flatten_keeps_or_stores_each_tuple(self):
+        engine = self.make_engine(store_discarded=True)
+        engine.register_query(AcquisitionalQuery("temp", Rectangle(0, 0, 2, 2), 5.0))
+        engine.register_query(AcquisitionalQuery("rain", Rectangle(1, 1, 3, 3), 4.0))
+        engine.run(4)
+        stored = engine.discarded_store.counts()
+        flattens = [
+            topology.chain(attribute).flatten
+            for topology in map(engine.planner.cell_topology, engine.planner.materialized_cells)
+            for attribute in topology.attributes
+        ]
+        assert set(stored) <= {flatten.name for flatten in flattens}
+        for flatten in flattens:
+            given = sum(report.batch_size for report in flatten.reports)
+            kept = sum(report.retained for report in flatten.reports)
+            assert kept + stored.get(flatten.name, 0) == given
+
+    def test_a_query_is_accepted_once_the_world_senses_its_attribute(self):
+        world = SensingWorld(WorldConfig(region=REGION, sensor_count=120, seed=7))
+        world.register_field(RainField(REGION))
+        engine = CraqrEngine(EngineConfig(grid_cells=16, seed=3), world)
+        query = AcquisitionalQuery("temp", Rectangle(0, 0, 2, 2), 5.0)
+        with pytest.raises(QueryError, match=r"senses no attribute 'temp'; it senses \['rain'\]"):
+            engine.register_query(query)
+        assert engine.planner.materialized_cells == []
+        world.register_field(TemperatureField(REGION))
+        handle = engine.register_query(query)
+        engine.run(2)
+        assert handle.buffer.total_tuples > 0
 
     def test_no_discarded_store_by_default(self):
         engine = self.make_engine()

@@ -102,7 +102,7 @@ class Side:
 
     def deliver_item(self, query_id, item):
         self.delivered.setdefault(query_id, []).append(item)
-        self.fabricator.register_delivery(query_id)
+        self.fabricator.register_delivery_batch(query_id, 1)
 
     def deliver_batch(self, query_id, batch):
         self.delivered.setdefault(query_id, []).extend(batch.to_tuples())

@@ -123,7 +123,7 @@ class TestRoutingOperators:
 
     def test_partition_drops_unmatched_without_rest(self):
         items = make_items()
-        left = RectRegion.from_bounds(0.0, 0.0, 0.25, 1.0)
+        left = RectRegion(Rectangle(0.0, 0.0, 0.25, 1.0))
         col = PartitionOperator([left], rng=np.random.default_rng(1))
         outs = col.process_batch_multi(TupleBatch.from_tuples(items))
         assert len(outs) == 1
@@ -131,7 +131,7 @@ class TestRoutingOperators:
 
     def test_partition_keep_rest(self):
         items = make_items()
-        left = RectRegion.from_bounds(0.0, 0.0, 0.25, 1.0)
+        left = RectRegion(Rectangle(0.0, 0.0, 0.25, 1.0))
         col = PartitionOperator([left], keep_rest=True, rng=np.random.default_rng(1))
         outs = col.process_batch_multi(TupleBatch.from_tuples(items))
         assert len(outs) == 2

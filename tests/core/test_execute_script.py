@@ -104,35 +104,41 @@ class TestErrorRecovery:
             engine.execute_script("SHOW QUERIES", on_error="ignore")
 
 
-class TestValidateHook:
-    def test_validator_sees_every_statement(self):
+HUMIDITY = "ACQUIRE humidity FROM RECT(0, 0, 2, 2) AT RATE 5"
+
+
+class TestUnsensedAttribute:
+    """A query on an attribute the world does not sense is refused up front.
+
+    Accepting it would make every later batch fail to acquire it, and the
+    healthy queries would stop with it.
+    """
+
+    def test_register_query_refuses_it_naming_the_worlds_attributes(self):
         engine = make_engine()
-        seen = []
-        engine.execute_script(
-            f"{ACQUIRE}; SHOW QUERIES", validate=lambda s: seen.append(type(s).__name__)
-        )
-        assert seen == ["ParsedQuery", "ShowQueriesStatement"]
+        storm = engine.execute(ACQUIRE)
+        cells = engine.planner.materialized_cells
+        query = parse_statements(HUMIDITY)[0].to_query()
+        with pytest.raises(QueryError, match=r"humidity.*\['rain', 'temp'\]"):
+            engine.register_query(query)
+        assert engine.planner.materialized_cells == cells
+        assert [info.label for info in engine.sessions()] == ["Storm"]
+        engine.run_batch()
+        assert storm.buffer.total_tuples > 0
 
-    def test_validator_rejection_is_an_ordinary_statement_error(self):
+    def test_a_script_keeps_going_and_the_other_queries_deliver(self):
         engine = make_engine()
-
-        def forbid_acquire(statement):
-            if type(statement).__name__ == "ParsedQuery":
-                raise QueryError("ACQUIRE is disabled here")
-
         results = engine.execute_script(
-            f"{ACQUIRE}; SHOW QUERIES", on_error="continue", validate=forbid_acquire
+            f"{ACQUIRE}; {HUMIDITY}; SHOW QUERIES", on_error="continue"
         )
-        assert [r.ok for r in results] == [False, True]
-        assert "disabled" in str(results[0].error)
-        # The rejected statement never touched the engine.
-        assert engine.sessions() == []
+        assert [r.ok for r in results] == [True, False, True]
+        assert "humidity" in str(results[1].error)
+        report = engine.run_batch()
+        assert report.tuples_delivered > 0
+        assert results[0].result.buffer.total_tuples == report.tuples_delivered
 
-    def test_validator_rejection_raises_with_position_by_default(self):
+    def test_a_raising_script_names_the_statement(self):
         engine = make_engine()
-
-        def forbid(statement):
-            raise QueryError("nothing allowed")
-
-        with pytest.raises(QueryError, match="script statement 1 of 1 failed"):
-            engine.execute_script("SHOW QUERIES", validate=forbid)
+        with pytest.raises(QueryError, match="script statement 2 of 2 failed"):
+            engine.execute_script(f"{ACQUIRE}; {HUMIDITY}")
+        assert engine.run_batch().tuples_delivered > 0

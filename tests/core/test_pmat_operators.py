@@ -22,6 +22,7 @@ from repro.pointprocess import (
     quadrat_chi_square_test,
 )
 from repro.streams import CollectingSink, SensorTuple, TupleBatch
+from scaffolding import events_of
 
 CELL = Rectangle(0.0, 0.0, 1.0, 1.0)
 
@@ -87,9 +88,8 @@ class TestFlattenOperator:
         for item in simulate_tuples(seed=4, intensity=intensity, duration=1.0):
             op.accept(item)
         op.flush()
-        out_batch = sink.to_event_batch()
-        result = quadrat_chi_square_test(out_batch, CELL, 3, 3)
-        assert not result.rejects_homogeneity(alpha=0.001)
+        result = quadrat_chi_square_test(events_of(sink.items), CELL, 3, 3)
+        assert result.p_value >= 0.001
 
     def test_reports_violations_when_target_unreachable(self):
         op = FlattenOperator(
@@ -163,13 +163,6 @@ class TestFlattenOperator:
         late = HomogeneousMDPP(200.0, CELL).sample(1.5, t_start=5.0, rng=np.random.default_rng(5))
         assert op.begin_estimate(late).t_end == late.t.max()
 
-    def test_set_target_rate(self):
-        op = FlattenOperator(10.0, region=CELL)
-        op.set_target_rate(25.0)
-        assert op.target_rate == 25.0
-        with pytest.raises(StreamError):
-            op.set_target_rate(0.0)
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_given_intensity_raises(self, bad):
         # NaN passed the old ``rate <= 0`` check and an infinite rate made
@@ -238,13 +231,6 @@ class TestThinOperator:
         assert achieved == pytest.approx(50.0, rel=0.3)
         assert op.dropped == len(items) - len(sink)
 
-    def test_set_rates_for_merging(self):
-        op = ThinOperator(10.0, 5.0)
-        op.set_rates(20.0, 2.0)
-        assert op.rate_in == 20.0
-        assert op.rate_out == 2.0
-        assert op.retention_probability == pytest.approx(0.1)
-
     def test_emit_discarded(self):
         op = ThinOperator(100.0, 20.0, emit_discarded=True, rng=np.random.default_rng(2))
         kept = CollectingSink().attach(op.output)
@@ -309,16 +295,12 @@ class TestPartitionOperator:
     def test_keep_rest_output(self):
         op = PartitionOperator([Rectangle(0, 0, 0.25, 0.25)], keep_rest=True)
         inside = CollectingSink().attach(op.output_for(0))
-        rest = CollectingSink().attach(op.rest_output)
+        rest = CollectingSink().attach(op.outputs[-1])
         items = simulate_tuples(rate=200.0, seed=7)
         for item in items:
             op.accept(item)
         assert len(inside) + len(rest) == len(items)
         assert op.dropped == 0
-
-    def test_rest_output_requires_flag(self):
-        with pytest.raises(StreamError):
-            _ = PartitionOperator([Rectangle(0, 0, 1, 1)]).rest_output
 
     def test_output_for_bad_index(self):
         with pytest.raises(StreamError):
@@ -370,7 +352,6 @@ class TestUnionOperator:
         op = UnionOperator()
         upstream = SampleOperator(1.0)
         op.attach_input(upstream.output)
-        assert op.inputs_attached == 1
         sink = CollectingSink().attach(op.output)
         upstream.accept(SensorTuple(1, "rain", 0.0, 0.1, 0.1))
         assert len(sink) == 1
@@ -385,7 +366,6 @@ class TestExtensionOperators:
         op.accept(SensorTuple(1, "rain", 1.0, 1.0, 1.0))
         shifted = sink.items[0]
         assert (shifted.t, shifted.x, shifted.y) == (2.0, 1.5, 0.5)
-        assert op.displacement == (1.0, 0.5, -0.5)
 
     def test_mark_attaches_metadata(self):
         op = MarkOperator(lambda rng: 7, mark_key="priority")

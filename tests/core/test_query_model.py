@@ -63,12 +63,6 @@ class TestAcquisitionalQuery:
         assert named.label == "Storm"
         assert anonymous.label == f"Q{anonymous.query_id}"
 
-    def test_expected_tuples(self):
-        query = AcquisitionalQuery("rain", Rectangle(0, 0, 2, 2), 10.0)
-        assert query.expected_tuples(3.0) == pytest.approx(120.0)
-        with pytest.raises(QueryError):
-            query.expected_tuples(0.0)
-
     def test_with_rate_creates_new_query(self):
         query = AcquisitionalQuery("rain", Rectangle(0, 0, 1, 1), 5.0)
         changed = query.with_rate(8.0)

@@ -2,7 +2,7 @@
 
 Covers: cursor/subscription equivalence with ``results()`` (seeded,
 byte-identical tuples), batched delivery accounting, in-flight
-``set_rate``/``set_region`` replanning, pause/resume, label lookup,
+``set_rate`` / ``update_query(region=)`` replanning, pause/resume, label lookup,
 ``execute()`` round-trips of the session DDL, bounded retention on a live
 engine, the live ``reports`` view and the ``delete_query`` buffer-leak
 regression.
@@ -42,14 +42,14 @@ def run_three_queries(batches):
     engine = make_engine()
     handles = [
         engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=25.0)
+            AcquisitionalQuery("rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=25.0)
         ),
         engine.register_query(
             # Partial cell overlaps force Partition taps into the chains.
-            AcquisitionalQuery("temp", RectRegion.from_bounds(0.5, 0.5, 3.5, 2.5), rate=15.0)
+            AcquisitionalQuery("temp", RectRegion(Rectangle(0.5, 0.5, 3.5, 2.5)), rate=15.0)
         ),
         engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(1.0, 1.0, 3.0, 3.0), rate=10.0)
+            AcquisitionalQuery("rain", RectRegion(Rectangle(1.0, 1.0, 3.0, 3.0)), rate=10.0)
         ),
     ]
     reports = engine.run(batches)
@@ -64,7 +64,7 @@ class TestCursorSubscriptionEquivalence:
     def test_cursor_and_subscription_match_results(self):
         engine = make_engine()
         handle = engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=20.0)
+            AcquisitionalQuery("rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=20.0)
         )
         cursor = handle.cursor()
         batch_cursor = handle.cursor()
@@ -91,7 +91,7 @@ class TestCursorSubscriptionEquivalence:
     def test_subscription_cancel_stops_callbacks(self):
         engine = make_engine()
         handle = engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=20.0)
+            AcquisitionalQuery("rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=20.0)
         )
         calls = []
         subscription = handle.subscribe(lambda batch: calls.append(len(batch)))
@@ -106,7 +106,7 @@ class TestInFlightMutation:
         engine = make_engine(sensors=250)
         handle = engine.register_query(
             AcquisitionalQuery(
-                "rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=20.0, name="Storm"
+                "rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=20.0, name="Storm"
             )
         )
         engine.run(10)
@@ -130,10 +130,10 @@ class TestInFlightMutation:
     def test_set_rate_preserves_other_querys_budget_state(self):
         engine = make_engine(sensors=250)
         altered = engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=20.0)
+            AcquisitionalQuery("rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=20.0)
         )
         bystander = engine.register_query(
-            AcquisitionalQuery("temp", RectRegion.from_bounds(2.0, 2.0, 4.0, 4.0), rate=10.0)
+            AcquisitionalQuery("temp", RectRegion(Rectangle(2.0, 2.0, 4.0, 4.0)), rate=10.0)
         )
         engine.run(6)
         bystander_budgets = {
@@ -146,16 +146,16 @@ class TestInFlightMutation:
             for key in engine.planner.cells_for_query(bystander.query_id)
         } == bystander_budgets
 
-    def test_set_region_moves_cells_and_keeps_results(self):
+    def test_update_region_moves_cells_and_keeps_results(self):
         engine = make_engine()
         handle = engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=15.0)
+            AcquisitionalQuery("rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=15.0)
         )
         engine.run(4)
         total_before = handle.buffer.total_tuples
         old_cells = set(engine.planner.cells_for_query(handle.query_id))
 
-        handle.set_region(Rectangle(2.0, 2.0, 4.0, 4.0))
+        engine.update_query(handle.query_id, region=Rectangle(2.0, 2.0, 4.0, 4.0))
         new_cells = set(engine.planner.cells_for_query(handle.query_id))
         assert new_cells and new_cells.isdisjoint(old_cells)
         assert handle.query.region.area == pytest.approx(4.0)
@@ -166,24 +166,36 @@ class TestInFlightMutation:
         # Vacated cells are dematerialised (no other query used them).
         assert old_cells.isdisjoint(engine.planner.materialized_cells)
 
+    def test_update_region_accepts_a_region_or_a_rectangle(self):
+        engine = make_engine()
+        handle = engine.register_query(
+            AcquisitionalQuery("rain", Rectangle(0.0, 0.0, 2.0, 2.0), rate=15.0)
+        )
+        engine.update_query(handle.query_id, region=RectRegion(Rectangle(0.0, 0.0, 1.0, 1.0)))
+        assert handle.query.region.area == pytest.approx(1.0)
+        engine.update_query(handle.query_id, region=Rectangle(0.0, 0.0, 3.0, 1.0))
+        assert handle.query.region.area == pytest.approx(3.0)
+        engine.run(2)
+        assert handle.buffer.total_tuples > 0
+
     def test_update_query_seeds_budgets_only_for_added_cells(self):
         engine = make_engine(sensors=250)
         handle = engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=25.0)
+            AcquisitionalQuery("rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=25.0)
         )
         engine.run(8)  # let the tuner move budgets away from the initial
         kept_budgets = {
             key: engine.handler.budget_for("rain", key)
             for key in engine.planner.cells_for_query(handle.query_id)
         }
-        handle.set_region(Rectangle(0.0, 0.0, 3.0, 2.0))  # superset region
+        engine.update_query(handle.query_id, region=Rectangle(0.0, 0.0, 3.0, 2.0))  # superset region
         for key, budget in kept_budgets.items():
             assert engine.handler.budget_for("rain", key) == budget
 
     def test_update_requires_a_change(self):
         engine = make_engine()
         handle = engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=15.0)
+            AcquisitionalQuery("rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=15.0)
         )
         with pytest.raises(PlanningError):
             engine.update_query(handle.query_id)
@@ -196,7 +208,7 @@ class TestInFlightMutation:
     def test_invalid_rate_rejected_and_state_unchanged(self):
         engine = make_engine()
         handle = engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=15.0)
+            AcquisitionalQuery("rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=15.0)
         )
         with pytest.raises(QueryError):
             handle.set_rate(-3.0)
@@ -208,7 +220,7 @@ class TestPauseResume:
     def test_pause_stops_deliveries_and_freezes_accounting(self):
         engine = make_engine()
         handle = engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=15.0)
+            AcquisitionalQuery("rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=15.0)
         )
         engine.run(3)
         total = handle.buffer.total_tuples
@@ -232,10 +244,10 @@ class TestPauseResume:
     def test_pause_does_not_leak_shared_cell_tuples(self):
         engine = make_engine()
         paused = engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=15.0)
+            AcquisitionalQuery("rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=15.0)
         )
         active = engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=10.0)
+            AcquisitionalQuery("rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=10.0)
         )
         paused.pause()
         engine.run(3)
@@ -247,7 +259,7 @@ class TestPauseResume:
     def test_paused_cells_send_no_violation_feedback(self):
         engine = make_engine()
         handle = engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=15.0)
+            AcquisitionalQuery("rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=15.0)
         )
         handle.pause()
         report = engine.run_batch()
@@ -265,11 +277,11 @@ class TestLabelLookupAndExecute:
         engine = make_engine()
         named = engine.register_query(
             AcquisitionalQuery(
-                "rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=15.0, name="Storm"
+                "rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=15.0, name="Storm"
             )
         )
         unnamed = engine.register_query(
-            AcquisitionalQuery("temp", RectRegion.from_bounds(1.0, 1.0, 3.0, 3.0), rate=8.0)
+            AcquisitionalQuery("temp", RectRegion(Rectangle(1.0, 1.0, 3.0, 3.0)), rate=8.0)
         )
         assert engine.query("Storm") is named
         assert engine.query(f"Q{unnamed.query_id}") is unnamed
@@ -281,7 +293,7 @@ class TestLabelLookupAndExecute:
         for _ in range(2):
             engine.register_query(
                 AcquisitionalQuery(
-                    "rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=15.0, name="Twin"
+                    "rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=15.0, name="Twin"
                 )
             )
         with pytest.raises(QueryError, match="ambiguous"):
@@ -340,7 +352,7 @@ class TestRetention:
     def test_engine_retention_bounds_memory_and_keeps_totals(self):
         engine = make_engine(retention=4, sensors=250)
         handle = engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=20.0)
+            AcquisitionalQuery("rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=20.0)
         )
         sizes = []
         for _ in range(12):
@@ -392,10 +404,10 @@ class TestDeleteQueryLeak:
     def test_delete_drops_engine_buffer_but_handle_keeps_results(self):
         engine = make_engine()
         keep = engine.register_query(
-            AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=15.0)
+            AcquisitionalQuery("rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=15.0)
         )
         doomed = engine.register_query(
-            AcquisitionalQuery("temp", RectRegion.from_bounds(1.0, 1.0, 3.0, 3.0), rate=8.0)
+            AcquisitionalQuery("temp", RectRegion(Rectangle(1.0, 1.0, 3.0, 3.0)), rate=8.0)
         )
         engine.run(4)
         delivered_before = engine.total_tuples_delivered()
@@ -419,7 +431,7 @@ class TestDeleteQueryLeak:
         for i in range(6):
             handle = engine.register_query(
                 AcquisitionalQuery(
-                    "rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=10.0 + i
+                    "rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=10.0 + i
                 )
             )
             engine.run_batch()

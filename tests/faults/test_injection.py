@@ -93,7 +93,7 @@ class TestSeededReproducibility:
         runs = []
         for _ in range(2):
             engine, h1, h2 = run_reference_engine(faults=plan, resilience=resilience)
-            injector = engine.fault_injector
+            injector = engine.handler.faults
             report = engine.reports[-1].handler
             runs.append(
                 (
@@ -114,7 +114,7 @@ class TestSeededReproducibility:
             faults=flaky_crowd_plan(seed=23),
             resilience=default_resilience_config(),
         )
-        injector = engine.fault_injector
+        injector = engine.handler.faults
         assert injector.drops_injected > 0
         assert injector.outliers_injected > 0
         assert injector.latencies_inflated > 0
@@ -142,7 +142,7 @@ class TestInjectorUnits:
     def test_stuck_sensor_replays_its_first_value(self):
         plan = FaultPlan(seed=1, stuck_fraction=1.0)
         injector = FaultInjector(plan, _StateShim(4))
-        assert injector.stuck_rows.tolist() == [0, 1, 2, 3]
+        assert injector._stuck.tolist() == [True] * 4
         first = self._wave(injector, "temp", [1.0, 2.0, 3.0, 4.0])
         # The first wave only seeds the replay values.
         assert first.values.tolist() == [1.0, 2.0, 3.0, 4.0]
@@ -153,6 +153,13 @@ class TestInjectorUnits:
         # Replay state is per attribute: a fresh attribute seeds anew.
         other = self._wave(injector, "rain", [True, False, True, False])
         assert other.values.tolist() == [True, False, True, False]
+
+    def test_without_a_stuck_fraction_nothing_is_replayed(self):
+        injector = FaultInjector(FaultPlan(seed=1), _StateShim(4))
+        self._wave(injector, "temp", [1.0, 2.0, 3.0, 4.0])
+        second = self._wave(injector, "temp", [9.0, 8.0, 7.0, 6.0])
+        assert second.values.tolist() == [9.0, 8.0, 7.0, 6.0]
+        assert injector.stuck_replays == 0
 
     def test_outliers_spike_floats_only(self):
         plan = FaultPlan(seed=2, outlier_probability=1.0, outlier_scale=100.0)

@@ -27,12 +27,12 @@ class TestConstruction:
 
     def test_total_cell_area_equals_region_area(self, grid):
         # Eq. (2): area(R) = sum over cells of area(R(q,r)).
-        assert grid.total_cell_area() == pytest.approx(grid.region.area)
+        assert sum(cell.area for cell in grid.cells()) == pytest.approx(grid.region.area)
 
     def test_non_square_region_cells(self):
         grid = Grid(Rectangle(0, 0, 6, 3), side=3)
         assert grid.cell_area == pytest.approx(2.0)
-        assert grid.total_cell_area() == pytest.approx(18.0)
+        assert sum(cell.area for cell in grid.cells()) == pytest.approx(18.0)
 
     def test_cells_are_disjoint(self, grid):
         cells = grid.cells()

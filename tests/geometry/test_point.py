@@ -1,40 +1,11 @@
 """Unit tests for SpacePoint and SpaceTimePoint."""
 
-import math
-
-import pytest
-
 from repro.geometry import SpacePoint, SpaceTimePoint
 
 
 class TestSpacePoint:
-    def test_distance_to_self_is_zero(self):
-        p = SpacePoint(1.5, -2.0)
-        assert p.distance_to(p) == 0.0
-
-    def test_distance_is_euclidean(self):
-        a = SpacePoint(0.0, 0.0)
-        b = SpacePoint(3.0, 4.0)
-        assert a.distance_to(b) == pytest.approx(5.0)
-
-    def test_distance_is_symmetric(self):
-        a = SpacePoint(1.0, 2.0)
-        b = SpacePoint(-3.0, 0.5)
-        assert a.distance_to(b) == pytest.approx(b.distance_to(a))
-
-    def test_translated_moves_point(self):
-        p = SpacePoint(1.0, 1.0).translated(0.5, -0.25)
-        assert p == SpacePoint(1.5, 0.75)
-
-    def test_translated_returns_new_instance(self):
-        p = SpacePoint(0.0, 0.0)
-        q = p.translated(1.0, 1.0)
-        assert p == SpacePoint(0.0, 0.0)
-        assert q != p
-
-    def test_as_tuple_and_iteration(self):
+    def test_iteration_yields_x_then_y(self):
         p = SpacePoint(2.0, 3.0)
-        assert p.as_tuple() == (2.0, 3.0)
         assert list(p) == [2.0, 3.0]
 
     def test_ordering_is_lexicographic(self):
@@ -46,10 +17,6 @@ class TestSpacePoint:
 
 
 class TestSpaceTimePoint:
-    def test_space_property(self):
-        p = SpaceTimePoint(10.0, 1.0, 2.0)
-        assert p.space == SpacePoint(1.0, 2.0)
-
     def test_shifted_moves_all_coordinates(self):
         p = SpaceTimePoint(1.0, 2.0, 3.0).shifted(dt=0.5, dx=-1.0, dy=2.0)
         assert p == SpaceTimePoint(1.5, 1.0, 5.0)
@@ -57,9 +24,6 @@ class TestSpaceTimePoint:
     def test_shifted_defaults_are_zero(self):
         p = SpaceTimePoint(1.0, 2.0, 3.0)
         assert p.shifted() == p
-
-    def test_as_tuple_order_is_txy(self):
-        assert SpaceTimePoint(1.0, 2.0, 3.0).as_tuple() == (1.0, 2.0, 3.0)
 
     def test_iteration_order_is_txy(self):
         assert list(SpaceTimePoint(1.0, 2.0, 3.0)) == [1.0, 2.0, 3.0]

@@ -26,13 +26,6 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             Rectangle(*bounds)
 
-    def test_from_origin(self):
-        r = Rectangle.from_origin(3.0, 4.0)
-        assert (r.x_min, r.y_min, r.x_max, r.y_max) == (0.0, 0.0, 3.0, 4.0)
-
-    def test_unit_square(self):
-        assert Rectangle.unit_square().area == pytest.approx(1.0)
-
     def test_center(self):
         assert Rectangle(0, 0, 2, 4).center == SpacePoint(1.0, 2.0)
 
@@ -62,17 +55,14 @@ class TestContainment:
         r = Rectangle(0, 0, 1, 1)
         assert r.contains(1.0, 1.0, closed=True)
 
-    def test_contains_point_object(self):
-        assert Rectangle(0, 0, 1, 1).contains_point(SpacePoint(0.25, 0.75))
-
-    def test_contains_rectangle(self):
-        outer = Rectangle(0, 0, 4, 4)
-        inner = Rectangle(1, 1, 2, 2)
-        assert outer.contains_rectangle(inner)
-        assert not inner.contains_rectangle(outer)
-
 
 class TestIntersection:
+    def test_a_nested_rectangle_is_its_own_intersection(self):
+        outer = Rectangle(0, 0, 4, 4)
+        inner = Rectangle(1, 1, 2, 2)
+        assert outer.intersection(inner) == inner == inner.intersection(outer)
+        assert outer.overlap_area(inner) == pytest.approx(inner.area)
+
     def test_overlapping_rectangles_intersect(self):
         a = Rectangle(0, 0, 2, 2)
         b = Rectangle(1, 1, 3, 3)
@@ -86,7 +76,6 @@ class TestIntersection:
         b = Rectangle(1, 0, 2, 1)
         assert not a.intersects(b)
         assert a.intersection(b) is None
-        assert a.is_disjoint(b)
 
     def test_disjoint_rectangles(self):
         a = Rectangle(0, 0, 1, 1)
@@ -132,29 +121,8 @@ class TestAdjacencyAndUnion:
         b = Rectangle(1, 0, 3, 2)
         assert a.union_with(b).area == pytest.approx(a.area + b.area)
 
-    def test_bounding_union_allows_gaps(self):
-        a = Rectangle(0, 0, 1, 1)
-        b = Rectangle(2, 2, 3, 3)
-        assert a.bounding_union(b) == Rectangle(0, 0, 3, 3)
-
 
 class TestSplitting:
-    def test_split_horizontally(self):
-        bottom, top = Rectangle(0, 0, 1, 2).split_horizontally(0.5)
-        assert bottom == Rectangle(0, 0, 1, 0.5)
-        assert top == Rectangle(0, 0.5, 1, 2)
-
-    def test_split_vertically(self):
-        left, right = Rectangle(0, 0, 2, 1).split_vertically(1.5)
-        assert left == Rectangle(0, 0, 1.5, 1)
-        assert right == Rectangle(1.5, 0, 2, 1)
-
-    def test_split_outside_bounds_raises(self):
-        with pytest.raises(GeometryError):
-            Rectangle(0, 0, 1, 1).split_horizontally(2.0)
-        with pytest.raises(GeometryError):
-            Rectangle(0, 0, 1, 1).split_vertically(-1.0)
-
     def test_subdivide_counts_and_area(self):
         cells = Rectangle(0, 0, 2, 2).subdivide(2, 4)
         assert len(cells) == 8

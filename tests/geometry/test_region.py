@@ -16,10 +16,6 @@ class TestRectRegion:
         region = RectRegion(Rectangle(0, 0, 2, 3))
         assert region.area == pytest.approx(6.0)
 
-    def test_from_bounds(self):
-        region = RectRegion.from_bounds(0, 0, 1, 1)
-        assert region.area == pytest.approx(1.0)
-
     def test_contains(self):
         region = RectRegion(Rectangle(0, 0, 1, 1))
         assert region.contains(0.5, 0.5)
@@ -66,16 +62,22 @@ class TestRegionRelations:
         assert big.covers(small)
         assert not small.covers(big)
 
+    def test_a_composite_covers_a_rectangle_across_its_parts(self):
+        halves = CompositeRegion((Rectangle(0, 0, 1, 1), Rectangle(1, 0, 2, 1)))
+        straddling = RectRegion(Rectangle(0.5, 0.25, 1.5, 0.75))
+        assert halves.covers(straddling)
+        assert not straddling.covers(halves)
+        assert not halves.covers(RectRegion(Rectangle(1.5, 0.5, 2.5, 1.0)))
+
     def test_equals_by_area_coverage(self):
         whole = RectRegion(Rectangle(0, 0, 2, 1))
         halves = CompositeRegion((Rectangle(0, 0, 1, 1), Rectangle(1, 0, 2, 1)))
-        assert whole.equals(halves)
-        assert halves.equals(whole)
+        assert whole.covers(halves) and halves.covers(whole)
 
     def test_disjointness(self):
         a = RectRegion(Rectangle(0, 0, 1, 1))
         b = RectRegion(Rectangle(2, 2, 3, 3))
-        assert a.is_disjoint(b)
+        assert not a.intersects(b)
 
     def test_intersection_region(self):
         a = RectRegion(Rectangle(0, 0, 2, 2))

@@ -18,6 +18,7 @@ from repro.workloads import (
     fig2_queries,
     overlapping_query_workload,
 )
+from scaffolding import events_of
 
 
 def run_monitors(seed):
@@ -68,7 +69,7 @@ class TestEndToEnd:
             engine, rain, _ = run_monitors(seed)
             duration = engine.batches_run * engine.config.batch_duration
             region = Rectangle(0, 0, 2, 2)
-            batch = rain.buffer.to_event_batch()
+            batch = events_of(rain.results())
             cvs.append(coefficient_of_variation(batch, region))
             rate_errors.append(abs(len(batch) / (region.area * duration) - 10.0) / 10.0)
             chi_square = quadrat_chi_square_test(batch, region)
@@ -82,7 +83,7 @@ class TestEndToEnd:
         # within its one-unit batch is uniform (Kolmogorov-Smirnov).
         _, rain, temp = engine_with_queries
         for handle in (rain, temp):
-            phases = np.mod(handle.buffer.to_event_batch().t, 1.0)
+            phases = np.mod(events_of(handle.results()).t, 1.0)
             assert stats.kstest(phases, "uniform").pvalue > 0.01
 
     def test_engine_accounting_consistent(self, engine_with_queries):
@@ -179,7 +180,7 @@ class TestSkewMitigation:
             AcquisitionalQuery("temp", Rectangle(0, 0, 4, 4), 4.0)
         )
         engine.run(15)
-        batch = handle.buffer.to_event_batch()
+        batch = events_of(handle.results())
         # The raw sensor distribution is heavily skewed, but the delivered
         # stream spreads over the region: dispersion stays moderate.
         assert coefficient_of_variation(batch, Rectangle(0, 0, 4, 4), 2, 2) < 0.8

@@ -46,7 +46,7 @@ def run_with_views(batches=6, attribute="temp", spec_kwargs=None):
     engine = make_engine()
     handle = engine.register_query(
         AcquisitionalQuery(
-            attribute, RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=20.0
+            attribute, RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=20.0
         )
     )
     spec_kwargs = spec_kwargs or {"window": 2.0, "group_by": "cell"}

@@ -63,12 +63,11 @@ class TestViolationTracker:
         assert tracker.overall_mean() == pytest.approx(15.0)
         assert ViolationTracker().overall_mean() == 0.0
 
-    def test_batches_below_and_convergence(self):
+    def test_convergence_needs_a_full_window_below_the_threshold(self):
         tracker = ViolationTracker()
         pair = ("rain", (0, 0))
         for value in [50.0, 20.0, 4.0, 3.0, 2.0, 1.0, 0.0]:
             tracker.record({pair: value})
-        assert tracker.batches_below(pair, 5.0) == 5
         assert tracker.converged(pair, 5.0, window=5)
         assert not tracker.converged(pair, 5.0, window=7)
 

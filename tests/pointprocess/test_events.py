@@ -14,14 +14,14 @@ class TestConstruction:
         assert len(batch) == 0
         assert batch.is_empty
 
-    def test_from_points(self):
+    def test_from_rows_round_trips_through_points(self):
         points = [SpaceTimePoint(1.0, 0.1, 0.2), SpaceTimePoint(2.0, 0.3, 0.4)]
-        batch = EventBatch.from_points(points)
+        batch = EventBatch.from_rows([(p.t, p.x, p.y) for p in points])
         assert len(batch) == 2
         assert batch.points() == points
 
-    def test_from_points_empty_iterable(self):
-        assert EventBatch.from_points([]).is_empty
+    def test_from_rows_empty_sequence(self):
+        assert EventBatch.from_rows([]).is_empty
 
     def test_from_rows(self):
         batch = EventBatch.from_rows([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
@@ -79,9 +79,9 @@ class TestSelectionsAndViews:
         with pytest.raises(PointProcessError):
             batch.select(np.array([True, False]))
 
-    def test_restrict_to_region(self, batch):
+    def test_select_by_region_mask(self, batch):
         region = RectRegion(Rectangle(0, 0, 1, 1))
-        restricted = batch.restrict_to_region(region)
+        restricted = batch.select(region.contains_many(batch.x, batch.y))
         assert len(restricted) == 3
 
     def test_restrict_to_time(self, batch):
@@ -96,9 +96,6 @@ class TestSelectionsAndViews:
         assert shifted.t.tolist() == [4.0, 2.0, 3.0, 5.0]
         assert shifted.x[0] == pytest.approx(0.4)
         assert shifted.y[0] == pytest.approx(0.7)
-
-    def test_as_array_shape(self, batch):
-        assert batch.as_array().shape == (4, 3)
 
     def test_iteration_yields_points(self, batch):
         points = list(batch)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PointProcessError
-from repro.geometry import CompositeRegion, Rectangle, RectRegion
+from repro.geometry import CompositeRegion, Rectangle
 from repro.pointprocess import (
     ConstantIntensity,
     HomogeneousMDPP,
@@ -72,38 +72,6 @@ class TestHomogeneousMDPP:
     def test_intensity_property(self):
         assert isinstance(HomogeneousMDPP(2.0, REGION).intensity, ConstantIntensity)
 
-    def test_thinned_model(self):
-        process = HomogeneousMDPP(10.0, REGION)
-        assert process.thinned(4.0).rate == 4.0
-        with pytest.raises(PointProcessError):
-            process.thinned(10.0)
-        with pytest.raises(PointProcessError):
-            process.thinned(0.0)
-
-    def test_restricted_model(self):
-        process = HomogeneousMDPP(10.0, REGION)
-        sub = process.restricted(RectRegion(Rectangle(0, 0, 1, 1)))
-        assert sub.rate == 10.0
-        assert sub.region.area == pytest.approx(1.0)
-
-    def test_restricted_outside_raises(self):
-        process = HomogeneousMDPP(10.0, REGION)
-        with pytest.raises(PointProcessError):
-            process.restricted(RectRegion(Rectangle(0, 0, 5, 5)))
-
-    def test_unioned_model(self):
-        a = HomogeneousMDPP(5.0, Rectangle(0, 0, 1, 1))
-        b = HomogeneousMDPP(5.0, Rectangle(1, 0, 2, 1))
-        combined = a.unioned(b)
-        assert combined.rate == 5.0
-        assert combined.region.area == pytest.approx(2.0)
-
-    def test_unioned_requires_equal_rates(self):
-        a = HomogeneousMDPP(5.0, Rectangle(0, 0, 1, 1))
-        b = HomogeneousMDPP(6.0, Rectangle(1, 0, 2, 1))
-        with pytest.raises(PointProcessError):
-            a.unioned(b)
-
 
 class TestInhomogeneousMDPP:
     def test_expected_count_linear(self):
@@ -145,20 +113,6 @@ class TestInhomogeneousMDPP:
         process = InhomogeneousMDPP(ConstantIntensity(1.0), REGION)
         with pytest.raises(PointProcessError):
             process.sample(0.0, rng=rng)
-
-    def test_restricted(self):
-        process = InhomogeneousMDPP(ConstantIntensity(5.0), REGION)
-        sub = process.restricted(RectRegion(Rectangle(0, 0, 1, 1)))
-        assert sub.region.area == pytest.approx(1.0)
-
-    def test_restricted_outside_raises(self):
-        process = InhomogeneousMDPP(ConstantIntensity(5.0), REGION)
-        with pytest.raises(PointProcessError):
-            process.restricted(RectRegion(Rectangle(0, 0, 9, 9)))
-
-    def test_on_rectangle_constructor(self):
-        process = InhomogeneousMDPP.on_rectangle(ConstantIntensity(5.0), REGION)
-        assert process.region.area == pytest.approx(4.0)
 
     def test_constant_intensity_sample_rate(self, rng):
         process = InhomogeneousMDPP(ConstantIntensity(25.0), REGION)

@@ -14,7 +14,6 @@ from repro.pointprocess import (
     quadrat_chi_square_test,
     quadrat_counts,
 )
-from repro.pointprocess.statistics import ChiSquareResult
 from scaffolding import HotspotIntensity
 
 REGION = Rectangle(0.0, 0.0, 1.0, 1.0)
@@ -76,12 +75,12 @@ class TestChiSquare:
     def test_homogeneous_not_rejected(self):
         batch = homogeneous_batch(rate=500.0, seed=3)
         result = quadrat_chi_square_test(batch, REGION, 4, 4)
-        assert not result.rejects_homogeneity(alpha=0.001)
+        assert result.p_value >= 0.001
 
     def test_clustered_rejected(self):
         batch = clustered_batch(seed=4)
         result = quadrat_chi_square_test(batch, REGION, 4, 4)
-        assert result.rejects_homogeneity(alpha=0.01)
+        assert result.p_value < 0.01
 
     def test_empty_batch_gives_pvalue_one(self):
         result = quadrat_chi_square_test(EventBatch.empty(), REGION)
@@ -105,14 +104,7 @@ class TestChiSquare:
         batch = InhomogeneousMDPP(intensity, REGION).sample(
             1.0, rng=np.random.default_rng(8)
         )
-        assert not quadrat_chi_square_test(batch, REGION, 4, 4).rejects_homogeneity(
-            alpha=0.001
-        )
-
-    def test_rejection_is_strictly_below_alpha(self):
-        result = ChiSquareResult(statistic=1.0, p_value=0.05, degrees_of_freedom=3)
-        assert not result.rejects_homogeneity(alpha=0.05)
-        assert result.rejects_homogeneity(alpha=0.0501)
+        assert quadrat_chi_square_test(batch, REGION, 4, 4).p_value >= 0.001
 
 
 class TestCoefficientOfVariation:

@@ -36,13 +36,18 @@ class TestThinEvents:
         batch = make_homogeneous_batch(100.0, 1.0)
         result = thin_events(batch, 1.0, rng=rng)
         assert result.retained_count == len(batch)
-        assert result.discarded_count == 0
+        assert len(result.discarded) == 0
 
     def test_partition_of_input(self, rng):
         batch = make_homogeneous_batch(200.0, 1.0)
         result = thin_events(batch, 0.4, rng=rng)
-        assert result.retained_count + result.discarded_count == len(batch)
-        assert result.input_count == len(batch)
+        assert result.retained_count + len(result.discarded) == len(batch)
+
+    def test_retained_and_discarded_split_the_input_events(self, rng):
+        batch = make_homogeneous_batch(200.0, 1.0)
+        result = thin_events(batch, 0.3, rng=rng)
+        assert np.array_equal(result.retained.t, batch.t[result.keep_mask])
+        assert np.array_equal(result.discarded.t, batch.t[~result.keep_mask])
 
     def test_keep_mask_alignment(self, rng):
         batch = make_homogeneous_batch(50.0, 1.0)
@@ -53,7 +58,7 @@ class TestThinEvents:
     def test_empty_batch(self, rng):
         result = thin_events(EventBatch.empty(), 0.5, rng=rng)
         assert result.retained_count == 0
-        assert result.discarded_count == 0
+        assert len(result.discarded) == 0
 
     def test_expected_fraction(self):
         batch = make_homogeneous_batch(2000.0, 1.0, seed=1)

@@ -52,7 +52,7 @@ class TestRectangleProperties:
 
     @given(rectangles())
     def test_center_is_inside(self, rect):
-        assert rect.contains_point(rect.center)
+        assert rect.contains(rect.center.x, rect.center.y)
 
     @given(rectangles(), rectangles())
     def test_overlap_is_symmetric_and_bounded(self, a, b):
@@ -65,8 +65,9 @@ class TestRectangleProperties:
     def test_intersection_contained_in_both(self, a, b):
         overlap = a.intersection(b)
         if overlap is not None:
-            assert a.contains_rectangle(overlap)
-            assert b.contains_rectangle(overlap)
+            for rect in (a, b):
+                assert rect.x_min <= overlap.x_min and overlap.x_max <= rect.x_max
+                assert rect.y_min <= overlap.y_min and overlap.y_max <= rect.y_max
 
     @given(rectangles(), st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
     def test_subdivision_preserves_area(self, rect, nx, ny):
@@ -77,7 +78,7 @@ class TestRectangleProperties:
     @given(rectangles(), st.integers(min_value=1, max_value=6))
     def test_grid_cells_tile_region(self, rect, side):
         grid = Grid(rect, side)
-        assert abs(grid.total_cell_area() - rect.area) < 1e-6 * rect.area
+        assert abs(sum(cell.area for cell in grid.cells()) - rect.area) < 1e-6 * rect.area
         # Every cell centre maps back to its own cell.
         for cell in grid.cells():
             located = grid.locate(cell.rect.center.x, cell.rect.center.y)
@@ -100,7 +101,7 @@ class TestThinningProperties:
     @settings(max_examples=50, deadline=None)
     def test_thinning_partitions_the_batch(self, batch, probability, seed):
         result = thin_events(batch, probability, rng=np.random.default_rng(seed))
-        assert result.retained_count + result.discarded_count == len(batch)
+        assert result.retained_count + len(result.discarded) == len(batch)
         assert result.retained_count == int(result.keep_mask.sum())
 
     @given(event_batches(max_events=40), st.floats(min_value=1.0, max_value=50.0), st.integers(0, 2 ** 31 - 1))
@@ -112,7 +113,7 @@ class TestThinningProperties:
         assert np.all(result.retain_probability <= 1.0 + 1e-12)
         assert 0.0 <= result.violation_percent <= 100.0
         assert 0.0 <= result.shortfall_percent <= 100.0
-        assert result.retained_count + result.discarded_count == len(batch)
+        assert result.retained_count + len(result.discarded) == len(batch)
 
     @given(event_batches(max_events=40), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=50, deadline=None)

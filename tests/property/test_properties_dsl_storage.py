@@ -71,7 +71,8 @@ class TestStorageProperties:
     @settings(max_examples=60, deadline=None)
     def test_tuple_store_capacity_invariant(self, capacity, inserts):
         store = TupleStore(capacity=capacity)
-        store.insert_many(make_tuples(inserts))
+        for item in make_tuples(inserts):
+            store.insert(item)
         assert len(store) == min(capacity, inserts)
         stats = store.stats()
         assert stats.inserted_total == inserts

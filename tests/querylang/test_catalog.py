@@ -31,11 +31,12 @@ class TestAttributeCatalog:
         with pytest.raises(QueryError):
             AttributeCatalog().get("humidity")
 
-    def test_kind_partitions(self):
-        catalog = AttributeCatalog.default()
-        assert catalog.human_sensed() == ["rain"]
-        assert catalog.sensor_sensed() == ["temp"]
+    def test_names_are_sorted_whatever_the_registration_order(self):
+        catalog = AttributeCatalog()
+        catalog.register_sensor_sensed("temp", float, "Temperature.")
+        catalog.register_human_sensed("rain", bool, "Rain.")
         assert catalog.names() == ["rain", "temp"]
+        assert catalog.get("temp").kind is AttributeKind.SENSOR_SENSED
 
     def test_validate_attribute(self):
         catalog = AttributeCatalog.default()

@@ -190,7 +190,7 @@ def engine_digest(engine: CraqrEngine) -> str:
             repr(
                 (
                     report.batch_index,
-                    report.tuples_acquired,
+                    report.handler.responses_received,
                     report.tuples_delivered,
                     sorted(report.degraded_pairs),
                 )

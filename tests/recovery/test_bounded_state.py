@@ -23,7 +23,7 @@ import pickle
 
 import pytest
 
-from repro.recovery import EngineSnapshot
+from repro.recovery import EngineSnapshot, load_snapshot
 from repro.recovery.snapshot import _SnapshotPickler
 from repro.sensing import (
     BernoulliParticipation,
@@ -196,10 +196,10 @@ def test_the_crowd_is_pickled_as_its_columns(participation):
 
 
 @pytest.mark.parametrize("participation", sorted(PARTICIPATION))
-def test_restore_then_replay_is_byte_identical(participation):
+def test_restore_then_replay_is_byte_identical(participation, tmp_path):
     engine = make_engine(participation=PARTICIPATION[participation])
     engine.run(4)
-    restored = EngineSnapshot.from_bytes(EngineSnapshot.capture(engine).to_bytes()).restore()
+    restored = load_snapshot(EngineSnapshot.capture(engine).write(tmp_path / "s.ckpt")).restore()
     engine.run(4)
     restored.run(4)
     assert engine_digest(restored) == engine_digest(engine)

@@ -21,10 +21,10 @@ from repro.core import CraqrEngine
 from repro.errors import RecoveryError
 from repro.recovery import (
     CheckpointStore,
-    EngineSnapshot,
     atomic_write_bytes,
     list_snapshots,
     load_latest,
+    load_snapshot,
     read_snapshot_file,
     write_snapshot_file,
 )
@@ -54,8 +54,8 @@ class TestFraming:
         with pytest.raises(RecoveryError, match=f"version {FORMAT_VERSION + 1}"):
             unframe_payload(framed)
 
-    def test_format_version_is_12(self):
-        assert FORMAT_VERSION == 12
+    def test_format_version_is_13(self):
+        assert FORMAT_VERSION == 13
 
     @pytest.mark.parametrize(
         "version",
@@ -96,6 +96,10 @@ class TestFraming:
             # 11: its crowd moved by libm ``hypot`` distances: a replay
             # moves it to other last bits than the run that wrote it.
             11,
+            # 12: the handler, clock, views and frame buffers pickle
+            # counters (``_rounds``, ``_ticks``, ``_pre_origin_dropped``,
+            # ``_tuples_evicted``) this build's objects no longer have.
+            12,
         ],
     )
     def test_old_checkpoint_is_refused_by_version(self, version):
@@ -246,21 +250,23 @@ class TestSnapshotFiles:
         engine = run_to(make_engine(), 3)
         snapshot = engine.snapshot()
         path = snapshot.write(tmp_path / "manual.ckpt")
-        from repro.recovery import load_snapshot
-
         clone = load_snapshot(path)
         assert clone.batch_index == 3
         assert clone.queries == snapshot.queries
         assert clone.views == snapshot.views
-        assert clone.size_bytes == snapshot.size_bytes
+        assert clone.write(tmp_path / "clone.ckpt").read_bytes() == path.read_bytes()
+
+    def test_a_snapshot_written_twice_is_byte_identical(self, tmp_path):
+        snapshot = run_to(make_engine(), 2).snapshot()
+        first = snapshot.write(tmp_path / "first.ckpt").read_bytes()
+        assert snapshot.write(tmp_path / "second.ckpt").read_bytes() == first
+        assert first.startswith(MAGIC)
 
     def test_kind_guard_rejects_foreign_pickles(self, tmp_path):
         """A well-framed file whose payload is not an engine snapshot (say
         a BENCH metrics pickle) is rejected by the payload-kind guard."""
         path = tmp_path / "checkpoint-00000002.ckpt"
         write_snapshot_file(path, pickle.dumps([1, 2, 3]))
-        from repro.recovery import load_snapshot
-
         with pytest.raises(RecoveryError, match="not an engine snapshot"):
             load_snapshot(path)
 
@@ -268,7 +274,7 @@ class TestSnapshotFiles:
         engine = run_to(make_engine(), 2)
         path = engine.checkpoint(tmp_path / "here.ckpt")
         assert path == tmp_path / "here.ckpt"
-        assert EngineSnapshot.from_bytes(path.read_bytes()).batch_index == 2
+        assert load_snapshot(path).batch_index == 2
 
     def test_restore_from_one_file_replays_like_the_uninterrupted_run(self, tmp_path):
         reference = run_to(make_engine(), 5)

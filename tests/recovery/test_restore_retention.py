@@ -31,7 +31,7 @@ class TestLifetimeTotals:
         frames = engine.view("Rain").buffer
         # Eviction really happened — retained history < lifetime history.
         assert len(engine.query("Storm").results()) < buffer.total_tuples
-        assert frames.frames_evicted > 0
+        assert len(frames) < frames.frames_emitted
 
         restored = restore_latest_fresh(tmp_path)
         rbuffer = restored.query("Storm").buffer
@@ -90,7 +90,8 @@ class TestFrameCursors:
         lagging = engine.view("Rain").frame_cursor()  # at frame 0, never read
         run_to(engine, 12)  # window 2 → 6 frames emitted, ~2 retained
         position = lagging.position
-        assert engine.view("Rain").buffer.frames_evicted > 0
+        frames = engine.view("Rain").buffer
+        assert len(frames) < frames.frames_emitted
         with pytest.raises(StorageError, match="retains"):
             lagging.fetch()
 

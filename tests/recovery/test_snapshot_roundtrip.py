@@ -22,7 +22,7 @@ from recovery_harness import (
     run_to,
 )
 from repro.errors import RecoveryError
-from repro.recovery import EngineSnapshot
+from repro.recovery import load_snapshot, write_snapshot_file
 from repro.sensing import FatigueParticipation
 
 #: Golden digest of the strict-mode workload after 8 batches — pinned so a
@@ -148,7 +148,6 @@ class TestSnapshotSemantics:
         assert snapshot.batch_index == 4
         assert snapshot.queries == 1
         assert snapshot.views == 1
-        assert snapshot.size_bytes > 0
 
     def test_post_restore_registrations_match_the_uninterrupted_run(self, tmp_path):
         """New queries after a restore get run-A-identical ids and streams."""
@@ -164,17 +163,18 @@ class TestSnapshotSemantics:
         assert restored.query("Heat").query_id == reference.query("Heat").query_id
         assert engine_digest(restored) == engine_digest(reference)
 
-    def test_wire_format_round_trips_in_memory(self):
+    def test_file_format_round_trips_to_the_same_digest(self, tmp_path):
         engine = run_to(make_engine(), 3)
         snapshot = engine.snapshot()
-        clone = EngineSnapshot.from_bytes(snapshot.to_bytes())
+        clone = load_snapshot(snapshot.write(tmp_path / "s.ckpt"))
         assert clone.batch_index == snapshot.batch_index
         assert engine_digest(clone.restore()) == engine_digest(engine)
 
-    def test_snapshot_bytes_grow_with_the_crowd_but_not_faster(self):
+    def test_snapshot_bytes_grow_with_the_crowd_but_not_faster(self, tmp_path):
         # The crowd's SoA columns and RNG streams dominate the payload.
         sizes = [
-            len(run_to(make_engine(sensor_count=count), 5).snapshot().to_bytes())
+            run_to(make_engine(sensor_count=count), 5).snapshot()
+            .write(tmp_path / f"{count}.ckpt").stat().st_size
             for count in (100, 200, 400)
         ]
         assert sizes[0] < sizes[1] < sizes[2] < 6 * sizes[0]
@@ -221,9 +221,8 @@ class TestSnapshotSemantics:
             engine.snapshot()
         engine._ending_batch = False
 
-    def test_payload_kind_is_validated(self):
-        bogus = pickle.dumps({"kind": "something-else"})
-        from repro.recovery.io import frame_payload
-
+    def test_payload_kind_is_validated(self, tmp_path):
+        path = tmp_path / "bogus.ckpt"
+        write_snapshot_file(path, pickle.dumps({"kind": "something-else"}))
         with pytest.raises(RecoveryError, match="not an engine snapshot"):
-            EngineSnapshot.from_bytes(frame_payload(bogus))
+            load_snapshot(path)

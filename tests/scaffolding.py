@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.plan.cache import assemble_programs
 from repro.plan.executor import ChainProgram, ChainSteps
-from repro.pointprocess import IntensityModel
+from repro.pointprocess import EventBatch, IntensityModel
 from repro.sensing import PhenomenonField
 from repro.serve.protocol import frame_head
 
@@ -74,3 +74,14 @@ def compile_programs(planner) -> Dict[str, ChainProgram]:
     return assemble_programs(
         planner, lambda key, topology, attribute: ChainSteps(topology.chain(attribute))
     )
+
+
+def events_of(items) -> EventBatch:
+    """The ``(t, x, y)`` of sensor tuples as an :class:`EventBatch`."""
+    return EventBatch.from_rows([(item.t, item.x, item.y) for item in items])
+
+
+def rows_in(world, region) -> np.ndarray:
+    """SoA rows of the sensors currently inside ``region`` (boundary included)."""
+    arrays = world.state_arrays
+    return np.flatnonzero(region.contains_many(arrays.x, arrays.y, closed=True))

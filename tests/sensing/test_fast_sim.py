@@ -24,6 +24,7 @@ from repro.sensing import (
     TemperatureField,
     WorldConfig,
 )
+from scaffolding import rows_in
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
@@ -71,8 +72,8 @@ class TestFastSimMobilityStatistics:
         diff = np.abs(density_fractions(strict) - density_fractions(fast))
         assert diff.max() < 0.03
         assert np.allclose(
-            strict.sensor_positions().mean(axis=0),
-            fast.sensor_positions().mean(axis=0),
+            strict.state_arrays.positions().mean(axis=0),
+            fast.state_arrays.positions().mean(axis=0),
             atol=0.15,
         )
 
@@ -123,7 +124,7 @@ class TestFastSimMobilityStatistics:
     def test_fast_sim_positions_stay_in_region(self):
         fast = make_world(True, sensor_count=500)
         fast.advance(10.0)
-        positions = fast.sensor_positions()
+        positions = fast.state_arrays.positions()
         assert positions.min() >= 0.0
         assert positions.max() <= 4.0
 
@@ -179,7 +180,7 @@ class TestFastSimAcquisition:
         assert np.all(batch.extra["cell"] == np.array(cell.key))
         # Reported coordinates are the responders' SoA positions, inside the cell.
         assert np.all(cell.rect.contains_many(batch.x, batch.y, closed=True))
-        in_cell = fast.sensor_indices_in(cell.rect)
+        in_cell = rows_in(fast, cell.rect)
         assert set(batch.sensor_id) <= set(fast.state_arrays.sensor_ids[in_cell])
 
     def test_fast_sim_updates_soa_counters(self):
@@ -228,10 +229,10 @@ class TestFastSimAcquisition:
 
         # Fallback cells take their population from the round's one
         # bucketing pass: a region scan of the crowd must never run.
-        def no_rescan(region):
-            raise AssertionError(f"region scan of the crowd for {region}")
+        def no_rescan(*args, **kwargs):
+            raise AssertionError("region scan of the crowd")
 
-        monkeypatch.setattr(fast, "sensor_indices_in", no_rescan)
+        monkeypatch.setattr(Rectangle, "contains_many", no_rescan)
         batches, report = handler.acquire_batches({"rain": list(grid.cells())}, duration=1.0)
         assert report.requests_sent == 20 * 4
         assert sum(len(b) for b in batches.values()) == report.responses_received
@@ -255,8 +256,8 @@ class TestFastSimAcquisition:
         grid = Grid(REGION, side=2)
         handler = RequestResponseHandler(world, grid, default_budget=20)
         monkeypatch.setattr(
-            world, "sensor_indices_in",
-            lambda region: pytest.fail("region scan of the crowd"),
+            Rectangle, "contains_many",
+            lambda *args, **kwargs: pytest.fail("region scan of the crowd"),
         )
         sensors_asked = []
         participation_at = world.participation_at

@@ -43,6 +43,7 @@ from repro.sensing import (
     WorldConfig,
 )
 from repro.sensing import handler as handler_module
+from scaffolding import rows_in
 from repro.sensing.handler import HandlerReport, _PerSensorStreams
 from repro.sensing.participation import ParticipationModel, ResponseDecision
 
@@ -236,7 +237,7 @@ class TestFusedStatisticalEquivalence:
         batch = handler.acquire_attribute_batch("rain", cells, duration=1.0)
         populated = sum(
             1 for cell in cells
-            if fused_world.sensor_indices_in(cell.rect).size
+            if rows_in(fused_world, cell.rect).size
         )
         assert handler.total_requests == 10 * populated
         soa = fused_world.state_arrays
@@ -273,7 +274,7 @@ class TestFusedStatisticalEquivalence:
         assert soa.requests_received.tobytes() == counters[0].tobytes()
         assert soa.responses_sent.tobytes() == counters[1].tobytes()
         assert world.rng.bit_generator.state == rng_state
-        assert (handler.total_requests, handler.rounds) == (0, 0)
+        assert (handler.total_requests, handler.total_responses) == (0, 0)
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_object_view_refuses_foreign_cells(self, vectorized):
@@ -288,7 +289,7 @@ class TestFusedStatisticalEquivalence:
                 duration=1.0,
             )
         assert world.rng.bit_generator.state == rng_state
-        assert (handler.total_requests, handler.rounds) == (0, 0)
+        assert (handler.total_requests, handler.total_responses) == (0, 0)
         assert world.state_arrays.requests_received.sum() == 0
 
     @pytest.mark.parametrize("vectorized", [True, False])
@@ -309,7 +310,7 @@ class TestFusedStatisticalEquivalence:
                 "rain", [cell, grid.cell(1, 0), cell], duration=1.0
             )
         assert world.rng.bit_generator.state == rng_state
-        assert (handler.total_requests, handler.rounds) == (0, 0)
+        assert (handler.total_requests, handler.total_responses) == (0, 0)
         assert world.state_arrays.requests_received.sum() == 0
         # One cell for two attributes is two pairs, not a repeat.
         _, report = handler.acquire_batches(
@@ -330,7 +331,7 @@ class TestFusedStatisticalEquivalence:
                 duration=1.0,
             )
         assert world.rng.bit_generator.state == rng_state
-        assert (handler.total_requests, handler.rounds) == (0, 0)
+        assert (handler.total_requests, handler.total_responses) == (0, 0)
 
     @pytest.mark.parametrize("vectorized", [True, False])
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0, -1.0])
@@ -353,7 +354,7 @@ class TestFusedStatisticalEquivalence:
                 "rain", list(grid.cells()), duration=duration
             )
         assert world.rng.bit_generator.state == rng_state
-        assert (handler.total_requests, handler.rounds) == (0, 0)
+        assert (handler.total_requests, handler.total_responses) == (0, 0)
         assert world.state_arrays.requests_received.sum() == 0
 
 
@@ -573,7 +574,7 @@ class TestStatefulFastSim:
             cell.key for cell in cells
             if any(
                 isinstance(sensor.participation, FatigueParticipation)
-                for sensor in world.sensors_in(cell.rect)
+                for sensor in world.sensors_at(rows_in(world, cell.rect))
             )
         }
         assert 0 < len(stateful_cells) < len(cells)
@@ -625,10 +626,10 @@ class TestStrictFusedRounds:
         handler = RequestResponseHandler(world, grid, default_budget=10)
         rounds = record_wave_loops(monkeypatch, handler)
 
-        def no_region_scan(region):  # pragma: no cover - guard
+        def no_region_scan(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("a strict round scanned the crowd per cell")
 
-        monkeypatch.setattr(world, "sensor_indices_in", no_region_scan)
+        monkeypatch.setattr(Rectangle, "contains_many", no_region_scan)
         cells = list(grid.cells())
         _, report = handler.acquire_batches({"rain": cells, "temp": cells}, duration=1.0)
         assert [(policy, attribute) for policy, attribute, _ in rounds] == [

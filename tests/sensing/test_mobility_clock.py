@@ -25,12 +25,19 @@ class TestSimulationClock:
         assert clock.start == 5.0
         assert clock.elapsed == 0.0
 
+    def test_elapsed_counts_from_the_start(self):
+        clock = SimulationClock(5.0)
+        clock.advance(1.5)
+        clock.advance(0.25)
+        assert clock.now == pytest.approx(6.75)
+        assert clock.elapsed == pytest.approx(1.75)
+        assert clock.start == 5.0
+
     def test_advance(self):
         clock = SimulationClock()
         clock.advance(1.5)
         clock.advance(0.5)
         assert clock.now == pytest.approx(2.0)
-        assert clock.ticks == 2
 
     def test_advance_rejects_non_positive(self):
         clock = SimulationClock()
@@ -38,13 +45,6 @@ class TestSimulationClock:
             clock.advance(0.0)
         with pytest.raises(CraqrError):
             clock.advance(-1.0)
-
-    def test_reset(self):
-        clock = SimulationClock(1.0)
-        clock.advance(3.0)
-        clock.reset()
-        assert clock.now == 1.0
-        assert clock.ticks == 0
 
 
 def run_model(model, steps=200, dt=0.1, seed=0):

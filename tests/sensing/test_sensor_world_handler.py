@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AcquisitionError, BudgetError, CraqrError
-from repro.geometry import Grid, Rectangle, RectRegion
+from repro.geometry import Grid, Rectangle
 from repro.sensing import (
     AlwaysRespond,
     BernoulliParticipation,
@@ -18,7 +18,7 @@ from repro.sensing import (
     WorldConfig,
 )
 
-from scaffolding import ConstantField
+from scaffolding import ConstantField, rows_in
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
@@ -93,14 +93,7 @@ class TestMobileSensor:
         start = sensor.position
         for _ in range(20):
             sensor.move(0.5)
-        assert sensor.position.distance_to(start) > 0.0
-
-    def test_state_snapshot(self):
-        sensor = self.make_sensor()
-        state = sensor.state_at(4.0)
-        assert state.t == 4.0
-        assert state.sensor_id == sensor.sensor_id
-        assert REGION.contains_point(state.location, closed=True)
+        assert sensor.position != start
 
 
 class TestSensingWorld:
@@ -130,7 +123,7 @@ class TestSensingWorld:
         world = make_world(sensor_count=25)
         assert len(world.sensors) == 25
         for sensor in world.sensors:
-            assert REGION.contains_point(sensor.position, closed=True)
+            assert REGION.contains(sensor.position.x, sensor.position.y, closed=True)
 
     def test_field_registration_and_lookup(self):
         world = make_world()
@@ -142,23 +135,15 @@ class TestSensingWorld:
 
     def test_advance_moves_clock_and_sensors(self):
         world = make_world(seed=5)
-        before = world.sensor_positions().copy()
+        before = world.state_arrays.positions()
         world.advance(2.0)
         assert world.now == pytest.approx(2.0)
-        after = world.sensor_positions()
+        after = world.state_arrays.positions()
         assert not np.allclose(before, after)
 
     def test_advance_rejects_non_positive(self):
         with pytest.raises(CraqrError):
             make_world().advance(0.0)
-
-    def test_sensors_in_region(self):
-        world = make_world(sensor_count=200, seed=6)
-        sub_region = RectRegion(Rectangle(0, 0, 2, 2))
-        inside = world.sensors_in(sub_region)
-        assert 0 < len(inside) < 200
-        for sensor in inside:
-            assert sub_region.contains(sensor.position.x, sensor.position.y, closed=True)
 
     def test_density_snapshot_sums_to_sensor_count(self):
         world = make_world(sensor_count=150, seed=7)
@@ -183,6 +168,19 @@ class TestRequestResponseHandler:
         handler.set_budget("rain", cell.key, 60)
         assert handler.budget_for("rain", cell.key) == 60
         assert ("rain", cell.key) in handler.budgets()
+
+    def test_lifetime_totals_add_up_over_rounds(self):
+        handler, _, grid = self.make_handler(
+            world=make_world(response_probability=0.5), default_budget=12
+        )
+        cells = [grid.cell(0, 0), grid.cell(2, 1)]
+        reports = [
+            handler.acquire_batches({"rain": cells, "temp": cells[:1]}, duration=1.0)[1]
+            for _ in range(3)
+        ]
+        assert handler.total_requests == sum(r.requests_sent for r in reports) > 0
+        assert handler.total_responses == sum(r.responses_received for r in reports)
+        assert handler.total_responses < handler.total_requests
 
     def test_budget_validation(self):
         handler, _, grid = self.make_handler()
@@ -219,7 +217,7 @@ class TestRequestResponseHandler:
         grid = Grid(REGION, side=4)
         handler = RequestResponseHandler(world, grid, default_budget=5)
         empty_cells = [
-            cell for cell in grid.cells() if not world.sensors_in(cell.rect)
+            cell for cell in grid.cells() if not rows_in(world, cell.rect).size
         ]
         assert empty_cells, "expected at least one empty cell"
         assert acquire_cell_tuples(handler, "rain", empty_cells[0]) == []
@@ -241,7 +239,7 @@ class TestRequestResponseHandler:
         assert report.requests_sent == 8 * 4
         assert report.responses_received == sum(len(v) for v in tuples_by_cell.values())
         assert 0.0 <= report.response_rate <= 1.0
-        assert handler.rounds == 1
+        assert handler.total_requests == report.requests_sent
 
     def test_acquire_with_lossy_participation(self):
         world = make_world(response_probability=0.5, seed=9)
@@ -334,7 +332,7 @@ class TestColumnarAcquisition:
         assert columnar_report.responses_received == object_report.responses_received
         assert columnar_report.per_cell_requests == object_report.per_cell_requests
         assert columnar_report.per_cell_responses == object_report.per_cell_responses
-        assert columnar_handler.rounds == 1
+        assert columnar_handler.total_requests == columnar_report.requests_sent
         assert set(batches) <= {"rain", "temp"}
         total = sum(len(batch) for batch in batches.values())
         assert total == columnar_report.responses_received
@@ -350,7 +348,7 @@ class TestColumnarAcquisition:
         grid = Grid(REGION, side=4)
         handler = RequestResponseHandler(world, grid, default_budget=5)
         empty_cell = next(
-            cell for cell in grid.cells() if not world.sensors_in(cell.rect)
+            cell for cell in grid.cells() if not rows_in(world, cell.rect).size
         )
         _, report = handler.acquire({"rain": [empty_cell]}, duration=1.0)
         assert report.per_cell_requests == {}

@@ -9,7 +9,7 @@ and how a strict crowd then moves are held against each sensor alone in
 import numpy as np
 import pytest
 
-from repro.geometry import Rectangle, RectRegion
+from repro.geometry import Rectangle
 from repro.sensing import (
     AlwaysRespond,
     BernoulliParticipation,
@@ -129,7 +129,7 @@ class TestSensorStateArrays:
     def test_standalone_sensor_owns_private_row(self):
         sensor = MobileSensor(7, StationaryMobility(REGION), acquisition_key=1)
         assert sensor.requests_received == 0
-        assert REGION.contains_point(sensor.position, closed=True)
+        assert REGION.contains(sensor.position.x, sensor.position.y, closed=True)
 
     def test_participation_columns_populated(self):
         world = SensingWorld(
@@ -163,35 +163,10 @@ class TestVectorisedWorldQueries:
             mobility_factory=lambda r: RandomWaypointMobility(r, speed=0.3),
         )
 
-    def test_sensors_in_matches_per_sensor_loop(self):
-        world = self.make_world()
-        world.advance(3.0)
-        sub_region = RectRegion(Rectangle(0.5, 0.5, 2.5, 2.5))
-        vectorised = world.sensors_in(sub_region)
-        looped = [
-            sensor
-            for sensor in world.sensors
-            if sub_region.contains(sensor.position.x, sensor.position.y, closed=True)
-        ]
-        assert [s.sensor_id for s in vectorised] == [s.sensor_id for s in looped]
-        assert 0 < len(vectorised) < 200
-
-    def test_sensors_in_rectangle_matches_per_sensor_loop(self):
-        world = self.make_world(seed=8)
-        rect = Rectangle(2.0, 0.0, 4.0, 2.0)
-        vectorised = world.sensors_in(rect)
-        looped = [
-            sensor
-            for sensor in world.sensors
-            if rect.contains(sensor.position.x, sensor.position.y, closed=True)
-        ]
-        assert [s.sensor_id for s in vectorised] == [s.sensor_id for s in looped]
-
-    def test_sensor_indices_align_with_sensor_ids(self):
+    def test_views_at_rows_align_with_sensor_ids(self):
         world = self.make_world(seed=9)
-        rect = Rectangle(0.0, 0.0, 2.0, 4.0)
-        indices = world.sensor_indices_in(rect)
-        assert [world.sensors[int(i)].sensor_id for i in indices] == list(
+        indices = np.array([3, 0, 17, 199])
+        assert [sensor.sensor_id for sensor in world.sensors_at(indices)] == list(
             world.state_arrays.sensor_ids[indices]
         )
 
@@ -227,9 +202,9 @@ class TestVectorisedWorldQueries:
         assert counts[:, 3].sum() >= 1   # the right escapee
         assert counts[3, :].sum() >= 1   # the top escapee
 
-    def test_sensor_positions_reflect_soa_columns(self):
+    def test_positions_reflect_soa_columns(self):
         world = self.make_world(sensor_count=50, seed=12)
-        positions = world.sensor_positions()
+        positions = world.state_arrays.positions()
         assert positions.shape == (50, 2)
         assert np.array_equal(positions[:, 0], world.state_arrays.x)
         assert np.array_equal(positions[:, 1], world.state_arrays.y)

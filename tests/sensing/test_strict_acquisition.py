@@ -476,21 +476,21 @@ class TestSnapshotShape:
         )
         engine.register_query(
             AcquisitionalQuery(
-                attribute, RectRegion.from_bounds(0.0, 0.0, 4.0, 4.0), rate=20.0,
+                attribute, RectRegion(Rectangle(0.0, 0.0, 4.0, 4.0)), rate=20.0,
                 query_id=7,
             )
         )
         return engine
 
     @pytest.mark.parametrize("attribute", ["rain", "temp"])
-    def test_snapshot_matches_the_oracle(self, attribute, monkeypatch):
+    def test_snapshot_matches_the_oracle(self, attribute, monkeypatch, tmp_path):
         engine = self.make_engine(attribute, monkeypatch)
         engine.run(3)
         assert int((engine.world.state_arrays.responses_sent > 0).sum()) > 100
-        ours = EngineSnapshot.capture(engine).to_bytes()
+        ours = EngineSnapshot.capture(engine).write(tmp_path / "ours").read_bytes()
 
         with monkeypatch.context() as patch:
             patch.setattr(_PerSensorStreams, "answer", per_object_answer)
             reference = self.make_engine(attribute, monkeypatch)
             reference.run(3)
-        assert EngineSnapshot.capture(reference).to_bytes() == ours
+        assert EngineSnapshot.capture(reference).write(tmp_path / "ref").read_bytes() == ours

@@ -231,7 +231,7 @@ class TestSemantics:
             with pytest.raises(ServeError, match="closed the connection"):
                 client.next_event(timeout=30)
         assert server._fanout.overflowed_queues() == []
-        assert server._fanout.subscriber_count == 0
+        assert server._fanout._topic_of == {}
 
     def test_stalled_subscriber_footprint_stays_bounded(self, served):
         server, (host, port) = served

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import json
 import socket
+import time
 
 import numpy as np
 import pytest
 
-from repro.errors import ServeError
-from repro.serve import ServeClient, ServeConfig, serve_in_thread
+from repro.errors import CraqrError, ServeError
+from repro.serve import ServeClient, ServeConfig, Server, serve_in_thread
 from repro.streams.codec import decode_tuple_batch, decode_view_frame
 from repro.serve.protocol import encode_message, unpack_payloads, ws_encode_frame
 
@@ -110,6 +112,16 @@ class TestExecute:
         assert "Rain" in failed["error"]
         assert shown["ok"] is True  # the script continued past the failure
         assert shown["kind"] == "sessions"
+
+    def test_an_unsensed_attribute_is_refused_and_the_others_deliver(self, served):
+        _, client, _ = served
+        failed, shown = client.execute(
+            "ACQUIRE humidity FROM RECT(0, 0, 2, 2) AT RATE 5; SHOW QUERIES"
+        )
+        assert failed["ok"] is False
+        assert "humidity" in failed["error"]
+        assert [row["label"] for row in shown["rows"]] == ["Storm"]
+        assert client.run(1)["tuples_delivered"] > 0
 
     def test_parse_error_is_a_structured_reply(self, served):
         _, client, _ = served
@@ -376,6 +388,90 @@ class TestShutdown:
             stop()
         with pytest.raises(OSError):
             socket.create_connection((host, port), timeout=2).close()
+
+
+class TestTimedLoopFailure:
+    def test_a_failing_batch_stops_the_server_and_serve_forever_raises_it(self):
+        engine = make_engine()
+        run_batch = engine.run_batch
+
+        def third_batch_fails():
+            if engine.batches_run == 2:
+                raise CraqrError("the third batch failed")
+            return run_batch()
+
+        engine.run_batch = third_batch_fails
+        server = Server(engine, ServeConfig(batch_interval=0.01))
+
+        async def serve() -> None:
+            await server.start()
+            await asyncio.wait_for(server.serve_forever(), timeout=20)
+
+        with pytest.raises(CraqrError, match="the third batch failed"):
+            asyncio.run(serve())
+        assert engine.batches_run == server.batches_served == 2
+        with pytest.raises(ServeError, match="not listening"):
+            server.bound_address
+
+
+    def test_a_failing_client_driven_batch_is_a_structured_error(self):
+        engine = make_engine()
+        run_batch = engine.run_batch
+
+        def second_batch_fails():
+            if engine.batches_run == 1:
+                engine.run_batch = run_batch
+                raise CraqrError("the second batch failed")
+            return run_batch()
+
+        engine.run_batch = second_batch_fails
+        server, (host, port), stop = serve_in_thread(engine, ServeConfig())
+        try:
+            with ServeClient(host, port) as client:
+                with pytest.raises(ServeError, match="the second batch failed") as err:
+                    client.run(2)
+                assert err.value.error_type == "CraqrError"
+                # Unlike the timed loop, the server keeps serving its clients.
+                assert client.run(1)["batches_run"] == 2
+        finally:
+            stop()
+
+    def test_a_failed_timed_loop_closes_the_clients_connection(self):
+        engine = make_engine()
+        run_batch = engine.run_batch
+
+        def third_batch_fails():
+            if engine.batches_run == 2:
+                raise CraqrError("the third batch failed")
+            return run_batch()
+
+        engine.run_batch = third_batch_fails
+        server, (host, port), stop = serve_in_thread(engine, ServeConfig(batch_interval=0.02))
+        try:
+            with ServeClient(host, port) as client:
+                # The server closes the socket: a clean EOF or a reset.
+                with pytest.raises((ServeError, ConnectionError)):
+                    for _ in range(1000):
+                        client.hello()
+                        time.sleep(0.01)
+        finally:
+            stop()
+        assert engine.batches_run == 2
+
+    def test_a_stopped_timed_server_returns_without_error(self):
+        engine = make_engine()
+        server = Server(engine, ServeConfig(batch_interval=0.01))
+
+        async def serve() -> None:
+            await server.start()
+            while server.batches_served < 2:
+                await asyncio.sleep(0.01)
+            await server.stop()
+            await asyncio.wait_for(server.serve_forever(), timeout=20)
+
+        asyncio.run(serve())
+        assert server.batches_served >= 2
+        assert engine.batches_run == server.batches_served
 
 
 class TestWireIdentity:

@@ -208,7 +208,7 @@ engine = CraqrEngine(
     world,
 )
 handle = engine.register_query(
-    AcquisitionalQuery("rain", RectRegion.from_bounds(0.0, 0.0, 4.0, 4.0), rate=8.0)
+    AcquisitionalQuery("rain", RectRegion(Rectangle(0.0, 0.0, 4.0, 4.0)), rate=8.0)
 )
 digest, cells = hashlib.sha256(), set()
 def on_batch(batch):

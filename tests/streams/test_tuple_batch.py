@@ -97,8 +97,15 @@ class TestTransforms:
         assert merged.attribute == "rain"
 
     def test_concatenate_preserves_agreed_meta_and_partial_extras(self):
-        a = TupleBatch.from_tuples(make_tuples(3)).with_meta(source="handler", round=1)
-        b = TupleBatch.from_tuples(make_tuples(2)).with_meta(source="handler", round=2)
+        a = TupleBatch.from_tuples(make_tuples(3))
+        b = TupleBatch.from_tuples(make_tuples(2))
+        a, b = (
+            TupleBatch(
+                part.attribute, part.t, part.x, part.y, part.value, part.sensor_id,
+                part.tuple_id, meta={"source": "handler", "round": round_}, extra=part.extra,
+            )
+            for round_, part in ((1, a), (2, b))
+        )
         marks = np.empty(3, dtype=object)
         marks[:] = ["m0", "m1", "m2"]
         a.extra["mark"] = marks

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -206,6 +207,17 @@ class TestCommands:
         assert code == 1
         assert "error" in capture.text
 
+    def test_run_names_the_worlds_attributes_for_an_unsensed_query(self):
+        capture = _Capture()
+        code = main(
+            ["run", "--batches", "2", "--query", "ACQUIRE humidity FROM RECT(0,0,2,2) RATE 5"],
+            out=capture,
+        )
+        assert code == 1
+        assert capture.lines[-1] == (
+            "error: the world senses no attribute 'humidity'; it senses ['rain', 'temp']"
+        )
+
     def test_run_rejects_bad_query_text(self):
         capture = _Capture()
         code = main(["run", "--batches", "2", "--query", "SELECT * FROM rain"], out=capture)
@@ -253,6 +265,34 @@ def run_repl(script, *args):
     return code, capture
 
 
+class TestServe:
+    def test_a_failing_timed_batch_prints_the_error_and_exits_one(self, monkeypatch):
+        from repro.core import CraqrEngine
+        from repro.errors import AcquisitionError
+
+        run_batch = CraqrEngine.run_batch
+
+        def third_batch_fails(engine):
+            if engine.batches_run == 2:
+                raise AcquisitionError("the third batch failed")
+            return run_batch(engine)
+
+        monkeypatch.setattr(CraqrEngine, "run_batch", third_batch_fails)
+        capture = _Capture()
+        codes = []
+        serving = threading.Thread(
+            target=lambda: codes.append(
+                main(["serve", "--port", "0", "--batch-interval", "0.01"], out=capture)
+            ),
+            daemon=True,
+        )
+        serving.start()
+        serving.join(timeout=30)
+        assert not serving.is_alive(), "serve kept running after its batch loop failed"
+        assert codes == [1]
+        assert capture.lines[-1] == "error: the third batch failed"
+
+
 class TestRepl:
     def test_full_session_smoke(self):
         script = """
@@ -289,6 +329,20 @@ class TestRepl:
         assert capture.text.count("error:") == 4
         assert "registered Ok" in capture.text
         assert "ran 1 batch(es)" in capture.text
+
+    def test_an_unsensed_query_is_refused_and_the_others_keep_delivering(self):
+        script = """
+        ACQUIRE rain FROM RECT(0,0,2,2) RATE 5 AS Ok
+        ACQUIRE humidity FROM RECT(0,0,2,2) RATE 5 AS Wet
+        run 2
+        SHOW QUERIES
+        """
+        code, capture = run_repl(script)
+        assert code == 0
+        assert "error: the world senses no attribute 'humidity'" in capture.text
+        assert "ran 2 batch(es)" in capture.text
+        assert "Wet" not in capture.text.split("error:")[-1]
+        assert capture.text.count("error:") == 1
 
     def test_help_comments_and_eof(self):
         code, capture = run_repl("# a comment\nhelp\n")

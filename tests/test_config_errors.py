@@ -70,14 +70,6 @@ class TestEngineConfig:
         with pytest.raises(CraqrError, match="batch_duration must be positive and finite"):
             EngineConfig(batch_duration=duration)
 
-    def test_with_seed_returns_copy(self):
-        config = EngineConfig(seed=1)
-        other = config.with_seed(2)
-        assert other.seed == 2
-        assert config.seed == 1
-        assert other.grid_cells == config.grid_cells
-
-
 #: Every configuration that carries a seed, built with just that seed.
 SEEDED_CONFIGS = {
     "engine": lambda seed: EngineConfig(seed=seed),

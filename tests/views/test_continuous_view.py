@@ -85,8 +85,7 @@ class TestTumblingMaintenance:
         )
         (frame,) = view.advance_to(1.0)
         assert list(frame.keys) == [(0, 0), (1, 1)]
-        assert frame.value_of((0, 0)) == pytest.approx(3.0)
-        assert frame.value_of((1, 1)) == pytest.approx(10.0)
+        assert frame.values.tolist() == pytest.approx([3.0, 10.0])
         assert frame.counts.tolist() == [2, 1]
 
     def test_attribute_grouping_keys_by_stream_attribute(self):
@@ -195,7 +194,6 @@ class TestPaneLifecycle:
     def test_empty_delivery_changes_nothing(self):
         view = make_view(ViewSpec(aggregate="SUM", window=1.0), start_time=0.5)
         view.on_delivery(batch([]))
-        assert view.pre_origin_dropped == 0
         assert view.advance_to(1.0) == []  # [0, 1) was only half observed
         (frame,) = view.advance_to(2.0)
         assert frame.is_empty
@@ -210,14 +208,21 @@ class TestAttachmentAndRetention:
         frames = view.advance_to(6.0)
         assert [f.window_start for f in frames] == [4.0]
         assert frames[0].tuples == 1
-        assert view.pre_origin_dropped == 1
+
+    def test_a_delivery_wholly_before_the_origin_reaches_no_frame(self):
+        view = make_view(ViewSpec(aggregate="COUNT", window=2.0), start_time=3.0)
+        view.on_delivery(batch([2.5, 2.9]))
+        view.on_delivery(batch([4.2]))
+        (frame,) = view.advance_to(6.0)
+        assert frame.window_start == 4.0
+        assert frame.tuples == 1
+        assert view.buffer.tuples_total == 1
 
     def test_aligned_attachment_drops_nothing(self):
         view = make_view(ViewSpec(aggregate="COUNT", window=2.0), start_time=4.0)
         view.on_delivery(batch([4.1, 5.9]))
         (frame,) = view.advance_to(6.0)
         assert frame.tuples == 2
-        assert view.pre_origin_dropped == 0
 
     def test_retention_maps_batches_to_frames(self):
         view = make_view(

@@ -35,7 +35,7 @@ def make_engine(retention=None, seed=7, sensors=150):
 def register_storm(engine, rate=20.0):
     return engine.register_query(
         AcquisitionalQuery(
-            "rain", RectRegion.from_bounds(0.0, 0.0, 2.0, 2.0), rate=rate, name="Storm"
+            "rain", RectRegion(Rectangle(0.0, 0.0, 2.0, 2.0)), rate=rate, name="Storm"
         )
     )
 
@@ -98,7 +98,7 @@ class TestViewLifecycle:
         handle.view(ViewSpec(aggregate="COUNT", window=1.0), name="V1")
         unnamed = handle.view(ViewSpec(aggregate="COUNT", window=1.0))
         assert unnamed.name != "V1"
-        assert engine.has_view(unnamed.name)
+        assert engine.view(unnamed.name).view is unnamed.view
 
     def test_view_created_inside_a_subscriber_starts_at_the_next_batch(self):
         # A subscription callback fires mid-batch, after the batch's
@@ -146,7 +146,7 @@ class TestViewLifecycle:
         engine.run(2)
         dropped = engine.drop_view("W")
         assert not dropped.is_active()
-        assert not engine.has_view("W")
+        assert "W" not in {row.name for row in engine.views()}
         frames_at_drop = len(dropped.frames())
         engine.run(2)  # no further maintenance
         assert len(dropped.frames()) == frames_at_drop
@@ -204,11 +204,9 @@ class TestFailedViewQuarantine:
         assert by_name["Healthy"].active and by_name["Healthy"].error is None
         assert not by_name["Broken"].active
         assert "numeric" in by_name["Broken"].error
-        # drop() removes the quarantined view (registry check, not the
-        # maintenance flag) and is idempotent; the name becomes reusable.
-        broken.drop()
-        broken.drop()
-        assert not engine.has_view("Broken")
+        # DROP VIEW removes the quarantined view; the name becomes reusable.
+        engine.drop_view("Broken")
+        assert "Broken" not in {row.name for row in engine.views()}
         handle.view(ViewSpec(aggregate="COUNT", window=1.0), name="Broken")
 
 

@@ -127,7 +127,7 @@ class TestFlakyCrowdScenario:
             estimate = handle.achieved_rate()
             assert estimate.achieved_rate >= 0.9 * estimate.requested_rate
         # Every configured fault class actually fired ...
-        injector = engine.fault_injector
+        injector = engine.handler.faults
         assert injector.drops_injected > 0
         assert injector.outliers_injected > 0
         assert injector.stuck_replays > 0

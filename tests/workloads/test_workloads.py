@@ -43,7 +43,7 @@ class TestQueryWorkloads:
 
     def test_overlapping_workload_shares_region(self):
         queries = overlapping_query_workload(GRID, 6, seed=2)
-        regions = {tuple(q.region.bounding_box.corners()[0].as_tuple()) for q in queries}
+        regions = {tuple(q.region.bounding_box.corners()[0]) for q in queries}
         assert len(regions) == 1
         assert all(q.attribute == "rain" for q in queries)
 
