@@ -400,12 +400,13 @@ class QueryPlanner:
         plan.union.accept(item)
 
     def _deliver_batch(self, query_id: int, batch: TupleBatch) -> None:
-        """Route a per-cell partial batch into the query's merge stage.
+        """Route a query's batch into its merge stage.
 
-        The merge stage's Union operator accounts for the batch; delivery
-        to the engine happens through the query's batch handler in one call
-        per (query, cell, batch).  Queries registered without a batch
-        handler fall back to the object path's per-tuple union flow.
+        The compiled programs deliver each query's batch whole, its cells'
+        partial streams already merged.  The merge stage's Union operator
+        accounts for the batch and the query's batch handler receives it in
+        one call.  Queries registered without a batch handler fall back to
+        the object path's per-tuple union flow.
         """
         plan = self._plans.get(query_id)
         if plan is None or query_id in self._paused:
@@ -471,8 +472,10 @@ class QueryPlanner:
         The programs hand back their deliveries and discards instead of
         emitting them; they are emitted here in the object path's order —
         cells in planner order, a cell's chains in attribute order — which
-        is what shapes result-buffer chunks, the per-query delivery
-        accounting and the discard store.
+        is what orders the discard store and the per-query delivery
+        accounting.  Each query's batch arrives as one delivery at the
+        place of its first tap, so its result buffer gains one chunk per
+        batch.
         """
         rows_per_cell: Dict[CellKey, int] = {}
         for _batch, segments in mapped.values():

@@ -35,7 +35,11 @@ stream) rests on five facts:
   evaluation while each partition operator still records its own traffic;
 * deliveries and discards are not emitted by the program: they come back
   tagged with their position in the object walk's order (chain position,
-  step within the chain) and the planner emits them in that order.
+  step within the chain) and the planner emits them in that order.  A
+  query's deliveries are one batch, placed at its first tap: the object
+  walk's per-cell chunks of that query, concatenated in emission order,
+  are exactly its gathered rows, so buffers, cursors and digests read the
+  same rows in the same order.
 """
 
 from __future__ import annotations
@@ -260,19 +264,9 @@ class ChainProgram:
                             (position, step, tap_indices)
                         )
 
-        # Merge stage: one gather per query, sliced into its per-chain chunks.
+        # Merge stage: one gather per query, delivered whole at its first tap.
         for query_id, taps in picks.items():
             gathered = batch.select(np.concatenate([rows for _p, _s, rows in taps]))
-            offset = 0
-            for position, step, rows in taps:
-                end = offset + rows.shape[0]
-                emissions.append(
-                    (
-                        position,
-                        step,
-                        deliver_batch,
-                        (query_id, gathered.slice_rows(offset, end)),
-                    )
-                )
-                offset = end
+            position, step, _rows = taps[0]
+            emissions.append((position, step, deliver_batch, (query_id, gathered)))
         return emissions

@@ -39,6 +39,7 @@ operator description):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
@@ -92,10 +93,6 @@ def _linear_rate(theta0, theta1, theta2, theta3, t, x, y):
     return ((theta0 + t * theta1) + x * theta2) + y * theta3
 
 
-def _window_volume(region: Region, t_start: float, t_end: float) -> float:
-    return region.area * (t_end - t_start)
-
-
 def _coerce_region(region) -> Region:
     if isinstance(region, Rectangle):
         return RectRegion(region)
@@ -112,12 +109,23 @@ def _window_centroid(
     ``(cx, cy)`` is the area-weighted centroid of the (possibly composite)
     region.
     """
-    volume = _window_volume(region, t_start, t_end)
+    area, cx, cy = _region_moments(region)
+    volume = area * (t_end - t_start)
     t_mid = 0.5 * (t_start + t_end)
-    total_area = region.area
-    cx = sum(r.center.x * r.area for r in region.rectangles) / total_area
-    cy = sum(r.center.y * r.area for r in region.rectangles) / total_area
     return float(volume), float(t_mid), float(cx), float(cy)
+
+
+@lru_cache(maxsize=1024)
+def _region_moments(region: Region) -> Tuple[float, float, float]:
+    """``(area, cx, cy)`` of a region, memoised per (frozen) region.
+
+    A chain's online estimator asks for its region's moments every batch;
+    walking the rectangles each time cost more than the window arithmetic.
+    """
+    area = region.area
+    cx = sum(r.center.x * r.area for r in region.rectangles) / area
+    cy = sum(r.center.y * r.area for r in region.rectangles) / area
+    return area, cx, cy
 
 
 def _integral_of_basis(region: Region, t_start: float, t_end: float) -> np.ndarray:
@@ -595,18 +603,23 @@ class OnlineIntensityEstimator:
         is the interpreter work around the arithmetic.  Everything
         loop-invariant within one batch is hoisted (``_events_in_window``
         is updated once per batch, so the compensator is constant across
-        its events; the ``1/sqrt(k)`` step schedule is one array op), the
-        sorted columns are unboxed once with ``.tolist()``, and theta and
-        the compensator live in eight float locals: every step is the same
-        IEEE operations :meth:`observe_event` performs on 4-element
-        arrays, without the arrays.
+        its events; the ``1/sqrt(k)`` step schedule is one array op; the
+        region's moments come from a memo), the time-sorted columns
+        (sorted only when they are not already) are unboxed once with
+        ``.tolist()``, and theta and the compensator live in eight float
+        locals: every step is the same IEEE operations
+        :meth:`observe_event` performs on 4-element arrays, without the
+        arrays.
         """
         if batch.is_empty:
             return
         if window_start is None:
             window_start = float(np.min(batch.t))
         self._events_in_window = 0.7 * self._events_in_window + 0.3 * len(batch)
-        ordered = batch.sorted_by_time()
+        # Rows the map phase already sorted skip the stable argsort, which
+        # is the identity on a non-decreasing column, ties included.
+        t = batch.t
+        ordered = batch if (t[1:] >= t[:-1]).all() else batch.sorted_by_time()
         n = len(ordered)
         c0, c1, c2, c3 = self._per_event_compensator(window_start).tolist()
         steps = self._learning_rate / np.sqrt(

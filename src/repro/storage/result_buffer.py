@@ -7,10 +7,11 @@ batch, what the achieved rate is, and how far it is from the requested rate.
 
 The buffer ingests whole :class:`~repro.streams.TupleBatch` columns
 (:meth:`QueryResultBuffer.extend_batch`) and stores each delivery as one
-immutable chunk.  Individual :class:`SensorTuple` objects are only
-materialised — as copies, storage is never rewritten — when an object-level
-accessor such as :meth:`QueryResultBuffer.items` or
-:meth:`ResultCursor.fetch` asks for them.
+immutable chunk, its columns flagged read-only.  Individual
+:class:`SensorTuple` objects are only materialised — as copies, storage is
+never rewritten — when an object-level accessor such as
+:meth:`QueryResultBuffer.items` or :meth:`ResultCursor.fetch` asks for
+them.
 
 Three consumption surfaces sit on top of the chunk list:
 
@@ -63,6 +64,20 @@ class RateEstimate:
         if self.requested_rate <= 0:
             return float("nan")
         return abs(self.achieved_rate - self.requested_rate) / self.requested_rate
+
+
+def _freeze(batch: TupleBatch) -> None:
+    """Make every column of a retained chunk read-only, in place (zero-copy).
+
+    Reads hand out stored chunks themselves (a one-chunk fetch, every
+    subscriber of a batch), so a consumer writing into one would rewrite
+    retained history.
+    """
+    for column in (
+        batch.t, batch.x, batch.y, batch.value, batch.sensor_id, batch.tuple_id,
+        *batch.extra.values(),
+    ):
+        column.flags.writeable = False
 
 
 def _materialise(chunks: List[TupleBatch]) -> List[SensorTuple]:
@@ -136,7 +151,9 @@ class ResultCursor:
     def fetch_batch(self) -> TupleBatch:
         """The tuples appended since the last read, as one columnar batch.
 
-        Returns an empty batch when nothing is pending.
+        Returns an empty batch when nothing is pending.  A read of one
+        chunk returns the stored chunk itself (read-only columns), without
+        copying.
         """
         return TupleBatch.concatenate(self._advance())
 
@@ -255,6 +272,8 @@ class QueryResultBuffer:
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self._chunks = unpack_tuple_batches(state["_chunks"])
+        for chunk in self._chunks:
+            _freeze(chunk)
 
     # ------------------------------------------------------------------
     @property
@@ -314,12 +333,14 @@ class QueryResultBuffer:
     def extend_batch(self, batch: TupleBatch) -> None:
         """Deliver a whole columnar batch of the query's stream.
 
-        The batch is retained as one chunk — no tuple objects are created
-        until an object-level accessor asks for copies.
+        The batch is retained as one chunk, its columns made read-only in
+        place — no tuple objects are created until an object-level accessor
+        asks for copies.
         """
         count = len(batch)
         if count == 0:
             return
+        _freeze(batch)
         self._chunks.append(batch)
         self._total += count
         self._current_batch += count
@@ -366,7 +387,9 @@ class QueryResultBuffer:
         """Register a push callback invoked once per completed batch.
 
         The callback receives the batch's deliveries as one
-        :class:`TupleBatch` (empty batches do not fire).  Returns a
+        :class:`TupleBatch` (empty batches do not fire), shared by every
+        subscriber and, for a one-chunk batch, the stored chunk itself,
+        whose columns are read-only.  Returns a
         :class:`Subscription` whose :meth:`~Subscription.cancel` detaches
         the callback.
         """

@@ -254,26 +254,6 @@ class TupleBatch:
             extra={key: np.asarray(col)[mask_or_index] for key, col in self.extra.items()},
         )
 
-    def slice_rows(self, start: int, stop: int) -> "TupleBatch":
-        """Rows ``start:stop`` as a new batch of zero-copy column views.
-
-        Skips the constructor's coercion and length checks, which the
-        columns of a valid batch, sliced alike, pass by construction — the
-        merge stage cuts every query's gathered rows into one chunk per
-        cell this way, a few hundred times a batch.
-        """
-        part = TupleBatch.__new__(TupleBatch)
-        part.attribute = self.attribute
-        part.t = self.t[start:stop]
-        part.x = self.x[start:stop]
-        part.y = self.y[start:stop]
-        part.value = self.value[start:stop]
-        part.sensor_id = self.sensor_id[start:stop]
-        part.tuple_id = self.tuple_id[start:stop]
-        part.meta = self.meta
-        part.extra = {key: np.asarray(col)[start:stop] for key, col in self.extra.items()}
-        return part
-
     def sorted_by_time(self) -> "TupleBatch":
         """A new batch with rows in (stable) ascending time order."""
         order = np.argsort(self.t, kind="stable")

@@ -7,11 +7,13 @@ the per-cell map (zero-copy views of each attribute's lexsorted rows), then
 for every cell in planner order and every chain in the cell the router
 accounting, the flatten step (with the one-batch Eq. (3) body that preceded
 the segmented kernel, also kept here), the thin cascade and the taps, each
-tap delivered the moment it is selected.  Two identically seeded
-planners take the same synthetic rows — one through
+tap delivered the moment it is selected, one chunk per (query, cell).
+Two identically seeded planners take the same synthetic rows — one through
 ``StreamFabricator.process_batch_columnar`` with compiled programs, one
-through the oracle — and must agree on every delivery (order and chunk
-boundaries included), the ``BatchResult`` (``delivered_per_query``'s order
+through the oracle — and must agree on every query's delivered rows (the
+programs deliver each query's batch as one chunk, which must be the
+oracle's per-cell chunks of that query concatenated in emission order,
+byte for byte), the ``BatchResult`` (``delivered_per_query``'s order
 included), every Flatten report, operator counter, generator state and
 online theta, and every discard in order.
 
@@ -139,7 +141,7 @@ class Side:
         self.discards.append((operator_name, item))
 
     def deliver_batch(self, query_id, batch):
-        self.deliveries.append((query_id, len(batch), batch_bytes(batch)))
+        self.deliveries.append((query_id, len(batch), batch))
         self.fabricator.register_delivery_batch(query_id, len(batch))
 
     def state(self):
@@ -182,6 +184,21 @@ def batch_bytes(batch):
         tuple(sorted((k, np.asarray(v).tobytes()) for k, v in batch.extra.items())),
         tuple(sorted(batch.meta.items())),
     )
+
+
+def per_query(deliveries):
+    """Each query's chunks, concatenated in emission order, as bytes.
+
+    Queries appear in first-delivery order, the order ``delivered_per_query``
+    keeps.
+    """
+    merged = {}
+    for query_id, _rows, batch in deliveries:
+        merged.setdefault(query_id, []).append(batch)
+    return [
+        (query_id, batch_bytes(TupleBatch.concatenate(parts)))
+        for query_id, parts in merged.items()
+    ]
 
 
 # ----------------------------------------------------------------------------
@@ -354,6 +371,7 @@ def test_attribute_programs_match_the_per_chain_executor(mode, store_discarded, 
         for side in (segmented, oracle):
             side.planner.set_paused(paused, index in PAUSED_DURING)
         batches = synthetic_batches(rng, index)
+        first = len(segmented.deliveries), len(oracle.deliveries)
         result = segmented.fabricator.process_batch_columnar(
             batches, compile_programs(segmented.planner)
         )
@@ -361,7 +379,10 @@ def test_attribute_programs_match_the_per_chain_executor(mode, store_discarded, 
 
         assert result == expected
         assert list(result.delivered_per_query) == list(expected.delivered_per_query)
-        assert segmented.deliveries == oracle.deliveries
+        delivered = segmented.deliveries[first[0]:]
+        # One delivery per query per batch, equal to the oracle's chunks.
+        assert len({query_id for query_id, _rows, _batch in delivered}) == len(delivered)
+        assert per_query(delivered) == per_query(oracle.deliveries[first[1]:])
         assert segmented.state() == oracle.state()
         assert [(name, item.tuple_id) for name, item in segmented.discards] == [
             (name, item.tuple_id) for name, item in oracle.discards

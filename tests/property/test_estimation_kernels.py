@@ -71,10 +71,22 @@ unit_coordinates = st.floats(min_value=0.0, max_value=1.0)
 
 @st.composite
 def sgd_batches(draw):
-    """One batch plus how to present it: dtype, slicing, window anchor."""
+    """One batch plus how to present it: order, dtype, slicing, window anchor.
+
+    The kernel skips its sort on rows already in time order (the engine's
+    map phase sorts them), so the rows come as drawn, shuffled, already
+    sorted (ties in drawn order) or all on one tied time.
+    """
     rows = draw(
         st.lists(st.tuples(event_times, unit_coordinates, unit_coordinates), max_size=25)
     )
+    order = draw(st.sampled_from(["drawn", "shuffled", "sorted", "tied"]))
+    if order == "shuffled":
+        rows = draw(st.permutations(rows))
+    elif order == "sorted":
+        rows = sorted(rows, key=lambda row: row[0])
+    elif order == "tied" and rows:
+        rows = [(rows[0][0], x, y) for _t, x, y in rows]
     offset = draw(st.sampled_from([0.0, 10.0, 1000.0]))
     dtype = draw(st.sampled_from([np.float64, np.float32]))
     t, x, y = (
