@@ -11,6 +11,19 @@ Structured error replies raise :class:`~repro.errors.ServeError` carrying
 the server-side exception class in ``error_type`` (so a fetch that lagged
 past retention raises with ``error_type == "StorageError"`` and the
 storage layer's original message).
+
+The client reads as the server writes.  Both transports ``recv_into``
+one ``bytearray`` and parse each message where it lies: its body reaches
+:func:`~repro.serve.protocol.decode_message` as a view, and only the
+header and payload are copied out.  The server encodes an event header
+once per publish; the client decodes it once per publish, through an
+:class:`~repro.serve.protocol.EventMemo` that turns every later
+subscription's copy of it into a prefix compare and an ``int``.  The
+socket's timeout is switched only before a ``recv`` or a send that needs
+another one, so a buffered event costs no socket call.  A message longer
+than :data:`~repro.serve.protocol.MAX_MESSAGE_BYTES` and a fragmented
+websocket frame raise :class:`~repro.errors.ServeError` before the body
+is buffered.
 """
 
 from __future__ import annotations
@@ -25,6 +38,8 @@ from typing import Deque, List, Optional, Tuple
 from ..errors import ServeError
 from .protocol import (
     MAGIC,
+    MAX_MESSAGE_BYTES,
+    EventMemo,
     decode_message,
     encode_message,
     ws_decode_frame,
@@ -34,6 +49,9 @@ from .protocol import (
 __all__ = ["ServeClient"]
 
 _U32 = struct.Struct(">I")
+
+#: Initial receive buffer size; a longer message doubles it.
+_RECV_BYTES = 65536
 
 
 class ServeClient:
@@ -46,7 +64,7 @@ class ServeClient:
     transport:
         ``"tcp"`` (default) or ``"ws"`` for websocket framing.
     timeout:
-        Socket timeout in seconds for connects and reads.
+        Socket timeout in seconds for connects, sends and reads.
     """
 
     def __init__(
@@ -60,11 +78,16 @@ class ServeClient:
         if transport not in ("tcp", "ws"):
             raise ServeError(f"unknown transport {transport!r}; use 'tcp' or 'ws'")
         self._transport = transport
+        self._timeout = timeout
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.settimeout(timeout)
-        #: received bytes; everything before ``_consumed`` has been read.
-        self._buffer = b""
-        self._consumed = 0
+        #: the timeout the socket holds now (see :meth:`_use_timeout`).
+        self._sock_timeout = timeout
+        #: received bytes; ``_buffer[_start:_end]`` is not read yet.
+        self._buffer = bytearray(_RECV_BYTES)
+        self._view = memoryview(self._buffer)
+        self._start = self._end = 0
+        self._memo = EventMemo()
         self._next_id = 0
         #: push events received while awaiting replies, oldest first.
         self.events: Deque[Tuple[dict, bytes]] = deque()
@@ -85,52 +108,78 @@ class ServeClient:
             f"Sec-WebSocket-Version: 13\r\n\r\n"
         )
         self._sock.sendall(request.encode("latin-1"))
-        response = b""
-        while b"\r\n\r\n" not in response:
-            chunk = self._sock.recv(4096)
-            if not chunk:
-                raise ServeError("server closed during the websocket handshake")
-            response += chunk
-        head, _, rest = response.partition(b"\r\n\r\n")
-        status = head.split(b"\r\n", 1)[0]
+        while (head_end := self._buffer.find(b"\r\n\r\n", 0, self._end)) < 0:
+            self._recv_more(self._timeout)
+        status = bytes(self._buffer[: self._buffer.find(b"\r\n")])
         if b"101" not in status:
             raise ServeError(f"websocket handshake refused: {status!r}")
-        self._buffer = rest
+        self._start = head_end + 4  # frames sent with the reply stay buffered
 
     # ------------------------------------------------------------------
-    def _recv_more(self) -> None:
-        chunk = self._sock.recv(65536)
-        if not chunk:
-            raise ServeError("server closed the connection")
-        # The only place read bytes are dropped: once per recv, not per message.
-        self._buffer = self._buffer[self._consumed :] + chunk
-        self._consumed = 0
+    def _use_timeout(self, timeout: Optional[float]) -> None:
+        """Give the socket ``timeout`` unless it holds it already."""
+        if timeout != self._sock_timeout:
+            self._sock.settimeout(timeout)
+            self._sock_timeout = timeout
 
-    def _read_message(self) -> Tuple[dict, bytes]:
-        """Block until one complete protocol message arrives."""
+    def _recv_more(self, timeout: Optional[float]) -> None:
+        """Receive at least one byte after the unread tail.
+
+        The unread tail moves to the front of the buffer first; a tail that
+        fills the buffer is one message that outgrew it, so it doubles.
+        """
+        start, end = self._start, self._end
+        if start:
+            end -= start
+            self._view[:end] = self._view[start : self._end]
+            self._start, self._end = 0, end
+        if end == len(self._buffer):
+            grown = bytearray(2 * end)
+            grown[:end] = self._view
+            self._buffer, self._view = grown, memoryview(grown)
+        self._use_timeout(timeout)
+        received = self._sock.recv_into(self._view[end:])
+        if not received:
+            raise ServeError("server closed the connection")
+        self._end = end + received
+
+    def _read_message(self, timeout: Optional[float]) -> Tuple[dict, bytes]:
+        """Block until one complete protocol message arrives.
+
+        ``timeout`` bounds each ``recv`` this waits on.
+        """
         if self._transport == "ws":
             while True:
-                opcode, payload, consumed = ws_decode_frame(self._buffer, self._consumed)
+                opcode, body, consumed = ws_decode_frame(
+                    self._view[: self._end], self._start
+                )
                 if consumed:
-                    self._consumed += consumed
+                    self._start += consumed
                     if opcode == 0x9:  # ping -> pong
-                        self._sock.sendall(ws_encode_frame(payload, opcode=0xA, mask=True))
+                        self._sock.sendall(ws_encode_frame(body, opcode=0xA, mask=True))
                         continue
                     if opcode == 0x8:
                         raise ServeError("server closed the websocket")
-                    return decode_message(payload)
-                self._recv_more()
+                    return decode_message(body, self._memo)
+                self._recv_more(timeout)
         while True:
-            start = self._consumed + 4
-            if len(self._buffer) >= start:
-                (length,) = _U32.unpack_from(self._buffer, self._consumed)
-                if len(self._buffer) >= start + length:
-                    self._consumed = start + length
-                    return decode_message(self._buffer[start : start + length])
-            self._recv_more()
+            start = self._start
+            if self._end - start >= 4:
+                (length,) = _U32.unpack_from(self._buffer, start)
+                if length > MAX_MESSAGE_BYTES:
+                    raise ServeError(
+                        f"wire message of {length} bytes exceeds the "
+                        f"{MAX_MESSAGE_BYTES}-byte cap"
+                    )
+                stop = start + 4 + length
+                if stop <= self._end:
+                    self._start = stop
+                    return decode_message(self._view[start + 4 : stop], self._memo)
+            self._recv_more(timeout)
 
     def _send_message(self, header: dict, payload: bytes = b"") -> None:
         body = encode_message(header, payload)
+        self._use_timeout(self._timeout)
         if self._transport == "ws":
             self._sock.sendall(ws_encode_frame(body, mask=True))
         else:
@@ -148,7 +197,7 @@ class ServeClient:
         request_id = self._next_id
         self._send_message(dict(header, id=request_id))
         while True:
-            reply, reply_payload = self._read_message()
+            reply, reply_payload = self._read_message(self._timeout)
             if "event" in reply:
                 self.events.append((reply, reply_payload))
                 continue
@@ -162,22 +211,22 @@ class ServeClient:
             return reply, reply_payload
 
     def next_event(self, timeout: Optional[float] = None) -> Tuple[dict, bytes]:
-        """The next push event (buffered or read from the socket)."""
+        """The next push event (buffered or read from the socket).
+
+        ``timeout`` (default: the constructor's) bounds each wait for
+        bytes; an event already buffered is returned without a socket call.
+        """
         if self.events:
             return self.events.popleft()
-        previous = self._sock.gettimeout()
-        if timeout is not None:
-            self._sock.settimeout(timeout)
+        wait = self._timeout if timeout is None else timeout
         try:
             while True:
-                message = self._read_message()
+                message = self._read_message(wait)
                 if "event" in message[0]:
                     return message
                 # A reply with no waiter (should not happen) is dropped.
         except socket.timeout as exc:
             raise ServeError(f"no event within {timeout} seconds") from exc
-        finally:
-            self._sock.settimeout(previous)
 
     # -- convenience wrappers ------------------------------------------
     def hello(self) -> dict:

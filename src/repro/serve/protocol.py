@@ -41,6 +41,7 @@ __all__ = [
     "PROTOCOL",
     "MAX_MESSAGE_BYTES",
     "EventHeader",
+    "EventMemo",
     "encode_message",
     "decode_message",
     "read_message",
@@ -119,21 +120,91 @@ class EventHeader(dict):
         )
 
 
-def decode_message(body) -> Tuple[dict, bytes]:
-    """Split one message body back into (header, payload)."""
-    body = bytes(body)
+#: The value types an :class:`EventMemo` shares between decoded headers.
+_SCALARS = (str, int, float, bool, type(None))
+
+
+class EventMemo:
+    """The decoding mirror of :class:`EventHeader`: one connection's last
+    push-event header, so the next event of the same publish skips
+    ``json.loads``.
+
+    ``prefix`` is that header's wire JSON up to and including ``,"sub":``;
+    ``fields`` is its parse without ``"sub"``.  A header that is exactly
+    ``prefix`` + canonical digits + ``}`` parses to ``dict(fields,
+    sub=int(digits))``, key order included.
+    """
+
+    __slots__ = ("prefix", "fields")
+
+    def __init__(self) -> None:
+        self.prefix: Optional[bytes] = None
+        self.fields: dict = {}
+
+    def recall(self, head: bytes) -> Optional[dict]:
+        """``head``'s parse if it extends the memoised prefix, else ``None``."""
+        prefix = self.prefix
+        if prefix is None or not head.startswith(prefix) or head[-1] != 0x7D:  # }
+            return None
+        digits = head[len(prefix) : -1]
+        if not digits.isdigit() or (digits[0] == 0x30 and len(digits) > 1):
+            return None
+        header = self.fields.copy()
+        try:
+            header["sub"] = int(digits)
+        except ValueError:  # past int()'s digit limit: json.loads says why
+            return None
+        return header
+
+    def learn(self, head: bytes, header: dict) -> None:
+        """Memoise ``header`` (parsed from ``head``) if the next one can reuse it.
+
+        Only an event whose last key is its one ``"sub"``, written in
+        canonical digits, with every other value an immutable scalar:
+        copies of ``fields`` then share nothing a caller can mutate.
+        """
+        if "event" not in header or next(reversed(header)) != "sub":
+            return
+        sub = header["sub"]
+        if type(sub) is not int or sub < 0:
+            return
+        tail = b',"sub":%d}' % sub
+        if not head.endswith(tail) or head.count(b'"sub":') != 1:
+            return
+        fields = dict(header)
+        del fields["sub"]
+        if all(type(value) in _SCALARS for value in fields.values()):
+            self.prefix = head[: 7 - len(tail)]
+            self.fields = fields
+
+
+def decode_message(body, memo: Optional[EventMemo] = None) -> Tuple[dict, bytes]:
+    """Split one message body (``bytes`` or a view) into (header, payload).
+
+    With a ``memo`` (one per client connection), an event header that
+    extends the last one's prefix is decoded without parsing its JSON.
+    """
     if len(body) < 4:
         raise ServeError("wire message too short for a header length prefix")
-    (head_len,) = _U32.unpack(body[:4])
-    if 4 + head_len > len(body):
+    (head_len,) = _U32.unpack_from(body)
+    stop = 4 + head_len
+    if stop > len(body):
         raise ServeError("wire message truncated inside its JSON header")
+    head = bytes(body[4:stop])
+    payload = bytes(body[stop:])
+    if memo is not None:
+        header = memo.recall(head)
+        if header is not None:
+            return header, payload
     try:
-        header = json.loads(body[4 : 4 + head_len].decode("utf-8"))
+        header = json.loads(head.decode("utf-8"))
     except ValueError as exc:
         raise ServeError(f"wire message header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise ServeError("wire message header must be a JSON object")
-    return header, body[4 + head_len :]
+    if memo is not None:
+        memo.learn(head, header)
+    return header, payload
 
 
 async def read_message(reader: asyncio.StreamReader) -> Optional[Tuple[dict, bytes]]:
@@ -260,14 +331,20 @@ async def ws_read_frame(reader: asyncio.StreamReader) -> Optional[Tuple[int, byt
     return opcode, _apply_mask(payload, key)
 
 
-def ws_decode_frame(data: bytes, start: int = 0) -> Tuple[int, bytes, int]:
+def ws_decode_frame(data, start: int = 0) -> Tuple[int, bytes, int]:
     """Decode the websocket frame at ``data[start:]`` (synchronous client).
 
     Returns ``(opcode, payload, bytes_consumed)``; ``bytes_consumed`` is 0
-    when the buffer does not yet hold a complete frame.
+    when the buffer does not yet hold a complete frame.  An unmasked
+    payload is ``data``'s own slice (a view when ``data`` is a
+    ``memoryview``).  A fragment or a length over
+    :data:`MAX_MESSAGE_BYTES` raises :class:`ServeError` as soon as its
+    head is in, as :func:`ws_read_frame` does.
     """
     if len(data) < start + 2:
         return 0, b"", 0
+    if not data[start] & 0x80:
+        raise ServeError("fragmented websocket frames are not supported")
     opcode = data[start] & 0x0F
     masked = data[start + 1] & 0x80
     length = data[start + 1] & 0x7F
@@ -275,18 +352,23 @@ def ws_decode_frame(data: bytes, start: int = 0) -> Tuple[int, bytes, int]:
     if length == 126:
         if len(data) < offset + 2:
             return 0, b"", 0
-        (length,) = struct.unpack(">H", data[offset : offset + 2])
+        (length,) = struct.unpack_from(">H", data, offset)
         offset += 2
     elif length == 127:
         if len(data) < offset + 8:
             return 0, b"", 0
-        (length,) = struct.unpack(">Q", data[offset : offset + 8])
+        (length,) = struct.unpack_from(">Q", data, offset)
         offset += 8
+    if length > MAX_MESSAGE_BYTES:
+        raise ServeError(
+            f"websocket frame of {length} bytes exceeds the "
+            f"{MAX_MESSAGE_BYTES}-byte cap"
+        )
     key = b"\x00\x00\x00\x00"
     if masked:
         if len(data) < offset + 4:
             return 0, b"", 0
-        key = data[offset : offset + 4]
+        key = bytes(data[offset : offset + 4])
         offset += 4
     if len(data) < offset + length:
         return 0, b"", 0
