@@ -65,17 +65,9 @@ def main() -> None:
             "ACQUIRE rain FROM RECT(0, 0, 2, 2) AT RATE 12 PER KM2 PER MIN AS Storm; "
             "CREATE VIEW Tiles ON Storm AS AVG(value) GROUP BY CELL WINDOW 2; "
             "SHOW QUERIES; "
-            "EXPLAIN Storm",
-            mode="text",
+            "EXPLAIN Storm"
         ):
-            if "text" in result:  # SHOW/EXPLAIN render as the repl's tables
-                print(result["text"])
-            elif result["kind"] == "query":
-                q = result["query"]
-                print(f"registered {q['label']}: {q['attribute']} at rate {q['rate']}")
-            elif result["kind"] == "view":
-                v = result["view"]
-                print(f"created view {v['name']} on {v['on']}: {v['spec']}")
+            print(result["text"])  # what the repl prints for the statement
 
         print("\n== subscribe and stream frames ==")
         client.subscribe(view="Tiles", policy="skip")

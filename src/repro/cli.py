@@ -40,22 +40,18 @@ from dataclasses import replace as dataclass_replace
 from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .config import CheckpointConfig
-from .core import CraqrEngine, QueryHandle, QuerySessionInfo
+from .core import CraqrEngine
 from .errors import CraqrError
 from .metrics import ResultTable
 from .query import (
     AttributeCatalog,
-    ParsedQuery,
-    ShowViewsStatement,
     frames_table,
-    health_table,
+    health_text,
     parse_queries,
-    parse_statements,
     sessions_table,
     views_table,
 )
 from .sensing import SensingWorld
-from .views import ViewFrame, ViewHandle, ViewSessionInfo
 from .workloads import (
     build_hotspot_world,
     build_rain_temperature_world,
@@ -447,49 +443,75 @@ repl commands:
   quit/exit        leave the repl"""
 
 
-def _narrate_statement_result(
-    statement,
-    result,
-    out: Callable[[str], None],
-) -> None:
-    """Narrate one executed statement's result in the repl's voice."""
-    if isinstance(result, str):  # EXPLAIN
-        out(result)
-    elif isinstance(result, list):  # SHOW QUERIES / SHOW VIEWS
-        if isinstance(statement, ShowViewsStatement):
-            out(views_table(result).render())
-        else:
-            out(sessions_table(result).render())
-    elif isinstance(result, ViewHandle):
-        if result.is_active():
-            out(
-                f"created view {result.name} on {result.query_label}: "
-                f"{result.spec.describe()}"
-            )
-        else:
-            # Frames stay readable through Python-level handles, but the
-            # repl's `frames` command resolves registered names only — so
-            # don't promise readability the repl can no longer deliver.
-            out(
-                f"dropped view {result.name} "
-                f"after {result.buffer.frames_emitted} frames"
-            )
-    elif isinstance(result, QueryHandle):
-        if isinstance(statement, ParsedQuery):
-            out(
-                f"registered {result.query.label}: {result.query.attribute} over "
-                f"area {result.query.region.area:g} at rate {result.query.rate:g}"
-            )
-        elif result.is_active():
-            out(
-                f"altered {result.query.label}: rate {result.query.rate:g}, "
-                f"area {result.query.region.area:g}"
-            )
-        else:
-            out(
-                f"stopped {result.query.label} "
-                f"({result.buffer.total_tuples} tuples remain readable)"
-            )
+def _repl_run(engine: CraqrEngine, rest: str) -> Tuple[CraqrEngine, str]:
+    try:
+        batches = int(rest.strip() or "1")
+    except ValueError:
+        raise CraqrError(f"'run' takes a batch count, got {rest.strip()!r}") from None
+    engine.run(batches)
+    return engine, f"ran {batches} batch(es); {engine.batches_run} total"
+
+
+def _repl_frames(engine: CraqrEngine, rest: str) -> Tuple[CraqrEngine, str]:
+    parts = rest.split()
+    if not 1 <= len(parts) <= 2:
+        raise CraqrError("'frames' takes a view name and an optional count")
+    try:
+        count = int(parts[1]) if len(parts) == 2 else 5
+    except ValueError:
+        raise CraqrError(f"'frames' takes a count, got {parts[1]!r}") from None
+    if count <= 0:
+        raise CraqrError("the frame count must be positive")
+    handle = engine.view(parts[0])
+    frames = handle.frames()[-count:]
+    if not frames:
+        return engine, f"view {handle.name}: no frames closed yet"
+    return engine, frames_table(handle, frames).render()
+
+
+def _repl_checkpoint(engine: CraqrEngine, rest: str) -> Tuple[CraqrEngine, str]:
+    parts = rest.split()
+    if len(parts) > 1:
+        raise CraqrError("'checkpoint' takes at most one path")
+    path = engine.checkpoint(parts[0] if parts else None)
+    return engine, (
+        f"checkpointed batch {engine.batches_run} to {path} "
+        f"({path.stat().st_size} bytes)"
+    )
+
+
+def _repl_restore(engine: CraqrEngine, rest: str) -> Tuple[CraqrEngine, str]:
+    parts = rest.split()
+    if len(parts) != 1:
+        raise CraqrError("'restore' takes exactly one checkpoint file or directory")
+    target = pathlib.Path(parts[0])
+    if target.is_dir():
+        engine = CraqrEngine.restore_latest(target)
+    else:
+        engine = CraqrEngine.restore(target)
+    return engine, (
+        f"restored engine at batch {engine.batches_run} "
+        f"({len(engine.query_handles())} queries, "
+        f"{len(engine.view_handles())} views)"
+    )
+
+
+def _repl_health(engine: CraqrEngine, rest: str) -> Tuple[CraqrEngine, str]:
+    parts = rest.split()
+    if len(parts) != 1:
+        raise CraqrError("'health' takes exactly one query name")
+    return engine, health_text(engine, engine.query(parts[0]))
+
+
+#: repl command word -> ``(engine, rest of the line) -> (engine, text)``;
+#: ``restore`` hands back the engine that replaces the live one.
+_REPL_COMMANDS: Dict[str, Callable[[CraqrEngine, str], Tuple[CraqrEngine, str]]] = {
+    "run": _repl_run,
+    "frames": _repl_frames,
+    "checkpoint": _repl_checkpoint,
+    "restore": _repl_restore,
+    "health": _repl_health,
+}
 
 
 def _command_repl(
@@ -517,103 +539,22 @@ def _command_repl(
         if lowered == "help":
             out(_REPL_HELP)
             continue
-        if lowered == "run" or lowered.startswith("run "):
+        word, _, rest = line.partition(" ")
+        command = _REPL_COMMANDS.get(word.lower())
+        if command is not None:
             try:
-                batches = int(lowered[4:].strip() or "1")
-                engine.run(batches)
-                out(f"ran {batches} batch(es); {engine.batches_run} total")
-            except ValueError:
-                out(f"error: 'run' takes a batch count, got {line[4:].strip()!r}")
+                engine, text = command(engine, rest)
             except CraqrError as exc:
-                out(f"error: {exc}")
-            continue
-        if lowered == "frames" or lowered.startswith("frames "):
-            parts = line.split()
-            try:
-                if len(parts) < 2 or len(parts) > 3:
-                    raise CraqrError("'frames' takes a view name and an optional count")
-                count = int(parts[2]) if len(parts) == 3 else 5
-                if count <= 0:
-                    raise CraqrError("the frame count must be positive")
-                handle = engine.view(parts[1])
-                frames = handle.frames()[-count:]
-                if not frames:
-                    out(f"view {handle.name}: no frames closed yet")
-                else:
-                    out(frames_table(handle, frames).render())
-            except ValueError:
-                out(f"error: 'frames' takes a count, got {parts[2]!r}")
-            except CraqrError as exc:
-                out(f"error: {exc}")
-            continue
-        if lowered == "checkpoint" or lowered.startswith("checkpoint "):
-            parts = line.split()
-            try:
-                if len(parts) > 2:
-                    raise CraqrError("'checkpoint' takes at most one path")
-                path = engine.checkpoint(parts[1] if len(parts) == 2 else None)
-                out(
-                    f"checkpointed batch {engine.batches_run} to {path} "
-                    f"({path.stat().st_size} bytes)"
-                )
-            except CraqrError as exc:
-                out(f"error: {exc}")
-            continue
-        if lowered == "restore" or lowered.startswith("restore "):
-            parts = line.split()
-            try:
-                if len(parts) != 2:
-                    raise CraqrError(
-                        "'restore' takes exactly one checkpoint file or directory"
-                    )
-                target = pathlib.Path(parts[1])
-                if target.is_dir():
-                    engine = CraqrEngine.restore_latest(target)
-                else:
-                    engine = CraqrEngine.restore(target)
-                out(
-                    f"restored engine at batch {engine.batches_run} "
-                    f"({len(engine.query_handles())} queries, "
-                    f"{len(engine.view_handles())} views)"
-                )
-            except CraqrError as exc:
-                out(f"error: {exc}")
-            continue
-        if lowered == "health" or lowered.startswith("health "):
-            parts = line.split()
-            try:
-                if len(parts) != 2:
-                    raise CraqrError("'health' takes exactly one query name")
-                handle = engine.query(parts[1])
-                out(health_table(engine, handle).render())
-                monitor = engine.health_monitor
-                if monitor is None:
-                    out("sensor health monitoring is off (no ResilienceConfig)")
-                else:
-                    summary = monitor.summary()
-                    ids = ", ".join(str(i) for i in summary.quarantined_sensor_ids[:12])
-                    if summary.quarantined > 12:
-                        ids += f", ... ({summary.quarantined - 12} more)"
-                    out(
-                        f"quarantined sensors: {summary.quarantined} "
-                        f"({summary.on_probation} on probation, "
-                        f"{summary.released} released so far)"
-                        + (f" — ids: {ids}" if ids else "")
-                    )
-            except CraqrError as exc:
-                out(f"error: {exc}")
+                text = f"error: {exc}"
+            out(text)
             continue
         try:
-            statements = parse_statements(line)
-        except CraqrError as exc:
+            outcomes = engine.execute_script(line, on_error="continue")
+        except CraqrError as exc:  # the line does not parse
             out(f"error: {exc}")
             continue
-        outcomes = engine.execute_script(statements, on_error="continue")
         for outcome in outcomes:
-            if outcome.ok:
-                _narrate_statement_result(outcome.statement, outcome.result, out)
-            else:
-                out(f"error: {outcome.error}")
+            out(outcome.row["text"])
     out(
         f"bye: {engine.batches_run} batches run, "
         f"{engine.total_tuples_delivered()} tuples delivered"

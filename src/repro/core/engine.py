@@ -176,12 +176,16 @@ class StatementResult:
     Exactly one of ``result`` / ``error`` is meaningful: ``error`` holds
     the :class:`~repro.errors.CraqrError` the statement raised (only under
     ``on_error="continue"``), otherwise ``result`` is whatever
-    :meth:`CraqrEngine.execute` returned for the statement.
+    :meth:`CraqrEngine.execute` returned for the statement.  ``row`` is
+    :func:`repro.query.render.statement_row` of the outcome, rendered
+    right after the statement ran: the repl prints its ``text`` and the
+    server's ``execute`` op returns it.
     """
 
     statement: object
     result: object = None
     error: Optional[Exception] = None
+    row: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -461,9 +465,11 @@ class CraqrEngine:
     def fast_sim(self) -> bool:
         """Whether the world runs in shared-stream fast-sim mode.
 
-        Set via :attr:`repro.sensing.WorldConfig.vectorized_rng`; with it on
-        both the simulation and the query pipeline are vectorised
-        end-to-end, at the cost of per-sensor-stream reproducibility.
+        Set via :attr:`repro.sensing.WorldConfig.vectorized_rng`.  Both
+        contracts run the same vectorised kernels; fast-sim draws from one
+        shared stream instead of per-sensor keyed streams, so it is
+        seeded-reproducible and statistically equivalent to strict mode, but
+        a sensor's draws depend on the rest of the crowd.
         """
         return self._world.vectorized
 
@@ -966,10 +972,14 @@ class CraqrEngine:
           :class:`StatementResult` (``.error``) and the script keeps
           going, the repl/server behaviour.
 
+        Each outcome's ``row`` is rendered as soon as its statement has
+        run, so it shows the session as that statement left it.
+
         Parse errors always raise: a script that does not parse has no
         statement positions to attribute results to.
         """
         from ..query.parser import parse_statements
+        from ..query.render import statement_row
 
         if on_error not in ("raise", "continue"):
             raise QueryError(
@@ -983,15 +993,15 @@ class CraqrEngine:
         total = len(statements)
         for index, statement in enumerate(statements):
             try:
-                results.append(
-                    StatementResult(statement=statement, result=self.execute(statement))
-                )
+                result, error = self.execute(statement), None
             except CraqrError as exc:
                 if on_error == "raise":
                     raise QueryError(
                         f"script statement {index + 1} of {total} failed: {exc}"
                     ) from exc
-                results.append(StatementResult(statement=statement, error=exc))
+                result, error = None, exc
+            row = statement_row(statement, result, error)
+            results.append(StatementResult(statement, result, error, row))
         return results
 
     def sessions(self) -> List[QuerySessionInfo]:
@@ -1039,16 +1049,13 @@ class CraqrEngine:
         """Acquire and fabricate one batch window.
 
         Acquisition and fabrication move whole :class:`TupleBatch` columns:
-        the handler answers every ``(attribute, cell)`` round as one batch,
-        the fabricator buckets rows by cell and every chain runs as one
-        compiled program (:mod:`repro.plan`).  When the world runs in
-        fast-sim mode (:attr:`~repro.sensing.WorldConfig.vectorized_rng`),
-        sensor movement and acquisition sampling additionally vectorise
-        across the whole crowd — the handler then serves each attribute
-        with one fused
+        the handler serves each attribute with one fused
         :meth:`~repro.sensing.RequestResponseHandler.acquire_attribute_batch`
-        round instead of one round per ``(attribute, cell)`` pair — faster
-        still, but statistically rather than bit-for-bit reproducible.
+        round over all of its cells, the fabricator buckets rows by cell
+        and every chain runs as one compiled program (:mod:`repro.plan`).
+        Both RNG contracts take that path; they differ only in the streams
+        the round and the world's movement draw from (see
+        :attr:`fast_sim`).
         """
         duration = self._config.batch_duration
         batch = self._batch_index

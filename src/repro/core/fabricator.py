@@ -122,10 +122,8 @@ class StreamFabricator:
         the handler delivers rows grouped by cell) and one stable argsort of
         each cell's times, which costs a cell's share of a whole-batch time
         sort.  Each attribute's columns are reordered *once*; the segment
-        table says where each occupied cell's rows are.  The input is one
-        batch per attribute either way the handler produced it: the strict
-        path concatenates its per-cell rounds, the fast-sim path hands over
-        the fused attribute-level round directly.
+        table says where each occupied cell's rows are.  The input is the
+        handler's one fused round per attribute, under either RNG contract.
         """
         side = self._grid.side
         mapped: Dict[str, MappedAttribute] = {}

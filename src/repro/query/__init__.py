@@ -33,7 +33,7 @@ from .ast import (
 from .lexer import Token, TokenType, tokenize
 from .parser import parse_query, parse_queries, parse_statements
 from .catalog import AttributeCatalog, AttributeInfo, AttributeKind
-from .render import frames_table, health_table, sessions_table, views_table
+from .render import frames_table, health_table, health_text, sessions_table, views_table
 
 __all__ = [
     "AlterStatement",
@@ -57,6 +57,7 @@ __all__ = [
     "AttributeKind",
     "frames_table",
     "health_table",
+    "health_text",
     "sessions_table",
     "views_table",
 ]

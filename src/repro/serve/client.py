@@ -232,8 +232,8 @@ class ServeClient:
     def hello(self) -> dict:
         return self.request({"op": "hello"})[0]
 
-    def execute(self, script: str, *, mode: str = "json") -> List[dict]:
-        reply, _ = self.request({"op": "execute", "script": script, "mode": mode})
+    def execute(self, script: str) -> List[dict]:
+        reply, _ = self.request({"op": "execute", "script": script})
         return reply["results"]
 
     def run(self, batches: int = 1) -> dict:

@@ -220,7 +220,7 @@ class FrameFanout:
                 frame = buffer.frame(index)  # StorageError when evicted
                 self._offer(queue, *_frame_event(name, frame))
         self._attach(key, topic, queue)
-        return frame_token_after(position - 1)
+        return frame_token_at(position)
 
     def subscribe_query(
         self,
@@ -312,11 +312,6 @@ class FrameFanout:
         return list(self._overflowed)
 
 
-def frame_token_after(frame_index: int) -> str:
-    """The resume token for the position just past one frame."""
-    return frame_token_at(frame_index + 1)
-
-
 def _frame_event(name: str, frame) -> Tuple[EventHeader, bytes]:
     """One closed frame as a push event, header and payload encoded."""
     header = EventHeader(
@@ -324,7 +319,7 @@ def _frame_event(name: str, frame) -> Tuple[EventHeader, bytes]:
             "event": "frame",
             "view": name,
             "frame_index": frame.frame_index,
-            "token": frame_token_after(frame.frame_index),
+            "token": frame_token_at(frame.frame_index + 1),
         }
     )
     return header, encode_view_frame(frame)

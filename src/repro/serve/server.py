@@ -28,10 +28,10 @@ Operations (JSON header field ``op``):
 ``execute``
     Runs a statement script via
     :meth:`~repro.core.CraqrEngine.execute_script` (``on_error=
-    "continue"``); per-statement results come back as structured JSON
-    rows mirroring ``QuerySessionInfo`` / ``ViewSessionInfo``.  With
-    ``mode="text"`` each result additionally carries the shared
-    :mod:`repro.query.render` table text the repl shows.
+    "continue"``) and returns each statement's
+    :func:`~repro.query.render.statement_row`: structured JSON fields
+    (``SHOW`` rows mirror ``QuerySessionInfo`` / ``ViewSessionInfo``)
+    plus the ``text`` the repl prints for it.
 ``run``
     Advances the engine ``batches`` batches, publishing the fan-out
     after every batch (client-driven cadence; a ``batch_interval``
@@ -50,7 +50,7 @@ Operations (JSON header field ``op``):
     ``disconnect``) and ``queue_events`` capacity; ``token`` resumes a
     previous subscription exactly-once.
 ``health``
-    The shared per-cell health render of one query (text).
+    The repl's ``health`` report of one query (text).
 ``checkpoint``
     Writes an engine checkpoint; returns the path.
 ``ping`` / ``shutdown``
@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import CraqrError, ServeError
-from ..query.render import health_table, sessions_table, views_table
+from ..query.render import health_text
 from ..streams.codec import encode_tuple_batch, encode_view_frame
 from .fanout import (
     BACKPRESSURE_POLICIES,
@@ -136,42 +136,6 @@ class ServeConfig:
             raise ServeError("queue_events must be positive")
         if self.batch_interval is not None and self.batch_interval <= 0:
             raise ServeError("batch_interval must be positive or None")
-
-
-def _session_row(info) -> dict:
-    """One ``QuerySessionInfo`` as a JSON row."""
-    return {
-        "label": info.label,
-        "query_id": info.query_id,
-        "attribute": info.attribute,
-        "requested_rate": info.requested_rate,
-        "region_area": info.region_area,
-        "paused": info.paused,
-        "total_tuples": info.total_tuples,
-        "batches_completed": info.batches_completed,
-        "achieved_rate": info.achieved_rate,
-        "views": info.views,
-        "degraded_pairs": [list(cell) for cell in info.degraded_pairs],
-    }
-
-
-def _view_row(info) -> dict:
-    """One ``ViewSessionInfo`` as a JSON row."""
-    return {
-        "name": info.name,
-        "query_label": info.query_label,
-        "query_id": info.query_id,
-        "aggregate": info.aggregate,
-        "group_by": info.group_by,
-        "window": info.window,
-        "slide": info.slide,
-        "frames_emitted": info.frames_emitted,
-        "frames_retained": info.frames_retained,
-        "tuples_total": info.tuples_total,
-        "last_window_end": info.last_window_end,
-        "active": info.active,
-        "error": info.error,
-    }
 
 
 class _Connection:
@@ -534,61 +498,8 @@ class Server:
         script = header.get("script")
         if not isinstance(script, str):
             raise ServeError("execute needs a 'script' string")
-        text_mode = header.get("mode", "json") == "text"
-        results = []
-        for outcome in self._engine.execute_script(script, on_error="continue"):
-            results.append(self._statement_row(outcome, text_mode))
-        return {"results": results}, b""
-
-    def _statement_row(self, outcome, text_mode: bool) -> dict:
-        statement = type(outcome.statement).__name__
-        if not outcome.ok:
-            return {
-                "statement": statement,
-                "ok": False,
-                "error": str(outcome.error),
-                "error_type": type(outcome.error).__name__,
-            }
-        result = outcome.result
-        row: dict = {"statement": statement, "ok": True}
-        if isinstance(result, str):  # EXPLAIN
-            row["kind"] = "explain"
-            row["text"] = result
-            return row
-        if isinstance(result, list):  # SHOW QUERIES / SHOW VIEWS
-            if result and hasattr(result[0], "aggregate") or statement == "ShowViewsStatement":
-                row["kind"] = "views"
-                row["rows"] = [_view_row(info) for info in result]
-                if text_mode:
-                    row["text"] = views_table(result).render()
-            else:
-                row["kind"] = "sessions"
-                row["rows"] = [_session_row(info) for info in result]
-                if text_mode:
-                    row["text"] = sessions_table(result).render()
-            return row
-        if hasattr(result, "spec"):  # ViewHandle
-            row["kind"] = "view"
-            row["view"] = {
-                "name": result.name,
-                "on": result.query_label,
-                "spec": result.spec.describe(),
-                "active": result.is_active(),
-                "frames_emitted": result.buffer.frames_emitted,
-            }
-            return row
-        # QueryHandle (ACQUIRE / ALTER / STOP)
-        row["kind"] = "query"
-        row["query"] = {
-            "label": result.query.label,
-            "attribute": result.query.attribute,
-            "rate": result.query.rate,
-            "region_area": result.query.region.area,
-            "active": result.is_active(),
-            "paused": result.is_paused(),
-            "total_tuples": result.buffer.total_tuples,
-        }
-        return row
+        outcomes = self._engine.execute_script(script, on_error="continue")
+        return {"results": [outcome.row for outcome in outcomes]}, b""
 
     def _op_run(self, conn: _Connection, header: dict):
         batches = header.get("batches", 1)
@@ -679,7 +590,7 @@ class Server:
         if not isinstance(label, str):
             raise ServeError("health needs a 'query' label")
         handle = self._engine.query(label)
-        return {"query": handle.query.label, "text": health_table(self._engine, handle).render()}, b""
+        return {"query": handle.query.label, "text": health_text(self._engine, handle)}, b""
 
     def _op_checkpoint(self, conn: _Connection, header: dict):
         path = self._engine.checkpoint(header.get("path"))

@@ -1,10 +1,10 @@
 """Golden renders of the shared session tables (``repro.query.render``).
 
-The repl and the serving layer's text mode both show these tables; the
-goldens pin the exact text so neither surface can drift.  Synthetic
-session rows keep the goldens fully deterministic (no engine run in the
-way of the byte-for-byte comparison); a live-engine test then checks the
-repl and the server read from the same functions.
+The repl prints these tables and the serving layer returns them as the
+``text`` of its rows; the goldens pin the exact text.  Synthetic session
+rows keep the goldens fully deterministic (no engine run in the way of
+the byte-for-byte comparison).  ``tests/serve/test_surface_parity.py``
+checks that the repl and both transports print the same text.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro import cli
 from repro.core.engine import QuerySessionInfo
 from repro.query import frames_table, health_table, sessions_table, views_table
 from repro.query import render
@@ -147,14 +146,6 @@ class TestFramesGolden:
 
 
 class TestSharedSurface:
-    def test_cli_aliases_are_the_render_functions(self):
-        # The repl renders through the exact same callables the server's
-        # text mode uses — no drift possible.
-        assert cli.sessions_table is render.sessions_table
-        assert cli.views_table is render.views_table
-        assert cli.health_table is render.health_table
-        assert cli.frames_table is render.frames_table
-
     def test_query_package_reexports(self):
         from repro import query
 

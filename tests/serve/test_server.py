@@ -100,9 +100,46 @@ class TestExecute:
         assert view["view"]["on"] == "Storm"
         assert explain["kind"] == "explain"
         assert explain["text"].startswith("EXPLAIN query 'Storm'")
-        # The wire, text mode and the Python API render the same plan.
-        (text_row,) = client.execute("EXPLAIN Storm", mode="text")
-        assert text_row["text"] == explain["text"] == server.engine.explain("Storm")
+        # The wire and the Python API render the same plan.
+        assert explain["text"] == server.engine.explain("Storm")
+
+    def test_rows_show_each_statement_as_it_ran(self, served):
+        _, client, _ = served
+        acquire, alter, stop = client.execute(
+            "ACQUIRE rain FROM RECT(0, 0, 2, 2) AT RATE 8 PER KM2 PER MIN AS Gust; "
+            "ALTER Gust SET RATE 5 PER KM2 PER MIN; STOP Gust"
+        )
+        assert [r["query"]["active"] for r in (acquire, alter, stop)] == [True, True, False]
+        assert [r["query"]["rate"] for r in (acquire, alter, stop)] == [8.0, 5.0, 5.0]
+        assert acquire["text"] == "registered Gust: rain over area 4 at rate 8"
+        assert alter["text"] == "altered Gust: rate 5, area 4"
+        assert stop["text"] == "stopped Gust (0 tuples remain readable)"
+
+        create, drop = client.execute(
+            "CREATE VIEW Rain2 ON Storm AS MAX(value) WINDOW 3; DROP VIEW Rain2"
+        )
+        assert create["view"]["active"] is True and drop["view"]["active"] is False
+        assert create["text"].startswith("created view Rain2 on Storm: ")
+        assert drop["text"] == "dropped view Rain2 after 0 frames"
+
+    def test_rows_keep_their_wire_keys(self, served):
+        _, client, _ = served
+        client.run(1)
+        queries, views, failed = client.execute("SHOW QUERIES; SHOW VIEWS; STOP Nobody")
+        assert list(queries) == ["statement", "ok", "kind", "rows", "text"]
+        assert list(queries["rows"][0]) == [
+            "label", "query_id", "attribute", "requested_rate", "region_area",
+            "paused", "total_tuples", "batches_completed", "achieved_rate",
+            "views", "degraded_pairs",
+        ]
+        assert queries["rows"][0]["degraded_pairs"] == []
+        assert list(views["rows"][0]) == [
+            "name", "query_label", "query_id", "aggregate", "group_by", "window",
+            "slide", "frames_emitted", "frames_retained", "tuples_total",
+            "last_window_end", "active", "error",
+        ]
+        assert list(failed) == ["statement", "ok", "error", "error_type", "text"]
+        assert failed["text"] == f"error: {failed['error']}"
 
     def test_mid_script_error_recovers_and_reports(self, served):
         _, client, _ = served
@@ -129,18 +166,13 @@ class TestExecute:
             client.execute("FROB the stream")
         assert err.value.error_type == "QueryParseError"
 
-    def test_text_mode_carries_the_shared_render(self, served):
+    def test_rows_carry_the_shared_render(self, served):
         _, client, _ = served
-        rows = client.execute("SHOW QUERIES; SHOW VIEWS", mode="text")
+        rows = client.execute("SHOW QUERIES; SHOW VIEWS")
         assert rows[0]["text"].startswith("== query sessions ==")
         assert "Storm" in rows[0]["text"]
         assert rows[1]["text"].startswith("== continuous views ==")
         assert "Rain" in rows[1]["text"]
-
-    def test_json_mode_has_no_text(self, served):
-        _, client, _ = served
-        rows = client.execute("SHOW QUERIES")
-        assert "text" not in rows[0]
 
 
 class TestRunAndFetch:
@@ -362,7 +394,7 @@ class TestWebsocketTransport:
         with ServeClient(host, port, transport="ws") as ws:
             hello = ws.hello()
             assert hello["protocol"] == "craqr/1"
-            rows = ws.execute("SHOW QUERIES", mode="text")
+            rows = ws.execute("SHOW QUERIES")
             assert rows[0]["text"].startswith("== query sessions ==")
             sub = ws.subscribe(view="Rain")
             ws.run(2)

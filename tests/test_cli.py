@@ -315,6 +315,45 @@ class TestRepl:
         assert "query sessions" in capture.text
         assert "bye: 7 batches run" in capture.text
 
+    def test_a_script_narrates_each_statement_as_it_ran(self):
+        script = (
+            "ACQUIRE rain FROM RECT(0,0,2,2) AT RATE 8 PER KM2 PER MIN AS Storm; "
+            "ALTER Storm SET RATE 5 PER KM2 PER MIN; STOP Storm\n"
+            "ACQUIRE temp FROM RECT(0,0,2,2) RATE 6 AS Heat\n"
+            "CREATE VIEW Tiles ON Heat AS AVG(value) WINDOW 2; DROP VIEW Tiles\n"
+        )
+        code, capture = run_repl(script)
+        assert code == 0
+        assert capture.lines[2:5] == [
+            "registered Storm: rain over area 4 at rate 8",
+            "altered Storm: rate 5, area 4",
+            "stopped Storm (0 tuples remain readable)",
+        ]
+        assert capture.lines[6:8] == [
+            "created view Tiles on Heat: AVG(value) WINDOW 2",
+            "dropped view Tiles after 0 frames",
+        ]
+
+    def test_command_errors_share_one_voice(self, tmp_path):
+        script = f"""
+        run 0
+        checkpoint a b
+        restore
+        restore {tmp_path / "missing.ckpt"}
+        health Ghost
+        """
+        code, capture = run_repl(script)
+        assert code == 0
+        errors = [line for line in capture.lines if line.startswith("error: ")]
+        assert len(errors) == 5
+        assert errors[:3] == [
+            "error: the number of batches must be positive",
+            "error: 'checkpoint' takes at most one path",
+            "error: 'restore' takes exactly one checkpoint file or directory",
+        ]
+        assert "missing.ckpt" in errors[3]
+        assert errors[4] == "error: no registered query is labelled 'Ghost'"
+
     def test_errors_do_not_kill_the_session(self):
         script = """
         STOP Nobody
