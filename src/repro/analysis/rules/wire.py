@@ -12,8 +12,9 @@ sides' literals and diff them at lint time:
   server handler never reads that key (a silently ignored parameter —
   the classic symptom of a renamed field drifting on one side only).
 * ``CRQ503`` — a wire magic / protocol-version literal (``CRAQR/...``
-  or ``craqr/...``) outside ``serve/protocol.py``: both ends must
-  import the one definition, or the handshake drifts.
+  or ``craqr/...``, anywhere in a string, bytes or f-string constant;
+  docstrings are prose and exempt) outside ``serve/protocol.py``: both
+  ends must import the one definition, or the handshake drifts.
 """
 
 from __future__ import annotations
@@ -208,9 +209,10 @@ def _check_magic_literals(project: Project) -> Iterator[Finding]:
                     if isinstance(value, str)
                     else ""
                 )
-                # Assembled at runtime so this rule module does not flag
-                # its own detection prefix.
-                if text.upper().startswith("CRAQR" + "/"):
+                # Anywhere in the constant (an f-string's literal parts
+                # are constants too).  Assembled at runtime so this rule
+                # module does not flag its own detection prefix.
+                if "CRAQR" + "/" in text.upper():
                     yield Finding(
                         path=module.path,
                         line=child.lineno,

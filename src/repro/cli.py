@@ -569,6 +569,7 @@ def _command_serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     import signal
 
     from .serve import ServeConfig, Server
+    from .serve.protocol import PROTOCOL
 
     description, engine = _scenario_engine(args)
     server = Server(
@@ -590,7 +591,7 @@ def _command_serve(args: argparse.Namespace, out: Callable[[str], None]) -> int:
             if args.batch_interval
             else "client-driven batches"
         )
-        out(f"serving craqr/1 on {host}:{port} ({cadence}); ctrl-c stops")
+        out(f"serving {PROTOCOL} on {host}:{port} ({cadence}); ctrl-c stops")
         # The smoke tests parse the banner from a subprocess pipe — make
         # sure it is visible before the first client connects.
         sys.stdout.flush()

@@ -1,7 +1,7 @@
 """A small synchronous client for the serving layer.
 
 :class:`ServeClient` speaks the same framing as the server (raw TCP with
-the ``CRAQR/1`` magic by default, or websocket with ``transport="ws"``)
+the ``CRAQR/2`` magic by default, or websocket with ``transport="ws"``)
 over a plain blocking socket — no asyncio on the client side, so tests,
 benchmarks and the demo script stay simple and deterministic.
 
@@ -12,18 +12,26 @@ the server-side exception class in ``error_type`` (so a fetch that lagged
 past retention raises with ``error_type == "StorageError"`` and the
 storage layer's original message).
 
+A grouped event message (``"subs":[id,...]``: one publish that several
+of this connection's subscriptions receive) is expanded on arrival into
+one event per id, in list order: a fresh header dict each, the published
+fields then ``"sub"``, all sharing the message's one payload ``bytes``.
+Callers see the same ordered ``(header, payload)`` sequence as if every
+subscription's copy had travelled alone.
+
 The client reads as the server writes.  Both transports ``recv_into``
 one ``bytearray`` and parse each message where it lies: its body reaches
 :func:`~repro.serve.protocol.decode_message` as a view, and only the
 header and payload are copied out.  The server encodes an event header
-once per publish; the client decodes it once per publish, through an
-:class:`~repro.serve.protocol.EventMemo` that turns every later
-subscription's copy of it into a prefix compare and an ``int``.  The
-socket's timeout is switched only before a ``recv`` or a send that needs
-another one, so a buffered event costs no socket call.  A message longer
-than :data:`~repro.serve.protocol.MAX_MESSAGE_BYTES` and a fragmented
-websocket frame raise :class:`~repro.errors.ServeError` before the body
-is buffered.
+once per publish and the client decodes it once per message; a lone
+event whose header repeats the one before it (a group cut at a closed
+queue or at the size cap) goes through an
+:class:`~repro.serve.protocol.EventMemo`, a prefix compare and an
+``int``.  The socket's timeout is switched only before a ``recv`` or a
+send that needs another one, so a buffered event costs no socket call.
+A message longer than :data:`~repro.serve.protocol.MAX_MESSAGE_BYTES`
+and a fragmented websocket frame raise :class:`~repro.errors.ServeError`
+before the body is buffered.
 """
 
 from __future__ import annotations
@@ -177,6 +185,24 @@ class ServeClient:
                     return decode_message(self._view[start + 4 : stop], self._memo)
             self._recv_more(timeout)
 
+    def _receive(self, timeout: Optional[float]) -> Optional[Tuple[dict, bytes]]:
+        """Read one message: a reply is returned, push events go to
+        :attr:`events` (a group expanded) and ``None`` is returned."""
+        header, payload = self._read_message(timeout)
+        if "event" not in header:
+            return header, payload
+        subs = header.pop("subs", None)
+        if subs is None:
+            self.events.append((header, payload))
+            return None
+        if not isinstance(subs, list):
+            raise ServeError("grouped event's 'subs' is not a list")
+        for sub in subs:
+            event = header.copy()
+            event["sub"] = sub
+            self.events.append((event, payload))
+        return None
+
     def _send_message(self, header: dict, payload: bytes = b"") -> None:
         body = encode_message(header, payload)
         self._use_timeout(self._timeout)
@@ -197,10 +223,10 @@ class ServeClient:
         request_id = self._next_id
         self._send_message(dict(header, id=request_id))
         while True:
-            reply, reply_payload = self._read_message(self._timeout)
-            if "event" in reply:
-                self.events.append((reply, reply_payload))
+            message = self._receive(self._timeout)
+            if message is None:
                 continue
+            reply, reply_payload = message
             if reply.get("id") != request_id:
                 continue  # a stale reply from a timed-out predecessor
             if not reply.get("ok", False):
@@ -216,17 +242,14 @@ class ServeClient:
         ``timeout`` (default: the constructor's) bounds each wait for
         bytes; an event already buffered is returned without a socket call.
         """
-        if self.events:
-            return self.events.popleft()
-        wait = self._timeout if timeout is None else timeout
-        try:
-            while True:
-                message = self._read_message(wait)
-                if "event" in message[0]:
-                    return message
-                # A reply with no waiter (should not happen) is dropped.
-        except socket.timeout as exc:
-            raise ServeError(f"no event within {timeout} seconds") from exc
+        if not self.events:
+            wait = self._timeout if timeout is None else timeout
+            try:
+                while not self.events:
+                    self._receive(wait)  # a reply with no waiter is dropped
+            except socket.timeout as exc:
+                raise ServeError(f"no event within {wait} seconds") from exc
+        return self.events.popleft()
 
     # -- convenience wrappers ------------------------------------------
     def hello(self) -> dict:

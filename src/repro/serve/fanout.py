@@ -23,7 +23,11 @@ does):
   reference.  Per-frame publish cost is therefore one encode + N queue
   appends — flat in N until the appends themselves dominate — and
   unsubscribing one queue or collecting the overflowed ones touches no
-  other queue.
+  other queue.  That shared identity is also what the writer groups on:
+  :meth:`SubscriberQueue.peek` shows the writer whether a queue's next
+  event is the very header and payload just popped from a sibling, so
+  the server sends one publish to a connection's subscriptions as one
+  message.  Backlog events are encoded per subscriber and never match.
 
 Because the whole serving layer is single-threaded, a subscriber that
 joins with a resume token gets its backlog (token position up to the
@@ -138,6 +142,14 @@ class SubscriberQueue:
                 header = dict(header, skipped=self.skipped)
             self.skipped = 0
         return header, payload
+
+    def peek(self) -> Optional[Tuple[dict, bytes]]:
+        """The event :meth:`pop` returns next, as published; ``None`` when
+        the queue is empty or a skipped count waits to be reported (that
+        event leaves with another header)."""
+        if self.skipped or not self._events:
+            return None
+        return self._events[0]
 
     def close(self) -> None:
         """Drop what is pending and leave the owner's ready deque.

@@ -2,7 +2,7 @@
 
 Two transports share one message shape:
 
-* **Raw TCP** — the client opens with the 8-byte magic ``CRAQR/1\\n``,
+* **Raw TCP** — the client opens with the 8-byte magic ``CRAQR/2\\n``,
   then both directions exchange length-prefixed messages.
 * **Websocket** — the client opens with an HTTP/1.1 upgrade request
   (detected because it starts with ``GET ``); after the RFC 6455
@@ -17,8 +17,16 @@ The JSON header carries the operation/reply/event fields; the payload
 (optional) carries codec-encoded :class:`~repro.streams.TupleBatch` /
 :class:`~repro.views.ViewFrame` bytes.  Multiple codec payloads in one
 message are packed with :func:`pack_payloads` (u32 count, then u32
-length + bytes per item) so a push event can deliver several closed
+length + bytes per item) so a fetch reply can deliver several closed
 frames at once.
+
+A push event names its subscription with ``"sub":id`` as the header's
+last field.  One published event that several subscriptions of a
+connection receive back to back travels as one *grouped* message whose
+header ends in ``"subs":[id,...]`` instead (:meth:`EventHeader.group_parts`);
+the client expands it into one event per id, in list order.  Grouping
+is what ``craqr/2`` added to ``craqr/1``, so the magic names the
+version and a ``craqr/1`` peer is refused at the preamble.
 
 Everything here is transport mechanics only — no engine imports — so the
 synchronous test client can reuse the exact encoder/decoder the asyncio
@@ -33,6 +41,8 @@ import hashlib
 import json
 import struct
 from typing import Callable, List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import ServeError
 
@@ -55,16 +65,20 @@ __all__ = [
 ]
 
 #: Transport preamble a raw-TCP client must send before its first message.
-MAGIC = b"CRAQR/1\n"
+MAGIC = b"CRAQR/2\n"
 
 #: Protocol identification returned by the server's ``hello`` reply.
-PROTOCOL = "craqr/1"
+PROTOCOL = "craqr/2"
 
 #: Hard per-message size cap (64 MiB) — a corrupt length prefix fails
 #: fast instead of waiting on gigabytes that will never arrive.
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 _U32 = struct.Struct(">I")
+
+#: What a grouped message adds to ``open_json`` and the payload besides
+#: its ids and their commas: the u32 header length, ``,"subs":[`` and ``]}``.
+GROUP_BYTES = 4 + 11
 
 #: RFC 6455 handshake GUID (fixed by the spec).
 _WS_GUID = b"258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
@@ -86,9 +100,11 @@ class EventHeader(dict):
     ``open_json`` is the header's wire JSON without its closing brace, so
     the fields that differ per subscriber are appended as bytes:
     :meth:`framed_parts` emits exactly what
-    ``encode_message(dict(header, sub=sub), payload)`` would, and
-    :meth:`with_skipped` matches ``dict(header, skipped=count)``.  The
-    fields must be non-empty and must not already hold the appended keys.
+    ``encode_message(dict(header, sub=sub), payload)`` would,
+    :meth:`group_parts` what ``encode_message(dict(header, subs=subs),
+    payload)`` would, and :meth:`with_skipped` matches ``dict(header,
+    skipped=count)``.  The fields must be non-empty and must not already
+    hold the appended keys.
     """
 
     __slots__ = ("open_json",)
@@ -111,13 +127,27 @@ class EventHeader(dict):
         ``prefix`` is the transport's :func:`frame_head` or
         :func:`ws_frame_head`; the payload is carried by reference.
         """
-        head = b'%b,"sub":%d}' % (self.open_json, sub)
-        return (
-            prefix(4 + len(head) + len(payload)),
-            _U32.pack(len(head)),
-            head,
-            payload,
-        )
+        return _framed(b'%b,"sub":%d}' % (self.open_json, sub), payload, prefix)
+
+    def group_parts(
+        self, subs: List[bytes], payload: bytes, prefix: Callable[[int], bytes]
+    ) -> Tuple[bytes, bytes, bytes, bytes]:
+        """One message delivering this event to every subscription in
+        ``subs`` (the ids as decimal ``bytes``), left unjoined.
+
+        The bytes are what ``encode_message(dict(header, subs=ids),
+        payload)`` would emit; the body is ``len(open_json) +
+        len(payload) + GROUP_BYTES`` plus the ids and their commas.
+        """
+        head = b'%b,"subs":[%b]}' % (self.open_json, b",".join(subs))
+        return _framed(head, payload, prefix)
+
+
+def _framed(
+    head: bytes, payload: bytes, prefix: Callable[[int], bytes]
+) -> Tuple[bytes, bytes, bytes, bytes]:
+    """A message of JSON ``head`` and ``payload`` as its four wire parts."""
+    return prefix(4 + len(head) + len(payload)), _U32.pack(len(head)), head, payload
 
 
 #: The value types an :class:`EventMemo` shares between decoded headers.
@@ -295,11 +325,25 @@ def ws_encode_frame(payload: bytes, *, opcode: int = 0x2, mask: bool = False) ->
     return ws_frame_head(len(payload), opcode=opcode, mask=mask) + payload
 
 
-def _apply_mask(payload: bytes, key: bytes) -> bytes:
+def _apply_mask(payload, key: bytes) -> bytes:
+    """``payload`` XOR the repeated 4-byte masking ``key`` (RFC 6455 5.3).
+
+    Whole 4-byte words are XORed with the key as one ``uint32`` (both in
+    the machine's byte order, so byte ``i`` meets ``key[i % 4]``), the
+    tail byte by byte; the zero key returns ``payload`` itself.
+    """
     if key == b"\x00\x00\x00\x00":
         return payload
-    expanded = (key * (len(payload) // 4 + 1))[: len(payload)]
-    return bytes(a ^ b for a, b in zip(payload, expanded))
+    data = np.frombuffer(payload, np.uint8)
+    out = np.empty(len(data), np.uint8)
+    cut = len(data) - len(data) % 4
+    np.bitwise_xor(
+        data[:cut].view(np.uint32),
+        np.frombuffer(key, np.uint32),
+        out=out[:cut].view(np.uint32),
+    )
+    np.bitwise_xor(data[cut:], np.frombuffer(key, np.uint8)[: len(data) - cut], out=out[cut:])
+    return out.tobytes()
 
 
 async def ws_read_frame(reader: asyncio.StreamReader) -> Optional[Tuple[int, bytes]]:

@@ -15,7 +15,11 @@ Sending one push event costs O(1) in the audience.  A connection keeps a
 the writer never scans its subscriptions: it takes one event per ready
 queue in turn — per-subscription FIFO, round-robin across a connection's
 subscriptions — and appends the subscriber's ``"sub"`` (and ``"skipped"``)
-to the event's pre-encoded header as bytes.  It gathers replies and events
+to the event's pre-encoded header as bytes.  Consecutive events of that
+order that are one publish (the same header and payload objects) become
+one grouped message, ``"subs":[id,...]`` in place of ``"sub"``, so a
+publish that several of a connection's subscriptions share reaches the
+socket, and the client, once.  It gathers replies and event messages
 up to :data:`BURST_BYTES`, then issues one ``write`` and one ``drain``
 (websocket: still one frame per message), so a stalled socket blocks its
 own writer at ``drain()`` and pins at most its queue capacities, one burst
@@ -80,7 +84,9 @@ from .fanout import (
     SubscriberQueue,
 )
 from .protocol import (
+    GROUP_BYTES,
     MAGIC,
+    MAX_MESSAGE_BYTES,
     PROTOCOL,
     decode_message,
     encode_message,
@@ -176,9 +182,15 @@ class _Connection:
 
         Pending replies go first, then one event per ready queue in turn:
         a subscription's events stay in order and a long queue cannot
-        starve its siblings.  Gathering stops once :data:`BURST_BYTES`
-        are reached.  Event headers and payloads are the published
-        objects, by reference; the loop is per event, never per row.
+        starve its siblings.  Events popped one after another that carry
+        the same published header and payload objects are framed as one
+        grouped message, in pop order; a group ends at another event, at
+        a queue with a pending skipped count (its header differs), at a
+        closed queue, and before the message would pass
+        :data:`~repro.serve.protocol.MAX_MESSAGE_BYTES`.  Gathering stops
+        once :data:`BURST_BYTES` are reached.  Event headers and payloads
+        are the published objects, by reference; the loop is per event,
+        never per row.
         """
         parts: List[bytes] = []
         size = 0
@@ -199,7 +211,26 @@ class _Connection:
             if len(queue):
                 ready.append(queue)
             header, payload = event
-            framed = header.framed_parts(queue.tag[1], payload, prefix)
+            subs = [b"%d" % queue.tag[1]]
+            length = GROUP_BYTES + len(header.open_json) + len(subs[0]) + len(payload)
+            while ready:
+                other = ready[0]
+                head = other.peek()
+                if head is None or head[0] is not header or head[1] is not payload:
+                    break
+                sub = b"%d" % other.tag[1]
+                length += 1 + len(sub)
+                if length > MAX_MESSAGE_BYTES:
+                    break
+                ready.popleft()
+                other.pop()
+                if len(other):
+                    ready.append(other)
+                subs.append(sub)
+            if len(subs) == 1:
+                framed = header.framed_parts(queue.tag[1], payload, prefix)
+            else:
+                framed = header.group_parts(subs, payload, prefix)
             parts += framed
             size += len(framed[2]) + len(payload)
         return parts

@@ -85,6 +85,21 @@ def test_magic_literal_outside_protocol_module_flagged(lint):
     assert codes(report) == ["CRQ503"]
 
 
+def test_protocol_literal_inside_a_larger_string_flagged(lint):
+    report = lint(
+        {
+            "cli.py": """\
+            def banner(out, host, port):
+                \"\"\"Print that this serves craqr/1 (a docstring is prose).\"\"\"
+                out(f"serving craqr/1 on {host}:{port}; ctrl-c stops")
+                out("a greeting: CRAQR/1 spoken here")
+            """,
+            "serve/server.py": SERVER_OK,
+        }
+    )
+    assert codes(report) == ["CRQ503", "CRQ503"]
+
+
 def test_magic_literal_inside_protocol_module_is_clean(lint):
     report = lint(
         {

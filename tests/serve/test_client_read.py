@@ -356,6 +356,12 @@ def test_an_event_timeout_leaves_requests_their_own():
         assert client.request({"op": "ping"})[0] == {"id": 1, "ok": True}
 
 
+def test_an_event_timeout_by_default_reports_the_wait_applied():
+    with connect(timeout=0.3) as (client, _):
+        with pytest.raises(ServeError, match=r"no event within 0\.3 seconds"):
+            client.next_event()
+
+
 @pytest.mark.parametrize("transport", ["tcp", "ws"])
 def test_a_message_cut_by_a_timeout_completes_later(transport):
     header = EventHeader({"event": "frame", "view": "V0", "frame_index": 0})

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import ServeError
 from repro.serve.protocol import (
     MAGIC,
+    _apply_mask,
     MAX_MESSAGE_BYTES,
     decode_message,
     encode_message,
@@ -61,7 +64,7 @@ class TestMessages:
             decode_message(body)
 
     def test_magic_is_eight_bytes(self):
-        assert MAGIC == b"CRAQR/1\n"
+        assert MAGIC == b"CRAQR/2\n"
         assert len(MAGIC) == 8
 
 
@@ -120,6 +123,19 @@ class TestWebsocket:
         frame = bytes([0x82, 0x80 | len(payload)]) + key + masked
         opcode, got, consumed = ws_decode_frame(frame)
         assert got == payload
+
+    @pytest.mark.parametrize(
+        "size", [0, 1, 2, 3, 125, 126, 65535, 65536, 2**20]
+    )
+    def test_mask_equals_the_per_byte_xor(self, size):
+        rng = random.Random(size)
+        payload = rng.randbytes(size)
+        for key in (rng.randbytes(4), b"\x00\x00\x00\x01", b"\xff\xff\xff\xff"):
+            masked = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+            assert _apply_mask(payload, key) == masked
+            # The client unmasks a view into its buffer, at any offset.
+            view = memoryview(b"x" + payload)[1:]
+            assert _apply_mask(view, key) == masked
 
     def test_incomplete_buffer_consumes_nothing(self):
         frame = ws_encode_frame(b"0123456789")

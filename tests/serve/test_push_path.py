@@ -8,7 +8,9 @@ this file covers the pieces below the socket and the writer's semantics.
 from __future__ import annotations
 
 import json
+import socket
 import string
+import threading
 
 import numpy as np
 import pytest
@@ -243,6 +245,21 @@ class TestSemantics:
             # From here on the stalled client never reads its socket.
             (conn,) = [c for c in server._connections.values() if c.subscriptions]
             transport = conn.writer.transport
+            # One publish reaches the 200 subscriptions as one grouped
+            # message, so the socket fills 200x slower than when each
+            # subscription's copy travelled alone: lower this connection's
+            # write-buffer limits and its kernel send buffer (on the
+            # serving loop) to stall it within the batches below.
+            lowered = threading.Event()
+
+            def lower_limits():
+                sock = transport.get_extra_info("socket")
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                transport.set_write_buffer_limits(high=4096)
+                lowered.set()
+
+            server._server.get_loop().call_soon_threadsafe(lower_limits)
+            assert lowered.wait(timeout=30)
             _, high_water = transport.get_write_buffer_limits()
             buffered = largest = 0
             token = None
@@ -257,7 +274,9 @@ class TestSemantics:
                         break
             assert any(q.skipped for q in conn.subscriptions.values()), "never stalled"
             assert all(len(q) <= capacity for q in conn.subscriptions.values())
-            header_room = 512
+            # One grouped header: its fields and the list of the 200 ids.
+            ids = ",".join(str(sub) for sub in conn.subscriptions)
+            header_room = 512 + len(ids)
             assert 0 < buffered <= high_water + BURST_BYTES + largest + header_room
         finally:
             stalled.close()

@@ -38,7 +38,7 @@ class TestHandshake:
         _, client, _ = served
         hello = client.hello()
         assert hello["server"] == "craqr-serve"
-        assert hello["protocol"] == "craqr/1"
+        assert hello["protocol"] == "craqr/2"
         assert hello["queries"] == ["Storm"]
         assert hello["views"] == ["Rain"]
         assert hello["batches_run"] == 0
@@ -393,7 +393,7 @@ class TestWebsocketTransport:
         _, _, (host, port) = served
         with ServeClient(host, port, transport="ws") as ws:
             hello = ws.hello()
-            assert hello["protocol"] == "craqr/1"
+            assert hello["protocol"] == "craqr/2"
             rows = ws.execute("SHOW QUERIES")
             assert rows[0]["text"].startswith("== query sessions ==")
             sub = ws.subscribe(view="Rain")
@@ -511,9 +511,11 @@ class TestWireIdentity:
 
     @staticmethod
     def expected_bytes(wire: RawWire, header: dict, payload: bytes) -> bytes:
-        """The pre-burst encoding of one event, header keys in wire order."""
+        """The reference encoding of one event message, header keys in wire
+        order: ``"sub"`` last alone, ``"subs"`` last for a group."""
         kind = ("view", "frame_index") if header["event"] == "frame" else ("query", "count")
-        keys = ["event", *kind, "token"] + ["skipped"] * ("skipped" in header) + ["sub"]
+        keys = ["event", *kind, "token"] + ["skipped"] * ("skipped" in header)
+        keys.append("subs" if "subs" in header else "sub")
         body = encode_message({key: header[key] for key in keys}, payload)
         return ws_encode_frame(body) if wire.websocket else frame_message(body)
 
@@ -522,29 +524,49 @@ class TestWireIdentity:
     def test_push_events_match_the_reference_encoding(
         self, served, transport, capacity, skipped
     ):
+        self.check_push_events(served, transport, capacity, skipped, per_topic=1)
+
+    @pytest.mark.parametrize("transport", ["tcp", "ws"])
+    @pytest.mark.parametrize("capacity, skipped", [(64, {}), (1, {"batch": 5, "frame": 2})])
+    def test_two_subscriptions_per_topic_match_the_reference_group_encoding(
+        self, served, transport, capacity, skipped
+    ):
+        self.check_push_events(served, transport, capacity, skipped, per_topic=2)
+
+    def check_push_events(self, served, transport, capacity, skipped, per_topic):
         _, _, (host, port) = served
         wire = RawWire(host, port, transport)
+        subscribes = [{"op": "subscribe", "query": "Storm"}] * per_topic
+        subscribes += [{"op": "subscribe", "view": "Rain"}] * per_topic
         try:
             wire.send(
-                {"op": "subscribe", "query": "Storm", "queue_events": capacity, "id": 1},
-                {"op": "subscribe", "view": "Rain", "queue_events": capacity, "id": 2},
+                *[
+                    dict(op, queue_events=capacity, id=index)
+                    for index, op in enumerate(subscribes, 1)
+                ],
                 # Six batches inside one op: the writer cannot run in
                 # between, so a one-event queue skips all but the last.
-                {"op": "run", "batches": 6, "id": 3},
+                {"op": "run", "batches": 6, "id": len(subscribes) + 1},
             )
             subs = {
                 header["sub"]: "batch" if "query" in header else "frame"
-                for _, header, _ in wire.read_until_reply(2)
+                for _, header, _ in wire.read_until_reply(len(subscribes))
             }
-            expected = 2 if skipped else 6 + 3
-            events = [m for m in wire.read_until_reply(3) if "event" in m[1]]
+            # A skipping queue's event travels alone; otherwise one
+            # publish reaches a topic's subscriptions as one message.
+            expected = 2 * per_topic if skipped else 6 + 3
+            events = [
+                m for m in wire.read_until_reply(len(subscribes) + 1) if "event" in m[1]
+            ]
             while len(events) < expected:
                 events.append(wire.read())
             assert sorted(h["event"] for _, h, _ in events) == sorted(
-                ["batch", "frame"] if skipped else ["batch"] * 6 + ["frame"] * 3
+                ["batch", "frame"] * per_topic if skipped else ["batch"] * 6 + ["frame"] * 3
             )
             for raw, header, payload in events:
-                assert subs[header["sub"]] == header["event"]
+                ids = header["subs"] if "subs" in header else [header["sub"]]
+                assert len(ids) == (1 if skipped else per_topic)
+                assert all(subs[sub] == header["event"] for sub in ids)
                 assert header.get("skipped") == skipped.get(header["event"])
                 assert raw == self.expected_bytes(wire, header, payload)
         finally:

@@ -19,7 +19,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
-BANNER = re.compile(r"serving craqr/1 on ([0-9.]+):(\d+)")
+BANNER = re.compile(r"serving craqr/2 on ([0-9.]+):(\d+)")
 
 
 @pytest.fixture
@@ -76,7 +76,7 @@ def test_subprocess_server_scripted_session(server_process):
 
     with ServeClient(host, port, timeout=60) as client:
         hello = client.hello()
-        assert hello["protocol"] == "craqr/1"
+        assert hello["protocol"] == "craqr/2"
         assert hello["queries"] == []
 
         rows = client.execute(
