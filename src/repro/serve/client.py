@@ -1,7 +1,8 @@
 """A small synchronous client for the serving layer.
 
 :class:`ServeClient` speaks the same framing as the server (raw TCP with
-the ``CRAQR/2`` magic by default, or websocket with ``transport="ws"``)
+the ``CRAQR/2`` magic by default, or websocket with ``transport="ws"``,
+offering the ``craqr/2`` subprotocol)
 over a plain blocking socket — no asyncio on the client side, so tests,
 benchmarks and the demo script stay simple and deterministic.
 
@@ -23,11 +24,8 @@ The client reads as the server writes.  Both transports ``recv_into``
 one ``bytearray`` and parse each message where it lies: its body reaches
 :func:`~repro.serve.protocol.decode_message` as a view, and only the
 header and payload are copied out.  The server encodes an event header
-once per publish and the client decodes it once per message; a lone
-event whose header repeats the one before it (a group cut at a closed
-queue or at the size cap) goes through an
-:class:`~repro.serve.protocol.EventMemo`, a prefix compare and an
-``int``.  The socket's timeout is switched only before a ``recv`` or a
+once per publish and, grouped, sends it to the connection once, so the
+client parses it once.  The socket's timeout is switched only before a ``recv`` or a
 send that needs another one, so a buffered event costs no socket call.
 A message longer than :data:`~repro.serve.protocol.MAX_MESSAGE_BYTES`
 and a fragmented websocket frame raise :class:`~repro.errors.ServeError`
@@ -47,7 +45,7 @@ from ..errors import ServeError
 from .protocol import (
     MAGIC,
     MAX_MESSAGE_BYTES,
-    EventMemo,
+    PROTOCOL,
     decode_message,
     encode_message,
     ws_decode_frame,
@@ -95,7 +93,6 @@ class ServeClient:
         self._buffer = bytearray(_RECV_BYTES)
         self._view = memoryview(self._buffer)
         self._start = self._end = 0
-        self._memo = EventMemo()
         self._next_id = 0
         #: push events received while awaiting replies, oldest first.
         self.events: Deque[Tuple[dict, bytes]] = deque()
@@ -113,6 +110,7 @@ class ServeClient:
             f"Upgrade: websocket\r\n"
             f"Connection: Upgrade\r\n"
             f"Sec-WebSocket-Key: {key}\r\n"
+            f"Sec-WebSocket-Protocol: {PROTOCOL}\r\n"
             f"Sec-WebSocket-Version: 13\r\n\r\n"
         )
         self._sock.sendall(request.encode("latin-1"))
@@ -168,7 +166,7 @@ class ServeClient:
                         continue
                     if opcode == 0x8:
                         raise ServeError("server closed the websocket")
-                    return decode_message(body, self._memo)
+                    return decode_message(body)
                 self._recv_more(timeout)
         while True:
             start = self._start
@@ -182,7 +180,7 @@ class ServeClient:
                 stop = start + 4 + length
                 if stop <= self._end:
                     self._start = stop
-                    return decode_message(self._view[start + 4 : stop], self._memo)
+                    return decode_message(self._view[start + 4 : stop])
             self._recv_more(timeout)
 
     def _receive(self, timeout: Optional[float]) -> Optional[Tuple[dict, bytes]]:

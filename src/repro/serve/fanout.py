@@ -24,8 +24,8 @@ does):
   appends — flat in N until the appends themselves dominate — and
   unsubscribing one queue or collecting the overflowed ones touches no
   other queue.  That shared identity is also what the writer groups on:
-  :meth:`SubscriberQueue.peek` shows the writer whether a queue's next
-  event is the very header and payload just popped from a sibling, so
+  :meth:`SubscriberQueue.pops_next` tells the writer whether a queue's
+  next event is the very header and payload just popped from a sibling, so
   the server sends one publish to a connection's subscriptions as one
   message.  Backlog events are encoded per subscriber and never match.
 
@@ -143,13 +143,14 @@ class SubscriberQueue:
             self.skipped = 0
         return header, payload
 
-    def peek(self) -> Optional[Tuple[dict, bytes]]:
-        """The event :meth:`pop` returns next, as published; ``None`` when
-        the queue is empty or a skipped count waits to be reported (that
-        event leaves with another header)."""
+    def pops_next(self, header: dict, payload: bytes) -> bool:
+        """Whether :meth:`pop` returns these very ``header`` and ``payload``
+        objects next: never when the queue is empty or a skipped count
+        waits to be reported (that event leaves with another header)."""
         if self.skipped or not self._events:
-            return None
-        return self._events[0]
+            return False
+        head, body = self._events[0]
+        return head is header and body is payload
 
     def close(self) -> None:
         """Drop what is pending and leave the owner's ready deque.

@@ -5,7 +5,8 @@ Two transports share one message shape:
 * **Raw TCP** — the client opens with the 8-byte magic ``CRAQR/2\\n``,
   then both directions exchange length-prefixed messages.
 * **Websocket** — the client opens with an HTTP/1.1 upgrade request
-  (detected because it starts with ``GET ``); after the RFC 6455
+  (detected because it starts with ``GET ``) that offers the subprotocol
+  ``craqr/2`` in ``Sec-WebSocket-Protocol``; after the RFC 6455
   handshake each message travels as one binary websocket frame whose
   payload is the same length-prefixed body.
 
@@ -25,8 +26,10 @@ last field.  One published event that several subscriptions of a
 connection receive back to back travels as one *grouped* message whose
 header ends in ``"subs":[id,...]`` instead (:meth:`EventHeader.group_parts`);
 the client expands it into one event per id, in list order.  Grouping
-is what ``craqr/2`` added to ``craqr/1``, so the magic names the
-version and a ``craqr/1`` peer is refused at the preamble.
+is what ``craqr/2`` added to ``craqr/1``, so both transports name the
+version, the magic and the websocket subprotocol, and a peer that does
+not name ``craqr/2`` is refused before its first message: ``craqr: bad
+magic`` on TCP, ``400 Bad Request`` to the upgrade.
 
 Everything here is transport mechanics only — no engine imports — so the
 synchronous test client can reuse the exact encoder/decoder the asyncio
@@ -37,7 +40,9 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import bisect
 import hashlib
+import itertools
 import json
 import struct
 from typing import Callable, List, Optional, Tuple
@@ -51,7 +56,6 @@ __all__ = [
     "PROTOCOL",
     "MAX_MESSAGE_BYTES",
     "EventHeader",
-    "EventMemo",
     "encode_message",
     "decode_message",
     "read_message",
@@ -76,10 +80,6 @@ MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 _U32 = struct.Struct(">I")
 
-#: What a grouped message adds to ``open_json`` and the payload besides
-#: its ids and their commas: the u32 header length, ``,"subs":[`` and ``]}``.
-GROUP_BYTES = 4 + 11
-
 #: RFC 6455 handshake GUID (fixed by the spec).
 _WS_GUID = b"258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
@@ -102,7 +102,7 @@ class EventHeader(dict):
     :meth:`framed_parts` emits exactly what
     ``encode_message(dict(header, sub=sub), payload)`` would,
     :meth:`group_parts` what ``encode_message(dict(header, subs=subs),
-    payload)`` would, and :meth:`with_skipped` matches ``dict(header,
+    payload)`` would (within the message cap), and :meth:`with_skipped` matches ``dict(header,
     skipped=count)``.  The fields must be non-empty and must not already
     hold the appended keys.
     """
@@ -130,17 +130,27 @@ class EventHeader(dict):
         return _framed(b'%b,"sub":%d}' % (self.open_json, sub), payload, prefix)
 
     def group_parts(
-        self, subs: List[bytes], payload: bytes, prefix: Callable[[int], bytes]
-    ) -> Tuple[bytes, bytes, bytes, bytes]:
-        """One message delivering this event to every subscription in
-        ``subs`` (the ids as decimal ``bytes``), left unjoined.
+        self, subs: List[int], payload: bytes, prefix: Callable[[int], bytes]
+    ) -> Tuple[Tuple[bytes, bytes, bytes, bytes], int]:
+        """One message delivering this event to the leading subscriptions
+        of ``subs``, left unjoined, and how many of them it names.
 
-        The bytes are what ``encode_message(dict(header, subs=ids),
-        payload)`` would emit; the body is ``len(open_json) +
-        len(payload) + GROUP_BYTES`` plus the ids and their commas.
+        It names as many as its body can hold within
+        :data:`MAX_MESSAGE_BYTES`, and its bytes are what
+        ``encode_message(dict(header, subs=subs[:count]), payload)`` would
+        emit; when only the first fits, it is that one's
+        :meth:`framed_parts`.
         """
-        head = b'%b,"subs":[%b]}' % (self.open_json, b",".join(subs))
-        return _framed(head, payload, prefix)
+        ids = [b"%d" % sub for sub in subs]
+        # The body is the u32 header length, open_json, ',"subs":[', the
+        # ids, ']}' and the payload; each id is counted with one comma,
+        # which the first id has not.
+        room = MAX_MESSAGE_BYTES - (4 + len(self.open_json) + 10 + len(payload))
+        count = bisect.bisect_right(list(itertools.accumulate(len(i) + 1 for i in ids)), room)
+        if count < 2:
+            return self.framed_parts(subs[0], payload, prefix), 1
+        head = b'%b,"subs":[%b]}' % (self.open_json, b",".join(ids[:count]))
+        return _framed(head, payload, prefix), count
 
 
 def _framed(
@@ -150,70 +160,8 @@ def _framed(
     return prefix(4 + len(head) + len(payload)), _U32.pack(len(head)), head, payload
 
 
-#: The value types an :class:`EventMemo` shares between decoded headers.
-_SCALARS = (str, int, float, bool, type(None))
-
-
-class EventMemo:
-    """The decoding mirror of :class:`EventHeader`: one connection's last
-    push-event header, so the next event of the same publish skips
-    ``json.loads``.
-
-    ``prefix`` is that header's wire JSON up to and including ``,"sub":``;
-    ``fields`` is its parse without ``"sub"``.  A header that is exactly
-    ``prefix`` + canonical digits + ``}`` parses to ``dict(fields,
-    sub=int(digits))``, key order included.
-    """
-
-    __slots__ = ("prefix", "fields")
-
-    def __init__(self) -> None:
-        self.prefix: Optional[bytes] = None
-        self.fields: dict = {}
-
-    def recall(self, head: bytes) -> Optional[dict]:
-        """``head``'s parse if it extends the memoised prefix, else ``None``."""
-        prefix = self.prefix
-        if prefix is None or not head.startswith(prefix) or head[-1] != 0x7D:  # }
-            return None
-        digits = head[len(prefix) : -1]
-        if not digits.isdigit() or (digits[0] == 0x30 and len(digits) > 1):
-            return None
-        header = self.fields.copy()
-        try:
-            header["sub"] = int(digits)
-        except ValueError:  # past int()'s digit limit: json.loads says why
-            return None
-        return header
-
-    def learn(self, head: bytes, header: dict) -> None:
-        """Memoise ``header`` (parsed from ``head``) if the next one can reuse it.
-
-        Only an event whose last key is its one ``"sub"``, written in
-        canonical digits, with every other value an immutable scalar:
-        copies of ``fields`` then share nothing a caller can mutate.
-        """
-        if "event" not in header or next(reversed(header)) != "sub":
-            return
-        sub = header["sub"]
-        if type(sub) is not int or sub < 0:
-            return
-        tail = b',"sub":%d}' % sub
-        if not head.endswith(tail) or head.count(b'"sub":') != 1:
-            return
-        fields = dict(header)
-        del fields["sub"]
-        if all(type(value) in _SCALARS for value in fields.values()):
-            self.prefix = head[: 7 - len(tail)]
-            self.fields = fields
-
-
-def decode_message(body, memo: Optional[EventMemo] = None) -> Tuple[dict, bytes]:
-    """Split one message body (``bytes`` or a view) into (header, payload).
-
-    With a ``memo`` (one per client connection), an event header that
-    extends the last one's prefix is decoded without parsing its JSON.
-    """
+def decode_message(body) -> Tuple[dict, bytes]:
+    """Split one message body (``bytes`` or a view) into (header, payload)."""
     if len(body) < 4:
         raise ServeError("wire message too short for a header length prefix")
     (head_len,) = _U32.unpack_from(body)
@@ -222,18 +170,12 @@ def decode_message(body, memo: Optional[EventMemo] = None) -> Tuple[dict, bytes]
         raise ServeError("wire message truncated inside its JSON header")
     head = bytes(body[4:stop])
     payload = bytes(body[stop:])
-    if memo is not None:
-        header = memo.recall(head)
-        if header is not None:
-            return header, payload
     try:
         header = json.loads(head.decode("utf-8"))
     except ValueError as exc:
         raise ServeError(f"wire message header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise ServeError("wire message header must be a JSON object")
-    if memo is not None:
-        memo.learn(head, header)
     return header, payload
 
 

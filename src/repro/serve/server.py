@@ -84,9 +84,7 @@ from .fanout import (
     SubscriberQueue,
 )
 from .protocol import (
-    GROUP_BYTES,
     MAGIC,
-    MAX_MESSAGE_BYTES,
     PROTOCOL,
     decode_message,
     encode_message,
@@ -211,26 +209,22 @@ class _Connection:
             if len(queue):
                 ready.append(queue)
             header, payload = event
-            subs = [b"%d" % queue.tag[1]]
-            length = GROUP_BYTES + len(header.open_json) + len(subs[0]) + len(payload)
-            while ready:
-                other = ready[0]
-                head = other.peek()
-                if head is None or head[0] is not header or head[1] is not payload:
-                    break
-                sub = b"%d" % other.tag[1]
-                length += 1 + len(sub)
-                if length > MAX_MESSAGE_BYTES:
-                    break
-                ready.popleft()
-                other.pop()
-                if len(other):
-                    ready.append(other)
-                subs.append(sub)
-            if len(subs) == 1:
+            if not ready or not ready[0].pops_next(header, payload):
                 framed = header.framed_parts(queue.tag[1], payload, prefix)
             else:
-                framed = header.group_parts(subs, payload, prefix)
+                group = [queue]
+                for other in ready:
+                    if not other.pops_next(header, payload):
+                        break
+                    group.append(other)
+                framed, count = header.group_parts(
+                    [member.tag[1] for member in group], payload, prefix
+                )
+                for other in group[1:count]:
+                    ready.popleft()
+                    other.pop()
+                    if len(other):
+                        ready.append(other)
             parts += framed
             size += len(framed[2]) + len(payload)
         return parts
@@ -407,7 +401,9 @@ class Server:
                 writer.close()
 
     async def _websocket_handshake(self, conn: _Connection, preamble: bytes) -> bool:
-        """Answer an RFC 6455 upgrade; returns False on a malformed request."""
+        """Answer an RFC 6455 upgrade; returns False on a malformed request
+        and on one that does not offer the :data:`PROTOCOL` subprotocol
+        (a client of an older protocol would misread this one's events)."""
         try:
             # readuntil leaves anything past the blank line buffered, so a
             # client that pipelines its first frame with the handshake works.
@@ -415,13 +411,19 @@ class Server:
         except (asyncio.IncompleteReadError, asyncio.LimitOverrunError, ConnectionError):
             return False
         head = raw.split(b"\r\n\r\n", 1)[0].decode("latin-1")
-        key = None
+        key, offered = None, []
         for line in head.split("\r\n")[1:]:
             name, _, value = line.partition(":")
-            if name.strip().lower() == "sec-websocket-key":
+            name = name.strip().lower()
+            if name == "sec-websocket-key":
                 key = value.strip()
-        if key is None:
-            conn.writer.write(b"HTTP/1.1 400 Bad Request\r\n\r\n")
+            elif name == "sec-websocket-protocol":
+                offered += [item.strip() for item in value.split(",")]
+        if key is None or PROTOCOL not in offered:
+            reason = "no Sec-WebSocket-Key" if key is None else f"{PROTOCOL} not offered"
+            conn.writer.write(
+                f"HTTP/1.1 400 Bad Request\r\n\r\ncraqr: {reason}\n".encode("latin-1")
+            )
             await conn.writer.drain()
             return False
         accept = ws_accept_key(key)
@@ -430,6 +432,7 @@ class Server:
                 "HTTP/1.1 101 Switching Protocols\r\n"
                 "Upgrade: websocket\r\n"
                 "Connection: Upgrade\r\n"
+                f"Sec-WebSocket-Protocol: {PROTOCOL}\r\n"
                 f"Sec-WebSocket-Accept: {accept}\r\n\r\n"
             ).encode("latin-1")
         )

@@ -28,6 +28,7 @@ from repro.sensing import (
 )
 from repro.serve.protocol import (
     MAGIC,
+    PROTOCOL,
     decode_message,
     encode_message,
     ws_encode_frame,
@@ -113,6 +114,7 @@ class RawWire:
                     f"GET /craqr HTTP/1.1\r\nHost: {host}:{port}\r\n"
                     "Upgrade: websocket\r\nConnection: Upgrade\r\n"
                     "Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
+                    f"Sec-WebSocket-Protocol: {PROTOCOL}\r\n"
                     "Sec-WebSocket-Version: 13\r\n\r\n"
                 ).encode("latin-1")
             )

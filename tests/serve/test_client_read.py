@@ -1,19 +1,17 @@
-"""The client's read path: one buffer, decode-once headers, caps, timeouts.
+"""The client's read path: one buffer, decoded headers, caps, timeouts.
 
 Every test drives a real :class:`ServeClient` over a ``socketpair``: the
 client's ``socket.create_connection`` is patched to hand it one end, and
 the test writes the server's bytes into the other.  ``ChunkedSocket``
 caps each ``recv_into`` so a message can be made to arrive in any
 pieces.  The reference for every decoded message is
-:func:`repro.serve.protocol.decode_message` of the same body, without a
-memo.
+:func:`repro.serve.protocol.decode_message` of the same body.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import socket
 import threading
 import time
@@ -23,13 +21,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.serve.client as client_module
-import repro.serve.protocol as protocol
 from repro.errors import ServeError
 from repro.serve import ServeClient
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
     EventHeader,
-    EventMemo,
     decode_message,
     encode_message,
     frame_head,
@@ -126,7 +122,7 @@ def assert_same(got, expected) -> None:
 
 
 # ----------------------------------------------------------------------
-# Decode-once equals json.loads
+# The buffered read equals json.loads
 # ----------------------------------------------------------------------
 KEYS = st.text(min_size=1, max_size=8).filter(
     lambda key: key not in ("event", "sub", "skipped")
@@ -206,42 +202,6 @@ def test_decode_once_equals_json_loads(transport, stream, chunks):
             got[0]["event"] = "edited"
 
 
-@pytest.fixture
-def parses(monkeypatch):
-    """The header texts ``json.loads`` parses during the test."""
-    seen = []
-    real_loads = json.loads
-    monkeypatch.setattr(
-        protocol.json, "loads", lambda text: seen.append(text) or real_loads(text)
-    )
-    return seen
-
-
-@pytest.mark.parametrize("transport", ["tcp", "ws"])
-def test_one_publish_parses_its_header_once(parses, transport):
-    header = EventHeader({"event": "batch", "query": "Q0", "count": 3, "token": "t"})
-    with connect(transport) as (client, peer):
-        peer.send(b"".join(event_bytes(header, sub, b"xyz", transport) for sub in range(400)))
-        for sub in range(400):
-            got, payload = client.next_event(timeout=5)
-            assert list(got.items()) == list(dict(header, sub=sub).items())
-            assert payload == b"xyz"
-    assert len(parses) == 1
-
-
-def test_a_reply_between_events_keeps_the_memo(parses):
-    header = EventHeader({"event": "frame", "view": "V0", "frame_index": 2})
-    with connect() as (client, peer):
-        peer.send(
-            event_bytes(header, 1, b"", "tcp")
-            + frame(encode_message({"id": 1, "ok": True}), "tcp")
-            + event_bytes(header, 2, b"", "tcp")
-        )
-        assert client.request({"op": "ping"})[0] == {"id": 1, "ok": True}
-        assert [client.next_event()[0]["sub"] for _ in range(2)] == [1, 2]
-    assert len(parses) == 2  # the first event and the reply
-
-
 def test_an_edited_header_does_not_reach_the_next_one():
     header = EventHeader({"event": "batch", "query": "Q0", "count": 1, "token": "t"})
     with connect() as (client, peer):
@@ -251,49 +211,6 @@ def test_an_edited_header_does_not_reach_the_next_one():
         del first["count"]
         second, _ = client.next_event()
     assert list(second.items()) == list(dict(header, sub=6).items())
-
-
-@pytest.mark.parametrize(
-    "head",
-    [
-        b'{"event":"x","sub":07}',  # leading zero: not JSON
-        b'{"event":"x","sub":7 }',  # same parse, other bytes
-        b'{"event":"x","sub":7}}',
-        b'{"event":"x","sub":-7}',
-        b'{"event":"x","sub":' + b"9" * 5000 + b"}",  # past int()'s digit limit
-    ],
-)
-def test_a_near_miss_goes_through_json_loads(head):
-    memo = EventMemo()
-    memo.learn(b'{"event":"x","sub":3}', {"event": "x", "sub": 3})
-    body = frame_head(len(head)) + head
-    try:
-        expected = decode_message(body)
-    except ServeError as exc:
-        with pytest.raises(ServeError, match=str(exc)[:20]):
-            decode_message(body, memo)
-    else:
-        assert decode_message(body, memo) == expected
-
-
-@pytest.mark.parametrize(
-    "head",
-    [
-        b'{"event":"x","sub":3 }',  # not the canonical tail
-        b'{"event":"x","sub": 3}',
-        b'{"event":"x","sub":1,"sub":3}',  # "sub" twice
-        b'{"sub":3,"event":"x"}',  # "sub" not last
-        b'{"op":"x","sub":3}',  # not an event
-        b'{"event":"x","sub":-3}',
-        b'{"event":"x","sub":true}',
-        b'{"event":"x","list":[1],"sub":3}',  # a mutable value
-        b'{"event":"x","nested":{"sub":1},"sub":3}',
-    ],
-)
-def test_only_a_canonical_event_header_is_memoised(head):
-    memo = EventMemo()
-    decode_message(frame_head(len(head)) + head, memo)
-    assert memo.prefix is None
 
 
 # ----------------------------------------------------------------------

@@ -20,12 +20,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.serve.client as client_module
-import repro.serve.server as server_module
+import repro.serve.protocol as protocol
 from repro.errors import ServeError
 from repro.serve import ServeClient, ServeConfig, Server, serve_in_thread
 from repro.serve.fanout import SubscriberQueue
 from repro.serve.protocol import (
     MAGIC,
+    PROTOCOL,
     EventHeader,
     decode_message,
     encode_message,
@@ -291,8 +292,18 @@ def test_a_group_is_cut_before_the_message_cap(monkeypatch):
         queue.offer(header, payload)
     first = group(FIELDS, range(1, 11), payload)
     cap = len(first) - 4  # exactly the body of the first ten ids' message
-    monkeypatch.setattr(server_module, "MAX_MESSAGE_BYTES", cap)
+    monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", cap)
     assert drained(conn) == first + group(FIELDS, [11, 12], payload)
+
+
+def test_an_event_whose_group_would_pass_the_cap_goes_alone(monkeypatch):
+    conn, queues = offline_queues(4, 4, 4)
+    header, payload = EventHeader(FIELDS), bytes(100)
+    for queue in queues:
+        queue.offer(header, payload)
+    cap = len(group(FIELDS, [1, 2], payload)) - 5  # one byte short of two ids
+    monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", cap)
+    assert drained(conn) == b"".join(lone(FIELDS, sub, payload) for sub in (1, 2, 3))
 
 
 # ----------------------------------------------------------------------
@@ -351,3 +362,45 @@ def test_a_craqr_1_preamble_is_refused(served):
         sock.settimeout(10)
         assert sock.recv(64) == b"craqr: bad magic\n"
         assert sock.recv(64) == b""
+
+
+def upgrade(host: str, port: int, *extra: str) -> bytes:
+    """Everything the server answers to a websocket upgrade request."""
+    request = "".join(
+        line + "\r\n"
+        for line in (
+            "GET /craqr HTTP/1.1",
+            f"Host: {host}:{port}",
+            "Upgrade: websocket",
+            "Connection: Upgrade",
+            "Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==",
+            "Sec-WebSocket-Version: 13",
+            *extra,
+            "",
+        )
+    )
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(request.encode("latin-1"))
+        sock.settimeout(10)
+        answer = b""
+        while chunk := sock.recv(4096):
+            answer += chunk
+            if answer.startswith(b"HTTP/1.1 101 ") and answer.endswith(b"\r\n\r\n"):
+                break
+    return answer
+
+
+@pytest.mark.parametrize(
+    "offer", [(), ("Sec-WebSocket-Protocol: craqr/1",), ("Sec-WebSocket-Protocol: chat",)]
+)
+def test_a_websocket_upgrade_without_the_protocol_is_refused(served, offer):
+    _, (host, port) = served
+    answer = upgrade(host, port, *offer)
+    assert answer == f"HTTP/1.1 400 Bad Request\r\n\r\ncraqr: {PROTOCOL} not offered\n".encode()
+
+
+def test_a_websocket_upgrade_offering_the_protocol_is_accepted(served):
+    _, (host, port) = served
+    answer = upgrade(host, port, f"Sec-WebSocket-Protocol: chat, {PROTOCOL}")
+    assert answer.startswith(b"HTTP/1.1 101 ")
+    assert f"\r\nSec-WebSocket-Protocol: {PROTOCOL}\r\n".encode() in answer
