@@ -4,8 +4,8 @@ Functions listed here are the per-batch inner loops whose cost the
 ``benchmarks/e2e`` harness reports as per-layer spans: the fused
 acquisition round, the mobility kernels and their keyed draw policy, the
 columnar map phase, the compiled attribute programs and their
-flatten/thin kernels, the batch MLE, the incremental view fold and the
-serve-layer fan-out.
+flatten/thin kernels, the batch MLE, the lockstep online SGD, the
+incremental view fold and the serve-layer fan-out.
 Inside them, per-row Python iteration is a regression by construction —
 the analyzer flags ``.tolist()`` calls, ``range(len(...))`` / ``zip(...)``
 row loops, object construction inside loops and libm ``hypot`` calls (see
@@ -134,12 +134,15 @@ HOT_PATHS: List[Tuple[str, str]] = [
     ("repro/pointprocess/estimation.py", "fit_linear_intensity_mle"),
     ("repro/pointprocess/estimation.py", "fit_linear_intensity_mle_segments"),
     ("repro/pointprocess/thinning.py", "_compensate_clipping"),
-    # The online-SGD kernel ``OnlineIntensityEstimator.observe_batch_fused``
-    # is deliberately NOT registered: a sequential recurrence is a
-    # per-event loop by nature and ``.tolist()`` is its point (plain-float
-    # steps cost ~0.4 us, steps on 4-element arrays ~3 us).  Its contract
-    # is bit-equality with ``observe_batch``, held by
-    # ``tests/property/test_estimation_kernels.py``.
+    # The online SGD every online chain runs each batch: one lockstep over
+    # all of a batch's online chains, whatever their attribute, whose pass
+    # ``k`` steps the ``k``-th event of every chain with nine ufuncs on
+    # ``(4, chains)`` views.  Its loops are per pass (per event of the
+    # longest chain) and per estimator (the batch's set-up and write-back),
+    # never per row.  ``OnlineIntensityEstimator.observe_batch_fused`` is
+    # its one-segment case; the plain-float loop it replaced is the oracle
+    # in ``tests/property/test_estimation_kernels.py``.
+    ("repro/pointprocess/estimation.py", "observe_segments"),
     # Incremental view maintenance (PR 5): one lexsort + segment reductions
     # per delivered batch; history is never rescanned.
     ("repro/views/view.py", "ContinuousView.on_delivery"),

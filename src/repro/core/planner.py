@@ -23,6 +23,7 @@ import numpy as np
 
 from ..errors import PlanningError, QueryError
 from ..geometry import Grid, GridCell, Region
+from ..pointprocess import observe_segments
 from ..rng import ensure_rng
 from ..streams import CallbackSink, SensorTuple, TupleBatch
 from .pmat import UnionOperator
@@ -475,12 +476,20 @@ class QueryPlanner:
         is what orders the discard store and the per-query delivery
         accounting.  Each query's batch arrives as one delivery at the
         place of its first tap, so its result buffer gains one chunk per
-        batch.
+        batch.  Before any program runs, every online chain that has rows,
+        whatever its attribute, takes its SGD step in one lockstep pass.
         """
         rows_per_cell: Dict[CellKey, int] = {}
         for _batch, segments in mapped.values():
             for key, start, stop in segments:
                 rows_per_cell[key] = rows_per_cell.get(key, 0) + stop - start
+        # Every online chain's SGD step, all attributes in one lockstep pass.
+        online = [step for attribute, program in programs.items()
+                  for step in program.online_segments(mapped.get(attribute))]
+        if online:
+            estimators, window_starts, ts, xs, ys = zip(*online)
+            starts = np.cumsum([0] + [t.shape[0] for t in ts[:-1]])
+            observe_segments(estimators, *map(np.concatenate, (ts, xs, ys)), starts, window_starts)
         emissions = []
         for attribute, program in programs.items():
             emissions.extend(

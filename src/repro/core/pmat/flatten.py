@@ -17,12 +17,15 @@ tuple to an :class:`~repro.pointprocess.estimation.OnlineIntensityEstimator`
 so the intensity tracks drift across batches, as the paper's sliding-window
 variant suggests.
 
-Choosing the intensity is split in two halves —
+Choosing the intensity takes three steps —
+:meth:`FlattenOperator.observe_online` (the online SGD step, if any),
 :meth:`FlattenOperator.begin_estimate` (given, online, too small to fit, or
 a :class:`PendingFit`) and :func:`finish_estimate` (a converged fit, else
-the batch's constant rate) — so the engine's attribute programs can solve
-every chain's pending fit in one lockstep Newton solve (:func:`fit_pending`)
-between the two.
+the batch's constant rate) — so the engine can step every online chain's
+estimator in one lockstep pass
+(:meth:`~repro.core.planner.QueryPlanner.process_columnar`) before its
+attribute programs run, and each program can solve its chains' pending fits
+in one lockstep Newton solve (:func:`fit_pending`) between the last two.
 """
 
 from __future__ import annotations
@@ -330,14 +333,39 @@ class FlattenOperator(PMATOperator):
         """
         self._window_start = float(t_start)
 
-    def begin_estimate(self, batch: EventBatch) -> Estimate:
-        """First half of choosing the intensity that flattens a batch.
+    def online_window(self) -> Optional[Tuple[OnlineIntensityEstimator, Optional[float]]]:
+        """The online estimator a batch steps and its window start, or ``None``.
 
-        Returns the given intensity, or takes the online SGD step and
-        returns the warmed-up estimate, or hands the batch to
-        :func:`begin_mle`: a :class:`PendingFit`, or the constant rate of
-        a batch too small to fit.  :func:`finish_estimate` is the second
-        half; its name is what :attr:`FlattenBatchReport.estimator`
+        Only an online operator without a given intensity steps one.  The
+        window start is the one :meth:`open_window` opened (``None``: the
+        batch's first event): anchoring the SGD compensator at the batch's
+        own window keeps it from integrating the basis over
+        ``[0, window_duration]`` forever while event times grow, which
+        biased theta_t more and more as simulation time advanced.
+        """
+        if self._intensity is not None or self._online_estimator is None:
+            return None
+        return self._online_estimator, self._window_start
+
+    def observe_online(self, batch: EventBatch) -> None:
+        """The online SGD step over one batch alone, if the operator takes one.
+
+        The first step of choosing a batch's intensity;
+        :meth:`begin_estimate` decides with the stepped estimate.  The
+        engine steps every online chain's batch in one
+        :func:`~repro.pointprocess.observe_segments` call instead.
+        """
+        if self.online_window() is not None:
+            self._online_estimator.observe_batch_fused(batch, window_start=self._window_start)
+
+    def begin_estimate(self, batch: EventBatch) -> Estimate:
+        """Choose the intensity that flattens a batch, or begin its fit.
+
+        Returns the given intensity, or the warmed-up online estimate (the
+        batch's SGD step, :meth:`observe_online`, has run), or hands the
+        batch to :func:`begin_mle`: a :class:`PendingFit`, or the constant
+        rate of a batch too small to fit.  :func:`finish_estimate` is the
+        last step; its name is what :attr:`FlattenBatchReport.estimator`
         records.  Fits run over the window :meth:`open_window` opened, at
         least ``batch_duration`` long.
         """
@@ -346,18 +374,13 @@ class FlattenOperator(PMATOperator):
         t_start, t_max = batch.time_span()
         if self._window_start is not None:
             t_start = self._window_start
-        if self._online and self._online_estimator is not None:
-            # Anchor the SGD compensator at the batch's own window: without
-            # it the per-event gradient integrated the basis over
-            # [0, window_duration] forever while event times grew, biasing
-            # theta_t more and more as simulation time advanced.
-            self._online_estimator.observe_batch_fused(batch, window_start=t_start)
-            # Until the online estimate has warmed up — or when it diverged
-            # to a non-finite theta — fall back to MLE below.
-            if self._online_estimator.updates >= 2 * self._min_batch_for_fit:
-                online = self._online_estimator.intensity
-                if all(math.isfinite(value) for value in online.theta):
-                    return online, "online"
+        # Until the online estimate has warmed up — or when it diverged to a
+        # non-finite theta — fall back to MLE below.
+        online = self._online_estimator
+        if online is not None and online.updates >= 2 * self._min_batch_for_fit:
+            intensity = online.intensity
+            if all(math.isfinite(value) for value in intensity.theta):
+                return intensity, "online"
         return begin_mle(
             batch,
             self.region,
@@ -375,6 +398,7 @@ class FlattenOperator(PMATOperator):
         items = self._buffer
         self._buffer = []
         batch = EventBatch.from_rows([(it.t, it.x, it.y) for it in items])
+        self.observe_online(batch)
         intensity, estimator = finish_estimate(self.begin_estimate(batch))
         # Eq. (3) normalises by the batch, so the target expected count is
         # target_rate * area * batch window; flatten_events keeps that
@@ -421,11 +445,11 @@ class FlattenOperator(PMATOperator):
         if batch.is_empty:
             self.record_batch(0)
             return np.empty(0, dtype=bool)
-        intensity, estimator = finish_estimate(
-            self.begin_rows(batch.t, batch.x, batch.y)
-        )
+        events = EventBatch(batch.t, batch.x, batch.y)
+        self.observe_online(events)
+        intensity, estimator = finish_estimate(self.begin_rows(events.t, events.x, events.y))
         result = flatten_keep_mask(
-            EventBatch(batch.t, batch.x, batch.y),
+            events,
             intensity,
             self.target_expected,
             rng=self.rng,

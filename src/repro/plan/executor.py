@@ -12,8 +12,14 @@ materialised column copies, so each query's deliveries are gathered once.
 
 Byte-identity with the per-tuple object walk (the operators'
 ``process`` / ``flush`` reference, which materialises every intermediate
-stream) rests on five facts:
+stream) rests on six facts:
 
+* the online chains' SGD steps, of every attribute, run before the
+  programs as one lockstep pass
+  (:func:`~repro.pointprocess.observe_segments` over every program's
+  :meth:`ChainProgram.online_segments`), and each estimator ends bit for
+  bit where its batch alone leaves it; a program only decides with the
+  stepped estimates;
 * the chains' maximum-likelihood fits run as one lockstep Newton solve
   (:func:`~repro.pointprocess.fit_linear_intensity_mle_segments`), and
   each chain's result is bit for bit its fit alone;
@@ -134,6 +140,24 @@ class ChainProgram:
         return [steps for _position, steps in self._chains]
 
     # ------------------------------------------------------------------
+    def online_segments(self, mapped) -> List[tuple]:
+        """The online SGD steps the batch owes, one per chain with rows.
+
+        ``(estimator, window start, t, x, y)`` of every chain whose Flatten
+        steps an online estimator (``FlattenOperator.online_window``) and
+        that has rows in ``mapped`` (as for :meth:`run`).  The planner
+        steps them with every other attribute's in one lockstep before any
+        program runs, so the passes are paid once per batch, not once per
+        attribute.
+        """
+        online = [(steps.cell_key, steps.flatten.online_window()) for _p, steps in self._chains]
+        if mapped is None or all(window is None for _key, window in online):
+            return []
+        batch, segments = mapped
+        rows = {key: slice(start, stop) for key, start, stop in segments}
+        return [(*window, batch.t[rows[key]], batch.x[rows[key]], batch.y[rows[key]])
+                for key, window in online if window is not None and key in rows]
+
     def run(
         self,
         mapped,
@@ -148,9 +172,11 @@ class ChainProgram:
         all attributes, which is what a chain's router counts in.  Every
         chain runs — router accounting, then flatten (report, counters and
         RNG draw) even when it got no rows, then the thin cascade and its
-        taps.  Returns the discard pushes and the ``deliver_batch`` calls,
-        tagged with their place in the object walk's order, for the caller
-        to emit.
+        taps.  The online chains' SGD steps (:meth:`online_segments`) must
+        have been taken: the program only decides with their estimates.
+        Returns the discard pushes and the ``deliver_batch`` calls, tagged
+        with their place in the object walk's order, for the caller to
+        emit.
         """
         if mapped is None:
             batch, segments = TupleBatch.empty(self._attribute), []
@@ -162,8 +188,8 @@ class ChainProgram:
             for index, (key, start, stop) in enumerate(segments)
         }
 
-        # Per chain: router accounting and the first half of the estimate —
-        # the given or online intensity, or a maximum-likelihood fit to run.
+        # Per chain: router accounting and the estimate's decision — the
+        # given or online intensity, or a maximum-likelihood fit to run.
         estimates: Dict[CellKey, tuple] = {}
         pending_keys: List[CellKey] = []
         pending: List[PendingFit] = []

@@ -32,6 +32,7 @@ from .estimation import (
     fit_linear_intensity_mle,
     fit_linear_intensity_mle_segments,
     OnlineIntensityEstimator,
+    observe_segments,
 )
 from .statistics import (
     quadrat_counts,
@@ -58,6 +59,7 @@ __all__ = [
     "fit_linear_intensity_mle",
     "fit_linear_intensity_mle_segments",
     "OnlineIntensityEstimator",
+    "observe_segments",
     "quadrat_counts",
     "quadrat_chi_square_test",
     "coefficient_of_variation",

@@ -34,13 +34,17 @@ operator description):
   the estimate over sliding windows with SGD (citing Bottou 2010).
   :class:`OnlineIntensityEstimator` performs per-event gradient steps on the
   same likelihood, so a Flatten operator can track a drifting intensity.
+  The steps are sequential within one estimator's batch only:
+  :func:`observe_segments` steps many estimators' batches at once, one
+  event of each per pass, each bit-identical to its batch alone.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -187,6 +191,9 @@ def _segment_rows(positions, arrays, lengths):
     rows = np.repeat(flags, lengths)
     return [array[rows] for array in arrays]
 
+
+#: Passes of the lockstep SGD laid out at once (:func:`observe_segments`).
+_SGD_BLOCK = 32
 
 #: Newton decrement ``g . H^-1 g`` at or below which the fit has converged.
 _NEWTON_TOLERANCE = 1e-9
@@ -595,50 +602,13 @@ class OnlineIntensityEstimator:
     def observe_batch_fused(
         self, batch: EventBatch, *, window_start: Optional[float] = None
     ) -> None:
-        """The SGD kernel the engine runs: :meth:`observe_batch` in plain floats.
+        """The SGD kernel: :meth:`observe_batch`, bit for bit, in far fewer operations.
 
-        Bit-identical to the reference loop.  The recurrence is inherently
-        sequential (each step's rate depends on the previous theta), so
-        the kernel is a per-event Python loop by nature; what it removes
-        is the interpreter work around the arithmetic.  Everything
-        loop-invariant within one batch is hoisted (``_events_in_window``
-        is updated once per batch, so the compensator is constant across
-        its events; the ``1/sqrt(k)`` step schedule is one array op; the
-        region's moments come from a memo), the time-sorted columns
-        (sorted only when they are not already) are unboxed once with
-        ``.tolist()``, and theta and the compensator live in eight float
-        locals: every step is the same IEEE operations
-        :meth:`observe_event` performs on 4-element arrays, without the
-        arrays.
+        The one-segment case of :func:`observe_segments`, where the kernel
+        is written out; the engine steps every online chain's batch in one
+        such call.
         """
-        if batch.is_empty:
-            return
-        if window_start is None:
-            window_start = float(np.min(batch.t))
-        self._events_in_window = 0.7 * self._events_in_window + 0.3 * len(batch)
-        # Rows the map phase already sorted skip the stable argsort, which
-        # is the identity on a non-decreasing column, ties included.
-        t = batch.t
-        ordered = batch if (t[1:] >= t[:-1]).all() else batch.sorted_by_time()
-        n = len(ordered)
-        c0, c1, c2, c3 = self._per_event_compensator(window_start).tolist()
-        steps = self._learning_rate / np.sqrt(
-            np.arange(self._updates + 1, self._updates + n + 1, dtype=np.int64)
-        )
-        theta0, theta1, theta2, theta3 = self._theta.tolist()
-        for t, x, y, step in zip(
-            ordered.t.tolist(), ordered.x.tolist(), ordered.y.tolist(), steps.tolist()
-        ):
-            # _linear_rate, written out: same operands, same order.
-            rate = ((theta0 + t * theta1) + x * theta2) + y * theta3
-            if rate < _RATE_FLOOR:  # a NaN rate stays NaN, as max(rate, floor) keeps it
-                rate = _RATE_FLOOR
-            theta0 = theta0 + step * (1.0 / rate - c0)
-            theta1 = theta1 + step * (t / rate - c1)
-            theta2 = theta2 + step * (x / rate - c2)
-            theta3 = theta3 + step * (y / rate - c3)
-        self._updates += n
-        self._theta = np.array([theta0, theta1, theta2, theta3])
+        observe_segments([self], batch.t, batch.x, batch.y, [0], [window_start])
 
     def result(self) -> EstimationResult:
         """Snapshot the current estimate as an :class:`EstimationResult`."""
@@ -649,3 +619,105 @@ class OnlineIntensityEstimator:
             converged=self._updates > 0,
             iterations=self._updates,
         )
+
+
+def observe_segments(
+    estimators: Sequence[OnlineIntensityEstimator], t, x, y, starts: Sequence[int], window_starts
+) -> None:
+    """:meth:`OnlineIntensityEstimator.observe_batch` over row segments, in lockstep.
+
+    Estimator ``i`` observes rows ``[starts[i], starts[i + 1])`` (the last
+    segment ends at ``len(t)``) with its compensator anchored at
+    ``window_starts[i]`` (``None``: the segment's earliest time).  Each
+    estimator ends bit for bit where observing only its rows leaves it —
+    theta (NaN and overflow included), update count and events-in-window
+    average — whatever the other segments are; an empty segment leaves
+    its estimator as it is.  The estimators must be distinct.
+
+    The recurrence is sequential within a segment only.  Each estimator
+    sets up its batch as the one-batch step does: the events-in-window
+    average (updated once per batch, so the compensator is constant across
+    its events), the compensator, the ``lr / sqrt(k)`` step schedule, and
+    a stable time sort when its rows are not in time order already (the
+    map phase sorts them).  Then pass ``k`` steps the ``k``-th event of
+    every segment at once.  The segments are ranked longest first, so the
+    ones still stepping are a prefix of the ``(4, segments)`` theta block,
+    and their events one contiguous slice of the pass-major feature block
+    ``(1, t, x, y)``, laid out :data:`_SGD_BLOCK` passes at a time: no
+    padding, and the layout's memory is bounded by the block.  A pass is
+    nine ufuncs on those views, each the IEEE operation
+    :meth:`~OnlineIntensityEstimator.observe_event` performs, operands in
+    the same order — the rate ``((θ0 + t·θ1) + x·θ2) + y·θ3`` as four
+    products and three adds (never ``@`` or a reduction, which round
+    differently; ``1.0 * θ0`` is ``θ0``), floored by ``np.maximum`` (which
+    keeps a NaN, as ``max`` does), and ``θ + step·(f / rate - c)``.
+    Floating-point warnings are off: a diverging theta overflows to
+    ``inf`` and ``nan`` silently, as Python floats do.  Each estimator gets
+    back a ``(4,)`` theta of its own, never a view into the block.
+    """
+    t, x, y = (np.asarray(column, dtype=float) for column in (t, x, y))
+    edges = [int(start) for start in starts] + [t.shape[0]]
+    if len(edges) != len(estimators) + 1 or len(window_starts) != len(estimators):
+        raise EstimationError("need exactly one segment and one window start per estimator")
+    sizes = [stop - start for start, stop in zip(edges, edges[1:])]
+    ranked = sorted((index for index, size in enumerate(sizes) if size), key=lambda index: -sizes[index])
+    if not ranked:
+        return
+    lengths = [sizes[index] for index in ranked]
+
+    # Each segment's rows in time order, segment after segment: the map
+    # phase hands over sorted rows, and a row before its predecessor in
+    # time (or with a NaN time) puts its segment out of order unless it
+    # starts the segment.
+    firsts = list(accumulate(lengths, initial=0))
+    rows = np.arange(firsts[-1]) + np.repeat(np.array([edges[i] for i in ranked]) - firsts[:-1], lengths)
+    descents = np.flatnonzero(~(t[1:] >= t[:-1])) + 1
+    unsorted = np.searchsorted(descents, edges[1:]) > np.searchsorted(descents, edges[:-1], side="right")
+
+    # Per estimator, longest segment first: the batch's set-up.
+    compensators = []
+    for position, index in enumerate(ranked):
+        estimator = estimators[index]
+        a, b = edges[index], edges[index + 1]
+        window_start = float(np.min(t[a:b])) if window_starts[index] is None else window_starts[index]
+        estimator._events_in_window = 0.7 * estimator._events_in_window + 0.3 * (b - a)
+        compensators.append(estimator._per_event_compensator(window_start))
+        if unsorted[index]:
+            rows[firsts[position]:firsts[position + 1]] = a + np.argsort(t[a:b], kind="stable")
+    compensators = np.array(compensators).T.copy()
+    thetas = np.array([estimators[index]._theta for index in ranked]).T.copy()
+    updates = np.array([estimators[index]._updates for index in ranked], dtype=np.int64)
+    learning_rates = np.array([estimators[index]._learning_rate for index in ranked])
+
+    # Pass k steps the segments longer than k, ranks [0, widths[k]); a
+    # block of passes is laid out pass-major, pass k's events one slice of
+    # the block's (1, t, x, y) features.
+    negated = [-length for length in lengths]
+    widths = [bisect_left(negated, -k) for k in range(lengths[0])]
+    scratch = np.empty((5, len(ranked)))  # the four terms (then the gradient), the rate
+    with np.errstate(all="ignore"):
+        for first_pass in range(0, lengths[0], _SGD_BLOCK):
+            block = widths[first_pass:first_pass + _SGD_BLOCK]
+            offsets = list(accumulate(block, initial=0))
+            rank = np.arange(offsets[-1]) - np.repeat(offsets[:-1], block)
+            event = np.repeat(np.arange(first_pass, first_pass + len(block)), block)
+            order = rows[np.asarray(firsts[:-1])[rank] + event]
+            steps = learning_rates[rank] / np.sqrt(updates[rank] + event + 1)
+            features = np.stack((np.ones(order.shape[0]), t[order], x[order], y[order]))
+            for start, stop in pairwise(offsets):
+                width = stop - start
+                f = features[:, start:stop]
+                theta = thetas[:, :width]
+                g = np.multiply(f, theta, out=scratch[:4, :width])
+                r = np.add(g[0], g[1], out=scratch[4, :width])
+                np.add(r, g[2], out=r)
+                np.add(r, g[3], out=r)
+                np.maximum(r, _RATE_FLOOR, out=r)
+                np.divide(f, r, out=g)
+                np.subtract(g, compensators[:, :width], out=g)
+                np.multiply(steps[start:stop], g, out=g)
+                np.add(theta, g, out=theta)
+
+    for position, index in enumerate(ranked):
+        estimators[index]._updates += lengths[position]
+        estimators[index]._theta = thetas[:, position].copy()

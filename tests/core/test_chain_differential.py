@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import AcquisitionalQuery, QueryPlanner, StreamFabricator
+from repro.core import planner as planner_module
 from repro.geometry import Grid, Rectangle
 from repro.plan import executor
 from repro.sensing import (
@@ -124,7 +125,13 @@ class Side:
                 estimator = flatten._online_estimator
                 state["reports", flatten.name] = (
                     flatten.reports,
-                    None if estimator is None else (estimator.theta, estimator.updates),
+                    None
+                    if estimator is None
+                    else (
+                        estimator._theta.tobytes(),
+                        estimator.updates,
+                        estimator._events_in_window,
+                    ),
                 )
         return state
 
@@ -191,6 +198,7 @@ def test_compiled_programs_match_the_object_walk(
 #: outside their hull, so the fit does not converge; the rest converge.
 #: Online, a chain warms up after 40 events: the 25- and 30-row chains
 #: fall back to the MLE in their first batch, the 60+ row chains never do.
+#: The rain chain of cell (2, 0) gets no row in the first batch.
 OUTCOME_ROWS = {
     "rain": {
         (0, 0): (10, False),
@@ -204,6 +212,9 @@ OUTCOME_ROWS = {
 }
 
 
+SILENT = ("rain", (2, 0))
+
+
 def outcome_batches(rng, index):
     """One batch window of rows laid out per :data:`OUTCOME_ROWS`."""
     batches = {}
@@ -211,6 +222,8 @@ def outcome_batches(rng, index):
     for attribute, cells in OUTCOME_ROWS.items():
         t, x, y = [], [], []
         for (q, r), (n, corner) in cells.items():
+            if index == 0 and (attribute, (q, r)) == SILENT:
+                continue
             offsets = rng.random((n, 2)) * (0.3 if corner else 1.0)
             t.append(index + rng.random(n))
             x.append(q + offsets[:, 0])
@@ -234,17 +247,33 @@ def test_every_estimator_outcome_in_one_program(online, monkeypatch):
     # One attribute program carries constant (too small, and not
     # converged), converged MLE and — online — warmed-up chains side by
     # side; the warming chains' fits join the program's lockstep solve.
+    # Online, the first batch also has a chain with no rows, and every
+    # chain with rows, of both attributes, takes its SGD step in one
+    # lockstep before the programs run.
     solved = []
+    stepped = []
     fit_pending = executor.fit_pending
+    observe_segments = planner_module.observe_segments
 
     def recording_fit_pending(pending):
         solved.append(len(pending))
         return fit_pending(pending)
 
+    def recording_observe_segments(estimators, *columns):
+        stepped.append([id(estimator) for estimator in estimators])
+        return observe_segments(estimators, *columns)
+
     monkeypatch.setattr(executor, "fit_pending", recording_fit_pending)
+    monkeypatch.setattr(planner_module, "observe_segments", recording_observe_segments)
     queries = make_queries()
     compiled = Side(queries, online=online, store_discarded=False)
     walked = Side(queries, online=online, store_discarded=False)
+    planner = compiled.planner
+    chain_of = {
+        id(planner.cell_topology(key).chain(attribute).flatten._online_estimator): (attribute, key)
+        for key in planner.materialized_cells
+        for attribute in planner.cell_topology(key).attributes
+    }
     rng = np.random.default_rng(30)
     for index in range(3):
         batches = outcome_batches(rng, index)
@@ -263,12 +292,29 @@ def test_every_estimator_outcome_in_one_program(online, monkeypatch):
         for key in state
         if isinstance(key, tuple)
         for report in state[key][0]
+        if report.batch_size
     }
     assert estimators == ({"constant", "mle", "online"} if online else {"constant", "mle"})
     corner = compiled.planner.cell_topology((1, 0)).chain("rain").flatten
     assert corner.reports[0].batch_size == 30
     assert corner.reports[0].estimator == "constant"
+    silent = planner.cell_topology(SILENT[1]).chain(SILENT[0]).flatten
+    assert silent.reports[0].batch_size == 0
     # One solve per program and batch (rain, temp); online, only the
     # warming chains' first batch has fits to solve.
     per_batch = [sorted(solved[i:i + 2]) for i in range(0, len(solved), 2)]
-    assert per_batch == ([[1, 3], [0, 0], [0, 0]] if online else [[3, 5]] * 3)
+    assert per_batch == ([[1, 3], [0, 0], [0, 0]] if online else [[3, 4], [3, 5], [3, 5]])
+    if not online:
+        assert stepped == []
+        return
+    # One lockstep per batch over every chain with rows, both attributes:
+    # the warming chains too, never the chain without rows.
+    with_rows = {
+        (attribute, cell) for attribute, cells in OUTCOME_ROWS.items() for cell in cells
+    }
+    assert [{chain_of[step] for step in steps} for steps in stepped] == [
+        with_rows - {SILENT},
+        with_rows,
+        with_rows,
+    ]
+    assert silent.reports[1].estimator == "online"

@@ -232,8 +232,9 @@ def oracle_flatten(flatten, batch):
     n = len(batch)
     flatten._tuples_in += n
     events = EventBatch(batch.t, batch.x, batch.y)
-    # Each chain's fit solved alone: the attribute programs solve them all
-    # at once, in lockstep.
+    # Each chain's SGD step and fit alone: the engine steps every online
+    # chain at once, and the attribute programs solve their fits at once.
+    flatten.observe_online(events)
     intensity, estimator = finish_estimate(flatten.begin_estimate(events))
     target_expected = flatten.target_rate * flatten.region.area * flatten._batch_duration
     keep, _probability, violation, shortfall = reference_flatten(

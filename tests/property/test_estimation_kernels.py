@@ -1,8 +1,10 @@
 """Property tests pinning the estimation kernels to their references.
 
-``OnlineIntensityEstimator.observe_batch_fused`` (the plain-float SGD
-kernel the engine runs) must land on exactly the bits of
-``observe_batch`` (n x ``observe_event``).  ``fit_linear_intensity_mle``
+``OnlineIntensityEstimator.observe_batch_fused`` (the SGD kernel) must
+land on exactly the bits of ``observe_batch`` (n x ``observe_event``).
+The engine runs it as ``observe_segments``, every online chain's batch in
+lockstep; the plain-float loop that preceded it is kept here, and every
+segment must land on its bits.  ``fit_linear_intensity_mle``
 (damped Newton) is held to its own certificate — a feasible theta with a
 Newton decrement within tolerance is the global maximum — and to SciPy's
 L-BFGS-B, the solver it replaced, kept here, under ``tests/``, as an
@@ -32,6 +34,7 @@ from repro.pointprocess import (
     OnlineIntensityEstimator,
     fit_linear_intensity_mle,
     fit_linear_intensity_mle_segments,
+    observe_segments,
 )
 from repro.pointprocess import estimation
 from repro.pointprocess.estimation import (
@@ -187,6 +190,195 @@ class TestSgdKernel:
             estimator.observe_batch_fused(batch, window_start=float(k))
         assert estimator.updates == 165
         assert [v.hex() for v in estimator.theta] == PINNED_THETA
+
+
+# ----------------------------------------------------------------------------
+# Lockstep SGD == the plain-float loop, per segment
+# ----------------------------------------------------------------------------
+
+
+def sgd_loop_alone(self, batch, window_start=None):
+    """``observe_batch_fused`` before the lockstep: the plain-float loop.
+
+    Kept verbatim (``self`` is the estimator): every step is the IEEE
+    operations ``observe_event`` performs on 4-element arrays, on eight
+    float locals.
+    """
+    if batch.is_empty:
+        return
+    if window_start is None:
+        window_start = float(np.min(batch.t))
+    self._events_in_window = 0.7 * self._events_in_window + 0.3 * len(batch)
+    # Rows the map phase already sorted skip the stable argsort, which
+    # is the identity on a non-decreasing column, ties included.
+    t = batch.t
+    ordered = batch if (t[1:] >= t[:-1]).all() else batch.sorted_by_time()
+    n = len(ordered)
+    c0, c1, c2, c3 = self._per_event_compensator(window_start).tolist()
+    steps = self._learning_rate / np.sqrt(
+        np.arange(self._updates + 1, self._updates + n + 1, dtype=np.int64)
+    )
+    theta0, theta1, theta2, theta3 = self._theta.tolist()
+    for t, x, y, step in zip(
+        ordered.t.tolist(), ordered.x.tolist(), ordered.y.tolist(), steps.tolist()
+    ):
+        # _linear_rate, written out: same operands, same order.
+        rate = ((theta0 + t * theta1) + x * theta2) + y * theta3
+        if rate < _RATE_FLOOR:  # a NaN rate stays NaN, as max(rate, floor) keeps it
+            rate = _RATE_FLOOR
+        theta0 = theta0 + step * (1.0 / rate - c0)
+        theta1 = theta1 + step * (t / rate - c1)
+        theta2 = theta2 + step * (x / rate - c2)
+        theta3 = theta3 + step * (y / rate - c3)
+    self._updates += n
+    self._theta = np.array([theta0, theta1, theta2, theta3])
+
+
+#: Starts in the ordinary range, on the rate floor (rate 0 at every event),
+#: below it, NaN, and so large that the rate overflows: ``t * 1e308`` is
+#: inf once ``t > 1.8``, and where ``y > 1.8`` too the rate is
+#: ``inf - inf``, a NaN that is not the start's.
+SGD_THETAS = {
+    "flat": (1.0, 0.0, 0.0, 0.0),
+    "floor": (0.0, 0.0, 0.0, 0.0),
+    "below": (-5.0, -1.0, 0.0, -2.0),
+    "nan": (float("nan"), 0.0, 0.0, 0.0),
+    "overflow": (1e308, 1e308, 0.0, -1e308),
+}
+
+
+@st.composite
+def sgd_segments(draw):
+    """One estimator's set-up and its batch: ``(options, updates, t, x, y, window_start)``.
+
+    Rows are in time order (as the map phase hands them over), as drawn
+    (out of order) or on one tied time; quarter-step times tie often.
+    ``y`` spans ``[0, 3)``, so the overflowing start meets ``inf - inf``.
+    """
+    n = draw(st.one_of(st.sampled_from([1, 2, 300]), st.integers(1, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 10.0, 1000.0]))
+    if draw(st.booleans()):
+        t = np.floor(8.0 * rng.random(n)) / 4.0
+    else:
+        t = 2.0 * rng.random(n)
+    order = draw(st.sampled_from(["sorted", "drawn", "tied"]))
+    if order == "sorted":
+        t = np.sort(t)
+    elif order == "tied":
+        t = np.full(n, t[0])
+    theta = draw(st.sampled_from([*sorted(SGD_THETAS), "random"]))
+    options = dict(
+        region=draw(st.sampled_from([UNIT, Rectangle(-3.0, 2.0, 0.5, 2.7)])),
+        window_duration=draw(st.sampled_from([1.0, 0.25])),
+        learning_rate=draw(st.sampled_from([0.05, 0.3, 2.0])),
+        initial_theta=rng.normal(0.0, 3.0, 4) if theta == "random" else SGD_THETAS[theta],
+        expected_events_per_window=draw(st.sampled_from([0.5, 1.0, 50.0, 1e4])),
+    )
+    updates = draw(st.sampled_from([0, 1, 39, 10**6]))
+    window_start = draw(st.sampled_from([None, offset, offset - 0.5]))
+    return options, updates, offset + t, rng.random(n), 3.0 * rng.random(n), window_start
+
+
+def sgd_estimator(options, updates):
+    estimator = OnlineIntensityEstimator(
+        options["region"],
+        options["window_duration"],
+        learning_rate=options["learning_rate"],
+        initial_theta=options["initial_theta"],
+        expected_events_per_window=options["expected_events_per_window"],
+    )
+    estimator._updates = updates
+    return estimator
+
+
+def sgd_state(estimator):
+    """What a batch changes, exactly: theta's bytes (NaN payload included)."""
+    return (estimator._theta.tobytes(), estimator._updates, estimator._events_in_window)
+
+
+class TestLockstepSgd:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(sgd_segments(), min_size=1, max_size=40),
+        st.sampled_from([np.float64, np.float32]),
+        st.booleans(),
+    )
+    def test_every_segment_is_its_loop_alone(self, segments, dtype, sliced):
+        columns = [
+            np.concatenate([segment[axis] for segment in segments]).astype(dtype)
+            for axis in (2, 3, 4)
+        ]
+        if sliced:
+            # Non-contiguous views: every other element of a doubled column.
+            columns = [np.repeat(column, 2)[::2] for column in columns]
+        t, x, y = columns
+        lengths = [len(segment[2]) for segment in segments]
+        starts = np.cumsum([0] + lengths[:-1])
+        alone = []
+        for (options, updates, *_rows, window_start), a, n in zip(segments, starts, lengths):
+            estimator = sgd_estimator(options, updates)
+            sgd_loop_alone(estimator, EventBatch(t[a:a + n], x[a:a + n], y[a:a + n]), window_start)
+            alone.append(sgd_state(estimator))
+        together = [sgd_estimator(options, updates) for options, updates, *_rest in segments]
+        observe_segments(together, t, x, y, starts, [segment[5] for segment in segments])
+        assert [sgd_state(estimator) for estimator in together] == alone
+        for estimator in together:
+            assert estimator._theta.dtype == np.float64 and estimator._theta.shape == (4,)
+            assert estimator._theta.flags.owndata  # never a view into the block
+
+    def test_the_layout_covers_every_outcome(self):
+        # NaN and overflowing starts end in a NaN theta next to finite
+        # neighbours; the floor start takes a giant first step.
+        rng = np.random.default_rng(7)
+        t, x, y = 10.0 + rng.random(20), rng.random(20), 2.0 + rng.random(20)
+        names = sorted(SGD_THETAS)
+        estimators = [OnlineIntensityEstimator(UNIT, 1.0, initial_theta=SGD_THETAS[name]) for name in names]
+        observe_segments(estimators, np.tile(t, 5), np.tile(x, 5), np.tile(y, 5), [0, 20, 40, 60, 80], [None] * 5)
+        ends = dict(zip(names, estimators))
+        for name, estimator in ends.items():
+            alone = OnlineIntensityEstimator(UNIT, 1.0, initial_theta=SGD_THETAS[name])
+            sgd_loop_alone(alone, EventBatch(t, x, y))
+            assert sgd_state(estimator) == sgd_state(alone), name
+        assert np.isnan(ends["nan"]._theta).all() and np.isnan(ends["overflow"]._theta).all()
+        assert ends["nan"]._theta.tobytes() != ends["overflow"]._theta.tobytes()
+        assert np.isfinite(ends["flat"]._theta).all() and np.isfinite(ends["below"]._theta).all()
+        assert ends["floor"]._theta[0] > 1e5
+
+    def test_one_segment_is_observe_batch_fused(self):
+        rng = np.random.default_rng(20150413)
+        batch = EventBatch(5.0 + rng.random(90), rng.random(90), rng.random(90))
+        states = []
+        for observe in (
+            lambda e: e.observe_batch_fused(batch, window_start=4.5),
+            lambda e: observe_segments([e], batch.t, batch.x, batch.y, [0], [4.5]),
+            lambda e: sgd_loop_alone(e, batch, 4.5),
+        ):
+            estimator = OnlineIntensityEstimator(UNIT, 1.0, learning_rate=0.2)
+            observe(estimator)
+            observe(estimator)
+            states.append(sgd_state(estimator))
+        assert states[0] == states[1] == states[2]
+
+    def test_empty_segments_leave_their_estimators_alone(self):
+        rng = np.random.default_rng(3)
+        t, x, y = rng.random(30), rng.random(30), rng.random(30)
+        estimators = [OnlineIntensityEstimator(UNIT, 1.0) for _ in range(4)]
+        untouched = sgd_state(estimators[0])
+        # Segments 0 and 2 are empty; 1 and 3 split the rows.
+        observe_segments(estimators, t, x, y, [0, 0, 12, 12], [None] * 4)
+        assert sgd_state(estimators[0]) == sgd_state(estimators[2]) == untouched
+        for estimator, (a, b) in zip(estimators[1::2], [(0, 12), (12, 30)]):
+            expected = OnlineIntensityEstimator(UNIT, 1.0)
+            sgd_loop_alone(expected, EventBatch(t[a:b], x[a:b], y[a:b]))
+            assert sgd_state(estimator) == sgd_state(expected)
+        observe_segments([], t[:0], x[:0], y[:0], [], [])
+
+    @pytest.mark.parametrize("starts, window_starts", [([0, 5], [None]), ([0], [None, None])])
+    def test_invalid_layouts_raise(self, starts, window_starts):
+        estimators = [OnlineIntensityEstimator(UNIT, 1.0)]
+        with pytest.raises(EstimationError, match="one segment and one window start"):
+            observe_segments(estimators, np.zeros(9), np.zeros(9), np.zeros(9), starts, window_starts)
 
 
 # ----------------------------------------------------------------------------

@@ -10,7 +10,10 @@ from __future__ import annotations
 import json
 import socket
 import string
+import struct
+import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -238,13 +241,19 @@ class TestSemantics:
     def test_stalled_subscriber_footprint_stays_bounded(self, served):
         server, (host, port) = served
         capacity, subscriptions = 4, 200
-        stalled = ServeClient(host, port)
+        # The stalled client's kernel receive buffer is pinned small before
+        # it connects (the window it advertises follows it), so what the
+        # server cannot deliver stays in the server's buffers, where it is
+        # measured below.
+        with mock.patch.object(socket, "create_connection", connect_with_small_receive_buffer):
+            stalled = ServeClient(host, port)
         try:
             for _ in range(subscriptions):
                 stalled.subscribe(query="Storm", policy="skip", queue_events=capacity)
             # From here on the stalled client never reads its socket.
             (conn,) = [c for c in server._connections.values() if c.subscriptions]
             transport = conn.writer.transport
+            sock = transport.get_extra_info("socket")
             # One publish reaches the 200 subscriptions as one grouped
             # message, so the socket fills 200x slower than when each
             # subscription's copy travelled alone: lower this connection's
@@ -253,7 +262,6 @@ class TestSemantics:
             lowered = threading.Event()
 
             def lower_limits():
-                sock = transport.get_extra_info("socket")
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
                 transport.set_write_buffer_limits(high=4096)
                 lowered.set()
@@ -261,12 +269,14 @@ class TestSemantics:
             server._server.get_loop().call_soon_threadsafe(lower_limits)
             assert lowered.wait(timeout=30)
             _, high_water = transport.get_write_buffer_limits()
-            buffered = largest = 0
+            send_buffer = sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+            buffered = largest = unsent = 0
             token = None
             with ServeClient(host, port, timeout=120) as driver:
                 for _ in range(400):
                     driver.run(1)  # the engine keeps batching
                     buffered = max(buffered, transport.get_write_buffer_size())
+                    unsent = max(unsent, unsent_bytes(sock))
                     reply, payload = driver.fetch(query="Storm", token=token)
                     token = reply["token"]
                     largest = max(largest, len(payload))  # this batch's event
@@ -278,8 +288,31 @@ class TestSemantics:
             ids = ",".join(str(sub) for sub in conn.subscriptions)
             header_room = 512 + len(ids)
             assert 0 < buffered <= high_water + BURST_BYTES + largest + header_room
+            # The kernel's share: what the server's socket holds unsent.
+            if sys.platform.startswith("linux"):
+                assert 0 < unsent <= send_buffer
         finally:
             stalled.close()
+
+
+def connect_with_small_receive_buffer(address, timeout=None):
+    """``socket.create_connection`` with ``SO_RCVBUF`` pinned to 4096 first."""
+    family, kind, proto, _name, target = socket.getaddrinfo(*address, type=socket.SOCK_STREAM)[0]
+    sock = socket.socket(family, kind, proto)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(timeout)
+    sock.connect(target)
+    return sock
+
+
+def unsent_bytes(sock) -> int:
+    """Bytes a socket's kernel send queue holds (Linux ``TIOCOUTQ``); 0 elsewhere."""
+    if not sys.platform.startswith("linux"):
+        return 0
+    import fcntl
+    import termios
+
+    return struct.unpack("i", fcntl.ioctl(sock.fileno(), termios.TIOCOUTQ, b"\0" * 4))[0]
 
 
 class TestClientBuffer:
