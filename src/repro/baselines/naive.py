@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..config import EngineConfig
-from ..core.pmat.flatten import begin_mle, finish_estimate
+from ..core.pmat.flatten import FlattenOperator, estimate_segments
 from ..core.query import AcquisitionalQuery
 from ..errors import QueryError
 from ..geometry import Grid
@@ -112,11 +112,13 @@ class NaivePerQueryEngine:
         batch = EventBatch.from_rows([(it.t, it.x, it.y) for it in in_region])
         t_start = self._world.now
         span = max(batch.time_span()[1] - t_start, duration)
-        # The engine's estimator rule (FlattenOperator's): a converged
-        # maximum-likelihood fit, else the batch's constant empirical rate.
-        intensity, _estimator = finish_estimate(
-            begin_mle(batch, query.region, t_start, span)
+        # The engine's estimator rule: a converged maximum-likelihood fit
+        # over the batch window, else the batch's constant empirical rate.
+        flatten = FlattenOperator(
+            query.rate, region=query.region, batch_duration=duration, rng=self._rng
         )
+        flatten.open_window(t_start)
+        [(intensity, _estimator)] = estimate_segments([flatten], batch.t, batch.x, batch.y, [0])
         target_expected = query.rate * query.region.area * span
         outcome = flatten_events(batch, intensity, target_expected, rng=self._rng)
         return [item for item, keep in zip(in_region, outcome.keep_mask) if keep]

@@ -16,6 +16,7 @@ to-left-until-a-branching-point rule expressed over the canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, islice
 from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -23,10 +24,10 @@ import numpy as np
 
 from ..errors import PlanningError, QueryError
 from ..geometry import Grid, GridCell, Region
-from ..pointprocess import observe_segments
 from ..rng import ensure_rng
 from ..streams import CallbackSink, SensorTuple, TupleBatch
 from .pmat import UnionOperator
+from .pmat.flatten import estimate_segments
 from .query import AcquisitionalQuery
 from .topology import CellTopology, DeliverBatchFn, DeliverFn, QueryDelivery
 
@@ -476,24 +477,28 @@ class QueryPlanner:
         is what orders the discard store and the per-query delivery
         accounting.  Each query's batch arrives as one delivery at the
         place of its first tap, so its result buffer gains one chunk per
-        batch.  Before any program runs, every online chain that has rows,
-        whatever its attribute, takes its SGD step in one lockstep pass.
+        batch.  Before any program runs, every chain with rows, whatever
+        its attribute, has its intensity chosen in one
+        :func:`~repro.core.pmat.flatten.estimate_segments` call.
         """
         rows_per_cell: Dict[CellKey, int] = {}
         for _batch, segments in mapped.values():
             for key, start, stop in segments:
                 rows_per_cell[key] = rows_per_cell.get(key, 0) + stop - start
-        # Every online chain's SGD step, all attributes in one lockstep pass.
-        online = [step for attribute, program in programs.items()
-                  for step in program.online_segments(mapped.get(attribute))]
-        if online:
-            estimators, window_starts, ts, xs, ys = zip(*online)
-            starts = np.cumsum([0] + [t.shape[0] for t in ts[:-1]])
-            observe_segments(estimators, *map(np.concatenate, (ts, xs, ys)), starts, window_starts)
+        # Every chain with rows, all attributes in one estimate call; each
+        # program takes its own chains' results.
+        chains = {attribute: program.segments(mapped.get(attribute))
+                  for attribute, program in programs.items()}
+        estimates = iter(())
+        if any(chains.values()):
+            flattens, ts, xs, ys = zip(*(chain for each in chains.values() for chain in each))
+            starts = list(accumulate((t.shape[0] for t in ts[:-1]), initial=0))
+            estimates = iter(estimate_segments(flattens, *map(np.concatenate, (ts, xs, ys)), starts))
         emissions = []
         for attribute, program in programs.items():
+            chosen = list(islice(estimates, len(chains[attribute])))
             emissions.extend(
-                program.run(mapped.get(attribute), self._deliver_batch, rows_per_cell)
+                program.run(mapped.get(attribute), chosen, self._deliver_batch, rows_per_cell)
             )
         emissions.sort(key=itemgetter(0, 1))  # (chain position, step in chain)
         for _chain, _step, emit, arguments in emissions:

@@ -17,15 +17,13 @@ tuple to an :class:`~repro.pointprocess.estimation.OnlineIntensityEstimator`
 so the intensity tracks drift across batches, as the paper's sliding-window
 variant suggests.
 
-Choosing the intensity takes three steps —
-:meth:`FlattenOperator.observe_online` (the online SGD step, if any),
-:meth:`FlattenOperator.begin_estimate` (given, online, too small to fit, or
-a :class:`PendingFit`) and :func:`finish_estimate` (a converged fit, else
-the batch's constant rate) — so the engine can step every online chain's
-estimator in one lockstep pass
-(:meth:`~repro.core.planner.QueryPlanner.process_columnar`) before its
-attribute programs run, and each program can solve its chains' pending fits
-in one lockstep Newton solve (:func:`fit_pending`) between the last two.
+Which intensity flattens a batch is decided in one place,
+:func:`estimate_segments`, for any number of operators' batches at once:
+:meth:`FlattenOperator.flush` and :meth:`FlattenOperator.process_batch_mask`
+are its one-batch case, the engine calls it once per batch over every chain
+with rows, whatever its attribute
+(:meth:`~repro.core.planner.QueryPlanner.process_columnar`), and the naive
+baseline reaches the rule through it too.
 """
 
 from __future__ import annotations
@@ -33,21 +31,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...errors import StreamError
 from ...pointprocess import (
     ConstantIntensity,
-    EstimationResult,
     EventBatch,
     IntensityModel,
     OnlineIntensityEstimator,
-    fit_linear_intensity_mle,
+    fit_linear_intensity_mle,  # unused here: benchmarks/e2e/tracer.py patches this binding
     fit_linear_intensity_mle_segments,
     flatten_events,
     flatten_keep_mask,
+    observe_segments,
 )
 from ...streams import SensorTuple, TupleBatch
 from .base import PMATOperator
@@ -55,102 +53,6 @@ from .base import PMATOperator
 #: Smallest batch a Flatten operator fits by default; smaller batches are
 #: flattened with their constant empirical rate.
 MIN_BATCH_FOR_FIT = 20
-
-
-@dataclass(frozen=True)
-class PendingFit:
-    """A batch whose intensity waits on its maximum-likelihood fit.
-
-    The window is ``[t_start, t_start + duration]`` over ``region``;
-    ``duration`` is also what the constant fallback divides by.
-    """
-
-    batch: EventBatch
-    region: object
-    t_start: float
-    duration: float
-
-    @property
-    def t_end(self) -> float:
-        """End of the fitted window."""
-        return self.t_start + self.duration
-
-    def constant(self) -> Tuple[IntensityModel, str]:
-        """The batch's constant empirical rate, and its estimator name."""
-        mean_rate = max(len(self.batch) / (self.region.area * self.duration), 1e-9)
-        return ConstantIntensity(mean_rate), "constant"
-
-    def finish(
-        self, fit: Optional[EstimationResult] = None
-    ) -> Tuple[IntensityModel, str]:
-        """The converged fit, else the constant rate.
-
-        ``fit`` defaults to this batch's fit solved alone.  A fit that did
-        not converge is not a maximum-likelihood estimate (the likelihood
-        is unbounded when the events leave enough of the cell empty):
-        never flatten with it.
-        """
-        if fit is None:
-            fit = fit_linear_intensity_mle(
-                self.batch, self.region, self.t_start, self.t_end
-            )
-        if fit.converged:
-            return fit.intensity, "mle"
-        return self.constant()
-
-
-#: What the first half of the estimator rule hands back: an intensity and
-#: its estimator name, or a fit still to run.
-Estimate = Union[Tuple[IntensityModel, str], PendingFit]
-
-
-def begin_mle(
-    batch: EventBatch,
-    region,
-    t_start: float,
-    duration: float,
-    min_batch_for_fit: int = MIN_BATCH_FOR_FIT,
-) -> Estimate:
-    """First half of the MLE estimator rule, shared with the baselines.
-
-    A batch of at least ``min_batch_for_fit`` events on a window of
-    positive length waits for its fit (:class:`PendingFit`); any other
-    non-empty batch is flattened with its constant rate right away.
-    """
-    pending = PendingFit(batch, region, t_start, duration)
-    if len(batch) >= min_batch_for_fit and pending.t_end > t_start:
-        return pending
-    return pending.constant()
-
-
-def finish_estimate(
-    estimate: Estimate, fit: Optional[EstimationResult] = None
-) -> Tuple[IntensityModel, str]:
-    """Second half: the intensity that flattens the batch, and its name.
-
-    A pending fit takes ``fit`` (its result from a solve over many
-    batches) or is solved alone; a chosen intensity is returned as it is.
-    """
-    if isinstance(estimate, PendingFit):
-        return estimate.finish(fit)
-    return estimate
-
-
-def fit_pending(pending: Sequence[PendingFit]) -> List[EstimationResult]:
-    """Every pending fit in one lockstep Newton solve.
-
-    Result ``i`` is bit for bit the fit ``pending[i]`` gets alone
-    (:func:`~repro.pointprocess.fit_linear_intensity_mle_segments`).
-    """
-    if not pending:
-        return []
-    return fit_linear_intensity_mle_segments(
-        np.concatenate([p.batch.t for p in pending]),
-        np.concatenate([p.batch.x for p in pending]),
-        np.concatenate([p.batch.y for p in pending]),
-        list(accumulate([len(p.batch) for p in pending[:-1]], initial=0)),
-        [(p.region, p.t_start, p.t_end) for p in pending],
-    )
 
 
 @dataclass(frozen=True)
@@ -239,10 +141,10 @@ class FlattenOperator(PMATOperator):
         name: Optional[str] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        if target_rate <= 0:
-            raise StreamError("the Flatten target rate must be strictly positive")
-        if batch_duration <= 0:
-            raise StreamError("batch_duration must be positive")
+        if not 0 < target_rate < math.inf:
+            raise StreamError("the Flatten target rate must be positive and finite")
+        if not 0 < batch_duration < math.inf:
+            raise StreamError("batch_duration must be positive and finite")
         if min_batch_for_fit < 4:
             raise StreamError("min_batch_for_fit must be at least 4")
         if history_batches is not None and history_batches <= 0:
@@ -333,62 +235,6 @@ class FlattenOperator(PMATOperator):
         """
         self._window_start = float(t_start)
 
-    def online_window(self) -> Optional[Tuple[OnlineIntensityEstimator, Optional[float]]]:
-        """The online estimator a batch steps and its window start, or ``None``.
-
-        Only an online operator without a given intensity steps one.  The
-        window start is the one :meth:`open_window` opened (``None``: the
-        batch's first event): anchoring the SGD compensator at the batch's
-        own window keeps it from integrating the basis over
-        ``[0, window_duration]`` forever while event times grow, which
-        biased theta_t more and more as simulation time advanced.
-        """
-        if self._intensity is not None or self._online_estimator is None:
-            return None
-        return self._online_estimator, self._window_start
-
-    def observe_online(self, batch: EventBatch) -> None:
-        """The online SGD step over one batch alone, if the operator takes one.
-
-        The first step of choosing a batch's intensity;
-        :meth:`begin_estimate` decides with the stepped estimate.  The
-        engine steps every online chain's batch in one
-        :func:`~repro.pointprocess.observe_segments` call instead.
-        """
-        if self.online_window() is not None:
-            self._online_estimator.observe_batch_fused(batch, window_start=self._window_start)
-
-    def begin_estimate(self, batch: EventBatch) -> Estimate:
-        """Choose the intensity that flattens a batch, or begin its fit.
-
-        Returns the given intensity, or the warmed-up online estimate (the
-        batch's SGD step, :meth:`observe_online`, has run), or hands the
-        batch to :func:`begin_mle`: a :class:`PendingFit`, or the constant
-        rate of a batch too small to fit.  :func:`finish_estimate` is the
-        last step; its name is what :attr:`FlattenBatchReport.estimator`
-        records.  Fits run over the window :meth:`open_window` opened, at
-        least ``batch_duration`` long.
-        """
-        if self._intensity is not None:
-            return self._intensity, "given"
-        t_start, t_max = batch.time_span()
-        if self._window_start is not None:
-            t_start = self._window_start
-        # Until the online estimate has warmed up — or when it diverged to a
-        # non-finite theta — fall back to MLE below.
-        online = self._online_estimator
-        if online is not None and online.updates >= 2 * self._min_batch_for_fit:
-            intensity = online.intensity
-            if all(math.isfinite(value) for value in intensity.theta):
-                return intensity, "online"
-        return begin_mle(
-            batch,
-            self.region,
-            t_start,
-            max(t_max - t_start, self._batch_duration),
-            self._min_batch_for_fit,
-        )
-
     def flush(self) -> None:
         """Process the buffered batch: flatten, report ``N_v``, emit survivors."""
         if not self._buffer:
@@ -398,8 +244,7 @@ class FlattenOperator(PMATOperator):
         items = self._buffer
         self._buffer = []
         batch = EventBatch.from_rows([(it.t, it.x, it.y) for it in items])
-        self.observe_online(batch)
-        intensity, estimator = finish_estimate(self.begin_estimate(batch))
+        [(intensity, estimator)] = estimate_segments([self], batch.t, batch.x, batch.y, [0])
         # Eq. (3) normalises by the batch, so the target expected count is
         # target_rate * area * batch window; flatten_events keeps that
         # expectation when we pass the expected count as the "rate" knob.
@@ -445,11 +290,9 @@ class FlattenOperator(PMATOperator):
         if batch.is_empty:
             self.record_batch(0)
             return np.empty(0, dtype=bool)
-        events = EventBatch(batch.t, batch.x, batch.y)
-        self.observe_online(events)
-        intensity, estimator = finish_estimate(self.begin_rows(events.t, events.x, events.y))
+        [(intensity, estimator)] = estimate_segments([self], batch.t, batch.x, batch.y, [0])
         result = flatten_keep_mask(
-            events,
+            EventBatch(batch.t, batch.x, batch.y),
             intensity,
             self.target_expected,
             rng=self.rng,
@@ -483,16 +326,6 @@ class FlattenOperator(PMATOperator):
         """
         return self._target_rate * self.region.area * self._batch_duration
 
-    def begin_rows(self, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> Estimate:
-        """Take in one non-empty batch's coordinates and begin its estimate.
-
-        Counts the rows in and runs :meth:`begin_estimate`; a returned
-        :class:`PendingFit` may be solved with other operators' fits
-        (:func:`fit_pending`) before :func:`finish_estimate`.
-        """
-        self._tuples_in += t.shape[0]
-        return self.begin_estimate(EventBatch(t, x, y))
-
     def record_batch(
         self,
         batch_size: int,
@@ -501,7 +334,7 @@ class FlattenOperator(PMATOperator):
         shortfall_percent: float = 100.0,
         estimator: Optional[str] = None,
     ) -> None:
-        """Report one flattened batch and count its survivors out.
+        """Report one flattened batch and count its rows in and survivors out.
 
         ``record_batch(0)`` is the empty batch: a full shortfall, so the
         budget tuner reacts to silent cells.
@@ -516,6 +349,7 @@ class FlattenOperator(PMATOperator):
                 estimator=estimator,
             )
         )
+        self._tuples_in += batch_size
         self._tuples_out += retained
 
     def _append_report(self, report: FlattenBatchReport) -> None:
@@ -526,3 +360,94 @@ class FlattenOperator(PMATOperator):
             and len(self._reports) > self._history_batches
         ):
             del self._reports[: len(self._reports) - self._history_batches]
+
+
+def estimate_segments(
+    flattens: Sequence[FlattenOperator],
+    t: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    starts: Sequence[int],
+) -> List[Tuple[IntensityModel, str]]:
+    """The intensity that flattens each operator's batch, and its estimator name.
+
+    Operator ``i``'s batch is rows ``[starts[i], starts[i + 1])`` (the last
+    one ends at ``len(t)``); every batch is non-empty and the operators are
+    distinct.  The estimator rule, in four steps:
+
+    1. every online operator without a given intensity takes its SGD step
+       over its batch, all of them in one
+       :func:`~repro.pointprocess.observe_segments` lockstep, the
+       compensator anchored at the window :meth:`FlattenOperator.open_window`
+       opened (``None``: the batch's first event) — a fixed anchor would
+       integrate the basis over ``[0, window_duration]`` while event times
+       grow, biasing theta_t more and more as simulation time advances;
+    2. each operator decides: its given intensity (``"given"``); the online
+       estimate once it has taken ``2 * min_batch_for_fit`` steps, unless
+       it diverged to a non-finite theta (``"online"``); for a batch of at
+       least ``min_batch_for_fit`` events, a maximum-likelihood fit over the
+       opened window (the batch's first event without one), at least
+       ``batch_duration`` long; else the batch's constant empirical rate
+       over that window (``"constant"``);
+    3. every fit runs in one
+       :func:`~repro.pointprocess.fit_linear_intensity_mle_segments`
+       lockstep Newton solve;
+    4. a fit that converged is ``"mle"``; one that did not is no
+       maximum-likelihood estimate (the likelihood is unbounded when the
+       events leave enough of the cell empty), and its batch takes the
+       constant rate.
+
+    Result ``i``, and operator ``i``'s estimator state, are bit for bit
+    what its batch alone gets: both kernels hold each segment to its
+    one-segment result, whatever the other segments are.
+    """
+    edges = [int(start) for start in starts] + [t.shape[0]]
+    online = [
+        index for index, flatten in enumerate(flattens)
+        if flatten._intensity is None and flatten._online_estimator is not None
+    ]
+    if online:
+        observe_segments(
+            [flattens[index]._online_estimator for index in online],
+            *_segment_columns(online, edges, t, x, y),
+            [flattens[index]._window_start for index in online],
+        )
+
+    estimates: List[Tuple[IntensityModel, str]] = []
+    fits: List[int] = []
+    windows = []
+    for index, flatten in enumerate(flattens):
+        if flatten._intensity is not None:
+            estimates.append((flatten._intensity, "given"))
+            continue
+        estimator = flatten._online_estimator
+        if estimator is not None and estimator.updates >= 2 * flatten._min_batch_for_fit:
+            intensity = estimator.intensity
+            if all(math.isfinite(value) for value in intensity.theta):
+                estimates.append((intensity, "online"))
+                continue
+        rows = t[edges[index]:edges[index + 1]]
+        t_start = float(rows.min()) if flatten._window_start is None else flatten._window_start
+        duration = max(float(rows.max()) - t_start, flatten._batch_duration)
+        mean_rate = max(rows.shape[0] / (flatten.region.area * duration), 1e-9)
+        estimates.append((ConstantIntensity(mean_rate), "constant"))  # craqr: ignore[CRQ403] - one fallback per chain, never per row
+        t_end = t_start + duration
+        if rows.shape[0] >= flatten._min_batch_for_fit and t_end > t_start:
+            fits.append(index)
+            windows.append((flatten.region, t_start, t_end))
+
+    if fits:
+        solved = fit_linear_intensity_mle_segments(*_segment_columns(fits, edges, t, x, y), windows)
+        for index, fit in zip(fits, solved):  # craqr: ignore[CRQ402] - one fit per chain, never per row
+            if fit.converged:
+                estimates[index] = (fit.intensity, "mle")
+    return estimates
+
+
+def _segment_columns(chosen: Sequence[int], edges: Sequence[int], t, x, y) -> tuple:
+    """``(t, x, y, starts)`` of the chosen segments, gathered only when some are left out."""
+    if len(chosen) == len(edges) - 1:
+        return t, x, y, edges[:-1]
+    pieces = [slice(edges[index], edges[index + 1]) for index in chosen]
+    starts = list(accumulate((piece.stop - piece.start for piece in pieces[:-1]), initial=0))
+    return (*(np.concatenate([column[piece] for piece in pieces]) for column in (t, x, y)), starts)

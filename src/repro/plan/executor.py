@@ -12,17 +12,13 @@ materialised column copies, so each query's deliveries are gathered once.
 
 Byte-identity with the per-tuple object walk (the operators'
 ``process`` / ``flush`` reference, which materialises every intermediate
-stream) rests on six facts:
+stream) rests on five facts:
 
-* the online chains' SGD steps, of every attribute, run before the
-  programs as one lockstep pass
-  (:func:`~repro.pointprocess.observe_segments` over every program's
-  :meth:`ChainProgram.online_segments`), and each estimator ends bit for
-  bit where its batch alone leaves it; a program only decides with the
-  stepped estimates;
-* the chains' maximum-likelihood fits run as one lockstep Newton solve
-  (:func:`~repro.pointprocess.fit_linear_intensity_mle_segments`), and
-  each chain's result is bit for bit its fit alone;
+* every chain's intensity is chosen before the programs run, by one
+  :func:`~repro.core.pmat.flatten.estimate_segments` call over every
+  chain with rows of every attribute (:meth:`ChainProgram.segments`), and
+  each chain's intensity, estimator name and estimator state are bit for
+  bit what its batch alone gets; a program only flattens with them;
 * the segmented flatten kernel
   (:func:`~repro.pointprocess.flatten_segments`) gives each chain's rows
   exactly what a batch of only those rows gets: elementwise arithmetic is
@@ -56,7 +52,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.pmat.flatten import PendingFit, finish_estimate, fit_pending
 from ..errors import PlanningError
 from ..pointprocess import flatten_segments
 from ..streams import TupleBatch
@@ -140,27 +135,25 @@ class ChainProgram:
         return [steps for _position, steps in self._chains]
 
     # ------------------------------------------------------------------
-    def online_segments(self, mapped) -> List[tuple]:
-        """The online SGD steps the batch owes, one per chain with rows.
+    def segments(self, mapped) -> List[tuple]:
+        """``(flatten, t, x, y)`` of every chain with rows in ``mapped``.
 
-        ``(estimator, window start, t, x, y)`` of every chain whose Flatten
-        steps an online estimator (``FlattenOperator.online_window``) and
-        that has rows in ``mapped`` (as for :meth:`run`).  The planner
-        steps them with every other attribute's in one lockstep before any
-        program runs, so the passes are paid once per batch, not once per
-        attribute.
+        In chain order, ``mapped`` as for :meth:`run`, the column views of
+        the chain's rows: the chains whose intensities the batch's estimate
+        chooses, whose results :meth:`run` takes in this order.
         """
-        online = [(steps.cell_key, steps.flatten.online_window()) for _p, steps in self._chains]
-        if mapped is None or all(window is None for _key, window in online):
+        if mapped is None:
             return []
-        batch, segments = mapped
-        rows = {key: slice(start, stop) for key, start, stop in segments}
-        return [(*window, batch.t[rows[key]], batch.x[rows[key]], batch.y[rows[key]])
-                for key, window in online if window is not None and key in rows]
+        batch, table = mapped
+        rows = {key: slice(start, stop) for key, start, stop in table}
+        return [(steps.flatten, batch.t[piece], batch.x[piece], batch.y[piece])
+                for _position, steps in self._chains
+                if (piece := rows.get(steps.cell_key)) is not None]
 
     def run(
         self,
         mapped,
+        estimates: Sequence[tuple],
         deliver_batch,
         rows_per_cell: Dict[CellKey, int],
     ) -> List[Emission]:
@@ -168,15 +161,14 @@ class ChainProgram:
 
         ``mapped`` is the attribute's
         :data:`~repro.core.fabricator.MappedAttribute` (``None`` when no
-        row arrived); ``rows_per_cell`` the rows every cell received across
-        all attributes, which is what a chain's router counts in.  Every
-        chain runs — router accounting, then flatten (report, counters and
-        RNG draw) even when it got no rows, then the thin cascade and its
-        taps.  The online chains' SGD steps (:meth:`online_segments`) must
-        have been taken: the program only decides with their estimates.
-        Returns the discard pushes and the ``deliver_batch`` calls, tagged
-        with their place in the object walk's order, for the caller to
-        emit.
+        row arrived); ``estimates`` the ``(intensity, estimator name)`` of
+        each of :meth:`segments`' chains, in that order; ``rows_per_cell``
+        the rows every cell received across all attributes, which is what a
+        chain's router counts in.  Every chain runs — router accounting,
+        then flatten (report, counters and RNG draw) even when it got no
+        rows, then the thin cascade and its taps.  Returns the discard
+        pushes and the ``deliver_batch`` calls, tagged with their place in
+        the object walk's order, for the caller to emit.
         """
         if mapped is None:
             batch, segments = TupleBatch.empty(self._attribute), []
@@ -188,45 +180,32 @@ class ChainProgram:
             for index, (key, start, stop) in enumerate(segments)
         }
 
-        # Per chain: router accounting and the estimate's decision — the
-        # given or online intensity, or a maximum-likelihood fit to run.
-        estimates: Dict[CellKey, tuple] = {}
-        pending_keys: List[CellKey] = []
-        pending: List[PendingFit] = []
+        # Per chain: router accounting, and the chain's estimate.
+        chosen = iter(estimates)
+        flattened: Dict[CellKey, tuple] = {}
         for _position, steps in self._chains:
             index, start, stop = segment_of.get(steps.cell_key, (None, 0, 0))
             if steps.router is not None:
                 steps.router.account_batch(
                     rows_per_cell.get(steps.cell_key, 0), stop - start
                 )
-            flatten = steps.flatten
             if index is None:
-                flatten.record_batch(0)
-                continue
-            estimate = flatten.begin_rows(t[start:stop], x[start:stop], y[start:stop])
-            estimates[steps.cell_key] = (flatten, estimate)
-            if isinstance(estimate, PendingFit):
-                pending_keys.append(steps.cell_key)
-                pending.append(estimate)
-
-        # One Newton solve, in lockstep, for every chain's pending fit.
-        fits = dict(zip(pending_keys, fit_pending(pending)))
+                steps.flatten.record_batch(0)
+            else:
+                flattened[steps.cell_key] = (steps.flatten, *next(chosen))
 
         # Once over all rows: Eq. (1) rates, Eq. (3) probabilities, keep
         # compare and counts; rows of cells without a chain are inert.
-        flattened: Dict[CellKey, tuple] = {}
         starts, intensities, targets, rngs = [], [], [], []
         for key, start, _stop in segments:
             starts.append(start)
-            entry = estimates.get(key)
+            entry = flattened.get(key)
             if entry is None:
                 intensities.append(None)
                 targets.append(0.0)
                 rngs.append(None)
             else:
-                flatten, estimate = entry
-                intensity, estimator = finish_estimate(estimate, fits.get(key))
-                flattened[key] = (flatten, estimator)
+                flatten, intensity, _estimator = entry
                 intensities.append(intensity)
                 targets.append(flatten.target_expected)
                 rngs.append(flatten.rng)
@@ -242,7 +221,7 @@ class ChainProgram:
             entry = flattened.get(steps.cell_key)
             if entry is None:
                 continue
-            flatten, estimator = entry
+            flatten, _intensity, estimator = entry
             index, start, stop = segment_of[steps.cell_key]
             flatten.record_batch(
                 stop - start,

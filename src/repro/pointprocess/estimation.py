@@ -526,12 +526,12 @@ class OnlineIntensityEstimator:
         initial_theta: Optional[Sequence[float]] = None,
         expected_events_per_window: float = 50.0,
     ) -> None:
-        if window_duration <= 0:
-            raise EstimationError("window duration must be positive")
-        if learning_rate <= 0:
-            raise EstimationError("learning rate must be positive")
-        if expected_events_per_window <= 0:
-            raise EstimationError("expected events per window must be positive")
+        if not 0 < window_duration < np.inf:
+            raise EstimationError("window duration must be positive and finite")
+        if not 0 < learning_rate < np.inf:
+            raise EstimationError("learning rate must be positive and finite")
+        if not 0 < expected_events_per_window < np.inf:
+            raise EstimationError("expected events per window must be positive and finite")
         self._region = _coerce_region(region)
         self._window_duration = float(window_duration)
         self._learning_rate = float(learning_rate)

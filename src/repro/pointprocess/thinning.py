@@ -349,8 +349,8 @@ def flatten_keep_mask(
     shortfall metrics — but skips building the retained/discarded
     :class:`EventBatch` copies.
     """
-    if target_rate <= 0:
-        raise PointProcessError("target rate must be strictly positive")
+    if not 0 < target_rate < np.inf:
+        raise PointProcessError("target rate must be positive and finite")
     rng = ensure_rng(rng)
     if batch.is_empty:
         return ThinningMask(
@@ -413,8 +413,8 @@ def flatten_events(
     ``N_v`` is always computed from the raw, uncompensated Eq. (3)
     probabilities.
     """
-    if target_rate <= 0:
-        raise PointProcessError("target rate must be strictly positive")
+    if not 0 < target_rate < np.inf:
+        raise PointProcessError("target rate must be positive and finite")
     rng = ensure_rng(rng)
     if batch.is_empty:
         return ThinningResult(

@@ -67,6 +67,10 @@ KEPT_FOR_TESTS = {
         "per-object oracle of the strict keyed answers (tests/sensing)"
     ),
     "CraqrEngine.arm_crash": "the crash matrix's seam into run_batch's barriers",
+    "OnlineIntensityEstimator.observe_batch_fused": (
+        "the e2e tracer's pointprocess.estimate binding (benchmarks/e2e/tracer.py "
+        "SPANS, patched by name) and the one-segment SGD the kernel tests compare"
+    ),
 }
 
 
@@ -560,6 +564,7 @@ def test_a_kept_entry_naming_no_member_fails(tmp_path):
 def test_the_kept_entries_are_exactly_the_declared_references_and_seams():
     assert sorted(KEPT_FOR_TESTS) == [
         "CraqrEngine.arm_crash", "MobileSensor.handle_request", "MobileSensor.move",
+        "OnlineIntensityEstimator.observe_batch_fused",
     ]
 
 

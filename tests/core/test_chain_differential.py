@@ -21,8 +21,8 @@ import pytest
 
 from repro.core import AcquisitionalQuery, QueryPlanner, StreamFabricator
 from repro.core import planner as planner_module
+from repro.core.pmat import flatten as flatten_module
 from repro.geometry import Grid, Rectangle
-from repro.plan import executor
 from repro.sensing import (
     AlwaysRespond,
     BernoulliParticipation,
@@ -244,33 +244,37 @@ def outcome_batches(rng, index):
 
 @pytest.mark.parametrize("online", [False, True], ids=["mle", "online-sgd"])
 def test_every_estimator_outcome_in_one_program(online, monkeypatch):
-    # One attribute program carries constant (too small, and not
+    # Each attribute program carries constant (too small, and not
     # converged), converged MLE and — online — warmed-up chains side by
-    # side; the warming chains' fits join the program's lockstep solve.
-    # Online, the first batch also has a chain with no rows, and every
-    # chain with rows, of both attributes, takes its SGD step in one
-    # lockstep before the programs run.
+    # side.  Every chain with rows, of both attributes, has its intensity
+    # chosen in one estimate call per batch, whose fits run as one solve;
+    # online, the first batch also has a chain with no rows, which the call
+    # never sees.  (The object walk's one-chain calls solve too; a call's
+    # solves are the ones made while it runs.)
+    calls = []
     solved = []
-    stepped = []
-    fit_pending = executor.fit_pending
-    observe_segments = planner_module.observe_segments
+    estimate_segments = planner_module.estimate_segments
+    solve = flatten_module.fit_linear_intensity_mle_segments
 
-    def recording_fit_pending(pending):
-        solved.append(len(pending))
-        return fit_pending(pending)
+    def recording_estimate_segments(flattens, *columns):
+        first_solve = len(solved)
+        estimates = estimate_segments(flattens, *columns)
+        outcomes = [(id(flatten), name) for flatten, (_intensity, name) in zip(flattens, estimates)]
+        calls.append((outcomes, solved[first_solve:]))
+        return estimates
 
-    def recording_observe_segments(estimators, *columns):
-        stepped.append([id(estimator) for estimator in estimators])
-        return observe_segments(estimators, *columns)
+    def recording_solve(t, x, y, starts, windows):
+        solved.append(len(windows))
+        return solve(t, x, y, starts, windows)
 
-    monkeypatch.setattr(executor, "fit_pending", recording_fit_pending)
-    monkeypatch.setattr(planner_module, "observe_segments", recording_observe_segments)
+    monkeypatch.setattr(planner_module, "estimate_segments", recording_estimate_segments)
+    monkeypatch.setattr(flatten_module, "fit_linear_intensity_mle_segments", recording_solve)
     queries = make_queries()
     compiled = Side(queries, online=online, store_discarded=False)
     walked = Side(queries, online=online, store_discarded=False)
     planner = compiled.planner
     chain_of = {
-        id(planner.cell_topology(key).chain(attribute).flatten._online_estimator): (attribute, key)
+        id(planner.cell_topology(key).chain(attribute).flatten): (attribute, key)
         for key in planner.materialized_cells
         for attribute in planner.cell_topology(key).attributes
     }
@@ -300,21 +304,20 @@ def test_every_estimator_outcome_in_one_program(online, monkeypatch):
     assert corner.reports[0].estimator == "constant"
     silent = planner.cell_topology(SILENT[1]).chain(SILENT[0]).flatten
     assert silent.reports[0].batch_size == 0
-    # One solve per program and batch (rain, temp); online, only the
-    # warming chains' first batch has fits to solve.
-    per_batch = [sorted(solved[i:i + 2]) for i in range(0, len(solved), 2)]
-    assert per_batch == ([[1, 3], [0, 0], [0, 0]] if online else [[3, 4], [3, 5], [3, 5]])
-    if not online:
-        assert stepped == []
-        return
-    # One lockstep per batch over every chain with rows, both attributes:
-    # the warming chains too, never the chain without rows.
+    # One call per batch over every chain with rows, both attributes, the
+    # chain without rows left out; the first carries every outcome.
     with_rows = {
         (attribute, cell) for attribute, cells in OUTCOME_ROWS.items() for cell in cells
     }
-    assert [{chain_of[step] for step in steps} for steps in stepped] == [
-        with_rows - {SILENT},
-        with_rows,
-        with_rows,
+    assert [sorted(chain_of[flatten] for flatten, _name in call) for call, _ in calls] == [
+        sorted(with_rows - {SILENT}),
+        sorted(with_rows),
+        sorted(with_rows),
     ]
-    assert silent.reports[1].estimator == "online"
+    outcomes = {"constant", "mle", "online"} if online else {"constant", "mle"}
+    assert {name for _flatten, name in calls[0][0]} == outcomes
+    # One solve per call for both attributes' fits; online, only the
+    # warming chains' first batch has fits to solve.
+    assert [solves for _, solves in calls] == ([[4], [], []] if online else [[7], [8], [8]])
+    if online:
+        assert silent.reports[1].estimator == "online"

@@ -12,6 +12,8 @@ from repro.core.pmat import (
     ThinOperator,
     UnionOperator,
 )
+from repro.core.pmat import flatten as flatten_module
+from repro.core.pmat.flatten import estimate_segments
 from repro.errors import PointProcessError, StreamError
 from repro.geometry import Rectangle, RectRegion
 from repro.pointprocess import (
@@ -53,6 +55,16 @@ class TestFlattenOperator:
             FlattenOperator(1.0, region=CELL, min_batch_for_fit=2)
         with pytest.raises(StreamError):
             FlattenOperator(1.0, region=CELL, history_batches=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("parameter", ["target_rate", "batch_duration"])
+    def test_rejects_non_finite_parameters(self, parameter, bad):
+        # NaN and inf passed the old ``<= 0`` checks, and Eq. (3)'s target
+        # turned NaN (or inf) on the first batch.
+        parameters = dict(target_rate=10.0, batch_duration=1.0)
+        parameters[parameter] = bad
+        with pytest.raises(StreamError, match="finite"):
+            FlattenOperator(region=CELL, **parameters)
 
     def test_buffers_until_flush(self):
         op = FlattenOperator(10.0, region=CELL, rng=np.random.default_rng(0))
@@ -148,20 +160,29 @@ class TestFlattenOperator:
         with pytest.raises(StreamError):
             _ = op.discarded_output
 
-    def test_the_fit_runs_over_the_opened_window(self):
+    def test_the_fit_runs_over_the_opened_window(self, monkeypatch):
         # Events of the window [5, 6): without an opened window the fit
         # starts at the first event, 0.2 late, and so runs 0.2 past the
         # events' end; the opened window is the one they were acquired over.
+        windows = []
+        solve = flatten_module.fit_linear_intensity_mle_segments
+
+        def recording_solve(t, x, y, starts, fit_windows):
+            windows.extend((t_start, t_end) for _region, t_start, t_end in fit_windows)
+            return solve(t, x, y, starts, fit_windows)
+
+        monkeypatch.setattr(flatten_module, "fit_linear_intensity_mle_segments", recording_solve)
         batch = HomogeneousMDPP(200.0, CELL).sample(0.7, t_start=5.2, rng=np.random.default_rng(4))
         op = FlattenOperator(10.0, region=CELL)
-        pending = op.begin_estimate(batch)
-        assert (pending.t_start, pending.duration) == (batch.t.min(), 1.0)
+        estimate_segments([op], batch.t, batch.x, batch.y, [0])
+        assert windows.pop() == (batch.t.min(), batch.t.min() + 1.0)
         op.open_window(5.0)
-        pending = op.begin_estimate(batch)
-        assert (pending.t_start, pending.duration) == (5.0, 1.0)
+        estimate_segments([op], batch.t, batch.x, batch.y, [0])
+        assert windows.pop() == (5.0, 6.0)
         # A tuple past the window's end (clock skew) stretches it.
         late = HomogeneousMDPP(200.0, CELL).sample(1.5, t_start=5.0, rng=np.random.default_rng(5))
-        assert op.begin_estimate(late).t_end == late.t.max()
+        estimate_segments([op], late.t, late.x, late.y, [0])
+        assert windows.pop() == (5.0, late.t.max())
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_given_intensity_raises(self, bad):

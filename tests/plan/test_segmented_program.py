@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import AcquisitionalQuery, QueryPlanner, StreamFabricator
 from repro.core.fabricator import BatchResult
-from repro.core.pmat.flatten import FlattenBatchReport, finish_estimate
+from repro.core.pmat.flatten import FlattenBatchReport, estimate_segments
 from repro.errors import PointProcessError
 from repro.geometry import Grid, Rectangle
 from repro.pointprocess import (
@@ -232,10 +232,8 @@ def oracle_flatten(flatten, batch):
     n = len(batch)
     flatten._tuples_in += n
     events = EventBatch(batch.t, batch.x, batch.y)
-    # Each chain's SGD step and fit alone: the engine steps every online
-    # chain at once, and the attribute programs solve their fits at once.
-    flatten.observe_online(events)
-    intensity, estimator = finish_estimate(flatten.begin_estimate(events))
+    # Each chain's estimate alone: the engine chooses every chain's at once.
+    [(intensity, estimator)] = estimate_segments([flatten], events.t, events.x, events.y, [0])
     target_expected = flatten.target_rate * flatten.region.area * flatten._batch_duration
     keep, _probability, violation, shortfall = reference_flatten(
         events, intensity, target_expected, flatten.rng

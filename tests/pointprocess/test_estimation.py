@@ -86,6 +86,18 @@ class TestOnlineEstimator:
         with pytest.raises(EstimationError):
             OnlineIntensityEstimator(REGION, 1.0, initial_theta=(1.0, 2.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "parameter", ["window_duration", "learning_rate", "expected_events_per_window"]
+    )
+    def test_rejects_non_finite_parameters(self, parameter, bad):
+        # NaN and inf passed the old ``<= 0`` checks, and theta turned NaN
+        # on the first batch.
+        parameters = dict(window_duration=1.0, learning_rate=0.05, expected_events_per_window=50.0)
+        parameters[parameter] = bad
+        with pytest.raises(EstimationError, match="finite"):
+            OnlineIntensityEstimator(REGION, **parameters)
+
     def test_updates_counter(self):
         estimator = OnlineIntensityEstimator(REGION, 1.0)
         batch = HomogeneousMDPP(30.0, REGION).sample(1.0, rng=np.random.default_rng(9))

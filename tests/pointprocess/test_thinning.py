@@ -12,6 +12,7 @@ from repro.pointprocess import (
     InhomogeneousMDPP,
     LinearIntensity,
     flatten_events,
+    flatten_keep_mask,
     thin_events,
     thin_to_rate,
 )
@@ -99,6 +100,14 @@ class TestFlattenEvents:
         batch = make_homogeneous_batch(100.0, 1.0)
         with pytest.raises(PointProcessError):
             flatten_events(batch, ConstantIntensity(100.0), 0.0, rng=rng)
+
+    @pytest.mark.parametrize("flatten", [flatten_events, flatten_keep_mask])
+    @pytest.mark.parametrize("target", [float("nan"), float("inf")])
+    def test_rejects_non_finite_target(self, flatten, target, rng):
+        # NaN and inf passed the old ``target_rate <= 0`` check.
+        batch = make_homogeneous_batch(100.0, 1.0)
+        with pytest.raises(PointProcessError, match="finite"):
+            flatten(batch, ConstantIntensity(100.0), target, rng=rng)
 
     def test_empty_batch(self, rng):
         result = flatten_events(EventBatch.empty(), ConstantIntensity(1.0), 10.0, rng=rng)
