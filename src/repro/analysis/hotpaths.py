@@ -39,9 +39,10 @@ HOT_PATHS: List[Tuple[str, str]] = [
         "repro/sensing/handler.py",
         "RequestResponseHandler.acquire_attribute_batch",
     ),
-    # The sensor choice every first wave runs under both contracts: one
-    # ``rng.choice`` per requested cell, its loop waived inline.
-    ("repro/sensing/handler.py", "_per_cell_choices"),
+    # The sensor choice every wave runs under both contracts: one
+    # ``rng.choice`` per covered cell and one ``rng.integers`` per run of
+    # undersized cells; its loop over the runs is waived inline.
+    ("repro/sensing/handler.py", "_choose_rows"),
     ("repro/sensing/handler.py", "RequestResponseHandler._fused_request_times"),
     # The strict wave answers in one vectorised pass too: every request's
     # counter is its sensor's request count plus its rank within the wave,

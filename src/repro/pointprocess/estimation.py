@@ -634,23 +634,28 @@ def observe_segments(
     average — whatever the other segments are; an empty segment leaves
     its estimator as it is.  The estimators must be distinct.
 
-    The recurrence is sequential within a segment only.  Each estimator
-    sets up its batch as the one-batch step does: the events-in-window
-    average (updated once per batch, so the compensator is constant across
-    its events), the compensator, the ``lr / sqrt(k)`` step schedule, and
-    a stable time sort when its rows are not in time order already (the
+    The recurrence is sequential within a segment only.  The batch's
+    set-up is the one-batch step's, computed as columns over the
+    estimators with the same IEEE operations in the same order: the
+    events-in-window average (updated once per batch, so the compensator
+    is constant across its events; written back as Python floats), the
+    compensator, the ``lr / sqrt(k)`` step schedule, and a stable time
+    sort of each segment whose rows are not in time order already (the
     map phase sorts them).  Then pass ``k`` steps the ``k``-th event of
     every segment at once.  The segments are ranked longest first, so the
     ones still stepping are a prefix of the ``(4, segments)`` theta block,
     and their events one contiguous slice of the pass-major feature block
     ``(1, t, x, y)``, laid out :data:`_SGD_BLOCK` passes at a time: no
     padding, and the layout's memory is bounded by the block.  A pass is
-    nine ufuncs on those views, each the IEEE operation
+    seven ufuncs on those views, each the IEEE operation
     :meth:`~OnlineIntensityEstimator.observe_event` performs, operands in
     the same order — the rate ``((θ0 + t·θ1) + x·θ2) + y·θ3`` as four
-    products and three adds (never ``@`` or a reduction, which round
-    differently; ``1.0 * θ0`` is ``θ0``), floored by ``np.maximum`` (which
-    keeps a NaN, as ``max`` does), and ``θ + step·(f / rate - c)``.
+    products (``1.0 * θ0`` is ``θ0``) summed by an axis-0
+    ``np.add.reduce``, which adds the four rows in order, elementwise,
+    starting from ``+0.0`` (so an all ``-0.0`` sum comes out ``+0.0``,
+    and the floor takes both), never ``@`` or a reduction along a row,
+    which round differently; floored by ``np.maximum`` (which keeps a
+    NaN, as ``max`` does), and ``θ + step·(f / rate - c)``.
     Floating-point warnings are off: a diverging theta overflows to
     ``inf`` and ``nan`` silently, as Python floats do.  Each estimator gets
     back a ``(4,)`` theta of its own, never a view into the block.
@@ -674,20 +679,32 @@ def observe_segments(
     descents = np.flatnonzero(~(t[1:] >= t[:-1])) + 1
     unsorted = np.searchsorted(descents, edges[1:]) > np.searchsorted(descents, edges[:-1], side="right")
 
-    # Per estimator, longest segment first: the batch's set-up.
-    compensators = []
-    for position, index in enumerate(ranked):
-        estimator = estimators[index]
-        a, b = edges[index], edges[index + 1]
-        window_start = float(np.min(t[a:b])) if window_starts[index] is None else window_starts[index]
-        estimator._events_in_window = 0.7 * estimator._events_in_window + 0.3 * (b - a)
-        compensators.append(estimator._per_event_compensator(window_start))
-        if unsorted[index]:
-            rows[firsts[position]:firsts[position + 1]] = a + np.argsort(t[a:b], kind="stable")
-    compensators = np.array(compensators).T.copy()
-    thetas = np.array([estimators[index]._theta for index in ranked]).T.copy()
-    updates = np.array([estimators[index]._updates for index in ranked], dtype=np.int64)
-    learning_rates = np.array([estimators[index]._learning_rate for index in ranked])
+    # The batch's set-up, as columns over the ranked estimators: the IEEE
+    # operations of ``observe_batch`` and ``_per_event_compensator``, in
+    # their order.
+    chosen = [estimators[index] for index in ranked]
+    window_start = np.array(
+        [
+            float(np.min(t[edges[index]:edges[index + 1]])) if window_starts[index] is None
+            else window_starts[index]
+            for index in ranked
+        ],
+        dtype=float,
+    )
+    events = np.array([estimator._events_in_window for estimator in chosen], dtype=float)
+    events = 0.7 * events + 0.3 * np.array(lengths)
+    area, cx, cy = np.array([_region_moments(estimator._region) for estimator in chosen]).T
+    t_end = window_start + np.array([estimator._window_duration for estimator in chosen])
+    volume = area * (t_end - window_start)
+    t_mid = 0.5 * (window_start + t_end)
+    compensators = np.stack((volume, t_mid * volume, cx * volume, cy * volume))
+    compensators /= np.maximum(events, 1.0)
+    for position in np.flatnonzero(unsorted[ranked]):
+        a, b = edges[ranked[position]], edges[ranked[position] + 1]
+        rows[firsts[position]:firsts[position + 1]] = a + np.argsort(t[a:b], kind="stable")
+    thetas = np.array([estimator._theta for estimator in chosen]).T.copy()
+    updates = np.array([estimator._updates for estimator in chosen], dtype=np.int64)
+    learning_rates = np.array([estimator._learning_rate for estimator in chosen])
 
     # Pass k steps the segments longer than k, ranks [0, widths[k]); a
     # block of passes is laid out pass-major, pass k's events one slice of
@@ -709,15 +726,15 @@ def observe_segments(
                 f = features[:, start:stop]
                 theta = thetas[:, :width]
                 g = np.multiply(f, theta, out=scratch[:4, :width])
-                r = np.add(g[0], g[1], out=scratch[4, :width])
-                np.add(r, g[2], out=r)
-                np.add(r, g[3], out=r)
+                r = np.add.reduce(g, axis=0, out=scratch[4, :width])
                 np.maximum(r, _RATE_FLOOR, out=r)
                 np.divide(f, r, out=g)
                 np.subtract(g, compensators[:, :width], out=g)
                 np.multiply(steps[start:stop], g, out=g)
                 np.add(theta, g, out=theta)
 
-    for position, index in enumerate(ranked):
-        estimators[index]._updates += lengths[position]
-        estimators[index]._theta = thetas[:, position].copy()
+    # A checkpoint admits no numpy scalar: the averages go back as floats.
+    for position, (estimator, average) in enumerate(zip(chosen, events.tolist())):  # craqr: ignore[CRQ401] - one average per estimator, never per row
+        estimator._events_in_window = average
+        estimator._updates += lengths[position]
+        estimator._theta = thetas[:, position].copy()

@@ -25,8 +25,9 @@ per attribute and ``acquire`` is its object view.  Only distinct cells of
 the handler's grid can be requested: any other cell, or a cell listed
 twice, is an :class:`~repro.errors.AcquisitionError`, raised before
 anything is drawn.  The sensor choice is one body under both contracts
-(:func:`_per_cell_choices`: one ``rng.choice`` per cell from the world
-stream).  What differs between strict and fast-sim is confined to two
+and for every wave (:func:`_choose_rows`, from the world stream: one
+``rng.choice`` per covered cell, one draw per run of undersized cells).
+What differs between strict and fast-sim is confined to two
 small RNG policies, each owning request times and answers
 (:class:`_PerSensorStreams`: each sensor answers from its own keyed
 stream, one vectorised pass per wave; :class:`_SharedStream`: one draw
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -115,24 +117,51 @@ class HandlerReport:
         return self.per_cell_responses.get((attribute, cell), 0) / sent
 
 
-def _per_cell_choices(
-    populations: List[np.ndarray], budgets: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Every cell's first-wave sensors, concatenated in cell-major request order.
+def _choose_rows(
+    populations: List[np.ndarray],
+    sizes: np.ndarray,
+    rng: np.random.Generator,
+    contacted: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, bool]:
+    """``sizes[i]`` sensors of cell ``i``, concatenated in cell-major request order.
 
-    One ``rng.choice`` per cell from the world stream, under both RNG
-    contracts: a uniform, uniformly ordered sample, without replacement
-    when the cell population covers its budget and with replacement
-    otherwise (per the paper).
+    A uniform, uniformly ordered sample from the world stream, under both
+    RNG contracts: without replacement from the cell's pool when the pool
+    covers the size, with replacement from the whole population otherwise
+    (the paper's undersized-cell rule).  A first wave's pool is the
+    population; a retry wave's (``contacted`` given) is its rows not yet
+    contacted, and a cell of size 0 draws nothing.  Returns ``(rows,
+    replacement_used)``.
+
+    Every covered cell is one ``rng.choice(..., replace=False)``, in cell
+    order.  Every maximal run of consecutive undersized cells is one
+    broadcast ``rng.integers`` call over the run's concatenated
+    populations, which numpy draws from the same 32-bit words, in the same
+    order, as one ``rng.choice(..., replace=True)`` per cell
+    (``tests/property/test_choice_draws.py`` keeps the per-cell loops as
+    the oracle).
     """
+    pools = populations
+    if contacted is not None:
+        drawing = np.flatnonzero(sizes)
+        populations = [populations[cell] for cell in drawing]
+        sizes = sizes[drawing]
+        pools = [population[~contacted[population]] for population in populations]
+    counts = np.array([population.size for population in populations], dtype=np.int64)
+    undersized = np.array([pool.size for pool in pools], dtype=np.int64) < sizes
+    bounds = np.flatnonzero(undersized[1:] != undersized[:-1]) + 1
     parts = []
-    for population, budget in zip(populations, budgets.tolist()):  # craqr: ignore[CRQ401, CRQ402] - per requested cell, not per sensor row
-        parts.append(
-            population[
-                rng.choice(population.size, size=budget, replace=population.size < budget)
-            ]
-        )
-    return np.concatenate(parts)
+    for a, b in pairwise([0, *bounds.tolist(), sizes.size]):  # craqr: ignore[CRQ401] - one pair of bounds per run of cells, never per sensor row
+        if undersized[a]:
+            run_sizes = sizes[a:b]
+            draws = rng.integers(0, np.repeat(counts[a:b], run_sizes))
+            draws += np.repeat(np.cumsum(counts[a:b]) - counts[a:b], run_sizes)
+            parts.append(np.concatenate(populations[a:b])[draws])
+        else:
+            for cell in range(a, b):
+                pool = pools[cell]
+                parts.append(pool[rng.choice(pool.size, size=int(sizes[cell]), replace=False)])
+    return np.concatenate(parts), bool(undersized.any())
 
 
 def _refuse_bad_duration(duration: float) -> None:
@@ -153,7 +182,7 @@ def _ranks_within_runs(sorted_rows: np.ndarray) -> np.ndarray:
 # RNG policies
 #
 # The wave loop (``RequestResponseHandler._acquire_waves``) is one
-# implementation, and so is its sensor choice (``_per_cell_choices``); the
+# implementation, and so is its sensor choice (``_choose_rows``); the
 # two RNG contracts of ``WorldConfig.vectorized_rng`` differ only in the two
 # draws a policy owns:
 #
@@ -167,7 +196,9 @@ def _ranks_within_runs(sorted_rows: np.ndarray) -> np.ndarray:
 class _PerSensorStreams:
     """Strict policy: every sensor answers from its own keyed stream.
 
-    Request times are per-cell draws from the world stream.  The answer
+    Request times are one uniform draw from the world stream, each cell's
+    slice sorted in place: the same values, in the same order, as one
+    sorted draw per cell.  The answer
     to a sensor's ``c``-th request (``c`` = its ``requests_received``
     before that request) is the Philox block keyed ``(acquisition_key,
     sensor id)`` at counter ``c`` — respond, latency and two sensing
@@ -190,14 +221,11 @@ class _PerSensorStreams:
         self._world = world
 
     def request_times(self, sizes: np.ndarray, duration: float) -> np.ndarray:
-        rng = self._world.rng
         t_start = self._world.now
-        return np.concatenate(
-            [
-                np.sort(rng.uniform(t_start, t_start + duration, size=int(size)))
-                for size in sizes
-            ]
-        )
+        times = self._world.rng.uniform(t_start, t_start + duration, int(sizes.sum()))
+        for a, b in pairwise([0, *np.cumsum(sizes).tolist()]):
+            times[a:b].sort()
+        return times
 
     def answer(self, field_model, rows, request_times, multipliers, replacement_used):
         world = self._world
@@ -487,8 +515,8 @@ class RequestResponseHandler:
         draws that differ between the contracts (see the RNG-policy notes
         above) and everything
         else happens here, once: per-cell budgets and the retry reserve,
-        the sensor choice (:func:`_per_cell_choices`, the same under both
-        contracts), retry selection, fault injection and deadlines
+        the sensor choice of every wave (:func:`_choose_rows`, the same under
+        both contracts), fault injection and deadlines
         (:meth:`_finalize_wave`), incentive settlement, per-cell accounting
         and batch assembly.
 
@@ -520,17 +548,14 @@ class RequestResponseHandler:
         waves = []
         for wave in range(attempts):
             if wave == 0:
-                rows = _per_cell_choices(populations, sizes, self._world.rng)
-                replacement_used = any(
-                    population.size < size for population, size in zip(populations, sizes)
-                )
+                rows, replacement_used = _choose_rows(populations, sizes, self._world.rng)
             else:
                 sizes = np.minimum(failures, reserves)
                 if not sizes.any():
                     break
                 reserves = reserves - sizes
-                rows, replacement_used = self._retry_choices(
-                    populations, contacted, sizes
+                rows, replacement_used = _choose_rows(
+                    populations, sizes, self._world.rng, contacted
                 )
                 report.retries_sent += self._tally(
                     report.per_cell_retries, attribute, cell_keys, sizes
@@ -586,32 +611,6 @@ class RequestResponseHandler:
                 "incentive": payments,
             },
         )
-
-    def _retry_choices(
-        self, populations: List[np.ndarray], contacted: np.ndarray, sizes: np.ndarray
-    ) -> Tuple[np.ndarray, bool]:
-        """Replacement sensors for one retry wave, ``sizes[i]`` per cell.
-
-        Drawn without replacement from each cell's not-yet-contacted
-        sensors; an exhausted cell falls back to with-replacement draws over
-        its whole population (the paper's undersized-cell rule).  Returns
-        ``(rows, replacement_used)``, ``rows`` in cell-major request order.
-        """
-        rng = self._world.rng
-        parts: List[np.ndarray] = []
-        replacement_used = False
-        for population, size in zip(populations, sizes.tolist()):
-            if not size:
-                continue
-            fresh = population[~contacted[population]]
-            if fresh.size >= size:
-                parts.append(fresh[rng.choice(fresh.size, size=size, replace=False)])
-            else:
-                parts.append(
-                    population[rng.choice(population.size, size=size, replace=True)]
-                )
-                replacement_used = True
-        return np.concatenate(parts), replacement_used
 
     def _finalize_wave(
         self,
@@ -817,9 +816,10 @@ class RequestResponseHandler:
     def _cell_in_grid(self, cell: GridCell) -> bool:
         """Whether ``cell`` is (geometrically) a cell of the handler's grid."""
         try:
-            return self._grid.cell(cell.q, cell.r) == cell
+            own = self._grid.cell(cell.q, cell.r)
         except GeometryError:
             return False
+        return own is cell or own == cell
 
     def _refuse_bad_cells(self, cells: List[GridCell]) -> None:
         """Raise :class:`AcquisitionError` unless ``cells`` are distinct grid cells.
@@ -848,6 +848,7 @@ class RequestResponseHandler:
         duration: float,
         report: Optional[HandlerReport] = None,
         bucketing: Optional[Tuple[np.ndarray, np.ndarray, frozenset]] = None,
+        cells_checked: bool = False,
     ) -> Optional[TupleBatch]:
         """Fused acquisition: all of one attribute's cells in one round.
 
@@ -874,13 +875,17 @@ class RequestResponseHandler:
         :meth:`acquire_batches` dispatches here per attribute, sharing one
         :meth:`_bucket_sensors` pass across all attributes of the round via
         ``bucketing`` (sensor positions are frozen within a round, so the
-        bucketing is too).  Returns one batch for the whole attribute (the
-        target cell of every tuple rides in the ``cell`` extra column), or
-        ``None`` when no responses arrived.
+        bucketing is too) and passing ``cells_checked``: it has refused a
+        bad duration and bad cells of every attribute before the first
+        attribute draws, so the per-attribute rounds do not check again.
+        Returns one batch for the whole attribute (the target cell of every
+        tuple rides in the ``cell`` extra column), or ``None`` when no
+        responses arrived.
         """
-        _refuse_bad_duration(duration)
+        if not cells_checked:
+            _refuse_bad_duration(duration)
+            self._refuse_bad_cells(cells)
         field_model = self._world.field_for(attribute)
-        self._refuse_bad_cells(cells)
         report = report if report is not None else HandlerReport()
         fast_sim = self._world.vectorized
         populations, fully_vector = self._resolve_cell_populations(cells, bucketing)
@@ -985,7 +990,8 @@ class RequestResponseHandler:
         Each attribute is served by one fused :meth:`acquire_attribute_batch`
         round under either RNG contract, all of them sharing one bucketing
         pass.  A bad duration, a foreign cell or a cell listed twice for one
-        attribute is refused before anything is drawn.
+        attribute is refused before anything is drawn, once per round: the
+        per-attribute rounds do not check again.
         """
         _refuse_bad_duration(duration)
         for cells in attribute_cells.values():
@@ -996,7 +1002,7 @@ class RequestResponseHandler:
         for attribute, cells in attribute_cells.items():
             batch = self.acquire_attribute_batch(
                 attribute, cells, duration=duration, report=report,
-                bucketing=bucketing,
+                bucketing=bucketing, cells_checked=True,
             )
             if batch is not None:
                 batches[attribute] = batch

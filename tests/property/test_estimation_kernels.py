@@ -381,6 +381,24 @@ class TestLockstepSgd:
             observe_segments(estimators, np.zeros(9), np.zeros(9), np.zeros(9), starts, window_starts)
 
 
+class TestLockstepWriteBack:
+    def test_the_set_up_goes_back_as_python_numbers(self):
+        # The checkpoint allow-list admits no numpy scalar: the averages
+        # computed as one column go back as floats, the counts as ints,
+        # from an integer prior and from a float one alike.
+        rng = np.random.default_rng(11)
+        t = np.sort(rng.random(50))
+        estimators = [
+            OnlineIntensityEstimator(UNIT, 1.0, expected_events_per_window=prior)
+            for prior in (50, 0.5, 7.25)
+        ]
+        observe_segments(estimators, t, rng.random(50), rng.random(50), [0, 20, 20], [None, 0.0, None])
+        for estimator in estimators:
+            assert type(estimator._events_in_window) is float
+            assert type(estimator._updates) is int
+        assert [estimator._updates for estimator in estimators] == [20, 0, 30]
+
+
 # ----------------------------------------------------------------------------
 # Where the L-BFGS-B oracle starts: the quadrat least-squares theta
 # ----------------------------------------------------------------------------

@@ -75,6 +75,11 @@ class TestRestoreContinuesByteIdentical:
             online_estimation=True,
         )
         run_to(crashed, 4)  # the newest checkpoint is the live state
+        # The lockstep SGD computes the events-in-window averages as one
+        # column and writes them back as Python numbers: the loader admits
+        # no numpy scalar.
+        for _theta, updates, events in online_estimator_states(crashed).values():
+            assert type(updates) is int and type(events) is float
         restored = restore_latest_fresh(tmp_path)
         live, revived = online_estimator_states(crashed), online_estimator_states(restored)
         assert revived == live

@@ -15,7 +15,7 @@ contracts:
   per-sensor policy (its sensors answer from keyed streams, so a whole
   wave is one vectorised pass), and ``acquire`` is its object view;
 * **one choice body** — both contracts choose a wave's sensors with
-  ``_per_cell_choices``: same-seed worlds choose the same first rows, and
+  ``_choose_rows``: same-seed worlds choose the same first rows, and
   the sample is uniform, uniformly ordered and without replacement
   wherever the population covers the budget;
 * **refusals** — a foreign cell, a cell listed twice and a duration that
@@ -359,7 +359,7 @@ class TestFusedStatisticalEquivalence:
 
 
 class TestOneChoiceBody:
-    """Both RNG contracts choose a wave's sensors with ``_per_cell_choices``."""
+    """Both RNG contracts choose a wave's sensors with ``_choose_rows``."""
 
     @pytest.mark.parametrize("undersized", [False, True])
     def test_strict_and_fast_sim_choose_the_same_first_rows(self, monkeypatch, undersized):
@@ -368,14 +368,14 @@ class TestOneChoiceBody:
         # makes from the world stream: the first rows are equal, whether
         # every cell covers its budget or one is sampled with replacement.
         chosen = []
-        choices = handler_module._per_cell_choices
+        choices = handler_module._choose_rows
 
-        def recording(populations, budgets, rng):
-            rows = choices(populations, budgets, rng)
+        def recording(populations, budgets, rng, contacted=None):
+            rows, replacement_used = choices(populations, budgets, rng, contacted)
             chosen.append(rows)
-            return rows
+            return rows, replacement_used
 
-        monkeypatch.setattr(handler_module, "_per_cell_choices", recording)
+        monkeypatch.setattr(handler_module, "_choose_rows", recording)
         counters = []
         for vectorized in (False, True):
             world = make_world(vectorized, sensor_count=2000)
@@ -398,7 +398,8 @@ class TestOneChoiceBody:
         rounds = 3000
         picks = [np.empty((rounds, budget), dtype=np.int64) for budget in budgets]
         for r in range(rounds):
-            rows = handler_module._per_cell_choices(populations, budgets, rng)
+            rows, replacement_used = handler_module._choose_rows(populations, budgets, rng)
+            assert replacement_used
             assert rows.shape == (42,)
             # Cell-major order: each cell's budget of rows, from that cell.
             for population, part, pick in zip(
