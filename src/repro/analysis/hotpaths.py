@@ -41,7 +41,7 @@ HOT_PATHS: List[Tuple[str, str]] = [
     ),
     # The sensor choice every wave runs under both contracts: one
     # ``rng.choice`` per covered cell and one ``rng.integers`` per run of
-    # undersized cells; its loop over the runs is waived inline.
+    # small undersized cells; its loop over the runs is waived inline.
     ("repro/sensing/handler.py", "_choose_rows"),
     ("repro/sensing/handler.py", "RequestResponseHandler._fused_request_times"),
     # The strict wave answers in one vectorised pass too: every request's

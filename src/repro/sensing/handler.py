@@ -26,7 +26,7 @@ the handler's grid can be requested: any other cell, or a cell listed
 twice, is an :class:`~repro.errors.AcquisitionError`, raised before
 anything is drawn.  The sensor choice is one body under both contracts
 and for every wave (:func:`_choose_rows`, from the world stream: one
-``rng.choice`` per covered cell, one draw per run of undersized cells).
+``rng.choice`` per covered cell, one draw per run of small undersized cells).
 What differs between strict and fast-sim is confined to two
 small RNG policies, each owning request times and answers
 (:class:`_PerSensorStreams`: each sensor answers from its own keyed
@@ -117,6 +117,15 @@ class HandlerReport:
         return self.per_cell_responses.get((attribute, cell), 0) / sent
 
 
+#: A run of three or more undersized cells averaging fewer draws a cell
+#: than this is one broadcast draw; any other undersized cell is drawn on
+#: its own.  numpy's broadcast bounded-integer path costs more per value
+#: than the fill path of a scalar bound, and from about here that premium
+#: outweighs the per-call saving (numpy 2.4: runs of 4, 16 and 64 cells
+#: level at 256-768 draws a cell; runs of 1 or 2 never gain).
+_RUN_DRAW_LIMIT = 384
+
+
 def _choose_rows(
     populations: List[np.ndarray],
     sizes: np.ndarray,
@@ -134,12 +143,15 @@ def _choose_rows(
     replacement_used)``.
 
     Every covered cell is one ``rng.choice(..., replace=False)``, in cell
-    order.  Every maximal run of consecutive undersized cells is one
+    order.  A maximal run of three or more consecutive undersized cells
+    that averages fewer than :data:`_RUN_DRAW_LIMIT` draws a cell is one
     broadcast ``rng.integers`` call over the run's concatenated
-    populations, which numpy draws from the same 32-bit words, in the same
-    order, as one ``rng.choice(..., replace=True)`` per cell
-    (``tests/property/test_choice_draws.py`` keeps the per-cell loops as
-    the oracle).
+    populations; any other undersized cell is one scalar-bound
+    ``rng.integers(0, population.size, size)``, which is the call
+    ``rng.choice(..., replace=True)`` makes.  numpy draws both from the
+    same 32-bit words, in the same order, as one ``rng.choice(...,
+    replace=True)`` per cell (``tests/property/test_choice_draws.py`` keeps
+    the per-cell loops as the oracle).
     """
     pools = populations
     if contacted is not None:
@@ -150,17 +162,22 @@ def _choose_rows(
     counts = np.array([population.size for population in populations], dtype=np.int64)
     undersized = np.array([pool.size for pool in pools], dtype=np.int64) < sizes
     bounds = np.flatnonzero(undersized[1:] != undersized[:-1]) + 1
+    size_list = sizes.tolist()  # craqr: ignore[CRQ401] - one size per cell, never per sensor row
     parts = []
     for a, b in pairwise([0, *bounds.tolist(), sizes.size]):  # craqr: ignore[CRQ401] - one pair of bounds per run of cells, never per sensor row
-        if undersized[a]:
+        if undersized[a] and 2 < b - a and sum(size_list[a:b]) < _RUN_DRAW_LIMIT * (b - a):
             run_sizes = sizes[a:b]
             draws = rng.integers(0, np.repeat(counts[a:b], run_sizes))
             draws += np.repeat(np.cumsum(counts[a:b]) - counts[a:b], run_sizes)
             parts.append(np.concatenate(populations[a:b])[draws])
+        elif undersized[a]:
+            for cell in range(a, b):
+                population = populations[cell]
+                parts.append(population[rng.integers(0, population.size, size_list[cell])])
         else:
             for cell in range(a, b):
                 pool = pools[cell]
-                parts.append(pool[rng.choice(pool.size, size=int(sizes[cell]), replace=False)])
+                parts.append(pool[rng.choice(pool.size, size=size_list[cell], replace=False)])
     return np.concatenate(parts), bool(undersized.any())
 
 
@@ -816,10 +833,9 @@ class RequestResponseHandler:
     def _cell_in_grid(self, cell: GridCell) -> bool:
         """Whether ``cell`` is (geometrically) a cell of the handler's grid."""
         try:
-            own = self._grid.cell(cell.q, cell.r)
+            return self._grid.cell(cell.q, cell.r) == cell
         except GeometryError:
             return False
-        return own is cell or own == cell
 
     def _refuse_bad_cells(self, cells: List[GridCell]) -> None:
         """Raise :class:`AcquisitionError` unless ``cells`` are distinct grid cells.
@@ -848,7 +864,6 @@ class RequestResponseHandler:
         duration: float,
         report: Optional[HandlerReport] = None,
         bucketing: Optional[Tuple[np.ndarray, np.ndarray, frozenset]] = None,
-        cells_checked: bool = False,
     ) -> Optional[TupleBatch]:
         """Fused acquisition: all of one attribute's cells in one round.
 
@@ -875,17 +890,13 @@ class RequestResponseHandler:
         :meth:`acquire_batches` dispatches here per attribute, sharing one
         :meth:`_bucket_sensors` pass across all attributes of the round via
         ``bucketing`` (sensor positions are frozen within a round, so the
-        bucketing is too) and passing ``cells_checked``: it has refused a
-        bad duration and bad cells of every attribute before the first
-        attribute draws, so the per-attribute rounds do not check again.
-        Returns one batch for the whole attribute (the target cell of every
-        tuple rides in the ``cell`` extra column), or ``None`` when no
-        responses arrived.
+        bucketing is too).  Returns one batch for the whole attribute (the
+        target cell of every tuple rides in the ``cell`` extra column), or
+        ``None`` when no responses arrived.
         """
-        if not cells_checked:
-            _refuse_bad_duration(duration)
-            self._refuse_bad_cells(cells)
+        _refuse_bad_duration(duration)
         field_model = self._world.field_for(attribute)
+        self._refuse_bad_cells(cells)
         report = report if report is not None else HandlerReport()
         fast_sim = self._world.vectorized
         populations, fully_vector = self._resolve_cell_populations(cells, bucketing)
@@ -990,8 +1001,7 @@ class RequestResponseHandler:
         Each attribute is served by one fused :meth:`acquire_attribute_batch`
         round under either RNG contract, all of them sharing one bucketing
         pass.  A bad duration, a foreign cell or a cell listed twice for one
-        attribute is refused before anything is drawn, once per round: the
-        per-attribute rounds do not check again.
+        attribute is refused before anything is drawn.
         """
         _refuse_bad_duration(duration)
         for cells in attribute_cells.values():
@@ -1002,7 +1012,7 @@ class RequestResponseHandler:
         for attribute, cells in attribute_cells.items():
             batch = self.acquire_attribute_batch(
                 attribute, cells, duration=duration, report=report,
-                bucketing=bucketing, cells_checked=True,
+                bucketing=bucketing,
             )
             if batch is not None:
                 batches[attribute] = batch

@@ -2,18 +2,20 @@
 
 Every wave chooses its sensors with ``_choose_rows``: one ``rng.choice``
 without replacement per covered cell, and one broadcast ``rng.integers``
-per maximal run of consecutive undersized cells.  numpy draws that call
-from the same 32-bit words, in the same order, as one ``rng.choice(...,
-replace=True)`` per cell, so both RNG contracts keep the world stream
-(and every seeded digest) they had.  A strict wave's request times are
+per maximal run of two or more undersized cells averaging fewer than
+``_RUN_DRAW_LIMIT`` draws a cell (any other undersized cell keeps its own
+``rng.choice``).  numpy draws that call from the same 32-bit words, in the
+same order, as one ``rng.choice(..., replace=True)`` per cell, so both RNG
+contracts keep the world stream (and every seeded digest) they had.  A strict wave's request times are
 one ``rng.uniform`` call, each cell's slice sorted, where they were one
 sorted draw per cell.
 
 The oracles are the per-cell bodies, kept verbatim: ``_per_cell_choices``
 (every first wave) and the ``_retry_choices`` loop (every retry wave, its
 ``self._world.rng`` passed in as ``rng``).  A layout mixes runs of
-undersized and covered cells, populations and budgets of 1, budgets equal
-to the population, and retry pools whose cells are exhausted, partly
+undersized and covered cells, undersized cells large enough to be drawn
+one by one, populations and budgets of 1, budgets equal to the
+population, and retry pools whose cells are exhausted, partly
 contacted or untouched, with retry sizes of 0.  Rows, ``replacement_used``,
 the generator's state and its next draw must all be equal.
 """
@@ -24,7 +26,7 @@ from typing import List, Tuple
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.sensing.handler import _choose_rows, _PerSensorStreams
+from repro.sensing.handler import _RUN_DRAW_LIMIT, _choose_rows, _PerSensorStreams
 
 
 def per_cell_choices(
@@ -72,7 +74,7 @@ def per_cell_request_times(sizes, duration, rng, t_start):
 
 
 #: How a cell's population relates to its first-wave budget.
-KINDS = ("undersized", "covered", "exact", "single", "unit_budget")
+KINDS = ("undersized", "large", "covered", "exact", "single", "unit_budget")
 
 
 @st.composite
@@ -88,10 +90,14 @@ def layouts(draw):
     for kind in kinds:
         size = {
             "undersized": int(numbers.integers(1, 16)),
+            "large": int(numbers.integers(1, 400)),
             "single": 1,
         }.get(kind, int(numbers.integers(1, 40)))
         budget = {
             "undersized": size + int(numbers.integers(1, 60)),
+            # At or around the limit: a run of these is drawn cell by cell,
+            # and one mixed with small undersized cells may fall either way.
+            "large": int(numbers.integers(_RUN_DRAW_LIMIT - 100, 2 * _RUN_DRAW_LIMIT)),
             "covered": int(numbers.integers(1, size + 1)),
             "exact": size,
             "unit_budget": 1,
@@ -137,6 +143,27 @@ class TestFirstWave:
             rows, replacement_used = _choose_rows(populations, budgets, ours)
             assert rows.tobytes() == per_cell_choices(populations, budgets, oracle).tobytes()
             assert replacement_used
+            assert_same_stream(ours, oracle)
+
+    def test_large_and_lone_undersized_cells(self):
+        # Between covered cells: a lone undersized cell, a run of large
+        # draws (cell by cell), a run of small ones (one draw), a run whose
+        # mean sits at the limit (cell by cell) and one just below it (one
+        # draw).
+        limit = _RUN_DRAW_LIMIT
+        cells = [
+            (50, 10), (3, 40), (60, 20),
+            (500, 1000), (450, 900), (40, 5),
+            (2, 30), (4, 9), (40, 5),
+            (300, limit), (300, limit), (40, 5),
+            (300, limit), (300, limit - 1),
+        ]
+        populations = [np.arange(1000 * i, 1000 * i + n) for i, (n, _) in enumerate(cells)]
+        budgets = np.array([budget for _, budget in cells], dtype=np.int64)
+        for seed in range(20):
+            ours, oracle = twins(seed)
+            rows, _ = _choose_rows(populations, budgets, ours)
+            assert rows.tobytes() == per_cell_choices(populations, budgets, oracle).tobytes()
             assert_same_stream(ours, oracle)
 
 
