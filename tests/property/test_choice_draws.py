@@ -146,17 +146,18 @@ class TestFirstWave:
             assert_same_stream(ours, oracle)
 
     def test_large_and_lone_undersized_cells(self):
-        # Between covered cells: a lone undersized cell, a run of large
-        # draws (cell by cell), a run of small ones (one draw), a run whose
-        # mean sits at the limit (cell by cell) and one just below it (one
-        # draw).
+        # Between covered cells: a lone undersized cell, a pair (cell by
+        # cell), a run of large draws (cell by cell), a run of small ones
+        # (one draw), a run whose mean sits at the limit (cell by cell) and
+        # one just below it (one draw).
         limit = _RUN_DRAW_LIMIT
         cells = [
             (50, 10), (3, 40), (60, 20),
-            (500, 1000), (450, 900), (40, 5),
-            (2, 30), (4, 9), (40, 5),
-            (300, limit), (300, limit), (40, 5),
-            (300, limit), (300, limit - 1),
+            (2, 30), (5, 6), (40, 5),
+            (500, 1000), (450, 900), (20, 800), (40, 5),
+            (2, 30), (4, 9), (1, 5), (40, 5),
+            (300, limit), (300, limit), (300, limit), (40, 5),
+            (300, limit), (300, limit), (300, limit - 1),
         ]
         populations = [np.arange(1000 * i, 1000 * i + n) for i, (n, _) in enumerate(cells)]
         budgets = np.array([budget for _, budget in cells], dtype=np.int64)
