@@ -114,9 +114,11 @@ HOT_PATHS: List[Tuple[str, str]] = [
     # no per-cell batch; its loop is per cell segment.  The segmented
     # flatten kernel runs everything elementwise once over all rows; its
     # loops are per segment (float sums, compensation, the draw into the
-    # segment's slice).  ``process_batch_mask`` is its one-segment case, the
-    # single-operator API.  Discard recording is per-row by nature and
-    # lives in ``PMATOperator._push_discarded``, outside the gated kernels.
+    # segment's slice).  ``process_batch_mask`` is its one-segment case:
+    # nothing in the engine calls it, the e2e tracer's ``core.pmat.flatten``
+    # span patches it by name and the kernel tests compare it with
+    # ``flush``.  Discard recording is per-row by nature and lives in
+    # ``PMATOperator._push_discarded``, outside the gated kernels.
     ("repro/core/fabricator.py", "StreamFabricator.map_batches_fused"),
     ("repro/pointprocess/thinning.py", "flatten_segments"),
     ("repro/core/pmat/flatten.py", "FlattenOperator.process_batch_mask"),

@@ -177,12 +177,15 @@ class QueryPlanner:
             The acquisitional query to register.
         on_result:
             Callback ``(query_id, tuple)`` invoked for every tuple of the
-            query's final, merged crowdsensed data stream.
+            query's final, merged crowdsensed data stream when the cells
+            are walked per tuple (:meth:`route_cell_batch`).
         on_result_batch:
-            Columnar counterpart: callback ``(query_id, batch)`` invoked
-            once per delivered :class:`TupleBatch` when batches are
-            processed columnar.  When omitted, columnar deliveries fall
-            back to materialising tuples through ``on_result``.
+            Callback ``(query_id, batch)`` invoked once per batch the
+            compiled programs deliver to the query
+            (:meth:`process_columnar`).  Each callback serves its own path
+            only: without ``on_result_batch`` a compiled delivery is
+            counted by the query's Union operator and dropped, as a walked
+            tuple is without ``on_result``.
         """
         if query.query_id in self._plans:
             raise PlanningError(f"query {query.label} is already registered")
@@ -407,19 +410,18 @@ class QueryPlanner:
         The compiled programs deliver each query's batch whole, its cells'
         partial streams already merged.  The merge stage's Union operator
         accounts for the batch and the query's batch handler receives it in
-        one call.  Queries registered without a batch handler fall back to
-        the object path's per-tuple union flow.
+        one call; a query registered without one has the batch accounted
+        and dropped, as the per-tuple walk drops a query's tuples without
+        ``on_result``.
         """
         plan = self._plans.get(query_id)
         if plan is None or query_id in self._paused:
             return
+        n = len(batch)
+        plan.union.account_batch(n, n)
         handler = self._batch_handlers.get(query_id)
-        if handler is None:
-            for item in batch.to_tuples():
-                plan.union.accept(item)
-            return
-        plan.union.process_batch(batch)
-        handler(query_id, batch)
+        if handler is not None:
+            handler(query_id, batch)
 
     def _rebuild_cells(self, keys: List[CellKey]) -> None:
         for key in keys:

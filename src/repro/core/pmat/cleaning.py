@@ -22,7 +22,7 @@ import numpy as np
 
 from ...errors import StreamError
 from ...geometry import Rectangle
-from ...streams import SensorTuple, TupleBatch
+from ...streams import SensorTuple
 from .base import PMATOperator
 
 
@@ -57,25 +57,6 @@ class ClampOperator(PMATOperator):
                 metadata=item.metadata,
             )
         self.emit(item)
-
-    def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Vectorised clamp: clip whole coordinate columns into the region."""
-        n = len(batch)
-        if n == 0:
-            return batch
-        self._tuples_in += n
-        self._tuples_out += n
-        x = np.clip(batch.x, self._rect.x_min, self._rect.x_max)
-        y = np.clip(batch.y, self._rect.y_min, self._rect.y_max)
-        moved = (x != batch.x) | (y != batch.y)
-        clamped = int(np.count_nonzero(moved))
-        if clamped == 0:
-            return batch
-        self._clamped += clamped
-        return TupleBatch(
-            batch.attribute, batch.t, x, y, batch.value,
-            batch.sensor_id, batch.tuple_id, meta=batch.meta, extra=batch.extra,
-        )
 
 
 class OutlierFilterOperator(PMATOperator):
@@ -140,22 +121,3 @@ class OutlierFilterOperator(PMATOperator):
     def process(self, item: SensorTuple) -> None:
         if self._admit(item.value):
             self.emit(item)
-
-    def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Columnar outlier filter: a keep-mask built over the value column.
-
-        The sliding-window statistics are inherently sequential, so the
-        decision loop remains per value — but it runs over the raw column
-        and composes one keep-mask, never materialising tuples.
-        """
-        n = len(batch)
-        if n == 0:
-            return batch
-        self._tuples_in += n
-        values = batch.value
-        keep = np.fromiter(
-            (self._admit(values[i]) for i in range(n)), dtype=bool, count=n
-        )
-        kept = batch.select(keep) if not keep.all() else batch
-        self._tuples_out += len(kept)
-        return kept

@@ -25,7 +25,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from ...errors import StreamError
-from ...streams import SensorTuple, TupleBatch
+from ...streams import SensorTuple
 from .base import PMATOperator
 
 
@@ -51,15 +51,6 @@ class ShiftOperator(PMATOperator):
 
     def process(self, item: SensorTuple) -> None:
         self.emit(item.shifted(self._dt, self._dx, self._dy))
-
-    def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Vectorised shift: constant offsets added to whole columns."""
-        n = len(batch)
-        if n == 0:
-            return batch
-        self._tuples_in += n
-        self._tuples_out += n
-        return batch.shifted(self._dt, self._dx, self._dy)
 
 
 class MarkOperator(PMATOperator):
@@ -111,26 +102,6 @@ class MarkOperator(PMATOperator):
         )
         self.emit(marked)
 
-    def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Columnar mark: draw one mark per tuple into an extra column.
-
-        The marks are drawn in batch order from the operator's generator —
-        the same draw sequence as the per-tuple object path.
-        """
-        n = len(batch)
-        if n == 0:
-            return batch
-        self._tuples_in += n
-        self._tuples_out += n
-        marks = np.empty(n, dtype=object)
-        marks[:] = [self._mark_fn(self.rng) for _ in range(n)]
-        extra = dict(batch.extra)
-        extra[self._mark_key] = marks
-        return TupleBatch(
-            batch.attribute, batch.t, batch.x, batch.y, batch.value,
-            batch.sensor_id, batch.tuple_id, meta=batch.meta, extra=extra,
-        )
-
 
 class SampleOperator(PMATOperator):
     """Retain each tuple with a fixed probability (rate-agnostic thinning)."""
@@ -166,15 +137,3 @@ class SampleOperator(PMATOperator):
             self.emit(item)
         else:
             self._dropped += 1
-
-    def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Vectorised sampling: one Bernoulli keep-mask over the batch."""
-        n = len(batch)
-        if n == 0:
-            return batch
-        self._tuples_in += n
-        keep = self.rng.random(n) < self._probability
-        kept = batch.select(keep)
-        self._dropped += n - len(kept)
-        self._tuples_out += len(kept)
-        return kept

@@ -267,14 +267,6 @@ class FlattenOperator(PMATOperator):
             elif self._emit_discarded:
                 self.emit(item, output_index=1)
 
-    def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Vectorised flatten: the survivors of :meth:`process_batch_mask`.
-
-        The single-operator form of the kernel the engine's compiled
-        programs run — same report, counters, RNG draw and discard output.
-        """
-        return batch.select(self.process_batch_mask(batch))
-
     def process_batch_mask(self, batch: TupleBatch) -> np.ndarray:
         """Columnar flatten: the Eq. (3) keep-mask of a whole batch.
 

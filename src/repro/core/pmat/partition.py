@@ -18,7 +18,7 @@ import numpy as np
 
 from ...errors import StreamError
 from ...geometry import Region
-from ...streams import SensorTuple, Stream, TupleBatch
+from ...streams import SensorTuple, Stream
 from .base import PMATOperator, coerce_region
 
 
@@ -103,36 +103,6 @@ class PartitionOperator(PMATOperator):
         else:
             self._dropped += 1
 
-    def process_batch_multi(self, batch: TupleBatch) -> List[TupleBatch]:
-        """Vectorised partition: one containment mask per sub-region.
-
-        Returns one batch per output stream (sub-regions in order, then the
-        rest output when ``keep_rest``).  The sub-regions are pairwise
-        disjoint, so composing first-match semantics reduces to independent
-        masks with unmatched points tracked separately.
-        """
-        n = len(batch)
-        outputs = len(self._regions) + (1 if self._keep_rest else 0)
-        if n == 0:
-            return [batch] * outputs
-        self._tuples_in += n
-        unmatched = np.ones(n, dtype=bool)
-        batches: List[TupleBatch] = []
-        for region in self._regions:
-            mask = region.contains_many(batch.x, batch.y) & unmatched
-            unmatched &= ~mask
-            part = batch.select(mask)
-            self._tuples_out += len(part)
-            batches.append(part)
-        rest = int(np.count_nonzero(unmatched))
-        if self._keep_rest:
-            rest_batch = batch.select(unmatched)
-            self._tuples_out += len(rest_batch)
-            batches.append(rest_batch)
-        else:
-            self._dropped += rest
-        return batches
-
     def primary_mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Compiled-path kernel: containment mask of the primary sub-region.
 
@@ -153,9 +123,8 @@ class PartitionOperator(PMATOperator):
     def account_mask(self, total: int, matched: int) -> None:
         """Record one compiled-path pass: ``total`` in, ``matched`` forwarded.
 
-        Mirrors :meth:`process_batch_multi` accounting for the
-        single-region drop-rest configuration (unmatched tuples count as
-        dropped).  An operator that receives no tuple touches no counter,
+        Counts as :meth:`process` does in the single-region drop-rest
+        configuration (unmatched tuples count as dropped).  An operator that receives no tuple touches no counter,
         so the caller must skip this call when ``total`` is 0.
         """
         self._tuples_in += total
@@ -173,22 +142,3 @@ class PartitionOperator(PMATOperator):
             (rect.x_min, rect.y_min, rect.x_max, rect.y_max)
             for rect in self._regions[0].rectangles
         )
-
-    def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Vectorised partition returning the first sub-region's batch.
-
-        The planner's query taps carve one overlap region per Partition, so
-        the primary output is all the columnar chain needs; use
-        :meth:`process_batch_multi` when the caller consumes every split.
-        Non-primary splits are pushed to their output streams here (like
-        the other operators' side outputs), so subscribers of
-        ``output_for(1)`` / the rest output never lose tuples when the
-        operator is driven through the single-output contract.
-        """
-        batches = self.process_batch_multi(batch)
-        for index, side_batch in enumerate(batches[1:], start=1):
-            if len(side_batch):
-                stream = self.outputs[index]
-                for item in side_batch.to_tuples():
-                    stream.push(item)
-        return batches[0]

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ...errors import StreamError
-from ...streams import SensorTuple, TupleBatch
+from ...streams import SensorTuple
 from .base import PMATOperator
 
 
@@ -101,19 +101,6 @@ class ThinOperator(PMATOperator):
             self._dropped += 1
             if self._emit_discarded:
                 self.emit(item, output_index=1)
-
-    def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Vectorised thinning: :meth:`thin_indices` over every row.
-
-        The single-operator form of the kernel the engine's compiled chains
-        run; with ``emit_discarded`` the dropped rows go to the discard
-        output.
-        """
-        rows = np.arange(len(batch))
-        kept = self.thin_indices(rows)
-        if self._emit_discarded:
-            self._push_discarded(batch.select(np.delete(rows, kept)))
-        return batch.select(kept)
 
     def thin_indices(self, indices: np.ndarray) -> np.ndarray:
         """Columnar thin kernel: Bernoulli retention over surviving row indices.

@@ -20,7 +20,7 @@ import numpy as np
 
 from ...errors import StreamError
 from ...geometry import Region, union_regions
-from ...streams import SensorTuple, Stream, TupleBatch
+from ...streams import SensorTuple, Stream
 from .base import PMATOperator, coerce_region
 
 
@@ -85,13 +85,6 @@ class UnionOperator(PMATOperator):
     # ------------------------------------------------------------------
     def process(self, item: SensorTuple) -> None:
         self.emit(item)
-
-    def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Union is a pass-through: account for the batch and forward it."""
-        n = len(batch)
-        self._tuples_in += n
-        self._tuples_out += n
-        return batch
 
     def describe(self) -> str:
         attribute = self.attribute or "*"

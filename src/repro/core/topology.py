@@ -507,10 +507,6 @@ class CellTopology:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def inject(self, item: SensorTuple) -> None:
-        """Push one raw tuple into the cell's topology."""
-        self._topology.inject(item)
-
     def inject_many(self, items) -> int:
         """Push many tuples; returns how many were pushed."""
         return self._topology.inject_many(items)

@@ -5,7 +5,12 @@ Compiles every materialised (cell, attribute) PMAT chain into
 attribute: a handful of numpy kernels that deliver, for the same acquired
 batch, exactly the bytes of the per-tuple operator walk
 (``StreamFabricator.process_batch``, the reference
-``tests/core/test_chain_differential.py`` drives).
+``tests/core/test_chain_differential.py`` drives).  The programs are the
+one columnar path: an operator has no batch method of its own, so they
+call its kernels (Flatten's ``record_batch``, Thin's ``thin_indices``,
+Partition's ``primary_mask`` / ``account_mask``) and count the attribute
+router's traffic with ``account_batch``, as the planner counts each
+query's Union when it delivers the query's batch.
 
 Entry points:
 

@@ -200,8 +200,6 @@ def flatten_segments(
     intensities: Sequence[Optional[IntensityModel]],
     targets: Sequence[float],
     rngs: Sequence[Optional[np.random.Generator]],
-    *,
-    compensate_clipping: bool = True,
 ) -> SegmentedFlatten:
     """Eq. (3) over consecutive row segments, each with its own intensity.
 
@@ -294,7 +292,7 @@ def flatten_segments(
             shortfall_percent.append(0.0)
             continue
         expected_retained = float(probability[start:stop].sum())
-        if compensate_clipping and expected_retained < min(target, float(stop - start)) - 1e-12:
+        if expected_retained < min(target, float(stop - start)) - 1e-12:
             compensated = _compensate_clipping(raw_probability[start:stop], target)
             probability[start:stop] = compensated
             expected_retained = float(compensated.sum())
@@ -338,7 +336,6 @@ def flatten_keep_mask(
     intensity: IntensityModel,
     target_rate: float,
     *,
-    compensate_clipping: bool = True,
     rng: Optional[np.random.Generator] = None,
 ) -> ThinningMask:
     """Mask-only variant of :func:`flatten_events`: one-segment :func:`flatten_segments`.
@@ -365,7 +362,6 @@ def flatten_keep_mask(
         [intensity],
         [target_rate],
         [rng],
-        compensate_clipping=compensate_clipping,
     )
     return ThinningMask(
         keep_mask=result.keep_mask,
@@ -380,7 +376,6 @@ def flatten_events(
     intensity: IntensityModel,
     target_rate: float,
     *,
-    compensate_clipping: bool = True,
     rng: Optional[np.random.Generator] = None,
 ) -> ThinningResult:
     """Flatten an inhomogeneous batch to an approximately homogeneous one.
@@ -407,11 +402,10 @@ def flatten_events(
     spatial extent because the retention probability is inversely
     proportional to the local intensity.
 
-    When ``compensate_clipping`` is true (the default) the probabilities of
-    unclipped events are rescaled so the expected retained count still
-    reaches the target whenever the batch holds enough events; the paper's
-    ``N_v`` is always computed from the raw, uncompensated Eq. (3)
-    probabilities.
+    The probabilities of unclipped events are rescaled so the expected
+    retained count still reaches the target whenever the batch holds enough
+    events; the paper's ``N_v`` is always computed from the raw,
+    uncompensated Eq. (3) probabilities.
     """
     if not 0 < target_rate < np.inf:
         raise PointProcessError("target rate must be positive and finite")
@@ -424,9 +418,7 @@ def flatten_events(
             violation_percent=0.0,
             keep_mask=np.empty(0, dtype=bool),
         )
-    mask = flatten_keep_mask(
-        batch, intensity, target_rate, compensate_clipping=compensate_clipping, rng=rng
-    )
+    mask = flatten_keep_mask(batch, intensity, target_rate, rng=rng)
     keep = mask.keep_mask
     return ThinningResult(
         retained=batch.select(keep),

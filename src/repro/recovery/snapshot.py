@@ -162,13 +162,15 @@ _NOT_ENGINE_STATE = (
 )
 
 #: The bound methods engine state stores, by name, with the class that
-#: defines them: operator subscriptions, the planner's per-cell delivery
-#: and the engine's delivery into result buffers.  Pickle writes each as
-#: ``getattr(instance, name)``.
+#: defines them: operator subscriptions, the planner's per-cell delivery,
+#: the engine's delivery into result buffers and, under
+#: ``store_discarded``, the discard store's recorder.  Pickle writes each
+#: as ``getattr(instance, name)``.
 _STORED_METHODS = {
     "accept": ("repro.streams.operator", "StreamOperator"),
     "_deliver": ("repro.core.planner", "QueryPlanner"),
     "_deliver_batch": ("repro.core.engine", "CraqrEngine"),
+    "record": ("repro.storage.discarded", "DiscardedStore"),
 }
 
 

@@ -831,11 +831,16 @@ class RequestResponseHandler:
         return populations, fully_vector
 
     def _cell_in_grid(self, cell: GridCell) -> bool:
-        """Whether ``cell`` is (geometrically) a cell of the handler's grid."""
+        """Whether ``cell`` is (geometrically) a cell of the handler's grid.
+
+        The grid hands out the cells it stores, so identity settles almost
+        every check; only a copy is compared field by field.
+        """
         try:
-            return self._grid.cell(cell.q, cell.r) == cell
+            own = self._grid.cell(cell.q, cell.r)
         except GeometryError:
             return False
+        return own is cell or own == cell
 
     def _refuse_bad_cells(self, cells: List[GridCell]) -> None:
         """Raise :class:`AcquisitionError` unless ``cells`` are distinct grid cells.

@@ -1,24 +1,21 @@
 """In-memory storage substrate.
 
-Acquired crowdsensed streams, the tuples discarded by Flatten/Thin ("the
-discarded tuples can be stored separately"), and raw acquisition batches all
-need somewhere to live.  This package provides small, indexed, in-memory
-stores with retention policies — the database-ish substrate the CrAQR server
-would sit on in a deployment.
+Query result buffers (:class:`QueryResultBuffer`, read through cursors and
+push subscriptions) hold each query's delivered stream, and
+:class:`DiscardedStore` keeps, in one capped :class:`TupleStore` per
+operator, the tuples Flatten and Thin drop ("the discarded tuples can be
+stored separately").
 """
 
-from .tuple_store import TupleStore, StoreStats
+from .tuple_store import TupleStore
 from .result_buffer import QueryResultBuffer, RateEstimate, ResultCursor, Subscription
 from .discarded import DiscardedStore
-from .index import SpatioTemporalIndex
 
 __all__ = [
     "TupleStore",
-    "StoreStats",
     "QueryResultBuffer",
     "RateEstimate",
     "ResultCursor",
     "Subscription",
     "DiscardedStore",
-    "SpatioTemporalIndex",
 ]

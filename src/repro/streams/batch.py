@@ -7,18 +7,19 @@ plus a small per-batch metadata dict.  A batch is homogeneous in its
 attribute, which is therefore stored once per batch rather than once per
 tuple.
 
-The batch is the unit of work of the columnar fast path: the
-request/response handler produces one batch per ``(attribute, cell)``
-acquisition round, the fabricator re-buckets batches with vectorised grid
-lookups, the PMAT operators transform whole batches with numpy keep-masks,
-and result buffers ingest batches without ever materialising individual
-``SensorTuple`` objects.  Materialisation (:meth:`TupleBatch.to_tuples`)
-happens lazily, only when object-level APIs ask for it.
+The batch is the engine's unit of work: the request/response handler
+produces one batch per attribute and acquisition round, the fabricator
+re-buckets it with vectorised grid lookups, the compiled attribute programs
+of :mod:`repro.plan` run the PMAT chains over it with numpy keep-masks and
+row indices, and result buffers ingest batches without ever materialising
+individual ``SensorTuple`` objects.  Materialisation
+(:meth:`TupleBatch.to_tuples`) happens lazily, only when object-level APIs
+ask for it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -121,50 +122,11 @@ class TupleBatch:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def empty(cls, attribute: str = "", *, meta: Optional[dict] = None) -> "TupleBatch":
+    def empty(cls, attribute: str = "") -> "TupleBatch":
         """A batch with no tuples."""
         zero = np.empty(0)
         zero_int = np.empty(0, dtype=np.int64)
-        return cls(attribute, zero, zero, zero, np.empty(0, dtype=object), zero_int, zero_int, meta=meta)
-
-    @classmethod
-    def from_tuples(cls, items: Sequence[SensorTuple]) -> "TupleBatch":
-        """Build a batch from materialised tuples (must share one attribute)."""
-        if not items:
-            return cls.empty()
-        attribute = items[0].attribute
-        for item in items:
-            if item.attribute != attribute:
-                raise StreamError(
-                    "TupleBatch.from_tuples needs same-attribute tuples; got "
-                    f"'{attribute}' and '{item.attribute}'"
-                )
-        values = [item.value for item in items]
-        try:
-            value_column = np.asarray(values)
-            if value_column.ndim != 1:  # e.g. list/tuple values
-                raise ValueError
-        except ValueError:
-            value_column = np.empty(len(values), dtype=object)
-            value_column[:] = values
-        extra: Dict[str, np.ndarray] = {}
-        if any(item.metadata for item in items):
-            metadata_column = np.empty(len(items), dtype=object)
-            metadata_column[:] = [item.metadata for item in items]
-            extra["__metadata__"] = metadata_column
-        return cls(
-            attribute,
-            np.array([item.t for item in items], dtype=float),
-            np.array([item.x for item in items], dtype=float),
-            np.array([item.y for item in items], dtype=float),
-            value_column,
-            np.array(
-                [NO_SENSOR_ID if item.sensor_id is None else item.sensor_id for item in items],
-                dtype=np.int64,
-            ),
-            np.array([item.tuple_id for item in items], dtype=np.int64),
-            extra=extra,
-        )
+        return cls(attribute, zero, zero, zero, np.empty(0, dtype=object), zero_int, zero_int)
 
     @classmethod
     def concatenate(cls, batches: Iterable["TupleBatch"]) -> "TupleBatch":
@@ -238,7 +200,7 @@ class TupleBatch:
         return self.t.shape[0] == 0
 
     # ------------------------------------------------------------------
-    # Transformations (all zero-copy-per-column slices or views)
+    # Selection
     # ------------------------------------------------------------------
     def select(self, mask_or_index: np.ndarray) -> "TupleBatch":
         """A new batch with the rows selected by a boolean mask or index array."""
@@ -254,25 +216,6 @@ class TupleBatch:
             extra={key: np.asarray(col)[mask_or_index] for key, col in self.extra.items()},
         )
 
-    def sorted_by_time(self) -> "TupleBatch":
-        """A new batch with rows in (stable) ascending time order."""
-        order = np.argsort(self.t, kind="stable")
-        return self.select(order)
-
-    def shifted(self, dt: float = 0.0, dx: float = 0.0, dy: float = 0.0) -> "TupleBatch":
-        """A new batch displaced in space-time (the Shift extension operator)."""
-        return TupleBatch(
-            self.attribute,
-            self.t + dt,
-            self.x + dx,
-            self.y + dy,
-            self.value,
-            self.sensor_id,
-            self.tuple_id,
-            meta=self.meta,
-            extra=self.extra,
-        )
-
     # ------------------------------------------------------------------
     # Materialisation (the lazy escape hatch to the object path)
     # ------------------------------------------------------------------
@@ -285,13 +228,9 @@ class TupleBatch:
         each tuple's metadata dict.
         """
         items: List[SensorTuple] = []
-        extra_items = [(k, v) for k, v in self.extra.items() if k != "__metadata__"]
-        metadata_column = self.extra.get("__metadata__")
         for i in range(len(self)):
             metadata = dict(self.meta)
-            if metadata_column is not None:
-                metadata.update(metadata_column[i])
-            for key, column in extra_items:
+            for key, column in self.extra.items():
                 entry = column[i]
                 if entry is None:  # a part without this column (see concatenate)
                     continue

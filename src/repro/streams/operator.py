@@ -1,10 +1,14 @@
 """Stream operator base classes.
 
 An operator consumes tuples from one or more input streams and pushes
-results to one or more output streams.  The PMAT operators in
-:mod:`repro.core.pmat` derive from :class:`StreamOperator`; a few generic
-operators (filter, map, pass-through) are provided for building execution
-topologies and for tests.
+results to one or more output streams, one tuple at a time
+(:meth:`StreamOperator.process`, then :meth:`StreamOperator.flush` at the
+end of a batch).  The PMAT operators in :mod:`repro.core.pmat` derive from
+:class:`StreamOperator`; their per-tuple walk is the reference the
+compiled attribute programs of :mod:`repro.plan` are checked against, and
+those programs only bump an operator's counters
+(:meth:`StreamOperator.account_batch`).  :class:`FilterOperator` is the
+one generic operator, the cell topologies' attribute router.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from abc import ABC, abstractmethod
 from typing import Callable, List, Optional, Sequence
 
 from ..errors import StreamError
-from .batch import TupleBatch
 from .stream import Stream
 from .tuples import SensorTuple
 
@@ -101,44 +104,12 @@ class StreamOperator(ABC):
     def account_batch(self, tuples_in: int, tuples_out: int) -> None:
         """Bump the throughput counters for a batch handled out of band.
 
-        Used by columnar drivers for pass-through stages (e.g. the
-        attribute router) whose work is subsumed by batch bookkeeping.
+        Used by the compiled programs for pass-through stages (the
+        attribute router, a query's Union) whose work is subsumed by batch
+        bookkeeping.
         """
         self._tuples_in += tuples_in
         self._tuples_out += tuples_out
-
-    def process_batch(self, batch: TupleBatch) -> TupleBatch:
-        """Process a whole :class:`TupleBatch`, returning the primary output.
-
-        Operators on the columnar fast path override this with a vectorised
-        implementation.  The generic fallback materialises the batch, runs
-        each tuple through :meth:`process` and then :meth:`flush` (so
-        operators that buffer until the end of the batch window still emit)
-        while capturing primary-output emissions, and re-batches — same
-        per-tuple RNG draws, counters and side outputs as the object path,
-        just not faster.  The primary output stream is swapped out during
-        the capture so subscribers attached to it do not see the tuples
-        twice (the caller forwards the returned batch instead).
-        """
-        if batch.is_empty:
-            return batch
-        if not self._outputs:
-            raise StreamError(f"operator '{self._name}' has no outputs")
-        captured: List[SensorTuple] = []
-        real_primary = self._outputs[0]
-        capture = Stream(f"{self._name}:batch-capture")
-        capture.subscribe(captured.append)
-        self._outputs[0] = capture
-        try:
-            for item in batch.to_tuples():
-                self.accept(item)
-            self.flush()
-        finally:
-            self._outputs[0] = real_primary
-        out = TupleBatch.from_tuples(captured)
-        if out.is_empty:
-            return TupleBatch.empty(batch.attribute, meta=batch.meta)
-        return out
 
     def describe(self) -> str:
         """A short human-readable description used in topology dumps."""

@@ -136,17 +136,9 @@ class StreamTopology:
     # ------------------------------------------------------------------
     # Execution helpers
     # ------------------------------------------------------------------
-    def inject(self, item: SensorTuple) -> None:
-        """Push one tuple into the topology's entry stream."""
-        self._entry.push(item)
-
     def inject_many(self, items: Iterable[SensorTuple]) -> int:
-        """Push an iterable of tuples; returns how many were pushed."""
-        count = 0
-        for item in items:
-            self.inject(item)
-            count += 1
-        return count
+        """Push tuples into the topology's entry stream; returns how many."""
+        return self._entry.push_many(items)
 
     def flush(self) -> None:
         """Flush every operator (end of batch)."""

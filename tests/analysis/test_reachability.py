@@ -59,7 +59,20 @@ PACKAGE = pathlib.Path(repro.__file__).parent
 ENTRY_POINTS = {"__main__.py", "cli.py"}
 ARTEFACT_FOLDERS = ("benchmarks", "examples")
 
+#: The per-tuple operator walk: the reference the compiled attribute
+#: programs are checked against (tests/core/test_chain_differential.py and
+#: the planner, fabricator and topology tests drive it).  A kept member is
+#: no root, so each step the walk takes is listed.
+_WALK = "the per-tuple reference walk the compiled programs are checked against"
+
 KEPT_FOR_TESTS = {
+    "StreamFabricator.process_batch": _WALK + ": its entry point",
+    "StreamFabricator.map_tuples": _WALK + ": its map phase",
+    "Grid.locate": _WALK + ": the map phase's per-tuple cell lookup",
+    "QueryPlanner.route_cell_batch": _WALK + ": one cell's tuples into its topology",
+    "CellTopology.inject_many": _WALK + ": a cell's raw tuples into its stream topology",
+    "StreamTopology.inject_many": _WALK + ": tuples into the topology's entry stream",
+    "QueryPlanner.flush_all": _WALK + ": the end of a batch, every Flatten's flush",
     "MobileSensor.move": (
         "per-object oracle of the strict movement kernel (tests/sensing)"
     ),
@@ -70,6 +83,11 @@ KEPT_FOR_TESTS = {
     "OnlineIntensityEstimator.observe_batch_fused": (
         "the e2e tracer's pointprocess.estimate binding (benchmarks/e2e/tracer.py "
         "SPANS, patched by name) and the one-segment SGD the kernel tests compare"
+    ),
+    "FlattenOperator.process_batch_mask": (
+        "the e2e tracer's core.pmat.flatten binding (benchmarks/e2e/tracer.py "
+        "SPANS, patched by name) and the one-batch Eq. (3) the operator tests "
+        "compare with flush"
     ),
 }
 
@@ -563,8 +581,13 @@ def test_a_kept_entry_naming_no_member_fails(tmp_path):
 
 def test_the_kept_entries_are_exactly_the_declared_references_and_seams():
     assert sorted(KEPT_FOR_TESTS) == [
-        "CraqrEngine.arm_crash", "MobileSensor.handle_request", "MobileSensor.move",
+        "CellTopology.inject_many", "CraqrEngine.arm_crash",
+        "FlattenOperator.process_batch_mask", "Grid.locate",
+        "MobileSensor.handle_request", "MobileSensor.move",
         "OnlineIntensityEstimator.observe_batch_fused",
+        "QueryPlanner.flush_all", "QueryPlanner.route_cell_batch",
+        "StreamFabricator.map_tuples", "StreamFabricator.process_batch",
+        "StreamTopology.inject_many",
     ]
 
 

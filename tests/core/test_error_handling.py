@@ -7,7 +7,7 @@ from repro.core.pmat import ClampOperator, OutlierFilterOperator
 from repro.errors import CraqrError, StreamError
 from repro.geometry import Rectangle
 from repro.sensing import ErrorInjector, GpsNoiseModel, ValueErrorModel
-from repro.streams import CollectingSink, SensorTuple, TupleBatch
+from repro.streams import CollectingSink, SensorTuple
 
 REGION = Rectangle(0, 0, 4, 4)
 
@@ -112,18 +112,6 @@ class TestClampOperator:
         assert (item.x, item.y) == (4.0, 0.0)
         assert (item.t, item.value, item.sensor_id) == (0.0, 21.5, 1)
         assert op.clamped == 1
-
-    def test_an_in_region_batch_is_passed_on_uncopied(self):
-        op = ClampOperator(REGION)
-        batch = TupleBatch.from_tuples([make_tuple(i, x=0.5 * i) for i in range(5)])
-        assert op.process_batch(batch) is batch
-        assert op.clamped == 0
-
-    def test_an_empty_batch_is_passed_on(self):
-        op = ClampOperator(REGION)
-        batch = TupleBatch.from_tuples([])
-        assert op.process_batch(batch) is batch
-        assert op.clamped == 0
 
 
 class TestOutlierFilterOperator:

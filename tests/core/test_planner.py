@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import AcquisitionalQuery, QueryPlanner
+from repro.core import AcquisitionalQuery, QueryPlanner, StreamFabricator
 from repro.errors import PlanningError, QueryError
 from repro.geometry import Grid, Rectangle, RectRegion
 from repro.pointprocess import HomogeneousMDPP
 from repro.streams import SensorTuple
 from repro.workloads import fig2_queries
+from scaffolding import batch_of, compile_programs
 
 GRID = Grid(Rectangle(0, 0, 4, 4), side=4)
 
@@ -213,3 +214,30 @@ class TestExecution:
         assert delivered, "the query should receive tuples"
         for item in delivered:
             assert region.contains(item.x, item.y)
+
+    def test_a_compiled_delivery_without_a_batch_handler_is_counted_and_dropped(self):
+        # The compiled programs deliver whole batches: a query registered
+        # with a tuple callback only has its batch counted by its Union
+        # operator and dropped, never walked into ``on_result``.
+        items = [
+            item
+            for key in [(0, 0), (1, 0)]
+            for item in cell_tuples(GRID.cell(*key).rect, seed=7 + key[0])
+        ]
+
+        def run(**handlers):
+            planner = make_planner(seed=3)
+            query = block_query(rate=25.0, span=2)
+            planner.insert_query(query, **handlers)
+            mapped = StreamFabricator(planner, GRID).map_batches_fused({"rain": batch_of(items)})
+            planner.process_columnar(mapped, compile_programs(planner))
+            return planner._plans[query.query_id].union
+
+        batches, walked = [], []
+        handled = run(on_result_batch=lambda query_id, batch: batches.append(batch))
+        dropped = run(on_result=lambda query_id, item: walked.append(item))
+        delivered = sum(len(batch) for batch in batches)
+        assert delivered > 0
+        assert walked == []
+        assert (dropped.tuples_in, dropped.tuples_out) == (delivered, delivered)
+        assert (handled.tuples_in, handled.tuples_out) == (delivered, delivered)

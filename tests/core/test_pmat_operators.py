@@ -23,8 +23,8 @@ from repro.pointprocess import (
     LinearIntensity,
     quadrat_chi_square_test,
 )
-from repro.streams import CollectingSink, SensorTuple, TupleBatch
-from scaffolding import events_of
+from repro.streams import CollectingSink, SensorTuple
+from scaffolding import batch_of, events_of
 
 CELL = Rectangle(0.0, 0.0, 1.0, 1.0)
 
@@ -194,7 +194,7 @@ class TestFlattenOperator:
             10.0, region=CELL, intensity=LinearIntensity(bad, 0.0, 0.0, 0.0)
         )
         with pytest.raises(PointProcessError, match="finite"):
-            columnar.process_batch_mask(TupleBatch.from_tuples(items))
+            columnar.process_batch_mask(batch_of(items))
         walked = FlattenOperator(
             10.0, region=CELL, intensity=LinearIntensity(bad, 0.0, 0.0, 0.0)
         )
@@ -207,11 +207,11 @@ class TestFlattenOperator:
         op = FlattenOperator(
             10.0, region=CELL, online=True, rng=np.random.default_rng(12)
         )
-        op.process_batch_mask(TupleBatch.from_tuples(simulate_tuples(rate=150.0, seed=31)))
+        op.process_batch_mask(batch_of(simulate_tuples(rate=150.0, seed=31)))
         assert op.reports[-1].estimator == "online"
         # A diverged estimate (the SGD recurrence keeps a NaN once it has one).
         op._online_estimator._theta = np.array([np.nan, 0.0, 0.0, 0.0])
-        op.process_batch_mask(TupleBatch.from_tuples(simulate_tuples(rate=150.0, seed=32)))
+        op.process_batch_mask(batch_of(simulate_tuples(rate=150.0, seed=32)))
         report = op.reports[-1]
         assert report.estimator in ("mle", "constant")
         assert report.retained > 0
@@ -434,19 +434,6 @@ class TestExtensionOperators:
         )
         assert (shifted.t, shifted.x, shifted.y) == (1.5, 0.75, 0.5)
 
-    def test_shift_batch_matches_the_per_tuple_path(self):
-        items = simulate_tuples(rate=100.0, seed=15)
-        op = ShiftOperator(dt=-0.5, dx=2.0, dy=1.0)
-        sink = CollectingSink().attach(op.output)
-        for item in items:
-            op.accept(item)
-        batch = ShiftOperator(dt=-0.5, dx=2.0, dy=1.0).process_batch(
-            TupleBatch.from_tuples(items)
-        )
-        assert [(it.t, it.x, it.y) for it in batch.to_tuples()] == [
-            (it.t, it.x, it.y) for it in sink.items
-        ]
-
     def test_mark_keeps_the_metadata_it_does_not_set(self):
         op = MarkOperator(lambda rng: 1)
         sink = CollectingSink().attach(op.output)
@@ -461,16 +448,3 @@ class TestExtensionOperators:
             op.accept(SensorTuple(i, "rain", 0.0, 0.1, 0.1))
         expected = np.random.default_rng(16).random(5).tolist()
         assert [it.metadata["mark"] for it in sink.items] == expected
-
-    @pytest.mark.parametrize(
-        "op",
-        [
-            lambda: ShiftOperator(dt=1.0),
-            lambda: MarkOperator(lambda rng: 0),
-            lambda: SampleOperator(0.5, rng=np.random.default_rng(0)),
-        ],
-        ids=["shift", "mark", "sample"],
-    )
-    def test_an_empty_batch_is_passed_on(self, op):
-        batch = TupleBatch.from_tuples([])
-        assert op().process_batch(batch) is batch

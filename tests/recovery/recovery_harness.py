@@ -96,6 +96,7 @@ def make_engine(
     faults: bool = True,
     view: bool = True,
     online_estimation: bool = False,
+    store_discarded: bool = False,
     sensor_count: int = 80,
     participation=None,
 ) -> CraqrEngine:
@@ -109,6 +110,7 @@ def make_engine(
     config = replace(
         default_engine_config(retention_batches=retention_batches),
         online_estimation=online_estimation,
+        store_discarded=store_discarded,
     )
     if faults:
         config = replace(

@@ -175,6 +175,24 @@ class TestSnapshotSemantics:
         assert clone.batch_index == snapshot.batch_index
         assert engine_digest(clone.restore()) == engine_digest(engine)
 
+    def test_a_discard_store_checkpoint_of_the_old_layout_restores(self, tmp_path):
+        # Each per-operator TupleStore of a store_discarded engine used to
+        # pickle two statistics counters and an (always absent) spatial
+        # index beside its capped deque.  A checkpoint written then carries
+        # the same FORMAT_VERSION and must restore and run on unchanged —
+        # the discard store's bound ``record`` included, which restore used
+        # to refuse.
+        reference = run_to(make_engine(store_discarded=True), 6)
+        engine = run_to(make_engine(store_discarded=True), 3)
+        stores = list(engine.discarded_store._stores.values())
+        assert stores
+        for store in stores:
+            store.__dict__.update(_inserted=len(store), _evicted=0, _index=None)
+        clone = load_snapshot(engine.snapshot().write(tmp_path / "old.ckpt"))
+        restored = run_to(clone.restore(), 6)
+        assert engine_digest(restored) == engine_digest(reference)
+        assert restored.discarded_store.counts() == reference.discarded_store.counts()
+
     def test_snapshot_bytes_grow_with_the_crowd_but_not_faster(self, tmp_path):
         # The crowd's SoA columns and RNG streams dominate the payload.
         sizes = [

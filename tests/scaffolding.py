@@ -8,7 +8,7 @@ pytest puts ``tests/`` on ``sys.path`` when it imports ``tests/conftest.py``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from repro.plan.executor import ChainProgram, ChainSteps
 from repro.pointprocess import EventBatch, IntensityModel
 from repro.sensing import PhenomenonField
 from repro.serve.protocol import frame_head
+from repro.streams import NO_SENSOR_ID, SensorTuple, TupleBatch
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,30 @@ def compile_programs(planner) -> Dict[str, ChainProgram]:
     """Compile every materialised chain into its attribute's program."""
     return assemble_programs(
         planner, lambda key, topology, attribute: ChainSteps(topology.chain(attribute))
+    )
+
+
+def batch_of(items: Sequence[SensorTuple]) -> TupleBatch:
+    """The columns of same-attribute sensor tuples as one :class:`TupleBatch`.
+
+    Every metadata key of the first tuple becomes an extra column (a
+    ``cell`` pair an ``(n, 2)`` one, as the handler writes it), so
+    ``to_tuples()`` gives the tuples back, metadata included.
+    """
+    if not items:
+        return TupleBatch.empty()
+    return TupleBatch(
+        items[0].attribute,
+        [item.t for item in items],
+        [item.x for item in items],
+        [item.y for item in items],
+        [item.value for item in items],
+        [NO_SENSOR_ID if item.sensor_id is None else item.sensor_id for item in items],
+        [item.tuple_id for item in items],
+        extra={
+            key: np.asarray([item.metadata[key] for item in items])
+            for key in items[0].metadata
+        },
     )
 
 

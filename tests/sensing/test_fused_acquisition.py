@@ -25,6 +25,8 @@ contracts:
   every sensor is stateful acquires exactly what a strict world does.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -291,6 +293,22 @@ class TestFusedStatisticalEquivalence:
         assert world.rng.bit_generator.state == rng_state
         assert (handler.total_requests, handler.total_responses) == (0, 0)
         assert world.state_arrays.requests_received.sum() == 0
+
+    def test_an_equal_copy_of_a_grid_cell_is_that_cell(self):
+        # The check settles the grid's own cells by identity; a copy is
+        # compared field by field, so it is served as its grid cell, and
+        # listed beside that cell it is a repeat from both entry points.
+        world = make_world(True, sensor_count=300)
+        grid = Grid(REGION, side=4)
+        handler = RequestResponseHandler(world, grid, default_budget=10)
+        twin = dataclasses.replace(grid.cell(2, 1))
+        assert twin is not grid.cell(2, 1)
+        _, report = handler.acquire_batches({"rain": [twin]}, duration=1.0)
+        assert report.per_cell_requests == {("rain", (2, 1)): 10}
+        with pytest.raises(AcquisitionError, match=r"\[\(2, 1\)\] are requested more than once"):
+            handler.acquire_batches({"rain": [grid.cell(2, 1), twin]}, duration=1.0)
+        with pytest.raises(AcquisitionError, match="more than once"):
+            handler.acquire_attribute_batch("rain", [twin, grid.cell(2, 1)], duration=1.0)
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_a_cell_listed_twice_is_refused_before_anything_is_drawn(self, vectorized):

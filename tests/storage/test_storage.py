@@ -1,58 +1,15 @@
-"""Unit tests for the storage substrate (stores, buffers, index)."""
+"""Unit tests for the storage substrate (stores and buffers)."""
 
 import pytest
 
 from repro.errors import StorageError
-from repro.geometry import Rectangle
-from repro.storage import (
-    DiscardedStore,
-    QueryResultBuffer,
-    SpatioTemporalIndex,
-    TupleStore,
-)
+from repro.storage import DiscardedStore, QueryResultBuffer, TupleStore
 from repro.streams import SensorTuple, TupleBatch
-
-REGION = Rectangle(0, 0, 4, 4)
+from scaffolding import batch_of
 
 
 def make_tuple(tuple_id=0, attribute="rain", t=0.0, x=0.5, y=0.5, value=None):
     return SensorTuple(tuple_id=tuple_id, attribute=attribute, t=t, x=x, y=y, value=value)
-
-
-class TestSpatioTemporalIndex:
-    def test_insert_and_query(self):
-        index = SpatioTemporalIndex(REGION, nx=4, ny=4)
-        index.insert(make_tuple(x=0.5, y=0.5))
-        index.insert(make_tuple(x=3.5, y=3.5))
-        hits = index.query(Rectangle(0, 0, 1, 1))
-        assert len(hits) == 1
-        assert index.count == 2
-
-    def test_query_filters_by_time_and_attribute(self):
-        index = SpatioTemporalIndex(REGION)
-        index.insert(make_tuple(t=1.0, attribute="rain"))
-        index.insert(make_tuple(t=5.0, attribute="temp"))
-        assert len(index.query(Rectangle(0, 0, 4, 4), t_start=0.0, t_end=2.0)) == 1
-        assert len(index.query(Rectangle(0, 0, 4, 4), attribute="temp")) == 1
-
-    def test_results_sorted_by_time(self):
-        index = SpatioTemporalIndex(REGION)
-        index.insert(make_tuple(t=3.0))
-        index.insert(make_tuple(t=1.0))
-        times = [item.t for item in index.query(Rectangle(0, 0, 4, 4))]
-        assert times == [1.0, 3.0]
-
-    def test_invalid_grid(self):
-        with pytest.raises(StorageError):
-            SpatioTemporalIndex(REGION, nx=0)
-
-    def test_clear(self):
-        index = SpatioTemporalIndex(REGION)
-        for i in range(3):
-            index.insert(make_tuple(tuple_id=i))
-        index.clear()
-        assert index.count == 0
-        assert index.query(Rectangle(0, 0, 4, 4)) == []
 
 
 class TestTupleStore:
@@ -61,32 +18,17 @@ class TestTupleStore:
         for i in range(5):
             store.insert(make_tuple(tuple_id=i))
         assert len(store) == 5
-        assert store.stats().inserted_total == 5
 
     def test_capacity_evicts_fifo(self):
         store = TupleStore(capacity=3)
         for i in range(5):
             store.insert(make_tuple(tuple_id=i, t=float(i)))
         assert len(store) == 3
-        assert [item.tuple_id for item in store.all()] == [2, 3, 4]
-        assert store.stats().evicted_total == 2
+        assert [item.tuple_id for item in store._items] == [2, 3, 4]
 
     def test_capacity_validation(self):
         with pytest.raises(StorageError):
             TupleStore(capacity=0)
-
-    def test_clear_keeps_statistics(self):
-        store = TupleStore()
-        store.insert(make_tuple())
-        store.clear()
-        assert len(store) == 0
-        assert store.stats().inserted_total == 1
-
-    def test_stats_attributes(self):
-        store = TupleStore()
-        store.insert(make_tuple(attribute="rain"))
-        store.insert(make_tuple(attribute="temp"))
-        assert store.stats().attributes == ("rain", "temp")
 
 
 class TestQueryResultBuffer:
@@ -96,7 +38,7 @@ class TestQueryResultBuffer:
     @staticmethod
     def deliver(buffer, tuple_ids):
         buffer.extend_batch(
-            TupleBatch.from_tuples([make_tuple(tuple_id=i, value=1.0) for i in tuple_ids])
+            batch_of([make_tuple(tuple_id=i, value=1.0) for i in tuple_ids])
         )
 
     def test_validation(self):
@@ -145,8 +87,8 @@ class TestQueryResultBuffer:
     def test_values(self):
         buffer = self.make_buffer()
         assert buffer.values() == []
-        buffer.extend_batch(TupleBatch.from_tuples([make_tuple(value=1.5, t=1.0)]))
-        buffer.extend_batch(TupleBatch.from_tuples([make_tuple(value=2.5, t=2.0)]))
+        buffer.extend_batch(batch_of([make_tuple(value=1.5, t=1.0)]))
+        buffer.extend_batch(batch_of([make_tuple(value=2.5, t=2.0)]))
         assert buffer.values() == [1.5, 2.5]
         assert [item.t for item in buffer.items()] == [1.0, 2.0]
 

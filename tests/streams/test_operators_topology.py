@@ -93,7 +93,7 @@ class TestStreamTopology:
         first = topology.add_operator(PassThroughOperator("a"))
         second = topology.add_operator(PassThroughOperator("b"), upstream=first.output)
         sink = CollectingSink().attach(second.output)
-        topology.inject(make_tuple())
+        topology.inject_many([make_tuple()])
         assert len(sink) == 1
         assert len(topology) == 2
 

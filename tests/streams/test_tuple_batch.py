@@ -4,23 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import StreamError
-from repro.streams import (
-    NO_SENSOR_ID,
-    SensorTuple,
-    StreamOperator,
-    TupleBatch,
-)
-
-
-class MapOperator(StreamOperator):
-    """Applies ``transform`` per tuple and has no native batch path."""
-
-    def __init__(self, transform):
-        super().__init__(None, outputs=1)
-        self._transform = transform
-
-    def process(self, item):
-        self.emit(self._transform(item))
+from repro.streams import NO_SENSOR_ID, SensorTuple, TupleBatch
+from scaffolding import batch_of
 
 
 def make_tuples(n=10, attribute="rain"):
@@ -40,31 +25,27 @@ def make_tuples(n=10, attribute="rain"):
 
 
 class TestRoundTrip:
-    def test_from_tuples_to_tuples_is_identity(self):
+    def test_to_tuples_gives_the_tuples_back(self):
         items = make_tuples()
-        batch = TupleBatch.from_tuples(items)
+        batch = batch_of(items)
         assert len(batch) == len(items)
         materialised = batch.to_tuples()
         assert materialised == items
-        # Metadata survives too (SensorTuple equality ignores it).
+        # Metadata comes back from the extra columns too (SensorTuple
+        # equality ignores it).
         assert [it.metadata for it in materialised] == [it.metadata for it in items]
 
     def test_values_are_python_scalars_after_round_trip(self):
         items = make_tuples()
-        out = TupleBatch.from_tuples(items).to_tuples()
+        out = batch_of(items).to_tuples()
         assert all(isinstance(item.value, bool) for item in out)
         assert all(isinstance(item.t, float) for item in out)
 
     def test_missing_sensor_id_round_trips_as_none(self):
-        item = SensorTuple(tuple_id=1, attribute="a", t=0.0, x=0.0, y=0.0, sensor_id=None)
-        batch = TupleBatch.from_tuples([item])
-        assert batch.sensor_id[0] == NO_SENSOR_ID
+        batch = TupleBatch(
+            "a", [0.0], [0.0], [0.0], [None], [NO_SENSOR_ID], [1]
+        )
         assert batch.to_tuples()[0].sensor_id is None
-
-    def test_mixed_attributes_rejected(self):
-        items = make_tuples(3, "rain") + make_tuples(3, "temp")
-        with pytest.raises(StreamError):
-            TupleBatch.from_tuples(items)
 
     def test_empty(self):
         batch = TupleBatch.empty("rain")
@@ -75,7 +56,7 @@ class TestRoundTrip:
 
 class TestTransforms:
     def test_select_by_mask(self):
-        batch = TupleBatch.from_tuples(make_tuples(10))
+        batch = batch_of(make_tuples(10))
         mask = np.asarray(batch.value, dtype=bool)
         kept = batch.select(mask)
         assert len(kept) == 5
@@ -83,22 +64,16 @@ class TestTransforms:
         # Extra columns are sliced along with the main ones.
         assert all(it.metadata["incentive"] == 0.5 for it in kept.to_tuples())
 
-    def test_sorted_by_time(self):
-        items = list(reversed(make_tuples(10)))
-        batch = TupleBatch.from_tuples(items).sorted_by_time()
-        assert list(batch.t) == sorted(batch.t)
-        assert batch.to_tuples() == sorted(items, key=lambda it: it.t)
-
     def test_concatenate(self):
-        a = TupleBatch.from_tuples(make_tuples(4))
-        b = TupleBatch.from_tuples(make_tuples(6))
+        a = batch_of(make_tuples(4))
+        b = batch_of(make_tuples(6))
         merged = TupleBatch.concatenate([a, b])
         assert len(merged) == 10
         assert merged.attribute == "rain"
 
     def test_concatenate_preserves_agreed_meta_and_partial_extras(self):
-        a = TupleBatch.from_tuples(make_tuples(3))
-        b = TupleBatch.from_tuples(make_tuples(2))
+        a = batch_of(make_tuples(3))
+        b = batch_of(make_tuples(2))
         a, b = (
             TupleBatch(
                 part.attribute, part.t, part.x, part.y, part.value, part.sensor_id,
@@ -123,7 +98,7 @@ class TestTransforms:
         # order must come from the parts (first seen), never from a set of
         # names (hash-seed dependent) or a sort.
         def part(n, **extra):
-            batch = TupleBatch.from_tuples(make_tuples(n))
+            batch = batch_of(make_tuples(n))
             batch.extra.clear()
             for name in extra:
                 batch.extra[name] = np.arange(n, dtype=float)
@@ -143,15 +118,10 @@ class TestTransforms:
         ) == ["zone", "area"]
 
     def test_concatenate_rejects_mixed_attributes(self):
-        a = TupleBatch.from_tuples(make_tuples(2, "rain"))
-        b = TupleBatch.from_tuples(make_tuples(2, "temp"))
+        a = batch_of(make_tuples(2, "rain"))
+        b = batch_of(make_tuples(2, "temp"))
         with pytest.raises(StreamError):
             TupleBatch.concatenate([a, b])
-
-    def test_shifted(self):
-        batch = TupleBatch.from_tuples(make_tuples(3)).shifted(dt=1.0, dx=0.5)
-        assert batch.t[0] == pytest.approx(1.0)
-        assert batch.x[1] == pytest.approx(0.51)
 
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(StreamError):
@@ -164,48 +134,3 @@ class TestTransforms:
                 np.zeros(3, dtype=np.int64),
                 np.zeros(3, dtype=np.int64),
             )
-
-
-class TestGenericOperatorFallback:
-    def test_process_batch_fallback_matches_object_path(self):
-        # MapOperator has no native batch path: the StreamOperator fallback
-        # must run each tuple through process() and re-batch the output.
-        items = make_tuples(8)
-        operator = MapOperator(lambda it: it.shifted(dt=2.0))
-        out = operator.process_batch(TupleBatch.from_tuples(items))
-        assert [it.t for it in out.to_tuples()] == [it.t + 2.0 for it in items]
-        assert operator.tuples_in == 8
-        assert operator.tuples_out == 8
-
-    def test_process_batch_fallback_flushes_buffering_operators(self):
-        # An operator that buffers in process() and emits on flush() (the
-        # Flatten pattern) must not lose its batch through the shim.
-        class BufferingOperator(StreamOperator):
-            def __init__(self):
-                super().__init__("buffering")
-                self._held = []
-
-            def process(self, item):
-                self._held.append(item)
-
-            def flush(self):
-                for item in self._held:
-                    self.emit(item)
-                self._held = []
-
-        operator = BufferingOperator()
-        out = operator.process_batch(TupleBatch.from_tuples(make_tuples(6)))
-        assert len(out) == 6
-
-    def test_process_batch_fallback_does_not_leak_to_subscribers(self):
-        # Downstream subscribers must not see the tuples a second time; the
-        # caller forwards the returned batch instead.
-        operator = MapOperator(lambda it: it)
-        seen = []
-        operator.output.subscribe(seen.append)
-        out = operator.process_batch(TupleBatch.from_tuples(make_tuples(5)))
-        assert len(out) == 5
-        assert seen == []
-        # The real output stream is restored afterwards.
-        operator.accept(make_tuples(1)[0])
-        assert len(seen) == 1
