@@ -113,6 +113,24 @@ class TestClampOperator:
         assert (item.t, item.value, item.sensor_id) == (0.0, 21.5, 1)
         assert op.clamped == 1
 
+    def test_an_in_region_tuple_is_passed_on_uncopied(self):
+        op = ClampOperator(REGION)
+        sink = CollectingSink().attach(op.output)
+        items = [make_tuple(i, x=0.5 * i) for i in range(5)]
+        for item in items:
+            op.accept(item)
+        assert all(out is item for out, item in zip(sink.items, items))
+        assert op.clamped == 0
+
+    def test_a_tuple_on_the_border_is_not_clamped(self):
+        # The region is closed for clamping: its edges are inside.
+        op = ClampOperator(REGION)
+        sink = CollectingSink().attach(op.output)
+        corner = make_tuple(x=4.0, y=0.0)
+        op.accept(corner)
+        assert sink.items[0] is corner
+        assert op.clamped == 0
+
 
 class TestOutlierFilterOperator:
     def test_drops_gross_outlier(self):
@@ -175,6 +193,16 @@ class TestOutlierFilterOperator:
             op.accept(make_tuple(i, value=np.float64(20.0 + 0.1 * (i % 3))))
         op.accept(make_tuple(10, value=np.float64(500.0)))
         assert op.dropped == 1
+
+    def test_integer_readings_are_judged_as_numbers(self):
+        op = OutlierFilterOperator(window=20, z_threshold=3.0, min_history=5)
+        sink = CollectingSink().attach(op.output)
+        for i in range(10):
+            op.accept(make_tuple(i, value=20 + i % 3))
+        op.accept(make_tuple(10, value=500))
+        op.accept(make_tuple(11, value=21))
+        assert op.dropped == 1
+        assert [item.tuple_id for item in sink.items][-2:] == [9, 11]
 
     def test_booleans_are_not_numbers(self):
         # As a number True would be 1.0, far below a history around 20.

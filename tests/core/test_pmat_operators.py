@@ -448,3 +448,24 @@ class TestExtensionOperators:
             op.accept(SensorTuple(i, "rain", 0.0, 0.1, 0.1))
         expected = np.random.default_rng(16).random(5).tolist()
         assert [it.metadata["mark"] for it in sink.items] == expected
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda: ShiftOperator(dt=1.0, rng=np.random.default_rng(0)),
+            lambda: MarkOperator(lambda rng: rng.random(), rng=np.random.default_rng(0)),
+            lambda: SampleOperator(0.5, rng=np.random.default_rng(0)),
+        ],
+        ids=["shift", "mark", "sample"],
+    )
+    def test_no_input_draws_nothing_and_counts_nothing(self, op):
+        # An operator that receives no tuple neither advances its generator
+        # nor touches a counter, so an empty round leaves later draws as
+        # they were.
+        operator = op()
+        sink = CollectingSink().attach(operator.output)
+        state = operator.rng.bit_generator.state
+        operator.flush()
+        assert len(sink) == 0
+        assert (operator.tuples_in, operator.tuples_out) == (0, 0)
+        assert operator.rng.bit_generator.state == state

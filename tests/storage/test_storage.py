@@ -30,6 +30,23 @@ class TestTupleStore:
         with pytest.raises(StorageError):
             TupleStore(capacity=0)
 
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(StorageError):
+            TupleStore(capacity=-3)
+
+    def test_an_unbounded_store_keeps_every_tuple_in_arrival_order(self):
+        store = TupleStore()
+        for i in range(1000):
+            store.insert(make_tuple(tuple_id=i))
+        assert len(store) == 1000
+        assert [item.tuple_id for item in store._items] == list(range(1000))
+
+    def test_capacity_one_keeps_only_the_latest(self):
+        store = TupleStore(capacity=1)
+        for i in range(4):
+            store.insert(make_tuple(tuple_id=i))
+            assert [item.tuple_id for item in store._items] == [i]
+
 
 class TestQueryResultBuffer:
     def make_buffer(self, rate=10.0, area=4.0):

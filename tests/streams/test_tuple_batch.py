@@ -47,6 +47,24 @@ class TestRoundTrip:
         )
         assert batch.to_tuples()[0].sensor_id is None
 
+    def test_batch_meta_lands_in_every_tuple(self):
+        items = make_tuples(3)
+        plain = batch_of(items)
+        batch = TupleBatch(
+            plain.attribute, plain.t, plain.x, plain.y, plain.value,
+            plain.sensor_id, plain.tuple_id, meta={"round": 3}, extra=plain.extra,
+        )
+        for item in batch.to_tuples():
+            assert item.metadata == {"round": 3, "cell": (0, 0), "incentive": 0.5}
+
+    def test_float_columns_round_trip_as_python_numbers(self):
+        batch = TupleBatch(
+            "temp", [0.5], [1.0], [2.0], np.array([21.25]), [4], [9]
+        )
+        (item,) = batch.to_tuples()
+        assert type(item.value) is float and item.value == 21.25
+        assert type(item.sensor_id) is int and type(item.tuple_id) is int
+
     def test_empty(self):
         batch = TupleBatch.empty("rain")
         assert batch.is_empty
@@ -63,6 +81,43 @@ class TestTransforms:
         assert all(item.value for item in kept.to_tuples())
         # Extra columns are sliced along with the main ones.
         assert all(it.metadata["incentive"] == 0.5 for it in kept.to_tuples())
+
+    def test_select_by_index_array_reorders_rows_and_extras(self):
+        items = make_tuples(5)
+        batch = batch_of(items)
+        batch.extra["incentive"] = np.arange(5, dtype=float)
+        picked = batch.select(np.array([3, 0, 3]))
+        assert [int(i) for i in picked.tuple_id] == [3, 0, 3]
+        assert picked.extra["incentive"].tolist() == [3.0, 0.0, 3.0]
+        assert picked.extra["cell"].shape == (3, 2)
+
+    def test_select_keeps_the_batch_meta(self):
+        plain = batch_of(make_tuples(4))
+        batch = TupleBatch(
+            plain.attribute, plain.t, plain.x, plain.y, plain.value,
+            plain.sensor_id, plain.tuple_id, meta={"source": "handler"},
+        )
+        assert batch.select(np.zeros(4, dtype=bool)).meta == {"source": "handler"}
+
+    def test_concatenate_of_empty_parts_is_empty(self):
+        merged = TupleBatch.concatenate([TupleBatch.empty("rain"), batch_of([])])
+        assert merged.is_empty
+        assert TupleBatch.concatenate([]).is_empty
+
+    def test_concatenate_of_one_non_empty_part_is_that_part(self):
+        part = batch_of(make_tuples(3))
+        assert TupleBatch.concatenate([TupleBatch.empty("rain"), part]) is part
+
+    def test_concatenate_pads_a_missing_cell_column_with_filler_rows(self):
+        # The handler's cell column is (n, 2); a part without one gets
+        # (n, 2) None rows, and its tuples come back without a cell.
+        with_cell = batch_of(make_tuples(2))
+        without_cell = batch_of(make_tuples(3))
+        del without_cell.extra["cell"]
+        merged = TupleBatch.concatenate([with_cell, without_cell])
+        assert merged.extra["cell"].shape == (5, 2)
+        cells = [item.metadata.get("cell") for item in merged.to_tuples()]
+        assert cells == [(0, 0), (0, 0), None, None, None]
 
     def test_concatenate(self):
         a = batch_of(make_tuples(4))
@@ -133,4 +188,12 @@ class TestTransforms:
                 np.zeros(3),
                 np.zeros(3, dtype=np.int64),
                 np.zeros(3, dtype=np.int64),
+            )
+
+    def test_extra_column_length_mismatch_rejected(self):
+        with pytest.raises(StreamError, match="extra column 'incentive'"):
+            TupleBatch(
+                "a", np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3),
+                np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64),
+                extra={"incentive": np.zeros(2)},
             )
