@@ -31,9 +31,10 @@ from .planner import QueryPlanner
 CellKey = Tuple[int, int]
 
 
-#: The map phase's output for one attribute: its rows sorted by (cell,
-#: time), and ``(cell key, start, stop)`` for every occupied cell in row
-#: order — cell ``key``'s rows are the batch's rows ``start:stop``.
+#: The map phase's output for one attribute: its rows in (cell, time)
+#: order (the acquired batch itself when it arrives so), and ``(cell key,
+#: start, stop)`` for every occupied cell in row order — cell ``key``'s
+#: rows are the batch's rows ``start:stop``.
 MappedAttribute = Tuple[TupleBatch, List[Tuple[CellKey, int, int]]]
 
 
@@ -111,19 +112,23 @@ class StreamFabricator:
     def map_batches_fused(
         self, batch_per_attribute: Dict[str, TupleBatch]
     ) -> Dict[str, MappedAttribute]:
-        """The columnar map phase: sort whole batches by grid cell.
+        """The columnar map phase: order whole batches by grid cell.
 
         For each attribute the batch's coordinates go through one vectorised
         :meth:`Grid.cells_for_points` call; tuples are then ordered cell code
         major, time minor — ``np.lexsort((t, codes))``'s order, ties in input
         order — so every cell's rows form one contiguous, time-ordered
         segment: no per-tuple ``locate`` calls and no comparison sort of
-        object lists.  The sort is one stable argsort of the codes (cheap:
-        the handler delivers rows grouped by cell) and one stable argsort of
-        each cell's times, which costs a cell's share of a whole-batch time
-        sort.  Each attribute's columns are reordered *once*; the segment
-        table says where each occupied cell's rows are.  The input is the
-        handler's one fused round per attribute, under either RNG contract.
+        object lists.  The handler's one fused round usually delivers its
+        rows in that order already, so one vectorised pass first tests it
+        (codes non-decreasing, times non-decreasing wherever the code
+        repeats, a NaN time out of order); such a batch is handed on as it
+        is, not copied.  Otherwise (a retry wave appends rows, say) the rows
+        are sorted: one stable argsort of the codes and one stable argsort
+        of each cell's times, which costs a cell's share of a whole-batch
+        time sort, and the columns are reordered *once*.  Either way the
+        segment table says where each occupied cell's rows are, and the
+        rows come out in the same order.
         """
         side = self._grid.side
         mapped: Dict[str, MappedAttribute] = {}
@@ -132,19 +137,27 @@ class StreamFabricator:
                 continue
             q, r = self._grid.cells_for_points(batch.x, batch.y)
             codes = r * side + q
-            by_cell = np.argsort(codes, kind="stable")
-            sorted_codes = codes[by_cell]
-            starts = np.concatenate(([0], np.nonzero(np.diff(sorted_codes))[0] + 1))
-            stops = np.append(starts[1:], sorted_codes.shape[0])
-            first = sorted_codes[starts]
+            head, tail, t = codes[:-1], codes[1:], batch.t
+            by_cell = None
+            # Already in (cell, t) order?  A NaN time compares False: sorted.
+            if not ((tail >= head).all() and ((t[1:] >= t[:-1]) | (tail != head)).all()):
+                by_cell = np.argsort(codes, kind="stable")
+                codes = codes[by_cell]
+            starts = np.concatenate(([0], np.nonzero(np.diff(codes))[0] + 1))
+            stops = np.append(starts[1:], codes.shape[0])
+            first = codes[starts]
             table = np.stack((first % side, first // side, starts, stops), axis=1)
-            order = np.empty_like(by_cell)
-            segments = []
-            for cell_q, cell_r, start, stop in table.tolist():  # craqr: ignore[CRQ401] - per segment, never per row
-                rows = by_cell[start:stop]
-                order[start:stop] = rows[np.argsort(batch.t[rows], kind="stable")]
-                segments.append(((cell_q, cell_r), start, stop))
-            mapped[attribute] = (batch.select(order), segments)
+            segments = [
+                ((cell_q, cell_r), start, stop)
+                for cell_q, cell_r, start, stop in table.tolist()  # craqr: ignore[CRQ401] - per segment, never per row
+            ]
+            if by_cell is not None:
+                order = np.empty_like(by_cell)
+                for _key, start, stop in segments:
+                    rows = by_cell[start:stop]
+                    order[start:stop] = rows[np.argsort(t[rows], kind="stable")]
+                batch = batch.select(order)
+            mapped[attribute] = (batch, segments)
         return mapped
 
     def process_batch_columnar(
@@ -157,7 +170,7 @@ class StreamFabricator:
         Identical accounting to the object path — tuples in, tuples routed
         to materialised cells, per-query deliveries and per-(attribute,
         cell) violations — but every stage moves :class:`TupleBatch`
-        columns instead of per-tuple callbacks: the map phase sorts whole
+        columns instead of per-tuple callbacks: the map phase orders whole
         batches by cell and each attribute's chains run as its compiled
         program (``programs``, keyed by attribute; see :mod:`repro.plan`).
         """

@@ -460,8 +460,8 @@ class QueryPlanner:
     def process_columnar(self, mapped: Dict, programs: Dict[str, object]) -> int:
         """Columnar process phase: run every materialised chain for one window.
 
-        ``mapped`` is the map phase's sorted rows and cell segments per
-        attribute (:data:`~repro.core.fabricator.MappedAttribute`);
+        ``mapped`` is the map phase's (cell, time)-ordered rows and cell
+        segments per attribute (:data:`~repro.core.fabricator.MappedAttribute`);
         ``programs`` the compiled plan's attribute programs (see
         :mod:`repro.plan`), each running all of its attribute's chains at
         once.  Chains without tuples this round still run (their Flatten

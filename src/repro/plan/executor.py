@@ -4,8 +4,8 @@ A :class:`ChainSteps` is the compiled step structure of one
 :class:`~repro.core.topology.AttributeChain` — the same operators, the same
 RNG streams, the same counters and reports as the per-tuple walk.  A
 :class:`ChainProgram` runs *all* of one attribute's chains for one batch
-over that attribute's rows, which the map phase sorted by (cell, time) and
-described with a segment table: the work that is elementwise runs once
+over that attribute's rows, which the map phase put in (cell, time) order
+and described with a segment table: the work that is elementwise runs once
 over every row, only what has to be per chain stays per chain, and the
 flatten/thin/partition decisions compose as *row indices* instead of
 materialised column copies, so each query's deliveries are gathered once.
