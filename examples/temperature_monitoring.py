@@ -69,12 +69,15 @@ def main() -> None:
 
     ground_truth = world.field_for("temp")
     print("\nground-truth mean temperature at the two heat-island centres vs the corner:")
-    for label, (x, y) in [
-        ("island A", (region.width * 0.3, region.height * 0.3)),
-        ("island B", (region.width * 0.75, region.height * 0.6)),
-        ("corner", (region.width * 0.02, region.height * 0.02)),
-    ]:
-        print(f"  {label:9s} {ground_truth.mean_value(world.now, x, y):6.1f} deg C")
+    spots = {
+        "island A": (region.width * 0.3, region.height * 0.3),
+        "island B": (region.width * 0.75, region.height * 0.6),
+        "corner": (region.width * 0.02, region.height * 0.02),
+    }
+    x, y = np.array(list(spots.values())).T
+    means = ground_truth.mean_values(np.full(len(spots), world.now), x, y)
+    for label, mean in zip(spots, means.tolist()):
+        print(f"  {label:9s} {mean:6.1f} deg C")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ Quick start::
     print(handle.achieved_rate())
 """
 
-from .config import BudgetConfig, EngineConfig
+from .config import BudgetConfig, CheckpointConfig, EngineConfig
 from .errors import (
     CraqrError,
     GeometryError,
@@ -73,6 +73,7 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "BudgetConfig",
+    "CheckpointConfig",
     "EngineConfig",
     "CraqrError",
     "GeometryError",

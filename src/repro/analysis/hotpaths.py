@@ -37,13 +37,13 @@ HOT_PATHS: List[Tuple[str, str]] = [
     ),
     (
         "repro/sensing/handler.py",
-        "RequestResponseHandler.acquire_attribute_batch",
+        "RequestResponseHandler._acquire_attribute",
     ),
     # The sensor choice every wave runs under both contracts: one
     # ``rng.choice`` per covered cell and one ``rng.integers`` per run of
     # small undersized cells; its loop over the runs is waived inline.
     ("repro/sensing/handler.py", "_choose_rows"),
-    ("repro/sensing/handler.py", "RequestResponseHandler._fused_request_times"),
+    ("repro/sensing/handler.py", "_SharedStream.request_times"),
     # The strict wave answers in one vectorised pass too: every request's
     # counter is its sensor's request count plus its rank within the wave,
     # one Philox call (``repro.rng.keyed_uniforms``) draws every block, and

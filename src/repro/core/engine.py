@@ -1049,9 +1049,9 @@ class CraqrEngine:
         """Acquire and fabricate one batch window.
 
         Acquisition and fabrication move whole :class:`TupleBatch` columns:
-        the handler serves each attribute with one fused
-        :meth:`~repro.sensing.RequestResponseHandler.acquire_attribute_batch`
-        round over all of its cells, the fabricator buckets rows by cell
+        one :meth:`~repro.sensing.RequestResponseHandler.acquire_batches`
+        round serves each attribute with one fused wave loop over all of
+        its cells, the fabricator buckets rows by cell
         and every chain runs as one compiled program (:mod:`repro.plan`).
         Both RNG contracts take that path; they differ only in the streams
         the round and the world's movement draw from (see

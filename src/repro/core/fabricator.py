@@ -69,10 +69,8 @@ class StreamFabricator:
     def __init__(self, planner: QueryPlanner, grid: Grid) -> None:
         self._planner = planner
         self._grid = grid
-        self._delivered_per_query: Dict[int, int] = {}
         #: per-batch scratch populated while a batch is being processed
         self._current_delivered: Dict[int, int] = {}
-        self._batches = 0
 
     # ------------------------------------------------------------------
     @property
@@ -83,9 +81,6 @@ class StreamFabricator:
     # ------------------------------------------------------------------
     def register_delivery_batch(self, query_id: int, count: int) -> None:
         """Account a whole delivered batch for a query in one call."""
-        self._delivered_per_query[query_id] = (
-            self._delivered_per_query.get(query_id, 0) + count
-        )
         self._current_delivered[query_id] = (
             self._current_delivered.get(query_id, 0) + count
         )
@@ -182,7 +177,6 @@ class StreamFabricator:
         result.violations = self._planner.violations()
         result.delivered_per_query = dict(self._current_delivered)
         result.tuples_delivered = sum(self._current_delivered.values())
-        self._batches += 1
         return result
 
     def process_batch(
@@ -207,5 +201,4 @@ class StreamFabricator:
         result.violations = self._planner.violations()
         result.delivered_per_query = dict(self._current_delivered)
         result.tuples_delivered = sum(self._current_delivered.values())
-        self._batches += 1
         return result

@@ -16,15 +16,14 @@ acquisition round yields the raw observations of every requested
 :class:`~repro.streams.tuples.SensorTuple` lists per grid cell), which the
 crowdsensed stream fabricator then pushes through PMAT topologies.
 
-There is one round body,
-:meth:`RequestResponseHandler.acquire_attribute_batch`: it takes an
-attribute's cell populations from one bucketing pass of the crowd and runs
-the wave loop (:meth:`RequestResponseHandler._acquire_waves`) once per RNG
-policy over them, under either RNG contract.  ``acquire_batches`` calls it
-per attribute and ``acquire`` is its object view.  Only distinct cells of
-the handler's grid can be requested: any other cell, or a cell listed
-twice, is an :class:`~repro.errors.AcquisitionError`, raised before
-anything is drawn.  The sensor choice is one body under both contracts
+A round has one entry, :meth:`RequestResponseHandler.acquire_batches`: it
+checks the round, buckets the crowd once and, per attribute, takes the
+cell populations from that bucketing and runs the wave loop
+(:meth:`RequestResponseHandler._acquire_waves`) once per RNG policy over
+them, under either RNG contract; ``acquire`` is its object view.  Only
+distinct cells of the handler's grid can be requested: any other cell, or
+a cell listed twice, is an :class:`~repro.errors.AcquisitionError`, raised
+before anything is drawn.  The sensor choice is one body under both contracts
 and for every wave (:func:`_choose_rows`, from the world stream: one
 ``rng.choice`` per covered cell, one draw per run of small undersized cells).
 What differs between strict and fast-sim is confined to two
@@ -317,7 +316,7 @@ class _SharedStream:
     """Fast-sim policy: one vectorised draw of everything from the world stream.
 
     Request times for all cells come from one order-statistics draw
-    (:meth:`RequestResponseHandler._fused_request_times`), and a wave is
+    (:meth:`request_times`), and a wave is
     answered with one participation draw, one latency draw and one
     ``field.values`` call over the concatenated rows.  Statistically
     equivalent to :class:`_PerSensorStreams`; every row must have
@@ -329,9 +328,28 @@ class _SharedStream:
         self._world = world
 
     def request_times(self, sizes: np.ndarray, duration: float) -> np.ndarray:
-        return self._world.now + RequestResponseHandler._fused_request_times(
-            sizes, duration, self._world.rng
+        """Sorted request times for every cell segment from one draw.
+
+        Uses the exponential-spacing construction of uniform order
+        statistics — ``k`` sorted ``U(0, 1)`` samples are the first ``k``
+        normalised prefix sums of ``k + 1`` iid exponentials — so no
+        per-segment sort is needed: one exponential draw, two cumulative
+        sums and a mask produce every cell's ascending request times
+        (distributionally identical to the per-cell ``sort(uniform(...))``).
+        """
+        extended = np.asarray(sizes, dtype=np.int64) + 1
+        draws = self._world.rng.exponential(1.0, int(extended.sum()))
+        ends = np.cumsum(extended)
+        cumulative = np.cumsum(draws)
+        segment_base = np.concatenate(([0.0], cumulative[ends[:-1] - 1]))
+        segment_totals = cumulative[ends - 1] - segment_base
+        keep = np.ones(draws.size, dtype=bool)
+        keep[ends - 1] = False
+        uniforms = (
+            (cumulative - np.repeat(segment_base, extended))[keep]
+            / np.repeat(segment_totals, extended)[keep]
         )
+        return self._world.now + duration * uniforms
 
     def answer(self, field_model, rows, request_times, multipliers, replacement_used):
         soa = self._world.state_arrays
@@ -737,7 +755,7 @@ class RequestResponseHandler:
         cells (and which attribute) a round requests: every sensor's cell
         code is computed and sorted in one pass, so a multi-attribute round
         pays it once (:meth:`acquire_batches` threads the result through
-        each attribute's :meth:`acquire_attribute_batch`).
+        each attribute's :meth:`_acquire_attribute`).
 
         Returns ``(sorted_codes, sorted_rows, non_vector_codes)``: cell
         codes ascending with the SoA row indices aligned, plus the codes of
@@ -795,13 +813,13 @@ class RequestResponseHandler:
     def _resolve_cell_populations(
         self,
         cells: List[GridCell],
-        bucketing: Optional[Tuple[np.ndarray, np.ndarray, frozenset]] = None,
+        bucketing: Tuple[np.ndarray, np.ndarray, frozenset],
     ) -> Tuple[Dict[CellKey, np.ndarray], Dict[CellKey, bool]]:
         """SoA row indices of every requested cell's population.
 
         Instead of one O(n) containment mask per cell, the crowd is
-        bucketed once (:meth:`_bucket_sensors`, or the precomputed
-        ``bucketing`` of the current round) and each requested cell's
+        bucketed once a round (:meth:`_bucket_sensors`, passed in as
+        ``bucketing``) and each requested cell's
         population is a slice lookup via two vectorised ``searchsorted``
         calls.  Sensors that escaped the region (possible only with
         out-of-bounds custom mobility models) are excluded.  Sensors
@@ -812,8 +830,6 @@ class RequestResponseHandler:
         caller, without any further per-cell array work, whether every row
         of a cell's population has vectorisable participation.
         """
-        if bucketing is None:
-            bucketing = self._bucket_sensors()
         sorted_codes, sorted_rows, non_vector_codes = bucketing
         side = self._grid.side
         wanted = np.array(
@@ -861,19 +877,19 @@ class RequestResponseHandler:
             repeated = sorted({key for key in keys if keys.count(key) > 1})
             raise AcquisitionError(f"cells {repeated} are requested more than once")
 
-    def acquire_attribute_batch(
+    def _acquire_attribute(
         self,
         attribute: str,
         cells: List[GridCell],
         *,
         duration: float,
-        report: Optional[HandlerReport] = None,
-        bucketing: Optional[Tuple[np.ndarray, np.ndarray, frozenset]] = None,
+        report: HandlerReport,
+        bucketing: Tuple[np.ndarray, np.ndarray, frozenset],
     ) -> Optional[TupleBatch]:
         """Fused acquisition: all of one attribute's cells in one round.
 
-        Every requested grid cell's population is resolved by a single
-        bucketing pass (:meth:`_resolve_cell_populations`) and the cells
+        Every requested grid cell's population is looked up in the round's
+        ``bucketing`` (:meth:`_resolve_cell_populations`) and the cells
         are served by at most one :meth:`_acquire_waves` call per RNG
         policy over all of their segments, while per-cell budgets,
         request/response counts and incentive accounting stay exactly per
@@ -887,22 +903,12 @@ class RequestResponseHandler:
         bucketed populations (no second scan of the crowd), so those
         sensors are decided per request exactly as in strict mode.
 
-        A duration that is not positive and finite, a cell that is not a
-        cell of the handler's grid and a cell listed twice each raise
-        :class:`~repro.errors.AcquisitionError` before anything is drawn or
-        sent.  Empty cells send nothing.
-
-        :meth:`acquire_batches` dispatches here per attribute, sharing one
-        :meth:`_bucket_sensors` pass across all attributes of the round via
-        ``bucketing`` (sensor positions are frozen within a round, so the
-        bucketing is too).  Returns one batch for the whole attribute (the
-        target cell of every tuple rides in the ``cell`` extra column), or
-        ``None`` when no responses arrived.
+        :meth:`acquire_batches` has checked the duration and the cells.
+        Empty cells send nothing.  Returns one batch for the whole
+        attribute (the target cell of every tuple rides in the ``cell``
+        extra column), or ``None`` when no responses arrived.
         """
-        _refuse_bad_duration(duration)
         field_model = self._world.field_for(attribute)
-        self._refuse_bad_cells(cells)
-        report = report if report is not None else HandlerReport()
         fast_sim = self._world.vectorized
         populations, fully_vector = self._resolve_cell_populations(cells, bucketing)
         # Each policy's one wave loop: (cell keys, populations).
@@ -929,33 +935,6 @@ class RequestResponseHandler:
         if not parts:
             return None
         return TupleBatch.concatenate(parts)
-
-    @staticmethod
-    def _fused_request_times(
-        budgets: np.ndarray, duration: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Sorted request times for every cell segment from one draw.
-
-        Uses the exponential-spacing construction of uniform order
-        statistics — ``k`` sorted ``U(0, 1)`` samples are the first ``k``
-        normalised prefix sums of ``k + 1`` iid exponentials — so no
-        per-segment sort is needed: one exponential draw, two cumulative
-        sums and a mask produce every cell's ascending request times
-        (distributionally identical to the per-cell ``sort(uniform(...))``).
-        """
-        extended = np.asarray(budgets, dtype=np.int64) + 1
-        draws = rng.exponential(1.0, int(extended.sum()))
-        ends = np.cumsum(extended)
-        cumulative = np.cumsum(draws)
-        segment_base = np.concatenate(([0.0], cumulative[ends[:-1] - 1]))
-        segment_totals = cumulative[ends - 1] - segment_base
-        keep = np.ones(draws.size, dtype=bool)
-        keep[ends - 1] = False
-        uniforms = (
-            (cumulative - np.repeat(segment_base, extended))[keep]
-            / np.repeat(segment_totals, extended)[keep]
-        )
-        return duration * uniforms
 
     def acquire(
         self,
@@ -1003,10 +982,12 @@ class RequestResponseHandler:
         fabricator's map stage re-buckets by the *reported* coordinates
         anyway, so no per-cell grouping is done here.
 
-        Each attribute is served by one fused :meth:`acquire_attribute_batch`
+        Each attribute is served by one fused :meth:`_acquire_attribute`
         round under either RNG contract, all of them sharing one bucketing
-        pass.  A bad duration, a foreign cell or a cell listed twice for one
-        attribute is refused before anything is drawn.
+        pass (sensor positions are frozen within a round, so the bucketing
+        is too).  A bad duration, a foreign cell or a cell listed twice for
+        one attribute is refused before anything is drawn; each attribute's
+        cells are checked once.
         """
         _refuse_bad_duration(duration)
         for cells in attribute_cells.values():
@@ -1015,7 +996,7 @@ class RequestResponseHandler:
         batches: Dict[str, TupleBatch] = {}
         bucketing = self._bucket_sensors() if attribute_cells else None
         for attribute, cells in attribute_cells.items():
-            batch = self.acquire_attribute_batch(
+            batch = self._acquire_attribute(
                 attribute, cells, duration=duration, report=report,
                 bucketing=bucketing,
             )

@@ -51,18 +51,11 @@ class IncentiveScheme(ABC):
         """Number of individual payments made."""
         return self._payments
 
-    def record_payment(self, amount: float) -> None:
-        """Account for one payment."""
-        if amount < 0:
-            raise CraqrError("payment must be non-negative")
-        self._total_spent += amount
-        self._payments += 1
-
     def refund(self, amount: float, count: int) -> None:
         """Undo payments attached to requests that were never accepted.
 
         With a retry policy configured the handler pays incentives only for
-        accepted responses: payments are drawn (and recorded) per request as
+        accepted responses: a wave's payments are recorded per request as
         usual, then the unaccepted requests' share is refunded so
         :attr:`total_spent` / :attr:`payments` count paid responses only.
         """
@@ -74,26 +67,13 @@ class IncentiveScheme(ABC):
         self._payments -= count
 
     @abstractmethod
-    def payment_for_request(self) -> float:
-        """Payment attached to the next acquisition request."""
-
-    @abstractmethod
-    def multiplier(self) -> float:
-        """Response-probability multiplier the current payment buys."""
-
     def payments_for_requests(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Payments and multipliers for a whole round of ``count`` requests.
+        """Payments and probability multipliers for a wave of ``count`` requests.
 
-        Used by the columnar acquisition path; the fallback loops
-        :meth:`payment_for_request` / :meth:`multiplier` so stateful schemes
-        keep their per-request accounting.
+        The handler prices every wave with one call.  The scheme records
+        what it pays (:attr:`total_spent` / :attr:`payments`) before it
+        returns the two aligned columns.
         """
-        payments = np.empty(count, dtype=float)
-        multipliers = np.empty(count, dtype=float)
-        for i in range(count):
-            payments[i] = self.payment_for_request()
-            multipliers[i] = self.multiplier()
-        return payments, multipliers
 
 
 class FlatIncentive(IncentiveScheme):
@@ -118,11 +98,8 @@ class FlatIncentive(IncentiveScheme):
             raise CraqrError("payment must be non-negative")
         self._payment = payment
 
-    def payment_for_request(self) -> float:
-        self.record_payment(self._payment)
-        return self._payment
-
     def multiplier(self) -> float:
+        """Response-probability multiplier the current payment buys."""
         return incentive_boost(
             self._payment, elasticity=self._elasticity, saturation=self._saturation
         )

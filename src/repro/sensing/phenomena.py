@@ -9,7 +9,6 @@ can show end-to-end value streams rather than bare coordinates.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import Optional, Sequence, Tuple
 
@@ -21,15 +20,16 @@ from ..rng import ensure_rng
 
 
 class PhenomenonField(ABC):
-    """A spatio-temporal field ``value(t, x, y)``."""
+    """A spatio-temporal field sensed over aligned ``(t, x, y)`` columns.
+
+    A field has two bodies, one per RNG contract, and both are abstract: a
+    field without either is a ``TypeError`` when it is built.
+    """
 
     #: Name of the attribute the field backs (e.g. ``"rain"``).
     attribute: str = "value"
 
     @abstractmethod
-    def value(self, t: float, x: float, y: float, rng: Optional[np.random.Generator] = None):
-        """Ground-truth (possibly noisy) value at the given point."""
-
     def values(
         self,
         t: np.ndarray,
@@ -37,20 +37,13 @@ class PhenomenonField(ABC):
         y: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        """Vectorised :meth:`value` over aligned coordinate arrays.
+        """Ground-truth (possibly noisy) values at aligned coordinate arrays.
 
-        The fast-sim round senses a whole wave with one call, drawing from
-        the shared stream.  Subclasses override this with numpy
-        implementations that consume the generator's bit stream exactly as
-        the equivalent sequence of scalar :meth:`value` calls would.  The
-        fallback simply loops.
+        The fast-sim round senses a whole wave with one call, drawing any
+        noise from the shared stream ``rng``.
         """
-        t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape[0], dtype=object)
-        for i in range(t.shape[0]):
-            out[i] = self.value(float(t[i]), float(x[i]), float(y[i]), rng=rng)
-        return out
 
+    @abstractmethod
     def values_from_uniforms(
         self,
         t: np.ndarray,
@@ -63,35 +56,8 @@ class PhenomenonField(ABC):
 
         The strict contract's sensing draw: request ``i``'s value is a pure
         function of ``(t[i], x[i], y[i], u0[i], u1[i])``, so one call over a
-        whole wave equals one call per request.  Subclasses override this
-        with numpy transforms of the uniforms.  The fallback seeds one
-        generator per request from its two uniforms (each is ``k / 2**53``,
-        so ``k`` is exact) and calls :meth:`value` with it.
+        whole wave equals one call per request.
         """
-        seeds = (np.stack((u0, u1)) * 9007199254740992.0).astype(np.uint64)
-        return _value_column(
-            [
-                self.value(ti, xi, yi, rng=np.random.default_rng(seed))
-                for ti, xi, yi, seed in zip(
-                    np.asarray(t, dtype=float).tolist(),
-                    np.asarray(x, dtype=float).tolist(),
-                    np.asarray(y, dtype=float).tolist(),
-                    seeds.T.tolist(),
-                )
-            ]
-        )
-
-
-def _value_column(values: list) -> np.ndarray:
-    """Sensed values as one 1-d column; object dtype when they are not scalars."""
-    try:
-        column = np.asarray(values)
-        if column.ndim != 1:  # e.g. list/tuple values
-            raise ValueError
-    except ValueError:
-        column = np.empty(len(values), dtype=object)
-        column[:] = values
-    return column
 
 
 class RainField(PhenomenonField):
@@ -124,29 +90,9 @@ class RainField(PhenomenonField):
         self._p_inside = p_rain_inside
         self._p_outside = p_rain_outside
 
-    def band_center(self, t: float) -> float:
-        """x-coordinate of the centre of the rain band at time ``t``."""
-        phase = (t % self._period) / self._period
-        return self._region.x_min + phase * self._region.width
-
-    def rain_probability(self, t: float, x: float, y: float) -> float:
-        """Probability that a responder at ``(x, y)`` reports rain at time ``t``."""
-        del y  # the band is uniform in y
-        center = self.band_center(t)
-        # Wrap-around distance along x.
-        dx = abs(x - center)
-        dx = min(dx, self._region.width - dx)
-        if dx <= self._band_width / 2:
-            return self._p_inside
-        return self._p_outside
-
-    def value(self, t, x, y, rng=None) -> bool:
-        rng = ensure_rng(rng)
-        return bool(rng.random() < self.rain_probability(t, x, y))
-
     def rain_probabilities(self, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`rain_probability` over aligned arrays."""
-        del y
+        """Probability that a responder at each ``(t, x, y)`` reports rain."""
+        del y  # the band is uniform in y
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         phase = np.mod(t, self._period) / self._period
@@ -158,8 +104,6 @@ class RainField(PhenomenonField):
     def values(self, t, x, y, rng=None) -> np.ndarray:
         rng = ensure_rng(rng)
         probabilities = self.rain_probabilities(t, x, y)
-        # rng.random(n) consumes the same draws as n scalar rng.random()
-        # calls, so this matches the scalar path bit for bit.
         return rng.random(probabilities.shape[0]) < probabilities
 
     def values_from_uniforms(self, t, x, y, u0, u1) -> np.ndarray:
@@ -199,27 +143,8 @@ class TemperatureField(PhenomenonField):
         self._heat_islands = [tuple(map(float, island)) for island in heat_islands]
         self._noise_std = noise_std
 
-    def mean_value(self, t: float, x: float, y: float) -> float:
-        """Noise-free temperature at the given point.
-
-        Uses numpy's scalar transcendentals (not :mod:`math`) so the result
-        is bit-identical to the vectorised :meth:`mean_values` — libm and
-        numpy's SIMD ``exp`` can differ in the last ulp.
-        """
-        diurnal = self._diurnal_amplitude * float(np.sin(2 * np.pi * t / self._period))
-        value = self._base + diurnal
-        for cx, cy, amplitude, sigma in self._heat_islands:
-            d2 = (x - cx) ** 2 + (y - cy) ** 2
-            value += amplitude * float(np.exp(-d2 / (2 * sigma * sigma)))
-        return value
-
-    def value(self, t, x, y, rng=None) -> float:
-        rng = ensure_rng(rng)
-        noise = float(rng.normal(0.0, self._noise_std)) if self._noise_std > 0 else 0.0
-        return self.mean_value(t, x, y) + noise
-
     def mean_values(self, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`mean_value` over aligned arrays."""
+        """Noise-free temperature at aligned coordinate arrays."""
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)

@@ -276,7 +276,7 @@ class ContinuousView:
             # pane (pane_sorted is pane-major, so [0] is the minimum).
             if cached is not None and int(cached[1][0]) >= self._next_pane:
                 order, pane_sorted, code_sorted = cached
-                values_sorted = self._value_column(batch, order)
+                values_sorted = self._sorted_values(batch, order)
                 self._fold_sorted(
                     batch, pane_sorted, code_sorted, values_sorted, n
                 )
@@ -310,7 +310,7 @@ class ContinuousView:
         order = np.lexsort((codes, pane_ids))
         pane_sorted = pane_ids[order]
         code_sorted = codes[order]
-        values_sorted = self._value_column(batch, order)
+        values_sorted = self._sorted_values(batch, order)
         if cache is not None and not filtered and not clamped:
             cache.store(signature, batch, (order, pane_sorted, code_sorted))
         self._fold_sorted(batch, pane_sorted, code_sorted, values_sorted, n)
@@ -418,7 +418,7 @@ class ContinuousView:
             return attribute
         return "*"
 
-    def _value_column(self, batch: TupleBatch, order: np.ndarray):
+    def _sorted_values(self, batch: TupleBatch, order: np.ndarray):
         """The sorted float64 value column (``None`` for COUNT-style aggregates)."""
         if not self._aggregate.needs_values:
             return None

@@ -22,7 +22,7 @@ from recovery_harness import (
     run_to,
 )
 from repro.errors import RecoveryError
-from repro.recovery import load_snapshot, write_snapshot_file
+from repro.recovery import FORMAT_VERSION, load_snapshot, write_snapshot_file
 from repro.sensing import FatigueParticipation
 
 #: Golden digest of the strict-mode workload after 8 batches — pinned so a
@@ -192,6 +192,23 @@ class TestSnapshotSemantics:
         restored = run_to(clone.restore(), 6)
         assert engine_digest(restored) == engine_digest(reference)
         assert restored.discarded_store.counts() == reference.discarded_store.counts()
+
+    def test_a_fabricator_checkpoint_of_the_old_layout_restores(self, tmp_path):
+        # The stream fabricator used to pickle two fields nothing read: a
+        # delivered-tuple count per query id ever registered and a batch
+        # counter.  A checkpoint written then carries the same
+        # FORMAT_VERSION and must restore and run on unchanged.
+        reference = run_to(make_engine(), 6)
+        engine = run_to(make_engine(), 3)
+        fabricator = engine._fabricator
+        assert not {"_delivered_per_query", "_batches"} & set(vars(fabricator))
+        delivered = {handle.query_id: 40 for handle in engine.query_handles()}
+        assert delivered
+        vars(fabricator).update(_delivered_per_query=delivered, _batches=3)
+        clone = load_snapshot(engine.snapshot().write(tmp_path / "old.ckpt"))
+        assert clone.version == FORMAT_VERSION == 13
+        restored = run_to(clone.restore(), 6)
+        assert engine_digest(restored) == engine_digest(reference)
 
     def test_snapshot_bytes_grow_with_the_crowd_but_not_faster(self, tmp_path):
         # The crowd's SoA columns and RNG streams dominate the payload.

@@ -50,9 +50,6 @@ class ConstantField(PhenomenonField):
     constant: object = 0.0
     attribute: str = "value"
 
-    def value(self, t, x, y, rng=None):
-        return self.constant
-
     def values(self, t, x, y, rng=None):
         n = np.asarray(t).shape[0]
         if isinstance(self.constant, (bool, int, float)):

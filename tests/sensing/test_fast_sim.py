@@ -168,8 +168,7 @@ class TestFastSimAcquisition:
         grid = Grid(REGION, side=4)
         handler = RequestResponseHandler(fast, grid, default_budget=60)
         cell = grid.cell(1, 1)
-        batch = handler.acquire_attribute_batch("temp", [cell], duration=1.0)
-        assert batch is not None
+        batch = handler.acquire_batches({"temp": [cell]}, duration=1.0)[0]["temp"]
         n = len(batch)
         assert batch.attribute == "temp"
         # Responses stay in request order; latencies are zero under
@@ -208,8 +207,8 @@ class TestFastSimAcquisition:
         strict_handler = RequestResponseHandler(strict, grid, default_budget=30)
         fast_handler = RequestResponseHandler(fast, grid, default_budget=30)
         cell = grid.cell(2, 2)
-        strict_batch = strict_handler.acquire_attribute_batch("rain", [cell], duration=1.0)
-        fast_batch = fast_handler.acquire_attribute_batch("rain", [cell], duration=1.0)
+        strict_batch = strict_handler.acquire_batches({"rain": [cell]}, duration=1.0)[0].get("rain")
+        fast_batch = fast_handler.acquire_batches({"rain": [cell]}, duration=1.0)[0].get("rain")
         assert (strict_batch is None) == (fast_batch is None)
         if strict_batch is not None:
             assert strict_batch.to_tuples() == fast_batch.to_tuples()

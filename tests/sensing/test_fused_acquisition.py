@@ -1,8 +1,8 @@
 """The fused attribute-level fast-sim acquisition round.
 
-``RequestResponseHandler.acquire_attribute_batch`` serves all requested
-cells of one attribute with a single participation draw, a single latency
-draw and a single ``field.values`` call.  These tests pin down its
+``RequestResponseHandler.acquire_batches`` serves all requested cells of
+one attribute with a single participation draw, a single latency draw and
+a single ``field.values`` call.  These tests pin down its
 contracts:
 
 * **statistical equivalence** with the per-cell fast-sim round — same
@@ -104,11 +104,16 @@ def per_cell_round(handler, attribute, cells, *, duration=1.0):
     report = HandlerReport()
     batches = []
     for cell in cells:
-        batch = handler.acquire_attribute_batch(
-            attribute, [cell], duration=duration, report=report
+        round_batches, round_report = handler.acquire_batches(
+            {attribute: [cell]}, duration=duration
         )
-        if batch is not None and len(batch):
-            batches.append(batch)
+        report.requests_sent += round_report.requests_sent
+        report.responses_received += round_report.responses_received
+        report.incentive_spent += round_report.incentive_spent
+        report.per_cell_requests.update(round_report.per_cell_requests)
+        report.per_cell_responses.update(round_report.per_cell_responses)
+        if attribute in round_batches:
+            batches.append(round_batches[attribute])
     if not batches:
         return None, report
     return TupleBatch.concatenate(batches), report
@@ -200,8 +205,7 @@ class TestFusedStatisticalEquivalence:
         grid = Grid(REGION, side=4)
         handler = RequestResponseHandler(fused_world, grid, default_budget=40)
         cells = list(grid.cells())
-        batch = handler.acquire_attribute_batch("temp", cells, duration=1.0)
-        assert batch is not None
+        batch = handler.acquire_batches({"temp": cells}, duration=1.0)[0]["temp"]
         n = len(batch)
         assert batch.attribute == "temp"
         assert batch.value.dtype == np.float64
@@ -236,7 +240,7 @@ class TestFusedStatisticalEquivalence:
         grid = Grid(REGION, side=2)
         handler = RequestResponseHandler(fused_world, grid, default_budget=10)
         cells = list(grid.cells())
-        batch = handler.acquire_attribute_batch("rain", cells, duration=1.0)
+        batch = handler.acquire_batches({"rain": cells}, duration=1.0)[0].get("rain")
         populated = sum(
             1 for cell in cells
             if rows_in(fused_world, cell.rect).size
@@ -263,20 +267,40 @@ class TestFusedStatisticalEquivalence:
         soa = world.state_arrays
         counters = (soa.requests_received.copy(), soa.responses_sent.copy())
         rng_state = world.rng.bit_generator.state
-        report = HandlerReport()
         with pytest.raises(AcquisitionError, match=r"\(1, 1\), \(5, 5\)"):
-            handler.acquire_attribute_batch(
-                "rain", [grid.cell(1, 1), *foreign], duration=1.0, report=report
+            handler.acquire_batches(
+                {"rain": [grid.cell(1, 1), *foreign]}, duration=1.0
             )
         with pytest.raises(AcquisitionError):
             handler.acquire_batches(
                 {"rain": [grid.cell(1, 1)], "temp": foreign[:1]}, duration=1.0
             )
-        assert report == HandlerReport()
         assert soa.requests_received.tobytes() == counters[0].tobytes()
         assert soa.responses_sent.tobytes() == counters[1].tobytes()
         assert world.rng.bit_generator.state == rng_state
         assert (handler.total_requests, handler.total_responses) == (0, 0)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_each_attributes_cells_are_checked_once_a_round(self, vectorized, monkeypatch):
+        # A round has one entry, so the cell check runs once per attribute
+        # per round, through the object view as well.
+        world = make_world(vectorized, sensor_count=300)
+        grid = Grid(REGION, side=4)
+        handler = RequestResponseHandler(world, grid, default_budget=10)
+        checked = []
+        inner = RequestResponseHandler._refuse_bad_cells
+
+        def counting(self, cells):
+            checked.append(list(cells))
+            return inner(self, cells)
+
+        monkeypatch.setattr(RequestResponseHandler, "_refuse_bad_cells", counting)
+        request = {"rain": list(grid.cells()), "temp": [grid.cell(0, 0), grid.cell(3, 2)]}
+        for _ in range(2):
+            handler.acquire_batches(request, duration=1.0)
+            world.advance(1.0)
+        handler.acquire(request, duration=1.0)
+        assert checked == [request["rain"], request["temp"]] * 3
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_object_view_refuses_foreign_cells(self, vectorized):
@@ -308,7 +332,7 @@ class TestFusedStatisticalEquivalence:
         with pytest.raises(AcquisitionError, match=r"\[\(2, 1\)\] are requested more than once"):
             handler.acquire_batches({"rain": [grid.cell(2, 1), twin]}, duration=1.0)
         with pytest.raises(AcquisitionError, match="more than once"):
-            handler.acquire_attribute_batch("rain", [twin, grid.cell(2, 1)], duration=1.0)
+            handler.acquire_batches({"rain": [twin, grid.cell(2, 1)]}, duration=1.0)
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_a_cell_listed_twice_is_refused_before_anything_is_drawn(self, vectorized):
@@ -324,8 +348,8 @@ class TestFusedStatisticalEquivalence:
         with pytest.raises(AcquisitionError, match=r"\[\(0, 0\)\] are requested more than once"):
             handler.acquire_batches({"rain": [cell, cell]}, duration=1.0)
         with pytest.raises(AcquisitionError, match="more than once"):
-            handler.acquire_attribute_batch(
-                "rain", [cell, grid.cell(1, 0), cell], duration=1.0
+            handler.acquire_batches(
+                {"rain": [cell, grid.cell(1, 0), cell]}, duration=1.0
             )
         assert world.rng.bit_generator.state == rng_state
         assert (handler.total_requests, handler.total_responses) == (0, 0)
@@ -367,10 +391,6 @@ class TestFusedStatisticalEquivalence:
             handler.acquire_batches({"rain": list(grid.cells())}, duration=duration)
         with pytest.raises(AcquisitionError, match="positive and finite"):
             handler.acquire_batches({}, duration=duration)
-        with pytest.raises(AcquisitionError, match="positive and finite"):
-            handler.acquire_attribute_batch(
-                "rain", list(grid.cells()), duration=duration
-            )
         assert world.rng.bit_generator.state == rng_state
         assert (handler.total_requests, handler.total_responses) == (0, 0)
         assert world.state_arrays.requests_received.sum() == 0

@@ -19,37 +19,47 @@ from repro.sensing import (
     WorldConfig,
     incentive_boost,
 )
+from repro.sensing.incentives import IncentiveScheme
 from repro.sensing.participation import ParticipationModel, exponential_latency
 from repro.sensing.phenomena import PhenomenonField
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
 
+def at(*points):
+    """Aligned ``(t, x, y)`` columns of the given ``(t, x, y)`` points."""
+    return tuple(np.array(column, dtype=float) for column in zip(*points))
+
+
 class TestRainField:
+    # At t = 0 the band is centred on the region's left edge, x = 0.
+
     def test_probability_high_inside_band(self):
         field = RainField(REGION, band_width=1.0, period=40.0)
-        center = field.band_center(0.0)
-        assert field.rain_probability(0.0, center, 1.0) > 0.9
+        assert field.rain_probabilities(*at((0.0, 0.0, 1.0)))[0] > 0.9
 
     def test_probability_low_far_from_band(self):
         field = RainField(REGION, band_width=0.5, period=40.0)
-        center = field.band_center(0.0)
-        far = (center + 2.0) % REGION.width
-        assert field.rain_probability(0.0, far, 1.0) < 0.1
+        assert field.rain_probabilities(*at((0.0, 2.0, 1.0)))[0] < 0.1
 
     def test_band_moves_over_time(self):
+        # A quarter period later the band is centred on x = 1.
         field = RainField(REGION, band_width=0.5, period=40.0)
-        assert field.band_center(0.0) != field.band_center(10.0)
+        probabilities = field.rain_probabilities(
+            *at((0.0, 0.0, 1.0), (10.0, 0.0, 1.0), (10.0, 1.0, 1.0))
+        )
+        assert probabilities.tolist() == [0.95, 0.02, 0.95]
 
     def test_value_is_boolean(self):
         field = RainField(REGION)
-        assert isinstance(field.value(0.0, 1.0, 1.0, rng=np.random.default_rng(0)), bool)
+        values = field.values(*at((0.0, 1.0, 1.0), (1.0, 2.0, 2.0)), rng=np.random.default_rng(0))
+        assert values.dtype == bool and values.shape == (2,)
 
     def test_values_from_uniforms_rains_at_the_band_probability(self):
         field = RainField(REGION, band_width=1.0, period=40.0, p_rain_inside=0.9)
         n = 20_000
         u0, u1 = np.random.default_rng(3).random((2, n))
-        x = np.full(n, field.band_center(0.0))
+        x = np.zeros(n)  # the band's centre at t = 0
         values = field.values_from_uniforms(np.zeros(n), x, np.ones(n), u0, u1)
         assert values.dtype == bool
         assert values.mean() == pytest.approx(0.9, abs=0.01)
@@ -66,39 +76,45 @@ class TestRainField:
 class TestTemperatureField:
     def test_diurnal_cycle(self):
         field = TemperatureField(REGION, base=20.0, diurnal_amplitude=5.0, period=100.0, noise_std=0.0)
-        assert field.mean_value(25.0, 1.0, 1.0) == pytest.approx(25.0)
-        assert field.mean_value(75.0, 1.0, 1.0) == pytest.approx(15.0)
+        means = field.mean_values(*at((25.0, 1.0, 1.0), (75.0, 1.0, 1.0)))
+        assert means.tolist() == pytest.approx([25.0, 15.0])
 
     def test_heat_island_raises_temperature(self):
         field = TemperatureField(
             REGION, base=20.0, diurnal_amplitude=0.0, heat_islands=((2.0, 2.0, 3.0, 0.5),), noise_std=0.0
         )
-        assert field.mean_value(0.0, 2.0, 2.0) == pytest.approx(23.0)
-        assert field.mean_value(0.0, 0.1, 0.1) < 20.5
+        centre, corner = field.mean_values(*at((0.0, 2.0, 2.0), (0.0, 0.1, 0.1))).tolist()
+        assert centre == pytest.approx(23.0)
+        assert corner < 20.5
 
     def test_noise_applied(self):
         field = TemperatureField(REGION, noise_std=1.0)
-        rng = np.random.default_rng(1)
-        values = {field.value(0.0, 1.0, 1.0, rng=rng) for _ in range(5)}
-        assert len(values) > 1
+        values = field.values(*at(*[(0.0, 1.0, 1.0)] * 5), rng=np.random.default_rng(1))
+        assert len(set(values.tolist())) > 1
 
     def test_values_from_uniforms_adds_gaussian_noise(self):
         field = TemperatureField(REGION, noise_std=0.5)
         n = 40_000
         u0, u1 = np.random.default_rng(4).random((2, n))
         values = field.values_from_uniforms(np.zeros(n), np.ones(n), np.ones(n), u0, u1)
-        noise = values - field.mean_value(0.0, 1.0, 1.0)
+        noise = values - field.mean_values(*at((0.0, 1.0, 1.0)))[0]
         assert noise.mean() == pytest.approx(0.0, abs=0.01)
         assert noise.std() == pytest.approx(0.5, rel=0.02)
+        # A pure function of the uniforms: one request alone answers the same.
+        alone = field.values_from_uniforms(np.zeros(1), np.ones(1), np.ones(1), u0[7:8], u1[7:8])
+        assert alone.tobytes() == values[7:8].tobytes()
         quiet = TemperatureField(REGION, noise_std=0.0)
         assert quiet.values_from_uniforms(
             np.zeros(2), np.ones(2), np.ones(2), u0[:2], u1[:2]
-        ).tolist() == [quiet.mean_value(0.0, 1.0, 1.0)] * 2
+        ).tolist() == quiet.mean_values(*at((0.0, 1.0, 1.0))).tolist() * 2
 
-    def test_base_fallback_seeds_value_from_the_uniforms(self):
+    def test_a_field_with_both_vector_bodies_answers_each_request_as_its_wave_row(self):
         class Jittered(PhenomenonField):
-            def value(self, t, x, y, rng=None):
-                return x + rng.random()
+            def values(self, t, x, y, rng=None):
+                return x + rng.random(len(x))
+
+            def values_from_uniforms(self, t, x, y, u0, u1):
+                return x + u0
 
         field = Jittered()
         u0, u1 = np.random.default_rng(5).random((2, 6))
@@ -108,6 +124,8 @@ class TestTemperatureField:
         assert first.dtype == np.float64
         assert first[3:].tolist() == again.tolist()
         assert np.all((first >= xs) & (first < xs + 1.0))
+        drawn = field.values(np.zeros(6), xs, xs, rng=np.random.default_rng(5))
+        assert drawn.tolist() == (xs + np.random.default_rng(5).random(6)).tolist()
 
     def test_validation(self):
         with pytest.raises(CraqrError):
@@ -118,23 +136,40 @@ class TestTemperatureField:
             TemperatureField(REGION, heat_islands=((0.0, 0.0, 1.0, 0.0),))
 
 
-class TestVectorisedFallback:
-    """``PhenomenonField.values`` for a field that only defines ``value``."""
+class TestVectorBodiesAreTheContract:
+    """A field or scheme without its vector bodies cannot be built."""
 
-    class NoisyDistance(PhenomenonField):
-        attribute = "distance"
+    def test_a_field_without_values_is_a_type_error(self):
+        class UniformsOnly(PhenomenonField):
+            def values_from_uniforms(self, t, x, y, u0, u1):
+                return np.asarray(u0)
 
-        def value(self, t, x, y, rng=None):
-            return float(np.hypot(x, y)) + t + float(rng.normal(0.0, 0.1))
+        with pytest.raises(TypeError, match=r"method '?values'?$"):
+            UniformsOnly()
 
-    def test_loops_value_and_draws_in_order(self):
-        field = self.NoisyDistance()
-        t, x, y = np.array([0.0, 1.0, 2.0]), np.array([3.0, 0.0, 1.0]), np.array([4.0, 1.0, 0.0])
-        out = field.values(t, x, y, rng=np.random.default_rng(5))
-        rng = np.random.default_rng(5)
-        expected = [field.value(float(a), float(b), float(c), rng=rng) for a, b, c in zip(t, x, y)]
-        assert out.dtype == object
-        assert out.tolist() == expected
+    def test_a_field_without_values_from_uniforms_is_a_type_error(self):
+        class SharedStreamOnly(PhenomenonField):
+            def values(self, t, x, y, rng=None):
+                return rng.random(len(x))
+
+        with pytest.raises(TypeError, match="values_from_uniforms"):
+            SharedStreamOnly()
+
+    def test_a_field_with_only_a_scalar_body_is_a_type_error(self):
+        class ScalarOnly(PhenomenonField):
+            def value(self, t, x, y, rng=None):
+                return float(rng.random())
+
+        with pytest.raises(TypeError, match=r"values'?, '?values_from_uniforms"):
+            ScalarOnly()
+
+    def test_a_scheme_without_payments_for_requests_is_a_type_error(self):
+        class PerRequest(IncentiveScheme):
+            def payment_for_request(self):
+                return 0.5
+
+        with pytest.raises(TypeError, match="payments_for_requests"):
+            PerRequest()
 
 
 class TestParticipationModels:
@@ -384,8 +419,9 @@ class TestIncentives:
 
     def test_flat_incentive_tracks_spending(self):
         scheme = FlatIncentive(0.5)
-        scheme.payment_for_request()
-        scheme.payment_for_request()
+        payments, multipliers = scheme.payments_for_requests(2)
+        assert payments.tolist() == [0.5, 0.5]
+        assert multipliers.tolist() == [scheme.multiplier()] * 2
         assert scheme.total_spent == pytest.approx(1.0)
         assert scheme.payments == 2
 

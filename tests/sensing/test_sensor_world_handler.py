@@ -305,8 +305,7 @@ class TestColumnarAcquisition:
         object_handler, columnar_handler, grid = self.make_pair()
         cell = grid.cell(1, 1)
         items = acquire_cell_tuples(object_handler, "rain", cell)
-        batch = columnar_handler.acquire_attribute_batch("rain", [cell], duration=1.0)
-        assert batch is not None
+        batch = columnar_handler.acquire_batches({"rain": [cell]}, duration=1.0)[0]["rain"]
         assert batch.to_tuples() == items
         # Metadata (cell key, incentive) is reconstructed faithfully too.
         assert [it.metadata for it in batch.to_tuples()] == [it.metadata for it in items]
@@ -317,7 +316,7 @@ class TestColumnarAcquisition:
         )
         cell = grid.cell(1, 1)
         items = acquire_cell_tuples(object_handler, "temp", cell)
-        batch = columnar_handler.acquire_attribute_batch("temp", [cell], duration=1.0)
+        batch = columnar_handler.acquire_batches({"temp": [cell]}, duration=1.0)[0].get("temp")
         # The object view lists a cell's tuples in time order.
         columnar = [] if batch is None else sorted(batch.to_tuples(), key=lambda it: it.t)
         assert columnar == items

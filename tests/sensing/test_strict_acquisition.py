@@ -45,7 +45,7 @@ from repro.sensing import (
 from repro.sensing.handler import _PerSensorStreams
 from repro.sensing.incentives import IncentiveScheme
 from repro.sensing.participation import ParticipationModel, ResponseDecision
-from repro.sensing.phenomena import PhenomenonField, _value_column
+from repro.sensing.phenomena import PhenomenonField
 from repro.streams import operator as operator_module
 from repro.workloads.scenarios import default_resilience_config, flaky_crowd_plan
 
@@ -57,6 +57,16 @@ REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 # ----------------------------------------------------------------------------
 # The oracle: one handle_request per request, sensors visited in shuffled order
 # ----------------------------------------------------------------------------
+
+
+def value_column(values):
+    """Sensed values as one 1-d column; object dtype when they are not scalars."""
+    column = np.asarray(values)
+    if column.ndim == 1:
+        return column
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
 
 
 def shuffled_visits(rows, rng):
@@ -109,7 +119,7 @@ def per_object_answer(self, field_model, rows, request_times, multipliers, repla
             latencies[k] = decision.latency
             values[k] = row[3]
     answered = np.flatnonzero(responded)
-    column = _value_column([values[k] for k in answered.tolist()])
+    column = value_column([values[k] for k in answered.tolist()])
     return responded, latencies[answered], column
 
 
@@ -119,12 +129,17 @@ def per_object_answer(self, field_model, rows, request_times, multipliers, repla
 
 
 class PairField(PhenomenonField):
-    """Tuple-valued observations through the base ``values_from_uniforms``."""
+    """Tuple-valued observations: the wave's values are an object column."""
 
     attribute = "pair"
 
-    def value(self, t, x, y, rng=None):
-        return (round(x, 3), float(rng.random()))
+    def values(self, t, x, y, rng=None):
+        return self.values_from_uniforms(t, x, y, rng.random(len(x)), None)
+
+    def values_from_uniforms(self, t, x, y, u0, u1):
+        return value_column(
+            [(round(xi, 3), ui) for xi, ui in zip(np.asarray(x).tolist(), np.asarray(u0).tolist())]
+        )
 
 
 class SteppingIncentive(IncentiveScheme):
@@ -134,14 +149,13 @@ class SteppingIncentive(IncentiveScheme):
         super().__init__()
         self._served = 0
 
-    def payment_for_request(self):
-        self._served += 1
-        payment = 0.2 * (self._served % 3)
-        self.record_payment(payment)
-        return payment
-
-    def multiplier(self):
-        return 1.0 + 0.15 * (self._served % 3)
+    def payments_for_requests(self, count):
+        steps = (self._served + np.arange(1, count + 1)) % 3
+        self._served += count
+        payments = 0.2 * steps
+        self._total_spent += float(payments.sum())
+        self._payments += count
+        return payments, 1.0 + 0.15 * steps
 
 
 class NeverRespond(ParticipationModel):
