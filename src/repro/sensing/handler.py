@@ -51,6 +51,7 @@ from ..rng import ANSWERS, keyed_uniforms
 from ..streams import SensorTuple, TupleBatch, make_tuple_id_allocator
 from .incentives import IncentiveScheme
 from .participation import exponential_latency
+from .phenomena import PhenomenonField
 from .world import SensingWorld
 
 CellKey = Tuple[int, int]
@@ -880,6 +881,7 @@ class RequestResponseHandler:
     def _acquire_attribute(
         self,
         attribute: str,
+        field_model: PhenomenonField,
         cells: List[GridCell],
         *,
         duration: float,
@@ -903,12 +905,12 @@ class RequestResponseHandler:
         bucketed populations (no second scan of the crowd), so those
         sensors are decided per request exactly as in strict mode.
 
-        :meth:`acquire_batches` has checked the duration and the cells.
-        Empty cells send nothing.  Returns one batch for the whole
-        attribute (the target cell of every tuple rides in the ``cell``
-        extra column), or ``None`` when no responses arrived.
+        :meth:`acquire_batches` has checked the duration and the cells and
+        looked up ``attribute``'s field.  Empty cells send nothing.  Returns
+        one batch for the whole attribute (the target cell of every tuple
+        rides in the ``cell`` extra column), or ``None`` when no responses
+        arrived.
         """
-        field_model = self._world.field_for(attribute)
         fast_sim = self._world.vectorized
         populations, fully_vector = self._resolve_cell_populations(cells, bucketing)
         # Each policy's one wave loop: (cell keys, populations).
@@ -985,20 +987,21 @@ class RequestResponseHandler:
         Each attribute is served by one fused :meth:`_acquire_attribute`
         round under either RNG contract, all of them sharing one bucketing
         pass (sensor positions are frozen within a round, so the bucketing
-        is too).  A bad duration, a foreign cell or a cell listed twice for
-        one attribute is refused before anything is drawn; each attribute's
-        cells are checked once.
+        is too).  A bad duration, a foreign cell, a cell listed twice for
+        one attribute and an attribute without a field are refused before
+        anything is drawn or sent; each attribute's cells are checked once.
         """
         _refuse_bad_duration(duration)
         for cells in attribute_cells.values():
             self._refuse_bad_cells(cells)
+        fields = {attribute: self._world.field_for(attribute) for attribute in attribute_cells}
         report = HandlerReport()
         batches: Dict[str, TupleBatch] = {}
         bucketing = self._bucket_sensors() if attribute_cells else None
         for attribute, cells in attribute_cells.items():
             batch = self._acquire_attribute(
-                attribute, cells, duration=duration, report=report,
-                bucketing=bucketing,
+                attribute, fields[attribute], cells, duration=duration,
+                report=report, bucketing=bucketing,
             )
             if batch is not None:
                 batches[attribute] = batch

@@ -156,6 +156,12 @@ def _row_selector(rows: np.ndarray) -> RowSelector:
     return rows.astype(np.int64, copy=False)
 
 
+def _run_codes(runs: List[Tuple[int, int]], count: int) -> np.ndarray:
+    """The int32 code of each of ``count`` rows, given each run's ``(first row, code)``."""
+    starts, codes = zip(*runs)
+    return np.repeat(np.array(codes, dtype=np.int32), np.diff((*starts, count)))
+
+
 class SensingWorld:
     """The simulated crowd of mobile sensors and the phenomena they observe."""
 
@@ -176,22 +182,31 @@ class SensingWorld:
         always = AlwaysRespond()
         # Both factories are still called once per sensor, in id order, but
         # only the first model of each group is kept: key -> (code, model).
+        # A dict is probed only when a sensor's key differs from the previous
+        # sensor's (a stateful participation model's key is its id), and each
+        # run of equal keys is recorded once, as (first row, code).
         mobility: Dict[Hashable, Tuple[int, MobilityModel]] = {}
         participation: Dict[Hashable, Tuple[int, ParticipationModel]] = {}
-        mobility_codes, participation_codes = [], []
+        mobility_runs, participation_runs = [], []
+        mobility_key = participation_key = object()  # equal to no key
         for sensor_id in range(config.sensor_count):
             model = mobility_factory(config.region)
-            code, _ = mobility.setdefault(model.batch_key(), (len(mobility), model))
-            mobility_codes.append(code)
+            key = model.batch_key()
+            if key != mobility_key:
+                code, _ = mobility.setdefault(key, (len(mobility), model))
+                mobility_runs.append((sensor_id, code))
+                mobility_key = key
             model = participation_factory(sensor_id) if participation_factory else always
             params = model.vector_params()
             key = id(model) if params is None else (type(model), params)
-            code, _ = participation.setdefault(key, (len(participation), model))
-            participation_codes.append(code)
+            if key != participation_key:
+                code, _ = participation.setdefault(key, (len(participation), model))
+                participation_runs.append((sensor_id, code))
+                participation_key = key
         state = self._state = SensorStateArrays(config.sensor_count)
         state.sensor_ids[:] = np.arange(config.sensor_count)
         self._participation_models = [model for _, model in participation.values()]
-        self._participation_codes = np.array(participation_codes, dtype=np.int32)
+        self._participation_codes = _run_codes(participation_runs, config.sensor_count)
         state.set_participation(
             self._participation_codes, [m.vector_params() for m in self._participation_models]
         )
@@ -199,7 +214,7 @@ class SensingWorld:
         # kernels receive: a ``slice`` when contiguous (every single-model
         # crowd), so they work on views of the columns; the int64 index
         # array otherwise (interleaved groups of a mixed crowd).
-        self._mobility_codes = codes = np.array(mobility_codes, dtype=np.int32)
+        self._mobility_codes = codes = _run_codes(mobility_runs, config.sensor_count)
         rows = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
         self._mobility_groups: List[Tuple[MobilityModel, RowSelector]] = [
             (model, _row_selector(group)) for (_, model), group in zip(mobility.values(), rows)

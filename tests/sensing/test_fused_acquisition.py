@@ -18,8 +18,9 @@ contracts:
   ``_choose_rows``: same-seed worlds choose the same first rows, and
   the sample is uniform, uniformly ordered and without replacement
   wherever the population covers the budget;
-* **refusals** — a foreign cell, a cell listed twice and a duration that
-  is not positive and finite are refused before anything is drawn;
+* **refusals** — a foreign cell, a cell listed twice, a duration that
+  is not positive and finite and an attribute without a field are refused
+  before anything is drawn;
 * **exact stateful crowds** — in fast-sim the cells hosting a stateful
   sensor take one per-sensor wave loop per attribute, so a crowd whose
   every sensor is stateful acquires exactly what a strict world does.
@@ -32,6 +33,7 @@ import pytest
 from scipy import stats
 
 from repro.errors import AcquisitionError
+from repro.faults import HealthConfig, SensorHealthMonitor
 from repro.geometry import Grid, Rectangle
 from repro.sensing import (
     BernoulliParticipation,
@@ -394,6 +396,41 @@ class TestFusedStatisticalEquivalence:
         assert world.rng.bit_generator.state == rng_state
         assert (handler.total_requests, handler.total_responses) == (0, 0)
         assert world.state_arrays.requests_received.sum() == 0
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_an_attribute_without_a_field_is_refused_before_anything_is_sent(
+        self, vectorized
+    ):
+        # Each attribute's field used to be looked up on its turn, so rain
+        # drew from the world stream and sent its requests before the
+        # unknown attribute raised, and the round was never closed.
+        world = make_world(vectorized, sensor_count=400)
+        grid = Grid(REGION, side=4)
+        health = SensorHealthMonitor(HealthConfig(), world.state_arrays)
+        handler = RequestResponseHandler(world, grid, default_budget=10, health=health)
+        soa = world.state_arrays
+
+        def observed():
+            return (
+                world.rng.bit_generator.state,
+                soa.requests_received.tobytes(),
+                soa.responses_sent.tobytes(),
+                handler.total_requests,
+                handler.total_responses,
+                health._round,
+                health._round_requests.tobytes(),
+                health._round_accepted.tobytes(),
+            )
+
+        before = observed()
+        cells = list(grid.cells())
+        with pytest.raises(AcquisitionError, match="'nope'"):
+            handler.acquire_batches({"rain": cells, "nope": cells}, duration=1.0)
+        with pytest.raises(AcquisitionError, match="'nope'"):
+            handler.acquire({"rain": cells, "nope": cells}, duration=1.0)
+        assert observed() == before
+        handler.acquire_batches({"rain": cells}, duration=1.0)
+        assert health._round == 1
 
 
 class TestOneChoiceBody:

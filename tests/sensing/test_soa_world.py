@@ -1,13 +1,19 @@
 """The SoA sensing world: construction, model groups and vectorised queries.
 
 A world keeps one model object per group and builds ``MobileSensor`` views
-when asked for them.  Where it places its sensors (one keyed block each)
-and how a strict crowd then moves are held against each sensor alone in
+when asked for them.  ``TestGroupingOracle`` holds a world's groups, codes,
+row selectors and every column to the one-``setdefault``-per-sensor loop a
+world was first built with, which stays here as the oracle.  Where it
+places its sensors (one keyed block each) and how a strict crowd then moves
+are held against each sensor alone in
 ``tests/sensing/test_crowd_independence.py``.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.geometry import Rectangle
 from repro.sensing import (
@@ -22,6 +28,8 @@ from repro.sensing import (
     StationaryMobility,
     WorldConfig,
 )
+from repro.sensing.mobility import place_groups
+from repro.sensing.participation import ParticipationModel, ResponseDecision
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
@@ -212,3 +220,174 @@ class TestVectorisedWorldQueries:
         before = positions.copy()
         world.advance(1.0)
         assert np.array_equal(positions, before)
+
+
+class Tagged(StationaryMobility):
+    """A stationary model with one extra ``batch_key`` part, NaN included."""
+
+    def __init__(self, region, tag):
+        super().__init__(region)
+        self._tag = tag
+
+    def batch_key(self):
+        return self._kernel_key(self._tag)
+
+
+class Unhashable(StationaryMobility):
+    def batch_key(self):
+        return [type(self), self._region]
+
+
+class ScalarOnly(ParticipationModel):
+    """A custom model without stationary parameters (``vector_params()`` is None)."""
+
+    def decide(self, sensor_id, t, uniforms, *, incentive_multiplier=1.0):
+        return ResponseDecision(responds=True, latency=0.0)
+
+
+class NanLatency(BernoulliParticipation):
+    def __init__(self, latency):
+        super().__init__(0.5)
+        self._latency = latency
+
+    def vector_params(self):
+        return (0.5, 1.0, self._latency, True)
+
+
+SHARED_FATIGUE = FatigueParticipation(0.7)
+
+#: Each recipe builds a new model per call.  ``waypoint_new_region`` has
+#: ``waypoint``'s key, equal but not identical (a new ``Rectangle``), as
+#: every ``hotspot`` key is (new hotspot tuples); ``nan_new`` keys hold a new
+#: NaN each, which equals no other key, while ``nan_shared`` keys hold one.
+MOBILITY_RECIPES = {
+    "waypoint": lambda r: RandomWaypointMobility(r, speed=0.4, pause=0.3),
+    "waypoint_new_region": lambda r: RandomWaypointMobility(
+        Rectangle(0.0, 0.0, 4.0, 4.0), speed=0.4, pause=0.3
+    ),
+    "fast": lambda r: RandomWaypointMobility(r, speed=0.9, pause=0.3),
+    "hotspot": MOBILITY_FACTORIES["hotspot"],
+    "nan_shared": lambda r: Tagged(r, math.nan),
+    "nan_new": lambda r: Tagged(r, float("nan")),
+}
+PARTICIPATION_RECIPES = {
+    "always": AlwaysRespond,
+    "low": lambda: BernoulliParticipation(0.4),
+    "high": lambda: BernoulliParticipation(0.6, mean_latency=0.2),
+    "custom": ScalarOnly,
+    "fatigue_new": lambda: FatigueParticipation(0.7),
+    "fatigue_shared": lambda: SHARED_FATIGUE,
+    "nan_shared": lambda: NanLatency(math.nan),
+    "nan_new": lambda: NanLatency(float("nan")),
+}
+
+
+def oracle_world(made_mobility, made_participation, key):
+    """The grouping loop worlds were first built with, over the models a build made.
+
+    One ``setdefault`` per sensor and model kind: ``key -> (code, first
+    model)``.  Returns the codes, the kept models, the mobility groups'
+    row selectors and the columns that the groups' placement and
+    participation parameters write.
+    """
+    mobility, participation = {}, {}
+    mobility_codes, participation_codes = [], []
+    for mobility_model, participation_model in zip(made_mobility, made_participation):
+        code, _ = mobility.setdefault(
+            mobility_model.batch_key(), (len(mobility), mobility_model)
+        )
+        mobility_codes.append(code)
+        params = participation_model.vector_params()
+        group = id(participation_model) if params is None else (type(participation_model), params)
+        code, _ = participation.setdefault(group, (len(participation), participation_model))
+        participation_codes.append(code)
+    count = len(made_mobility)
+    state = SensorStateArrays(count)
+    state.sensor_ids[:] = np.arange(count)
+    participation_models = [model for _, model in participation.values()]
+    state.set_participation(
+        np.array(participation_codes, dtype=np.int32),
+        [model.vector_params() for model in participation_models],
+    )
+    groups = []
+    for code, (_, model) in enumerate(mobility.values()):
+        rows = np.flatnonzero(np.array(mobility_codes) == code)
+        contiguous = rows[-1] - rows[0] + 1 == len(rows)
+        groups.append((model, slice(rows[0], rows[-1] + 1) if contiguous else rows))
+    place_groups(state, groups, key)
+    return mobility_codes, participation_codes, groups, participation_models, state
+
+
+def recipe_runs():
+    """A crowd as runs of one (mobility, participation) recipe each."""
+    run = st.tuples(
+        st.sampled_from(sorted(MOBILITY_RECIPES)),
+        st.sampled_from(sorted(PARTICIPATION_RECIPES)),
+        st.integers(1, 6),
+    )
+    return st.lists(run, min_size=1, max_size=8)
+
+
+class TestGroupingOracle:
+    """A world's groups, codes and columns are the ``setdefault`` loop's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(runs=recipe_runs(), seed=st.integers(0, 2**32 - 1))
+    @example(runs=[("waypoint", "low", 24)], seed=1)  # homogeneous
+    @example(runs=[("waypoint", "low", 1), ("fast", "high", 1)] * 8, seed=2)  # alternating
+    @example(
+        runs=[("waypoint", "low", 5), ("hotspot", "always", 3), ("waypoint", "low", 4),
+              ("fast", "custom", 2), ("hotspot", "always", 6)],
+        seed=3,
+    )  # runs of groups, one returning
+    @example(runs=[("waypoint", "custom", 4), ("waypoint_new_region", "fatigue_new", 5)], seed=4)
+    @example(runs=[("nan_shared", "nan_shared", 4), ("nan_new", "nan_new", 4)], seed=5)
+    @example(runs=[("waypoint", "fatigue_shared", 3), ("fast", "fatigue_shared", 3)], seed=6)
+    def test_world_build_matches_the_setdefault_loop(self, runs, seed):
+        recipes = [(m, p) for m, p, length in runs for _ in range(length)]
+        made_mobility, made_participation = [], []
+
+        def mobility(region):
+            made_mobility.append(MOBILITY_RECIPES[recipes[len(made_mobility)][0]](region))
+            return made_mobility[-1]
+
+        def participation(sensor_id):
+            made_participation.append(PARTICIPATION_RECIPES[recipes[sensor_id][1]]())
+            return made_participation[-1]
+
+        world = SensingWorld(
+            WorldConfig(region=REGION, sensor_count=len(recipes), seed=seed),
+            mobility_factory=mobility, participation_factory=participation,
+        )
+        mobility_codes, participation_codes, groups, participation_models, state = (
+            oracle_world(made_mobility, made_participation, world.acquisition_key)
+        )
+        assert world._mobility_codes.dtype == world._participation_codes.dtype == np.int32
+        assert world._mobility_codes.tolist() == mobility_codes
+        assert world._participation_codes.tolist() == participation_codes
+        assert len(world._mobility_groups) == len(groups)
+        for (model, sel), (expected_model, expected_sel) in zip(world._mobility_groups, groups):
+            assert model is expected_model
+            if isinstance(expected_sel, slice):
+                assert sel == expected_sel
+            else:
+                assert sel.dtype == np.int64 and sel.tolist() == expected_sel.tolist()
+        assert len(world._participation_models) == len(participation_models)
+        assert all(a is b for a, b in zip(world._participation_models, participation_models))
+        for column in SensorStateArrays.__slots__:
+            got, expected = getattr(world.state_arrays, column), getattr(state, column)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), column
+
+    def test_an_unhashable_batch_key_fails_on_the_first_sensor(self):
+        calls = []
+
+        def mobility(region):
+            calls.append(region)
+            return Unhashable(region)
+
+        with pytest.raises(TypeError):
+            SensingWorld(
+                WorldConfig(region=REGION, sensor_count=5, seed=1),
+                mobility_factory=mobility,
+            )
+        assert len(calls) == 1

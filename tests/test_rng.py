@@ -9,10 +9,13 @@ and counters — answers at counter ``(c, 0, 0, 0)``, moves at ``(c, 1, 0,
 256-bit increment).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.rng import ANSWERS, MOVEMENT, derive_key, keyed_uniforms, philox4x64
+from repro import rng
+from repro.rng import ANSWERS, MOVEMENT, PLACEMENT, derive_key, keyed_uniforms, philox4x64
 
 MASK64 = (1 << 64) - 1
 
@@ -80,16 +83,25 @@ def test_movement_counter_word_matches_numpy_philox_including_carries():
     assert np.array_equal(np.array(got), expected)
 
 
-def numpy_uniforms(key, sensor, c, purpose):
-    """``Generator.random(4)`` of numpy's Philox at block ``(c, purpose, 0, 0)``."""
-    counter = (c + (purpose << 64) - 1) & ((1 << 256) - 1)
+def numpy_stream(key, sensor, first, count, purpose):
+    """Blocks ``first .. first + count - 1`` of a keyed stream as numpy's ``Generator.random``.
+
+    One ``np.random.Philox`` per stream: it runs through consecutive
+    counters itself, so the result is a ``(count, 4)`` array.
+    """
+    counter = (first + (purpose << 64) - 1) & ((1 << 256) - 1)
     generator = np.random.Generator(
         np.random.Philox(
             key=np.array([key, sensor], dtype=np.uint64),
             counter=np.array(words(counter, 4), dtype=np.uint64),
         )
     )
-    return generator.random(4).tolist()
+    return generator.random(4 * count).reshape(count, 4)
+
+
+def numpy_uniforms(key, sensor, c, purpose):
+    """``Generator.random(4)`` of numpy's Philox at block ``(c, purpose, 0, 0)``."""
+    return numpy_stream(key, sensor, c, 1, purpose)[0].tolist()
 
 
 @pytest.mark.parametrize("purpose", [ANSWERS, MOVEMENT])
@@ -111,6 +123,50 @@ def test_answer_and_movement_blocks_of_one_counter_differ():
     answers = keyed_uniforms(key, ids, counters, ANSWERS)
     moves = keyed_uniforms(key, ids, counters, MOVEMENT)
     assert not np.any(answers == moves)
+
+
+#: ``keyed_uniforms`` draws this many blocks at a time.
+CHUNK = rng._CHUNK
+STREAMS = 97  # prime, so no stream lines up with a chunk edge
+
+
+@pytest.mark.parametrize("purpose", [ANSWERS, MOVEMENT, PLACEMENT])
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("scalar_counter", [True, False])
+def test_keyed_uniforms_around_the_chunk_size_are_numpys(purpose, n, scalar_counter):
+    # Element i draws from stream 1000 + i % 97: at counter 5, or at block
+    # i // 97 of its stream, so every stream's blocks run consecutively.
+    key = derive_key(1234)
+    i = np.arange(n)
+    ids = 1000 + i % STREAMS
+    if scalar_counter:
+        counters, first, per_stream = 5, 5, 1
+    else:
+        counters, first, per_stream = i // STREAMS, 0, -(-n // STREAMS)
+    table = np.array(
+        [
+            numpy_stream(key, 1000 + sensor, first, per_stream, purpose)
+            for sensor in range(min(n, STREAMS))
+        ]
+    )
+    u = keyed_uniforms(key, ids, counters, purpose)
+    assert u.shape == (4, n) and u.dtype == np.float64
+    if n:
+        expected = table[i % STREAMS, 0 if scalar_counter else i // STREAMS].T
+        assert u.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_a_crowd_sized_call_stays_within_its_chunks():
+    # 100 000 blocks: the (4, n) result is 3.05 MiB; one pass over the
+    # whole crowd peaked near 13 MiB of temporaries.
+    ids = np.arange(100_000)
+    tracemalloc.start()
+    try:
+        keyed_uniforms(derive_key(42), ids, 0, PLACEMENT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 def test_keyed_uniforms_empty_and_scalar_shapes():
