@@ -10,32 +10,24 @@ tool can see:
 * **CRQ4xx** — hot-path purity (no per-row Python in gated loops),
 * **CRQ5xx** — wire-schema consistency (serve client/server literals).
 
-Run it with ``python -m repro.analysis`` or ``python -m repro.cli
-lint``; see ``docs/craqr_lint.md`` for the rule reference, suppression
-syntax and the baseline workflow.  The committed baseline is empty and
-``tests/analysis/test_self_clean.py`` keeps it that way in tier 1.
+Run it with ``python -m repro.analysis``; see ``docs/craqr_lint.md`` for
+the rule reference and the inline suppression syntax.  Any finding not
+waived inline fails the run, and ``tests/analysis/test_self_clean.py``
+keeps the package's own source at zero findings in tier 1.
 """
 
-from .findings import (
-    DEFAULT_BASELINE_NAME,
-    Finding,
-    load_baseline,
-    save_baseline,
-)
+from .findings import Finding
 from .hotpaths import HOT_PATHS, default_hot_paths
 from .registry import all_codes, all_rules
 from .runner import AnalysisReport, analyze, render
 
 __all__ = [
     "AnalysisReport",
-    "DEFAULT_BASELINE_NAME",
     "Finding",
     "HOT_PATHS",
     "all_codes",
     "all_rules",
     "analyze",
     "default_hot_paths",
-    "load_baseline",
     "render",
-    "save_baseline",
 ]

@@ -3,8 +3,8 @@
 Exit codes follow the tooling contract asserted in ``tests/test_cli.py``:
 
 * ``0`` — no un-waived findings,
-* ``1`` — findings (new violations or stale baseline entries),
-* ``2`` — usage or internal error.
+* ``1`` — findings not waived inline,
+* ``2`` — usage error (a bad option or a missing path).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pathlib
 import sys
 from typing import Optional, Sequence
 
-from .findings import DEFAULT_BASELINE_NAME
 from .registry import all_codes
 from .runner import analyze, render
 
@@ -22,18 +21,6 @@ from .runner import analyze, render
 def _default_paths() -> list:
     """The package's own source tree (``src/repro``), wherever installed."""
     return [pathlib.Path(__file__).resolve().parent.parent]
-
-
-def _default_baseline(paths) -> Optional[pathlib.Path]:
-    """The committed baseline: first hit walking up from the scan root."""
-    start = pathlib.Path(paths[0]).resolve()
-    if start.is_file():
-        start = start.parent
-    for candidate in (start, *start.parents):
-        baseline = candidate / DEFAULT_BASELINE_NAME
-        if baseline.exists():
-            return baseline
-    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,17 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline JSON path (default: nearest {DEFAULT_BASELINE_NAME} "
-        "above the scan root; 'none' disables baselining)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline to cover exactly the current findings",
     )
     parser.add_argument(
         "--explain",
@@ -88,29 +64,12 @@ def main(
             out(f"{code}  {rationale}")
         return 0
 
-    try:
-        paths = [pathlib.Path(p) for p in args.paths] or _default_paths()
-        for path in paths:
-            if not path.exists():
-                out(f"error: no such path: {path}")
-                return 2
-        if args.baseline == "none":
-            baseline = None
-        elif args.baseline is not None:
-            baseline = pathlib.Path(args.baseline)
-        else:
-            baseline = _default_baseline(paths)
-        if args.write_baseline and baseline is None:
-            out("error: --write-baseline needs --baseline PATH")
+    paths = [pathlib.Path(p) for p in args.paths] or _default_paths()
+    for path in paths:
+        if not path.exists():
+            out(f"error: no such path: {path}")
             return 2
-        report = analyze(
-            paths,
-            baseline_path=baseline,
-            write_baseline=args.write_baseline,
-        )
-    except ValueError as exc:  # e.g. a corrupt baseline file
-        out(f"error: {exc}")
-        return 2
+    report = analyze(paths)
     out(render(report, args.format))
     return 0 if report.ok else 1
 

@@ -1,43 +1,26 @@
-"""Findings, inline suppressions and the committed baseline.
+"""Findings and inline suppressions.
 
 A :class:`Finding` is one rule violation anchored to a file position and
-an enclosing *symbol* (the dotted class/function path), which is what
-makes baselining stable: line numbers drift with every edit, but
-``(code, path, symbol)`` survives reformatting and unrelated changes.
+an enclosing *symbol* (the dotted class/function path).
 
-Two escape hatches exist, with different intended lifetimes:
-
-* **Inline suppression** — ``# craqr: ignore[CRQ401]`` on the flagged
-  line acknowledges a *permanent, justified* exception (e.g. a per-cell
-  loop in a hot path that a reviewer has decided is not per-row work).
-  A bare ``# craqr: ignore`` suppresses every code on that line.
-* **Baseline** — a committed JSON file grandfathering *temporary* debt
-  so the linter can gate CI while old findings are paid down.  Entries
-  that no longer match any finding are reported as *stale* (code
-  ``CRQ002``) so the baseline can only shrink, never silently rot.
-
-The shipped baseline for this repository is empty — see
-``tests/analysis/test_self_clean.py``, which is the tier-1 guard.
+The one waiver is an **inline suppression**: ``# craqr: ignore[CRQ401]``
+on the flagged line acknowledges a *permanent, justified* exception (e.g.
+a per-cell loop in a hot path that is not per-row work).  A bare
+``# craqr: ignore`` suppresses every code on that line.  Any finding not
+waived inline fails the run; ``tests/analysis/test_self_clean.py`` is the
+tier-1 guard that the package's own source has none.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import io
-import json
-import pathlib
 import re
 import tokenize
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional
 
 #: Meta-code for a file the analyzer could not parse.
 PARSE_ERROR = "CRQ001"
-
-#: Meta-code for a baseline entry that matches no current finding.
-STALE_BASELINE = "CRQ002"
-
-#: Baseline file name looked up at the repository root by default.
-DEFAULT_BASELINE_NAME = "craqr-baseline.json"
 
 _SUPPRESS_RE = re.compile(
     r"craqr:\s*ignore(?:\[(?P<codes>[A-Za-z0-9_,\s]+)\])?"
@@ -59,11 +42,6 @@ class Finding:
     code: str
     message: str
     symbol: str = ""
-
-    @property
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """The identity a baseline entry matches on."""
-        return (self.code, self.path, self.symbol)
 
     def to_json(self) -> dict:
         return {
@@ -122,91 +100,3 @@ def is_suppressed(
     if codes is None:
         return True
     return finding.code in codes
-
-
-# ----------------------------------------------------------------------
-# Baseline file
-# ----------------------------------------------------------------------
-def load_baseline(path) -> List[Tuple[str, str, str]]:
-    """Read baseline entries as ``(code, path, symbol)`` keys.
-
-    A missing file is an empty baseline; a malformed one raises
-    ``ValueError`` so a corrupted baseline fails the run loudly instead
-    of silently waiving findings.
-    """
-    file_path = pathlib.Path(path)
-    if not file_path.exists():
-        return []
-    try:
-        payload = json.loads(file_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"baseline file {file_path} is not valid JSON: {exc}")
-    if not isinstance(payload, dict) or "entries" not in payload:
-        raise ValueError(
-            f"baseline file {file_path} must be an object with an 'entries' list"
-        )
-    entries: List[Tuple[str, str, str]] = []
-    for raw in payload["entries"]:
-        if not isinstance(raw, dict) or "code" not in raw or "path" not in raw:
-            raise ValueError(
-                f"baseline entry {raw!r} needs at least 'code' and 'path'"
-            )
-        entries.append(
-            (str(raw["code"]), str(raw["path"]), str(raw.get("symbol", "")))
-        )
-    return entries
-
-
-def save_baseline(path, findings: Sequence[Finding]) -> None:
-    """Write the baseline covering exactly the given findings."""
-    keys = sorted({f.baseline_key for f in findings})
-    payload = {
-        "version": 1,
-        "entries": [
-            {"code": code, "path": rel_path, "symbol": symbol}
-            for code, rel_path, symbol in keys
-        ],
-    }
-    pathlib.Path(path).write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def apply_baseline(
-    findings: Sequence[Finding],
-    entries: Sequence[Tuple[str, str, str]],
-    baseline_path: str,
-) -> Tuple[List[Finding], int, List[Finding]]:
-    """Split findings into (new, baselined count, stale-entry findings).
-
-    An entry waives every finding sharing its ``(code, path, symbol)``
-    key; entries that waive nothing come back as ``CRQ002`` findings
-    anchored to the baseline file itself, so a fixed violation forces the
-    baseline entry's removal in the same change.
-    """
-    entry_set = set(entries)
-    fresh: List[Finding] = []
-    matched: set = set()
-    baselined = 0
-    for finding in findings:
-        if finding.baseline_key in entry_set:
-            matched.add(finding.baseline_key)
-            baselined += 1
-        else:
-            fresh.append(finding)
-    stale = [
-        Finding(
-            path=str(baseline_path),
-            line=1,
-            col=0,
-            code=STALE_BASELINE,
-            message=(
-                f"stale baseline entry {code} at {rel_path!r}"
-                + (f" ({symbol})" if symbol else "")
-                + " matches no finding; remove it"
-            ),
-            symbol=symbol,
-        )
-        for code, rel_path, symbol in sorted(entry_set - matched)
-    ]
-    return fresh, baselined, stale

@@ -25,19 +25,16 @@ from typing import List, Tuple
 
 #: ``(package-relative module path, dotted symbol)`` pairs.
 HOT_PATHS: List[Tuple[str, str]] = [
-    # Acquisition: the one wave loop every round runs, and the fused
-    # round around it (under both RNG contracts) — one bucketing pass, one
-    # wave per attribute.  Per-row Python here undoes the fused-round win.
+    # Acquisition: the one wave loop every round runs once per attribute,
+    # under the world's one RNG policy, and the bucketing pass feeding it
+    # every cell's population.  Per-row Python here undoes the fused-round
+    # win.
     ("repro/sensing/handler.py", "RequestResponseHandler._acquire_waves"),
     ("repro/sensing/handler.py", "_SharedStream.answer"),
     ("repro/sensing/handler.py", "RequestResponseHandler._bucket_sensors"),
     (
         "repro/sensing/handler.py",
         "RequestResponseHandler._resolve_cell_populations",
-    ),
-    (
-        "repro/sensing/handler.py",
-        "RequestResponseHandler._acquire_attribute",
     ),
     # The sensor choice every wave runs under both contracts: one
     # ``rng.choice`` per covered cell and one ``rng.integers`` per run of
@@ -47,12 +44,12 @@ HOT_PATHS: List[Tuple[str, str]] = [
     # The strict wave answers in one vectorised pass too: every request's
     # counter is its sensor's request count plus its rank within the wave,
     # one Philox call (``repro.rng.keyed_uniforms``) draws every block, and
-    # the stationary rows are decided and sensed as columns.  Only the
-    # fallback walk for stateful / custom participation,
-    # ``_PerSensorStreams._decide_walked``, stays per-request Python by
-    # contract and is NOT registered.  Its contract is bit-equality with the
-    # per-object ``MobileSensor.handle_request`` in a shuffled order, kept in
-    # ``tests/sensing/test_strict_acquisition.py``.
+    # the stationary rows are decided and sensed as columns.  Only the walk
+    # both policies run for stateful / custom participation, the module
+    # function ``_decide_walked``, stays per-request Python by contract and
+    # is NOT registered.  Under the strict policy its contract is
+    # bit-equality with the per-object ``MobileSensor.handle_request`` in a
+    # shuffled order, kept in ``tests/sensing/test_strict_acquisition.py``.
     ("repro/sensing/handler.py", "_PerSensorStreams.answer"),
     ("repro/rng.py", "philox4x64"),
     ("repro/rng.py", "keyed_uniforms"),

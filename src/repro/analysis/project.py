@@ -9,8 +9,8 @@ rule stays a focused traversal instead of reinventing scaffolding.
 Paths are *package-relative*: ``.../src/repro/sensing/handler.py``
 indexes as ``repro/sensing/handler.py`` (the chain of ``__init__.py``
 parents), and a loose fixture file indexes relative to its scan root.
-That keeps findings and baseline entries identical no matter which
-directory the analyzer is invoked from.
+That keeps findings identical no matter which directory the analyzer is
+invoked from.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def qualified_definitions(
 
 
 def enclosing_symbol(tree: ast.Module, line: int) -> str:
-    """The innermost definition containing a line (for baseline keys)."""
+    """The innermost definition containing a line (a finding's ``symbol``)."""
     best = ""
     best_span = None
     for name, node in qualified_definitions(tree):

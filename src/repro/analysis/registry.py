@@ -39,13 +39,10 @@ def all_rules() -> List[RuleSpec]:
 
 
 def all_codes() -> Dict[str, str]:
-    """Every documented code -> rationale (meta codes included)."""
-    from .findings import PARSE_ERROR, STALE_BASELINE
+    """Every documented code -> rationale (the meta code included)."""
+    from .findings import PARSE_ERROR
 
-    codes = {
-        PARSE_ERROR: "file could not be parsed",
-        STALE_BASELINE: "baseline entry matches no current finding",
-    }
+    codes = {PARSE_ERROR: "file could not be parsed"}
     for spec in all_rules():
         codes.update(spec.codes)
     return codes

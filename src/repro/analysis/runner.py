@@ -1,12 +1,10 @@
-"""Analyzer orchestration: load, check, suppress, baseline, render.
+"""Analyzer orchestration: load, check, suppress, render.
 
 :func:`analyze` is the programmatic entry point (the CLI and the tier-1
 self-scan test both go through it): parse the requested tree, run every
-registered rule, drop findings waived by inline ``# craqr: ignore``
-comments, then split what remains against the committed baseline.
-Exit-code policy lives in :func:`main_result`: 0 clean, 1 findings
-(including stale baseline entries), with usage/internal errors (exit 2)
-handled by ``__main__``.
+registered rule and drop findings waived by inline ``# craqr: ignore``
+comments; what remains is the report.  ``__main__`` turns it into the exit
+code: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -15,13 +13,7 @@ import dataclasses
 import json
 from typing import List, Optional, Sequence, Tuple
 
-from .findings import (
-    Finding,
-    apply_baseline,
-    is_suppressed,
-    load_baseline,
-    save_baseline,
-)
+from .findings import Finding, is_suppressed
 from .hotpaths import default_hot_paths
 from .project import Project, load_project
 from .registry import all_rules
@@ -39,8 +31,7 @@ class AnalysisContext:
 class AnalysisReport:
     """Everything one run produced."""
 
-    findings: List[Finding]  # un-waived findings (incl. stale entries)
-    baselined: int  # findings waived by the baseline
+    findings: List[Finding]  # findings not waived inline
     suppressed: int  # findings waived by inline comments
     checked_files: int
 
@@ -52,7 +43,6 @@ class AnalysisReport:
         return {
             "ok": self.ok,
             "checked_files": self.checked_files,
-            "baselined": self.baselined,
             "suppressed": self.suppressed,
             "findings": [f.to_json() for f in self.findings],
         }
@@ -61,8 +51,7 @@ class AnalysisReport:
         lines = [f.render() for f in self.findings]
         summary = (
             f"{len(self.findings)} finding(s) in {self.checked_files} "
-            f"file(s) ({self.baselined} baselined, "
-            f"{self.suppressed} suppressed inline)"
+            f"file(s) ({self.suppressed} suppressed inline)"
         )
         return "\n".join(lines + [summary])
 
@@ -78,15 +67,10 @@ def run_rules(project: Project, context: AnalysisContext) -> List[Finding]:
 def analyze(
     paths: Sequence,
     *,
-    baseline_path=None,
-    write_baseline: bool = False,
     hot_paths: Optional[List[Tuple[str, str]]] = None,
 ) -> AnalysisReport:
     """Run the full analyzer over ``paths``.
 
-    ``baseline_path`` (optional) names the committed baseline JSON;
-    ``write_baseline=True`` rewrites it to cover exactly the current
-    findings (the escape hatch for adopting the linter mid-stream).
     ``hot_paths`` overrides the committed manifest — fixture tests pass
     a synthetic manifest; the CLI always uses the committed one.
     """
@@ -106,17 +90,8 @@ def analyze(
         else:
             kept.append(finding)
 
-    baselined = 0
-    if baseline_path is not None:
-        if write_baseline:
-            save_baseline(baseline_path, kept)
-        entries = load_baseline(baseline_path)
-        kept, baselined, stale = apply_baseline(kept, entries, str(baseline_path))
-        kept = sorted(kept + stale)
-
     return AnalysisReport(
         findings=kept,
-        baselined=baselined,
         suppressed=suppressed,
         checked_files=len(project.modules),
     )

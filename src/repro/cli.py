@@ -37,7 +37,7 @@ import argparse
 import pathlib
 import sys
 from dataclasses import replace as dataclass_replace
-from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Optional, Sequence, TextIO, Tuple
 
 from .config import CheckpointConfig
 from .core import CraqrEngine
@@ -273,62 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-subscription send-queue capacity in events",
     )
 
-    lint = subparsers.add_parser(
-        "lint",
-        help="run craqr-lint, the engine's static contract checker",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        metavar="PATH",
-        help="files or directories to analyze (default: the installed "
-        "repro package source)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline JSON path ('none' disables; default: nearest "
-        "craqr-baseline.json above the scan root)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline to cover exactly the current findings",
-    )
-    lint.add_argument(
-        "--explain",
-        action="store_true",
-        help="list every rule code with its rationale and exit",
-    )
-
     subparsers.add_parser("scenarios", help="list the available simulated scenarios")
     subparsers.add_parser("attributes", help="list the attribute catalog")
     return parser
-
-
-def _command_lint(args, out: Callable[[str], None]) -> int:
-    """Delegate to ``python -m repro.analysis`` with the same contract.
-
-    Exit codes: 0 clean, 1 findings (new or stale-baseline), 2 usage error.
-    """
-    from .analysis.__main__ import main as analysis_main
-
-    argv: List[str] = list(args.paths)
-    argv += ["--format", args.format]
-    if args.baseline is not None:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    if args.explain:
-        argv.append("--explain")
-    return analysis_main(argv, out=out)
 
 
 def _command_scenarios(out: Callable[[str], None]) -> int:
@@ -643,8 +590,6 @@ def main(
         if args.command == "repl":
             _check_scenario_options(args)
             return _command_repl(args, out, in_stream if in_stream is not None else sys.stdin)
-        if args.command == "lint":
-            return _command_lint(args, out)
         if args.command == "serve":
             _check_scenario_options(args)
             if args.queue_events <= 0:

@@ -19,20 +19,20 @@ crowdsensed stream fabricator then pushes through PMAT topologies.
 A round has one entry, :meth:`RequestResponseHandler.acquire_batches`: it
 checks the round, buckets the crowd once and, per attribute, takes the
 cell populations from that bucketing and runs the wave loop
-(:meth:`RequestResponseHandler._acquire_waves`) once per RNG policy over
-them, under either RNG contract; ``acquire`` is its object view.  Only
-distinct cells of the handler's grid can be requested: any other cell, or
-a cell listed twice, is an :class:`~repro.errors.AcquisitionError`, raised
-before anything is drawn.  The sensor choice is one body under both contracts
-and for every wave (:func:`_choose_rows`, from the world stream: one
-``rng.choice`` per covered cell, one draw per run of small undersized cells).
-What differs between strict and fast-sim is confined to two
-small RNG policies, each owning request times and answers
-(:class:`_PerSensorStreams`: each sensor answers from its own keyed
-stream, one vectorised pass per wave; :class:`_SharedStream`: one draw
-from the world stream per wave, for cells whose every sensor has
-stationary participation).  A sensor with stateful participation is
-decided by its model's ``decide``, one request at a time, under both.
+(:meth:`RequestResponseHandler._acquire_waves`) once over all of them;
+``acquire`` is its object view.  Only distinct cells of the handler's grid
+can be requested: any other cell, or a cell listed twice, is an
+:class:`~repro.errors.AcquisitionError`, raised before anything is drawn.
+The sensor choice is one body under both contracts and for every wave
+(:func:`_choose_rows`, from the world stream: one ``rng.choice`` per
+covered cell, one draw per run of small undersized cells).  What differs
+between strict and fast-sim is confined to two small RNG policies, each
+owning request times and answers (:class:`_PerSensorStreams`: each sensor
+answers from its own keyed stream, one vectorised pass per wave;
+:class:`_SharedStream`: one draw from the world stream per wave), and a
+handler holds the one its world's contract names.  Under both, a sensor
+with stateful or custom participation is decided by its model's
+``decide``, one request at a time (:func:`_decide_walked`).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from ..rng import ANSWERS, keyed_uniforms
 from ..streams import SensorTuple, TupleBatch, make_tuple_id_allocator
 from .incentives import IncentiveScheme
 from .participation import exponential_latency
-from .phenomena import PhenomenonField
 from .world import SensingWorld
 
 CellKey = Tuple[int, int]
@@ -195,6 +194,44 @@ def _ranks_within_runs(sorted_rows: np.ndarray) -> np.ndarray:
     return positions - np.maximum.accumulate(np.where(starts, positions, 0))
 
 
+def _respond_probabilities(soa, rows, multipliers) -> np.ndarray:
+    """Each request's response probability from the stationary SoA columns."""
+    p_base = soa.p_base[rows]
+    return np.where(
+        soa.incentive_sensitive[rows],
+        np.minimum(p_base * multipliers, soa.p_max[rows]),
+        p_base,
+    )
+
+
+def _decide_walked(
+    world: SensingWorld, rows, visit, request_times, multipliers,
+    u_respond, u_latency, responded, latencies,
+) -> None:
+    """Decide the ``visit`` requests one at a time, through each model's ``decide``.
+
+    ``visit`` lists, in request order, the positions of a wave's requests
+    to sensors without stationary participation (stateful or custom
+    models), so each sensor's requests reach its model in the order they
+    were sent: a fatigue level depends on the sensor's earlier requests.
+    ``u_respond`` / ``u_latency`` align with ``visit``; ``responded`` and
+    ``latencies`` are per request and overwritten at ``visit``.  Plain
+    floats reach ``decide``, as they reach it from
+    :meth:`~repro.sensing.MobileSensor.handle_request`.  Both RNG policies
+    call this; they differ only in where the uniforms come from.
+    """
+    visited = rows[visit]
+    for k, model, sensor_id, t, boost, u_r, u_l in zip(
+        visit.tolist(), world.participation_at(visited),
+        world.state_arrays.sensor_ids[visited].tolist(),
+        request_times[visit].tolist(), multipliers[visit].tolist(),
+        u_respond.tolist(), u_latency.tolist(),
+    ):
+        decision = model.decide(sensor_id, t, (u_r, u_l), incentive_multiplier=boost)
+        responded[k] = decision.responds
+        latencies[k] = decision.latency
+
+
 # ----------------------------------------------------------------------
 # RNG policies
 #
@@ -208,7 +245,11 @@ def _ranks_within_runs(sorted_rows: np.ndarray) -> np.ndarray:
 # ``answer(field_model, rows, request_times, multipliers, replacement_used)``
 #     serve one wave -> ``(responded, latencies, values)``: a boolean per
 #     request, the other two aligned with the responses in request order.
-#     Bumps the sensors' request/response counters.
+#     Rows without stationary participation go through ``_decide_walked``.
+#
+# A handler holds one policy, chosen from ``world.vectorized`` when it is
+# built.  Neither policy writes the sensors' request/response counters:
+# the wave loop bumps them once per wave, after ``answer``.
 # ----------------------------------------------------------------------
 class _PerSensorStreams:
     """Strict policy: every sensor answers from its own keyed stream.
@@ -221,17 +262,14 @@ class _PerSensorStreams:
     sensor id)`` at counter ``c`` — respond, latency and two sensing
     uniforms — so nothing depends on the order in which sensors are asked
     and a wave is answered in one pass: a rank within each sensor gives
-    the counters, one :func:`~repro.rng.keyed_uniforms` call draws every
-    block, rows with stationary participation (``vector_params``) are
-    decided from the SoA parameter columns, and one
-    ``values_from_uniforms`` call senses every response.  Rows with
-    stateful or custom participation are decided by their model's
-    ``decide``, one request at a time in each sensor's request order, fed
-    the same blocks.  Byte-identical to asking each sensor with
-    :meth:`~repro.sensing.MobileSensor.handle_request`, in any order that
-    keeps each sensor's own requests in order.  Serves strict rounds and
-    the cells of a fast-sim world that host a
-    sensor without ``vector_params`` (stateful or custom participation).
+    the counters (read before the wave loop bumps them), one
+    :func:`~repro.rng.keyed_uniforms` call draws every block, rows with
+    stationary participation (``vector_params``) are decided from the SoA
+    parameter columns, and one ``values_from_uniforms`` call senses every
+    response.  Rows with stateful or custom participation are decided by
+    :func:`_decide_walked`, fed the same blocks.  Byte-identical to asking
+    each sensor with :meth:`~repro.sensing.MobileSensor.handle_request`,
+    in any order that keeps each sensor's own requests in order.
     """
 
     def __init__(self, world: SensingWorld) -> None:
@@ -247,82 +285,45 @@ class _PerSensorStreams:
     def answer(self, field_model, rows, request_times, multipliers, replacement_used):
         world = self._world
         soa = world.state_arrays
-        received = soa.requests_received
-        counters = received[rows]
-        order = None
+        counters = soa.requests_received[rows]
         if replacement_used:
             # A sensor asked k times in the wave draws counters c .. c+k-1
             # in request order.
             order = np.argsort(rows, kind="stable")
             counters[order] += _ranks_within_runs(rows[order])
-            np.add.at(received, rows, 1)
-        else:
-            # Populations are disjoint (a cell is requested once) and
-            # sampled without replacement: every row is unique, so the
-            # fancy-index increment is exact.
-            received[rows] += 1
         u = keyed_uniforms(
             world.acquisition_key, soa.sensor_ids[rows], counters, ANSWERS
         )
-        responded = u[0] < np.where(
-            soa.incentive_sensitive[rows],
-            np.minimum(soa.p_base[rows] * multipliers, soa.p_max[rows]),
-            soa.p_base[rows],
-        )
+        responded = u[0] < _respond_probabilities(soa, rows, multipliers)
         latencies = exponential_latency(soa.latency_mean[rows], u[1])
-        walked = ~soa.vector_participation[rows]
-        if walked.any():
-            visit = np.flatnonzero(walked) if order is None else order[walked[order]]
-            self._decide_walked(
-                rows, request_times, multipliers, u, visit, responded, latencies
+        visit = np.flatnonzero(~soa.vector_participation[rows])
+        if visit.size:
+            _decide_walked(
+                world, rows, visit, request_times, multipliers,
+                u[0, visit], u[1, visit], responded, latencies,
             )
         answered = np.flatnonzero(responded)
         answered_rows = rows[answered]
-        if replacement_used:
-            np.add.at(soa.responses_sent, answered_rows, 1)
-        else:
-            soa.responses_sent[answered_rows] += 1
         values = field_model.values_from_uniforms(
             request_times[answered], soa.x[answered_rows], soa.y[answered_rows],
             u[2, answered], u[3, answered],
         )
         return responded, latencies[answered], np.asarray(values)
 
-    def _decide_walked(
-        self, rows, request_times, multipliers, u, visit, responded, latencies
-    ) -> None:
-        """Decide the ``visit`` requests one at a time, through each model's ``decide``.
-
-        ``visit`` lists the positions of the wave's stateful / custom rows
-        in each sensor's request order (a fatigue level depends on the
-        sensor's earlier requests); ``responded`` and ``latencies`` are
-        overwritten there.  Plain floats reach ``decide``, as they reach it
-        from :meth:`~repro.sensing.MobileSensor.handle_request`.
-        """
-        visited = rows[visit]
-        for k, model, sensor_id, t, boost, u_respond, u_latency in zip(
-            visit.tolist(), self._world.participation_at(visited),
-            self._world.state_arrays.sensor_ids[visited].tolist(),
-            request_times[visit].tolist(), multipliers[visit].tolist(),
-            u[0, visit].tolist(), u[1, visit].tolist(),
-        ):
-            decision = model.decide(
-                sensor_id, t, (u_respond, u_latency), incentive_multiplier=boost
-            )
-            responded[k] = decision.responds
-            latencies[k] = decision.latency
-
 
 class _SharedStream:
     """Fast-sim policy: one vectorised draw of everything from the world stream.
 
     Request times for all cells come from one order-statistics draw
-    (:meth:`request_times`), and a wave is
-    answered with one participation draw, one latency draw and one
-    ``field.values`` call over the concatenated rows.  Statistically
-    equivalent to :class:`_PerSensorStreams`; every row must have
-    stationary participation (``vector_params``), which it reads from the
-    SoA parameter columns.
+    (:meth:`request_times`), and a wave is answered with one participation
+    draw, one latency draw and one ``field.values`` call over the
+    concatenated rows; stationary participation (``vector_params``) is read
+    from the SoA parameter columns.  Rows with stateful or custom
+    participation take their respond uniform from the same participation
+    draw and are decided by :func:`_decide_walked`; only when a wave has
+    such rows does it make one further draw, for their latency uniforms,
+    so a wave without them draws exactly what it always did.  Statistically
+    equivalent to :class:`_PerSensorStreams`.
     """
 
     def __init__(self, world: SensingWorld) -> None:
@@ -353,35 +354,36 @@ class _SharedStream:
         return self._world.now + duration * uniforms
 
     def answer(self, field_model, rows, request_times, multipliers, replacement_used):
-        soa = self._world.state_arrays
-        rng = self._world.rng
-        p_base = soa.p_base[rows]
-        probabilities = np.where(
-            soa.incentive_sensitive[rows],
-            np.minimum(p_base * multipliers, soa.p_max[rows]),
-            p_base,
-        )
-        responded = rng.random(rows.size) < probabilities
-        respond_rows = rows[responded]
-        if replacement_used:
-            np.add.at(soa.requests_received, rows, 1)
-            np.add.at(soa.responses_sent, respond_rows, 1)
-        else:
-            # Populations are disjoint across cells (a cell is requested
-            # once) and sampled without replacement within each, so every
-            # row is unique: the cheaper fancy-index increment is exact.
-            soa.requests_received[rows] += 1
-            soa.responses_sent[respond_rows] += 1
+        world = self._world
+        soa = world.state_arrays
+        rng = world.rng
+        u_respond = rng.random(rows.size)
+        responded = u_respond < _respond_probabilities(soa, rows, multipliers)
+        latencies = np.empty(rows.size)
+        visit = np.flatnonzero(~soa.vector_participation[rows])
+        if visit.size:
+            _decide_walked(
+                world, rows, visit, request_times, multipliers,
+                u_respond[visit], rng.random(visit.size), responded, latencies,
+            )
+        answered = np.flatnonzero(responded)
+        answered_rows = rows[answered]
+        drawn = answered[soa.vector_participation[answered_rows]]
         # Exp(scale m) == m * Exp(1): one draw serves every per-sensor mean.
-        latencies = (
-            rng.exponential(1.0, respond_rows.size) * soa.latency_mean[respond_rows]
+        latencies[drawn] = (
+            rng.exponential(1.0, drawn.size) * soa.latency_mean[rows[drawn]]
         )
-        if respond_rows.size == 0:
-            return responded, latencies, np.empty(0)
+        if answered.size == 0:
+            return responded, np.empty(0), np.empty(0)
         values = field_model.values(
-            request_times[responded], soa.x[respond_rows], soa.y[respond_rows], rng=rng
+            request_times[answered], soa.x[answered_rows], soa.y[answered_rows], rng=rng
         )
-        return responded, latencies, np.asarray(values)
+        return responded, latencies[answered], np.asarray(values)
+
+
+def _policy_for(world: SensingWorld):
+    """The RNG policy of ``world``'s contract (``WorldConfig.vectorized_rng``)."""
+    return (_SharedStream if world.vectorized else _PerSensorStreams)(world)
 
 
 class RequestResponseHandler:
@@ -443,8 +445,19 @@ class RequestResponseHandler:
         self._allocate_tuple_id = make_tuple_id_allocator()
         self._total_requests = 0
         self._total_responses = 0
-        self._per_sensor = _PerSensorStreams(world)
-        self._shared_stream = _SharedStream(world)
+        self._policy = _policy_for(world)
+
+    def __getstate__(self):
+        # The RNG policy is derived from the world's contract and rebuilt
+        # on restore, so a checkpoint carries none (one written while the
+        # handler held a policy per contract restores too).
+        state = dict(self.__dict__)
+        del state["_policy"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._policy = _policy_for(self._world)
 
     # ------------------------------------------------------------------
     # Budget management (consumed by the budget tuner)
@@ -533,7 +546,6 @@ class RequestResponseHandler:
 
     def _acquire_waves(
         self,
-        policy,
         attribute: str,
         field_model,
         cell_keys: Tuple[CellKey, ...],
@@ -546,13 +558,13 @@ class RequestResponseHandler:
 
         ``cell_keys`` and ``populations`` are aligned; every population is a
         non-empty, ascending array of SoA rows (quarantined rows already
-        masked out).  The fused round calls this once per policy with all
-        of an attribute's grid cells that policy serves; ``policy`` owns the
-        draws that differ between the contracts (see the RNG-policy notes
-        above) and everything
-        else happens here, once: per-cell budgets and the retry reserve,
-        the sensor choice of every wave (:func:`_choose_rows`, the same under
-        both contracts), fault injection and deadlines
+        masked out).  :meth:`acquire_batches` calls this once per attribute
+        with all of its non-empty requested cells.  The handler's RNG policy
+        owns the draws that differ between the contracts (see the RNG-policy
+        notes above) and everything else happens here, once: per-cell
+        budgets and the retry reserve, the sensor choice of every wave
+        (:func:`_choose_rows`, the same under both contracts), the sensors'
+        request/response counters, fault injection and deadlines
         (:meth:`_finalize_wave`), incentive settlement, per-cell accounting
         and batch assembly.
 
@@ -596,7 +608,7 @@ class RequestResponseHandler:
                 report.retries_sent += self._tally(
                     report.per_cell_retries, attribute, cell_keys, sizes
                 )
-            request_times = policy.request_times(sizes, duration)
+            request_times = self._policy.request_times(sizes, duration)
             segments = np.repeat(segment_ids, sizes)
             sent = self._tally(report.per_cell_requests, attribute, cell_keys, sizes)
             self._total_requests += sent
@@ -604,9 +616,18 @@ class RequestResponseHandler:
             if contacted is not None:
                 contacted[rows] = True
             payments, multipliers = self._round_payments(rows.size)
-            responded, latencies, values = policy.answer(
+            responded, latencies, values = self._policy.answer(
                 field_model, rows, request_times, multipliers, replacement_used
             )
+            if replacement_used:
+                np.add.at(soa.requests_received, rows, 1)
+                np.add.at(soa.responses_sent, rows[responded], 1)
+            else:
+                # Populations are disjoint (a cell is requested once) and
+                # sampled without replacement: every row is unique, so the
+                # fancy-index increment is exact.
+                soa.requests_received[rows] += 1
+                soa.responses_sent[rows[responded]] += 1
             accepted, times, accepted_values = self._finalize_wave(
                 attribute, rows, request_times, segments, cell_keys,
                 responded, latencies, values, report,
@@ -749,18 +770,17 @@ class RequestResponseHandler:
     # ------------------------------------------------------------------
     # Fused rounds: all of an attribute's cells at once
     # ------------------------------------------------------------------
-    def _bucket_sensors(self) -> Tuple[np.ndarray, np.ndarray, frozenset]:
+    def _bucket_sensors(self) -> Tuple[np.ndarray, np.ndarray]:
         """Bucket the whole crowd into grid cells, once per acquisition round.
 
         The expensive part of population resolution is independent of which
         cells (and which attribute) a round requests: every sensor's cell
         code is computed and sorted in one pass, so a multi-attribute round
         pays it once (:meth:`acquire_batches` threads the result through
-        each attribute's :meth:`_acquire_attribute`).
+        each attribute's :meth:`_resolve_cell_populations`).
 
-        Returns ``(sorted_codes, sorted_rows, non_vector_codes)``: cell
-        codes ascending with the SoA row indices aligned, plus the codes of
-        cells hosting any sensor without vectorisable participation.
+        Returns ``(sorted_codes, sorted_rows)``: cell codes ascending with
+        the SoA row indices aligned.
         """
         soa = self._world.state_arrays
         grid = self._grid
@@ -796,27 +816,12 @@ class RequestResponseHandler:
         # sorting int64; any practical grid fits in int16.
         sort_codes = codes.astype(np.int16) if side * side < 2 ** 15 else codes
         order = np.argsort(sort_codes, kind="stable")
-        sorted_codes = sort_codes[order]
-        sorted_rows = order if rows is None else rows[order]
-        # Cells hosting any non-vectorisable sensor, computed in one mask
-        # instead of one np.all per cell (and skipped entirely for the
-        # common fully-vectorisable crowd).
-        if soa.vector_participation.all():
-            non_vector_codes = frozenset()
-        else:
-            non_vector_codes = frozenset(
-                np.unique(  # craqr: ignore[CRQ401] - per distinct cell (already unique-reduced), not per row
-                    sorted_codes[~soa.vector_participation[sorted_rows]]
-                ).tolist()
-            )
-        return sorted_codes, sorted_rows, non_vector_codes
+        return sort_codes[order], order if rows is None else rows[order]
 
     def _resolve_cell_populations(
-        self,
-        cells: List[GridCell],
-        bucketing: Tuple[np.ndarray, np.ndarray, frozenset],
-    ) -> Tuple[Dict[CellKey, np.ndarray], Dict[CellKey, bool]]:
-        """SoA row indices of every requested cell's population.
+        self, cells: List[GridCell], bucketing: Tuple[np.ndarray, np.ndarray]
+    ) -> List[np.ndarray]:
+        """SoA row indices of every requested cell's population, aligned with ``cells``.
 
         Instead of one O(n) containment mask per cell, the crowd is
         bucketed once a round (:meth:`_bucket_sensors`, passed in as
@@ -826,26 +831,18 @@ class RequestResponseHandler:
         out-of-bounds custom mobility models) are excluded.  Sensors
         exactly on an interior cell edge land in one bucket (the upper
         cell) rather than both closed rectangles.
-
-        Returns ``(populations, fully_vector)``: the second map tells the
-        caller, without any further per-cell array work, whether every row
-        of a cell's population has vectorisable participation.
         """
-        sorted_codes, sorted_rows, non_vector_codes = bucketing
+        sorted_codes, sorted_rows = bucketing
         side = self._grid.side
         wanted = np.array(
             [cell.r * side + cell.q for cell in cells], dtype=sorted_codes.dtype
         )
         lows = np.searchsorted(sorted_codes, wanted, side="left")
         highs = np.searchsorted(sorted_codes, wanted, side="right")
-        populations: Dict[CellKey, np.ndarray] = {}
-        fully_vector: Dict[CellKey, bool] = {}
-        for cell, lo, hi, code in zip(  # craqr: ignore[CRQ402] - per requested cell, not per sensor row
-            cells, lows.tolist(), highs.tolist(), wanted.tolist()  # craqr: ignore[CRQ401] - len(cells) scalars, cheaper unboxed once
-        ):
-            populations[cell.key] = sorted_rows[lo:hi]
-            fully_vector[cell.key] = code not in non_vector_codes
-        return populations, fully_vector
+        return [
+            sorted_rows[lo:hi]
+            for lo, hi in zip(lows.tolist(), highs.tolist())  # craqr: ignore[CRQ401, CRQ402] - per requested cell, not per sensor row
+        ]
 
     def _cell_in_grid(self, cell: GridCell) -> bool:
         """Whether ``cell`` is (geometrically) a cell of the handler's grid.
@@ -877,66 +874,6 @@ class RequestResponseHandler:
         if len(set(keys)) < len(keys):
             repeated = sorted({key for key in keys if keys.count(key) > 1})
             raise AcquisitionError(f"cells {repeated} are requested more than once")
-
-    def _acquire_attribute(
-        self,
-        attribute: str,
-        field_model: PhenomenonField,
-        cells: List[GridCell],
-        *,
-        duration: float,
-        report: HandlerReport,
-        bucketing: Tuple[np.ndarray, np.ndarray, frozenset],
-    ) -> Optional[TupleBatch]:
-        """Fused acquisition: all of one attribute's cells in one round.
-
-        Every requested grid cell's population is looked up in the round's
-        ``bucketing`` (:meth:`_resolve_cell_populations`) and the cells
-        are served by at most one :meth:`_acquire_waves` call per RNG
-        policy over all of their segments, while per-cell budgets,
-        request/response counts and incentive accounting stay exactly per
-        ``(attribute, cell)``.  A strict world answers every cell from the
-        sensors' keyed streams (:class:`_PerSensorStreams`, one vectorised
-        pass).  A fast-sim world samples the cells whose every sensor has
-        stationary participation from the shared stream
-        (:class:`_SharedStream`: one participation draw, one latency draw
-        and one ``field.values`` call) and serves the rest — cells hosting
-        a stateful or custom model — in one per-sensor call over their
-        bucketed populations (no second scan of the crowd), so those
-        sensors are decided per request exactly as in strict mode.
-
-        :meth:`acquire_batches` has checked the duration and the cells and
-        looked up ``attribute``'s field.  Empty cells send nothing.  Returns
-        one batch for the whole attribute (the target cell of every tuple
-        rides in the ``cell`` extra column), or ``None`` when no responses
-        arrived.
-        """
-        fast_sim = self._world.vectorized
-        populations, fully_vector = self._resolve_cell_populations(cells, bucketing)
-        # Each policy's one wave loop: (cell keys, populations).
-        plan = {self._per_sensor: ([], []), self._shared_stream: ([], [])}
-        for cell in cells:
-            population = populations[cell.key]
-            if population.size == 0:
-                continue  # nobody to ask: no requests
-            shared = fast_sim and fully_vector[cell.key]
-            keys, members = plan[self._shared_stream if shared else self._per_sensor]
-            keys.append(cell.key)
-            members.append(population)
-
-        parts = []
-        for policy, (keys, members) in plan.items():
-            if keys:
-                parts.append(
-                    self._acquire_waves(
-                        policy, attribute, field_model, tuple(keys), members,
-                        duration=duration, report=report,
-                    )
-                )
-        parts = [part for part in parts if part is not None]
-        if not parts:
-            return None
-        return TupleBatch.concatenate(parts)
 
     def acquire(
         self,
@@ -984,12 +921,16 @@ class RequestResponseHandler:
         fabricator's map stage re-buckets by the *reported* coordinates
         anyway, so no per-cell grouping is done here.
 
-        Each attribute is served by one fused :meth:`_acquire_attribute`
-        round under either RNG contract, all of them sharing one bucketing
-        pass (sensor positions are frozen within a round, so the bucketing
-        is too).  A bad duration, a foreign cell, a cell listed twice for
-        one attribute and an attribute without a field are refused before
-        anything is drawn or sent; each attribute's cells are checked once.
+        Each attribute's requested cells take their populations from one
+        bucketing pass shared by the whole round (sensor positions are
+        frozen within a round, so the bucketing is too), and its non-empty
+        cells are served by one :meth:`_acquire_waves` call under the
+        handler's RNG policy; per-cell budgets, request/response counts and
+        incentive accounting stay exactly per ``(attribute, cell)``, and an
+        empty cell sends nothing.  A bad duration, a foreign cell, a cell
+        listed twice for one attribute and an attribute without a field are
+        refused before anything is drawn or sent; each attribute's cells
+        are checked once.
         """
         _refuse_bad_duration(duration)
         for cells in attribute_cells.values():
@@ -999,9 +940,18 @@ class RequestResponseHandler:
         batches: Dict[str, TupleBatch] = {}
         bucketing = self._bucket_sensors() if attribute_cells else None
         for attribute, cells in attribute_cells.items():
-            batch = self._acquire_attribute(
-                attribute, fields[attribute], cells, duration=duration,
-                report=report, bucketing=bucketing,
+            populations = self._resolve_cell_populations(cells, bucketing)
+            asked = [
+                (cell.key, population)
+                for cell, population in zip(cells, populations)
+                if population.size
+            ]
+            if not asked:
+                continue
+            keys, members = zip(*asked)
+            batch = self._acquire_waves(
+                attribute, fields[attribute], keys, list(members),
+                duration=duration, report=report,
             )
             if batch is not None:
                 batches[attribute] = batch

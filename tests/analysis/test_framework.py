@@ -1,20 +1,10 @@
-"""Analyzer framework: suppressions, baselines, report plumbing."""
+"""Analyzer framework: suppressions and report plumbing."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro.analysis import (
-    Finding,
-    all_codes,
-    all_rules,
-    analyze,
-    load_baseline,
-    render,
-    save_baseline,
-)
+from repro.analysis import Finding, all_codes, all_rules, render
 from repro.analysis.findings import collect_suppressions, is_suppressed
 
 from lint_harness import codes
@@ -62,75 +52,6 @@ def test_wrong_code_does_not_waive():
 
 
 # ----------------------------------------------------------------------
-# Baseline round trip
-# ----------------------------------------------------------------------
-def test_baseline_round_trip(tmp_path):
-    """Finding -> baseline -> clean run -> fix -> stale entry reported."""
-    mod = tmp_path / "mod.py"
-    mod.write_text(UNSEEDED)
-    baseline = tmp_path / "craqr-baseline.json"
-
-    # 1. The violation is reported with no baseline in play.
-    report = analyze([tmp_path], baseline_path=None)
-    assert codes(report) == ["CRQ103"]
-
-    # 2. Writing the baseline waives it: the run is now clean.
-    report = analyze([tmp_path], baseline_path=baseline, write_baseline=True)
-    assert report.ok and report.baselined == 1
-    report = analyze([tmp_path], baseline_path=baseline)
-    assert report.ok and report.baselined == 1
-
-    # 3. Fixing the violation makes the baseline entry stale — and the
-    #    stale entry itself is a finding, so baselines cannot rot.
-    mod.write_text("import numpy as np\n\nrng = np.random.default_rng(7)\n")
-    report = analyze([tmp_path], baseline_path=baseline)
-    assert codes(report) == ["CRQ002"]
-    assert not report.ok
-
-    # 4. Rewriting the baseline empties it and the tree is clean again.
-    report = analyze([tmp_path], baseline_path=baseline, write_baseline=True)
-    assert report.ok
-    assert load_baseline(baseline) == []
-
-
-def test_baseline_survives_line_drift(tmp_path):
-    """Baseline identity is (code, path, symbol), not line numbers."""
-    mod = tmp_path / "mod.py"
-    mod.write_text(UNSEEDED)
-    baseline = tmp_path / "craqr-baseline.json"
-    analyze([tmp_path], baseline_path=baseline, write_baseline=True)
-
-    mod.write_text("# a new leading comment\n\n" + UNSEEDED)
-    report = analyze([tmp_path], baseline_path=baseline)
-    assert report.ok and report.baselined == 1
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == []
-
-
-def test_corrupt_baseline_raises(tmp_path):
-    bad = tmp_path / "craqr-baseline.json"
-    bad.write_text("not json {")
-    with pytest.raises(ValueError):
-        load_baseline(bad)
-
-
-def test_save_baseline_is_stable_json(tmp_path):
-    baseline = tmp_path / "craqr-baseline.json"
-    finding = Finding(
-        path="repro/mod.py", line=3, col=4, code="CRQ103", message="m",
-        symbol="fresh",
-    )
-    save_baseline(baseline, [finding])
-    payload = json.loads(baseline.read_text())
-    assert payload["version"] == 1
-    assert payload["entries"] == [
-        {"code": "CRQ103", "path": "repro/mod.py", "symbol": "fresh"}
-    ]
-
-
-# ----------------------------------------------------------------------
 # Report plumbing
 # ----------------------------------------------------------------------
 def test_parse_error_reported_as_crq001(lint):
@@ -151,7 +72,7 @@ def test_every_registered_code_has_a_rationale():
     for spec in all_rules():
         registered.update(spec.codes)
     assert registered <= set(all_codes())
-    # Five rule families, plus the two meta codes.
+    # Five rule families, plus the parse-error meta code.
     families = {code[:4] for code in registered}
     assert families == {"CRQ1", "CRQ2", "CRQ3", "CRQ4", "CRQ5"}
-    assert {"CRQ001", "CRQ002"} <= set(all_codes())
+    assert set(all_codes()) - registered == {"CRQ001"}

@@ -198,5 +198,5 @@ def test_committed_manifest_resolves_against_real_tree():
     from repro.analysis import analyze
 
     src = pathlib.Path(repro.__file__).parent
-    report = analyze([src], baseline_path=None)
+    report = analyze([src])
     assert [f for f in report.findings if f.code == "CRQ404"] == []

@@ -23,7 +23,8 @@ from recovery_harness import (
 )
 from repro.errors import RecoveryError
 from repro.recovery import FORMAT_VERSION, load_snapshot, write_snapshot_file
-from repro.sensing import FatigueParticipation
+from repro.sensing import FatigueParticipation, RequestResponseHandler
+from repro.sensing.handler import _PerSensorStreams, _SharedStream
 
 #: Golden digest of the strict-mode workload after 8 batches — pinned so a
 #: determinism regression (or an unintended behaviour change anywhere in
@@ -107,13 +108,16 @@ class TestRestoreContinuesByteIdentical:
         golden = GOLDEN_FAST_SIM if faults else GOLDEN_FAST_SIM_FAULT_FREE
         assert engine_digest(restored) == golden
 
-    def test_fatigue_crowd_replays_byte_identical(self, tmp_path):
-        """A strict fatigue crowd: each model's fatigue dict rides in the snapshot."""
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["strict", "fast-sim"])
+    def test_fatigue_crowd_replays_byte_identical(self, tmp_path, vectorized):
+        """A fatigue crowd: each model's fatigue dict rides in the snapshot."""
         fatigue = lambda sensor_id: FatigueParticipation(
             0.8, fatigue_per_request=0.1, mean_latency=0.1
         )
-        reference = run_to(make_engine(participation=fatigue), 6)
-        crashed = make_engine(checkpoint_dir=tmp_path, every=3, participation=fatigue)
+        reference = run_to(make_engine(participation=fatigue, vectorized=vectorized), 6)
+        crashed = make_engine(
+            checkpoint_dir=tmp_path, every=3, participation=fatigue, vectorized=vectorized
+        )
         run_to(crashed, 4)  # the newest checkpoint holds batch 3
         del crashed
         restored = restore_latest_fresh(tmp_path)
@@ -209,6 +213,36 @@ class TestSnapshotSemantics:
         assert clone.version == FORMAT_VERSION == 13
         restored = run_to(clone.restore(), 6)
         assert engine_digest(restored) == engine_digest(reference)
+
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["strict", "fast-sim"])
+    def test_a_handler_checkpoint_of_the_old_layout_restores(
+        self, tmp_path, monkeypatch, vectorized
+    ):
+        # The handler used to hold one RNG policy per contract, pickled as
+        # ``_per_sensor`` and ``_shared_stream``, and no ``_policy``.  A
+        # checkpoint written then carries the same FORMAT_VERSION and must
+        # restore and run on unchanged.
+        reference = run_to(make_engine(vectorized=vectorized), 6)
+        engine = run_to(make_engine(vectorized=vectorized), 3)
+        policy = type(engine.handler._policy)
+
+        def old_layout(handler):
+            state = {k: v for k, v in vars(handler).items() if k != "_policy"}
+            world = handler._world
+            return {
+                **state,
+                "_per_sensor": _PerSensorStreams(world),
+                "_shared_stream": _SharedStream(world),
+            }
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RequestResponseHandler, "__getstate__", old_layout)
+            clone = load_snapshot(engine.snapshot().write(tmp_path / "old.ckpt"))
+        assert clone.version == FORMAT_VERSION == 13
+        restored = clone.restore()
+        assert type(restored.handler._policy) is policy
+        assert restored.handler._policy._world is restored.world
+        assert engine_digest(run_to(restored, 6)) == engine_digest(reference)
 
     def test_snapshot_bytes_grow_with_the_crowd_but_not_faster(self, tmp_path):
         # The crowd's SoA columns and RNG streams dominate the payload.

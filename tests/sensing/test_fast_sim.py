@@ -10,10 +10,13 @@ seeded populations used, so the tests are deterministic.
 import numpy as np
 import pytest
 
+from repro.core.fabricator import StreamFabricator
+from repro.core.planner import QueryPlanner
 from repro.geometry import Grid, Rectangle
 from repro.sensing import (
     AlwaysRespond,
     BernoulliParticipation,
+    FatigueParticipation,
     HotspotMobility,
     ParticipationModel,
     RainField,
@@ -24,14 +27,14 @@ from repro.sensing import (
     TemperatureField,
     WorldConfig,
 )
+from repro.sensing import handler as handler_module
 from scaffolding import rows_in
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
 
 class MoodyParticipation(ParticipationModel):
-    """A custom model without stationary params: fast-sim must take the
-    exact per-sensor round, which decides it request by request."""
+    """A custom model without stationary params, decided request by request."""
 
     def decide(self, sensor_id, t, uniforms, *, incentive_multiplier=1.0):
         u_respond, u_latency = uniforms
@@ -194,79 +197,171 @@ class TestFastSimAcquisition:
         totals = sum(s.requests_received for s in fast.sensors)
         assert totals == handler.total_requests
 
-    def test_non_vectorisable_participation_falls_back_to_exact_path(self):
-        # A model without stationary vector_params cannot be sampled from
-        # the shared stream; a fast-sim world must then produce
-        # *byte-identical* rounds to a strict world with the same seed,
-        # because the fallback is the strict per-sensor path.
-        participation = lambda i: MoodyParticipation()
-        strict = make_world(False, participation=participation, sensor_count=200)
-        fast = make_world(True, participation=participation, sensor_count=200)
-        assert not np.any(fast.state_arrays.vector_participation)
-        grid = Grid(REGION, side=4)
-        strict_handler = RequestResponseHandler(strict, grid, default_budget=30)
-        fast_handler = RequestResponseHandler(fast, grid, default_budget=30)
-        cell = grid.cell(2, 2)
-        strict_batch = strict_handler.acquire_batches({"rain": [cell]}, duration=1.0)[0].get("rain")
-        fast_batch = fast_handler.acquire_batches({"rain": [cell]}, duration=1.0)[0].get("rain")
-        assert (strict_batch is None) == (fast_batch is None)
-        if strict_batch is not None:
-            assert strict_batch.to_tuples() == fast_batch.to_tuples()
 
-    def test_mixed_vectorisable_flags_use_fallback(self, monkeypatch):
-        # Half the crowd is genuinely non-vectorisable: every cell
-        # containing such a sensor must take the exact path, and the round
-        # still completes.
-        participation = lambda i: (
-            BernoulliParticipation(0.8) if i % 2 == 0 else MoodyParticipation()
-        )
-        fast = make_world(True, participation=participation, sensor_count=100)
-        flags = fast.state_arrays.vector_participation
+def mixed_crowd(i):
+    """Bernoulli sensors with a custom stateless model every seventh sensor."""
+    return MoodyParticipation() if i % 7 == 0 else BernoulliParticipation(0.8)
+
+
+class RecordingParticipation(ParticipationModel):
+    """Stateful from the handler's view (no ``vector_params``): logs every decision."""
+
+    def __init__(self, log):
+        self._log = log
+
+    def decide(self, sensor_id, t, uniforms, *, incentive_multiplier=1.0):
+        self._log.append((sensor_id, t))
+        return ResponseDecision(responds=uniforms[0] < 0.5, latency=0.0)
+
+
+class TestOnePolicy:
+    """A fast-sim world answers every cell through the shared-stream policy.
+
+    Cells hosting a sensor without stationary participation are not lent
+    to the keyed strict policy: such a sensor takes its respond uniform
+    from the wave's participation draw and is decided by its model, in
+    each sensor's request order, inside the attribute's one wave loop.
+    """
+
+    def test_a_mixed_round_draws_no_keyed_block(self, monkeypatch):
+        world = make_world(True, sensor_count=300, participation=mixed_crowd)
+        flags = world.state_arrays.vector_participation
         assert flags.any() and not flags.all()
-        grid = Grid(REGION, side=2)
-        handler = RequestResponseHandler(fast, grid, default_budget=20)
+        handler = RequestResponseHandler(world, Grid(REGION, side=4), default_budget=12)
+        calls = []
+        keyed = handler_module.keyed_uniforms
 
-        # Fallback cells take their population from the round's one
-        # bucketing pass: a region scan of the crowd must never run.
-        def no_rescan(*args, **kwargs):
-            raise AssertionError("region scan of the crowd")
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return keyed(*args, **kwargs)
 
-        monkeypatch.setattr(Rectangle, "contains_many", no_rescan)
-        batches, report = handler.acquire_batches({"rain": list(grid.cells())}, duration=1.0)
-        assert report.requests_sent == 20 * 4
-        assert sum(len(b) for b in batches.values()) == report.responses_received
-        # Per-cell accounting stays exact: the full budget goes out in every
-        # cell, and the reported responses are the tuples targeting it.
-        delivered = {}
-        for q, r in batches["rain"].extra["cell"].tolist():
-            delivered[("rain", (q, r))] = delivered.get(("rain", (q, r)), 0) + 1
-        assert report.per_cell_requests == {("rain", c.key): 20 for c in grid.cells()}
-        assert {k: v for k, v in report.per_cell_responses.items() if v} == delivered
-        assert set(report.per_cell_responses) == set(report.per_cell_requests)
+        monkeypatch.setattr(handler_module, "keyed_uniforms", counting)
+        cells = list(handler.grid.cells())
+        for _ in range(3):
+            _, report = handler.acquire_batches({"rain": cells, "temp": cells}, duration=1.0)
+            world.advance(1.0)
+        assert report.requests_sent == 2 * 12 * 16
+        assert calls == []
 
-    def test_mixed_crowd_fuses_the_vector_capable_cells(self, monkeypatch):
-        # Non-vectorisable sensors confined to one cell: that cell alone
-        # keeps the per-sensor round (from its bucketed population), the
-        # other three are served by the fused shared-stream round.
-        world = make_world(True, participation=lambda i: BernoulliParticipation(0.8), sensor_count=400)
-        soa = world.state_arrays
-        in_first = (soa.x < 2.0) & (soa.y < 2.0)
-        soa.vector_participation[in_first] = False
+    def test_a_mixed_round_keeps_exact_per_cell_accounting(self, monkeypatch):
+        # One wave loop for the whole attribute, from the round's one
+        # bucketing pass (a region scan of the crowd never runs): the full
+        # budget goes out in every cell, and the reported responses are the
+        # tuples targeting it.
+        world = make_world(True, sensor_count=100, participation=mixed_crowd)
         grid = Grid(REGION, side=2)
         handler = RequestResponseHandler(world, grid, default_budget=20)
         monkeypatch.setattr(
             Rectangle, "contains_many",
             lambda *args, **kwargs: pytest.fail("region scan of the crowd"),
         )
-        sensors_asked = []
-        participation_at = world.participation_at
-
-        def recording_participation_at(rows):
-            sensors_asked.extend(rows.tolist())
-            return participation_at(rows)
-
-        monkeypatch.setattr(world, "participation_at", recording_participation_at)
-        _, report = handler.acquire_batches({"rain": list(grid.cells())}, duration=1.0)
+        batches, report = handler.acquire_batches({"rain": list(grid.cells())}, duration=1.0)
+        assert report.requests_sent == 20 * 4
+        assert len(batches["rain"]) == report.responses_received
+        delivered = {}
+        for q, r in batches["rain"].extra["cell"].tolist():
+            delivered[("rain", (q, r))] = delivered.get(("rain", (q, r)), 0) + 1
         assert report.per_cell_requests == {("rain", c.key): 20 for c in grid.cells()}
-        # Only the mixed cell's sensors answered one by one.
-        assert sensors_asked and bool(np.all(in_first[sensors_asked]))
+        assert {k: v for k, v in report.per_cell_responses.items() if v} == delivered
+        assert set(report.per_cell_responses) == set(report.per_cell_requests)
+        soa = world.state_arrays
+        assert soa.requests_received.sum() == handler.total_requests
+        assert soa.responses_sent.sum() == handler.total_responses
+
+    @pytest.mark.parametrize("budget", [25, 400], ids=["covering", "replacement"])
+    def test_each_walked_request_is_decided_once_in_request_order(self, budget):
+        # One cell, so the wave's request order is its time order.  60
+        # sensors, a third of them walked: a budget of 400 is sampled with
+        # replacement and asks a walked sensor about seven times a round.
+        log = []
+        model = RecordingParticipation(log)
+        world = make_world(
+            True, sensor_count=60,
+            participation=lambda i: model if i % 3 == 0 else BernoulliParticipation(0.5),
+        )
+        walked = ~world.state_arrays.vector_participation
+        handler = RequestResponseHandler(world, Grid(REGION, side=1), default_budget=budget)
+        for _ in range(2):
+            log.clear()
+            before = world.state_arrays.requests_received.copy()
+            _, report = handler.acquire_batches({"rain": list(handler.grid.cells())}, duration=1.0)
+            asked = world.state_arrays.requests_received - before
+            assert report.requests_sent == budget
+            # Once per request to a walked sensor, and to no other.
+            decided = np.bincount([sensor_id for sensor_id, _ in log], minlength=60)
+            ids = world.state_arrays.sensor_ids
+            assert decided[ids[walked]].tolist() == asked[walked].tolist()
+            assert not decided[ids[~walked]].any()
+            # In request order: each sensor's requests, and the wave's.
+            times = [t for _, t in log]
+            assert times == sorted(times)
+            if budget > 60:
+                assert asked[walked].max() > 1
+            world.advance(1.0)
+
+    def test_a_mixed_round_is_handed_on_in_cell_time_order(self):
+        # One wave loop per attribute yields the rows cell-major and in time
+        # order within each cell, so the map phase hands the handler's own
+        # batch on without sorting it.
+        participation = lambda i: (
+            FatigueParticipation(0.7) if i % 50 == 0 else BernoulliParticipation(0.6)
+        )
+        world = make_world(True, sensor_count=400, participation=participation)
+        grid = Grid(REGION, side=4)
+        handler = RequestResponseHandler(world, grid, default_budget=10)
+        cells = list(grid.cells())
+        stateful_cells = {
+            cell.key for cell in cells
+            if not world.state_arrays.vector_participation[rows_in(world, cell.rect)].all()
+        }
+        assert 0 < len(stateful_cells) < len(cells) - 1
+        batches, _ = handler.acquire_batches({"rain": cells, "temp": cells}, duration=1.0)
+        mapped = StreamFabricator(QueryPlanner(grid), grid).map_batches_fused(batches)
+        for attribute, batch in batches.items():
+            assert mapped[attribute][0] is batch
+
+
+def pooled_rates(vectorized, participation, *, seeds=range(6), budget=30):
+    """Response rate and mean latency of one all-cell round per seed, pooled."""
+    requests = responses = 0
+    latencies = []
+    for seed in seeds:
+        world = make_world(
+            vectorized, sensor_count=600, seed=seed, participation=participation
+        )
+        handler = RequestResponseHandler(world, Grid(REGION, side=4), default_budget=budget)
+        finalize = handler._finalize_wave
+
+        def recording(*args):
+            latencies.append(np.array(args[6]))
+            return finalize(*args)
+
+        handler._finalize_wave = recording
+        _, report = handler.acquire_batches({"rain": list(handler.grid.cells())}, duration=1.0)
+        requests += report.requests_sent
+        responses += report.responses_received
+    return responses / requests, float(np.concatenate(latencies).mean())
+
+
+@pytest.mark.parametrize(
+    "participation, rate, mean_latency",
+    [
+        (lambda i: MoodyParticipation(), 0.7, 0.1),
+        (lambda i: FatigueParticipation(0.6, fatigue_per_request=0.0, mean_latency=0.3), 0.6, 0.3),
+    ],
+    ids=["moody", "fatigue-free"],
+)
+def test_walked_crowds_match_strict_in_distribution(participation, rate, mean_latency):
+    # A crowd whose every sensor is walked answers from the world stream in
+    # fast-sim and from keyed blocks in strict: the bits differ, the
+    # distributions must not.  Six seeds of 16 cells x 30 requests pool
+    # 2 880 requests a contract: the rate's sd is ≈ 0.009 and the mean
+    # latency's ≈ 2.5% (about 1 800 exponential latencies), so a
+    # difference of the two contracts has sd ≈ 0.0125 and ≈ 3.5%, and the
+    # bands below are about 4 sd of a difference wide.
+    strict_rate, strict_latency = pooled_rates(False, participation)
+    fast_rate, fast_latency = pooled_rates(True, participation)
+    assert strict_rate == pytest.approx(rate, abs=0.04)
+    assert fast_rate == pytest.approx(strict_rate, abs=0.05)
+    assert strict_latency == pytest.approx(mean_latency, rel=0.15)
+    assert fast_latency == pytest.approx(strict_latency, rel=0.14)

@@ -21,9 +21,10 @@ contracts:
 * **refusals** — a foreign cell, a cell listed twice, a duration that
   is not positive and finite and an attribute without a field are refused
   before anything is drawn;
-* **exact stateful crowds** — in fast-sim the cells hosting a stateful
-  sensor take one per-sensor wave loop per attribute, so a crowd whose
-  every sensor is stateful acquires exactly what a strict world does.
+* **one policy** — a handler holds its world's one RNG policy, and each
+  attribute runs one wave loop over all of its cells, stateful sensors
+  included (fast-sim decides them from the shared stream; the statistical
+  check against strict is ``test_fast_sim.py``).
 """
 
 import dataclasses
@@ -55,22 +56,22 @@ REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
 
 def forbid_per_sensor_policy(monkeypatch):
-    """Make the per-sensor policy raise, so a round that falls back fails."""
+    """Make the per-sensor policy raise, so a fast-sim round that reaches it fails."""
 
     def refuse(self, *args, **kwargs):
-        raise AssertionError("a fast-sim round fell back to the per-sensor policy")
+        raise AssertionError("a fast-sim round reached the per-sensor policy")
 
     monkeypatch.setattr(_PerSensorStreams, "answer", refuse)
 
 
 def record_wave_loops(monkeypatch, handler):
-    """Record ``(policy, attribute, cell keys)`` of every wave loop the handler runs."""
+    """Record ``(attribute, cell keys)`` of every wave loop the handler runs."""
     loops = []
     waves = handler._acquire_waves
 
-    def recording(policy, attribute, field_model, cell_keys, populations, **kwargs):
-        loops.append((policy, attribute, cell_keys))
-        return waves(policy, attribute, field_model, cell_keys, populations, **kwargs)
+    def recording(*args, **kwargs):
+        loops.append(args)
+        return waves(*args, **kwargs)
 
     monkeypatch.setattr(handler, "_acquire_waves", recording)
     return loops
@@ -539,15 +540,17 @@ class TestStatefulFastSim:
             round_rates.append(report.response_rate)
         assert round_rates[-1] < round_rates[0] - 0.2
 
-    def test_no_vector_form_trips_the_fallback_guard(self, monkeypatch):
-        # A crowd whose model has no stationary parameters is served by the
-        # per-sensor policy, and the guard turns that into a failure.
+    def test_no_vector_form_stays_on_the_shared_stream(self, monkeypatch):
+        # A crowd whose model has no stationary parameters is decided by
+        # that model inside the fast-sim policy: the per-sensor policy is
+        # never reached, and every request is answered.
         world = make_world(True, sensor_count=200, participation=lambda i: ScalarOnly())
         grid = Grid(REGION, side=2)
         handler = RequestResponseHandler(world, grid, default_budget=20)
         forbid_per_sensor_policy(monkeypatch)
-        with pytest.raises(AssertionError, match="per-sensor policy"):
-            handler.acquire_batches({"rain": list(grid.cells())}, duration=1.0)
+        batches, report = handler.acquire_batches({"rain": list(grid.cells())}, duration=1.0)
+        assert report.responses_received == report.requests_sent == 4 * 20
+        assert len(batches["rain"]) == 4 * 20
 
     def test_fatigue_state_is_coherent_across_vector_and_fallback_paths(self):
         # A fatigue model keeps ONE store per sensor: what a direct decide()
@@ -584,37 +587,9 @@ class TestStatefulFastSim:
                 0.8 - stored - 0.01 * requests[sensor_id]
             )
 
-    def test_all_stateful_crowd_acquires_exactly_what_strict_does(self):
-        # Nothing in a stateful crowd is sampled from the shared stream:
-        # every cell takes the keyed per-sensor policy and each request goes
-        # through the model's decide, so a fast-sim world acquires what a
-        # strict world with the same seed does.  (No advance: movement is
-        # where the two contracts still differ.)
-        def build(vectorized):
-            world = make_world(
-                vectorized,
-                sensor_count=500,
-                participation=lambda i: FatigueParticipation(0.7, fatigue_per_request=0.2),
-            )
-            return RequestResponseHandler(world, Grid(REGION, side=4), default_budget=40)
-
-        strict, fast = build(False), build(True)
-        cells = list(strict.grid.cells())
-        request = {"rain": cells, "temp": cells}
-        for _ in range(3):
-            batches, report = strict.acquire_batches(request, duration=1.0)
-            fast_batches, fast_report = fast.acquire_batches(request, duration=1.0)
-            assert fast_report == report
-            assert list(fast_batches) == list(batches)
-            for attribute, batch in batches.items():
-                other = fast_batches[attribute]
-                assert other.t.tobytes() == batch.t.tobytes()
-                assert other.sensor_id.tobytes() == batch.sensor_id.tobytes()
-                assert other.value.tobytes() == batch.value.tobytes()
-
     def test_mixed_stateful_groups_are_dispatched_separately(self, monkeypatch):
         # Two fatigue parameterisations in one crowd: each sensor is decided
-        # by its own model, all in one per-sensor wave loop.
+        # by its own model, all in one wave loop.
         participation = lambda i: (
             FatigueParticipation(0.9, fatigue_per_request=0.0)
             if i % 2 == 0
@@ -627,21 +602,21 @@ class TestStatefulFastSim:
         _, report = handler.acquire_batches(
             {"rain": list(grid.cells())}, duration=1.0
         )
-        assert [(policy, attribute) for policy, attribute, _ in loops] == [
-            (handler._per_sensor, "rain")
-        ]
+        assert [attribute for attribute, *_ in loops] == ["rain"]
         # The blended response rate sits between the two models' bases.
         assert 0.45 < report.response_rate < 0.75
 
-    def test_mixed_crowd_runs_one_wave_loop_per_policy(self, monkeypatch):
-        # Cells hosting a fatigue sensor are served together by one
-        # per-sensor wave loop, the rest by one shared-stream loop.
+    def test_mixed_crowd_runs_one_wave_loop_per_attribute(self, monkeypatch):
+        # Cells hosting a fatigue sensor and cells without one are served
+        # together: one wave loop per attribute over every requested cell,
+        # under the handler's one policy.
         participation = lambda i: (
             FatigueParticipation(0.7) if i % 50 == 0 else BernoulliParticipation(0.6)
         )
         world = make_world(True, sensor_count=400, participation=participation)
         grid = Grid(REGION, side=4)
         handler = RequestResponseHandler(world, grid, default_budget=10)
+        assert isinstance(handler._policy, handler_module._SharedStream)
         loops = record_wave_loops(monkeypatch, handler)
         cells = list(grid.cells())
         _, report = handler.acquire_batches({"rain": cells, "temp": cells}, duration=1.0)
@@ -654,12 +629,10 @@ class TestStatefulFastSim:
             )
         }
         assert 0 < len(stateful_cells) < len(cells)
-        assert [(policy, attribute) for policy, attribute, _ in loops] == [
-            (handler._per_sensor, "rain"), (handler._shared_stream, "rain"),
-            (handler._per_sensor, "temp"), (handler._shared_stream, "temp"),
+        every_cell = tuple(cell.key for cell in cells)
+        assert [(attribute, keys) for attribute, _, keys, *_ in loops] == [
+            ("rain", every_cell), ("temp", every_cell),
         ]
-        for policy, _, keys in loops:
-            assert (set(keys) == stateful_cells) == (policy is handler._per_sensor)
         assert report.requests_sent == 2 * 10 * len(cells)
 
 
@@ -708,8 +681,7 @@ class TestStrictFusedRounds:
         monkeypatch.setattr(Rectangle, "contains_many", no_region_scan)
         cells = list(grid.cells())
         _, report = handler.acquire_batches({"rain": cells, "temp": cells}, duration=1.0)
-        assert [(policy, attribute) for policy, attribute, _ in rounds] == [
-            (handler._per_sensor, "rain"), (handler._per_sensor, "temp"),
-        ]
-        assert all(set(keys) == {cell.key for cell in cells} for _, _, keys in rounds)
+        assert isinstance(handler._policy, _PerSensorStreams)
+        assert [attribute for attribute, *_ in rounds] == ["rain", "temp"]
+        assert all(set(keys) == {cell.key for cell in cells} for _, _, keys, *_ in rounds)
         assert report.requests_sent == 2 * 10 * 4

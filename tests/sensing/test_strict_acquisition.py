@@ -6,7 +6,8 @@ pure function of the sensor, its request count and the request — never of
 which sensors were asked before it.  ``_PerSensorStreams.answer`` uses that
 to answer a whole wave in one vectorised pass (rank within each sensor for
 the counters, one ``keyed_uniforms`` call, the stationary rows as columns,
-a per-request ``decide`` walk only for stateful or custom participation).
+a per-request ``decide`` walk only for stateful or custom participation;
+the wave loop bumps the sensors' counters after the answer).
 
 The oracle below answers the same wave with the per-object
 ``MobileSensor.handle_request``, one request at a time, in a *shuffled*
@@ -42,6 +43,7 @@ from repro.sensing import (
     TemperatureField,
     WorldConfig,
 )
+from repro.sensing import handler as handler_module
 from repro.sensing.handler import _PerSensorStreams
 from repro.sensing.incentives import IncentiveScheme
 from repro.sensing.participation import ParticipationModel, ResponseDecision
@@ -88,8 +90,12 @@ def per_object_answer(self, field_model, rows, request_times, multipliers, repla
 
     ``handle_request`` returns ``t + latency``; the exact latency the wave
     loop needs is the one the sensor's ``decide`` returned, recorded here.
+    ``handle_request`` bumps the sensor's counters as it answers; the wave
+    loop bumps them after ``answer``, so they are put back at the end.
     """
     del replacement_used
+    soa = self._world.state_arrays
+    counters = (soa.requests_received.copy(), soa.responses_sent.copy())
     rng = np.random.default_rng([rows.size, int(rows.sum())])
     responded = np.zeros(rows.size, dtype=bool)
     latencies = np.zeros(rows.size)
@@ -118,6 +124,7 @@ def per_object_answer(self, field_model, rows, request_times, multipliers, repla
             responded[k] = True
             latencies[k] = decision.latency
             values[k] = row[3]
+    soa.requests_received[:], soa.responses_sent[:] = counters
     answered = np.flatnonzero(responded)
     column = value_column([values[k] for k in answered.tolist()])
     return responded, latencies[answered], column
@@ -235,7 +242,7 @@ def make_handler(world, *, budget, incentive=None, flaky=False, oracle=False):
         faults=faults, resilience=resilience, health=health,
     )
     if oracle:
-        policy = handler._per_sensor
+        policy = handler._policy
         policy.answer = types.MethodType(per_object_answer, policy)
     return handler
 
@@ -352,13 +359,13 @@ def test_mixed_wave_walks_only_the_stateful_rows(monkeypatch):
     # rows reach the per-request walk.
     (world, handler), _ = make_pair(24, mixed, budget=40)
     walked = []
-    inner = _PerSensorStreams._decide_walked
+    inner = handler_module._decide_walked
 
-    def counting(self, rows, request_times, multipliers, u, visit, responded, latencies):
+    def counting(world, rows, visit, *args):
         walked.append(rows[visit])
-        return inner(self, rows, request_times, multipliers, u, visit, responded, latencies)
+        return inner(world, rows, visit, *args)
 
-    monkeypatch.setattr(_PerSensorStreams, "_decide_walked", counting)
+    monkeypatch.setattr(handler_module, "_decide_walked", counting)
     _, report = handler.acquire_batches({"temp": list(handler.grid.cells())}, duration=1.0)
     walked_rows = np.concatenate(walked)
     assert 0 < walked_rows.size < report.requests_sent
@@ -409,19 +416,18 @@ def test_a_request_draws_its_sensors_block_at_its_counter():
 
 def test_acquisition_draws_nothing_from_the_generators():
     # Choices and request times come from the world stream; the answers
-    # touch no generator at all, so a wave answered twice from the same
-    # counters gives the same observations.
+    # touch no generator at all and no counter (the wave loop bumps those),
+    # so a wave answered twice from the same counters gives the same
+    # observations.
     world = make_world(40, PARTICIPATION["bernoulli"])
-    policy = RequestResponseHandler(world, Grid(REGION, side=2))._per_sensor
+    policy = RequestResponseHandler(world, Grid(REGION, side=2))._policy
     rows = np.array([3, 7, 7, 11, 3], dtype=np.int64)
     times = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
     states = generator_states(world)
     soa = world.state_arrays
     first = policy.answer(world.field_for("temp"), rows, times, np.ones(5), True)
     assert generator_states(world) == states
-    assert soa.requests_received[[3, 7, 11]].tolist() == [2, 2, 1]
-    soa.requests_received[:] = 0
-    soa.responses_sent[:] = 0
+    assert not soa.requests_received.any() and not soa.responses_sent.any()
     second = policy.answer(world.field_for("temp"), rows, times, np.ones(5), True)
     for a, b in zip(first, second):
         assert a.tobytes() == b.tobytes()
@@ -437,7 +443,7 @@ def test_zero_request_wave():
     field_model = ours[0].field_for("temp")
     none = np.empty(0, dtype=np.int64)
     for _, handler in (ours, oracle):
-        responded, latencies, values = handler._per_sensor.answer(
+        responded, latencies, values = handler._policy.answer(
             field_model, none, np.empty(0), np.empty(0), False
         )
         assert responded.shape == latencies.shape == values.shape == (0,)

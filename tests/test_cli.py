@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from repro.analysis.__main__ import main as lint_main
 from repro.cli import SCENARIOS, _scenario_engine, build_parser, main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -510,7 +511,7 @@ class TestFaultScenarios:
 
 
 class TestLint:
-    """The ``lint`` sub-command: craqr-lint with the 0/1/2 exit contract."""
+    """``python -m repro.analysis``: craqr-lint with the 0/1/2 exit contract."""
 
     def _write_violation(self, tmp_path):
         bad = tmp_path / "bad.py"
@@ -525,66 +526,52 @@ class TestLint:
         clean = tmp_path / "ok.py"
         clean.write_text("import numpy as np\n\nrng = np.random.default_rng(7)\n")
         capture = _Capture()
-        code = main(["lint", str(tmp_path), "--baseline", "none"], out=capture)
+        code = lint_main([str(tmp_path)], out=capture)
         assert code == 0
         assert "0 finding(s)" in capture.text
 
     def test_lint_findings_exit_one(self, tmp_path):
         self._write_violation(tmp_path)
         capture = _Capture()
-        code = main(["lint", str(tmp_path), "--baseline", "none"], out=capture)
+        code = lint_main([str(tmp_path)], out=capture)
         assert code == 1
         assert "CRQ103" in capture.text
 
     def test_lint_missing_path_exits_two(self, tmp_path):
         capture = _Capture()
-        code = main(["lint", str(tmp_path / "nope"), "--baseline", "none"], out=capture)
+        code = lint_main([str(tmp_path / "nope")], out=capture)
         assert code == 2
         assert "no such path" in capture.text
 
-    def test_lint_usage_error_exits_two(self):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["lint", "--format", "xml"])
-        assert excinfo.value.code == 2
+    def test_lint_usage_error_exits_two(self, capsys):
+        assert lint_main(["--format", "xml"], out=_Capture()) == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
 
     def test_lint_json_format(self, tmp_path):
         import json
 
         self._write_violation(tmp_path)
         capture = _Capture()
-        code = main(
-            ["lint", str(tmp_path), "--baseline", "none", "--format", "json"],
-            out=capture,
-        )
+        code = lint_main([str(tmp_path), "--format", "json"], out=capture)
         assert code == 1
         payload = json.loads(capture.text)
         assert payload["ok"] is False
         assert payload["findings"][0]["code"] == "CRQ103"
 
-    def test_lint_baseline_waives_then_reports_stale(self, tmp_path):
-        bad = self._write_violation(tmp_path)
-        baseline = tmp_path / "craqr-baseline.json"
-        capture = _Capture()
-        code = main(
-            ["lint", str(tmp_path), "--baseline", str(baseline), "--write-baseline"],
-            out=capture,
-        )
-        assert code == 0
-
-        bad.write_text("import numpy as np\n\nrng = np.random.default_rng(7)\n")
-        capture = _Capture()
-        code = main(["lint", str(tmp_path), "--baseline", str(baseline)], out=capture)
-        assert code == 1
-        assert "CRQ002" in capture.text
-
     def test_lint_explain_lists_rules(self):
         capture = _Capture()
-        code = main(["lint", "--explain"], out=capture)
+        code = lint_main(["--explain"], out=capture)
         assert code == 0
         for family_example in ("CRQ101", "CRQ201", "CRQ302", "CRQ404", "CRQ503"):
             assert family_example in capture.text
 
     def test_lint_default_scan_is_clean(self):
-        """Linting the installed package with the repo baseline passes."""
+        """Linting the installed package passes."""
         capture = _Capture()
-        assert main(["lint"], out=capture) == 0
+        assert lint_main([], out=capture) == 0
+
+    def test_lint_is_not_a_cli_command(self):
+        # The analyzer has one front end, ``python -m repro.analysis``.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["lint"])
+        assert excinfo.value.code == 2
