@@ -123,17 +123,19 @@ HOT_PATHS: List[Tuple[str, str]] = [
     # The estimator rule: one call per batch chooses every chain's
     # intensity, whatever its attribute — given, online, a batch MLE fit or
     # the constant rate.  Its loops are per chain (the decision, the fit
-    # windows, the gather of the chosen segments), never per row; the row
-    # work is the two lockstep kernels below.
+    # windows), never per row, and it gathers no rows; the row work is the
+    # two lockstep kernels below, which read each chain's rows where they
+    # lie in its attribute batch.
     ("repro/core/pmat/flatten.py", "estimate_segments"),
     # The batch MLE every non-online chain runs each batch (PR 21): a
     # damped Newton iteration whose loops are per Newton step and per
     # line-search halving — each step is a fixed number of column sums and
     # a 4x4 solve on plain floats — never per event.  Every chain's fit of
-    # a batch runs in one lockstep solve: the elementwise work is one pass
-    # over the rows of the unfinished fits, and the loops are per Newton
-    # step, per halving and per segment (the fourteen slice sums, the
-    # solve, the step rule, the Armijo test).  ``fit_linear_intensity_mle``
+    # a batch runs in one lockstep solve, a block of consecutive fits at a
+    # time: the elementwise work is one pass over the block's unfinished
+    # fits' rows, and the loops are per block, per Newton step, per halving
+    # and per segment (the layout, the fourteen slice sums, the solve, the
+    # step rule, the Armijo test).  ``fit_linear_intensity_mle``
     # is its one-segment case.  Its Eq. (3) companion
     # ``_compensate_clipping`` is one sort and one cumulative sum where a
     # 60-step bisection used to be.

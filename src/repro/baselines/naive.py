@@ -118,7 +118,7 @@ class NaivePerQueryEngine:
             query.rate, region=query.region, batch_duration=duration, rng=self._rng
         )
         flatten.open_window(t_start)
-        [(intensity, _estimator)] = estimate_segments([flatten], batch.t, batch.x, batch.y, [0])
+        [(intensity, _estimator)] = estimate_segments([flatten], [batch], [(0, 0, len(batch))])
         target_expected = query.rate * query.region.area * span
         outcome = flatten_events(batch, intensity, target_expected, rng=self._rng)
         return [item for item, keep in zip(in_region, outcome.keep_mask) if keep]

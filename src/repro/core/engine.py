@@ -680,10 +680,11 @@ class CraqrEngine:
             region_area=query.region.area,
             retention_batches=self._config.retention_batches,
         )
-        self._buffers[query.query_id] = buffer
+        # A refused insert leaves the plan as it was (and no buffer behind).
         touched = self._planner.insert_query(
             query, on_result_batch=self._deliver_batch
         )
+        self._buffers[query.query_id] = buffer
         # Seed the handler's budget for every (attribute, cell) pair the
         # query activates so the first batch already respects the config.
         for key in touched:

@@ -15,8 +15,9 @@ to-left-until-a-branching-point rule expressed over the canonical form.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, islice
+from itertools import islice
 from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -196,42 +197,42 @@ class QueryPlanner:
             raise QueryError(
                 f"query {query.label} does not overlap any grid cell"
             )
+        with self._all_or_nothing([cell.key for cell in overlapping]):
+            # The merge stage: one U-operator per query aggregates the per-cell
+            # partial streams into the final MCDS (Fig. 2c).
+            union = UnionOperator(
+                rate=query.rate,
+                attribute=query.attribute,
+                name=f"U:{query.label}",
+                rng=np.random.default_rng(self._rng.integers(0, 2 ** 63 - 1)),
+            )
+            handler = on_result or _drop_delivery
+            union_sink = CallbackSink(
+                QueryDelivery(handler, query.query_id),
+                name=f"result:{query.label}",
+            )
+            union_sink.attach(union.output)
 
-        # The merge stage: one U-operator per query aggregates the per-cell
-        # partial streams into the final MCDS (Fig. 2c).
-        union = UnionOperator(
-            rate=query.rate,
-            attribute=query.attribute,
-            name=f"U:{query.label}",
-            rng=np.random.default_rng(self._rng.integers(0, 2 ** 63 - 1)),
-        )
-        handler = on_result or _drop_delivery
-        union_sink = CallbackSink(
-            QueryDelivery(handler, query.query_id),
-            name=f"result:{query.label}",
-        )
-        union_sink.attach(union.output)
+            plan = _QueryPlan(query=query, cells=[], union=union, union_sink=union_sink)
+            self._plans[query.query_id] = plan
+            self._result_handlers[query.query_id] = handler
+            if on_result_batch is not None:
+                self._batch_handlers[query.query_id] = on_result_batch
 
-        plan = _QueryPlan(query=query, cells=[], union=union, union_sink=union_sink)
-        self._plans[query.query_id] = plan
-        self._result_handlers[query.query_id] = handler
-        if on_result_batch is not None:
-            self._batch_handlers[query.query_id] = on_result_batch
+            touched: List[CellKey] = []
+            for cell in overlapping:
+                overlap = query.region.intersection(cell.region)
+                if overlap is None:
+                    continue
+                self._topology_for(cell).add_query(query, overlap)
+                plan.overlaps[cell.key] = overlap
+                touched.append(cell.key)
+            plan.cells = touched
 
-        touched: List[CellKey] = []
-        for cell in overlapping:
-            overlap = query.region.intersection(cell.region)
-            if overlap is None:
-                continue
-            self._topology_for(cell).add_query(query, overlap)
-            plan.overlaps[cell.key] = overlap
-            touched.append(cell.key)
-        plan.cells = touched
-
-        self._rebuild_cells(touched)
-        self._insertions += 1
-        self._last_touched = len(touched)
-        return touched
+            self._rebuild_cells(touched)
+            self._insertions += 1
+            self._last_touched = len(touched)
+            return touched
 
     def _topology_for(self, cell) -> CellTopology:
         """The cell's topology, materialising the hashmap entry on demand."""
@@ -298,38 +299,37 @@ class QueryPlanner:
             raise QueryError(
                 f"query {new_query.label} does not overlap any grid cell"
             )
+        with self._all_or_nothing({*plan.cells, *new_overlaps}):
+            old_keys = set(plan.cells)
+            removed = [key for key in plan.cells if key not in new_overlaps]
+            kept = [key for key in plan.cells if key in new_overlaps]
+            added = [key for key in new_overlaps if key not in old_keys]
 
-        old_keys = set(plan.cells)
-        removed = [key for key in plan.cells if key not in new_overlaps]
-        kept = [key for key in plan.cells if key in new_overlaps]
-        added = [key for key in new_overlaps if key not in old_keys]
+            for key in removed:
+                topology = self._cells.get(key)
+                if topology is None:
+                    continue
+                topology.remove_query(old_query)
+                if topology.is_empty:
+                    del self._cells[key]
+            for key in kept:
+                topology = self._cells[key]
+                topology.remove_query(old_query)
+                topology.add_query(new_query, new_overlaps[key][1])
+            for key in added:
+                cell, overlap = new_overlaps[key]
+                self._topology_for(cell).add_query(new_query, overlap)
+            rebuild = [key for key in removed if key in self._cells] + kept + added
+            self._rebuild_cells(rebuild)
 
-        for key in removed:
-            topology = self._cells.get(key)
-            if topology is None:
-                continue
-            topology.remove_query(old_query)
-            if topology.is_empty:
-                del self._cells[key]
-        for key in kept:
-            topology = self._cells[key]
-            topology.remove_query(old_query)
-            topology.add_query(new_query, new_overlaps[key][1])
-        for key in added:
-            cell, overlap = new_overlaps[key]
-            self._topology_for(cell).add_query(new_query, overlap)
-
-        plan.query = new_query
-        plan.cells = list(new_overlaps.keys())
-        plan.overlaps = {key: overlap for key, (_, overlap) in new_overlaps.items()}
-        if rate is not None:
-            plan.union.set_rate(new_query.rate)
-
-        rebuild = [key for key in removed if key in self._cells] + kept + added
-        self._rebuild_cells(rebuild)
-        self._updates += 1
-        self._last_touched = len(rebuild)
-        return QueryUpdate(query=new_query, added=added, removed=removed, kept=kept)
+            if rate is not None:
+                plan.union.set_rate(new_query.rate)
+            plan.query = new_query
+            plan.cells = list(new_overlaps.keys())
+            plan.overlaps = {key: overlap for key, (_, overlap) in new_overlaps.items()}
+            self._updates += 1
+            self._last_touched = len(rebuild)
+            return QueryUpdate(query=new_query, added=added, removed=removed, kept=kept)
 
     # ------------------------------------------------------------------
     # Pause / resume (detach acquisition without tearing down topology)
@@ -423,6 +423,41 @@ class QueryPlanner:
         if handler is not None:
             handler(query_id, batch)
 
+    @contextmanager
+    def _all_or_nothing(self, keys):
+        """Run a plan change to the cells at ``keys`` that completes or
+        leaves the plan as it was.
+
+        An operator can refuse what a change asks of it part-way through
+        (a rate whose Flatten headroom overflows, say); a cell left holding
+        a chain that was never built would fail every later batch.  So a
+        change that raises puts back the planner's RNG state, its cells,
+        plans and handlers, and the chains, operators and RNG states of
+        every existing cell at ``keys``, then re-raises: the plan runs on
+        as if it never came.
+        """
+        state = self._rng.bit_generator.state
+        cells = dict(self._cells)
+        mementos = [(cells[key], cells[key].memento()) for key in keys if key in cells]
+        plans = dict(self._plans)
+        handlers = dict(self._result_handlers)
+        batch_handlers = dict(self._batch_handlers)
+        try:
+            yield
+        except BaseException:
+            self._rng.bit_generator.state = state
+            for topology, memento in mementos:
+                topology.restore(memento)
+            self._cells.clear()
+            self._cells.update(cells)
+            self._plans.clear()
+            self._plans.update(plans)
+            self._result_handlers.clear()
+            self._result_handlers.update(handlers)
+            self._batch_handlers.clear()
+            self._batch_handlers.update(batch_handlers)
+            raise
+
     def _rebuild_cells(self, keys: List[CellKey]) -> None:
         for key in keys:
             topology = self._cells.get(key)
@@ -481,21 +516,27 @@ class QueryPlanner:
         place of its first tap, so its result buffer gains one chunk per
         batch.  Before any program runs, every chain with rows, whatever
         its attribute, has its intensity chosen in one
-        :func:`~repro.core.pmat.flatten.estimate_segments` call.
+        :func:`~repro.core.pmat.flatten.estimate_segments` call, which
+        reads each chain's rows where they lie: the attribute batches
+        ``mapped`` holds, at the offsets of their segment tables.
         """
         rows_per_cell: Dict[CellKey, int] = {}
         for _batch, segments in mapped.values():
             for key, start, stop in segments:
                 rows_per_cell[key] = rows_per_cell.get(key, 0) + stop - start
-        # Every chain with rows, all attributes in one estimate call; each
-        # program takes its own chains' results.
+        # Every chain with rows, all attributes in one estimate call over
+        # the attribute batches as they lie; each program takes its own
+        # chains' results.
         chains = {attribute: program.segments(mapped.get(attribute))
                   for attribute, program in programs.items()}
-        estimates = iter(())
-        if any(chains.values()):
-            flattens, ts, xs, ys = zip(*(chain for each in chains.values() for chain in each))
-            starts = list(accumulate((t.shape[0] for t in ts[:-1]), initial=0))
-            estimates = iter(estimate_segments(flattens, *map(np.concatenate, (ts, xs, ys)), starts))
+        batches, flattens, segments = [], [], []
+        for attribute, each in chains.items():
+            if each:
+                batches.append(mapped[attribute][0])
+                for flatten, start, stop in each:
+                    flattens.append(flatten)
+                    segments.append((len(batches) - 1, start, stop))
+        estimates = iter(estimate_segments(flattens, batches, segments) if flattens else ())
         emissions = []
         for attribute, program in programs.items():
             chosen = list(islice(estimates, len(chains[attribute])))

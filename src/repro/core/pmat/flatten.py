@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -244,7 +243,7 @@ class FlattenOperator(PMATOperator):
         items = self._buffer
         self._buffer = []
         batch = EventBatch.from_rows([(it.t, it.x, it.y) for it in items])
-        [(intensity, estimator)] = estimate_segments([self], batch.t, batch.x, batch.y, [0])
+        [(intensity, estimator)] = estimate_segments([self], [batch], [(0, 0, len(batch))])
         # Eq. (3) normalises by the batch, so the target expected count is
         # target_rate * area * batch window; flatten_events keeps that
         # expectation when we pass the expected count as the "rate" knob.
@@ -282,7 +281,7 @@ class FlattenOperator(PMATOperator):
         if batch.is_empty:
             self.record_batch(0)
             return np.empty(0, dtype=bool)
-        [(intensity, estimator)] = estimate_segments([self], batch.t, batch.x, batch.y, [0])
+        [(intensity, estimator)] = estimate_segments([self], [batch], [(0, 0, len(batch))])
         result = flatten_keep_mask(
             EventBatch(batch.t, batch.x, batch.y),
             intensity,
@@ -356,16 +355,17 @@ class FlattenOperator(PMATOperator):
 
 def estimate_segments(
     flattens: Sequence[FlattenOperator],
-    t: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    starts: Sequence[int],
+    batches: Sequence,
+    segments: Sequence[Tuple[int, int, int]],
 ) -> List[Tuple[IntensityModel, str]]:
     """The intensity that flattens each operator's batch, and its estimator name.
 
-    Operator ``i``'s batch is rows ``[starts[i], starts[i + 1])`` (the last
-    one ends at ``len(t)``); every batch is non-empty and the operators are
-    distinct.  The estimator rule, in four steps:
+    Operator ``i``'s batch is rows ``[start, stop)`` of ``batches[b]`` for
+    ``segments[i] = (b, start, stop)`` (anything with ``t``, ``x`` and
+    ``y`` columns: the map phase's attribute batches, one operator's own
+    batch); every segment is non-empty and the operators are distinct.
+    Both kernels read the rows where they lie: nothing is concatenated or
+    gathered here.  The estimator rule, in four steps:
 
     1. every online operator without a given intensity takes its SGD step
        over its batch, all of them in one
@@ -383,7 +383,7 @@ def estimate_segments(
        over that window (``"constant"``);
     3. every fit runs in one
        :func:`~repro.pointprocess.fit_linear_intensity_mle_segments`
-       lockstep Newton solve;
+       lockstep Newton solve, whose working memory is one block of rows;
     4. a fit that converged is ``"mle"``; one that did not is no
        maximum-likelihood estimate (the likelihood is unbounded when the
        events leave enough of the cell empty), and its batch takes the
@@ -393,7 +393,6 @@ def estimate_segments(
     what its batch alone gets: both kernels hold each segment to its
     one-segment result, whatever the other segments are.
     """
-    edges = [int(start) for start in starts] + [t.shape[0]]
     online = [
         index for index, flatten in enumerate(flattens)
         if flatten._intensity is None and flatten._online_estimator is not None
@@ -401,7 +400,8 @@ def estimate_segments(
     if online:
         observe_segments(
             [flattens[index]._online_estimator for index in online],
-            *_segment_columns(online, edges, t, x, y),
+            batches,
+            [segments[index] for index in online],
             [flattens[index]._window_start for index in online],
         )
 
@@ -418,7 +418,8 @@ def estimate_segments(
             if all(math.isfinite(value) for value in intensity.theta):
                 estimates.append((intensity, "online"))
                 continue
-        rows = t[edges[index]:edges[index + 1]]
+        source, start, stop = segments[index]
+        rows = batches[source].t[start:stop]
         t_start = float(rows.min()) if flatten._window_start is None else flatten._window_start
         duration = max(float(rows.max()) - t_start, flatten._batch_duration)
         mean_rate = max(rows.shape[0] / (flatten.region.area * duration), 1e-9)
@@ -429,17 +430,10 @@ def estimate_segments(
             windows.append((flatten.region, t_start, t_end))
 
     if fits:
-        solved = fit_linear_intensity_mle_segments(*_segment_columns(fits, edges, t, x, y), windows)
+        solved = fit_linear_intensity_mle_segments(
+            batches, [segments[index] for index in fits], windows
+        )
         for index, fit in zip(fits, solved):  # craqr: ignore[CRQ402] - one fit per chain, never per row
             if fit.converged:
                 estimates[index] = (fit.intensity, "mle")
     return estimates
-
-
-def _segment_columns(chosen: Sequence[int], edges: Sequence[int], t, x, y) -> tuple:
-    """``(t, x, y, starts)`` of the chosen segments, gathered only when some are left out."""
-    if len(chosen) == len(edges) - 1:
-        return t, x, y, edges[:-1]
-    pieces = [slice(edges[index], edges[index + 1]) for index in chosen]
-    starts = list(accumulate((piece.stop - piece.start for piece in pieces[:-1]), initial=0))
-    return (*(np.concatenate([column[piece] for piece in pieces]) for column in (t, x, y)), starts)

@@ -14,6 +14,7 @@ human-friendly units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -89,8 +90,8 @@ class RateSpec:
     time_unit: str = "unit"
 
     def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise QueryError("a rate must be strictly positive")
+        if not 0 < self.value < math.inf:
+            raise QueryError("a rate must be positive and finite")
         if self.area_unit not in _AREA_UNITS:
             raise QueryError(
                 f"unknown area unit '{self.area_unit}'; known: {sorted(_AREA_UNITS)}"
@@ -148,8 +149,8 @@ class AcquisitionalQuery:
             object.__setattr__(self, "rate", float(rate))
         else:
             raise QueryError("the rate must be a number or a RateSpec")
-        if self.rate <= 0:
-            raise QueryError("the requested rate must be strictly positive")
+        if not 0 < self.rate < math.inf:
+            raise QueryError("the requested rate must be positive and finite")
 
     @property
     def label(self) -> str:

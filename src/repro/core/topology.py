@@ -256,6 +256,23 @@ class AttributeChain:
         """Whether the query is routed through this chain."""
         return query_id in self._entries
 
+    def memento(self) -> tuple:
+        """What a membership change or a build replaces, for :meth:`restore`."""
+        return (
+            dict(self._entries), self._router, self._flatten, self._levels,
+            self._rng.bit_generator.state,
+        )
+
+    def restore(self, memento: tuple) -> None:
+        """Put back a :meth:`memento`: its queries, operators and RNG state.
+
+        A build makes new operators and leaves the old ones as they were,
+        so the restored chain runs on exactly where it stood.
+        """
+        entries, self._router, self._flatten, self._levels, state = memento
+        self._entries = dict(entries)
+        self._rng.bit_generator.state = state
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -496,6 +513,22 @@ class CellTopology:
         chain.remove_query(query.query_id)
         if chain.is_empty:
             del self._chains[query.attribute]
+
+    def memento(self) -> tuple:
+        """The cell's chains, stream topology, rebuild count and RNG state,
+        each chain's own :meth:`AttributeChain.memento` included."""
+        return (
+            [(chain, chain.memento()) for chain in self._chains.values()],
+            dict(self._chains), self._topology, self._rebuilds, self._rng.bit_generator.state,
+        )
+
+    def restore(self, memento: tuple) -> None:
+        """Put the cell back where :meth:`memento` found it."""
+        chains, kept, self._topology, self._rebuilds, state = memento
+        for chain, chain_memento in chains:
+            chain.restore(chain_memento)
+        self._chains = dict(kept)
+        self._rng.bit_generator.state = state
 
     def rebuild(self, deliver: DeliverFn) -> None:
         """Rebuild the underlying stream topology from the current query set."""

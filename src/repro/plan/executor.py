@@ -136,17 +136,18 @@ class ChainProgram:
 
     # ------------------------------------------------------------------
     def segments(self, mapped) -> List[tuple]:
-        """``(flatten, t, x, y)`` of every chain with rows in ``mapped``.
+        """``(flatten, start, stop)`` of every chain with rows in ``mapped``.
 
-        In chain order, ``mapped`` as for :meth:`run`, the column views of
-        the chain's rows: the chains whose intensities the batch's estimate
-        chooses, whose results :meth:`run` takes in this order.
+        In chain order, ``mapped`` as for :meth:`run`, each chain's rows
+        ``[start, stop)`` of the attribute's batch: the chains whose
+        intensities the batch's estimate chooses, whose results :meth:`run`
+        takes in this order.
         """
         if mapped is None:
             return []
-        batch, table = mapped
-        rows = {key: slice(start, stop) for key, start, stop in table}
-        return [(steps.flatten, batch.t[piece], batch.x[piece], batch.y[piece])
+        _batch, table = mapped
+        rows = {key: (start, stop) for key, start, stop in table}
+        return [(steps.flatten, *piece)
                 for _position, steps in self._chains
                 if (piece := rows.get(steps.cell_key)) is not None]
 

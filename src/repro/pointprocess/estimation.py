@@ -26,9 +26,11 @@ operator description):
   bits on every numpy build (``tests/property/test_estimation_kernels.py``
   pins one, and holds SciPy's L-BFGS-B as the oracle).
   :func:`fit_linear_intensity_mle_segments` runs that iteration over many
-  batches at once, one Newton step of every unfinished fit per pass, each
-  fit bit-identical to the fit alone; :func:`fit_linear_intensity_mle` is
-  its one-batch case.
+  batches at once, a block of rows at a time and one Newton step of every
+  unfinished fit of the block per pass, each fit bit-identical to the fit
+  alone; :func:`fit_linear_intensity_mle` is its one-batch case.  Both
+  kernels take their segments as ``(batch, start, stop)`` rows of
+  batches, read where they lie.
 
 * **Online stochastic gradient descent** — the paper suggests maintaining
   the estimate over sliding windows with SGD (citing Bottou 2010).
@@ -181,20 +183,59 @@ def _solve_spd_4x4(h, g):
     return d0, d1, d2, d3
 
 
-def _segment_rows(positions, arrays, lengths):
-    """The rows of the consecutive segments at ``positions``, per array.
+def _runs(positions):
+    """``(first, last)`` of each run of consecutive ints in ``positions`` (ascending)."""
+    runs = []
+    for position in positions:
+        if runs and runs[-1][1] == position - 1:
+            runs[-1][1] = position
+        else:
+            runs.append([position, position])
+    return runs
 
-    ``lengths`` are the lengths of the segments the arrays hold, in order.
+
+def _close_up(rows, lengths, kept):
+    """Close a Newton block's rows up over the segments not at positions ``kept``.
+
+    ``rows`` holds the block's segments of ``lengths`` laid out in order;
+    the rows of the kept segments (positions in ascending order) move down
+    in place, in order, one slice per run of consecutive kept segments.
+    Returns the kept segments' lengths.
     """
-    flags = np.zeros(len(lengths), dtype=bool)
-    flags[positions] = True
-    rows = np.repeat(flags, lengths)
-    return [array[rows] for array in arrays]
+    bounds = list(accumulate(lengths, initial=0))
+    width = 0
+    for first, last in _runs(kept):
+        a, b = bounds[first], bounds[last + 1]
+        if a != width:
+            rows[:, width:width + b - a] = rows[:, a:b]
+        width += b - a
+    return [lengths[position] for position in kept]
+
+
+def _segment_rates(thetas, lengths, features, out):
+    """:func:`_linear_rate` at each segment's rows of that segment's theta, into ``out``.
+
+    ``thetas`` holds one theta per segment and ``lengths`` their row
+    counts; ``features`` is the segments' ``(u, v, w)`` rows.  The thetas
+    are spread over the rows by one ``np.repeat`` (as wide as the rows,
+    never wider than a Newton block, and freed on return), whose rows then
+    hold the four terms, summed in :func:`_linear_rate`'s order, each
+    operand where it is there.
+    """
+    spread = np.repeat(np.array(thetas).T, lengths, axis=1)
+    np.multiply(features, spread[1:], out=spread[1:])
+    p0, p1, p2, p3 = spread
+    np.add(p0, p1, out=p0)
+    np.add(p0, p2, out=p0)
+    return np.add(p0, p3, out=out)
 
 
 #: Passes of the lockstep SGD laid out at once (:func:`observe_segments`).
 _SGD_BLOCK = 32
-
+#: Rows of consecutive segments the lockstep Newton solve works on at once
+#: (:func:`fit_linear_intensity_mle_segments`; a longer segment is a block
+#: alone).  Its scratch is 18 rows this wide, 0.6 MB.
+_NEWTON_BLOCK = 4096
 #: Newton decrement ``g . H^-1 g`` at or below which the fit has converged.
 _NEWTON_TOLERANCE = 1e-9
 #: Cap on Newton steps.  Captured engine fits (seed 42) take a median of 5.5
@@ -251,63 +292,67 @@ def fit_linear_intensity_mle(
         which is always feasible.
     """
     return fit_linear_intensity_mle_segments(
-        batch.t,
-        batch.x,
-        batch.y,
-        [0],
-        [(region, t_start, t_end)],
-        initial_thetas=[initial_theta],
+        [batch], [(0, 0, len(batch))], [(region, t_start, t_end)], initial_thetas=[initial_theta]
     )[0]
 
 
 def fit_linear_intensity_mle_segments(
-    t: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    starts: Sequence[int],
+    batches: Sequence,
+    segments: Sequence[Tuple[int, int, int]],
     windows: Sequence[Tuple[object, float, float]],
     *,
     initial_thetas: Optional[Sequence[Optional[Sequence[float]]]] = None,
 ) -> List[EstimationResult]:
-    """:func:`fit_linear_intensity_mle` over consecutive row segments, in lockstep.
+    """:func:`fit_linear_intensity_mle` over many row segments, in lockstep.
 
-    Segment ``i`` is rows ``[starts[i], starts[i + 1])`` (the last one ends
-    at ``len(t)``; ``starts[0]`` is 0), observed on ``windows[i] = (region,
-    t_start, t_end)`` and started from ``initial_thetas[i]`` when given.
-    Result ``i`` is bit for bit the fit of a batch of only those rows —
-    theta, log-likelihood, ``converged`` and ``iterations`` — whatever the
-    other segments are; :func:`fit_linear_intensity_mle` is this function
-    with one segment.
+    Segment ``i``, ``segments[i] = (b, start, stop)``, is rows ``[start,
+    stop)`` of ``batches[b]`` (anything with ``t``, ``x`` and ``y``
+    columns: an :class:`EventBatch`, a ``TupleBatch``); segments may share
+    a batch and need not cover it.  It is observed on ``windows[i] =
+    (region, t_start, t_end)`` and started from ``initial_thetas[i]`` when
+    given.  Result ``i`` is bit for bit the fit of a batch of only those
+    rows — theta, log-likelihood, ``converged`` and ``iterations`` —
+    whatever the other segments are; :func:`fit_linear_intensity_mle` is
+    this function with one segment.
 
-    Every segment runs the same damped Newton iteration, one step at a
-    time side by side.  What is elementwise runs once over the rows of the
+    The segments are solved a block at a time: consecutive segments of at
+    most :data:`_NEWTON_BLOCK` rows together, a longer segment alone.  A
+    block's rows are read where they lie, window-centred (one subtraction
+    per run of segments adjacent in one batch), into one scratch buffer of
+    18 rows, allocated once per call and as wide as the widest block, and
+    the block iterates to the end before the next one starts: the call's
+    working memory is bounded by the block, not the batch.  The block's
+    segments run the same damped Newton iteration, one step at a time side
+    by side.  What is elementwise runs once over the rows of the block's
     segments still iterating: ``1 / rate``, the fourteen gradient and
-    Hessian products, the slope, the trial rates and their ``log``.  What
-    stays per segment is what must: the fourteen sums (one
-    ``products[:, a:b].sum(axis=1)``: each row of the slice is summed
-    pairwise, like a 1-D ``.sum()``; ``np.add.reduceat`` sums sequentially
-    and rounds differently), the 4x4 solve, the decrement, the step rule
-    and the Armijo test on Python floats.  The feasibility and boundary
-    tests take each segment's minimum / maximum with ``reduceat``, which is
-    exact.  A segment that stops (converged or not) leaves the row arrays;
-    so does, within one step's line search, a segment whose trial was
-    accepted.
+    Hessian products, the slope, the trial rates and their ``log``, each
+    segment's direction or trial theta spread over its rows by one
+    ``np.repeat`` no wider than the block.  What stays per segment is what must: the
+    fourteen sums (one ``products[:, a:b].sum(axis=1)``: each row of the
+    slice is summed pairwise, like a 1-D ``.sum()``; ``np.add.reduceat``
+    sums sequentially and rounds differently), the 4x4 solve, the
+    decrement, the step rule and the Armijo test on Python floats.  The
+    feasibility and boundary tests take each segment's minimum / maximum
+    with ``reduceat``, which is exact.  A segment that stops (converged or
+    not) leaves the block, whose rows close up over it in place; a halving
+    after a step's first trial runs over the rows from the first to the
+    last segment still searching, and the sums read only those segments.
 
     Raises :class:`EstimationError` when a segment is empty or its window
     has no positive length (before any segment is fitted).
     """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    edges = [int(start) for start in starts] + [t.shape[0]]
+    columns = [
+        tuple(np.asarray(column, dtype=float) for column in (batch.t, batch.x, batch.y))
+        for batch in batches
+    ]
     count = len(windows)
-    if len(edges) != count + 1:
+    if len(segments) != count:
         raise EstimationError("need exactly one window per segment")
     if initial_thetas is None:
         initial_thetas = [None] * count
     elif len(initial_thetas) != count:
         raise EstimationError("need one initial theta (or None) per segment")
-    lengths = [stop - start for start, stop in zip(edges, edges[1:])]
+    lengths = [stop - start for _batch, start, stop in segments]
     regions = [_coerce_region(region) for region, _t_start, _t_end in windows]
     if any(length <= 0 for length in lengths):
         raise EstimationError("cannot estimate an intensity from an empty batch")
@@ -324,159 +369,169 @@ def fit_linear_intensity_mle_segments(
         for region, (_region, t_start, t_end) in zip(regions, windows)
     ]
     volumes = [volume for volume, _t_mid, _cx, _cy in centres]
-
-    # Window-centred features: per-row centres, the same subtraction.
-    _volume, t_mids, cxs, cys = np.array(centres, dtype=float).reshape(-1, 4).T
-    u = t - np.repeat(t_mids, lengths)
-    v = x - np.repeat(cxs, lengths)
-    w = y - np.repeat(cys, lengths)
-
-    # The flat start n / V, or a given start that is feasible at every event.
     phis = [(n / volume, 0.0, 0.0, 0.0) for n, volume in zip(lengths, volumes)]
-    rate = np.repeat(np.array([phi[0] for phi in phis]), lengths)
-    for index, given in enumerate(givens):
-        if given is None:
-            continue
-        _volume, t_mid, cx, cy = centres[index]
-        s0, s1, s2, s3 = map(float, given)
-        start = (((s0 + t_mid * s1) + cx * s2) + cy * s3, s1, s2, s3)
-        a, b = edges[index], edges[index + 1]
-        start_rate = _linear_rate(*start, u[a:b], v[a:b], w[a:b])
-        if start_rate.min() > _RATE_FLOOR:
-            phis[index] = start
-            rate[a:b] = start_rate
-    log_rate = np.log(rate)
-    likelihoods = [
-        float(log_rate[a:b].sum()) - volume * phi[0]
-        for a, b, volume, phi in zip(edges, edges[1:], volumes, phis)
-    ]
+    likelihoods = [0.0] * count
     converged = [False] * count
     iterations = [0] * count
 
-    # The segments still iterating, in row order; u, v, w and rate hold
-    # only their rows.
-    active = list(range(count))
-    active_lengths = lengths
-    while active:
+    blocks = []
+    first = rows = 0
+    for index, length in enumerate(lengths):
+        if rows and rows + length > _NEWTON_BLOCK:
+            blocks.append((first, index))
+            first, rows = index, 0
+        rows += length
+    if count:
+        blocks.append((first, count))
+    # Per block row: the centred features u, v, w and the rate, then the
+    # fourteen products (later the slope's ratio, the trial rates' logs).
+    width = max((sum(lengths[first:last]) for first, last in blocks), default=0)
+    scratch = np.empty((18, width))
+    u, v, w, rate = features = scratch[:4]
+    products = scratch[4:]
+    _volume, t_mids, cxs, cys = np.array(centres, dtype=float).reshape(-1, 4).T
+    for first, last in blocks:
+        # The block's rows, centred on their windows (one subtraction per
+        # run of segments adjacent in one batch), at the flat start n / V
+        # or a given start that is feasible at every event.
+        active = list(range(first, last))
+        active_lengths = lengths[first:last]
         bounds = list(accumulate(active_lengths, initial=0))
-        # Gradient sum(f_i / rate_i) - integral(f) and the ten entries of
-        # sum(f_i f_i^T / rate_i^2), f = (1, u, v, w): plain sums of 1-D
-        # products, never a BLAS call (its rounding is build-dependent).
-        products = np.empty((14, rate.shape[0]))
-        r = np.divide(1.0, rate, out=products[0])
-        ur = np.multiply(u, r, out=products[1])
-        vr = np.multiply(v, r, out=products[2])
-        wr = np.multiply(w, r, out=products[3])
-        np.multiply(r, r, out=products[4])
-        np.multiply(ur, r, out=products[5])
-        np.multiply(vr, r, out=products[6])
-        np.multiply(wr, r, out=products[7])
-        np.multiply(ur, ur, out=products[8])
-        np.multiply(ur, vr, out=products[9])
-        np.multiply(ur, wr, out=products[10])
-        np.multiply(vr, vr, out=products[11])
-        np.multiply(vr, wr, out=products[12])
-        np.multiply(wr, wr, out=products[13])
-        stepping = []
-        directions = []
-        decrements = []
-        for position, index in enumerate(active):
-            sums = products[:, bounds[position]:bounds[position + 1]].sum(axis=1).tolist()  # craqr: ignore[CRQ401] - fourteen sums per segment per Newton step, never per row
-            gradient = (sums[0] - volumes[index], sums[1], sums[2], sums[3])
-            direction = _solve_spd_4x4(sums[4:], gradient)
-            if direction is None:
-                continue
-            g0, g1, g2, g3 = gradient
-            d0, d1, d2, d3 = direction
-            decrement = ((g0 * d0 + g1 * d1) + g2 * d2) + g3 * d3
-            if not decrement >= 0.0:
-                continue
-            if decrement <= _NEWTON_TOLERANCE:
-                converged[index] = True
-                continue
-            if iterations[index] == _NEWTON_MAX_ITERATIONS:
-                continue
-            stepping.append(position)
-            directions.append(direction)
-            decrements.append(decrement)
-        if len(stepping) < len(active):
-            u, v, w, rate = _segment_rows(stepping, (u, v, w, rate), active_lengths)
-            active = [active[position] for position in stepping]
-            active_lengths = [active_lengths[position] for position in stepping]
-            bounds = list(accumulate(active_lengths, initial=0))
-        if not active:
-            break
+        runs = []  # [first segment, last segment + 1, batch, start row, stop row]
+        for index in active:
+            source, start, stop = segments[index]
+            if runs and runs[-1][2] == source and runs[-1][4] == start:
+                runs[-1][1], runs[-1][4] = index + 1, stop
+            else:
+                runs.append([index, index + 1, source, start, stop])
+        for run_first, run_last, source, start, stop in runs:
+            a, b = bounds[run_first - first], bounds[run_last - first]
+            for column, centre, out in zip(columns[source], (t_mids, cxs, cys), (u, v, w)):  # craqr: ignore[CRQ402] - three coordinates per run of segments, never per row
+                spread = np.repeat(centre[run_first:run_last], lengths[run_first:run_last])
+                np.subtract(column[start:stop], spread, out=out[a:b])
+        rate[:bounds[-1]] = np.repeat([phis[index][0] for index in active], active_lengths)
+        for index, a, b in zip(active, bounds, bounds[1:]):  # craqr: ignore[CRQ401,CRQ402] - one start per segment, never per row
+            given = givens[index]
+            if given is not None:
+                _volume, t_mid, cx, cy = centres[index]
+                s0, s1, s2, s3 = map(float, given)
+                start_theta = (((s0 + t_mid * s1) + cx * s2) + cy * s3, s1, s2, s3)
+                start_rate = _linear_rate(*start_theta, u[a:b], v[a:b], w[a:b])
+                if start_rate.min() > _RATE_FLOOR:
+                    phis[index] = start_theta
+                    rate[a:b] = start_rate
+            log_rate = np.log(rate[a:b], out=products[0, a:b])
+            likelihoods[index] = float(log_rate.sum()) - volumes[index] * phis[index][0]
 
-        # Fraction-to-the-boundary rule: event i reaches the floor at step
-        # 1 / shrink_i, and a step covers at most 0.95 of the nearest such
-        # distance; then Armijo backtracking on the log-likelihood.
-        slope = _linear_rate(
-            *np.repeat(np.array(directions).T, active_lengths, axis=1), u, v, w
-        )
-        shrinks = np.maximum.reduceat(-slope / (rate - _RATE_FLOOR), bounds[:-1])
-        steps = [
-            1.0 if shrink <= _BOUNDARY_FRACTION else _BOUNDARY_FRACTION / shrink
-            for shrink in shrinks.tolist()  # craqr: ignore[CRQ401] - one boundary distance per segment per Newton step
-        ]
-        # Line search, the segments still searching side by side; ``search``
-        # holds their positions in ``active`` and ``su, sv, sw`` their rows.
-        search = list(range(len(active)))
-        su, sv, sw = u, v, w
-        search_lengths = active_lengths
-        next_rate = rate
-        for _ in range(_MAX_HALVINGS):
-            trials = []
-            for position in search:
-                phi, step = phis[active[position]], steps[position]
-                d0, d1, d2, d3 = directions[position]
-                trials.append(
-                    (phi[0] + step * d0, phi[1] + step * d1, phi[2] + step * d2, phi[3] + step * d3)
-                )
-            trial_rate = _linear_rate(
-                *np.repeat(np.array(trials).T, search_lengths, axis=1), su, sv, sw
-            )
-            search_bounds = list(accumulate(search_lengths, initial=0))
-            feasible = np.minimum.reduceat(trial_rate, search_bounds[:-1]) > _RATE_FLOOR
-            # Rows of an infeasible trial take the log of non-positive
-            # rates; their sums are never used.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_trial = np.log(trial_rate)
-            if next_rate is rate:
-                # The first trial covers every active row: accepted
-                # segments' rows are already in place.
-                next_rate = trial_rate
-            unaccepted = []
-            for slot, position in enumerate(search):
-                index = active[position]
-                a, b = search_bounds[slot], search_bounds[slot + 1]
-                if feasible[slot]:
-                    trial = trials[slot]
-                    trial_likelihood = float(log_trial[a:b].sum()) - volumes[index] * trial[0]
-                    if trial_likelihood >= (
-                        likelihoods[index] + _ARMIJO * steps[position] * decrements[position]
-                    ):
-                        phis[index] = trial
-                        likelihoods[index] = trial_likelihood
-                        iterations[index] += 1
-                        if next_rate is not trial_rate:
-                            next_rate[bounds[position]:bounds[position + 1]] = trial_rate[a:b]
-                        continue
-                steps[position] *= 0.5
-                unaccepted.append(slot)
-            if len(unaccepted) < len(search):
-                su, sv, sw = _segment_rows(unaccepted, (su, sv, sw), search_lengths)
-                search = [search[slot] for slot in unaccepted]
-                search_lengths = [search_lengths[slot] for slot in unaccepted]
-            if not search:
+        while active:
+            n = bounds[-1]
+            # Gradient sum(f_i / rate_i) - integral(f) and the ten entries of
+            # sum(f_i f_i^T / rate_i^2), f = (1, u, v, w): plain sums of 1-D
+            # products, never a BLAS call (its rounding is build-dependent).
+            # (r, ur, vr, wr) times r, ur times (ur, vr, wr), vr times (vr,
+            # wr) and wr times wr: each product the same IEEE operation, rows
+            # at a time.
+            block = products[:, :n]
+            r = np.divide(1.0, rate[:n], out=block[0])
+            np.multiply(features[:3, :n], r, out=block[1:4])
+            np.multiply(block[0:4], r, out=block[4:8])
+            np.multiply(block[1], block[1:4], out=block[8:11])
+            np.multiply(block[2], block[2:4], out=block[11:13])
+            np.multiply(block[3], block[3], out=block[13])
+            stepping = []
+            directions = []
+            decrements = []
+            for position, index in enumerate(active):
+                sums = block[:, bounds[position]:bounds[position + 1]].sum(axis=1).tolist()  # craqr: ignore[CRQ401] - fourteen sums per segment per Newton step, never per row
+                gradient = (sums[0] - volumes[index], sums[1], sums[2], sums[3])
+                direction = _solve_spd_4x4(sums[4:], gradient)
+                if direction is None:
+                    continue
+                g0, g1, g2, g3 = gradient
+                d0, d1, d2, d3 = direction
+                decrement = ((g0 * d0 + g1 * d1) + g2 * d2) + g3 * d3
+                if not decrement >= 0.0:
+                    continue
+                if decrement <= _NEWTON_TOLERANCE:
+                    converged[index] = True
+                    continue
+                if iterations[index] == _NEWTON_MAX_ITERATIONS:
+                    continue
+                stepping.append(position)
+                directions.append(direction)
+                decrements.append(decrement)
+            if len(stepping) < len(active):
+                active_lengths = _close_up(features, active_lengths, stepping)
+                active = [active[position] for position in stepping]
+                bounds = list(accumulate(active_lengths, initial=0))
+            if not active:
                 break
-        # A segment whose line search failed stops here, unconverged.
-        rate = next_rate
-        if search:
-            failed = set(search)
-            alive = [position for position in range(len(active)) if position not in failed]
-            u, v, w, rate = _segment_rows(alive, (u, v, w, rate), active_lengths)
-            active = [active[position] for position in alive]
-            active_lengths = [active_lengths[position] for position in alive]
+            n = bounds[-1]
+
+            # Fraction-to-the-boundary rule: event i reaches the floor at step
+            # 1 / shrink_i, and a step covers at most 0.95 of the nearest such
+            # distance; then Armijo backtracking on the log-likelihood.
+            ratio = _segment_rates(directions, active_lengths, features[:3, :n], products[0, :n])
+            np.negative(ratio, out=ratio)
+            np.divide(ratio, np.subtract(rate[:n], _RATE_FLOOR, out=products[1, :n]), out=ratio)
+            shrinks = np.maximum.reduceat(ratio, bounds[:-1])
+            steps = [
+                1.0 if shrink <= _BOUNDARY_FRACTION else _BOUNDARY_FRACTION / shrink
+                for shrink in shrinks.tolist()  # craqr: ignore[CRQ401] - one boundary distance per segment per Newton step
+            ]
+            # Line search, the segments still searching side by side;
+            # ``search`` holds their positions in ``active``.  A halving
+            # evaluates the rows from the first to the last of them: a
+            # segment accepted in between recomputes its accepted trial,
+            # which nothing reads.
+            search = list(range(len(active)))
+            trials = [None] * len(active)
+            for _ in range(_MAX_HALVINGS):
+                for position in search:
+                    phi, step = phis[active[position]], steps[position]
+                    d0, d1, d2, d3 = directions[position]
+                    trials[position] = (
+                        phi[0] + step * d0, phi[1] + step * d1, phi[2] + step * d2, phi[3] + step * d3
+                    )
+                low, high = bounds[search[0]], bounds[search[-1] + 1]
+                span = slice(search[0], search[-1] + 1)
+                trial_rate = _segment_rates(
+                    trials[span], active_lengths[span], features[:3, low:high], products[1, :high - low]
+                )
+                feasible = (
+                    np.minimum.reduceat(trial_rate, [a - low for a in bounds[span]]) > _RATE_FLOOR
+                )
+                # Rows of an infeasible trial take the log of non-positive
+                # rates; their sums are never used.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    log_trial = np.log(trial_rate, out=products[0, :high - low])
+                unaccepted = []
+                for position in search:  # craqr: ignore[CRQ401] - one Armijo test per segment per halving, never per row
+                    index = active[position]
+                    a, b = bounds[position] - low, bounds[position + 1] - low
+                    if feasible[position - search[0]]:
+                        trial = trials[position]
+                        trial_likelihood = float(log_trial[a:b].sum()) - volumes[index] * trial[0]
+                        if trial_likelihood >= (
+                            likelihoods[index] + _ARMIJO * steps[position] * decrements[position]
+                        ):
+                            phis[index] = trial
+                            likelihoods[index] = trial_likelihood
+                            iterations[index] += 1
+                            rate[low + a:low + b] = trial_rate[a:b]
+                            continue
+                    steps[position] *= 0.5
+                    unaccepted.append(position)
+                search = unaccepted
+                if not search:
+                    break
+            # A segment whose line search failed stops here, unconverged.
+            if search:
+                failed = set(search)
+                alive = [position for position in range(len(active)) if position not in failed]
+                active_lengths = _close_up(features, active_lengths, alive)
+                active = [active[position] for position in alive]
+                bounds = list(accumulate(active_lengths, initial=0))
 
     results = []
     for index, (_volume, t_mid, cx, cy) in enumerate(centres):
@@ -492,6 +547,7 @@ def fit_linear_intensity_mle_segments(
             )
         )
     return results
+
 
 
 class OnlineIntensityEstimator:
@@ -608,7 +664,7 @@ class OnlineIntensityEstimator:
         is written out; the engine steps every online chain's batch in one
         such call.
         """
-        observe_segments([self], batch.t, batch.x, batch.y, [0], [window_start])
+        observe_segments([self], [batch], [(0, 0, len(batch))], [window_start])
 
     def result(self) -> EstimationResult:
         """Snapshot the current estimate as an :class:`EstimationResult`."""
@@ -622,13 +678,18 @@ class OnlineIntensityEstimator:
 
 
 def observe_segments(
-    estimators: Sequence[OnlineIntensityEstimator], t, x, y, starts: Sequence[int], window_starts
+    estimators: Sequence[OnlineIntensityEstimator],
+    batches: Sequence,
+    segments: Sequence[Tuple[int, int, int]],
+    window_starts,
 ) -> None:
     """:meth:`OnlineIntensityEstimator.observe_batch` over row segments, in lockstep.
 
-    Estimator ``i`` observes rows ``[starts[i], starts[i + 1])`` (the last
-    segment ends at ``len(t)``) with its compensator anchored at
-    ``window_starts[i]`` (``None``: the segment's earliest time).  Each
+    Estimator ``i`` observes rows ``[start, stop)`` of ``batches[b]`` for
+    ``segments[i] = (b, start, stop)`` (anything with ``t``, ``x`` and
+    ``y`` columns; segments may share a batch and need not cover it), with
+    its compensator anchored at ``window_starts[i]`` (``None``: the
+    segment's earliest time).  Each
     estimator ends bit for bit where observing only its rows leaves it —
     theta (NaN and overflow included), update count and events-in-window
     average — whatever the other segments are; an empty segment leaves
@@ -646,7 +707,10 @@ def observe_segments(
     ones still stepping are a prefix of the ``(4, segments)`` theta block,
     and their events one contiguous slice of the pass-major feature block
     ``(1, t, x, y)``, laid out :data:`_SGD_BLOCK` passes at a time: no
-    padding, and the layout's memory is bounded by the block.  A pass is
+    padding, and the layout's memory is bounded by the block.  The block
+    reads each event where it lies, a gather from each batch the segments
+    use (a later batch's gather overwrites the events at or past its
+    offset in the batches' order), never a copy of the batches.  A pass is
     seven ufuncs on those views, each the IEEE operation
     :meth:`~OnlineIntensityEstimator.observe_event` performs, operands in
     the same order — the rate ``((θ0 + t·θ1) + x·θ2) + y·θ3`` as four
@@ -660,24 +724,41 @@ def observe_segments(
     ``inf`` and ``nan`` silently, as Python floats do.  Each estimator gets
     back a ``(4,)`` theta of its own, never a view into the block.
     """
-    t, x, y = (np.asarray(column, dtype=float) for column in (t, x, y))
-    edges = [int(start) for start in starts] + [t.shape[0]]
-    if len(edges) != len(estimators) + 1 or len(window_starts) != len(estimators):
+    if len(segments) != len(estimators) or len(window_starts) != len(estimators):
         raise EstimationError("need exactly one segment and one window start per estimator")
-    sizes = [stop - start for start, stop in zip(edges, edges[1:])]
+    sizes = [stop - start for _batch, start, stop in segments]
     ranked = sorted((index for index, size in enumerate(sizes) if size), key=lambda index: -sizes[index])
     if not ranked:
         return
     lengths = [sizes[index] for index in ranked]
 
+    # The batches the segments use, in order, and each one's offset in
+    # their row numbering; a segment's rows are numbered from its batch's.
+    used = sorted({segments[index][0] for index in ranked})
+    sources = [
+        tuple(np.asarray(column, dtype=float) for column in (batches[b].t, batches[b].x, batches[b].y))
+        for b in used
+    ]
+    bases = dict(zip(used, accumulate((t.shape[0] for t, _x, _y in sources), initial=0)))
+    t_of = dict(zip(used, (t for t, _x, _y in sources)))
+    firsts = list(accumulate(lengths, initial=0))
+    origins = [bases[segments[index][0]] + segments[index][1] for index in ranked]
+    rows = np.arange(firsts[-1]) + np.repeat(np.array(origins) - firsts[:-1], lengths)
+
     # Each segment's rows in time order, segment after segment: the map
     # phase hands over sorted rows, and a row before its predecessor in
     # time (or with a NaN time) puts its segment out of order unless it
     # starts the segment.
-    firsts = list(accumulate(lengths, initial=0))
-    rows = np.arange(firsts[-1]) + np.repeat(np.array([edges[i] for i in ranked]) - firsts[:-1], lengths)
-    descents = np.flatnonzero(~(t[1:] >= t[:-1])) + 1
-    unsorted = np.searchsorted(descents, edges[1:]) > np.searchsorted(descents, edges[:-1], side="right")
+    unsorted = np.zeros(len(ranked), dtype=bool)
+    for b in used:  # craqr: ignore[CRQ401] - one descent scan per batch, never per row
+        t = t_of[b]
+        positions = [position for position, index in enumerate(ranked) if segments[index][0] == b]
+        descents = np.flatnonzero(~(t[1:] >= t[:-1])) + 1
+        starts = [segments[ranked[position]][1] for position in positions]
+        stops = [segments[ranked[position]][2] for position in positions]
+        unsorted[positions] = (
+            np.searchsorted(descents, stops) > np.searchsorted(descents, starts, side="right")
+        )
 
     # The batch's set-up, as columns over the ranked estimators: the IEEE
     # operations of ``observe_batch`` and ``_per_event_compensator``, in
@@ -685,8 +766,8 @@ def observe_segments(
     chosen = [estimators[index] for index in ranked]
     window_start = np.array(
         [
-            float(np.min(t[edges[index]:edges[index + 1]])) if window_starts[index] is None
-            else window_starts[index]
+            float(np.min(t_of[segments[index][0]][segments[index][1]:segments[index][2]]))
+            if window_starts[index] is None else window_starts[index]
             for index in ranked
         ],
         dtype=float,
@@ -699,9 +780,11 @@ def observe_segments(
     t_mid = 0.5 * (window_start + t_end)
     compensators = np.stack((volume, t_mid * volume, cx * volume, cy * volume))
     compensators /= np.maximum(events, 1.0)
-    for position in np.flatnonzero(unsorted[ranked]):
-        a, b = edges[ranked[position]], edges[ranked[position] + 1]
-        rows[firsts[position]:firsts[position + 1]] = a + np.argsort(t[a:b], kind="stable")
+    for position in np.flatnonzero(unsorted):
+        batch, start, stop = segments[ranked[position]]
+        rows[firsts[position]:firsts[position + 1]] = (
+            origins[position] + np.argsort(t_of[batch][start:stop], kind="stable")
+        )
     thetas = np.array([estimator._theta for estimator in chosen]).T.copy()
     updates = np.array([estimator._updates for estimator in chosen], dtype=np.int64)
     learning_rates = np.array([estimator._learning_rate for estimator in chosen])
@@ -720,7 +803,15 @@ def observe_segments(
             event = np.repeat(np.arange(first_pass, first_pass + len(block)), block)
             order = rows[np.asarray(firsts[:-1])[rank] + event]
             steps = learning_rates[rank] / np.sqrt(updates[rank] + event + 1)
-            features = np.stack((np.ones(order.shape[0]), t[order], x[order], y[order]))
+            features = np.empty((4, order.shape[0]))
+            features[0] = 1.0
+            for row, column in zip(features[1:], sources[0]):  # craqr: ignore[CRQ402] - the three feature rows, never per row
+                column.take(order, out=row, mode="clip")
+            for base, source in zip(list(bases.values())[1:], sources[1:]):  # craqr: ignore[CRQ402] - one gather per further batch, never per row
+                local = order - base
+                past = local >= 0
+                for row, column in zip(features[1:], source):  # craqr: ignore[CRQ402] - the three feature rows, never per row
+                    np.copyto(row, column.take(local, mode="clip"), where=past)
             for start, stop in pairwise(offsets):
                 width = stop - start
                 f = features[:, start:stop]

@@ -32,6 +32,7 @@ protocol — cannot drift:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Dict, List, Sequence, Tuple
 
@@ -235,20 +236,48 @@ def _describe_column(name: str, array: np.ndarray, blobs: List[bytes]) -> dict:
     return {"name": name, "dtype": dtype, "shape": list(shape), "nbytes": len(data)}
 
 
-def _read_column(entry: dict, payload: memoryview, offset: int) -> Tuple[np.ndarray, int]:
-    shape = tuple(entry["shape"])
+def _read_column(entry, payload: memoryview, offset: int) -> Tuple[np.ndarray, int]:
+    """One column of a wire frame, checked against its header entry.
+
+    A malformed entry — no name, no shape of non-negative ints, JSON
+    values of the wrong count, a dtype that is not one element of raw
+    bytes, ``nbytes`` that disagree with the shape and dtype — raises
+    :class:`~repro.errors.StreamError`, never what numpy trips over.
+    """
+    shape = entry.get("shape") if isinstance(entry, dict) else None
+    if not isinstance(shape, list) or not all(
+        type(size) is int and size >= 0 for size in shape
+    ) or not isinstance(entry.get("name"), str):
+        raise StreamError(f"wire column entry {entry!r:.80} has no valid name and shape")
+    name = entry["name"]
+    count = math.prod(shape)
     if "json" in entry:
-        column = np.empty(len(entry["json"]), dtype=object)
-        column[:] = [_from_jsonable(v) for v in entry["json"]]
+        values = entry["json"]
+        if not isinstance(values, list) or len(values) != count:
+            raise StreamError(f"wire column {name!r} of shape {shape} holds no {count} JSON values")
+        column = np.empty(count, dtype=object)
+        column[:] = [_from_jsonable(v) for v in values]
         return column.reshape(shape), offset
-    nbytes = entry["nbytes"]
+    declared = entry.get("dtype")
+    try:
+        dtype = np.dtype(declared) if isinstance(declared, str) else None
+    except TypeError:
+        dtype = None
+    if dtype is None or dtype.hasobject or dtype.subdtype is not None or not dtype.itemsize:
+        raise StreamError(f"wire column {name!r} has no raw dtype: {declared!r}")
+    nbytes = entry.get("nbytes")
+    if nbytes != count * dtype.itemsize or type(nbytes) is not int:
+        raise StreamError(
+            f"wire column {name!r} declares {nbytes!r} bytes; shape {shape} of "
+            f"{dtype.str} takes {count * dtype.itemsize}"
+        )
     data = bytes(payload[offset : offset + nbytes])
     if len(data) != nbytes:
         raise StreamError(
-            f"wire payload truncated: column {entry['name']!r} wants {nbytes} "
+            f"wire payload truncated: column {name!r} wants {nbytes} "
             f"bytes, {len(data)} available"
         )
-    return unpack_column((data, entry["dtype"], shape)), offset + nbytes
+    return unpack_column((data, dtype, tuple(shape))), offset + nbytes
 
 
 def _frame_blob(header: dict, blobs: Sequence[bytes]) -> bytes:
@@ -256,7 +285,15 @@ def _frame_blob(header: dict, blobs: Sequence[bytes]) -> bytes:
     return b"".join([_U32.pack(len(head)), head] + list(blobs))
 
 
-def _split_blob(data, *, expected_kind: str) -> Tuple[dict, memoryview]:
+def _split_blob(data, *, expected_kind: str, columns: int, fields: dict) -> Tuple[dict, memoryview]:
+    """A wire frame's JSON header and its payload, the header checked.
+
+    The header must be a JSON object of ``expected_kind`` at this
+    version, list exactly ``columns`` column entries, and hold each of
+    ``fields`` (name -> accepted types); anything else raises
+    :class:`~repro.errors.StreamError`, as a bad column entry does in
+    :func:`_read_column`.
+    """
     view = memoryview(data)
     if len(view) < 4:
         raise StreamError(f"wire payload too short for a {expected_kind} header")
@@ -267,6 +304,10 @@ def _split_blob(data, *, expected_kind: str) -> Tuple[dict, memoryview]:
         header = json.loads(bytes(view[4 : 4 + head_len]).decode("utf-8"))
     except ValueError as exc:
         raise StreamError(f"wire payload header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise StreamError(
+            f"wire payload header is a JSON {type(header).__name__}, not a {expected_kind} header"
+        )
     if header.get("kind") != expected_kind:
         raise StreamError(
             f"wire payload is a {header.get('kind')!r}, expected {expected_kind!r}"
@@ -276,6 +317,12 @@ def _split_blob(data, *, expected_kind: str) -> Tuple[dict, memoryview]:
             f"wire payload version {header.get('v')!r} is not supported "
             f"(this build speaks version {WIRE_VERSION})"
         )
+    entries = header.get("columns")
+    if not isinstance(entries, list) or len(entries) != columns:
+        raise StreamError(f"a {expected_kind} header lists {columns} columns, not {entries!r:.80}")
+    for key, kinds in fields.items():
+        if not isinstance(header.get(key), kinds):
+            raise StreamError(f"a {expected_kind} header has no valid {key!r}")
     return header, view[4 + head_len :]
 
 
@@ -304,7 +351,10 @@ def encode_tuple_batch(batch: TupleBatch) -> bytes:
 
 def decode_tuple_batch(data) -> TupleBatch:
     """Invert :func:`encode_tuple_batch`."""
-    header, payload = _split_blob(data, expected_kind="tuple-batch")
+    header, payload = _split_blob(
+        data, expected_kind="tuple-batch", columns=6,
+        fields={"attribute": str, "extra": list, "meta": dict},
+    )
     offset = 0
     main: List[np.ndarray] = []
     for entry in header["columns"]:
@@ -344,7 +394,10 @@ def decode_view_frame(data):
     """Invert :func:`encode_view_frame`."""
     from ..views.frames import ViewFrame
 
-    header, payload = _split_blob(data, expected_kind="view-frame")
+    header, payload = _split_blob(
+        data, expected_kind="view-frame", columns=3,
+        fields={"frame_index": int, "window_start": (int, float), "window_end": (int, float)},
+    )
     offset = 0
     columns: List[np.ndarray] = []
     for entry in header["columns"]:

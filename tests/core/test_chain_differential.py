@@ -263,9 +263,9 @@ def test_every_estimator_outcome_in_one_program(online, monkeypatch):
         calls.append((outcomes, solved[first_solve:]))
         return estimates
 
-    def recording_solve(t, x, y, starts, windows):
+    def recording_solve(batches, segments, windows):
         solved.append(len(windows))
-        return solve(t, x, y, starts, windows)
+        return solve(batches, segments, windows)
 
     monkeypatch.setattr(planner_module, "estimate_segments", recording_estimate_segments)
     monkeypatch.setattr(flatten_module, "fit_linear_intensity_mle_segments", recording_solve)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import BudgetConfig, EngineConfig
 from repro.core import CraqrEngine, StatementResult
-from repro.errors import QueryError, QueryParseError, ViewError
+from repro.errors import QueryError, QueryParseError, StreamError, ViewError
 from repro.geometry import Rectangle
 from repro.query.parser import parse_statements
 from repro.sensing import RainField, SensingWorld, TemperatureField, WorldConfig
@@ -142,3 +142,61 @@ class TestUnsensedAttribute:
         with pytest.raises(QueryError, match="script statement 2 of 2 failed"):
             engine.execute_script(f"{ACQUIRE}; {HUMIDITY}")
         assert engine.run_batch().tuples_delivered > 0
+
+
+def delivered(engine, name):
+    """Every tuple a query has delivered, exactly."""
+    return [(item.t, item.x, item.y, item.value) for item in engine.query(name).results()]
+
+
+class TestRefusedStatementsLeaveThePlan:
+    """A refused ACQUIRE / ALTER must not wedge the engine: every later
+    batch used to raise ``PlanningError("the chain has not been built
+    yet")`` from the cell the refused statement had touched."""
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "ACQUIRE temp FROM RECT(0, 0, 2, 2) AT RATE 1e309 AS A",
+            "ALTER Storm SET RATE 1e309",
+        ],
+    )
+    def test_a_non_finite_rate_is_refused_before_the_plan_changes(self, statement):
+        engine = make_engine()
+        results = engine.execute_script(f"{ACQUIRE}; {statement}", on_error="continue")
+        assert results[0].ok
+        assert isinstance(results[1].error, QueryError)
+        assert "positive and finite" in str(results[1].error)
+        for _ in range(3):
+            engine.run_batch()
+        assert [info.label for info in engine.sessions()] == ["Storm"]
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            # Finite rates whose Flatten headroom (1.25x) overflows: the
+            # Flatten operator refuses them while a cell is being rebuilt.
+            "ACQUIRE temp FROM RECT(0, 0, 2, 2) AT RATE 1.7e308 AS A",
+            "ACQUIRE rain FROM RECT(0, 0, 4, 4) AT RATE 1.7e308 AS A",
+            "ALTER Storm SET RATE 1.7e308",
+        ],
+    )
+    def test_a_change_refused_part_way_leaves_the_plan_as_it_was(self, statement):
+        # A query registered after the refusal draws its operators' seeds
+        # from the planner's generator, so it checks that state too.
+        later = "ACQUIRE temp FROM RECT(1, 1, 4, 4) AT RATE 6 PER KM2 PER MIN AS Heat"
+        refused, twin = make_engine(), make_engine()
+        twin.execute_script(f"{ACQUIRE}; {later}")
+        results = refused.execute_script(f"{ACQUIRE}; {statement}; {later}", on_error="continue")
+        assert isinstance(results[1].error, StreamError)
+        assert results[2].ok
+        for _ in range(3):
+            refused.run_batch()
+            twin.run_batch()
+        # The same tuples, bit for bit: the refused change left every
+        # chain, operator and RNG state where it found them.
+        assert delivered(refused, "Storm") == delivered(twin, "Storm")
+        assert delivered(refused, "Heat") == delivered(twin, "Heat")
+        assert refused.planner.stats() == twin.planner.stats()
+        assert [info.label for info in refused.sessions()] == ["Storm", "Heat"]
+        assert refused.query("Storm").query.rate == twin.query("Storm").query.rate

@@ -167,21 +167,21 @@ class TestFlattenOperator:
         windows = []
         solve = flatten_module.fit_linear_intensity_mle_segments
 
-        def recording_solve(t, x, y, starts, fit_windows):
+        def recording_solve(batches, segments, fit_windows):
             windows.extend((t_start, t_end) for _region, t_start, t_end in fit_windows)
-            return solve(t, x, y, starts, fit_windows)
+            return solve(batches, segments, fit_windows)
 
         monkeypatch.setattr(flatten_module, "fit_linear_intensity_mle_segments", recording_solve)
         batch = HomogeneousMDPP(200.0, CELL).sample(0.7, t_start=5.2, rng=np.random.default_rng(4))
         op = FlattenOperator(10.0, region=CELL)
-        estimate_segments([op], batch.t, batch.x, batch.y, [0])
+        estimate_segments([op], [batch], [(0, 0, len(batch))])
         assert windows.pop() == (batch.t.min(), batch.t.min() + 1.0)
         op.open_window(5.0)
-        estimate_segments([op], batch.t, batch.x, batch.y, [0])
+        estimate_segments([op], [batch], [(0, 0, len(batch))])
         assert windows.pop() == (5.0, 6.0)
         # A tuple past the window's end (clock skew) stretches it.
         late = HomogeneousMDPP(200.0, CELL).sample(1.5, t_start=5.0, rng=np.random.default_rng(5))
-        estimate_segments([op], late.t, late.x, late.y, [0])
+        estimate_segments([op], [late], [(0, 0, len(late))])
         assert windows.pop() == (5.0, late.t.max())
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -28,6 +28,12 @@ class TestRateSpec:
         with pytest.raises(QueryError):
             RateSpec(0.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 1e309])
+    def test_rejects_non_finite(self, value):
+        # An infinite rate passed ``value <= 0`` and wedged the planner.
+        with pytest.raises(QueryError, match="positive and finite"):
+            RateSpec(value)
+
     def test_rejects_unknown_units(self):
         with pytest.raises(QueryError):
             RateSpec(1.0, area_unit="furlong2")
@@ -78,6 +84,19 @@ class TestAcquisitionalQuery:
             AcquisitionalQuery("rain", Rectangle(0, 0, 1, 1), "fast")
         with pytest.raises(QueryError):
             AcquisitionalQuery("rain", "not a region", 5.0)
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_rates_are_refused(self, rate):
+        with pytest.raises(QueryError, match="positive and finite"):
+            AcquisitionalQuery("rain", Rectangle(0, 0, 1, 1), rate)
+        # NaN passed ``rate <= 0`` through ``with_rate`` too.
+        with pytest.raises(QueryError, match="positive and finite"):
+            AcquisitionalQuery("rain", Rectangle(0, 0, 1, 1), 5.0).with_rate(rate)
+
+    def test_a_rate_spec_converting_to_infinity_is_refused(self):
+        # Finite in its units, infinite in the native ones.
+        with pytest.raises(QueryError, match="positive and finite"):
+            AcquisitionalQuery("rain", Rectangle(0, 0, 1, 1), RateSpec(1e308, time_unit="sec"))
 
     def test_validate_against_minimum_area(self):
         query = AcquisitionalQuery("rain", Rectangle(0, 0, 0.5, 0.5), 5.0)

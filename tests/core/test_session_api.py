@@ -13,7 +13,7 @@ import pytest
 from repro.config import BudgetConfig, EngineConfig
 from repro.core.engine import CraqrEngine, QuerySessionInfo
 from repro.core.query import AcquisitionalQuery
-from repro.errors import PlanningError, QueryError, StorageError
+from repro.errors import PlanningError, QueryError, StorageError, StreamError
 from repro.geometry import Rectangle, RectRegion
 from repro.sensing import RainField, SensingWorld, TemperatureField, WorldConfig
 
@@ -449,3 +449,50 @@ class TestEngineSurface:
             WorldConfig(region=REGION, sensor_count=20, seed=1, vectorized_rng=vectorized)
         )
         assert CraqrEngine(EngineConfig(seed=2), world).fast_sim is vectorized
+
+
+class TestRefusedChangesLeaveThePlan:
+    """A query change refused part-way through leaves the engine running
+    as if it had never been asked (it used to leave a cell holding a chain
+    that was never built, and every later batch raised)."""
+
+    @staticmethod
+    def tuples(handle):
+        return [(item.t, item.x, item.y, item.value) for item in handle.results()]
+
+    def test_a_refused_registration(self):
+        refused, twin = make_engine(), make_engine()
+        kept = [
+            engine.register_query(AcquisitionalQuery("rain", Rectangle(0, 0, 2, 2), 25.0))
+            for engine in (refused, twin)
+        ]
+        # 1.25x headroom overflows: the Flatten operator refuses the rate.
+        doomed = AcquisitionalQuery("temp", Rectangle(0, 0, 4, 4), 1.7e308)
+        with pytest.raises(StreamError):
+            refused.register_query(doomed)
+        with pytest.raises(QueryError, match="no registered query"):
+            refused.query(doomed.label)
+        for _ in range(3):
+            refused.run_batch()
+            twin.run_batch()
+        assert self.tuples(kept[0]) == self.tuples(kept[1])
+        assert refused.planner.stats() == twin.planner.stats()
+
+    def test_a_refused_update(self):
+        refused, twin = make_engine(), make_engine()
+        kept = [
+            engine.register_query(AcquisitionalQuery("rain", Rectangle(0, 0, 2, 2), 25.0))
+            for engine in (refused, twin)
+        ]
+        refused.run_batch()
+        twin.run_batch()
+        with pytest.raises(StreamError):
+            refused.update_query(kept[0].query_id, rate=1.7e308)
+        with pytest.raises(QueryError, match="positive and finite"):
+            refused.update_query(kept[0].query_id, rate=float("nan"))
+        assert kept[0].query.rate == 25.0
+        for _ in range(3):
+            refused.run_batch()
+            twin.run_batch()
+        assert self.tuples(kept[0]) == self.tuples(kept[1])
+        assert refused.planner.stats() == twin.planner.stats()

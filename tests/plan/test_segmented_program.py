@@ -233,7 +233,7 @@ def oracle_flatten(flatten, batch):
     flatten._tuples_in += n
     events = EventBatch(batch.t, batch.x, batch.y)
     # Each chain's estimate alone: the engine chooses every chain's at once.
-    [(intensity, estimator)] = estimate_segments([flatten], events.t, events.x, events.y, [0])
+    [(intensity, estimator)] = estimate_segments([flatten], [events], [(0, 0, n)])
     target_expected = flatten.target_rate * flatten.region.area * flatten._batch_duration
     keep, _probability, violation, shortfall = reference_flatten(
         events, intensity, target_expected, flatten.rng

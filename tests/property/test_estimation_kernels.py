@@ -17,6 +17,10 @@ land on its bits.
 import pathlib
 import subprocess
 import sys
+import tracemalloc
+from itertools import accumulate
+from types import SimpleNamespace
+from typing import List, Optional, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
@@ -58,6 +62,39 @@ UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 def bits(values) -> bytes:
     """Exact float64 identity (NaN == NaN, -0.0 != 0.0)."""
     return np.asarray(values, dtype=float).tobytes()
+
+
+def columns(t, x, y):
+    """A batch the kernels read as it is: ``t``, ``x`` and ``y`` untouched,
+    whatever their dtype or strides (an :class:`EventBatch` converts)."""
+    return SimpleNamespace(t=t, x=x, y=y)
+
+
+def laid_out(pieces, rng, *, batches=2, dtype=np.float64):
+    """``pieces`` of ``(t, x, y)`` rows scattered over ``batches`` batches.
+
+    Each piece lands in a random batch after 0-3 rows no segment covers
+    (NaN times: inside a segment they would unsort it), so segments share
+    batches, leave rows out and come in no batch order.  Returns the
+    batches, their columns cast to ``dtype``, and the segment table
+    ``(batch, start, stop)``, one entry per piece in order.
+    """
+    parts = [([], [], []) for _ in range(batches)]
+    sizes = [0] * batches
+    table = []
+    for piece in pieces:
+        b = int(rng.integers(batches))
+        junk = int(rng.integers(4))
+        fillers = (np.full(junk, np.nan), rng.random(junk), rng.random(junk))
+        for part, filler, rows in zip(parts[b], fillers, piece):
+            part.extend((filler, rows))
+        table.append((b, sizes[b] + junk, sizes[b] + junk + len(piece[0])))
+        sizes[b] += junk + len(piece[0])
+    held = [
+        columns(*(np.concatenate([np.empty(0), *part]).astype(dtype) for part in each))
+        for each in parts
+    ]
+    return held, table
 
 
 # ----------------------------------------------------------------------------
@@ -304,25 +341,29 @@ class TestLockstepSgd:
         st.lists(sgd_segments(), min_size=1, max_size=40),
         st.sampled_from([np.float64, np.float32]),
         st.booleans(),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
     )
-    def test_every_segment_is_its_loop_alone(self, segments, dtype, sliced):
-        columns = [
-            np.concatenate([segment[axis] for segment in segments]).astype(dtype)
-            for axis in (2, 3, 4)
-        ]
+    def test_every_segment_is_its_loop_alone(self, segments, dtype, sliced, batches, seed):
+        # The segments lie in one to three batches, among rows none covers.
+        held, table = laid_out(
+            [segment[2:5] for segment in segments], np.random.default_rng(seed),
+            batches=batches, dtype=dtype,
+        )
         if sliced:
             # Non-contiguous views: every other element of a doubled column.
-            columns = [np.repeat(column, 2)[::2] for column in columns]
-        t, x, y = columns
-        lengths = [len(segment[2]) for segment in segments]
-        starts = np.cumsum([0] + lengths[:-1])
+            held = [
+                columns(*(np.repeat(column, 2)[::2] for column in (each.t, each.x, each.y)))
+                for each in held
+            ]
         alone = []
-        for (options, updates, *_rows, window_start), a, n in zip(segments, starts, lengths):
+        for (options, updates, *_rows, window_start), (b, a, z) in zip(segments, table):
             estimator = sgd_estimator(options, updates)
-            sgd_loop_alone(estimator, EventBatch(t[a:a + n], x[a:a + n], y[a:a + n]), window_start)
+            rows = held[b]
+            sgd_loop_alone(estimator, EventBatch(rows.t[a:z], rows.x[a:z], rows.y[a:z]), window_start)
             alone.append(sgd_state(estimator))
         together = [sgd_estimator(options, updates) for options, updates, *_rest in segments]
-        observe_segments(together, t, x, y, starts, [segment[5] for segment in segments])
+        observe_segments(together, held, table, [segment[5] for segment in segments])
         assert [sgd_state(estimator) for estimator in together] == alone
         for estimator in together:
             assert estimator._theta.dtype == np.float64 and estimator._theta.shape == (4,)
@@ -335,7 +376,7 @@ class TestLockstepSgd:
         t, x, y = 10.0 + rng.random(20), rng.random(20), 2.0 + rng.random(20)
         names = sorted(SGD_THETAS)
         estimators = [OnlineIntensityEstimator(UNIT, 1.0, initial_theta=SGD_THETAS[name]) for name in names]
-        observe_segments(estimators, np.tile(t, 5), np.tile(x, 5), np.tile(y, 5), [0, 20, 40, 60, 80], [None] * 5)
+        observe_segments(estimators, [EventBatch(t, x, y)], [(0, 0, 20)] * 5, [None] * 5)
         ends = dict(zip(names, estimators))
         for name, estimator in ends.items():
             alone = OnlineIntensityEstimator(UNIT, 1.0, initial_theta=SGD_THETAS[name])
@@ -352,7 +393,7 @@ class TestLockstepSgd:
         states = []
         for observe in (
             lambda e: e.observe_batch_fused(batch, window_start=4.5),
-            lambda e: observe_segments([e], batch.t, batch.x, batch.y, [0], [4.5]),
+            lambda e: observe_segments([e], [batch], [(0, 0, 90)], [4.5]),
             lambda e: sgd_loop_alone(e, batch, 4.5),
         ):
             estimator = OnlineIntensityEstimator(UNIT, 1.0, learning_rate=0.2)
@@ -367,19 +408,22 @@ class TestLockstepSgd:
         estimators = [OnlineIntensityEstimator(UNIT, 1.0) for _ in range(4)]
         untouched = sgd_state(estimators[0])
         # Segments 0 and 2 are empty; 1 and 3 split the rows.
-        observe_segments(estimators, t, x, y, [0, 0, 12, 12], [None] * 4)
+        observe_segments(
+            estimators, [columns(t, x, y)], [(0, 0, 0), (0, 0, 12), (0, 12, 12), (0, 12, 30)], [None] * 4
+        )
         assert sgd_state(estimators[0]) == sgd_state(estimators[2]) == untouched
         for estimator, (a, b) in zip(estimators[1::2], [(0, 12), (12, 30)]):
             expected = OnlineIntensityEstimator(UNIT, 1.0)
             sgd_loop_alone(expected, EventBatch(t[a:b], x[a:b], y[a:b]))
             assert sgd_state(estimator) == sgd_state(expected)
-        observe_segments([], t[:0], x[:0], y[:0], [], [])
+        observe_segments([], [], [], [])
 
     @pytest.mark.parametrize("starts, window_starts", [([0, 5], [None]), ([0], [None, None])])
     def test_invalid_layouts_raise(self, starts, window_starts):
         estimators = [OnlineIntensityEstimator(UNIT, 1.0)]
+        table = [(0, a, z) for a, z in zip(starts, [*starts[1:], 9])]
         with pytest.raises(EstimationError, match="one segment and one window start"):
-            observe_segments(estimators, np.zeros(9), np.zeros(9), np.zeros(9), starts, window_starts)
+            observe_segments(estimators, [columns(*np.zeros((3, 9)))], table, window_starts)
 
 
 class TestLockstepWriteBack:
@@ -393,7 +437,10 @@ class TestLockstepWriteBack:
             OnlineIntensityEstimator(UNIT, 1.0, expected_events_per_window=prior)
             for prior in (50, 0.5, 7.25)
         ]
-        observe_segments(estimators, t, rng.random(50), rng.random(50), [0, 20, 20], [None, 0.0, None])
+        observe_segments(
+            estimators, [columns(t, rng.random(50), rng.random(50))],
+            [(0, 0, 20), (0, 20, 20), (0, 20, 50)], [None, 0.0, None],
+        )
         for estimator in estimators:
             assert type(estimator._events_in_window) is float
             assert type(estimator._updates) is int
@@ -845,6 +892,234 @@ def newton_fit_alone(batch, region, t_start, t_end, *, initial_theta=None):
     )
 
 
+def segment_rows(positions, arrays, lengths):
+    """The rows of the consecutive segments at ``positions``, per array.
+
+    ``lengths`` are the lengths of the segments the arrays hold, in order.
+    """
+    flags = np.zeros(len(lengths), dtype=bool)
+    flags[positions] = True
+    rows = np.repeat(flags, lengths)
+    return [array[rows] for array in arrays]
+
+
+def newton_lockstep_unblocked(
+    t: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    starts: Sequence[int],
+    windows: Sequence[Tuple[object, float, float]],
+    *,
+    initial_thetas: Optional[Sequence[Optional[Sequence[float]]]] = None,
+) -> List[EstimationResult]:
+    """The lockstep Newton solve as it was before it worked a block of rows
+    at a time: the oracle for :func:`fit_linear_intensity_mle_segments`.
+
+    Verbatim but for its name and this docstring: the segments are
+    consecutive rows of one set of columns, and the rows of every
+    unfinished segment are worked on at once, compacted by
+    :func:`segment_rows` whenever a segment stops or a trial is accepted.
+    Its constants are this module's names, so a test can lower the caps
+    on both sides.
+    """
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    edges = [int(start) for start in starts] + [t.shape[0]]
+    count = len(windows)
+    if len(edges) != count + 1:
+        raise EstimationError("need exactly one window per segment")
+    if initial_thetas is None:
+        initial_thetas = [None] * count
+    elif len(initial_thetas) != count:
+        raise EstimationError("need one initial theta (or None) per segment")
+    lengths = [stop - start for start, stop in zip(edges, edges[1:])]
+    regions = [_coerce_region(region) for region, _t_start, _t_end in windows]
+    if any(length <= 0 for length in lengths):
+        raise EstimationError("cannot estimate an intensity from an empty batch")
+    if any(t_end <= t_start for _region, t_start, t_end in windows):
+        raise EstimationError("time window must have positive length")
+    givens = [
+        None if theta is None else np.asarray(theta, dtype=float)
+        for theta in initial_thetas
+    ]
+    if any(given is not None and given.shape != (4,) for given in givens):
+        raise EstimationError("initial theta must have four components")
+    centres = [
+        _window_centroid(region, t_start, t_end)
+        for region, (_region, t_start, t_end) in zip(regions, windows)
+    ]
+    volumes = [volume for volume, _t_mid, _cx, _cy in centres]
+
+    # Window-centred features: per-row centres, the same subtraction.
+    _volume, t_mids, cxs, cys = np.array(centres, dtype=float).reshape(-1, 4).T
+    u = t - np.repeat(t_mids, lengths)
+    v = x - np.repeat(cxs, lengths)
+    w = y - np.repeat(cys, lengths)
+
+    # The flat start n / V, or a given start that is feasible at every event.
+    phis = [(n / volume, 0.0, 0.0, 0.0) for n, volume in zip(lengths, volumes)]
+    rate = np.repeat(np.array([phi[0] for phi in phis]), lengths)
+    for index, given in enumerate(givens):
+        if given is None:
+            continue
+        _volume, t_mid, cx, cy = centres[index]
+        s0, s1, s2, s3 = map(float, given)
+        start = (((s0 + t_mid * s1) + cx * s2) + cy * s3, s1, s2, s3)
+        a, b = edges[index], edges[index + 1]
+        start_rate = _linear_rate(*start, u[a:b], v[a:b], w[a:b])
+        if start_rate.min() > _RATE_FLOOR:
+            phis[index] = start
+            rate[a:b] = start_rate
+    log_rate = np.log(rate)
+    likelihoods = [
+        float(log_rate[a:b].sum()) - volume * phi[0]
+        for a, b, volume, phi in zip(edges, edges[1:], volumes, phis)
+    ]
+    converged = [False] * count
+    iterations = [0] * count
+
+    # The segments still iterating, in row order; u, v, w and rate hold
+    # only their rows.
+    active = list(range(count))
+    active_lengths = lengths
+    while active:
+        bounds = list(accumulate(active_lengths, initial=0))
+        # Gradient sum(f_i / rate_i) - integral(f) and the ten entries of
+        # sum(f_i f_i^T / rate_i^2), f = (1, u, v, w): plain sums of 1-D
+        # products, never a BLAS call (its rounding is build-dependent).
+        products = np.empty((14, rate.shape[0]))
+        r = np.divide(1.0, rate, out=products[0])
+        ur = np.multiply(u, r, out=products[1])
+        vr = np.multiply(v, r, out=products[2])
+        wr = np.multiply(w, r, out=products[3])
+        np.multiply(r, r, out=products[4])
+        np.multiply(ur, r, out=products[5])
+        np.multiply(vr, r, out=products[6])
+        np.multiply(wr, r, out=products[7])
+        np.multiply(ur, ur, out=products[8])
+        np.multiply(ur, vr, out=products[9])
+        np.multiply(ur, wr, out=products[10])
+        np.multiply(vr, vr, out=products[11])
+        np.multiply(vr, wr, out=products[12])
+        np.multiply(wr, wr, out=products[13])
+        stepping = []
+        directions = []
+        decrements = []
+        for position, index in enumerate(active):
+            sums = products[:, bounds[position]:bounds[position + 1]].sum(axis=1).tolist()
+            gradient = (sums[0] - volumes[index], sums[1], sums[2], sums[3])
+            direction = _solve_spd_4x4(sums[4:], gradient)
+            if direction is None:
+                continue
+            g0, g1, g2, g3 = gradient
+            d0, d1, d2, d3 = direction
+            decrement = ((g0 * d0 + g1 * d1) + g2 * d2) + g3 * d3
+            if not decrement >= 0.0:
+                continue
+            if decrement <= _NEWTON_TOLERANCE:
+                converged[index] = True
+                continue
+            if iterations[index] == _NEWTON_MAX_ITERATIONS:
+                continue
+            stepping.append(position)
+            directions.append(direction)
+            decrements.append(decrement)
+        if len(stepping) < len(active):
+            u, v, w, rate = segment_rows(stepping, (u, v, w, rate), active_lengths)
+            active = [active[position] for position in stepping]
+            active_lengths = [active_lengths[position] for position in stepping]
+            bounds = list(accumulate(active_lengths, initial=0))
+        if not active:
+            break
+
+        # Fraction-to-the-boundary rule: event i reaches the floor at step
+        # 1 / shrink_i, and a step covers at most 0.95 of the nearest such
+        # distance; then Armijo backtracking on the log-likelihood.
+        slope = _linear_rate(
+            *np.repeat(np.array(directions).T, active_lengths, axis=1), u, v, w
+        )
+        shrinks = np.maximum.reduceat(-slope / (rate - _RATE_FLOOR), bounds[:-1])
+        steps = [
+            1.0 if shrink <= _BOUNDARY_FRACTION else _BOUNDARY_FRACTION / shrink
+            for shrink in shrinks.tolist()
+        ]
+        # Line search, the segments still searching side by side; ``search``
+        # holds their positions in ``active`` and ``su, sv, sw`` their rows.
+        search = list(range(len(active)))
+        su, sv, sw = u, v, w
+        search_lengths = active_lengths
+        next_rate = rate
+        for _ in range(_MAX_HALVINGS):
+            trials = []
+            for position in search:
+                phi, step = phis[active[position]], steps[position]
+                d0, d1, d2, d3 = directions[position]
+                trials.append(
+                    (phi[0] + step * d0, phi[1] + step * d1, phi[2] + step * d2, phi[3] + step * d3)
+                )
+            trial_rate = _linear_rate(
+                *np.repeat(np.array(trials).T, search_lengths, axis=1), su, sv, sw
+            )
+            search_bounds = list(accumulate(search_lengths, initial=0))
+            feasible = np.minimum.reduceat(trial_rate, search_bounds[:-1]) > _RATE_FLOOR
+            # Rows of an infeasible trial take the log of non-positive
+            # rates; their sums are never used.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_trial = np.log(trial_rate)
+            if next_rate is rate:
+                # The first trial covers every active row: accepted
+                # segments' rows are already in place.
+                next_rate = trial_rate
+            unaccepted = []
+            for slot, position in enumerate(search):
+                index = active[position]
+                a, b = search_bounds[slot], search_bounds[slot + 1]
+                if feasible[slot]:
+                    trial = trials[slot]
+                    trial_likelihood = float(log_trial[a:b].sum()) - volumes[index] * trial[0]
+                    if trial_likelihood >= (
+                        likelihoods[index] + _ARMIJO * steps[position] * decrements[position]
+                    ):
+                        phis[index] = trial
+                        likelihoods[index] = trial_likelihood
+                        iterations[index] += 1
+                        if next_rate is not trial_rate:
+                            next_rate[bounds[position]:bounds[position + 1]] = trial_rate[a:b]
+                        continue
+                steps[position] *= 0.5
+                unaccepted.append(slot)
+            if len(unaccepted) < len(search):
+                su, sv, sw = segment_rows(unaccepted, (su, sv, sw), search_lengths)
+                search = [search[slot] for slot in unaccepted]
+                search_lengths = [search_lengths[slot] for slot in unaccepted]
+            if not search:
+                break
+        # A segment whose line search failed stops here, unconverged.
+        rate = next_rate
+        if search:
+            failed = set(search)
+            alive = [position for position in range(len(active)) if position not in failed]
+            u, v, w, rate = segment_rows(alive, (u, v, w, rate), active_lengths)
+            active = [active[position] for position in alive]
+            active_lengths = [active_lengths[position] for position in alive]
+
+    results = []
+    for index, (_volume, t_mid, cx, cy) in enumerate(centres):
+        p0, p1, p2, p3 = phis[index]
+        theta = (((p0 - p1 * t_mid) - p2 * cx) - p3 * cy, p1, p2, p3)
+        results.append(
+            EstimationResult(
+                intensity=LinearIntensity.from_theta(theta),
+                theta=theta,
+                log_likelihood=likelihoods[index],
+                converged=converged[index],
+                iterations=iterations[index],
+            )
+        )
+    return results
+
+
 def fit_bits(result):
     """Everything a fit reports, exactly: theta and log-likelihood as hex."""
     return (
@@ -902,13 +1177,11 @@ def newton_segments(draw):
 
 
 def lockstep(segments):
-    """:func:`fit_linear_intensity_mle_segments` over ``(batch, window)`` pairs."""
-    lengths = [len(batch) for batch, _window in segments]
+    """:func:`fit_linear_intensity_mle_segments` over ``(batch, window)`` pairs,
+    each segment its own batch."""
     return fit_linear_intensity_mle_segments(
-        np.concatenate([batch.t for batch, _window in segments]),
-        np.concatenate([batch.x for batch, _window in segments]),
-        np.concatenate([batch.y for batch, _window in segments]),
-        np.cumsum([0] + lengths[:-1]),
+        [batch for batch, _window in segments],
+        [(index, 0, len(batch)) for index, (batch, _window) in enumerate(segments)],
         [window for _batch, window in segments],
     )
 
@@ -972,10 +1245,9 @@ class TestLockstepNewton:
         batch = seeded_batch(3)
         default = fit_linear_intensity_mle(batch, UNIT, 0.0, 1.0)
         starts = [None, default.theta, (-5.0, 0.0, 0.0, 0.0)]
+        # Three segments over the same rows.
         results = fit_linear_intensity_mle_segments(
-            np.tile(batch.t, 3), np.tile(batch.x, 3), np.tile(batch.y, 3),
-            [0, len(batch), 2 * len(batch)], [(UNIT, 0.0, 1.0)] * 3,
-            initial_thetas=starts,
+            [batch], [(0, 0, len(batch))] * 3, [(UNIT, 0.0, 1.0)] * 3, initial_thetas=starts,
         )
         for result, start in zip(results, starts):
             expected = newton_fit_alone(batch, UNIT, 0.0, 1.0, initial_theta=start)
@@ -994,10 +1266,115 @@ class TestLockstepNewton:
     )
     def test_invalid_layouts_raise_before_any_fit(self, starts, windows, initial_thetas, message):
         batch = seeded_batch(1, n=10)
+        table = [(0, a, z) for a, z in zip(starts, [*starts[1:], 10])]
         with pytest.raises(EstimationError, match=message):
             fit_linear_intensity_mle_segments(
-                batch.t, batch.x, batch.y, starts, windows, initial_thetas=initial_thetas
+                [batch], table, windows, initial_thetas=initial_thetas
             )
+
+
+#: Starts a segment may be given: none, an infeasible one, a flat one.
+NEWTON_STARTS = [None, None, (-5.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)]
+
+
+@st.composite
+def newton_layouts(draw):
+    """Segments for one call: ``(batch, window, initial theta)`` triples.
+
+    Mostly :func:`newton_segments`, or a run of tiny (4-8 row) segments;
+    with lowered caps the fits stop at different steps.
+    """
+    if draw(st.booleans()):
+        segments = draw(st.lists(newton_segments(), min_size=1, max_size=12))
+    else:
+        count = draw(st.integers(10, 60))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        segments = []
+        for _ in range(count):
+            unit = rng.random((int(rng.integers(4, 9)), 3))
+            segments.append((EventBatch(*unit.T), (UNIT, 0.0, 1.0)))
+    starts = draw(st.lists(st.sampled_from(NEWTON_STARTS), min_size=len(segments), max_size=len(segments)))
+    return [(batch, window, start) for (batch, window), start in zip(segments, starts)]
+
+
+class TestBlockedNewton:
+    """The solve a block of rows at a time == the solve over every row at once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        newton_layouts(),
+        st.sampled_from([8, 64, 300, 4096]),
+        st.sampled_from([(25, 30), (25, 30), (3, 30), (25, 1), (25, 0)]),
+        st.integers(1, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_are_the_unblocked_solve(self, layout, block, caps, batches, seed):
+        # Small blocks put segments longer than a block next to blocks of
+        # several; lowered caps stop segments at the step cap, or on a
+        # failed line search, beside segments still iterating; the rows lie
+        # in one or two batches among rows no segment covers.
+        max_iterations, max_halvings = caps
+        batches_, table = laid_out(
+            [(batch.t, batch.x, batch.y) for batch, _window, _start in layout],
+            np.random.default_rng(seed), batches=batches,
+        )
+        windows = [window for _batch, window, _start in layout]
+        thetas = [start for _batch, _window, start in layout]
+        lengths = [len(batch) for batch, _window, _start in layout]
+        with mock.patch.multiple(
+            estimation,
+            _NEWTON_MAX_ITERATIONS=max_iterations,
+            _MAX_HALVINGS=max_halvings,
+            _NEWTON_BLOCK=block,
+        ), mock.patch.multiple(
+            sys.modules[__name__],
+            _NEWTON_MAX_ITERATIONS=max_iterations,
+            _MAX_HALVINGS=max_halvings,
+        ):
+            unblocked = newton_lockstep_unblocked(
+                *(np.concatenate([getattr(batch, axis) for batch, _w, _s in layout]) for axis in "txy"),
+                list(accumulate(lengths[:-1], initial=0)),
+                windows,
+                initial_thetas=thetas,
+            )
+            blocked = fit_linear_intensity_mle_segments(batches_, table, windows, initial_thetas=thetas)
+        assert [fit_bits(result) for result in blocked] == [fit_bits(result) for result in unblocked]
+
+    def test_a_segment_wider_than_the_block_is_a_block_alone(self):
+        rng = np.random.default_rng(5)
+        layout = [(EventBatch(*rng.random((n, 3)).T), (UNIT, 0.0, 1.0)) for n in (30, 5000, 9, 4100, 200)]
+        lengths = [len(batch) for batch, _window in layout]
+        unblocked = newton_lockstep_unblocked(
+            *(np.concatenate([getattr(batch, axis) for batch, _window in layout]) for axis in "txy"),
+            list(accumulate(lengths[:-1], initial=0)),
+            [window for _batch, window in layout],
+        )
+        assert all(result.converged for result in unblocked)
+        assert [fit_bits(result) for result in lockstep(layout)] == [
+            fit_bits(result) for result in unblocked
+        ]
+
+    def test_the_working_memory_is_one_block(self):
+        # 50 000 rows in 40 segments: the unblocked solve held ~300 B of
+        # temporaries per row (~15 MB here); the blocked one holds one
+        # block's scratch (18 rows) and at most one four-row temporary of
+        # the block's width (the spread thetas, or a copy of the rows a
+        # block closes up over), whatever the number of rows.
+        rng = np.random.default_rng(11)
+        unit = rng.random((50_000, 3))
+        batch = EventBatch(10.0 + unit[:, 0], 4.0 + unit[:, 1], 2.0 + unit[:, 2])
+        table = [(0, start, start + 1250) for start in range(0, 50_000, 1250)]
+        windows = [(Rectangle(4.0, 2.0, 5.0, 3.0), 10.0, 11.0)] * 40
+        fit_linear_intensity_mle_segments([batch], table[:1], windows[:1])  # warm caches
+        tracemalloc.start()
+        try:
+            results = fit_linear_intensity_mle_segments([batch], table, windows)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(result.converged for result in results)
+        block = 8 * estimation._NEWTON_BLOCK
+        assert peak <= (18 + 4) * block + 64 * 1024, peak
 
 
 class TestScipyStaysOut:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import pathlib
+import struct
 import subprocess
 import sys
 
@@ -294,3 +296,73 @@ class TestViewFrameWire:
     def test_encoding_is_deterministic(self):
         frame = make_view_frame(1)
         assert encode_view_frame(frame) == encode_view_frame(frame)
+
+
+def rewritten(data: bytes, change) -> bytes:
+    """``data`` with its JSON header replaced by ``change(header)``."""
+    (length,) = struct.unpack(">I", data[:4])
+    header = change(json.loads(data[4 : 4 + length]))
+    head = json.dumps(header).encode("utf-8")
+    return struct.pack(">I", len(head)) + head + data[4 + length :]
+
+
+def first_binary(header) -> dict:
+    return next(entry for entry in header["columns"] if "nbytes" in entry)
+
+
+def _without(header, key):
+    del header[key]
+    return header
+
+
+def _set(entry, key, value):
+    entry[key] = value
+    return entry
+
+
+#: Header corruptions a decoder must answer with ``StreamError`` (each was
+#: a bare KeyError / TypeError / ValueError / AttributeError before).
+MALFORMED = {
+    "no columns": lambda h: _without(h, "columns"),
+    "one column short": lambda h: {**h, "columns": h["columns"][:-1]},
+    "one column too many": lambda h: {**h, "columns": h["columns"] + h["columns"][:1]},
+    "nbytes short of the shape": lambda h: _set(first_binary(h), "nbytes", first_binary(h)["nbytes"] - 8) and h,
+    "shape past the nbytes": lambda h: _set(first_binary(h), "shape", [first_binary(h)["shape"][0] + 1]) and h,
+    "object dtype": lambda h: _set(first_binary(h), "dtype", "|O") and h,
+    "no dtype": lambda h: _without(first_binary(h), "dtype") and h,
+    "unknown dtype": lambda h: _set(first_binary(h), "dtype", "garbage") and h,
+    "subarray dtype": lambda h: _set(first_binary(h), "dtype", "(2,)f4") and h,
+    "negative shape": lambda h: _set(first_binary(h), "shape", [-1]) and h,
+    "column without a name": lambda h: _without(first_binary(h), "name") and h,
+    "column that is a list": lambda h: {**h, "columns": [[]] + h["columns"][1:]},
+    "a list header": lambda h: [h],
+}
+
+
+class TestMalformedHeaders:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_tuple_batch_header(self, case):
+        data = rewritten(encode_tuple_batch(make_batch(6)), MALFORMED[case])
+        with pytest.raises(StreamError):
+            decode_tuple_batch(data)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_view_frame_header(self, case):
+        data = rewritten(encode_view_frame(make_view_frame(1)), MALFORMED[case])
+        with pytest.raises(StreamError):
+            decode_view_frame(data)
+
+    def test_the_fields_a_decoder_reads_are_checked(self):
+        batch = encode_tuple_batch(make_batch(3))
+        for key in ("attribute", "extra", "meta"):
+            with pytest.raises(StreamError, match=repr(key)):
+                decode_tuple_batch(rewritten(batch, lambda h: _without(h, key)))
+        frame = encode_view_frame(make_view_frame(1))
+        for key in ("frame_index", "window_start", "window_end"):
+            with pytest.raises(StreamError, match=repr(key)):
+                decode_view_frame(rewritten(frame, lambda h: _set(h, key, "soon")))
+
+    def test_untouched_headers_still_decode(self):
+        identity = lambda h: h  # noqa: E731
+        assert len(decode_tuple_batch(rewritten(encode_tuple_batch(make_batch(6)), identity))) == 6
+        assert decode_view_frame(rewritten(encode_view_frame(make_view_frame(1)), identity)).frame_index == 1
