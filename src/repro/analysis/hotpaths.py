@@ -154,7 +154,6 @@ HOT_PATHS: List[Tuple[str, str]] = [
     # Incremental view maintenance (PR 5): one lexsort + segment reductions
     # per delivered batch; history is never rescanned.
     ("repro/views/view.py", "ContinuousView.on_delivery"),
-    ("repro/views/view.py", "ContinuousView._fold_sorted"),
     # Serve-layer fan-out (PR 9, PR 16): payload and header encoded once
     # per publish, O(1) per subscriber send — a queue append at publish,
     # four byte parts by reference in the writer's burst.  The loops are

@@ -16,8 +16,8 @@ control point of a continuously executing query —
 * **continuous views** — the primary serving API:
   :meth:`QueryHandle.view` (or a ``CREATE VIEW`` statement) attaches a
   declaratively specified windowed aggregate
-  (:class:`~repro.views.ViewSpec`) that is maintained incrementally off
-  the subscription path and read as immutable
+  (:class:`~repro.views.ViewSpec`) that folds its query's delivered batch
+  once per batch, incrementally, and is read as immutable
   :class:`~repro.views.ViewFrame`\\ s through resumable frame cursors —
   a dashboard fan-out never rescans (or even sees) raw tuples;
 * **incremental consumption** — the power-user path:
@@ -93,13 +93,7 @@ from ..storage import (
     Subscription,
 )
 from ..streams import SensorTuple, TupleBatch
-from ..views import (
-    ContinuousView,
-    SharedSortCache,
-    ViewHandle,
-    ViewSessionInfo,
-    ViewSpec,
-)
+from ..views import ContinuousView, ViewHandle, ViewSessionInfo, ViewSpec
 from .budget import BudgetDecision, BudgetTuner
 from .fabricator import BatchResult, StreamFabricator
 from .planner import PlannerStats, QueryPlanner
@@ -290,9 +284,9 @@ class QueryHandle:
         emitted :class:`~repro.views.ViewFrame`\\ s through
         :meth:`~repro.views.ViewHandle.frames` or a resumable
         :meth:`~repro.views.ViewHandle.frame_cursor` (O(new frames) per
-        read).  Maintenance is incremental off the subscription path —
-        each delivered batch is folded into per-group partials, history is
-        never rescanned.  ``name`` (or ``spec.name``) must be unique
+        read).  Maintenance is incremental — the engine folds each batch
+        the query delivers into per-group partials, history is never
+        rescanned.  ``name`` (or ``spec.name``) must be unique
         across the engine; omitted names are auto-assigned ``V<n>``.
         """
         return self._engine.create_view(self._query.query_id, spec, name=name)
@@ -308,9 +302,20 @@ class QueryHandle:
         query's whole history (exact even after retention evicted old
         batches).
         """
-        return self._buffer.rate_over_batches(
-            self._engine.config.batch_duration, last=last_batches
+        tuples, batches = self._buffer.tuples_over_batches(last_batches)
+        duration = self._engine.config.batch_duration * batches
+        area = self._query.region.area
+        return RateEstimate(
+            tuples=tuples,
+            duration=duration,
+            area=area,
+            achieved_rate=tuples / (area * duration),
+            requested_rate=self._query.rate,
         )
+
+    def _set_query(self, query: AcquisitionalQuery) -> None:
+        """Point the handle at its query as an ALTER replanned it."""
+        self._query = query
 
     # ------------------------------------------------------------------
     # In-flight mutation
@@ -364,7 +369,7 @@ class CraqrEngine:
 
     #: Runtime wiring __getstate__ deliberately drops from checkpoints;
     #: craqr-lint (CRQ302) checks this declaration against the exclusions.
-    _DERIVED_STATE = ("_crash", "_plan_cache")
+    _DERIVED_STATE = ("_crash", "_plan_cache", "_delivered")
 
     def __init__(
         self,
@@ -418,11 +423,14 @@ class CraqrEngine:
         self._tuner = BudgetTuner(
             self._handler, config.budget, history_batches=config.retention_batches
         )
-        self._buffers: Dict[int, QueryResultBuffer] = {}
+        #: live query sessions by query id; each handle owns its query's
+        #: result buffer.
         self._handles: Dict[int, QueryHandle] = {}
-        #: continuous views by name, plus their user-facing handles.
-        self._views: Dict[str, ContinuousView] = {}
-        self._view_handles: Dict[str, ViewHandle] = {}
+        #: continuous views by name.
+        self._views: Dict[str, ViewHandle] = {}
+        #: each query's delivered batch of the batch being run, folded
+        #: into the query's views once its buffer closes the batch.
+        self._delivered: Dict[int, TupleBatch] = {}
         self._view_counter = 0
         self._reports: List[EngineReport] = []
         self._reports_view = _ReportsView(self._reports)
@@ -609,7 +617,7 @@ class CraqrEngine:
                 f"labelled {name!r}; rename or drop the view"
             )
         if view is not None:
-            query = self._handles[view.query_id].query
+            query = self._handles[view.view.query_id].query
         elif not labelled:
             raise QueryError(
                 f"EXPLAIN target {name!r} matches no registered query "
@@ -623,7 +631,7 @@ class CraqrEngine:
         return render_explain(
             self._planner,
             query,
-            self._views.values(),
+            [handle.view for handle in self._views.values()],
             cost,
             view_name=name if view is not None else None,
         )
@@ -674,36 +682,34 @@ class CraqrEngine:
                 f"the world senses no attribute '{query.attribute}'; "
                 f"it senses {sorted(self._world.attributes)}"
             )
-        buffer = QueryResultBuffer(
-            query.query_id,
-            requested_rate=query.rate,
-            region_area=query.region.area,
-            retention_batches=self._config.retention_batches,
-        )
-        # A refused insert leaves the plan as it was (and no buffer behind).
+        # A refused insert leaves the plan as it was (and no session behind).
         touched = self._planner.insert_query(
             query, on_result_batch=self._deliver_batch
         )
-        self._buffers[query.query_id] = buffer
         # Seed the handler's budget for every (attribute, cell) pair the
         # query activates so the first batch already respects the config.
         for key in touched:
             self._tuner.ensure_initial_budget(query.attribute, key)
+        buffer = QueryResultBuffer(
+            query.query_id, retention_batches=self._config.retention_batches
+        )
         handle = QueryHandle(query, buffer, self)
         self._handles[query.query_id] = handle
         return handle
 
     def _deliver_batch(self, query_id: int, batch: TupleBatch) -> None:
-        """Delivery of one merged batch into a query's result buffer.
+        """Delivery of one query's merged batch into its result buffer.
 
-        A bound method (not a per-query closure) so the planner's stored
-        handlers — and with them the whole engine — pickle into a
-        checkpoint.
+        The batch is also kept until the end of the batch, when the
+        query's views fold it.  A bound method (not a per-query closure)
+        so the planner's stored handlers — and with them the whole engine —
+        pickle into a checkpoint.
         """
-        target = self._buffers.get(query_id)
-        if target is None:
+        handle = self._handles.get(query_id)
+        if handle is None:
             return
-        target.extend_batch(batch)
+        handle.buffer.extend_batch(batch)
+        self._delivered[query_id] = batch
         self._fabricator.register_delivery_batch(query_id, len(batch))
 
     def update_query(
@@ -724,12 +730,7 @@ class CraqrEngine:
         update = self._planner.update_query(query_id, rate=rate, region=region)
         for key in update.added:
             self._tuner.ensure_initial_budget(update.query.attribute, key)
-        buffer = handle.buffer
-        if rate is not None:
-            buffer.set_requested_rate(update.query.rate)
-        if region is not None:
-            buffer.set_region_area(update.query.region.area)
-        handle._query = update.query
+        handle._set_query(update.query)
         return handle
 
     def pause_query(self, query_id: int) -> None:
@@ -756,15 +757,10 @@ class CraqrEngine:
             raise PlanningError(f"query id {query_id} is not registered")
         # Views of a stopped query stop being maintained (their frames stay
         # readable through surviving ViewHandles), mirroring the buffer.
-        for name in [
-            name for name, view in self._views.items() if view.query_id == query_id
-        ]:
-            self.drop_view(name)
+        for view in self.views_of(query_id):
+            self.drop_view(view.name)
         self._planner.delete_query(query_id)
-        del self._handles[query_id]
-        buffer = self._buffers.pop(query_id, None)
-        if buffer is not None:
-            self._delivered_dropped += buffer.total_tuples
+        self._delivered_dropped += self._handles.pop(query_id).buffer.total_tuples
 
     # ------------------------------------------------------------------
     # Continuous views (the serving API over query sessions)
@@ -774,8 +770,8 @@ class CraqrEngine:
     ) -> ViewHandle:
         """Attach a continuous view to a registered query's stream.
 
-        The view subscribes to the query's delivery stream (so only
-        batches completed after creation are folded in), its frame
+        The engine folds each batch the query delivers after creation into
+        the view (see :meth:`run_batch`), its frame
         boundaries are validated against the engine's batch duration, and
         its frame buffer inherits the engine's
         :attr:`~repro.config.EngineConfig.retention_batches` bound.  The
@@ -801,11 +797,10 @@ class CraqrEngine:
                 f"(on query {self._views[view_name].query_label!r}); "
                 f"DROP VIEW it first or pick another name"
             )
-        # A view only observes deliveries subscribed *before* a batch's
-        # end_batch notifications fire; when create_view runs from inside
-        # one of those callbacks, the in-flight batch is already partially
-        # dispatched, so the view's origin moves past it — every emitted
-        # frame must cover a fully observed window.
+        # A view created from inside a subscriber callback of run_batch's
+        # end-of-batch loop does not fold the batch being dispatched, so its
+        # origin moves past that batch — every emitted frame must cover a
+        # fully observed window.
         observed_from = self._batch_index + (1 if self._ending_batch else 0)
         view = ContinuousView(
             spec,
@@ -817,69 +812,45 @@ class CraqrEngine:
             retention_batches=self._config.retention_batches,
             start_time=observed_from * self._config.batch_duration,
         )
-
-        view.attach(handle.subscribe(view.accept))
-        self._views[view_name] = view
-        self._install_shared_sort(view)
         view_handle = ViewHandle(view, self)
-        self._view_handles[view_name] = view_handle
+        self._views[view_name] = view_handle
         return view_handle
-
-    def _install_shared_sort(self, view: ContinuousView) -> None:
-        """Give the view its query's shared lexsort cache.
-
-        Every view on one query folds the same delivered batch; views
-        sharing a ``(slide, group_by)`` signature reuse one (pane, group)
-        sort per batch.  The cache lives only on the views themselves
-        (runtime wiring, dropped from checkpoints), so installation finds
-        a sibling's cache or starts a fresh one.
-        """
-        for other in self._views.values():
-            if other is view or other.query_id != view.query_id:
-                continue
-            cache = getattr(other, "_shared_sort", None)
-            if cache is not None:
-                view._shared_sort = cache
-                return
-        view._shared_sort = SharedSortCache()
 
     def view(self, name: str) -> ViewHandle:
         """Resolve a maintained view by name."""
-        handle = self._view_handles.get(name)
+        handle = self._views.get(name)
         if handle is None:
             raise ViewError(f"no view is named {name!r}")
         return handle
 
     def view_handles(self) -> List[ViewHandle]:
         """Handles of every maintained view."""
-        return list(self._view_handles.values())
+        return list(self._views.values())
 
     def views_of(self, query_id: int) -> List[ViewHandle]:
         """Handles of the views maintained on one query."""
         return [
-            self._view_handles[name]
-            for name, view in self._views.items()
-            if view.query_id == query_id
+            handle for handle in self._views.values()
+            if handle.view.query_id == query_id
         ]
 
     def drop_view(self, name: str) -> ViewHandle:
         """Stop maintaining a view (its frames stay readable).
 
-        The delivery subscription is cancelled and the view is removed
-        from the registry; the returned (now inactive) handle keeps the
-        frame buffer readable, mirroring how ``STOP`` leaves a query's
-        result buffer readable.
+        The view is detached and removed from the registry; the returned
+        (now inactive) handle keeps the frame buffer readable, mirroring
+        how ``STOP`` leaves a query's result buffer readable.
         """
-        view = self._views.pop(name, None)
-        if view is None:
+        handle = self._views.pop(name, None)
+        if handle is None:
             raise ViewError(f"no view is named {name!r}")
-        view.detach()
-        return self._view_handles.pop(name)
+        handle.view.detach()
+        return handle
 
     def views(self) -> List[ViewSessionInfo]:
         """One :class:`~repro.views.ViewSessionInfo` row per maintained view
         (the ``SHOW VIEWS`` output)."""
-        return [view.info() for view in self._views.values()]
+        return [handle.info() for handle in self._views.values()]
 
     # ------------------------------------------------------------------
     # Statement execution (the query language's session surface)
@@ -1033,11 +1004,7 @@ class CraqrEngine:
                     total_tuples=buffer.total_tuples,
                     batches_completed=buffer.batches_completed,
                     achieved_rate=achieved,
-                    views=sum(
-                        1
-                        for view in self._views.values()
-                        if view.query_id == handle.query_id
-                    ),
+                    views=len(self.views_of(handle.query_id)),
                     degraded_pairs=degraded_cells,
                 )
             )
@@ -1077,15 +1044,25 @@ class CraqrEngine:
             degraded = self._degradation.update(handler_report)
         decisions = self._tuner.tune(fabrication.violations, degraded=degraded)
         self._crash_barrier(CrashPoint.PRE_VIEW_FOLD, batch)
-        # Snapshot: a subscriber callback firing inside end_batch may
-        # register or delete queries, mutating the buffer dict.
+        delivered, self._delivered = self._delivered, {}
+        # Snapshot both registries: a subscriber callback firing inside
+        # end_batch may register or delete queries and create or drop
+        # views, and a view created there does not fold this batch.
+        views: Dict[int, List[ContinuousView]] = {}
+        for handle in self._views.values():
+            views.setdefault(handle.view.query_id, []).append(handle.view)
         self._ending_batch = True
         try:
-            for query_id, buffer in list(self._buffers.items()):
+            for query_id, handle in list(self._handles.items()):
                 # Paused queries freeze their batch accounting: the pause
                 # window neither counts batches nor dilutes the achieved rate.
                 if not self._planner.is_paused(query_id):
-                    buffer.end_batch()
+                    handle.buffer.end_batch()
+                rows = delivered.get(query_id)
+                if rows is not None:
+                    for view in views.get(query_id, ()):
+                        if view.is_active:  # a callback may have dropped it
+                            view.accept(rows)
         finally:
             self._ending_batch = False
         report = EngineReport(
@@ -1100,16 +1077,16 @@ class CraqrEngine:
         if retention is not None and len(self._reports) > retention:
             del self._reports[: len(self._reports) - retention]
         self._batch_index += 1
-        # Advance the continuous views' window clocks.  Deliveries already
-        # arrived through the subscription path inside end_batch above;
-        # this closes every window whose end the sim clock just passed —
-        # including windows of paused or quiet queries, which emit empty
-        # frames so the frame sequence stays gap-free in sim time.
+        # Advance the continuous views' window clocks.  The views folded
+        # their queries' deliveries in the loop above; this closes every
+        # window whose end the sim clock just passed — including windows
+        # of paused or quiet queries, which emit empty frames so the frame
+        # sequence stays gap-free in sim time.
         if self._views:
             now = self._batch_index * duration
-            for view in list(self._views.values()):
-                if view.is_active:  # failed views are quarantined, not advanced
-                    view.advance_to(now)
+            for handle in list(self._views.values()):
+                if handle.view.is_active:  # failed views are quarantined, not advanced
+                    handle.view.advance_to(now)
         # The batch is fully committed: acquisition, deliveries, tuning,
         # dispatch and view folds are all done — the crash-consistent point
         # where a periodic checkpoint captures the engine.
@@ -1198,9 +1175,9 @@ class CraqrEngine:
         The restored engine resumes exactly where the checkpoint left off:
         its next batch is seeded byte-identical to the batch the
         uninterrupted engine ran next (the contract pinned by
-        ``tests/recovery/``).  Engine-managed view subscriptions are
-        re-attached; user push subscriptions and cursors held by callers do
-        not survive — re-subscribe after restore.
+        ``tests/recovery/``), views included: the engine folds them, so
+        nothing needs re-wiring.  User push subscriptions and cursors held
+        by callers do not survive — re-subscribe after restore.
         """
         from ..recovery import restore_engine
 
@@ -1229,26 +1206,18 @@ class CraqrEngine:
         # counters and no results, and is rebuilt lazily from the restored
         # topology (the recovery contract of tests/plan/).
         state["_plan_cache"] = None
+        # Empty at every batch boundary, where checkpoints are taken.
+        del state["_delivered"]
         return state
 
-    def _reattach_after_restore(self) -> None:
-        """Re-wire the subscription plumbing a snapshot deliberately drops.
-
-        Buffers pickle without their subscriber lists, so after a restore
-        every active view is re-subscribed to its query's delivery stream —
-        in ``_views`` insertion order, with the same ``view.accept`` bound
-        method ``create_view`` registered, so dispatch order (and therefore
-        the replayed run) is identical to the captured engine's.
-        Quarantined views stay detached, exactly as they were.
-        """
-        for view in self._views.values():
-            if not view.is_active:
-                continue
-            handle = self._handles.get(view.query_id)
-            if handle is None:  # pragma: no cover - drop_view removes these
-                continue
-            view.attach(handle.subscribe(view.accept))
-            self._install_shared_sort(view)
+    def __setstate__(self, state) -> None:
+        # A checkpoint of the older layout kept the result buffers and the
+        # view handles in registries of their own (the handles own both).
+        state.pop("_buffers", None)
+        if "_view_handles" in state:
+            state["_views"] = state.pop("_view_handles")
+        self.__dict__.update(state)
+        self._delivered = {}
 
     # ------------------------------------------------------------------
     # Summaries
@@ -1268,6 +1237,6 @@ class CraqrEngine:
         carried in a running total after their buffers are dropped.
         """
         return (
-            sum(buffer.total_tuples for buffer in self._buffers.values())
+            sum(handle.buffer.total_tuples for handle in self._handles.values())
             + self._delivered_dropped
         )

@@ -16,19 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from ...errors import StreamError
-from ...geometry import RectRegion, Rectangle, Region
+from ...geometry import Region, as_region
 from ...rng import ensure_rng
 from ...streams import StreamOperator, TupleBatch
-
-
-def coerce_region(region) -> Region:
-    """Accept a Rectangle or Region and return a Region."""
-    if isinstance(region, Rectangle):
-        return RectRegion(region)
-    if isinstance(region, Region):
-        return region
-    raise StreamError(f"expected a Region or Rectangle, got {type(region)!r}")
 
 
 class PMATOperator(StreamOperator):
@@ -45,7 +35,7 @@ class PMATOperator(StreamOperator):
     ) -> None:
         super().__init__(name, outputs=outputs)
         self._attribute = attribute
-        self._region = coerce_region(region) if region is not None else None
+        self._region = as_region(region) if region is not None else None
         self._rng = ensure_rng(rng)
 
     @property

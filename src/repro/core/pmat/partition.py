@@ -17,9 +17,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ...errors import StreamError
-from ...geometry import Region
+from ...geometry import Region, as_region
 from ...streams import SensorTuple, Stream
-from .base import PMATOperator, coerce_region
+from .base import PMATOperator
 
 
 class PartitionOperator(PMATOperator):
@@ -47,7 +47,7 @@ class PartitionOperator(PMATOperator):
         name: Optional[str] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        coerced: List[Region] = [coerce_region(region) for region in regions]
+        coerced: List[Region] = [as_region(region) for region in regions]
         if not coerced:
             raise StreamError("Partition needs at least one sub-region")
         for i, a in enumerate(coerced):

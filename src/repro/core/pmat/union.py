@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ...errors import StreamError
-from ...geometry import Region, union_regions
+from ...geometry import Region, as_region, union_regions
 from ...streams import SensorTuple, Stream
-from .base import PMATOperator, coerce_region
+from .base import PMATOperator
 
 
 class UnionOperator(PMATOperator):
@@ -53,7 +53,7 @@ class UnionOperator(PMATOperator):
     ) -> None:
         combined: Optional[Region] = None
         if input_regions is not None:
-            regions = [coerce_region(region) for region in input_regions]
+            regions = [as_region(region) for region in input_regions]
             if not regions:
                 raise StreamError("Union needs at least one input region")
             combined = union_regions(regions)

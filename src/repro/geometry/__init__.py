@@ -13,6 +13,7 @@ from .region import (
     Region,
     RectRegion,
     CompositeRegion,
+    as_region,
     union_regions,
 )
 from .grid import Grid, GridCell
@@ -24,6 +25,7 @@ __all__ = [
     "Region",
     "RectRegion",
     "CompositeRegion",
+    "as_region",
     "union_regions",
     "Grid",
     "GridCell",

@@ -140,6 +140,15 @@ class CompositeRegion(Region):
         return self.parts
 
 
+def as_region(region) -> Region:
+    """Accept a Rectangle or Region and return a Region."""
+    if isinstance(region, Rectangle):
+        return RectRegion(region)
+    if isinstance(region, Region):
+        return region
+    raise GeometryError(f"expected a Region or Rectangle, got {type(region)!r}")
+
+
 def _merge_rectangles(rects: Sequence[Rectangle]) -> List[Rectangle]:
     """Greedily merge rectangles that share a full side, to keep regions small."""
     merged = list(rects)

@@ -51,8 +51,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import EstimationError, PointProcessError
-from ..geometry import Rectangle, RectRegion, Region
+from ..errors import EstimationError
+from ..geometry import Region, as_region
 from .events import EventBatch
 from .intensity import LinearIntensity
 
@@ -97,14 +97,6 @@ def _linear_rate(theta0, theta1, theta2, theta3, t, x, y):
     made seeded online estimates depend on the BLAS build.
     """
     return ((theta0 + t * theta1) + x * theta2) + y * theta3
-
-
-def _coerce_region(region) -> Region:
-    if isinstance(region, Rectangle):
-        return RectRegion(region)
-    if isinstance(region, Region):
-        return region
-    raise PointProcessError(f"expected Region or Rectangle, got {type(region)!r}")
 
 
 def _window_centroid(
@@ -353,7 +345,7 @@ def fit_linear_intensity_mle_segments(
     elif len(initial_thetas) != count:
         raise EstimationError("need one initial theta (or None) per segment")
     lengths = [stop - start for _batch, start, stop in segments]
-    regions = [_coerce_region(region) for region, _t_start, _t_end in windows]
+    regions = [as_region(region) for region, _t_start, _t_end in windows]
     if any(length <= 0 for length in lengths):
         raise EstimationError("cannot estimate an intensity from an empty batch")
     if any(t_end <= t_start for _region, t_start, t_end in windows):
@@ -588,7 +580,7 @@ class OnlineIntensityEstimator:
             raise EstimationError("learning rate must be positive and finite")
         if not 0 < expected_events_per_window < np.inf:
             raise EstimationError("expected events per window must be positive and finite")
-        self._region = _coerce_region(region)
+        self._region = as_region(region)
         self._window_duration = float(window_duration)
         self._learning_rate = float(learning_rate)
         self._updates = 0

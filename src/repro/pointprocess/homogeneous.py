@@ -15,18 +15,10 @@ from typing import Optional
 import numpy as np
 
 from ..errors import PointProcessError
-from ..geometry import Rectangle, RectRegion, Region
+from ..geometry import Region, as_region
 from ..rng import ensure_rng
 from .events import EventBatch
 from .intensity import ConstantIntensity
-
-
-def _coerce_region(region) -> Region:
-    if isinstance(region, Rectangle):
-        return RectRegion(region)
-    if isinstance(region, Region):
-        return region
-    raise PointProcessError(f"expected Region or Rectangle, got {type(region)!r}")
 
 
 def _uniform_points_in_region(
@@ -73,7 +65,7 @@ class HomogeneousMDPP:
     def __post_init__(self) -> None:
         if self.rate <= 0:
             raise PointProcessError("rate must be strictly positive")
-        object.__setattr__(self, "region", _coerce_region(self.region))
+        object.__setattr__(self, "region", as_region(self.region))
 
     # ------------------------------------------------------------------
     # Properties

@@ -15,10 +15,10 @@ from typing import Optional
 import numpy as np
 
 from ..errors import PointProcessError
-from ..geometry import Region
+from ..geometry import Region, as_region
 from ..rng import ensure_rng
 from .events import EventBatch
-from .homogeneous import HomogeneousMDPP, _coerce_region
+from .homogeneous import HomogeneousMDPP
 from .intensity import IntensityModel
 
 
@@ -30,7 +30,7 @@ class InhomogeneousMDPP:
     region: Region
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "region", _coerce_region(self.region))
+        object.__setattr__(self, "region", as_region(self.region))
 
     # ------------------------------------------------------------------
     # Properties

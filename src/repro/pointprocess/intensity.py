@@ -28,17 +28,16 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..errors import PointProcessError
-from ..geometry import Rectangle, RectRegion, Region
+from ..errors import GeometryError, PointProcessError
+from ..geometry import Region, as_region
 
 
-def _as_region(region) -> Region:
-    """Accept either a Rectangle or a Region and return a Region."""
-    if isinstance(region, Rectangle):
-        return RectRegion(region)
-    if isinstance(region, Region):
-        return region
-    raise PointProcessError(f"expected a Region or Rectangle, got {type(region)!r}")
+def _region(region) -> Region:
+    """:func:`~repro.geometry.as_region`, a non-region refused as a point-process error."""
+    try:
+        return as_region(region)
+    except GeometryError as exc:
+        raise PointProcessError(str(exc)) from None
 
 
 class IntensityModel(ABC):
@@ -63,7 +62,7 @@ class IntensityModel(ABC):
         mean rate on a regular ``resolution``-point grid per axis times the
         volume.  Models with closed forms override it.
         """
-        region = _as_region(region)
+        region = _region(region)
         if t_end <= t_start:
             raise PointProcessError("time window must have positive length")
         total = 0.0
@@ -78,7 +77,7 @@ class IntensityModel(ABC):
 
     def mean_rate(self, region, t_start: float, t_end: float, *, resolution: int = 40) -> float:
         """Average intensity over the window (integral divided by volume)."""
-        region = _as_region(region)
+        region = _region(region)
         volume = region.area * (t_end - t_start)
         if volume <= 0:
             raise PointProcessError("window must have positive volume")
@@ -103,7 +102,7 @@ class ConstantIntensity(IntensityModel):
         return self.value
 
     def integral(self, region, t_start, t_end, *, resolution: int = 40):
-        region = _as_region(region)
+        region = _region(region)
         if t_end <= t_start:
             raise PointProcessError("time window must have positive length")
         return self.value * region.area * (t_end - t_start)
@@ -146,7 +145,7 @@ class LinearIntensity(IntensityModel):
         return np.maximum(values, self.min_rate)
 
     def max_rate(self, region, t_start, t_end):
-        region = _as_region(region)
+        region = _region(region)
         best = self.min_rate
         for rect in region.rectangles:
             for t in (t_start, t_end):
@@ -156,7 +155,7 @@ class LinearIntensity(IntensityModel):
 
     def min_rate_on(self, region, t_start: float, t_end: float) -> float:
         """Minimum of the (unclamped) linear form over the window's corners."""
-        region = _as_region(region)
+        region = _region(region)
         best = math.inf
         for rect in region.rectangles:
             for t in (t_start, t_end):
@@ -189,7 +188,7 @@ class LinearIntensity(IntensityModel):
     def integral(self, region, t_start, t_end, *, resolution: int = 40):
         # The affine form integrates in closed form over a box: the integral
         # equals the intensity at the centroid times the volume.
-        region = _as_region(region)
+        region = _region(region)
         if t_end <= t_start:
             raise PointProcessError("time window must have positive length")
         t_mid = 0.5 * (t_start + t_end)

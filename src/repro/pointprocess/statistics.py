@@ -19,22 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PointProcessError
-from ..geometry import Rectangle, RectRegion, Region
+from ..errors import GeometryError, PointProcessError
+from ..geometry import Region, as_region
 from .events import EventBatch
-
-
-def _coerce_region(region) -> Region:
-    if isinstance(region, Rectangle):
-        return RectRegion(region)
-    if isinstance(region, Region):
-        return region
-    raise PointProcessError(f"expected Region or Rectangle, got {type(region)!r}")
 
 
 def quadrat_counts(batch: EventBatch, region, nx: int, ny: int) -> np.ndarray:
     """Counts of events in an ``ny x nx`` spatial grid over the region's bounding box."""
-    region = _coerce_region(region)
+    try:
+        region = as_region(region)
+    except GeometryError as exc:
+        raise PointProcessError(str(exc)) from None
     if nx <= 0 or ny <= 0:
         raise PointProcessError("quadrat counts need positive grid dimensions")
     bbox = region.bounding_box

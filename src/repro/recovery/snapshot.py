@@ -31,11 +31,13 @@ graph is serialized in one pickle payload, so shared references (the
 handler's world IS the engine's world; the health monitor's state IS the
 world's SoA) and every ``bit_generator.state`` are preserved exactly, and
 new state added to any subsystem is captured by default instead of by
-remembering to list it.  The only excluded pieces are push-subscription
-wiring (buffers drop their subscriber lists; restore re-attaches the
-engine-managed view callbacks deterministically, user callbacks must
-re-subscribe) and an armed :class:`~repro.faults.CrashInjector` (a
-restored engine never inherits a crash plan).
+remembering to list it.  What a capture leaves out is rebuilt or not
+engine state: user push subscriptions (buffers drop their subscriber
+lists; user code re-subscribes — views are no subscribers, the engine
+folds them), a view's aggregate object (rebuilt from the registry by
+name), derived caches and an armed :class:`~repro.faults.CrashInjector`
+(a restored engine never inherits a crash plan).  A restored engine needs
+no re-wiring.
 
 The recovery contract — asserted batch-for-batch in ``tests/recovery/`` —
 is that a restored engine's subsequent batches are **seeded
@@ -339,19 +341,18 @@ class EngineSnapshot:
         The returned engine is fully independent of the captured one (the
         payload is deserialized fresh on every call) and resumes exactly
         where the capture left off: its next batch is seeded byte-identical
-        to the batch the uninterrupted engine ran next.  Engine-managed
-        view subscriptions are re-attached; user push subscriptions are
-        not (re-subscribe after restore).  The process-wide query-id
-        allocator is advanced past the snapshot's high-water mark so new
-        registrations never collide with restored ids.
+        to the batch the uninterrupted engine ran next, its views folding
+        as they did (the engine feeds them; there is nothing to re-wire).
+        User push subscriptions are not restored (re-subscribe after
+        restore).  The process-wide query-id allocator is advanced past the
+        snapshot's high-water mark so new registrations never collide with
+        restored ids.
         """
         from ..core.query import query_id_allocator
 
         state = self._load_state(self._payload)
-        engine = state["engine"]
-        engine._reattach_after_restore()
         query_id_allocator().advance_to(state["next_query_id"])
-        return engine
+        return state["engine"]
 
 
 class CheckpointStore:

@@ -1,9 +1,10 @@
 """Per-query result buffers and the session-consumption surface over them.
 
 Each registered acquisitional query gets a :class:`QueryResultBuffer` that
-accumulates its fabricated crowdsensed data stream, batch by batch, and can
-answer the questions the evaluation cares about: how many tuples arrived per
-batch, what the achieved rate is, and how far it is from the requested rate.
+accumulates its fabricated crowdsensed data stream, batch by batch, and
+counts what arrived: tuples per batch and over a window of batches, from
+which the query's handle computes the achieved rate against the query's
+own requested rate and area (:class:`RateEstimate`).
 
 The buffer ingests whole :class:`~repro.streams.TupleBatch` columns
 (:meth:`QueryResultBuffer.extend_batch`) and stores each delivery as one
@@ -202,10 +203,6 @@ class QueryResultBuffer:
     ----------
     query_id:
         Id of the owning query.
-    requested_rate / region_area:
-        The query's target rate and region area (used by rate estimates;
-        both are updatable in-flight via :meth:`set_requested_rate` /
-        :meth:`set_region_area` when the query is altered live).
     retention_batches:
         Optional cap on retained *batches*: at every :meth:`end_batch` the
         chunks of batches older than the window are evicted wholesale (a
@@ -222,19 +219,11 @@ class QueryResultBuffer:
         self,
         query_id: int,
         *,
-        requested_rate: float,
-        region_area: float,
         retention_batches: Optional[int] = None,
     ) -> None:
-        if requested_rate <= 0:
-            raise StorageError("requested_rate must be positive")
-        if region_area <= 0:
-            raise StorageError("region_area must be positive")
         if retention_batches is not None and retention_batches <= 0:
             raise StorageError("retention_batches must be positive or None")
         self._query_id = query_id
-        self._requested_rate = requested_rate
-        self._region_area = region_area
         self._retention = retention_batches
         #: one immutable chunk per delivery; never grown, split or rewritten.
         self._chunks: List[TupleBatch] = []
@@ -255,10 +244,9 @@ class QueryResultBuffer:
         self._notify_cursor: Optional[ResultCursor] = None
 
     def __getstate__(self):
-        # Push subscribers are runtime wiring (user callbacks, view
-        # delivery) that cannot — and must not — survive a checkpoint:
-        # restore re-subscribes the engine-managed view callbacks
-        # deterministically, and user code re-subscribes its own.  The
+        # Push subscribers are user callbacks that cannot — and must not —
+        # survive a checkpoint: user code re-subscribes its own after a
+        # restore (views are no subscribers; the engine folds them).  The
         # shared notify cursor is recreated at the tail lazily on the next
         # subscribe(); checkpoints are taken at batch boundaries, where the
         # tail cursor carries no pending tuples.  The retained chunks go
@@ -280,11 +268,6 @@ class QueryResultBuffer:
     def query_id(self) -> int:
         """Id of the query this buffer belongs to."""
         return self._query_id
-
-    @property
-    def requested_rate(self) -> float:
-        """The query's requested rate."""
-        return self._requested_rate
 
     @property
     def retention_batches(self) -> Optional[int]:
@@ -313,21 +296,6 @@ class QueryResultBuffer:
 
     def __len__(self) -> int:
         return self._total - self._evicted
-
-    # ------------------------------------------------------------------
-    # Live-session mutation (used by ALTER ... SET RATE / SET REGION)
-    # ------------------------------------------------------------------
-    def set_requested_rate(self, requested_rate: float) -> None:
-        """Change the requested rate future rate estimates compare against."""
-        if requested_rate <= 0:
-            raise StorageError("requested_rate must be positive")
-        self._requested_rate = float(requested_rate)
-
-    def set_region_area(self, region_area: float) -> None:
-        """Change the region area rate estimates normalise by."""
-        if region_area <= 0:
-            raise StorageError("region_area must be positive")
-        self._region_area = float(region_area)
 
     # ------------------------------------------------------------------
     def extend_batch(self, batch: TupleBatch) -> None:
@@ -464,44 +432,30 @@ class QueryResultBuffer:
             values.extend(chunk.value.tolist())
         return values
 
-    def rate_over_batches(self, batch_duration: float, last: Optional[int] = None) -> RateEstimate:
-        """Achieved rate over the most recent ``last`` completed batches.
+    def tuples_over_batches(self, last: Optional[int] = None) -> Tuple[int, int]:
+        """``(tuples, batches)`` over the most recent ``last`` completed batches.
 
         ``last=None`` means the whole history; an explicit ``last`` must be
         positive (``last=0`` used to slice ``[-0:]``, silently reporting the
-        lifetime rate instead of an empty window).  The whole-history rate
-        stays exact under retention (running totals survive eviction); a
-        windowed ``last`` larger than the retained window raises
-        :class:`StorageError`.
+        lifetime count instead of an empty window).  The whole-history
+        count stays exact under retention (running totals survive
+        eviction); a windowed ``last`` larger than the retained window
+        raises :class:`StorageError`.
         """
-        if batch_duration <= 0:
-            raise StorageError("batch_duration must be positive")
         if last is not None and last <= 0:
             raise StorageError("last must be positive (or None for the whole history)")
         if self._batches_completed == 0:
             raise StorageError("no completed batches yet")
         if last is None or last >= self._batches_completed:
-            tuples = self._completed_total
-            batches = self._batches_completed
-        else:
-            if last > len(self._per_batch_counts):
-                first_retained = self._batches_completed - len(self._per_batch_counts)
-                raise StorageError(
-                    f"cannot window over the last {last} batches: only the last "
-                    f"{len(self._per_batch_counts)} batch counts are retained — "
-                    f"batches {first_retained}..{self._batches_completed - 1} of "
-                    f"{self._batches_completed} completed "
-                    f"(retention_batches={self._retention}); use last=None for "
-                    f"the exact lifetime rate"
-                )
-            tuples = sum(self._per_batch_counts[-last:])
-            batches = last
-        duration = batch_duration * batches
-        achieved = tuples / (self._region_area * duration)
-        return RateEstimate(
-            tuples=tuples,
-            duration=duration,
-            area=self._region_area,
-            achieved_rate=achieved,
-            requested_rate=self._requested_rate,
-        )
+            return self._completed_total, self._batches_completed
+        if last > len(self._per_batch_counts):
+            first_retained = self._batches_completed - len(self._per_batch_counts)
+            raise StorageError(
+                f"cannot window over the last {last} batches: only the last "
+                f"{len(self._per_batch_counts)} batch counts are retained — "
+                f"batches {first_retained}..{self._batches_completed - 1} of "
+                f"{self._batches_completed} completed "
+                f"(retention_batches={self._retention}); use last=None for "
+                f"the exact lifetime rate"
+            )
+        return sum(self._per_batch_counts[-last:]), last

@@ -34,7 +34,15 @@ from .sketch import QuantileSketch
 
 
 class Aggregate:
-    """Base class of streaming aggregate functions (see module docstring)."""
+    """Base class of streaming aggregate functions (see module docstring).
+
+    An aggregate object holds no state of its own: per-window state lives
+    in the partials :meth:`new_state` / :meth:`fold` / :meth:`merge`
+    return, which a view keeps and checkpoints.  Build partials from
+    builtins, numpy arrays or ``repro`` classes (the snapshot loader
+    admits nothing else); a restored view gets a fresh aggregate object
+    from the registry, looked up by name.
+    """
 
     #: Registry name (upper-case, as written in CREATE VIEW).
     name: str = ""
@@ -199,8 +207,11 @@ _PERCENTILE_RE = re.compile(r"^P(\d{1,2})$")
 def register_aggregate(name: str, factory: Callable[[], Aggregate]) -> None:
     """Register (or replace) an aggregate under an upper-case name.
 
-    ``factory`` is called once per view that uses the aggregate, so
-    stateful aggregate *objects* are never shared between views.
+    ``factory`` is called once per view that uses the aggregate, and again
+    for each such view a checkpoint restore rebuilds, so register the name
+    before restoring.  Per-window state lives in the partials, built from
+    builtins, numpy arrays or ``repro`` classes, never on the aggregate
+    object: the restored view's object is a fresh one.
     """
     key = name.upper()
     if not key or not key.isidentifier():

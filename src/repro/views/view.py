@@ -1,11 +1,10 @@
 """Incremental maintenance of continuous views over live query sessions.
 
-A :class:`ContinuousView` attaches to one query's delivery stream through
-the session subscription path (:meth:`QueryHandle.subscribe
-<repro.core.engine.QueryHandle.subscribe>`): once per engine batch it
-receives the batch's deliveries as one columnar
-:class:`~repro.streams.TupleBatch` and folds them into per-group partial
-aggregates — one ``lexsort`` buckets the batch by (pane, group), segment
+A :class:`ContinuousView` consumes one query's delivered stream: once per
+engine batch, after the query's result buffer closes the batch, the engine
+hands the view that batch's deliveries as one columnar
+:class:`~repro.streams.TupleBatch` (:meth:`ContinuousView.accept`) and the
+view folds them into per-group partial aggregates — one ``lexsort`` buckets the batch by (pane, group), segment
 boundaries come from one vectorised ``diff``, per-group tuple counts are
 the segment lengths (``np.bincount`` over panes gives the same numbers),
 and each group's value slice is reduced with the aggregate's ufunc
@@ -45,7 +44,7 @@ from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
-from ..errors import ViewError
+from ..errors import RecoveryError, ViewError
 from ..streams import TupleBatch
 from .aggregates import Aggregate, get_aggregate
 from .frames import FrameCursor, ViewFrame, ViewFrameBuffer
@@ -53,43 +52,6 @@ from .spec import ViewSpec
 
 #: Relative tolerance for pane-close clock comparisons.
 _REL_TOL = 1e-9
-
-
-class SharedSortCache:
-    """One (pane, group) lexsort shared by every view on a query.
-
-    All views on one query receive the *same* :class:`TupleBatch` object
-    per engine batch (the result buffer fires one concatenated batch to
-    every subscriber), so views that agree on ``(slide, group_by)`` compute
-    identical ``pane_ids`` / group codes / sort orders.  The compiled plan
-    path installs one cache per query; the first view with a given
-    signature computes and stores the sorted arrays, later views reuse them
-    (a byte-identical skip of the grid lookups and the lexsort).
-
-    Entries are keyed by signature and validated against the batch by
-    identity, so the cache never needs explicit per-batch invalidation.
-    Runtime wiring only — it is nulled out of view checkpoints and
-    reinstalled by the engine after restore.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[tuple, tuple] = {}
-        #: lifetime reuse counters (asserted by the plan equivalence tests)
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, signature: tuple, batch: TupleBatch):
-        """The cached ``(order, pane_sorted, code_sorted)`` for this exact batch."""
-        entry = self._entries.get(signature)
-        if entry is not None and entry[0] is batch:
-            self.hits += 1
-            return entry[1]
-        self.misses += 1
-        return None
-
-    def store(self, signature: tuple, batch: TupleBatch, arrays: tuple) -> None:
-        """Remember one batch's sorted arrays under its signature."""
-        self._entries[signature] = (batch, arrays)
 
 
 @dataclass(frozen=True)
@@ -119,9 +81,10 @@ class ViewSessionInfo:
 class ContinuousView:
     """One continuously maintained windowed aggregate over a query stream."""
 
-    #: Runtime wiring __getstate__ deliberately drops from checkpoints;
+    #: State __getstate__ deliberately drops from checkpoints (the
+    #: aggregate is rebuilt from the registry by name on restore);
     #: craqr-lint (CRQ302) checks this declaration against the exclusions.
-    _DERIVED_STATE = ("_subscription", "_shared_sort")
+    _DERIVED_STATE = ("_aggregate",)
 
     def __init__(
         self,
@@ -158,10 +121,6 @@ class ContinuousView:
         self._recent_panes: Deque[Dict] = deque(maxlen=self._panes_per_window)
         #: open panes: pane index -> {group key: [partial state, count]}.
         self._open_panes: Dict[int, Dict] = {}
-        self._subscription = None
-        #: optional per-query shared lexsort cache (installed by the engine
-        #: when compiled plans are on; plain runtime wiring otherwise).
-        self._shared_sort: Optional[SharedSortCache] = None
         self._active = True
         self._error: Optional[Exception] = None
 
@@ -199,18 +158,14 @@ class ContinuousView:
     # ------------------------------------------------------------------
     # Engine plumbing
     # ------------------------------------------------------------------
-    def attach(self, subscription) -> None:
-        """Remember the delivery subscription so DROP VIEW can cancel it."""
-        self._subscription = subscription
-
     def accept(self, batch: TupleBatch) -> None:
-        """The delivery-subscription callback: fold one batch, quarantined.
+        """Fold the query's batch of one engine batch, quarantined.
 
-        Maintenance runs inside the engine's end-of-batch loop; a view
-        whose fold raises (e.g. AVG over a non-numeric stream) is
-        quarantined — detached with the error recorded — rather than
-        aborting the batch for every other session.  A bound method so the
-        engine re-attaches it identically after a checkpoint restore.
+        The engine calls this once per batch that delivered to the view's
+        query, in its end-of-batch loop, after the query's result buffer
+        has closed the batch; a view whose fold raises (e.g. AVG over a
+        non-numeric stream) is quarantined — detached with the error
+        recorded — rather than aborting the batch for every other session.
         """
         try:
             self.on_delivery(batch)
@@ -218,21 +173,25 @@ class ContinuousView:
             self.fail(exc)
 
     def __getstate__(self):
-        # The delivery subscription is runtime wiring into the query's
-        # result buffer; checkpoint restore re-subscribes deterministically
-        # (see CraqrEngine.restore), so it is never pickled.
+        # The aggregate is rebuilt by name on restore, so a checkpoint
+        # never names its class: the loader admits only repro classes, and
+        # a user-registered aggregate is defined outside repro.
         state = dict(self.__dict__)
-        state["_subscription"] = None
-        # The shared-sort cache is runtime wiring too (it holds live batch
-        # references); the engine reinstalls it after restore.
-        state["_shared_sort"] = None
+        del state["_aggregate"]
         return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        try:
+            self._aggregate = get_aggregate(self._spec.aggregate)
+        except ViewError as exc:
+            raise RecoveryError(
+                f"view {self._name!r} folds aggregate {self._spec.aggregate!r}, "
+                f"which is not registered; register_aggregate it before restoring"
+            ) from exc
 
     def detach(self) -> None:
         """Stop maintenance (frames stay readable); idempotent."""
-        if self._subscription is not None:
-            self._subscription.cancel()
-            self._subscription = None
         self._active = False
 
     def fail(self, error: Exception) -> None:
@@ -241,9 +200,16 @@ class ContinuousView:
         Maintenance runs inside the engine's batch loop; a view whose fold
         raises (e.g. a numeric aggregate over a stream with non-numeric
         values) must not abort the batch for every other query, so the
-        engine quarantines it here instead of propagating.  The error is
-        surfaced through :attr:`error` / :meth:`ViewHandle.error`.
+        engine quarantines it here instead of propagating.  An error of
+        another class is kept as a :class:`~repro.errors.ViewError` naming
+        its type and message, so a checkpoint of the quarantined view holds
+        only classes the snapshot loader admits.  The error is surfaced
+        through :attr:`error` / :meth:`ViewHandle.error`.
         """
+        if type(error) is not ViewError:
+            cause = error
+            error = ViewError(f"{type(cause).__name__}: {cause}")
+            error.__cause__ = cause
         self._error = error
         self.detach()
 
@@ -258,42 +224,24 @@ class ContinuousView:
     def on_delivery(self, batch: TupleBatch) -> None:
         """Fold one batch of delivered tuples into the open pane partials.
 
-        This is the subscription callback: it runs once per engine batch
+        Runs once per engine batch that delivered to the view's query,
         with that batch's deliveries (batches that delivered nothing do not
-        fire — pane and frame lifecycle is driven separately by
+        fold — pane and frame lifecycle is driven separately by
         :meth:`advance_to`, so quiet batches still close windows).
         """
         n = len(batch)
         if n == 0:
             return
-        cache = getattr(self, "_shared_sort", None)
-        signature = (self._slide, self._spec.group_by)
-        if cache is not None:
-            cached = cache.lookup(signature, batch)
-            # Reuse is only sound when this view would neither filter
-            # pre-origin tuples nor clamp any pane id — both hold exactly
-            # when the earliest cached pane is at or past our next open
-            # pane (pane_sorted is pane-major, so [0] is the minimum).
-            if cached is not None and int(cached[1][0]) >= self._next_pane:
-                order, pane_sorted, code_sorted = cached
-                values_sorted = self._sorted_values(batch, order)
-                self._fold_sorted(
-                    batch, pane_sorted, code_sorted, values_sorted, n
-                )
-                return
         t = np.asarray(batch.t, dtype=np.float64)
         pane_ids = np.floor(t / self._slide + _REL_TOL).astype(np.int64)
-        filtered = False
         if self._next_pane == self._first_pane:
             before = pane_ids < self._first_pane
             if before.any():
                 # Tuples of the partially observed pane before the view's
                 # origin: excluded so every emitted frame covers a fully
                 # observed window.
-                filtered = True
                 keep = ~before
                 batch = batch.select(keep)
-                t = t[keep]
                 pane_ids = pane_ids[keep]
                 n = len(batch)
                 if n == 0:
@@ -302,8 +250,7 @@ class ContinuousView:
         # already closed cannot receive data; clamp defensively so a
         # malformed timestamp lands in the oldest open pane instead of
         # resurrecting a closed one.
-        clamped = int(pane_ids.min()) < self._next_pane
-        if clamped:
+        if int(pane_ids.min()) < self._next_pane:
             np.maximum(pane_ids, self._next_pane, out=pane_ids)
 
         codes = self._group_codes(batch)
@@ -311,19 +258,6 @@ class ContinuousView:
         pane_sorted = pane_ids[order]
         code_sorted = codes[order]
         values_sorted = self._sorted_values(batch, order)
-        if cache is not None and not filtered and not clamped:
-            cache.store(signature, batch, (order, pane_sorted, code_sorted))
-        self._fold_sorted(batch, pane_sorted, code_sorted, values_sorted, n)
-
-    def _fold_sorted(
-        self,
-        batch: TupleBatch,
-        pane_sorted: np.ndarray,
-        code_sorted: np.ndarray,
-        values_sorted,
-        n: int,
-    ) -> None:
-        """Fold one (pane, group)-sorted batch into the open pane partials."""
         if n == 1:
             boundaries = np.empty(0, dtype=np.int64)
         else:

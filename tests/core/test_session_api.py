@@ -416,7 +416,7 @@ class TestDeleteQueryLeak:
 
         doomed.delete()
         # The engine-side reference is gone (this was the leak) ...
-        assert doomed.query_id not in engine._buffers
+        assert doomed.query_id not in engine._handles
         # ... the handle still reads everything ...
         assert doomed.results() == doomed_results
         # ... and lifetime delivery accounting is unchanged.
@@ -436,7 +436,7 @@ class TestDeleteQueryLeak:
             )
             engine.run_batch()
             handle.delete()
-        assert engine._buffers == {}
+        assert engine._handles == {}
         assert engine.query_handles() == []
         # The running total still reflects every delivery ever made.
         assert engine.total_tuples_delivered() > 0

@@ -17,7 +17,6 @@ from repro.config import BudgetConfig, EngineConfig
 from repro.core.engine import CraqrEngine
 from repro.core.query import AcquisitionalQuery
 from repro.geometry import Grid, Rectangle, RectRegion
-from repro.storage import QueryResultBuffer
 from repro.streams import SensorTuple
 from repro.sensing import RainField, SensingWorld, TemperatureField, WorldConfig
 from repro.views import ContinuousView, ViewSpec, get_aggregate
@@ -158,11 +157,8 @@ class TestBoundarySemantics:
         ids=["tumbling", "sliding"],
     )
     def test_boundary_tuple_in_exactly_one_pane(self, spec_kwargs):
-        buffer = QueryResultBuffer(1, requested_rate=10.0, region_area=4.0)
         view = self.make_view(ViewSpec(aggregate="COUNT", **spec_kwargs))
-        view.attach(buffer.subscribe(view.on_delivery))
-        buffer.extend_batch(batch_of(self.tuples()))
-        buffer.end_batch()
+        view.accept(batch_of(self.tuples()))
         frames = view.advance_to(3.0)
         if "slide" in spec_kwargs:
             # Sliding [0,2) and [1,3): t=1.0 is in both windows but in

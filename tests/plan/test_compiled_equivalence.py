@@ -80,37 +80,48 @@ class TestRestoreEquivalence:
         assert engine_digest(restored) == GOLDEN_STRICT
 
 
-class TestSharedViewSorts:
-    def test_shared_sort_cache_is_byte_identical(self):
-        def build(shared):
-            engine = make_engine()
-            # Three more views on the same query: two share the default
-            # view's (slide=2, cell) signature, one sorts alone.
-            engine.execute(
-                "CREATE VIEW RainMax ON Storm AS MAX(value) GROUP BY CELL WINDOW 2"
-            )
-            engine.execute(
-                "CREATE VIEW RainSum ON Storm AS SUM(value) GROUP BY CELL WINDOW 4 SLIDE 2"
-            )
-            engine.execute("CREATE VIEW RainCount ON Storm AS COUNT(*) WINDOW 2")
-            if not shared:
-                # The reference: every view sorts its own delivered batch.
-                for view in engine._views.values():
-                    view._shared_sort = None
-            return run_to(engine, 8)
+def view_frames(engine, name):
+    """Every retained frame of one view, as comparable plain values."""
+    return [
+        (
+            frame.frame_index,
+            frame.window_start,
+            frame.window_end,
+            frame.keys.tolist(),
+            frame.values.tobytes(),
+            frame.counts.tobytes(),
+        )
+        for frame in engine.view(name).frames()
+    ]
 
-        compiled = build(True)
-        assert engine_digest(compiled) == engine_digest(build(False))
-        view = compiled._views["Rain"]
-        cache = view._shared_sort
-        assert cache is not None
-        # All four views on Storm share one cache object; the three views
-        # with the (slide=2, cell/region) signatures produced actual reuse.
-        assert compiled._views["RainMax"]._shared_sort is cache
-        assert compiled._views["RainCount"]._shared_sort is cache
-        assert cache.hits > 0
 
-    def test_views_created_after_restore_share_the_cache(self, tmp_path):
+class TestViewsOnOneQuery:
+    #: Two views on Storm with one (slide, group) signature: a 2-batch
+    #: tumbling window grouped by cell, as the harness's ``Rain`` view.
+    VIEWS = {
+        "RainMax": "CREATE VIEW RainMax ON Storm AS MAX(value) GROUP BY CELL WINDOW 2",
+        "RainSum": "CREATE VIEW RainSum ON Storm AS SUM(value) GROUP BY CELL WINDOW 2",
+    }
+
+    def build(self, names, **options):
+        engine = make_engine(view=False, **options)
+        for name in names:
+            engine.execute(self.VIEWS[name])
+        return engine
+
+    def test_views_sharing_a_signature_emit_what_each_emits_alone(self, tmp_path):
+        together = run_to(self.build(self.VIEWS), 8)
+        run_to(self.build(self.VIEWS, checkpoint_dir=tmp_path, every=2), 5)
+        restored = run_to(restore_latest_fresh(tmp_path), 8)
+        for name in self.VIEWS:
+            alone = view_frames(run_to(self.build([name]), 8), name)
+            assert len(alone) == 4
+            assert view_frames(together, name) == alone
+            assert view_frames(restored, name) == alone
+
+    def test_a_view_created_after_restore_folds_as_in_the_uninterrupted_run(
+        self, tmp_path
+    ):
         def drive(engine):
             run_to(engine, 6)
             engine.execute(
@@ -119,10 +130,7 @@ class TestSharedViewSorts:
             return run_to(engine, 8)
 
         run_to(make_engine(checkpoint_dir=tmp_path, every=2), 5)
-        restored = restore_latest_fresh(tmp_path)
-        drive(restored)
-        assert restored._views["Late"]._shared_sort is (
-            restored._views["Rain"]._shared_sort
-        )
+        restored = drive(restore_latest_fresh(tmp_path))
+        assert restored.view("Late").frames()
         uninterrupted = drive(make_engine())
         assert engine_digest(restored) == engine_digest(uninterrupted)

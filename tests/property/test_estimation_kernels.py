@@ -30,7 +30,7 @@ from scipy import optimize
 
 from repro.core.pmat import FlattenOperator
 from repro.errors import EstimationError
-from repro.geometry import CompositeRegion, Rectangle, RectRegion
+from repro.geometry import CompositeRegion, Rectangle, RectRegion, as_region
 from repro.pointprocess import (
     EstimationResult,
     EventBatch,
@@ -48,7 +48,6 @@ from repro.pointprocess.estimation import (
     _NEWTON_MAX_ITERATIONS,
     _NEWTON_TOLERANCE,
     _RATE_FLOOR,
-    _coerce_region,
     _linear_rate,
     _solve_spd_4x4,
     _window_centroid,
@@ -792,7 +791,7 @@ def newton_fit_alone(batch, region, t_start, t_end, *, initial_theta=None):
     runs in lockstep; its constants are this module's names, so a test
     can lower the caps on both sides.
     """
-    region = _coerce_region(region)
+    region = as_region(region)
     if batch.is_empty:
         raise EstimationError("cannot estimate an intensity from an empty batch")
     if t_end <= t_start:
@@ -934,7 +933,7 @@ def newton_lockstep_unblocked(
     elif len(initial_thetas) != count:
         raise EstimationError("need one initial theta (or None) per segment")
     lengths = [stop - start for start, stop in zip(edges, edges[1:])]
-    regions = [_coerce_region(region) for region, _t_start, _t_end in windows]
+    regions = [as_region(region) for region, _t_start, _t_end in windows]
     if any(length <= 0 for length in lengths):
         raise EstimationError("cannot estimate an intensity from an empty batch")
     if any(t_end <= t_start for _region, t_start, t_end in windows):

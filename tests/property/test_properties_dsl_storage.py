@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import AcquisitionalQuery, RateSpec
 from repro.query import parse_query
-from repro.storage import QueryResultBuffer, TupleStore
+from repro.storage import TupleStore
 from repro.streams import SensorTuple
-from scaffolding import batch_of
+from scaffolding import batch_of, session_handle
 
 finite_coord = st.floats(min_value=0.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 positive_extent = st.floats(min_value=0.5, max_value=20.0, allow_nan=False, allow_infinity=False)
@@ -86,12 +86,13 @@ class TestStorageProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_result_buffer_rate_accounting(self, batch_counts, area, requested):
-        buffer = QueryResultBuffer(1, requested_rate=requested, region_area=area)
+        handle = session_handle(requested, area)
+        buffer = handle.buffer
         for count in batch_counts:
             buffer.extend_batch(batch_of(make_tuples(count)))
             buffer.end_batch()
         assert buffer.per_batch_counts == batch_counts
-        estimate = buffer.rate_over_batches(1.0)
+        estimate = handle.achieved_rate()
         expected_rate = sum(batch_counts) / (area * len(batch_counts))
         assert np.isclose(estimate.achieved_rate, expected_rate)
         assert estimate.tuples == sum(batch_counts)

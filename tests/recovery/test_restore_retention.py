@@ -141,7 +141,7 @@ class TestErrorMessages:
         engine = run_to(make_retained_engine(tmp_path), 10)
         buffer = engine.query("Storm").buffer
         with pytest.raises(StorageError) as exc:
-            buffer.rate_over_batches(5.0, last=8)  # only 3 batches retained
+            buffer.tuples_over_batches(last=8)  # only 3 batches retained
         message = str(exc.value)
         assert "retain" in message
         assert "last=None" in message

@@ -21,10 +21,13 @@ from recovery_harness import (
     restore_latest_fresh,
     run_to,
 )
+from repro.core import CraqrEngine
 from repro.errors import RecoveryError
 from repro.recovery import FORMAT_VERSION, load_snapshot, write_snapshot_file
 from repro.sensing import FatigueParticipation, RequestResponseHandler
 from repro.sensing.handler import _PerSensorStreams, _SharedStream
+from repro.storage import QueryResultBuffer
+from repro.views import ContinuousView, ViewHandle
 
 #: Golden digest of the strict-mode workload after 8 batches — pinned so a
 #: determinism regression (or an unintended behaviour change anywhere in
@@ -213,6 +216,58 @@ class TestSnapshotSemantics:
         assert clone.version == FORMAT_VERSION == 13
         restored = run_to(clone.restore(), 6)
         assert engine_digest(restored) == engine_digest(reference)
+
+    def test_a_session_checkpoint_of_the_old_layout_restores(self, tmp_path, monkeypatch):
+        # The engine used to keep the result buffers in ``_buffers`` beside
+        # the query handles, and the views in two dicts (``_views`` of
+        # views, ``_view_handles`` of their handles); a view pickled its
+        # aggregate object and its buffer subscription and shared-sort
+        # cache (both as None), and a buffer its query's requested rate and
+        # area.  A checkpoint written then carries the same FORMAT_VERSION
+        # and must restore and run on unchanged.
+        reference = run_to(make_engine(), 6)
+        engine = run_to(make_engine(), 3)
+        assert engine.view_handles()
+        engine_state = CraqrEngine.__getstate__
+        view_state = ContinuousView.__getstate__
+        buffer_state = QueryResultBuffer.__getstate__
+
+        def old_engine(live):
+            return {
+                **engine_state(live),
+                "_buffers": {qid: h.buffer for qid, h in live._handles.items()},
+                "_views": {name: h.view for name, h in live._views.items()},
+                "_view_handles": dict(live._views),
+            }
+
+        def old_view(view):
+            return {
+                **view_state(view),
+                "_aggregate": view._aggregate,
+                "_subscription": None,
+                "_shared_sort": None,
+            }
+
+        def old_buffer(buffer):
+            query = engine._handles[buffer.query_id].query
+            return {
+                **buffer_state(buffer),
+                "_requested_rate": query.rate,
+                "_region_area": query.region.area,
+            }
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CraqrEngine, "__getstate__", old_engine)
+            patch.setattr(ContinuousView, "__getstate__", old_view)
+            patch.setattr(QueryResultBuffer, "__getstate__", old_buffer)
+            clone = load_snapshot(engine.snapshot().write(tmp_path / "old.ckpt"))
+        assert clone.version == FORMAT_VERSION == 13
+        restored = clone.restore()
+        assert not hasattr(restored, "_buffers")
+        assert not hasattr(restored, "_view_handles")
+        assert restored.view_handles()
+        assert all(isinstance(h, ViewHandle) for h in restored.view_handles())
+        assert engine_digest(run_to(restored, 6)) == engine_digest(reference)
 
     @pytest.mark.parametrize("vectorized", [False, True], ids=["strict", "fast-sim"])
     def test_a_handler_checkpoint_of_the_old_layout_restores(

@@ -8,15 +8,20 @@ pytest puts ``tests/`` on ``sys.path`` when it imports ``tests/conftest.py``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import AcquisitionalQuery
+from repro.core.engine import QueryHandle
+from repro.geometry import Rectangle, RectRegion
 from repro.plan.cache import assemble_programs
 from repro.plan.executor import ChainProgram, ChainSteps
 from repro.pointprocess import EventBatch, IntensityModel
 from repro.sensing import PhenomenonField
 from repro.serve.protocol import frame_head
+from repro.storage import QueryResultBuffer
 from repro.streams import NO_SENSOR_ID, SensorTuple, TupleBatch
 
 
@@ -96,6 +101,23 @@ def batch_of(items: Sequence[SensorTuple]) -> TupleBatch:
             for key in items[0].metadata
         },
     )
+
+
+def session_handle(
+    rate: float, area: float, batch_duration: float = 1.0, retention_batches=None
+) -> QueryHandle:
+    """A handle on a fresh result buffer of a ``rate`` query over an ``area``
+    rectangle, with no engine behind it: only the batch duration its
+    :meth:`~repro.core.engine.QueryHandle.achieved_rate` reads.
+
+    Fill ``handle.buffer`` by hand to test the rate arithmetic alone.
+    """
+    query = AcquisitionalQuery(
+        "rain", RectRegion(Rectangle(0.0, 0.0, area, 1.0)), rate=rate, query_id=1
+    )
+    engine = SimpleNamespace(config=SimpleNamespace(batch_duration=batch_duration))
+    buffer = QueryResultBuffer(1, retention_batches=retention_batches)
+    return QueryHandle(query, buffer, engine)
 
 
 def events_of(items) -> EventBatch:

@@ -80,7 +80,7 @@ def _assert_same_buffer(restored, original):
 
 
 def _buffer(**kwargs):
-    return QueryResultBuffer(1, requested_rate=2.0, region_area=4.0, **kwargs)
+    return QueryResultBuffer(1, **kwargs)
 
 
 def test_empty_buffer_round_trips():

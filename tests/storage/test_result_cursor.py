@@ -18,6 +18,7 @@ from repro.storage import QueryResultBuffer
 from repro.streams import TupleBatch
 from repro.streams.codec import encode_tuple_batch
 from repro.workloads import build_rain_temperature_world, default_engine_config
+from scaffolding import session_handle
 
 
 def make_batch(start, count, attribute="rain"):
@@ -34,8 +35,6 @@ def make_batch(start, count, attribute="rain"):
 
 
 def make_buffer(**kwargs):
-    kwargs.setdefault("requested_rate", 10.0)
-    kwargs.setdefault("region_area", 4.0)
     return QueryResultBuffer(1, **kwargs)
 
 
@@ -224,33 +223,27 @@ class TestRetentionAccounting:
         assert buffer.total_tuples == 100
         assert buffer.evicted_tuples == 70
 
-    def test_whole_history_rate_is_exact_after_eviction(self):
+    def test_whole_history_count_is_exact_after_eviction(self):
         buffer = make_buffer(retention_batches=3)
         self.run_batches(buffer, 10)
-        estimate = buffer.rate_over_batches(2.0)
-        assert estimate.tuples == 100
-        assert estimate.duration == 20.0
-        assert estimate.achieved_rate == pytest.approx(100 / (4.0 * 20.0))
+        assert buffer.tuples_over_batches() == (100, 10)
 
-    def test_windowed_rate_within_retention(self):
+    def test_windowed_count_within_retention(self):
         buffer = make_buffer(retention_batches=3)
         self.run_batches(buffer, 10)
-        estimate = buffer.rate_over_batches(1.0, last=2)
-        assert estimate.tuples == 20
+        assert buffer.tuples_over_batches(last=2) == (20, 2)
 
-    def test_windowed_rate_beyond_retention_raises(self):
+    def test_windowed_count_beyond_retention_raises(self):
         buffer = make_buffer(retention_batches=3)
         self.run_batches(buffer, 10)
         with pytest.raises(StorageError, match="retained"):
-            buffer.rate_over_batches(1.0, last=5)
+            buffer.tuples_over_batches(last=5)
 
     def test_window_larger_than_history_means_whole_history(self):
         # Pre-session semantics: counts[-last:] with last > len returned all.
         buffer = make_buffer(retention_batches=5)
         self.run_batches(buffer, 3)
-        estimate = buffer.rate_over_batches(1.0, last=50)
-        assert estimate.tuples == 30
-        assert estimate.duration == 3.0
+        assert buffer.tuples_over_batches(last=50) == (30, 3)
 
     def test_items_returns_only_retained_tuples(self):
         buffer = make_buffer(retention_batches=2)
@@ -273,18 +266,29 @@ class TestRetentionAccounting:
         with pytest.raises(StorageError):
             make_buffer(retention_batches=0)
 
-    def test_requested_rate_and_area_updates(self):
-        buffer = make_buffer()
-        self.run_batches(buffer, 2)
-        buffer.set_requested_rate(99.0)
-        buffer.set_region_area(2.0)
-        estimate = buffer.rate_over_batches(1.0)
-        assert estimate.requested_rate == 99.0
+    def test_whole_history_rate_is_exact_after_eviction(self):
+        handle = session_handle(10.0, 4.0, batch_duration=2.0, retention_batches=3)
+        self.run_batches(handle.buffer, 10)
+        estimate = handle.achieved_rate()
+        assert (estimate.tuples, estimate.duration) == (100, 20.0)
+        assert estimate.achieved_rate == pytest.approx(100 / (4.0 * 20.0))
+
+    def test_achieved_rate_follows_an_altered_rate_and_region(self):
+        engine = CraqrEngine(
+            default_engine_config(seed=7),
+            build_rain_temperature_world(sensor_count=50, seed=11),
+        )
+        handle = engine.register_query(
+            AcquisitionalQuery("rain", Rectangle(0.0, 0.0, 2.0, 2.0), rate=10.0)
+        )
+        self.run_batches(handle.buffer, 2)
+        engine.execute(f"ALTER {handle.query.label} SET RATE 99")
+        engine.update_query(handle.query_id, region=Rectangle(0.0, 0.0, 1.0, 2.0))
+        estimate = handle.achieved_rate()
+        assert estimate.requested_rate == handle.query.rate == 99.0
         assert estimate.area == 2.0
-        with pytest.raises(StorageError):
-            buffer.set_requested_rate(0.0)
-        with pytest.raises(StorageError):
-            buffer.set_region_area(-1.0)
+        duration = 2 * engine.config.batch_duration
+        assert estimate.achieved_rate == 20 / (2.0 * duration)
 
 
 class TestResultsPollingLeavesStorageAlone:

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import StorageError
 from repro.storage import DiscardedStore, QueryResultBuffer, TupleStore
 from repro.streams import SensorTuple, TupleBatch
-from scaffolding import batch_of
+from scaffolding import batch_of, session_handle
 
 
 def make_tuple(tuple_id=0, attribute="rain", t=0.0, x=0.5, y=0.5, value=None):
@@ -49,20 +49,14 @@ class TestTupleStore:
 
 
 class TestQueryResultBuffer:
-    def make_buffer(self, rate=10.0, area=4.0):
-        return QueryResultBuffer(1, requested_rate=rate, region_area=area)
+    def make_buffer(self):
+        return QueryResultBuffer(1)
 
     @staticmethod
     def deliver(buffer, tuple_ids):
         buffer.extend_batch(
             batch_of([make_tuple(tuple_id=i, value=1.0) for i in tuple_ids])
         )
-
-    def test_validation(self):
-        with pytest.raises(StorageError):
-            QueryResultBuffer(1, requested_rate=0.0, region_area=1.0)
-        with pytest.raises(StorageError):
-            QueryResultBuffer(1, requested_rate=1.0, region_area=0.0)
 
     def test_deliveries_and_batches(self):
         buffer = self.make_buffer()
@@ -76,30 +70,38 @@ class TestQueryResultBuffer:
         assert buffer.total_tuples == len(buffer) == 6
         assert buffer.cursor(tail=True).position == (3, 0)
 
-    def test_rate_over_batches(self):
-        buffer = self.make_buffer(rate=5.0, area=1.0)
+    def test_tuples_over_batches(self):
+        buffer = self.make_buffer()
         for batch in range(4):
             self.deliver(buffer, range(batch * 10, batch * 10 + 5))
             buffer.end_batch()
-        estimate = buffer.rate_over_batches(1.0)
+        assert buffer.tuples_over_batches() == (20, 4)
+        assert buffer.tuples_over_batches(last=2) == (10, 2)
+
+    def test_achieved_rate_divides_by_the_querys_area_and_duration(self):
+        handle = session_handle(5.0, 1.0)
+        for batch in range(4):
+            self.deliver(handle.buffer, range(batch * 10, batch * 10 + 5))
+            handle.buffer.end_batch()
+        estimate = handle.achieved_rate()
         assert estimate.achieved_rate == pytest.approx(5.0)
-        last_two = buffer.rate_over_batches(1.0, last=2)
-        assert last_two.tuples == 10
+        assert (estimate.requested_rate, estimate.area) == (5.0, 1.0)
+        assert handle.achieved_rate(last_batches=2).tuples == 10
 
-    def test_rate_over_batches_requires_history(self):
+    def test_tuples_over_batches_requires_history(self):
         with pytest.raises(StorageError):
-            self.make_buffer().rate_over_batches(1.0)
+            self.make_buffer().tuples_over_batches()
 
-    def test_rate_over_batches_rejects_non_positive_last(self):
+    def test_tuples_over_batches_rejects_non_positive_last(self):
         # Regression: last=0 used to slice [-0:] — the whole history — and
         # silently report the lifetime rate instead of a recent window.
-        buffer = self.make_buffer(rate=5.0, area=1.0)
+        buffer = self.make_buffer()
         self.deliver(buffer, range(5))
         buffer.end_batch()
         with pytest.raises(StorageError):
-            buffer.rate_over_batches(1.0, last=0)
+            buffer.tuples_over_batches(last=0)
         with pytest.raises(StorageError):
-            buffer.rate_over_batches(1.0, last=-2)
+            buffer.tuples_over_batches(last=-2)
 
     def test_values(self):
         buffer = self.make_buffer()
