@@ -90,24 +90,20 @@ def render_explain(
         f"over {streams} per-cell streams{paused}",
     ]
 
-    # A quarantined view is detached: it folds nothing and shares no sort.
-    on_query = [view for view in views if view.query_id == query_id and view.is_active]
-    shown = [view for view in on_query if view_name in (None, view.name)]
+    # A quarantined view is detached and folds nothing, so it is not
+    # listed; each listed view sorts its query's batch alone.
+    shown = [
+        view
+        for view in views
+        if view.query_id == query_id and view.is_active and view_name in (None, view.name)
+    ]
     if shown:
         lines += ["", f"views ({len(shown)}):"]
     for view in shown:
         spec = view.spec
-        sort = (spec.slide_duration, spec.group_by)
-        twins = [
-            other.name
-            for other in on_query
-            if other is not view
-            and (other.spec.slide_duration, other.spec.group_by) == sort
-        ]
-        shared = f"  [sort shared with {', '.join(twins)}]" if twins else ""
         lines.append(
             f"  view:{view.name}  {spec.describe()}  "
-            f"sort (slide={sort[0]:g}, {sort[1]}){shared}"
+            f"sort (slide={spec.slide_duration:g}, {spec.group_by})"
         )
 
     lines += [

@@ -69,8 +69,11 @@ MAGIC = b"CRQRCKPT"
 #: ``hypot`` — a restored engine moves its crowd to other last bits than
 #: the build that wrote a version-11 file; 13: the handler, the clock, a
 #: view and its frame buffer no longer pickle the round, tick,
-#: pre-origin-drop and evicted-tuple counters nothing read).
-FORMAT_VERSION = 13
+#: pre-origin-drop and evicted-tuple counters nothing read; 14: the SoA
+#: has no velocity columns and no per-row participation parameters — each
+#: row holds an int32 group code into a per-group participation table, and
+#: the world no code array of its own).
+FORMAT_VERSION = 14
 
 #: Header layout after the magic: version (u32), payload length (u64),
 #: SHA-256 digest (32 bytes), all little-endian.

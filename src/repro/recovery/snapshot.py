@@ -5,7 +5,8 @@ An :class:`EngineSnapshot` captures *everything* a
 had never stopped:
 
 * the sensing world — :class:`~repro.sensing.SensorStateArrays` columns
-  (positions, velocities, counters, reliability/quarantine, the keyed
+  (positions, targets, counters, participation codes and the per-group
+  participation table, reliability/quarantine, the keyed
   streams' ``moves_drawn`` counters), the participation models' per-sensor
   state (fatigue levels, distances), the simulation clock and the world's
   own stream (sensors keep no generator);

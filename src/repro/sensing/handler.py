@@ -194,12 +194,21 @@ def _ranks_within_runs(sorted_rows: np.ndarray) -> np.ndarray:
     return positions - np.maximum.accumulate(np.where(starts, positions, 0))
 
 
-def _respond_probabilities(soa, rows, multipliers) -> np.ndarray:
-    """Each request's response probability from the stationary SoA columns."""
-    p_base = soa.p_base[rows]
+def _participation_lookup(soa, rows) -> Tuple[np.ndarray, np.ndarray]:
+    """``(table, index)``: a request's participation field is ``table[field][index]``.
+
+    The SoA's per-group table and each request's group code, gathered once
+    per wave; as ``intp``, so each field's gather indexes without a cast.
+    """
+    return soa.participation_table, soa.participation[rows].astype(np.intp)
+
+
+def _respond_probabilities(table, index, multipliers) -> np.ndarray:
+    """Each request's response probability from its participation group's entry."""
+    p_base = table["p_base"][index]
     return np.where(
-        soa.incentive_sensitive[rows],
-        np.minimum(p_base * multipliers, soa.p_max[rows]),
+        table["incentive_sensitive"][index],
+        np.minimum(p_base * multipliers, table["p_max"][index]),
         p_base,
     )
 
@@ -264,9 +273,10 @@ class _PerSensorStreams:
     and a wave is answered in one pass: a rank within each sensor gives
     the counters (read before the wave loop bumps them), one
     :func:`~repro.rng.keyed_uniforms` call draws every block, rows with
-    stationary participation (``vector_params``) are decided from the SoA
-    parameter columns, and one ``values_from_uniforms`` call senses every
-    response.  Rows with stateful or custom participation are decided by
+    stationary participation (``vector_params``) are decided from their
+    groups' entries of the SoA participation table, and one
+    ``values_from_uniforms`` call senses every response.  Rows with
+    stateful or custom participation are decided by
     :func:`_decide_walked`, fed the same blocks.  Byte-identical to asking
     each sensor with :meth:`~repro.sensing.MobileSensor.handle_request`,
     in any order that keeps each sensor's own requests in order.
@@ -294,9 +304,10 @@ class _PerSensorStreams:
         u = keyed_uniforms(
             world.acquisition_key, soa.sensor_ids[rows], counters, ANSWERS
         )
-        responded = u[0] < _respond_probabilities(soa, rows, multipliers)
-        latencies = exponential_latency(soa.latency_mean[rows], u[1])
-        visit = np.flatnonzero(~soa.vector_participation[rows])
+        table, index = _participation_lookup(soa, rows)
+        responded = u[0] < _respond_probabilities(table, index, multipliers)
+        latencies = exponential_latency(table["latency_mean"][index], u[1])
+        visit = np.flatnonzero(~table["vector_participation"][index])
         if visit.size:
             _decide_walked(
                 world, rows, visit, request_times, multipliers,
@@ -318,12 +329,12 @@ class _SharedStream:
     (:meth:`request_times`), and a wave is answered with one participation
     draw, one latency draw and one ``field.values`` call over the
     concatenated rows; stationary participation (``vector_params``) is read
-    from the SoA parameter columns.  Rows with stateful or custom
-    participation take their respond uniform from the same participation
-    draw and are decided by :func:`_decide_walked`; only when a wave has
-    such rows does it make one further draw, for their latency uniforms,
-    so a wave without them draws exactly what it always did.  Statistically
-    equivalent to :class:`_PerSensorStreams`.
+    from the groups' entries of the SoA participation table.  Rows with
+    stateful or custom participation take their respond uniform from the
+    same participation draw and are decided by :func:`_decide_walked`;
+    only when a wave has such rows does it make one further draw, for
+    their latency uniforms, so a wave without them draws exactly what it
+    always did.  Statistically equivalent to :class:`_PerSensorStreams`.
     """
 
     def __init__(self, world: SensingWorld) -> None:
@@ -357,10 +368,12 @@ class _SharedStream:
         world = self._world
         soa = world.state_arrays
         rng = world.rng
+        table, index = _participation_lookup(soa, rows)
         u_respond = rng.random(rows.size)
-        responded = u_respond < _respond_probabilities(soa, rows, multipliers)
+        responded = u_respond < _respond_probabilities(table, index, multipliers)
         latencies = np.empty(rows.size)
-        visit = np.flatnonzero(~soa.vector_participation[rows])
+        stationary = table["vector_participation"][index]
+        visit = np.flatnonzero(~stationary)
         if visit.size:
             _decide_walked(
                 world, rows, visit, request_times, multipliers,
@@ -368,10 +381,10 @@ class _SharedStream:
             )
         answered = np.flatnonzero(responded)
         answered_rows = rows[answered]
-        drawn = answered[soa.vector_participation[answered_rows]]
+        drawn = answered[stationary[answered]]
         # Exp(scale m) == m * Exp(1): one draw serves every per-sensor mean.
         latencies[drawn] = (
-            rng.exponential(1.0, drawn.size) * soa.latency_mean[rows[drawn]]
+            rng.exponential(1.0, drawn.size) * table["latency_mean"][index[drawn]]
         )
         if answered.size == 0:
             return responded, np.empty(0), np.empty(0)

@@ -547,7 +547,7 @@ class RandomWaypointMobility(MobilityModel):
         lie inside the region, as every state this model produces does.
 
         A crowd in which every row is eventful pays this one full-width
-        pass on top of its sub-steps.
+        pass on top of its sub-steps, and gets its selector back untouched.
         """
         sel, gathered = _as_selector(indices)
         x, y = arrays.x[sel], arrays.y[sel]
@@ -557,6 +557,10 @@ class RandomWaypointMobility(MobilityModel):
         travel = self._speed * duration
         quiet = distance > travel * (1 + 1e-9)
         quiet &= ~(arrays.pause_remaining[sel] > 0.0)
+        if not quiet.any():
+            # Every row is eventful (a fresh crowd has no target yet): the
+            # selector goes back as it came, so a slice stays a slice.
+            return indices
         # Every row strides in place; the few the sub-steps will move are
         # put back as they were.
         rest = np.flatnonzero(~quiet)

@@ -100,10 +100,11 @@ class ParticipationModel(ABC):
         the mean of the exponential response latency, and whether incentives
         scale the probability at all — or ``None`` when the model's
         decisions depend on mutable per-request state (fatigue, externally
-        updated distances).  These parameters are copied into the world's
-        :class:`~repro.sensing.state.SensorStateArrays` columns when the
-        world is built, once per ``(type, vector_params)`` group (the world
-        keeps only the group's first model): a strict wave decides every
+        updated distances).  These parameters are stored once per
+        ``(type, vector_params)`` group, in the participation table of the
+        world's :class:`~repro.sensing.state.SensorStateArrays`, when the
+        world is built (the world keeps only the group's first model, each
+        row the group's code): a strict wave decides every
         such row in one pass over its keyed uniforms (what the default
         :meth:`decide` computes per request), and fast-sim samples them
         from the shared stream.  Rows

@@ -40,8 +40,8 @@ from .state import SensorStateArrays
 class MobileSensor:
     """One simulated mobile sensor (a smartphone, vehicle sensor or human).
 
-    A sensor's mutable state (position, velocity, waypoint target, request
-    counters, participation parameters) lives in a
+    A sensor's mutable state (position, waypoint target, request counters,
+    participation group) lives in a
     :class:`~repro.sensing.state.SensorStateArrays` row; the sensor object is
     a lazy view over that row.  A :class:`~repro.sensing.SensingWorld` keeps
     one SoA for its whole crowd, already placed, and builds a view over a

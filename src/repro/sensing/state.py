@@ -11,7 +11,12 @@ state as numpy columns so that
 * spatial queries (``density_snapshot``, cell bucketing) reduce to boolean
   masks and bincounts over the position columns, and
 * the acquisition rounds vectorise participation sampling across a whole
-  cell population using the per-sensor participation parameter columns.
+  cell population: each request's group code, gathered once per wave,
+  indexes the fields of the participation table.
+
+A row holds only what differs per sensor.  What a whole participation
+group shares — its stationary decision parameters — is stored once, in
+the group's table entry, and a row holds the group's int32 code.
 
 :class:`MobileSensor` objects remain the public per-sensor API, but each one
 is a lazy *view* over its SoA row, built when asked for: it reads its
@@ -19,7 +24,7 @@ position from the columns and moves by running its model's kernel on its
 one-row slice.  Rows are placed in place, a model group at a time, by
 :meth:`~repro.sensing.mobility.MobilityModel.initial_state_batch` from one
 keyed block per row (:func:`~repro.sensing.mobility.place_groups`), and the
-participation columns are written once per participation group
+participation codes and table are written once
 (:meth:`SensorStateArrays.set_participation`).
 """
 
@@ -33,9 +38,21 @@ from ..errors import CraqrError
 
 #: The columns a mobility kernel may write: what a compacted ``advance``
 #: scatters back (``sensor_ids`` is gathered too, read-only).
-MOVEMENT_COLUMNS = (
-    "x", "y", "vx", "vy", "target_x", "target_y", "pause_remaining", "moves_drawn",
+MOVEMENT_COLUMNS = ("x", "y", "target_x", "target_y", "pause_remaining", "moves_drawn")
+
+#: One participation group's entry of :attr:`SensorStateArrays.participation_table`.
+PARTICIPATION_DTYPE = np.dtype(
+    [
+        ("p_base", np.float64),
+        ("p_max", np.float64),
+        ("latency_mean", np.float64),
+        ("incentive_sensitive", np.bool_),
+        ("vector_participation", np.bool_),
+    ]
 )
+
+#: The entry of a group without stationary parameters (and of a fresh SoA).
+_WALKED = (1.0, 1.0, 0.0, False, False)
 
 
 class SensorStateArrays:
@@ -43,7 +60,7 @@ class SensorStateArrays:
 
     Columns
     -------
-    ``x, y, vx, vy, target_x, target_y, pause_remaining``
+    ``x, y, target_x, target_y, pause_remaining``
         Mobility state; targets are NaN when unset.
     ``sensor_ids``
         Public sensor identifier of each row.
@@ -52,29 +69,40 @@ class SensorStateArrays:
     ``moves_drawn``
         Movement blocks the row has drawn from its keyed stream: the
         counter of its next one (see :class:`~repro.sensing.mobility.KeyedDraws`).
-    ``p_base, p_max, latency_mean, incentive_sensitive, vector_participation``
-        Participation parameters (see
-        :meth:`~repro.sensing.participation.ParticipationModel.vector_params`):
-        base response probability, incentive-boost cap, mean exponential
-        response latency, whether incentives scale the probability, and
-        whether the row is decided from these columns at all.  Rows whose
-        model has no stationary ``vector_params`` (fatigue, custom models)
-        keep ``vector_participation`` False: under both RNG contracts their
-        requests are decided by the model's ``decide``, one at a time, and
-        the model keeps their state.
+    ``participation``
+        The row's participation group: an int32 code into
+        ``participation_table`` (and into the world's list of kept models).
     ``reliability, quarantined``
         Server-side health state maintained by
         :class:`repro.faults.SensorHealthMonitor`: a reliability EWMA of the
         sensor's accepted/requested ratio (1.0 until observed) and the
         quarantine mask the handler ANDs into its candidate populations.
         Inert (all-ones / all-False) unless a health monitor is attached.
+
+    A row costs 85 bytes: five float64 movement columns, four int64
+    columns, the int32 code, the float64 reliability and the bool
+    quarantine flag.
+
+    Participation table
+    -------------------
+    ``participation_table`` holds one :data:`PARTICIPATION_DTYPE` entry per
+    participation group, in code order: the group's ``vector_params``
+    (see :meth:`~repro.sensing.participation.ParticipationModel.vector_params`)
+    — base response probability ``p_base``, incentive-boost cap ``p_max``,
+    mean exponential response latency ``latency_mean``, whether incentives
+    scale the probability (``incentive_sensitive``) — and whether the
+    group is decided from them at all (``vector_participation``).  A group
+    whose model has no stationary ``vector_params`` (fatigue, custom
+    models) keeps ``vector_participation`` False: under both RNG contracts
+    its requests are decided by the model's ``decide``, one at a time, and
+    the model keeps their state.  A fresh SoA has one such entry, and
+    every row code 0.
     """
 
     __slots__ = (
-        "x", "y", "vx", "vy", "target_x", "target_y", "pause_remaining",
+        "x", "y", "target_x", "target_y", "pause_remaining",
         "sensor_ids", "requests_received", "responses_sent", "moves_drawn",
-        "p_base", "p_max", "latency_mean", "incentive_sensitive",
-        "vector_participation", "reliability", "quarantined",
+        "participation", "reliability", "quarantined", "participation_table",
     )
 
     def __init__(self, count: int) -> None:
@@ -82,8 +110,6 @@ class SensorStateArrays:
             raise CraqrError("a SensorStateArrays needs at least one row")
         self.x = np.zeros(count, dtype=np.float64)
         self.y = np.zeros(count, dtype=np.float64)
-        self.vx = np.zeros(count, dtype=np.float64)
-        self.vy = np.zeros(count, dtype=np.float64)
         self.target_x = np.full(count, np.nan, dtype=np.float64)
         self.target_y = np.full(count, np.nan, dtype=np.float64)
         self.pause_remaining = np.zeros(count, dtype=np.float64)
@@ -91,13 +117,10 @@ class SensorStateArrays:
         self.requests_received = np.zeros(count, dtype=np.int64)
         self.responses_sent = np.zeros(count, dtype=np.int64)
         self.moves_drawn = np.zeros(count, dtype=np.int64)
-        self.p_base = np.ones(count, dtype=np.float64)
-        self.p_max = np.ones(count, dtype=np.float64)
-        self.latency_mean = np.zeros(count, dtype=np.float64)
-        self.incentive_sensitive = np.zeros(count, dtype=bool)
-        self.vector_participation = np.zeros(count, dtype=bool)
+        self.participation = np.zeros(count, dtype=np.int32)
         self.reliability = np.ones(count, dtype=np.float64)
         self.quarantined = np.zeros(count, dtype=bool)
+        self.participation_table = np.array([_WALKED], dtype=PARTICIPATION_DTYPE)
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -107,23 +130,17 @@ class SensorStateArrays:
         groups: np.ndarray,
         params: Sequence[Optional[Tuple[float, float, float, bool]]],
     ) -> None:
-        """Write the participation columns: row ``i`` takes ``params[groups[i]]``.
+        """Row ``i`` joins group ``groups[i]``, whose table entry is ``params[groups[i]]``.
 
-        ``params`` holds one ``vector_params()`` per participation group;
-        the rows of a ``None`` group (not vectorisable) keep the columns'
-        defaults, ``vector_participation`` False among them.
+        ``params`` holds one ``vector_params()`` per participation group,
+        in code order; a ``None`` group (not vectorisable) takes the
+        entry of a fresh SoA, ``vector_participation`` False among them.
         """
-        codes = [code for code, group in enumerate(params) if group is not None]
-        if not codes:
-            return
-        slot = np.full(len(params), -1)
-        slot[codes] = np.arange(len(codes))
-        slot = slot[groups]
-        rows = slot >= 0
-        table = np.array([params[code] for code in codes], dtype=np.float64)[slot[rows]]
-        self.p_base[rows], self.p_max[rows], self.latency_mean[rows] = table[:, :3].T
-        self.incentive_sensitive[rows] = table[:, 3] != 0.0
-        self.vector_participation[rows] = True
+        self.participation[:] = groups
+        self.participation_table = np.array(
+            [_WALKED if group is None else (*group, True) for group in params],
+            dtype=PARTICIPATION_DTYPE,
+        )
 
     def take_movement(self, rows: np.ndarray) -> "SensorStateArrays":
         """A compact copy of ``rows``: the movement columns and ``sensor_ids`` only.

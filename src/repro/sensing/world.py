@@ -11,7 +11,9 @@ All per-sensor mutable state lives in one
 the world, and the models are kept once per group: the first mobility
 model of each ``batch_key``, the first stationary participation model of
 each ``(type, vector_params)`` (a stateful one stays the object its factory
-returned), each row holding its groups' codes.  Every sensor is placed from
+returned).  The world holds each row's mobility code, the SoA its
+participation code and each participation group's stationary parameters,
+once, in its table.  Every sensor is placed from
 its own keyed block in one draw for the whole crowd
 (:func:`~repro.sensing.mobility.place_groups`); no generator is built or
 drawn from.  :class:`MobileSensor` objects are lazy views over the rows,
@@ -20,8 +22,8 @@ built when asked for and never stored.  Spatial queries
 array operations in every mode.  Movement runs one way,
 in both modes and for every sensor — each model group's draw-free
 ``skip_ahead``, then one vectorised ``step_batch`` kernel call per group per
-movement sub-step over the rows it left, gathered once per ``advance`` into
-one compact copy — and the modes differ only in
+movement sub-step over the rows it left, the index-array groups gathered
+once per ``advance`` into one compact copy — and the modes differ only in
 where the draws come from, the RNG contract selected by
 :attr:`WorldConfig.vectorized_rng`:
 
@@ -206,9 +208,9 @@ class SensingWorld:
         state = self._state = SensorStateArrays(config.sensor_count)
         state.sensor_ids[:] = np.arange(config.sensor_count)
         self._participation_models = [model for _, model in participation.values()]
-        self._participation_codes = _run_codes(participation_runs, config.sensor_count)
         state.set_participation(
-            self._participation_codes, [m.vector_params() for m in self._participation_models]
+            _run_codes(participation_runs, config.sensor_count),
+            [m.vector_params() for m in self._participation_models],
         )
         # Each group's ascending rows resolve once to the *row selector* its
         # kernels receive: a ``slice`` when contiguous (every single-model
@@ -309,17 +311,22 @@ class SensingWorld:
         to ``skip_ahead`` — a waypoint walker that cannot reach its target
         within ``duration`` takes the whole window in one stride — and then
         one vectorised ``step_batch`` kernel per group per sub-step moves
-        the rows that hook handed back, step-major.  The index arrays it
-        hands back are gathered once, all groups together, into one compact
-        copy of the movement columns (:func:`_compact_groups`); the kernels
-        sub-step their slices of it as views, and it is scattered back once
-        at the end.  The kernels draw through the mode's policy: fast-sim's
+        the rows that hook handed back, step-major.  Only index-array
+        groups are compacted: the index arrays it hands back are gathered
+        once, all groups together, into one compact copy of the movement
+        columns (:func:`_compact_groups`), the kernels sub-step their slices
+        of it as views, and it is scattered back once at the end.  A group
+        it hands back as a ``slice`` — every contiguous group with no quiet
+        row, such as a freshly placed crowd of waypoint walkers, none of
+        which has a target yet — is sub-stepped in place on the world's
+        columns.  The kernels draw through the mode's policy: fast-sim's
         shared generator, consumed exactly as if every row were sub-stepped
         (the skipped rows' positions agree with that up to rounding), or
         strict's keyed movement blocks, which make a sensor's move
         independent of its crowd — built over the compact copy, it draws
         every compact row's next block in one Philox call and only a row's
-        second or later block of the window again.  None of this moves a
+        second or later block of the window again (a group left in place
+        draws per kernel call).  None of this moves a
         bit against gathering and drawing per kernel call.  Advance is
         atomic: nothing observes the SoA between sub-steps.  A non-positive
         ``duration``, or one the sub-step loop cuts into nothing (1e-12 or
@@ -362,14 +369,14 @@ class SensingWorld:
             for i, mobility, participation in zip(
                 np.asarray(indices).tolist(),
                 self._mobility_codes[indices].tolist(),
-                self._participation_codes[indices].tolist(),
+                self._state.participation[indices].tolist(),
             )
         ]
 
     def participation_at(self, indices: np.ndarray) -> List[ParticipationModel]:
         """The participation model of each of the given SoA rows (no view is built)."""
         models = self._participation_models
-        return [models[code] for code in self._participation_codes[indices].tolist()]
+        return [models[code] for code in self._state.participation[indices].tolist()]
 
     def density_snapshot(self, nx: int = 8, ny: int = 8) -> np.ndarray:
         """Counts of sensors in an ``ny x nx`` grid — a quick view of spatial skew.

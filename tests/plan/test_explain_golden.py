@@ -155,7 +155,7 @@ chains (4):
 merge stage: U:Storm flat union over 4 per-cell streams
 
 views (1):
-  view:A  AVG(value) GROUP BY CELL WINDOW 2  sort (slide=2, cell)  [sort shared with B]
+  view:A  AVG(value) GROUP BY CELL WINDOW 2  sort (slide=2, cell)
 
 cost estimate (steady-state, seed cost model): 68.79 units/batch over 4 cells (66.7 requests, 120.0 operator-tuples, over-acquisition 0.0%)"""
 
@@ -182,17 +182,15 @@ class TestExplainGoldens:
             engine.execute(statement)
         assert engine.explain("A") == VIEW_PLAN
 
-    def test_query_target_lists_every_view_and_its_sort(self, engine):
+    def test_query_target_lists_every_view_and_its_own_sort(self, engine):
         for statement in VIEWS:
             engine.execute(statement)
         text = engine.explain("Storm")
-        # A and B share one (slide, group_by) sort; C sorts alone.
+        # A and B have one (slide, group_by) key, but each view sorts alone.
         assert text.split("\n\n")[3] == (
             "views (3):\n"
-            "  view:A  AVG(value) GROUP BY CELL WINDOW 2  sort (slide=2, cell)"
-            "  [sort shared with B]\n"
-            "  view:B  MAX(value) GROUP BY CELL WINDOW 4 SLIDE 2  sort (slide=2, cell)"
-            "  [sort shared with A]\n"
+            "  view:A  AVG(value) GROUP BY CELL WINDOW 2  sort (slide=2, cell)\n"
+            "  view:B  MAX(value) GROUP BY CELL WINDOW 4 SLIDE 2  sort (slide=2, cell)\n"
             "  view:C  COUNT(value) WINDOW 2  sort (slide=2, region)"
         )
 

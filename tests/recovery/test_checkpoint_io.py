@@ -54,8 +54,8 @@ class TestFraming:
         with pytest.raises(RecoveryError, match=f"version {FORMAT_VERSION + 1}"):
             unframe_payload(framed)
 
-    def test_format_version_is_13(self):
-        assert FORMAT_VERSION == 13
+    def test_format_version_is_14(self):
+        assert FORMAT_VERSION == 14
 
     @pytest.mark.parametrize(
         "version",
@@ -100,6 +100,10 @@ class TestFraming:
             # counters (``_rounds``, ``_ticks``, ``_pre_origin_dropped``,
             # ``_tuples_evicted``) this build's objects no longer have.
             12,
+            # 13: the SoA pickles ``vx`` / ``vy`` and five per-row
+            # participation columns where this build's has slots for a code
+            # column and a per-group table, and the world pickles its codes.
+            13,
         ],
     )
     def test_old_checkpoint_is_refused_by_version(self, version):

@@ -203,8 +203,9 @@ class TestSnapshotSemantics:
     def test_a_fabricator_checkpoint_of_the_old_layout_restores(self, tmp_path):
         # The stream fabricator used to pickle two fields nothing read: a
         # delivered-tuple count per query id ever registered and a batch
-        # counter.  A checkpoint written then carries the same
-        # FORMAT_VERSION and must restore and run on unchanged.
+        # counter.  A checkpoint written then carried the same
+        # FORMAT_VERSION (13, now refused by its version); a payload of this
+        # version that still carries them must restore and run on unchanged.
         reference = run_to(make_engine(), 6)
         engine = run_to(make_engine(), 3)
         fabricator = engine._fabricator
@@ -213,7 +214,7 @@ class TestSnapshotSemantics:
         assert delivered
         vars(fabricator).update(_delivered_per_query=delivered, _batches=3)
         clone = load_snapshot(engine.snapshot().write(tmp_path / "old.ckpt"))
-        assert clone.version == FORMAT_VERSION == 13
+        assert clone.version == FORMAT_VERSION == 14
         restored = run_to(clone.restore(), 6)
         assert engine_digest(restored) == engine_digest(reference)
 
@@ -223,8 +224,9 @@ class TestSnapshotSemantics:
         # views, ``_view_handles`` of their handles); a view pickled its
         # aggregate object and its buffer subscription and shared-sort
         # cache (both as None), and a buffer its query's requested rate and
-        # area.  A checkpoint written then carries the same FORMAT_VERSION
-        # and must restore and run on unchanged.
+        # area.  A checkpoint written then carried the same FORMAT_VERSION
+        # (13, now refused by its version); a payload of this version that
+        # still carries them must restore and run on unchanged.
         reference = run_to(make_engine(), 6)
         engine = run_to(make_engine(), 3)
         assert engine.view_handles()
@@ -261,7 +263,7 @@ class TestSnapshotSemantics:
             patch.setattr(ContinuousView, "__getstate__", old_view)
             patch.setattr(QueryResultBuffer, "__getstate__", old_buffer)
             clone = load_snapshot(engine.snapshot().write(tmp_path / "old.ckpt"))
-        assert clone.version == FORMAT_VERSION == 13
+        assert clone.version == FORMAT_VERSION == 14
         restored = clone.restore()
         assert not hasattr(restored, "_buffers")
         assert not hasattr(restored, "_view_handles")
@@ -275,8 +277,9 @@ class TestSnapshotSemantics:
     ):
         # The handler used to hold one RNG policy per contract, pickled as
         # ``_per_sensor`` and ``_shared_stream``, and no ``_policy``.  A
-        # checkpoint written then carries the same FORMAT_VERSION and must
-        # restore and run on unchanged.
+        # checkpoint written then carried the same FORMAT_VERSION (13, now
+        # refused by its version); a payload of this version that still
+        # carries them must restore and run on unchanged.
         reference = run_to(make_engine(vectorized=vectorized), 6)
         engine = run_to(make_engine(vectorized=vectorized), 3)
         policy = type(engine.handler._policy)
@@ -293,7 +296,7 @@ class TestSnapshotSemantics:
         with monkeypatch.context() as patch:
             patch.setattr(RequestResponseHandler, "__getstate__", old_layout)
             clone = load_snapshot(engine.snapshot().write(tmp_path / "old.ckpt"))
-        assert clone.version == FORMAT_VERSION == 13
+        assert clone.version == FORMAT_VERSION == 14
         restored = clone.restore()
         assert type(restored.handler._policy) is policy
         assert restored.handler._policy._world is restored.world

@@ -48,9 +48,7 @@ from test_skip_ahead import quiet_rows
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
-COLUMNS = (
-    "x", "y", "vx", "vy", "target_x", "target_y", "pause_remaining", "moves_drawn",
-)
+COLUMNS = ("x", "y", "target_x", "target_y", "pause_remaining", "moves_drawn")
 
 
 class Drifter(HotspotMobility):

@@ -198,6 +198,12 @@ class TestFastSimAcquisition:
         assert totals == handler.total_requests
 
 
+def stationary_rows(world):
+    """Whether each row is decided from its participation group's table entry."""
+    soa = world.state_arrays
+    return soa.participation_table["vector_participation"][soa.participation]
+
+
 def mixed_crowd(i):
     """Bernoulli sensors with a custom stateless model every seventh sensor."""
     return MoodyParticipation() if i % 7 == 0 else BernoulliParticipation(0.8)
@@ -225,7 +231,7 @@ class TestOnePolicy:
 
     def test_a_mixed_round_draws_no_keyed_block(self, monkeypatch):
         world = make_world(True, sensor_count=300, participation=mixed_crowd)
-        flags = world.state_arrays.vector_participation
+        flags = stationary_rows(world)
         assert flags.any() and not flags.all()
         handler = RequestResponseHandler(world, Grid(REGION, side=4), default_budget=12)
         calls = []
@@ -279,7 +285,7 @@ class TestOnePolicy:
             True, sensor_count=60,
             participation=lambda i: model if i % 3 == 0 else BernoulliParticipation(0.5),
         )
-        walked = ~world.state_arrays.vector_participation
+        walked = ~stationary_rows(world)
         handler = RequestResponseHandler(world, Grid(REGION, side=1), default_budget=budget)
         for _ in range(2):
             log.clear()
@@ -312,7 +318,7 @@ class TestOnePolicy:
         cells = list(grid.cells())
         stateful_cells = {
             cell.key for cell in cells
-            if not world.state_arrays.vector_participation[rows_in(world, cell.rect)].all()
+            if not stationary_rows(world)[rows_in(world, cell.rect)].all()
         }
         assert 0 < len(stateful_cells) < len(cells) - 1
         batches, _ = handler.acquire_batches({"rain": cells, "temp": cells}, duration=1.0)

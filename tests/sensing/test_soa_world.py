@@ -33,6 +33,12 @@ from repro.sensing.participation import ParticipationModel, ResponseDecision
 
 REGION = Rectangle(0.0, 0.0, 4.0, 4.0)
 
+
+def per_row(soa, field):
+    """A participation-table field as a per-row column: each row's group's value."""
+    return soa.participation_table[field][soa.participation]
+
+
 MOBILITY_FACTORIES = {
     "stationary": lambda r: StationaryMobility(r),
     "waypoint": lambda r: RandomWaypointMobility(r, speed=0.4, pause=0.3),
@@ -77,7 +83,8 @@ class TestOneModelPerGroup:
         kept = world._participation_models
         assert [m.vector_params()[0] for m in kept] == [0.6, 0.4]
         assert world.participation_at(np.arange(4)) == [kept[0], kept[1], kept[0], kept[1]]
-        assert world.state_arrays.p_base.tolist() == [0.6, 0.4] * 25
+        assert world.state_arrays.participation.tolist() == [0, 1] * 25
+        assert per_row(world.state_arrays, "p_base").tolist() == [0.6, 0.4] * 25
 
     def test_stateful_models_stay_the_factorys_objects(self):
         made = {}
@@ -97,8 +104,8 @@ class TestOneModelPerGroup:
             assert models[sensor_id] is made[sensor_id]
         assert len({id(m) for m in models}) == 4  # three fatigue models, one AlwaysRespond
         soa = world.state_arrays
-        assert soa.vector_participation.tolist() == [i % 3 != 0 for i in range(9)]
-        assert soa.p_base.tolist() == [1.0] * 9
+        assert per_row(soa, "vector_participation").tolist() == [i % 3 != 0 for i in range(9)]
+        assert per_row(soa, "p_base").tolist() == [1.0] * 9
 
     def test_one_shared_stateful_model_is_kept_once(self):
         shared = FatigueParticipation(0.7)
@@ -107,7 +114,7 @@ class TestOneModelPerGroup:
             participation_factory=lambda i: shared,
         )
         assert world._participation_models == [shared]
-        assert not world.state_arrays.vector_participation.any()
+        assert not per_row(world.state_arrays, "vector_participation").any()
 
     def test_sensor_views_are_built_on_demand(self):
         world = SensingWorld(
@@ -147,11 +154,11 @@ class TestSensorStateArrays:
             ),
         )
         soa = world.state_arrays
-        assert np.all(soa.vector_participation)
-        assert np.all(soa.p_base == 0.4)
-        assert np.all(soa.p_max == 0.9)
-        assert np.all(soa.latency_mean == 0.3)
-        assert np.all(soa.incentive_sensitive)
+        assert np.all(per_row(soa, "vector_participation"))
+        assert np.all(per_row(soa, "p_base") == 0.4)
+        assert np.all(per_row(soa, "p_max") == 0.9)
+        assert np.all(per_row(soa, "latency_mean") == 0.3)
+        assert np.all(per_row(soa, "incentive_sensitive"))
 
     def test_always_respond_is_incentive_insensitive(self):
         world = SensingWorld(
@@ -159,9 +166,9 @@ class TestSensorStateArrays:
             participation_factory=lambda i: AlwaysRespond(),
         )
         soa = world.state_arrays
-        assert np.all(soa.vector_participation)
-        assert np.all(soa.p_base == 1.0)
-        assert not np.any(soa.incentive_sensitive)
+        assert np.all(per_row(soa, "vector_participation"))
+        assert np.all(per_row(soa, "p_base") == 1.0)
+        assert not np.any(per_row(soa, "incentive_sensitive"))
 
 
 class TestVectorisedWorldQueries:
@@ -362,9 +369,10 @@ class TestGroupingOracle:
         mobility_codes, participation_codes, groups, participation_models, state = (
             oracle_world(made_mobility, made_participation, world.acquisition_key)
         )
-        assert world._mobility_codes.dtype == world._participation_codes.dtype == np.int32
+        participation = world.state_arrays.participation
+        assert world._mobility_codes.dtype == participation.dtype == np.int32
         assert world._mobility_codes.tolist() == mobility_codes
-        assert world._participation_codes.tolist() == participation_codes
+        assert participation.tolist() == participation_codes
         assert len(world._mobility_groups) == len(groups)
         for (model, sel), (expected_model, expected_sel) in zip(world._mobility_groups, groups):
             assert model is expected_model
